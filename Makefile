@@ -36,16 +36,15 @@ bench-json:
 failover:
 	$(GO) test -run TestFailoverClaims -count=1 ./internal/rmem
 
-# shard-stress hammers the conservative-parallel engine, the incremental
-# flow solver and the 512-node workload under the race detector — the
-# cross-engine determinism property tests run with real goroutine
-# parallelism so window-barrier and cross-shard-queue races surface. The
-# second line runs the full MPI stack and the one-sided layer on the
-# sharded engine (the confined-world cross-engine property tests plus the
-# engine bench rows) under the same detector.
+# shard-stress hammers the conservative-parallel engine and the incremental
+# flow solver under the race detector, then the torus machine, the full MPI
+# stack and the one-sided layer on the sharded engine (the mpi.TorusWorld
+# and confined-world cross-engine property tests plus the engine bench
+# rows) — with real goroutine parallelism, so window-barrier and
+# cross-shard-queue races surface.
 shard-stress:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/flow/ ./internal/scale/
-	$(GO) test -race -count=2 -run 'TestCrossEngine' ./internal/mpi/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/flow/
+	$(GO) test -race -count=2 -run 'TestCrossEngine|TestTorus' ./internal/mpi/
 	$(GO) test -race -count=2 -run 'TestFenceEpochOnShardedEngine' ./internal/osc/
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
 

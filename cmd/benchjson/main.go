@@ -79,8 +79,7 @@ func main() {
 	// The sharded-engine suite: the 512-node torus ring allreduce plus the
 	// full-stack MPI allreduce, each on the sequential oracle vs the
 	// conservative-parallel engine. Its rows carry the schedule-determinism
-	// gates (both workloads) and the 2x wall-clock gate at the widest torus
-	// shard count.
+	// gates (both workloads); speedup and ncpu are reported, not gated.
 	engRows, engOK := bench.RunEngineBench()
 	fmt.Print(bench.FormatEngine(engRows))
 	path = filepath.Join(*dir, "BENCH_engine.json")
@@ -90,7 +89,7 @@ func main() {
 	}
 	fmt.Printf("wrote %s\n", path)
 	if !engOK {
-		fmt.Fprintln(os.Stderr, "benchjson: engine determinism/speedup gates failed")
+		fmt.Fprintln(os.Stderr, "benchjson: engine determinism gates failed")
 		os.Exit(1)
 	}
 }

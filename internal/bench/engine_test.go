@@ -7,12 +7,10 @@ import (
 
 // TestEngineBenchSmall runs the engine suite on a 4x4x4 machine — big
 // enough to exercise the sequential row plus two sharded configurations,
-// small enough for the test suite. The timing gate is off (a 64-node run on
-// a loaded test runner proves nothing about wall-clock); the determinism
-// gates must hold at any scale, on both the torus and the full-stack MPI
-// workloads.
+// small enough for the test suite. The determinism gates must hold at any
+// scale, on both the torus and the full-stack MPI workloads.
 func TestEngineBenchSmall(t *testing.T) {
-	rows, ok := RunEngineBenchAt(4, 4, 4, []int{2, 4}, false)
+	rows, ok := RunEngineBenchAt(4, 4, 4, []int{2, 4})
 	if !ok {
 		t.Fatalf("engine gates failed: %+v", rows)
 	}
@@ -52,7 +50,7 @@ func TestEngineBenchSmall(t *testing.T) {
 }
 
 func TestEngineJSONRoundTrip(t *testing.T) {
-	rows, _ := RunEngineBenchAt(2, 2, 2, []int{2}, false)
+	rows, _ := RunEngineBenchAt(2, 2, 2, []int{2})
 	path := t.TempDir() + "/BENCH_engine.json"
 	if err := WriteEngineJSON(path, rows); err != nil {
 		t.Fatal(err)

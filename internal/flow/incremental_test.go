@@ -27,7 +27,7 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 		links[0] = NewLink("c0", 200*mib, BusCongestion{PerFlowPenalty: 0.05, Floor: 0.4})
 		check := func() {
 			want := make(map[*Flow]float64, len(n.flows))
-			for f := range n.flows {
+			for _, f := range n.flows {
 				want[f] = f.rate
 			}
 			n.solveAll()
@@ -61,6 +61,50 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 		if n.ActiveFlows() != 0 {
 			t.Fatalf("seed %d: %d flows never finished", seed, n.ActiveFlows())
 		}
+	}
+}
+
+// TestSolveAllDoesNotPerturbProgress pins the oracle as an observer: a
+// from-scratch solve in the middle of a transfer re-anchors progress from the
+// bytes actually left at that instant, so the schedule completes exactly when
+// it would have without the solve.
+func TestSolveAllDoesNotPerturbProgress(t *testing.T) {
+	run := func(solveMidFlight bool) time.Duration {
+		e := sim.NewEngine()
+		n := NewNetwork(e)
+		l := NewLink("l", 100*mib, nil)
+		var done time.Duration
+		n.Start(Path(l), 50*mib, 1000*mib).Done().OnComplete(func(any) { done = e.Now() })
+		if solveMidFlight {
+			e.At(200*time.Millisecond, n.solveAll)
+		}
+		e.Run()
+		return done
+	}
+	plain, solved := run(false), run(true)
+	if plain != 500*time.Millisecond || solved != plain {
+		t.Fatalf("50 MiB at 100 MiB/s finished at %v, with a solveAll at 200ms at %v; want 500ms both",
+			plain, solved)
+	}
+}
+
+// TestSolveAllocFree pins the solver's steady state: with the scratch slices
+// warm, re-solving a 64-flow network of 8 components — discovery, admission
+// ordering, re-anchoring and progressive filling — allocates nothing.
+func TestSolveAllocFree(t *testing.T) {
+	n := NewNetwork(sim.NewEngine())
+	var links [16]*Link
+	for i := range links {
+		links[i] = NewLink("l", 100*mib, SCIRingCongestion{})
+	}
+	for i := 0; i < 64; i++ {
+		g := i % 8 // component g owns links 2g and 2g+1
+		path := Path(links[2*g+i/8%2], links[2*g+1])
+		n.Start(path, 64*mib, float64(10+i)*mib)
+	}
+	n.solveAll() // warm the dirty list and the component scratch
+	if a := testing.AllocsPerRun(100, n.solveAll); a != 0 {
+		t.Errorf("solveAll on a warm 64-flow network: %v allocs/op, want 0", a)
 	}
 }
 

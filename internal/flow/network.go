@@ -15,14 +15,15 @@
 // rates are bit-identical to a from-scratch solve.
 //
 // Links can degrade under load: each Link may carry a CongestionModel that
-// maps (offered load, multiplexing degree) to an achievable fraction of the
-// nominal capacity. The SCI ring calibration lives in congestion.go.
+// turns (offered load, multiplexing degree) into an achievable fraction of
+// the nominal capacity. The SCI ring calibration lives in congestion.go.
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"scimpich/internal/obs"
@@ -36,15 +37,25 @@ type Link struct {
 	latency  time.Duration // propagation latency (lookahead source; 0 = unset)
 	model    CongestionModel
 
-	flows map[*Flow]float64 // flow -> weight on this link
-	flist []*Flow           // same flows in admission order (deterministic iteration)
-	dirty bool              // queued in Network.dirty
-	mark  uint64            // component-search epoch
+	flows []linkFlow // flows crossing this link, in admission order
+	dirty bool       // queued in Network.dirty
+	mark  uint64     // Network.epoch at which this link was last visited
+
+	// Progressive-filling state, valid while mark is the solving epoch.
+	residual float64 // capacity not yet granted to frozen flows
+	weight   float64 // sum of unfrozen flow weights
+}
+
+// linkFlow is one flow's presence on a link: the flow and the fraction of its
+// rate the link carries (the summed weight of every hop naming the link).
+type linkFlow struct {
+	flow   *Flow
+	weight float64
 }
 
 // Hop is one step of a flow's path: a link and the fraction of the flow's
 // rate that this link must carry. Data segments have weight 1; SCI
-// flow-control echo packets returning around the ring load the remaining
+// flow-control echo packets returning around the ring load the other
 // segments at a small fraction of the data rate.
 type Hop struct {
 	Link   *Link
@@ -66,7 +77,7 @@ func NewLink(name string, capacity float64, model CongestionModel) *Link {
 	if capacity <= 0 {
 		panic("flow: link capacity must be positive")
 	}
-	return &Link{name: name, capacity: capacity, model: model, flows: make(map[*Flow]float64)}
+	return &Link{name: name, capacity: capacity, model: model}
 }
 
 // Name returns the link's name.
@@ -118,15 +129,15 @@ func MinLatency(links []*Link) time.Duration {
 // unconstrained source rates of the flows crossing this link, accumulated in
 // admission order so the float result is run-independent.
 func (l *Link) effectiveCapacity() float64 {
-	if l.model == nil || len(l.flist) == 0 {
+	if l.model == nil || len(l.flows) == 0 {
 		return l.capacity
 	}
 	demand := 0.0
-	for _, f := range l.flist {
-		demand += f.srcCap * l.flows[f]
+	for _, lf := range l.flows {
+		demand += lf.flow.srcCap * lf.weight
 	}
 	load := demand / l.capacity
-	frac := l.model.AchievedFraction(load, len(l.flist))
+	frac := l.model.AchievedFraction(load, len(l.flows))
 	achieved := l.capacity * frac
 	if achieved > demand {
 		achieved = demand
@@ -136,22 +147,21 @@ func (l *Link) effectiveCapacity() float64 {
 
 // Flow is one in-flight bulk transfer.
 type Flow struct {
-	id        uint64 // admission order within the owning network
-	path      []Hop
-	srcCap    float64 // per-flow rate cap (bytes/second)
-	remaining float64 // bytes left
-	rate      float64 // current allocated rate
-	done      *sim.Future
-	started   time.Duration // virtual start time (for the duration metric)
-	bytes     int64         // total transfer size
+	id      uint64  // admission order within the owning network
+	path    []Hop   // each link once (repeats merged at admission)
+	srcCap  float64 // per-flow rate cap (bytes/second)
+	rate    float64 // current allocated rate
+	done    *sim.Future
+	started time.Duration // virtual start time (for the duration metric)
+	bytes   int64         // total transfer size
 
-	// Progress anchor: remaining is always re-derived as
-	// anchorRemaining - rate*(now-anchorAt) in a single expression, so the
-	// float result depends only on the last rate change, never on how many
-	// intermediate settlements happened. Without this, two simulations of
-	// the same flows that settle at different instants (a monolithic network
-	// vs. per-shard networks) would accumulate different rounding residues
-	// and finish transfers a nanosecond apart.
+	// Progress anchor: the bytes left at the instant of the last rate
+	// change. The bytes left now are always derived from it in a single
+	// expression (remainingAt), so the float result depends only on the last
+	// rate change, never on how often or when it was read. Without this, two
+	// simulations of the same flows that look at different instants (a
+	// monolithic network vs. per-shard networks) would accumulate different
+	// rounding residues and finish transfers a nanosecond apart.
 	anchorAt        time.Duration
 	anchorRemaining float64
 
@@ -166,16 +176,22 @@ func (f *Flow) Rate() float64 { return f.rate }
 // Done returns a future completed when the transfer finishes.
 func (f *Flow) Done() *sim.Future { return f.done }
 
+// remainingAt returns the bytes left at virtual time now.
+func (f *Flow) remainingAt(now time.Duration) float64 {
+	return max(0, f.anchorRemaining-f.rate*(now-f.anchorAt).Seconds())
+}
+
 // Network tracks active flows and drives their completion in virtual time.
 type Network struct {
 	s      sim.Scheduler
-	flows  map[*Flow]struct{}
+	flows  []*Flow // active flows in admission order
 	nextID uint64
 	next   sim.Timer
 
-	dirty  []*Link // links whose flow set changed since the last solve
-	epoch  uint64  // current component-search generation
-	lstack []*Link // scratch for component traversal
+	dirty []*Link // links whose flow set changed since the last solve
+	epoch uint64  // current link/flow marking generation
+	comp  []*Flow // scratch: the component being solved, in admission order
+	links []*Link // scratch: that component's links
 
 	// metric collectors (nil without SetMetrics; nil collectors are no-ops).
 	transferNS *obs.Histogram
@@ -192,7 +208,7 @@ func NewNetwork(e *sim.Engine) *Network { return NewNetworkOn(e) }
 // ever be used from its scheduler's domain; per-shard networks are how a
 // partitioned simulation keeps its rate solves small and lock-free.
 func NewNetworkOn(s sim.Scheduler) *Network {
-	return &Network{s: s, flows: make(map[*Flow]struct{})}
+	return &Network{s: s}
 }
 
 // SetMetrics registers the network's collectors in r: a completed-transfer
@@ -235,31 +251,10 @@ func (n *Network) markDirty(l *Link) {
 	}
 }
 
-// admit registers a flow on the network and its links and dirties the links.
-func (n *Network) admit(f *Flow) {
-	f.id = n.nextID
-	n.nextID++
-	f.anchorAt, f.anchorRemaining = n.s.Now(), f.remaining
-	n.flows[f] = struct{}{}
-	for _, h := range f.path {
-		l := h.Link
-		if _, ok := l.flows[f]; !ok {
-			l.flist = append(l.flist, f)
-		}
-		l.flows[f] += h.Weight
-		n.markDirty(l)
-	}
-	if len(f.path) == 0 {
-		// No links: the flow is its own component, bound only by its source.
-		f.rate = f.srcCap
-	}
-}
-
-// Start begins a transfer of bytes over path, capped at srcCap bytes/second.
-// It returns immediately; the flow's Done future completes when the last
-// byte has been delivered. An empty path means the flow is limited only by
-// srcCap. A link appearing in several hops accumulates their weights.
-func (n *Network) Start(path []Hop, bytes int64, srcCap float64) *Flow {
+// admit validates and creates a flow and, unless it is empty (then it is
+// complete already), registers it on the network and its links and dirties
+// the links.
+func (n *Network) admit(path []Hop, bytes int64, srcCap float64) *Flow {
 	if srcCap <= 0 {
 		panic("flow: source cap must be positive")
 	}
@@ -268,16 +263,64 @@ func (n *Network) Start(path []Hop, bytes int64, srcCap float64) *Flow {
 			panic("flow: hop weight must be positive")
 		}
 	}
-	f := &Flow{path: path, srcCap: srcCap, remaining: float64(bytes), done: sim.NewFuture(),
-		started: n.s.Now(), bytes: bytes}
+	now := n.s.Now()
+	f := &Flow{srcCap: srcCap, done: sim.NewFuture(), started: now, bytes: bytes}
 	if bytes <= 0 {
 		f.done.Complete(nil)
 		return f
 	}
-	n.settle()
-	n.admit(f)
-	n.noteStarted()
-	n.reallocate()
+	f.id = n.nextID
+	n.nextID++
+	f.anchorAt, f.anchorRemaining = now, float64(bytes)
+	f.path = n.mergeRepeats(path)
+	n.flows = append(n.flows, f)
+	for _, h := range f.path {
+		h.Link.flows = append(h.Link.flows, linkFlow{f, h.Weight})
+		n.markDirty(h.Link)
+	}
+	if len(f.path) == 0 {
+		// No links: the flow is its own component, bound only by its source.
+		f.rate = f.srcCap
+	}
+	return f
+}
+
+// mergeRepeats returns path with every link named once, at its first
+// position, carrying the sum (in path order) of the weights of the hops that
+// name it. A path without repeats — the usual case — is returned as is.
+func (n *Network) mergeRepeats(path []Hop) []Hop {
+	n.epoch++
+	var merged []Hop // nil while no hop has repeated a link
+	for i, h := range path {
+		if h.Link.mark != n.epoch {
+			h.Link.mark = n.epoch
+			if merged != nil {
+				merged = append(merged, h)
+			}
+			continue
+		}
+		if merged == nil {
+			merged = slices.Clone(path[:i])
+		}
+		j := slices.IndexFunc(merged, func(m Hop) bool { return m.Link == h.Link })
+		merged[j].Weight += h.Weight
+	}
+	if merged == nil {
+		return path
+	}
+	return merged
+}
+
+// Start begins a transfer of bytes over path, capped at srcCap bytes/second.
+// It returns immediately; the flow's Done future completes when the last
+// byte has been delivered. An empty path means the flow is limited only by
+// srcCap. A link appearing in several hops accumulates their weights.
+func (n *Network) Start(path []Hop, bytes int64, srcCap float64) *Flow {
+	f := n.admit(path, bytes, srcCap)
+	if bytes > 0 {
+		n.noteStarted()
+		n.reallocate()
+	}
 	return f
 }
 
@@ -286,25 +329,9 @@ func (n *Network) Start(path []Hop, bytes int64, srcCap float64) *Flow {
 // phase) need: starting n flows one by one costs n full max-min passes,
 // a batch costs one.
 func (n *Network) StartBatch(paths [][]Hop, bytes int64, srcCap float64) []*Flow {
-	if srcCap <= 0 {
-		panic("flow: source cap must be positive")
-	}
-	n.settle()
 	flows := make([]*Flow, len(paths))
 	for i, path := range paths {
-		f := &Flow{path: path, srcCap: srcCap, remaining: float64(bytes), done: sim.NewFuture(),
-			started: n.s.Now(), bytes: bytes}
-		flows[i] = f
-		if bytes <= 0 {
-			f.done.Complete(nil)
-			continue
-		}
-		for _, h := range path {
-			if h.Weight <= 0 {
-				panic("flow: hop weight must be positive")
-			}
-		}
-		n.admit(f)
+		flows[i] = n.admit(path, bytes, srcCap)
 	}
 	n.noteStarted()
 	n.reallocate()
@@ -317,40 +344,32 @@ func (n *Network) Transfer(p *sim.Proc, path []Hop, bytes int64, srcCap float64)
 	p.Await(f.done)
 }
 
-// settle re-derives every active flow's remaining bytes from its progress
-// anchor. The computation is a single expression per flow, so calling settle
-// arbitrarily often (or not at all) between rate changes yields identical
-// floats.
-func (n *Network) settle() {
-	now := n.s.Now()
-	for f := range n.flows {
-		f.remaining = f.anchorRemaining - f.rate*(now-f.anchorAt).Seconds()
-		if f.remaining < 0 {
-			f.remaining = 0
-		}
-	}
-}
-
 // reallocate retires finished flows, re-solves the dirtied components and
 // schedules the next completion event.
 func (n *Network) reallocate() {
 	n.next.Cancel()
 	n.next = sim.Timer{}
+	now := n.s.Now()
 
-	// Retire flows that settle credited to (numerical) completion. The
-	// finished set is fixed at entry — no virtual time passes inside
-	// reallocate, so remaining cannot drop further — which is why a single
-	// pass suffices where earlier versions recursed. Completion order is by
-	// admission id, never map order: future callbacks schedule events.
+	// Retire flows that have reached (numerical) completion, compacting the
+	// rest in place so both sets stay in admission order — futures are
+	// completed in that order, and their callbacks schedule events. The
+	// finished set is fixed at entry: no virtual time passes inside
+	// reallocate. It is a fresh slice because those callbacks may start flows
+	// and so re-enter reallocate.
 	var finished []*Flow
-	for f := range n.flows {
-		if f.remaining <= 1e-9 {
+	live := n.flows[:0]
+	for _, f := range n.flows {
+		if f.remainingAt(now) <= 1e-9 {
 			finished = append(finished, f)
+		} else {
+			live = append(live, f)
 		}
 	}
-	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
+	clear(n.flows[len(live):])
+	n.flows = live
 	for _, f := range finished {
-		n.remove(f)
+		n.unlink(f)
 		n.noteFinished(f)
 	}
 
@@ -358,36 +377,27 @@ func (n *Network) reallocate() {
 
 	if len(n.flows) > 0 {
 		soonest := time.Duration(math.MaxInt64)
-		for f := range n.flows {
-			d := sim.RateDuration(int64(math.Ceil(f.remaining)), f.rate)
+		for _, f := range n.flows {
+			d := sim.RateDuration(int64(math.Ceil(f.remainingAt(now))), f.rate)
 			if d < soonest {
 				soonest = d
 			}
 		}
-		n.next = n.s.After(soonest, func() {
-			n.next = sim.Timer{}
-			n.settle()
-			n.reallocate()
-		})
+		n.next = n.s.AfterCall(soonest, completionDue, n)
 	}
 	for _, f := range finished {
 		f.done.Complete(nil)
 	}
 }
 
-func (n *Network) remove(f *Flow) {
-	delete(n.flows, f)
+// completionDue is the completion timer's callback.
+func completionDue(n any) { n.(*Network).reallocate() }
+
+// unlink takes a retired flow off its links and dirties them.
+func (n *Network) unlink(f *Flow) {
 	for _, h := range f.path {
 		l := h.Link
-		if _, ok := l.flows[f]; ok {
-			delete(l.flows, f)
-			for i, g := range l.flist {
-				if g == f {
-					l.flist = append(l.flist[:i], l.flist[i+1:]...)
-					break
-				}
-			}
-		}
+		l.flows = slices.DeleteFunc(l.flows, func(lf linkFlow) bool { return lf.flow == f })
 		n.markDirty(l)
 	}
 	f.rate = 0
@@ -403,20 +413,19 @@ func (n *Network) solve() {
 		return
 	}
 	n.epoch++
+	now := n.s.Now()
 	for _, seed := range n.dirty {
 		seed.dirty = false
 		if seed.mark == n.epoch {
 			continue
 		}
-		if comp := n.component(seed); len(comp) > 0 {
-			n.solveComponent(comp)
-			// Rates changed: re-anchor so future settlements derive progress
-			// from this instant.
-			now := n.s.Now()
-			for _, f := range comp {
-				f.anchorAt, f.anchorRemaining = now, f.remaining
-			}
+		n.component(seed)
+		// Rates are about to change: re-anchor progress at this instant,
+		// while remainingAt still sees the rate that held until now.
+		for _, f := range n.comp {
+			f.anchorAt, f.anchorRemaining = now, f.remainingAt(now)
 		}
+		n.solveComponent()
 	}
 	n.dirty = n.dirty[:0]
 }
@@ -424,7 +433,7 @@ func (n *Network) solve() {
 // solveAll dirties every link carrying an active flow and re-solves. It is
 // the from-scratch oracle the incremental bookkeeping is tested against.
 func (n *Network) solveAll() {
-	for f := range n.flows {
+	for _, f := range n.flows {
 		for _, h := range f.path {
 			n.markDirty(h.Link)
 		}
@@ -432,76 +441,64 @@ func (n *Network) solveAll() {
 	n.solve()
 }
 
-// component collects the active flows transitively sharing links with seed,
-// sorted by admission id so the solver sees them in a run-independent order.
-func (n *Network) component(seed *Link) []*Flow {
-	seed.mark = n.epoch
-	n.lstack = append(n.lstack[:0], seed)
-	var flows []*Flow
-	for len(n.lstack) > 0 {
-		l := n.lstack[len(n.lstack)-1]
-		n.lstack = n.lstack[:len(n.lstack)-1]
-		for _, f := range l.flist {
+// component collects into n.comp the active flows transitively sharing links
+// with seed, sorted by admission id so the solver sees them in a
+// run-independent order, and into n.links their links (and seed), each reset
+// for progressive filling. n.links doubles as the traversal queue.
+func (n *Network) component(seed *Link) {
+	n.comp, n.links = n.comp[:0], n.links[:0]
+	n.visit(seed)
+	for i := 0; i < len(n.links); i++ {
+		for _, lf := range n.links[i].flows {
+			f := lf.flow
 			if f.mark == n.epoch {
 				continue
 			}
 			f.mark = n.epoch
-			flows = append(flows, f)
+			n.comp = append(n.comp, f)
 			for _, h := range f.path {
 				if h.Link.mark != n.epoch {
-					h.Link.mark = n.epoch
-					n.lstack = append(n.lstack, h.Link)
+					n.visit(h.Link)
 				}
 			}
 		}
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].id < flows[j].id })
-	return flows
+	slices.SortFunc(n.comp, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
 }
 
-// solveComponent performs weighted progressive filling over one connected
-// component: repeatedly find the tightest constraint (a link's fair share or
-// a flow's source cap), freeze the flows it binds, and continue with the
-// residual capacities. A flow with weight w on a link consumes w times its
-// rate there; unfrozen flows on a link all receive the same rate, so the
-// link's fair share is residual / sum-of-unfrozen-weights. All iteration is
-// over admission-ordered slices — map order never reaches a float.
-func (n *Network) solveComponent(flows []*Flow) {
-	type linkState struct {
-		residual float64
-		weight   float64 // sum of unfrozen flow weights
-	}
-	var links []*Link
-	states := make(map[*Link]*linkState)
+// visit marks l as part of the component being collected.
+func (n *Network) visit(l *Link) {
+	l.mark = n.epoch
+	l.residual, l.weight = l.effectiveCapacity(), 0
+	n.links = append(n.links, l)
+}
+
+// solveComponent performs weighted progressive filling over the connected
+// component in n.comp and n.links: repeatedly find the tightest constraint (a
+// link's fair share or a flow's source cap), freeze the flows it binds, and
+// continue with the residual capacities. A flow with weight w on a link
+// consumes w times its rate there; unfrozen flows on a link all receive the
+// same rate, so the link's fair share is residual / sum-of-unfrozen-weights.
+// Every float is accumulated over the admission-ordered flows; the order of
+// n.links only feeds a minimum.
+func (n *Network) solveComponent() {
+	flows := n.comp
 	for _, f := range flows {
 		f.frozen = false
 		f.rate = 0
 		for _, h := range f.path {
-			if states[h.Link] == nil {
-				states[h.Link] = &linkState{residual: h.Link.effectiveCapacity()}
-				links = append(links, h.Link)
-			}
-		}
-	}
-	for _, f := range flows {
-		seen := map[*Link]bool{}
-		for _, h := range f.path {
-			if !seen[h.Link] {
-				seen[h.Link] = true
-				states[h.Link].weight += h.Link.flows[f]
-			}
+			h.Link.weight += h.Weight
 		}
 	}
 	unfrozen := len(flows)
 	for unfrozen > 0 {
 		// Tightest link fair share.
 		share := math.MaxFloat64
-		for _, l := range links {
-			st := states[l]
-			if st.weight <= 1e-12 {
+		for _, l := range n.links {
+			if l.weight <= 1e-12 {
 				continue
 			}
-			if s := st.residual / st.weight; s < share {
+			if s := l.residual / l.weight; s < share {
 				share = s
 			}
 		}
@@ -527,8 +524,7 @@ func (n *Network) solveComponent(flows []*Flow) {
 			bound := f.srcCap <= r+1e-12
 			if !bound {
 				for _, h := range f.path {
-					st := states[h.Link]
-					if st.residual/st.weight <= r+1e-12 {
+					if h.Link.residual/h.Link.weight <= r+1e-12 {
 						bound = true
 						break
 					}
@@ -539,21 +535,10 @@ func (n *Network) solveComponent(flows []*Flow) {
 				f.rate = math.Min(r, f.srcCap)
 				froze = true
 				unfrozen--
-				seen := map[*Link]bool{}
 				for _, h := range f.path {
-					if seen[h.Link] {
-						continue
-					}
-					seen[h.Link] = true
-					st := states[h.Link]
-					st.residual -= f.rate * h.Link.flows[f]
-					if st.residual < 0 {
-						st.residual = 0
-					}
-					st.weight -= h.Link.flows[f]
-					if st.weight < 0 {
-						st.weight = 0
-					}
+					l := h.Link
+					l.residual = max(0, l.residual-f.rate*h.Weight)
+					l.weight = max(0, l.weight-h.Weight)
 				}
 			}
 		}

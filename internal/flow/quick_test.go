@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"scimpich/internal/sim"
 )
@@ -126,6 +127,52 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickRepeatedLinkIsSummedWeight: a path that names a link in several
+// hops (an SCI transfer whose echo packets return over segments its data
+// already crossed) is exactly the path that names it once with the weights
+// summed — same rates, same completion instants, bit for bit — whether or not
+// a congestion model reads the link's demand.
+func TestQuickRepeatedLinkIsSummedWeight(t *testing.T) {
+	type outcome struct {
+		rates []float64
+		ends  []time.Duration
+	}
+	prop := func(capMiB, srcA, srcB, w1, w2 uint8, kib uint16, congested bool) bool {
+		wa, wb := float64(w1%8+1)/8, float64(w2%8+1)/8
+		run := func(repeat bool) outcome {
+			e := sim.NewEngine()
+			n := NewNetwork(e)
+			var model CongestionModel
+			if congested {
+				model = SCIRingCongestion{}
+			}
+			l := NewLink("l", float64(capMiB%100+20)*mib, model)
+			m := NewLink("m", 60*mib, nil)
+			pathA := []Hop{{l, wa + wb}, {m, 1}}
+			if repeat {
+				pathA = []Hop{{l, wa}, {m, 1}, {l, wb}}
+			}
+			bytes := int64(kib%512+1) << 10
+			flows := []*Flow{
+				n.Start(pathA, bytes, float64(srcA%80+10)*mib),
+				n.Start(Path(l), 2*bytes, float64(srcB%80+10)*mib),
+				n.Start(Path(m), 3*bytes, 40*mib),
+			}
+			o := outcome{ends: make([]time.Duration, len(flows))}
+			for i, f := range flows {
+				o.rates = append(o.rates, f.Rate())
+				f.Done().OnComplete(func(any) { o.ends[i] = e.Now() })
+			}
+			e.Run()
+			return o
+		}
+		return reflect.DeepEqual(run(true), run(false))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -162,15 +162,7 @@ func (w *World) observeColl(kind collKind, alg CollAlg, bytes int64, elapsed tim
 	if bytes <= 0 || elapsed <= 0 {
 		return
 	}
-	bw := float64(bytes) / elapsed.Seconds()
-	alpha := w.protocol().CollEWMA
-	if alpha <= 0 || alpha > 1 {
-		alpha = defaultPathEWMA
-	}
-	if prev := w.collLive[kind][alg]; prev > 0 {
-		bw = alpha*bw + (1-alpha)*prev
-	}
-	w.collLive[kind][alg] = bw
+	w.collLive[kind][alg] = ewma(w.collLive[kind][alg], float64(bytes)/elapsed.Seconds())
 }
 
 // --- cost-model priors ---

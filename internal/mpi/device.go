@@ -324,7 +324,7 @@ func (d *device) startRendezvous(p *sim.Proc, req *recvReq, env *envelope) {
 		// it can) and we receive a plain byte stream.
 		mode = rdvContig
 	case d.rk.w.protocol().UseFF && env.fingerprt == req.dt.Flat().Fingerprint() &&
-		req.dt.Flat().Size > 0 && d.ffBlockOK(req.dt):
+		req.dt.Flat().Size > 0:
 		mode = rdvFF
 	}
 	if env.bytes == 0 {
@@ -346,20 +346,6 @@ func (d *device) startRendezvous(p *sim.Proc, req *recvReq, env *envelope) {
 		kind: envRdvCTS, src: d.rk.id, dst: env.src,
 		reqID: env.reqID, chunk: int(mode), reply: env.reply,
 	}, false)
-}
-
-// ffBlockOK applies the FFMinBlock policy.
-func (d *device) ffBlockOK(t *datatype.Type) bool {
-	min := d.rk.w.protocol().FFMinBlock
-	if min <= 0 {
-		return true
-	}
-	f := t.Flat()
-	if len(f.Leaves) == 0 {
-		return false
-	}
-	avg := f.Size / leafCopies(f)
-	return avg >= min
 }
 
 func leafCopies(f *datatype.Flat) int64 {

@@ -16,8 +16,8 @@ const (
 	// cost models, then refines the prediction with per-peer EWMA
 	// bandwidth estimates of the paths actually exercised.
 	PathAdaptive PathPolicy = iota
-	// PathStatic keeps the legacy static thresholds (UseFF/FFMinBlock
-	// decide ff vs generic; DMAMin gates contiguous DMA).
+	// PathStatic keeps the legacy static thresholds (UseFF decides ff vs
+	// generic; DMAMin gates contiguous DMA).
 	PathStatic
 	// PathPIO forces direct_pack_ff deposits (PIO block writes).
 	PathPIO
@@ -76,9 +76,18 @@ func (d depositPath) String() string {
 	}
 }
 
-// defaultPathEWMA is the blend factor of the per-peer bandwidth estimator
-// when ProtocolConfig.PathEWMA is unset.
+// defaultPathEWMA is the blend factor of both bandwidth estimators: the
+// deposit chooser's per-peer one and the collective chooser's per-world one.
 const defaultPathEWMA = 0.25
+
+// ewma folds a bandwidth sample into the running estimate prev (0 = none
+// yet).
+func ewma(prev, sample float64) float64 {
+	if prev > 0 {
+		return defaultPathEWMA*sample + (1-defaultPathEWMA)*prev
+	}
+	return sample
+}
 
 // modelDeposit is the cost-model prior for depositing an n-byte chunk of
 // blocks contiguous blocks (average avgBlock bytes) on a remote SCI peer.
@@ -118,9 +127,8 @@ func (c *Comm) predictDeposit(out *sendPort, path depositPath, n, avgBlock, bloc
 }
 
 // chooseDeposit ranks the candidate paths for one chunk and returns the
-// predicted-cheapest. DMASGMinBlock keeps descriptor lists away from
-// tiny-block types where per-descriptor costs explode; forced policies
-// (PathPIO/PathStaged/PathDMA) bypass the ranking.
+// predicted-cheapest; forced policies (PathPIO/PathStaged/PathDMA) bypass
+// the ranking.
 func (c *Comm) chooseDeposit(out *sendPort, n, avgBlock, blocks int64) depositPath {
 	switch c.rk.w.protocol().Path {
 	case PathPIO:
@@ -134,10 +142,8 @@ func (c *Comm) chooseDeposit(out *sendPort, n, avgBlock, blocks int64) depositPa
 	if cost := c.predictDeposit(out, depositStaged, n, avgBlock, blocks); cost < bestCost {
 		best, bestCost = depositStaged, cost
 	}
-	if min := c.rk.w.protocol().DMASGMinBlock; min <= 0 || avgBlock >= min {
-		if cost := c.predictDeposit(out, depositSG, n, avgBlock, blocks); cost < bestCost {
-			best = depositSG
-		}
+	if cost := c.predictDeposit(out, depositSG, n, avgBlock, blocks); cost < bestCost {
+		best = depositSG
 	}
 	return best
 }
@@ -148,13 +154,5 @@ func (c *Comm) observeDeposit(out *sendPort, path depositPath, n int64, elapsed 
 	if n <= 0 || elapsed <= 0 {
 		return
 	}
-	bw := float64(n) / elapsed.Seconds()
-	alpha := c.rk.w.protocol().PathEWMA
-	if alpha <= 0 || alpha > 1 {
-		alpha = defaultPathEWMA
-	}
-	if prev := out.paths[path]; prev > 0 {
-		bw = alpha*bw + (1-alpha)*prev
-	}
-	out.paths[path] = bw
+	out.paths[path] = ewma(out.paths[path], float64(n)/elapsed.Seconds())
 }

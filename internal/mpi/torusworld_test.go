@@ -1,4 +1,4 @@
-package scale
+package mpi
 
 import (
 	"bytes"
@@ -11,18 +11,18 @@ import (
 	"scimpich/internal/torus"
 )
 
-// smallCfg is a 4x4x4 = 64-node machine whose dz supports 1/2/4 shards.
-func smallCfg(shards int) Config {
-	cfg := DefaultConfig(4, 4, 4, shards)
+// smallTorus is a 4x4x4 = 64-node machine whose dz supports 1/2/4 shards.
+func smallTorus(shards int) TorusConfig {
+	cfg := DefaultTorusConfig(4, 4, 4, shards)
 	cfg.ChunkBytes = 16 << 10
 	return cfg
 }
 
-func TestAllreduceSequentialCompletes(t *testing.T) {
+func TestTorusAllreduceSequentialCompletes(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := smallCfg(2)
+	cfg := smallTorus(2)
 	cfg.Registry = reg
-	m := NewSequential(cfg)
+	m := NewTorusWorldOn(NewTorusOracle(cfg), cfg)
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +42,9 @@ func TestAllreduceSequentialCompletes(t *testing.T) {
 	}
 }
 
-func TestAllreduceShardedCompletes(t *testing.T) {
-	m := NewSharded(smallCfg(4))
+func TestTorusAllreduceShardedCompletes(t *testing.T) {
+	cfg := smallTorus(4)
+	m := NewTorusWorldOn(NewTorusFabric(cfg), cfg)
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +54,8 @@ func TestAllreduceShardedCompletes(t *testing.T) {
 	}
 }
 
-type runOut struct {
-	res     Result
+type torusOut struct {
+	res     TorusResult
 	dump    []byte
 	chunks  int64
 	bytes   int64
@@ -63,14 +64,14 @@ type runOut struct {
 	histMax int64
 }
 
-func runMachine(t *testing.T, m *Machine, reg *obs.Registry) runOut {
+func runTorus(t *testing.T, m *TorusWorld, reg *obs.Registry) torusOut {
 	t.Helper()
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := reg.Histogram("flow.transfer.ns").Snapshot()
-	return runOut{
+	return torusOut{
 		res:     res,
 		dump:    m.FlightDump(),
 		chunks:  reg.Counter("mpi.torus.chunks").Value(),
@@ -81,29 +82,29 @@ func runMachine(t *testing.T, m *Machine, reg *obs.Registry) runOut {
 	}
 }
 
-// TestCrossEngineDeterminism is the differential-testing gate of the
+// TestTorusCrossEngineDeterminism is the differential-testing gate of the
 // sharded engine: the same seeded program must produce the identical final
 // virtual time, identical flight-dump bytes, identical metric counters and
 // the identical checksum on the sequential oracle and on the sharded engine
 // at every shard count.
-func TestCrossEngineDeterminism(t *testing.T) {
-	mk := func(shards int, sharded bool) (*Machine, *obs.Registry) {
-		cfg := smallCfg(shards)
+func TestTorusCrossEngineDeterminism(t *testing.T) {
+	mk := func(shards int, sharded bool) (*TorusWorld, *obs.Registry) {
+		cfg := smallTorus(shards)
 		cfg.SampleEvery = 16
 		cfg.Registry = obs.NewRegistry()
 		if sharded {
-			return NewSharded(cfg), cfg.Registry
+			return NewTorusWorldOn(NewTorusFabric(cfg), cfg), cfg.Registry
 		}
-		return NewSequential(cfg), cfg.Registry
+		return NewTorusWorldOn(NewTorusOracle(cfg), cfg), cfg.Registry
 	}
 	om, oreg := mk(2, false)
-	oracle := runMachine(t, om, oreg)
+	oracle := runTorus(t, om, oreg)
 	if oracle.res.End <= 0 || len(oracle.dump) == 0 {
 		t.Fatal("oracle run produced no output")
 	}
 	for _, shards := range []int{1, 2, 4} {
 		gm, greg := mk(shards, true)
-		got := runMachine(t, gm, greg)
+		got := runTorus(t, gm, greg)
 		if got.res.End != oracle.res.End {
 			t.Errorf("shards=%d: end %v != oracle %v", shards, got.res.End, oracle.res.End)
 		}
@@ -125,43 +126,43 @@ func TestCrossEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedRepeatDeterminism: repeated parallel runs are byte-identical —
-// the schedule must not depend on OS goroutine timing.
-func TestShardedRepeatDeterminism(t *testing.T) {
-	mk := func() (*Machine, *obs.Registry) {
-		cfg := smallCfg(4)
+// TestTorusShardedRepeatDeterminism: repeated parallel runs are
+// byte-identical — the schedule must not depend on OS goroutine timing.
+func TestTorusShardedRepeatDeterminism(t *testing.T) {
+	mk := func() (*TorusWorld, *obs.Registry) {
+		cfg := smallTorus(4)
 		cfg.SampleEvery = 16
 		cfg.Registry = obs.NewRegistry()
-		return NewSharded(cfg), cfg.Registry
+		return NewTorusWorldOn(NewTorusFabric(cfg), cfg), cfg.Registry
 	}
 	bm, breg := mk()
-	base := runMachine(t, bm, breg)
+	base := runTorus(t, bm, breg)
 	for i := 0; i < 3; i++ {
 		gm, greg := mk()
-		got := runMachine(t, gm, greg)
+		got := runTorus(t, gm, greg)
 		if got.res.End != base.res.End || !bytes.Equal(got.dump, base.dump) {
 			t.Fatalf("repeat %d diverged: end %v vs %v", i, got.res.End, base.res.End)
 		}
 	}
 }
 
-// TestLookaheadDerivation: the engine's lookahead comes from the
+// TestTorusLookaheadDerivation: the engine's lookahead comes from the
 // cross-partition link latencies.
-func TestLookaheadDerivation(t *testing.T) {
-	cfg := smallCfg(4)
-	mkTop := func(c Config) (*torus.Topology, []int) {
+func TestTorusLookaheadDerivation(t *testing.T) {
+	cfg := smallTorus(4)
+	mkTop := func(c TorusConfig) (*torus.Topology, []int) {
 		top := torus.New(c.DX, c.DY, c.DZ, ring.BandwidthForMHz(sci.DefaultConfig(8).LinkMHz), nil).
 			SetLinkLatency(c.SegmentLatency)
 		return top, top.PartitionZ(c.Shards)
 	}
 	top, assign := mkTop(cfg)
-	if la := Lookahead(top, assign, cfg.SegmentLatency); la != cfg.SegmentLatency {
+	if la := TorusLookahead(top, assign, cfg.SegmentLatency); la != cfg.SegmentLatency {
 		t.Fatalf("lookahead = %v, want %v", la, cfg.SegmentLatency)
 	}
 	// Single-shard partition has no cross links; the fallback applies.
-	cfg1 := smallCfg(1)
+	cfg1 := smallTorus(1)
 	top1, assign1 := mkTop(cfg1)
-	if la := Lookahead(top1, assign1, 123*time.Nanosecond); la != 123*time.Nanosecond {
+	if la := TorusLookahead(top1, assign1, 123*time.Nanosecond); la != 123*time.Nanosecond {
 		t.Fatalf("single-shard lookahead fallback = %v", la)
 	}
 }

@@ -41,10 +41,6 @@ type ProtocolConfig struct {
 	// UseFF selects direct_pack_ff for non-contiguous datatypes; false
 	// forces the generic pack-and-send baseline everywhere.
 	UseFF bool
-	// FFMinBlock disables direct_pack_ff for types whose average block is
-	// smaller (the paper's footnote: an 8-byte granularity floor would
-	// avoid the regime where generic wins; 0 means always use ff).
-	FFMinBlock int64
 	// DMAMin, when positive, routes contiguous rendezvous chunks of at
 	// least this many bytes through the adapter's DMA engine instead of
 	// PIO (the paper's §6 outlook: "non-contiguous data transfers with
@@ -54,15 +50,6 @@ type ProtocolConfig struct {
 	// on remote-memory transports: adaptive prediction (the default),
 	// the legacy static thresholds, or a forced path (see PathPolicy).
 	Path PathPolicy
-	// PathEWMA is the blend factor of the adaptive chooser's per-peer
-	// bandwidth estimator (0 uses the default 0.25).
-	PathEWMA float64
-	// DMASGMinBlock keeps the scatter-gather DMA path away from types
-	// whose average contiguous block is smaller (a floor for deployments
-	// whose engines choke on tiny descriptors). 0, the default, disables
-	// the floor: the cost model already accounts for per-descriptor
-	// overheads, so the chooser is left to rank the paths itself.
-	DMASGMinBlock int64
 	// OSCBuf is the per-pair staging area for emulated one-sided transfers
 	// into private windows.
 	OSCBuf int64
@@ -82,9 +69,6 @@ type ProtocolConfig struct {
 	// first use). 0 disables the window and the one-sided collective
 	// algorithms.
 	CollSlot int64
-	// CollEWMA is the blend factor of the collective chooser's per-world
-	// bandwidth estimator (0 uses the deposit chooser's default 0.25).
-	CollEWMA float64
 	// CollTimeout bounds each internal wait inside a checked collective
 	// (BarrierChecked and friends): an expired wait surfaces as
 	// sci.ErrConnectionLost when the awaited peer's node is down, or a
@@ -114,17 +98,13 @@ func DefaultProtocol() ProtocolConfig {
 		RendezvousChunk: 64 << 10, // a quarter of the P-III L2: chunk + scattered span stay cache-resident
 		OSCBuf:          128 << 10,
 		UseFF:           true,
-		FFMinBlock:      0,
 		HandlerLatency:  500 * time.Nanosecond,
 		CallOverhead:    250 * time.Nanosecond,
 
-		Path:          PathAdaptive,
-		PathEWMA:      defaultPathEWMA,
-		DMASGMinBlock: 0,
+		Path: PathAdaptive,
 
 		Coll:     CollAuto,
 		CollSlot: 256 << 10, // two double-buffered 128 KiB halves per pair
-		CollEWMA: defaultPathEWMA,
 
 		RendezvousTimeout: 0, // wait forever unless a run opts into watchdogs
 		SendRetryMax:      6,

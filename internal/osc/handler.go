@@ -125,21 +125,6 @@ func (s *System) handleGet(p *sim.Proc, src int, w *Win, r *oscReq) {
 	win := w.LocalBytes()
 	stage, base, size, _ := s.c.OSCStage(src)
 	getBase := base + size/2
-	if w.cfg.DMAStageMin > 0 && r.n >= w.cfg.DMAStageMin {
-		// Scatter-gather offload: descriptors gather the requested blocks
-		// straight out of the window, no local pack pass. The completed
-		// future guarantees delivery; failures fall back to PIO below.
-		cur := pack.NewCursor(r.dt, r.count)
-		cur.SeekTo(r.skip)
-		descs, _ := cur.Descriptors(nil, r.n)
-		if fut, ok := stage.DMAWriteSG(p, getBase, win[r.off:], descs); ok {
-			if v := p.Await(fut); v == nil {
-				w.stats.dmaStaged.Add(1)
-				w.sys.met.dmaStaged.Add(1)
-				return
-			}
-		}
-	}
 	scratch := bufpool.Get(int(r.n))
 	defer scratch.Put() // TryWriteStream captures the bytes synchronously
 	_, st := pack.FFPack(pack.BufferSink{Buf: scratch.B}, win[r.off:], r.dt, r.count, r.skip, r.n)

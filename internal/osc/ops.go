@@ -199,7 +199,6 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 	cur := pack.NewCursor(dt, count)
 	scratch := bufpool.Get(int(half))
 	defer scratch.Put()
-	var descs []pack.Descriptor
 	var sent int64
 	for sent < n {
 		chunk := half
@@ -207,28 +206,6 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 			chunk = n - sent
 		}
 		cur.SeekTo(sent) // free: the loop is sequential
-		if w.cfg.DMAStageMin > 0 && chunk >= w.cfg.DMAStageMin {
-			// Scatter-gather offload: descriptors gather straight from the
-			// user buffer into the staging area, no local pack copy (the
-			// engine charges the build and transfer costs). The completed
-			// future already guarantees delivery, so no Sync.
-			descs, _ = cur.Descriptors(descs[:0], chunk)
-			if fut, ok := stage.DMAWriteSG(p, base, buf, descs); ok {
-				if v := p.Await(fut); v == nil {
-					w.stats.dmaStaged.Add(1)
-					w.sys.met.dmaStaged.Add(1)
-					if err := w.oscRPC("put", target, &oscReq{
-						kind: reqPut, win: w.id, off: targetOff, n: chunk,
-						skip: sent, dt: dt, count: count,
-					}, true); err != nil {
-						return err
-					}
-					sent += chunk
-					continue
-				}
-			}
-			cur.SeekTo(sent) // engine missing or transfer failed: PIO fallback
-		}
 		_, st := cur.Pack(pack.BufferSink{Buf: scratch.B}, buf, chunk)
 		w.chargeLocal(st)
 		if err := stage.TryWriteStream(p, base, scratch.B[:chunk], chunk); err != nil {
@@ -466,26 +443,11 @@ func (w *Win) accumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 		if sent+chunk > n {
 			chunk = n - sent
 		}
-		deposited := false
-		if w.cfg.DMAStageMin > 0 && chunk >= w.cfg.DMAStageMin {
-			// Accumulate operands are contiguous: the plain DMA engine
-			// drains them while the CPU is free. The completed future
-			// guarantees delivery; failures fall back to PIO below.
-			if fut, ok := stage.DMAWrite(p, base, buf[sent:sent+chunk]); ok {
-				if v := p.Await(fut); v == nil {
-					w.stats.dmaStaged.Add(1)
-					w.sys.met.dmaStaged.Add(1)
-					deposited = true
-				}
-			}
+		if err := stage.TryWriteStream(p, base, buf[sent:sent+chunk], n); err != nil {
+			return err
 		}
-		if !deposited {
-			if err := stage.TryWriteStream(p, base, buf[sent:sent+chunk], n); err != nil {
-				return err
-			}
-			if err := stage.TrySync(p); err != nil {
-				return err
-			}
+		if err := stage.TrySync(p); err != nil {
+			return err
 		}
 		if err := w.oscRPC("acc", target, &oscReq{
 			kind: reqAcc, win: w.id, off: targetOff + sent, n: chunk,

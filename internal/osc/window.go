@@ -62,7 +62,6 @@ type oscMetrics struct {
 	remotePuts          *obs.Counter
 	degradations        *obs.Counter
 	syncTimeouts        *obs.Counter
-	dmaStaged           *obs.Counter
 }
 
 func newOSCMetrics(r *obs.Registry) oscMetrics {
@@ -82,7 +81,6 @@ func newOSCMetrics(r *obs.Registry) oscMetrics {
 		remotePuts:   r.Counter(obs.Name("osc.gets", "path", "remote-put")),
 		degradations: r.Counter("osc.degradations"),
 		syncTimeouts: r.Counter("osc.sync_timeouts"),
-		dmaStaged:    r.Counter(obs.Name("osc.stage", "path", "dma")),
 	}
 }
 
@@ -101,12 +99,6 @@ type Config struct {
 	// of deadlocking. 0 disables the watchdog; mpi.AutoTimeout resolves to
 	// the world's scaled bound (ScaledSyncTimeout) at window creation.
 	SyncTimeout time.Duration
-	// DMAStageMin, when positive, offloads staging-area deposits of at
-	// least this many bytes (emulated puts, accumulate drains, handler-side
-	// get fills) to the DMA engine — scatter-gather descriptors for
-	// non-contiguous data — freeing the CPU during the transfer. 0 keeps
-	// the PIO staging paths.
-	DMAStageMin int64
 }
 
 // DefaultConfig returns the calibrated transfer policy.
@@ -200,9 +192,6 @@ type Stats struct {
 	RemotePuts           int64 // gets served by the remote-put path
 	EmulatedPuts         int64
 	EmulatedAccumulates  int64
-	// DMAStaged counts staging-area deposits offloaded to the DMA engine
-	// (Config.DMAStageMin).
-	DMAStaged int64
 	BytesPut, BytesGot   int64
 	Fences, Locks, Posts int64
 	// Degradations counts direct views abandoned for the emulation path;
@@ -221,7 +210,6 @@ type winStats struct {
 	remotePuts           atomic.Int64
 	emulatedPuts         atomic.Int64
 	emulatedAccumulates  atomic.Int64
-	dmaStaged            atomic.Int64
 	bytesPut, bytesGot   atomic.Int64
 	fences, locks, posts atomic.Int64
 	degradations         atomic.Int64
@@ -238,7 +226,6 @@ func (s *winStats) snapshot() Stats {
 		RemotePuts:          s.remotePuts.Load(),
 		EmulatedPuts:        s.emulatedPuts.Load(),
 		EmulatedAccumulates: s.emulatedAccumulates.Load(),
-		DMAStaged:           s.dmaStaged.Load(),
 		BytesPut:            s.bytesPut.Load(),
 		BytesGot:            s.bytesGot.Load(),
 		Fences:              s.fences.Load(),

@@ -36,11 +36,7 @@ type Scheduler interface {
 // one with NewEngine.
 type Engine struct {
 	procRuntime
-	now    time.Duration
-	seq    uint64
-	queue  eventHeap
-	free   []*event // recycled events (hot paths schedule without allocating)
-	events uint64   // events dispatched by Run
+	eventQueue
 
 	// Stopped is set by Stop; Run returns as soon as it is observed.
 	stopped bool
@@ -53,20 +49,32 @@ func NewEngine() *Engine {
 	return e
 }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() time.Duration { return e.now }
+// eventQueue is one scheduling domain's virtual clock, event heap and
+// freelist: the whole of the sequential Engine's scheduling state, and the
+// private part of each Shard's. Only one goroutine may touch it at a time.
+type eventQueue struct {
+	now    time.Duration
+	seq    uint64
+	queue  eventHeap
+	free   []*event // recycled events (hot paths schedule without allocating)
+	events uint64   // events dispatched
+}
 
-// Events returns the number of events Run has dispatched so far.
-func (e *Engine) Events() uint64 { return e.events }
+// Now returns the current virtual time: the time of the last event
+// dispatched.
+func (q *eventQueue) Now() time.Duration { return q.now }
 
-// event is a scheduled callback. Events are recycled through the engine's
+// Events returns the number of events dispatched so far.
+func (q *eventQueue) Events() uint64 { return q.events }
+
+// event is a scheduled callback. Events are recycled through the queue's
 // freelist; gen distinguishes a live incarnation from a recycled one so a
 // stale Timer cannot cancel an unrelated later event.
 type event struct {
 	at       time.Duration
 	seq      uint64
 	fn       func()
-	fnArg    func(any) // set (with arg) instead of fn by AtCall/AfterCall
+	fnArg    func(any) // set (with arg) instead of fn by AfterCall
 	arg      any
 	index    int
 	canceled bool
@@ -89,55 +97,86 @@ func (t Timer) Cancel() {
 }
 
 // schedule grabs an event (from the freelist when possible) and queues it.
-func (e *Engine) schedule(t time.Duration, fn func(), fnArg func(any), arg any) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+func (q *eventQueue) schedule(t time.Duration, fn func(), fnArg func(any), arg any) Timer {
+	if t < q.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, q.now))
 	}
 	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	if n := len(q.free); n > 0 {
+		ev = q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg, ev.canceled = t, e.seq, fn, fnArg, arg, false
-	e.seq++
-	heap.Push(&e.queue, ev)
+	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg, ev.canceled = t, q.seq, fn, fnArg, arg, false
+	q.seq++
+	heap.Push(&q.queue, ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
 // recycle invalidates outstanding Timers for ev and returns it to the
 // freelist.
-func (e *Engine) recycle(ev *event) {
+func (q *eventQueue) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.fnArg, ev.arg = nil, nil, nil
-	e.free = append(e.free, ev)
+	q.free = append(q.free, ev)
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past (t before
 // Now) panics: it would corrupt causality.
-func (e *Engine) At(t time.Duration, fn func()) Timer {
-	return e.schedule(t, fn, nil, nil)
+func (q *eventQueue) At(t time.Duration, fn func()) Timer {
+	return q.schedule(t, fn, nil, nil)
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
-func (e *Engine) After(d time.Duration, fn func()) Timer {
+func (q *eventQueue) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now+d, fn, nil, nil)
+	return q.schedule(q.now+d, fn, nil, nil)
 }
 
 // AfterCall schedules fn(arg) to run d from now. It exists for hot paths:
 // passing the argument explicitly instead of closing over it lets callers
 // schedule with a shared top-level function and avoid a closure allocation
 // per event. Negative d is clamped to zero.
-func (e *Engine) AfterCall(d time.Duration, fn func(any), arg any) Timer {
+func (q *eventQueue) AfterCall(d time.Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now+d, nil, fn, arg)
+	return q.schedule(q.now+d, nil, fn, arg)
+}
+
+// peek discards canceled events from the top of the heap and returns the
+// earliest live one without removing it, or nil if none is pending.
+func (q *eventQueue) peek() *event {
+	for q.queue.Len() > 0 {
+		ev := q.queue[0]
+		if !ev.canceled {
+			return ev
+		}
+		heap.Pop(&q.queue)
+		q.recycle(ev)
+	}
+	return nil
+}
+
+// fire removes ev — the event peek just returned — advances the clock
+// to it and runs its callback.
+func (q *eventQueue) fire(ev *event) {
+	heap.Pop(&q.queue)
+	q.now = ev.at
+	// Detach the callback and recycle before invoking it: the callback
+	// may schedule new events, which can then reuse this slot.
+	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+	q.recycle(ev)
+	q.events++
+	if fnArg != nil {
+		fnArg(arg)
+	} else {
+		fn()
+	}
 }
 
 // Stop makes Run return after the currently dispatched event completes.
@@ -147,23 +186,12 @@ func (e *Engine) Stop() { e.stopped = true }
 // returns the final virtual time. Run panics if any spawned process is still
 // blocked when the event queue drains (deadlock: nothing can ever wake it).
 func (e *Engine) Run() time.Duration {
-	for e.queue.Len() > 0 && !e.stopped {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.canceled {
-			e.recycle(ev)
-			continue
+	for !e.stopped {
+		ev := e.peek()
+		if ev == nil {
+			break
 		}
-		e.now = ev.at
-		// Detach the callback and recycle before invoking it: the callback
-		// may schedule new events, which can then reuse this slot.
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-		e.recycle(ev)
-		e.events++
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
+		e.fire(ev)
 	}
 	if !e.stopped && e.nprocs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked at %v with no pending events: %s",

@@ -1,8 +1,8 @@
 // Sharded conservative-parallel discrete-event engine.
 //
 // A ShardedEngine partitions the simulated machine across worker shards:
-// each shard owns its own virtual clock, event heap and freelist and is
-// driven by one goroutine. Shards synchronize with a conservative window
+// each shard owns its own event queue (virtual clock, heap and freelist) and
+// is driven by one goroutine. Shards synchronize with a conservative window
 // barrier (the synchronous variant of Chandy–Misra null messages): the
 // engine's lookahead is the minimum virtual delay any cross-shard
 // interaction can have — in this repo, the minimum latency of the topology
@@ -23,7 +23,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,22 +41,18 @@ type xmsg struct {
 	arg any
 }
 
-// Shard is one worker of a ShardedEngine: a private clock, heap and
-// freelist. During a window only the shard's own goroutine touches its
-// state, so event callbacks run lock-free; between windows only the
-// coordinator does. Shard implements Scheduler, Host and Locale: a shard
-// can run cooperative Procs, so a full protocol world confined to one
-// shard behaves exactly as it would on the sequential Engine.
+// Shard is one worker of a ShardedEngine: a private event queue plus the
+// outboxes of its cross-shard sends. During a window only the shard's own
+// goroutine touches its state, so event callbacks run lock-free; between
+// windows only the coordinator does. Shard implements Scheduler, Host and
+// Locale: a shard can run cooperative Procs, so a full protocol world
+// confined to one shard behaves exactly as it would on the sequential Engine.
 type Shard struct {
 	procRuntime
+	eventQueue
 	id     int
 	eng    *ShardedEngine
-	now    time.Duration
-	seq    uint64
-	queue  eventHeap
-	free   []*event
 	outbox [][]xmsg // per-destination buffers, drained at the barrier
-	events uint64   // events executed
 	work   chan time.Duration
 }
 
@@ -78,59 +73,6 @@ func (s *Shard) GoDaemon(name string, body func(p *Proc)) *Proc {
 	return spawnProc(s, &s.procRuntime, name, body, true)
 }
 
-// Now returns the shard's current virtual time (the time of the last event
-// it executed).
-func (s *Shard) Now() time.Duration { return s.now }
-
-// Events returns the number of events this shard has executed.
-func (s *Shard) Events() uint64 { return s.events }
-
-// schedule mirrors Engine.schedule on the shard's private heap.
-func (s *Shard) schedule(t time.Duration, fn func(), fnArg func(any), arg any) Timer {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: shard %d scheduling event at %v before now %v", s.id, t, s.now))
-	}
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		ev = new(event)
-	}
-	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg, ev.canceled = t, s.seq, fn, fnArg, arg, false
-	s.seq++
-	heap.Push(&s.queue, ev)
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-func (s *Shard) recycle(ev *event) {
-	ev.gen++
-	ev.fn, ev.fnArg, ev.arg = nil, nil, nil
-	s.free = append(s.free, ev)
-}
-
-// At schedules fn at virtual time t on this shard.
-func (s *Shard) At(t time.Duration, fn func()) Timer { return s.schedule(t, fn, nil, nil) }
-
-// After schedules fn to run d from now on this shard. Negative d is clamped
-// to zero.
-func (s *Shard) After(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.schedule(s.now+d, fn, nil, nil)
-}
-
-// AfterCall schedules fn(arg) to run d from now on this shard without a
-// closure allocation (see Engine.AfterCall).
-func (s *Shard) AfterCall(d time.Duration, fn func(any), arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.schedule(s.now+d, nil, fn, arg)
-}
-
 // Send schedules fn(arg) to run d from now on shard dst. A send to the
 // shard itself is an ordinary local event with no constraint; a cross-shard
 // send must respect the engine's lookahead — the conservative window
@@ -141,7 +83,7 @@ func (s *Shard) Send(dst int, d time.Duration, fn func(any), arg any) {
 		d = 0
 	}
 	if dst == s.id {
-		s.schedule(s.now+d, nil, fn, arg)
+		s.AfterCall(d, fn, arg)
 		return
 	}
 	if dst < 0 || dst >= len(s.outbox) {
@@ -153,20 +95,6 @@ func (s *Shard) Send(dst int, d time.Duration, fn func(any), arg any) {
 	}
 	s.outbox[dst] = append(s.outbox[dst], xmsg{at: s.now + d, src: s.id, seq: s.seq, fn: fn, arg: arg})
 	s.seq++
-}
-
-// head returns the time of the shard's earliest pending live event, or
-// maxDuration if the heap is empty.
-func (s *Shard) head() time.Duration {
-	for s.queue.Len() > 0 {
-		ev := s.queue[0]
-		if !ev.canceled {
-			return ev.at
-		}
-		heap.Pop(&s.queue)
-		s.recycle(ev)
-	}
-	return maxDuration
 }
 
 // window runs runWindow, converting a panic that escapes an event callback
@@ -193,28 +121,12 @@ func (s *Shard) window(until time.Duration) {
 
 // runWindow executes the shard's local events strictly before until.
 func (s *Shard) runWindow(until time.Duration) {
-	for s.queue.Len() > 0 {
-		ev := s.queue[0]
-		if ev.at >= until {
+	for !s.eng.stopped.Load() {
+		ev := s.peek()
+		if ev == nil || ev.at >= until {
 			return
 		}
-		heap.Pop(&s.queue)
-		if ev.canceled {
-			s.recycle(ev)
-			continue
-		}
-		s.now = ev.at
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-		s.recycle(ev)
-		s.events++
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
-		if s.eng.stopped.Load() {
-			return
-		}
+		s.fire(ev)
 	}
 }
 
@@ -314,8 +226,8 @@ func (se *ShardedEngine) Run() time.Duration {
 		// simulation has drained.
 		earliest := maxDuration
 		for _, s := range se.shards {
-			if h := s.head(); h < earliest {
-				earliest = h
+			if ev := s.peek(); ev != nil && ev.at < earliest {
+				earliest = ev.at
 			}
 		}
 		if earliest == maxDuration {
