@@ -15,7 +15,8 @@ func TestGetLenAndRecycle(t *testing.T) {
 	b.B[999] = 0xAB
 	b.Put()
 	// The next same-class Get must reuse the buffer (single goroutine, no
-	// GC pressure in between).
+	// GC pressure in between) — except under the race detector, where
+	// sync.Pool drops Puts at random.
 	c := Get(600)
 	if cap(c.B) != 1024 {
 		t.Fatalf("recycled cap = %d, want 1024", cap(c.B))
@@ -23,7 +24,7 @@ func TestGetLenAndRecycle(t *testing.T) {
 	if len(c.B) != 600 {
 		t.Fatalf("recycled len = %d, want 600", len(c.B))
 	}
-	if c.B[999:1000][0] != 0xAB {
+	if !raceEnabled && c.B[999:1000][0] != 0xAB {
 		t.Fatal("expected the recycled backing array (stale bytes preserved)")
 	}
 	c.Put()

@@ -150,7 +150,7 @@ func (d *device) run(p *sim.Proc) {
 			sim.Post(env.reply, env)
 		case envEagerAck:
 			// Return the eager slot credit to this rank's sender state.
-			sim.Post(d.rk.out[env.src].credits, env.slot)
+			d.rk.out[env.src].credits.Release(env.slot)
 		case envOSC:
 			d.stats.oscRequests.Add(1)
 			if d.oscHandler == nil {

@@ -92,8 +92,8 @@ func (c *Comm) countOSCDelivery(interrupt bool) {
 // staging area toward target (a WORLD rank), with its offset and size, and
 // the mutex serializing its use.
 func (c *Comm) OSCStage(target int) (mem smi.Mem, off, size int64, lock *sim.Mutex) {
-	out := c.rk.out[target]
-	return out.mem, c.w.oscOff(), c.w.protocol().OSCBuf, out.oscLock
+	out := &c.rk.out[target]
+	return out.mem, c.w.oscOff(), c.w.protocol().OSCBuf, &out.oscLock
 }
 
 // OSCStageLocal returns this rank's local (receive-side) view of the

@@ -250,8 +250,8 @@ func (c *Comm) sendShort(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 // persistent failure returns the eager credit and surfaces the error.
 func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int, bytes int64) error {
 	w := c.rk.w
-	out := c.rk.out[dst]
-	slot := c.p.Recv(out.credits).(int) // eager flow control
+	out := &c.rk.out[dst]
+	slot := c.p.Acquire(&out.credits) // eager flow control
 	off := w.eagerOff(slot)
 	var payload *bufpool.Buf
 	if !dt.Contiguous() {
@@ -277,7 +277,7 @@ func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 	// back to the pool before the announcement.
 	payload.Put()
 	if err != nil {
-		sim.Post(out.credits, slot) // the slot was never announced
+		out.credits.Release(slot) // the slot was never announced
 		return err
 	}
 	w.ring(c.p, c.rk.id, dst, &envelope{
@@ -363,11 +363,11 @@ func (c *Comm) cancelRendezvous(dst int, reqID int64) {
 func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int, bytes int64) error {
 	w := c.rk.w
 	proto := w.protocol()
-	out := c.rk.out[dst]
+	out := &c.rk.out[dst]
 	p := c.p
 
-	p.Lock(out.rdvLock)
-	defer p.Unlock(out.rdvLock)
+	p.Lock(&out.rdvLock)
+	defer p.Unlock(&out.rdvLock)
 
 	if err := c.peerLost(dst); err != nil {
 		return err

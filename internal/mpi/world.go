@@ -356,16 +356,17 @@ type rank struct {
 	w          *World
 	id         int
 	node       int
-	actor      string     // cached "rank<i>" (avoids Sprintf on the send hot path)
+	actor      string       // cached "rank<i>" (avoids Sprintf on the send hot path)
 	fl         *flight.Ring // cached flight ring for the actor (nil without a recorder)
 	dev        *device
 	p          *sim.Proc // the user process, set when spawned
 	reqCounter int64
 
 	// ports[i] is the memory this rank exposes to sender i.
-	ports []*port
-	// out[i] is this rank's sender-side state toward receiver i.
-	out []*sendPort
+	ports []port
+	// out[i] is this rank's sender-side state toward receiver i. Both are
+	// indexed by world rank; the rank's own entry stays zero.
+	out []sendPort
 }
 
 // port is the receive-side memory a rank exposes to one particular sender:
@@ -379,11 +380,10 @@ type port struct {
 // sendPort is the sender-side view of a receiver's port.
 type sendPort struct {
 	mem     smi.Mem
-	credits *sim.Chan  // eager slot tokens
-	rdvLock *sim.Mutex // serializes rendezvous transfers on this pair
-	oscLock *sim.Mutex // serializes one-sided staging on this pair
-	slot    int        // next eager slot (round-robin, guarded by credits)
-	msgSeq  int64      // sequence stamp for message-bearing envelopes
+	credits sim.Credits // free eager slots
+	rdvLock sim.Mutex   // serializes rendezvous transfers on this pair
+	oscLock sim.Mutex   // serializes one-sided staging on this pair
+	msgSeq  int64       // sequence stamp for message-bearing envelopes
 
 	// paths holds the adaptive chooser's per-path EWMA of achieved deposit
 	// bandwidth toward this peer, bytes/sec (0 = never exercised). Guarded
@@ -511,13 +511,13 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 // segment.
 func (rk *rank) buildPorts() {
 	w := rk.w
-	rk.ports = make([]*port, w.size)
+	rk.ports = make([]port, w.size)
 	for src := 0; src < w.size; src++ {
 		if src == rk.id {
 			continue
 		}
 		if w.ranks[src].node == rk.node {
-			rk.ports[src] = &port{
+			rk.ports[src] = port{
 				mem:   smi.FromShm(w.buses[rk.node].Alloc(w.portSize())),
 				segID: -1,
 			}
@@ -525,7 +525,7 @@ func (rk *rank) buildPorts() {
 		}
 		if w.nicNet != nil {
 			buf := w.nicNet.Alloc(rk.node, w.portSize())
-			rk.ports[src] = &port{
+			rk.ports[src] = port{
 				mem:    smi.FromNIC(w.nicNet.View(rk.node, buf)),
 				segID:  -1,
 				nicBuf: buf,
@@ -535,7 +535,7 @@ func (rk *rank) buildPorts() {
 		seg := w.ic.Node(rk.node).Export(w.portSize())
 		// This is the owning rank's local view; the sender imports the
 		// segment in buildSendPorts.
-		rk.ports[src] = &port{
+		rk.ports[src] = port{
 			mem:   smi.FromSCI(w.ic.Node(rk.node).MustImport(rk.node, seg.ID())),
 			segID: seg.ID(),
 		}
@@ -545,7 +545,9 @@ func (rk *rank) buildPorts() {
 // buildSendPorts creates this rank's sender-side view of each peer's port.
 func (rk *rank) buildSendPorts() {
 	w := rk.w
-	rk.out = make([]*sendPort, w.size)
+	rk.out = make([]sendPort, w.size)
+	slots := w.protocol().EagerSlots
+	rings := make([]int, w.size*slots) // every pair's credit FIFO, one allocation
 	for dst := 0; dst < w.size; dst++ {
 		if dst == rk.id {
 			continue
@@ -560,11 +562,9 @@ func (rk *rank) buildSendPorts() {
 		default:
 			mem = smi.FromSCI(w.ic.Node(rk.node).MustImport(peer.node, peer.ports[rk.id].segID))
 		}
-		credits := sim.NewChan(w.protocol().EagerSlots + 1)
-		for i := 0; i < w.protocol().EagerSlots; i++ {
-			sim.Post(credits, i)
-		}
-		rk.out[dst] = &sendPort{mem: mem, credits: credits, rdvLock: &sim.Mutex{}, oscLock: &sim.Mutex{}}
+		out := &rk.out[dst]
+		out.mem = mem
+		out.credits.Init(rings[dst*slots : (dst+1)*slots])
 	}
 }
 
@@ -612,7 +612,7 @@ func (w *World) ring(p *sim.Proc, src, dst int, env *envelope, interrupt bool) {
 		return
 	}
 	if dedupable(env.kind) {
-		out := from.out[dst]
+		out := &from.out[dst]
 		out.msgSeq++
 		env.seq = out.msgSeq
 	}

@@ -1,0 +1,78 @@
+package mpi_test
+
+// A world costs what it touches: an untouched pair port holds no host
+// memory, and a finished run leaves no goroutine behind.
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"scimpich/internal/datatype"
+	"scimpich/internal/fault"
+	"scimpich/internal/mpi"
+	"scimpich/internal/rmem"
+)
+
+// TestAllocsWorldBudget pins the host cost of a world that does nothing: an
+// 8x2 world exports 240 pair ports of 384 KiB each (90 MiB), an empty run
+// touches none of them, so building and running it must stay under 1 MiB.
+func TestAllocsWorldBudget(t *testing.T) {
+	cfg := mpi.DefaultConfig(8, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mpi.NewWorldOn(mpi.NewFabric(cfg), cfg).Run(func(*mpi.Comm) {})
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("empty 8x2 world: %d bytes, %d objects", got, after.Mallocs-before.Mallocs)
+	if got >= 1<<20 {
+		t.Errorf("empty 8x2 world allocated %d bytes, budget is 1 MiB", got)
+	}
+}
+
+// waitGoroutines waits for the goroutine count to come back down to the
+// count taken before the run: an ended goroutine has handed control back
+// before Run returns, but may not have left the scheduler yet.
+func waitGoroutines(t *testing.T, what string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines left, %d before the run", what, runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunLeavesNoGoroutines: the device, DMA and monitor daemons of a world
+// are parked forever once its run has drained; Run ends them, on the
+// sequential oracle and on the sharded engine alike.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, shards := range []int{0, 2, 4} {
+		cfg := mpi.DefaultConfig(8, 2)
+		cfg.Shards = shards
+		mpi.Run(cfg, func(c *mpi.Comm) {
+			// One message per protocol: short, eager, rendezvous.
+			for _, n := range []int{64, 4 << 10, 256 << 10} {
+				out, in := make([]byte, n), make([]byte, n)
+				c.Sendrecv(out, n, datatype.Byte, c.Rank()^1, 1, in, n, datatype.Byte, c.Rank()^1, 1)
+			}
+			c.Barrier()
+		})
+		waitGoroutines(t, "8x2 world", before)
+
+		// A node crashes mid-run: its rank stops early, the survivors shrink
+		// and fail over, and the dead node's daemons stay parked to the end.
+		rcfg := mpi.DefaultConfig(4, 1)
+		rcfg.Shards = shards
+		rcfg.SCI.Fault = fault.New(42).CrashNode(1, 5200*time.Microsecond)
+		rcfg.Protocol.CollTimeout = mpi.AutoTimeout
+		rcfg.Protocol.RendezvousTimeout = mpi.AutoTimeout
+		reports, _ := rmem.RunWorkload(rcfg, rmem.DefaultConfig(), rmem.DefaultWorkload())
+		if !reports[1].Died {
+			t.Errorf("shards=%d: the crash was not exercised: %+v", shards, reports[1])
+		}
+		waitGoroutines(t, "rmem crash run", before)
+	}
+}

@@ -103,28 +103,32 @@ func New(e sim.Host, nodes int, cfg Config) *Network {
 func (n *Network) Nodes() int { return len(n.egress) }
 
 // Buffer is memory physically at one node, remotely accessible by message.
+// It is materialised on the first access (see memmodel.Backing).
 type Buffer struct {
 	net   *Network
 	owner int
-	buf   []byte
+	mem   memmodel.Backing
 }
 
 // Alloc allocates a message-accessible buffer at the owner node.
 func (n *Network) Alloc(owner int, size int64) *Buffer {
-	return n.AllocBacked(owner, make([]byte, size))
+	if size < 0 {
+		panic("nic: negative buffer size")
+	}
+	return &Buffer{net: n, owner: owner, mem: memmodel.Unbacked(size)}
 }
 
 // AllocBacked wraps existing memory as a message-accessible buffer, so one
 // backing array can also be visible through the intra-node transport.
 func (n *Network) AllocBacked(owner int, buf []byte) *Buffer {
-	return &Buffer{net: n, owner: owner, buf: buf}
+	return &Buffer{net: n, owner: owner, mem: memmodel.BackedBy(buf)}
 }
 
 // Owner returns the owning node.
 func (b *Buffer) Owner() int { return b.owner }
 
 // Bytes returns the raw backing memory.
-func (b *Buffer) Bytes() []byte { return b.buf }
+func (b *Buffer) Bytes() []byte { return b.mem.Bytes() }
 
 // View returns node `from`'s costed access view of the buffer
 // (implementing smi.Mem).
@@ -143,10 +147,10 @@ type View struct {
 func (v *View) Remote() bool { return v.from != v.b.owner }
 
 // Size returns the buffer size.
-func (v *View) Size() int64 { return int64(len(v.b.buf)) }
+func (v *View) Size() int64 { return v.b.mem.Size() }
 
 // Bytes returns the raw backing memory (owner-side use).
-func (v *View) Bytes() []byte { return v.b.buf }
+func (v *View) Bytes() []byte { return v.b.Bytes() }
 
 func (v *View) checkRange(off, n int64) {
 	if off < 0 || n < 0 || off+n > v.Size() {
@@ -180,12 +184,12 @@ func (v *View) WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int
 	v.checkRange(off, nn)
 	if !v.Remote() {
 		p.Sleep(v.net.Cfg.Mem.CopyCost(nn, nn, maxi64(srcWorkingSet, nn)))
-		copy(v.b.buf[off:], src)
+		copy(v.b.Bytes()[off:], src)
 		return
 	}
 	data := append([]byte(nil), src...)
 	buf, o := v.b, off
-	v.send(p, func() { copy(buf.buf[o:], data) })(nn)
+	v.send(p, func() { copy(buf.Bytes()[o:], data) })(nn)
 }
 
 // WriteWord sends a small control word.
@@ -193,12 +197,12 @@ func (v *View) WriteWord(p *sim.Proc, off int64, src []byte) {
 	v.checkRange(off, int64(len(src)))
 	if !v.Remote() {
 		p.Sleep(60 * time.Nanosecond)
-		copy(v.b.buf[off:], src)
+		copy(v.b.Bytes()[off:], src)
 		return
 	}
 	data := append([]byte(nil), src...)
 	buf, o := v.b, off
-	v.send(p, func() { copy(buf.buf[o:], data) })(int64(len(src)))
+	v.send(p, func() { copy(buf.Bytes()[o:], data) })(int64(len(src)))
 }
 
 // WriteStrided scatters accesses; over a message fabric each strided
@@ -220,13 +224,13 @@ func (v *View) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stri
 	v.checkRange(off, span)
 	if !v.Remote() {
 		p.Sleep(v.net.Cfg.Mem.CopyCost(nn, accessSize, span))
-		scatter(v.b.buf[off:], src, accessSize, stride)
+		scatter(v.b.Bytes()[off:], src, accessSize, stride)
 		return
 	}
 	p.Sleep(v.net.Cfg.Mem.CopyCost(nn, accessSize, span)) // receiver-side scatter, charged to the op
 	data := append([]byte(nil), src...)
 	buf, o, a, s := v.b, off, accessSize, stride
-	v.send(p, func() { scatter(buf.buf[o:], data, a, s) })(nn)
+	v.send(p, func() { scatter(buf.Bytes()[o:], data, a, s) })(nn)
 }
 
 // WritePut is WriteStrided: a message NIC has no put fast path.
@@ -240,7 +244,7 @@ func (v *View) Read(p *sim.Proc, off int64, dst []byte) {
 	v.checkRange(off, nn)
 	if !v.Remote() {
 		p.Sleep(v.net.Cfg.Mem.CopyCost(nn, nn, nn))
-		copy(dst, v.b.buf[off:off+nn])
+		copy(dst, v.b.Bytes()[off:off+nn])
 		return
 	}
 	cfg := &v.net.Cfg
@@ -248,7 +252,7 @@ func (v *View) Read(p *sim.Proc, off int64, dst []byte) {
 	if nn > 0 {
 		v.net.Net.Transfer(p, flow.Path(v.net.egress[v.b.owner], v.net.ingress[v.from]), nn, cfg.Bandwidth)
 	}
-	copy(dst, v.b.buf[off:off+nn])
+	copy(dst, v.b.Bytes()[off:off+nn])
 }
 
 // ReadStrided gathers strided data (one round trip; gather at the owner).
@@ -268,13 +272,13 @@ func (v *View) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, strid
 	v.checkRange(off, span)
 	if !v.Remote() {
 		p.Sleep(v.net.Cfg.Mem.CopyCost(nn, accessSize, span))
-		gather(dst, v.b.buf[off:], accessSize, stride)
+		gather(dst, v.b.Bytes()[off:], accessSize, stride)
 		return
 	}
 	cfg := &v.net.Cfg
 	p.Sleep(2*cfg.Latency + 2*cfg.PerMessageCPU + cfg.Mem.CopyCost(nn, accessSize, span))
 	v.net.Net.Transfer(p, flow.Path(v.net.egress[v.b.owner], v.net.ingress[v.from]), nn, cfg.Bandwidth)
-	gather(dst, v.b.buf[off:], accessSize, stride)
+	gather(dst, v.b.Bytes()[off:], accessSize, stride)
 }
 
 // BlockWriter stages blocks locally and ships them as one message on
@@ -325,18 +329,20 @@ func (w *BlockWriter) Flush() {
 	}
 	w.p.Sleep(w.cost)
 	if !w.v.Remote() {
-		for _, blk := range w.staged {
-			copy(w.v.b.buf[blk.off:], blk.data)
-		}
+		applyBlocks(w.v.b, w.staged)
 		return
 	}
 	staged := w.staged
 	buf := w.v.b
-	w.v.send(w.p, func() {
-		for _, blk := range staged {
-			copy(buf.buf[blk.off:], blk.data)
-		}
-	})(w.bytes)
+	w.v.send(w.p, func() { applyBlocks(buf, staged) })(w.bytes)
+}
+
+// applyBlocks lands staged blocks in the buffer.
+func applyBlocks(b *Buffer, staged []stagedBlock) {
+	dst := b.Bytes()
+	for _, blk := range staged {
+		copy(dst[blk.off:], blk.data)
+	}
 }
 
 // DMAWrite: message NICs in this model have no exposed DMA path.

@@ -69,7 +69,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 			req.done.Complete(err)
 			continue
 		}
-		copy(req.m.seg.buf[req.off:], req.data.B)
+		copy(req.m.seg.Local()[req.off:], req.data.B)
 		req.data.Put()
 		d.node.stats.dmaTransfers.Add(1)
 		d.node.stats.bytesWritten.Add(n)
@@ -105,8 +105,9 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *dmaRequest) {
 		req.done.Complete(err)
 		return
 	}
+	dst := req.m.seg.Local()[req.off:]
 	for _, desc := range req.descs {
-		copy(req.m.seg.buf[req.off+desc.DstOff:], req.src[desc.SrcOff:desc.SrcOff+desc.Len])
+		copy(dst[desc.DstOff:], req.src[desc.SrcOff:desc.SrcOff+desc.Len])
 	}
 	d.node.stats.dmaTransfers.Add(1)
 	d.node.stats.dmaSGTransfers.Add(1)

@@ -303,9 +303,9 @@ func deliverArrive(a any) {
 	n := d.node
 	if d.buf != nil {
 		if d.access > 0 {
-			scatter(d.seg.buf[d.off:], d.buf.B, d.access, d.stride)
+			scatter(d.seg.Local()[d.off:], d.buf.B, d.access, d.stride)
 		} else {
-			copy(d.seg.buf[d.off:], d.buf.B)
+			copy(d.seg.Local()[d.off:], d.buf.B)
 		}
 		d.buf.Put()
 	}

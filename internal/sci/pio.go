@@ -77,7 +77,7 @@ func (m *Mapping) TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingS
 	if !m.Remote() {
 		// Local store through the mapping: plain memory copy.
 		p.Sleep(cfg.Mem.CopyCost(n, n, srcWorkingSet))
-		copy(m.seg.buf[off:], src)
+		copy(m.seg.Local()[off:], src)
 		return nil
 	}
 	start := p.Now()
@@ -121,7 +121,7 @@ func (m *Mapping) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, s
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		p.Sleep(cfg.Mem.CopyCost(n, accessSize, span))
-		scatter(m.seg.buf[off:], src, accessSize, stride)
+		scatter(m.seg.Local()[off:], src, accessSize, stride)
 		return
 	}
 	var bw float64
@@ -172,7 +172,7 @@ func (m *Mapping) TryWritePut(p *sim.Proc, off int64, src []byte, accessSize, st
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		p.Sleep(cfg.Mem.CopyCost(n, accessSize, span))
-		scatter(m.seg.buf[off:], src, accessSize, stride)
+		scatter(m.seg.Local()[off:], src, accessSize, stride)
 		return nil
 	}
 	start := p.Now()
@@ -209,7 +209,7 @@ func (m *Mapping) WriteWord(p *sim.Proc, off int64, src []byte) {
 	from.stats.bytesWritten.Add(n)
 	p.Sleep(from.ic.Cfg.WriteIssueOverhead)
 	if !m.Remote() {
-		copy(m.seg.buf[off:], src)
+		copy(m.seg.Local()[off:], src)
 		return
 	}
 	from.postDelivery(m.seg, off, bufpool.Clone(src), 0, 0)
@@ -239,7 +239,7 @@ func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		p.Sleep(cfg.Mem.CopyCost(n, n, n))
-		copy(dst, m.seg.buf[off:off+n])
+		copy(dst, m.seg.Local()[off:off+n])
 		return nil
 	}
 	start := p.Now()
@@ -254,7 +254,7 @@ func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 		return err
 	}
 	p.Sleep(sim.RateDuration(n, cfg.ReadBW(n)))
-	copy(dst, m.seg.buf[off:off+n])
+	copy(dst, m.seg.Local()[off:off+n])
 	from.ic.met.readNS.ObserveDuration(p.Now() - start)
 	return nil
 }
@@ -282,7 +282,7 @@ func (m *Mapping) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, st
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		p.Sleep(cfg.Mem.CopyCost(n, accessSize, span))
-		gather(dst, m.seg.buf[off:], accessSize, stride)
+		gather(dst, m.seg.Local()[off:], accessSize, stride)
 		return
 	}
 	from.ic.faults.maybeRetry(p, &from.stats)
@@ -290,7 +290,7 @@ func (m *Mapping) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, st
 	// gathered by the stream buffers.
 	per := sim.RateDuration(accessSize, cfg.ReadBW(accessSize))
 	p.Sleep(time.Duration(accesses) * per)
-	gather(dst, m.seg.buf[off:], accessSize, stride)
+	gather(dst, m.seg.Local()[off:], accessSize, stride)
 }
 
 // scatter copies src into dst as accessSize-byte pieces stride apart.
@@ -363,7 +363,7 @@ func (w *BlockWriter) Write(off int64, src []byte) {
 		w.err = err
 		return
 	}
-	copy(w.m.seg.buf[off:], src)
+	copy(w.m.seg.Local()[off:], src)
 	cfg := &w.m.from.ic.Cfg
 	w.bytes += n
 	w.m.from.stats.writeOps.Add(1)

@@ -403,12 +403,16 @@ func TestImportErrors(t *testing.T) {
 		t.Error("import of unknown segment succeeded")
 	}
 	seg := ic.Node(1).Export(16)
-	if _, err := ic.Node(0).Import(1, seg.ID()); err != nil {
-		t.Errorf("valid import failed: %v", err)
+	m, err := ic.Node(0).Import(1, seg.ID())
+	if err != nil {
+		t.Fatalf("valid import failed: %v", err)
 	}
-	ic.Node(1).Unexport(seg)
+	ic.RevokeSegment(1, seg.ID())
 	if _, err := ic.Node(0).Import(1, seg.ID()); err == nil {
-		t.Error("import of unexported segment succeeded")
+		t.Error("import of revoked segment succeeded")
+	}
+	if m.Valid() {
+		t.Error("mapping made before the revocation is still valid")
 	}
 }
 

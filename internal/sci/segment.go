@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scimpich/internal/fault"
+	"scimpich/internal/memmodel"
 	"scimpich/internal/sim"
 )
 
@@ -30,11 +31,13 @@ func (e ErrSegmentLost) Error() string {
 
 // Segment is a region of a node's physical memory exported for remote
 // access. The backing buffer is real: remote writes actually deposit bytes
-// here, so every protocol built on top is testable for correctness.
+// here, so every protocol built on top is testable for correctness. It is
+// materialised on the first access (see memmodel.Backing): a segment that
+// is exported but never read or written holds no host memory.
 type Segment struct {
 	owner   *Node
 	id      int
-	buf     []byte
+	mem     memmodel.Backing
 	revoked bool
 }
 
@@ -45,7 +48,7 @@ func (n *Node) Export(size int64) *Segment {
 	if size < 0 {
 		panic("sci: negative segment size")
 	}
-	return n.ExportBuffer(make([]byte, size))
+	return n.export(memmodel.Unbacked(size))
 }
 
 // ExportBuffer exports an existing buffer as a segment (the paper's [13]:
@@ -53,15 +56,14 @@ func (n *Node) Export(size int64) *Segment {
 // direct access to buf; windows use this to share one backing array between
 // the SCI and intra-node views.
 func (n *Node) ExportBuffer(buf []byte) *Segment {
-	s := &Segment{owner: n, id: n.nextSeg, buf: buf}
+	return n.export(memmodel.BackedBy(buf))
+}
+
+func (n *Node) export(mem memmodel.Backing) *Segment {
+	s := &Segment{owner: n, id: n.nextSeg, mem: mem}
 	n.segs[s.id] = s
 	n.nextSeg++
 	return s
-}
-
-// Unexport removes the segment from the node's export table.
-func (n *Node) Unexport(s *Segment) {
-	delete(n.segs, s.id)
 }
 
 // ID returns the segment's identifier, unique per owning node.
@@ -71,12 +73,12 @@ func (s *Segment) ID() int { return s.id }
 func (s *Segment) Owner() *Node { return s.owner }
 
 // Size returns the segment size in bytes.
-func (s *Segment) Size() int64 { return int64(len(s.buf)) }
+func (s *Segment) Size() int64 { return s.mem.Size() }
 
 // Local returns the owner's direct view of the segment memory. Only the
 // owning node's processes should touch it; remote access goes through a
-// Mapping.
-func (s *Segment) Local() []byte { return s.buf }
+// Mapping. Like every access it materialises the memory.
+func (s *Segment) Local() []byte { return s.mem.Bytes() }
 
 // Mapping is a remote node's transparently mapped view of a segment. All
 // remote loads and stores are performed through it and are charged with

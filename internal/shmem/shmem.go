@@ -95,10 +95,11 @@ func (b *Bus) Charge(p *sim.Proc, bytes int64, cost time.Duration) {
 	b.net.Transfer(p, flow.Path(b.bus), bytes, rate)
 }
 
-// Region is a shared memory region on the bus.
+// Region is a shared memory region on the bus. Its memory is materialised
+// on the first access (see memmodel.Backing).
 type Region struct {
 	bus *Bus
-	buf []byte
+	mem memmodel.Backing
 }
 
 // Alloc allocates a shared region of the given size.
@@ -106,21 +107,21 @@ func (b *Bus) Alloc(size int64) *Region {
 	if size < 0 {
 		panic("shmem: negative region size")
 	}
-	return b.AllocBacked(make([]byte, size))
+	return &Region{bus: b, mem: memmodel.Unbacked(size)}
 }
 
 // AllocBacked wraps an existing buffer as a shared region, so one backing
 // array can be visible through several transports (used for one-sided
 // communication windows).
 func (b *Bus) AllocBacked(buf []byte) *Region {
-	return &Region{bus: b, buf: buf}
+	return &Region{bus: b, mem: memmodel.BackedBy(buf)}
 }
 
 // Size returns the region size in bytes.
-func (r *Region) Size() int64 { return int64(len(r.buf)) }
+func (r *Region) Size() int64 { return r.mem.Size() }
 
 // Local returns the raw shared buffer.
-func (r *Region) Local() []byte { return r.buf }
+func (r *Region) Local() []byte { return r.mem.Bytes() }
 
 func (r *Region) checkRange(off, n int64) {
 	if off < 0 || n < 0 || off+n > r.Size() {
@@ -146,7 +147,7 @@ func (r *Region) WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet i
 		ws = n
 	}
 	r.charge(p, r.bus.mem.CopyCost(n, n, ws), n)
-	copy(r.buf[off:], src)
+	copy(r.Local()[off:], src)
 }
 
 // WriteWord writes a small control word (flag) into the region.
@@ -154,7 +155,7 @@ func (r *Region) WriteWord(p *sim.Proc, off int64, src []byte) {
 	n := int64(len(src))
 	r.checkRange(off, n)
 	p.Sleep(r.bus.storeCost)
-	copy(r.buf[off:], src)
+	copy(r.Local()[off:], src)
 }
 
 // WriteStrided scatters src into the region as accesses of accessSize
@@ -174,7 +175,7 @@ func (r *Region) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, st
 	span := (accesses-1)*stride + (n - (accesses-1)*accessSize)
 	r.checkRange(off, span)
 	r.charge(p, r.bus.mem.CopyCost(n, accessSize, span), n)
-	scatter(r.buf[off:], src, accessSize, stride)
+	scatter(r.Local()[off:], src, accessSize, stride)
 }
 
 // Read copies from the region into dst.
@@ -182,7 +183,7 @@ func (r *Region) Read(p *sim.Proc, off int64, dst []byte) {
 	n := int64(len(dst))
 	r.checkRange(off, n)
 	r.charge(p, r.bus.mem.CopyCost(n, n, n), n)
-	copy(dst, r.buf[off:off+n])
+	copy(dst, r.Local()[off:off+n])
 }
 
 // ReadStrided gathers strided data from the region into dst.
@@ -201,7 +202,7 @@ func (r *Region) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, str
 	span := (accesses-1)*stride + (n - (accesses-1)*accessSize)
 	r.checkRange(off, span)
 	r.charge(p, r.bus.mem.CopyCost(n, accessSize, span), n)
-	gather(dst, r.buf[off:], accessSize, stride)
+	gather(dst, r.Local()[off:], accessSize, stride)
 }
 
 // BlockWriter batches block-wise writes into the region, mirroring
@@ -231,7 +232,7 @@ func (w *BlockWriter) Write(off int64, src []byte) {
 		return
 	}
 	w.r.checkRange(off, n)
-	copy(w.r.buf[off:], src)
+	copy(w.r.Local()[off:], src)
 	w.bytes += n
 	if n > w.maxBlock {
 		w.maxBlock = n

@@ -185,7 +185,15 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run dispatches events until the queue is empty or Stop is called. It
 // returns the final virtual time. Run panics if any spawned process is still
 // blocked when the event queue drains (deadlock: nothing can ever wake it).
+//
+// However Run ends — drained, stopped, or by a panic — it ends the daemons
+// that are still blocked. An engine that had any is finished with: its
+// services are gone, so a second Run, or a Go, panics.
 func (e *Engine) Run() time.Duration {
+	if e.released {
+		panic("sim: Run on an engine that already ran: " + releasedRule)
+	}
+	defer e.releaseDaemons()
 	for !e.stopped {
 		ev := e.peek()
 		if ev == nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -31,6 +32,10 @@ type procRuntime struct {
 	// pendingPanic holds a panic recovered from a process body, re-raised
 	// by dispatch on the host's goroutine.
 	pendingPanic *procPanic
+
+	// released is set once a finished Run has ended daemon goroutines: the
+	// host's services are gone, so it refuses further processes.
+	released bool
 }
 
 // initProcs prepares the runtime (the yield channel cannot be the zero
@@ -71,6 +76,9 @@ type Proc struct {
 	// finished is set when the body returns; the deadlock report lists
 	// non-daemon procs that never got here.
 	finished bool
+	// killed tells a blocked daemon to end its goroutine instead of
+	// continuing when it is next resumed (see releaseDaemons).
+	killed bool
 	// dispatchFn is the cached self-dispatch closure, created once at spawn
 	// so Sleep and wake schedule without allocating.
 	dispatchFn func()
@@ -102,6 +110,9 @@ func (e *Engine) GoDaemon(name string, body func(p *Proc)) *Proc {
 }
 
 func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon bool) *Proc {
+	if rt.released {
+		panic(fmt.Sprintf("sim: process %q spawned on a host that already ran: %s", name, releasedRule))
+	}
 	p := &Proc{rt: rt, host: h, name: name, resume: make(chan struct{}), daemon: daemon}
 	p.dispatchFn = func() { rt.dispatch(p) }
 	if !daemon {
@@ -109,7 +120,6 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 	}
 	rt.procs = append(rt.procs, p)
 	go func() {
-		<-p.resume // wait for first dispatch
 		// A panic in a process body is re-raised inside the host's event
 		// loop so callers (and tests) can observe it on that goroutine.
 		defer func() {
@@ -122,6 +132,7 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 			}
 			rt.yield <- struct{}{} // return control to the host for good
 		}()
+		p.awaitResume() // wait for first dispatch
 		body(p)
 	}()
 	h.After(0, p.dispatchFn)
@@ -157,7 +168,36 @@ func (rt *procRuntime) blockedProcs() []string {
 // The process will continue when something calls rt.dispatch(p) again.
 func (p *Proc) yieldToHost() {
 	p.rt.yield <- struct{}{}
+	p.awaitResume()
+}
+
+// awaitResume blocks the process's goroutine until the host hands it
+// control. A daemon that releaseDaemons resumed ends here instead: Goexit
+// runs the spawn wrapper's deferred hand-back like a normal return.
+func (p *Proc) awaitResume() {
 	<-p.resume
+	if p.killed {
+		runtime.Goexit()
+	}
+}
+
+// releasedRule is why a host that ended daemons refuses further work.
+const releasedRule = "a drained run ends its daemons, so a host that had any runs once; build a new engine"
+
+// releaseDaemons ends the goroutine of every daemon that is still blocked,
+// one at a time and in spawn order. Run calls it on its way out: a drained
+// simulation can never wake its device handlers, DMA engines and monitors
+// again, and their parked goroutines would pin everything they reference —
+// a whole world — for the life of the program.
+func (rt *procRuntime) releaseDaemons() {
+	for _, p := range rt.procs {
+		if p.daemon && !p.finished {
+			p.killed = true
+			p.resume <- struct{}{}
+			<-rt.yield
+			rt.released = true
+		}
+	}
 }
 
 // Sleep advances the process's virtual time by d. Negative d is clamped to

@@ -250,6 +250,7 @@ func (se *ShardedEngine) Run() time.Duration {
 	}
 	for _, s := range se.shards {
 		close(s.work)
+		s.releaseDaemons()
 	}
 	if p := se.panicked; p != nil {
 		// Re-raise on the caller's goroutine: a panic that escapes an event

@@ -263,6 +263,63 @@ func (p *Proc) Unlock(m *Mutex) {
 	m.held = false
 }
 
+// Credits is the flow control of a pool of numbered buffer slots: Acquire
+// hands out free slot indices in the order they were released and blocks in
+// virtual time while none is free; blocked processes are served in FIFO
+// order. It behaves like a Chan pre-loaded with one token per slot, but the
+// tokens are plain ints in a circular FIFO over storage the owner provides,
+// so a Credits can be embedded by value and steady traffic allocates nothing.
+type Credits struct {
+	ring    []int // free slots: n of them, starting at head, wrapping
+	head, n int
+	waiters []creditWaiter
+}
+
+type creditWaiter struct {
+	p    *Proc
+	slot *int // where Release deposits the slot it hands over
+}
+
+// Init makes every slot 0..len(ring)-1 free, in ascending order, using ring
+// as the FIFO's storage.
+func (c *Credits) Init(ring []int) {
+	for i := range ring {
+		ring[i] = i
+	}
+	c.ring, c.head, c.n = ring, 0, len(ring)
+}
+
+// Acquire takes the oldest free slot, blocking p until one is released.
+func (p *Proc) Acquire(c *Credits) int {
+	if c.n > 0 {
+		slot := c.ring[c.head]
+		c.head = (c.head + 1) % len(c.ring)
+		c.n--
+		return slot
+	}
+	var slot int
+	c.waiters = append(c.waiters, creditWaiter{p: p, slot: &slot})
+	p.park()
+	return slot
+}
+
+// Release frees slot, handing it straight to the oldest blocked process if
+// there is one. Like Post it needs no process context and never blocks.
+func (c *Credits) Release(slot int) {
+	if len(c.waiters) > 0 {
+		w := c.waiters[0]
+		c.waiters = c.waiters[1:]
+		*w.slot = slot
+		w.p.wake()
+		return
+	}
+	if c.n == len(c.ring) {
+		panic("sim: more credits released than slots exist")
+	}
+	c.ring[(c.head+c.n)%len(c.ring)] = slot
+	c.n++
+}
+
 // Barrier blocks a fixed-size party of processes until all have arrived,
 // then releases them together. It is reusable (cyclic).
 type Barrier struct {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -166,6 +167,51 @@ func TestMutexExcludesAndIsFIFO(t *testing.T) {
 			t.Fatalf("lock order = %v, want %v", order, want)
 		}
 	}
+}
+
+// TestCreditsMatchPreloadedChan drives a Credits and a Chan pre-loaded with
+// the same tokens through one schedule of takers and releases; the slots must
+// be handed out in the same order to the same processes.
+func TestCreditsMatchPreloadedChan(t *testing.T) {
+	const slots, takers = 3, 7
+	run := func(take func(*Proc) int, release func(int)) []int {
+		e := NewEngine()
+		var order []int
+		for i := 0; i < takers; i++ {
+			i := i
+			e.Go("taker", func(p *Proc) {
+				p.Sleep(time.Duration(i%3) * time.Microsecond)
+				slot := take(p)
+				order = append(order, i, slot)
+				p.Sleep(time.Duration(1+slot) * time.Microsecond)
+				release(slot)
+			})
+		}
+		e.Run()
+		return order
+	}
+	var cr Credits
+	cr.Init(make([]int, slots))
+	ch := NewChan(slots + 1)
+	for i := 0; i < slots; i++ {
+		Post(ch, i)
+	}
+	got := run(func(p *Proc) int { return p.Acquire(&cr) }, cr.Release)
+	want := run(func(p *Proc) int { return p.Recv(ch).(int) }, func(s int) { Post(ch, s) })
+	if len(got) != 2*takers || !slices.Equal(got, want) {
+		t.Errorf("credits handed out (taker, slot) %v, channel %v", got, want)
+	}
+}
+
+func TestCreditsOverReleasePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing more credits than slots did not panic")
+		}
+	}()
+	var cr Credits
+	cr.Init(make([]int, 2))
+	cr.Release(0)
 }
 
 func TestUnlockUnlockedPanics(t *testing.T) {
