@@ -3,14 +3,18 @@ GO ?= go
 .PHONY: check vet build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
 
 # check is the tier-1 gate: vet, build everything, the full test suite with
-# the race detector, then the failover availability claims.
+# the race detector, then the failover availability claims. vet and build
+# also cover benchmark/, a module of its own that compiles against the
+# internal packages, so an API change cannot break it unnoticed.
 check: vet build race failover
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
+	cd benchmark && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

@@ -202,14 +202,23 @@ func WriteCollJSON(path string, results []CollResult) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// FormatColl renders the matrix as an aligned text table.
+// FormatColl renders the matrix as an aligned text table. An algorithm
+// family that does not implement a collective (0 in the result, omitted
+// from the JSON) prints as "-".
 func FormatColl(results []CollResult) string {
+	mibs := func(v float64) string {
+		if v == 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f", v)
+	}
 	out := "coll (MiB/s):\n"
 	out += fmt.Sprintf("  %-9s %5s %9s %9s %9s %9s %9s %9s  %-8s %-8s\n",
 		"coll", "nodes", "bytes", "p2p", "recdbl", "ring", "onesided", "adaptive", "chosen", "best")
 	for _, r := range results {
-		out += fmt.Sprintf("  %-9s %5d %9d %9.1f %9.1f %9.1f %9.1f %9.1f  %-8s %-8s\n",
-			r.Coll, r.Nodes, r.Bytes, r.P2P, r.RecDbl, r.Ring, r.OneSided, r.Adaptive, r.Chosen, r.BestAlg)
+		out += fmt.Sprintf("  %-9s %5d %9d %9s %9s %9s %9s %9s  %-8s %-8s\n",
+			r.Coll, r.Nodes, r.Bytes, mibs(r.P2P), mibs(r.RecDbl), mibs(r.Ring), mibs(r.OneSided),
+			mibs(r.Adaptive), r.Chosen, r.BestAlg)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -134,5 +135,19 @@ func TestCollRingAllreduceWinsLarge(t *testing.T) {
 	}
 	if hit == 0 {
 		t.Fatal("sweep has no large allreduce rows")
+	}
+}
+
+// A family that does not implement a collective is 0 in the result and
+// omitted from the JSON; the text table must not print it as a measured 0.0.
+func TestFormatCollMarksUnimplementedFamilies(t *testing.T) {
+	out := FormatColl([]CollResult{{
+		Coll: "bcast", Nodes: 8, Bytes: 4096,
+		P2P: 12.5, OneSided: 20, Adaptive: 20, Chosen: "onesided", Best: 20, BestAlg: "onesided",
+	}})
+	row := strings.Fields(strings.Split(out, "\n")[2])
+	want := []string{"bcast", "8", "4096", "12.5", "-", "-", "20.0", "20.0", "onesided", "onesided"}
+	if strings.Join(row, " ") != strings.Join(want, " ") {
+		t.Errorf("row = %v, want %v", row, want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
 	"scimpich/internal/sci"
-	"scimpich/internal/trace"
 )
 
 // Ambient observability: a cmd binary opts in with ObsFlags (or a harness
@@ -35,8 +34,8 @@ func Observability() (*obs.Trace, *obs.Registry) { return obsTrace, obsMetrics }
 // instrument attaches the ambient observability to a cluster config. A
 // tracer or registry the driver already set wins.
 func instrument(cfg mpi.Config) mpi.Config {
-	if cfg.Tracer == nil && obsTrace != nil {
-		cfg.Tracer = trace.FromObs(obsTrace)
+	if cfg.Tracer == nil {
+		cfg.Tracer = obsTrace
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsMetrics
@@ -47,8 +46,8 @@ func instrument(cfg mpi.Config) mpi.Config {
 // instrumentSCI is instrument for the drivers that run the raw
 // interconnect without the MPI runtime.
 func instrumentSCI(cfg sci.Config) sci.Config {
-	if cfg.Tracer == nil && obsTrace != nil {
-		cfg.Tracer = trace.FromObs(obsTrace)
+	if cfg.Tracer == nil {
+		cfg.Tracer = obsTrace
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsMetrics

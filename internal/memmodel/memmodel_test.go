@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -90,4 +91,31 @@ func TestCopyCostScalesWithBytes(t *testing.T) {
 		t.Errorf("doubling bytes scaled cost by %.2f, want ~2", ratio)
 	}
 	_ = time.Duration(0)
+}
+
+func TestStridedAccessAndScatterGather(t *testing.T) {
+	// 10 bytes as 4-byte accesses 8 apart: 4+4+2, the last access short.
+	a := StridedAccess(10, 4, 8)
+	if a != (Strided{Access: 4, Stride: 8, Accesses: 3, Span: 18}) {
+		t.Errorf("StridedAccess(10, 4, 8) = %+v", a)
+	}
+	// Degenerate arguments mean one dense access.
+	if a := StridedAccess(10, 0, 0); a != (Strided{Access: 10, Stride: 10, Accesses: 1, Span: 10}) {
+		t.Errorf("StridedAccess(10, 0, 0) = %+v", a)
+	}
+	if a := StridedAccess(10, 4, 2); a.Stride != 4 || a.Span != 10 {
+		t.Errorf("stride below the access size must mean dense: %+v", a)
+	}
+	src := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	mem := make([]byte, 18)
+	Scatter(mem, src, 4, 8)
+	want := []byte{1, 2, 3, 4, 0, 0, 0, 0, 5, 6, 7, 8, 0, 0, 0, 0, 9, 10}
+	if !bytes.Equal(mem, want) {
+		t.Errorf("Scatter = %v, want %v", mem, want)
+	}
+	back := make([]byte, 10)
+	Gather(back, mem, 4, 8)
+	if !bytes.Equal(back, src) {
+		t.Errorf("Gather = %v, want %v", back, src)
+	}
 }

@@ -413,7 +413,7 @@ type collOp struct {
 func (c *Comm) collBegin(kind collKind, alg CollAlg, bytes int64) *collOp {
 	w := c.rk.w
 	w.met.collChosen[kind][alg].Inc()
-	sp := w.cfg.Tracer.Start(c.p.Now(), c.rk.actor, "coll", kind.String())
+	sp := w.cfg.Tracer.StartSpan(c.p.Now(), c.rk.actor, "coll", kind.String())
 	sp.SetBytes(bytes)
 	sp.SetDetail("alg %s", alg)
 	return &collOp{c: c, kind: kind, alg: alg, bytes: bytes, start: c.p.Now(), sp: sp}

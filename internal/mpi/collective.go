@@ -59,7 +59,7 @@ func (c *Comm) waitCollT(r *Request, src, tag int, to time.Duration) error {
 	v, ok := c.p.AwaitTimeout(r.done, to)
 	if !ok {
 		c.rk.dev.stats.sendTimeouts.Add(1)
-		c.rk.w.cfg.Tracer.Record(c.p.Now(), c.rk.actor, "fault",
+		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 			"collective watchdog expired (src %d tag %d) after %v", src, tag, to)
 		if src != AnySource {
 			if err := c.peerLost(c.worldRank(src)); err != nil {

@@ -70,20 +70,20 @@ func (c *Comm) osDeposit(dstWorld int, off int64, data []byte) error {
 			return err
 		}
 		if len(data) > 0 {
-			if err := mem.TryWriteStream(c.p, off, data, 2*int64(len(data))); err != nil {
+			if err := mem.WriteStream(c.p, off, data, 2*int64(len(data))); err != nil {
 				return err
 			}
 		}
-		return mem.TrySync(c.p)
+		return mem.Sync(c.p)
 	})
 }
 
 // osCopyOut copies a deposited block out of this rank's own window.
-func (c *Comm) osCopyOut(off int64, dst []byte) {
+func (c *Comm) osCopyOut(off int64, dst []byte) error {
 	if len(dst) == 0 {
-		return
+		return nil
 	}
-	c.rk.w.collView(c.rk.id, c.rk.id).Read(c.p, off, dst)
+	return c.rk.w.collView(c.rk.id, c.rk.id).Read(c.p, off, dst)
 }
 
 // osSlotOff returns the offset of world rank src's slot half for chunk or
@@ -127,7 +127,9 @@ func (c *Comm) bcastOneSided(buf []byte, root int) error {
 			if err := c.recvColl(nil, 0, datatype.Byte, parent, tagCollOSN+i); err != nil {
 				return err
 			}
-			c.osCopyOut(w.osSlotOff(c.worldRank(parent), i), piece)
+			if err := c.osCopyOut(w.osSlotOff(c.worldRank(parent), i), piece); err != nil {
+				return err
+			}
 			if err := c.send(nil, 0, datatype.Byte, parent, tagCollOSA+i, c.ctx); err != nil {
 				return err
 			}
@@ -187,7 +189,9 @@ func (c *Comm) osExchange(out func(dst int) []byte, in func(src int) []byte) err
 		if err := c.recvColl(nil, 0, datatype.Byte, src, tagCollOSN); err != nil {
 			return err
 		}
-		c.osCopyOut(int64(c.worldRank(src))*slot, in(src))
+		if err := c.osCopyOut(int64(c.worldRank(src))*slot, in(src)); err != nil {
+			return err
+		}
 		if err := c.send(nil, 0, datatype.Byte, src, tagCollOSA, c.ctx); err != nil {
 			return err
 		}
@@ -228,7 +232,9 @@ func (l *osRingLink) xfer(t int, out, in []byte) error {
 	if err := c.recvColl(nil, 0, datatype.Byte, l.left, tagCollOSN+t); err != nil {
 		return err
 	}
-	c.osCopyOut(w.osSlotOff(c.worldRank(l.left), t), in)
+	if err := c.osCopyOut(w.osSlotOff(c.worldRank(l.left), t), in); err != nil {
+		return err
+	}
 	return c.send(nil, 0, datatype.Byte, l.left, tagCollOSA+t, c.ctx)
 }
 

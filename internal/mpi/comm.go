@@ -11,7 +11,6 @@ import (
 	"scimpich/internal/pack"
 	"scimpich/internal/sci"
 	"scimpich/internal/sim"
-	"scimpich/internal/trace"
 )
 
 // Comm is a rank's handle on the communicator (MPI_COMM_WORLD plus an
@@ -85,7 +84,7 @@ func (c *Comm) WtimeDuration() time.Duration { return c.p.Now() }
 
 // Tracer returns the world's event tracer (for libraries layered on the
 // runtime that record their own fault/recovery events).
-func (c *Comm) Tracer() *trace.Tracer { return c.w.cfg.Tracer }
+func (c *Comm) Tracer() *obs.Trace { return c.w.cfg.Tracer }
 
 // Metrics returns the world's metrics registry (nil when none is
 // configured); libraries layered on the runtime register their collectors
@@ -124,8 +123,7 @@ func Run(cfg Config, main func(c *Comm)) time.Duration {
 
 // NewFabric builds the fabric Run would use for cfg: a sharded engine with
 // cfg.Shards shards when Shards > 1, else a one-locale wrap of a fresh
-// sequential engine. The lookahead is cfg.Lookahead, defaulting to the SCI
-// segment latency.
+// sequential engine. The lookahead is the SCI segment latency.
 func NewFabric(cfg Config) sim.Fabric {
 	la := lookaheadFor(cfg)
 	if cfg.Shards > 1 {
@@ -134,13 +132,11 @@ func NewFabric(cfg Config) sim.Fabric {
 	return sim.NewSeqFabric(sim.NewEngine(), 1, la)
 }
 
-// lookaheadFor resolves the conservative lookahead of a run: the explicit
-// override, the configured SCI segment latency, or the paper's 70 ns
-// B-Link segment delay.
+// lookaheadFor resolves the conservative lookahead of a run: the
+// configured SCI segment latency (the minimum delay of any cross-shard
+// interaction on the paper's hardware), or the paper's 70 ns B-Link
+// segment delay.
 func lookaheadFor(cfg Config) time.Duration {
-	if cfg.Lookahead > 0 {
-		return cfg.Lookahead
-	}
 	if cfg.SCI.SegmentLatency > 0 {
 		return cfg.SCI.SegmentLatency
 	}
@@ -161,8 +157,7 @@ func RunOn(f sim.Fabric, cfg Config, main func(c *Comm)) time.Duration {
 }
 
 // NewWorldOn wires a cluster onto one locale of an existing fabric. The
-// hosting locale is cfg.Locale, or the shard cfg.Placement confines every
-// rank to. The caller runs the fabric.
+// hosting locale is cfg.Locale. The caller runs the fabric.
 func NewWorldOn(f sim.Fabric, cfg Config) *World {
 	return newWorld(f, cfg)
 }

@@ -104,6 +104,11 @@ type rdvRecv struct {
 	// continues where the previous one stopped instead of re-running
 	// find_position over the leaf list.
 	cur *pack.Cursor
+	// err is the first failure draining a chunk out of the port (its
+	// segment was revoked under the transfer). The receive has completed
+	// with it; later chunks are acknowledged without being drained, so the
+	// sender never waits on a slot this side has given up on.
+	err error
 }
 
 // rdvMode selects the data engine for a rendezvous transfer.
@@ -182,7 +187,7 @@ func (d *device) handleIncoming(p *sim.Proc, env *envelope) {
 	if env.seq != 0 {
 		if env.seq <= d.lastSeq[env.src] {
 			d.stats.duplicates.Add(1)
-			d.rk.w.cfg.Tracer.Record(p.Now(), d.actor, "fault",
+			d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
 				"dropped duplicate %v from %d (seq %d)", env.kind, env.src, env.seq)
 			d.rk.fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, 0)
 			return
@@ -226,18 +231,18 @@ func (d *device) handleProbe(pr *probeReq) {
 // deliver executes the receive side of a matched message.
 func (d *device) deliver(p *sim.Proc, req *recvReq, env *envelope) {
 	tr := d.rk.w.cfg.Tracer
-	tr.Record(p.Now(), d.actor, "recv",
+	tr.Instantf(p.Now(), d.actor, "recv",
 		"<- %d tag %d: %d bytes via %v", env.src, env.tag, env.bytes, env.kind)
 	d.rk.fl.Record(p.Now(), flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
 	d.checkSignature(req, env)
 	switch env.kind {
 	case envShort:
-		sp := tr.Start(p.Now(), d.actor, "recv", "short")
+		sp := tr.StartSpan(p.Now(), d.actor, "recv", "short")
 		sp.SetBytes(env.bytes)
 		d.deliverShort(p, req, env)
 		sp.End(p.Now())
 	case envEager:
-		sp := tr.Start(p.Now(), d.actor, "recv", "eager")
+		sp := tr.StartSpan(p.Now(), d.actor, "recv", "eager")
 		sp.SetBytes(env.bytes)
 		d.deliverEager(p, req, env)
 		sp.End(p.Now())
@@ -299,17 +304,32 @@ func (d *device) deliverEager(p *sim.Proc, req *recvReq, env *envelope) {
 	d.stats.bytesRecvd.Add(env.bytes)
 	mem := d.rk.ports[env.src].mem
 	off := d.rk.w.eagerOff(env.slot)
+	var err error
 	if req.dt.Contiguous() {
-		mem.Read(p, off, req.buf[:env.bytes])
+		err = mem.Read(p, off, req.buf[:env.bytes])
 	} else {
 		slot := mem.Bytes()[off : off+env.bytes]
 		_, st := pack.GenericUnpack(req.buf, slot, req.dt, req.count, 0, env.bytes)
 		d.chargeBlocks(p, st, false)
 	}
+	// The credit goes back whether or not the slot could be read: the
+	// sender must not block on a slot this side has finished with.
 	d.rk.w.ring(p, d.rk.id, env.src, &envelope{
 		kind: envEagerAck, src: d.rk.id, dst: env.src, slot: env.slot,
 	}, false)
+	if err != nil {
+		d.failRecv(p, req, env, err)
+		return
+	}
 	req.done.Complete(&Status{Source: env.src, Tag: env.tag, Bytes: env.bytes})
+}
+
+// failRecv completes a matched receive with the typed error of a failed
+// drain: the port's segment was revoked under the receive.
+func (d *device) failRecv(p *sim.Proc, req *recvReq, env *envelope, err error) {
+	d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
+		"receive from %d tag %d failed: %v", env.src, env.tag, err)
+	req.done.Complete(err)
 }
 
 // startRendezvous negotiates the transfer mode and grants the sender the
@@ -367,22 +387,52 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 		// completed (request gone) or the chunk was already drained. Drop
 		// it without a second ack — the sender counted the first one.
 		d.stats.duplicates.Add(1)
-		d.rk.w.cfg.Tracer.Record(p.Now(), d.actor, "fault",
+		d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
 			"dropped duplicate rendezvous chunk %d (req %d) from %d", env.chunk, env.reqID, env.src)
 		return
 	}
+	tr := d.rk.w.cfg.Tracer
+	n := env.chunkLen
+	csp := tr.StartSpan(p.Now(), d.actor, "recv", "rdv-chunk")
+	csp.SetBytes(n)
+	if st.err == nil {
+		if st.err = d.drainChunk(p, st, env); st.err != nil {
+			d.failRecv(p, st.req, st.env, st.err)
+		}
+	}
+	csp.End(p.Now())
+	st.received += n
+	st.nextChunk++
+	d.stats.bytesRecvd.Add(n)
+	tr.Instantf(p.Now(), d.actor, "rdv",
+		"chunk %d (%d bytes) from %d, mode %d", env.chunk, n, env.src, st.mode)
+	d.rk.fl.Record(p.Now(), flight.KRdvChunk, int64(env.src), env.reqID, n, st.received)
+	d.rk.w.ring(p, d.rk.id, env.src, &envelope{
+		kind: envRdvAck, src: d.rk.id, dst: env.src,
+		reqID: env.reqID, chunk: env.chunk, reply: env.reply,
+	}, false)
+	if st.received >= st.env.bytes {
+		delete(d.rdv, env.reqID)
+		if st.err == nil {
+			d.rk.fl.Record(p.Now(), flight.KRdvDone, int64(env.src), env.reqID, st.env.bytes, 0)
+			st.req.done.Complete(&Status{Source: st.env.src, Tag: st.env.tag, Bytes: st.env.bytes})
+		}
+	}
+}
+
+// drainChunk moves one announced chunk out of the rendezvous buffer into
+// the user buffer with the transfer's data engine.
+func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 	tr := d.rk.w.cfg.Tracer
 	mem := d.rk.ports[env.src].mem
 	off := d.rk.w.rdvOff(env.chunk)
 	skip := st.received
 	n := env.chunkLen
-	csp := tr.Start(p.Now(), d.actor, "recv", "rdv-chunk")
-	csp.SetBytes(n)
 	switch st.mode {
 	case rdvContig:
-		mem.Read(p, off, st.req.buf[skip:skip+n])
+		return mem.Read(p, off, st.req.buf[skip:skip+n])
 	case rdvFF:
-		usp := tr.Start(p.Now(), d.actor, "pack", "ff_unpack")
+		usp := tr.StartSpan(p.Now(), d.actor, "pack", "ff_unpack")
 		usp.SetBytes(n)
 		slot := mem.Bytes()[off : off+n]
 		// The cursor resumes at skip from the previous chunk; Seek is free
@@ -395,31 +445,19 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 	case rdvGeneric:
 		// Baseline: copy the chunk out of the buffer, then unpack locally
 		// (two passes over the data — figure 4, top).
-		usp := tr.Start(p.Now(), d.actor, "pack", "generic_unpack")
+		usp := tr.StartSpan(p.Now(), d.actor, "pack", "generic_unpack")
 		usp.SetBytes(n)
 		scratch := bufpool.Get(int(n))
-		mem.Read(p, off, scratch.B)
-		_, pst := pack.GenericUnpack(st.req.buf, scratch.B, st.req.dt, st.req.count, skip, n)
-		d.chargeBlocks(p, pst, false)
+		err := mem.Read(p, off, scratch.B)
+		if err == nil {
+			_, pst := pack.GenericUnpack(st.req.buf, scratch.B, st.req.dt, st.req.count, skip, n)
+			d.chargeBlocks(p, pst, false)
+		}
 		scratch.Put()
 		usp.End(p.Now())
+		return err
 	}
-	csp.End(p.Now())
-	st.received += n
-	st.nextChunk++
-	d.stats.bytesRecvd.Add(n)
-	tr.Record(p.Now(), d.actor, "rdv",
-		"chunk %d (%d bytes) from %d, mode %d", env.chunk, n, env.src, st.mode)
-	d.rk.fl.Record(p.Now(), flight.KRdvChunk, int64(env.src), env.reqID, n, st.received)
-	d.rk.w.ring(p, d.rk.id, env.src, &envelope{
-		kind: envRdvAck, src: d.rk.id, dst: env.src,
-		reqID: env.reqID, chunk: env.chunk, reply: env.reply,
-	}, false)
-	if st.received >= st.env.bytes {
-		delete(d.rdv, env.reqID)
-		d.rk.fl.Record(p.Now(), flight.KRdvDone, int64(env.src), env.reqID, st.env.bytes, 0)
-		st.req.done.Complete(&Status{Source: st.env.src, Tag: st.env.tag, Bytes: st.env.bytes})
-	}
+	return nil
 }
 
 // handleRdvCancel tears down an abandoned rendezvous: the sender gave up
@@ -430,16 +468,18 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 func (d *device) handleRdvCancel(p *sim.Proc, env *envelope) {
 	st, ok := d.rdv[env.reqID]
 	if !ok {
-		d.rk.w.cfg.Tracer.Record(p.Now(), d.actor, "fault",
+		d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
 			"ignoring cancel for unknown rendezvous %d from %d", env.reqID, env.src)
 		return
 	}
 	delete(d.rdv, env.reqID)
 	d.stats.rdvCancels.Add(1)
-	d.rk.w.cfg.Tracer.Record(p.Now(), d.actor, "fault",
+	d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
 		"rendezvous %d cancelled by %d after %d bytes", env.reqID, env.src, st.received)
 	d.rk.fl.Record(p.Now(), flight.KRdvCancel, int64(env.src), env.reqID, st.received, 0)
-	st.req.done.Complete(&CancelledError{Sender: env.src, ReqID: env.reqID})
+	if st.err == nil {
+		st.req.done.Complete(&CancelledError{Sender: env.src, ReqID: env.reqID})
+	}
 }
 
 // failFrom tears down this rank's in-flight receive-side state against a

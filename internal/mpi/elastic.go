@@ -104,7 +104,7 @@ func (w *World) revokeRank(p *sim.Proc, r int) {
 	}
 	w.revoked[r] = true
 	w.suspects[r] = true
-	w.cfg.Tracer.Record(p.Now(), w.ranks[r].actor, "fault",
+	w.cfg.Tracer.Instantf(p.Now(), w.ranks[r].actor, "fault",
 		"rank %d revoked by survivor agreement", r)
 	w.ranks[r].fl.Record(p.Now(), flight.KRevoke, int64(r), 0, 0, 0)
 	err := &RevokedRankError{Rank: r}
@@ -262,7 +262,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			break
 		}
 		if p.Now() >= deadline {
-			w.cfg.Tracer.Record(p.Now(), c.rk.actor, "fault",
+			w.cfg.Tracer.Instantf(p.Now(), c.rk.actor, "fault",
 				"shrink agreement deadline expired with %d members missing", missing)
 			return nil, &fault.Error{Kind: fault.Timeout, From: me, To: -1, At: p.Now()}
 		}
@@ -303,7 +303,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			w.revokeRank(p, r)
 		}
 		w.resetCollState()
-		w.cfg.Tracer.Record(p.Now(), c.rk.actor, "fault",
+		w.cfg.Tracer.Instantf(p.Now(), c.rk.actor, "fault",
 			"shrink agreement sealed: %d ranks excluded %v", len(rec.dead), rec.dead)
 	}
 

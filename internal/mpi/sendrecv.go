@@ -62,7 +62,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	}
 	bytes := dt.Size() * int64(count)
 	tr := w.cfg.Tracer
-	tr.Record(p.Now(), c.rk.actor, "send",
+	tr.Instantf(p.Now(), c.rk.actor, "send",
 		"-> %d tag %d: %d bytes", dst, tag, bytes)
 	var protoCode int64 // matches the KSendPost payload table
 	switch {
@@ -79,7 +79,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 
 	if dst == c.rk.id {
 		// Self send: buffered through an inline payload.
-		sp := tr.Start(p.Now(), c.rk.actor, "send", "self")
+		sp := tr.StartSpan(p.Now(), c.rk.actor, "send", "self")
 		sp.SetBytes(bytes)
 		payload := c.packCanonical(buf, count, dt, bytes)
 		w.ring(p, c.rk.id, dst, &envelope{
@@ -93,7 +93,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	start := p.Now()
 	switch {
 	case bytes <= proto.ShortMax:
-		sp := tr.Start(start, c.rk.actor, "send", "short")
+		sp := tr.StartSpan(start, c.rk.actor, "send", "short")
 		sp.SetBytes(bytes)
 		sp.SetDetail("-> %d tag %d", dst, tag)
 		err := c.sendShort(buf, count, dt, dst, tag, ctx, bytes)
@@ -103,7 +103,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		w.met.sendShortNS.ObserveDuration(p.Now() - start)
 		return c.failSend(err, dst)
 	case bytes <= proto.EagerMax:
-		sp := tr.Start(start, c.rk.actor, "send", "eager")
+		sp := tr.StartSpan(start, c.rk.actor, "send", "eager")
 		sp.SetBytes(bytes)
 		sp.SetDetail("-> %d tag %d", dst, tag)
 		err := c.sendEager(buf, count, dt, dst, tag, ctx, bytes)
@@ -113,7 +113,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		w.met.sendEagerNS.ObserveDuration(p.Now() - start)
 		return c.failSend(err, dst)
 	default:
-		sp := tr.Start(start, c.rk.actor, "send", "rdv")
+		sp := tr.StartSpan(start, c.rk.actor, "send", "rdv")
 		sp.SetBytes(bytes)
 		sp.SetDetail("-> %d tag %d", dst, tag)
 		err := c.sendRendezvous(buf, count, dt, dst, tag, ctx, bytes)
@@ -182,7 +182,7 @@ func (c *Comm) retryTransfer(dst int, op func() error) error {
 			return err
 		}
 		c.rk.dev.stats.sendRetries.Add(1)
-		c.rk.w.cfg.Tracer.Record(c.p.Now(), c.rk.actor, "fault",
+		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 			"deposit to %d failed (%v), retry %d after %v", dst, fe.Kind, attempt+1, backoff)
 		c.rk.fl.Record(c.p.Now(), flight.KFault, int64(fe.Kind), int64(c.rk.id), int64(dst), int64(attempt+1))
 		c.p.Sleep(backoff)
@@ -268,12 +268,12 @@ func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 		if payload != nil {
 			src = payload.B
 		}
-		if err := out.mem.TryWriteStream(c.p, off, src, bytes); err != nil {
+		if err := out.mem.WriteStream(c.p, off, src, bytes); err != nil {
 			return err
 		}
-		return out.mem.TrySync(c.p)
+		return out.mem.Sync(c.p)
 	})
-	// TryWriteStream captures the bytes synchronously, so the scratch can go
+	// WriteStream captures the bytes synchronously, so the scratch can go
 	// back to the pool before the announcement.
 	payload.Put()
 	if err != nil {
@@ -306,7 +306,7 @@ func (c *Comm) recvCtl(reply *sim.Chan, dst int) (*envelope, error) {
 	v, ok := c.p.RecvTimeout(reply, to)
 	if !ok {
 		c.rk.dev.stats.sendTimeouts.Add(1)
-		c.rk.w.cfg.Tracer.Record(c.p.Now(), c.rk.actor, "fault",
+		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 			"rendezvous watchdog expired waiting on %d after %v", dst, to)
 		if err := c.peerLost(dst); err != nil {
 			return nil, err
@@ -332,7 +332,7 @@ func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (*envelope, err
 		}
 		if want == envRdvAck && env.kind == envRdvCTS {
 			c.rk.dev.stats.duplicates.Add(1)
-			c.rk.w.cfg.Tracer.Record(c.p.Now(), c.rk.actor, "fault",
+			c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 				"ignoring stray %v from %d while waiting for %v", env.kind, dst, want)
 			continue
 		}
@@ -346,7 +346,7 @@ func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (*envelope, err
 // with an interrupt: a rank stuck in the broken transfer is not polling.
 func (c *Comm) cancelRendezvous(dst int, reqID int64) {
 	w := c.rk.w
-	w.cfg.Tracer.Record(c.p.Now(), c.rk.actor, "fault",
+	w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 		"cancelling rendezvous %d to %d", reqID, dst)
 	c.rk.fl.Record(c.p.Now(), flight.KRdvCancel, int64(dst), reqID, 0, 0)
 	w.ring(c.p, c.rk.id, dst, &envelope{
@@ -425,7 +425,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 			if err := c.packChunkInto(out, off, buf, count, dt, cur, &descs, skip, n, mode); err != nil {
 				return err
 			}
-			return out.mem.TrySync(p) // store barrier: data complete before the flag
+			return out.mem.Sync(p) // store barrier: data complete before the flag
 		})
 		if err != nil {
 			c.cancelRendezvous(dst, reqID)
@@ -473,7 +473,7 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 				// The CPU is free during the transfer; the protocol simply
 				// waits for the engine before signalling the chunk.
 				start := c.p.Now()
-				sp := w.cfg.Tracer.Start(start, c.rk.actor, "transfer", "dma")
+				sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "transfer", "dma")
 				sp.SetBytes(n)
 				v := c.p.Await(fut)
 				sp.End(c.p.Now())
@@ -489,7 +489,7 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 		}
 		w.met.pathPIOStream.Inc()
 		c.rk.fl.Record(c.p.Now(), flight.KPathChosen, flight.PathPIOCont, n, 0, 0)
-		return mem.TryWriteStream(c.p, off, buf[skip:skip+n], dt.Size()*int64(count))
+		return mem.WriteStream(c.p, off, buf[skip:skip+n], dt.Size()*int64(count))
 	case mode == rdvFF && proto.UseFF:
 		// The receiver ff-unpacks, so every candidate engine must deposit
 		// the cursor's leaf-major linearization: direct_pack_ff, a staged
@@ -532,12 +532,12 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 	default:
 		// Generic baseline: local pack, then one streamed copy.
 		start := c.p.Now()
-		sp := w.cfg.Tracer.Start(start, c.rk.actor, "pack", "generic")
+		sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "generic")
 		sp.SetBytes(n)
 		scratch := bufpool.Get(int(n))
 		_, st := pack.GenericPack(scratch.B, buf, dt, count, skip, n)
 		c.chargePackBlocks(st, false)
-		err := mem.TryWriteStream(c.p, off, scratch.B, n)
+		err := mem.WriteStream(c.p, off, scratch.B, n)
 		scratch.Put()
 		sp.End(c.p.Now())
 		w.met.pathGeneric.Inc()
@@ -554,13 +554,13 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 func (c *Comm) depositFF(mem smi.Mem, off int64, buf []byte, cur *pack.Cursor, skip, n int64) error {
 	w := c.rk.w
 	start := c.p.Now()
-	sp := w.cfg.Tracer.Start(start, c.rk.actor, "pack", "direct_pack_ff")
+	sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "direct_pack_ff")
 	sp.SetBytes(n)
 	bw := mem.BlockWriter(c.p, 2*n)
 	sink := offsetSink{w: bw, base: off}
 	cur.SeekTo(skip) // free on sequential continuation, O(leaves) on retry
 	cur.Pack(sink, buf, n)
-	err := bw.TryFlush()
+	err := bw.Flush()
 	sp.End(c.p.Now())
 	w.met.packFFBytes.Add(n)
 	w.met.packFFNS.ObserveDuration(c.p.Now() - start)
@@ -574,13 +574,13 @@ func (c *Comm) depositFF(mem smi.Mem, off int64, buf []byte, cur *pack.Cursor, s
 func (c *Comm) depositStaged(mem smi.Mem, off int64, buf []byte, cur *pack.Cursor, skip, n int64) error {
 	w := c.rk.w
 	start := c.p.Now()
-	sp := w.cfg.Tracer.Start(start, c.rk.actor, "pack", "staged_ff")
+	sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "staged_ff")
 	sp.SetBytes(n)
 	scratch := bufpool.Get(int(n))
 	cur.SeekTo(skip)
 	_, st := cur.Pack(pack.BufferSink{Buf: scratch.B}, buf, n)
 	c.chargePackBlocks(st, true)
-	err := mem.TryWriteStream(c.p, off, scratch.B, n)
+	err := mem.WriteStream(c.p, off, scratch.B, n)
 	scratch.Put()
 	sp.End(c.p.Now())
 	w.met.packFFBytes.Add(n)
@@ -603,7 +603,7 @@ func (c *Comm) depositSG(out *sendPort, off int64, buf []byte, cur *pack.Cursor,
 		cur.SeekTo(skip)
 		return false, nil
 	}
-	sp := w.cfg.Tracer.Start(start, c.rk.actor, "pack", "dma_sg")
+	sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "dma_sg")
 	sp.SetBytes(n)
 	// The descriptor build is the ff traversal; it counts as ff pack work
 	// even though no bytes move through the CPU.
@@ -661,7 +661,7 @@ func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag in
 	v, ok := c.p.AwaitTimeout(r.done, timeout)
 	if !ok {
 		c.rk.dev.stats.sendTimeouts.Add(1)
-		c.rk.w.cfg.Tracer.Record(c.p.Now(), c.rk.actor, "fault",
+		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 			"receive watchdog expired (src %d tag %d) after %v", src, tag, timeout)
 		if src != AnySource {
 			if err := c.peerLost(c.worldRank(src)); err != nil {

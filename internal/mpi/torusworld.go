@@ -114,7 +114,6 @@ type TorusWorld struct {
 	cfg    TorusConfig
 	fab    sim.Fabric
 	top    *torus.Topology
-	place  *Placement
 	nodes  []*torusNode
 	total  int // allreduce steps per node
 	reg    *obs.Registry
@@ -188,7 +187,6 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 	n := top.Nodes()
 	m := &TorusWorld{
 		cfg: cfg, fab: fab, top: top,
-		place: NewPlacement(assign, cfg.Shards),
 		nodes: make([]*torusNode, n),
 		total: 2 * (n - 1),
 		reg:   cfg.Registry,
@@ -203,10 +201,10 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 	}
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
-		shard := m.place.ShardOf(i)
+		shard := assign[i]
 		nd := &torusNode{
 			m: m, id: i, loc: fab.Locale(shard), net: nets[shard],
-			next: next, nextLoc: m.place.ShardOf(next),
+			next: next, nextLoc: assign[next],
 			route:  flow.Path(top.Route(i, next)...),
 			chunks: make([]uint64, n),
 		}
@@ -218,9 +216,6 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 	}
 	return m
 }
-
-// Placement returns the node-to-locale placement of the machine.
-func (m *TorusWorld) Placement() *Placement { return m.place }
 
 // Fabric returns the fabric the machine runs on.
 func (m *TorusWorld) Fabric() sim.Fabric { return m.fab }

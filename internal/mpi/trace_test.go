@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"scimpich/internal/datatype"
-	"scimpich/internal/trace"
+	"scimpich/internal/obs"
 )
 
 func TestTracerRecordsProtocolTimeline(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
-	tr := trace.New(0)
+	tr := obs.NewTrace(0)
 	cfg.Tracer = tr
 	src := fill(256 << 10)
 	Run(cfg, func(c *Comm) {
@@ -22,25 +22,35 @@ func TestTracerRecordsProtocolTimeline(t *testing.T) {
 			c.Recv(dst, len(dst), datatype.Byte, 0, 3)
 		}
 	})
-	if tr.Len() == 0 {
+	evs := tr.Events()
+	if len(evs) == 0 {
 		t.Fatal("tracer recorded nothing")
 	}
-	sends := tr.Filter("send")
+	filter := func(category string) []obs.Event {
+		var out []obs.Event
+		for _, e := range evs {
+			if e.Category == category {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	sends := filter("send")
 	if len(sends) == 0 || !strings.Contains(sends[0].Detail, "262144 bytes") {
 		t.Errorf("send events = %+v", sends)
 	}
-	recvs := tr.Filter("recv")
+	recvs := filter("recv")
 	if len(recvs) == 0 || !strings.Contains(recvs[0].Detail, "rdv-req") {
 		t.Errorf("recv events = %+v (want rendezvous match)", recvs)
 	}
 	// A 256 kiB transfer in 64 kiB chunks: four chunk events.
-	chunks := tr.Filter("rdv")
+	chunks := filter("rdv")
 	if len(chunks) != 4 {
 		t.Errorf("chunk events = %d, want 4", len(chunks))
 	}
 	// Events must be time-ordered.
-	for i := 1; i < tr.Len(); i++ {
-		if tr.Events()[i].At < tr.Events()[i-1].At {
+	for i := 1; i < len(evs); i++ {
+		if evs[i].At < evs[i-1].At {
 			t.Fatal("trace not time-ordered")
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"scimpich/internal/shmem"
 	"scimpich/internal/sim"
 	"scimpich/internal/smi"
-	"scimpich/internal/trace"
 )
 
 // ProtocolConfig holds the device protocol parameters.
@@ -144,7 +143,7 @@ type Config struct {
 	Protocol ProtocolConfig
 	// Tracer, when non-nil, records a protocol event timeline (instant
 	// events and nested spans; see internal/obs).
-	Tracer *trace.Tracer
+	Tracer *obs.Trace
 	// Metrics, when non-nil, receives the runtime's counters and latency
 	// histograms (mpi.send.*{path=...}, mpi.pack.*) and, after Run, the
 	// per-rank device and per-node interconnect gauges published by
@@ -170,18 +169,6 @@ type Config struct {
 	// Locale selects which locale of the fabric hosts the world (for Run
 	// with Shards > 1, and for NewWorldOn on a multi-locale fabric).
 	Locale int
-	// Lookahead is the conservative lookahead Run gives a sharded engine;
-	// 0 uses the SCI segment latency (the minimum delay of any cross-shard
-	// interaction on the paper's hardware).
-	Lookahead time.Duration
-	// Placement, when non-nil, maps world ranks onto fabric locales. The
-	// full protocol world must be confined to one locale (its ranks share
-	// ports, windows and chooser state at zero delay), so every rank must
-	// be placed on the same shard — NewWorldOn takes that shard as the
-	// hosting locale. Distributed placements (ranks spread across shards)
-	// are the domain of the torus collective runtime (TorusWorld), whose
-	// node actors interact only through link-latency sends.
-	Placement *Placement
 }
 
 // DefaultConfig returns a cluster of nodes dual-SMP nodes matching the
@@ -412,27 +399,13 @@ func (w *World) oscOff() int64 {
 	return int64(p.EagerSlots)*p.EagerMax + 2*p.RendezvousChunk
 }
 
-// hostingLocale resolves which locale of f hosts the world: the shard all
-// ranks of cfg.Placement agree on, or cfg.Locale without a placement.
-func hostingLocale(f sim.Fabric, cfg Config) int {
-	loc := cfg.Locale
-	if p := cfg.Placement; p != nil {
-		if p.Size() != cfg.Nodes*cfg.ProcsPerNode {
-			panic(fmt.Sprintf("mpi: placement covers %d ranks, world has %d", p.Size(), cfg.Nodes*cfg.ProcsPerNode))
-		}
-		loc = p.ShardOf(0)
-		for r := 1; r < p.Size(); r++ {
-			if p.ShardOf(r) != loc {
-				panic(fmt.Sprintf("mpi: rank %d placed on shard %d but rank 0 on %d: "+
-					"the full protocol world is confined to one locale (use TorusWorld for distributed placements)",
-					r, p.ShardOf(r), loc))
-			}
-		}
+// hostingLocale returns the locale of f that hosts the world: cfg.Locale,
+// checked against the fabric.
+func hostingLocale(f sim.Fabric, cfg Config) sim.Locale {
+	if cfg.Locale < 0 || cfg.Locale >= f.Locales() {
+		panic(fmt.Sprintf("mpi: hosting locale %d outside fabric of %d", cfg.Locale, f.Locales()))
 	}
-	if loc < 0 || loc >= f.Locales() {
-		panic(fmt.Sprintf("mpi: hosting locale %d outside fabric of %d", loc, f.Locales()))
-	}
-	return loc
+	return f.Locale(cfg.Locale)
 }
 
 // newWorld wires the cluster — interconnect, per-node buses, ranks, ports —
@@ -441,7 +414,7 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	if cfg.Nodes < 1 || cfg.ProcsPerNode < 1 {
 		panic("mpi: need at least one node and one proc per node")
 	}
-	w := &World{cfg: cfg, fabric: f, host: f.Locale(hostingLocale(f, cfg)), size: cfg.Nodes * cfg.ProcsPerNode}
+	w := &World{cfg: cfg, fabric: f, host: hostingLocale(f, cfg), size: cfg.Nodes * cfg.ProcsPerNode}
 	e := w.host
 	w.met = newWorldMetrics(cfg.Metrics)
 	w.suspects = make([]bool, w.size)
@@ -580,7 +553,7 @@ func (w *World) ring(p *sim.Proc, src, dst int, env *envelope, interrupt bool) {
 		// A revoked endpoint is permanently fenced off, on every transport:
 		// even a restored node's stale traffic (old sequence numbers, late
 		// rendezvous chunks) must never reach a world that shrank past it.
-		w.cfg.Tracer.Record(p.Now(), w.ranks[src].actor, "fault",
+		w.cfg.Tracer.Instantf(p.Now(), w.ranks[src].actor, "fault",
 			"control packet %v -> %d dropped (rank revoked)", env.kind, dst)
 		w.ranks[src].fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(dst), flight.DropRevoked, 0)
 		return
@@ -606,7 +579,7 @@ func (w *World) ring(p *sim.Proc, src, dst int, env *envelope, interrupt bool) {
 		// A crashed endpoint black-holes the control packet: the sender has
 		// paid the issue cost but nothing arrives. Recovery layers detect
 		// this via watchdog timeouts, not via a magic error here.
-		w.cfg.Tracer.Record(p.Now(), from.actor, "fault",
+		w.cfg.Tracer.Instantf(p.Now(), from.actor, "fault",
 			"control packet %v -> %d dropped (node down)", env.kind, dst)
 		from.fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(dst), flight.DropNodeDown, 0)
 		return
@@ -625,7 +598,7 @@ func (w *World) ring(p *sim.Proc, src, dst int, env *envelope, interrupt bool) {
 	if w.plan().DrawDuplicate() && dedupable(env.kind) {
 		// Injected retransmission: the same packet arrives a second time one
 		// retry latency later. The receiving device must stay exactly-once.
-		w.cfg.Tracer.Record(p.Now(), from.actor, "fault",
+		w.cfg.Tracer.Instantf(p.Now(), from.actor, "fault",
 			"duplicated %v envelope -> %d (seq %d)", env.kind, dst, env.seq)
 		from.fl.Record(p.Now(), flight.KDupInject, int64(env.kind), int64(dst), env.seq, 0)
 		w.host.After(delay+cfg.RetryLatency, func() { sim.Post(inbox, env) })

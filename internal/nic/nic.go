@@ -11,8 +11,8 @@
 //   - nodes contend on their NIC (one egress and one ingress link each),
 //     not on a shared ring.
 //
-// The same smi.Mem interface is implemented, so the whole MPI runtime and
-// the one-sided layer run unchanged on top.
+// smi.FromNIC adapts a View to the smi.Mem interface, so the whole MPI
+// runtime and the one-sided layer run unchanged on top.
 package nic
 
 import (
@@ -130,8 +130,8 @@ func (b *Buffer) Owner() int { return b.owner }
 // Bytes returns the raw backing memory.
 func (b *Buffer) Bytes() []byte { return b.mem.Bytes() }
 
-// View returns node `from`'s costed access view of the buffer
-// (implementing smi.Mem).
+// View returns node `from`'s costed access view of the buffer (see
+// smi.FromNIC).
 func (n *Network) View(from int, b *Buffer) *View {
 	return &View{net: n, from: from, b: b}
 }
@@ -192,19 +192,6 @@ func (v *View) WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int
 	v.send(p, func() { copy(buf.Bytes()[o:], data) })(nn)
 }
 
-// WriteWord sends a small control word.
-func (v *View) WriteWord(p *sim.Proc, off int64, src []byte) {
-	v.checkRange(off, int64(len(src)))
-	if !v.Remote() {
-		p.Sleep(60 * time.Nanosecond)
-		copy(v.b.Bytes()[off:], src)
-		return
-	}
-	data := append([]byte(nil), src...)
-	buf, o := v.b, off
-	v.send(p, func() { copy(buf.Bytes()[o:], data) })(int64(len(src)))
-}
-
 // WriteStrided scatters accesses; over a message fabric each strided
 // access would be its own message, so the data is sent as one message and
 // scattered at the receiver (cost: wire + receiver-side scatter copy).
@@ -213,29 +200,17 @@ func (v *View) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stri
 	if nn == 0 {
 		return
 	}
-	if accessSize <= 0 || accessSize > nn {
-		accessSize = nn
-	}
-	if stride < accessSize {
-		stride = accessSize
-	}
-	accesses := (nn + accessSize - 1) / accessSize
-	span := (accesses-1)*stride + (nn - (accesses-1)*accessSize)
-	v.checkRange(off, span)
+	a := memmodel.StridedAccess(nn, accessSize, stride)
+	v.checkRange(off, a.Span)
+	// Local scatter, or the receiver-side scatter charged to the op.
+	p.Sleep(v.net.Cfg.Mem.CopyCost(nn, a.Access, a.Span))
 	if !v.Remote() {
-		p.Sleep(v.net.Cfg.Mem.CopyCost(nn, accessSize, span))
-		scatter(v.b.Bytes()[off:], src, accessSize, stride)
+		memmodel.Scatter(v.b.Bytes()[off:], src, a.Access, a.Stride)
 		return
 	}
-	p.Sleep(v.net.Cfg.Mem.CopyCost(nn, accessSize, span)) // receiver-side scatter, charged to the op
 	data := append([]byte(nil), src...)
-	buf, o, a, s := v.b, off, accessSize, stride
-	v.send(p, func() { scatter(buf.Bytes()[o:], data, a, s) })(nn)
-}
-
-// WritePut is WriteStrided: a message NIC has no put fast path.
-func (v *View) WritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) {
-	v.WriteStrided(p, off, src, accessSize, stride)
+	buf, o := v.b, off
+	v.send(p, func() { memmodel.Scatter(buf.Bytes()[o:], data, a.Access, a.Stride) })(nn)
 }
 
 // Read fetches bytes: a request/response round trip.
@@ -253,32 +228,6 @@ func (v *View) Read(p *sim.Proc, off int64, dst []byte) {
 		v.net.Net.Transfer(p, flow.Path(v.net.egress[v.b.owner], v.net.ingress[v.from]), nn, cfg.Bandwidth)
 	}
 	copy(dst, v.b.Bytes()[off:off+nn])
-}
-
-// ReadStrided gathers strided data (one round trip; gather at the owner).
-func (v *View) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64) {
-	nn := int64(len(dst))
-	if nn == 0 {
-		return
-	}
-	if accessSize <= 0 || accessSize > nn {
-		accessSize = nn
-	}
-	if stride < accessSize {
-		stride = accessSize
-	}
-	accesses := (nn + accessSize - 1) / accessSize
-	span := (accesses-1)*stride + (nn - (accesses-1)*accessSize)
-	v.checkRange(off, span)
-	if !v.Remote() {
-		p.Sleep(v.net.Cfg.Mem.CopyCost(nn, accessSize, span))
-		gather(dst, v.b.Bytes()[off:], accessSize, stride)
-		return
-	}
-	cfg := &v.net.Cfg
-	p.Sleep(2*cfg.Latency + 2*cfg.PerMessageCPU + cfg.Mem.CopyCost(nn, accessSize, span))
-	v.net.Net.Transfer(p, flow.Path(v.net.egress[v.b.owner], v.net.ingress[v.from]), nn, cfg.Bandwidth)
-	gather(dst, v.b.Bytes()[off:], accessSize, stride)
 }
 
 // BlockWriter stages blocks locally and ships them as one message on
@@ -345,11 +294,6 @@ func applyBlocks(b *Buffer, staged []stagedBlock) {
 	}
 }
 
-// DMAWrite: message NICs in this model have no exposed DMA path.
-func (v *View) DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool) {
-	return nil, false
-}
-
 // Sync waits for all of this node's in-flight messages to arrive.
 func (v *View) Sync(p *sim.Proc) {
 	pend := v.net.pending[v.from]
@@ -368,34 +312,4 @@ func maxi64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// scatter copies src into dst as accessSize-byte pieces stride apart.
-func scatter(dst, src []byte, accessSize, stride int64) {
-	var so, do int64
-	n := int64(len(src))
-	for so < n {
-		end := so + accessSize
-		if end > n {
-			end = n
-		}
-		copy(dst[do:], src[so:end])
-		so = end
-		do += stride
-	}
-}
-
-// gather is the inverse of scatter.
-func gather(dst, src []byte, accessSize, stride int64) {
-	var so, do int64
-	n := int64(len(dst))
-	for do < n {
-		end := do + accessSize
-		if end > n {
-			end = n
-		}
-		copy(dst[do:end], src[so:so+(end-do)])
-		do = end
-		so += stride
-	}
 }

@@ -263,3 +263,17 @@ func TestTraceConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestInstantfFormatsAndNilTraceIsInert(t *testing.T) {
+	tr := NewTrace(0)
+	tr.Instantf(time.Microsecond, "rank0", "send", "-> 1: %d bytes", 100)
+	evs := tr.Events()
+	if len(evs) != 1 || evs[0].Detail != "-> 1: 100 bytes" || evs[0].Actor != "rank0" || evs[0].At != time.Microsecond {
+		t.Errorf("events = %+v", evs)
+	}
+	var none *Trace
+	none.Instantf(0, "x", "y", "z %d", 1) // must not panic
+	if none.StartSpan(0, "a", "b", "c") != nil || none.Events() != nil || none.EventCount() != 0 {
+		t.Error("nil trace leaked state")
+	}
+}

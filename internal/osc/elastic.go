@@ -38,7 +38,7 @@ func (w *Win) Abandon() {
 	w.ep = epochNone
 	w.lockHeld = -1
 	c := w.sys.c
-	c.Tracer().Record(c.Proc().Now(), w.actor, "fault", "window %d abandoned", w.id)
+	c.Tracer().Instantf(c.Proc().Now(), w.actor, "fault", "window %d abandoned", w.id)
 	delete(w.sys.wins, w.id)
 }
 
@@ -83,7 +83,7 @@ func (w *Win) oscRPC(op string, target int, req *oscReq, interrupt bool) error {
 	rep, ok := c.OSCCallTimeout(c.GroupToWorld(target), req, interrupt, w.cfg.SyncTimeout)
 	if !ok {
 		w.countSyncTimeout()
-		c.Tracer().Record(c.Proc().Now(), w.actor, "fault",
+		c.Tracer().Instantf(c.Proc().Now(), w.actor, "fault",
 			"window %d: %s handler call to rank %d timed out", w.id, op, target)
 		if err := w.lostTarget(target); err != nil {
 			return err

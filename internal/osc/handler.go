@@ -67,7 +67,7 @@ func (s *System) handle(p *sim.Proc, src int, req any) any {
 		// Not a programming error under recovery: a stale request for a
 		// window this rank already freed or abandoned (window ids are never
 		// reused). Refuse gracefully — the origin sees ErrWinGone.
-		s.c.Tracer().Record(p.Now(), fmt.Sprintf("rank%d", s.c.WorldRank()), "fault",
+		s.c.Tracer().Instantf(p.Now(), fmt.Sprintf("rank%d", s.c.WorldRank()), "fault",
 			"refusing request for unknown window %d from world rank %d", r.win, src)
 		return &oscReply{ok: false}
 	}
@@ -88,7 +88,7 @@ func (s *System) handle(p *sim.Proc, src int, req any) any {
 		if !w.privLockBusy {
 			// Stale unlock from a revoked or recovered origin; refuse rather
 			// than corrupt the lock state.
-			s.c.Tracer().Record(p.Now(), w.actor, "fault",
+			s.c.Tracer().Instantf(p.Now(), w.actor, "fault",
 				"refusing unlock of unheld window %d lock from world rank %d", w.id, src)
 			return &oscReply{ok: false}
 		}
@@ -126,18 +126,18 @@ func (s *System) handleGet(p *sim.Proc, src int, w *Win, r *oscReq) {
 	stage, base, size, _ := s.c.OSCStage(src)
 	getBase := base + size/2
 	scratch := bufpool.Get(int(r.n))
-	defer scratch.Put() // TryWriteStream captures the bytes synchronously
+	defer scratch.Put() // WriteStream captures the bytes synchronously
 	_, st := pack.FFPack(pack.BufferSink{Buf: scratch.B}, win[r.off:], r.dt, r.count, r.skip, r.n)
 	p.Sleep(s.memModel().CopyCost(st.Bytes, st.AvgBlock(), st.Bytes*2))
-	if err := stage.TryWriteStream(p, getBase, scratch.B, r.n); err != nil {
+	if err := stage.WriteStream(p, getBase, scratch.B, r.n); err != nil {
 		// Handler side of a get whose origin just died: there is nobody to
 		// report to — trace and drop (the origin's own watchdog fires).
-		s.c.Tracer().Record(p.Now(), w.actor, "fault",
+		s.c.Tracer().Instantf(p.Now(), w.actor, "fault",
 			"window %d: remote-put toward world rank %d failed (%v)", w.id, src, err)
 		return
 	}
-	if err := stage.TrySync(p); err != nil {
-		s.c.Tracer().Record(p.Now(), w.actor, "fault",
+	if err := stage.Sync(p); err != nil {
+		s.c.Tracer().Instantf(p.Now(), w.actor, "fault",
 			"window %d: remote-put sync toward world rank %d failed (%v)", w.id, src, err)
 	}
 }

@@ -52,7 +52,7 @@ func (w *Win) putChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	w.stats.bytesPut.Add(n)
 	p := w.sys.c.Proc()
 	start := p.Now()
-	sp := w.sys.c.Tracer().Start(start, w.actor, "osc", "put")
+	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "put")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
@@ -100,7 +100,7 @@ func (w *Win) tryDirectPut(p *sim.Proc, buf []byte, count int, dt *datatype.Type
 	if dt.Contiguous() {
 		stride := w.estimateStride(target, targetOff, n)
 		return w.retryDirect(func() error {
-			return view.TryWritePut(p, targetOff, buf[:n], n, stride)
+			return view.WritePut(p, targetOff, buf[:n], n, stride)
 		})
 	}
 	// Mirror the layout: deposit every block at its own displacement
@@ -110,7 +110,7 @@ func (w *Win) tryDirectPut(p *sim.Proc, buf []byte, count int, dt *datatype.Type
 		pack.Walk(dt, count, func(off, size int64) {
 			bw.Write(targetOff+off, buf[off:off+size])
 		})
-		return bw.TryFlush()
+		return bw.Flush()
 	})
 }
 
@@ -208,10 +208,10 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 		cur.SeekTo(sent) // free: the loop is sequential
 		_, st := cur.Pack(pack.BufferSink{Buf: scratch.B}, buf, chunk)
 		w.chargeLocal(st)
-		if err := stage.TryWriteStream(p, base, scratch.B[:chunk], chunk); err != nil {
+		if err := stage.WriteStream(p, base, scratch.B[:chunk], chunk); err != nil {
 			return err
 		}
-		if err := stage.TrySync(p); err != nil {
+		if err := stage.Sync(p); err != nil {
 			return err
 		}
 		if err := w.oscRPC("put", target, &oscReq{
@@ -265,7 +265,7 @@ func (w *Win) getChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	w.stats.bytesGot.Add(n)
 	p := w.sys.c.Proc()
 	start := p.Now()
-	sp := w.sys.c.Tracer().Start(start, w.actor, "osc", "get")
+	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "get")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
@@ -310,7 +310,7 @@ func (w *Win) tryDirectGet(p *sim.Proc, buf []byte, count int, dt *datatype.Type
 	view := w.views[target]
 	if dt.Contiguous() {
 		return w.retryDirect(func() error {
-			return view.TryRead(p, targetOff, buf[:n])
+			return view.Read(p, targetOff, buf[:n])
 		})
 	}
 	return w.retryDirect(func() error {
@@ -319,7 +319,7 @@ func (w *Win) tryDirectGet(p *sim.Proc, buf []byte, count int, dt *datatype.Type
 			if err != nil {
 				return
 			}
-			err = view.TryRead(p, targetOff+off, buf[off:off+size])
+			err = view.Read(p, targetOff+off, buf[off:off+size])
 		})
 		return err
 	})
@@ -399,7 +399,7 @@ func (w *Win) accumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 	c := w.sys.c
 	p := c.Proc()
 	start := p.Now()
-	sp := c.Tracer().Start(start, w.actor, "osc", "acc")
+	sp := c.Tracer().StartSpan(start, w.actor, "osc", "acc")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
@@ -443,10 +443,10 @@ func (w *Win) accumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 		if sent+chunk > n {
 			chunk = n - sent
 		}
-		if err := stage.TryWriteStream(p, base, buf[sent:sent+chunk], n); err != nil {
+		if err := stage.WriteStream(p, base, buf[sent:sent+chunk], n); err != nil {
 			return err
 		}
-		if err := stage.TrySync(p); err != nil {
+		if err := stage.Sync(p); err != nil {
 			return err
 		}
 		if err := w.oscRPC("acc", target, &oscReq{

@@ -75,7 +75,7 @@ func (w *Win) FenceChecked() error {
 		remaining := w.cfg.SyncTimeout - waited
 		if remaining <= 0 {
 			w.countSyncTimeout()
-			c.Tracer().Record(p.Now(), w.actor, "fault",
+			c.Tracer().Instantf(p.Now(), w.actor, "fault",
 				"window %d: fence round %d timed out (%d/%d peers)", w.id, round, w.pendingFence[round], need)
 			err := ErrSyncTimeout{Op: "fence", Win: w.id, Target: -1, Waited: waited}
 			w.fl.Fail(p.Now(), flight.OpFence, -1, err)
@@ -86,7 +86,7 @@ func (w *Win) FenceChecked() error {
 		waited += p.Now() - before
 		if !ok {
 			w.countSyncTimeout()
-			c.Tracer().Record(p.Now(), w.actor, "fault",
+			c.Tracer().Instantf(p.Now(), w.actor, "fault",
 				"window %d: fence round %d timed out (%d/%d peers)", w.id, round, w.pendingFence[round], need)
 			err := ErrSyncTimeout{Op: "fence", Win: w.id, Target: -1, Waited: waited}
 			w.fl.Fail(p.Now(), flight.OpFence, -1, err)
@@ -119,7 +119,7 @@ func (w *Win) syncViews() {
 		if v == nil || r == w.sys.c.Rank() || !v.Remote() || w.degraded[r] {
 			continue
 		}
-		if err := v.TrySync(p); err != nil {
+		if err := v.Sync(p); err != nil {
 			w.degrade(r, err)
 			continue // the next healthy view still flushes the adapter
 		}
@@ -159,7 +159,7 @@ func (w *Win) Start(group []int) {
 		if need[src] == 0 {
 			// Stale post from a rank outside the group — e.g. a peer revoked
 			// after it notified. Ignore it; only expected posts count.
-			w.sys.c.Tracer().Record(p.Now(), w.actor, "fault",
+			w.sys.c.Tracer().Instantf(p.Now(), w.actor, "fault",
 				"window %d: ignoring unexpected post from world rank %d", w.id, src)
 			continue
 		}
@@ -198,7 +198,7 @@ func (w *Win) Wait(group []int) {
 		src := p.Recv(w.completeQ).(int) // world rank
 		if need[src] == 0 {
 			// Stale complete from outside the group (revoked origin); ignore.
-			w.sys.c.Tracer().Record(p.Now(), w.actor, "fault",
+			w.sys.c.Tracer().Instantf(p.Now(), w.actor, "fault",
 				"window %d: ignoring unexpected complete from world rank %d", w.id, src)
 			continue
 		}
@@ -279,7 +279,7 @@ func (w *Win) LockChecked(target int) error {
 		waited += p.Now() - start
 		if waited >= w.cfg.SyncTimeout {
 			w.countSyncTimeout()
-			c.Tracer().Record(p.Now(), w.actor, "fault",
+			c.Tracer().Instantf(p.Now(), w.actor, "fault",
 				"window %d: lock of rank %d timed out after %v", w.id, target, waited)
 			err := ErrSyncTimeout{Op: "lock", Win: w.id, Target: target, Waited: waited}
 			w.fl.Fail(p.Now(), flight.OpLock, world, err)

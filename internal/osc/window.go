@@ -339,7 +339,7 @@ func (w *Win) Free() {
 func (w *Win) openEpoch(mode string) {
 	now := w.sys.c.Proc().Now()
 	w.epochOpen, w.epochStart = true, now
-	w.epochSpan = w.sys.c.Tracer().Start(now, w.actor, "osc", "epoch")
+	w.epochSpan = w.sys.c.Tracer().StartSpan(now, w.actor, "osc", "epoch")
 	w.epochSpan.SetDetail("win %d %s", w.id, mode)
 }
 
@@ -367,7 +367,7 @@ func (w *Win) degrade(target int, err error) {
 	w.stats.degradations.Add(1)
 	w.sys.met.degradations.Add(1)
 	c := w.sys.c
-	c.Tracer().Record(c.Proc().Now(), w.actor, "fault",
+	c.Tracer().Instantf(c.Proc().Now(), w.actor, "fault",
 		"window %d: direct view of rank %d degraded to emulation (%v)", w.id, target, err)
 }
 

@@ -1,0 +1,122 @@
+package sci
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"scimpich/internal/pack"
+	"scimpich/internal/sim"
+)
+
+// accessOps is every way to touch a mapped segment, each moving 64 bytes
+// at off through the fallible core. DMA ops await their future, so a
+// transfer-time failure reads like a submission-time one.
+var accessOps = []struct {
+	name  string
+	reads bool
+	do    func(p *sim.Proc, m *Mapping, off int64, buf []byte) error
+}{
+	{"WriteStream", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		return m.TryWriteStream(p, off, buf, 0)
+	}},
+	{"WriteStrided", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		return m.tryWriteStrided(p, off, buf, 64, 64, false)
+	}},
+	{"WritePut", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		return m.TryWritePut(p, off, buf, 64, 64)
+	}},
+	{"WriteWord", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		return m.tryWriteWord(p, off, buf)
+	}},
+	{"BlockWriter", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		w := m.NewBlockWriter(p, 64)
+		w.Write(off, buf)
+		return w.Flush()
+	}},
+	{"DMAWrite", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		return awaitDMA(p)(m.TryDMAWrite(p, off, buf))
+	}},
+	{"DMAWriteSG", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: 64}}
+		return awaitDMA(p)(m.DMAWriteSG(p, off, buf, descs))
+	}},
+	{"Read", true, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		return m.TryRead(p, off, buf)
+	}},
+	{"ReadStrided", true, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
+		return m.tryReadStrided(p, off, buf, 64, 64)
+	}},
+}
+
+func awaitDMA(p *sim.Proc) func(*sim.Future, error) error {
+	return func(fut *sim.Future, err error) error {
+		if err != nil {
+			return err
+		}
+		err, _ = p.Await(fut).(error)
+		return err
+	}
+}
+
+// TestAccessOpsCheckRangeAndState: every access op fails an out-of-range
+// window, a revoked segment and a dead owner with the same typed errors,
+// and moves the bytes otherwise.
+func TestAccessOpsCheckRangeAndState(t *testing.T) {
+	for _, op := range accessOps {
+		op := op
+		t.Run(op.name, func(t *testing.T) {
+			e, ic := testCluster(4)
+			good := ic.Node(1).Export(256)
+			revoked := ic.Node(2).Export(256)
+			orphan := ic.Node(3).Export(256)
+			mg := ic.Node(0).MustImport(1, good.ID())
+			mr := ic.Node(0).MustImport(2, revoked.ID())
+			mo := ic.Node(0).MustImport(3, orphan.ID())
+			ic.RevokeSegment(2, revoked.ID())
+			ic.FailNode(3)
+			want := fill(64)
+			e.Go("p", func(p *sim.Proc) {
+				buf := append([]byte(nil), want...)
+				if op.reads {
+					copy(good.Local()[128:], want)
+					buf = make([]byte, 64)
+				}
+				if err := op.do(p, mg, 128, buf); err != nil {
+					t.Errorf("in range: %v", err)
+				}
+				mg.from.StoreBarrier(p)
+				got := good.Local()[128:192]
+				if op.reads {
+					got = buf
+				}
+				if !bytes.Equal(got, want) {
+					t.Error("in range: bytes did not arrive")
+				}
+
+				var oor ErrOutOfRange
+				if err := op.do(p, mg, 200, buf); !errors.As(err, &oor) {
+					t.Errorf("out of range: got %v, want ErrOutOfRange", err)
+				} else if oor.Off != 200 || oor.Len != 64 || oor.Size != 256 {
+					t.Errorf("out of range: error = %+v", oor)
+				}
+				var lost ErrSegmentLost
+				if err := op.do(p, mr, 0, buf); !errors.As(err, &lost) {
+					t.Errorf("revoked: got %v, want ErrSegmentLost", err)
+				} else if lost.Owner != 2 || lost.Seg != revoked.ID() {
+					t.Errorf("revoked: error = %+v", lost)
+				}
+				var conn ErrConnectionLost
+				if err := op.do(p, mo, 0, buf); !errors.As(err, &conn) {
+					t.Errorf("dead owner: got %v, want ErrConnectionLost", err)
+				} else if conn.From != 0 || conn.To != 3 {
+					t.Errorf("dead owner: error = %+v", conn)
+				}
+			})
+			e.Run()
+			if revoked.mem.Resident() {
+				t.Error("a failed access materialised the revoked segment")
+			}
+		})
+	}
+}

@@ -37,7 +37,6 @@ import (
 	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/ring"
-	"scimpich/internal/trace"
 )
 
 // MiB is one mebibyte.
@@ -149,7 +148,7 @@ type Config struct {
 
 	// Tracer, when non-nil, receives fault-injection and recovery events
 	// (category "fault").
-	Tracer *trace.Tracer
+	Tracer *obs.Trace
 
 	// Metrics, when non-nil, receives the interconnect's counters and
 	// latency histograms (sci.pio.*, sci.dma.ns, sci.store_barrier.ns,

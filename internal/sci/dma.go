@@ -64,7 +64,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 			continue
 		}
 		bw := cfg.Mem.EffectiveSourceBW(cfg.DMAPeakBW, n)
-		if err := d.node.tryTransferCost(p, req.m.seg.owner, n, bw); err != nil {
+		if err := d.node.transferCost(p, req.m.seg.owner, n, bw); err != nil {
 			req.data.Put()
 			req.done.Complete(err)
 			continue
@@ -101,7 +101,7 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *dmaRequest) {
 		return
 	}
 	bw := cfg.Mem.EffectiveSourceBW(cfg.SGStreamBW(avgRun), n)
-	if err := d.node.tryTransferCost(p, req.m.seg.owner, n, bw); err != nil {
+	if err := d.node.transferCost(p, req.m.seg.owner, n, bw); err != nil {
 		req.done.Complete(err)
 		return
 	}
@@ -142,10 +142,12 @@ func (d *dmaEngine) drawFault(p *sim.Proc, req *dmaRequest) error {
 // segment and returns a future that completes when the data has been
 // delivered. The submitting CPU only pays the (small) descriptor setup
 // cost; transfers queue per adapter. The future's value is nil on success
-// or the typed transfer error; callers that ignore it get the legacy
-// fire-and-forget behaviour.
+// or the typed transfer error. A submission failure panics.
 func (m *Mapping) DMAWrite(p *sim.Proc, off int64, src []byte) *sim.Future {
-	fut, err := m.TryDMAWrite(p, off, src)
+	return mustSubmit(m.TryDMAWrite(p, off, src))
+}
+
+func mustSubmit(fut *sim.Future, err error) *sim.Future {
 	if err != nil {
 		panic(err)
 	}
@@ -156,11 +158,7 @@ func (m *Mapping) DMAWrite(p *sim.Proc, off int64, src []byte) *sim.Future {
 // violation, revoked segment) are returned immediately; transfer-time
 // failures complete the future with a typed error.
 func (m *Mapping) TryDMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, error) {
-	n := int64(len(src))
-	if err := m.rangeErr(off, n); err != nil {
-		return nil, err
-	}
-	if err := m.stateErr(); err != nil {
+	if err := m.accessErr(off, int64(len(src))); err != nil {
 		return nil, err
 	}
 	done := sim.NewFuture()
@@ -170,22 +168,23 @@ func (m *Mapping) TryDMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, 
 	return done, nil
 }
 
-// TryDMAWriteSG submits a scatter-gather DMA transfer: every descriptor
+// DMAWriteSG submits a scatter-gather DMA transfer: every descriptor
 // gathers Len bytes at SrcOff of src and lands them at base+DstOff of the
 // mapped segment, without any CPU pack pass. The CPU pays the descriptor
 // build cost at submission; the engine charges startup, per-descriptor
 // processing and the merged-run stream (Config.SGTransferCost). src and
 // descs must stay valid and unmodified until the returned future
 // completes; its value is nil on success or the typed transfer error.
-func (m *Mapping) TryDMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, error) {
+// Submission-time failures (range violation, revoked segment) are returned
+// immediately.
+func (m *Mapping) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, error) {
 	n, _ := pack.DescriptorRuns(descs)
+	var span int64
 	if len(descs) > 0 {
 		last := descs[len(descs)-1]
-		if err := m.rangeErr(base, last.DstOff+last.Len); err != nil {
-			return nil, err
-		}
+		span = last.DstOff + last.Len
 	}
-	if err := m.stateErr(); err != nil {
+	if err := m.accessErr(base, span); err != nil {
 		return nil, err
 	}
 	cfg := &m.from.ic.Cfg

@@ -39,27 +39,7 @@ func TestPlanSchedulesCrashAndRestore(t *testing.T) {
 	e.Run()
 }
 
-func TestTryWriteStreamOutOfRangeTyped(t *testing.T) {
-	e, ic := testCluster(2)
-	seg := ic.Node(1).Export(256)
-	e.Go("writer", func(p *sim.Proc) {
-		m := ic.Node(0).MustImport(1, seg.ID())
-		err := m.TryWriteStream(p, 200, make([]byte, 100), 0)
-		var oor ErrOutOfRange
-		if !errors.As(err, &oor) {
-			t.Fatalf("err = %v, want ErrOutOfRange", err)
-		}
-		if oor.Off != 200 || oor.Len != 100 || oor.Size != 256 {
-			t.Errorf("range error = %+v", oor)
-		}
-		if err := m.TryWriteStream(p, 100, make([]byte, 100), 0); err != nil {
-			t.Errorf("in-range write failed: %v", err)
-		}
-	})
-	e.Run()
-}
-
-func TestLegacyWritePanicsOutOfRangeMessage(t *testing.T) {
+func TestStatementWritePanicsOutOfRangeMessage(t *testing.T) {
 	e, ic := testCluster(2)
 	seg := ic.Node(1).Export(256)
 	e.Go("writer", func(p *sim.Proc) {

@@ -15,8 +15,8 @@ func TestFirstTouchSizeAndRangeNeedNoMemory(t *testing.T) {
 	e, ic := testCluster(2)
 	seg := ic.Node(1).Export(1 << 20)
 	m := ic.Node(0).MustImport(1, seg.ID())
-	if seg.Size() != 1<<20 || m.Size() != 1<<20 {
-		t.Fatalf("size = %d / %d before any access, want %d", seg.Size(), m.Size(), 1<<20)
+	if seg.Size() != 1<<20 {
+		t.Fatalf("size = %d before any access, want %d", seg.Size(), 1<<20)
 	}
 	e.Go("p", func(p *sim.Proc) {
 		var oor ErrOutOfRange
@@ -74,7 +74,7 @@ func TestFirstTouchFailedAccessNeedsNoMemory(t *testing.T) {
 		}
 		bw := mr.NewBlockWriter(p, 64)
 		bw.Write(0, fill(64))
-		if err := bw.TryFlush(); !errors.As(err, &lost) {
+		if err := bw.Flush(); !errors.As(err, &lost) {
 			t.Errorf("block write to revoked segment: got %v, want ErrSegmentLost", err)
 		}
 		var conn ErrConnectionLost

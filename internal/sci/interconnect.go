@@ -9,6 +9,7 @@ import (
 	"scimpich/internal/bufpool"
 	"scimpich/internal/fault"
 	"scimpich/internal/flow"
+	"scimpich/internal/memmodel"
 	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/ring"
@@ -243,7 +244,7 @@ func (ic *Interconnect) applyPlan() {
 
 // tracef records a fault/recovery event on the configured tracer (nil-safe).
 func (ic *Interconnect) tracef(actor, format string, args ...any) {
-	ic.Cfg.Tracer.Record(ic.E.Now(), actor, "fault", format, args...)
+	ic.Cfg.Tracer.Instantf(ic.E.Now(), actor, "fault", format, args...)
 }
 
 // Plan returns the configured fault plan (possibly nil; all Plan query
@@ -303,7 +304,7 @@ func deliverArrive(a any) {
 	n := d.node
 	if d.buf != nil {
 		if d.access > 0 {
-			scatter(d.seg.Local()[d.off:], d.buf.B, d.access, d.stride)
+			memmodel.Scatter(d.seg.Local()[d.off:], d.buf.B, d.access, d.stride)
 		} else {
 			copy(d.seg.Local()[d.off:], d.buf.B)
 		}
@@ -346,21 +347,15 @@ func (n *Node) StoreBarrier(p *sim.Proc) {
 	n.ic.met.barrierNS.ObserveDuration(p.Now() - start)
 }
 
-// transferCost moves `bytes` from node n toward owner at the given source
-// cap, blocking p. Small transfers are charged directly (they cannot
-// meaningfully contend); large ones go through the flow network.
+// flowThreshold is the transfer size below which a transfer is charged
+// directly (it cannot meaningfully contend) instead of going through the
+// flow network.
 const flowThreshold = 2048
 
-func (n *Node) transferCost(p *sim.Proc, owner *Node, bytes int64, srcCap float64) {
-	if err := n.tryTransferCost(p, owner, bytes, srcCap); err != nil {
-		panic(err)
-	}
-}
-
-// tryTransferCost is the fallible transfer path: it charges the virtual
-// time of moving bytes toward owner and reports unreachable targets and
-// link disturbances as typed errors instead of panicking.
-func (n *Node) tryTransferCost(p *sim.Proc, owner *Node, bytes int64, srcCap float64) error {
+// transferCost moves `bytes` from node n toward owner at the given source
+// cap, blocking p for the virtual time of the move. Unreachable targets
+// and link disturbances are reported as typed errors.
+func (n *Node) transferCost(p *sim.Proc, owner *Node, bytes int64, srcCap float64) error {
 	if bytes <= 0 {
 		return nil
 	}

@@ -42,10 +42,10 @@ func (ic *Interconnect) RevokeSegment(owner, segID int) {
 // Alive reports whether the node is reachable.
 func (ic *Interconnect) Alive(n int) bool { return !ic.nodes[n].dead }
 
-// ErrConnectionLost is panicked (adapter-fatal) when a transfer exhausts
-// its retries against an unreachable node. The MPI layer treats this as a
-// fatal communication error, as real SCI-MPICH does after its transfer
-// checking gives up.
+// ErrConnectionLost is returned when a transfer exhausts its retries
+// against an unreachable node. The MPI layer treats this as a fatal
+// communication error, as real SCI-MPICH does after its transfer checking
+// gives up.
 type ErrConnectionLost struct {
 	From, To int
 }
@@ -71,20 +71,13 @@ func (n *Node) CheckConnection(p *sim.Proc, target int) (bool, time.Duration) {
 	return true, p.Now() - start
 }
 
-// checkReachable enforces reachability on the data path: transfers toward
-// a failed node retry MaxTransferRetries times (costing RetryLatency each)
-// and then raise ErrConnectionLost.
+// maxTransferRetries bounds the retries of one transfer toward a failed
+// node or across a disturbed link.
 const maxTransferRetries = 3
 
-func (n *Node) checkReachable(p *sim.Proc, target *Node) {
-	if err := n.tryReachable(p, target); err != nil {
-		panic(err)
-	}
-}
-
-// tryReachable is the fallible variant: it retries toward a dead node with
-// bounded RetryLatency delays and returns ErrConnectionLost instead of
-// panicking when the retries are exhausted.
+// tryReachable enforces reachability on the data path: transfers toward a
+// failed node retry maxTransferRetries times (costing RetryLatency each)
+// and then fail with ErrConnectionLost.
 func (n *Node) tryReachable(p *sim.Proc, target *Node) error {
 	if !target.dead {
 		return nil

@@ -5,6 +5,7 @@ import (
 
 	"scimpich/internal/bufpool"
 	"scimpich/internal/fault"
+	"scimpich/internal/memmodel"
 	"scimpich/internal/sim"
 )
 
@@ -15,12 +16,17 @@ import (
 // the contention-aware flow network) — and become visible at the target one
 // wire latency later. StoreBarrier waits for all outstanding deliveries.
 
-// mustRetry runs a fallible transfer, retrying retryable injected faults
+// Every access has one body, the fallible one: out-of-range windows,
+// revoked segments, unreachable owners and injected transfer errors are
+// returned as typed errors. The names without "try" are the panicking
+// conveniences for code that issues accesses as statements (benchmarks,
+// tests): each is one must over its fallible core.
+
+// must runs a fallible access, retrying retryable injected faults
 // (CRC/sequence/link disturbance) a bounded number of times and panicking
-// on persistent or non-retryable failure — the behaviour of the legacy
-// infallible entry points, under which a fault plan still cannot make an
-// operation silently fail.
-func (m *Mapping) mustRetry(try func() error) {
+// on persistent or non-retryable failure, so under a fault plan a
+// statement-style access still cannot silently fail.
+func (m *Mapping) must(try func() error) {
 	for attempt := 0; ; attempt++ {
 		err := try()
 		if err == nil {
@@ -55,18 +61,13 @@ func (m *Mapping) drawPIOFault(p *sim.Proc) error {
 // to cap the rate at the local memory read bandwidth (the paper's PIO dip
 // beyond 128 kiB).
 func (m *Mapping) WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64) {
-	m.mustRetry(func() error { return m.TryWriteStream(p, off, src, srcWorkingSet) })
+	m.must(func() error { return m.TryWriteStream(p, off, src, srcWorkingSet) })
 }
 
-// TryWriteStream is the fallible WriteStream: out-of-range accesses,
-// revoked segments, unreachable owners and injected transfer errors are
-// returned as typed errors instead of panicking.
+// TryWriteStream is the fallible WriteStream.
 func (m *Mapping) TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64) error {
 	n := int64(len(src))
-	if err := m.rangeErr(off, n); err != nil {
-		return err
-	}
-	if err := m.stateErr(); err != nil {
+	if err := m.accessErr(off, n); err != nil {
 		return err
 	}
 	from := m.from
@@ -88,7 +89,7 @@ func (m *Mapping) TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingS
 	if srcWorkingSet > 0 {
 		bw = cfg.Mem.EffectiveSourceBW(bw, srcWorkingSet)
 	}
-	if err := from.tryTransferCost(p, m.seg.owner, n, bw); err != nil {
+	if err := from.transferCost(p, m.seg.owner, n, bw); err != nil {
 		return err
 	}
 	from.postDelivery(m.seg, off, bufpool.Clone(src), 0, 0)
@@ -101,40 +102,7 @@ func (m *Mapping) TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingS
 // one-sided benchmark and the §4.3 strided-write study. The cost depends on
 // stride alignment relative to the CPU's write-combine buffer.
 func (m *Mapping) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64) {
-	n := int64(len(src))
-	if n == 0 {
-		return
-	}
-	if accessSize <= 0 || accessSize > n {
-		accessSize = n
-	}
-	if stride < accessSize {
-		stride = accessSize
-	}
-	accesses := (n + accessSize - 1) / accessSize
-	span := (accesses-1)*stride + (n - (accesses-1)*accessSize)
-	m.checkRange(off, span)
-	from := m.from
-	from.stats.writeOps.Add(accesses)
-	from.stats.bytesWritten.Add(n)
-	from.ic.met.bytesWritten.Add(n)
-	cfg := &from.ic.Cfg
-	if !m.Remote() {
-		p.Sleep(cfg.Mem.CopyCost(n, accessSize, span))
-		scatter(m.seg.Local()[off:], src, accessSize, stride)
-		return
-	}
-	var bw float64
-	if stride == accessSize {
-		// Dense run: consecutive accesses form one contiguous stream, so
-		// the stream-buffer gather model applies, not the strided
-		// write-combine penalty.
-		bw = cfg.StreamWriteBW(n)
-	} else {
-		bw = cfg.StridedWriteBW(accessSize, stride)
-	}
-	from.transferCost(p, m.seg.owner, n, bw)
-	from.postDelivery(m.seg, off, bufpool.Clone(src), accessSize, stride)
+	m.must(func() error { return m.tryWriteStrided(p, off, src, accessSize, stride, false) })
 }
 
 // WritePut is the MPI put path: a strided write whose sustained rate is
@@ -142,37 +110,33 @@ func (m *Mapping) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, s
 // measures ~121-123 MiB/s per node for the one-sided put workload, below
 // the raw strided-store peak of the §4.3 microbenchmark).
 func (m *Mapping) WritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) {
-	m.mustRetry(func() error { return m.TryWritePut(p, off, src, accessSize, stride) })
+	m.must(func() error { return m.TryWritePut(p, off, src, accessSize, stride) })
 }
 
-// TryWritePut is the fallible WritePut: typed errors instead of panics.
+// TryWritePut is the fallible WritePut.
 func (m *Mapping) TryWritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) error {
+	return m.tryWriteStrided(p, off, src, accessSize, stride, true)
+}
+
+// tryWriteStrided is the one strided-write body; put selects the MPI put
+// path (SustainedPutBW cap, put latency histogram).
+func (m *Mapping) tryWriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64, put bool) error {
 	n := int64(len(src))
 	if n == 0 {
 		return nil
 	}
-	if accessSize <= 0 || accessSize > n {
-		accessSize = n
-	}
-	if stride < accessSize {
-		stride = accessSize
-	}
-	accesses := (n + accessSize - 1) / accessSize
-	span := (accesses-1)*stride + (n - (accesses-1)*accessSize)
-	if err := m.rangeErr(off, span); err != nil {
-		return err
-	}
-	if err := m.stateErr(); err != nil {
+	a := memmodel.StridedAccess(n, accessSize, stride)
+	if err := m.accessErr(off, a.Span); err != nil {
 		return err
 	}
 	from := m.from
-	from.stats.writeOps.Add(accesses)
+	from.stats.writeOps.Add(a.Accesses)
 	from.stats.bytesWritten.Add(n)
 	from.ic.met.bytesWritten.Add(n)
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
-		p.Sleep(cfg.Mem.CopyCost(n, accessSize, span))
-		scatter(m.seg.Local()[off:], src, accessSize, stride)
+		p.Sleep(cfg.Mem.CopyCost(n, a.Access, a.Span))
+		memmodel.Scatter(m.seg.Local()[off:], src, a.Access, a.Stride)
 		return nil
 	}
 	start := p.Now()
@@ -180,21 +144,24 @@ func (m *Mapping) TryWritePut(p *sim.Proc, off int64, src []byte, accessSize, st
 		return err
 	}
 	var bw float64
-	if stride == accessSize {
-		// Dense put: contiguous ascending stores, priced by the stream
-		// model (see WriteStrided).
+	if a.Stride == a.Access {
+		// Dense run: consecutive accesses form one contiguous stream, so
+		// the stream-buffer gather model applies, not the strided
+		// write-combine penalty.
 		bw = cfg.StreamWriteBW(n)
 	} else {
-		bw = cfg.StridedWriteBW(accessSize, stride)
+		bw = cfg.StridedWriteBW(a.Access, a.Stride)
 	}
-	if bw > cfg.SustainedPutBW {
+	if put && bw > cfg.SustainedPutBW {
 		bw = cfg.SustainedPutBW
 	}
-	if err := from.tryTransferCost(p, m.seg.owner, n, bw); err != nil {
+	if err := from.transferCost(p, m.seg.owner, n, bw); err != nil {
 		return err
 	}
-	from.postDelivery(m.seg, off, bufpool.Clone(src), accessSize, stride)
-	from.ic.met.putNS.ObserveDuration(p.Now() - start)
+	from.postDelivery(m.seg, off, bufpool.Clone(src), a.Access, a.Stride)
+	if put {
+		from.ic.met.putNS.ObserveDuration(p.Now() - start)
+	}
 	return nil
 }
 
@@ -202,34 +169,40 @@ func (m *Mapping) TryWritePut(p *sim.Proc, off int64, src []byte, accessSize, st
 // immediately; visibility follows after the wire latency. It is the
 // building block for flags and control words.
 func (m *Mapping) WriteWord(p *sim.Proc, off int64, src []byte) {
+	m.must(func() error { return m.tryWriteWord(p, off, src) })
+}
+
+func (m *Mapping) tryWriteWord(p *sim.Proc, off int64, src []byte) error {
 	n := int64(len(src))
-	m.checkRange(off, n)
+	if err := m.accessErr(off, n); err != nil {
+		return err
+	}
 	from := m.from
 	from.stats.writeOps.Add(1)
 	from.stats.bytesWritten.Add(n)
 	p.Sleep(from.ic.Cfg.WriteIssueOverhead)
 	if !m.Remote() {
 		copy(m.seg.Local()[off:], src)
-		return
+		return nil
+	}
+	if err := from.tryReachable(p, m.seg.owner); err != nil {
+		return err
 	}
 	from.postDelivery(m.seg, off, bufpool.Clone(src), 0, 0)
+	return nil
 }
 
 // Read performs a transparent remote read into dst. The CPU stalls until
 // the data arrives; bandwidth is a fraction of the write bandwidth (the
 // paper's motivation for the remote-put optimization of MPI_Get).
 func (m *Mapping) Read(p *sim.Proc, off int64, dst []byte) {
-	m.mustRetry(func() error { return m.TryRead(p, off, dst) })
+	m.must(func() error { return m.TryRead(p, off, dst) })
 }
 
-// TryRead is the fallible Read: typed errors instead of panics. A failed
-// read leaves dst untouched.
+// TryRead is the fallible Read. A failed read leaves dst untouched.
 func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 	n := int64(len(dst))
-	if err := m.rangeErr(off, n); err != nil {
-		return err
-	}
-	if err := m.stateErr(); err != nil {
+	if err := m.accessErr(off, n); err != nil {
 		return err
 	}
 	from := m.from
@@ -262,65 +235,38 @@ func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 // ReadStrided reads count accesses of accessSize bytes placed stride bytes
 // apart into dst (gathering them densely). Every access stalls like Read.
 func (m *Mapping) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64) {
+	m.must(func() error { return m.tryReadStrided(p, off, dst, accessSize, stride) })
+}
+
+func (m *Mapping) tryReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64) error {
 	n := int64(len(dst))
 	if n == 0 {
-		return
+		return nil
 	}
-	if accessSize <= 0 || accessSize > n {
-		accessSize = n
+	a := memmodel.StridedAccess(n, accessSize, stride)
+	if err := m.accessErr(off, a.Span); err != nil {
+		return err
 	}
-	if stride < accessSize {
-		stride = accessSize
-	}
-	accesses := (n + accessSize - 1) / accessSize
-	span := (accesses-1)*stride + (n - (accesses-1)*accessSize)
-	m.checkRange(off, span)
 	from := m.from
-	from.stats.readOps.Add(accesses)
+	from.stats.readOps.Add(a.Accesses)
 	from.stats.bytesRead.Add(n)
 	from.ic.met.bytesRead.Add(n)
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
-		p.Sleep(cfg.Mem.CopyCost(n, accessSize, span))
-		gather(dst, m.seg.Local()[off:], accessSize, stride)
-		return
+		p.Sleep(cfg.Mem.CopyCost(n, a.Access, a.Span))
+		memmodel.Gather(dst, m.seg.Local()[off:], a.Access, a.Stride)
+		return nil
 	}
 	from.ic.faults.maybeRetry(p, &from.stats)
+	if err := from.tryReachable(p, m.seg.owner); err != nil {
+		return err
+	}
 	// Each access pays its own stall sequence; strided reads cannot be
 	// gathered by the stream buffers.
-	per := sim.RateDuration(accessSize, cfg.ReadBW(accessSize))
-	p.Sleep(time.Duration(accesses) * per)
-	gather(dst, m.seg.Local()[off:], accessSize, stride)
-}
-
-// scatter copies src into dst as accessSize-byte pieces stride apart.
-func scatter(dst, src []byte, accessSize, stride int64) {
-	var so, do int64
-	n := int64(len(src))
-	for so < n {
-		end := so + accessSize
-		if end > n {
-			end = n
-		}
-		copy(dst[do:], src[so:end])
-		so = end
-		do += stride
-	}
-}
-
-// gather is the inverse of scatter.
-func gather(dst, src []byte, accessSize, stride int64) {
-	var so, do int64
-	n := int64(len(dst))
-	for do < n {
-		end := do + accessSize
-		if end > n {
-			end = n
-		}
-		copy(dst[do:end], src[so:so+(end-do)])
-		do = end
-		so += stride
-	}
+	per := sim.RateDuration(a.Access, cfg.ReadBW(a.Access))
+	p.Sleep(time.Duration(a.Accesses) * per)
+	memmodel.Gather(dst, m.seg.Local()[off:], a.Access, a.Stride)
+	return nil
 }
 
 // BlockWriter batches many small consecutive remote writes (the
@@ -336,7 +282,7 @@ type BlockWriter struct {
 	bytes      int64
 	cost       time.Duration
 	flushed    bool
-	err        error // first deposit error; reported by TryFlush
+	err        error // first deposit error; reported by Flush
 }
 
 // NewBlockWriter starts a batched block write session through the mapping.
@@ -349,17 +295,13 @@ func (m *Mapping) NewBlockWriter(p *sim.Proc, workingSet int64) *BlockWriter {
 // Write deposits one contiguous block at off and accounts its cost:
 // per-block issue overhead plus the stream-buffer gather model. After a
 // deposit has failed (range violation or revoked segment) further writes
-// are ignored; the sticky error is reported by TryFlush (Flush panics).
+// are ignored; the sticky error is reported by Flush.
 func (w *BlockWriter) Write(off int64, src []byte) {
 	n := int64(len(src))
 	if n == 0 || w.err != nil {
 		return
 	}
-	if err := w.m.rangeErr(off, n); err != nil {
-		w.err = err
-		return
-	}
-	if err := w.m.stateErr(); err != nil {
+	if err := w.m.accessErr(off, n); err != nil {
 		w.err = err
 		return
 	}
@@ -378,17 +320,10 @@ func (w *BlockWriter) Write(off int64, src []byte) {
 
 // Flush charges the batched cost. For remote mappings the batch is replayed
 // as one flow transfer at the equivalent bandwidth, so it contends with
-// other ring traffic; the delivery is tracked for StoreBarrier.
-func (w *BlockWriter) Flush() {
-	if err := w.TryFlush(); err != nil {
-		panic(err)
-	}
-}
-
-// TryFlush is the fallible Flush: deposit errors, unreachable owners and
-// injected transfer errors are returned instead of panicking. Flushing
-// twice still panics (a programming error, not a fault).
-func (w *BlockWriter) TryFlush() error {
+// other ring traffic; the delivery is tracked for StoreBarrier. Deposit
+// errors, unreachable owners and injected transfer errors are returned.
+// Flushing twice panics (a programming error, not a fault).
+func (w *BlockWriter) Flush() error {
 	if w.flushed {
 		panic("sci: BlockWriter flushed twice")
 	}
@@ -419,7 +354,7 @@ func (w *BlockWriter) TryFlush() error {
 		cost = time.Nanosecond
 	}
 	eff := float64(w.bytes) / cost.Seconds()
-	if err := from.tryTransferCost(w.p, w.m.seg.owner, w.bytes, eff); err != nil {
+	if err := from.transferCost(w.p, w.m.seg.owner, w.bytes, eff); err != nil {
 		return err
 	}
 	from.postDelivery(w.m.seg, 0, nil, 0, 0)

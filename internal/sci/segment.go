@@ -8,9 +8,8 @@ import (
 	"scimpich/internal/sim"
 )
 
-// ErrOutOfRange is returned (on the fallible Try* entry points) or
-// panicked (on the legacy entry points) when an access falls outside the
-// mapped segment.
+// ErrOutOfRange is returned (panicked by the statement-style entry points)
+// when an access falls outside the mapped segment.
 type ErrOutOfRange struct {
 	Off, Len, Size int64
 }
@@ -131,9 +130,6 @@ func (m *Mapping) Segment() *Segment { return m.seg }
 // Remote reports whether the mapping crosses the ring.
 func (m *Mapping) Remote() bool { return m.from != m.seg.owner }
 
-// Size returns the mapped segment's size.
-func (m *Mapping) Size() int64 { return m.seg.Size() }
-
 // Valid reports whether the mapping's segment is still exported (not
 // revoked).
 func (m *Mapping) Valid() bool { return !m.seg.revoked }
@@ -200,18 +196,14 @@ func (m *Mapping) checkStatus(p *sim.Proc) error {
 	return nil
 }
 
-func (m *Mapping) checkRange(off, n int64) {
-	if err := m.rangeErr(off, n); err != nil {
-		panic(err)
-	}
-}
-
-// rangeErr validates an access window against the segment bounds.
-func (m *Mapping) rangeErr(off, n int64) error {
+// accessErr is the first check of every access: the window must lie
+// inside the segment (ErrOutOfRange) and the segment must still be exported
+// (ErrSegmentLost).
+func (m *Mapping) accessErr(off, n int64) error {
 	if off < 0 || n < 0 || off+n > m.seg.Size() {
 		return ErrOutOfRange{Off: off, Len: n, Size: m.seg.Size()}
 	}
-	return nil
+	return m.stateErr()
 }
 
 // stateErr reports a revoked mapping as ErrSegmentLost.

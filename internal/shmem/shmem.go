@@ -21,16 +21,9 @@ import (
 
 // Bus is one node's (or one SMP machine's) memory system.
 type Bus struct {
-	e   sim.Host
 	net *flow.Network
 	bus *flow.Link
 	mem *memmodel.Model
-
-	// signalLatency is the time until a flag written by one process is
-	// observed by another (cache-coherence transfer).
-	signalLatency time.Duration
-	// storeCost is the cost of a single flag/cacheline store.
-	storeCost time.Duration
 }
 
 // Config describes an SMP memory system.
@@ -66,12 +59,9 @@ func NewBus(e sim.Host, net *flow.Network, name string, cfg Config) *Bus {
 		net = flow.NewNetworkOn(e)
 	}
 	return &Bus{
-		e:             e,
-		net:           net,
-		bus:           flow.NewLink(fmt.Sprintf("%s-membus", name), cfg.BusBW, cfg.Congestion),
-		mem:           cfg.Mem,
-		signalLatency: cfg.SignalLatency,
-		storeCost:     60 * time.Nanosecond,
+		net: net,
+		bus: flow.NewLink(fmt.Sprintf("%s-membus", name), cfg.BusBW, cfg.Congestion),
+		mem: cfg.Mem,
 	}
 }
 
@@ -150,14 +140,6 @@ func (r *Region) WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet i
 	copy(r.Local()[off:], src)
 }
 
-// WriteWord writes a small control word (flag) into the region.
-func (r *Region) WriteWord(p *sim.Proc, off int64, src []byte) {
-	n := int64(len(src))
-	r.checkRange(off, n)
-	p.Sleep(r.bus.storeCost)
-	copy(r.Local()[off:], src)
-}
-
 // WriteStrided scatters src into the region as accesses of accessSize
 // bytes, stride apart.
 func (r *Region) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64) {
@@ -165,17 +147,10 @@ func (r *Region) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, st
 	if n == 0 {
 		return
 	}
-	if accessSize <= 0 || accessSize > n {
-		accessSize = n
-	}
-	if stride < accessSize {
-		stride = accessSize
-	}
-	accesses := (n + accessSize - 1) / accessSize
-	span := (accesses-1)*stride + (n - (accesses-1)*accessSize)
-	r.checkRange(off, span)
-	r.charge(p, r.bus.mem.CopyCost(n, accessSize, span), n)
-	scatter(r.Local()[off:], src, accessSize, stride)
+	a := memmodel.StridedAccess(n, accessSize, stride)
+	r.checkRange(off, a.Span)
+	r.charge(p, r.bus.mem.CopyCost(n, a.Access, a.Span), n)
+	memmodel.Scatter(r.Local()[off:], src, a.Access, a.Stride)
 }
 
 // Read copies from the region into dst.
@@ -184,25 +159,6 @@ func (r *Region) Read(p *sim.Proc, off int64, dst []byte) {
 	r.checkRange(off, n)
 	r.charge(p, r.bus.mem.CopyCost(n, n, n), n)
 	copy(dst, r.Local()[off:off+n])
-}
-
-// ReadStrided gathers strided data from the region into dst.
-func (r *Region) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64) {
-	n := int64(len(dst))
-	if n == 0 {
-		return
-	}
-	if accessSize <= 0 || accessSize > n {
-		accessSize = n
-	}
-	if stride < accessSize {
-		stride = accessSize
-	}
-	accesses := (n + accessSize - 1) / accessSize
-	span := (accesses-1)*stride + (n - (accesses-1)*accessSize)
-	r.checkRange(off, span)
-	r.charge(p, r.bus.mem.CopyCost(n, accessSize, span), n)
-	gather(dst, r.Local()[off:], accessSize, stride)
 }
 
 // BlockWriter batches block-wise writes into the region, mirroring
@@ -256,59 +212,4 @@ func (w *BlockWriter) Flush() {
 		bytes = int64(float64(bytes) / m.FFCacheBonus)
 	}
 	w.r.charge(w.p, w.cost, bytes)
-}
-
-// Signal is the intra-node notification primitive: a flag in shared memory
-// observed after the cache-coherence latency.
-type Signal struct {
-	bus *Bus
-	ch  *sim.Chan
-}
-
-// NewSignal allocates a signal on the bus.
-func (b *Bus) NewSignal() *Signal {
-	return &Signal{bus: b, ch: sim.NewChan(1 << 20)}
-}
-
-// Ring raises the signal with value v.
-func (s *Signal) Ring(p *sim.Proc, v any) {
-	p.Sleep(s.bus.storeCost)
-	ch := s.ch
-	s.bus.e.After(s.bus.signalLatency, func() { sim.Post(ch, v) })
-}
-
-// Wait blocks until a value is delivered.
-func (s *Signal) Wait(p *sim.Proc) any { return p.Recv(s.ch) }
-
-// TryWait takes a delivered value if one is pending.
-func (s *Signal) TryWait(p *sim.Proc) (any, bool) { return p.TryRecv(s.ch) }
-
-// scatter copies src into dst as accessSize-byte pieces stride apart.
-func scatter(dst, src []byte, accessSize, stride int64) {
-	var so, do int64
-	n := int64(len(src))
-	for so < n {
-		end := so + accessSize
-		if end > n {
-			end = n
-		}
-		copy(dst[do:], src[so:end])
-		so = end
-		do += stride
-	}
-}
-
-// gather is the inverse of scatter.
-func gather(dst, src []byte, accessSize, stride int64) {
-	var so, do int64
-	n := int64(len(dst))
-	for do < n {
-		end := do + accessSize
-		if end > n {
-			end = n
-		}
-		copy(dst[do:end], src[so:so+(end-do)])
-		do = end
-		so += stride
-	}
 }

@@ -11,8 +11,6 @@
 package smi
 
 import (
-	"time"
-
 	"scimpich/internal/nic"
 	"scimpich/internal/pack"
 	"scimpich/internal/sci"
@@ -21,31 +19,38 @@ import (
 )
 
 // Mem is a shared memory region as seen by one process: possibly remote
-// (costed with the SCI model) or node-local (costed with the memory model).
+// (costed with the SCI or NIC model) or node-local (costed with the memory
+// model). It is exactly the operations the protocol stack issues, and each
+// has one failure mode: on transports that can fail (SCI), injected faults,
+// revoked segments and unreachable owners come back as typed errors for the
+// caller's recovery machinery; reliable transports (intra-node memory,
+// message NICs) always return nil.
 type Mem interface {
-	// Size returns the region size in bytes.
-	Size() int64
 	// Remote reports whether accesses cross the interconnect.
 	Remote() bool
+	// Bytes exposes the raw backing buffer. Only the owning side may use
+	// it without cost accounting (e.g. to unpack out of its own port).
+	Bytes() []byte
 	// WriteStream writes src contiguously at off (stream-buffer friendly).
-	WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64)
-	// WriteWord writes a small control word at off.
-	WriteWord(p *sim.Proc, off int64, src []byte)
-	// WriteStrided scatters src as accessSize-byte accesses stride apart.
-	WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64)
-	// WritePut is WriteStrided on the MPI put path, additionally capped at
-	// the adapter's sustained put bandwidth.
-	WritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64)
-	// Read copies len(dst) bytes from off into dst.
-	Read(p *sim.Proc, off int64, dst []byte)
-	// ReadStrided gathers strided accesses into dst.
-	ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64)
+	WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64) error
+	// WritePut scatters src as accessSize-byte accesses stride apart on
+	// the MPI put path (capped at the adapter's sustained put bandwidth).
+	WritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) error
+	// Read copies len(dst) bytes from off into dst. A failed read leaves
+	// dst untouched.
+	Read(p *sim.Proc, off int64, dst []byte) error
+	// Sync is the transfer-check barrier: it guarantees that all writes
+	// issued through this Mem have been delivered, then checks the
+	// transfer status, with bounded retry/backoff on SCI (see
+	// sci.Mapping.CheckedSync). Free on intra-node memory.
+	Sync(p *sim.Proc) error
 	// BlockWriter starts a batched block-wise write session (the
 	// direct_pack_ff write path).
 	BlockWriter(p *sim.Proc, workingSet int64) BlockWriter
 	// DMAWrite submits an asynchronous DMA transfer when the transport has
 	// a DMA engine, returning its completion future and true; (nil, false)
-	// means DMA is unavailable and the caller should fall back to PIO.
+	// means DMA is unavailable and the caller should fall back to PIO. The
+	// future's value is nil or the typed transfer error.
 	DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool)
 	// DMAWriteSG submits a scatter-gather DMA transfer when the transport
 	// has a descriptor-list engine: every descriptor gathers Len bytes at
@@ -53,52 +58,17 @@ type Mem interface {
 	// descs must stay valid until the future completes. (nil, false) means
 	// the caller should fall back to a CPU pack path.
 	DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool)
-	// Sync guarantees that all writes issued through this Mem have been
-	// delivered (store barrier on SCI; free on intra-node memory).
-	Sync(p *sim.Proc)
-	// Bytes exposes the raw backing buffer. Only the owning side may use
-	// it without cost accounting (e.g. to initialize window contents).
-	Bytes() []byte
-
-	// Fallible entry points: on transports that can fail (SCI), injected
-	// faults, revoked segments and unreachable owners are surfaced as
-	// typed errors for the caller's recovery machinery; reliable
-	// transports (intra-node memory, message NICs) always return nil.
-
-	// TryWriteStream is WriteStream returning transfer errors.
-	TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64) error
-	// TryWritePut is WritePut returning transfer errors.
-	TryWritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) error
-	// TryRead is Read returning transfer errors.
-	TryRead(p *sim.Proc, off int64, dst []byte) error
-	// TrySync is the transfer-check barrier: Sync followed by a check of
-	// the transfer status, with bounded retry/backoff on SCI (see
-	// sci.Mapping.CheckedSync).
-	TrySync(p *sim.Proc) error
 }
 
 // BlockWriter receives a sequence of contiguous blocks at ascending offsets
-// and charges their cost on Flush. TryFlush is the fallible variant:
-// deposit and transfer errors are returned instead of panicking.
+// and charges their cost on Flush, which returns the first deposit or
+// transfer error.
 type BlockWriter interface {
 	Write(off int64, src []byte)
-	Flush()
-	TryFlush() error
+	Flush() error
 }
 
-// Signal is a one-way notification channel with transport-appropriate
-// latency (remote flag write / remote interrupt / cache-coherent flag).
-type Signal interface {
-	// Ring raises the signal carrying v. interrupt selects the remote
-	// interrupt path (used when the target is not polling).
-	Ring(p *sim.Proc, v any, interrupt bool)
-	// Wait blocks until a value arrives.
-	Wait(p *sim.Proc) any
-	// TryWait takes a pending value without blocking.
-	TryWait(p *sim.Proc) (any, bool)
-}
-
-// --- SCI adapters ---
+// --- SCI adapter ---
 
 type sciMem struct {
 	m *sci.Mapping
@@ -107,66 +77,41 @@ type sciMem struct {
 // FromSCI wraps an SCI mapping as an SMI region.
 func FromSCI(m *sci.Mapping) Mem { return sciMem{m} }
 
-func (s sciMem) Size() int64  { return s.m.Size() }
-func (s sciMem) Remote() bool { return s.m.Remote() }
-func (s sciMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) {
-	s.m.WriteStream(p, off, src, ws)
+func (s sciMem) Remote() bool  { return s.m.Remote() }
+func (s sciMem) Bytes() []byte { return s.m.Segment().Local() }
+func (s sciMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
+	return s.m.TryWriteStream(p, off, src, ws)
 }
-func (s sciMem) WriteWord(p *sim.Proc, off int64, src []byte) { s.m.WriteWord(p, off, src) }
-func (s sciMem) WriteStrided(p *sim.Proc, off int64, src []byte, a, st int64) {
-	s.m.WriteStrided(p, off, src, a, st)
+func (s sciMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
+	return s.m.TryWritePut(p, off, src, a, st)
 }
-func (s sciMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) {
-	s.m.WritePut(p, off, src, a, st)
-}
-func (s sciMem) Read(p *sim.Proc, off int64, dst []byte) { s.m.Read(p, off, dst) }
-func (s sciMem) ReadStrided(p *sim.Proc, off int64, dst []byte, a, st int64) {
-	s.m.ReadStrided(p, off, dst, a, st)
-}
+func (s sciMem) Read(p *sim.Proc, off int64, dst []byte) error { return s.m.TryRead(p, off, dst) }
+func (s sciMem) Sync(p *sim.Proc) error                        { return s.m.CheckedSync(p) }
 func (s sciMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter { return s.m.NewBlockWriter(p, ws) }
 func (s sciMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool) {
 	if !s.m.Remote() {
 		return nil, false
 	}
-	return s.m.DMAWrite(p, off, src), true
+	return submitted(s.m.TryDMAWrite(p, off, src)), true
 }
 func (s sciMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool) {
 	if !s.m.Remote() {
 		return nil, false
 	}
-	fut, err := s.m.TryDMAWriteSG(p, base, src, descs)
+	return submitted(s.m.DMAWriteSG(p, base, src, descs)), true
+}
+
+// submitted surfaces a DMA submission failure (revoked segment, range)
+// through the future, so callers have one recovery path: the awaited value.
+func submitted(fut *sim.Future, err error) *sim.Future {
 	if err != nil {
-		// Submission failed (revoked segment, range): surface the error
-		// through the future so callers have one recovery path.
 		fut = sim.NewFuture()
 		fut.Complete(err)
 	}
-	return fut, true
-}
-func (s sciMem) Sync(p *sim.Proc) { s.m.Sync(p) }
-func (s sciMem) Bytes() []byte    { return s.m.Segment().Local() }
-func (s sciMem) TryWriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
-	return s.m.TryWriteStream(p, off, src, ws)
-}
-func (s sciMem) TryWritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
-	return s.m.TryWritePut(p, off, src, a, st)
-}
-func (s sciMem) TryRead(p *sim.Proc, off int64, dst []byte) error { return s.m.TryRead(p, off, dst) }
-func (s sciMem) TrySync(p *sim.Proc) error                        { return s.m.CheckedSync(p) }
-
-type sciSignal struct {
-	sig  *sci.Signal
-	from *sci.Node
+	return fut
 }
 
-// SignalFromSCI wraps an SCI signal for ringing from the given node.
-func SignalFromSCI(sig *sci.Signal, from *sci.Node) Signal { return sciSignal{sig, from} }
-
-func (s sciSignal) Ring(p *sim.Proc, v any, interrupt bool) { s.sig.RingFrom(p, s.from, v, interrupt) }
-func (s sciSignal) Wait(p *sim.Proc) any                    { return s.sig.Wait(p) }
-func (s sciSignal) TryWait(p *sim.Proc) (any, bool)         { return s.sig.TryWait(p) }
-
-// --- NIC adapters ---
+// --- NIC adapter ---
 
 type nicMem struct {
 	v *nic.View
@@ -175,51 +120,35 @@ type nicMem struct {
 // FromNIC wraps a message-NIC buffer view as an SMI region.
 func FromNIC(v *nic.View) Mem { return nicMem{v} }
 
-func (s nicMem) Size() int64  { return s.v.Size() }
-func (s nicMem) Remote() bool { return s.v.Remote() }
-func (s nicMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) {
+func (s nicMem) Remote() bool  { return s.v.Remote() }
+func (s nicMem) Bytes() []byte { return s.v.Bytes() }
+func (s nicMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
 	s.v.WriteStream(p, off, src, ws)
+	return nil
 }
-func (s nicMem) WriteWord(p *sim.Proc, off int64, src []byte) { s.v.WriteWord(p, off, src) }
-func (s nicMem) WriteStrided(p *sim.Proc, off int64, src []byte, a, st int64) {
-	s.v.WriteStrided(p, off, src, a, st)
+func (s nicMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
+	s.v.WriteStrided(p, off, src, a, st) // a message NIC has no put fast path
+	return nil
 }
-func (s nicMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) {
-	s.v.WritePut(p, off, src, a, st)
+func (s nicMem) Read(p *sim.Proc, off int64, dst []byte) error {
+	s.v.Read(p, off, dst)
+	return nil
 }
-func (s nicMem) Read(p *sim.Proc, off int64, dst []byte) { s.v.Read(p, off, dst) }
-func (s nicMem) ReadStrided(p *sim.Proc, off int64, dst []byte, a, st int64) {
-	s.v.ReadStrided(p, off, dst, a, st)
+func (s nicMem) Sync(p *sim.Proc) error {
+	s.v.Sync(p)
+	return nil
 }
 func (s nicMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter {
 	return reliableBW{s.v.NewBlockWriter(p, ws)}
 }
 func (s nicMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool) {
-	return s.v.DMAWrite(p, off, src)
+	return nil, false // message NICs expose no DMA path
 }
 func (s nicMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool) {
-	return nil, false // message NICs expose no descriptor-list engine
-}
-func (s nicMem) Sync(p *sim.Proc) { s.v.Sync(p) }
-func (s nicMem) Bytes() []byte    { return s.v.Bytes() }
-func (s nicMem) TryWriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
-	s.v.WriteStream(p, off, src, ws)
-	return nil
-}
-func (s nicMem) TryWritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
-	s.v.WritePut(p, off, src, a, st)
-	return nil
-}
-func (s nicMem) TryRead(p *sim.Proc, off int64, dst []byte) error {
-	s.v.Read(p, off, dst)
-	return nil
-}
-func (s nicMem) TrySync(p *sim.Proc) error {
-	s.v.Sync(p)
-	return nil
+	return nil, false
 }
 
-// --- Intra-node adapters ---
+// --- Intra-node adapter ---
 
 type shmMem struct {
 	r *shmem.Region
@@ -228,22 +157,21 @@ type shmMem struct {
 // FromShm wraps an intra-node shared region as an SMI region.
 func FromShm(r *shmem.Region) Mem { return shmMem{r} }
 
-func (s shmMem) Size() int64  { return s.r.Size() }
-func (s shmMem) Remote() bool { return false }
-func (s shmMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) {
+func (s shmMem) Remote() bool  { return false }
+func (s shmMem) Bytes() []byte { return s.r.Local() }
+func (s shmMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
 	s.r.WriteStream(p, off, src, ws)
+	return nil
 }
-func (s shmMem) WriteWord(p *sim.Proc, off int64, src []byte) { s.r.WriteWord(p, off, src) }
-func (s shmMem) WriteStrided(p *sim.Proc, off int64, src []byte, a, st int64) {
+func (s shmMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
 	s.r.WriteStrided(p, off, src, a, st)
+	return nil
 }
-func (s shmMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) {
-	s.r.WriteStrided(p, off, src, a, st)
+func (s shmMem) Read(p *sim.Proc, off int64, dst []byte) error {
+	s.r.Read(p, off, dst)
+	return nil
 }
-func (s shmMem) Read(p *sim.Proc, off int64, dst []byte) { s.r.Read(p, off, dst) }
-func (s shmMem) ReadStrided(p *sim.Proc, off int64, dst []byte, a, st int64) {
-	s.r.ReadStrided(p, off, dst, a, st)
-}
+func (s shmMem) Sync(p *sim.Proc) error { return nil }
 func (s shmMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter {
 	return reliableBW{s.r.NewBlockWriter(p, ws)}
 }
@@ -253,21 +181,6 @@ func (s shmMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool)
 func (s shmMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool) {
 	return nil, false
 }
-func (s shmMem) Sync(p *sim.Proc) {}
-func (s shmMem) Bytes() []byte    { return s.r.Local() }
-func (s shmMem) TryWriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
-	s.r.WriteStream(p, off, src, ws)
-	return nil
-}
-func (s shmMem) TryWritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
-	s.r.WriteStrided(p, off, src, a, st)
-	return nil
-}
-func (s shmMem) TryRead(p *sim.Proc, off int64, dst []byte) error {
-	s.r.Read(p, off, dst)
-	return nil
-}
-func (s shmMem) TrySync(p *sim.Proc) error { return nil }
 
 // reliableBW adapts the block writers of transports that cannot fail
 // (intra-node memory, message NICs) to the fallible BlockWriter interface.
@@ -279,70 +192,4 @@ type reliableBW struct {
 }
 
 func (r reliableBW) Write(off int64, src []byte) { r.bw.Write(off, src) }
-func (r reliableBW) Flush()                      { r.bw.Flush() }
-func (r reliableBW) TryFlush() error             { r.bw.Flush(); return nil }
-
-type shmSignal struct {
-	sig *shmem.Signal
-}
-
-// SignalFromShm wraps an intra-node signal.
-func SignalFromShm(sig *shmem.Signal) Signal { return shmSignal{sig} }
-
-func (s shmSignal) Ring(p *sim.Proc, v any, interrupt bool) { s.sig.Ring(p, v) }
-func (s shmSignal) Wait(p *sim.Proc) any                    { return s.sig.Wait(p) }
-func (s shmSignal) TryWait(p *sim.Proc) (any, bool)         { return s.sig.TryWait(p) }
-
-// Lock is a distributed spinlock in shared memory, as used for the mutual
-// exclusion of passive-target one-sided synchronization. The paper uses the
-// techniques of Schulz [14]: very low latency under little contention.
-type Lock struct {
-	mu      sim.Mutex
-	acquire time.Duration
-	release time.Duration
-}
-
-// NewLock returns a shared-memory lock with the given acquire/release
-// latencies (use the remote flavour for locks crossing the ring).
-func NewLock(acquire, release time.Duration) *Lock {
-	return &Lock{acquire: acquire, release: release}
-}
-
-// Acquire takes the lock, spinning in virtual time while it is held.
-func (l *Lock) Acquire(p *sim.Proc) {
-	p.Sleep(l.acquire)
-	p.Lock(&l.mu)
-}
-
-// TryAcquire attempts one acquisition round trip without queueing: it
-// pays the acquire latency and reports whether the lock was free. Used by
-// watchdog-bounded lock acquisition (osc.Win.LockChecked).
-func (l *Lock) TryAcquire(p *sim.Proc) bool {
-	p.Sleep(l.acquire)
-	return l.mu.TryLock()
-}
-
-// Release drops the lock.
-func (l *Lock) Release(p *sim.Proc) {
-	p.Sleep(l.release)
-	p.Unlock(&l.mu)
-}
-
-// Barrier is a shared-memory barrier across a fixed group of processes,
-// with a per-crossing latency cost.
-type Barrier struct {
-	b    *sim.Barrier
-	cost time.Duration
-}
-
-// NewBarrier returns a barrier for n parties costing the given latency per
-// crossing.
-func NewBarrier(n int, cost time.Duration) *Barrier {
-	return &Barrier{b: sim.NewBarrier(n), cost: cost}
-}
-
-// Enter blocks until all parties arrive.
-func (b *Barrier) Enter(p *sim.Proc) {
-	p.Sleep(b.cost)
-	p.Arrive(b.b)
-}
+func (r reliableBW) Flush() error                { r.bw.Flush(); return nil }

@@ -3,103 +3,122 @@ package smi
 import (
 	"bytes"
 	"testing"
-	"time"
 
+	"scimpich/internal/nic"
+	"scimpich/internal/pack"
 	"scimpich/internal/sci"
 	"scimpich/internal/shmem"
 	"scimpich/internal/sim"
 )
 
-func TestSCIAdapterSatisfiesMem(t *testing.T) {
-	e := sim.NewEngine()
-	ic := sci.New(e, sci.DefaultConfig(2))
-	seg := ic.Node(1).Export(4096)
-	var mem Mem = FromSCI(ic.Node(0).MustImport(1, seg.ID()))
-	if !mem.Remote() || mem.Size() != 4096 {
-		t.Fatalf("remote=%v size=%d, want true/4096", mem.Remote(), mem.Size())
-	}
-	e.Go("p", func(p *sim.Proc) {
-		src := []byte{1, 2, 3, 4}
-		mem.WriteStream(p, 0, src, 0)
-		mem.Sync(p)
-		if !bytes.Equal(mem.Bytes()[:4], src) {
-			t.Error("write through interface lost data")
-		}
-		bw := mem.BlockWriter(p, 0)
-		bw.Write(8, []byte{9})
-		bw.Flush()
-		mem.Sync(p)
-		dst := make([]byte, 1)
-		mem.Read(p, 8, dst)
-		if dst[0] != 9 {
-			t.Error("block write through interface lost data")
-		}
-	})
-	e.Run()
-}
+const confSize = 1024
 
-func TestShmRegionSatisfiesMem(t *testing.T) {
-	e := sim.NewEngine()
-	bus := shmem.NewBus(e, nil, "n0", shmem.DefaultConfig())
-	var mem Mem = FromShm(bus.Alloc(1024))
-	if mem.Remote() {
-		t.Error("shm region reported remote")
+// TestMemConformance drives the same sequence over all nine Mem methods
+// through every adapter and requires the same bytes everywhere: a transport
+// whose adapter drifts from the others fails against the reference image.
+func TestMemConformance(t *testing.T) {
+	transports := []struct {
+		name        string
+		remote, dma bool
+		mem         func(e *sim.Engine) Mem
+	}{
+		{"sci-remote", true, true, func(e *sim.Engine) Mem {
+			ic := sci.New(e, sci.DefaultConfig(2))
+			return FromSCI(ic.Node(0).MustImport(1, ic.Node(1).Export(confSize).ID()))
+		}},
+		{"sci-local", false, false, func(e *sim.Engine) Mem {
+			ic := sci.New(e, sci.DefaultConfig(2))
+			return FromSCI(ic.Node(0).MustImport(0, ic.Node(0).Export(confSize).ID()))
+		}},
+		{"nic-remote", true, false, func(e *sim.Engine) Mem {
+			n := nic.New(e, 2, nic.Myrinet1280())
+			return FromNIC(n.View(0, n.Alloc(1, confSize)))
+		}},
+		{"nic-local", false, false, func(e *sim.Engine) Mem {
+			n := nic.New(e, 2, nic.Myrinet1280())
+			return FromNIC(n.View(0, n.Alloc(0, confSize)))
+		}},
+		{"shm", false, false, func(e *sim.Engine) Mem {
+			return FromShm(shmem.NewBus(e, nil, "n0", shmem.DefaultConfig()).Alloc(confSize))
+		}},
 	}
-	e.Go("p", func(p *sim.Proc) {
-		mem.WriteStrided(p, 0, []byte{1, 2, 3, 4}, 2, 4)
-		dst := make([]byte, 4)
-		mem.ReadStrided(p, 0, dst, 2, 4)
-		if !bytes.Equal(dst, []byte{1, 2, 3, 4}) {
-			t.Error("strided round trip through interface failed")
-		}
-		mem.Sync(p) // no-op, must not block
-	})
-	e.Run()
-}
 
-func TestSignalsAcrossTransports(t *testing.T) {
-	e := sim.NewEngine()
-	ic := sci.New(e, sci.DefaultConfig(2))
-	bus := shmem.NewBus(e, nil, "n0", shmem.DefaultConfig())
-	var remote Signal = SignalFromSCI(ic.Node(1).NewSignal(), ic.Node(0))
-	var local Signal = SignalFromShm(bus.NewSignal())
-	var got []any
-	e.Go("waiter", func(p *sim.Proc) {
-		got = append(got, local.Wait(p))
-		got = append(got, remote.Wait(p))
-	})
-	e.Go("ringer", func(p *sim.Proc) {
-		local.Ring(p, "a", false)
-		remote.Ring(p, "b", true)
-	})
-	e.Run()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("signals delivered %v, want [a b]", got)
+	src := make([]byte, 64)
+	for i := range src {
+		src[i] = byte(i*5 + 1)
 	}
-}
+	// The reference image: what the sequence below must leave behind.
+	want := make([]byte, confSize)
+	copy(want[0:], src)      // WriteStream
+	for i := 0; i < 4; i++ { // WritePut: 16-byte accesses 32 apart
+		copy(want[128+32*i:], src[16*i:16*i+16])
+	}
+	copy(want[256:], src[:8]) // BlockWriter, two blocks
+	copy(want[300:], src[8:24])
+	copy(want[512:], src)        // DMAWrite (or its PIO fallback)
+	copy(want[640:], src[32:48]) // DMAWriteSG (or its fallback)
+	copy(want[656:], src[0:16])
 
-func TestLockAndBarrier(t *testing.T) {
-	e := sim.NewEngine()
-	l := NewLock(time.Microsecond, 500*time.Nanosecond)
-	b := NewBarrier(2, time.Microsecond)
-	var order []int
-	for i := 0; i < 2; i++ {
-		i := i
-		e.Go("p", func(p *sim.Proc) {
-			l.Acquire(p)
-			order = append(order, i)
-			p.Sleep(time.Duration(i+1) * time.Microsecond)
-			l.Release(p)
-			b.Enter(p)
-			order = append(order, 10+i)
+	for _, tr := range transports {
+		tr := tr
+		t.Run(tr.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			mem := tr.mem(e)
+			if mem.Remote() != tr.remote {
+				t.Fatalf("Remote() = %v, want %v", mem.Remote(), tr.remote)
+			}
+			e.Go("p", func(p *sim.Proc) {
+				must := func(what string, err error) {
+					if err != nil {
+						t.Errorf("%s: %v", what, err)
+					}
+				}
+				await := func(what string, fut *sim.Future) {
+					err, _ := p.Await(fut).(error)
+					must(what, err)
+				}
+				must("WriteStream", mem.WriteStream(p, 0, src, 0))
+				must("WritePut", mem.WritePut(p, 128, src, 16, 32))
+				bw := mem.BlockWriter(p, 64)
+				bw.Write(256, src[:8])
+				bw.Write(300, src[8:24])
+				must("Flush", bw.Flush())
+
+				fut, ok := mem.DMAWrite(p, 512, src)
+				if ok != tr.dma {
+					t.Errorf("DMAWrite available = %v, want %v", ok, tr.dma)
+				}
+				if ok {
+					await("DMAWrite", fut)
+				} else {
+					must("DMAWrite fallback", mem.WriteStream(p, 512, src, 0))
+				}
+				descs := []pack.Descriptor{
+					{SrcOff: 32, DstOff: 0, Len: 16},
+					{SrcOff: 0, DstOff: 16, Len: 16},
+				}
+				fut, ok = mem.DMAWriteSG(p, 640, src, descs)
+				if ok != tr.dma {
+					t.Errorf("DMAWriteSG available = %v, want %v", ok, tr.dma)
+				}
+				if ok {
+					await("DMAWriteSG", fut)
+				} else {
+					must("DMAWriteSG fallback", mem.WriteStream(p, 640, src[32:48], 0))
+					must("DMAWriteSG fallback", mem.WriteStream(p, 656, src[0:16], 0))
+				}
+
+				must("Sync", mem.Sync(p))
+				if !bytes.Equal(mem.Bytes(), want) {
+					t.Error("region bytes differ from the reference image")
+				}
+				got := make([]byte, confSize)
+				must("Read", mem.Read(p, 0, got))
+				if !bytes.Equal(got, want) {
+					t.Error("Read returned bytes that differ from the reference image")
+				}
+			})
+			e.Run()
 		})
-	}
-	e.Run()
-	if len(order) != 4 {
-		t.Fatalf("order = %v, want 4 entries", order)
-	}
-	// Barrier releases happen after both lock sections.
-	if order[2] < 10 || order[3] < 10 {
-		t.Errorf("barrier released before lock sections done: %v", order)
 	}
 }

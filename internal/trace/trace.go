@@ -1,126 +1,12 @@
-// Package trace records a timeline of protocol events from a simulation
-// run: which rank did what, when (virtual time), and through which
-// protocol path. A Tracer is attached to a cluster configuration; nil
-// tracers are free.
-//
-// Tracer is now a thin shim over the unified observability layer
-// (internal/obs): Record produces obs instant events, and Start opens an
-// obs span, so legacy flat-event call sites and the new span-tree call
-// sites feed one timeline that exports to Chrome trace-event JSON. All
-// methods are safe for concurrent use.
+// Package trace is the name the frozen benchmark harness (benchmark/tracer.go)
+// attaches a timeline under. The tracer is obs.Trace; every layer holds a
+// *obs.Trace and calls Instantf/StartSpan on it directly.
 package trace
 
-import (
-	"fmt"
-	"io"
-	"time"
+import "scimpich/internal/obs"
 
-	"scimpich/internal/obs"
-)
+// Tracer is the protocol event timeline attached to a cluster configuration.
+type Tracer = obs.Trace
 
-// Event is one timeline entry (the legacy flat view; spans live on the
-// underlying obs.Trace).
-type Event struct {
-	At       time.Duration
-	Actor    string // "rank3", "dev1", ...
-	Category string // "send", "recv", "rdv", "osc", "coll", ...
-	Detail   string
-}
-
-// Tracer collects events. A nil *Tracer discards everything.
-type Tracer struct {
-	t *obs.Trace
-}
-
-// New returns a tracer retaining at most limit events (0 = unlimited).
-// When the limit is reached the tracer behaves as a ring buffer: the most
-// recent limit events are kept and the oldest are dropped (so the tail of
-// a long run — usually where the interesting failure is — survives).
-func New(limit int) *Tracer {
-	return &Tracer{t: obs.NewTrace(limit)}
-}
-
-// FromObs wraps an existing obs trace so layers plumbed with *Tracer feed
-// the same timeline as layers using obs directly. A nil trace yields a nil
-// tracer.
-func FromObs(t *obs.Trace) *Tracer {
-	if t == nil {
-		return nil
-	}
-	return &Tracer{t: t}
-}
-
-// Obs returns the underlying span-capable trace (nil on a nil tracer).
-func (t *Tracer) Obs() *obs.Trace {
-	if t == nil {
-		return nil
-	}
-	return t.t
-}
-
-// Record appends an instant event. Safe on a nil tracer and safe for
-// concurrent use.
-func (t *Tracer) Record(at time.Duration, actor, category, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.t.Instant(at, actor, category, fmt.Sprintf(format, args...))
-}
-
-// Start opens a span at virtual time at (see obs.Trace.StartSpan): spans
-// on the same actor nest, and export as one tree. Returns nil — a no-op
-// span — on a nil tracer.
-func (t *Tracer) Start(at time.Duration, actor, category, name string) *obs.Span {
-	if t == nil {
-		return nil
-	}
-	return t.t.StartSpan(at, actor, category, name)
-}
-
-// Len returns the number of retained events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.t.EventCount()
-}
-
-// Events returns the retained timeline, oldest first.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	evs := t.t.Events()
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]Event, len(evs))
-	for i, e := range evs {
-		out[i] = Event{At: e.At, Actor: e.Actor, Category: e.Category, Detail: e.Detail}
-	}
-	return out
-}
-
-// Filter returns the events of one category.
-func (t *Tracer) Filter(category string) []Event {
-	if t == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Category == category {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump writes the timeline, one event per line.
-func (t *Tracer) Dump(w io.Writer) {
-	if t == nil {
-		return
-	}
-	for _, e := range t.Events() {
-		fmt.Fprintf(w, "%12v %-8s %-6s %s\n", e.At, e.Actor, e.Category, e.Detail)
-	}
-}
+// FromObs returns t: a Config.Tracer is an *obs.Trace.
+func FromObs(t *obs.Trace) *Tracer { return t }

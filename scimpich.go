@@ -53,8 +53,6 @@ type (
 	// Fabric is the simulation substrate a world runs on: a set of
 	// locales advancing one virtual clock (internal/sim.Fabric).
 	Fabric = sim.Fabric
-	// Placement assigns world ranks to fabric locales.
-	Placement = mpi.Placement
 	// TorusConfig parameterizes the §6-scale 3-D torus collective machine
 	// (TorusWorld): a dx*dy*dz node grid running the chunked ring
 	// allreduce, shardable by z-planes.
@@ -168,7 +166,6 @@ var (
 	NewFabric      = mpi.NewFabric
 	RunOn          = mpi.RunOn
 	NewWorldOn     = mpi.NewWorldOn
-	NewPlacement   = mpi.NewPlacement
 	NewLocalFabric = sim.NewLocalFabric
 )
 
