@@ -52,11 +52,12 @@ shard-stress:
 	$(GO) test -race -count=2 -run 'TestFenceEpochOnShardedEngine' ./internal/osc/
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
 
-# alloc-test runs only the allocation-pinned tests (0 allocs/op on the pack
-# and PIO fast paths, under 1 MiB for an empty 8x2 world); CI fails the bench
-# job if these regress.
+# alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack,
+# PIO and event/hand-off fast paths, under 1 MiB for an empty 8x2 world, and
+# the per-message budget of a 64 B round trip (allocations, process switches,
+# events); CI fails the bench job if these regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree' -v ./internal/pack/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/mpi/
+	$(GO) test -run 'TestAllocs|AllocFree|Budget' -v ./internal/pack/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/mpi/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

@@ -56,8 +56,7 @@ func (c *Comm) waitCollT(r *Request, src, tag int, to time.Duration) error {
 		_, err := r.WaitChecked()
 		return err
 	}
-	v, ok := c.p.AwaitTimeout(r.done, to)
-	if !ok {
+	if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
 		c.rk.dev.stats.sendTimeouts.Add(1)
 		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 			"collective watchdog expired (src %d tag %d) after %v", src, tag, to)
@@ -68,10 +67,8 @@ func (c *Comm) waitCollT(r *Request, src, tag int, to time.Duration) error {
 		}
 		return &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: src, At: c.p.Now()}
 	}
-	if err, ok := v.(error); ok {
-		return err
-	}
-	return nil
+	_, err := r.WaitChecked()
+	return err
 }
 
 // recvColl is the internal collective receive: irecv + waitColl.

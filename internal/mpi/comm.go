@@ -207,7 +207,8 @@ func (w *World) Spawn(main func(c *Comm)) {
 func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats.snapshot() }
 
 // PublishMetrics exports the end-of-run statistics into a registry as
-// labelled gauges: per-rank device counters (mpi.device.*{rank=r}) and
+// gauges: the fabric's event and process-switch counts (sim.events,
+// sim.proc_switches), per-rank device counters (mpi.device.*{rank=r}) and
 // per-node interconnect counters (sci.node.*{node=n}). Run calls this
 // automatically when Config.Metrics is set; harnesses driving the engine
 // themselves call it after Engine.Run.
@@ -215,6 +216,9 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
+	// What the run cost the simulator, beside what it did in the model.
+	r.SetGauge("sim.events", int64(w.fabric.Events()))
+	r.SetGauge("sim.proc_switches", int64(w.fabric.ProcSwitches()))
 	for rank := range w.ranks {
 		ds := w.Stats(rank)
 		l := strconv.Itoa(rank)

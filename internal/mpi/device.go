@@ -3,26 +3,47 @@ package mpi
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 	"scimpich/internal/memmodel"
+	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/pack"
 	"scimpich/internal/sim"
 )
 
-// device is the per-rank communication engine: a daemon process that
-// receives control envelopes (the moral equivalent of SCI-MPICH's control
-// packet queues plus remote handler), performs message matching and
-// executes the receive side of the short/eager/rendezvous protocols.
+// device is the per-rank communication engine: it receives control
+// envelopes and posted receives (the moral equivalent of SCI-MPICH's control
+// packet queues plus remote handler), performs message matching and executes
+// the receive side of the short/eager/rendezvous protocols.
+//
+// It is a serial server. Items are handled one at a time in arrival order,
+// each HandlerLatency after the later of its arrival and the end of the
+// previous handler. Most handlers only forward or bookkeep and run as event
+// callbacks on the hosting queue; a handler that has to block — it takes a
+// bus, reads a port through the interconnect or sends a reply — is continued
+// on the daemon process p, inside the same event.
 type device struct {
 	rk    *rank
 	actor string // cached "dev<i>"
-	inbox *sim.Chan
 	p     *sim.Proc
 
-	posted     []*recvReq
+	// inbox holds the arrived items awaiting service (*envelope, or the
+	// *Request of a posted receive); busy is set from the arrival of an item
+	// at an idle device until a handler ends with nothing queued.
+	inbox sim.FIFO[any]
+	busy  bool
+	// cur is the item whose handler latency is running. req, env and span
+	// are the matched receive a delivery is working on (for envRdvData and
+	// envOSC, which match nothing, just env).
+	cur  any
+	req  *Request
+	env  *envelope
+	span *obs.Span
+
+	posted     []*Request
 	unexpected []*envelope
 	probes     []*probeReq
 	rdv        map[int64]*rdvRecv
@@ -95,8 +116,9 @@ func (s *devStats) snapshot() DeviceStats {
 
 // rdvRecv tracks one in-progress rendezvous receive.
 type rdvRecv struct {
-	req       *recvReq
-	env       *envelope // the original request
+	req       *Request
+	src, tag  int   // of the request envelope, which is freed once the CTS is out
+	bytes     int64 // total message size
 	mode      rdvMode
 	received  int64
 	nextChunk int
@@ -124,7 +146,6 @@ func newDevice(rk *rank) *device {
 	d := &device{
 		rk:      rk,
 		actor:   fmt.Sprintf("dev%d", rk.id),
-		inbox:   sim.NewChan(1 << 20),
 		rdv:     make(map[int64]*rdvRecv),
 		lastSeq: make([]int64, rk.w.size),
 	}
@@ -135,70 +156,149 @@ func newDevice(rk *rank) *device {
 // mem returns the node's memory-hierarchy model.
 func (d *device) mem() *memmodel.Model { return d.rk.w.cfg.Shm.Mem }
 
+func (d *device) now() time.Duration { return d.rk.w.host.Now() }
+
+// post queues an arrived item. At an idle device the handler latency starts
+// one zero-delay event later: the hop that waking a daemon used to be, kept
+// as an event because same-instant events run in scheduling order and the
+// handler's place in that order is part of the virtual-time contract.
+func (d *device) post(item any) {
+	if d.busy {
+		d.inbox.Push(item)
+		return
+	}
+	d.busy = true
+	d.cur = item
+	d.rk.w.host.AfterCall(0, deviceAdmit, d)
+}
+
+func deviceAdmit(arg any) {
+	d := arg.(*device)
+	d.rk.w.host.AfterCall(d.rk.w.protocol().HandlerLatency, deviceServe, d)
+}
+
+// next ends the current handler: the oldest queued item starts its handler
+// latency now, or the device goes idle.
+func (d *device) next() {
+	d.cur, d.req, d.env, d.span = nil, nil, nil, nil
+	if d.inbox.Len() == 0 {
+		d.busy = false
+		return
+	}
+	d.cur = d.inbox.Pop()
+	deviceAdmit(d)
+}
+
+// deviceServe runs the handler of d.cur. Every handler ends in next: here
+// for the kinds that need no stack, at the end of a later callback for a
+// short message into a contiguous buffer (deviceShortCopied), and on the
+// daemon process for the rest (run).
+func deviceServe(arg any) {
+	d := arg.(*device)
+	if d.handle() {
+		d.next()
+	}
+}
+
+// handle serves d.cur and reports whether that finished the handler; if
+// not, a delivery is under way that ends it.
+func (d *device) handle() (finished bool) {
+	w := d.rk.w
+	if req, posted := d.cur.(*Request); posted {
+		return d.handlePost(req)
+	}
+	env := d.cur.(*envelope)
+	env.live()
+	switch env.kind {
+	case envShort, envEager, envRdvReq:
+		return d.handleIncoming(env)
+	case envRdvData, envOSC:
+		d.env = env
+		d.p.Resume()
+		return false
+	case envRdvCancel:
+		d.handleRdvCancel(env)
+		w.freeEnvelope(env)
+	case envLocalProbe:
+		d.handleProbe(env.probe)
+		w.freeEnvelope(env)
+	case envRdvCTS, envRdvAck, envOSCReply:
+		// Sender-side control: forward to the waiting operation, which frees
+		// the envelope once it has read it.
+		sim.Post(env.reply, env)
+	case envEagerAck:
+		// Return the eager slot credit to this rank's sender state.
+		d.rk.out[env.src].credits.Release(env.slot)
+		w.freeEnvelope(env)
+	default:
+		panic(fmt.Sprintf("mpi: device %d: unexpected envelope %v", d.rk.id, env.kind))
+	}
+	return true
+}
+
+// run is the daemon process: the part of a handler that blocks. deviceServe
+// and deliver resume it, inside their event, with the work in d.req and
+// d.env.
 func (d *device) run(p *sim.Proc) {
 	for {
-		env := p.Recv(d.inbox).(*envelope)
-		p.Sleep(d.rk.w.protocol().HandlerLatency)
+		p.Park()
+		req, env := d.req, d.env
 		switch env.kind {
-		case envLocalPost:
-			d.handlePost(p, env.post)
-		case envLocalProbe:
-			d.handleProbe(env.probe)
-		case envShort, envEager, envRdvReq:
-			d.handleIncoming(p, env)
+		case envShort:
+			d.unpackShort(p, req, env)
+		case envEager:
+			d.deliverEager(p, req, env)
+		case envRdvReq:
+			d.startRendezvous(p, req, env)
 		case envRdvData:
 			d.handleRdvData(p, env)
-		case envRdvCancel:
-			d.handleRdvCancel(p, env)
-		case envRdvCTS, envRdvAck:
-			// Sender-side control: forward to the waiting send operation.
-			sim.Post(env.reply, env)
-		case envEagerAck:
-			// Return the eager slot credit to this rank's sender state.
-			d.rk.out[env.src].credits.Release(env.slot)
 		case envOSC:
 			d.stats.oscRequests.Add(1)
 			if d.oscHandler == nil {
 				panic("mpi: one-sided request with no handler registered")
 			}
 			d.oscHandler(p, env)
-		case envOSCReply:
-			sim.Post(env.reply, env)
-		default:
-			panic(fmt.Sprintf("mpi: device %d: unexpected envelope %v", d.rk.id, env.kind))
 		}
+		// Every kind that reaches the daemon ends at this device.
+		d.rk.w.freeEnvelope(env)
+		d.next()
 	}
 }
 
-// handlePost processes a locally posted receive.
-func (d *device) handlePost(p *sim.Proc, req *recvReq) {
+// handlePost processes a locally posted receive: delivered from the
+// unexpected queue, or (finished) queued as posted.
+func (d *device) handlePost(req *Request) (finished bool) {
 	for i, env := range d.unexpected {
 		if req.matches(env.src, env.tag, env.ctx) {
 			d.unexpected = append(d.unexpected[:i], d.unexpected[i+1:]...)
-			d.deliver(p, req, env)
-			return
+			d.deliver(req, env)
+			return false
 		}
 	}
 	d.posted = append(d.posted, req)
+	return true
 }
 
-// handleIncoming processes a fresh message-bearing envelope.
-func (d *device) handleIncoming(p *sim.Proc, env *envelope) {
+// handleIncoming processes a fresh message-bearing envelope: delivered to a
+// posted receive, or (finished) dropped as a duplicate or queued as
+// unexpected.
+func (d *device) handleIncoming(env *envelope) (finished bool) {
 	if env.seq != 0 {
 		if env.seq <= d.lastSeq[env.src] {
 			d.stats.duplicates.Add(1)
-			d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
+			d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
 				"dropped duplicate %v from %d (seq %d)", env.kind, env.src, env.seq)
-			d.rk.fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, 0)
-			return
+			d.rk.fl.Record(d.now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, 0)
+			d.rk.w.freeEnvelope(env)
+			return true
 		}
 		d.lastSeq[env.src] = env.seq
 	}
 	for i, req := range d.posted {
 		if req.matches(env.src, env.tag, env.ctx) {
 			d.posted = append(d.posted[:i], d.posted[i+1:]...)
-			d.deliver(p, req, env)
-			return
+			d.deliver(req, env)
+			return false
 		}
 	}
 	d.stats.unexpected.Add(1)
@@ -211,6 +311,7 @@ func (d *device) handleIncoming(p *sim.Proc, env *envelope) {
 			break
 		}
 	}
+	return true
 }
 
 // handleProbe answers a probe from the unexpected queue.
@@ -228,33 +329,39 @@ func (d *device) handleProbe(pr *probeReq) {
 	d.probes = append(d.probes, pr)
 }
 
-// deliver executes the receive side of a matched message.
-func (d *device) deliver(p *sim.Proc, req *recvReq, env *envelope) {
+// deliver starts the receive side of a matched message. A short message
+// into a contiguous buffer is one copy after one fixed delay and finishes
+// in a second callback; everything else blocks and goes to the daemon.
+func (d *device) deliver(req *Request, env *envelope) {
 	tr := d.rk.w.cfg.Tracer
-	tr.Instantf(p.Now(), d.actor, "recv",
+	now := d.now()
+	tr.Instantf(now, d.actor, "recv",
 		"<- %d tag %d: %d bytes via %v", env.src, env.tag, env.bytes, env.kind)
-	d.rk.fl.Record(p.Now(), flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
+	d.rk.fl.Record(now, flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
 	d.checkSignature(req, env)
-	switch env.kind {
-	case envShort:
-		sp := tr.StartSpan(p.Now(), d.actor, "recv", "short")
-		sp.SetBytes(env.bytes)
-		d.deliverShort(p, req, env)
-		sp.End(p.Now())
-	case envEager:
-		sp := tr.StartSpan(p.Now(), d.actor, "recv", "eager")
-		sp.SetBytes(env.bytes)
-		d.deliverEager(p, req, env)
-		sp.End(p.Now())
-	case envRdvReq:
-		d.startRendezvous(p, req, env)
-	default:
-		panic(fmt.Sprintf("mpi: cannot deliver %v", env.kind))
+	d.req, d.env = req, env
+	if env.kind != envRdvReq {
+		d.span = tr.StartSpan(now, d.actor, "recv", env.kind.String()) // "short" or "eager"
+		d.span.SetBytes(env.bytes)
 	}
+	if env.kind == envShort && req.dt.Contiguous() {
+		d.acceptShort(req, env)
+		d.rk.w.host.AfterCall(d.mem().CopyCost(env.bytes, env.bytes, env.bytes), deviceShortCopied, d)
+		return
+	}
+	d.p.Resume()
+}
+
+func deviceShortCopied(arg any) {
+	d := arg.(*device)
+	copy(d.req.buf, d.env.payload)
+	d.finishShort(d.req, d.env)
+	d.rk.w.freeEnvelope(d.env)
+	d.next()
 }
 
 // capacity returns the receive capacity in bytes and checks truncation.
-func (d *device) capacity(req *recvReq, incoming int64) {
+func (d *device) capacity(req *Request, incoming int64) {
 	cap := req.dt.Size() * int64(req.count)
 	if incoming > cap {
 		panic(fmt.Sprintf("mpi: rank %d: message of %d bytes truncates receive of %d (src %d tag %d)",
@@ -265,7 +372,7 @@ func (d *device) capacity(req *recvReq, incoming int64) {
 // checkSignature verifies MPI's type-matching rule: the send and receive
 // type signatures must agree, with pure-byte signatures acting as
 // wildcards (envelope sig 0).
-func (d *device) checkSignature(req *recvReq, env *envelope) {
+func (d *device) checkSignature(req *Request, env *envelope) {
 	if env.sig == 0 {
 		return
 	}
@@ -277,28 +384,32 @@ func (d *device) checkSignature(req *recvReq, env *envelope) {
 		d.rk.id, env.src, env.tag, req.dt))
 }
 
-// deliverShort unpacks an inline payload.
-func (d *device) deliverShort(p *sim.Proc, req *recvReq, env *envelope) {
+// acceptShort checks and counts a matched short message, finishShort
+// completes the receive once the inline payload is in the user buffer;
+// between them the payload is copied (deliver) or unpacked (unpackShort).
+func (d *device) acceptShort(req *Request, env *envelope) {
 	d.capacity(req, env.bytes)
 	d.stats.shortRecvd.Add(1)
 	d.stats.bytesRecvd.Add(env.bytes)
-	if req.dt.Contiguous() {
-		p.Sleep(d.mem().CopyCost(env.bytes, env.bytes, env.bytes))
-		copy(req.buf, env.payload)
-	} else {
-		_, st := pack.GenericUnpack(req.buf, env.payload, req.dt, req.count, 0, env.bytes)
-		d.chargeBlocks(p, st, false)
-	}
-	// Last read of the inline payload: return the pooled buffer. Duplicate
-	// envelopes sharing the pointer are dropped by the sequence check before
-	// reaching here.
+}
+
+func (d *device) finishShort(req *Request, env *envelope) {
+	// Last read of the inline payload: return the pooled buffer.
 	env.payloadBuf.Put()
-	env.payload, env.payloadBuf = nil, nil
-	req.done.Complete(&Status{Source: env.src, Tag: env.tag, Bytes: env.bytes})
+	req.complete(env.src, env.tag, env.bytes)
+	d.span.End(d.now())
+}
+
+// unpackShort scatters an inline payload into a non-contiguous receive.
+func (d *device) unpackShort(p *sim.Proc, req *Request, env *envelope) {
+	d.acceptShort(req, env)
+	_, st := pack.GenericUnpack(req.buf, env.payload, req.dt, req.count, 0, env.bytes)
+	d.chargeBlocks(p, st, false)
+	d.finishShort(req, env)
 }
 
 // deliverEager copies data out of the eager slot and returns the credit.
-func (d *device) deliverEager(p *sim.Proc, req *recvReq, env *envelope) {
+func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	d.capacity(req, env.bytes)
 	d.stats.eagerRecvd.Add(1)
 	d.stats.bytesRecvd.Add(env.bytes)
@@ -314,27 +425,28 @@ func (d *device) deliverEager(p *sim.Proc, req *recvReq, env *envelope) {
 	}
 	// The credit goes back whether or not the slot could be read: the
 	// sender must not block on a slot this side has finished with.
-	d.rk.w.ring(p, d.rk.id, env.src, &envelope{
+	d.rk.w.ring(p, d.rk.id, env.src, envelope{
 		kind: envEagerAck, src: d.rk.id, dst: env.src, slot: env.slot,
 	}, false)
 	if err != nil {
-		d.failRecv(p, req, env, err)
-		return
+		d.failRecv(req, env.src, env.tag, err)
+	} else {
+		req.complete(env.src, env.tag, env.bytes)
 	}
-	req.done.Complete(&Status{Source: env.src, Tag: env.tag, Bytes: env.bytes})
+	d.span.End(p.Now())
 }
 
 // failRecv completes a matched receive with the typed error of a failed
 // drain: the port's segment was revoked under the receive.
-func (d *device) failRecv(p *sim.Proc, req *recvReq, env *envelope, err error) {
-	d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
-		"receive from %d tag %d failed: %v", env.src, env.tag, err)
+func (d *device) failRecv(req *Request, src, tag int, err error) {
+	d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
+		"receive from %d tag %d failed: %v", src, tag, err)
 	req.done.Complete(err)
 }
 
 // startRendezvous negotiates the transfer mode and grants the sender the
 // rendezvous buffer.
-func (d *device) startRendezvous(p *sim.Proc, req *recvReq, env *envelope) {
+func (d *device) startRendezvous(p *sim.Proc, req *Request, env *envelope) {
 	d.capacity(req, env.bytes)
 	d.stats.rdvRecvd.Add(1)
 	mode := rdvGeneric
@@ -349,20 +461,20 @@ func (d *device) startRendezvous(p *sim.Proc, req *recvReq, env *envelope) {
 	}
 	if env.bytes == 0 {
 		// A zero-byte synchronous send: the CTS itself completes it.
-		d.rk.w.ring(p, d.rk.id, env.src, &envelope{
+		d.rk.w.ring(p, d.rk.id, env.src, envelope{
 			kind: envRdvCTS, src: d.rk.id, dst: env.src,
 			reqID: env.reqID, chunk: int(mode), reply: env.reply,
 		}, false)
-		req.done.Complete(&Status{Source: env.src, Tag: env.tag, Bytes: 0})
+		req.complete(env.src, env.tag, 0)
 		return
 	}
-	st := &rdvRecv{req: req, env: env, mode: mode}
+	st := &rdvRecv{req: req, src: env.src, tag: env.tag, bytes: env.bytes, mode: mode}
 	if mode == rdvFF {
 		st.cur = pack.NewCursor(req.dt, req.count)
 	}
 	d.rdv[env.reqID] = st
 	d.rk.fl.Record(p.Now(), flight.KRdvCTS, int64(env.src), env.reqID, int64(mode), 0)
-	d.rk.w.ring(p, d.rk.id, env.src, &envelope{
+	d.rk.w.ring(p, d.rk.id, env.src, envelope{
 		kind: envRdvCTS, src: d.rk.id, dst: env.src,
 		reqID: env.reqID, chunk: int(mode), reply: env.reply,
 	}, false)
@@ -397,7 +509,7 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 	csp.SetBytes(n)
 	if st.err == nil {
 		if st.err = d.drainChunk(p, st, env); st.err != nil {
-			d.failRecv(p, st.req, st.env, st.err)
+			d.failRecv(st.req, st.src, st.tag, st.err)
 		}
 	}
 	csp.End(p.Now())
@@ -407,15 +519,15 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 	tr.Instantf(p.Now(), d.actor, "rdv",
 		"chunk %d (%d bytes) from %d, mode %d", env.chunk, n, env.src, st.mode)
 	d.rk.fl.Record(p.Now(), flight.KRdvChunk, int64(env.src), env.reqID, n, st.received)
-	d.rk.w.ring(p, d.rk.id, env.src, &envelope{
+	d.rk.w.ring(p, d.rk.id, env.src, envelope{
 		kind: envRdvAck, src: d.rk.id, dst: env.src,
 		reqID: env.reqID, chunk: env.chunk, reply: env.reply,
 	}, false)
-	if st.received >= st.env.bytes {
+	if st.received >= st.bytes {
 		delete(d.rdv, env.reqID)
 		if st.err == nil {
-			d.rk.fl.Record(p.Now(), flight.KRdvDone, int64(env.src), env.reqID, st.env.bytes, 0)
-			st.req.done.Complete(&Status{Source: st.env.src, Tag: st.env.tag, Bytes: st.env.bytes})
+			d.rk.fl.Record(p.Now(), flight.KRdvDone, int64(env.src), env.reqID, st.bytes, 0)
+			st.req.complete(st.src, st.tag, st.bytes)
 		}
 	}
 }
@@ -465,18 +577,18 @@ func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 // the posted receive fails with a typed *CancelledError instead of waiting
 // for the watchdog. Cancels for unknown requests (already completed, or a
 // request packet that never arrived) are ignored.
-func (d *device) handleRdvCancel(p *sim.Proc, env *envelope) {
+func (d *device) handleRdvCancel(env *envelope) {
 	st, ok := d.rdv[env.reqID]
 	if !ok {
-		d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
+		d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
 			"ignoring cancel for unknown rendezvous %d from %d", env.reqID, env.src)
 		return
 	}
 	delete(d.rdv, env.reqID)
 	d.stats.rdvCancels.Add(1)
-	d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
+	d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
 		"rendezvous %d cancelled by %d after %d bytes", env.reqID, env.src, st.received)
-	d.rk.fl.Record(p.Now(), flight.KRdvCancel, int64(env.src), env.reqID, st.received, 0)
+	d.rk.fl.Record(d.now(), flight.KRdvCancel, int64(env.src), env.reqID, st.received, 0)
 	if st.err == nil {
 		st.req.done.Complete(&CancelledError{Sender: env.src, ReqID: env.reqID})
 	}
@@ -489,7 +601,7 @@ func (d *device) handleRdvCancel(p *sim.Proc, env *envelope) {
 // still match them.
 func (d *device) failFrom(src int, err error) {
 	kept := d.posted[:0]
-	var failed []*recvReq
+	var failed []*Request
 	for _, req := range d.posted {
 		if req.src == src {
 			failed = append(failed, req)
@@ -499,7 +611,7 @@ func (d *device) failFrom(src int, err error) {
 	}
 	d.posted = kept
 	for id, st := range d.rdv {
-		if st.env.src == src {
+		if st.src == src {
 			delete(d.rdv, id)
 			d.stats.rdvCancels.Add(1)
 			failed = append(failed, st.req)

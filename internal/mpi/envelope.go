@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+
 	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 	"scimpich/internal/sim"
@@ -29,8 +31,9 @@ const (
 	// state and fails the posted receive instead of waiting for the
 	// watchdog.
 	envRdvCancel
-	// envLocalPost is a local posting from the rank's own process to its
-	// device (posted receive); it never crosses the wire.
+	// envLocalPost is a posted receive. The Request itself queues at the
+	// device, so no envelope carries this kind; it keeps its place because
+	// flight dumps record kinds by number.
 	envLocalPost
 	// envLocalProbe queries the unexpected queue (MPI_Probe/Iprobe).
 	envLocalProbe
@@ -39,41 +42,51 @@ const (
 	envOSC
 	// envOSCReply answers an envOSC request.
 	envOSCReply
+
+	envKindCount
 )
 
+var envKindNames = [envKindCount]string{
+	envShort:      "short",
+	envEager:      "eager",
+	envEagerAck:   "eager-ack",
+	envRdvReq:     "rdv-req",
+	envRdvCTS:     "rdv-cts",
+	envRdvData:    "rdv-data",
+	envRdvAck:     "rdv-ack",
+	envRdvCancel:  "rdv-cancel",
+	envLocalPost:  "local-post",
+	envLocalProbe: "local-probe",
+	envOSC:        "osc",
+	envOSCReply:   "osc-reply",
+}
+
 func (k envKind) String() string {
-	switch k {
-	case envShort:
-		return "short"
-	case envEager:
-		return "eager"
-	case envEagerAck:
-		return "eager-ack"
-	case envRdvReq:
-		return "rdv-req"
-	case envRdvCTS:
-		return "rdv-cts"
-	case envRdvData:
-		return "rdv-data"
-	case envRdvAck:
-		return "rdv-ack"
-	case envRdvCancel:
-		return "rdv-cancel"
-	case envLocalPost:
-		return "local-post"
-	case envOSC:
-		return "osc"
-	case envOSCReply:
-		return "osc-reply"
-	default:
+	if k < 0 || k >= envKindCount {
 		return "unknown"
 	}
+	return envKindNames[k]
 }
 
 // envelope is one control packet. The payload of short messages rides in
 // the envelope (as it does in a real control packet); everything else
 // refers to memory the sender has already written remotely.
+//
+// Envelopes are recycled through the world's free list (World.newEnvelope,
+// World.freeEnvelope). An envelope has one owner at a time — the delivery
+// event, then the device queue it waits in, then the handler or the sender
+// process a control reply is forwarded to — and whoever reads it last frees
+// it: the device after delivering a message, dropping a duplicate or serving
+// a control packet that ends with it (a rendezvous copies what it needs of
+// its request packet); the sender after consuming a CTS, ack or one-sided
+// reply.
 type envelope struct {
+	// gen is odd while the envelope is handed out and even while it sits in
+	// the free list; every reader checks it (see live).
+	gen uint32
+	// to is the device the delivery event posts the envelope to.
+	to *device
+
 	kind     envKind
 	src, dst int
 	tag      int
@@ -90,8 +103,8 @@ type envelope struct {
 
 	// short protocol. payloadBuf is the pooled buffer backing payload (nil
 	// for unpooled payloads); the receiving device recycles it after the
-	// final read. Injected duplicate envelopes share the pointer, but the
-	// sequence check drops them before the payload is touched.
+	// final read. An injected duplicate is a copy without the payload: the
+	// sequence check drops it before the payload would be touched.
 	payload    []byte
 	payloadBuf *bufpool.Buf
 
@@ -105,8 +118,7 @@ type envelope struct {
 	fingerprt uint64
 	reply     *sim.Chan // sender-side channel for CTS/ACK delivery
 
-	// local post
-	post  *recvReq
+	// local probe
 	probe *probeReq
 
 	// one-sided communication
@@ -136,13 +148,45 @@ func (r *probeReq) matches(src, tag, ctx int) bool {
 	return true
 }
 
-// recvReq is a posted receive waiting for a match.
+// live panics unless the envelope is handed out: a reader holding one that
+// went back to the free list (or came out of it again for another packet
+// since) is a recycling bug, and must not pass silently.
+func (e *envelope) live() {
+	if e.gen&1 == 0 {
+		panic(fmt.Sprintf("mpi: %v envelope read after it was recycled (generation %d)", e.kind, e.gen))
+	}
+}
+
+// newEnvelope hands out a recycled (or, with none free, a new) envelope
+// holding e. The free list is a plain slice: a world lives on one host,
+// whose processes and callbacks run one at a time.
+func (w *World) newEnvelope(e envelope) *envelope {
+	var env *envelope
+	if n := len(w.envFree); n > 0 {
+		env = w.envFree[n-1]
+		w.envFree = w.envFree[:n-1]
+	} else {
+		env = new(envelope)
+	}
+	e.gen = env.gen + 1
+	*env = e
+	return env
+}
+
+// freeEnvelope takes env back after its last read. The list holds only
+// envelopes that were in flight at once; it is never pre-sized.
+func (w *World) freeEnvelope(env *envelope) {
+	env.live()
+	*env = envelope{gen: env.gen + 1}
+	w.envFree = append(w.envFree, env)
+}
+
+// recvReq is the matching key and destination of a posted receive.
 type recvReq struct {
 	ctx, src, tag int // src/tag may be wildcards
 	buf           []byte
 	count         int
 	dt            *datatype.Type
-	done          *sim.Future // completes with *Status
 }
 
 // Status describes a completed receive.

@@ -23,7 +23,7 @@ func (c *Comm) SetOSCHandler(h func(p *sim.Proc, src int, req any) any) {
 		if env.reply == nil {
 			return // fire-and-forget notification
 		}
-		c.w.ring(p, c.rk.id, env.src, &envelope{
+		c.w.ring(p, c.rk.id, env.src, envelope{
 			kind: envOSCReply, src: c.rk.id, dst: env.src,
 			osc: reply, reply: env.reply,
 		}, false)
@@ -37,12 +37,20 @@ func (c *Comm) SetOSCHandler(h func(p *sim.Proc, src int, req any) any) {
 func (c *Comm) OSCCall(target int, req any, interrupt bool) any {
 	reply := sim.NewChan(1)
 	c.countOSCDelivery(interrupt)
-	c.w.ring(c.p, c.rk.id, target, &envelope{
+	c.w.ring(c.p, c.rk.id, target, envelope{
 		kind: envOSC, src: c.rk.id, dst: target,
 		osc: req, reply: reply,
 	}, interrupt)
-	env := c.p.Recv(reply).(*envelope)
-	return env.osc
+	return c.oscReply(c.p.Recv(reply))
+}
+
+// oscReply unwraps a one-sided reply taken off its reply channel; the
+// envelope ends here.
+func (c *Comm) oscReply(v any) any {
+	env := c.ctlEnvelope(v)
+	reply := env.osc
+	c.w.freeEnvelope(env)
+	return reply
 }
 
 // OSCCallTimeout is OSCCall with a watchdog: it returns (reply, true) on
@@ -55,7 +63,7 @@ func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.
 	}
 	reply := sim.NewChan(1)
 	c.countOSCDelivery(interrupt)
-	c.w.ring(c.p, c.rk.id, target, &envelope{
+	c.w.ring(c.p, c.rk.id, target, envelope{
 		kind: envOSC, src: c.rk.id, dst: target,
 		osc: req, reply: reply,
 	}, interrupt)
@@ -64,13 +72,13 @@ func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.
 		c.rk.dev.stats.sendTimeouts.Add(1)
 		return nil, false
 	}
-	return v.(*envelope).osc, true
+	return c.oscReply(v), true
 }
 
 // OSCNotify invokes the remote handler without waiting for a reply.
 func (c *Comm) OSCNotify(target int, req any, interrupt bool) {
 	c.countOSCDelivery(interrupt)
-	c.w.ring(c.p, c.rk.id, target, &envelope{
+	c.w.ring(c.p, c.rk.id, target, envelope{
 		kind: envOSC, src: c.rk.id, dst: target,
 		osc: req, reply: nil,
 	}, interrupt)

@@ -61,7 +61,7 @@ func (c *Comm) Probe(src, tag int) *Status {
 		src = c.worldRank(src)
 	}
 	req := &probeReq{ctx: c.ctx, src: src, tag: tag, done: sim.NewFuture()}
-	sim.Post(c.rk.dev.inbox, &envelope{kind: envLocalProbe, probe: req})
+	c.rk.dev.post(c.rk.w.newEnvelope(envelope{kind: envLocalProbe, probe: req}))
 	st := *c.p.Await(req.done).(*Status)
 	st.Source = c.localRank(st.Source)
 	return &st
@@ -75,7 +75,7 @@ func (c *Comm) Iprobe(src, tag int) (*Status, bool) {
 		src = c.worldRank(src)
 	}
 	req := &probeReq{ctx: c.ctx, src: src, tag: tag, immediate: true, done: sim.NewFuture()}
-	sim.Post(c.rk.dev.inbox, &envelope{kind: envLocalProbe, probe: req})
+	c.rk.dev.post(c.rk.w.newEnvelope(envelope{kind: envLocalProbe, probe: req}))
 	v := c.p.Await(req.done)
 	if v == nil {
 		return nil, false

@@ -82,7 +82,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		sp := tr.StartSpan(p.Now(), c.rk.actor, "send", "self")
 		sp.SetBytes(bytes)
 		payload := c.packCanonical(buf, count, dt, bytes)
-		w.ring(p, c.rk.id, dst, &envelope{
+		w.ring(p, c.rk.id, dst, envelope{
 			kind: envShort, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,
 			bytes: bytes, payload: payload.B, payloadBuf: payload, sig: sendSig(dt),
 		}, false)
@@ -238,7 +238,7 @@ func (c *Comm) sendShort(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 		}
 		c.p.Sleep(sim.RateDuration(bytes, bw))
 	}
-	w.ring(c.p, c.rk.id, dst, &envelope{
+	w.ring(c.p, c.rk.id, dst, envelope{
 		kind: envShort, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,
 		bytes: bytes, payload: payload.B, payloadBuf: payload, sig: sendSig(dt),
 	}, false)
@@ -280,7 +280,7 @@ func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 		out.credits.Release(slot) // the slot was never announced
 		return err
 	}
-	w.ring(c.p, c.rk.id, dst, &envelope{
+	w.ring(c.p, c.rk.id, dst, envelope{
 		kind: envEager, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,
 		bytes: bytes, slot: slot, sig: sendSig(dt),
 	}, false)
@@ -301,7 +301,7 @@ func (c *Comm) sendRendezvousTo(buf []byte, count int, dt *datatype.Type, dst, t
 func (c *Comm) recvCtl(reply *sim.Chan, dst int) (*envelope, error) {
 	to := c.rk.w.rendezvousTimeoutEff()
 	if to <= 0 {
-		return c.p.Recv(reply).(*envelope), nil
+		return c.ctlEnvelope(c.p.Recv(reply)), nil
 	}
 	v, ok := c.p.RecvTimeout(reply, to)
 	if !ok {
@@ -313,30 +313,41 @@ func (c *Comm) recvCtl(reply *sim.Chan, dst int) (*envelope, error) {
 		}
 		return nil, &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: dst, At: c.p.Now()}
 	}
-	return v.(*envelope), nil
+	return c.ctlEnvelope(v), nil
+}
+
+// ctlEnvelope is a control reply taken off a reply channel: the device
+// forwarded it, so the calling process is its last reader and must free it.
+func (c *Comm) ctlEnvelope(v any) *envelope {
+	env := v.(*envelope)
+	env.live()
+	return env
 }
 
 // expectCtl waits for a rendezvous control packet of the given kind from
-// dst. A stray CTS while an ack is due (an injected retransmission racing
-// the data chunks) is counted and skipped; any other unexpected kind
-// surfaces as a *ProtocolError so the operation degrades instead of
-// crashing the rank.
-func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (*envelope, error) {
+// dst and returns its chunk field (the transfer mode of a CTS, the chunk
+// index of an ack); the packet ends here and is freed. A stray CTS while an
+// ack is due (an injected retransmission racing the data chunks) is counted
+// and skipped; any other unexpected kind surfaces as a *ProtocolError so
+// the operation degrades instead of crashing the rank.
+func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (int, error) {
 	for {
 		env, err := c.recvCtl(reply, dst)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if env.kind == want {
-			return env, nil
+		got, chunk := env.kind, env.chunk
+		c.rk.w.freeEnvelope(env)
+		if got == want {
+			return chunk, nil
 		}
-		if want == envRdvAck && env.kind == envRdvCTS {
+		if want == envRdvAck && got == envRdvCTS {
 			c.rk.dev.stats.duplicates.Add(1)
 			c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
-				"ignoring stray %v from %d while waiting for %v", env.kind, dst, want)
+				"ignoring stray %v from %d while waiting for %v", got, dst, want)
 			continue
 		}
-		return nil, &ProtocolError{Want: want.String(), Got: env.kind.String(), From: c.rk.id, To: dst}
+		return 0, &ProtocolError{Want: want.String(), Got: got.String(), From: c.rk.id, To: dst}
 	}
 }
 
@@ -349,7 +360,7 @@ func (c *Comm) cancelRendezvous(dst int, reqID int64) {
 	w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 		"cancelling rendezvous %d to %d", reqID, dst)
 	c.rk.fl.Record(c.p.Now(), flight.KRdvCancel, int64(dst), reqID, 0, 0)
-	w.ring(c.p, c.rk.id, dst, &envelope{
+	w.ring(c.p, c.rk.id, dst, envelope{
 		kind: envRdvCancel, src: c.rk.id, dst: dst, reqID: reqID,
 	}, true)
 }
@@ -378,7 +389,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 	if !dt.Contiguous() {
 		fp = dt.Flat().Fingerprint()
 	}
-	w.ring(p, c.rk.id, dst, &envelope{
+	w.ring(p, c.rk.id, dst, envelope{
 		kind: envRdvReq, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,
 		bytes: bytes, reqID: reqID, fingerprt: fp, reply: reply, sig: sendSig(dt),
 	}, false)
@@ -388,7 +399,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 		c.cancelRendezvous(dst, reqID)
 		return err
 	}
-	mode := rdvMode(cts.chunk)
+	mode := rdvMode(cts)
 
 	// A resumable cursor carries find_position state across chunks: the
 	// sequential continuation at each chunk boundary is O(1), and a retried
@@ -431,7 +442,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 			c.cancelRendezvous(dst, reqID)
 			return err
 		}
-		w.ring(p, c.rk.id, dst, &envelope{
+		w.ring(p, c.rk.id, dst, envelope{
 			kind: envRdvData, src: c.rk.id, dst: dst,
 			reqID: reqID, chunk: chunk, chunkLen: n, reply: reply,
 		}, false)
@@ -658,8 +669,7 @@ func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag in
 	if timeout <= 0 {
 		return r.WaitChecked()
 	}
-	v, ok := c.p.AwaitTimeout(r.done, timeout)
-	if !ok {
+	if _, ok := c.p.AwaitTimeout(&r.done, timeout); !ok {
 		c.rk.dev.stats.sendTimeouts.Add(1)
 		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 			"receive watchdog expired (src %d tag %d) after %v", src, tag, timeout)
@@ -673,26 +683,36 @@ func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag in
 		c.rk.fl.Fail(c.p.Now(), flight.OpRecv, src, err)
 		return nil, err
 	}
-	if err, ok := v.(error); ok {
+	st, err := r.WaitChecked()
+	if err != nil {
 		c.rk.fl.Fail(c.p.Now(), flight.OpRecv, src, err)
-		return nil, err
 	}
-	st := *v.(*Status)
-	st.Source = c.localRank(st.Source)
-	return &st, nil
+	return st, err
 }
 
-// Request is a handle on an outstanding nonblocking operation.
+// Request is a handle on an outstanding nonblocking operation. A receive is
+// one object for its whole life: the matching key the device queues, the
+// future the caller waits on and the status it gets back are all embedded.
 type Request struct {
-	p    *sim.Proc
-	c    *Comm
-	done *sim.Future
+	p *sim.Proc
+	c *Comm
+	recvReq
+	done   sim.Future // completes with &status, an error, or nil (sends)
+	status Status
+}
+
+// complete finishes a receive matched to a message of bytes from world rank
+// src; the status Source is communicator-local.
+func (r *Request) complete(src, tag int, bytes int64) {
+	r.status = Status{Source: r.c.localRank(src), Tag: tag, Bytes: bytes}
+	r.done.Complete(&r.status)
 }
 
 // Wait blocks until the operation completes, returning the receive status
 // (nil for sends). The status Source is communicator-local. An operation
-// that failed (e.g. the sender cancelled its rendezvous after a permanent
-// deposit failure) panics; use WaitChecked to handle it as an error.
+// that failed (a send to a crashed or revoked peer, a receive whose sender
+// cancelled its rendezvous after a permanent deposit failure) panics; use
+// WaitChecked to handle it as an error.
 func (r *Request) Wait() *Status {
 	st, err := r.WaitChecked()
 	if err != nil {
@@ -702,20 +722,16 @@ func (r *Request) Wait() *Status {
 }
 
 // WaitChecked is Wait returning failures as typed errors: a receive whose
-// rendezvous the sender abandoned completes with a *CancelledError.
+// rendezvous the sender abandoned completes with a *CancelledError, a
+// nonblocking send with the error SendChecked would have returned.
 func (r *Request) WaitChecked() (*Status, error) {
-	v := r.p.Await(r.done)
-	if v == nil {
-		return nil, nil
+	switch v := r.p.Await(&r.done).(type) {
+	case error:
+		return nil, v
+	case *Status:
+		return v, nil
 	}
-	if err, ok := v.(error); ok {
-		return nil, err
-	}
-	st := *v.(*Status)
-	if r.c != nil {
-		st.Source = r.c.localRank(st.Source)
-	}
-	return &st, nil
+	return nil, nil
 }
 
 // Done reports whether the operation has completed (MPI_Test).
@@ -734,30 +750,32 @@ func (c *Comm) irecv(buf []byte, count int, dt *datatype.Type, src, tag, ctx int
 	if src != AnySource {
 		src = c.worldRank(src)
 	}
-	req := &recvReq{
+	req := &Request{p: c.p, c: c, recvReq: recvReq{
 		ctx: ctx, src: src, tag: tag,
 		buf: buf, count: count, dt: dt,
-		done: sim.NewFuture(),
-	}
+	}}
 	c.rk.fl.Record(c.p.Now(), flight.KRecvPost, int64(src), int64(tag), dt.Size()*int64(count), 0)
-	sim.Post(c.rk.dev.inbox, &envelope{kind: envLocalPost, post: req})
-	return &Request{p: c.p, c: c, done: req.done}
+	c.rk.dev.post(req)
+	return req
 }
 
 // Isend starts a nonblocking send. The transfer work runs on a transient
-// helper process; Wait returns once the user buffer is reusable.
+// helper process; Wait returns once the user buffer is reusable. A transfer
+// failure completes the request with the typed error, so it reaches the
+// caller of WaitChecked instead of ending the run from inside the helper.
 func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Request {
-	done := sim.NewFuture()
+	req := &Request{p: c.p, c: c}
 	helper := *c
 	c.rk.w.host.Go(fmt.Sprintf("isend%d->%d", c.rk.id, dst), func(p *sim.Proc) {
 		h := helper
 		h.p = p
 		if err := h.send(buf, count, dt, dst, tag, c.ctx); err != nil {
-			panic(err)
+			req.done.Complete(err)
+			return
 		}
-		done.Complete(nil)
+		req.done.Complete(nil)
 	})
-	return &Request{p: c.p, c: c, done: done}
+	return req
 }
 
 // Sendrecv performs a simultaneous send and receive (deadlock-free).

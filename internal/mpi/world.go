@@ -227,6 +227,9 @@ type World struct {
 	collLive  collEWMATable
 	collSnaps map[collSnapKey]*collSnap
 
+	// envFree is the envelope free list (see envelope).
+	envFree []*envelope
+
 	met worldMetrics
 	// packFF/packGeneric accumulate the block structure of every pack and
 	// unpack operation charged on this world, per engine (see PackStats).
@@ -541,12 +544,14 @@ func (rk *rank) buildSendPorts() {
 	}
 }
 
-// ring delivers an envelope from rank src to rank dst's device inbox,
+// ring delivers an envelope from rank src to rank dst's device,
 // charging the transport-appropriate control-packet cost. interrupt selects
-// the remote-interrupt path (for targets that are not polling).
-func (w *World) ring(p *sim.Proc, src, dst int, env *envelope, interrupt bool) {
+// the remote-interrupt path (for targets that are not polling). The packet
+// is passed by value and takes an envelope from the free list only once it
+// is certain to arrive.
+func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 	if src == dst {
-		sim.Post(w.ranks[dst].dev.inbox, env)
+		w.ranks[dst].dev.post(w.newEnvelope(e))
 		return
 	}
 	if w.revoked[src] || w.revoked[dst] {
@@ -554,23 +559,21 @@ func (w *World) ring(p *sim.Proc, src, dst int, env *envelope, interrupt bool) {
 		// even a restored node's stale traffic (old sequence numbers, late
 		// rendezvous chunks) must never reach a world that shrank past it.
 		w.cfg.Tracer.Instantf(p.Now(), w.ranks[src].actor, "fault",
-			"control packet %v -> %d dropped (rank revoked)", env.kind, dst)
-		w.ranks[src].fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(dst), flight.DropRevoked, 0)
+			"control packet %v -> %d dropped (rank revoked)", e.kind, dst)
+		w.ranks[src].fl.Record(p.Now(), flight.KPacketDrop, int64(e.kind), int64(dst), flight.DropRevoked, 0)
 		return
 	}
 	from, to := w.ranks[src], w.ranks[dst]
+	e.to = to.dev
 	if from.node == to.node {
 		p.Sleep(60 * time.Nanosecond)
-		delay := w.cfg.Shm.SignalLatency
-		inbox := to.dev.inbox
-		w.host.After(delay, func() { sim.Post(inbox, env) })
+		w.host.AfterCall(w.cfg.Shm.SignalLatency, deliverEnvelope, w.newEnvelope(e))
 		return
 	}
 	if w.nicNet != nil {
 		ncfg := &w.cfg.NIC
 		p.Sleep(ncfg.PerMessageCPU)
-		inbox := to.dev.inbox
-		w.host.After(ncfg.Latency, func() { sim.Post(inbox, env) })
+		w.host.AfterCall(ncfg.Latency, deliverEnvelope, w.newEnvelope(e))
 		return
 	}
 	cfg := &w.cfg.SCI
@@ -580,29 +583,40 @@ func (w *World) ring(p *sim.Proc, src, dst int, env *envelope, interrupt bool) {
 		// paid the issue cost but nothing arrives. Recovery layers detect
 		// this via watchdog timeouts, not via a magic error here.
 		w.cfg.Tracer.Instantf(p.Now(), from.actor, "fault",
-			"control packet %v -> %d dropped (node down)", env.kind, dst)
-		from.fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(dst), flight.DropNodeDown, 0)
+			"control packet %v -> %d dropped (node down)", e.kind, dst)
+		from.fl.Record(p.Now(), flight.KPacketDrop, int64(e.kind), int64(dst), flight.DropNodeDown, 0)
 		return
 	}
-	if dedupable(env.kind) {
+	if dedupable(e.kind) {
 		out := &from.out[dst]
 		out.msgSeq++
-		env.seq = out.msgSeq
+		e.seq = out.msgSeq
 	}
 	delay := cfg.PIOWriteLatency
 	if interrupt {
 		delay += cfg.InterruptLatency
 	}
-	inbox := to.dev.inbox
-	w.host.After(delay, func() { sim.Post(inbox, env) })
-	if w.plan().DrawDuplicate() && dedupable(env.kind) {
+	w.host.AfterCall(delay, deliverEnvelope, w.newEnvelope(e))
+	if w.plan().DrawDuplicate() && dedupable(e.kind) {
 		// Injected retransmission: the same packet arrives a second time one
 		// retry latency later. The receiving device must stay exactly-once.
+		// The duplicate is an envelope of its own, because the device frees
+		// each one it has read; it carries no payload, because the one
+		// pooled buffer belongs to the original and a duplicate is dropped
+		// before its payload would be read.
 		w.cfg.Tracer.Instantf(p.Now(), from.actor, "fault",
-			"duplicated %v envelope -> %d (seq %d)", env.kind, dst, env.seq)
-		from.fl.Record(p.Now(), flight.KDupInject, int64(env.kind), int64(dst), env.seq, 0)
-		w.host.After(delay+cfg.RetryLatency, func() { sim.Post(inbox, env) })
+			"duplicated %v envelope -> %d (seq %d)", e.kind, dst, e.seq)
+		from.fl.Record(p.Now(), flight.KDupInject, int64(e.kind), int64(dst), e.seq, 0)
+		e.payload, e.payloadBuf = nil, nil
+		w.host.AfterCall(delay+cfg.RetryLatency, deliverEnvelope, w.newEnvelope(e))
 	}
+}
+
+// deliverEnvelope is the arrival event of a control packet.
+func deliverEnvelope(arg any) {
+	env := arg.(*envelope)
+	env.live()
+	env.to.post(env)
 }
 
 // dedupable reports whether an envelope kind carries a message the

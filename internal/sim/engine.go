@@ -58,6 +58,23 @@ type eventQueue struct {
 	queue  eventHeap
 	free   []*event // recycled events (hot paths schedule without allocating)
 	events uint64   // events dispatched
+
+	// tieSeed, when non-zero, breaks ties among same-instant events by a
+	// seeded permutation of the scheduling order instead of the order
+	// itself. Nothing outside this package's tests can set it: schedule
+	// exploration runs a program under other event orders that are as valid
+	// as the canonical one, to show that its results do not lean on the
+	// tie-break.
+	tieSeed uint64
+}
+
+// permuteTie maps a scheduling sequence number to its tie-break key under
+// seed: the splitmix64 finalizer, a bijection, so keys stay unique.
+func permuteTie(seq, seed uint64) uint64 {
+	z := seq + seed*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Now returns the current virtual time: the time of the last event
@@ -110,6 +127,9 @@ func (q *eventQueue) schedule(t time.Duration, fn func(), fnArg func(any), arg a
 		ev = new(event)
 	}
 	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg, ev.canceled = t, q.seq, fn, fnArg, arg, false
+	if q.tieSeed != 0 {
+		ev.seq = permuteTie(q.seq, q.tieSeed)
+	}
 	q.seq++
 	heap.Push(&q.queue, ev)
 	return Timer{ev: ev, gen: ev.gen}

@@ -26,6 +26,7 @@ type Fabric interface {
 	Lookahead() time.Duration
 	Run() time.Duration
 	Events() uint64
+	ProcSwitches() uint64
 	Stop()
 }
 
@@ -71,6 +72,7 @@ func (f *seqFabric) Locale(i int) Locale      { return &f.locales[i] }
 func (f *seqFabric) Lookahead() time.Duration { return f.lookahead }
 func (f *seqFabric) Run() time.Duration       { return f.e.Run() }
 func (f *seqFabric) Events() uint64           { return f.e.Events() }
+func (f *seqFabric) ProcSwitches() uint64     { return f.e.ProcSwitches() }
 func (f *seqFabric) Stop()                    { f.e.Stop() }
 
 type seqLocale struct {

@@ -29,6 +29,8 @@ type procRuntime struct {
 	nprocs int     // non-daemon procs spawned and not yet finished
 	procs  []*Proc // registry of all spawned procs (deadlock reports name them)
 
+	switches uint64 // control transfers to a process (dispatch calls)
+
 	// pendingPanic holds a panic recovered from a process body, re-raised
 	// by dispatch on the host's goroutine.
 	pendingPanic *procPanic
@@ -37,6 +39,11 @@ type procRuntime struct {
 	// host's services are gone, so it refuses further processes.
 	released bool
 }
+
+// ProcSwitches returns the number of times control was handed to a process
+// so far: each is two goroutine switches on the host, the dominant wall cost
+// of a simulated message.
+func (rt *procRuntime) ProcSwitches() uint64 { return rt.switches }
 
 // initProcs prepares the runtime (the yield channel cannot be the zero
 // value).
@@ -82,6 +89,9 @@ type Proc struct {
 	// dispatchFn is the cached self-dispatch closure, created once at spawn
 	// so Sleep and wake schedule without allocating.
 	dispatchFn func()
+	// handoff is where a channel deposits the value for p while p is blocked
+	// as its receiver (see takeHandoff).
+	handoff any
 }
 
 // Host returns the host this process runs on (an Engine, a Shard, or a
@@ -143,6 +153,7 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 func (rt *procRuntime) dispatch(p *Proc) {
 	prev := rt.cur
 	rt.cur = p
+	rt.switches++
 	p.resume <- struct{}{}
 	<-rt.yield
 	rt.cur = prev
@@ -214,6 +225,27 @@ func (p *Proc) park() {
 	p.checkCurrent("park")
 	p.parked = true
 	p.yieldToHost()
+}
+
+// Park blocks the process until an event callback calls Resume on it.
+func (p *Proc) Park() { p.park() }
+
+// Resume continues a process blocked in Park inside the current event:
+// control passes to p at once and comes back when p next blocks. It serves a
+// handler whose requests arrive as events and only sometimes need a stack —
+// the callback does the bookkeeping and resumes the process for the rest at
+// the same instant and event sequence number, where waking it would cost a
+// further event. Only an event callback may call it: a process that resumed
+// another would leave two goroutines waiting on the host's yield handshake.
+func (p *Proc) Resume() {
+	if p.rt.cur != nil {
+		panic(fmt.Sprintf("sim: Resume of process %q from process %q, not from an event callback", p.name, p.rt.cur.name))
+	}
+	if !p.parked {
+		panic(fmt.Sprintf("sim: Resume of non-parked process %q", p.name))
+	}
+	p.parked = false
+	p.rt.dispatch(p)
 }
 
 // wake schedules a parked process to resume at the current virtual time.

@@ -202,6 +202,15 @@ func (se *ShardedEngine) Events() uint64 {
 	return n
 }
 
+// ProcSwitches returns the total process dispatches across all shards.
+func (se *ShardedEngine) ProcSwitches() uint64 {
+	var n uint64
+	for _, s := range se.shards {
+		n += s.switches
+	}
+	return n
+}
+
 // Stop makes Run return once every shard finishes its current event.
 func (se *ShardedEngine) Stop() { se.stopped.Store(true) }
 

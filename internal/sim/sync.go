@@ -5,10 +5,15 @@ import "time"
 // Virtual-time synchronization primitives. All of them are deterministic:
 // waiters are queued and released in FIFO order.
 
-// Future is a one-shot completion event carrying an optional value.
+// Future is a one-shot completion event carrying an optional value. The
+// zero value is an incomplete future, so one can be embedded by value in the
+// object whose completion it reports.
 type Future struct {
-	done      bool
-	value     any
+	done  bool
+	value any
+	// waiter is the first process to wait, held inline so that the common
+	// one-waiter future allocates no list; later arrivals queue in waiters.
+	waiter    *Proc
 	waiters   []*Proc
 	callbacks []func(any)
 }
@@ -30,6 +35,10 @@ func (f *Future) Complete(v any) {
 	}
 	f.done = true
 	f.value = v
+	if f.waiter != nil {
+		f.waiter.wake()
+		f.waiter = nil
+	}
 	for _, p := range f.waiters {
 		p.wake()
 	}
@@ -52,12 +61,39 @@ func (f *Future) OnComplete(fn func(any)) {
 	f.callbacks = append(f.callbacks, fn)
 }
 
+// addWaiter queues p behind the processes already waiting. The inline slot
+// is used only while the list is empty, so waiters wake in arrival order
+// even after a timeout vacated the slot.
+func (f *Future) addWaiter(p *Proc) {
+	if f.waiter == nil && len(f.waiters) == 0 {
+		f.waiter = p
+		return
+	}
+	f.waiters = append(f.waiters, p)
+}
+
+// dropWaiter removes p from the waiters and reports whether it was still
+// one: Complete clears them before waking, so false means the future fired.
+func (f *Future) dropWaiter(p *Proc) bool {
+	if f.waiter == p {
+		f.waiter = nil
+		return true
+	}
+	for i, w := range f.waiters {
+		if w == p {
+			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 // Await blocks p until the future completes and returns its value.
 func (p *Proc) Await(f *Future) any {
 	if f.done {
 		return f.value
 	}
-	f.waiters = append(f.waiters, p)
+	f.addWaiter(p)
 	p.park()
 	return f.value
 }
@@ -69,18 +105,12 @@ func (p *Proc) AwaitTimeout(f *Future, d time.Duration) (any, bool) {
 	if f.done {
 		return f.value, true
 	}
-	f.waiters = append(f.waiters, p)
+	f.addWaiter(p)
 	timedOut := false
 	t := p.host.After(d, func() {
-		// Complete clears f.waiters before waking, so if the future has
-		// fired we will not find p here and must not wake it again.
-		for i, w := range f.waiters {
-			if w == p {
-				f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-				timedOut = true
-				p.wake()
-				return
-			}
+		if f.dropWaiter(p) {
+			timedOut = true
+			p.wake()
 		}
 	})
 	p.park()
@@ -98,20 +128,75 @@ func (p *Proc) AwaitAll(fs ...*Future) {
 	}
 }
 
+// FIFO is a first-in-first-out queue in a circular buffer. Pop moves a head
+// index instead of re-slicing, so a queue that fills and drains at a steady
+// rate keeps one backing array for good; the buffer only ever grows to the
+// largest number of items that were queued at once.
+type FIFO[T any] struct {
+	buf     []T
+	head, n int
+}
+
+// Len returns the number of queued items.
+func (q *FIFO[T]) Len() int { return q.n }
+
+// at returns the i-th oldest item's slot.
+func (q *FIFO[T]) at(i int) *T {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
+
+// Push queues v behind the items already there.
+func (q *FIFO[T]) Push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(4, 2*q.n))
+		for i := 0; i < q.n; i++ {
+			grown[i] = *q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.n++
+	*q.at(q.n - 1) = v
+}
+
+// Pop removes and returns the oldest item; the queue must not be empty.
+func (q *FIFO[T]) Pop() T {
+	slot := q.at(0)
+	v := *slot
+	var zero T
+	*slot = zero
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return v
+}
+
+// removeAt deletes the i-th oldest item, keeping the order of the rest.
+func (q *FIFO[T]) removeAt(i int) {
+	for ; i < q.n-1; i++ {
+		*q.at(i) = *q.at(i + 1)
+	}
+	var zero T
+	*q.at(q.n - 1) = zero
+	q.n--
+}
+
 // Chan is a virtual-time channel with an optional buffer. An unbuffered
 // channel (capacity 0) rendezvous: Send blocks until a receiver takes the
 // value.
 type Chan struct {
 	cap     int
-	buf     []any
-	senders []chanWaiter // blocked senders with their values
-	recvers []chanWaiter // blocked receivers
+	buf     FIFO[any]
+	senders FIFO[chanSender] // blocked senders with their values
+	recvers FIFO[*Proc]      // blocked receivers; the value is handed over in Proc.handoff
 }
 
-type chanWaiter struct {
+type chanSender struct {
 	p   *Proc
-	val any  // senders: value to deliver; receivers: filled in on handoff
-	box *any // receivers: where to deposit the value
+	val any
 }
 
 // NewChan returns a channel with the given buffer capacity.
@@ -123,51 +208,51 @@ func NewChan(capacity int) *Chan {
 }
 
 // Len returns the number of buffered values.
-func (c *Chan) Len() int { return len(c.buf) }
+func (c *Chan) Len() int { return c.buf.Len() }
+
+// handOff gives v to the oldest blocked receiver, if there is one.
+func (c *Chan) handOff(v any) bool {
+	if c.recvers.Len() == 0 {
+		return false
+	}
+	r := c.recvers.Pop()
+	r.handoff = v
+	r.wake()
+	return true
+}
 
 // Send delivers v on the channel, blocking in virtual time if no buffer
 // space and no waiting receiver exists.
 func (p *Proc) Send(c *Chan, v any) {
-	if len(c.recvers) > 0 {
-		w := c.recvers[0]
-		c.recvers = c.recvers[1:]
-		*w.box = v
-		w.p.wake()
+	if c.handOff(v) {
 		return
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.Len() < c.cap {
+		c.buf.Push(v)
 		return
 	}
-	c.senders = append(c.senders, chanWaiter{p: p, val: v})
+	c.senders.Push(chanSender{p: p, val: v})
 	p.park()
 }
 
 // Recv takes the next value from the channel, blocking in virtual time
 // until one is available.
 func (p *Proc) Recv(c *Chan) any {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
-		// A blocked sender can now occupy the freed buffer slot.
-		if len(c.senders) > 0 {
-			w := c.senders[0]
-			c.senders = c.senders[1:]
-			c.buf = append(c.buf, w.val)
-			w.p.wake()
-		}
+	if v, ok := p.TryRecv(c); ok {
 		return v
 	}
-	if len(c.senders) > 0 {
-		w := c.senders[0]
-		c.senders = c.senders[1:]
-		w.p.wake()
-		return w.val
-	}
-	var box any
-	c.recvers = append(c.recvers, chanWaiter{p: p, box: &box})
+	c.recvers.Push(p)
 	p.park()
-	return box
+	return p.takeHandoff()
+}
+
+// takeHandoff returns the value a channel handed to p while it was blocked
+// as a receiver. A blocked process waits on one channel, so the slot lives
+// in the Proc and a blocking Recv allocates nothing.
+func (p *Proc) takeHandoff() any {
+	v := p.handoff
+	p.handoff = nil
+	return v
 }
 
 // Post delivers v on the channel without a sending process. It never
@@ -175,20 +260,27 @@ func (p *Proc) Recv(c *Chan) any {
 // channel's nominal capacity. Post is intended for event callbacks (timer
 // and delivery events), which have no process context.
 func Post(c *Chan, v any) {
-	if len(c.recvers) > 0 {
-		w := c.recvers[0]
-		c.recvers = c.recvers[1:]
-		*w.box = v
-		w.p.wake()
-		return
+	if !c.handOff(v) {
+		c.buf.Push(v)
 	}
-	c.buf = append(c.buf, v)
 }
 
 // TryRecv takes a value if one is immediately available without blocking.
 func (p *Proc) TryRecv(c *Chan) (any, bool) {
-	if len(c.buf) > 0 || len(c.senders) > 0 {
-		return p.Recv(c), true
+	if c.buf.Len() > 0 {
+		v := c.buf.Pop()
+		// A blocked sender can now occupy the freed buffer slot.
+		if c.senders.Len() > 0 {
+			w := c.senders.Pop()
+			c.buf.Push(w.val)
+			w.p.wake()
+		}
+		return v, true
+	}
+	if c.senders.Len() > 0 {
+		w := c.senders.Pop()
+		w.p.wake()
+		return w.val, true
 	}
 	return nil, false
 }
@@ -200,15 +292,14 @@ func (p *Proc) RecvTimeout(c *Chan, d time.Duration) (any, bool) {
 	if v, ok := p.TryRecv(c); ok {
 		return v, true
 	}
-	var box any
-	c.recvers = append(c.recvers, chanWaiter{p: p, box: &box})
+	c.recvers.Push(p)
 	timedOut := false
 	t := p.host.After(d, func() {
-		// Send/Post remove the waiter before waking, so finding our box
-		// here means no value was handed off.
-		for i := range c.recvers {
-			if c.recvers[i].box == &box {
-				c.recvers = append(c.recvers[:i], c.recvers[i+1:]...)
+		// Send/Post remove the receiver before waking it, so finding p
+		// still queued here means no value was handed off.
+		for i := 0; i < c.recvers.Len(); i++ {
+			if *c.recvers.at(i) == p {
+				c.recvers.removeAt(i)
 				timedOut = true
 				p.wake()
 				return
@@ -220,7 +311,7 @@ func (p *Proc) RecvTimeout(c *Chan, d time.Duration) (any, bool) {
 		return nil, false
 	}
 	t.Cancel()
-	return box, true
+	return p.takeHandoff(), true
 }
 
 // Mutex is a virtual-time mutual-exclusion lock with FIFO waiters.
