@@ -1,8 +1,9 @@
 // Command rmemserve drives the replicated remote-memory service with an
 // open-loop simulated client workload (Zipfian keys, fixed arrival grid)
 // and, optionally, a node crash mid-run. It prints the per-rank outcome —
-// operations, committed ledger sizes, failovers, latency quantiles — and
-// can write the BENCH_rmem.json availability artifact. See docs/ELASTIC.md.
+// operations, committed ledger sizes, failovers, latency quantiles. The
+// gated baseline/churn suite behind BENCH_rmem.json is cmd/benchjson's. See
+// docs/ELASTIC.md.
 package main
 
 import (
@@ -11,7 +12,6 @@ import (
 	"os"
 	"time"
 
-	"scimpich/internal/bench"
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
@@ -27,7 +27,6 @@ func main() {
 	ops := flag.Int("ops", 25, "client operations per round and rank")
 	readFrac := flag.Float64("read-frac", 0.7, "fraction of operations that are gets")
 	gap := flag.Duration("gap", 40*time.Microsecond, "open-loop inter-arrival time")
-	jsonOut := flag.String("json-out", "", "also run the gated baseline/churn suite and write BENCH_rmem.json here")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump here (on first failure, or at end of run)")
 	flag.Parse()
 
@@ -84,19 +83,5 @@ func main() {
 		}
 		fmt.Printf("wrote flight dump %s (%s) — analyze with: go run ./cmd/postmortem %s\n",
 			*flightOut, rec.Reason(), *flightOut)
-	}
-
-	if *jsonOut != "" {
-		rows, ok := bench.RunRmemBench(*seed)
-		fmt.Print(bench.FormatRmem(rows))
-		if err := bench.WriteRmemJSON(*jsonOut, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "rmemserve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "rmemserve: availability gates failed")
-			os.Exit(1)
-		}
 	}
 }

@@ -12,10 +12,7 @@ package bench
 // depend on the chooser.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"scimpich/internal/datatype"
@@ -177,29 +174,10 @@ func dominantCollAlg(reg *obs.Registry, coll string) string {
 	return best
 }
 
-// collFile is the envelope of the BENCH_coll.json artifact.
-type collFile struct {
-	Suite   string       `json:"suite"`
-	Go      string       `json:"go"`
-	GOOS    string       `json:"goos"`
-	GOARCH  string       `json:"goarch"`
-	Results []CollResult `json:"results"`
-}
-
 // WriteCollJSON writes the collective selection matrix as an indented JSON
 // artifact (the BENCH_coll.json regression gate).
 func WriteCollJSON(path string, results []CollResult) error {
-	data, err := json.MarshalIndent(collFile{
-		Suite:   "coll",
-		Go:      runtime.Version(),
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		Results: results,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeArtifact(path, "coll", results)
 }
 
 // FormatColl renders the matrix as an aligned text table. An algorithm

@@ -9,10 +9,7 @@ package bench
 // adaptive chooser tracks the measured-best engine per size class.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
@@ -91,29 +88,10 @@ func dominantPath(reg *obs.Registry) string {
 	return best
 }
 
-// dmaFile is the envelope of the BENCH_dma.json artifact.
-type dmaFile struct {
-	Suite   string          `json:"suite"`
-	Go      string          `json:"go"`
-	GOOS    string          `json:"goos"`
-	GOARCH  string          `json:"goarch"`
-	Results []DMAPathResult `json:"results"`
-}
-
 // WriteDMAJSON writes the path-selection matrix as an indented JSON
 // artifact (the BENCH_dma.json regression gate).
 func WriteDMAJSON(path string, results []DMAPathResult) error {
-	data, err := json.MarshalIndent(dmaFile{
-		Suite:   "dma",
-		Go:      runtime.Version(),
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		Results: results,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeArtifact(path, "dma", results)
 }
 
 // FormatDMAPath renders the matrix as an aligned text table.

@@ -11,25 +11,14 @@ import (
 	"scimpich/internal/sci"
 )
 
-// Ambient observability: a cmd binary opts in with ObsFlags (or a harness
-// with SetObservability), and every driver in this package attaches
-// whatever is installed to the clusters and interconnects it builds. With
-// nothing installed, instrumenting a config is the identity.
+// Ambient observability: a cmd binary opts in with ObsFlags, and every
+// driver in this package attaches whatever is installed to the clusters and
+// interconnects it builds. With nothing installed, instrumenting a config is
+// the identity.
 var (
 	obsTrace   *obs.Trace
 	obsMetrics *obs.Registry
 )
-
-// SetObservability installs the ambient trace and metrics registry picked
-// up by every benchmark driver (nil disables either). ObsFlags wires this
-// to the -trace-out/-metrics-out command line flags; harnesses and tests
-// can call it directly.
-func SetObservability(t *obs.Trace, r *obs.Registry) {
-	obsTrace, obsMetrics = t, r
-}
-
-// Observability returns the ambient trace and registry (nil when disabled).
-func Observability() (*obs.Trace, *obs.Registry) { return obsTrace, obsMetrics }
 
 // instrument attaches the ambient observability to a cluster config. A
 // tracer or registry the driver already set wins.

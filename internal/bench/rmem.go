@@ -4,15 +4,13 @@ package bench
 // the rmem workload runs once crash-free and once with a primary-holding
 // node crashed mid-run. The artifact gates the availability claims — no
 // committed write lost, no client operation failing after the failover
-// epoch, and a p99 get service time under churn within 3x of the crash-free
-// baseline — and reports the ungated recovery economics (failovers, sojourn
-// p99, operation failures during detection) alongside.
+// epoch, and a p99 sojourn time under churn (what the crash stalls: queueing
+// behind detection and recovery included) below one expiry of the world's
+// scaled watchdog — and reports the ungated recovery economics (failovers,
+// service-time quantiles, operation failures during detection) alongside.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"scimpich/internal/fault"
@@ -91,6 +89,28 @@ func rmemRow(scenario string, seed uint64, reports []rmem.RankReport, end time.D
 	return r
 }
 
+// rmemWatchdog is what mpi.AutoTimeout resolves to for the service's
+// windows in the benchmark world: the scaled one-sided synchronisation
+// watchdog, the longest a wait on a silent peer lasts before it is given up.
+func rmemWatchdog() (d time.Duration) {
+	mpi.Run(rmemConfig(nil), func(c *mpi.Comm) { d = c.World().ScaledSyncTimeout() })
+	return d
+}
+
+// gateRmem evaluates the availability gates on the churn row and reports
+// whether all hold. The stall gate bounds the churn sojourn p99 by the
+// watchdog: survivors must learn of a crash from the liveness view and
+// recover, not sit out a watchdog, so the operations queued behind the
+// failover wait less than one expiry. (The get service time cannot carry
+// this claim: it times successful attempts only and reads the same with and
+// without a crash.)
+func gateRmem(churn *RmemResult, watchdog time.Duration) bool {
+	churn.GateNoLostWrites = churn.LostWrites == 0 && churn.LostShards == 0
+	churn.GatePostFailoverClean = churn.FailedAfterRecovery == 0 && churn.Failovers > 0
+	churn.GateP99Bound = churn.SojournP99NS > 0 && churn.SojournP99NS <= int64(watchdog)
+	return churn.GateNoLostWrites && churn.GatePostFailoverClean && churn.GateP99Bound
+}
+
 // RunRmemBench executes the baseline and churn scenarios and evaluates the
 // availability gates on the churn row. ok reports whether every gate holds.
 func RunRmemBench(seed uint64) (rows []RmemResult, ok bool) {
@@ -103,37 +123,14 @@ func RunRmemBench(seed uint64) (rows []RmemResult, ok bool) {
 	churnRep, churnEnd := rmem.RunWorkload(rmemConfig(fault.New(seed).CrashNode(1, RmemCrashAt)), cfg, wl)
 	churn := rmemRow("churn", seed, churnRep, churnEnd)
 
-	churn.GateNoLostWrites = churn.LostWrites == 0 && churn.LostShards == 0
-	churn.GatePostFailoverClean = churn.FailedAfterRecovery == 0 && churn.Failovers > 0
-	churn.GateP99Bound = base.GetP99NS > 0 && churn.GetP99NS <= 3*base.GetP99NS
-
-	ok = churn.GateNoLostWrites && churn.GatePostFailoverClean && churn.GateP99Bound
+	ok = gateRmem(&churn, rmemWatchdog())
 	return []RmemResult{base, churn}, ok
-}
-
-// rmemFile is the envelope of the BENCH_rmem.json artifact.
-type rmemFile struct {
-	Suite   string       `json:"suite"`
-	Go      string       `json:"go"`
-	GOOS    string       `json:"goos"`
-	GOARCH  string       `json:"goarch"`
-	Results []RmemResult `json:"results"`
 }
 
 // WriteRmemJSON writes the failover suite as an indented JSON artifact (the
 // BENCH_rmem.json availability gate).
 func WriteRmemJSON(path string, results []RmemResult) error {
-	data, err := json.MarshalIndent(rmemFile{
-		Suite:   "rmem",
-		Go:      runtime.Version(),
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		Results: results,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeArtifact(path, "rmem", results)
 }
 
 // FormatRmem renders the failover suite as an aligned text table.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"scimpich/internal/datatype"
-	"scimpich/internal/fault"
 )
 
 // Collective operations, built on point-to-point messaging and one-sided
@@ -25,8 +24,10 @@ const (
 	tagScatter = 5 << 20
 )
 
-// mustColl panics on a collective error (the legacy non-checked surface).
-func mustColl(err error) {
+// must is the whole body of the legacy panicking surface: every operation
+// is implemented once, as its Checked form, and the classic name panics on
+// the error that form returns.
+func must(err error) {
 	if err != nil {
 		panic(err)
 	}
@@ -57,15 +58,7 @@ func (c *Comm) waitCollT(r *Request, src, tag int, to time.Duration) error {
 		return err
 	}
 	if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
-		c.rk.dev.stats.sendTimeouts.Add(1)
-		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
-			"collective watchdog expired (src %d tag %d) after %v", src, tag, to)
-		if src != AnySource {
-			if err := c.peerLost(c.worldRank(src)); err != nil {
-				return err
-			}
-		}
-		return &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: src, At: c.p.Now()}
+		return c.watchdogExpired(r.src, "collective watchdog expired (src %d tag %d) after %v", src, tag, to)
 	}
 	_, err := r.WaitChecked()
 	return err
@@ -90,7 +83,7 @@ func (c *Comm) sendrecvColl(sendBuf []byte, sendCount int, sendType *datatype.Ty
 
 // Barrier blocks until every rank has entered it. It panics on transfer
 // failures; use BarrierChecked under fault plans.
-func (c *Comm) Barrier() { mustColl(c.BarrierChecked()) }
+func (c *Comm) Barrier() { must(c.BarrierChecked()) }
 
 // BarrierChecked is Barrier returning failures as typed errors
 // (dissemination algorithm, log2(P) rounds of zero-byte messages).
@@ -122,7 +115,7 @@ func (c *Comm) barrierDissemination() error {
 // Bcast broadcasts count elements of dt from root to every rank. It
 // panics on failures; use BcastChecked under fault plans.
 func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) {
-	mustColl(c.BcastChecked(buf, count, dt, root))
+	must(c.BcastChecked(buf, count, dt, root))
 }
 
 // BcastChecked is Bcast returning failures as typed errors. The engine
@@ -218,7 +211,7 @@ func lowestSetOrSize(vrank, size int) int {
 // linearization as long as all leaves share one basic type. It panics on
 // failures; use ReduceChecked under fault plans.
 func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, root int) {
-	mustColl(c.ReduceChecked(send, recv, count, dt, op, root))
+	must(c.ReduceChecked(send, recv, count, dt, op, root))
 }
 
 // ReduceChecked is Reduce returning failures as typed errors (binomial
@@ -273,7 +266,7 @@ func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op,
 // Allreduce leaves op over every rank's send buffer in every rank's recv
 // buffer. It panics on failures; use AllreduceChecked under fault plans.
 func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op) {
-	mustColl(c.AllreduceChecked(send, recv, count, dt, op))
+	must(c.AllreduceChecked(send, recv, count, dt, op))
 }
 
 // AllreduceChecked is Allreduce returning failures as typed errors. The
@@ -324,7 +317,7 @@ func (c *Comm) AllreduceChecked(send, recv []byte, count int, dt *datatype.Type,
 // rank (recv needs size*count elements at root; ignored elsewhere). It
 // panics on failures; use GatherChecked under fault plans.
 func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, root int) {
-	mustColl(c.GatherChecked(send, count, dt, recv, root))
+	must(c.GatherChecked(send, count, dt, recv, root))
 }
 
 // GatherChecked is Gather returning failures as typed errors. The root
@@ -363,7 +356,7 @@ func (c *Comm) GatherChecked(send []byte, count int, dt *datatype.Type, recv []b
 // every rank's recv buffer. It panics on failures; use ScatterChecked
 // under fault plans.
 func (c *Comm) Scatter(send []byte, count int, dt *datatype.Type, recv []byte, root int) {
-	mustColl(c.ScatterChecked(send, count, dt, recv, root))
+	must(c.ScatterChecked(send, count, dt, recv, root))
 }
 
 // ScatterChecked is Scatter returning failures as typed errors.

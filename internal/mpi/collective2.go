@@ -19,7 +19,7 @@ const (
 // by rank) on all ranks. It panics on failures; use AllgatherChecked under
 // fault plans.
 func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte) {
-	mustColl(c.AllgatherChecked(send, count, dt, recv))
+	must(c.AllgatherChecked(send, count, dt, recv))
 }
 
 // AllgatherChecked is Allgather returning failures as typed errors. The
@@ -62,7 +62,7 @@ func (c *Comm) AllgatherChecked(send []byte, count int, dt *datatype.Type, recv 
 // receives rank i's slice into the i-th slot of recv. It panics on
 // failures; use AlltoallChecked under fault plans.
 func (c *Comm) Alltoall(send []byte, count int, dt *datatype.Type, recv []byte) {
-	mustColl(c.AlltoallChecked(send, count, dt, recv))
+	must(c.AlltoallChecked(send, count, dt, recv))
 }
 
 // AlltoallChecked is Alltoall returning failures as typed errors
@@ -102,7 +102,7 @@ func (c *Comm) AlltoallChecked(send []byte, count int, dt *datatype.Type, recv [
 // op(send_0, ..., send_r). It panics on failures; use ScanChecked under
 // fault plans.
 func (c *Comm) Scan(send, recv []byte, count int, dt *datatype.Type, op Op) {
-	mustColl(c.ScanChecked(send, recv, count, dt, op))
+	must(c.ScanChecked(send, recv, count, dt, op))
 }
 
 // ScanChecked is Scan returning failures as typed errors. Linear
@@ -145,7 +145,7 @@ func (c *Comm) ScanChecked(send, recv []byte, count int, dt *datatype.Type, op O
 // reduction of everyone's r-th block. It panics on failures; use
 // ReduceScatterBlockChecked under fault plans.
 func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, dt *datatype.Type, op Op) {
-	mustColl(c.ReduceScatterBlockChecked(send, recv, count, dt, op))
+	must(c.ReduceScatterBlockChecked(send, recv, count, dt, op))
 }
 
 // ReduceScatterBlockChecked is ReduceScatterBlock returning failures as
@@ -168,12 +168,8 @@ func (c *Comm) ReduceScatterBlockChecked(send, recv []byte, count int, dt *datat
 // (nil entries for sends). It panics on failures; use WaitallChecked under
 // fault plans.
 func (c *Comm) Waitall(reqs []*Request) []*Status {
-	out := make([]*Status, len(reqs))
-	for i, r := range reqs {
-		if r != nil {
-			out[i] = r.Wait()
-		}
-	}
+	out, err := c.WaitallChecked(reqs)
+	must(err)
 	return out
 }
 

@@ -27,7 +27,7 @@ func (c *Comm) checkV(call string, counts, displs []int) error {
 // element displacement displs[r] on root (MPI_Gatherv). It panics on
 // failures; use GathervChecked under fault plans.
 func (c *Comm) Gatherv(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int, root int) {
-	mustColl(c.GathervChecked(send, count, dt, recv, counts, displs, root))
+	must(c.GathervChecked(send, count, dt, recv, counts, displs, root))
 }
 
 // GathervChecked is Gatherv returning failures as typed errors. The root
@@ -70,7 +70,7 @@ func (c *Comm) GathervChecked(send []byte, count int, dt *datatype.Type, recv []
 // displs[r], on root) to each rank r's recv buffer (MPI_Scatterv). It
 // panics on failures; use ScattervChecked under fault plans.
 func (c *Comm) Scatterv(send []byte, counts, displs []int, dt *datatype.Type, recv []byte, count int, root int) {
-	mustColl(c.ScattervChecked(send, counts, displs, dt, recv, count, root))
+	must(c.ScattervChecked(send, counts, displs, dt, recv, count, root))
 }
 
 // ScattervChecked is Scatterv returning failures as typed errors.
@@ -104,7 +104,7 @@ func (c *Comm) ScattervChecked(send []byte, counts, displs []int, dt *datatype.T
 // recv buffer at displacement displs[r] (MPI_Allgatherv; ring algorithm).
 // It panics on failures; use AllgathervChecked under fault plans.
 func (c *Comm) Allgatherv(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int) {
-	mustColl(c.AllgathervChecked(send, count, dt, recv, counts, displs))
+	must(c.AllgathervChecked(send, count, dt, recv, counts, displs))
 }
 
 // AllgathervChecked is Allgatherv returning failures as typed errors.

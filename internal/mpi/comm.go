@@ -162,14 +162,6 @@ func NewWorldOn(f sim.Fabric, cfg Config) *World {
 	return newWorld(f, cfg)
 }
 
-// NewWorld wires a cluster onto an existing sequential engine, as a
-// one-locale fabric (the pre-fabric construction path, kept for harnesses
-// that drive the engine directly).
-func NewWorld(e *sim.Engine, cfg Config) *World {
-	cfg.Shards, cfg.Locale = 0, 0
-	return newWorld(sim.NewSeqFabric(e, 1, lookaheadFor(cfg)), cfg)
-}
-
 // Fabric returns the fabric the world's locale belongs to.
 func (w *World) Fabric() sim.Fabric { return w.fabric }
 

@@ -59,9 +59,6 @@ func (w *World) Suspect(rank int) {
 	w.suspects[rank] = true
 }
 
-// Suspected reports whether the failure detector suspects a world rank.
-func (w *World) Suspected(rank int) bool { return w.suspects[rank] }
-
 // RankRevoked reports whether a completed shrink agreement excluded the
 // world rank. Layered libraries (one-sided windows, rmem) use it to fail
 // operations against revoked targets fast.
@@ -78,19 +75,6 @@ func (c *Comm) probeSuspects() {
 			c.w.Suspect(r)
 		}
 	}
-}
-
-// ProbeFailures runs one failure-detector sweep and returns the member
-// world ranks currently suspected dead or already revoked.
-func (c *Comm) ProbeFailures() []int {
-	c.probeSuspects()
-	var out []int
-	for _, r := range c.groupRanks() {
-		if c.w.suspects[r] || c.w.revoked[r] {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // revokeRank excludes a world rank after a shrink agreement: every

@@ -35,13 +35,8 @@ func (c *Comm) SetOSCHandler(h func(p *sim.Proc, src int, req any) any) {
 // delivery path (required when the target may not be polling — the
 // passive-target case).
 func (c *Comm) OSCCall(target int, req any, interrupt bool) any {
-	reply := sim.NewChan(1)
-	c.countOSCDelivery(interrupt)
-	c.w.ring(c.p, c.rk.id, target, envelope{
-		kind: envOSC, src: c.rk.id, dst: target,
-		osc: req, reply: reply,
-	}, interrupt)
-	return c.oscReply(c.p.Recv(reply))
+	reply, _ := c.OSCCallTimeout(target, req, interrupt, 0) // unbounded: cannot expire
+	return reply
 }
 
 // oscReply unwraps a one-sided reply taken off its reply channel; the
@@ -53,26 +48,26 @@ func (c *Comm) oscReply(v any) any {
 	return reply
 }
 
-// OSCCallTimeout is OSCCall with a watchdog: it returns (reply, true) on
-// success, or (nil, false) if no reply arrives within timeout (virtual
-// time) — the target's node having crashed, for instance. A timeout of 0
-// waits forever (always returning ok).
-func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.Duration) (any, bool) {
-	if timeout <= 0 {
-		return c.OSCCall(target, req, interrupt), true
-	}
+// OSCCallTimeout is OSCCall with a watchdog: if no reply arrives within
+// timeout (virtual time) it returns the error of an expired wait — the
+// revocation or connection error of a target that is gone, a *fault.Error
+// of kind Timeout against one that is alive but silent. A timeout of 0
+// waits forever.
+func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.Duration) (any, error) {
 	reply := sim.NewChan(1)
 	c.countOSCDelivery(interrupt)
 	c.w.ring(c.p, c.rk.id, target, envelope{
 		kind: envOSC, src: c.rk.id, dst: target,
 		osc: req, reply: reply,
 	}, interrupt)
+	if timeout <= 0 {
+		return c.oscReply(c.p.Recv(reply)), nil
+	}
 	v, ok := c.p.RecvTimeout(reply, timeout)
 	if !ok {
-		c.rk.dev.stats.sendTimeouts.Add(1)
-		return nil, false
+		return nil, c.watchdogExpired(target, "handler call to %d unanswered after %v", target, timeout)
 	}
-	return c.oscReply(v), true
+	return c.oscReply(v), nil
 }
 
 // OSCNotify invokes the remote handler without waiting for a reply.

@@ -84,9 +84,7 @@ func (c *Comm) Ssend(buf []byte, count int, dt *datatype.Type, dst, tag int) {
 		panic("mpi: synchronous self-send would deadlock")
 	}
 	bytes := dt.Size() * int64(count)
-	if err := c.sendRendezvousTo(buf, count, dt, worldDst, tag, c.ctx, bytes); err != nil {
-		panic(err)
-	}
+	must(c.sendRendezvous(buf, count, dt, worldDst, tag, c.ctx, bytes))
 }
 
 // Alltoallv is the variable-count all-to-all (MPI_Alltoallv): the slice for
@@ -95,7 +93,7 @@ func (c *Comm) Ssend(buf []byte, count int, dt *datatype.Type, dst, tag int) {
 // AlltoallvChecked under fault plans.
 func (c *Comm) Alltoallv(send []byte, sendCounts, sdispls []int, dt *datatype.Type,
 	recv []byte, recvCounts, rdispls []int) {
-	mustColl(c.AlltoallvChecked(send, sendCounts, sdispls, dt, recv, recvCounts, rdispls))
+	must(c.AlltoallvChecked(send, sendCounts, sdispls, dt, recv, recvCounts, rdispls))
 }
 
 // AlltoallvChecked is Alltoallv returning failures as typed errors

@@ -26,9 +26,7 @@ func genericTraversalPenalty(blocks int64) time.Duration {
 // Unrecoverable transfer failures (a crashed peer node under an active
 // fault plan) panic; use SendChecked to handle them as errors.
 func (c *Comm) Send(buf []byte, count int, dt *datatype.Type, dst, tag int) {
-	if err := c.send(buf, count, dt, dst, tag, c.ctx); err != nil {
-		panic(err)
-	}
+	must(c.SendChecked(buf, count, dt, dst, tag))
 }
 
 // SendChecked is Send returning transfer failures as typed errors: a
@@ -101,7 +99,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		w.met.sendsShort.Inc()
 		w.met.bytesShort.Add(bytes)
 		w.met.sendShortNS.ObserveDuration(p.Now() - start)
-		return c.failSend(err, dst)
+		return c.fail(flight.OpSend, dst, err)
 	case bytes <= proto.EagerMax:
 		sp := tr.StartSpan(start, c.rk.actor, "send", "eager")
 		sp.SetBytes(bytes)
@@ -111,7 +109,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		w.met.sendsEager.Inc()
 		w.met.bytesEager.Add(bytes)
 		w.met.sendEagerNS.ObserveDuration(p.Now() - start)
-		return c.failSend(err, dst)
+		return c.fail(flight.OpSend, dst, err)
 	default:
 		sp := tr.StartSpan(start, c.rk.actor, "send", "rdv")
 		sp.SetBytes(bytes)
@@ -121,16 +119,16 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		w.met.sendsRdv.Inc()
 		w.met.bytesRdv.Add(bytes)
 		w.met.sendRdvNS.ObserveDuration(p.Now() - start)
-		return c.failSend(err, dst)
+		return c.fail(flight.OpSend, dst, err)
 	}
 }
 
-// failSend passes a send result through, recording a flight KError event
-// (and triggering the recorder's dump-on-failure) when the protocol
-// surfaced a typed error.
-func (c *Comm) failSend(err error, dst int) error {
+// fail passes the result of an operation against world rank peer through,
+// recording a flight KError event (and triggering the recorder's
+// dump-on-failure) when the protocol surfaced a typed error.
+func (c *Comm) fail(op flight.Op, peer int, err error) error {
 	if err != nil {
-		c.rk.fl.Fail(c.p.Now(), flight.OpSend, dst, err)
+		c.rk.fl.Fail(c.p.Now(), op, peer, err)
 	}
 	return err
 }
@@ -157,6 +155,23 @@ func (c *Comm) peerLost(dst int) error {
 	}
 	w.Suspect(dst)
 	return sci.ErrConnectionLost{From: c.rk.node, To: node}
+}
+
+// watchdogExpired is the one epilogue of every bounded wait that ran out
+// (receive, collective, rendezvous control, one-sided handler call): it
+// counts the expiry, traces it, and lets the liveness of the awaited world
+// rank decide the error — a revoked endpoint or a dead node as peerLost
+// reports them, a *fault.Error of kind Timeout against a peer that is alive
+// but silent, or against AnySource.
+func (c *Comm) watchdogExpired(peer int, format string, args ...any) error {
+	c.rk.dev.stats.sendTimeouts.Add(1)
+	c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault", format, args...)
+	if peer != AnySource {
+		if err := c.peerLost(peer); err != nil {
+			return err
+		}
+	}
+	return &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: peer, At: c.p.Now()}
 }
 
 // retryTransfer runs a fallible data deposit, retrying retryable injected
@@ -287,12 +302,6 @@ func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 	return nil
 }
 
-// sendRendezvousTo is sendRendezvous with a pre-translated world rank (the
-// synchronous-send entry point).
-func (c *Comm) sendRendezvousTo(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int, bytes int64) error {
-	return c.sendRendezvous(buf, count, dt, dst, tag, ctx, bytes)
-}
-
 // recvCtl waits for the next rendezvous control packet from dst, bounded by
 // the rendezvous watchdog (ProtocolConfig.RendezvousTimeout; AutoTimeout
 // scales with the world, 0 waits forever). On expiry the peer's liveness
@@ -305,13 +314,7 @@ func (c *Comm) recvCtl(reply *sim.Chan, dst int) (*envelope, error) {
 	}
 	v, ok := c.p.RecvTimeout(reply, to)
 	if !ok {
-		c.rk.dev.stats.sendTimeouts.Add(1)
-		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
-			"rendezvous watchdog expired waiting on %d after %v", dst, to)
-		if err := c.peerLost(dst); err != nil {
-			return nil, err
-		}
-		return nil, &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: dst, At: c.p.Now()}
+		return nil, c.watchdogExpired(dst, "rendezvous watchdog expired waiting on %d after %v", dst, to)
 	}
 	return c.ctlEnvelope(v), nil
 }
@@ -641,14 +644,13 @@ func (o offsetSink) Write(off int64, src []byte) { o.w.Write(o.base+off, src) }
 func (c *Comm) remote(dst int) bool { return c.rk.w.ranks[dst].node != c.rk.node }
 
 // Recv blocks until a matching message has been received into buf.
-// src may be AnySource and tag may be AnyTag.
+// src may be AnySource and tag may be AnyTag. It panics on a failed receive
+// (a revoked source, a sender that cancelled its rendezvous); use
+// RecvChecked to handle that as an error.
 func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) *Status {
-	return c.recv(buf, count, dt, src, tag, c.ctx)
-}
-
-func (c *Comm) recv(buf []byte, count int, dt *datatype.Type, src, tag, ctx int) *Status {
-	r := c.irecv(buf, count, dt, src, tag, ctx)
-	return r.Wait()
+	st, err := c.RecvChecked(buf, count, dt, src, tag, 0)
+	must(err)
+	return st
 }
 
 // RecvChecked is Recv with a watchdog: if no matching message arrives
@@ -657,37 +659,24 @@ func (c *Comm) recv(buf []byte, count int, dt *datatype.Type, src, tag, ctx int)
 // instead of blocking forever. A timeout of 0 waits indefinitely;
 // AutoTimeout selects the world-scaled rendezvous bound.
 func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag int, timeout time.Duration) (*Status, error) {
+	peer := src
 	if src != AnySource {
-		if world := c.worldRank(src); c.rk.w.revoked[world] {
-			return nil, &RevokedRankError{Rank: world}
+		if peer = c.worldRank(src); c.rk.w.revoked[peer] {
+			return nil, &RevokedRankError{Rank: peer}
 		}
 	}
 	r := c.irecv(buf, count, dt, src, tag, c.ctx)
 	if timeout == AutoTimeout {
 		timeout = c.rk.w.ScaledRendezvousTimeout()
 	}
-	if timeout <= 0 {
-		return r.WaitChecked()
-	}
-	if _, ok := c.p.AwaitTimeout(&r.done, timeout); !ok {
-		c.rk.dev.stats.sendTimeouts.Add(1)
-		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
-			"receive watchdog expired (src %d tag %d) after %v", src, tag, timeout)
-		if src != AnySource {
-			if err := c.peerLost(c.worldRank(src)); err != nil {
-				c.rk.fl.Fail(c.p.Now(), flight.OpRecv, c.worldRank(src), err)
-				return nil, err
-			}
+	if timeout > 0 {
+		if _, ok := c.p.AwaitTimeout(&r.done, timeout); !ok {
+			return nil, c.fail(flight.OpRecv, peer, c.watchdogExpired(peer,
+				"receive watchdog expired (src %d tag %d) after %v", src, tag, timeout))
 		}
-		err := &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: src, At: c.p.Now()}
-		c.rk.fl.Fail(c.p.Now(), flight.OpRecv, src, err)
-		return nil, err
 	}
 	st, err := r.WaitChecked()
-	if err != nil {
-		c.rk.fl.Fail(c.p.Now(), flight.OpRecv, src, err)
-	}
-	return st, err
+	return st, c.fail(flight.OpRecv, peer, err)
 }
 
 // Request is a handle on an outstanding nonblocking operation. A receive is
@@ -715,9 +704,7 @@ func (r *Request) complete(src, tag int, bytes int64) {
 // WaitChecked to handle it as an error.
 func (r *Request) Wait() *Status {
 	st, err := r.WaitChecked()
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	return st
 }
 

@@ -83,12 +83,3 @@ func (w *World) LockLatency(owner, from int) time.Duration {
 	// A remote lock costs a stalled read plus a posted write.
 	return cfg.PIOReadStall + cfg.PIOWriteLatency
 }
-
-// BarrierLatency returns the per-crossing cost of a shared-memory barrier
-// spanning the given number of ranks.
-func (w *World) BarrierLatency() time.Duration {
-	if w.cfg.Nodes == 1 {
-		return time.Microsecond
-	}
-	return 2 * w.cfg.SCI.PIOWriteLatency
-}

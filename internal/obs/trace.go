@@ -69,14 +69,6 @@ func NewTrace(limit int) *Trace {
 	}
 }
 
-// Limit returns the configured retention limit (0 = unlimited).
-func (t *Trace) Limit() int {
-	if t == nil {
-		return 0
-	}
-	return t.limit
-}
-
 func (t *Trace) noteActor(actor string) {
 	if _, ok := t.actorID[actor]; !ok {
 		t.actorID[actor] = len(t.actors)

@@ -1,8 +1,10 @@
 package osc
 
 import (
+	"errors"
 	"fmt"
 
+	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/sci"
 )
@@ -74,21 +76,20 @@ func (w *Win) lostTarget(target int) error {
 }
 
 // oscRPC issues a handler request bounded by the window's SyncTimeout (with
-// SyncTimeout zero it blocks like plain OSCCall). An expired watchdog is
-// resolved to the underlying fault when the target is provably gone, else
-// reported as ErrSyncTimeout; a refused reply means the target dropped the
-// window (ErrWinGone).
+// SyncTimeout zero it blocks like plain OSCCall). An expired watchdog
+// surfaces as the underlying fault when the target is provably gone, else
+// as ErrSyncTimeout; a refused reply means the target dropped the window
+// (ErrWinGone).
 func (w *Win) oscRPC(op string, target int, req *oscReq, interrupt bool) error {
 	c := w.sys.c
-	rep, ok := c.OSCCallTimeout(c.GroupToWorld(target), req, interrupt, w.cfg.SyncTimeout)
-	if !ok {
+	rep, err := c.OSCCallTimeout(c.GroupToWorld(target), req, interrupt, w.cfg.SyncTimeout)
+	if err != nil {
 		w.countSyncTimeout()
-		c.Tracer().Instantf(c.Proc().Now(), w.actor, "fault",
-			"window %d: %s handler call to rank %d timed out", w.id, op, target)
-		if err := w.lostTarget(target); err != nil {
-			return err
+		var silent *fault.Error
+		if errors.As(err, &silent) && silent.Kind == fault.Timeout {
+			return ErrSyncTimeout{Op: op, Win: w.id, Target: target, Waited: w.cfg.SyncTimeout}
 		}
-		return ErrSyncTimeout{Op: op, Win: w.id, Target: target, Waited: w.cfg.SyncTimeout}
+		return err
 	}
 	if r, isRep := rep.(*oscReply); isRep && !r.ok {
 		return ErrWinGone{Win: w.id, Target: target}

@@ -18,13 +18,28 @@ import (
 // (mirrored layout), which covers the paper's workloads (contiguous strided
 // accesses in sparse; halo datatypes in the examples).
 
+// must is the body of the panicking surface: Put, Get and Accumulate are
+// their Checked forms with the error turned into a panic.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// fail is the flight record of a data operation that returns err: a KError
+// event against the target's world rank (which also triggers the recorder's
+// dump-on-failure). A nil err records nothing.
+func (w *Win) fail(op flight.Op, target int, err error) {
+	if err != nil {
+		w.fl.Fail(w.sys.c.Proc().Now(), op, w.sys.c.GroupToWorld(target), err)
+	}
+}
+
 // Put moves count elements of dt from buf into target's window at
 // displacement targetOff (MPI_Put). It panics on failures against crashed
 // or revoked targets; use PutChecked under fault plans.
 func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) {
-	if err := w.PutChecked(buf, count, dt, target, targetOff); err != nil {
-		panic(err)
-	}
+	must(w.PutChecked(buf, count, dt, target, targetOff))
 }
 
 // PutChecked is Put returning failures as typed errors: a dead target node
@@ -32,15 +47,7 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 // expired handler watchdog ErrSyncTimeout, and a target that dropped the
 // window ErrWinGone. Epoch and bounds violations still panic (programming
 // errors).
-func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) error {
-	err := w.putChecked(buf, count, dt, target, targetOff)
-	if err != nil {
-		w.fl.Fail(w.sys.c.Proc().Now(), flight.OpPut, w.sys.c.GroupToWorld(target), err)
-	}
-	return err
-}
-
-func (w *Win) putChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) error {
+func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	w.checkEpoch("Put")
 	n := dt.Size() * int64(count)
 	span := dt.Extent()*int64(count-1) + dt.UB() - dt.LB()
@@ -58,6 +65,7 @@ func (w *Win) putChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		sp.End(p.Now())
 		w.sys.met.putNS.ObserveDuration(p.Now() - start)
 		w.sys.met.bytesPut.Add(n)
+		w.fail(flight.OpPut, target, err)
 	}()
 
 	if target == w.sys.c.Rank() {
@@ -238,22 +246,12 @@ func (w *Win) chargeLocal(st pack.Stats) {
 // address space), because SCI remote reads are slow. It panics on failures
 // against crashed or revoked targets; use GetChecked under fault plans.
 func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) {
-	if err := w.GetChecked(buf, count, dt, target, targetOff); err != nil {
-		panic(err)
-	}
+	must(w.GetChecked(buf, count, dt, target, targetOff))
 }
 
 // GetChecked is Get returning failures as typed errors (see PutChecked for
 // the taxonomy).
-func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) error {
-	err := w.getChecked(buf, count, dt, target, targetOff)
-	if err != nil {
-		w.fl.Fail(w.sys.c.Proc().Now(), flight.OpGet, w.sys.c.GroupToWorld(target), err)
-	}
-	return err
-}
-
-func (w *Win) getChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) error {
+func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	w.checkEpoch("Get")
 	n := dt.Size() * int64(count)
 	span := dt.Extent()*int64(count-1) + dt.UB() - dt.LB()
@@ -271,6 +269,7 @@ func (w *Win) getChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		sp.End(p.Now())
 		w.sys.met.getNS.ObserveDuration(p.Now() - start)
 		w.sys.met.bytesGot.Add(n)
+		w.fail(flight.OpGet, target, err)
 	}()
 
 	if target == w.sys.c.Rank() {
@@ -370,22 +369,12 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 // other accumulates. It panics on failures against crashed or revoked
 // targets; use AccumulateChecked under fault plans.
 func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) {
-	if err := w.AccumulateChecked(buf, count, dt, op, target, targetOff); err != nil {
-		panic(err)
-	}
+	must(w.AccumulateChecked(buf, count, dt, op, target, targetOff))
 }
 
 // AccumulateChecked is Accumulate returning failures as typed errors (see
 // PutChecked for the taxonomy).
-func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) error {
-	err := w.accumulateChecked(buf, count, dt, op, target, targetOff)
-	if err != nil {
-		w.fl.Fail(w.sys.c.Proc().Now(), flight.OpAccumulate, w.sys.c.GroupToWorld(target), err)
-	}
-	return err
-}
-
-func (w *Win) accumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) error {
+func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) (err error) {
 	w.checkEpoch("Accumulate")
 	if dt.Kind() != datatype.KindBasic {
 		panic(fmt.Sprintf("osc: Accumulate requires a basic datatype, got %s", dt))
@@ -404,6 +393,7 @@ func (w *Win) accumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 	defer func() {
 		sp.End(p.Now())
 		w.sys.met.accNS.ObserveDuration(p.Now() - start)
+		w.fail(flight.OpAccumulate, target, err)
 	}()
 	if target != c.Rank() {
 		if err := w.lostTarget(target); err != nil {

@@ -33,6 +33,12 @@ func (e ErrSyncTimeout) Error() string {
 // Fence closes the current access epoch (completing all outstanding posted
 // stores with a store barrier), synchronizes all ranks barrier-style, and
 // opens the next epoch (MPI_Win_fence).
+//
+// Fence and FenceChecked are two algorithms, not a wrapper and its body: a
+// dissemination barrier (log2(P) rounds) here, an all-to-all announcement
+// round that survives a dead peer there. They cost different virtual time,
+// which the Figure 9 rows and the rmem rounds pin, so neither is written
+// over the other.
 func (w *Win) Fence() {
 	w.stats.fences.Add(1)
 	w.closeEpoch()
@@ -72,18 +78,14 @@ func (w *Win) FenceChecked() error {
 			w.pendingFence[p.Recv(w.fenceQ).(int)]++
 			continue
 		}
+		var v any
 		remaining := w.cfg.SyncTimeout - waited
-		if remaining <= 0 {
-			w.countSyncTimeout()
-			c.Tracer().Instantf(p.Now(), w.actor, "fault",
-				"window %d: fence round %d timed out (%d/%d peers)", w.id, round, w.pendingFence[round], need)
-			err := ErrSyncTimeout{Op: "fence", Win: w.id, Target: -1, Waited: waited}
-			w.fl.Fail(p.Now(), flight.OpFence, -1, err)
-			return err
+		ok := remaining > 0
+		if ok {
+			before := p.Now()
+			v, ok = p.RecvTimeout(w.fenceQ, remaining)
+			waited += p.Now() - before
 		}
-		before := p.Now()
-		v, ok := p.RecvTimeout(w.fenceQ, remaining)
-		waited += p.Now() - before
 		if !ok {
 			w.countSyncTimeout()
 			c.Tracer().Instantf(p.Now(), w.actor, "fault",
@@ -211,6 +213,12 @@ func (w *Win) Wait(group []int) {
 // window (MPI_Win_lock). For windows in shared memory the lock is a
 // shared-memory spinlock that does not involve the target's CPU; for
 // private windows the handler arbitrates (with remote-interrupt latency).
+//
+// Lock and LockChecked are two algorithms as well: Lock queues on the
+// shared-memory lock (FIFO hand-off) or retries the handler at a fixed
+// interval, LockChecked polls both with exponential backoff so that it can
+// give up. A contended lock is granted at different virtual instants by the
+// two, so Lock is not LockChecked with the error dropped.
 func (w *Win) Lock(target int) {
 	if w.ep != epochNone {
 		panic("osc: Lock inside another access epoch")
@@ -271,8 +279,8 @@ func (w *Win) LockChecked(target int) error {
 				}
 			}
 		} else {
-			rep, ok := c.OSCCallTimeout(world, &oscReq{kind: reqLockTry, win: w.id}, true, w.cfg.SyncTimeout-waited)
-			if ok && rep.(*oscReply).ok {
+			rep, err := c.OSCCallTimeout(world, &oscReq{kind: reqLockTry, win: w.id}, true, w.cfg.SyncTimeout-waited)
+			if err == nil && rep.(*oscReply).ok {
 				break
 			}
 		}

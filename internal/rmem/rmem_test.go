@@ -51,21 +51,23 @@ func TestPutGetCommitNoFaults(t *testing.T) {
 // crashes mid-workload, the survivors agree on the shrunken world, promote
 // and re-replicate, and the service keeps serving. Gates: no committed write
 // is lost, no shard loses both replicas, no client operation fails after
-// the failover completed, and the p99 get service time under churn stays
-// within 3x of the crash-free baseline.
+// the failover completed, and the p99 sojourn time under churn — what the
+// crash stalls, queueing behind detection and recovery included — stays
+// below one expiry of the scaled watchdog mpi.AutoTimeout resolves to for
+// the service's windows: survivors learn of the crash from the liveness
+// view, they do not sit a watchdog out.
 func TestFailoverClaims(t *testing.T) {
 	wl := DefaultWorkload()
 	base, _ := RunWorkload(testConfig(fault.New(*faultSeed)), DefaultConfig(), wl)
 	churnCfg, _ := flightConfig(t, *faultSeed)
 	churn, _ := RunWorkload(churnCfg, DefaultConfig(), wl)
 
-	var baseP99, churnP99 int64
+	var watchdog time.Duration
+	mpi.Run(testConfig(nil), func(c *mpi.Comm) { watchdog = c.World().ScaledSyncTimeout() })
+
 	for _, r := range base {
 		if r.OpFailures != 0 || r.Died {
 			t.Fatalf("baseline rank %d saw failures", r.Rank)
-		}
-		if p := r.GetNS.P99; p > baseP99 {
-			baseP99 = p
 		}
 	}
 	if !churn[1].Died {
@@ -94,16 +96,9 @@ func TestFailoverClaims(t *testing.T) {
 		if r.OpFailures == 0 {
 			t.Errorf("survivor %d observed no failures at all — crash not exercised", me)
 		}
-		if p := r.GetNS.P99; p > churnP99 {
-			churnP99 = p
+		if p := time.Duration(r.SojournNS.P99); p <= 0 || p > watchdog {
+			t.Errorf("survivor %d: sojourn p99 %v, want within the %v watchdog", me, p, watchdog)
 		}
-	}
-	if baseP99 <= 0 {
-		t.Fatalf("baseline p99 not measured")
-	}
-	if churnP99 > 3*baseP99 {
-		t.Errorf("churn get p99 %v exceeds 3x crash-free baseline %v",
-			time.Duration(churnP99), time.Duration(baseP99))
 	}
 }
 

@@ -129,7 +129,7 @@ func TestScheduleExploration(t *testing.T) {
 				cfg.Flight = flight.New(1 << 14)
 				e := sim.NewEngine()
 				e.PermuteTies(seed)
-				end := mpi.NewWorld(e, cfg).Run(func(c *mpi.Comm) { sc.main(t, c) })
+				end := mpi.NewWorldOn(sim.NewSeqFabric(e, 1, time.Microsecond), cfg).Run(func(c *mpi.Comm) { sc.main(t, c) })
 				ends = append(ends, end)
 				dump := cfg.Flight.Snapshot(sc.name)
 				for _, an := range flight.Analyze(dump).Anomalies {

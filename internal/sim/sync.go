@@ -410,63 +410,3 @@ func (c *Credits) Release(slot int) {
 	c.ring[(c.head+c.n)%len(c.ring)] = slot
 	c.n++
 }
-
-// Barrier blocks a fixed-size party of processes until all have arrived,
-// then releases them together. It is reusable (cyclic).
-type Barrier struct {
-	parties int
-	waiting []*Proc
-}
-
-// NewBarrier returns a barrier for n parties. n must be positive.
-func NewBarrier(n int) *Barrier {
-	if n <= 0 {
-		panic("sim: barrier requires at least one party")
-	}
-	return &Barrier{parties: n}
-}
-
-// Arrive blocks p until all parties have arrived at the barrier.
-func (p *Proc) Arrive(b *Barrier) {
-	if len(b.waiting)+1 == b.parties {
-		for _, w := range b.waiting {
-			w.wake()
-		}
-		b.waiting = b.waiting[:0]
-		return
-	}
-	b.waiting = append(b.waiting, p)
-	p.park()
-}
-
-// WaitGroup counts outstanding work items in virtual time.
-type WaitGroup struct {
-	count   int
-	waiters []*Proc
-}
-
-// Add increments the counter by n (n may be negative, like sync.WaitGroup).
-func (wg *WaitGroup) Add(n int) {
-	wg.count += n
-	if wg.count < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.count == 0 {
-		for _, w := range wg.waiters {
-			w.wake()
-		}
-		wg.waiters = nil
-	}
-}
-
-// DoneOne decrements the counter by one.
-func (wg *WaitGroup) DoneOne() { wg.Add(-1) }
-
-// WaitFor blocks p until the counter reaches zero.
-func (p *Proc) WaitFor(wg *WaitGroup) {
-	if wg.count == 0 {
-		return
-	}
-	wg.waiters = append(wg.waiters, p)
-	p.park()
-}

@@ -226,62 +226,3 @@ func TestUnlockUnlockedPanics(t *testing.T) {
 	})
 	e.Run()
 }
-
-func TestBarrierReleasesTogether(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(3)
-	var times []time.Duration
-	for i := 0; i < 3; i++ {
-		d := time.Duration(i) * 5 * time.Microsecond
-		e.Go("p", func(p *Proc) {
-			p.Sleep(d)
-			p.Arrive(b)
-			times = append(times, p.Now())
-		})
-	}
-	e.Run()
-	for _, at := range times {
-		if at != 10*time.Microsecond {
-			t.Fatalf("release times %v, want all 10µs", times)
-		}
-	}
-}
-
-func TestBarrierIsCyclic(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(2)
-	rounds := 0
-	for i := 0; i < 2; i++ {
-		i := i
-		e.Go("p", func(p *Proc) {
-			for r := 0; r < 3; r++ {
-				p.Sleep(time.Duration(i+1) * time.Microsecond)
-				p.Arrive(b)
-				if i == 0 {
-					rounds++
-				}
-			}
-		})
-	}
-	e.Run()
-	if rounds != 3 {
-		t.Fatalf("completed %d rounds, want 3", rounds)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine()
-	var wg WaitGroup
-	wg.Add(2)
-	var doneAt time.Duration
-	e.Go("waiter", func(p *Proc) {
-		p.WaitFor(&wg)
-		doneAt = p.Now()
-	})
-	e.Go("w1", func(p *Proc) { p.Sleep(time.Microsecond); wg.DoneOne() })
-	e.Go("w2", func(p *Proc) { p.Sleep(4 * time.Microsecond); wg.DoneOne() })
-	e.Run()
-	if doneAt != 4*time.Microsecond {
-		t.Fatalf("waiter released at %v, want 4µs", doneAt)
-	}
-}
