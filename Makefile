@@ -1,16 +1,23 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
+.PHONY: check vet no-atomics build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
 
-# check is the tier-1 gate: vet, build everything, the full test suite with
-# the race detector, then the failover availability claims. vet and build
+# check is the tier-1 gate: vet, the no-atomics lint, build everything, the
+# full test suite with the race detector, then the failover availability claims. vet and build
 # also cover benchmark/, a module of its own that compiles against the
 # internal packages, so an API change cannot break it unnoticed.
-check: vet build race failover
+check: vet no-atomics build race failover
 
 vet:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
+
+# no-atomics fails, naming the file, if non-test code of a layer that owns a
+# Stats struct imports sync/atomic: those counters are plain fields under the
+# cooperative-host rule (sim.Host), and an atomic mirror beside them is the
+# duplicate this lint keeps from growing back.
+no-atomics:
+	@! grep -l '"sync/atomic"' $(filter-out %_test.go,$(wildcard internal/sci/*.go internal/mpi/*.go internal/osc/*.go internal/pack/*.go))
 
 build:
 	$(GO) build ./...
@@ -47,13 +54,13 @@ failover:
 # shard-stress hammers the conservative-parallel engine and the incremental
 # flow solver under the race detector, then the torus machine, the full MPI
 # stack and the one-sided layer on the sharded engine (the mpi.TorusWorld
-# and confined-world cross-engine property tests plus the engine bench
-# rows) — with real goroutine parallelism, so window-barrier and
-# cross-shard-queue races surface.
+# and confined-world cross-engine property tests, the plain-field Stats
+# read mid-run, plus the engine bench rows) — with real goroutine
+# parallelism, so window-barrier and cross-shard-queue races surface.
 shard-stress:
 	$(GO) test -race -count=2 ./internal/sim/ ./internal/flow/
 	$(GO) test -race -count=2 -run 'TestCrossEngine|TestTorus' ./internal/mpi/
-	$(GO) test -race -count=2 -run 'TestFenceEpochOnShardedEngine' ./internal/osc/
+	$(GO) test -race -count=2 -run 'TestFenceEpochOnShardedEngine|TestStatsReadableMidRun' ./internal/osc/
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
 
 # alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack,

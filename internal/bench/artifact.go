@@ -13,10 +13,10 @@ import (
 	"runtime"
 )
 
-// artifact is the envelope the four suites share.
+// artifact is the envelope the four suites share. It names the platform but
+// not the toolchain, so a runner's Go patch level cannot change the files.
 type artifact struct {
 	Suite   string `json:"suite"`
-	Go      string `json:"go"`
 	GOOS    string `json:"goos"`
 	GOARCH  string `json:"goarch"`
 	Results any    `json:"results"`
@@ -26,7 +26,6 @@ type artifact struct {
 func marshalArtifact(suite string, results any) ([]byte, error) {
 	data, err := json.MarshalIndent(artifact{
 		Suite:   suite,
-		Go:      runtime.Version(),
 		GOOS:    runtime.GOOS,
 		GOARCH:  runtime.GOARCH,
 		Results: results,

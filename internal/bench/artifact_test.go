@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -44,6 +45,9 @@ func TestBenchArtifactsDeterministic(t *testing.T) {
 		if bytes.Contains(engine1, []byte(col)) {
 			t.Errorf("BENCH_engine.json carries the host-dependent column %q", col)
 		}
+	}
+	if bytes.Contains(rmem1, []byte(runtime.Version())) || bytes.Contains(rmem1, []byte(`"go"`)) {
+		t.Errorf("the artifact envelope carries the toolchain version:\n%.200s", rmem1)
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 //
 // Correctness requires every member of a collective to pick the *same*
 // algorithm. The EWMA state therefore lives on the World, and each matched
-// call consumes a snapshot of it keyed by the call's sequence number
-// (World.callSeq): the first rank to enter call #k copies the live table,
-// the remaining members rank against the same copy, and completions fold
-// into the live table only. The simulation is single-threaded, so the
-// shared tables need no locking.
+// call is decided once, keyed by the call's sequence number
+// (World.callSeq): the first rank to enter call #k ranks the candidates
+// against the live table and records the winner, the remaining members
+// read that record, and completions fold into the live table only. The
+// simulation is single-threaded, so the shared tables need no locking.
 
 // CollAlg selects the algorithm family of a collective operation.
 type CollAlg int
@@ -124,37 +124,18 @@ func (k collKind) String() string {
 // bandwidth, bytes/sec (0 = never exercised).
 type collEWMATable [collKindCount][collAlgCount]float64
 
-// collSnapKey identifies one matched collective call across its members.
-type collSnapKey struct {
+// collCallKey identifies one matched collective call across its members.
+type collCallKey struct {
 	kind collKind
 	ctx  int
 	seq  int
 }
 
-// collSnap is the feedback-table copy all members of one matched call rank
-// against; left counts the members that have not consumed it yet.
-type collSnap struct {
-	tbl  collEWMATable
+// collDecision is the algorithm the first entrant of a matched call chose;
+// left counts the members that have not read it yet.
+type collDecision struct {
+	alg  CollAlg
 	left int
-}
-
-// collSnapshot returns the feedback table for this member's call #seq,
-// creating the snapshot on first entry and releasing it with the last.
-func (w *World) collSnapshot(kind collKind, ctx, seq, members int) collEWMATable {
-	key := collSnapKey{kind: kind, ctx: ctx, seq: seq}
-	if w.collSnaps == nil {
-		w.collSnaps = make(map[collSnapKey]*collSnap)
-	}
-	s, ok := w.collSnaps[key]
-	if !ok {
-		s = &collSnap{tbl: w.collLive, left: members}
-		w.collSnaps[key] = s
-	}
-	s.left--
-	if s.left <= 0 {
-		delete(w.collSnaps, key)
-	}
-	return s.tbl
 }
 
 // observeColl folds one completed collective into the live feedback table.
@@ -357,8 +338,9 @@ func (c *Comm) collAlgOK(kind collKind, alg CollAlg, size int, bytes, perPeer in
 
 // chooseCollAlg picks the algorithm for one matched collective call. All
 // inputs are identical on every member, so every member picks the same
-// algorithm: forced policies resolve statically, and CollAuto ranks
-// against a call-sequence-keyed snapshot of the shared feedback table.
+// algorithm: forced policies resolve statically, and under CollAuto the
+// first member to enter the call ranks the candidates and the others read
+// its decision.
 func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) CollAlg {
 	forced := c.rk.w.protocol().Coll
 	if forced != CollAuto {
@@ -375,8 +357,28 @@ func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) Coll
 	if len(cands) == 1 {
 		return cands[0]
 	}
-	seq := c.rk.w.callSeq("collalg."+kind.String(), c.ctx, c.rk.id)
-	tbl := c.rk.w.collSnapshot(kind, c.ctx, seq, size)
+	// Size, bytes and per-peer block are equal across the members of a
+	// matched call, so the first entrant's ranking stands for all of them.
+	w := c.rk.w
+	key := collCallKey{kind, c.ctx, w.callSeq(seqCollAlg+seqOp(kind), c.ctx, c.rk.id)}
+	d, ok := w.collCalls[key]
+	if !ok {
+		d = collDecision{alg: c.rankColl(kind, cands, size, bytes, perPeer), left: size}
+	}
+	if d.left--; d.left <= 0 {
+		delete(w.collCalls, key)
+	} else {
+		if w.collCalls == nil {
+			w.collCalls = make(map[collCallKey]collDecision)
+		}
+		w.collCalls[key] = d
+	}
+	return d.alg
+}
+
+// rankColl returns the cheapest eligible candidate: by achieved bandwidth
+// where the live feedback table has one, by the cost-model prior otherwise.
+func (c *Comm) rankColl(kind collKind, cands []CollAlg, size int, bytes, perPeer int64) CollAlg {
 	best, bestCost := CollP2P, time.Duration(0)
 	first := true
 	for _, a := range cands {
@@ -384,7 +386,7 @@ func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) Coll
 			continue
 		}
 		cost := c.modelColl(kind, a, size, bytes, perPeer)
-		if bw := tbl[kind][a]; bw > 0 {
+		if bw := c.rk.w.collLive[kind][a]; bw > 0 {
 			cost = sim.RateDuration(bytes, bw)
 		}
 		if first || cost < bestCost {

@@ -8,7 +8,6 @@ import (
 	"scimpich/internal/memmodel"
 	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
-	"scimpich/internal/pack"
 	"scimpich/internal/sci"
 	"scimpich/internal/sim"
 )
@@ -195,13 +194,15 @@ func (w *World) Spawn(main func(c *Comm)) {
 	}
 }
 
-// Stats returns a race-free snapshot of the device statistics of a rank.
-func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats.snapshot() }
+// Stats returns a copy of the device statistics of a rank.
+func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats }
 
 // PublishMetrics exports the end-of-run statistics into a registry as
 // gauges: the fabric's event and process-switch counts (sim.events,
-// sim.proc_switches), per-rank device counters (mpi.device.*{rank=r}) and
-// per-node interconnect counters (sci.node.*{node=n}). Run calls this
+// sim.proc_switches), every field of each rank's DeviceStats
+// (mpi.device.*{rank=r}), of the per-engine pack totals (pack.*{engine=e})
+// and of each node's sci.Stats (sci.node.*{node=n}), and sci.retries, the
+// sum of the per-node retries. Run calls this
 // automatically when Config.Metrics is set; harnesses driving the engine
 // themselves call it after Engine.Run.
 func (w *World) PublishMetrics(r *obs.Registry) {
@@ -212,50 +213,26 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 	r.SetGauge("sim.events", int64(w.fabric.Events()))
 	r.SetGauge("sim.proc_switches", int64(w.fabric.ProcSwitches()))
 	for rank := range w.ranks {
-		ds := w.Stats(rank)
-		l := strconv.Itoa(rank)
-		r.SetGauge(obs.Name("mpi.device.short_recvd", "rank", l), ds.ShortRecvd)
-		r.SetGauge(obs.Name("mpi.device.eager_recvd", "rank", l), ds.EagerRecvd)
-		r.SetGauge(obs.Name("mpi.device.rdv_recvd", "rank", l), ds.RdvRecvd)
-		r.SetGauge(obs.Name("mpi.device.unexpected", "rank", l), ds.Unexpected)
-		r.SetGauge(obs.Name("mpi.device.bytes_recvd", "rank", l), ds.BytesRecvd)
-		r.SetGauge(obs.Name("mpi.device.osc_requests", "rank", l), ds.OSCRequests)
-		r.SetGauge(obs.Name("mpi.device.duplicates", "rank", l), ds.Duplicates)
-		r.SetGauge(obs.Name("mpi.device.send_retries", "rank", l), ds.SendRetries)
-		r.SetGauge(obs.Name("mpi.device.send_timeouts", "rank", l), ds.SendTimeouts)
+		r.SetGauges("mpi.device", w.Stats(rank), "rank", strconv.Itoa(rank))
 	}
-	ff, gen := w.PackStats()
-	for _, e := range []struct {
-		engine string
-		st     pack.CumulativeStats
-	}{{"direct_pack_ff", ff}, {"generic", gen}} {
-		r.SetGauge(obs.Name("pack.ops", "engine", e.engine), e.st.Ops)
-		r.SetGauge(obs.Name("pack.blocks", "engine", e.engine), e.st.Blocks)
-		r.SetGauge(obs.Name("pack.bytes", "engine", e.engine), e.st.Bytes)
-		r.SetGauge(obs.Name("pack.max_block", "engine", e.engine), e.st.MaxBlock)
-	}
+	r.SetGauges("pack", w.packFF, "engine", "direct_pack_ff")
+	r.SetGauges("pack", w.packGeneric, "engine", "generic")
 	if w.ic == nil {
 		return
 	}
+	var retries int64
 	for node := 0; node < w.cfg.Nodes; node++ {
 		ns := w.InterconnectStats(node)
-		l := strconv.Itoa(node)
-		r.SetGauge(obs.Name("sci.node.bytes_written", "node", l), ns.BytesWritten)
-		r.SetGauge(obs.Name("sci.node.bytes_read", "node", l), ns.BytesRead)
-		r.SetGauge(obs.Name("sci.node.write_ops", "node", l), ns.WriteOps)
-		r.SetGauge(obs.Name("sci.node.read_ops", "node", l), ns.ReadOps)
-		r.SetGauge(obs.Name("sci.node.store_barriers", "node", l), ns.StoreBarriers)
-		r.SetGauge(obs.Name("sci.node.retries", "node", l), ns.Retries)
-		r.SetGauge(obs.Name("sci.node.dma_transfers", "node", l), ns.DMATransfers)
-		r.SetGauge(obs.Name("sci.node.transfer_errors", "node", l), ns.TransferErrors)
-		r.SetGauge(obs.Name("sci.node.check_retries", "node", l), ns.CheckRetries)
+		r.SetGauges("sci.node", ns, "node", strconv.Itoa(node))
+		retries += ns.Retries
 	}
+	r.SetGauge("sci.retries", retries)
 }
 
 // MemModel returns the per-node memory hierarchy model.
 func (w *World) MemModel() *memmodel.Model { return w.cfg.Shm.Mem }
 
-// InterconnectStats returns a race-free snapshot of the SCI adapter
+// InterconnectStats returns a copy of the SCI adapter
 // statistics of a node (zero value on single-node clusters).
 func (w *World) InterconnectStats(node int) sci.Stats {
 	if w.ic == nil {

@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Simulation-side coordination table for collective library setup (window
 // creation and similar). Ranks share one Go address space, so handles that
 // cannot travel through byte messages (segment references, lock objects)
@@ -27,15 +25,32 @@ func (w *World) Collect(key string) []any {
 	return w.exchange[key]
 }
 
-// callSeq returns this rank's 1-based invocation count of the named
+// seqOp names a collective operation whose matched calls are numbered by
+// callSeq.
+type seqOp int
+
+const (
+	seqDup seqOp = iota
+	seqSplit
+	seqShrink
+	seqCollAlg // + collKind: one sequence per collective (see chooseCollAlg)
+)
+
+// seqKey identifies one call sequence: an operation on a context.
+type seqKey struct {
+	op  seqOp
+	ctx int
+}
+
+// callSeq returns this rank's 1-based invocation count of the given
 // collective operation on the given context. Matched collective calls have
 // equal sequence numbers on every member, making them usable as exchange
 // keys without reading shared state.
-func (w *World) callSeq(op string, ctx, rank int) int {
+func (w *World) callSeq(op seqOp, ctx, rank int) int {
 	if w.seq == nil {
-		w.seq = make(map[string][]int)
+		w.seq = make(map[seqKey][]int)
 	}
-	key := fmt.Sprintf("%s.%d", op, ctx)
+	key := seqKey{op, ctx}
 	slot, ok := w.seq[key]
 	if !ok {
 		slot = make([]int, w.size)

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"scimpich/internal/bufpool"
@@ -57,11 +56,13 @@ type device struct {
 	// the remote handler that emulates direct access for private windows).
 	oscHandler func(p *sim.Proc, env *envelope)
 
-	stats devStats
+	stats DeviceStats
 }
 
-// DeviceStats is a point-in-time snapshot of one rank's protocol activity
-// (see World.Stats).
+// DeviceStats is one rank's protocol activity: the live counters the device
+// and the rank's sends bump, and what World.Stats returns by value. Plain
+// integers suffice because at most one process of a host runs at a time
+// (sim.Host), and every reader is such a process or runs after the run.
 type DeviceStats struct {
 	ShortRecvd  int64
 	EagerRecvd  int64
@@ -81,37 +82,6 @@ type DeviceStats struct {
 	// RdvCancels counts rendezvous transfers torn down on the receive side
 	// after the sender abandoned them (envRdvCancel).
 	RdvCancels int64
-}
-
-// devStats is the live counter set behind DeviceStats. Counters are
-// atomics: they are bumped both by the device daemon and by sender procs
-// (retries, watchdogs), and read from ordinary goroutines after a run.
-type devStats struct {
-	shortRecvd   atomic.Int64
-	eagerRecvd   atomic.Int64
-	rdvRecvd     atomic.Int64
-	unexpected   atomic.Int64
-	bytesRecvd   atomic.Int64
-	oscRequests  atomic.Int64
-	duplicates   atomic.Int64
-	sendRetries  atomic.Int64
-	sendTimeouts atomic.Int64
-	rdvCancels   atomic.Int64
-}
-
-func (s *devStats) snapshot() DeviceStats {
-	return DeviceStats{
-		ShortRecvd:   s.shortRecvd.Load(),
-		EagerRecvd:   s.eagerRecvd.Load(),
-		RdvRecvd:     s.rdvRecvd.Load(),
-		Unexpected:   s.unexpected.Load(),
-		BytesRecvd:   s.bytesRecvd.Load(),
-		OSCRequests:  s.oscRequests.Load(),
-		Duplicates:   s.duplicates.Load(),
-		SendRetries:  s.sendRetries.Load(),
-		SendTimeouts: s.sendTimeouts.Load(),
-		RdvCancels:   s.rdvCancels.Load(),
-	}
 }
 
 // rdvRecv tracks one in-progress rendezvous receive.
@@ -253,7 +223,7 @@ func (d *device) run(p *sim.Proc) {
 		case envRdvData:
 			d.handleRdvData(p, env)
 		case envOSC:
-			d.stats.oscRequests.Add(1)
+			d.stats.OSCRequests++
 			if d.oscHandler == nil {
 				panic("mpi: one-sided request with no handler registered")
 			}
@@ -285,7 +255,7 @@ func (d *device) handlePost(req *Request) (finished bool) {
 func (d *device) handleIncoming(env *envelope) (finished bool) {
 	if env.seq != 0 {
 		if env.seq <= d.lastSeq[env.src] {
-			d.stats.duplicates.Add(1)
+			d.stats.Duplicates++
 			d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
 				"dropped duplicate %v from %d (seq %d)", env.kind, env.src, env.seq)
 			d.rk.fl.Record(d.now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, 0)
@@ -301,7 +271,7 @@ func (d *device) handleIncoming(env *envelope) (finished bool) {
 			return false
 		}
 	}
-	d.stats.unexpected.Add(1)
+	d.stats.Unexpected++
 	d.unexpected = append(d.unexpected, env)
 	// Wake blocking probes that match the new arrival.
 	for i, pr := range d.probes {
@@ -389,8 +359,8 @@ func (d *device) checkSignature(req *Request, env *envelope) {
 // between them the payload is copied (deliver) or unpacked (unpackShort).
 func (d *device) acceptShort(req *Request, env *envelope) {
 	d.capacity(req, env.bytes)
-	d.stats.shortRecvd.Add(1)
-	d.stats.bytesRecvd.Add(env.bytes)
+	d.stats.ShortRecvd++
+	d.stats.BytesRecvd += env.bytes
 }
 
 func (d *device) finishShort(req *Request, env *envelope) {
@@ -411,8 +381,8 @@ func (d *device) unpackShort(p *sim.Proc, req *Request, env *envelope) {
 // deliverEager copies data out of the eager slot and returns the credit.
 func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	d.capacity(req, env.bytes)
-	d.stats.eagerRecvd.Add(1)
-	d.stats.bytesRecvd.Add(env.bytes)
+	d.stats.EagerRecvd++
+	d.stats.BytesRecvd += env.bytes
 	mem := d.rk.ports[env.src].mem
 	off := d.rk.w.eagerOff(env.slot)
 	var err error
@@ -448,7 +418,7 @@ func (d *device) failRecv(req *Request, src, tag int, err error) {
 // rendezvous buffer.
 func (d *device) startRendezvous(p *sim.Proc, req *Request, env *envelope) {
 	d.capacity(req, env.bytes)
-	d.stats.rdvRecvd.Add(1)
+	d.stats.RdvRecvd++
 	mode := rdvGeneric
 	switch {
 	case req.dt.Contiguous():
@@ -498,7 +468,7 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 		// A duplicated chunk announcement: either the transfer already
 		// completed (request gone) or the chunk was already drained. Drop
 		// it without a second ack — the sender counted the first one.
-		d.stats.duplicates.Add(1)
+		d.stats.Duplicates++
 		d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
 			"dropped duplicate rendezvous chunk %d (req %d) from %d", env.chunk, env.reqID, env.src)
 		return
@@ -515,7 +485,7 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 	csp.End(p.Now())
 	st.received += n
 	st.nextChunk++
-	d.stats.bytesRecvd.Add(n)
+	d.stats.BytesRecvd += n
 	tr.Instantf(p.Now(), d.actor, "rdv",
 		"chunk %d (%d bytes) from %d, mode %d", env.chunk, n, env.src, st.mode)
 	d.rk.fl.Record(p.Now(), flight.KRdvChunk, int64(env.src), env.reqID, n, st.received)
@@ -585,7 +555,7 @@ func (d *device) handleRdvCancel(env *envelope) {
 		return
 	}
 	delete(d.rdv, env.reqID)
-	d.stats.rdvCancels.Add(1)
+	d.stats.RdvCancels++
 	d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
 		"rendezvous %d cancelled by %d after %d bytes", env.reqID, env.src, st.received)
 	d.rk.fl.Record(d.now(), flight.KRdvCancel, int64(env.src), env.reqID, st.received, 0)
@@ -613,7 +583,7 @@ func (d *device) failFrom(src int, err error) {
 	for id, st := range d.rdv {
 		if st.src == src {
 			delete(d.rdv, id)
-			d.stats.rdvCancels.Add(1)
+			d.stats.RdvCancels++
 			failed = append(failed, st.req)
 		}
 	}

@@ -49,7 +49,7 @@ func (c *Comm) Dup() *Comm {
 	// Key the exchange by this rank's own collective-call sequence number:
 	// matched collective calls have matching indices on every member, with
 	// no reads of shared mutable state before the barrier.
-	key := fmt.Sprintf("mpi.dup.%d.%d", c.ctx, c.w.callSeq("dup", c.ctx, c.rk.id))
+	key := fmt.Sprintf("mpi.dup.%d.%d", c.ctx, c.w.callSeq(seqDup, c.ctx, c.rk.id))
 	if c.Rank() == 0 {
 		user, coll := c.w.nextCtxPair()
 		c.w.Deposit(key, c.worldRank(0), [2]int{user, coll})
@@ -69,7 +69,7 @@ func (c *Comm) Dup() *Comm {
 // (MPI_UNDEFINED).
 func (c *Comm) Split(color, key int) *Comm {
 	type entry struct{ color, key, world int }
-	tag := fmt.Sprintf("mpi.split.%d.%d", c.ctx, c.w.callSeq("split", c.ctx, c.rk.id))
+	tag := fmt.Sprintf("mpi.split.%d.%d", c.ctx, c.w.callSeq(seqSplit, c.ctx, c.rk.id))
 	c.w.Deposit(tag, c.worldRank(c.Rank()), entry{color, key, c.worldRank(c.Rank())})
 	c.Barrier()
 	var mine []entry

@@ -164,7 +164,7 @@ func (c *Comm) peerLost(dst int) error {
 // reports them, a *fault.Error of kind Timeout against a peer that is alive
 // but silent, or against AnySource.
 func (c *Comm) watchdogExpired(peer int, format string, args ...any) error {
-	c.rk.dev.stats.sendTimeouts.Add(1)
+	c.rk.dev.stats.SendTimeouts++
 	c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault", format, args...)
 	if peer != AnySource {
 		if err := c.peerLost(peer); err != nil {
@@ -196,7 +196,7 @@ func (c *Comm) retryTransfer(dst int, op func() error) error {
 		if !ok || !fe.Retryable() || attempt >= max {
 			return err
 		}
-		c.rk.dev.stats.sendRetries.Add(1)
+		c.rk.dev.stats.SendRetries++
 		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 			"deposit to %d failed (%v), retry %d after %v", dst, fe.Kind, attempt+1, backoff)
 		c.rk.fl.Record(c.p.Now(), flight.KFault, int64(fe.Kind), int64(c.rk.id), int64(dst), int64(attempt+1))
@@ -345,7 +345,7 @@ func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (int, error) {
 			return chunk, nil
 		}
 		if want == envRdvAck && got == envRdvCTS {
-			c.rk.dev.stats.duplicates.Add(1)
+			c.rk.dev.stats.Duplicates++
 			c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
 				"ignoring stray %v from %d while waiting for %v", got, dst, want)
 			continue

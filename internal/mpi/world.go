@@ -207,7 +207,7 @@ type World struct {
 
 	size       int
 	exchange   map[string][]any
-	seq        map[string][]int
+	seq        map[seqKey][]int
 	ctxCounter int
 
 	// Failure-detector and revocation state (see elastic.go), indexed by
@@ -225,7 +225,7 @@ type World struct {
 	collWins  []*SharedSeg
 	collViews [][]smi.Mem
 	collLive  collEWMATable
-	collSnaps map[collSnapKey]*collSnap
+	collCalls map[collCallKey]collDecision
 
 	// envFree is the envelope free list (see envelope).
 	envFree []*envelope
@@ -237,11 +237,11 @@ type World struct {
 	packGeneric pack.Cumulative
 }
 
-// PackStats returns race-free cumulative totals of all pack/unpack
-// operations performed on the world, split by engine (direct_pack_ff
-// versus the generic recursive baseline).
-func (w *World) PackStats() (ff, generic pack.CumulativeStats) {
-	return w.packFF.Snapshot(), w.packGeneric.Snapshot()
+// PackStats returns the cumulative totals of all pack/unpack operations
+// performed on the world, split by engine (direct_pack_ff versus the
+// generic recursive baseline).
+func (w *World) PackStats() (ff, generic pack.Cumulative) {
+	return w.packFF, w.packGeneric
 }
 
 // countPack folds one pack/unpack operation into the per-engine totals.

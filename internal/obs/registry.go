@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -208,6 +209,50 @@ func (r *Registry) HistogramUnitOf(name string) Unit {
 
 // SetGauge is shorthand for Gauge(name).Set(v).
 func (r *Registry) SetGauge(name string, v int64) { r.Gauge(name).Set(v) }
+
+// SetGauges publishes every int64 field of the struct stats as a gauge named
+// Name(base+"."+field, labels...), where field is the field's name in snake
+// case (BytesWritten -> bytes_written, OSCRequests -> osc_requests) or its
+// `gauge:"..."` tag. A layer's stats struct is thereby its own gauge list: a
+// field added to it is published without being named a second time.
+func (r *Registry) SetGauges(base string, stats any, labels ...string) {
+	if r == nil {
+		return
+	}
+	v := reflect.ValueOf(stats)
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			continue
+		}
+		name, ok := f.Tag.Lookup("gauge")
+		if !ok {
+			name = snakeCase(f.Name)
+		}
+		r.SetGauge(Name(base+"."+name, labels...), v.Field(i).Int())
+	}
+}
+
+// snakeCase lower-cases an exported Go identifier, putting an underscore
+// where a word starts: after a lower-case letter, and before the last
+// capital of a run that a lower-case letter follows (DMATransfers ->
+// dma_transfers).
+func snakeCase(s string) string {
+	isUpper := func(c byte) bool { return c >= 'A' && c <= 'Z' }
+	var sb strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if isUpper(c) {
+			if i > 0 && (!isUpper(s[i-1]) || i+1 < len(s) && !isUpper(s[i+1])) {
+				sb.WriteByte('_')
+			}
+			c += 'a' - 'A'
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
+}
 
 // WriteText dumps every metric as plain text, sorted by name: counters and
 // gauges one per line, histograms with count/min/quantiles/max. Histogram

@@ -136,3 +136,30 @@ func TestHistogramUnits(t *testing.T) {
 		t.Errorf("byte/count samples rendered as durations:\n%s", out)
 	}
 }
+
+// TestSetGaugesNames pins how a stats field becomes a gauge name: these are
+// the spellings dashboards and the repo's benchmark already read.
+func TestSetGaugesNames(t *testing.T) {
+	r := NewRegistry()
+	r.SetGauges("sci.node", struct {
+		BytesWritten   int64
+		OSCRequests    int64
+		DMATransfers   int64
+		DMASGTransfers int64 `gauge:"dma_sg_transfers"`
+		Ops            int64
+		Name           string // not a count: skipped
+	}{1, 2, 3, 4, 5, "n"}, "node", "7")
+	var buf bytes.Buffer
+	r.WriteText(&buf)
+	want := `gauge   sci.node.bytes_written{node=7} 1
+gauge   sci.node.dma_sg_transfers{node=7} 4
+gauge   sci.node.dma_transfers{node=7} 3
+gauge   sci.node.ops{node=7} 5
+gauge   sci.node.osc_requests{node=7} 2
+`
+	if got := strings.Join(strings.Fields(buf.String()), " "); got != strings.Join(strings.Fields(want), " ") {
+		t.Errorf("SetGauges published\n%s\nwant\n%s", buf.String(), want)
+	}
+	var nilReg *Registry
+	nilReg.SetGauges("x", struct{ A int64 }{1}) // nil registry: no-op
+}

@@ -55,8 +55,8 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		return nil
 	}
 	w.checkTarget(target, targetOff, span)
-	w.stats.puts.Add(1)
-	w.stats.bytesPut.Add(n)
+	w.stats.Puts++
+	w.count(&w.stats.BytesPut, w.sys.met.bytesPut, n)
 	p := w.sys.c.Proc()
 	start := p.Now()
 	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "put")
@@ -64,7 +64,6 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	defer func() {
 		sp.End(p.Now())
 		w.sys.met.putNS.ObserveDuration(p.Now() - start)
-		w.sys.met.bytesPut.Add(n)
 		w.fail(flight.OpPut, target, err)
 	}()
 
@@ -81,8 +80,7 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		// persistent transfer faults) degrades to the emulation path below —
 		// unless the target itself is gone, which is the caller's problem.
 		if err := w.tryDirectPut(p, buf, count, dt, target, targetOff, n, span); err == nil {
-			w.stats.directPuts.Add(1)
-			w.sys.met.directPuts.Add(1)
+			w.count(&w.stats.DirectPuts, w.sys.met.directPuts, 1)
 			sp.SetDetail("direct -> %d", target)
 			w.fl.Record(p.Now(), flight.KPut, int64(w.sys.c.GroupToWorld(target)), n, int64(w.id), 1)
 			return nil
@@ -94,8 +92,7 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	}
 	// Emulation: stage the linearized data into the pair's staging area
 	// and invoke the remote handler.
-	w.stats.emulatedPuts.Add(1)
-	w.sys.met.emulatedPuts.Add(1)
+	w.count(&w.stats.EmulatedPuts, w.sys.met.emulatedPuts, 1)
 	sp.SetDetail("emulated -> %d", target)
 	w.fl.Record(p.Now(), flight.KPut, int64(w.sys.c.GroupToWorld(target)), n, int64(w.id), 0)
 	return w.emulatedPut(buf, count, dt, target, targetOff, n)
@@ -259,8 +256,8 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		return nil
 	}
 	w.checkTarget(target, targetOff, span)
-	w.stats.gets.Add(1)
-	w.stats.bytesGot.Add(n)
+	w.stats.Gets++
+	w.count(&w.stats.BytesGot, w.sys.met.bytesGot, n)
 	p := w.sys.c.Proc()
 	start := p.Now()
 	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "get")
@@ -268,7 +265,6 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	defer func() {
 		sp.End(p.Now())
 		w.sys.met.getNS.ObserveDuration(p.Now() - start)
-		w.sys.met.bytesGot.Add(n)
 		w.fail(flight.OpGet, target, err)
 	}()
 
@@ -285,8 +281,7 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		// failing view degrades to the remote-put path below, which rereads
 		// the whole amount.
 		if err := w.tryDirectGet(p, buf, count, dt, target, targetOff, n); err == nil {
-			w.stats.directGets.Add(1)
-			w.sys.met.directGets.Add(1)
+			w.count(&w.stats.DirectGets, w.sys.met.directGets, 1)
 			sp.SetDetail("direct <- %d", target)
 			return nil
 		} else if lost := w.lostTarget(target); lost != nil {
@@ -297,8 +292,7 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	}
 	// Remote-put: the handler at the target writes the data into this
 	// process's staging area (its own address space view of us).
-	w.stats.remotePuts.Add(1)
-	w.sys.met.remotePuts.Add(1)
+	w.count(&w.stats.RemotePuts, w.sys.met.remotePuts, 1)
 	sp.SetDetail("remote-put <- %d", target)
 	return w.remotePutGet(buf, count, dt, target, targetOff, n)
 }
@@ -384,7 +378,7 @@ func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 		return nil
 	}
 	w.checkTarget(target, targetOff, n)
-	w.stats.accs.Add(1)
+	w.stats.Accs++
 	c := w.sys.c
 	p := c.Proc()
 	start := p.Now()
@@ -420,7 +414,7 @@ func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 		payload.Put()
 		return nil
 	}
-	w.stats.emulatedAccumulates.Add(1)
+	w.stats.EmulatedAccumulates++
 	sp.SetDetail("staged -> %d", target)
 	stage, base, size, lock := c.OSCStage(c.GroupToWorld(target))
 	half := size / 2

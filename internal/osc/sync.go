@@ -40,7 +40,7 @@ func (e ErrSyncTimeout) Error() string {
 // which the Figure 9 rows and the rmem rounds pin, so neither is written
 // over the other.
 func (w *Win) Fence() {
-	w.stats.fences.Add(1)
+	w.stats.Fences++
 	w.closeEpoch()
 	w.syncViews()
 	w.sys.c.Barrier()
@@ -57,7 +57,7 @@ func (w *Win) Fence() {
 // window must use FenceChecked for the same fence (the announcement rounds
 // are counted separately from plain Fence barriers).
 func (w *Win) FenceChecked() error {
-	w.stats.fences.Add(1)
+	w.stats.Fences++
 	w.closeEpoch()
 	w.syncViews()
 	c := w.sys.c
@@ -107,8 +107,7 @@ func (w *Win) FenceChecked() error {
 // countSyncTimeout bumps the window counter and registry metric for an
 // expired checked synchronization call.
 func (w *Win) countSyncTimeout() {
-	w.stats.syncTimeouts.Add(1)
-	w.sys.met.syncTimeouts.Add(1)
+	w.count(&w.stats.SyncTimeouts, w.sys.met.syncTimeouts, 1)
 }
 
 // syncViews guarantees delivery of every posted store this rank issued
@@ -138,7 +137,7 @@ func (w *Win) resetPattern() {
 // Post opens an exposure epoch for the origins in group (MPI_Win_post).
 // The notification costs one control message per origin.
 func (w *Win) Post(group []int) {
-	w.stats.posts.Add(1)
+	w.stats.Posts++
 	c := w.sys.c
 	for _, origin := range group {
 		c.OSCNotify(c.GroupToWorld(origin), &oscReq{kind: reqPost, win: w.id}, false)
@@ -223,7 +222,7 @@ func (w *Win) Lock(target int) {
 	if w.ep != epochNone {
 		panic("osc: Lock inside another access epoch")
 	}
-	w.stats.locks.Add(1)
+	w.stats.Locks++
 	c := w.sys.c
 	p := c.Proc()
 	if w.isShared[target] {
@@ -259,7 +258,7 @@ func (w *Win) LockChecked(target int) error {
 		w.Lock(target)
 		return nil
 	}
-	w.stats.locks.Add(1)
+	w.stats.Locks++
 	c := w.sys.c
 	p := c.Proc()
 	world := c.GroupToWorld(target)

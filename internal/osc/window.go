@@ -22,7 +22,6 @@ package osc
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"scimpich/internal/mpi"
@@ -180,11 +179,13 @@ type Win struct {
 	epochOpen  bool
 	epochStart time.Duration
 
-	stats winStats
+	stats Stats
 }
 
-// Stats is a point-in-time snapshot of the one-sided activity counters of
-// a window on this rank (see Win.Snapshot).
+// Stats is the one-sided activity of a window on this rank: the live
+// counters the owning rank bumps, and what Win.Snapshot returns by value.
+// Plain integers suffice because at most one process of a host runs at a
+// time (sim.Host), and every reader is such a process or runs after the run.
 type Stats struct {
 	Puts, Gets, Accs     int64
 	DirectPuts           int64
@@ -200,44 +201,15 @@ type Stats struct {
 	SyncTimeouts int64
 }
 
-// winStats holds the live counters. The owning rank's proc mutates them,
-// but harnesses read them from other goroutines after (or during) a run,
-// so every field is atomic.
-type winStats struct {
-	puts, gets, accs     atomic.Int64
-	directPuts           atomic.Int64
-	directGets           atomic.Int64
-	remotePuts           atomic.Int64
-	emulatedPuts         atomic.Int64
-	emulatedAccumulates  atomic.Int64
-	bytesPut, bytesGot   atomic.Int64
-	fences, locks, posts atomic.Int64
-	degradations         atomic.Int64
-	syncTimeouts         atomic.Int64
-}
+// Snapshot returns a copy of the window's statistics.
+func (w *Win) Snapshot() Stats { return w.stats }
 
-func (s *winStats) snapshot() Stats {
-	return Stats{
-		Puts:                s.puts.Load(),
-		Gets:                s.gets.Load(),
-		Accs:                s.accs.Load(),
-		DirectPuts:          s.directPuts.Load(),
-		DirectGets:          s.directGets.Load(),
-		RemotePuts:          s.remotePuts.Load(),
-		EmulatedPuts:        s.emulatedPuts.Load(),
-		EmulatedAccumulates: s.emulatedAccumulates.Load(),
-		BytesPut:            s.bytesPut.Load(),
-		BytesGot:            s.bytesGot.Load(),
-		Fences:              s.fences.Load(),
-		Locks:               s.locks.Load(),
-		Posts:               s.posts.Load(),
-		Degradations:        s.degradations.Load(),
-		SyncTimeouts:        s.syncTimeouts.Load(),
-	}
+// count adds n to one of the window's Stats fields and to the system-wide
+// registry counter of the same event, so neither moves without the other.
+func (w *Win) count(field *int64, c *obs.Counter, n int64) {
+	*field += n
+	c.Add(n)
 }
-
-// Snapshot returns a race-free snapshot of the window's statistics.
-func (w *Win) Snapshot() Stats { return w.stats.snapshot() }
 
 // CreateShared collectively creates a window whose local memory is the
 // given AllocMem segment (direct remote access).
@@ -364,8 +336,7 @@ func (w *Win) degrade(target int, err error) {
 		return
 	}
 	w.degraded[target] = true
-	w.stats.degradations.Add(1)
-	w.sys.met.degradations.Add(1)
+	w.count(&w.stats.Degradations, w.sys.met.degradations, 1)
 	c := w.sys.c
 	c.Tracer().Instantf(c.Proc().Now(), w.actor, "fault",
 		"window %d: direct view of rank %d degraded to emulation (%v)", w.id, target, err)

@@ -16,7 +16,6 @@ package pack
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"scimpich/internal/datatype"
 )
@@ -57,33 +56,11 @@ func (s *Stats) AvgBlock() int64 {
 	return s.Bytes / s.Blocks
 }
 
-// Cumulative accumulates the Stats of many pack/unpack operations. All
-// methods are safe for concurrent use (and on a nil receiver), so
-// simulation processes on different goroutines can share one accumulator
-// and harnesses can Snapshot() it while a run is in flight.
+// Cumulative is the running total of the Stats of many pack/unpack
+// operations. It is a plain value owned by whoever folds into it: the
+// simulation runs at most one process of a host at a time (sim.Host), so
+// its owner needs no synchronisation to share it among them.
 type Cumulative struct {
-	ops, blocks, bytes atomic.Int64
-	maxBlock           atomic.Int64
-}
-
-// Add folds one operation's Stats into the running totals.
-func (c *Cumulative) Add(st Stats) {
-	if c == nil || st.Blocks == 0 {
-		return
-	}
-	c.ops.Add(1)
-	c.blocks.Add(st.Blocks)
-	c.bytes.Add(st.Bytes)
-	for {
-		cur := c.maxBlock.Load()
-		if st.MaxBlock <= cur || c.maxBlock.CompareAndSwap(cur, st.MaxBlock) {
-			return
-		}
-	}
-}
-
-// CumulativeStats is a race-free snapshot of a Cumulative accumulator.
-type CumulativeStats struct {
 	// Ops is the number of pack/unpack operations folded in.
 	Ops int64
 	// Blocks and Bytes total the contiguous copies and data bytes moved.
@@ -92,16 +69,17 @@ type CumulativeStats struct {
 	MaxBlock int64
 }
 
-// Snapshot returns a point-in-time copy of the totals (zero on nil).
-func (c *Cumulative) Snapshot() CumulativeStats {
-	if c == nil {
-		return CumulativeStats{}
+// Add folds one operation's Stats into the running totals. Empty
+// operations are not counted.
+func (c *Cumulative) Add(st Stats) {
+	if st.Blocks == 0 {
+		return
 	}
-	return CumulativeStats{
-		Ops:      c.ops.Load(),
-		Blocks:   c.blocks.Load(),
-		Bytes:    c.bytes.Load(),
-		MaxBlock: c.maxBlock.Load(),
+	c.Ops++
+	c.Blocks += st.Blocks
+	c.Bytes += st.Bytes
+	if st.MaxBlock > c.MaxBlock {
+		c.MaxBlock = st.MaxBlock
 	}
 }
 

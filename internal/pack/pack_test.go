@@ -3,7 +3,6 @@ package pack
 import (
 	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"scimpich/internal/datatype"
@@ -415,43 +414,11 @@ func sortBytes(b []byte) {
 
 func TestCumulative(t *testing.T) {
 	var c Cumulative
-	if got := c.Snapshot(); got != (CumulativeStats{}) {
-		t.Fatalf("fresh accumulator = %+v, want zero", got)
-	}
 	c.Add(Stats{Blocks: 4, Bytes: 64, MinBlock: 8, MaxBlock: 32})
 	c.Add(Stats{Blocks: 2, Bytes: 16, MinBlock: 8, MaxBlock: 8})
 	c.Add(Stats{}) // empty operations are not counted
-	got := c.Snapshot()
-	want := CumulativeStats{Ops: 2, Blocks: 6, Bytes: 80, MaxBlock: 32}
-	if got != want {
-		t.Errorf("Snapshot() = %+v, want %+v", got, want)
-	}
-	var nilC *Cumulative
-	nilC.Add(Stats{Blocks: 1, Bytes: 1})
-	if nilC.Snapshot() != (CumulativeStats{}) {
-		t.Errorf("nil accumulator snapshot not zero")
-	}
-}
-
-func TestCumulativeConcurrent(t *testing.T) {
-	var c Cumulative
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.Add(Stats{Blocks: 1, Bytes: 10, MaxBlock: int64(g*100 + i)})
-				c.Snapshot()
-			}
-		}(g)
-	}
-	wg.Wait()
-	got := c.Snapshot()
-	if got.Ops != 800 || got.Blocks != 800 || got.Bytes != 8000 {
-		t.Errorf("totals = %+v, want 800 ops / 800 blocks / 8000 bytes", got)
-	}
-	if got.MaxBlock != 799 {
-		t.Errorf("MaxBlock = %d, want 799", got.MaxBlock)
+	want := Cumulative{Ops: 2, Blocks: 6, Bytes: 80, MaxBlock: 32}
+	if c != want {
+		t.Errorf("totals = %+v, want %+v", c, want)
 	}
 }

@@ -71,9 +71,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 		}
 		copy(req.m.seg.Local()[req.off:], req.data.B)
 		req.data.Put()
-		d.node.stats.dmaTransfers.Add(1)
-		d.node.stats.bytesWritten.Add(n)
-		d.node.ic.met.bytesWritten.Add(n)
+		d.node.countDMA(n, 0)
 		d.node.ic.met.dmaNS.ObserveDuration(p.Now() - start)
 		req.done.Complete(nil)
 	}
@@ -109,13 +107,7 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *dmaRequest) {
 	for _, desc := range req.descs {
 		copy(dst[desc.DstOff:], req.src[desc.SrcOff:desc.SrcOff+desc.Len])
 	}
-	d.node.stats.dmaTransfers.Add(1)
-	d.node.stats.dmaSGTransfers.Add(1)
-	d.node.stats.bytesWritten.Add(n)
-	d.node.ic.met.bytesWritten.Add(n)
-	d.node.ic.met.dmaSGTransfers.Inc()
-	d.node.ic.met.dmaSGBytes.Add(n)
-	d.node.ic.met.dmaSGDescs.Add(int64(len(req.descs)))
+	d.node.countDMA(n, len(req.descs))
 	d.node.ic.met.dmaSGNS.ObserveDuration(p.Now() - start)
 	req.done.Complete(nil)
 }
@@ -131,7 +123,7 @@ func (d *dmaEngine) drawFault(p *sim.Proc, req *dmaRequest) error {
 	if fe == nil {
 		return nil
 	}
-	d.node.stats.transferErrors.Add(1)
+	d.node.stats.TransferErrors++
 	d.node.ic.countFault(fe.Kind)
 	d.node.ic.tracef(d.node.name, "%v error on DMA to node %d", fe.Kind, req.m.seg.owner.id)
 	p.Sleep(cfg.RetryLatency)

@@ -54,12 +54,12 @@ func (fi *faultInjector) next() float64 {
 // maybeRetry injects a retry delay with the configured probability,
 // possibly several times in a row (independent trials, capped so a
 // pathological rate cannot stall a transfer forever).
-func (fi *faultInjector) maybeRetry(p *sim.Proc, stats *nodeStats) {
+func (fi *faultInjector) maybeRetry(p *sim.Proc, stats *Stats) {
 	if fi.rate <= 0 {
 		return
 	}
 	for i := 0; i < maxConsecutiveRetries && fi.next() < fi.rate; i++ {
-		stats.retries.Add(1)
+		stats.Retries++
 		p.Sleep(fi.latency)
 	}
 }

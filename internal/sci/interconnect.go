@@ -3,7 +3,6 @@ package sci
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"scimpich/internal/bufpool"
@@ -30,8 +29,10 @@ type Interconnect struct {
 	met    icMetrics
 }
 
-// Stats is a point-in-time snapshot of one node's transfer counters (see
-// Node.Snapshot).
+// Stats is one node's transfer counters: the live set the node bumps, and
+// what Node.Snapshot returns by value. Plain integers suffice because at
+// most one process of a host runs at a time (sim.Host), and every reader is
+// such a process or runs after the run has returned.
 type Stats struct {
 	BytesWritten  int64
 	BytesRead     int64
@@ -43,7 +44,7 @@ type Stats struct {
 
 	// DMASGTransfers counts the subset of DMATransfers that were
 	// scatter-gather descriptor-list submissions.
-	DMASGTransfers int64
+	DMASGTransfers int64 `gauge:"dma_sg_transfers"`
 
 	// TransferErrors counts injected CRC/sequence/link faults surfaced to
 	// this node's operations as typed errors (as opposed to Retries,
@@ -51,38 +52,6 @@ type Stats struct {
 	TransferErrors int64
 	// CheckRetries counts transfer-check barrier retries (CheckedSync).
 	CheckRetries int64
-}
-
-// nodeStats is the live, race-free counter set behind Stats. Counters are
-// atomics rather than a mutex because the cooperative scheduler forbids
-// holding a lock across p.Sleep (another proc could block on it and
-// deadlock the engine), and several mutation sites sleep mid-operation.
-type nodeStats struct {
-	bytesWritten   atomic.Int64
-	bytesRead      atomic.Int64
-	writeOps       atomic.Int64
-	readOps        atomic.Int64
-	storeBarriers  atomic.Int64
-	retries        atomic.Int64
-	dmaTransfers   atomic.Int64
-	dmaSGTransfers atomic.Int64
-	transferErrors atomic.Int64
-	checkRetries   atomic.Int64
-}
-
-func (s *nodeStats) snapshot() Stats {
-	return Stats{
-		BytesWritten:   s.bytesWritten.Load(),
-		BytesRead:      s.bytesRead.Load(),
-		WriteOps:       s.writeOps.Load(),
-		ReadOps:        s.readOps.Load(),
-		StoreBarriers:  s.storeBarriers.Load(),
-		Retries:        s.retries.Load(),
-		DMATransfers:   s.dmaTransfers.Load(),
-		DMASGTransfers: s.dmaSGTransfers.Load(),
-		TransferErrors: s.transferErrors.Load(),
-		CheckRetries:   s.checkRetries.Load(),
-	}
 }
 
 // icMetrics caches the interconnect's registry collectors so the PIO hot
@@ -154,13 +123,40 @@ type Node struct {
 	// dead marks the node unreachable (see monitor.go).
 	dead bool
 
-	stats nodeStats
+	stats Stats
 }
 
-// Snapshot returns a race-free copy of the node's transfer counters. Use
-// this instead of holding on to internal state: the live counters are
-// updated from device daemons concurrently with application procs.
-func (n *Node) Snapshot() Stats { return n.stats.snapshot() }
+// Snapshot returns a copy of the node's transfer counters.
+func (n *Node) Snapshot() Stats { return n.stats }
+
+// countWrite and countRead record one data transfer issued as ops accesses:
+// the node's own counters and the interconnect-wide registry counter move
+// together.
+func (n *Node) countWrite(ops, bytes int64) {
+	n.stats.WriteOps += ops
+	n.stats.BytesWritten += bytes
+	n.ic.met.bytesWritten.Add(bytes)
+}
+
+func (n *Node) countRead(ops, bytes int64) {
+	n.stats.ReadOps += ops
+	n.stats.BytesRead += bytes
+	n.ic.met.bytesRead.Add(bytes)
+}
+
+// countDMA records one completed DMA transfer; descs is the length of its
+// scatter-gather descriptor list, 0 for a contiguous request.
+func (n *Node) countDMA(bytes int64, descs int) {
+	n.stats.DMATransfers++
+	n.stats.BytesWritten += bytes
+	n.ic.met.bytesWritten.Add(bytes)
+	if descs > 0 {
+		n.stats.DMASGTransfers++
+		n.ic.met.dmaSGTransfers.Inc()
+		n.ic.met.dmaSGBytes.Add(bytes)
+		n.ic.met.dmaSGDescs.Add(int64(descs))
+	}
+}
 
 // New builds the simulated cluster.
 func New(e sim.Host, cfg Config) *Interconnect {
@@ -335,7 +331,7 @@ func (n *Node) postDelivery(seg *Segment, off int64, buf *bufpool.Buf, access, s
 // arrived at its target ("ensures complete delivery of all data written at
 // a certain moment of time").
 func (n *Node) StoreBarrier(p *sim.Proc) {
-	n.stats.storeBarriers.Add(1)
+	n.stats.StoreBarriers++
 	start := p.Now()
 	p.Sleep(n.ic.Cfg.StoreBarrierLatency)
 	for n.pendingWrites > 0 {
@@ -387,13 +383,13 @@ func (n *Node) tryLinkClear(p *sim.Proc, owner *Node) error {
 		return nil
 	}
 	for i := 0; i < maxTransferRetries; i++ {
-		n.stats.retries.Add(1)
+		n.stats.Retries++
 		p.Sleep(n.ic.Cfg.RetryLatency)
 		if !plan.Disturbed(n.id, owner.id, p.Now()) {
 			return nil
 		}
 	}
-	n.stats.transferErrors.Add(1)
+	n.stats.TransferErrors++
 	n.ic.countFault(fault.LinkDisturbed)
 	n.ic.tracef(n.name, "link to node %d disturbed, transfer aborted", owner.id)
 	return &fault.Error{Kind: fault.LinkDisturbed, From: n.id, To: owner.id, At: p.Now()}

@@ -83,7 +83,7 @@ func (n *Node) tryReachable(p *sim.Proc, target *Node) error {
 		return nil
 	}
 	for i := 0; i < maxTransferRetries; i++ {
-		n.stats.retries.Add(1)
+		n.stats.Retries++
 		p.Sleep(n.ic.Cfg.RetryLatency)
 		if !target.dead {
 			return nil // the connection came back mid-retry

@@ -33,7 +33,7 @@ func (m *Mapping) must(try func() error) {
 			return
 		}
 		if fe, ok := err.(*fault.Error); ok && fe.Retryable() && attempt < maxTransferRetries {
-			m.from.stats.retries.Add(1)
+			m.from.stats.Retries++
 			continue
 		}
 		panic(err)
@@ -48,7 +48,7 @@ func (m *Mapping) drawPIOFault(p *sim.Proc) error {
 	if fe == nil {
 		return nil
 	}
-	from.stats.transferErrors.Add(1)
+	from.stats.TransferErrors++
 	from.ic.countFault(fe.Kind)
 	from.ic.tracef(from.name, "%v error on transfer to node %d", fe.Kind, m.seg.owner.id)
 	p.Sleep(from.ic.Cfg.RetryLatency)
@@ -71,9 +71,7 @@ func (m *Mapping) TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingS
 		return err
 	}
 	from := m.from
-	from.stats.writeOps.Add(1)
-	from.stats.bytesWritten.Add(n)
-	from.ic.met.bytesWritten.Add(n)
+	from.countWrite(1, n)
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		// Local store through the mapping: plain memory copy.
@@ -130,9 +128,7 @@ func (m *Mapping) tryWriteStrided(p *sim.Proc, off int64, src []byte, accessSize
 		return err
 	}
 	from := m.from
-	from.stats.writeOps.Add(a.Accesses)
-	from.stats.bytesWritten.Add(n)
-	from.ic.met.bytesWritten.Add(n)
+	from.countWrite(a.Accesses, n)
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		p.Sleep(cfg.Mem.CopyCost(n, a.Access, a.Span))
@@ -178,8 +174,8 @@ func (m *Mapping) tryWriteWord(p *sim.Proc, off int64, src []byte) error {
 		return err
 	}
 	from := m.from
-	from.stats.writeOps.Add(1)
-	from.stats.bytesWritten.Add(n)
+	from.stats.WriteOps++
+	from.stats.BytesWritten += n
 	p.Sleep(from.ic.Cfg.WriteIssueOverhead)
 	if !m.Remote() {
 		copy(m.seg.Local()[off:], src)
@@ -206,9 +202,7 @@ func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 		return err
 	}
 	from := m.from
-	from.stats.readOps.Add(1)
-	from.stats.bytesRead.Add(n)
-	from.ic.met.bytesRead.Add(n)
+	from.countRead(1, n)
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		p.Sleep(cfg.Mem.CopyCost(n, n, n))
@@ -248,9 +242,7 @@ func (m *Mapping) tryReadStrided(p *sim.Proc, off int64, dst []byte, accessSize,
 		return err
 	}
 	from := m.from
-	from.stats.readOps.Add(a.Accesses)
-	from.stats.bytesRead.Add(n)
-	from.ic.met.bytesRead.Add(n)
+	from.countRead(a.Accesses, n)
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
 		p.Sleep(cfg.Mem.CopyCost(n, a.Access, a.Span))
@@ -308,9 +300,7 @@ func (w *BlockWriter) Write(off int64, src []byte) {
 	copy(w.m.seg.Local()[off:], src)
 	cfg := &w.m.from.ic.Cfg
 	w.bytes += n
-	w.m.from.stats.writeOps.Add(1)
-	w.m.from.stats.bytesWritten.Add(n)
-	w.m.from.ic.met.bytesWritten.Add(n)
+	w.m.from.countWrite(1, n)
 	if w.m.Remote() {
 		w.cost += cfg.WriteIssueOverhead + sim.RateDuration(n, cfg.StreamWriteBW(n))
 	} else {

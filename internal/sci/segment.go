@@ -167,7 +167,7 @@ func (m *Mapping) CheckedSync(p *sim.Proc) error {
 				"transfer check toward node %d failed %d times, connection lost", m.seg.owner.id, attempt+1)
 			return ErrConnectionLost{From: from.id, To: m.seg.owner.id}
 		}
-		from.stats.checkRetries.Add(1)
+		from.stats.CheckRetries++
 		from.ic.tracef(from.name,
 			"transfer check toward node %d failed (%v), retry %d after %v", m.seg.owner.id, fe.Kind, attempt+1, backoff)
 		p.Sleep(backoff)
@@ -189,7 +189,7 @@ func (m *Mapping) checkStatus(p *sim.Proc) error {
 		return ErrConnectionLost{From: m.from.id, To: owner.id}
 	}
 	if fe := m.from.ic.Cfg.Fault.DrawCheckError(p.Now(), m.from.id, owner.id); fe != nil {
-		m.from.stats.transferErrors.Add(1)
+		m.from.stats.TransferErrors++
 		m.from.ic.countFault(fe.Kind)
 		return fe
 	}
