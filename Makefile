@@ -54,21 +54,24 @@ failover:
 # shard-stress hammers the conservative-parallel engine and the incremental
 # flow solver under the race detector, then the torus machine, the full MPI
 # stack and the one-sided layer on the sharded engine (the mpi.TorusWorld
-# and confined-world cross-engine property tests, the plain-field Stats
-# read mid-run, plus the engine bench rows) — with real goroutine
-# parallelism, so window-barrier and cross-shard-queue races surface.
+# and confined-world cross-engine property tests, the torus run's allocation
+# budget at 1 and 2 shards, the plain-field Stats read mid-run, plus the
+# engine bench rows) — with real goroutine parallelism, so window-barrier,
+# cross-shard-queue and recycled-delivery races surface.
 shard-stress:
 	$(GO) test -race -count=2 ./internal/sim/ ./internal/flow/
-	$(GO) test -race -count=2 -run 'TestCrossEngine|TestTorus' ./internal/mpi/
+	$(GO) test -race -count=2 -run 'TestCrossEngine|TestTorus|TestAllocsTorusRunBudget' ./internal/mpi/
 	$(GO) test -race -count=2 -run 'TestFenceEpochOnShardedEngine|TestStatsReadableMidRun' ./internal/osc/
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
 
 # alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack,
-# PIO and event/hand-off fast paths, under 1 MiB for an empty 8x2 world, and
-# the per-message budget of a 64 B round trip (allocations, process switches,
-# events); CI fails the bench job if these regress.
+# PIO and event/hand-off fast paths and per flow (Transfer, StartCall, a
+# warm re-solve), under 1 MiB for an empty 8x2 world, a torus run at its
+# construction cost, and the per-message budget of a 64 B round trip
+# (allocations, process switches, events); CI fails the bench job if these
+# regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree|Budget' -v ./internal/pack/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/mpi/
+	$(GO) test -run 'TestAllocs|AllocFree|Budget' -v ./internal/pack/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

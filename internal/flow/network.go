@@ -14,6 +14,16 @@
 // works one component at a time in a deterministic order, so the incremental
 // rates are bit-identical to a from-scratch solve.
 //
+// A flow costs what it touches. Active flows sit in an indexed min-heap keyed
+// by the first virtual instant at which they read as finished, so retiring
+// pops the root and arming the completion timer descends only the part of
+// the heap that can hold the minimum; a solve re-keys only the flows it
+// re-anchored. A flow the network never hands out (Transfer, StartCall) is
+// recycled through a free list — the last reader frees: Transfer after its
+// Await returns, the network just before it calls the continuation — while a
+// flow returned by Start or StartBatch belongs to the caller and is never
+// reused.
+//
 // Links can degrade under load: each Link may carry a CongestionModel that
 // turns (offered load, multiplexing degree) into an achievable fraction of
 // the nominal capacity. The SCI ring calibration lives in congestion.go.
@@ -151,9 +161,14 @@ type Flow struct {
 	path    []Hop   // each link once (repeats merged at admission)
 	srcCap  float64 // per-flow rate cap (bytes/second)
 	rate    float64 // current allocated rate
-	done    *sim.Future
+	done    sim.Future
 	started time.Duration // virtual start time (for the duration metric)
 	bytes   int64         // total transfer size
+
+	// fn(arg) is the continuation of a StartCall flow, run in place of
+	// completing done.
+	fn  func(any)
+	arg any
 
 	// Progress anchor: the bytes left at the instant of the last rate
 	// change. The bytes left now are always derived from it in a single
@@ -165,6 +180,12 @@ type Flow struct {
 	anchorAt        time.Duration
 	anchorRemaining float64
 
+	// key is the first virtual instant at which remainingAt reads as finished
+	// (see completionKey), a constant between two re-anchors; heapIdx is the
+	// flow's position in Network.flows.
+	key     time.Duration
+	heapIdx int
+
 	// fields used during rate computation
 	frozen bool
 	mark   uint64 // component-search epoch
@@ -174,30 +195,89 @@ type Flow struct {
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Done returns a future completed when the transfer finishes.
-func (f *Flow) Done() *sim.Future { return f.done }
+func (f *Flow) Done() *sim.Future { return &f.done }
 
 // remainingAt returns the bytes left at virtual time now.
 func (f *Flow) remainingAt(now time.Duration) float64 {
 	return max(0, f.anchorRemaining-f.rate*(now-f.anchorAt).Seconds())
 }
 
+// finishedBelow is the residue, in bytes, at or below which a flow counts as
+// delivered: progress is float arithmetic, and a timer armed for the last
+// whole byte can fire with a sliver left.
+const finishedBelow = 1e-9
+
+// neverKey is the key of a flow that cannot finish within the representable
+// virtual time.
+const neverKey = time.Duration(math.MaxInt64)
+
+// completionKey returns the first virtual instant at which remainingAt reads
+// at most finishedBelow. remainingAt is non-increasing in its argument, so
+// that instant is unique: the closed form lands within a few nanoseconds of
+// it, and the two probe loops walk the float rounding off.
+func (f *Flow) completionKey() time.Duration {
+	if f.rate <= 0 {
+		panic("flow: non-positive rate")
+	}
+	est := math.Ceil((f.anchorRemaining - finishedBelow) / f.rate * 1e9)
+	if !(est < 1<<62) {
+		return neverKey
+	}
+	t := f.anchorAt + time.Duration(max(0, est))
+	for f.remainingAt(t) > finishedBelow {
+		t++
+	}
+	for t > f.anchorAt && f.remainingAt(t-1) <= finishedBelow {
+		t--
+	}
+	return t
+}
+
+// keySlack bounds how far before its key a flow's timer delay can point: the
+// delay is the time for the whole bytes left, rounded up, so it reaches the
+// key but for the float error of the progress expression — a few units in
+// the last place of the anchored duration (2^-48 of it is 32 of them) plus
+// the nanosecond roundings. key - keySlack(key) is non-decreasing in key,
+// which is what lets nextDelay prune whole subtrees with it.
+func keySlack(key time.Duration) time.Duration { return 2 + key>>48 }
+
 // Network tracks active flows and drives their completion in virtual time.
 type Network struct {
 	s      sim.Scheduler
-	flows  []*Flow // active flows in admission order
+	flows  []*Flow // active flows: a min-heap on Flow.key
 	nextID uint64
 	next   sim.Timer
+	free   []*Flow // recycled flows of Transfer and StartCall
 
 	dirty []*Link // links whose flow set changed since the last solve
 	epoch uint64  // current link/flow marking generation
 	comp  []*Flow // scratch: the component being solved, in admission order
 	links []*Link // scratch: that component's links
 
+	// finished is the scratch of reallocate's retired sets. Completions may
+	// start flows and so re-enter reallocate: each activation appends its set
+	// behind those of the activations below it and truncates back to where it
+	// began, so the slice is a stack of sets and is addressed by index.
+	finished []*Flow
+
+	// The last arm: its instant, the delay it found and the flow that set
+	// it. A pass at that same instant (a batch of completions starting their
+	// successors) retires nothing and changes no delay but those of the
+	// flows it re-keys, so unless armedBy is among them, nextDelay compares
+	// it with the flows in rekeyed instead of descending the heap again.
+	armedAt    time.Duration
+	armedDelay time.Duration
+	armedBy    *Flow
+	rekeyed    []*Flow // scratch: flows given a key since the last arm
+
 	// metric collectors (nil without SetMetrics; nil collectors are no-ops).
-	transferNS *obs.Histogram
-	metBytes   *obs.Counter
-	activeHW   *obs.Gauge
-	highWater  int
+	transferNS    *obs.Histogram
+	metBytes      *obs.Counter
+	activeHW      *obs.Gauge
+	metSolves     *obs.Counter
+	metReanchored *obs.Counter
+	metHeapVisits *obs.Counter
+	highWater     int
 }
 
 // NewNetwork returns an empty flow network bound to the sequential engine.
@@ -213,7 +293,10 @@ func NewNetworkOn(s sim.Scheduler) *Network {
 
 // SetMetrics registers the network's collectors in r: a completed-transfer
 // duration histogram (flow.transfer.ns), a delivered-bytes counter
-// (flow.bytes) and a concurrent-flows high-water gauge (flow.active.max).
+// (flow.bytes), a concurrent-flows high-water gauge (flow.active.max) and
+// what the solver cost the host: passes (flow.solves, one per start, batch
+// or completion timer), flows re-anchored by them (flow.reanchored) and
+// flows evaluated to arm the timer after them (flow.heap_visits).
 // Call it right after NewNetwork; a nil registry leaves metrics disabled.
 // The collectors themselves are goroutine-safe, so shard-local networks may
 // share one registry.
@@ -224,6 +307,9 @@ func (n *Network) SetMetrics(r *obs.Registry) {
 	n.transferNS = r.Histogram("flow.transfer.ns")
 	n.metBytes = r.Counter("flow.bytes")
 	n.activeHW = r.Gauge("flow.active.max")
+	n.metSolves = r.Counter("flow.solves")
+	n.metReanchored = r.Counter("flow.reanchored")
+	n.metHeapVisits = r.Counter("flow.heap_visits")
 }
 
 // ActiveFlows returns the number of in-flight transfers.
@@ -251,10 +337,8 @@ func (n *Network) markDirty(l *Link) {
 	}
 }
 
-// admit validates and creates a flow and, unless it is empty (then it is
-// complete already), registers it on the network and its links and dirties
-// the links.
-func (n *Network) admit(path []Hop, bytes int64, srcCap float64) *Flow {
+// validate panics on a transfer no network can carry.
+func validate(path []Hop, srcCap float64) {
 	if srcCap <= 0 {
 		panic("flow: source cap must be positive")
 	}
@@ -263,17 +347,19 @@ func (n *Network) admit(path []Hop, bytes int64, srcCap float64) *Flow {
 			panic("flow: hop weight must be positive")
 		}
 	}
+}
+
+// admit registers f, a zero Flow, as a validated transfer of bytes > 0 on
+// the network and its links and dirties the links. Until the solve gives it
+// a rate it sits at the bottom of the heap.
+func (n *Network) admit(f *Flow, path []Hop, bytes int64, srcCap float64) {
 	now := n.s.Now()
-	f := &Flow{srcCap: srcCap, done: sim.NewFuture(), started: now, bytes: bytes}
-	if bytes <= 0 {
-		f.done.Complete(nil)
-		return f
-	}
+	f.srcCap, f.started, f.bytes = srcCap, now, bytes
 	f.id = n.nextID
 	n.nextID++
 	f.anchorAt, f.anchorRemaining = now, float64(bytes)
 	f.path = n.mergeRepeats(path)
-	n.flows = append(n.flows, f)
+	f.key = neverKey
 	for _, h := range f.path {
 		h.Link.flows = append(h.Link.flows, linkFlow{f, h.Weight})
 		n.markDirty(h.Link)
@@ -281,8 +367,29 @@ func (n *Network) admit(path []Hop, bytes int64, srcCap float64) *Flow {
 	if len(f.path) == 0 {
 		// No links: the flow is its own component, bound only by its source.
 		f.rate = f.srcCap
+		f.key = f.completionKey()
+		n.rekeyed = append(n.rekeyed, f)
 	}
-	return f
+	n.heapPush(f)
+}
+
+// acquire returns a zero Flow the network owns, recycled when one is free.
+func (n *Network) acquire() *Flow {
+	if k := len(n.free); k > 0 {
+		f := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return f
+	}
+	return new(Flow)
+}
+
+// release recycles a retired flow the network owns. Its last reader calls
+// it, and no pointer to such a flow ever leaves the package, so a recycled
+// flow needs no generation stamp.
+func (n *Network) release(f *Flow) {
+	*f = Flow{}
+	n.free = append(n.free, f)
 }
 
 // mergeRepeats returns path with every link named once, at its first
@@ -314,9 +421,10 @@ func (n *Network) mergeRepeats(path []Hop) []Hop {
 // Start begins a transfer of bytes over path, capped at srcCap bytes/second.
 // It returns immediately; the flow's Done future completes when the last
 // byte has been delivered. An empty path means the flow is limited only by
-// srcCap. A link appearing in several hops accumulates their weights.
+// srcCap. A link appearing in several hops accumulates their weights. The
+// returned flow is the caller's: the network never reuses it.
 func (n *Network) Start(path []Hop, bytes int64, srcCap float64) *Flow {
-	f := n.admit(path, bytes, srcCap)
+	f := n.admitOwned(path, bytes, srcCap)
 	if bytes > 0 {
 		n.noteStarted()
 		n.reallocate()
@@ -327,21 +435,60 @@ func (n *Network) Start(path []Hop, bytes int64, srcCap float64) *Flow {
 // StartBatch begins many transfers that share one rate recomputation —
 // the moment large symmetric scenarios (a whole machine starting its bulk
 // phase) need: starting n flows one by one costs n full max-min passes,
-// a batch costs one.
+// a batch costs one. Like Start's, the returned flows are the caller's.
 func (n *Network) StartBatch(paths [][]Hop, bytes int64, srcCap float64) []*Flow {
 	flows := make([]*Flow, len(paths))
 	for i, path := range paths {
-		flows[i] = n.admit(path, bytes, srcCap)
+		flows[i] = n.admitOwned(path, bytes, srcCap)
 	}
 	n.noteStarted()
 	n.reallocate()
 	return flows
 }
 
+// admitOwned validates and admits a flow for its caller to keep; an empty one
+// is complete already.
+func (n *Network) admitOwned(path []Hop, bytes int64, srcCap float64) *Flow {
+	validate(path, srcCap)
+	f := new(Flow)
+	if bytes <= 0 {
+		f.done.Complete(nil)
+	} else {
+		n.admit(f, path, bytes, srcCap)
+	}
+	return f
+}
+
+// StartCall begins a transfer like Start and calls fn(arg) when the last
+// byte has been delivered — at once if there is none to deliver. It is the
+// event-driven form for code with no process context (the AfterCall idiom:
+// a shared top-level fn and an explicit arg instead of a closure); the flow
+// never leaves the network, which recycles it.
+func (n *Network) StartCall(path []Hop, bytes int64, srcCap float64, fn func(any), arg any) {
+	validate(path, srcCap)
+	if bytes <= 0 {
+		fn(arg)
+		return
+	}
+	f := n.acquire()
+	f.fn, f.arg = fn, arg
+	n.admit(f, path, bytes, srcCap)
+	n.noteStarted()
+	n.reallocate()
+}
+
 // Transfer runs a flow to completion, blocking the calling process.
 func (n *Network) Transfer(p *sim.Proc, path []Hop, bytes int64, srcCap float64) {
-	f := n.Start(path, bytes, srcCap)
-	p.Await(f.done)
+	validate(path, srcCap)
+	if bytes <= 0 {
+		return
+	}
+	f := n.acquire()
+	n.admit(f, path, bytes, srcCap)
+	n.noteStarted()
+	n.reallocate()
+	p.Await(&f.done)
+	n.release(f)
 }
 
 // reallocate retires finished flows, re-solves the dirtied components and
@@ -350,25 +497,18 @@ func (n *Network) reallocate() {
 	n.next.Cancel()
 	n.next = sim.Timer{}
 	now := n.s.Now()
+	n.metSolves.Add(1)
 
-	// Retire flows that have reached (numerical) completion, compacting the
-	// rest in place so both sets stay in admission order — futures are
-	// completed in that order, and their callbacks schedule events. The
-	// finished set is fixed at entry: no virtual time passes inside
-	// reallocate. It is a fresh slice because those callbacks may start flows
-	// and so re-enter reallocate.
-	var finished []*Flow
-	live := n.flows[:0]
-	for _, f := range n.flows {
-		if f.remainingAt(now) <= 1e-9 {
-			finished = append(finished, f)
-		} else {
-			live = append(live, f)
-		}
+	// Retire the flows that have reached (numerical) completion: exactly
+	// those whose key has come. They are ordered by admission — futures are
+	// completed in that order, and their callbacks schedule events. The set
+	// is fixed here: no virtual time passes inside reallocate.
+	base := len(n.finished)
+	for len(n.flows) > 0 && n.flows[0].key <= now {
+		n.finished = append(n.finished, n.heapPop())
 	}
-	clear(n.flows[len(live):])
-	n.flows = live
-	for _, f := range finished {
+	slices.SortFunc(n.finished[base:], byAdmission)
+	for _, f := range n.finished[base:] {
 		n.unlink(f)
 		n.noteFinished(f)
 	}
@@ -376,22 +516,146 @@ func (n *Network) reallocate() {
 	n.solve()
 
 	if len(n.flows) > 0 {
-		soonest := time.Duration(math.MaxInt64)
-		for _, f := range n.flows {
-			d := sim.RateDuration(int64(math.Ceil(f.remainingAt(now))), f.rate)
-			if d < soonest {
-				soonest = d
-			}
+		n.next = n.s.AfterCall(n.nextDelay(now), completionDue, n)
+	}
+	clear(n.rekeyed)
+	n.rekeyed = n.rekeyed[:0]
+	for i := base; i < len(n.finished); i++ {
+		f := n.finished[i]
+		n.finished[i] = nil
+		if f.fn == nil {
+			f.done.Complete(nil)
+			continue
 		}
-		n.next = n.s.AfterCall(soonest, completionDue, n)
+		fn, arg := f.fn, f.arg
+		n.release(f)
+		fn(arg)
 	}
-	for _, f := range finished {
-		f.done.Complete(nil)
-	}
+	n.finished = n.finished[:base]
 }
 
 // completionDue is the completion timer's callback.
 func completionDue(n any) { n.(*Network).reallocate() }
+
+// byAdmission orders flows by admission id.
+func byAdmission(a, b *Flow) int { return cmp.Compare(a.id, b.id) }
+
+// nextDelay returns the delay of the completion timer: the least, over the
+// active flows, of the time their whole bytes left take at their rate. That
+// value depends on now through the whole-byte ceiling — a timer that fires
+// with a sliver left is re-armed one byte-time later — so it is evaluated
+// from now, not read off the keys; the keys only bound it from below.
+func (n *Network) nextDelay(now time.Duration) time.Duration {
+	visits := len(n.rekeyed)
+	if n.armedBy != nil && n.armedAt == now {
+		for _, f := range n.rekeyed {
+			n.consider(f, now)
+		}
+	} else {
+		n.armedAt, n.armedDelay = now, math.MaxInt64
+		visits = n.soonest(0, now)
+	}
+	n.metHeapVisits.Add(int64(visits))
+	return n.armedDelay
+}
+
+// consider lowers armedDelay to f's delay if that is less.
+func (n *Network) consider(f *Flow, now time.Duration) {
+	if d := f.delayAt(now); d < n.armedDelay {
+		n.armedDelay, n.armedBy = d, f
+	}
+}
+
+// soonest lowers armedDelay to the least delay in the subtree rooted at heap
+// position i and returns the number of flows it evaluated. Every flow below
+// i has a key at least i's and a delay no less than
+// key - keySlack(key) - now, so the subtree is skipped once that bound
+// reaches the least delay seen.
+func (n *Network) soonest(i int, now time.Duration) int {
+	if i >= len(n.flows) {
+		return 0
+	}
+	f := n.flows[i]
+	if f.key-keySlack(f.key)-now >= n.armedDelay {
+		return 0
+	}
+	n.consider(f, now)
+	return 1 + n.soonest(2*i+1, now) + n.soonest(2*i+2, now)
+}
+
+// delayAt returns the time the whole bytes f has left at now take at its
+// rate.
+func (f *Flow) delayAt(now time.Duration) time.Duration {
+	return sim.RateDuration(int64(math.Ceil(f.remainingAt(now))), f.rate)
+}
+
+// The heap is sifted by hand. container/heap, which reaches Less and Swap
+// through an interface, was measured in its place: a torus216_ring run took
+// 0.250 of the parent commit's wall time instead of 0.227 (ten alternated
+// pairs each), a tenth more.
+
+// heapPush adds f to the heap.
+func (n *Network) heapPush(f *Flow) {
+	f.heapIdx = len(n.flows)
+	n.flows = append(n.flows, f)
+	n.heapUp(f.heapIdx)
+}
+
+// heapPop removes and returns the flow with the least key.
+func (n *Network) heapPop() *Flow {
+	h := n.flows
+	f, last := h[0], len(h)-1
+	h[0] = h[last]
+	h[0].heapIdx = 0
+	h[last] = nil
+	n.flows = h[:last]
+	n.heapDown(0)
+	return f
+}
+
+// heapFix restores the heap order after f's key changed.
+func (n *Network) heapFix(f *Flow) {
+	if !n.heapDown(f.heapIdx) {
+		n.heapUp(f.heapIdx)
+	}
+}
+
+func (n *Network) heapSwap(i, j int) {
+	h := n.flows
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx, h[j].heapIdx = i, j
+}
+
+func (n *Network) heapUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if n.flows[parent].key <= n.flows[i].key {
+			return
+		}
+		n.heapSwap(i, parent)
+		i = parent
+	}
+}
+
+// heapDown sifts position i down and reports whether it moved.
+func (n *Network) heapDown(i int) bool {
+	start := i
+	for {
+		least := 2*i + 1
+		if least >= len(n.flows) {
+			break
+		}
+		if r := least + 1; r < len(n.flows) && n.flows[r].key < n.flows[least].key {
+			least = r
+		}
+		if n.flows[i].key <= n.flows[least].key {
+			break
+		}
+		n.heapSwap(i, least)
+		i = least
+	}
+	return i > start
+}
 
 // unlink takes a retired flow off its links and dirties them.
 func (n *Network) unlink(f *Flow) {
@@ -426,6 +690,15 @@ func (n *Network) solve() {
 			f.anchorAt, f.anchorRemaining = now, f.remainingAt(now)
 		}
 		n.solveComponent()
+		for _, f := range n.comp {
+			f.key = f.completionKey()
+			n.heapFix(f)
+			if f == n.armedBy {
+				n.armedBy = nil
+			}
+		}
+		n.rekeyed = append(n.rekeyed, n.comp...)
+		n.metReanchored.Add(int64(len(n.comp)))
 	}
 	n.dirty = n.dirty[:0]
 }
@@ -463,7 +736,7 @@ func (n *Network) component(seed *Link) {
 			}
 		}
 	}
-	slices.SortFunc(n.comp, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(n.comp, byAdmission)
 }
 
 // visit marks l as part of the component being collected.

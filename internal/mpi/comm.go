@@ -198,8 +198,9 @@ func (w *World) Spawn(main func(c *Comm)) {
 func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats }
 
 // PublishMetrics exports the end-of-run statistics into a registry as
-// gauges: the fabric's event and process-switch counts (sim.events,
-// sim.proc_switches), every field of each rank's DeviceStats
+// gauges: the fabric's event, process-switch and cancelled-timer counts and
+// its deepest event heap (sim.events, sim.proc_switches,
+// sim.timers_cancelled, sim.heap_depth_max), every field of each rank's DeviceStats
 // (mpi.device.*{rank=r}), of the per-engine pack totals (pack.*{engine=e})
 // and of each node's sci.Stats (sci.node.*{node=n}), and sci.retries, the
 // sum of the per-node retries. Run calls this
@@ -212,6 +213,8 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 	// What the run cost the simulator, beside what it did in the model.
 	r.SetGauge("sim.events", int64(w.fabric.Events()))
 	r.SetGauge("sim.proc_switches", int64(w.fabric.ProcSwitches()))
+	r.SetGauge("sim.timers_cancelled", int64(w.fabric.TimersCancelled()))
+	r.SetGauge("sim.heap_depth_max", int64(w.fabric.HeapDepthMax()))
 	for rank := range w.ranks {
 		r.SetGauges("mpi.device", w.Stats(rank), "rank", strconv.Itoa(rank))
 	}

@@ -148,18 +148,42 @@ func TestSwitchesPingPongBudget(t *testing.T) {
 }
 
 // TestSimCountersPublished: what a run cost the simulator is in the metric
-// registry beside what it did in the model, on both engines.
+// registry beside what it did in the model, on both engines — the engine's
+// events, process switches, cancelled timers and deepest heap as the fabric
+// counted them, and the flow solver's passes, re-anchored flows and heap
+// visits. The rendezvous exchange puts 64 KiB chunks through the flow network
+// in both directions at once, and a solver pass that finds the completion
+// timer armed cancels it.
 func TestSimCountersPublished(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		cfg := DefaultConfig(2, 1)
 		cfg.Shards = shards
 		cfg.Metrics = obs.NewRegistry()
 		f := NewFabric(cfg)
-		NewWorldOn(f, cfg).Run(func(c *Comm) { c.Barrier() })
-		events, switches := cfg.Metrics.Gauge("sim.events").Value(), cfg.Metrics.Gauge("sim.proc_switches").Value()
-		if events == 0 || events != int64(f.Events()) || switches == 0 || switches != int64(f.ProcSwitches()) {
-			t.Errorf("shards=%d: published %d events and %d switches, the fabric counted %d and %d",
-				shards, events, switches, f.Events(), f.ProcSwitches())
+		NewWorldOn(f, cfg).Run(func(c *Comm) {
+			out, in := make([]byte, 256<<10), make([]byte, 256<<10)
+			c.Sendrecv(out, len(out), datatype.Byte, c.Rank()^1, 0, in, len(in), datatype.Byte, c.Rank()^1, 0)
+			c.Barrier()
+		})
+		for _, g := range []struct {
+			name string
+			want uint64
+		}{
+			{"sim.events", f.Events()},
+			{"sim.proc_switches", f.ProcSwitches()},
+			{"sim.timers_cancelled", f.TimersCancelled()},
+			{"sim.heap_depth_max", uint64(f.HeapDepthMax())},
+		} {
+			if got := cfg.Metrics.Gauge(g.name).Value(); got == 0 || got != int64(g.want) {
+				t.Errorf("shards=%d: published %s = %d, the fabric counted %d", shards, g.name, got, g.want)
+			}
+		}
+		solves := cfg.Metrics.Counter("flow.solves").Value()
+		reanchored := cfg.Metrics.Counter("flow.reanchored").Value()
+		visits := cfg.Metrics.Counter("flow.heap_visits").Value()
+		if solves == 0 || reanchored == 0 || visits == 0 || reanchored > 2*solves || visits > 2*solves {
+			t.Errorf("shards=%d: %d solver passes re-anchored %d flows and visited %d: want all positive, and a pass to touch a flow or two",
+				shards, solves, reanchored, visits)
 		}
 	}
 }

@@ -27,6 +27,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -79,9 +80,13 @@ type TorusResult struct {
 	Steps    int           // allreduce steps per node
 }
 
-// torusDelivery is one chunk handed to the successor node.
+// torusDelivery is one chunk handed to the successor node. Deliveries are
+// recycled: the sender takes one from its own free list and the receiver,
+// once it has applied the chunk, puts it on its own — every node sends and
+// receives one per step, so the lists stay level and each is only ever
+// touched on its node's locale.
 type torusDelivery struct {
-	to    int // destination node id
+	to    *torusNode
 	step  int
 	chunk int
 	val   uint64
@@ -103,6 +108,11 @@ type torusNode struct {
 	sendDone bool
 	recvDone bool
 	inbox    []*torusDelivery // arrivals for steps we have not reached yet
+	spare    []*torusDelivery // applied deliveries, for this node's next sends
+
+	// The chunk in flight to the successor: what torusSent delivers.
+	sendChunk int
+	sendVal   uint64
 
 	log      []flight.Event // local samples, merged deterministically post-run
 	finished bool
@@ -119,8 +129,6 @@ type TorusWorld struct {
 	reg    *obs.Registry
 	chunks *obs.Counter
 	moved  *obs.Counter
-
-	deliverF func(any)
 }
 
 // TorusLookahead derives the conservative lookahead of a partition from the
@@ -195,10 +203,6 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 		m.chunks = m.reg.Counter("mpi.torus.chunks")
 		m.moved = m.reg.Counter("mpi.torus.bytes")
 	}
-	m.deliverF = func(arg any) {
-		d := arg.(*torusDelivery)
-		m.nodes[d.to].onRecv(d)
-	}
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
 		shard := assign[i]
@@ -245,24 +249,44 @@ func (nd *torusNode) beginStep() {
 			A: int64(nd.step), B: int64(sum)})
 		return
 	}
-	step, c := nd.step, ringSendBlock(nd.id, nd.step, len(m.nodes))
-	val := nd.chunks[c]
+	c := ringSendBlock(nd.id, nd.step, len(m.nodes))
+	nd.sendChunk, nd.sendVal = c, nd.chunks[c]
 	nd.sendDone, nd.recvDone = false, false
-	if every := m.sampleEvery(); step%every == 0 {
+	if every := m.sampleEvery(); nd.step%every == 0 {
 		nd.log = append(nd.log, flight.Event{At: nd.loc.Now(), Kind: flight.KPut,
-			A: int64(nd.next), B: int64(c), C: int64(val)})
+			A: int64(nd.next), B: int64(c), C: int64(nd.sendVal)})
 	}
-	f := nd.net.Start(nd.route, m.cfg.ChunkBytes, m.cfg.SrcCap)
-	f.Done().OnComplete(func(any) {
-		if m.chunks != nil {
-			m.chunks.Add(1)
-			m.moved.Add(m.cfg.ChunkBytes)
-		}
-		nd.loc.Send(nd.nextLoc, nd.delay, m.deliverF,
-			&torusDelivery{to: nd.next, step: step, chunk: c, val: val})
-		nd.sendDone = true
-		nd.maybeAdvance()
-	})
+	nd.net.StartCall(nd.route, m.cfg.ChunkBytes, m.cfg.SrcCap, torusSent, nd)
+}
+
+// torusBegin starts a node's first step (the seeding event of Run).
+func torusBegin(arg any) { arg.(*torusNode).beginStep() }
+
+// torusSent continues a node whose transfer of the current step finished:
+// the chunk leaves for the successor, one route latency away.
+func torusSent(arg any) {
+	nd := arg.(*torusNode)
+	m := nd.m
+	if m.chunks != nil {
+		m.chunks.Add(1)
+		m.moved.Add(m.cfg.ChunkBytes)
+	}
+	var d *torusDelivery
+	if k := len(nd.spare); k > 0 {
+		d, nd.spare = nd.spare[k-1], nd.spare[:k-1]
+	} else {
+		d = new(torusDelivery)
+	}
+	*d = torusDelivery{to: m.nodes[nd.next], step: nd.step, chunk: nd.sendChunk, val: nd.sendVal}
+	nd.loc.Send(nd.nextLoc, nd.delay, torusDeliver, d)
+	nd.sendDone = true
+	nd.maybeAdvance()
+}
+
+// torusDeliver hands an arrived chunk to its destination node.
+func torusDeliver(arg any) {
+	d := arg.(*torusDelivery)
+	d.to.onRecv(d)
 }
 
 func (m *TorusWorld) sampleEvery() int {
@@ -287,8 +311,8 @@ func (nd *torusNode) onRecv(d *torusDelivery) {
 	nd.maybeAdvance()
 }
 
-// apply merges one received chunk: wrapping add during reduce-scatter,
-// overwrite during allgather.
+// apply merges one received chunk — wrapping add during reduce-scatter,
+// overwrite during allgather — and recycles the delivery.
 func (nd *torusNode) apply(d *torusDelivery) {
 	if nd.step < len(nd.m.nodes)-1 {
 		nd.chunks[d.chunk] += d.val
@@ -296,6 +320,7 @@ func (nd *torusNode) apply(d *torusDelivery) {
 		nd.chunks[d.chunk] = d.val
 	}
 	nd.recvDone = true
+	nd.spare = append(nd.spare, d)
 }
 
 // maybeAdvance moves to the next step once the node's own transfer finished
@@ -311,7 +336,7 @@ func (nd *torusNode) maybeAdvance() {
 	}
 	for i, d := range nd.inbox {
 		if d.step == nd.step {
-			nd.inbox = append(nd.inbox[:i], nd.inbox[i+1:]...)
+			nd.inbox = slices.Delete(nd.inbox, i, i+1)
 			nd.apply(d)
 			// The new transfer just started and takes positive virtual
 			// time, so sendDone is false: no further advance from here.
@@ -323,8 +348,7 @@ func (nd *torusNode) maybeAdvance() {
 // Run executes the allreduce to completion and verifies the reduction.
 func (m *TorusWorld) Run() (TorusResult, error) {
 	for _, nd := range m.nodes {
-		nd := nd
-		nd.loc.At(0, nd.beginStep)
+		nd.loc.AfterCall(0, torusBegin, nd)
 	}
 	end := m.fab.Run()
 	res := TorusResult{

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -164,5 +165,35 @@ func TestTorusLookaheadDerivation(t *testing.T) {
 	top1, assign1 := mkTop(cfg1)
 	if la := TorusLookahead(top1, assign1, 123*time.Nanosecond); la != 123*time.Nanosecond {
 		t.Fatalf("single-shard lookahead fallback = %v", la)
+	}
+}
+
+// TestAllocsTorusRunBudget pins a torus run to its construction cost: the
+// topology, a node and its route per node, and the flows, deliveries and
+// events of one step, all recycled from then on — about 30 objects per node
+// (35 under the race detector, with a second shard). Nothing is allocated
+// per step and node: a 4x4x4 run has 64 x 126 = 8 064 of those, and before
+// flows and deliveries were recycled it allocated five objects for each.
+func TestAllocsTorusRunBudget(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := smallTorus(shards)
+		fabric := NewTorusOracle
+		if shards > 1 {
+			fabric = NewTorusFabric
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := NewTorusWorldOn(fabric(cfg), cfg).Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, budget := after.Mallocs-before.Mallocs, uint64(40*res.Nodes)
+		t.Logf("shards=%d: %d objects, %d bytes for %d nodes x %d steps", shards, got,
+			after.TotalAlloc-before.TotalAlloc, res.Nodes, res.Steps)
+		if got >= budget {
+			t.Errorf("shards=%d: %d objects allocated, budget is 40 per node (%d): the run is paying per step",
+				shards, got, budget)
+		}
 	}
 }

@@ -141,6 +141,18 @@ type View struct {
 	net  *Network
 	from int
 	b    *Buffer
+
+	// The wire in each direction as a flow path, built by the first transfer
+	// that takes it.
+	toOwner, fromOwner []flow.Hop
+}
+
+// wire returns the flow path from node src to node dst, kept in *path.
+func (v *View) wire(path *[]flow.Hop, src, dst int) []flow.Hop {
+	if *path == nil {
+		*path = flow.Path(v.net.egress[src], v.net.ingress[dst])
+	}
+	return *path
 }
 
 // Remote reports whether accesses cross the wire.
@@ -165,7 +177,7 @@ func (v *View) send(p *sim.Proc, apply func()) func(bytes int64) {
 		cfg := &v.net.Cfg
 		p.Sleep(cfg.PerMessageCPU)
 		if bytes > 0 {
-			v.net.Net.Transfer(p, flow.Path(v.net.egress[v.from], v.net.ingress[v.b.owner]), bytes, cfg.Bandwidth)
+			v.net.Net.Transfer(p, v.wire(&v.toOwner, v.from, v.b.owner), bytes, cfg.Bandwidth)
 		}
 		fut := sim.NewFuture()
 		v.net.pending[v.from][fut] = struct{}{}
@@ -225,7 +237,7 @@ func (v *View) Read(p *sim.Proc, off int64, dst []byte) {
 	cfg := &v.net.Cfg
 	p.Sleep(2*cfg.Latency + 2*cfg.PerMessageCPU)
 	if nn > 0 {
-		v.net.Net.Transfer(p, flow.Path(v.net.egress[v.b.owner], v.net.ingress[v.from]), nn, cfg.Bandwidth)
+		v.net.Net.Transfer(p, v.wire(&v.fromOwner, v.b.owner, v.from), nn, cfg.Bandwidth)
 	}
 	copy(dst, v.b.Bytes()[off:off+nn])
 }

@@ -25,6 +25,7 @@ type Interconnect struct {
 	Cfg  Config
 
 	nodes  []*Node
+	paths  [][]flow.Hop // Node.path by from*len(nodes)+owner, each built on first use
 	faults *faultInjector
 	met    icMetrics
 }
@@ -256,13 +257,22 @@ func (ic *Interconnect) Nodes() int { return len(ic.nodes) }
 // ID returns the node's ring position.
 func (n *Node) ID() int { return n.id }
 
-// path builds the flow path for a transfer from node n to the segment
+// path returns the flow path for a transfer from node n to the segment
 // owner: adapter egress, the ring segments to the target, adapter ingress,
 // and — per the paper's Table 2 discussion — flow-control echo traffic on
-// the return-path segments at a fraction of the data rate.
+// the return-path segments at a fraction of the data rate. The topology is
+// fixed, so each path is built once.
 func (n *Node) path(owner *Node) []flow.Hop {
 	if n == owner {
 		return nil
+	}
+	ic := n.ic
+	if ic.paths == nil {
+		ic.paths = make([][]flow.Hop, len(ic.nodes)*len(ic.nodes))
+	}
+	slot := &ic.paths[n.id*len(ic.nodes)+owner.id]
+	if *slot != nil {
+		return *slot
 	}
 	var hops []flow.Hop
 	hops = append(hops, flow.Hop{Link: n.egress, Weight: 1})
@@ -275,6 +285,7 @@ func (n *Node) path(owner *Node) []flow.Hop {
 			hops = append(hops, flow.Hop{Link: l, Weight: ef})
 		}
 	}
+	*slot = hops
 	return hops
 }
 

@@ -22,7 +22,7 @@ import (
 // Bus is one node's (or one SMP machine's) memory system.
 type Bus struct {
 	net *flow.Network
-	bus *flow.Link
+	bus [1]flow.Hop // the memory bus, as the one-hop path of every transfer on it
 	mem *memmodel.Model
 }
 
@@ -60,7 +60,7 @@ func NewBus(e sim.Host, net *flow.Network, name string, cfg Config) *Bus {
 	}
 	return &Bus{
 		net: net,
-		bus: flow.NewLink(fmt.Sprintf("%s-membus", name), cfg.BusBW, cfg.Congestion),
+		bus: [1]flow.Hop{{Link: flow.NewLink(fmt.Sprintf("%s-membus", name), cfg.BusBW, cfg.Congestion), Weight: 1}},
 		mem: cfg.Mem,
 	}
 }
@@ -82,7 +82,7 @@ func (b *Bus) Charge(p *sim.Proc, bytes int64, cost time.Duration) {
 		return
 	}
 	rate := float64(bytes) / cost.Seconds()
-	b.net.Transfer(p, flow.Path(b.bus), bytes, rate)
+	b.net.Transfer(p, b.bus[:], bytes, rate)
 }
 
 // Region is a shared memory region on the bus. Its memory is materialised

@@ -59,6 +59,9 @@ type eventQueue struct {
 	free   []*event // recycled events (hot paths schedule without allocating)
 	events uint64   // events dispatched
 
+	discarded uint64 // cancelled events dropped from the heap
+	depthMax  int    // most events ever queued at once
+
 	// tieSeed, when non-zero, breaks ties among same-instant events by a
 	// seeded permutation of the scheduling order instead of the order
 	// itself. Nothing outside this package's tests can set it: schedule
@@ -83,6 +86,24 @@ func (q *eventQueue) Now() time.Duration { return q.now }
 
 // Events returns the number of events dispatched so far.
 func (q *eventQueue) Events() uint64 { return q.events }
+
+// TimersCancelled returns the number of scheduled events that were cancelled
+// instead of dispatched: those already dropped from the heap plus those
+// still waiting in it for their instant to come.
+func (q *eventQueue) TimersCancelled() uint64 {
+	n := q.discarded
+	for _, ev := range q.queue {
+		if ev.canceled {
+			n++
+		}
+	}
+	return n
+}
+
+// HeapDepthMax returns the largest number of events that were ever queued at
+// once. A cancelled event holds its place until its instant comes, so a
+// layer that cancels and re-arms a far timer often shows up here.
+func (q *eventQueue) HeapDepthMax() int { return q.depthMax }
 
 // event is a scheduled callback. Events are recycled through the queue's
 // freelist; gen distinguishes a live incarnation from a recycled one so a
@@ -132,6 +153,7 @@ func (q *eventQueue) schedule(t time.Duration, fn func(), fnArg func(any), arg a
 	}
 	q.seq++
 	heap.Push(&q.queue, ev)
+	q.depthMax = max(q.depthMax, len(q.queue))
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -178,6 +200,7 @@ func (q *eventQueue) peek() *event {
 		}
 		heap.Pop(&q.queue)
 		q.recycle(ev)
+		q.discarded++
 	}
 	return nil
 }

@@ -266,3 +266,23 @@ func TestPanicInProcSurfacesInRun(t *testing.T) {
 	}()
 	e.Run()
 }
+
+// TestQueueSelfMetrics: a cancelled timer counts once, whether the engine
+// has already dropped it from the heap or it still waits there for its
+// instant, and the heap's high-water mark includes it while it does.
+func TestQueueSelfMetrics(t *testing.T) {
+	e := NewEngine()
+	soon := e.After(time.Millisecond, func() { t.Error("cancelled timer fired") })
+	far := e.After(time.Hour, func() { t.Error("cancelled timer fired") })
+	e.After(2*time.Millisecond, e.Stop)
+	soon.Cancel()
+	soon.Cancel()
+	far.Cancel()
+	e.Run()
+	if got := e.TimersCancelled(); got != 2 {
+		t.Errorf("TimersCancelled = %d, want 2 (one dropped on the way, one still queued)", got)
+	}
+	if got := e.HeapDepthMax(); got != 3 {
+		t.Errorf("HeapDepthMax = %d, want 3", got)
+	}
+}

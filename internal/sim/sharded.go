@@ -211,6 +211,24 @@ func (se *ShardedEngine) ProcSwitches() uint64 {
 	return n
 }
 
+// TimersCancelled returns the total cancelled events across all shards.
+func (se *ShardedEngine) TimersCancelled() uint64 {
+	var n uint64
+	for _, s := range se.shards {
+		n += s.TimersCancelled()
+	}
+	return n
+}
+
+// HeapDepthMax returns the deepest event heap any one shard ever held.
+func (se *ShardedEngine) HeapDepthMax() int {
+	var d int
+	for _, s := range se.shards {
+		d = max(d, s.depthMax)
+	}
+	return d
+}
+
 // Stop makes Run return once every shard finishes its current event.
 func (se *ShardedEngine) Stop() { se.stopped.Store(true) }
 
