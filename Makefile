@@ -65,13 +65,17 @@ shard-stress:
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
 
 # alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack,
-# PIO and event/hand-off fast paths and per flow (Transfer, StartCall, a
-# warm re-solve), under 1 MiB for an empty 8x2 world, a torus run at its
-# construction cost, and the per-message budget of a 64 B round trip
-# (allocations, process switches, events); CI fails the bench job if these
-# regress.
+# PIO, store-barrier, block-writer, DMA-request and event/hand-off fast paths,
+# per flow (Transfer, StartCall, a warm re-solve) and for Contiguous() on a
+# committed datatype; under 1 MiB for an empty 8x2 world with its per-pair
+# structs at their pinned size, a torus run at its construction cost; and the
+# per-message budgets, all measured at tags >= 256: a 64 B round trip
+# (allocations at two tag pairs, process switches, events), a 4 KiB eager
+# message, a 256 KiB rendezvous message on every data engine, an 8-rank
+# allreduce on every algorithm, a put + fence epoch. CI fails the bench job
+# if these regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree|Budget' -v ./internal/pack/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/
+	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/ ./internal/osc/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

@@ -72,15 +72,22 @@ func runRawSize(size int64) RawResult {
 		res.PIOReadBW = BWMiB(size*reps, p.Now()-start)
 
 		// DMA.
+		wait := func(r *sci.DMARequest) {
+			if err := r.Wait(p); err != nil {
+				panic(err) // the cluster is healthy
+			}
+		}
 		start = p.Now()
-		p.Await(m.DMAWrite(p, 0, src))
+		wait(m.DMAWrite(p, 0, src))
 		res.DMALatency = p.Now() - start
 		start = p.Now()
-		futs := make([]*sim.Future, reps)
-		for i := 0; i < reps; i++ {
-			futs[i] = m.DMAWrite(p, 0, src)
+		var reqs [reps]*sci.DMARequest
+		for i := range reqs {
+			reqs[i] = m.DMAWrite(p, 0, src)
 		}
-		p.AwaitAll(futs...)
+		for _, r := range reqs {
+			wait(r)
+		}
 		res.DMABW = BWMiB(size*reps, p.Now()-start)
 	})
 	f.Run()

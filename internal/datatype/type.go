@@ -67,6 +67,7 @@ type Type struct {
 	fields    []Field
 
 	committed bool
+	contig    bool // Contiguous()'s answer, fixed at Commit
 	flat      *Flat
 
 	// cached signature (see Signature in typemap.go)
@@ -163,17 +164,26 @@ func (t *Type) Base() *Type {
 }
 
 // Contiguous reports whether the type's data is one dense block (no gaps),
-// in which case packing is unnecessary.
+// in which case packing is unnecessary. Commit decides it once; only a type
+// that is not committed yet is flattened to answer.
 func (t *Type) Contiguous() bool {
 	if t.kind == KindBasic {
 		return true
 	}
-	f := t.flatten()
+	if t.committed {
+		return t.contig
+	}
+	return t.flatten().oneDenseBlock()
+}
+
+// oneDenseBlock reports whether the flattening is a single leaf that occurs
+// once and carries the whole type.
+func (f *Flat) oneDenseBlock() bool {
 	if len(f.Leaves) != 1 {
 		return false
 	}
 	l := f.Leaves[0]
-	return len(l.Stack) == 0 && l.Size == t.size
+	return len(l.Stack) == 0 && l.Size == f.Size
 }
 
 // Commit finalizes the type for communication, building the flattened
@@ -185,6 +195,7 @@ func (t *Type) Commit() *Type {
 		return t
 	}
 	t.flat = t.flatten()
+	t.contig = t.flat.oneDenseBlock()
 	t.committed = true
 	return t
 }

@@ -1,0 +1,214 @@
+package mpi
+
+// A call costs what it touches: the per-message and per-call allocation
+// budgets above ShortMax — eager, rendezvous on every data engine, the
+// reduction collectives — and the proof that tracing which is off boxes
+// nothing. Every budget here is measured with tags >= 256 and payloads
+// >= 256 B: Go boxes an integer below 256 into an interface from a static
+// table, so a gate fed small tags measures that table, not the code.
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+
+	"scimpich/internal/datatype"
+	"scimpich/internal/nic"
+)
+
+// hostCost builds a world for cfg, runs round warm times on every rank, and
+// returns what n further rounds allocated per round, over all ranks: objects
+// and bytes. The collector is off while it measures, so that the buffer
+// pools (sync.Pool, emptied by a collection) stay warm and a count repeats.
+func hostCost(t *testing.T, cfg Config, warm, n int, round func(c *Comm, i int)) (objs, bytes float64) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation budgets are not checked under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m0, m1 runtime.MemStats
+	Run(cfg, func(c *Comm) {
+		for i := 0; i < warm; i++ {
+			round(c, i)
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		for i := 0; i < n; i++ {
+			round(c, warm+i)
+		}
+		c.Barrier() // every rank is done before rank 0 reads
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+		}
+	})
+	return float64(m1.Mallocs-m0.Mallocs) / float64(n), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+}
+
+// exchange is a round of hostCost between ranks 0 and 1: a message of count
+// elements of dt each way, at the given tag.
+func exchange(buf []byte, count int, dt *datatype.Type, tag int) func(c *Comm, i int) {
+	return func(c *Comm, _ int) {
+		switch c.Rank() {
+		case 0:
+			c.Send(buf, count, dt, 1, tag)
+			c.Recv(buf, count, dt, 1, tag+1)
+		case 1:
+			c.Recv(buf, count, dt, 0, tag)
+			c.Send(buf, count, dt, 0, tag+1)
+		}
+	}
+}
+
+// TestAllocsEagerBudget pins a 4 KiB eager message at 2 objects, between
+// nodes and inside one (tags 1000/1001). What is left is the Request its
+// Recv hands back with the Status; the store barrier's future is the node's
+// own, re-armed, and the eager ack is a recycled envelope.
+func TestAllocsEagerBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"inter-node", DefaultConfig(2, 1)},
+		{"intra-node", DefaultConfig(1, 2)},
+	} {
+		buf := make([]byte, 4<<10)
+		objs, bytes := hostCost(t, tc.cfg, 50, 500, exchange(buf, len(buf), datatype.Byte, 1000))
+		t.Logf("%s 4 KiB eager message: %.2f objects, %.1f B", tc.name, objs/2, bytes/2)
+		if objs/2 > 2 {
+			t.Errorf("%s: %.2f objects per 4 KiB eager message, budget is 2 (1 expected)", tc.name, objs/2)
+		}
+	}
+}
+
+// vec256K is a committed vector of 256 KiB of data in blocks of the given
+// size, a block apart (the stride-2x layout of Figure 7), and a buffer that
+// holds one.
+func vec256K(block int) (*datatype.Type, []byte) {
+	dt := datatype.Vector((256<<10)/block, block, 2*block, datatype.Byte).Commit()
+	return dt, make([]byte, dt.Extent())
+}
+
+// TestAllocsRendezvousBudget pins a 256 KiB rendezvous message (tags
+// 1000/1001) at 3 objects and 1 KiB on every data engine of the SCI
+// transport: contiguous, direct_pack_ff over PIO at 1 024 B blocks,
+// scatter-gather DMA at 8 B blocks, and the generic pack engine. The reply
+// channel, the pack cursors, the descriptor list and the receiver's
+// transfer state live in recycled scratch records, the four store barriers
+// wait on the node's own future and the DMA request is pooled; what is left
+// is the Request of the Recv. The message NIC, a comparator transport this
+// change leaves alone, copies each chunk and makes a future, a pending-set
+// entry and two closures for it: it is pinned just above what it reaches, 17
+// objects and one copy of the message.
+func TestAllocsRendezvousBudget(t *testing.T) {
+	contig := make([]byte, 256<<10)
+	ff1024, buf1024 := vec256K(1024)
+	sg8, buf8 := vec256K(8)
+	with := func(cfg Config, set func(*ProtocolConfig)) Config {
+		set(&cfg.Protocol)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		buf          []byte
+		count        int
+		dt           *datatype.Type
+		objs, kbytes float64
+	}{
+		{"contiguous", DefaultConfig(2, 1), contig, len(contig), datatype.Byte, 3, 1},
+		{"ff-pio-1024", with(DefaultConfig(2, 1), func(p *ProtocolConfig) { p.Path = PathPIO }), buf1024, 1, ff1024, 3, 1},
+		{"dma-sg-8", with(DefaultConfig(2, 1), func(p *ProtocolConfig) { p.Path = PathDMA }), buf8, 1, sg8, 3, 1},
+		{"generic-1024", with(DefaultConfig(2, 1), func(p *ProtocolConfig) { p.UseFF = false }), buf1024, 1, ff1024, 3, 1},
+		{"nic-contiguous", NICConfig(2, 1, nic.GigabitEthernet()), contig, len(contig), datatype.Byte, 18, 260},
+	} {
+		objs, bytes := hostCost(t, tc.cfg, 10, 100, exchange(tc.buf, tc.count, tc.dt, 1000))
+		t.Logf("%s 256 KiB rendezvous message: %.2f objects, %.1f B", tc.name, objs/2, bytes/2)
+		if objs/2 > tc.objs || bytes/2 > tc.kbytes*1024 {
+			t.Errorf("%s: %.2f objects and %.0f B per 256 KiB message, budget is %.0f objects and %.0f KiB",
+				tc.name, objs/2, bytes/2, tc.objs, tc.kbytes)
+		}
+	}
+}
+
+// TestAllocsAllreduceBudget pins an 8-rank Allreduce at 40 objects per rank
+// and call on every forced algorithm at 4 KiB, and the ring at 2 MiB at the
+// same count with no term in the vector length: the accumulator is the
+// caller's recv, the scratch vectors are pooled, and the internal receives
+// recycle their Requests. (The payload is >= 256 B; collective tags are
+// all >= 1<<20.)
+func TestAllocsAllreduceBudget(t *testing.T) {
+	const ranks = 8
+	for _, tc := range []struct {
+		alg   CollAlg
+		bytes int
+	}{
+		{CollRing, 4 << 10}, {CollRecDbl, 4 << 10}, {CollP2P, 4 << 10}, {CollOneSided, 4 << 10},
+		{CollRing, 2 << 20},
+	} {
+		cfg := DefaultConfig(ranks, 1)
+		cfg.Protocol.Coll = tc.alg
+		send, recv := make([][]byte, ranks), make([][]byte, ranks)
+		for r := range send {
+			send[r], recv[r] = make([]byte, tc.bytes), make([]byte, tc.bytes)
+		}
+		objs, bytes := hostCost(t, cfg, 4, 20, func(c *Comm, _ int) {
+			c.Allreduce(send[c.Rank()], recv[c.Rank()], tc.bytes/8, datatype.Int64, OpSum)
+		})
+		t.Logf("%v allreduce of %d B on %d ranks: %.2f objects, %.1f B per rank and call",
+			tc.alg, tc.bytes, ranks, objs/ranks, bytes/ranks)
+		if objs/ranks > 40 {
+			t.Errorf("%v at %d B: %.2f objects per rank and call, budget is 40", tc.alg, tc.bytes, objs/ranks)
+		}
+		if bytes/ranks > 4<<10 {
+			t.Errorf("%v at %d B: %.0f B per rank and call: the cost grows with the vector", tc.alg, tc.bytes, bytes/ranks)
+		}
+	}
+}
+
+// TestTracingOffBoxesNothing: with no tracer attached, an eager and a
+// rendezvous exchange allocate the same at tag 70 000 as at tag 7. Go boxes
+// a variadic argument before the callee can decline it, and an integer of
+// 256 or more costs an allocation to box, so a trace call that is not
+// guarded at its call site shows up as a difference. (The one-sided half,
+// put + fence, is osc.TestTracingOffBoxesNothing.)
+func TestTracingOffBoxesNothing(t *testing.T) {
+	for _, size := range []int{4 << 10, 256 << 10} {
+		buf := make([]byte, size)
+		var objs [2]float64
+		for i, tag := range []int{7, 70000} {
+			objs[i], _ = hostCost(t, DefaultConfig(2, 1), 10, 100, exchange(buf, size, datatype.Byte, tag))
+		}
+		t.Logf("%d B exchange: %.2f objects at tag 7, %.2f at tag 70000", size, objs[0], objs[1])
+		// One boxed argument per message is 2 per exchange; the runtime's own
+		// bookkeeping moves the reading by a few hundredths between runs.
+		if d := objs[0] - objs[1]; d < -0.5 || d > 0.5 {
+			t.Errorf("%d B exchange allocates %.2f objects at tag 7 and %.2f at tag 70000", size, objs[0], objs[1])
+		}
+	}
+}
+
+// TestPairStructSizes pins the per-pair and per-rank structs at their size
+// before the scratch records: a world holds ranks² sendPorts and ports, so a
+// field added to one moves each rank's array of them into the next
+// allocation size class and costs every world more than the field (24 B on
+// sendPort cost an empty 8x2 world 7 kB, 4 %). Per-transfer state belongs in
+// the scratch records on the world's free lists. This is the object-size
+// half of TestAllocsWorldBudget's claim.
+func TestPairStructSizes(t *testing.T) {
+	for _, s := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"sendPort", unsafe.Sizeof(sendPort{}), 176},
+		{"port", unsafe.Sizeof(port{}), 32},
+		{"rank", unsafe.Sizeof(rank{}), 120},
+	} {
+		if s.got > s.want {
+			t.Errorf("%s is %d B, it was %d: per-transfer state goes in a scratch record, not on a per-pair struct",
+				s.name, s.got, s.want)
+		}
+	}
+}

@@ -412,18 +412,20 @@ type collOp struct {
 
 // collBegin opens the bookkeeping for one collective call with the chosen
 // algorithm: the decision counter, a trace span, and the timing baseline.
-func (c *Comm) collBegin(kind collKind, alg CollAlg, bytes int64) *collOp {
+func (c *Comm) collBegin(kind collKind, alg CollAlg, bytes int64) collOp {
 	w := c.rk.w
 	w.met.collChosen[kind][alg].Inc()
 	sp := w.cfg.Tracer.StartSpan(c.p.Now(), c.rk.actor, "coll", kind.String())
 	sp.SetBytes(bytes)
-	sp.SetDetail("alg %s", alg)
-	return &collOp{c: c, kind: kind, alg: alg, bytes: bytes, start: c.p.Now(), sp: sp}
+	if sp != nil {
+		sp.SetDetail("alg %s", alg)
+	}
+	return collOp{c: c, kind: kind, alg: alg, bytes: bytes, start: c.p.Now(), sp: sp}
 }
 
 // end closes the call: span, latency histogram, and (on success, in
 // adaptive mode) the EWMA feedback fold. It returns err for chaining.
-func (op *collOp) end(err error) error {
+func (op collOp) end(err error) error {
 	c := op.c
 	w := c.rk.w
 	op.sp.End(c.p.Now())

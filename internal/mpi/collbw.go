@@ -1,6 +1,9 @@
 package mpi
 
-import "scimpich/internal/datatype"
+import (
+	"scimpich/internal/bufpool"
+	"scimpich/internal/datatype"
+)
 
 // Bandwidth-optimal large-message allreduce algorithms, replacing the
 // latency-doubling Reduce + Bcast composition: recursive doubling (log P
@@ -33,16 +36,17 @@ func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop O
 		pow2 *= 2
 	}
 	rem := size - pow2
-	tmp := make([]byte, len(acc))
+	if me < 2*rem && me%2 == 0 {
+		// Fold onto the odd partner, then idle until the result returns.
+		if err := c.send(acc, elems, base, me+1, tagARecDblFold, c.ctx); err != nil {
+			return err
+		}
+		return c.recvColl(acc, elems, base, me+1, tagARecDblFinal)
+	}
+	scratch := bufpool.Get(len(acc)) // back unless a receive failed on it
+	tmp := scratch.B
 	newRank := me - rem
 	if me < 2*rem {
-		if me%2 == 0 {
-			// Fold onto the odd partner, then idle until the result returns.
-			if err := c.send(acc, elems, base, me+1, tagARecDblFold, c.ctx); err != nil {
-				return err
-			}
-			return c.recvColl(acc, elems, base, me+1, tagARecDblFinal)
-		}
 		if err := c.recvColl(tmp, elems, base, me-1, tagARecDblFold); err != nil {
 			return err
 		}
@@ -69,32 +73,40 @@ func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop O
 			c.combineColl(rop, base, acc, tmp, elems)
 		}
 	}
-	if me < 2*rem && me%2 == 1 {
+	scratch.Put()
+	if me < 2*rem {
 		return c.send(acc, elems, base, me-1, tagARecDblFinal, c.ctx)
 	}
 	return nil
 }
 
 // ringLink exchanges one block per ring step: out goes to the right
-// neighbour, the left neighbour's block lands in in. finish drains any
-// trailing protocol traffic before the collective returns.
-type ringLink interface {
-	xfer(step int, out, in []byte) error
-	finish() error
-}
-
-// p2pRingLink runs the ring over the point-to-point protocols.
-type p2pRingLink struct {
+// neighbour, the left neighbour's block lands in in. The blocks travel
+// point-to-point, or as window deposits (collos.go) when oneSided is set.
+// finish drains any trailing protocol traffic before the collective returns.
+// It is one struct used by value, not an interface over two, so that a call
+// keeps it on its stack.
+type ringLink struct {
 	cc          *Comm
-	right, left int
+	right, left int // communicator-local neighbours
+	steps       int // total steps the caller will run
+	oneSided    bool
 }
 
-func (l *p2pRingLink) xfer(t int, out, in []byte) error {
+func (l *ringLink) xfer(t int, out, in []byte) error {
+	if l.oneSided {
+		return l.osXfer(t, out, in)
+	}
 	return l.cc.sendrecvColl(out, len(out), datatype.Byte, l.right, tagARing+t,
 		in, len(in), datatype.Byte, l.left, tagARing+t)
 }
 
-func (l *p2pRingLink) finish() error { return nil }
+func (l *ringLink) finish() error {
+	if l.oneSided {
+		return l.osFinish()
+	}
+	return nil
+}
 
 // ringBlock returns the byte range of partition block i of elems elements
 // (the even spread all members compute identically).
@@ -129,17 +141,15 @@ func (c *Comm) allreduceRing(acc []byte, elems int, base *datatype.Type, rop Op,
 	right := (me + 1) % size
 	left := (me - 1 + size) % size
 	steps := 2 * (size - 1)
-	var link ringLink = &p2pRingLink{cc: c, right: right, left: left}
-	if oneSided {
-		link = &osRingLink{cc: c, right: right, left: left, steps: steps}
-	}
+	link := ringLink{cc: c, right: right, left: left, steps: steps, oneSided: oneSided}
 	maxBlock := 0
 	for i := 0; i < size; i++ {
 		if n := len(ringBlock(acc, elems, size, i, es)); n > maxBlock {
 			maxBlock = n
 		}
 	}
-	tmp := make([]byte, maxBlock)
+	scratch := bufpool.Get(maxBlock) // back unless a receive failed on it
+	tmp := scratch.B
 	// Reduce-scatter for the first size-1 steps (after which rank me holds
 	// the complete reduction of block (me+1) mod size), then ring allgather
 	// of the completed blocks — both driven by the shared rotation.
@@ -160,5 +170,6 @@ func (c *Comm) allreduceRing(acc []byte, elems int, base *datatype.Type, rop Op,
 			return err
 		}
 	}
+	scratch.Put()
 	return link.finish()
 }

@@ -3,7 +3,10 @@ package mpi
 import (
 	"time"
 
+	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
+	"scimpich/internal/pack"
+	"scimpich/internal/sim"
 )
 
 // Collective operations, built on point-to-point messaging and one-sided
@@ -53,28 +56,39 @@ func (c *Comm) waitColl(r *Request, src, tag int) error {
 // waitCollT is waitColl with an explicit bound (the shrink confirmation
 // barrier forces the scaled bound even in runs whose CollTimeout is 0).
 func (c *Comm) waitCollT(r *Request, src, tag int, to time.Duration) error {
-	if to <= 0 {
-		_, err := r.WaitChecked()
-		return err
-	}
-	if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
-		return c.watchdogExpired(r.src, "collective watchdog expired (src %d tag %d) after %v", src, tag, to)
+	if to > 0 {
+		if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
+			return c.watchdogExpired(r.src, "collective watchdog expired (src %d tag %d) after %v", src, tag, to)
+		}
 	}
 	_, err := r.WaitChecked()
+	if err == nil {
+		// Matched, delivered and read: nothing names the request any more.
+		// One that failed or timed out may still be posted at the device or
+		// held by a rendezvous in progress, and is left to the GC.
+		*r = Request{}
+		c.rk.w.reqFree = append(c.rk.w.reqFree, r)
+	}
 	return err
 }
 
-// recvColl is the internal collective receive: irecv + waitColl.
+// irecvColl posts a collective-internal receive. Its Request (and the
+// Status inside) never reaches the user, so waitColl, its last reader,
+// recycles it through the world's free list.
+func (c *Comm) irecvColl(buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
+	return c.postRecv(sim.TakeFree(&c.rk.w.reqFree), buf, count, dt, src, tag, c.ctx)
+}
+
+// recvColl is the internal collective receive: irecvColl + waitColl.
 func (c *Comm) recvColl(buf []byte, count int, dt *datatype.Type, src, tag int) error {
-	r := c.irecv(buf, count, dt, src, tag, c.ctx)
-	return c.waitColl(r, src, tag)
+	return c.waitColl(c.irecvColl(buf, count, dt, src, tag), src, tag)
 }
 
 // sendrecvColl is the deadlock-free internal exchange of the ring and
 // doubling algorithms, with the receive side under the watchdog.
 func (c *Comm) sendrecvColl(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
 	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) error {
-	r := c.irecv(recvBuf, recvCount, recvType, src, recvTag, c.ctx)
+	r := c.irecvColl(recvBuf, recvCount, recvType, src, recvTag)
 	if err := c.send(sendBuf, sendCount, sendType, dst, sendTag, c.ctx); err != nil {
 		return err
 	}
@@ -101,7 +115,7 @@ func (c *Comm) barrierDissemination() error {
 	for round, dist := 0, 1; dist < size; round, dist = round+1, dist*2 {
 		to := (me + dist) % size
 		from := (me - dist + size) % size
-		r := c.irecv(nil, 0, datatype.Byte, from, tagBarrier+round, c.ctx)
+		r := c.irecvColl(nil, 0, datatype.Byte, from, tagBarrier+round)
 		if err := c.send(nil, 0, datatype.Byte, to, tagBarrier+round, c.ctx); err != nil {
 			return err
 		}
@@ -141,10 +155,18 @@ func (c *Comm) BcastChecked(buf []byte, count int, dt *datatype.Type, root int) 
 	}
 	// Non-contiguous payloads travel as their ff linearization: the root
 	// packs, everyone else unpacks after the contiguous broadcast.
-	view := c.newReduceViewRaw(buf, count, dt, c.Rank() == root)
-	err := cc.bcastOneSided(view, root)
-	if err == nil && c.Rank() != root {
-		c.unpackCollView(view, buf, count, dt)
+	lin := bufpool.Get(int(bytes))
+	if c.Rank() == root {
+		_, st := pack.FFPack(pack.BufferSink{Buf: lin.B}, buf, dt, count, 0, -1)
+		c.chargePackBlocks(st, true)
+	}
+	err := cc.bcastOneSided(lin.B, root)
+	if err == nil {
+		if c.Rank() != root {
+			_, st := pack.FFUnpack(buf, lin.B, dt, count, 0, -1)
+			c.chargePackBlocks(st, true)
+		}
+		lin.Put() // a failed broadcast may still have a receive posted on it
 	}
 	return op.end(err)
 }
@@ -169,26 +191,6 @@ func (c *Comm) bcastBinomial(buf []byte, count int, dt *datatype.Type, root int)
 		}
 	}
 	return nil
-}
-
-// newReduceViewRaw linearizes a buffer for contiguous transport (pack only
-// when the rank actually holds payload, i.e. the root of a bcast).
-func (c *Comm) newReduceViewRaw(buf []byte, count int, dt *datatype.Type, pack bool) []byte {
-	bytes := dt.Size() * int64(count)
-	if pack {
-		base := dt.Base()
-		if base == nil {
-			base = datatype.Byte
-		}
-		return c.newReduceView(buf, count, dt, base).buf
-	}
-	return make([]byte, bytes)
-}
-
-// unpackCollView unpacks a linearized payload back into the user layout.
-func (c *Comm) unpackCollView(view, buf []byte, count int, dt *datatype.Type) {
-	v := &reduceView{base: datatype.Byte, elems: len(view), buf: view}
-	v.writeback(c, buf, count, dt)
 }
 
 // lowestSetOrSize returns the highest bit a node may address as a child in
@@ -226,18 +228,20 @@ func (c *Comm) ReduceChecked(send, recv []byte, count int, dt *datatype.Type, op
 	}
 	bytes := dt.Size() * int64(count)
 	cop := c.collBegin(collReduce, CollP2P, bytes)
-	view := c.newReduceView(send, count, dt, base)
-	acc := make([]byte, bytes)
-	copy(acc, view.buf)
+	var result []byte // only the root keeps one
+	if c.Rank() == root {
+		result = recv
+	}
+	view := c.newReduceView(send, result, count, dt, base)
 	if c.Size() > 1 {
-		if err := c.collective().reduceBinomial(acc, view.elems, base, op, root); err != nil {
+		if err := c.collective().reduceBinomial(view.buf, view.elems, base, op, root); err != nil {
 			return cop.end(err)
 		}
 	}
 	if c.Rank() == root {
-		res := reduceView{base: base, elems: view.elems, buf: acc}
-		res.writeback(c, recv, count, dt)
+		view.writeback(c, recv, count, dt)
 	}
+	view.release()
 	return cop.end(nil)
 }
 
@@ -246,20 +250,25 @@ func (c *Comm) ReduceChecked(send, recv []byte, count int, dt *datatype.Type, op
 func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op, root int) error {
 	size := c.Size()
 	vrank := (c.Rank() - root + size) % size
-	tmp := make([]byte, len(acc))
+	var tmp *bufpool.Buf // taken by the first child, back unless a receive failed on it
 	for bit := 1; bit < size; bit <<= 1 {
 		if vrank&bit != 0 {
 			parent := ((vrank &^ bit) + root) % size
+			tmp.Put()
 			return c.send(acc, elems, base, parent, tagReduce, c.ctx)
 		}
 		child := vrank | bit
 		if child < size {
-			if err := c.recvColl(tmp, elems, base, (child+root)%size, tagReduce); err != nil {
+			if tmp == nil {
+				tmp = bufpool.Get(len(acc))
+			}
+			if err := c.recvColl(tmp.B, elems, base, (child+root)%size, tagReduce); err != nil {
 				return err
 			}
-			c.combineColl(op, base, acc, tmp, elems)
+			c.combineColl(op, base, acc, tmp.B, elems)
 		}
 	}
+	tmp.Put()
 	return nil
 }
 
@@ -281,34 +290,32 @@ func (c *Comm) AllreduceChecked(send, recv []byte, count int, dt *datatype.Type,
 	}
 	bytes := dt.Size() * int64(count)
 	size := c.Size()
-	view := c.newReduceView(send, count, dt, base)
+	view := c.newReduceView(send, recv, count, dt, base)
 	if size == 1 {
-		res := reduceView{base: base, elems: view.elems, buf: view.buf}
-		res.writeback(c, recv, count, dt)
+		view.writeback(c, recv, count, dt)
+		view.release()
 		return nil
 	}
 	alg := c.chooseCollAlg(collAllreduce, size, bytes, bytes)
 	cop := c.collBegin(collAllreduce, alg, bytes)
-	acc := make([]byte, bytes)
-	copy(acc, view.buf)
 	cc := c.collective()
 	switch alg {
 	case CollRecDbl:
-		err = cc.allreduceRecDbl(acc, view.elems, base, op)
+		err = cc.allreduceRecDbl(view.buf, view.elems, base, op)
 	case CollRing:
-		err = cc.allreduceRing(acc, view.elems, base, op, false)
+		err = cc.allreduceRing(view.buf, view.elems, base, op, false)
 	case CollOneSided:
-		err = cc.allreduceRing(acc, view.elems, base, op, true)
+		err = cc.allreduceRing(view.buf, view.elems, base, op, true)
 	default:
 		// Reduce to rank 0, then broadcast, both on the packed view.
-		err = cc.reduceBinomial(acc, view.elems, base, op, 0)
+		err = cc.reduceBinomial(view.buf, view.elems, base, op, 0)
 		if err == nil {
-			err = cc.bcastBinomial(acc, view.elems, base, 0)
+			err = cc.bcastBinomial(view.buf, view.elems, base, 0)
 		}
 	}
 	if err == nil {
-		res := reduceView{base: base, elems: view.elems, buf: acc}
-		res.writeback(c, recv, count, dt)
+		view.writeback(c, recv, count, dt)
+		view.release()
 	}
 	return cop.end(err)
 }
@@ -339,7 +346,7 @@ func (c *Comm) GatherChecked(send []byte, count int, dt *datatype.Type, recv []b
 		if i == root {
 			continue
 		}
-		reqs[i] = cc.irecv(recv[int64(i)*bytes:int64(i+1)*bytes], count, dt, i, tagGather, cc.ctx)
+		reqs[i] = cc.irecvColl(recv[int64(i)*bytes:int64(i+1)*bytes], count, dt, i, tagGather)
 	}
 	for i, r := range reqs {
 		if r == nil {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 )
 
@@ -116,27 +117,26 @@ func (c *Comm) ScanChecked(send, recv []byte, count int, dt *datatype.Type, op O
 	bytes := dt.Size() * int64(count)
 	cop := c.collBegin(collScan, CollP2P, bytes)
 	cc := c.collective()
-	view := c.newReduceView(send, count, dt, base)
-	acc := make([]byte, bytes)
-	copy(acc, view.buf)
+	view := c.newReduceView(send, recv, count, dt, base)
 	me := c.Rank()
 	if me > 0 {
-		prev := make([]byte, bytes)
-		if err := cc.recvColl(prev, view.elems, base, me-1, tagScan); err != nil {
+		prev := bufpool.Get(int(bytes)) // back unless the receive failed on it
+		if err := cc.recvColl(prev.B, view.elems, base, me-1, tagScan); err != nil {
 			return cop.end(err)
 		}
 		// Combine with the running prefix from the left, preserving
 		// left-to-right order: acc = prefix op mine.
-		c.combineColl(op, base, prev, acc, view.elems)
-		copy(acc, prev)
+		c.combineColl(op, base, prev.B, view.buf, view.elems)
+		copy(view.buf, prev.B)
+		prev.Put()
 	}
 	if me < c.Size()-1 {
-		if err := cc.send(acc, view.elems, base, me+1, tagScan, cc.ctx); err != nil {
+		if err := cc.send(view.buf, view.elems, base, me+1, tagScan, cc.ctx); err != nil {
 			return cop.end(err)
 		}
 	}
-	res := reduceView{base: base, elems: view.elems, buf: acc}
-	res.writeback(c, recv, count, dt)
+	view.writeback(c, recv, count, dt)
+	view.release()
 	return cop.end(nil)
 }
 

@@ -53,7 +53,7 @@ func (c *Comm) GathervChecked(send []byte, count int, dt *datatype.Type, recv []
 			continue
 		}
 		off := int64(displs[r]) * es
-		reqs[r] = cc.irecv(recv[off:off+int64(counts[r])*es], counts[r], dt, r, tagGatherv, cc.ctx)
+		reqs[r] = cc.irecvColl(recv[off:off+int64(counts[r])*es], counts[r], dt, r, tagGatherv)
 	}
 	for r, req := range reqs {
 		if req == nil {

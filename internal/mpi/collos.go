@@ -205,17 +205,11 @@ func (c *Comm) osExchange(out func(dst int) []byte, in func(src int) []byte) err
 	return nil
 }
 
-// osRingLink is the window-deposit block exchange of the one-sided ring
+// osXfer is the window-deposit block exchange of the one-sided ring
 // allreduce: per step, deposit the outgoing block into the right
 // neighbour's slot half, await the left neighbour's notify, copy its block
 // out, ack. The ack of step t-2 gates the reuse of a half.
-type osRingLink struct {
-	cc          *Comm
-	right, left int // communicator-local neighbours
-	steps       int // total steps the caller will run
-}
-
-func (l *osRingLink) xfer(t int, out, in []byte) error {
+func (l *ringLink) osXfer(t int, out, in []byte) error {
 	c := l.cc
 	w := c.rk.w
 	if t >= 2 {
@@ -238,7 +232,9 @@ func (l *osRingLink) xfer(t int, out, in []byte) error {
 	return c.send(nil, 0, datatype.Byte, l.left, tagCollOSA+t, c.ctx)
 }
 
-func (l *osRingLink) finish() error {
+// osFinish drains the right neighbour's last acks, so the slot halves are
+// free for the next collective.
+func (l *ringLink) osFinish() error {
 	first := l.steps - 2
 	if first < 0 {
 		first = 0

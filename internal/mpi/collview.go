@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 	"scimpich/internal/pack"
 )
@@ -24,12 +25,19 @@ func reducible(base *datatype.Type) bool {
 }
 
 // reduceView is the contiguous elementwise view of one rank's reduction
-// buffer: elems elements of the base basic type.
+// buffer: elems elements of the base basic type. Its buf is the accumulator
+// the reduction algorithms fold into, and there is one rule for where it
+// lives: a derived type's private ff linearization is the accumulator; a
+// dense type accumulates in the caller's recv; a rank that keeps no result
+// (a non-root of Reduce) borrows a pooled buffer.
 type reduceView struct {
 	base  *datatype.Type
 	elems int
-	buf   []byte // the linearization; aliases the user buffer when dense
-	alias bool
+	buf   []byte
+	// pool backs buf unless buf is the caller's recv. It goes back by
+	// release after a reduction that succeeded; a failed one leaves it to
+	// the GC, because a receive that timed out may still be posted on it.
+	pool *bufpool.Buf
 }
 
 // checkReduceDT validates a reduction datatype, returning its base basic
@@ -45,35 +53,44 @@ func checkReduceDT(call string, dt *datatype.Type) (*datatype.Type, error) {
 	return base, nil
 }
 
-// newReduceView linearizes count elements of dt from buf into a
-// contiguous base-typed view, charging the ff pack cost. Dense layouts
-// alias the user buffer and cost nothing.
-func (c *Comm) newReduceView(buf []byte, count int, dt, base *datatype.Type) *reduceView {
+// newReduceView sets up the accumulator of a reduction over count elements
+// of dt, holding the rank's contribution send: ff-packed (and charged) for a
+// derived type, in recv[:bytes] for a dense one — after one copy, none when
+// send is recv — or in a pooled buffer when recv is nil. send is only read.
+func (c *Comm) newReduceView(send, recv []byte, count int, dt, base *datatype.Type) reduceView {
 	bytes := dt.Size() * int64(count)
-	v := &reduceView{base: base, elems: int(bytes / base.Size())}
-	if dt.Contiguous() {
-		v.buf = buf[:bytes]
-		v.alias = true
-		return v
+	v := reduceView{base: base, elems: int(bytes / base.Size())}
+	switch {
+	case !dt.Contiguous():
+		v.pool = bufpool.Get(int(bytes))
+		v.buf = v.pool.B
+		_, st := pack.FFPack(pack.BufferSink{Buf: v.buf}, send, dt, count, 0, -1)
+		c.chargePackBlocks(st, true)
+	case recv == nil:
+		v.pool = bufpool.Clone(send[:bytes])
+		v.buf = v.pool.B
+	default:
+		v.buf = recv[:bytes]
+		if bytes > 0 && &send[0] != &recv[0] {
+			copy(v.buf, send[:bytes])
+		}
 	}
-	v.buf = make([]byte, bytes)
-	_, st := pack.FFPack(pack.BufferSink{Buf: v.buf}, buf, dt, count, 0, -1)
-	c.chargePackBlocks(st, true)
 	return v
 }
 
-// writeback unpacks the view's (reduced) contents into a user receive
-// buffer laid out as count elements of dt.
-func (v *reduceView) writeback(c *Comm, buf []byte, count int, dt *datatype.Type) {
+// writeback leaves the reduced view in recv, laid out as count elements of
+// dt: an ff unpack for a derived type, nothing for a dense one, which
+// accumulated there.
+func (v reduceView) writeback(c *Comm, recv []byte, count int, dt *datatype.Type) {
 	if dt.Contiguous() {
-		if len(v.buf) > 0 && (!v.alias || &v.buf[0] != &buf[0]) {
-			copy(buf[:len(v.buf)], v.buf)
-		}
 		return
 	}
-	_, st := pack.FFUnpack(buf, v.buf, dt, count, 0, -1)
+	_, st := pack.FFUnpack(recv, v.buf, dt, count, 0, -1)
 	c.chargePackBlocks(st, true)
 }
+
+// release returns the view's pooled buffer, if it has one.
+func (v reduceView) release() { v.pool.Put() }
 
 // chargeCombine bills the elementwise reduction of n bytes on the calling
 // process (memory-bound: two streams in, one out; see modelCombine).

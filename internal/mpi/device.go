@@ -84,7 +84,10 @@ type DeviceStats struct {
 	RdvCancels int64
 }
 
-// rdvRecv tracks one in-progress rendezvous receive.
+// rdvRecv tracks one in-progress rendezvous receive. It is the receiver's
+// scratch record, recycled under the rule of rdvSend: back to the world's
+// free list by the device once the last chunk is drained without an error,
+// left to the GC by a cancelled or failed transfer.
 type rdvRecv struct {
 	req       *Request
 	src, tag  int   // of the request envelope, which is freed once the CTS is out
@@ -95,7 +98,7 @@ type rdvRecv struct {
 	// cur resumes the ff unpack across chunks (rdvFF mode only): each chunk
 	// continues where the previous one stopped instead of re-running
 	// find_position over the leaf list.
-	cur *pack.Cursor
+	cur pack.Cursor
 	// err is the first failure draining a chunk out of the port (its
 	// segment was revoked under the transfer). The receive has completed
 	// with it; later chunks are acknowledged without being drained, so the
@@ -305,8 +308,10 @@ func (d *device) handleProbe(pr *probeReq) {
 func (d *device) deliver(req *Request, env *envelope) {
 	tr := d.rk.w.cfg.Tracer
 	now := d.now()
-	tr.Instantf(now, d.actor, "recv",
-		"<- %d tag %d: %d bytes via %v", env.src, env.tag, env.bytes, env.kind)
+	if tr != nil {
+		tr.Instantf(now, d.actor, "recv",
+			"<- %d tag %d: %d bytes via %v", env.src, env.tag, env.bytes, env.kind)
+	}
 	d.rk.fl.Record(now, flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
 	d.checkSignature(req, env)
 	d.req, d.env = req, env
@@ -438,9 +443,10 @@ func (d *device) startRendezvous(p *sim.Proc, req *Request, env *envelope) {
 		req.complete(env.src, env.tag, 0)
 		return
 	}
-	st := &rdvRecv{req: req, src: env.src, tag: env.tag, bytes: env.bytes, mode: mode}
+	st := sim.TakeFree(&d.rk.w.rdvRecvFree)
+	st.req, st.src, st.tag, st.bytes, st.mode = req, env.src, env.tag, env.bytes, mode
 	if mode == rdvFF {
-		st.cur = pack.NewCursor(req.dt, req.count)
+		st.cur.Init(req.dt, req.count)
 	}
 	d.rdv[env.reqID] = st
 	d.rk.fl.Record(p.Now(), flight.KRdvCTS, int64(env.src), env.reqID, int64(mode), 0)
@@ -486,8 +492,10 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 	st.received += n
 	st.nextChunk++
 	d.stats.BytesRecvd += n
-	tr.Instantf(p.Now(), d.actor, "rdv",
-		"chunk %d (%d bytes) from %d, mode %d", env.chunk, n, env.src, st.mode)
+	if tr != nil {
+		tr.Instantf(p.Now(), d.actor, "rdv",
+			"chunk %d (%d bytes) from %d, mode %d", env.chunk, n, env.src, st.mode)
+	}
 	d.rk.fl.Record(p.Now(), flight.KRdvChunk, int64(env.src), env.reqID, n, st.received)
 	d.rk.w.ring(p, d.rk.id, env.src, envelope{
 		kind: envRdvAck, src: d.rk.id, dst: env.src,
@@ -498,6 +506,8 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 		if st.err == nil {
 			d.rk.fl.Record(p.Now(), flight.KRdvDone, int64(env.src), env.reqID, st.bytes, 0)
 			st.req.complete(st.src, st.tag, st.bytes)
+			*st = rdvRecv{} // a recycled record starts empty
+			d.rk.w.rdvRecvFree = append(d.rk.w.rdvRecvFree, st)
 		}
 	}
 }

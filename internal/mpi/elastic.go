@@ -337,7 +337,7 @@ func (c *Comm) confirmShrink() error {
 	for round, dist := 0, 1; dist < size; round, dist = round+1, dist*2 {
 		dst := (me + dist) % size
 		from := (me - dist + size) % size
-		r := cc.irecv(nil, 0, datatype.Byte, from, tagShrink+round, cc.ctx)
+		r := cc.irecvColl(nil, 0, datatype.Byte, from, tagShrink+round)
 		if err := cc.send(nil, 0, datatype.Byte, dst, tagShrink+round, cc.ctx); err != nil {
 			return err
 		}

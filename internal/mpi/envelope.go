@@ -161,13 +161,7 @@ func (e *envelope) live() {
 // holding e. The free list is a plain slice: a world lives on one host,
 // whose processes and callbacks run one at a time.
 func (w *World) newEnvelope(e envelope) *envelope {
-	var env *envelope
-	if n := len(w.envFree); n > 0 {
-		env = w.envFree[n-1]
-		w.envFree = w.envFree[:n-1]
-	} else {
-		env = new(envelope)
-	}
+	env := sim.TakeFree(&w.envFree)
 	e.gen = env.gen + 1
 	*env = e
 	return env

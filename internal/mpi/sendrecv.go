@@ -60,8 +60,10 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	}
 	bytes := dt.Size() * int64(count)
 	tr := w.cfg.Tracer
-	tr.Instantf(p.Now(), c.rk.actor, "send",
-		"-> %d tag %d: %d bytes", dst, tag, bytes)
+	if tr != nil { // guarded here: the arguments are boxed before a callee could decline them
+		tr.Instantf(p.Now(), c.rk.actor, "send",
+			"-> %d tag %d: %d bytes", dst, tag, bytes)
+	}
 	var protoCode int64 // matches the KSendPost payload table
 	switch {
 	case dst == c.rk.id:
@@ -93,7 +95,9 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	case bytes <= proto.ShortMax:
 		sp := tr.StartSpan(start, c.rk.actor, "send", "short")
 		sp.SetBytes(bytes)
-		sp.SetDetail("-> %d tag %d", dst, tag)
+		if sp != nil {
+			sp.SetDetail("-> %d tag %d", dst, tag)
+		}
 		err := c.sendShort(buf, count, dt, dst, tag, ctx, bytes)
 		sp.End(p.Now())
 		w.met.sendsShort.Inc()
@@ -103,7 +107,9 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	case bytes <= proto.EagerMax:
 		sp := tr.StartSpan(start, c.rk.actor, "send", "eager")
 		sp.SetBytes(bytes)
-		sp.SetDetail("-> %d tag %d", dst, tag)
+		if sp != nil {
+			sp.SetDetail("-> %d tag %d", dst, tag)
+		}
 		err := c.sendEager(buf, count, dt, dst, tag, ctx, bytes)
 		sp.End(p.Now())
 		w.met.sendsEager.Inc()
@@ -113,7 +119,9 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	default:
 		sp := tr.StartSpan(start, c.rk.actor, "send", "rdv")
 		sp.SetBytes(bytes)
-		sp.SetDetail("-> %d tag %d", dst, tag)
+		if sp != nil {
+			sp.SetDetail("-> %d tag %d", dst, tag)
+		}
 		err := c.sendRendezvous(buf, count, dt, dst, tag, ctx, bytes)
 		sp.End(p.Now())
 		w.met.sendsRdv.Inc()
@@ -386,10 +394,12 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 	if err := c.peerLost(dst); err != nil {
 		return err
 	}
-	reply := sim.NewChan(16)
+	sc := sim.TakeFree(&w.rdvSendFree)
+	reply := &sc.reply
 	reqID := c.rk.nextReqID()
+	contig := dt.Contiguous() // asked once per message, not per chunk
 	var fp uint64
-	if !dt.Contiguous() {
+	if !contig {
 		fp = dt.Flat().Fingerprint()
 	}
 	w.ring(p, c.rk.id, dst, envelope{
@@ -406,12 +416,10 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 
 	// A resumable cursor carries find_position state across chunks: the
 	// sequential continuation at each chunk boundary is O(1), and a retried
-	// deposit rewinds with one Seek instead of a per-chunk restart. The
-	// descriptor slice is reused across chunks by the DMA-SG path.
-	var cur *pack.Cursor
-	var descs []pack.Descriptor
-	if mode == rdvFF && !dt.Contiguous() {
-		cur = pack.NewCursor(dt, count)
+	// deposit rewinds with one Seek instead of a per-chunk restart. It lives
+	// in the scratch record, as does the descriptor slice of the DMA-SG path.
+	if mode == rdvFF && !contig {
+		sc.cur.Init(dt, count)
 	}
 
 	chunkSize := proto.RendezvousChunk
@@ -436,7 +444,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 			if err := c.peerLost(dst); err != nil {
 				return err
 			}
-			if err := c.packChunkInto(out, off, buf, count, dt, cur, &descs, skip, n, mode); err != nil {
+			if err := c.packChunkInto(out, sc, off, buf, count, dt, contig, skip, n, mode); err != nil {
 				return err
 			}
 			return out.mem.Sync(p) // store barrier: data complete before the flag
@@ -458,20 +466,49 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 		acked++
 	}
 	c.rk.fl.Record(p.Now(), flight.KRdvDone, int64(dst), reqID, bytes, 0)
+	w.freeRdvSend(sc) // every error return above leaves the record to the GC
 	return nil
 }
 
+// rdvSend is the sender's scratch of one rendezvous transfer: the channel
+// its CTS and acks arrive on (envelope.reply points at it), the resumable
+// pack cursor of the ff mode, and the descriptor slice of the DMA-SG path.
+//
+// Scratch records are recycled through per-world free lists like envelopes,
+// but under a stricter rule, because control packets name the record for as
+// long as they are in flight: the last reader returns a record only when
+// its transfer ended cleanly — then every CTS and ack it was sent has been
+// consumed — and an errored or cancelled transfer leaves its record to the
+// GC. A stale CTS or ack therefore lands in a record no later transfer
+// will see, and records need neither a generation stamp nor a request-id
+// filter. The receiver's rdvRecv follows the same rule.
+type rdvSend struct {
+	reply sim.Chan
+	cur   pack.Cursor
+	sink  offsetSink
+	descs []pack.Descriptor
+}
+
+// freeRdvSend takes sc back after a transfer that ended cleanly. A reply
+// still queued (nothing sends one, but a recycled record must start empty)
+// leaves it to the GC instead.
+func (w *World) freeRdvSend(sc *rdvSend) {
+	if sc.reply.Len() == 0 {
+		w.rdvSendFree = append(w.rdvSendFree, sc)
+	}
+}
+
 // packChunkInto moves one rendezvous chunk into the receiver's buffer,
-// surfacing injected transfer faults for the caller to retry. cur is the
-// transfer's resumable pack cursor (nil outside the ff mode); Seek makes a
-// retried chunk rewind to its start. descs is the transfer's reusable
-// descriptor slice (DMA-SG path).
-func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt *datatype.Type, cur *pack.Cursor, descs *[]pack.Descriptor, skip, n int64, mode rdvMode) error {
+// surfacing injected transfer faults for the caller to retry. contig is
+// dt.Contiguous(). sc is the transfer's scratch: its resumable pack cursor
+// (initialised in the ff mode only) rewinds a retried chunk to its start
+// with one Seek.
+func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, count int, dt *datatype.Type, contig bool, skip, n int64, mode rdvMode) error {
 	w := c.rk.w
 	mem := out.mem
 	proto := w.protocol()
 	switch {
-	case dt.Contiguous():
+	case contig:
 		// Contiguous chunks keep the legacy static gate (DMAMin) under the
 		// adaptive policy too: the choice is a fixed engine crossover, not
 		// a per-type regime. Forced policies override it.
@@ -483,22 +520,19 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 			useDMA = false
 		}
 		if useDMA {
-			if fut, ok := mem.DMAWrite(c.p, off, buf[skip:skip+n]); ok {
+			if req, ok := mem.DMAWrite(c.p, off, buf[skip:skip+n]); ok {
 				// The CPU is free during the transfer; the protocol simply
 				// waits for the engine before signalling the chunk.
 				start := c.p.Now()
 				sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "transfer", "dma")
 				sp.SetBytes(n)
-				v := c.p.Await(fut)
+				err := req.Wait(c.p)
 				sp.End(c.p.Now())
 				w.met.pathDMAContig.Inc()
 				w.met.transferDMABytes.Add(n)
 				w.met.transferDMANS.ObserveDuration(c.p.Now() - start)
 				c.rk.fl.Record(c.p.Now(), flight.KPathChosen, flight.PathDMACont, n, 0, 0)
-				if v != nil {
-					return v.(error)
-				}
-				return nil
+				return err
 			}
 		}
 		w.met.pathPIOStream.Inc()
@@ -526,16 +560,16 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 		var err error
 		switch path {
 		case depositStaged:
-			err = c.depositStaged(mem, off, buf, cur, skip, n)
+			err = c.depositStaged(mem, off, buf, &sc.cur, skip, n)
 		case depositSG:
 			var ok bool
-			ok, err = c.depositSG(out, off, buf, cur, descs, skip, n)
+			ok, err = c.depositSG(out, sc, off, buf, skip, n)
 			if !ok {
 				path = depositFF
-				err = c.depositFF(mem, off, buf, cur, skip, n)
+				err = c.depositFF(mem, sc, off, buf, skip, n)
 			}
 		default:
-			err = c.depositFF(mem, off, buf, cur, skip, n)
+			err = c.depositFF(mem, sc, off, buf, skip, n)
 		}
 		w.met.pathChosen[path].Inc()
 		c.rk.fl.Record(c.p.Now(), flight.KPathChosen, int64(path), n, 0, 0)
@@ -565,15 +599,15 @@ func (c *Comm) packChunkInto(out *sendPort, off int64, buf []byte, count int, dt
 // depositFF packs one chunk straight into the (possibly remote) buffer
 // with direct_pack_ff. The working set per handshake cycle is the chunk
 // plus its gaps (the reason the chunk must stay below the L2 size).
-func (c *Comm) depositFF(mem smi.Mem, off int64, buf []byte, cur *pack.Cursor, skip, n int64) error {
+func (c *Comm) depositFF(mem smi.Mem, sc *rdvSend, off int64, buf []byte, skip, n int64) error {
 	w := c.rk.w
 	start := c.p.Now()
 	sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "direct_pack_ff")
 	sp.SetBytes(n)
 	bw := mem.BlockWriter(c.p, 2*n)
-	sink := offsetSink{w: bw, base: off}
-	cur.SeekTo(skip) // free on sequential continuation, O(leaves) on retry
-	cur.Pack(sink, buf, n)
+	sc.sink = offsetSink{w: bw, base: off}
+	sc.cur.SeekTo(skip) // free on sequential continuation, O(leaves) on retry
+	sc.cur.Pack(&sc.sink, buf, n)
 	err := bw.Flush()
 	sp.End(c.p.Now())
 	w.met.packFFBytes.Add(n)
@@ -606,15 +640,15 @@ func (c *Comm) depositStaged(mem smi.Mem, off int64, buf []byte, cur *pack.Curso
 // the deposit to the DMA engine — no local pack pass at all. ok=false
 // means the transport has no descriptor engine and nothing was deposited
 // (the cursor is rewound); the caller falls back to depositFF.
-func (c *Comm) depositSG(out *sendPort, off int64, buf []byte, cur *pack.Cursor, descs *[]pack.Descriptor, skip, n int64) (ok bool, err error) {
+func (c *Comm) depositSG(out *sendPort, sc *rdvSend, off int64, buf []byte, skip, n int64) (ok bool, err error) {
 	w := c.rk.w
 	start := c.p.Now()
-	cur.SeekTo(skip)
-	ds, st := cur.Descriptors((*descs)[:0], n)
-	*descs = ds
-	fut, ok := out.mem.DMAWriteSG(c.p, off, buf, ds)
+	sc.cur.SeekTo(skip)
+	var st pack.Stats
+	sc.descs, st = sc.cur.Descriptors(sc.descs[:0], n)
+	req, ok := out.mem.DMAWriteSG(c.p, off, buf, sc.descs)
 	if !ok {
-		cur.SeekTo(skip)
+		sc.cur.SeekTo(skip)
 		return false, nil
 	}
 	sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "dma_sg")
@@ -622,23 +656,22 @@ func (c *Comm) depositSG(out *sendPort, off int64, buf []byte, cur *pack.Cursor,
 	// The descriptor build is the ff traversal; it counts as ff pack work
 	// even though no bytes move through the CPU.
 	w.countPack(st, true)
-	v := c.p.Await(fut)
+	err = req.Wait(c.p)
 	sp.End(c.p.Now())
 	w.met.packSGBytes.Add(n)
 	w.met.packSGNS.ObserveDuration(c.p.Now() - start)
-	if v != nil {
-		return true, v.(error)
-	}
-	return true, nil
+	return true, err
 }
 
-// offsetSink adapts an smi.BlockWriter to a pack.Sink with a base offset.
+// offsetSink adapts an smi.BlockWriter to a pack.Sink with a base offset. It
+// is used through a pointer into the transfer's scratch record, which an
+// interface holds without boxing.
 type offsetSink struct {
 	w    smi.BlockWriter
 	base int64
 }
 
-func (o offsetSink) Write(off int64, src []byte) { o.w.Write(o.base+off, src) }
+func (o *offsetSink) Write(off int64, src []byte) { o.w.Write(o.base+off, src) }
 
 // remote reports whether the world rank dst lives on a different node.
 func (c *Comm) remote(dst int) bool { return c.rk.w.ranks[dst].node != c.rk.node }
@@ -730,6 +763,11 @@ func (c *Comm) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int) *Re
 }
 
 func (c *Comm) irecv(buf []byte, count int, dt *datatype.Type, src, tag, ctx int) *Request {
+	return c.postRecv(new(Request), buf, count, dt, src, tag, ctx)
+}
+
+// postRecv posts the receive on req, a zero Request.
+func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, src, tag, ctx int) *Request {
 	c.p.Sleep(c.rk.w.protocol().CallOverhead)
 	if !dt.Committed() {
 		panic(fmt.Sprintf("mpi: receive with uncommitted datatype %s", dt))
@@ -737,7 +775,7 @@ func (c *Comm) irecv(buf []byte, count int, dt *datatype.Type, src, tag, ctx int
 	if src != AnySource {
 		src = c.worldRank(src)
 	}
-	req := &Request{p: c.p, c: c, recvReq: recvReq{
+	*req = Request{p: c.p, c: c, recvReq: recvReq{
 		ctx: ctx, src: src, tag: tag,
 		buf: buf, count: count, dt: dt,
 	}}

@@ -227,8 +227,14 @@ type World struct {
 	collLive  collEWMATable
 	collCalls map[collCallKey]collDecision
 
-	// envFree is the envelope free list (see envelope).
-	envFree []*envelope
+	// envFree is the envelope free list (see envelope). rdvSendFree and
+	// rdvRecvFree hold the scratch records of rendezvous transfers that
+	// ended cleanly (see rdvSend), reqFree the Requests of collective-
+	// internal receives (see irecvColl).
+	envFree     []*envelope
+	rdvSendFree []*rdvSend
+	rdvRecvFree []*rdvRecv
+	reqFree     []*Request
 
 	met worldMetrics
 	// packFF/packGeneric accumulate the block structure of every pack and
@@ -296,6 +302,9 @@ type worldMetrics struct {
 }
 
 func newWorldMetrics(r *obs.Registry) worldMetrics {
+	if r == nil {
+		return worldMetrics{} // obs.Name would still build every name below
+	}
 	m := worldMetrics{
 		sendShortNS: r.Histogram(obs.Name("mpi.send.ns", "path", "short")),
 		sendEagerNS: r.Histogram(obs.Name("mpi.send.ns", "path", "eager")),

@@ -81,7 +81,9 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		// unless the target itself is gone, which is the caller's problem.
 		if err := w.tryDirectPut(p, buf, count, dt, target, targetOff, n, span); err == nil {
 			w.count(&w.stats.DirectPuts, w.sys.met.directPuts, 1)
-			sp.SetDetail("direct -> %d", target)
+			if sp != nil {
+				sp.SetDetail("direct -> %d", target)
+			}
 			w.fl.Record(p.Now(), flight.KPut, int64(w.sys.c.GroupToWorld(target)), n, int64(w.id), 1)
 			return nil
 		} else if lost := w.lostTarget(target); lost != nil {
@@ -93,7 +95,9 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	// Emulation: stage the linearized data into the pair's staging area
 	// and invoke the remote handler.
 	w.count(&w.stats.EmulatedPuts, w.sys.met.emulatedPuts, 1)
-	sp.SetDetail("emulated -> %d", target)
+	if sp != nil {
+		sp.SetDetail("emulated -> %d", target)
+	}
 	w.fl.Record(p.Now(), flight.KPut, int64(w.sys.c.GroupToWorld(target)), n, int64(w.id), 0)
 	return w.emulatedPut(buf, count, dt, target, targetOff, n)
 }
@@ -282,7 +286,9 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		// the whole amount.
 		if err := w.tryDirectGet(p, buf, count, dt, target, targetOff, n); err == nil {
 			w.count(&w.stats.DirectGets, w.sys.met.directGets, 1)
-			sp.SetDetail("direct <- %d", target)
+			if sp != nil {
+				sp.SetDetail("direct <- %d", target)
+			}
 			return nil
 		} else if lost := w.lostTarget(target); lost != nil {
 			return lost
@@ -293,7 +299,9 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	// Remote-put: the handler at the target writes the data into this
 	// process's staging area (its own address space view of us).
 	w.count(&w.stats.RemotePuts, w.sys.met.remotePuts, 1)
-	sp.SetDetail("remote-put <- %d", target)
+	if sp != nil {
+		sp.SetDetail("remote-put <- %d", target)
+	}
 	return w.remotePutGet(buf, count, dt, target, targetOff, n)
 }
 
@@ -399,7 +407,9 @@ func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 	interrupt := !w.isShared[target] || w.degraded[target]
 
 	if n <= w.cfg.InlineMax || target == c.Rank() {
-		sp.SetDetail("inline -> %d", target)
+		if sp != nil {
+			sp.SetDetail("inline -> %d", target)
+		}
 		// As in emulatedPut: recycle the pooled payload only after a
 		// successful round trip.
 		payload := bufpool.Get(int(n))
@@ -415,7 +425,9 @@ func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 		return nil
 	}
 	w.stats.EmulatedAccumulates++
-	sp.SetDetail("staged -> %d", target)
+	if sp != nil {
+		sp.SetDetail("staged -> %d", target)
+	}
 	stage, base, size, lock := c.OSCStage(c.GroupToWorld(target))
 	half := size / 2
 	p.Lock(lock)

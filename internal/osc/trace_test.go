@@ -1,0 +1,100 @@
+package osc
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"scimpich/internal/datatype"
+	"scimpich/internal/mpi"
+	"scimpich/internal/obs"
+)
+
+// TestGuardedTraceSites is the one-sided half of mpi.TestGuardedTraceSites:
+// every SetDetail with arguments is guarded at its call site by the span it
+// holds, and with a tracer attached each must record exactly the Detail the
+// unguarded call produced — the epoch, and a put, get and accumulate on the
+// direct and on the emulated path.
+func TestGuardedTraceSites(t *testing.T) {
+	cfg := mpi.DefaultConfig(2, 1)
+	tr := obs.NewTrace(0)
+	cfg.Tracer = tr
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		shared, private := mkWin(c, 64<<10, true), mkWin(c, 64<<10, false)
+		small, large := fill(64), fill(16<<10)
+		for _, w := range []*Win{shared, private} {
+			w.Fence()
+			if c.Rank() == 0 {
+				w.Put(small, len(small), datatype.Byte, 1, 0)
+				w.Get(small, len(small), datatype.Byte, 1, 0)
+				w.Get(large, len(large), datatype.Byte, 1, 0)
+				w.Accumulate(small, len(small)/8, datatype.Int64, mpi.OpSum, 1, 0)
+				w.Accumulate(large, len(large)/8, datatype.Int64, mpi.OpSum, 1, 0)
+			}
+			w.Fence()
+		}
+	})
+	got := map[string]int{}
+	for _, s := range tr.Spans() {
+		if s.Category == "osc" && s.Detail != "" {
+			got[s.Actor+" "+s.Name+": "+s.Detail]++
+		}
+	}
+	for _, want := range []struct {
+		line string
+		n    int
+	}{
+		{"rank0 epoch: win 0 fence", 2},
+		{"rank1 epoch: win 0 fence", 2},
+		{"rank0 put: direct -> 1", 1},
+		{"rank0 put: emulated -> 1", 1},
+		{"rank0 get: direct <- 1", 1},
+		{"rank0 get: remote-put <- 1", 3},
+		{"rank0 acc: inline -> 1", 2},
+		{"rank0 acc: staged -> 1", 2},
+	} {
+		if got[want.line] != want.n {
+			t.Errorf("recorded %d x %q, want %d", got[want.line], want.line, want.n)
+		}
+	}
+	if t.Failed() {
+		for line, n := range got {
+			t.Logf("%d x %s", n, line)
+		}
+	}
+}
+
+// TestAllocsPutFenceBudget pins a put + fence epoch on a shared window, with
+// tracing off, at 4 objects over both ranks (2 expected: the collective view
+// of the communicator each rank's fence barrier makes). It is the one-sided
+// half of mpi.TestTracingOffBoxesNothing: the fence's barrier runs at tags
+// >= 1<<20 and the epoch span takes a string, so every trace call site that
+// boxed its arguments with the tracer off showed here — 15 objects per epoch
+// before the sites were guarded and the barrier recycled its Requests.
+func TestAllocsPutFenceBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, n = 20, 200
+	src := fill(4096)
+	var m0, m1 runtime.MemStats
+	runCluster(2, 1, func(c *mpi.Comm) {
+		w := mkWin(c, 8192, true)
+		w.Fence()
+		for i := 0; i < warm+n; i++ {
+			if i == warm && c.Rank() == 0 {
+				runtime.ReadMemStats(&m0)
+			}
+			if c.Rank() == 0 {
+				w.Put(src, len(src), datatype.Byte, 1, 100)
+			}
+			w.Fence()
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+		}
+	})
+	objs := float64(m1.Mallocs-m0.Mallocs) / n
+	t.Logf("put + fence epoch: %.2f objects, %.1f B", objs, float64(m1.TotalAlloc-m0.TotalAlloc)/n)
+	if objs > 4 {
+		t.Errorf("%.2f objects per put + fence epoch, budget is 4 (2 expected, 15 before)", objs)
+	}
+}

@@ -312,7 +312,9 @@ func (w *Win) openEpoch(mode string) {
 	now := w.sys.c.Proc().Now()
 	w.epochOpen, w.epochStart = true, now
 	w.epochSpan = w.sys.c.Tracer().StartSpan(now, w.actor, "osc", "epoch")
-	w.epochSpan.SetDetail("win %d %s", w.id, mode)
+	if w.epochSpan != nil { // guarded here: the arguments are boxed before a callee could decline them
+		w.epochSpan.SetDetail("win %d %s", w.id, mode)
+	}
 }
 
 // closeEpoch ends the current epoch span (no-op when none is open) and

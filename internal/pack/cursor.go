@@ -19,9 +19,10 @@ const inlineDepth = 8
 // per-chunk find_position restart would cost O(leaves)+O(depth) and an
 // odometer allocation per leaf.
 //
-// The zero Cursor is not usable; create one with NewCursor. A Cursor must
-// not be copied after first use (it owns an inline odometer buffer) and is
-// not safe for concurrent use.
+// The zero Cursor is not usable; create one with NewCursor, or Init one that
+// is embedded in a longer-lived record. A Cursor must not be copied after
+// first use (it owns an inline odometer buffer) and is not safe for
+// concurrent use.
 type Cursor struct {
 	f     *datatype.Flat
 	count int64
@@ -46,12 +47,14 @@ type Cursor struct {
 // NewCursor returns a cursor positioned at linearization offset 0.
 func NewCursor(t *datatype.Type, count int) *Cursor {
 	c := &Cursor{}
-	c.init(t, count)
+	c.Init(t, count)
 	return c
 }
 
-// init prepares a (possibly stack-allocated) cursor in place.
-func (c *Cursor) init(t *datatype.Type, count int) {
+// Init prepares a cursor in place (a stack-allocated one, or one embedded
+// in a record that is reused), positioned at linearization offset 0. A deep
+// odometer from an earlier use is kept when it is large enough.
+func (c *Cursor) Init(t *datatype.Type, count int) {
 	if count < 0 {
 		panic("pack: negative count")
 	}
@@ -60,8 +63,12 @@ func (c *Cursor) init(t *datatype.Type, count int) {
 	c.count = int64(count)
 	c.total = f.Size * int64(count)
 	c.denseOff, c.dense = denseRun(f)
-	c.deep = nil
-	if f.Depth > inlineDepth {
+	switch {
+	case f.Depth <= inlineDepth:
+		c.deep = nil
+	case cap(c.deep) >= f.Depth:
+		c.deep = c.deep[:f.Depth]
+	default:
 		c.deep = make([]int64, f.Depth)
 	}
 	c.Reset()

@@ -26,7 +26,7 @@ import (
 func FFPack(sink Sink, user []byte, t *datatype.Type, count int, skip, maxBytes int64) (int64, Stats) {
 	budget := checkArgs(t, count, skip, maxBytes)
 	var c Cursor
-	c.init(t, count)
+	c.Init(t, count)
 	c.SeekTo(skip)
 	return c.run(budget, func(userOff, linOff, n int64) {
 		sink.Write(linOff, user[userOff:userOff+n])
@@ -39,7 +39,7 @@ func FFPack(sink Sink, user []byte, t *datatype.Type, count int, skip, maxBytes 
 func FFUnpack(user []byte, src []byte, t *datatype.Type, count int, skip, maxBytes int64) (int64, Stats) {
 	budget := checkArgs(t, count, skip, maxBytes)
 	var c Cursor
-	c.init(t, count)
+	c.Init(t, count)
 	c.SeekTo(skip)
 	return c.run(budget, func(userOff, linOff, n int64) {
 		copy(user[userOff:userOff+n], src[linOff:linOff+n])

@@ -10,8 +10,8 @@ import (
 )
 
 // accessOps is every way to touch a mapped segment, each moving 64 bytes
-// at off through the fallible core. DMA ops await their future, so a
-// transfer-time failure reads like a submission-time one.
+// at off through the fallible core. DMA ops wait for their request, which
+// reports a transfer-time failure like a submission-time one.
 var accessOps = []struct {
 	name  string
 	reads bool
@@ -35,11 +35,11 @@ var accessOps = []struct {
 		return w.Flush()
 	}},
 	{"DMAWrite", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		return awaitDMA(p)(m.TryDMAWrite(p, off, buf))
+		return m.DMAWrite(p, off, buf).Wait(p)
 	}},
 	{"DMAWriteSG", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
 		descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: 64}}
-		return awaitDMA(p)(m.DMAWriteSG(p, off, buf, descs))
+		return m.DMAWriteSG(p, off, buf, descs).Wait(p)
 	}},
 	{"Read", true, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
 		return m.TryRead(p, off, buf)
@@ -47,16 +47,6 @@ var accessOps = []struct {
 	{"ReadStrided", true, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
 		return m.tryReadStrided(p, off, buf, 64, 64)
 	}},
-}
-
-func awaitDMA(p *sim.Proc) func(*sim.Future, error) error {
-	return func(fut *sim.Future, err error) error {
-		if err != nil {
-			return err
-		}
-		err, _ = p.Await(fut).(error)
-		return err
-	}
 }
 
 // TestAccessOpsCheckRangeAndState: every access op fails an out-of-range

@@ -12,14 +12,19 @@ import (
 // for the CPU; the engine itself moves the data through the flow network.
 // Plain requests stage a contiguous buffer; scatter-gather requests carry a
 // descriptor list and gather straight from the submitter's source buffer,
-// which therefore must stay valid and unmodified until the future
-// completes (the protocol layers above await it before reusing anything).
+// which therefore must stay valid and unmodified until Wait returns (the
+// protocol layers above wait before reusing anything).
 type dmaEngine struct {
 	node  *Node
 	queue *sim.Chan
+	free  []*DMARequest // requests whose submitter has waited (see Wait)
 }
 
-type dmaRequest struct {
+// DMARequest is one submitted DMA transfer. Its submitter calls Wait, once,
+// for the outcome. Requests are recycled through their engine's free list by
+// that last reader, so a transfer in steady state allocates nothing.
+type DMARequest struct {
+	eng  *dmaEngine // nil for a request that failed at submission
 	m    *Mapping
 	off  int64
 	data *bufpool.Buf // staged source bytes; recycled when the engine is done
@@ -29,7 +34,34 @@ type dmaRequest struct {
 	src   []byte
 	descs []pack.Descriptor
 
-	done *sim.Future
+	done sim.Future // completes with nil or the typed transfer error
+}
+
+// Wait blocks until the transfer has been delivered and returns nil, or the
+// typed error of a failed submission (range violation, revoked segment) or
+// transfer. The request must not be used afterwards: its only waiter hands
+// it back to the engine.
+func (r *DMARequest) Wait(p *sim.Proc) error {
+	err, _ := p.Await(&r.done).(error)
+	if eng := r.eng; eng != nil {
+		*r = DMARequest{}
+		eng.free = append(eng.free, r)
+	}
+	return err
+}
+
+// request returns a zero request of this engine, recycled when one is free.
+func (d *dmaEngine) request() *DMARequest {
+	r := sim.TakeFree(&d.free)
+	r.eng = d
+	return r
+}
+
+// failedDMA is the request of a transfer that was refused at submission.
+func failedDMA(err error) *DMARequest {
+	r := new(DMARequest)
+	r.done.Complete(err)
+	return r
 }
 
 func newDMAEngine(n *Node) *dmaEngine {
@@ -41,7 +73,7 @@ func newDMAEngine(n *Node) *dmaEngine {
 func (d *dmaEngine) run(p *sim.Proc) {
 	cfg := &d.node.ic.Cfg
 	for {
-		req := p.Recv(d.queue).(*dmaRequest)
+		req := p.Recv(d.queue).(*DMARequest)
 		if req.descs != nil {
 			d.runSG(p, cfg, req)
 			continue
@@ -50,9 +82,9 @@ func (d *dmaEngine) run(p *sim.Proc) {
 		p.Sleep(cfg.DMAStartup)
 		d.node.ic.faults.maybeRetry(p, &d.node.stats)
 		n := int64(len(req.data.B))
-		// Failures complete the future with the typed error instead of
-		// panicking inside the engine daemon: the submitter inspects the
-		// awaited value and runs its own recovery.
+		// Failures complete the request with the typed error instead of
+		// panicking inside the engine daemon: the submitter gets it from
+		// Wait and runs its own recovery.
 		if err := req.m.stateErr(); err != nil {
 			req.data.Put()
 			req.done.Complete(err)
@@ -81,7 +113,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 // descriptor list, gathering source runs and streaming them out in
 // destination-contiguous stream transactions (merged runs). Cost is the
 // shared SGTransferCost model.
-func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *dmaRequest) {
+func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *DMARequest) {
 	start := p.Now()
 	n, runs := pack.DescriptorRuns(req.descs)
 	avgRun := n
@@ -114,7 +146,7 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *dmaRequest) {
 
 // drawFault draws an injected DMA transfer error for a remote request,
 // charging the retry latency and counting the fault.
-func (d *dmaEngine) drawFault(p *sim.Proc, req *dmaRequest) error {
+func (d *dmaEngine) drawFault(p *sim.Proc, req *DMARequest) error {
 	if !req.m.Remote() {
 		return nil
 	}
@@ -131,33 +163,20 @@ func (d *dmaEngine) drawFault(p *sim.Proc, req *dmaRequest) error {
 }
 
 // DMAWrite submits a DMA transfer of src to offset off of the mapped
-// segment and returns a future that completes when the data has been
-// delivered. The submitting CPU only pays the (small) descriptor setup
-// cost; transfers queue per adapter. The future's value is nil on success
-// or the typed transfer error. A submission failure panics.
-func (m *Mapping) DMAWrite(p *sim.Proc, off int64, src []byte) *sim.Future {
-	return mustSubmit(m.TryDMAWrite(p, off, src))
-}
-
-func mustSubmit(fut *sim.Future, err error) *sim.Future {
-	if err != nil {
-		panic(err)
-	}
-	return fut
-}
-
-// TryDMAWrite is the fallible DMAWrite: submission-time failures (range
-// violation, revoked segment) are returned immediately; transfer-time
-// failures complete the future with a typed error.
-func (m *Mapping) TryDMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, error) {
+// segment and returns its request, whose Wait returns once the data has
+// been delivered. The submitting CPU only pays the (small) descriptor setup
+// cost; transfers queue per adapter. Submission-time failures (range
+// violation, revoked segment) and transfer-time failures alike come back
+// from Wait.
+func (m *Mapping) DMAWrite(p *sim.Proc, off int64, src []byte) *DMARequest {
 	if err := m.accessErr(off, int64(len(src))); err != nil {
-		return nil, err
+		return failedDMA(err)
 	}
-	done := sim.NewFuture()
 	p.Sleep(2 * m.from.ic.Cfg.WriteIssueOverhead)
-	req := &dmaRequest{m: m, off: off, data: bufpool.Clone(src), done: done}
+	req := m.from.dma.request()
+	req.m, req.off, req.data = m, off, bufpool.Clone(src)
 	p.Send(m.from.dma.queue, req)
-	return done, nil
+	return req
 }
 
 // DMAWriteSG submits a scatter-gather DMA transfer: every descriptor
@@ -165,11 +184,9 @@ func (m *Mapping) TryDMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, 
 // mapped segment, without any CPU pack pass. The CPU pays the descriptor
 // build cost at submission; the engine charges startup, per-descriptor
 // processing and the merged-run stream (Config.SGTransferCost). src and
-// descs must stay valid and unmodified until the returned future
-// completes; its value is nil on success or the typed transfer error.
-// Submission-time failures (range violation, revoked segment) are returned
-// immediately.
-func (m *Mapping) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, error) {
+// descs must stay valid and unmodified until the request's Wait returns;
+// failures come back from it as for DMAWrite.
+func (m *Mapping) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) *DMARequest {
 	n, _ := pack.DescriptorRuns(descs)
 	var span int64
 	if len(descs) > 0 {
@@ -177,16 +194,16 @@ func (m *Mapping) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.D
 		span = last.DstOff + last.Len
 	}
 	if err := m.accessErr(base, span); err != nil {
-		return nil, err
+		return failedDMA(err)
 	}
 	cfg := &m.from.ic.Cfg
 	p.Sleep(2*cfg.WriteIssueOverhead + time.Duration(len(descs))*cfg.DMASGBuild)
-	done := sim.NewFuture()
+	req := m.from.dma.request()
 	if n == 0 {
-		done.Complete(nil)
-		return done, nil
+		req.done.Complete(nil)
+		return req
 	}
-	req := &dmaRequest{m: m, off: base, src: src, descs: descs, done: done}
+	req.m, req.off, req.src, req.descs = m, base, src, descs
 	p.Send(m.from.dma.queue, req)
-	return done, nil
+	return req
 }

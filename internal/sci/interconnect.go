@@ -112,14 +112,17 @@ type Node struct {
 	nextSeg int
 
 	// pendingWrites counts posted writes that have not yet arrived at
-	// their targets; StoreBarrier waits on the shared barrier future,
-	// completed when the count drains to zero. A counter plus one future
-	// replaces the old per-write future map: posting a write is then
-	// allocation-free (the deliveries themselves are pooled).
+	// their targets; StoreBarrier waits on the one barrier future, which
+	// the arrival that drains the count to zero completes and re-arms in
+	// the same breath (the completion carries no value, and a barrier
+	// entered from then on waits for the writes posted from then on). So
+	// neither posting a write nor waiting for it allocates.
 	pendingWrites int
-	barrier       *sim.Future
+	barrier       sim.Future
 
 	dma *dmaEngine
+	// bwFree holds the block writers whose session has been flushed.
+	bwFree []*BlockWriter
 
 	// dead marks the node unreachable (see monitor.go).
 	dead bool
@@ -318,10 +321,9 @@ func deliverArrive(a any) {
 		d.buf.Put()
 	}
 	n.pendingWrites--
-	if n.pendingWrites == 0 && n.barrier != nil {
-		f := n.barrier
-		n.barrier = nil
-		f.Complete(nil)
+	if n.pendingWrites == 0 {
+		n.barrier.Complete(nil)
+		n.barrier.Rearm()
 	}
 	*d = delivery{}
 	deliveryPool.Put(d)
@@ -346,10 +348,7 @@ func (n *Node) StoreBarrier(p *sim.Proc) {
 	start := p.Now()
 	p.Sleep(n.ic.Cfg.StoreBarrierLatency)
 	for n.pendingWrites > 0 {
-		if n.barrier == nil {
-			n.barrier = sim.NewFuture()
-		}
-		p.Await(n.barrier)
+		p.Await(&n.barrier)
 	}
 	n.ic.met.barrierNS.ObserveDuration(p.Now() - start)
 }

@@ -266,7 +266,8 @@ func (m *Mapping) tryReadStrided(p *sim.Proc, off int64, dst []byte, accessSize,
 // remote memory at ascending addresses). Bytes are deposited immediately;
 // Flush charges the accumulated virtual-time cost as a single
 // contention-aware transfer and registers the delivery for the next store
-// barrier.
+// barrier. A session ends with Flush, which also hands the writer back to
+// the importing node's free list: it must not be used afterwards.
 type BlockWriter struct {
 	m          *Mapping
 	p          *sim.Proc
@@ -281,7 +282,9 @@ type BlockWriter struct {
 // workingSet is the size of the source data structure being traversed (it
 // selects the cache level feeding local copies).
 func (m *Mapping) NewBlockWriter(p *sim.Proc, workingSet int64) *BlockWriter {
-	return &BlockWriter{m: m, p: p, workingSet: workingSet}
+	w := sim.TakeFree(&m.from.bwFree)
+	*w = BlockWriter{m: m, p: p, workingSet: workingSet}
+	return w
 }
 
 // Write deposits one contiguous block at off and accounts its cost:
@@ -318,6 +321,12 @@ func (w *BlockWriter) Flush() error {
 		panic("sci: BlockWriter flushed twice")
 	}
 	w.flushed = true
+	err := w.flush()
+	w.m.from.bwFree = append(w.m.from.bwFree, w)
+	return err
+}
+
+func (w *BlockWriter) flush() error {
 	if w.err != nil {
 		return w.err
 	}

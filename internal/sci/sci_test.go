@@ -264,9 +264,11 @@ func TestDMATransfer(t *testing.T) {
 	e.Go("p", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		start := p.Now()
-		fut := m.DMAWrite(p, 0, src)
+		req := m.DMAWrite(p, 0, src)
 		submitCost = p.Now() - start
-		p.Await(fut)
+		if err := req.Wait(p); err != nil {
+			t.Errorf("DMA transfer failed: %v", err)
+		}
 		totalCost = p.Now() - start
 		if !bytes.Equal(seg.Local()[:n], src) {
 			t.Error("DMA data mismatch")

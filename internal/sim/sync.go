@@ -39,14 +39,28 @@ func (f *Future) Complete(v any) {
 		f.waiter.wake()
 		f.waiter = nil
 	}
-	for _, p := range f.waiters {
+	for i, p := range f.waiters {
 		p.wake()
+		f.waiters[i] = nil
 	}
-	f.waiters = nil
+	f.waiters = f.waiters[:0] // storage kept for a future that is re-armed
 	for _, fn := range f.callbacks {
 		fn(v)
 	}
 	f.callbacks = nil
+}
+
+// Rearm makes a completed future incomplete again, keeping the storage of
+// its waiter list: an object whose completion recurs — a node's store
+// barrier — embeds one future for good instead of allocating one per round.
+// The value is gone with it, so whoever re-arms must know that no process
+// the completion woke still reads it: the last waiter, once it has the
+// value, or the completer itself when the completion carries none.
+func (f *Future) Rearm() {
+	if !f.done {
+		panic("sim: re-arming a future that has not completed")
+	}
+	f.done, f.value = false, nil
 }
 
 // OnComplete registers fn to run synchronously (in registration order) when
@@ -126,6 +140,21 @@ func (p *Proc) AwaitAll(fs ...*Future) {
 	for _, f := range fs {
 		p.Await(f)
 	}
+}
+
+// TakeFree pops a record off a free list, or allocates a zero one when the
+// list is empty. A free list is a plain LIFO slice its owner appends to: the
+// processes and callbacks of one host run one at a time, so it needs no
+// lock, and it is never pre-sized, so it holds only what was in use at once.
+func TakeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	r := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return r
 }
 
 // FIFO is a first-in-first-out queue in a circular buffer. Pop moves a head

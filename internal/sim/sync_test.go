@@ -51,6 +51,57 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete(nil)
 }
 
+// TestFutureRearm: a future that is completed and re-armed in the same
+// breath (a completion that carries no value) wakes the processes waiting at
+// that moment, in arrival order, and makes them wait again for the next
+// completion; after the first round the second waiter costs no allocation.
+func TestFutureRearm(t *testing.T) {
+	e := NewEngine()
+	var f Future
+	var woke []string
+	var allocs float64
+	for _, name := range []string{"a", "b"} {
+		name := name
+		e.Go(name, func(p *Proc) {
+			for i := 0; i < 2; i++ {
+				p.Await(&f)
+				woke = append(woke, name+"@"+p.Now().String())
+			}
+			// Eleven more rounds: AllocsPerRun warms up with one.
+			if name == "a" {
+				allocs = testing.AllocsPerRun(10, func() { p.Await(&f) })
+				return
+			}
+			for i := 0; i < 11; i++ {
+				p.Await(&f)
+			}
+		})
+	}
+	e.Go("completer", func(p *Proc) {
+		for i := 0; i < 13; i++ {
+			p.Sleep(10 * time.Microsecond)
+			f.Complete(nil)
+			f.Rearm()
+		}
+	})
+	e.Run()
+	if want := []string{"a@10µs", "b@10µs", "a@20µs", "b@20µs"}; !slices.Equal(woke, want) {
+		t.Errorf("woke %v, want %v", woke, want)
+	}
+	if allocs != 0 {
+		t.Errorf("a round of two waiters on a re-armed future allocates %v objects, want 0", allocs)
+	}
+	if f.Done() {
+		t.Error("a re-armed future reports Done")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("re-arming an incomplete future did not panic")
+		}
+	}()
+	f.Rearm()
+}
+
 func TestUnbufferedChanRendezvous(t *testing.T) {
 	e := NewEngine()
 	c := NewChan(0)

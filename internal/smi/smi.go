@@ -48,16 +48,16 @@ type Mem interface {
 	// direct_pack_ff write path).
 	BlockWriter(p *sim.Proc, workingSet int64) BlockWriter
 	// DMAWrite submits an asynchronous DMA transfer when the transport has
-	// a DMA engine, returning its completion future and true; (nil, false)
-	// means DMA is unavailable and the caller should fall back to PIO. The
-	// future's value is nil or the typed transfer error.
-	DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool)
+	// a DMA engine, returning its request and true; (nil, false) means DMA
+	// is unavailable and the caller should fall back to PIO. The request's
+	// Wait returns nil or the typed submission or transfer error.
+	DMAWrite(p *sim.Proc, off int64, src []byte) (*sci.DMARequest, bool)
 	// DMAWriteSG submits a scatter-gather DMA transfer when the transport
 	// has a descriptor-list engine: every descriptor gathers Len bytes at
 	// SrcOff of src and lands them at base+DstOff of the region. src and
-	// descs must stay valid until the future completes. (nil, false) means
-	// the caller should fall back to a CPU pack path.
-	DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool)
+	// descs must stay valid until the request's Wait returns. (nil, false)
+	// means the caller should fall back to a CPU pack path.
+	DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sci.DMARequest, bool)
 }
 
 // BlockWriter receives a sequence of contiguous blocks at ascending offsets
@@ -88,27 +88,17 @@ func (s sciMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error 
 func (s sciMem) Read(p *sim.Proc, off int64, dst []byte) error { return s.m.TryRead(p, off, dst) }
 func (s sciMem) Sync(p *sim.Proc) error                        { return s.m.CheckedSync(p) }
 func (s sciMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter { return s.m.NewBlockWriter(p, ws) }
-func (s sciMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool) {
+func (s sciMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sci.DMARequest, bool) {
 	if !s.m.Remote() {
 		return nil, false
 	}
-	return submitted(s.m.TryDMAWrite(p, off, src)), true
+	return s.m.DMAWrite(p, off, src), true
 }
-func (s sciMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool) {
+func (s sciMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sci.DMARequest, bool) {
 	if !s.m.Remote() {
 		return nil, false
 	}
-	return submitted(s.m.DMAWriteSG(p, base, src, descs)), true
-}
-
-// submitted surfaces a DMA submission failure (revoked segment, range)
-// through the future, so callers have one recovery path: the awaited value.
-func submitted(fut *sim.Future, err error) *sim.Future {
-	if err != nil {
-		fut = sim.NewFuture()
-		fut.Complete(err)
-	}
-	return fut
+	return s.m.DMAWriteSG(p, base, src, descs), true
 }
 
 // --- NIC adapter ---
@@ -141,10 +131,10 @@ func (s nicMem) Sync(p *sim.Proc) error {
 func (s nicMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter {
 	return reliableBW{s.v.NewBlockWriter(p, ws)}
 }
-func (s nicMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool) {
+func (s nicMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sci.DMARequest, bool) {
 	return nil, false // message NICs expose no DMA path
 }
-func (s nicMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool) {
+func (s nicMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sci.DMARequest, bool) {
 	return nil, false
 }
 
@@ -175,10 +165,10 @@ func (s shmMem) Sync(p *sim.Proc) error { return nil }
 func (s shmMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter {
 	return reliableBW{s.r.NewBlockWriter(p, ws)}
 }
-func (s shmMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sim.Future, bool) {
+func (s shmMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sci.DMARequest, bool) {
 	return nil, false // intra-node memory has no DMA engine
 }
-func (s shmMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sim.Future, bool) {
+func (s shmMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sci.DMARequest, bool) {
 	return nil, false
 }
 

@@ -73,10 +73,6 @@ func TestMemConformance(t *testing.T) {
 						t.Errorf("%s: %v", what, err)
 					}
 				}
-				await := func(what string, fut *sim.Future) {
-					err, _ := p.Await(fut).(error)
-					must(what, err)
-				}
 				must("WriteStream", mem.WriteStream(p, 0, src, 0))
 				must("WritePut", mem.WritePut(p, 128, src, 16, 32))
 				bw := mem.BlockWriter(p, 64)
@@ -84,12 +80,12 @@ func TestMemConformance(t *testing.T) {
 				bw.Write(300, src[8:24])
 				must("Flush", bw.Flush())
 
-				fut, ok := mem.DMAWrite(p, 512, src)
+				req, ok := mem.DMAWrite(p, 512, src)
 				if ok != tr.dma {
 					t.Errorf("DMAWrite available = %v, want %v", ok, tr.dma)
 				}
 				if ok {
-					await("DMAWrite", fut)
+					must("DMAWrite", req.Wait(p))
 				} else {
 					must("DMAWrite fallback", mem.WriteStream(p, 512, src, 0))
 				}
@@ -97,12 +93,12 @@ func TestMemConformance(t *testing.T) {
 					{SrcOff: 32, DstOff: 0, Len: 16},
 					{SrcOff: 0, DstOff: 16, Len: 16},
 				}
-				fut, ok = mem.DMAWriteSG(p, 640, src, descs)
+				req, ok = mem.DMAWriteSG(p, 640, src, descs)
 				if ok != tr.dma {
 					t.Errorf("DMAWriteSG available = %v, want %v", ok, tr.dma)
 				}
 				if ok {
-					await("DMAWriteSG", fut)
+					must("DMAWriteSG", req.Wait(p))
 				} else {
 					must("DMAWriteSG fallback", mem.WriteStream(p, 640, src[32:48], 0))
 					must("DMAWriteSG fallback", mem.WriteStream(p, 656, src[0:16], 0))
