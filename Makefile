@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: check vet no-atomics build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
+.PHONY: check fmt-check vet no-atomics build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
 
-# check is the tier-1 gate: vet, the no-atomics lint, build everything, the
-# full test suite with the race detector, then the failover availability claims. vet and build
-# also cover benchmark/, a module of its own that compiles against the
-# internal packages, so an API change cannot break it unnoticed.
-check: vet no-atomics build race failover
+# check is the tier-1 gate: gofmt, vet, the no-atomics lint, build everything,
+# the full test suite with the race detector, then the failover availability
+# claims. fmt-check, vet and build also cover benchmark/, a module of its own
+# that compiles against the internal packages, so an API change cannot break
+# it unnoticed.
+check: fmt-check vet no-atomics build race failover
+
+# fmt-check fails, naming the file, if gofmt would change any Go file of the
+# root module or of benchmark/.
+fmt-check:
+	@! gofmt -l *.go cmd examples internal benchmark | grep .
 
 vet:
 	$(GO) vet ./...
@@ -67,15 +73,16 @@ shard-stress:
 # alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack,
 # PIO, store-barrier, block-writer, DMA-request and event/hand-off fast paths,
 # per flow (Transfer, StartCall, a warm re-solve) and for Contiguous() on a
-# committed datatype; under 1 MiB for an empty 8x2 world with its per-pair
-# structs at their pinned size, a torus run at its construction cost; and the
-# per-message budgets, all measured at tags >= 256: a 64 B round trip
+# committed datatype; under 1 MiB and 700 objects for an empty 8x2 world with
+# its per-pair structs at their pinned size, about twice the objects for twice
+# the ranks, a 512x1 world within 50 000; a torus run at its construction
+# cost; and the per-message budgets, all measured at tags >= 256: a 64 B round trip
 # (allocations at two tag pairs, process switches, events), a 4 KiB eager
 # message, a 256 KiB rendezvous message on every data engine, an 8-rank
 # allreduce on every algorithm, a put + fence epoch. CI fails the bench job
 # if these regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/ ./internal/osc/
+	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes|TestWorld512Builds' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/ ./internal/osc/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

@@ -8,43 +8,41 @@ package mpi
 // table, so a gate fed small tags measures that table, not the code.
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
+	"time"
 	"unsafe"
 
+	"scimpich/internal/allocwin"
 	"scimpich/internal/datatype"
 	"scimpich/internal/nic"
 )
 
 // hostCost builds a world for cfg, runs round warm times on every rank, and
 // returns what n further rounds allocated per round, over all ranks: objects
-// and bytes. The collector is off while it measures, so that the buffer
-// pools (sync.Pool, emptied by a collection) stay warm and a count repeats.
+// and bytes (see allocwin for what keeps the count repeatable).
 func hostCost(t *testing.T, cfg Config, warm, n int, round func(c *Comm, i int)) (objs, bytes float64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation budgets are not checked under the race detector")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var m0, m1 runtime.MemStats
+	win := allocwin.New(t)
 	Run(cfg, func(c *Comm) {
 		for i := 0; i < warm; i++ {
 			round(c, i)
 		}
 		c.Barrier()
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&m0)
+			win.Open()
 		}
 		for i := 0; i < n; i++ {
 			round(c, warm+i)
 		}
 		c.Barrier() // every rank is done before rank 0 reads
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&m1)
+			win.Close()
 		}
 	})
-	return float64(m1.Mallocs-m0.Mallocs) / float64(n), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+	return float64(win.Objects()) / float64(n), float64(win.Bytes()) / float64(n)
 }
 
 // exchange is a round of hostCost between ranks 0 and 1: a message of count
@@ -187,6 +185,72 @@ func TestTracingOffBoxesNothing(t *testing.T) {
 		if d := objs[0] - objs[1]; d < -0.5 || d > 0.5 {
 			t.Errorf("%d B exchange allocates %.2f objects at tag 7 and %.2f at tag 70000", size, objs[0], objs[1])
 		}
+	}
+}
+
+// worldCost builds a world for cfg, runs main on every rank, and returns what
+// both allocated and the virtual end time.
+func worldCost(t *testing.T, cfg Config, main func(c *Comm)) (objs, bytes uint64, end time.Duration) {
+	win := allocwin.New(t)
+	win.Open()
+	end = NewWorldOn(NewFabric(cfg), cfg).Run(main)
+	win.Close()
+	return win.Objects(), win.Bytes(), end
+}
+
+// ringExchange sends 64 B to the next rank and receives 64 B from the
+// previous one: every rank uses two of its size-1 pairs.
+func ringExchange(c *Comm) {
+	out, in := make([]byte, 64), make([]byte, 64)
+	next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+	c.Sendrecv(out, 64, datatype.Byte, next, 1000, in, 64, datatype.Byte, prev, 1000)
+}
+
+// TestAllocsWorldBudget pins the host cost of a world that does nothing, in
+// bytes and in objects. Bytes: an 8x2 world exports 240 pair ports of
+// 384 KiB each (90 MiB), an empty run touches none of them, so building and
+// running it must stay under 1 MiB. Objects: the records behind those ports
+// — segments, mappings, regions — live in one slab per rank and kind, so a
+// world is O(ranks) objects (1 395 for this one when each record was an
+// object of its own), and doubling the ranks must about double the objects:
+// an O(ranks^2) count that came back would read 3.2 here, as it did then.
+func TestAllocsWorldBudget(t *testing.T) {
+	objs, bytes, _ := worldCost(t, DefaultConfig(8, 2), func(*Comm) {})
+	t.Logf("empty 8x2 world: %d bytes, %d objects", bytes, objs)
+	if bytes >= 1<<20 {
+		t.Errorf("empty 8x2 world allocated %d bytes, budget is 1 MiB", bytes)
+	}
+	if raceEnabled {
+		return // the detector allocates on its own
+	}
+	if objs > 700 {
+		t.Errorf("empty 8x2 world allocated %d objects, budget is 700", objs)
+	}
+	o32, _, _ := worldCost(t, DefaultConfig(32, 1), ringExchange)
+	o64, _, _ := worldCost(t, DefaultConfig(64, 1), ringExchange)
+	t.Logf("ring exchange: %d objects on 32x1, %d on 64x1, ratio %.2f", o32, o64, float64(o64)/float64(o32))
+	if float64(o64) > 2.2*float64(o32) {
+		t.Errorf("64x1 world allocated %d objects, 32x1 %d: more than 2.2x for twice the ranks, some per-pair record is an object again",
+			o64, o32)
+	}
+}
+
+// TestWorld512Builds: an ordinary 512-rank World is affordable. One ring
+// exchange on 512x1 ends at the virtual instant it ends at on 64x1 (each
+// rank talks to its two neighbours, whatever the size) within 50 000
+// objects; it took 824 858 when every pair record was an object.
+func TestWorld512Builds(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("a 512-rank world takes ~100 MB; skipped under -short and -race")
+	}
+	_, _, end64 := worldCost(t, DefaultConfig(64, 1), ringExchange)
+	objs, bytes, end := worldCost(t, DefaultConfig(512, 1), ringExchange)
+	t.Logf("512x1 ring exchange: %d objects, %d bytes, ends at %v", objs, bytes, end)
+	if end != end64 {
+		t.Errorf("ring exchange ends at %v on 512x1 and %v on 64x1, want the same instant", end, end64)
+	}
+	if objs > 50000 {
+		t.Errorf("512x1 world allocated %d objects, budget is 50 000", objs)
 	}
 }
 

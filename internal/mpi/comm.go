@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -187,7 +186,7 @@ func (w *World) Run(main func(c *Comm)) time.Duration {
 func (w *World) Spawn(main func(c *Comm)) {
 	for r := 0; r < w.size; r++ {
 		rk := w.ranks[r]
-		w.host.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+		w.host.Go(rk.actor, func(p *sim.Proc) {
 			rk.p = p
 			main(&Comm{w: w, rk: rk, p: p, ctx: ctxUser, collCtx: ctxCollective})
 		})

@@ -45,7 +45,7 @@ type device struct {
 	posted     []*Request
 	unexpected []*envelope
 	probes     []*probeReq
-	rdv        map[int64]*rdvRecv
+	rdv        map[int64]*rdvRecv // made by the first rendezvous
 
 	// lastSeq[src] is the highest envelope sequence number accepted from
 	// src; lower-or-equal arrivals are injected duplicates and dropped
@@ -115,12 +115,13 @@ const (
 	rdvGeneric                // pack / transfer / unpack baseline
 )
 
-func newDevice(rk *rank) *device {
+// newDevice builds rk's device; lastSeq is its row of the world's one
+// sequence-number table.
+func newDevice(rk *rank, lastSeq []int64) *device {
 	d := &device{
 		rk:      rk,
 		actor:   fmt.Sprintf("dev%d", rk.id),
-		rdv:     make(map[int64]*rdvRecv),
-		lastSeq: make([]int64, rk.w.size),
+		lastSeq: lastSeq,
 	}
 	d.p = rk.w.host.GoDaemon(d.actor, d.run)
 	return d
@@ -447,6 +448,9 @@ func (d *device) startRendezvous(p *sim.Proc, req *Request, env *envelope) {
 	st.req, st.src, st.tag, st.bytes, st.mode = req, env.src, env.tag, env.bytes, mode
 	if mode == rdvFF {
 		st.cur.Init(req.dt, req.count)
+	}
+	if d.rdv == nil {
+		d.rdv = make(map[int64]*rdvRecv)
 	}
 	d.rdv[env.reqID] = st
 	d.rk.fl.Record(p.Now(), flight.KRdvCTS, int64(env.src), env.reqID, int64(mode), 0)

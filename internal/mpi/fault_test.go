@@ -141,7 +141,7 @@ func TestNodeCrashMidRendezvousYieldsConnectionLost(t *testing.T) {
 		cfg := DefaultConfig(2, 1)
 		cfg.SCI.Fault = fault.New(3).CrashNode(1, 500*time.Microsecond)
 		cfg.Protocol.RendezvousTimeout = AutoTimeout // scaled watchdog, no tuned constant
-		payload := fill(2 << 20) // long enough to straddle the crash
+		payload := fill(2 << 20)                     // long enough to straddle the crash
 		var sendErr, recvErr error
 		d := Run(cfg, func(c *Comm) {
 			switch c.Rank() {

@@ -8,10 +8,10 @@ package mpi
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
+	"scimpich/internal/allocwin"
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
 	"scimpich/internal/obs"
@@ -90,7 +90,7 @@ func pingPongCostAt(t *testing.T, ping, pong int) (allocs, switches, events floa
 	const size, warm, n = 64, 200, 2000
 	cfg := DefaultConfig(2, 1)
 	f := NewFabric(cfg)
-	var m0, m1 runtime.MemStats
+	win := allocwin.New(t)
 	var ev, sw uint64
 	NewWorldOn(f, cfg).Run(func(c *Comm) {
 		buf := make([]byte, size)
@@ -108,20 +108,20 @@ func pingPongCostAt(t *testing.T, ping, pong int) (allocs, switches, events floa
 		}
 		c.Barrier()
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&m0)
+			win.Open()
 			ev, sw = f.Events(), f.ProcSwitches()
 		}
 		for i := 0; i < n; i++ {
 			round()
 		}
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&m1)
+			win.Close()
 			ev, sw = f.Events()-ev, f.ProcSwitches()-sw
 		}
 	})
 	t.Logf("64 B round trip: %.2f allocs, %.1f B, %.2f proc switches, %.2f events",
-		float64(m1.Mallocs-m0.Mallocs)/n, float64(m1.TotalAlloc-m0.TotalAlloc)/n, float64(sw)/n, float64(ev)/n)
-	return float64(m1.Mallocs-m0.Mallocs) / n, float64(sw) / n, float64(ev) / n
+		float64(win.Objects())/n, float64(win.Bytes())/n, float64(sw)/n, float64(ev)/n)
+	return float64(win.Objects()) / n, float64(sw) / n, float64(ev) / n
 }
 
 // TestAllocsPingPongBudget pins the allocations of a 64 B inter-node round

@@ -114,3 +114,70 @@ func TestRevokedPortUnderReceiveSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestPortSegmentIDLayout pins the segment ids a fault plan has to name
+// (docs/FAULTS.md): ids are dense per node in export order, a world exports
+// its pair ports before anything else — node n's ports in (local rank,
+// source) order — and user windows come after. Each row revokes one port by
+// number before the first message and checks that exactly the pair the
+// layout says it belongs to loses its segment.
+func TestPortSegmentIDLayout(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, ppn int
+		node, seg  int // the revoked port ...
+		from, to   int // ... is the one rank from deposits into at rank to
+		other      int // a rank whose port at rank to is another segment (-1: none)
+	}{
+		{nodes: 2, ppn: 1, node: 1, seg: 0, from: 0, to: 1, other: -1},
+		{nodes: 2, ppn: 1, node: 0, seg: 0, from: 1, to: 0, other: -1},
+		// Node 3 holds ranks 6 and 7 with 14 remote sources each: rank 7's
+		// ports are 14..27, and source 5 is the sixth of them.
+		{nodes: 8, ppn: 2, node: 3, seg: 19, from: 5, to: 7, other: 4},
+		{nodes: 8, ppn: 2, node: 0, seg: 0, from: 2, to: 0, other: 3},
+		{nodes: 8, ppn: 2, node: 7, seg: 27, from: 13, to: 15, other: 12},
+	} {
+		cfg := DefaultConfig(tc.nodes, tc.ppn)
+		cfg.SCI.Fault = fault.New(1).RevokeSegment(tc.node, tc.seg, 0)
+		w := NewWorldOn(NewFabric(cfg), cfg)
+		next := make([]int, tc.nodes)
+		for _, rk := range w.ranks {
+			for src, pt := range rk.ports {
+				if src == rk.id {
+					continue // a rank's own entry stays zero
+				}
+				want := -1
+				if w.ranks[src].node != rk.node {
+					want = next[rk.node]
+					next[rk.node]++
+				}
+				if pt.segID != want {
+					t.Errorf("%dx%d: port of rank %d for source %d is segment %d, want %d",
+						tc.nodes, tc.ppn, rk.id, src, pt.segID, want)
+				}
+			}
+		}
+		buf := make([]byte, 4<<10)
+		w.Run(func(c *Comm) {
+			c.Proc().Sleep(time.Microsecond) // the revocation has struck
+			if id := c.AllocShared(64).seg.ID(); id != next[c.rk.node]+c.rk.id%tc.ppn {
+				t.Errorf("%dx%d: first AllocShared of rank %d is segment %d, want %d: windows follow the ports",
+					tc.nodes, tc.ppn, c.Rank(), id, next[c.rk.node]+c.rk.id%tc.ppn)
+			}
+			switch c.Rank() {
+			case tc.from:
+				err := c.SendChecked(buf, len(buf), datatype.Byte, tc.to, 1000)
+				if want := (sci.ErrSegmentLost{Owner: tc.node, Seg: tc.seg}); !errors.Is(err, want) {
+					t.Errorf("%dx%d: send %d -> %d returned %v, want %v", tc.nodes, tc.ppn, tc.from, tc.to, err, want)
+				}
+			case tc.other:
+				if err := c.SendChecked(buf, len(buf), datatype.Byte, tc.to, 1000); err != nil {
+					t.Errorf("%dx%d: send %d -> %d through a port that was not revoked: %v", tc.nodes, tc.ppn, tc.other, tc.to, err)
+				}
+			case tc.to:
+				if tc.other >= 0 {
+					c.Recv(make([]byte, len(buf)), len(buf), datatype.Byte, tc.other, 1000)
+				}
+			}
+		})
+	}
+}

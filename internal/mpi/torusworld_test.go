@@ -2,10 +2,10 @@ package mpi
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"time"
 
+	"scimpich/internal/allocwin"
 	"scimpich/internal/obs"
 	"scimpich/internal/ring"
 	"scimpich/internal/sci"
@@ -181,16 +181,16 @@ func TestAllocsTorusRunBudget(t *testing.T) {
 		if shards > 1 {
 			fabric = NewTorusFabric
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		win := allocwin.New(t)
+		win.Open()
 		res, err := NewTorusWorldOn(fabric(cfg), cfg).Run()
-		runtime.ReadMemStats(&after)
+		win.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, budget := after.Mallocs-before.Mallocs, uint64(40*res.Nodes)
+		got, budget := win.Objects(), uint64(40*res.Nodes)
 		t.Logf("shards=%d: %d objects, %d bytes for %d nodes x %d steps", shards, got,
-			after.TotalAlloc-before.TotalAlloc, res.Nodes, res.Steps)
+			win.Bytes(), res.Nodes, res.Steps)
 		if got >= budget {
 			t.Errorf("shards=%d: %d objects allocated, budget is 40 per node (%d): the run is paying per step",
 				shards, got, budget)

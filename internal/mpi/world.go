@@ -481,9 +481,10 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 			})
 		}
 	}
-	for _, rk := range w.ranks {
+	lastSeq := make([]int64, w.size*w.size) // every device's row, one allocation
+	for r, rk := range w.ranks {
 		rk.buildPorts()
-		rk.dev = newDevice(rk)
+		rk.dev = newDevice(rk, lastSeq[r*w.size:(r+1)*w.size])
 	}
 	for _, rk := range w.ranks {
 		rk.buildSendPorts()
@@ -493,62 +494,100 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 
 // buildPorts allocates the receive-side memory this rank exposes to every
 // sender: intra-node senders get a shm region, remote senders an SCI
-// segment.
+// segment (or a NIC buffer). The per-pair records live in one slab per kind
+// and rank, so a world wires O(ranks) objects; the node hands the segments of
+// one slab consecutive ids in source order, which fault plans address from
+// t = 0 (see docs/FAULTS.md).
 func (rk *rank) buildPorts() {
 	w := rk.w
 	rk.ports = make([]port, w.size)
+	remote := w.size - w.cfg.ProcsPerNode
+	regions := make([]shmem.Region, w.cfg.ProcsPerNode-1)
+	var (
+		segs     []sci.Segment
+		local    []sci.Mapping // this rank's own views of segs
+		bufs     []nic.Buffer
+		nicViews []nic.View
+	)
+	switch {
+	case w.nicNet != nil:
+		bufs, nicViews = make([]nic.Buffer, remote), make([]nic.View, remote)
+	case w.ic != nil:
+		segs, local = make([]sci.Segment, remote), make([]sci.Mapping, remote)
+		w.ic.Node(rk.node).ExportSlab(segs, w.portSize())
+	}
+	nl, nr := 0, 0 // intra-node and remote senders wired so far
 	for src := 0; src < w.size; src++ {
 		if src == rk.id {
 			continue
 		}
-		if w.ranks[src].node == rk.node {
-			rk.ports[src] = port{
-				mem:   smi.FromShm(w.buses[rk.node].Alloc(w.portSize())),
-				segID: -1,
-			}
-			continue
-		}
-		if w.nicNet != nil {
-			buf := w.nicNet.Alloc(rk.node, w.portSize())
-			rk.ports[src] = port{
-				mem:    smi.FromNIC(w.nicNet.View(rk.node, buf)),
-				segID:  -1,
-				nicBuf: buf,
-			}
-			continue
-		}
-		seg := w.ic.Node(rk.node).Export(w.portSize())
-		// This is the owning rank's local view; the sender imports the
-		// segment in buildSendPorts.
-		rk.ports[src] = port{
-			mem:   smi.FromSCI(w.ic.Node(rk.node).MustImport(rk.node, seg.ID())),
-			segID: seg.ID(),
+		pt := &rk.ports[src]
+		pt.segID = -1
+		switch {
+		case w.ranks[src].node == rk.node:
+			w.buses[rk.node].AllocInto(&regions[nl], w.portSize())
+			pt.mem = smi.FromShm(&regions[nl])
+			nl++
+		case w.nicNet != nil:
+			w.nicNet.AllocInto(&bufs[nr], rk.node, w.portSize())
+			w.nicNet.ViewInto(&nicViews[nr], rk.node, &bufs[nr])
+			pt.mem, pt.nicBuf = smi.FromNIC(&nicViews[nr]), &bufs[nr]
+			nr++
+		default:
+			// The owning rank's local view; the sender imports the segment
+			// in buildSendPorts.
+			pt.segID = segs[nr].ID()
+			pt.mem = smi.FromSCI(w.importInto(&local[nr], rk.node, rk.node, pt.segID))
+			nr++
 		}
 	}
 }
 
-// buildSendPorts creates this rank's sender-side view of each peer's port.
+// importInto maps segment segID of node owner into node from, in the
+// caller's storage; like sci.MustImport, for wiring that cannot fail.
+func (w *World) importInto(m *sci.Mapping, from, owner, segID int) *sci.Mapping {
+	if err := w.ic.Node(from).ImportInto(m, owner, segID); err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// buildSendPorts creates this rank's sender-side view of each peer's port,
+// the imports and NIC views in one slab per rank like the ports themselves.
 func (rk *rank) buildSendPorts() {
 	w := rk.w
 	rk.out = make([]sendPort, w.size)
 	slots := w.protocol().EagerSlots
 	rings := make([]int, w.size*slots) // every pair's credit FIFO, one allocation
+	remote := w.size - w.cfg.ProcsPerNode
+	var (
+		imports  []sci.Mapping
+		nicViews []nic.View
+	)
+	switch {
+	case w.nicNet != nil:
+		nicViews = make([]nic.View, remote)
+	case w.ic != nil:
+		imports = make([]sci.Mapping, remote)
+	}
+	nr := 0 // remote receivers wired so far
 	for dst := 0; dst < w.size; dst++ {
 		if dst == rk.id {
 			continue
 		}
 		peer := w.ranks[dst]
-		var mem smi.Mem
+		out := &rk.out[dst]
 		switch {
 		case peer.node == rk.node:
-			mem = peer.ports[rk.id].mem // same shm region
+			out.mem = peer.ports[rk.id].mem // same shm region
 		case w.nicNet != nil:
-			mem = smi.FromNIC(w.nicNet.View(rk.node, peer.ports[rk.id].nicBuf))
+			w.nicNet.ViewInto(&nicViews[nr], rk.node, peer.ports[rk.id].nicBuf)
+			out.mem = smi.FromNIC(&nicViews[nr])
+			nr++
 		default:
-			mem = smi.FromSCI(w.ic.Node(rk.node).MustImport(peer.node, peer.ports[rk.id].segID))
+			out.mem = smi.FromSCI(w.importInto(&imports[nr], rk.node, peer.node, peer.ports[rk.id].segID))
+			nr++
 		}
-		out := &rk.out[dst]
-		out.mem = mem
 		out.credits.Init(rings[dst*slots : (dst+1)*slots])
 	}
 }

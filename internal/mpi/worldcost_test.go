@@ -1,7 +1,7 @@
 package mpi_test
 
-// A world costs what it touches: an untouched pair port holds no host
-// memory, and a finished run leaves no goroutine behind.
+// A finished run leaves no goroutine behind. (What a world costs to build is
+// pinned in budget_test.go.)
 
 import (
 	"runtime"
@@ -13,22 +13,6 @@ import (
 	"scimpich/internal/mpi"
 	"scimpich/internal/rmem"
 )
-
-// TestAllocsWorldBudget pins the host cost of a world that does nothing: an
-// 8x2 world exports 240 pair ports of 384 KiB each (90 MiB), an empty run
-// touches none of them, so building and running it must stay under 1 MiB.
-func TestAllocsWorldBudget(t *testing.T) {
-	cfg := mpi.DefaultConfig(8, 2)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	mpi.NewWorldOn(mpi.NewFabric(cfg), cfg).Run(func(*mpi.Comm) {})
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("empty 8x2 world: %d bytes, %d objects", got, after.Mallocs-before.Mallocs)
-	if got >= 1<<20 {
-		t.Errorf("empty 8x2 world allocated %d bytes, budget is 1 MiB", got)
-	}
-}
 
 // waitGoroutines waits for the goroutine count to come back down to the
 // count taken before the run: an ended goroutine has handed control back

@@ -112,10 +112,17 @@ type Buffer struct {
 
 // Alloc allocates a message-accessible buffer at the owner node.
 func (n *Network) Alloc(owner int, size int64) *Buffer {
+	b := new(Buffer)
+	n.AllocInto(b, owner, size)
+	return b
+}
+
+// AllocInto is Alloc into the caller's storage (an element of a slab).
+func (n *Network) AllocInto(b *Buffer, owner int, size int64) {
 	if size < 0 {
 		panic("nic: negative buffer size")
 	}
-	return &Buffer{net: n, owner: owner, mem: memmodel.Unbacked(size)}
+	*b = Buffer{net: n, owner: owner, mem: memmodel.Unbacked(size)}
 }
 
 // AllocBacked wraps existing memory as a message-accessible buffer, so one
@@ -133,7 +140,14 @@ func (b *Buffer) Bytes() []byte { return b.mem.Bytes() }
 // View returns node `from`'s costed access view of the buffer (see
 // smi.FromNIC).
 func (n *Network) View(from int, b *Buffer) *View {
-	return &View{net: n, from: from, b: b}
+	v := new(View)
+	n.ViewInto(v, from, b)
+	return v
+}
+
+// ViewInto is View into the caller's storage.
+func (n *Network) ViewInto(v *View, from int, b *Buffer) {
+	*v = View{net: n, from: from, b: b}
 }
 
 // View is one node's handle on a (possibly remote) Buffer.

@@ -519,7 +519,7 @@ func (a *analysis) checkAgreement() []Anomaly {
 		if !attributed {
 			out = append(out, Anomaly{
 				Check: "agreement-stall", Severity: 75,
-				Summary: fmt.Sprintf("shrink agreement stalled on %s with no crash recorded", e.actor),
+				Summary:  fmt.Sprintf("shrink agreement stalled on %s with no crash recorded", e.actor),
 				Evidence: []EventRef{e.ref()},
 			})
 		}

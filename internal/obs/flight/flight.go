@@ -194,12 +194,12 @@ func (o Op) String() string {
 // Deposit-path codes for KPathChosen (mirrors the mpi path policy plus the
 // contiguous fast paths).
 const (
-	PathFF       = 0 // direct_pack_ff PIO deposit
-	PathStaged   = 1 // staged DMA
-	PathSG       = 2 // scatter-gather DMA
-	PathGeneric  = 3 // generic pack + PIO
-	PathPIOCont  = 4 // contiguous PIO stream
-	PathDMACont  = 5 // contiguous DMA
+	PathFF      = 0 // direct_pack_ff PIO deposit
+	PathStaged  = 1 // staged DMA
+	PathSG      = 2 // scatter-gather DMA
+	PathGeneric = 3 // generic pack + PIO
+	PathPIOCont = 4 // contiguous PIO stream
+	PathDMACont = 5 // contiguous DMA
 )
 
 // Packet-drop reasons for KPacketDrop.

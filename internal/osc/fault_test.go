@@ -39,7 +39,7 @@ func TestSharedWindowDegradesMidEpoch(t *testing.T) {
 			if c.Rank() == 0 {
 				w.Put(srcA, len(srcA), datatype.Byte, 1, 0)
 			}
-			w.Fence() // healthy: first put lands through the direct view
+			w.Fence()                            // healthy: first put lands through the direct view
 			c.Proc().Sleep(3 * time.Millisecond) // revocation strikes here
 			if c.Rank() == 0 {
 				if w.Degraded(1) {

@@ -1,10 +1,9 @@
 package osc
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"scimpich/internal/allocwin"
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
@@ -72,16 +71,15 @@ func TestGuardedTraceSites(t *testing.T) {
 // boxed its arguments with the tracer off showed here — 15 objects per epoch
 // before the sites were guarded and the barrier recycled its Requests.
 func TestAllocsPutFenceBudget(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const warm, n = 20, 200
 	src := fill(4096)
-	var m0, m1 runtime.MemStats
+	win := allocwin.New(t)
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 8192, true)
 		w.Fence()
 		for i := 0; i < warm+n; i++ {
 			if i == warm && c.Rank() == 0 {
-				runtime.ReadMemStats(&m0)
+				win.Open()
 			}
 			if c.Rank() == 0 {
 				w.Put(src, len(src), datatype.Byte, 1, 100)
@@ -89,11 +87,11 @@ func TestAllocsPutFenceBudget(t *testing.T) {
 			w.Fence()
 		}
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&m1)
+			win.Close()
 		}
 	})
-	objs := float64(m1.Mallocs-m0.Mallocs) / n
-	t.Logf("put + fence epoch: %.2f objects, %.1f B", objs, float64(m1.TotalAlloc-m0.TotalAlloc)/n)
+	objs := float64(win.Objects()) / n
+	t.Logf("put + fence epoch: %.2f objects, %.1f B", objs, float64(win.Bytes())/n)
 	if objs > 4 {
 		t.Errorf("%.2f objects per put + fence epoch, budget is 4 (2 expected, 15 before)", objs)
 	}

@@ -1,10 +1,10 @@
 package sci
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
+	"scimpich/internal/allocwin"
 	"scimpich/internal/pack"
 	"scimpich/internal/sim"
 )
@@ -96,7 +96,7 @@ func TestAllocsStoreBarrierWaiting(t *testing.T) {
 	seg := ic.Node(1).Export(4096)
 	src := fill(256)
 	var woke [2][]time.Duration
-	var m0, m1 runtime.MemStats
+	win := allocwin.New(t)
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Go("writer", func(p *sim.Proc) {
@@ -104,7 +104,7 @@ func TestAllocsStoreBarrierWaiting(t *testing.T) {
 			woke[i] = make([]time.Duration, 0, warm+rounds)
 			for r := 0; r < warm+rounds; r++ {
 				if i == 0 && r == warm {
-					runtime.ReadMemStats(&m0)
+					win.Open()
 				}
 				m.WriteStream(p, int64(i)*1024, src, 0)
 				entered := p.Now()
@@ -116,7 +116,7 @@ func TestAllocsStoreBarrierWaiting(t *testing.T) {
 				p.Sleep(time.Microsecond)
 			}
 			if i == 0 {
-				runtime.ReadMemStats(&m1)
+				win.Close()
 			}
 		})
 	}
@@ -129,7 +129,7 @@ func TestAllocsStoreBarrierWaiting(t *testing.T) {
 	if got := ic.Node(0).Snapshot().StoreBarriers; got != 2*(warm+rounds) {
 		t.Errorf("%d store barriers counted, want %d", got, 2*(warm+rounds))
 	}
-	if n := m1.Mallocs - m0.Mallocs; n > 2 && !raceEnabled { // ReadMemStats itself may allocate
+	if n := win.Objects(); n > 2 && !raceEnabled { // ReadMemStats itself may allocate
 		t.Errorf("%d allocations in %d rounds of two waiting store barriers, want 0", n, rounds)
 	}
 }

@@ -108,8 +108,9 @@ type Node struct {
 	egress  *flow.Link
 	ingress *flow.Link
 
-	segs    map[int]*Segment
-	nextSeg int
+	// segs is the export table, indexed by segment id; a revoked segment's
+	// slot is nil and its id is never handed out again.
+	segs []*Segment
 
 	// pendingWrites counts posted writes that have not yet arrived at
 	// their targets; StoreBarrier waits on the one barrier future, which
@@ -194,7 +195,6 @@ func New(e sim.Host, cfg Config) *Interconnect {
 			name:    fmt.Sprintf("node%d", i),
 			egress:  flow.NewLink(fmt.Sprintf("node%d-egress", i), cfg.PIOWritePeakBW, nil),
 			ingress: flow.NewLink(fmt.Sprintf("node%d-ingress", i), cfg.PIOWritePeakBW, nil),
-			segs:    make(map[int]*Segment),
 		}
 		n.dma = newDMAEngine(n)
 		ic.nodes[i] = n

@@ -33,9 +33,9 @@ func (ic *Interconnect) RestoreNode(n int) {
 // new imports no longer find it.
 func (ic *Interconnect) RevokeSegment(owner, segID int) {
 	n := ic.nodes[owner]
-	if seg, ok := n.segs[segID]; ok {
+	if seg := n.segment(segID); seg != nil {
 		seg.revoked = true
-		delete(n.segs, segID)
+		n.segs[segID] = nil
 	}
 }
 

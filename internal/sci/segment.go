@@ -2,6 +2,7 @@ package sci
 
 import (
 	"fmt"
+	"slices"
 
 	"scimpich/internal/fault"
 	"scimpich/internal/memmodel"
@@ -44,10 +45,23 @@ type Segment struct {
 // (In the real system this memory comes from the SCI kernel driver; see the
 // paper's discussion of MPI_Alloc_mem.)
 func (n *Node) Export(size int64) *Segment {
+	slab := make([]Segment, 1)
+	n.ExportSlab(slab, size)
+	return &slab[0]
+}
+
+// ExportSlab is one Export of size bytes per element of slab, in the caller's
+// storage, for wiring code that exports a segment per peer: the ids are the
+// consecutive ones len(slab) calls of Export would hand out. The node keeps
+// a pointer to every element, so slab must not be reused.
+func (n *Node) ExportSlab(slab []Segment, size int64) {
 	if size < 0 {
 		panic("sci: negative segment size")
 	}
-	return n.export(memmodel.Unbacked(size))
+	n.segs = slices.Grow(n.segs, len(slab))
+	for i := range slab {
+		n.export(&slab[i], memmodel.Unbacked(size))
+	}
 }
 
 // ExportBuffer exports an existing buffer as a segment (the paper's [13]:
@@ -55,14 +69,16 @@ func (n *Node) Export(size int64) *Segment {
 // direct access to buf; windows use this to share one backing array between
 // the SCI and intra-node views.
 func (n *Node) ExportBuffer(buf []byte) *Segment {
-	return n.export(memmodel.BackedBy(buf))
+	s := new(Segment)
+	n.export(s, memmodel.BackedBy(buf))
+	return s
 }
 
-func (n *Node) export(mem memmodel.Backing) *Segment {
-	s := &Segment{owner: n, id: n.nextSeg, mem: mem}
-	n.segs[s.id] = s
-	n.nextSeg++
-	return s
+// export registers s under the node's next id: ids are dense, per node, in
+// export order, and index the segment table.
+func (n *Node) export(s *Segment, mem memmodel.Backing) {
+	*s = Segment{owner: n, id: len(n.segs), mem: mem}
+	n.segs = append(n.segs, s)
 }
 
 // ID returns the segment's identifier, unique per owning node.
@@ -91,13 +107,23 @@ type Mapping struct {
 // self-import behaves like local shared memory) into node n's address
 // space.
 func (n *Node) Import(owner int, segID int) (*Mapping, error) {
+	m := new(Mapping)
+	if err := n.ImportInto(m, owner, segID); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// ImportInto is Import into the caller's storage (an element of a slab of
+// mappings). On error *m is left as it was.
+func (n *Node) ImportInto(m *Mapping, owner int, segID int) error {
 	if owner < 0 || owner >= len(n.ic.nodes) {
-		return nil, fmt.Errorf("sci: import from unknown node %d", owner)
+		return fmt.Errorf("sci: import from unknown node %d", owner)
 	}
 	if n.ic.Cfg.Fault.TakeImportFailure(owner, segID) {
 		n.ic.countFault(fault.ImportDenied)
 		n.ic.tracef(n.name, "import of segment %d@node%d denied (plan)", segID, owner)
-		return nil, &fault.Error{Kind: fault.ImportDenied, From: n.id, To: owner, At: n.ic.E.Now()}
+		return &fault.Error{Kind: fault.ImportDenied, From: n.id, To: owner, At: n.ic.E.Now()}
 	}
 	if !n.ic.Alive(owner) {
 		// Importing from a crashed node is a fault-reachable path (recovery
@@ -106,13 +132,23 @@ func (n *Node) Import(owner int, segID int) (*Mapping, error) {
 		// in MustImport on the missing export table.
 		n.ic.countFault(fault.NodeUnreachable)
 		n.ic.tracef(n.name, "import of segment %d@node%d failed: node down", segID, owner)
-		return nil, &fault.Error{Kind: fault.NodeUnreachable, From: n.id, To: owner, At: n.ic.E.Now()}
+		return &fault.Error{Kind: fault.NodeUnreachable, From: n.id, To: owner, At: n.ic.E.Now()}
 	}
-	seg, ok := n.ic.nodes[owner].segs[segID]
-	if !ok {
-		return nil, fmt.Errorf("sci: node %d exports no segment %d", owner, segID)
+	seg := n.ic.nodes[owner].segment(segID)
+	if seg == nil {
+		return fmt.Errorf("sci: node %d exports no segment %d", owner, segID)
 	}
-	return &Mapping{from: n, seg: seg}, nil
+	*m = Mapping{from: n, seg: seg}
+	return nil
+}
+
+// segment returns the exported segment with the given id; nil if the id was
+// never handed out (negative, past the last export) or has been revoked.
+func (n *Node) segment(id int) *Segment {
+	if id < 0 || id >= len(n.segs) {
+		return nil
+	}
+	return n.segs[id]
 }
 
 // MustImport is Import for wiring code where failure is a programming error.

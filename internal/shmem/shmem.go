@@ -94,10 +94,17 @@ type Region struct {
 
 // Alloc allocates a shared region of the given size.
 func (b *Bus) Alloc(size int64) *Region {
+	r := new(Region)
+	b.AllocInto(r, size)
+	return r
+}
+
+// AllocInto is Alloc into the caller's storage (an element of a slab).
+func (b *Bus) AllocInto(r *Region, size int64) {
 	if size < 0 {
 		panic("shmem: negative region size")
 	}
-	return &Region{bus: b, mem: memmodel.Unbacked(size)}
+	*r = Region{bus: b, mem: memmodel.Unbacked(size)}
 }
 
 // AllocBacked wraps an existing buffer as a shared region, so one backing

@@ -35,8 +35,8 @@ func TestStaleTimerCancelIsNoop(t *testing.T) {
 }
 
 // TestAllocsSleepSteadyState pins the scheduling hot path at zero
-// allocations: Sleep reuses the proc's cached dispatch closure and the
-// engine's event freelist.
+// allocations: Sleep schedules the top-level dispatchProc with the proc as
+// its argument, on the engine's event freelist.
 func TestAllocsSleepSteadyState(t *testing.T) {
 	e := NewEngine()
 	e.Go("sleeper", func(p *Proc) {

@@ -86,9 +86,6 @@ type Proc struct {
 	// killed tells a blocked daemon to end its goroutine instead of
 	// continuing when it is next resumed (see releaseDaemons).
 	killed bool
-	// dispatchFn is the cached self-dispatch closure, created once at spawn
-	// so Sleep and wake schedule without allocating.
-	dispatchFn func()
 	// handoff is where a channel deposits the value for p while p is blocked
 	// as its receiver (see takeHandoff).
 	handoff any
@@ -124,7 +121,6 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 		panic(fmt.Sprintf("sim: process %q spawned on a host that already ran: %s", name, releasedRule))
 	}
 	p := &Proc{rt: rt, host: h, name: name, resume: make(chan struct{}), daemon: daemon}
-	p.dispatchFn = func() { rt.dispatch(p) }
 	if !daemon {
 		rt.nprocs++
 	}
@@ -145,8 +141,16 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 		p.awaitResume() // wait for first dispatch
 		body(p)
 	}()
-	h.After(0, p.dispatchFn)
+	h.AfterCall(0, dispatchProc, p)
 	return p
+}
+
+// dispatchProc is the event that hands control to a process: a top-level
+// function scheduled through AfterCall, so spawning, Sleep and wake make no
+// closure.
+func dispatchProc(arg any) {
+	p := arg.(*Proc)
+	p.rt.dispatch(p)
 }
 
 // dispatch transfers control to p until it blocks again.
@@ -215,7 +219,7 @@ func (rt *procRuntime) releaseDaemons() {
 // zero; Sleep(0) still yields, letting same-time events run.
 func (p *Proc) Sleep(d time.Duration) {
 	p.checkCurrent("Sleep")
-	p.host.After(d, p.dispatchFn)
+	p.host.AfterCall(d, dispatchProc, p)
 	p.yieldToHost()
 }
 
@@ -257,7 +261,7 @@ func (p *Proc) wake() {
 		panic(fmt.Sprintf("sim: wake of non-parked process %q", p.name))
 	}
 	p.parked = false
-	p.host.After(0, p.dispatchFn)
+	p.host.AfterCall(0, dispatchProc, p)
 }
 
 func (p *Proc) checkCurrent(op string) {
