@@ -56,24 +56,12 @@ func (c *Comm) waitColl(r *Request, src, tag int) error {
 // waitCollT is waitColl with an explicit bound (the shrink confirmation
 // barrier forces the scaled bound even in runs whose CollTimeout is 0).
 func (c *Comm) waitCollT(r *Request, src, tag int, to time.Duration) error {
-	if to > 0 {
-		if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
-			return c.watchdogExpired(r.src, "collective watchdog expired (src %d tag %d) after %v", src, tag, to)
-		}
-	}
-	_, err := r.WaitChecked()
-	if err == nil {
-		// Matched, delivered and read: nothing names the request any more.
-		// One that failed or timed out may still be posted at the device or
-		// held by a rendezvous in progress, and is left to the GC.
-		*r = Request{}
-		c.rk.w.reqFree = append(c.rk.w.reqFree, r)
-	}
+	_, err := c.finishRecv(r, "collective", src, tag, to)
 	return err
 }
 
 // irecvColl posts a collective-internal receive. Its Request (and the
-// Status inside) never reaches the user, so waitColl, its last reader,
+// Status inside) never reaches the user, so finishRecv, its last reader,
 // recycles it through the world's free list.
 func (c *Comm) irecvColl(buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
 	return c.postRecv(sim.TakeFree(&c.rk.w.reqFree), buf, count, dt, src, tag, c.ctx)

@@ -22,6 +22,10 @@ type Comm struct {
 	// group holds the member world ranks of a split communicator; nil
 	// means the world communicator (identity mapping).
 	group []int
+	// coll is the communicator's view for internal traffic, made by the
+	// first collective() and its own view in turn. A copy that changes the
+	// group, the contexts or the process (derive) starts without one.
+	coll *Comm
 }
 
 // internal contexts for library traffic, separated from user messages.
@@ -102,11 +106,25 @@ func (c *Comm) FlightRing() *flight.Ring { return c.rk.fl }
 // mem returns the node's memory model.
 func (c *Comm) mem() *memmodel.Model { return c.w.cfg.Shm.Mem }
 
-// collective returns a communicator view for internal traffic.
+// collective returns the communicator's view for internal traffic: the same
+// communicator in its collective context, one per communicator.
 func (c *Comm) collective() *Comm {
-	cc := *c
-	cc.ctx = cc.collCtx
-	return &cc
+	if c.coll == nil {
+		cc := c.derive()
+		cc.ctx = cc.collCtx
+		cc.coll = cc
+		c.coll = cc
+	}
+	return c.coll
+}
+
+// derive returns a copy of c for the caller to change: everything but the
+// cached collective view, which would keep the old group, contexts and
+// process.
+func (c *Comm) derive() *Comm {
+	d := *c
+	d.coll = nil
+	return &d
 }
 
 // Run builds a cluster from cfg, runs main once per rank, and returns the
@@ -197,9 +215,10 @@ func (w *World) Spawn(main func(c *Comm)) {
 func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats }
 
 // PublishMetrics exports the end-of-run statistics into a registry as
-// gauges: the fabric's event, process-switch and cancelled-timer counts and
-// its deepest event heap (sim.events, sim.proc_switches,
-// sim.timers_cancelled, sim.heap_depth_max), every field of each rank's DeviceStats
+// gauges: the fabric's event, process-switch, elided-sleep and
+// cancelled-timer counts and its deepest event heap (sim.events,
+// sim.proc_switches, sim.sleeps_elided, sim.timers_cancelled,
+// sim.heap_depth_max), every field of each rank's DeviceStats
 // (mpi.device.*{rank=r}), of the per-engine pack totals (pack.*{engine=e})
 // and of each node's sci.Stats (sci.node.*{node=n}), and sci.retries, the
 // sum of the per-node retries. Run calls this
@@ -212,6 +231,7 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 	// What the run cost the simulator, beside what it did in the model.
 	r.SetGauge("sim.events", int64(w.fabric.Events()))
 	r.SetGauge("sim.proc_switches", int64(w.fabric.ProcSwitches()))
+	r.SetGauge("sim.sleeps_elided", int64(w.fabric.SleepsElided()))
 	r.SetGauge("sim.timers_cancelled", int64(w.fabric.TimersCancelled()))
 	r.SetGauge("sim.heap_depth_max", int64(w.fabric.HeapDepthMax()))
 	for rank := range w.ranks {

@@ -315,10 +315,10 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			survivors = append(survivors, r)
 		}
 	}
-	sub := *c
+	sub := c.derive()
 	sub.group = survivors
 	sub.ctx, sub.collCtx = rec.ctx[0], rec.ctx[1]
-	return &sub, nil
+	return sub, nil
 }
 
 // confirmShrink validates the agreed membership with a dissemination

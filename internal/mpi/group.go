@@ -56,11 +56,11 @@ func (c *Comm) Dup() *Comm {
 	}
 	c.Barrier()
 	pair := c.w.Collect(key)[c.worldRank(0)].([2]int)
-	dup := *c
+	dup := c.derive()
 	dup.ctx = pair[0]
 	dup.collCtx = pair[1]
 	c.Barrier()
-	return &dup
+	return dup
 }
 
 // Split partitions the communicator by color (MPI_Comm_split): every rank
@@ -121,11 +121,11 @@ func (c *Comm) Split(color, key int) *Comm {
 	for i, e := range mine {
 		group[i] = e.world
 	}
-	sub := *c
+	sub := c.derive()
 	sub.group = group
 	sub.ctx = ctxByColor[color][0]
 	sub.collCtx = ctxByColor[color][1]
-	return &sub
+	return sub
 }
 
 // groupRanks returns the world ranks of this communicator's members.

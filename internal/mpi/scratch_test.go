@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -181,6 +182,99 @@ func TestRdvScratchRecycling(t *testing.T) {
 		w.freeRdvSend(sc)
 		if len(w.rdvSendFree) != 0 {
 			t.Error("a sender record with a queued reply went back on the free list")
+		}
+	})
+}
+
+// TestRecvRequestRecycling: a blocking receive posts a Request from the
+// world's free list and hands it back after a clean wait. One whose watchdog
+// expired stays posted at the device and is never recycled: a late matching
+// send completes it, into the buffer it was posted with, and the receive
+// that follows gets a Request, bytes and Status of its own.
+func TestRecvRequestRecycling(t *testing.T) {
+	late, next := fill(96), fill(64)
+	Run(DefaultConfig(2, 1), func(c *Comm) {
+		w := c.rk.w
+		if c.Rank() == 0 {
+			c.p.Sleep(2 * time.Millisecond) // the receiver has given up by now
+			c.Send(late, len(late), datatype.Byte, 1, 300)
+			c.Send(next, len(next), datatype.Byte, 1, 300)
+			c.Send(next, len(next), datatype.Byte, 1, 301)
+			return
+		}
+		abandoned := make([]byte, len(late))
+		_, err := c.RecvChecked(abandoned, len(abandoned), datatype.Byte, 0, 300, time.Millisecond)
+		var fe *fault.Error
+		if !errors.As(err, &fe) || fe.Kind != fault.Timeout {
+			t.Fatalf("RecvChecked = %v, want a timeout", err)
+		}
+		if len(c.rk.dev.posted) != 1 {
+			t.Fatalf("%d receives posted after the timeout, want the abandoned one", len(c.rk.dev.posted))
+		}
+		stale := c.rk.dev.posted[0]
+		if slices.Contains(w.reqFree, stale) {
+			t.Fatal("a timed-out receive put its Request, still posted, back on the free list")
+		}
+
+		// The late send lands in the abandoned request, the one after it in
+		// this receive.
+		got := make([]byte, len(next))
+		st := c.Recv(got, len(got), datatype.Byte, 0, 300)
+		if !bytes.Equal(abandoned, late) {
+			t.Error("the late send did not complete the abandoned receive it matched")
+		}
+		if !bytes.Equal(got, next) || st != (Status{Source: 0, Tag: 300, Bytes: 64}) {
+			t.Errorf("the next receive got status %+v and the wrong bytes=%v, want 64 bytes of its own message from 0 at tag 300",
+				st, !bytes.Equal(got, next))
+		}
+		if slices.Contains(w.reqFree, stale) {
+			t.Error("the abandoned Request went back on the free list once its message came")
+		}
+
+		// A clean receive returns its Request, zeroed, and the next one takes
+		// it again: the list does not grow.
+		n := len(w.reqFree)
+		if n == 0 {
+			t.Fatal("the clean receive left no Request on the free list")
+		}
+		if r := w.reqFree[n-1]; r.p != nil || r.c != nil || r.buf != nil || r.dt != nil || r.done.Done() {
+			t.Errorf("a recycled Request is not empty: %+v", r)
+		}
+		c.Recv(got, len(got), datatype.Byte, 0, 301)
+		if len(w.reqFree) != n {
+			t.Errorf("%d Requests on the free list after another clean receive, want %d as before", len(w.reqFree), n)
+		}
+	})
+}
+
+// TestSendrecvChecked: the checked exchange returns the Status by value, and
+// a revoked source as a typed error where Sendrecv would panic with it.
+func TestSendrecvChecked(t *testing.T) {
+	Run(DefaultConfig(2, 1), func(c *Comm) {
+		peer := c.Rank() ^ 1
+		out, in := fill(300), make([]byte, 300)
+		st, err := c.SendrecvChecked(out, len(out), datatype.Byte, peer, 400, in, len(in), datatype.Byte, peer, 400)
+		if err != nil || st != (Status{Source: peer, Tag: 400, Bytes: 300}) || !bytes.Equal(in, out) {
+			t.Errorf("rank %d: SendrecvChecked = %+v, %v", c.Rank(), st, err)
+		}
+		free := len(c.rk.w.reqFree)
+		c.Barrier()
+		c.rk.w.revoked[peer] = true
+		_, err = c.SendrecvChecked(out, len(out), datatype.Byte, peer, 401, in, len(in), datatype.Byte, peer, 401)
+		var rev *RevokedRankError
+		if !errors.As(err, &rev) || rev.Rank != peer {
+			t.Errorf("rank %d: SendrecvChecked with a revoked source = %v, want *RevokedRankError{%d}", c.Rank(), err, peer)
+		}
+		func() {
+			defer func() {
+				if r, _ := recover().(error); !errors.As(r, &rev) {
+					t.Errorf("rank %d: Sendrecv with a revoked source panicked with %v, want the typed error", c.Rank(), r)
+				}
+			}()
+			c.Sendrecv(out, len(out), datatype.Byte, peer, 401, in, len(in), datatype.Byte, peer, 401)
+		}()
+		if got := len(c.rk.w.reqFree); got < free {
+			t.Errorf("rank %d: a refused exchange took a Request off the free list (%d, was %d)", c.Rank(), got, free)
 		}
 	})
 }

@@ -680,7 +680,7 @@ func (c *Comm) remote(dst int) bool { return c.rk.w.ranks[dst].node != c.rk.node
 // src may be AnySource and tag may be AnyTag. It panics on a failed receive
 // (a revoked source, a sender that cancelled its rendezvous); use
 // RecvChecked to handle that as an error.
-func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) *Status {
+func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) Status {
 	st, err := c.RecvChecked(buf, count, dt, src, tag, 0)
 	must(err)
 	return st
@@ -691,25 +691,58 @@ func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) *Sta
 // or sci.ErrConnectionLost when a specific source rank's node is down —
 // instead of blocking forever. A timeout of 0 waits indefinitely;
 // AutoTimeout selects the world-scaled rendezvous bound.
-func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag int, timeout time.Duration) (*Status, error) {
-	peer := src
-	if src != AnySource {
-		if peer = c.worldRank(src); c.rk.w.revoked[peer] {
-			return nil, &RevokedRankError{Rank: peer}
-		}
+//
+// The Status comes back by value: the receive's Request is the call's own,
+// taken from the world's free list and returned to it by finishRecv, so a
+// blocking receive allocates nothing.
+func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag int, timeout time.Duration) (Status, error) {
+	peer, err := c.recvPeer(src)
+	if err != nil {
+		return Status{}, err
 	}
-	r := c.irecv(buf, count, dt, src, tag, c.ctx)
+	r := c.postRecv(sim.TakeFree(&c.rk.w.reqFree), buf, count, dt, src, tag, c.ctx)
 	if timeout == AutoTimeout {
 		timeout = c.rk.w.ScaledRendezvousTimeout()
 	}
-	if timeout > 0 {
-		if _, ok := c.p.AwaitTimeout(&r.done, timeout); !ok {
-			return nil, c.fail(flight.OpRecv, peer, c.watchdogExpired(peer,
-				"receive watchdog expired (src %d tag %d) after %v", src, tag, timeout))
+	st, err := c.finishRecv(r, "receive", src, tag, timeout)
+	return st, c.fail(flight.OpRecv, peer, err)
+}
+
+// recvPeer resolves the source of a blocking receive to the world rank its
+// failures are reported against (AnySource stays) and refuses a revoked
+// one, which no message can come from any more.
+func (c *Comm) recvPeer(src int) (int, error) {
+	if src == AnySource {
+		return src, nil
+	}
+	peer := c.worldRank(src)
+	if c.rk.w.revoked[peer] {
+		return peer, &RevokedRankError{Rank: peer}
+	}
+	return peer, nil
+}
+
+// finishRecv awaits r — a receive posted on a Request from the world's free
+// list, which never reaches the caller — for at most to (0: forever) and
+// returns its status. An expired wait surfaces as watchdogExpired decides
+// from the liveness of the awaited rank; what names the watchdog in the
+// trace ("receive", "collective").
+func (c *Comm) finishRecv(r *Request, what string, src, tag int, to time.Duration) (Status, error) {
+	if to > 0 {
+		if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
+			return Status{}, c.watchdogExpired(r.src, "%s watchdog expired (src %d tag %d) after %v", what, src, tag, to)
 		}
 	}
-	st, err := r.WaitChecked()
-	return st, c.fail(flight.OpRecv, peer, err)
+	if _, err := r.WaitChecked(); err != nil {
+		return Status{}, err
+	}
+	// Matched, delivered and read: nothing names the request any more. One
+	// that failed or timed out may still be posted at the device or held by
+	// a rendezvous in progress, and is left to the GC.
+	st := r.status
+	*r = Request{}
+	c.rk.w.reqFree = append(c.rk.w.reqFree, r)
+	return st, nil
 }
 
 // Request is a handle on an outstanding nonblocking operation. A receive is
@@ -790,9 +823,8 @@ func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, 
 // caller of WaitChecked instead of ending the run from inside the helper.
 func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Request {
 	req := &Request{p: c.p, c: c}
-	helper := *c
 	c.rk.w.host.Go(fmt.Sprintf("isend%d->%d", c.rk.id, dst), func(p *sim.Proc) {
-		h := helper
+		h := c.derive()
 		h.p = p
 		if err := h.send(buf, count, dt, dst, tag, c.ctx); err != nil {
 			req.done.Complete(err)
@@ -803,12 +835,31 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Re
 	return req
 }
 
-// Sendrecv performs a simultaneous send and receive (deadlock-free).
+// Sendrecv performs a simultaneous send and receive (deadlock-free). It
+// panics on a failure of either half; use SendrecvChecked to handle that as
+// an error.
 func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
-	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) *Status {
-	r := c.Irecv(recvBuf, recvCount, recvType, src, recvTag)
-	c.Send(sendBuf, sendCount, sendType, dst, sendTag)
-	return r.Wait()
+	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) Status {
+	st, err := c.SendrecvChecked(sendBuf, sendCount, sendType, dst, sendTag, recvBuf, recvCount, recvType, src, recvTag)
+	must(err)
+	return st
+}
+
+// SendrecvChecked is Sendrecv returning failures as typed errors: those of
+// SendChecked for the send half, those of RecvChecked with no timeout for
+// the receive half.
+func (c *Comm) SendrecvChecked(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
+	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) (Status, error) {
+	peer, err := c.recvPeer(src)
+	if err != nil {
+		return Status{}, err
+	}
+	r := c.postRecv(sim.TakeFree(&c.rk.w.reqFree), recvBuf, recvCount, recvType, src, recvTag, c.ctx)
+	if err := c.send(sendBuf, sendCount, sendType, dst, sendTag, c.ctx); err != nil {
+		return Status{}, err
+	}
+	st, err := c.finishRecv(r, "receive", src, recvTag, 0)
+	return st, c.fail(flight.OpRecv, peer, err)
 }
 
 // nextReqID returns a cluster-unique rendezvous id.

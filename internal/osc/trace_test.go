@@ -64,12 +64,13 @@ func TestGuardedTraceSites(t *testing.T) {
 }
 
 // TestAllocsPutFenceBudget pins a put + fence epoch on a shared window, with
-// tracing off, at 4 objects over both ranks (2 expected: the collective view
-// of the communicator each rank's fence barrier makes). It is the one-sided
-// half of mpi.TestTracingOffBoxesNothing: the fence's barrier runs at tags
-// >= 1<<20 and the epoch span takes a string, so every trace call site that
-// boxed its arguments with the tracer off showed here — 15 objects per epoch
-// before the sites were guarded and the barrier recycled its Requests.
+// tracing off, at no object on either rank: the collective view of the
+// communicator each rank's fence barrier uses is made once. It is the
+// one-sided half of mpi.TestTracingOffBoxesNothing: the fence's barrier runs
+// at tags >= 1<<20 and the epoch span takes a string, so every trace call
+// site that boxed its arguments with the tracer off showed here — 15 objects
+// per epoch before the sites were guarded and the barrier recycled its
+// Requests, 2 while every barrier copied the communicator.
 func TestAllocsPutFenceBudget(t *testing.T) {
 	const warm, n = 20, 200
 	src := fill(4096)
@@ -92,7 +93,7 @@ func TestAllocsPutFenceBudget(t *testing.T) {
 	})
 	objs := float64(win.Objects()) / n
 	t.Logf("put + fence epoch: %.2f objects, %.1f B", objs, float64(win.Bytes())/n)
-	if objs > 4 {
-		t.Errorf("%.2f objects per put + fence epoch, budget is 4 (2 expected, 15 before)", objs)
+	if objs >= 0.5 && !raceEnabled {
+		t.Errorf("%.2f objects per put + fence epoch, want none (2 until PR 23, 15 before PR 21)", objs)
 	}
 }

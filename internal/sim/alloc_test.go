@@ -6,8 +6,9 @@ import (
 )
 
 // TestStaleTimerCancelIsNoop pins the generation check on recycled events: a
-// Timer held across its event's firing must not cancel the event that later
-// reuses the same freelist slot.
+// Timer held across its event's firing or its cancellation must not cancel
+// the event that later reuses the same freelist slot, and a second Cancel
+// counts nothing.
 func TestStaleTimerCancelIsNoop(t *testing.T) {
 	e := NewEngine()
 	stale := e.After(time.Millisecond, func() {})
@@ -24,29 +25,52 @@ func TestStaleTimerCancelIsNoop(t *testing.T) {
 		t.Fatal("stale Timer.Cancel canceled an unrelated recycled event")
 	}
 
-	// A live cancel on the same slot still works.
+	// A live cancel on the same slot still works, and takes the event out of
+	// the queue at once.
 	fired = false
 	live := e.After(time.Millisecond, func() { fired = true })
 	live.Cancel()
+	if len(e.queue) != 0 {
+		t.Fatalf("%d events queued after the only one was cancelled", len(e.queue))
+	}
+
+	// The cancelled slot is reused in turn: cancelling it a second time
+	// through the old handle must not touch the new event.
+	reused := e.After(time.Millisecond, func() { fired = true })
+	if reused.ev != live.ev {
+		t.Fatalf("freelist should have reused the cancelled event slot")
+	}
+	live.Cancel()
 	e.Run()
-	if fired {
-		t.Fatal("live Timer.Cancel did not cancel its event")
+	if !fired {
+		t.Fatal("a second Cancel through a cancelled Timer canceled the event that reused its slot")
+	}
+	if got := e.TimersCancelled(); got != 1 {
+		t.Errorf("TimersCancelled = %d, want 1", got)
 	}
 }
 
-// TestAllocsSleepSteadyState pins the scheduling hot path at zero
-// allocations: Sleep schedules the top-level dispatchProc with the proc as
-// its argument, on the engine's event freelist.
+// TestAllocsSleepSteadyState pins the yielding sleep at zero allocations:
+// Sleep schedules the top-level dispatchProc with the proc as its argument,
+// on the engine's event freelist. An event held pending at the instant of
+// the wake keeps every sleep from being elided.
 func TestAllocsSleepSteadyState(t *testing.T) {
 	e := NewEngine()
+	fn := func(any) {}
 	e.Go("sleeper", func(p *Proc) {
-		for i := 0; i < 4; i++ { // warm the freelist
+		sleep := func() {
+			e.AfterCall(time.Microsecond, fn, nil)
 			p.Sleep(time.Microsecond)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			p.Sleep(time.Microsecond)
-		}); n != 0 {
+		for i := 0; i < 4; i++ { // warm the freelist
+			sleep()
+		}
+		switches := e.ProcSwitches()
+		if n := testing.AllocsPerRun(100, sleep); n != 0 {
 			t.Errorf("Sleep: %v allocs/op, want 0", n)
+		}
+		if got := e.ProcSwitches() - switches; got != 101 {
+			t.Errorf("%d switches over 101 sleeps: some did not yield", got)
 		}
 	})
 	e.Run()

@@ -14,10 +14,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,14 +38,17 @@ type Engine struct {
 	procRuntime
 	eventQueue
 
-	// Stopped is set by Stop; Run returns as soon as it is observed.
-	stopped bool
+	// stopped is set by Stop; Run returns as soon as it is observed. It is
+	// atomic only to have the shape of the sharded engine's flag, which
+	// another shard's goroutine may set: the queue reads either through one
+	// pointer.
+	stopped atomic.Bool
 }
 
 // NewEngine returns an empty simulation at virtual time zero.
 func NewEngine() *Engine {
 	e := &Engine{}
-	e.initProcs()
+	e.initHost(&e.eventQueue, &e.stopped)
 	return e
 }
 
@@ -55,12 +58,18 @@ func NewEngine() *Engine {
 type eventQueue struct {
 	now    time.Duration
 	seq    uint64
-	queue  eventHeap
+	queue  []*event // 4-ary min-heap on (at, seq); every entry is live
 	free   []*event // recycled events (hot paths schedule without allocating)
-	events uint64   // events dispatched
+	events uint64   // events dispatched, elided sleeps included
 
-	discarded uint64 // cancelled events dropped from the heap
+	cancelled uint64 // events Timer.Cancel took out of the heap
 	depthMax  int    // most events ever queued at once
+
+	// The run loop fires only events strictly before horizon, and none once
+	// *stop is set: a shard's window end and its engine's flag, no bound and
+	// the Engine's own flag on the sequential engine.
+	horizon time.Duration
+	stop    *atomic.Bool
 
 	// tieSeed, when non-zero, breaks ties among same-instant events by a
 	// seeded permutation of the scheduling order instead of the order
@@ -88,35 +97,26 @@ func (q *eventQueue) Now() time.Duration { return q.now }
 func (q *eventQueue) Events() uint64 { return q.events }
 
 // TimersCancelled returns the number of scheduled events that were cancelled
-// instead of dispatched: those already dropped from the heap plus those
-// still waiting in it for their instant to come.
-func (q *eventQueue) TimersCancelled() uint64 {
-	n := q.discarded
-	for _, ev := range q.queue {
-		if ev.canceled {
-			n++
-		}
-	}
-	return n
-}
+// instead of dispatched.
+func (q *eventQueue) TimersCancelled() uint64 { return q.cancelled }
 
-// HeapDepthMax returns the largest number of events that were ever queued at
-// once. A cancelled event holds its place until its instant comes, so a
-// layer that cancels and re-arms a far timer often shows up here.
+// HeapDepthMax returns the largest number of live events that were ever
+// queued at once: a cancelled event leaves the heap at once, and a sleep
+// that was elided (see Proc.Sleep) was never in it.
 func (q *eventQueue) HeapDepthMax() int { return q.depthMax }
 
 // event is a scheduled callback. Events are recycled through the queue's
 // freelist; gen distinguishes a live incarnation from a recycled one so a
 // stale Timer cannot cancel an unrelated later event.
 type event struct {
-	at       time.Duration
-	seq      uint64
-	fn       func()
-	fnArg    func(any) // set (with arg) instead of fn by AfterCall
-	arg      any
-	index    int
-	canceled bool
-	gen      uint64
+	at    time.Duration
+	seq   uint64
+	fn    func()
+	fnArg func(any) // set (with arg) instead of fn by AfterCall
+	arg   any
+	q     *eventQueue // the queue ev belongs to, for Timer.Cancel
+	index int         // position in q.queue while queued
+	gen   uint64
 }
 
 // Timer is a handle to a scheduled event that can be canceled. It is a
@@ -126,11 +126,15 @@ type Timer struct {
 	gen uint64
 }
 
-// Cancel prevents the timer's callback from running. Canceling an
-// already-fired or already-canceled timer is a no-op.
+// Cancel prevents the timer's callback from running: the event leaves the
+// queue at once. Canceling an already-fired or already-canceled timer is a
+// no-op — either recycled the event, so its generation moved on.
 func (t Timer) Cancel() {
-	if t.ev != nil && t.ev.gen == t.gen {
-		t.ev.canceled = true
+	if ev := t.ev; ev != nil && ev.gen == t.gen {
+		q := ev.q
+		q.remove(ev.index)
+		q.recycle(ev)
+		q.cancelled++
 	}
 }
 
@@ -145,14 +149,15 @@ func (q *eventQueue) schedule(t time.Duration, fn func(), fnArg func(any), arg a
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
 	} else {
-		ev = new(event)
+		ev = &event{q: q}
 	}
-	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg, ev.canceled = t, q.seq, fn, fnArg, arg, false
+	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg = t, q.seq, fn, fnArg, arg
 	if q.tieSeed != 0 {
 		ev.seq = permuteTie(q.seq, q.tieSeed)
 	}
 	q.seq++
-	heap.Push(&q.queue, ev)
+	q.queue = append(q.queue, ev)
+	q.siftUp(len(q.queue)-1, ev)
 	q.depthMax = max(q.depthMax, len(q.queue))
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -190,25 +195,35 @@ func (q *eventQueue) AfterCall(d time.Duration, fn func(any), arg any) Timer {
 	return q.schedule(q.now+d, nil, fn, arg)
 }
 
-// peek discards canceled events from the top of the heap and returns the
-// earliest live one without removing it, or nil if none is pending.
+// peek returns the earliest queued event without removing it, or nil if
+// none is pending.
 func (q *eventQueue) peek() *event {
-	for q.queue.Len() > 0 {
-		ev := q.queue[0]
-		if !ev.canceled {
-			return ev
-		}
-		heap.Pop(&q.queue)
-		q.recycle(ev)
-		q.discarded++
+	if len(q.queue) == 0 {
+		return nil
 	}
-	return nil
+	return q.queue[0]
+}
+
+// skipTo stands in for an event the caller would schedule at t only to wait
+// for it, when that event would be the very next to fire: nothing queued is
+// due at or before t (a tie at t might be ordered first), the run loop is
+// not stopped, and t is inside its horizon. It then moves the clock to t,
+// consumes the sequence number and counts the event, as scheduling and
+// firing it would have, and reports true.
+func (q *eventQueue) skipTo(t time.Duration) bool {
+	if len(q.queue) > 0 && q.queue[0].at <= t || t >= q.horizon || q.stop.Load() {
+		return false
+	}
+	q.now = t
+	q.seq++
+	q.events++
+	return true
 }
 
 // fire removes ev — the event peek just returned — advances the clock
 // to it and runs its callback.
 func (q *eventQueue) fire(ev *event) {
-	heap.Pop(&q.queue)
+	q.remove(0)
 	q.now = ev.at
 	// Detach the callback and recycle before invoking it: the callback
 	// may schedule new events, which can then reuse this slot.
@@ -223,7 +238,7 @@ func (q *eventQueue) fire(ev *event) {
 }
 
 // Stop makes Run return after the currently dispatched event completes.
-func (e *Engine) Stop() { e.stopped = true }
+func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // Run dispatches events until the queue is empty or Stop is called. It
 // returns the final virtual time. Run panics if any spawned process is still
@@ -237,14 +252,14 @@ func (e *Engine) Run() time.Duration {
 		panic("sim: Run on an engine that already ran: " + releasedRule)
 	}
 	defer e.releaseDaemons()
-	for !e.stopped {
+	for !e.stopped.Load() {
 		ev := e.peek()
 		if ev == nil {
 			break
 		}
 		e.fire(ev)
 	}
-	if !e.stopped && e.nprocs > 0 {
+	if !e.stopped.Load() && e.nprocs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked at %v with no pending events: %s",
 			e.nprocs, e.now, blockedProcList(e.BlockedProcs())))
 	}
@@ -288,32 +303,68 @@ func RateDuration(n int64, rate float64) time.Duration {
 	return time.Duration(ns)
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
-type eventHeap []*event
+// The queue is a 4-ary min-heap on (at, seq), sifted by hand: half the
+// levels of a binary heap, no interface calls and no boxing, and each event
+// records its index so Cancel removes it where it lies.
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b.
+func before(a, b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// siftUp places ev at index i or above.
+func (q *eventQueue) siftUp(i int, ev *event) {
+	h := q.queue
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !before(ev, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	h[i] = ev
+	ev.index = i
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// siftDown places ev at index i or below.
+func (q *eventQueue) siftDown(i int, ev *event) {
+	h := q.queue
+	for {
+		first := 4*i + 1
+		if first >= len(h) {
+			break
+		}
+		least, end := first, min(first+4, len(h))
+		for c := first + 1; c < end; c++ {
+			if before(h[c], h[least]) {
+				least = c
+			}
+		}
+		if !before(h[least], ev) {
+			break
+		}
+		h[i] = h[least]
+		h[i].index = i
+		i = least
+	}
+	h[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// remove takes the event at index i out of the heap.
+func (q *eventQueue) remove(i int) {
+	n := len(q.queue) - 1
+	last := q.queue[n]
+	q.queue[n] = nil
+	q.queue = q.queue[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && before(last, q.queue[(i-1)/4]) {
+		q.siftUp(i, last)
+	} else {
+		q.siftDown(i, last)
+	}
 }

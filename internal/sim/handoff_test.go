@@ -107,7 +107,9 @@ func TestFutureWaitersWakeInArrivalOrder(t *testing.T) {
 
 // TestResumeContinuesParkedProcInsideTheEvent: Resume hands control to a
 // parked process within the current event — no further event, same instant
-// — and counts as one process switch.
+// — and counts as one process switch. A sleep of the resumed process is
+// never elided, even with nothing else queued: the callback that resumed it
+// continues at the old instant.
 func TestResumeContinuesParkedProcInsideTheEvent(t *testing.T) {
 	e := NewEngine()
 	var log []string
@@ -133,6 +135,9 @@ func TestResumeContinuesParkedProcInsideTheEvent(t *testing.T) {
 	want := []string{"request", "served at 5µs", "callback continues", "done at 6µs"}
 	if !slices.Equal(log, want) {
 		t.Errorf("got %v, want %v", log, want)
+	}
+	if got := e.SleepsElided(); got != 0 {
+		t.Errorf("%d sleeps elided under Resume, want 0", got)
 	}
 }
 

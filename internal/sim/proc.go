@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,11 +26,18 @@ type Host interface {
 // current-process pointer, and the registry the deadlock report names.
 type procRuntime struct {
 	yield  chan struct{} // procs signal the runtime here when they block
+	q      *eventQueue   // the host's queue: where a sleeping proc's wake goes
 	cur    *Proc
 	nprocs int     // non-daemon procs spawned and not yet finished
 	procs  []*Proc // registry of all spawned procs (deadlock reports name them)
 
 	switches uint64 // control transfers to a process (dispatch calls)
+	elided   uint64 // sleeps that returned without one (see Proc.Sleep)
+
+	// ownEvent is true while the running process was dispatched by an event
+	// of its own (dispatchProc), false while it runs under Resume inside
+	// somebody else's callback: only the former may elide a sleep.
+	ownEvent bool
 
 	// pendingPanic holds a panic recovered from a process body, re-raised
 	// by dispatch on the host's goroutine.
@@ -41,13 +49,25 @@ type procRuntime struct {
 }
 
 // ProcSwitches returns the number of times control was handed to a process
-// so far: each is two goroutine switches on the host, the dominant wall cost
-// of a simulated message.
+// so far: each is two goroutine switches on the host, and costs more wall
+// time than everything else an event does. A sleep that was elided made
+// none; SleepsElided counts those.
 func (rt *procRuntime) ProcSwitches() uint64 { return rt.switches }
 
-// initProcs prepares the runtime (the yield channel cannot be the zero
-// value).
-func (rt *procRuntime) initProcs() { rt.yield = make(chan struct{}) }
+// SleepsElided returns the number of Sleep calls that returned without
+// yielding because the sleeper's own wake was the next event to fire (see
+// Proc.Sleep). Each still counts in Events.
+func (rt *procRuntime) SleepsElided() uint64 { return rt.elided }
+
+// initHost prepares a host's runtime and queue: the yield channel cannot be
+// the zero value, the runtime schedules wakes on q, and q runs unbounded
+// until stop is set.
+func (rt *procRuntime) initHost(q *eventQueue, stop *atomic.Bool) {
+	rt.yield = make(chan struct{})
+	rt.q = q
+	q.horizon = maxDuration
+	q.stop = stop
+}
 
 // procPanic wraps a panic that escaped a process body. It is re-raised as
 // the panic value itself so outer recovery layers (the sharded engine's
@@ -147,20 +167,25 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 
 // dispatchProc is the event that hands control to a process: a top-level
 // function scheduled through AfterCall, so spawning, Sleep and wake make no
-// closure.
+// closure. The event is the process's own — nothing else runs in it once
+// the process blocks — which is what lets Sleep elide.
 func dispatchProc(arg any) {
 	p := arg.(*Proc)
-	p.rt.dispatch(p)
+	p.rt.dispatch(p, true)
 }
 
-// dispatch transfers control to p until it blocks again.
-func (rt *procRuntime) dispatch(p *Proc) {
+// dispatch transfers control to p until it blocks again; ownEvent says
+// whether the event doing so is p's own (dispatchProc) or somebody else's
+// callback (Resume).
+func (rt *procRuntime) dispatch(p *Proc, ownEvent bool) {
 	prev := rt.cur
 	rt.cur = p
+	rt.ownEvent = ownEvent
 	rt.switches++
 	p.resume <- struct{}{}
 	<-rt.yield
 	rt.cur = prev
+	rt.ownEvent = false
 	if pp := rt.pendingPanic; pp != nil {
 		rt.pendingPanic = nil
 		panic(pp)
@@ -216,10 +241,29 @@ func (rt *procRuntime) releaseDaemons() {
 }
 
 // Sleep advances the process's virtual time by d. Negative d is clamped to
-// zero; Sleep(0) still yields, letting same-time events run.
+// zero. Everything queued for an instant up to and including now+d runs
+// before Sleep returns, same-time events under Sleep(0) too; for that the
+// process schedules its own wake and yields to the host.
+//
+// When nothing is queued that early, the wake would be the very next event
+// to fire and nobody could observe the yield, so Sleep elides it: it moves
+// the clock, consumes the wake's sequence number, counts its event and
+// returns, with no goroutine switch and nothing queued. Schedules, Events
+// and every tie-break are those of the yielding sleep. A process running
+// under Resume always yields — the callback that resumed it has work left at
+// the old instant — as does one on a host that was stopped, or whose wake
+// lies past the window its shard is running.
 func (p *Proc) Sleep(d time.Duration) {
 	p.checkCurrent("Sleep")
-	p.host.AfterCall(d, dispatchProc, p)
+	if d < 0 {
+		d = 0
+	}
+	rt := p.rt
+	if rt.ownEvent && rt.q.skipTo(rt.q.now+d) {
+		rt.elided++
+		return
+	}
+	rt.q.schedule(rt.q.now+d, nil, dispatchProc, p)
 	p.yieldToHost()
 }
 
@@ -249,7 +293,7 @@ func (p *Proc) Resume() {
 		panic(fmt.Sprintf("sim: Resume of non-parked process %q", p.name))
 	}
 	p.parked = false
-	p.rt.dispatch(p)
+	p.rt.dispatch(p, false)
 }
 
 // wake schedules a parked process to resume at the current virtual time.
@@ -261,7 +305,7 @@ func (p *Proc) wake() {
 		panic(fmt.Sprintf("sim: wake of non-parked process %q", p.name))
 	}
 	p.parked = false
-	p.host.AfterCall(0, dispatchProc, p)
+	p.rt.q.schedule(p.rt.q.now, nil, dispatchProc, p)
 }
 
 func (p *Proc) checkCurrent(op string) {

@@ -121,6 +121,7 @@ func (s *Shard) window(until time.Duration) {
 
 // runWindow executes the shard's local events strictly before until.
 func (s *Shard) runWindow(until time.Duration) {
+	s.horizon = until
 	for !s.eng.stopped.Load() {
 		ev := s.peek()
 		if ev == nil || ev.at >= until {
@@ -175,7 +176,7 @@ func NewShardedEngine(nshards int, lookahead time.Duration) *ShardedEngine {
 			outbox: make([][]xmsg, nshards),
 			work:   make(chan time.Duration),
 		}
-		s.initProcs()
+		s.initHost(&s.eventQueue, &se.stopped)
 		se.shards[i] = s
 	}
 	return se
@@ -207,6 +208,15 @@ func (se *ShardedEngine) ProcSwitches() uint64 {
 	var n uint64
 	for _, s := range se.shards {
 		n += s.switches
+	}
+	return n
+}
+
+// SleepsElided returns the total elided sleeps across all shards.
+func (se *ShardedEngine) SleepsElided() uint64 {
+	var n uint64
+	for _, s := range se.shards {
+		n += s.elided
 	}
 	return n
 }
