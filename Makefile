@@ -38,11 +38,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json is the virtual-time harness: it rewrites the four committed
-# artifacts BENCH_dma.json, BENCH_coll.json, BENCH_rmem.json and
-# BENCH_engine.json (path-selection and algorithm-selection matrices, rmem
-# failover suite, sharded-engine 512-node suite). Every column written is
-# determined by the seed, so `git diff` after it is empty unless behaviour
+# bench-json is the virtual-time harness: it rewrites the five committed
+# artifacts BENCH_paper.json, BENCH_dma.json, BENCH_coll.json,
+# BENCH_rmem.json and BENCH_engine.json (the paper's figures and tables,
+# path-selection and algorithm-selection matrices, rmem failover suite,
+# sharded-engine 512-node suite) — the rows of internal/bench.Suites that
+# name a file. Every column written is determined by the seed, so
+# `git diff --exit-code BENCH_paper.json BENCH_dma.json BENCH_coll.json
+# BENCH_rmem.json BENCH_engine.json` after it is empty unless behaviour
 # changed; wall-clock columns are printed, not written (benchmark/ measures
 # those). Exits non-zero on a failed rmem availability gate or engine
 # determinism gate. See docs/PERFORMANCE.md.
@@ -89,7 +92,7 @@ alloc-test:
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and
 # aggregates it with tracestat. See docs/OBSERVABILITY.md.
 trace-demo:
-	$(GO) run ./cmd/pingpong -min 64 -max 262144 \
+	$(GO) run ./cmd/repro -only pingpong -min 64 -max 262144 \
 		-trace-out /tmp/scimpich-trace.json \
 		-metrics-out /tmp/scimpich-metrics.txt
 	$(GO) run ./cmd/tracestat -actors /tmp/scimpich-trace.json

@@ -1,116 +1,50 @@
-// Command repro regenerates the paper's entire evaluation in one run:
-// every figure, both tables and the extension experiments, printed as one
-// report. Expect it to take on the order of a minute.
+// Command repro regenerates the evaluation: every row of the table of
+// experiments (internal/bench.Suites) — the paper's figures and tables, the
+// extension experiments and the four artefact suites — or the rows -only
+// names, printed as one report. The whole table takes a few seconds.
 //
 // Usage:
 //
-//	repro [-quick]
+//	repro [-only fig7,tab2] [-csv] [-quick] [-min 64 -max 262144]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"text/tabwriter"
-	"time"
 
 	"scimpich/internal/bench"
-	"scimpich/internal/ring"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "coarser sweeps (fewer sizes)")
+	only := flag.String("only", "", "comma-separated `suites` to run (default: the whole table)")
+	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	var sweep bench.Sweep
+	flag.BoolVar(&sweep.Quick, "quick", false, "coarser sweeps and smaller machines")
+	flag.Int64Var(&sweep.Min, "min", 0, "smallest size of the size sweeps in bytes (default: each suite's own)")
+	flag.Int64Var(&sweep.Max, "max", 0, "largest size of the size sweeps in bytes (default: each suite's own)")
 	finish := bench.ObsFlags()
 	flag.Parse()
-	defer finish()
-	start := time.Now()
 
-	lo, hi := int64(8), int64(128<<10)
-	if *quick {
-		lo, hi = 64, 16<<10
+	suites, err := bench.Select(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		os.Exit(2)
 	}
-	sizes := bench.Sizes(lo, hi)
-	accessSizes := bench.Sizes(8, 64<<10)
-	if *quick {
-		accessSizes = bench.Sizes(64, 8<<10)
-	}
-
-	section("Figure 1: raw SCI communication performance")
-	raw := bench.RunRaw(bench.Sizes(8, 512<<10))
-	bench.RawLatencyFigure(raw).Print(os.Stdout)
-	bench.RawFigure(raw).Print(os.Stdout)
-
-	section("Protocol sweep: ping-pong across short/eager/rendezvous")
-	bench.PingPongFigure(bench.RunPingPong(sizes)).Print(os.Stdout)
-
-	section("Figure 7: non-contiguous datatype transfers")
-	bench.NoncontigFigure(bench.RunNoncontig(sizes)).Print(os.Stdout)
-
-	section("Figure 9: sparse one-sided micro-benchmark")
-	sparse := bench.RunSparse(accessSizes)
-	bench.SparseLatencyFigure(sparse).Print(os.Stdout)
-	bench.SparseBandwidthFigure(sparse).Print(os.Stdout)
-
-	section("Section 4.3: strided remote-write study")
-	strided := bench.RunStrided([]int64{8, 64, 256})
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "access\tmin MiB/s\tmax MiB/s\tbest stride")
-	for _, e := range bench.Extremes(strided) {
-		fmt.Fprintf(w, "%d\t%.1f\t%.1f\t%d\n", e.AccessSize, e.MinBW, e.MaxBW, e.BestStride)
-	}
-	w.Flush()
-	fmt.Println()
-
-	section("Figure 10: non-contiguous datatypes across platforms")
-	bench.PlatformNoncontigFigure(sizes, bench.RunPlatformNoncontig(sizes)).Print(os.Stdout)
-
-	section("Figure 11: one-sided communication across platforms")
-	ps := bench.RunPlatformSparse(accessSizes)
-	bench.PlatformSparseFigure(accessSizes, ps).Print(os.Stdout)
-
-	section("Figure 12: scaling of one-sided strided communication")
-	bench.ScalingFigure(bench.RunScaling(64 << 10)).Print(os.Stdout)
-
-	section("Table 2: scalability vs segment utilization")
-	for _, mhz := range []float64{ring.DefaultLinkMHz, 200} {
-		rows := bench.RunTable2(mhz)
-		fmt.Printf("link frequency %.0f MHz (nominal %.0f MiB/s):\n", mhz, ring.BandwidthForMHz(mhz)/bench.MiB)
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "nodes\t1 tr/seg p.node\t8 tr/seg p.node\tacc.\tload\teff.")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%.1f\t%.1f%%\t%.1f%%\n",
-				r.ActiveNodes, r.PerNode1, r.PerNode8, r.Acc8, r.Load*100, r.Eff*100)
+	failed := false
+	for _, s := range suites {
+		if !*csv {
+			fmt.Printf("==== %s — %s ====\n\n", s.Name, s.Reproduces)
 		}
-		w.Flush()
-		fmt.Println()
+		rows, err := s.Run(sweep)
+		s.Print(os.Stdout, rows, *csv)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "repro: %s: %v\n", s.Name, err)
+			failed = true
+		}
 	}
-
-	section("Extensions")
-	fmt.Println("one-sided vs two-sided (paper §6):")
-	cmp := bench.RunOneVsTwoSided()
-	fmt.Printf("  ping-pong: two-sided %v, one-sided %v\n", cmp.TwoSidedPingPong, cmp.OneSidedPingPong)
-	fmt.Printf("  busy target: two-sided %v, one-sided %v\n\n", cmp.TwoSidedBusy, cmp.OneSidedBusy)
-
-	fmt.Println("derived-datatype suite (cf. [24]):")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "  pattern\tgeneric eff\tff eff")
-	for _, r := range bench.RunDTBench() {
-		fmt.Fprintf(w, "  %s\t%.2f\t%.2f\n", r.Name, r.GenericEff, r.FFEff)
+	finish()
+	if failed {
+		os.Exit(1)
 	}
-	w.Flush()
-	fmt.Println()
-
-	fmt.Println("3D-torus scaling projection (paper §6, 200 MHz):")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "  topology\tnodes\tper-node MiB/s")
-	for _, r := range bench.RunTorusProjection(200) {
-		fmt.Fprintf(w, "  %s\t%d\t%.1f\n", r.Topology, r.Nodes, r.PerNode)
-	}
-	w.Flush()
-
-	fmt.Printf("\nreport complete in %v (wall clock)\n", time.Since(start).Round(time.Millisecond))
-}
-
-func section(title string) {
-	fmt.Printf("==== %s ====\n\n", title)
 }

@@ -23,11 +23,11 @@ func TestBenchArtifactsDeterministic(t *testing.T) {
 		if !ok {
 			t.Fatalf("engine gates failed: %+v", engineRows)
 		}
-		rmem, err := marshalArtifact("rmem", rmemRows)
+		rmem, err := marshalArtifact("BENCH_rmem.json", rmemRows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine, err = marshalArtifact("engine", engineRows)
+		engine, err = marshalArtifact("BENCH_engine.json", engineRows)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -305,10 +305,10 @@ func TestUltraSparcReproducesShmQuirkAtDifferentBlockSizes(t *testing.T) {
 	cfg.Shm.Mem = memmodel.UltraSparcII()
 	cfg.SCI.Mem = memmodel.UltraSparcII()
 	cfg.Shm.BusBW = 500e6
-	contig := contigBWCfg(cfg)
+	contig := contigBWOn(cfg)
 	beat := false
 	for _, bs := range []int64{512, 4096, 16 << 10} {
-		if noncontigBWWith(cfg, bs, true) > contig {
+		if vectorBW(staticPath(cfg, true), bs) > contig {
 			beat = true
 		}
 	}

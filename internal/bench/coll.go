@@ -13,6 +13,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"scimpich/internal/datatype"
@@ -72,11 +73,17 @@ func CollCases() []collCase {
 func CollNodeCounts() []int { return []int{4, 8} }
 
 // RunCollBench executes the collective selection matrix.
-func RunCollBench(nodes []int) []CollResult {
+func RunCollBench(nodes []int) []CollResult { return runCollBench(nodes, math.MaxInt64) }
+
+// runCollBench is the matrix restricted to payloads of at most maxBytes.
+func runCollBench(nodes []int, maxBytes int64) []CollResult {
 	var out []CollResult
 	for _, cs := range CollCases() {
 		for _, n := range nodes {
 			for _, size := range cs.sizes {
+				if size > maxBytes {
+					continue
+				}
 				r := CollResult{Coll: cs.name, Nodes: n, Bytes: size}
 				for _, alg := range cs.algs {
 					if !collForcedEligible(cs.name, alg, n, size) {
@@ -172,12 +179,6 @@ func dominantCollAlg(reg *obs.Registry, coll string) string {
 		}
 	}
 	return best
-}
-
-// WriteCollJSON writes the collective selection matrix as an indented JSON
-// artifact (the BENCH_coll.json regression gate).
-func WriteCollJSON(path string, results []CollResult) error {
-	return writeArtifact(path, "coll", results)
 }
 
 // FormatColl renders the matrix as an aligned text table. An algorithm

@@ -73,7 +73,7 @@ func dmaPathBW(bs int64, useFF bool, path mpi.PathPolicy, reg *obs.Registry) flo
 	if reg != nil {
 		cfg.Metrics = reg
 	}
-	return noncontigRun(cfg, bs)
+	return vectorBW(cfg, bs)
 }
 
 // dominantPath returns the deposit engine the adaptive chooser picked for
@@ -86,12 +86,6 @@ func dominantPath(reg *obs.Registry) string {
 		}
 	}
 	return best
-}
-
-// WriteDMAJSON writes the path-selection matrix as an indented JSON
-// artifact (the BENCH_dma.json regression gate).
-func WriteDMAJSON(path string, results []DMAPathResult) error {
-	return writeArtifact(path, "dma", results)
 }
 
 // FormatDMAPath renders the matrix as an aligned text table.

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
@@ -83,18 +81,18 @@ func DTPatterns() []DTPattern {
 
 // DTResult is one pattern's outcome.
 type DTResult struct {
-	Name       string
-	Bytes      int64
-	GenericBW  float64 // MiB/s
-	FFBW       float64
-	ContigBW   float64
-	GenericEff float64 // relative to contiguous
-	FFEff      float64
+	Name       string  `json:"pattern"`
+	Bytes      int64   `json:"bytes"`
+	GenericBW  float64 `json:"generic_mibs"`
+	FFBW       float64 `json:"ff_mibs"`
+	ContigBW   float64 `json:"contig_mibs"`
+	GenericEff float64 `json:"generic_eff"` // relative to contiguous
+	FFEff      float64 `json:"ff_eff"`
 	// AdaptiveBW is the bandwidth under the adaptive path chooser, and
 	// Chosen the deposit engine it settled on for the pattern.
-	AdaptiveBW  float64
-	AdaptiveEff float64
-	Chosen      string
+	AdaptiveBW  float64 `json:"adaptive_mibs"`
+	AdaptiveEff float64 `json:"adaptive_eff"`
+	Chosen      string  `json:"chosen"`
 }
 
 // RunDTBench executes the suite between two nodes.
@@ -122,13 +120,13 @@ func RunDTBench() []DTResult {
 	return out
 }
 
+// dtReps is the stream length of the suite.
+const dtReps = 3
+
 // dtRun measures one pattern's transfer bandwidth with the static engines
 // (the suite's generic-vs-ff ablation is about the engines themselves).
 func dtRun(ty *datatype.Type, count int, useFF bool) float64 {
-	cfg := instrument(mpi.DefaultConfig(2, 1))
-	cfg.Protocol.UseFF = useFF
-	cfg.Protocol.Path = mpi.PathStatic
-	return dtRunCfg(cfg, ty, count)
+	return streamBW(staticPath(instrument(mpi.DefaultConfig(2, 1)), useFF), ty, count, dtReps)
 }
 
 // dtRunAdaptive measures the pattern under the adaptive chooser and reports
@@ -139,35 +137,20 @@ func dtRunAdaptive(ty *datatype.Type, count int) (float64, string) {
 	cfg.Protocol.Path = mpi.PathAdaptive
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
-	bw := dtRunCfg(cfg, ty, count)
+	bw := streamBW(cfg, ty, count, dtReps)
 	return bw, dominantPath(reg)
 }
 
-// dtRunCfg runs the pattern's ping stream on the given configuration.
-func dtRunCfg(cfg mpi.Config, ty *datatype.Type, count int) float64 {
-	span := ty.Extent()*int64(count-1) + ty.UB() + 64
-	src := make([]byte, span)
-	dst := make([]byte, span)
-	total := ty.Size() * int64(count)
-	const reps = 3
-	var elapsed time.Duration
-	mpi.Run(cfg, func(c *mpi.Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Barrier()
-			start := c.WtimeDuration()
-			for i := 0; i < reps; i++ {
-				c.Send(src, count, ty, 1, i)
-			}
-			c.Recv(nil, 0, datatype.Byte, 1, 999)
-			elapsed = c.WtimeDuration() - start
-		case 1:
-			c.Barrier()
-			for i := 0; i < reps; i++ {
-				c.Recv(dst, count, ty, 0, i)
-			}
-			c.Send(nil, 0, datatype.Byte, 0, 999)
-		}
-	})
-	return BWMiB(total*reps, elapsed)
+// DTBenchTable formats the suite: bandwidths, efficiency relative to the
+// contiguous transfer, and the engine the adaptive chooser settled on.
+func DTBenchTable(results []DTResult) *Table {
+	t := &Table{
+		Title:  "Derived-datatype suite (cf. paper ref [24]), 2 nodes via SCI",
+		Header: "pattern\tbytes\tgeneric MiB/s\tff MiB/s\tadaptive MiB/s\tcontig MiB/s\tgeneric eff\tff eff\tadaptive eff\tchosen",
+	}
+	for _, r := range results {
+		t.Add("%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%s",
+			r.Name, r.Bytes, r.GenericBW, r.FFBW, r.AdaptiveBW, r.ContigBW, r.GenericEff, r.FFEff, r.AdaptiveEff, r.Chosen)
+	}
+	return t
 }

@@ -231,19 +231,6 @@ func RunEngineBenchAt(dx, dy, dz int, shardCounts []int) ([]EngineResult, bool) 
 	return rows, ok
 }
 
-// RunEngine512 executes one 512-node torus allreduce on the sharded engine
-// at the given shard count and returns its row (no baseline, no gates) —
-// the measured §6 run behind cmd/scaling's torus report.
-func RunEngine512(shards int) (EngineResult, error) {
-	return engineRow(mpi.DefaultTorusConfig(EngineDims[0], EngineDims[1], EngineDims[2], shards), true)
-}
-
-// WriteEngineJSON writes the sharded-engine suite as an indented JSON
-// artifact (the BENCH_engine.json determinism gate).
-func WriteEngineJSON(path string, results []EngineResult) error {
-	return writeArtifact(path, "engine", results)
-}
-
 // FormatEngine renders the sharded-engine suite as an aligned text table,
 // with the wall-clock columns the artifact leaves out: events/s, and speedup
 // over the sequential row of the same workload.

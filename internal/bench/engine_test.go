@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,8 +53,21 @@ func TestEngineBenchSmall(t *testing.T) {
 
 func TestEngineJSONRoundTrip(t *testing.T) {
 	rows, _ := RunEngineBenchAt(2, 2, 2, []int{2})
-	path := t.TempDir() + "/BENCH_engine.json"
-	if err := WriteEngineJSON(path, rows); err != nil {
+	data, err := marshalArtifact("BENCH_engine.json", rows)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var back struct {
+		Suite   string
+		Results []EngineResult
+	}
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		rows[i].WallNS = 0 // printed, never written
+	}
+	if back.Suite != "engine" || !reflect.DeepEqual(back.Results, rows) {
+		t.Fatalf("round trip lost rows: %+v\nwant %+v", back, rows)
 	}
 }

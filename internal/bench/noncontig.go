@@ -21,28 +21,30 @@ const NoncontigTotal = 256 << 10
 
 // NoncontigResult is one block-size row of Figure 7.
 type NoncontigResult struct {
-	BlockSize int64
+	BlockSize int64 `json:"block_size"`
 	// Bandwidths in MiB/s.
-	InterGeneric float64
-	InterFF      float64
-	InterContig  float64
-	IntraGeneric float64
-	IntraFF      float64
-	IntraContig  float64
+	InterGeneric float64 `json:"sci_generic_mibs"`
+	InterFF      float64 `json:"sci_ff_mibs"`
+	InterContig  float64 `json:"sci_contig_mibs"`
+	IntraGeneric float64 `json:"shm_generic_mibs"`
+	IntraFF      float64 `json:"shm_ff_mibs"`
+	IntraContig  float64 `json:"shm_contig_mibs"`
 }
 
 // RunNoncontig reproduces Figure 7 over the given block sizes.
 func RunNoncontig(blockSizes []int64) []NoncontigResult {
+	// The contiguous reference does not depend on the block size.
+	interContig, intraContig := contigBW(2, 1), contigBW(1, 2)
 	results := make([]NoncontigResult, len(blockSizes))
 	for i, bs := range blockSizes {
 		results[i] = NoncontigResult{
 			BlockSize:    bs,
 			InterGeneric: noncontigBW(2, 1, bs, false),
 			InterFF:      noncontigBW(2, 1, bs, true),
-			InterContig:  contigBW(2, 1),
+			InterContig:  interContig,
 			IntraGeneric: noncontigBW(1, 2, bs, false),
 			IntraFF:      noncontigBW(1, 2, bs, true),
-			IntraContig:  contigBW(1, 2),
+			IntraContig:  intraContig,
 		}
 	}
 	return results
@@ -50,99 +52,77 @@ func RunNoncontig(blockSizes []int64) []NoncontigResult {
 
 // vectorType builds the benchmark's strided vector: blocks of bs bytes of
 // doubles, gaps of the same size, summing to NoncontigTotal data bytes.
-func vectorType(bs int64) (*datatype.Type, int) {
+func vectorType(bs int64) *datatype.Type {
 	elems := int(bs / 8) // doubles per block
 	count := int(NoncontigTotal / bs)
-	return datatype.Vector(count, elems, 2*elems, datatype.Float64).Commit(), count
+	return datatype.Vector(count, elems, 2*elems, datatype.Float64).Commit()
+}
+
+// streamBW is the two-rank stream every datatype bandwidth in this package
+// is measured with: after a barrier rank 0 sends count instances of ty reps
+// times back to back, rank 1 receives them and confirms full delivery with
+// an empty message; the bandwidth is the payload over rank 0's elapsed
+// virtual time. The protocol configuration is taken exactly as given.
+func streamBW(cfg mpi.Config, ty *datatype.Type, count, reps int) float64 {
+	span := ty.Extent()*int64(count-1) + ty.UB() + 64
+	src := make([]byte, span)
+	dst := make([]byte, span)
+	var elapsed time.Duration
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Barrier()
+			start := c.WtimeDuration()
+			for i := 0; i < reps; i++ {
+				c.Send(src, count, ty, 1, i)
+			}
+			c.Recv(nil, 0, datatype.Byte, 1, 999)
+			elapsed = c.WtimeDuration() - start
+		case 1:
+			c.Barrier()
+			for i := 0; i < reps; i++ {
+				c.Recv(dst, count, ty, 0, i)
+			}
+			c.Send(nil, 0, datatype.Byte, 0, 999)
+		}
+	})
+	return BWMiB(ty.Size()*int64(count*reps), elapsed)
+}
+
+// noncontigReps is the stream length of the 256 kiB benchmarks.
+const noncontigReps = 4
+
+// staticPath pins the legacy static deposit paths, so that UseFF measures
+// direct_pack_ff itself and not whatever the adaptive chooser prefers at a
+// block size: the figure 7 family is an engine ablation.
+func staticPath(cfg mpi.Config, useFF bool) mpi.Config {
+	cfg.Protocol.UseFF = useFF
+	cfg.Protocol.Path = mpi.PathStatic
+	return cfg
 }
 
 // noncontigBW measures the strided-vector bandwidth on a cluster of the
 // given shape.
 func noncontigBW(nodes, procs int, bs int64, useFF bool) float64 {
-	cfg := instrument(mpi.DefaultConfig(nodes, procs))
-	return noncontigBWWith(cfg, bs, useFF)
+	return vectorBW(staticPath(instrument(mpi.DefaultConfig(nodes, procs)), useFF), bs)
 }
 
-// noncontigBWWith runs the strided-vector workload on a custom cluster
-// configuration (used by the UltraSparc II reproduction).
-func noncontigBWWith(cfg mpi.Config, bs int64, useFF bool) float64 {
-	cfg.Protocol.UseFF = useFF
-	// This is an engine ablation reproducing figure 7: pin the legacy
-	// static paths so UseFF measures direct_pack_ff itself, not whatever
-	// the adaptive chooser prefers at this block size.
-	cfg.Protocol.Path = mpi.PathStatic
-	return noncontigRun(cfg, bs)
+// vectorBW measures the strided-vector workload on a custom cluster
+// configuration (the UltraSparc II reproduction, the NIC cross-check, the
+// DMA path-selection suite with its own deposit policy).
+func vectorBW(cfg mpi.Config, bs int64) float64 {
+	return streamBW(cfg, vectorType(bs), 1, noncontigReps)
 }
 
-// noncontigRun measures the strided-vector workload with the protocol
-// configuration exactly as given (the DMA path-selection suite pins its own
-// deposit policy).
-func noncontigRun(cfg mpi.Config, bs int64) float64 {
-	ty, _ := vectorType(bs)
-	span := ty.Extent()
-	src := make([]byte, span+64)
-	dst := make([]byte, span+64)
-	const reps = 4
-	var elapsed time.Duration
-	mpi.Run(cfg, func(c *mpi.Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Barrier()
-			start := c.WtimeDuration()
-			for i := 0; i < reps; i++ {
-				c.Send(src, 1, ty, 1, i)
-			}
-			// Wait for the receiver to confirm full delivery.
-			c.Recv(nil, 0, datatype.Byte, 1, 999)
-			elapsed = c.WtimeDuration() - start
-		case 1:
-			c.Barrier()
-			for i := 0; i < reps; i++ {
-				c.Recv(dst, 1, ty, 0, i)
-			}
-			c.Send(nil, 0, datatype.Byte, 0, 999)
-		}
-	})
-	return BWMiB(NoncontigTotal*reps, elapsed)
-}
-
-// contigBW measures the contiguous 256 kiB reference transfer.
+// contigBW measures the contiguous 256 kiB reference transfer on a cluster
+// of the given shape.
 func contigBW(nodes, procs int) float64 {
-	return contigBWCfg(instrument(mpi.DefaultConfig(nodes, procs)))
+	return contigBWOn(instrument(mpi.DefaultConfig(nodes, procs)))
 }
 
-// contigBWWithDMA measures the contiguous transfer with the DMA rendezvous
-// option (dmaMin 0 = PIO).
-func contigBWWithDMA(dmaMin int64) float64 {
-	cfg := instrument(mpi.DefaultConfig(2, 1))
-	cfg.Protocol.DMAMin = dmaMin
-	return contigBWCfg(cfg)
-}
-
-func contigBWCfg(cfg mpi.Config) float64 {
-	src := make([]byte, NoncontigTotal)
-	const reps = 4
-	var elapsed time.Duration
-	mpi.Run(cfg, func(c *mpi.Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Barrier()
-			start := c.WtimeDuration()
-			for i := 0; i < reps; i++ {
-				c.Send(src, NoncontigTotal, datatype.Byte, 1, i)
-			}
-			c.Recv(nil, 0, datatype.Byte, 1, 999)
-			elapsed = c.WtimeDuration() - start
-		case 1:
-			c.Barrier()
-			dst := make([]byte, NoncontigTotal)
-			for i := 0; i < reps; i++ {
-				c.Recv(dst, NoncontigTotal, datatype.Byte, 0, i)
-			}
-			c.Send(nil, 0, datatype.Byte, 0, 999)
-		}
-	})
-	return BWMiB(NoncontigTotal*reps, elapsed)
+// contigBWOn is the contiguous reference on a custom cluster configuration.
+func contigBWOn(cfg mpi.Config) float64 {
+	return streamBW(cfg, datatype.Byte, NoncontigTotal, noncontigReps)
 }
 
 // doubleStridedType builds the figure 2 "double-strided" case: a vector of
@@ -158,85 +138,49 @@ func doubleStridedType(bs int64) *datatype.Type {
 
 // Noncontig2DResult extends the benchmark to the double-strided datatype.
 type Noncontig2DResult struct {
-	BlockSize    int64
-	InterGeneric float64
-	InterFF      float64
+	BlockSize    int64   `json:"block_size"`
+	InterGeneric float64 `json:"sci_generic_mibs"`
+	InterFF      float64 `json:"sci_ff_mibs"`
 }
 
 // RunNoncontig2D measures the double-strided exchange over SCI.
 func RunNoncontig2D(blockSizes []int64) []Noncontig2DResult {
 	out := make([]Noncontig2DResult, len(blockSizes))
 	for i, bs := range blockSizes {
+		ty := doubleStridedType(bs)
 		out[i] = Noncontig2DResult{
 			BlockSize:    bs,
-			InterGeneric: noncontig2DBW(bs, false),
-			InterFF:      noncontig2DBW(bs, true),
+			InterGeneric: streamBW(staticPath(instrument(mpi.DefaultConfig(2, 1)), false), ty, 1, noncontigReps),
+			InterFF:      streamBW(staticPath(instrument(mpi.DefaultConfig(2, 1)), true), ty, 1, noncontigReps),
 		}
 	}
 	return out
 }
 
-func noncontig2DBW(bs int64, useFF bool) float64 {
-	cfg := instrument(mpi.DefaultConfig(2, 1))
-	cfg.Protocol.UseFF = useFF
-	cfg.Protocol.Path = mpi.PathStatic // engine ablation, as in noncontigBWWith
-	ty := doubleStridedType(bs)
-	src := make([]byte, ty.Extent()+64)
-	dst := make([]byte, ty.Extent()+64)
-	const reps = 4
-	var elapsed time.Duration
-	total := ty.Size()
-	mpi.Run(cfg, func(c *mpi.Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Barrier()
-			start := c.WtimeDuration()
-			for i := 0; i < reps; i++ {
-				c.Send(src, 1, ty, 1, i)
-			}
-			c.Recv(nil, 0, datatype.Byte, 1, 999)
-			elapsed = c.WtimeDuration() - start
-		case 1:
-			c.Barrier()
-			for i := 0; i < reps; i++ {
-				c.Recv(dst, 1, ty, 0, i)
-			}
-			c.Send(nil, 0, datatype.Byte, 0, 999)
-		}
-	})
-	return BWMiB(total*reps, elapsed)
+// Noncontig2DFigure formats the double-strided sweep.
+func Noncontig2DFigure(results []Noncontig2DResult) *Figure {
+	return curves("Double-strided (figure 2) transfers over SCI (MiB/s)", "blocksize", "MiB/s",
+		[]string{"SCI-generic", "SCI-ff"}, results,
+		func(r Noncontig2DResult) (int64, []float64) {
+			return r.BlockSize, []float64{r.InterGeneric, r.InterFF}
+		})
 }
 
 // NoncontigFigure formats Figure 7.
 func NoncontigFigure(results []NoncontigResult) *Figure {
-	f := &Figure{
-		Title:  "Figure 7: non-contiguous transfers, generic vs direct_pack_ff (MiB/s)",
-		XLabel: "blocksize",
-		YLabel: "MiB/s",
-	}
-	series := []Series{
-		{Label: "SCI-generic"}, {Label: "SCI-ff"}, {Label: "SCI-contig"},
-		{Label: "shm-generic"}, {Label: "shm-ff"}, {Label: "shm-contig"},
-	}
-	for _, r := range results {
-		f.X = append(f.X, float64(r.BlockSize))
-		series[0].Values = append(series[0].Values, r.InterGeneric)
-		series[1].Values = append(series[1].Values, r.InterFF)
-		series[2].Values = append(series[2].Values, r.InterContig)
-		series[3].Values = append(series[3].Values, r.IntraGeneric)
-		series[4].Values = append(series[4].Values, r.IntraFF)
-		series[5].Values = append(series[5].Values, r.IntraContig)
-	}
-	f.Series = series
-	return f
+	return curves("Figure 7: non-contiguous transfers, generic vs direct_pack_ff (MiB/s)", "blocksize", "MiB/s",
+		[]string{"SCI-generic", "SCI-ff", "SCI-contig", "shm-generic", "shm-ff", "shm-contig"}, results,
+		func(r NoncontigResult) (int64, []float64) {
+			return r.BlockSize, []float64{r.InterGeneric, r.InterFF, r.InterContig, r.IntraGeneric, r.IntraFF, r.IntraContig}
+		})
 }
 
 // PlatformNoncontigResult is one row of Figure 10: nc and contiguous
 // bandwidth per platform.
 type PlatformNoncontigResult struct {
-	ID string
-	NC []float64 // per block size, MiB/s
-	C  []float64
+	ID string    `json:"id"`
+	NC []float64 `json:"nc_mibs"` // per block size, MiB/s
+	C  []float64 `json:"c_mibs"`
 }
 
 // RunPlatformNoncontig reproduces Figure 10: the strided-vector benchmark
@@ -262,11 +206,12 @@ func RunPlatformNoncontig(blockSizes []int64) []PlatformNoncontigResult {
 	// SCI-MPICH over SCI (M-S) and shared memory (M-s), on the real stack.
 	ms := PlatformNoncontigResult{ID: "M-S"}
 	mshm := PlatformNoncontigResult{ID: "M-s"}
+	interContig, intraContig := contigBW(2, 1), contigBW(1, 2)
 	for _, bs := range blockSizes {
 		ms.NC = append(ms.NC, noncontigBW(2, 1, bs, true))
-		ms.C = append(ms.C, contigBW(2, 1))
+		ms.C = append(ms.C, interContig)
 		mshm.NC = append(mshm.NC, noncontigBW(1, 2, bs, true))
-		mshm.C = append(mshm.C, contigBW(1, 2))
+		mshm.C = append(mshm.C, intraContig)
 	}
 	out = append(out, ms, mshm)
 	return out
@@ -287,4 +232,44 @@ func PlatformNoncontigFigure(blockSizes []int64, results []PlatformNoncontigResu
 		)
 	}
 	return f
+}
+
+// Table1Row is one configuration of the platform inventory (Table 1).
+type Table1Row struct {
+	ID           string `json:"id"`
+	Machine      string `json:"machine"`
+	Interconnect string `json:"interconnect"`
+	MPI          string `json:"mpi"`
+	OSC          string `json:"osc"`
+}
+
+// RunTable1 lists the comparator platforms and the two configurations of
+// this repository's own stack.
+func RunTable1() []Table1Row {
+	var rows []Table1Row
+	for _, pl := range platform.All() {
+		osc := "no"
+		if pl.OneSided {
+			osc = "yes"
+		}
+		if pl.GetOnly {
+			osc = "yes (Get only)"
+		}
+		rows = append(rows, Table1Row{pl.ID, pl.Machine, pl.Interconnect, pl.MPI, osc})
+	}
+	return append(rows,
+		Table1Row{"M-S", "PentiumIII dual SMP", "SCI", "MP-MPICH (this repo)", "yes"},
+		Table1Row{"M-s", "PentiumIII dual SMP", "shared memory", "MP-MPICH (this repo)", "yes"})
+}
+
+// Table1Table formats Table 1.
+func Table1Table(rows []Table1Row) *Table {
+	t := &Table{
+		Title:  "Table 1: cluster platforms for evaluation of MPI performance",
+		Header: "ID\tMachine\tInterconnect\tMPI\tOSC",
+	}
+	for _, r := range rows {
+		t.Add("%s\t%s\t%s\t%s\t%s", r.ID, r.Machine, r.Interconnect, r.MPI, r.OSC)
+	}
+	return t
 }

@@ -28,11 +28,35 @@ import (
 // OneVsTwoSidedResult summarizes the comparison.
 type OneVsTwoSidedResult struct {
 	// PingPong: per-round-trip latency.
-	TwoSidedPingPong time.Duration
-	OneSidedPingPong time.Duration
+	TwoSidedPingPong time.Duration `json:"two_sided_pingpong_ns"`
+	OneSidedPingPong time.Duration `json:"one_sided_pingpong_ns"`
 	// BusyTarget: total completion time of the access phase.
-	TwoSidedBusy time.Duration
-	OneSidedBusy time.Duration
+	TwoSidedBusy time.Duration `json:"two_sided_busy_ns"`
+	OneSidedBusy time.Duration `json:"one_sided_busy_ns"`
+}
+
+// OneVsTwoSidedTable formats the comparison; a side wins a scenario when it
+// is more than 5 % faster.
+func OneVsTwoSidedTable(r OneVsTwoSidedResult) *Table {
+	winner := func(two, one time.Duration) string {
+		switch {
+		case float64(one) < float64(two)*0.95:
+			return "one-sided"
+		case float64(two) < float64(one)*0.95:
+			return "two-sided"
+		default:
+			return "tie"
+		}
+	}
+	t := &Table{
+		Title:  "One-sided vs two-sided communication (paper §6)",
+		Header: "scenario\ttwo-sided\tone-sided\twinner",
+	}
+	t.Add("synchronized ping-pong (per round)\t%v\t%v\t%s",
+		r.TwoSidedPingPong, r.OneSidedPingPong, winner(r.TwoSidedPingPong, r.OneSidedPingPong))
+	t.Add("%d x %dB access to a busy target\t%v\t%v\t%s", busyAccesses, busyAccessBytes,
+		r.TwoSidedBusy, r.OneSidedBusy, winner(r.TwoSidedBusy, r.OneSidedBusy))
+	return t
 }
 
 // RunOneVsTwoSided executes both scenarios on a 2-node cluster.
@@ -48,25 +72,7 @@ func RunOneVsTwoSided() OneVsTwoSidedResult {
 const ppRounds = 32
 
 func twoSidedPingPong() time.Duration {
-	var d time.Duration
-	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), func(c *mpi.Comm) {
-		buf := make([]byte, 8)
-		c.Barrier()
-		start := c.WtimeDuration()
-		for i := 0; i < ppRounds; i++ {
-			if c.Rank() == 0 {
-				c.Send(buf, 8, datatype.Byte, 1, 0)
-				c.Recv(buf, 8, datatype.Byte, 1, 1)
-			} else {
-				c.Recv(buf, 8, datatype.Byte, 0, 0)
-				c.Send(buf, 8, datatype.Byte, 0, 1)
-			}
-		}
-		if c.Rank() == 0 {
-			d = (c.WtimeDuration() - start) / ppRounds
-		}
-	})
-	return d
+	return pingPongElapsed(2, 1, 8, ppRounds) / ppRounds
 }
 
 func oneSidedPingPong() time.Duration {

@@ -60,6 +60,11 @@ func TestDTBenchSuiteInvariants(t *testing.T) {
 func TestDMARendezvousOption(t *testing.T) {
 	// The §6 outlook: large contiguous chunks over the DMA engine. The CPU
 	// is freed (not modeled as time here), at the price of bandwidth.
+	contigBWWithDMA := func(dmaMin int64) float64 { // dmaMin 0 = PIO
+		cfg := mpi.DefaultConfig(2, 1)
+		cfg.Protocol.DMAMin = dmaMin
+		return contigBWOn(cfg)
+	}
 	bwPIO := contigBWWithDMA(0)
 	bwDMA := contigBWWithDMA(64 << 10)
 	if bwDMA >= bwPIO {
@@ -97,8 +102,8 @@ func TestNICStackMatchesAnalyticPlatformClass(t *testing.T) {
 	// class of result: generic-only noncontig well below contiguous, and
 	// similar contiguous bandwidth.
 	cfg := mpi.NICConfig(2, 1, nic.Myrinet1280())
-	simContig := contigBWCfg(cfg)
-	simNC := noncontigBWWith(cfg, 512, true) // ff enabled but useless on a NIC
+	simContig := contigBWOn(cfg)
+	simNC := vectorBW(staticPath(cfg, true), 512) // ff enabled but useless on a NIC
 
 	pl := platform.SCoreMyrinet()
 	anaNC, anaContig := pl.NoncontigBW(512, NoncontigTotal)

@@ -14,12 +14,12 @@ import (
 
 // PingPongResult is one message-size sample.
 type PingPongResult struct {
-	Size int64
+	Size int64 `json:"size"`
 	// Half round-trip latency (µs) and resulting bandwidth (MiB/s).
-	InterLatUS float64
-	InterBW    float64
-	IntraLatUS float64
-	IntraBW    float64
+	InterLatUS float64 `json:"sci_us"`
+	InterBW    float64 `json:"sci_mibs"`
+	IntraLatUS float64 `json:"shm_us"`
+	IntraBW    float64 `json:"shm_mibs"`
 }
 
 // RunPingPong sweeps the given message sizes.
@@ -35,9 +35,20 @@ func RunPingPong(sizes []int64) []PingPongResult {
 
 func pingPong(nodes, procs int, size int64) (latUS, bw float64) {
 	const rounds = 16
+	half := pingPongElapsed(nodes, procs, size, rounds) / (2 * rounds)
+	if half <= 0 {
+		return 0, 0
+	}
+	return half.Seconds() * 1e6, float64(size) / half.Seconds() / MiB
+}
+
+// pingPongElapsed is the two-sided echo kernel: after a barrier the two
+// ranks of a cluster of the given shape bounce a size-byte message rounds
+// times; it returns rank 0's elapsed virtual time.
+func pingPongElapsed(nodes, procs int, size int64, rounds int) time.Duration {
 	var elapsed time.Duration
-	buf := make([]byte, size)
 	mpi.Run(instrument(mpi.DefaultConfig(nodes, procs)), func(c *mpi.Comm) {
+		buf := make([]byte, size)
 		c.Barrier()
 		start := c.WtimeDuration()
 		for i := 0; i < rounds; i++ {
@@ -53,31 +64,14 @@ func pingPong(nodes, procs int, size int64) (latUS, bw float64) {
 			elapsed = c.WtimeDuration() - start
 		}
 	})
-	half := elapsed / (2 * rounds)
-	if half <= 0 {
-		return 0, 0
-	}
-	return half.Seconds() * 1e6, float64(size) / half.Seconds() / MiB
+	return elapsed
 }
 
 // PingPongFigure formats the sweep.
 func PingPongFigure(results []PingPongResult) *Figure {
-	f := &Figure{
-		Title:  "Ping-pong: half round trip latency (µs) and bandwidth (MiB/s)",
-		XLabel: "size",
-		YLabel: "µs / MiB/s",
-	}
-	s := []Series{
-		{Label: "SCI-lat-µs"}, {Label: "SCI-MiB/s"},
-		{Label: "shm-lat-µs"}, {Label: "shm-MiB/s"},
-	}
-	for _, r := range results {
-		f.X = append(f.X, float64(r.Size))
-		s[0].Values = append(s[0].Values, r.InterLatUS)
-		s[1].Values = append(s[1].Values, r.InterBW)
-		s[2].Values = append(s[2].Values, r.IntraLatUS)
-		s[3].Values = append(s[3].Values, r.IntraBW)
-	}
-	f.Series = s
-	return f
+	return curves("Ping-pong: half round trip latency (µs) and bandwidth (MiB/s)", "size", "µs / MiB/s",
+		[]string{"SCI-lat-µs", "SCI-MiB/s", "shm-lat-µs", "shm-MiB/s"}, results,
+		func(r PingPongResult) (int64, []float64) {
+			return r.Size, []float64{r.InterLatUS, r.InterBW, r.IntraLatUS, r.IntraBW}
+		})
 }

@@ -11,17 +11,17 @@ import (
 // RawResult is one row of the Figure 1 reproduction: raw SCI communication
 // performance for one transfer size.
 type RawResult struct {
-	Size int64
+	Size int64 `json:"size"`
 	// Latencies (one transfer, data visible at the target).
-	PIOWriteLatency time.Duration
-	PIOReadLatency  time.Duration
-	DMALatency      time.Duration
+	PIOWriteLatency time.Duration `json:"pio_write_ns"`
+	PIOReadLatency  time.Duration `json:"pio_read_ns"`
+	DMALatency      time.Duration `json:"dma_ns"`
 	// Bandwidths (back-to-back transfers), MiB/s.
-	PIOWriteBW float64
-	PIOReadBW  float64
-	DMABW      float64
+	PIOWriteBW float64 `json:"pio_write_mibs"`
+	PIOReadBW  float64 `json:"pio_read_mibs"`
+	DMABW      float64 `json:"dma_mibs"`
 	// ShmCopyBW is the intra-node copy bandwidth reference.
-	ShmCopyBW float64
+	ShmCopyBW float64 `json:"shm_copy_mibs"`
 }
 
 // RunRaw reproduces Figure 1: latency and bandwidth of PIO and DMA
@@ -99,40 +99,19 @@ func runRawSize(size int64) RawResult {
 
 // RawFigure formats the bandwidth part of Figure 1.
 func RawFigure(results []RawResult) *Figure {
-	f := &Figure{
-		Title:  "Figure 1 (bottom): raw SCI bandwidth",
-		XLabel: "size",
-		YLabel: "MiB/s",
-	}
-	pw := Series{Label: "PIO-write"}
-	pr := Series{Label: "PIO-read"}
-	dm := Series{Label: "DMA"}
-	for _, r := range results {
-		f.X = append(f.X, float64(r.Size))
-		pw.Values = append(pw.Values, r.PIOWriteBW)
-		pr.Values = append(pr.Values, r.PIOReadBW)
-		dm.Values = append(dm.Values, r.DMABW)
-	}
-	f.Series = []Series{pw, pr, dm}
-	return f
+	return curves("Figure 1 (bottom): raw SCI bandwidth", "size", "MiB/s",
+		[]string{"PIO-write", "PIO-read", "DMA"}, results,
+		func(r RawResult) (int64, []float64) {
+			return r.Size, []float64{r.PIOWriteBW, r.PIOReadBW, r.DMABW}
+		})
 }
 
 // RawLatencyFigure formats the latency part of Figure 1 (µs).
 func RawLatencyFigure(results []RawResult) *Figure {
-	f := &Figure{
-		Title:  "Figure 1 (top): raw SCI small-data latency",
-		XLabel: "size",
-		YLabel: "microseconds",
-	}
-	pw := Series{Label: "PIO-write"}
-	pr := Series{Label: "PIO-read"}
-	dm := Series{Label: "DMA"}
-	for _, r := range results {
-		f.X = append(f.X, float64(r.Size))
-		pw.Values = append(pw.Values, r.PIOWriteLatency.Seconds()*1e6)
-		pr.Values = append(pr.Values, r.PIOReadLatency.Seconds()*1e6)
-		dm.Values = append(dm.Values, r.DMALatency.Seconds()*1e6)
-	}
-	f.Series = []Series{pw, pr, dm}
-	return f
+	us := func(d time.Duration) float64 { return d.Seconds() * 1e6 }
+	return curves("Figure 1 (top): raw SCI small-data latency", "size", "microseconds",
+		[]string{"PIO-write", "PIO-read", "DMA"}, results,
+		func(r RawResult) (int64, []float64) {
+			return r.Size, []float64{us(r.PIOWriteLatency), us(r.PIOReadLatency), us(r.DMALatency)}
+		})
 }

@@ -1,13 +1,16 @@
 // Package bench contains the experiment drivers that regenerate every
-// table and figure of the paper's evaluation, plus formatting helpers. Each
-// driver returns structured results; the cmd/ binaries print them and
-// bench_test.go exposes them as testing.B benchmarks.
+// table and figure of the paper's evaluation, the table that lists them
+// (Suites) and the two renderers they share (Figure, Table). Each driver
+// returns structured results; cmd/repro prints any subset of the table,
+// cmd/benchjson writes the rows that are committed artefacts, and
+// bench_test.go exposes the drivers as testing.B benchmarks.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"scimpich/internal/obs"
@@ -74,6 +77,55 @@ func (f *Figure) CSV(w io.Writer) {
 		fmt.Fprintln(w, strings.Join(row, ","))
 	}
 }
+
+// curves builds the figure of a sweep: one x-axis point per row, one series
+// per label; point returns a row's x and its value on each series.
+func curves[R any](title, xlabel, ylabel string, labels []string, rows []R, point func(R) (x int64, ys []float64)) *Figure {
+	f := &Figure{Title: title, XLabel: xlabel, YLabel: ylabel, Series: make([]Series, len(labels))}
+	for i, l := range labels {
+		f.Series[i].Label = l
+	}
+	for _, r := range rows {
+		x, ys := point(r)
+		f.X = append(f.X, float64(x))
+		for i, y := range ys {
+			f.Series[i].Values = append(f.Series[i].Values, y)
+		}
+	}
+	return f
+}
+
+// Table is a titled grid of formatted cells: the renderer of every result
+// that is not a set of curves over one axis. It has one form, aligned
+// columns, also under -csv (as the tables always had).
+type Table struct {
+	Title  string
+	Header string   // tab-separated column names
+	Rows   []string // tab-separated cells
+}
+
+// Add appends one row; format separates the cells with tabs.
+func (t *Table) Add(format string, args ...any) {
+	t.Rows = append(t.Rows, fmt.Sprintf(format, args...))
+}
+
+// Print renders the table with aligned columns.
+func (t *Table) Print(w io.Writer) {
+	fmt.Fprintf(w, "# %s\n", t.Title)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, t.Header)
+	for _, r := range t.Rows {
+		fmt.Fprintln(tw, r)
+	}
+	tw.Flush()
+	fmt.Fprintln(w)
+}
+
+// text is a block already rendered: the fixed-width matrices of the
+// artefact suites.
+type text string
+
+func (t text) Print(w io.Writer) { io.WriteString(w, string(t)) }
 
 func formatX(x float64) string {
 	if x == float64(int64(x)) {

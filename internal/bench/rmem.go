@@ -127,12 +127,6 @@ func RunRmemBench(seed uint64) (rows []RmemResult, ok bool) {
 	return []RmemResult{base, churn}, ok
 }
 
-// WriteRmemJSON writes the failover suite as an indented JSON artifact (the
-// BENCH_rmem.json availability gate).
-func WriteRmemJSON(path string, results []RmemResult) error {
-	return writeArtifact(path, "rmem", results)
-}
-
 // FormatRmem renders the failover suite as an aligned text table.
 func FormatRmem(results []RmemResult) string {
 	out := "rmem (replicated remote-memory failover):\n"

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"scimpich/internal/flow"
@@ -26,15 +28,35 @@ const RingNodes = 8
 
 // Table2Row is one row of Table 2.
 type Table2Row struct {
-	ActiveNodes int
+	ActiveNodes int `json:"nodes"`
 	// 1 transfer/segment scenario (neighbour transfers).
-	PerNode1 float64 // MiB/s
-	Acc1     float64
+	PerNode1 float64 `json:"per_node_1_mibs"`
+	Acc1     float64 `json:"acc_1_mibs"`
 	// 8 transfers/segment scenario (full-loop transfers, dual-SMP nodes).
-	PerNode8 float64
-	Acc8     float64
-	Load     float64 // offered ring load, fraction of nominal
-	Eff      float64 // achieved fraction of nominal
+	PerNode8 float64 `json:"per_node_8_mibs"`
+	Acc8     float64 `json:"acc_8_mibs"`
+	Load     float64 `json:"load"` // offered ring load, fraction of nominal
+	Eff      float64 `json:"eff"`  // achieved fraction of nominal
+}
+
+// Table2 is Table 2 at one link frequency.
+type Table2 struct {
+	MHz  float64     `json:"link_mhz"`
+	Rows []Table2Row `json:"rows"`
+}
+
+// Table2Table formats one link frequency's Table 2.
+func Table2Table(t2 Table2) *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Table 2: scalability for different segment utilization levels (%.0f MHz links, %.0f MiB/s nominal)",
+			t2.MHz, ring.BandwidthForMHz(t2.MHz)/MiB),
+		Header: "nodes\t1 tr/seg p.node\tacc.\t8 tr/seg p.node\tacc.\tload\teff.",
+	}
+	for _, r := range t2.Rows {
+		t.Add("%d\t%.2f\t%.1f\t%.2f\t%.1f\t%.1f%%\t%.1f%%",
+			r.ActiveNodes, r.PerNode1, r.Acc1, r.PerNode8, r.Acc8, r.Load*100, r.Eff*100)
+	}
+	return t
 }
 
 // RunTable2 reproduces Table 2 for the given link frequency (166 MHz in the
@@ -84,16 +106,11 @@ func ringScenario(mhz float64, activeNodes, procsPerNode int, neighbour bool, di
 		var path []flow.Hop
 		switch {
 		case neighbour:
-			path = append(path, flow.Path(ic.Ring.Route(n, (n+1)%RingNodes)...)...)
-			for _, l := range ic.Ring.Route((n+1)%RingNodes, n) {
-				path = append(path, flow.Hop{Link: l, Weight: cfg.EchoFraction})
-			}
+			next := (n + 1) % RingNodes
+			path = putPath(ic.Ring.Route(n, next), ic.Ring.Route(next, n), cfg.EchoFraction)
 		case distance > 0:
 			dst := (n + distance) % RingNodes
-			path = append(path, flow.Path(ic.Ring.Route(n, dst)...)...)
-			for _, l := range ic.Ring.Route(dst, n) {
-				path = append(path, flow.Hop{Link: l, Weight: cfg.EchoFraction})
-			}
+			path = putPath(ic.Ring.Route(n, dst), ic.Ring.Route(dst, n), cfg.EchoFraction)
 		default:
 			// Full loop: the transfer crosses every segment (maximal
 			// utilization); the "echo" path is empty.
@@ -136,6 +153,16 @@ func ringScenario(mhz float64, activeNodes, procsPerNode int, neighbour bool, di
 	return acc / float64(activeNodes), acc, maxSegLoad
 }
 
+// putPath is the path of one sustained put: the route to the target at full
+// weight, then the flow-control echo traffic on the route back.
+func putPath(out, back []*flow.Link, echoFraction float64) []flow.Hop {
+	path := flow.Path(out...)
+	for _, l := range back {
+		path = append(path, flow.Hop{Link: l, Weight: echoFraction})
+	}
+	return path
+}
+
 // minFairness maps offered ring load to the ratio between the slowest
 // process's bandwidth and the mean (Figure 12 plots "the minimum of the
 // per-process maximum bandwidths"). SCI ringlets are position-unfair under
@@ -157,14 +184,14 @@ func minFairness(load float64) float64 {
 
 // ScalingPoint is one (processes, per-process bandwidth) sample.
 type ScalingPoint struct {
-	Procs int
-	BW    float64 // MiB/s
+	Procs int     `json:"procs"`
+	BW    float64 `json:"mibs"`
 }
 
 // ScalingSeries is one platform's Figure 12 curve.
 type ScalingSeries struct {
-	ID     string
-	Points []ScalingPoint
+	ID     string         `json:"id"`
+	Points []ScalingPoint `json:"points"`
 }
 
 // RunScaling reproduces Figure 12: per-process one-sided put bandwidth
@@ -217,12 +244,7 @@ func ScalingFigure(series []ScalingSeries) *Figure {
 			}
 		}
 	}
-	// Insertion sort: the axis is tiny.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	slices.Sort(xs)
 	f := &Figure{
 		Title:  "Figure 12: scaling of one-sided strided communication (per-process MiB/s, min over processes)",
 		XLabel: "procs",

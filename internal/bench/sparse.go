@@ -20,13 +20,17 @@ const SparseWinSize int64 = 256 << 10
 
 // SparseResult is one access-size row of Figure 9.
 type SparseResult struct {
-	AccessSize int64
+	AccessSize int64 `json:"access_size"`
 	// Per-call latency (µs) and aggregate bandwidth (MiB/s), for put/get
 	// on windows in shared SCI memory and in private memory.
-	PutSharedLat, PutSharedBW   float64
-	GetSharedLat, GetSharedBW   float64
-	PutPrivateLat, PutPrivateBW float64
-	GetPrivateLat, GetPrivateBW float64
+	PutSharedLat  float64 `json:"put_shared_us"`
+	PutSharedBW   float64 `json:"put_shared_mibs"`
+	GetSharedLat  float64 `json:"get_shared_us"`
+	GetSharedBW   float64 `json:"get_shared_mibs"`
+	PutPrivateLat float64 `json:"put_private_us"`
+	PutPrivateBW  float64 `json:"put_private_mibs"`
+	GetPrivateLat float64 `json:"get_private_us"`
+	GetPrivateBW  float64 `json:"get_private_mibs"`
 }
 
 // RunSparse reproduces Figure 9 (two processes on distinct nodes).
@@ -34,21 +38,22 @@ func RunSparse(accessSizes []int64) []SparseResult {
 	out := make([]SparseResult, len(accessSizes))
 	for i, a := range accessSizes {
 		out[i].AccessSize = a
-		out[i].PutSharedLat, out[i].PutSharedBW = sparseRun(a, true, true)
-		out[i].GetSharedLat, out[i].GetSharedBW = sparseRun(a, false, true)
-		out[i].PutPrivateLat, out[i].PutPrivateBW = sparseRun(a, true, false)
-		out[i].GetPrivateLat, out[i].GetPrivateBW = sparseRun(a, false, false)
+		out[i].PutSharedLat, out[i].PutSharedBW = sparseRun(2, 1, a, true, true)
+		out[i].GetSharedLat, out[i].GetSharedBW = sparseRun(2, 1, a, false, true)
+		out[i].PutPrivateLat, out[i].PutPrivateBW = sparseRun(2, 1, a, true, false)
+		out[i].GetPrivateLat, out[i].GetPrivateBW = sparseRun(2, 1, a, false, false)
 	}
 	return out
 }
 
-// sparseRun executes the figure 8 pseudo-code for one access size and
-// returns (per-call latency in µs, bandwidth in MiB/s).
-func sparseRun(accessSize int64, put, shared bool) (float64, float64) {
+// sparseRun executes the figure 8 pseudo-code for one access size between
+// the two ranks of a cluster of the given shape (2x1: across SCI, 1x2:
+// intra-node) and returns (per-call latency in µs, bandwidth in MiB/s).
+func sparseRun(nodes, procs int, accessSize int64, put, shared bool) (float64, float64) {
 	var elapsed time.Duration
 	var calls int64
 	var moved int64
-	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), func(c *mpi.Comm) {
+	mpi.Run(instrument(mpi.DefaultConfig(nodes, procs)), func(c *mpi.Comm) {
 		s := osc.NewSystem(c)
 		var w *osc.Win
 		if shared {
@@ -85,55 +90,30 @@ func sparseRun(accessSize int64, put, shared bool) (float64, float64) {
 	return latUS, BWMiB(moved, elapsed)
 }
 
+// sparseLabels names the four curves of Figure 9.
+var sparseLabels = []string{"put-shared", "get-shared", "put-private", "get-private"}
+
 // SparseLatencyFigure formats the latency half of Figure 9.
 func SparseLatencyFigure(results []SparseResult) *Figure {
-	f := &Figure{
-		Title:  "Figure 9 (top): sparse one-sided latency (µs per call)",
-		XLabel: "access",
-		YLabel: "µs",
-	}
-	s := []Series{
-		{Label: "put-shared"}, {Label: "get-shared"},
-		{Label: "put-private"}, {Label: "get-private"},
-	}
-	for _, r := range results {
-		f.X = append(f.X, float64(r.AccessSize))
-		s[0].Values = append(s[0].Values, r.PutSharedLat)
-		s[1].Values = append(s[1].Values, r.GetSharedLat)
-		s[2].Values = append(s[2].Values, r.PutPrivateLat)
-		s[3].Values = append(s[3].Values, r.GetPrivateLat)
-	}
-	f.Series = s
-	return f
+	return curves("Figure 9 (top): sparse one-sided latency (µs per call)", "access", "µs", sparseLabels, results,
+		func(r SparseResult) (int64, []float64) {
+			return r.AccessSize, []float64{r.PutSharedLat, r.GetSharedLat, r.PutPrivateLat, r.GetPrivateLat}
+		})
 }
 
 // SparseBandwidthFigure formats the bandwidth half of Figure 9.
 func SparseBandwidthFigure(results []SparseResult) *Figure {
-	f := &Figure{
-		Title:  "Figure 9 (bottom): sparse one-sided bandwidth (MiB/s)",
-		XLabel: "access",
-		YLabel: "MiB/s",
-	}
-	s := []Series{
-		{Label: "put-shared"}, {Label: "get-shared"},
-		{Label: "put-private"}, {Label: "get-private"},
-	}
-	for _, r := range results {
-		f.X = append(f.X, float64(r.AccessSize))
-		s[0].Values = append(s[0].Values, r.PutSharedBW)
-		s[1].Values = append(s[1].Values, r.GetSharedBW)
-		s[2].Values = append(s[2].Values, r.PutPrivateBW)
-		s[3].Values = append(s[3].Values, r.GetPrivateBW)
-	}
-	f.Series = s
-	return f
+	return curves("Figure 9 (bottom): sparse one-sided bandwidth (MiB/s)", "access", "MiB/s", sparseLabels, results,
+		func(r SparseResult) (int64, []float64) {
+			return r.AccessSize, []float64{r.PutSharedBW, r.GetSharedBW, r.PutPrivateBW, r.GetPrivateBW}
+		})
 }
 
 // PlatformSparseResult is one platform's sparse curve (Figure 11).
 type PlatformSparseResult struct {
-	ID  string
-	Lat []float64 // µs per call
-	BW  []float64 // MiB/s
+	ID  string    `json:"id"`
+	Lat []float64 `json:"us"`   // µs per call
+	BW  []float64 `json:"mibs"` // MiB/s
 }
 
 // RunPlatformSparse reproduces Figure 11: the sparse benchmark on every
@@ -157,45 +137,15 @@ func RunPlatformSparse(accessSizes []int64) []PlatformSparseResult {
 	ms := PlatformSparseResult{ID: "M-S"}
 	mshm := PlatformSparseResult{ID: "M-s"}
 	for _, a := range accessSizes {
-		lat, bw := sparseRun(a, true, true)
+		lat, bw := sparseRun(2, 1, a, true, true)
 		ms.Lat = append(ms.Lat, lat)
 		ms.BW = append(ms.BW, bw)
-		lat, bw = sparseIntraRun(a)
+		lat, bw = sparseRun(1, 2, a, true, true)
 		mshm.Lat = append(mshm.Lat, lat)
 		mshm.BW = append(mshm.BW, bw)
 	}
 	out = append(out, ms, mshm)
 	return out
-}
-
-// sparseIntraRun runs the put benchmark intra-node (two procs, one node).
-func sparseIntraRun(accessSize int64) (float64, float64) {
-	var elapsed time.Duration
-	var calls, moved int64
-	mpi.Run(instrument(mpi.DefaultConfig(1, 2)), func(c *mpi.Comm) {
-		s := osc.NewSystem(c)
-		w := s.CreateShared(c.AllocShared(SparseWinSize), osc.DefaultConfig())
-		partner := 1 - c.Rank()
-		buf := make([]byte, accessSize)
-		stride := 2 * accessSize
-		w.Fence()
-		start := c.WtimeDuration()
-		var n, bytes int64
-		for off := int64(0); off+accessSize < SparseWinSize; off += stride {
-			w.Put(buf, int(accessSize), datatype.Byte, partner, off)
-			n++
-			bytes += accessSize
-		}
-		w.Fence()
-		if c.Rank() == 0 {
-			elapsed = c.WtimeDuration() - start
-			calls, moved = n, bytes
-		}
-	})
-	if calls == 0 {
-		return 0, 0
-	}
-	return elapsed.Seconds() * 1e6 / float64(calls), BWMiB(moved, elapsed)
 }
 
 // PlatformSparseFigure formats Figure 11 (bandwidth view).

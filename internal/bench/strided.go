@@ -16,10 +16,10 @@ import (
 
 // StridedResult is one (access size, stride) measurement.
 type StridedResult struct {
-	AccessSize int64
-	Stride     int64
-	BW         float64 // MiB/s, write-combining on
-	BWNoWC     float64 // MiB/s, write-combining off
+	AccessSize int64   `json:"access_size"`
+	Stride     int64   `json:"stride"`
+	BW         float64 `json:"wc_on_mibs"`  // write-combining on
+	BWNoWC     float64 `json:"wc_off_mibs"` // write-combining off
 }
 
 // RunStrided sweeps strides for the given access sizes. For each access
@@ -67,9 +67,10 @@ func stridedBW(access, stride int64, writeCombine bool) float64 {
 // StridedExtremes returns, per access size, the min and max bandwidth over
 // the stride sweep (the form in which §4.3 quotes the numbers).
 type StridedExtremes struct {
-	AccessSize   int64
-	MinBW, MaxBW float64
-	BestStride   int64
+	AccessSize int64   `json:"access_size"`
+	MinBW      float64 `json:"min_mibs"`
+	MaxBW      float64 `json:"max_mibs"`
+	BestStride int64   `json:"best_stride"`
 }
 
 // Extremes summarizes a stride sweep.
@@ -98,23 +99,45 @@ func Extremes(results []StridedResult) []StridedExtremes {
 	return out
 }
 
-// StridedFigure formats the sweep for one access size.
-func StridedFigure(results []StridedResult, access int64) *Figure {
-	f := &Figure{
-		Title:  "§4.3 low-level strided remote write bandwidth",
-		XLabel: "stride",
-		YLabel: "MiB/s",
+// ExtremesTable formats the per-access-size extremes.
+func ExtremesTable(extremes []StridedExtremes) *Table {
+	t := &Table{
+		Title:  "§4.3: strided remote-write bandwidth extremes over the stride sweep",
+		Header: "access\tmin MiB/s\tmax MiB/s\tbest stride",
 	}
-	wc := Series{Label: "WC-on"}
-	nowc := Series{Label: "WC-off"}
+	for _, e := range extremes {
+		t.Add("%d\t%.1f\t%.1f\t%d", e.AccessSize, e.MinBW, e.MaxBW, e.BestStride)
+	}
+	return t
+}
+
+// StridedSweepAccess is the access size whose full stride sweep is printed
+// (and committed) beside the extremes.
+const StridedSweepAccess = 256
+
+// StridedReport is the §4.3 study as it is published: the extremes of every
+// access size and the full stride sweep of one.
+type StridedReport struct {
+	Extremes []StridedExtremes `json:"extremes"`
+	Sweep    []StridedResult   `json:"sweep"`
+}
+
+// RunStridedReport sweeps the given access sizes and keeps the extremes of
+// each plus the sweep at StridedSweepAccess.
+func RunStridedReport(accessSizes []int64) StridedReport {
+	results := RunStrided(accessSizes)
+	rep := StridedReport{Extremes: Extremes(results)}
 	for _, r := range results {
-		if r.AccessSize != access {
-			continue
+		if r.AccessSize == StridedSweepAccess {
+			rep.Sweep = append(rep.Sweep, r)
 		}
-		f.X = append(f.X, float64(r.Stride))
-		wc.Values = append(wc.Values, r.BW)
-		nowc.Values = append(nowc.Values, r.BWNoWC)
 	}
-	f.Series = []Series{wc, nowc}
-	return f
+	return rep
+}
+
+// StridedFigure formats one access size's stride sweep.
+func StridedFigure(sweep []StridedResult) *Figure {
+	return curves("§4.3 low-level strided remote write bandwidth", "stride", "MiB/s",
+		[]string{"WC-on", "WC-off"}, sweep,
+		func(r StridedResult) (int64, []float64) { return r.Stride, []float64{r.BW, r.BWNoWC} })
 }

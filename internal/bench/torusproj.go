@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"scimpich/internal/flow"
@@ -20,9 +21,39 @@ import (
 
 // TorusRow is one topology's outcome.
 type TorusRow struct {
-	Topology string
-	Nodes    int
-	PerNode  float64 // MiB/s
+	Topology string  `json:"topology"`
+	Nodes    int     `json:"nodes"`
+	PerNode  float64 `json:"per_node_mibs"`
+}
+
+// TorusOutlook is the §6 outlook in both forms: the analytic projection
+// (steady-state flow rates) and the measured run — the whole machine
+// executing a chunked ring allreduce on the sharded engine.
+type TorusOutlook struct {
+	Projection []TorusRow   `json:"projection"`
+	Measured   EngineResult `json:"measured"`
+}
+
+// TorusMHz is the link frequency the paper's projection assumes.
+const TorusMHz = 200
+
+// TorusTables formats the outlook.
+func TorusTables(o TorusOutlook) (projection, measured *Table) {
+	projection = &Table{
+		Title:  fmt.Sprintf("§6 outlook: 512-node scaling projection (%d MHz links, distance-4 puts)", TorusMHz),
+		Header: "topology\tnodes\tper-node MiB/s",
+	}
+	for _, r := range o.Projection {
+		projection.Add("%s\t%d\t%.1f", r.Topology, r.Nodes, r.PerNode)
+	}
+	m := o.Measured
+	measured = &Table{
+		Title:  fmt.Sprintf("measured: %d-node ring allreduce, sharded engine (%d z-plane shards)", m.Nodes, m.Shards),
+		Header: "nodes\tshards\tsteps\tevents\twindows\tvirtual\tchecksum",
+	}
+	measured.Add("%d\t%d\t%d\t%d\t%d\t%v\t%s",
+		m.Nodes, m.Shards, m.Steps, m.Events, m.Windows, time.Duration(m.VirtualNS), m.Checksum)
+	return projection, measured
 }
 
 // RunTorusProjection runs the three scenarios at the given link frequency
@@ -47,75 +78,51 @@ func ringletScenario(mhz float64) float64 {
 // Per-ring load matches the single-ringlet scenario exactly; the point is
 // that it does so for every one of the 64 x-rings simultaneously.
 func torusScenario(mhz float64) float64 {
-	f := sim.NewLocalFabric(1, time.Microsecond)
-	e := f.Locale(0)
-	net := flow.NewNetworkOn(e)
-	net.SetMetrics(obsMetrics)
-	cfg := sci.DefaultConfig(RingNodes)
-	cfg.LinkMHz = mhz
 	to := torus.New(8, 8, 8, ring.BandwidthForMHz(mhz), flow.SCIRingCongestion{})
-	srcCap := cfg.SustainedPutBW
-
+	echo := sci.DefaultConfig(RingNodes).EchoFraction
 	var paths [][]flow.Hop
 	for z := 0; z < 8; z++ {
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
 				a := to.NodeID(x, y, z)
 				b := to.NodeID((x+4)%8, y, z)
-				var hops []flow.Hop
-				for _, l := range to.Route(a, b) {
-					hops = append(hops, flow.Hop{Link: l, Weight: 1})
-				}
-				// Flow-control echo on the return path of the x-ring.
-				for _, l := range to.Route(b, a) {
-					hops = append(hops, flow.Hop{Link: l, Weight: cfg.EchoFraction})
-				}
-				paths = append(paths, hops)
+				// The echo returns on the x-ring.
+				paths = append(paths, putPath(to.Route(a, b), to.Route(b, a), echo))
 			}
 		}
 	}
-	return runFlows(f, net, paths, srcCap, 512)
+	return runFlows(paths)
 }
 
 // giantRingScenario: 512 nodes on ONE ring, each sending distance 256 —
 // what scaling without the torus would look like.
 func giantRingScenario(mhz float64) float64 {
+	r := ring.New(512, ring.BandwidthForMHz(mhz), flow.SCIRingCongestion{})
+	echo := sci.DefaultConfig(RingNodes).EchoFraction
+	var paths [][]flow.Hop
+	for n := 0; n < 512; n++ {
+		dst := (n + 256) % 512
+		paths = append(paths, putPath(r.Route(n, dst), r.Route(dst, n), echo))
+	}
+	return runFlows(paths)
+}
+
+// runFlows drives one sustained put per path to completion, each capped at
+// the adapter's sustained put rate, and returns per-node MiB/s.
+func runFlows(paths [][]flow.Hop) float64 {
 	f := sim.NewLocalFabric(1, time.Microsecond)
 	e := f.Locale(0)
 	net := flow.NewNetworkOn(e)
 	net.SetMetrics(obsMetrics)
-	cfg := sci.DefaultConfig(RingNodes)
-	cfg.LinkMHz = mhz
-	r := ring.New(512, ring.BandwidthForMHz(mhz), flow.SCIRingCongestion{})
-	srcCap := cfg.SustainedPutBW
-
-	var paths [][]flow.Hop
-	for n := 0; n < 512; n++ {
-		dst := (n + 256) % 512
-		var hops []flow.Hop
-		for _, l := range r.Route(n, dst) {
-			hops = append(hops, flow.Hop{Link: l, Weight: 1})
-		}
-		for _, l := range r.Route(dst, n) {
-			hops = append(hops, flow.Hop{Link: l, Weight: cfg.EchoFraction})
-		}
-		paths = append(paths, hops)
-	}
-	return runFlows(f, net, paths, srcCap, 512)
-}
-
-// runFlows drives the scenario to completion and returns per-node MiB/s.
-func runFlows(f sim.Fabric, net *flow.Network, paths [][]flow.Hop, srcCap float64, nodes int) float64 {
-	e := f.Locale(0)
 	var elapsed time.Duration
 	e.Go("driver", func(p *sim.Proc) {
 		start := p.Now()
-		flows := net.StartBatch(paths, projBytes, srcCap)
+		flows := net.StartBatch(paths, projBytes, sci.DefaultConfig(RingNodes).SustainedPutBW)
 		for _, f := range flows {
 			p.Await(f.Done())
 		}
 		elapsed = p.Now() - start
 	})
 	f.Run()
-	return BWMiB(int64(len(paths))*projBytes, elapsed) / float64(nodes)
+	return BWMiB(int64(len(paths))*projBytes, elapsed) / float64(len(paths))
 }

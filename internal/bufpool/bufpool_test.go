@@ -2,6 +2,8 @@ package bufpool
 
 import (
 	"testing"
+
+	"scimpich/internal/allocwin"
 )
 
 func TestGetLenAndRecycle(t *testing.T) {
@@ -24,7 +26,7 @@ func TestGetLenAndRecycle(t *testing.T) {
 	if len(c.B) != 600 {
 		t.Fatalf("recycled len = %d, want 600", len(c.B))
 	}
-	if !raceEnabled && c.B[999:1000][0] != 0xAB {
+	if !allocwin.RaceEnabled && c.B[999:1000][0] != 0xAB {
 		t.Fatal("expected the recycled backing array (stale bytes preserved)")
 	}
 	c.Put()

@@ -22,7 +22,7 @@ import (
 // and bytes (see allocwin for what keeps the count repeatable).
 func hostCost(t *testing.T, cfg Config, warm, n int, round func(c *Comm, i int)) (objs, bytes float64) {
 	t.Helper()
-	if raceEnabled {
+	if allocwin.RaceEnabled {
 		t.Skip("allocation budgets are not checked under the race detector")
 	}
 	win := allocwin.New(t)
@@ -221,7 +221,7 @@ func TestAllocsWorldBudget(t *testing.T) {
 	if bytes >= 1<<20 {
 		t.Errorf("empty 8x2 world allocated %d bytes, budget is 1 MiB", bytes)
 	}
-	if raceEnabled {
+	if allocwin.RaceEnabled {
 		return // the detector allocates on its own
 	}
 	if objs > 700 {
@@ -241,7 +241,7 @@ func TestAllocsWorldBudget(t *testing.T) {
 // rank talks to its two neighbours, whatever the size) within 50 000
 // objects; it took 824 858 when every pair record was an object.
 func TestWorld512Builds(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || allocwin.RaceEnabled {
 		t.Skip("a 512-rank world takes ~100 MB; skipped under -short and -race")
 	}
 	_, _, end64 := worldCost(t, DefaultConfig(64, 1), ringExchange)

@@ -146,13 +146,13 @@ func (c *Comm) BcastChecked(buf []byte, count int, dt *datatype.Type, root int) 
 	lin := bufpool.Get(int(bytes))
 	if c.Rank() == root {
 		_, st := pack.FFPack(pack.BufferSink{Buf: lin.B}, buf, dt, count, 0, -1)
-		c.chargePackBlocks(st, true)
+		c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	}
 	err := cc.bcastOneSided(lin.B, root)
 	if err == nil {
 		if c.Rank() != root {
 			_, st := pack.FFUnpack(buf, lin.B, dt, count, 0, -1)
-			c.chargePackBlocks(st, true)
+			c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 		}
 		lin.Put() // a failed broadcast may still have a receive posted on it
 	}

@@ -65,7 +65,7 @@ func (c *Comm) newReduceView(send, recv []byte, count int, dt, base *datatype.Ty
 		v.pool = bufpool.Get(int(bytes))
 		v.buf = v.pool.B
 		_, st := pack.FFPack(pack.BufferSink{Buf: v.buf}, send, dt, count, 0, -1)
-		c.chargePackBlocks(st, true)
+		c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	case recv == nil:
 		v.pool = bufpool.Clone(send[:bytes])
 		v.buf = v.pool.B
@@ -86,7 +86,7 @@ func (v reduceView) writeback(c *Comm, recv []byte, count int, dt *datatype.Type
 		return
 	}
 	_, st := pack.FFUnpack(recv, v.buf, dt, count, 0, -1)
-	c.chargePackBlocks(st, true)
+	c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 }
 
 // release returns the view's pooled buffer, if it has one.

@@ -380,7 +380,7 @@ func (d *device) finishShort(req *Request, env *envelope) {
 func (d *device) unpackShort(p *sim.Proc, req *Request, env *envelope) {
 	d.acceptShort(req, env)
 	_, st := pack.GenericUnpack(req.buf, env.payload, req.dt, req.count, 0, env.bytes)
-	d.chargeBlocks(p, st, false)
+	d.rk.w.chargeBlocks(p, d.rk.node, st, false)
 	d.finishShort(req, env)
 }
 
@@ -397,7 +397,7 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	} else {
 		slot := mem.Bytes()[off : off+env.bytes]
 		_, st := pack.GenericUnpack(req.buf, slot, req.dt, req.count, 0, env.bytes)
-		d.chargeBlocks(p, st, false)
+		d.rk.w.chargeBlocks(p, d.rk.node, st, false)
 	}
 	// The credit goes back whether or not the slot could be read: the
 	// sender must not block on a slot this side has finished with.
@@ -536,7 +536,7 @@ func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 		// chunk was replayed.
 		st.cur.SeekTo(skip)
 		_, pst := st.cur.Unpack(st.req.buf, slot, n)
-		d.chargeBlocks(p, pst, true)
+		d.rk.w.chargeBlocks(p, d.rk.node, pst, true)
 		usp.End(p.Now())
 	case rdvGeneric:
 		// Baseline: copy the chunk out of the buffer, then unpack locally
@@ -547,7 +547,7 @@ func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 		err := mem.Read(p, off, scratch.B)
 		if err == nil {
 			_, pst := pack.GenericUnpack(st.req.buf, scratch.B, st.req.dt, st.req.count, skip, n)
-			d.chargeBlocks(p, pst, false)
+			d.rk.w.chargeBlocks(p, d.rk.node, pst, false)
 		}
 		scratch.Put()
 		usp.End(p.Now())
@@ -606,23 +606,4 @@ func (d *device) failFrom(src int, err error) {
 			req.done.Complete(err)
 		}
 	}
-}
-
-// chargeBlocks bills the local block-copy work of an unpack operation.
-// ff selects the direct_pack_ff cost model (cheap stack iteration, possible
-// cache bonus) versus the recursive-traversal baseline.
-func (d *device) chargeBlocks(p *sim.Proc, st pack.Stats, ff bool) {
-	if st.Bytes == 0 {
-		return
-	}
-	d.rk.w.countPack(st, ff)
-	m := d.mem()
-	bus := d.rk.w.buses[d.rk.node]
-	ws := st.Bytes * 2 // source chunk + scattered destination
-	if ff {
-		bus.Charge(p, st.Bytes, m.BlockCopyCostFF(st.Bytes, st.AvgBlock(), ws))
-		return
-	}
-	// The generic engine pays the recursive tree walk per block.
-	bus.Charge(p, st.Bytes, m.CopyCost(st.Bytes, st.AvgBlock(), ws)+genericTraversalPenalty(st.Blocks))
 }

@@ -136,7 +136,7 @@ func pingPongCostAt(t *testing.T, ping, pong int) (allocs, switches, events floa
 // its tag and byte count — 8 allocations per round trip at tags 1000/1001.
 // (The payload stays at 64 B: that is what makes the message short.)
 func TestAllocsPingPongBudget(t *testing.T) {
-	if raceEnabled {
+	if allocwin.RaceEnabled {
 		t.Skip("allocation budgets are not checked under the race detector")
 	}
 	small, _, _ := pingPongCostAt(t, 0, 1)

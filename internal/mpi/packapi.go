@@ -32,7 +32,7 @@ func (c *Comm) Pack(buf []byte, count int, dt *datatype.Type, out []byte, positi
 			need, *position, len(out)))
 	}
 	n, st := pack.GenericPack(out[*position:], buf, dt, count, 0, -1)
-	c.chargePackBlocks(st, false)
+	c.rk.w.chargeBlocks(c.p, c.rk.node, st, false)
 	*position += n
 }
 
@@ -48,7 +48,7 @@ func (c *Comm) Unpack(in []byte, position *int64, buf []byte, count int, dt *dat
 			need, *position, len(in)))
 	}
 	n, st := pack.GenericUnpack(buf, in[*position:*position+need], dt, count, 0, -1)
-	c.chargePackBlocks(st, false)
+	c.rk.w.chargeBlocks(c.p, c.rk.node, st, false)
 	*position += n
 }
 

@@ -186,15 +186,7 @@ func (c *Comm) watchdogExpired(peer int, format string, args ...any) error {
 // faults with exponential backoff (SendRetryMax attempts, SendBackoff
 // initial delay) before surfacing the error.
 func (c *Comm) retryTransfer(dst int, op func() error) error {
-	proto := c.rk.w.protocol()
-	max := proto.SendRetryMax
-	if max <= 0 {
-		max = 6
-	}
-	backoff := proto.SendBackoff
-	if backoff <= 0 {
-		backoff = 20 * time.Microsecond
-	}
+	max, backoff := c.rk.w.protocol().retryBudget()
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil {
@@ -225,25 +217,28 @@ func (c *Comm) packCanonical(buf []byte, count int, dt *datatype.Type, bytes int
 		return payload
 	}
 	_, st := pack.GenericPack(payload.B, buf, dt, count, 0, -1)
-	c.chargePackBlocks(st, false)
+	c.rk.w.chargeBlocks(c.p, c.rk.node, st, false)
 	return payload
 }
 
-// chargePackBlocks bills local block-copy work on the calling process.
-func (c *Comm) chargePackBlocks(st pack.Stats, ff bool) {
+// chargeBlocks bills the local block-copy work of a pack or unpack on p, a
+// process of the given node. ff selects the direct_pack_ff cost model (cheap
+// stack iteration, possible cache bonus); the generic engine pays the
+// recursive tree walk per block on top of the copy.
+func (w *World) chargeBlocks(p *sim.Proc, node int, st pack.Stats, ff bool) {
 	if st.Bytes == 0 {
 		return
 	}
-	c.rk.w.countPack(st, ff)
-	m := c.mem()
-	ws := st.Bytes * 2
-	cost := m.CopyCost(st.Bytes, st.AvgBlock(), ws)
+	w.countPack(st, ff)
+	m := w.cfg.Shm.Mem
+	ws := st.Bytes * 2 // source chunk + scattered destination
+	var cost time.Duration
 	if ff {
 		cost = m.BlockCopyCostFF(st.Bytes, st.AvgBlock(), ws)
 	} else {
-		cost += genericTraversalPenalty(st.Blocks)
+		cost = m.CopyCost(st.Bytes, st.AvgBlock(), ws) + genericTraversalPenalty(st.Blocks)
 	}
-	c.rk.w.buses[c.rk.node].Charge(c.p, st.Bytes, cost)
+	w.buses[node].Charge(p, st.Bytes, cost)
 }
 
 // sendShort carries the payload inline in the control packet.
@@ -584,7 +579,7 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 		sp.SetBytes(n)
 		scratch := bufpool.Get(int(n))
 		_, st := pack.GenericPack(scratch.B, buf, dt, count, skip, n)
-		c.chargePackBlocks(st, false)
+		c.rk.w.chargeBlocks(c.p, c.rk.node, st, false)
 		err := mem.WriteStream(c.p, off, scratch.B, n)
 		scratch.Put()
 		sp.End(c.p.Now())
@@ -627,7 +622,7 @@ func (c *Comm) depositStaged(mem smi.Mem, off int64, buf []byte, cur *pack.Curso
 	scratch := bufpool.Get(int(n))
 	cur.SeekTo(skip)
 	_, st := cur.Pack(pack.BufferSink{Buf: scratch.B}, buf, n)
-	c.chargePackBlocks(st, true)
+	c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	err := mem.WriteStream(c.p, off, scratch.B, n)
 	scratch.Put()
 	sp.End(c.p.Now())

@@ -28,14 +28,7 @@ const AutoTimeout time.Duration = -1
 func (w *World) watchdogUnit() time.Duration {
 	p := w.protocol()
 	unit := 8 * w.collCtl()
-	max := p.SendRetryMax
-	if max <= 0 {
-		max = 6
-	}
-	backoff := p.SendBackoff
-	if backoff <= 0 {
-		backoff = 20 * time.Microsecond
-	}
+	max, backoff := p.retryBudget()
 	for i := 0; i <= max; i++ {
 		unit += backoff
 		backoff *= 2

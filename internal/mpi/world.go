@@ -111,6 +111,19 @@ func DefaultProtocol() ProtocolConfig {
 	}
 }
 
+// retryBudget resolves the sender's retransmission budget: the attempts and
+// the initial backoff, with the defaults standing in for unset fields.
+func (p *ProtocolConfig) retryBudget() (max int, backoff time.Duration) {
+	max, backoff = p.SendRetryMax, p.SendBackoff
+	if max <= 0 {
+		max = 6
+	}
+	if backoff <= 0 {
+		backoff = 20 * time.Microsecond
+	}
+	return max, backoff
+}
+
 // InterconnectKind selects the inter-node transport.
 type InterconnectKind int
 

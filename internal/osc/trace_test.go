@@ -93,7 +93,7 @@ func TestAllocsPutFenceBudget(t *testing.T) {
 	})
 	objs := float64(win.Objects()) / n
 	t.Logf("put + fence epoch: %.2f objects, %.1f B", objs, float64(win.Bytes())/n)
-	if objs >= 0.5 && !raceEnabled {
+	if objs >= 0.5 && !allocwin.RaceEnabled {
 		t.Errorf("%.2f objects per put + fence epoch, want none (2 until PR 23, 15 before PR 21)", objs)
 	}
 }

@@ -129,7 +129,7 @@ func TestAllocsStoreBarrierWaiting(t *testing.T) {
 	if got := ic.Node(0).Snapshot().StoreBarriers; got != 2*(warm+rounds) {
 		t.Errorf("%d store barriers counted, want %d", got, 2*(warm+rounds))
 	}
-	if n := win.Objects(); n > 2 && !raceEnabled { // ReadMemStats itself may allocate
+	if n := win.Objects(); n > 2 && !allocwin.RaceEnabled { // ReadMemStats itself may allocate
 		t.Errorf("%d allocations in %d rounds of two waiting store barriers, want 0", n, rounds)
 	}
 }
