@@ -90,12 +90,17 @@ alloc-test:
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and
-# aggregates it with tracestat. See docs/OBSERVABILITY.md.
+# aggregates it with tracestat. It fails unless the file carries instants:
+# they are the flight recorder's events, and an empty bridge would otherwise
+# pass unnoticed. See docs/OBSERVABILITY.md.
 trace-demo:
 	$(GO) run ./cmd/repro -only pingpong -min 64 -max 262144 \
 		-trace-out /tmp/scimpich-trace.json \
 		-metrics-out /tmp/scimpich-metrics.txt
-	$(GO) run ./cmd/tracestat -actors /tmp/scimpich-trace.json
+	$(GO) run ./cmd/tracestat -actors /tmp/scimpich-trace.json > /tmp/scimpich-tracestat.txt
+	@cat /tmp/scimpich-tracestat.txt
+	@grep -Eq '^# .* spans, [1-9][0-9]* instants\)$$' /tmp/scimpich-tracestat.txt || \
+		{ echo "trace-demo: no instants in the export (flight recorder -> Chrome bridge empty)" >&2; exit 1; }
 
 # postmortem-demo crashes a node mid-workload, captures the flight-recorder
 # dump at the first typed error, and renders the causal post-mortem — the

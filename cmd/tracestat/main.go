@@ -34,7 +34,7 @@ func main() {
 	}
 	if other.DroppedSpans > 0 || other.DroppedEvents > 0 {
 		fmt.Fprintf(os.Stderr,
-			"tracestat: warning: trace is truncated: the exporter's ring dropped %d spans and %d instants before the export\n",
+			"tracestat: warning: trace is truncated: the span ring dropped %d spans and the flight rings %d events before the export\n",
 			other.DroppedSpans, other.DroppedEvents)
 	}
 
@@ -95,5 +95,5 @@ func readTrace(path string) ([]obs.ChromeEvent, obs.ChromeOther, error) {
 		defer f.Close()
 		r = f
 	}
-	return obs.ReadChromeMeta(r)
+	return obs.ReadChrome(r)
 }

@@ -20,12 +20,14 @@ package bench
 //     oracle at every shard count.
 //
 // The artifact holds only what the seed determines. Wall time, events/s and
-// speedup beside ncpu are printed by FormatEngine and not written: part of
-// the torus speedup is algorithmic (each shard's network scans only its own
-// flows instead of all 512), the rest is bounded by the host's CPUs, and a
-// confined world occupies a single shard, so there sharding adds window
-// overhead rather than parallelism. The wall-clock cost of the engines is
-// measured by benchmark/'s torus216_ring workload.
+// speedup beside ncpu are printed by FormatEngine and not written. Since the
+// flow solver stopped scanning all flows (PR 20) a shard's network does no
+// less work per flow than the sequential one, so the torus speedup is
+// bounded by the host's CPUs and window overhead — no sharded row has beaten
+// the sequential one on the 2-vCPU reference machine — and a confined world
+// occupies a single shard, so there sharding only adds window overhead. The
+// wall-clock cost of the engines is measured by benchmark/'s torus216_ring
+// workload.
 
 import (
 	"bytes"

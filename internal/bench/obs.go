@@ -8,6 +8,7 @@ import (
 
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
+	"scimpich/internal/obs/flight"
 	"scimpich/internal/sci"
 )
 
@@ -17,14 +18,23 @@ import (
 // the identity.
 var (
 	obsTrace   *obs.Trace
+	obsFlight  *flight.Recorder
 	obsMetrics *obs.Registry
 )
 
+// obsFlightCap is the per-actor ring capacity of the ambient flight
+// recorder: large enough that a whole experiment sweep's events reach the
+// exported timeline; what a ring still evicts is counted in the file.
+const obsFlightCap = 1 << 14
+
 // instrument attaches the ambient observability to a cluster config. A
-// tracer or registry the driver already set wins.
+// tracer, recorder or registry the driver already set wins.
 func instrument(cfg mpi.Config) mpi.Config {
 	if cfg.Tracer == nil {
 		cfg.Tracer = obsTrace
+	}
+	if cfg.Flight == nil {
+		cfg.Flight = obsFlight
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsMetrics
@@ -35,8 +45,8 @@ func instrument(cfg mpi.Config) mpi.Config {
 // instrumentSCI is instrument for the drivers that run the raw
 // interconnect without the MPI runtime.
 func instrumentSCI(cfg sci.Config) sci.Config {
-	if cfg.Tracer == nil {
-		cfg.Tracer = obsTrace
+	if cfg.Flight == nil {
+		cfg.Flight = obsFlight
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsMetrics
@@ -50,15 +60,17 @@ func instrumentSCI(cfg sci.Config) sci.Config {
 // callbacks during flag.Parse). The returned finish function writes the
 // collected outputs — call it (or defer it) after the benchmarks ran:
 // -trace-out produces Chrome trace-event JSON (load it in Perfetto or
-// chrome://tracing, or aggregate it with cmd/tracestat) plus a
-// per-category span summary on stdout; -metrics-out produces the
-// plain-text metrics dump.
+// chrome://tracing, or aggregate it with cmd/tracestat) — the spans of the
+// ambient trace and, as instants, the events of the ambient flight recorder
+// it attaches — plus a per-category span summary on stdout; -metrics-out
+// produces the plain-text metrics dump.
 func ObsFlags() func() {
 	var traceFile, metricsFile string
 	flag.Func("trace-out", "write a Chrome trace-event JSON timeline to `file`", func(s string) error {
 		traceFile = s
 		if obsTrace == nil {
 			obsTrace = obs.NewTrace(0)
+			obsFlight = flight.New(obsFlightCap)
 		}
 		return nil
 	})
@@ -71,7 +83,9 @@ func ObsFlags() func() {
 	})
 	return func() {
 		if traceFile != "" {
-			if err := writeFile(traceFile, obsTrace.WriteChrome); err != nil {
+			if err := writeFile(traceFile, func(w io.Writer) error {
+				return obsTrace.WriteChrome(w, obsFlight)
+			}); err != nil {
 				fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
 			}
 			WriteObsSummary(os.Stdout)

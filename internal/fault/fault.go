@@ -10,6 +10,8 @@
 //   - hard node crashes (and restorations) at fixed virtual times,
 //   - transient link disturbances over time windows (a cable being
 //     wiggled: transfers on the path retry until the window passes),
+//   - transmission errors the adapter clears by retransmitting on its own
+//     (latency only, no error),
 //   - CRC / sequence transfer errors on PIO and DMA transfers, drawn from
 //     a seeded PRNG so the error schedule is a pure function of the seed
 //     and the (deterministic) simulation schedule,
@@ -122,6 +124,7 @@ type Window struct {
 
 // Counters tallies the faults a plan has actually injected, by kind.
 type Counters struct {
+	Retries    int64 // latency-only retransmissions (WithRetries)
 	Writes     int64 // CRC/sequence errors on PIO transfers
 	DMAs       int64 // CRC/sequence errors on DMA transfers
 	Checks     int64 // transfer-check failures after a store barrier
@@ -146,6 +149,7 @@ type Plan struct {
 	windows    []Window
 	importFail map[[2]int]int
 
+	retryRate float64
 	writeRate float64
 	dmaRate   float64
 	checkRate float64
@@ -231,6 +235,11 @@ func (f *Plan) FailImports(owner, seg, times int) *Plan {
 	return f
 }
 
+// WithRetries sets the per-transfer probability of a transmission error
+// the adapter clears on its own by retransmitting: it costs one retry
+// latency and never surfaces as an error (see DrawRetries).
+func (f *Plan) WithRetries(rate float64) *Plan { f.retryRate = clampRate(rate); return f }
+
 // WithWriteErrors sets the per-PIO-transfer probability of an injected
 // CRC/sequence error.
 func (f *Plan) WithWriteErrors(rate float64) *Plan { f.writeRate = clampRate(rate); return f }
@@ -295,8 +304,8 @@ func (f *Plan) Disturbed(a, b int, t time.Duration) bool {
 }
 
 // TakeImportFailure consumes one scheduled import failure for (owner,
-// seg), reporting whether the import should be denied.
-func (f *Plan) TakeImportFailure(owner, seg int) bool {
+// seg) at virtual time at, reporting whether the import should be denied.
+func (f *Plan) TakeImportFailure(at time.Duration, owner, seg int) bool {
 	if f == nil {
 		return false
 	}
@@ -306,8 +315,27 @@ func (f *Plan) TakeImportFailure(owner, seg int) bool {
 	}
 	f.importFail[k]--
 	f.Injected.Imports++
-	f.notify(0, ImportDenied, owner, seg)
+	f.notify(at, ImportDenied, owner, seg)
 	return true
+}
+
+// maxRetries bounds the retransmit storm of one transfer: a real adapter
+// gives up and reports the error long before this.
+const maxRetries = 8
+
+// DrawRetries draws how many times in a row one transfer is retransmitted:
+// independent trials at the WithRetries rate, at most maxRetries. A zero
+// rate draws nothing, so it leaves the schedule of every other fault alone.
+func (f *Plan) DrawRetries() int {
+	if f == nil || f.retryRate <= 0 {
+		return 0
+	}
+	n := 0
+	for n < maxRetries && f.draw() < f.retryRate {
+		n++
+	}
+	f.Injected.Retries += int64(n)
+	return n
 }
 
 // DrawWriteError draws an injected CRC/sequence error for one PIO

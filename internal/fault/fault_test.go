@@ -68,7 +68,7 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 		f.DrawCheckError(0, 0, 1) != nil || f.DrawDuplicate() {
 		t.Error("nil plan drew a fault")
 	}
-	if f.Disturbed(0, 1, 0) || f.TakeImportFailure(0, 0) {
+	if f.Disturbed(0, 1, 0) || f.TakeImportFailure(0, 0, 0) {
 		t.Error("nil plan reported scheduled faults")
 	}
 	if f.NodeSchedule() != nil || f.SegmentSchedule() != nil {
@@ -99,10 +99,10 @@ func TestDisturbanceWindows(t *testing.T) {
 
 func TestImportFailuresConsumed(t *testing.T) {
 	f := New(1).FailImports(1, 0, 2)
-	if !f.TakeImportFailure(1, 0) || !f.TakeImportFailure(1, 0) {
+	if !f.TakeImportFailure(0, 1, 0) || !f.TakeImportFailure(0, 1, 0) {
 		t.Fatal("scheduled import failures not taken")
 	}
-	if f.TakeImportFailure(1, 0) {
+	if f.TakeImportFailure(0, 1, 0) {
 		t.Error("import failure taken beyond scheduled count")
 	}
 	if f.Injected.Imports != 2 {

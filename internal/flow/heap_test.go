@@ -40,13 +40,13 @@ func scanSoonest(n *Network, now time.Duration) time.Duration {
 	return soonest
 }
 
-// TestCompletionKeyIsFirstFinishedInstant checks the key against its
+// TestCompletionKeyIsFirstFinishedTime checks the key against its
 // definition over anchors from a byte to a pebibyte, rates from a KB/s to
 // 10 GB/s and up to a month of virtual time: the flow reads as finished at
 // its key and not a nanosecond before — and, from any instant on the way, the
 // timer delay points no further before the key than keySlack allows, which
 // is what nextDelay's pruning rests on.
-func TestCompletionKeyIsFirstFinishedInstant(t *testing.T) {
+func TestCompletionKeyIsFirstFinishedTime(t *testing.T) {
 	prop := func(mantissa uint32, byteExp, rateExp uint8, at uint32, partial bool, elapsed uint16) bool {
 		f := &Flow{
 			anchorAt:        time.Duration(at) * 600 * time.Microsecond,

@@ -49,14 +49,8 @@ func (c *Comm) checkRoot(call string, root int) error {
 // expired wait surfaces as sci.ErrConnectionLost when the awaited peer's
 // node is down, a *RevokedRankError when it was revoked, or a *fault.Error
 // of kind Timeout otherwise.
-func (c *Comm) waitColl(r *Request, src, tag int) error {
-	return c.waitCollT(r, src, tag, c.rk.w.collTimeoutEff())
-}
-
-// waitCollT is waitColl with an explicit bound (the shrink confirmation
-// barrier forces the scaled bound even in runs whose CollTimeout is 0).
-func (c *Comm) waitCollT(r *Request, src, tag int, to time.Duration) error {
-	_, err := c.finishRecv(r, "collective", src, tag, to)
+func (c *Comm) waitColl(r *Request) error {
+	_, err := c.finishRecv(r, c.rk.w.collTimeoutEff())
 	return err
 }
 
@@ -69,7 +63,7 @@ func (c *Comm) irecvColl(buf []byte, count int, dt *datatype.Type, src, tag int)
 
 // recvColl is the internal collective receive: irecvColl + waitColl.
 func (c *Comm) recvColl(buf []byte, count int, dt *datatype.Type, src, tag int) error {
-	return c.waitColl(c.irecvColl(buf, count, dt, src, tag), src, tag)
+	return c.waitColl(c.irecvColl(buf, count, dt, src, tag))
 }
 
 // sendrecvColl is the deadlock-free internal exchange of the ring and
@@ -80,7 +74,7 @@ func (c *Comm) sendrecvColl(sendBuf []byte, sendCount int, sendType *datatype.Ty
 	if err := c.send(sendBuf, sendCount, sendType, dst, sendTag, c.ctx); err != nil {
 		return err
 	}
-	return c.waitColl(r, src, recvTag)
+	return c.waitColl(r)
 }
 
 // Barrier blocks until every rank has entered it. It panics on transfer
@@ -94,20 +88,22 @@ func (c *Comm) BarrierChecked() error {
 		return nil
 	}
 	op := c.collBegin(collBarrier, CollP2P, 0)
-	return op.end(c.collective().barrierDissemination())
+	return op.end(c.collective().barrierDissemination(tagBarrier, c.rk.w.collTimeoutEff()))
 }
 
-func (c *Comm) barrierDissemination() error {
+// barrierDissemination runs the log2(P) rounds of zero-byte messages on
+// tags tag, tag+1, ..., each wait bounded by timeout (0: forever).
+func (c *Comm) barrierDissemination(tag int, timeout time.Duration) error {
 	size := c.Size()
 	me := c.Rank()
 	for round, dist := 0, 1; dist < size; round, dist = round+1, dist*2 {
 		to := (me + dist) % size
 		from := (me - dist + size) % size
-		r := c.irecvColl(nil, 0, datatype.Byte, from, tagBarrier+round)
-		if err := c.send(nil, 0, datatype.Byte, to, tagBarrier+round, c.ctx); err != nil {
+		r := c.irecvColl(nil, 0, datatype.Byte, from, tag+round)
+		if err := c.send(nil, 0, datatype.Byte, to, tag+round, c.ctx); err != nil {
 			return err
 		}
-		if err := c.waitColl(r, from, tagBarrier+round); err != nil {
+		if _, err := c.finishRecv(r, timeout); err != nil {
 			return err
 		}
 	}
@@ -336,11 +332,11 @@ func (c *Comm) GatherChecked(send []byte, count int, dt *datatype.Type, recv []b
 		}
 		reqs[i] = cc.irecvColl(recv[int64(i)*bytes:int64(i+1)*bytes], count, dt, i, tagGather)
 	}
-	for i, r := range reqs {
+	for _, r := range reqs {
 		if r == nil {
 			continue
 		}
-		if err := cc.waitColl(r, i, tagGather); err != nil {
+		if err := cc.waitColl(r); err != nil {
 			return op.end(err)
 		}
 	}

@@ -55,11 +55,11 @@ func (c *Comm) GathervChecked(send []byte, count int, dt *datatype.Type, recv []
 		off := int64(displs[r]) * es
 		reqs[r] = cc.irecvColl(recv[off:off+int64(counts[r])*es], counts[r], dt, r, tagGatherv)
 	}
-	for r, req := range reqs {
+	for _, req := range reqs {
 		if req == nil {
 			continue
 		}
-		if err := cc.waitColl(req, r, tagGatherv); err != nil {
+		if err := cc.waitColl(req); err != nil {
 			return op.end(err)
 		}
 	}

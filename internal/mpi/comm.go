@@ -84,8 +84,8 @@ func (c *Comm) Wtime() float64 { return c.p.Now().Seconds() }
 // WtimeDuration returns the virtual time as a duration.
 func (c *Comm) WtimeDuration() time.Duration { return c.p.Now() }
 
-// Tracer returns the world's event tracer (for libraries layered on the
-// runtime that record their own fault/recovery events).
+// Tracer returns the world's span tracer (for libraries layered on the
+// runtime that bracket their own operations, like one-sided epochs).
 func (c *Comm) Tracer() *obs.Trace { return c.w.cfg.Tracer }
 
 // Metrics returns the world's metrics registry (nil when none is

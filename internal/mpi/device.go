@@ -260,9 +260,7 @@ func (d *device) handleIncoming(env *envelope) (finished bool) {
 	if env.seq != 0 {
 		if env.seq <= d.lastSeq[env.src] {
 			d.stats.Duplicates++
-			d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
-				"dropped duplicate %v from %d (seq %d)", env.kind, env.src, env.seq)
-			d.rk.fl.Record(d.now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, 0)
+			d.rk.fl.Record(d.now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, env.seq)
 			d.rk.w.freeEnvelope(env)
 			return true
 		}
@@ -307,17 +305,12 @@ func (d *device) handleProbe(pr *probeReq) {
 // into a contiguous buffer is one copy after one fixed delay and finishes
 // in a second callback; everything else blocks and goes to the daemon.
 func (d *device) deliver(req *Request, env *envelope) {
-	tr := d.rk.w.cfg.Tracer
 	now := d.now()
-	if tr != nil {
-		tr.Instantf(now, d.actor, "recv",
-			"<- %d tag %d: %d bytes via %v", env.src, env.tag, env.bytes, env.kind)
-	}
 	d.rk.fl.Record(now, flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
 	d.checkSignature(req, env)
 	d.req, d.env = req, env
 	if env.kind != envRdvReq {
-		d.span = tr.StartSpan(now, d.actor, "recv", env.kind.String()) // "short" or "eager"
+		d.span = d.rk.w.cfg.Tracer.StartSpan(now, d.actor, "recv", env.kind.String()) // "short" or "eager"
 		d.span.SetBytes(env.bytes)
 	}
 	if env.kind == envShort && req.dt.Contiguous() {
@@ -405,7 +398,7 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 		kind: envEagerAck, src: d.rk.id, dst: env.src, slot: env.slot,
 	}, false)
 	if err != nil {
-		d.failRecv(req, env.src, env.tag, err)
+		d.failRecv(req, env, err)
 	} else {
 		req.complete(env.src, env.tag, env.bytes)
 	}
@@ -413,10 +406,9 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 }
 
 // failRecv completes a matched receive with the typed error of a failed
-// drain: the port's segment was revoked under the receive.
-func (d *device) failRecv(req *Request, src, tag int, err error) {
-	d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
-		"receive from %d tag %d failed: %v", src, tag, err)
+// drain of env: the port's segment was revoked under the receive.
+func (d *device) failRecv(req *Request, env *envelope, err error) {
+	d.rk.fl.Record(d.now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDrainFailed, 0)
 	req.done.Complete(err)
 }
 
@@ -479,27 +471,21 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 		// completed (request gone) or the chunk was already drained. Drop
 		// it without a second ack — the sender counted the first one.
 		d.stats.Duplicates++
-		d.rk.w.cfg.Tracer.Instantf(p.Now(), d.actor, "fault",
-			"dropped duplicate rendezvous chunk %d (req %d) from %d", env.chunk, env.reqID, env.src)
+		d.rk.fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, int64(env.chunk))
 		return
 	}
-	tr := d.rk.w.cfg.Tracer
 	n := env.chunkLen
-	csp := tr.StartSpan(p.Now(), d.actor, "recv", "rdv-chunk")
+	csp := d.rk.w.cfg.Tracer.StartSpan(p.Now(), d.actor, "recv", "rdv-chunk")
 	csp.SetBytes(n)
 	if st.err == nil {
 		if st.err = d.drainChunk(p, st, env); st.err != nil {
-			d.failRecv(st.req, st.src, st.tag, st.err)
+			d.failRecv(st.req, env, st.err)
 		}
 	}
 	csp.End(p.Now())
 	st.received += n
 	st.nextChunk++
 	d.stats.BytesRecvd += n
-	if tr != nil {
-		tr.Instantf(p.Now(), d.actor, "rdv",
-			"chunk %d (%d bytes) from %d, mode %d", env.chunk, n, env.src, st.mode)
-	}
 	d.rk.fl.Record(p.Now(), flight.KRdvChunk, int64(env.src), env.reqID, n, st.received)
 	d.rk.w.ring(p, d.rk.id, env.src, envelope{
 		kind: envRdvAck, src: d.rk.id, dst: env.src,
@@ -564,14 +550,11 @@ func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 func (d *device) handleRdvCancel(env *envelope) {
 	st, ok := d.rdv[env.reqID]
 	if !ok {
-		d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
-			"ignoring cancel for unknown rendezvous %d from %d", env.reqID, env.src)
+		d.rk.fl.Record(d.now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropStray, env.reqID)
 		return
 	}
 	delete(d.rdv, env.reqID)
 	d.stats.RdvCancels++
-	d.rk.w.cfg.Tracer.Instantf(d.now(), d.actor, "fault",
-		"rendezvous %d cancelled by %d after %d bytes", env.reqID, env.src, st.received)
 	d.rk.fl.Record(d.now(), flight.KRdvCancel, int64(env.src), env.reqID, st.received, 0)
 	if st.err == nil {
 		st.req.done.Complete(&CancelledError{Sender: env.src, ReqID: env.reqID})

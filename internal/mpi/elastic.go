@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/sim"
@@ -88,8 +87,6 @@ func (w *World) revokeRank(p *sim.Proc, r int) {
 	}
 	w.revoked[r] = true
 	w.suspects[r] = true
-	w.cfg.Tracer.Instantf(p.Now(), w.ranks[r].actor, "fault",
-		"rank %d revoked by survivor agreement", r)
 	w.ranks[r].fl.Record(p.Now(), flight.KRevoke, int64(r), 0, 0, 0)
 	err := &RevokedRankError{Rank: r}
 	for _, rk := range w.ranks {
@@ -246,8 +243,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			break
 		}
 		if p.Now() >= deadline {
-			w.cfg.Tracer.Instantf(p.Now(), c.rk.actor, "fault",
-				"shrink agreement deadline expired with %d members missing", missing)
+			// ShrinkChecked records the error as its flight KError.
 			return nil, &fault.Error{Kind: fault.Timeout, From: me, To: -1, At: p.Now()}
 		}
 		p.Sleep(w.agreementPoll())
@@ -287,8 +283,6 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			w.revokeRank(p, r)
 		}
 		w.resetCollState()
-		w.cfg.Tracer.Instantf(p.Now(), c.rk.actor, "fault",
-			"shrink agreement sealed: %d ranks excluded %v", len(rec.dead), rec.dead)
 	}
 
 	// Adopt the sealed decision. The adoption digest is what the
@@ -325,25 +319,8 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 // barrier over the shrunken communicator. Every wait is bounded by the
 // scaled collective watchdog regardless of the configured CollTimeout:
 // the agreement must detect a further crash even in runs that otherwise
-// wait forever.
+// wait forever. It is not a collective call of its own (no collBegin), so
+// it publishes no collective metric.
 func (c *Comm) confirmShrink() error {
-	cc := c.collective()
-	size := cc.Size()
-	if size <= 1 {
-		return nil
-	}
-	to := c.rk.w.ScaledCollTimeout()
-	me := cc.Rank()
-	for round, dist := 0, 1; dist < size; round, dist = round+1, dist*2 {
-		dst := (me + dist) % size
-		from := (me - dist + size) % size
-		r := cc.irecvColl(nil, 0, datatype.Byte, from, tagShrink+round)
-		if err := cc.send(nil, 0, datatype.Byte, dst, tagShrink+round, cc.ctx); err != nil {
-			return err
-		}
-		if err := cc.waitCollT(r, from, tagShrink+round, to); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.collective().barrierDissemination(tagShrink, c.rk.w.ScaledCollTimeout())
 }

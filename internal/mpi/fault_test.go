@@ -18,7 +18,7 @@ import (
 
 func faultyConfig(rate float64) Config {
 	cfg := DefaultConfig(2, 1)
-	cfg.SCI.FaultRate = rate
+	cfg.SCI.Fault = fault.New(1).WithRetries(rate)
 	cfg.SCI.RetryLatency = 30 * time.Microsecond
 	return cfg
 }
@@ -64,7 +64,7 @@ func TestFaultsSlowButDontBreakCollectives(t *testing.T) {
 	payload := fill(256 << 10) // rendezvous: many transfers, many fault draws
 	run := func(rate float64) (time.Duration, int64) {
 		cfg := DefaultConfig(4, 1)
-		cfg.SCI.FaultRate = rate
+		cfg.SCI.Fault = fault.New(1).WithRetries(rate)
 		cfg.SCI.RetryLatency = 50 * time.Microsecond
 		var w *World
 		d := Run(cfg, func(c *Comm) {

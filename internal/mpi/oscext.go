@@ -65,7 +65,7 @@ func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.
 	}
 	v, ok := c.p.RecvTimeout(reply, timeout)
 	if !ok {
-		return nil, c.watchdogExpired(target, "handler call to %d unanswered after %v", target, timeout)
+		return nil, c.watchdogExpired(target)
 	}
 	return c.oscReply(v), nil
 }

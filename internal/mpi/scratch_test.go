@@ -9,6 +9,7 @@ import (
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
+	"scimpich/internal/obs/flight"
 	"scimpich/internal/sim"
 )
 
@@ -133,13 +134,16 @@ func TestRdvScratchRecycling(t *testing.T) {
 	})
 
 	// A duplicate CTS arrives while the sender waits for acks: it is
-	// counted and skipped, the transfer ends cleanly, and its records come
-	// back empty — and are taken again by the next transfer.
+	// counted, recorded as a stray drop and skipped, the transfer ends
+	// cleanly, and its records come back empty — and are taken again by the
+	// next transfer.
 	t.Run("duplicate-cts", func(t *testing.T) {
 		var w *World
 		var sc *rdvSend
 		var st *rdvRecv
-		Run(DefaultConfig(2, 1), func(c *Comm) {
+		cfg := DefaultConfig(2, 1)
+		cfg.Flight = flight.New(0)
+		Run(cfg, func(c *Comm) {
 			w = c.rk.w
 			payload := fill(1 << 20) // 16 chunks
 			switch c.Rank() {
@@ -160,6 +164,15 @@ func TestRdvScratchRecycling(t *testing.T) {
 			if c.Rank() == 0 {
 				if got := w.Stats(0).Duplicates; got != 1 {
 					t.Errorf("sender counted %d stray control packets, want 1", got)
+				}
+				strays := 0
+				for _, e := range c.rk.fl.Events() {
+					if e.Kind == flight.KPacketDrop && e.C == flight.DropStray && e.A == int64(envRdvCTS) {
+						strays++
+					}
+				}
+				if strays != 1 {
+					t.Errorf("sender's flight ring holds %d stray CTS drops, want 1", strays)
 				}
 				if len(w.rdvSendFree) != 1 || w.rdvSendFree[0] != sc || len(w.rdvRecvFree) != 1 || w.rdvRecvFree[0] != st {
 					t.Error("a clean transfer did not hand its seeded records back")

@@ -60,10 +60,6 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	}
 	bytes := dt.Size() * int64(count)
 	tr := w.cfg.Tracer
-	if tr != nil { // guarded here: the arguments are boxed before a callee could decline them
-		tr.Instantf(p.Now(), c.rk.actor, "send",
-			"-> %d tag %d: %d bytes", dst, tag, bytes)
-	}
 	var protoCode int64 // matches the KSendPost payload table
 	switch {
 	case dst == c.rk.id:
@@ -167,13 +163,13 @@ func (c *Comm) peerLost(dst int) error {
 
 // watchdogExpired is the one epilogue of every bounded wait that ran out
 // (receive, collective, rendezvous control, one-sided handler call): it
-// counts the expiry, traces it, and lets the liveness of the awaited world
-// rank decide the error — a revoked endpoint or a dead node as peerLost
-// reports them, a *fault.Error of kind Timeout against a peer that is alive
-// but silent, or against AnySource.
-func (c *Comm) watchdogExpired(peer int, format string, args ...any) error {
+// counts the expiry and lets the liveness of the awaited world rank decide
+// the error — a revoked endpoint or a dead node as peerLost reports them, a
+// *fault.Error of kind Timeout against a peer that is alive but silent, or
+// against AnySource. The checked operation the wait belongs to records the
+// error as its flight KError.
+func (c *Comm) watchdogExpired(peer int) error {
 	c.rk.dev.stats.SendTimeouts++
-	c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault", format, args...)
 	if peer != AnySource {
 		if err := c.peerLost(peer); err != nil {
 			return err
@@ -197,8 +193,6 @@ func (c *Comm) retryTransfer(dst int, op func() error) error {
 			return err
 		}
 		c.rk.dev.stats.SendRetries++
-		c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
-			"deposit to %d failed (%v), retry %d after %v", dst, fe.Kind, attempt+1, backoff)
 		c.rk.fl.Record(c.p.Now(), flight.KFault, int64(fe.Kind), int64(c.rk.id), int64(dst), int64(attempt+1))
 		c.p.Sleep(backoff)
 		backoff *= 2
@@ -317,7 +311,7 @@ func (c *Comm) recvCtl(reply *sim.Chan, dst int) (*envelope, error) {
 	}
 	v, ok := c.p.RecvTimeout(reply, to)
 	if !ok {
-		return nil, c.watchdogExpired(dst, "rendezvous watchdog expired waiting on %d after %v", dst, to)
+		return nil, c.watchdogExpired(dst)
 	}
 	return c.ctlEnvelope(v), nil
 }
@@ -334,7 +328,7 @@ func (c *Comm) ctlEnvelope(v any) *envelope {
 // dst and returns its chunk field (the transfer mode of a CTS, the chunk
 // index of an ack); the packet ends here and is freed. A stray CTS while an
 // ack is due (an injected retransmission racing the data chunks) is counted
-// and skipped; any other unexpected kind surfaces as a *ProtocolError so
+// and dropped; any other unexpected kind surfaces as a *ProtocolError so
 // the operation degrades instead of crashing the rank.
 func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (int, error) {
 	for {
@@ -349,8 +343,7 @@ func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (int, error) {
 		}
 		if want == envRdvAck && got == envRdvCTS {
 			c.rk.dev.stats.Duplicates++
-			c.rk.w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
-				"ignoring stray %v from %d while waiting for %v", got, dst, want)
+			c.rk.fl.Record(c.p.Now(), flight.KPacketDrop, int64(got), int64(dst), flight.DropStray, 0)
 			continue
 		}
 		return 0, &ProtocolError{Want: want.String(), Got: got.String(), From: c.rk.id, To: dst}
@@ -362,11 +355,8 @@ func (c *Comm) expectCtl(reply *sim.Chan, dst int, want envKind) (int, error) {
 // fails the posted receive instead of waiting for the watchdog. Delivered
 // with an interrupt: a rank stuck in the broken transfer is not polling.
 func (c *Comm) cancelRendezvous(dst int, reqID int64) {
-	w := c.rk.w
-	w.cfg.Tracer.Instantf(c.p.Now(), c.rk.actor, "fault",
-		"cancelling rendezvous %d to %d", reqID, dst)
 	c.rk.fl.Record(c.p.Now(), flight.KRdvCancel, int64(dst), reqID, 0, 0)
-	w.ring(c.p, c.rk.id, dst, envelope{
+	c.rk.w.ring(c.p, c.rk.id, dst, envelope{
 		kind: envRdvCancel, src: c.rk.id, dst: dst, reqID: reqID,
 	}, true)
 }
@@ -699,7 +689,7 @@ func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag in
 	if timeout == AutoTimeout {
 		timeout = c.rk.w.ScaledRendezvousTimeout()
 	}
-	st, err := c.finishRecv(r, "receive", src, tag, timeout)
+	st, err := c.finishRecv(r, timeout)
 	return st, c.fail(flight.OpRecv, peer, err)
 }
 
@@ -720,12 +710,11 @@ func (c *Comm) recvPeer(src int) (int, error) {
 // finishRecv awaits r — a receive posted on a Request from the world's free
 // list, which never reaches the caller — for at most to (0: forever) and
 // returns its status. An expired wait surfaces as watchdogExpired decides
-// from the liveness of the awaited rank; what names the watchdog in the
-// trace ("receive", "collective").
-func (c *Comm) finishRecv(r *Request, what string, src, tag int, to time.Duration) (Status, error) {
+// from the liveness of the awaited rank.
+func (c *Comm) finishRecv(r *Request, to time.Duration) (Status, error) {
 	if to > 0 {
 		if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
-			return Status{}, c.watchdogExpired(r.src, "%s watchdog expired (src %d tag %d) after %v", what, src, tag, to)
+			return Status{}, c.watchdogExpired(r.src)
 		}
 	}
 	if _, err := r.WaitChecked(); err != nil {
@@ -853,7 +842,7 @@ func (c *Comm) SendrecvChecked(sendBuf []byte, sendCount int, sendType *datatype
 	if err := c.send(sendBuf, sendCount, sendType, dst, sendTag, c.ctx); err != nil {
 		return Status{}, err
 	}
-	st, err := c.finishRecv(r, "receive", src, recvTag, 0)
+	st, err := c.finishRecv(r, 0)
 	return st, c.fail(flight.OpRecv, peer, err)
 }
 

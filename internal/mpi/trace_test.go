@@ -1,17 +1,36 @@
 package mpi
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/obs"
+	"scimpich/internal/obs/flight"
 )
 
+// flightLines renders every retained flight event as "actor text", the
+// text as flight.FormatEvent (and so cmd/postmortem and the Chrome export)
+// renders it, counted.
+func flightLines(rec *flight.Recorder) map[string]int {
+	got := map[string]int{}
+	for _, ad := range rec.Snapshot("").Actors {
+		for _, e := range ad.Events {
+			got[ad.Actor+" "+flight.FormatEvent(e)]++
+		}
+	}
+	return got
+}
+
+// TestTracerRecordsProtocolTimeline: a 256 KiB rendezvous leaves its span
+// tree on the trace (the send, the receive's four chunks) and its protocol
+// events on the flight rings (the post, the match, four chunks), each ring
+// in time order.
 func TestTracerRecordsProtocolTimeline(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	tr := obs.NewTrace(0)
-	cfg.Tracer = tr
+	rec := flight.New(0)
+	cfg.Tracer, cfg.Flight = tr, rec
 	src := fill(256 << 10)
 	Run(cfg, func(c *Comm) {
 		switch c.Rank() {
@@ -22,36 +41,40 @@ func TestTracerRecordsProtocolTimeline(t *testing.T) {
 			c.Recv(dst, len(dst), datatype.Byte, 0, 3)
 		}
 	})
-	evs := tr.Events()
-	if len(evs) == 0 {
-		t.Fatal("tracer recorded nothing")
+	spans := map[string]int{}
+	for _, s := range tr.Spans() {
+		spans[fmt.Sprintf("%s %s/%s %d", s.Actor, s.Category, s.Name, s.Bytes)]++
 	}
-	filter := func(category string) []obs.Event {
-		var out []obs.Event
-		for _, e := range evs {
-			if e.Category == category {
-				out = append(out, e)
+	for line, n := range map[string]int{
+		"rank0 send/rdv 262144":     1,
+		"dev1 recv/rdv-chunk 65536": 4, // chunks drain on the device
+	} {
+		if spans[line] != n {
+			t.Errorf("%d x span %q, want %d", spans[line], line, n)
+		}
+	}
+	events := flightLines(rec)
+	for line, n := range map[string]int{
+		"rank0 send -> rank1 tag 3 (262144B via rendezvous)":        1,
+		"rank1 recv matched <- rank0 tag 3 (262144B)":               1,
+		"rank1 rendezvous 1 <- rank0 chunk 65536B (65536B so far)":  1,
+		"rank1 rendezvous 1 <- rank0 chunk 65536B (262144B so far)": 1,
+		"rank1 rendezvous 1 with rank0 complete (262144B)":          1,
+	} {
+		if events[line] != n {
+			t.Errorf("%d x flight %q, want %d", events[line], line, n)
+		}
+	}
+	for _, ad := range rec.Snapshot("").Actors {
+		for i := 1; i < len(ad.Events); i++ {
+			if ad.Events[i].At < ad.Events[i-1].At {
+				t.Fatalf("%s ring not time-ordered", ad.Actor)
 			}
 		}
-		return out
 	}
-	sends := filter("send")
-	if len(sends) == 0 || !strings.Contains(sends[0].Detail, "262144 bytes") {
-		t.Errorf("send events = %+v", sends)
-	}
-	recvs := filter("recv")
-	if len(recvs) == 0 || !strings.Contains(recvs[0].Detail, "rdv-req") {
-		t.Errorf("recv events = %+v (want rendezvous match)", recvs)
-	}
-	// A 256 kiB transfer in 64 kiB chunks: four chunk events.
-	chunks := filter("rdv")
-	if len(chunks) != 4 {
-		t.Errorf("chunk events = %d, want 4", len(chunks))
-	}
-	// Events must be time-ordered.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatal("trace not time-ordered")
+	if t.Failed() {
+		for line, n := range events {
+			t.Logf("%d x %s", n, line)
 		}
 	}
 }
@@ -71,17 +94,20 @@ func TestTracerOffByDefault(t *testing.T) {
 	})
 }
 
-// TestGuardedTraceSites: the trace calls that format arguments are guarded
-// at their call sites by the nil tracer or span they hold (the arguments
-// would be boxed before a callee could decline them). With a tracer attached
-// each guarded site must still record exactly the Detail the unguarded call
-// produced: a short, an eager and three rendezvous messages (contiguous, ff
-// on both sides, generic) and an allreduce, at tags >= 256.
+// TestGuardedTraceSites: the span details that format arguments are
+// guarded at their call sites by the nil span they hold (the arguments would
+// be boxed before a callee could decline them); the protocol events beside
+// them are flight records, which take four int64 words and need no guard.
+// With a tracer and a recorder attached, each site must record exactly what
+// the unguarded call produced: a short, an eager and three rendezvous
+// messages (contiguous, ff on both sides, generic) and an allreduce, at tags
+// >= 256.
 func TestGuardedTraceSites(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	cfg.Protocol.Coll = CollRing
 	tr := obs.NewTrace(0)
-	cfg.Tracer = tr
+	rec := flight.New(0)
+	cfg.Tracer, cfg.Flight = tr, rec
 	vecA := datatype.Vector(256, 1024, 2048, datatype.Byte).Commit() // 256 KiB in 1 KiB blocks
 	vecB := datatype.Vector(512, 512, 1024, datatype.Byte).Commit()  // the same bytes, flattened differently
 	Run(cfg, func(c *Comm) {
@@ -104,10 +130,7 @@ func TestGuardedTraceSites(t *testing.T) {
 		}
 		c.Allreduce(ints, ints, len(ints)/8, datatype.Int64, OpSum)
 	})
-	got := map[string]int{}
-	for _, e := range tr.Events() {
-		got["event "+e.Actor+" "+e.Category+": "+e.Detail]++
-	}
+	got := flightLines(rec)
 	for _, s := range tr.Spans() {
 		if s.Detail != "" {
 			got["span "+s.Actor+" "+s.Category+"/"+s.Name+": "+s.Detail]++
@@ -117,20 +140,19 @@ func TestGuardedTraceSites(t *testing.T) {
 		line string
 		n    int
 	}{
-		{"event rank0 send: -> 1 tag 300: 64 bytes", 1},
-		{"event rank0 send: -> 1 tag 301: 4096 bytes", 1},
-		{"event rank0 send: -> 1 tag 302: 262144 bytes", 1},
-		{"event rank0 send: -> 1 tag 303: 262144 bytes", 1},
-		{"event dev1 recv: <- 0 tag 300: 64 bytes via short", 1},
-		{"event dev1 recv: <- 0 tag 301: 4096 bytes via eager", 1},
-		{"event dev1 recv: <- 0 tag 302: 262144 bytes via rdv-req", 1},
-		{"event dev1 recv: <- 0 tag 304: 262144 bytes via rdv-req", 1},
-		{"event dev1 rdv: chunk 0 (65536 bytes) from 0, mode 0", 1},
-		{"event dev1 rdv: chunk 3 (65536 bytes) from 0, mode 0", 1},
-		{"event dev1 rdv: chunk 0 (65536 bytes) from 0, mode 1", 1},
-		{"event dev1 rdv: chunk 3 (65536 bytes) from 0, mode 1", 1},
-		{"event dev1 rdv: chunk 0 (65536 bytes) from 0, mode 2", 1},
-		{"event dev1 rdv: chunk 3 (65536 bytes) from 0, mode 2", 1},
+		{"rank0 send -> rank1 tag 300 (64B via short)", 1},
+		{"rank0 send -> rank1 tag 301 (4096B via eager)", 1},
+		{"rank0 send -> rank1 tag 302 (262144B via rendezvous)", 1},
+		{"rank0 send -> rank1 tag 303 (262144B via rendezvous)", 1},
+		{"rank1 recv matched <- rank0 tag 300 (64B)", 1},
+		{"rank1 recv matched <- rank0 tag 301 (4096B)", 1},
+		{"rank1 recv matched <- rank0 tag 302 (262144B)", 1},
+		{"rank1 recv matched <- rank0 tag 304 (262144B)", 1},
+		{"rank1 rendezvous 1 <- rank0 clear-to-send (mode 0)", 1},
+		{"rank1 rendezvous 2 <- rank0 clear-to-send (mode 1)", 1},
+		{"rank1 rendezvous 3 <- rank0 clear-to-send (mode 2)", 1},
+		{"rank1 rendezvous 1 <- rank0 chunk 65536B (65536B so far)", 1},
+		{"rank1 rendezvous 3 <- rank0 chunk 65536B (262144B so far)", 1},
 		{"span rank0 send/short: -> 1 tag 300", 1},
 		{"span rank0 send/eager: -> 1 tag 301", 1},
 		{"span rank0 send/rdv: -> 1 tag 302", 1},

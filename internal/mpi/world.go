@@ -154,8 +154,9 @@ type Config struct {
 	Shm shmem.Config
 	// Protocol configures the device.
 	Protocol ProtocolConfig
-	// Tracer, when non-nil, records a protocol event timeline (instant
-	// events and nested spans; see internal/obs).
+	// Tracer, when non-nil, records the nested spans of sends, receives,
+	// packs, epochs and collectives (see internal/obs). Point events are
+	// the flight recorder's (Flight).
 	Tracer *obs.Trace
 	// Metrics, when non-nil, receives the runtime's counters and latency
 	// histograms (mpi.send.*{path=...}, mpi.pack.*) and, after Run, the
@@ -447,16 +448,12 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	if cfg.Nodes > 1 {
 		switch cfg.Kind {
 		case InterconnectSCI:
-			if cfg.SCI.Tracer == nil {
-				cfg.SCI.Tracer = cfg.Tracer
-			}
 			if cfg.SCI.Metrics == nil {
 				cfg.SCI.Metrics = cfg.Metrics
 			}
 			if cfg.SCI.Flight == nil {
 				cfg.SCI.Flight = cfg.Flight
 			}
-			w.cfg.SCI.Tracer = cfg.SCI.Tracer
 			w.cfg.SCI.Metrics = cfg.SCI.Metrics
 			w.cfg.SCI.Flight = cfg.SCI.Flight
 			w.ic = sci.New(e, cfg.SCI)
@@ -483,16 +480,6 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 		// analyzer; a dedicated ring so long runs cannot evict it.
 		topo.Record(0, flight.KRankNode, int64(r), int64(rk.node), 0, 0)
 		w.ranks[r] = rk
-	}
-	if cfg.Flight != nil {
-		if pl := w.plan(); pl != nil {
-			// Every fault the plan actually injects lands in the recorder,
-			// so a post-mortem can separate injected causes from symptoms.
-			flr := cfg.Flight.Actor("faultplan")
-			pl.SetObserver(func(at time.Duration, k fault.Kind, from, to int) {
-				flr.Record(at, flight.KFault, int64(k), int64(from), int64(to), 0)
-			})
-		}
 	}
 	lastSeq := make([]int64, w.size*w.size) // every device's row, one allocation
 	for r, rk := range w.ranks {
@@ -619,8 +606,6 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		// A revoked endpoint is permanently fenced off, on every transport:
 		// even a restored node's stale traffic (old sequence numbers, late
 		// rendezvous chunks) must never reach a world that shrank past it.
-		w.cfg.Tracer.Instantf(p.Now(), w.ranks[src].actor, "fault",
-			"control packet %v -> %d dropped (rank revoked)", e.kind, dst)
 		w.ranks[src].fl.Record(p.Now(), flight.KPacketDrop, int64(e.kind), int64(dst), flight.DropRevoked, 0)
 		return
 	}
@@ -643,8 +628,6 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		// A crashed endpoint black-holes the control packet: the sender has
 		// paid the issue cost but nothing arrives. Recovery layers detect
 		// this via watchdog timeouts, not via a magic error here.
-		w.cfg.Tracer.Instantf(p.Now(), from.actor, "fault",
-			"control packet %v -> %d dropped (node down)", e.kind, dst)
 		from.fl.Record(p.Now(), flight.KPacketDrop, int64(e.kind), int64(dst), flight.DropNodeDown, 0)
 		return
 	}
@@ -665,8 +648,6 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		// each one it has read; it carries no payload, because the one
 		// pooled buffer belongs to the original and a duplicate is dropped
 		// before its payload would be read.
-		w.cfg.Tracer.Instantf(p.Now(), from.actor, "fault",
-			"duplicated %v envelope -> %d (seq %d)", e.kind, dst, e.seq)
 		from.fl.Record(p.Now(), flight.KDupInject, int64(e.kind), int64(dst), e.seq, 0)
 		e.payload, e.payloadBuf = nil, nil
 		w.host.AfterCall(delay+cfg.RetryLatency, deliverEnvelope, w.newEnvelope(e))

@@ -4,13 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"scimpich/internal/obs/flight"
 )
 
 // Chrome trace-event JSON export: the JSON Object Format of the Trace
 // Event spec (one {"traceEvents": [...]} object), loadable in
 // chrome://tracing and Perfetto. Spans become complete ("X") events with
-// microsecond timestamps on one thread per actor; instant events become
-// "i" events; actor names are emitted as thread_name metadata.
+// microsecond timestamps on one thread per actor; the flight recorder's
+// events become instant ("i") events on the thread of the same actor,
+// rendered by flight.FormatEvent; actor names are emitted as thread_name
+// metadata.
 
 // ChromeEvent is one entry of the traceEvents array (both what we write
 // and what tracestat reads back).
@@ -27,9 +31,9 @@ type ChromeEvent struct {
 }
 
 // ChromeOther is the exporter metadata carried in the file's otherData
-// field: how many spans and instant events the trace ring evicted before
-// the export, so downstream consumers can tell a complete trace from a
-// truncated one.
+// field: how many spans the trace ring and how many events the flight rings
+// evicted before the export, so downstream consumers can tell a complete
+// trace from a truncated one.
 type ChromeOther struct {
 	DroppedSpans  int64 `json:"droppedSpans,omitempty"`
 	DroppedEvents int64 `json:"droppedEvents,omitempty"`
@@ -45,27 +49,23 @@ type chromeFile struct {
 // usPerNs converts virtual-time nanoseconds to trace-event microseconds.
 const usPerNs = 1e-3
 
-// WriteChrome writes the trace as Chrome trace-event JSON. Open
-// (never-ended) spans are dropped; instant events are included. The export
-// is a snapshot: tracing may continue afterwards.
-func (t *Trace) WriteChrome(w io.Writer) error {
+// WriteChrome writes the trace's spans and the snapshot of rec (nil: spans
+// only) as Chrome trace-event JSON. Open (never-ended) spans are dropped.
+// The export is a snapshot: tracing and recording may continue afterwards.
+func (t *Trace) WriteChrome(w io.Writer, rec *flight.Recorder) error {
 	if t == nil {
 		return fmt.Errorf("obs: WriteChrome on a nil trace")
 	}
-	t.mu.Lock()
-	actors := append([]string(nil), t.actors...)
-	actorID := make(map[string]int, len(actors))
-	for id, a := range actors {
-		actorID[a] = id
-	}
-	t.mu.Unlock()
-
 	var evs []ChromeEvent
-	for id, a := range actors {
-		evs = append(evs, ChromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: id,
-			Args: map[string]any{"name": a},
-		})
+	tids := map[string]int{}
+	tid := func(actor string) int { // one named thread per actor, in first-seen order
+		id, ok := tids[actor]
+		if !ok {
+			id = len(tids)
+			tids[actor] = id
+			evs = append(evs, ChromeEvent{Name: "thread_name", Ph: "M", Tid: id, Args: map[string]any{"name": actor}})
+		}
+		return id
 	}
 	for _, s := range t.Spans() {
 		args := map[string]any{"id": s.ID}
@@ -78,38 +78,38 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		if s.Detail != "" {
 			args["detail"] = s.Detail
 		}
+		id := tid(s.Actor)
 		evs = append(evs, ChromeEvent{
 			Name: s.Name, Cat: s.Category, Ph: "X",
 			Ts: float64(s.Start) * usPerNs, Dur: float64(s.EndAt-s.Start) * usPerNs,
-			Pid: 0, Tid: actorID[s.Actor], Args: args,
+			Tid: id, Args: args,
 		})
 	}
-	for _, e := range t.Events() {
-		evs = append(evs, ChromeEvent{
-			Name: e.Detail, Cat: e.Category, Ph: "i", S: "t",
-			Ts: float64(e.At) * usPerNs, Pid: 0, Tid: actorID[e.Actor],
-		})
+	other := ChromeOther{DroppedSpans: t.DroppedSpans()}
+	if d := rec.Snapshot(""); d != nil {
+		for _, ad := range d.Actors {
+			id := tid(ad.Actor)
+			for _, e := range ad.Events {
+				evs = append(evs, ChromeEvent{
+					Name: flight.FormatEvent(e), Cat: e.Kind, Ph: "i", S: "t",
+					Ts: float64(e.At) * usPerNs, Tid: id,
+				})
+			}
+		}
+		other.DroppedEvents = int64(d.TotalDropped())
 	}
 	f := chromeFile{TraceEvents: evs, DisplayTimeUnit: "ns"}
-	if ds, de := t.DroppedSpans(), t.DroppedEvents(); ds > 0 || de > 0 {
-		f.OtherData = &ChromeOther{DroppedSpans: ds, DroppedEvents: de}
+	if other != (ChromeOther{}) {
+		f.OtherData = &other
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+	return json.NewEncoder(w).Encode(f)
 }
 
 // ReadChrome parses a Chrome trace-event JSON file (the object format
 // WriteChrome emits; a bare traceEvents array is accepted too) and returns
-// its events.
-func ReadChrome(r io.Reader) ([]ChromeEvent, error) {
-	evs, _, err := ReadChromeMeta(r)
-	return evs, err
-}
-
-// ReadChromeMeta is ReadChrome returning the exporter metadata too. A file
-// without otherData (including the bare-array form) yields a zero
-// ChromeOther.
-func ReadChromeMeta(r io.Reader) ([]ChromeEvent, ChromeOther, error) {
+// its events and the exporter metadata. A file without otherData (including
+// the bare-array form) yields a zero ChromeOther.
+func ReadChrome(r io.Reader) ([]ChromeEvent, ChromeOther, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, ChromeOther{}, err

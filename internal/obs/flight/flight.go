@@ -57,8 +57,10 @@ const (
 	// KPathChosen: deposit path decision for one chunk. A=path code
 	// (see Path*), B=chunk bytes.
 	KPathChosen
-	// KPacketDrop: an envelope was dropped in flight. A=envelope kind
-	// code, B=peer, C=reason (1 revoked, 2 node down, 3 duplicate).
+	// KPacketDrop: a packet was dropped instead of served. A=envelope kind
+	// code (the window id for the one-sided reasons), B=peer world rank,
+	// C=reason (see Drop*), D=reason detail (sequence number, chunk index
+	// or rendezvous request id).
 	KPacketDrop
 	// KFenceEnter / KFenceExit: a checked fence round. A=window id,
 	// B=round; KFenceExit C=peers heard from.
@@ -100,12 +102,23 @@ const (
 	// KDupInject: the fault plan injected a duplicate delivery of an
 	// envelope. A=envelope kind code, B=dst, C=sequence number.
 	KDupInject
-	// KFault: the fault plan injected an error. A=fault kind code,
-	// B=from, C=to, D=retry attempt (when drawn on a retry path).
+	// KFault: a fault was injected or surfaced as a typed transfer error.
+	// A=fault kind code (fault.Kind), B=from, C=to, D=retry attempt (when
+	// recorded on a retry path). An import denial carries B=owner node,
+	// C=segment.
 	KFault
 	// KError: a checked operation surfaced a typed error. A=op code
 	// (see Op), B=peer rank (-1 collective).
 	KError
+	// KWinDegraded: a one-sided window's direct view of a target was
+	// abandoned for the emulation path. A=window id, B=target world rank.
+	KWinDegraded
+	// KWinAbandoned: a window was released unilaterally after a crash.
+	// A=window id.
+	KWinAbandoned
+	// KConnLost: the transfer check toward a node kept failing and the
+	// connection was given up. A=from node, B=to node, C=failed checks.
+	KConnLost
 
 	kindCount
 )
@@ -141,6 +154,9 @@ var kindNames = [kindCount]string{
 	KDupInject:     "dup-inject",
 	KFault:         "fault",
 	KError:         "error",
+	KWinDegraded:   "win-degraded",
+	KWinAbandoned:  "win-abandoned",
+	KConnLost:      "conn-lost",
 }
 
 func (k Kind) String() string {
@@ -202,11 +218,19 @@ const (
 	PathDMACont = 5 // contiguous DMA
 )
 
-// Packet-drop reasons for KPacketDrop.
+// Packet-drop reasons for KPacketDrop; from DropUnknownWin on, the reasons
+// are the one-sided handler's and A is the window id.
 const (
-	DropRevoked   = 1
-	DropNodeDown  = 2
-	DropDuplicate = 3
+	DropRevoked       = 1  // an endpoint was revoked by a shrink agreement
+	DropNodeDown      = 2  // an endpoint's node is down
+	DropDuplicate     = 3  // a duplicated delivery (D = sequence number or chunk index)
+	DropStray         = 4  // a control packet no transfer waits for (D = request id)
+	DropDrainFailed   = 5  // the payload could not be read out of the port
+	DropUnknownWin    = 6  // a request for a window the target no longer has
+	DropUnheldUnlock  = 7  // an unlock of a lock nobody holds
+	DropStalePost     = 8  // a post from outside the access group
+	DropStaleComplete = 9  // a complete from outside the exposure group
+	DropRemotePut     = 10 // the handler's remote-put toward the origin failed
 )
 
 // Event is one recorded protocol event: the virtual timestamp, a global

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scimpich/internal/fault"
 )
 
 func TestRingWindowWrap(t *testing.T) {
@@ -175,6 +177,43 @@ func TestKindAndOpNames(t *testing.T) {
 	}
 	if OpFence.String() != "fence" || OpRecover.String() != "recover" {
 		t.Errorf("op names wrong: %v %v", OpFence, OpRecover)
+	}
+}
+
+// TestFormatEventNamesFaultsAndDrops: the rendering names every fault kind
+// and every packet-drop reason, so the post-mortem and the Chrome instants
+// read as well as the formatted trace lines they replaced.
+func TestFormatEventNamesFaultsAndDrops(t *testing.T) {
+	ev := func(k Kind, a, b, c, d int64) DumpEvent {
+		return DumpEvent{Kind: k.String(), A: a, B: b, C: c, D: d}
+	}
+	for _, tc := range []struct {
+		e    DumpEvent
+		want string
+	}{
+		{ev(KFault, int64(fault.CRC), 0, 1, 0), "fault: crc from 0 to 1"},
+		{ev(KFault, int64(fault.Sequence), 2, 3, 2), "fault: sequence from 2 to 3 (retry 2)"},
+		{ev(KFault, int64(fault.LinkDisturbed), 0, 1, 3), "fault: link-disturbed from 0 to 1 (retry 3)"},
+		{ev(KFault, int64(fault.NodeUnreachable), 1, 0, 0), "fault: node-unreachable from 1 to 0"},
+		{ev(KFault, int64(fault.ImportDenied), 1, 4, 0), "fault: import of segment 4@node1 denied"},
+		{ev(KPacketDrop, 0, 1, DropRevoked, 0), "packet to/from rank1 dropped (peer revoked)"},
+		{ev(KPacketDrop, 0, 1, DropNodeDown, 0), "packet to/from rank1 dropped (node down)"},
+		{ev(KPacketDrop, 0, 1, DropDuplicate, 7), "packet to/from rank1 dropped (duplicate)"},
+		{ev(KPacketDrop, 4, 1, DropStray, 9), "packet to/from rank1 dropped (stray)"},
+		{ev(KPacketDrop, 1, 0, DropDrainFailed, 0), "packet to/from rank0 dropped (drain failed)"},
+		{ev(KPacketDrop, 3, 2, DropUnknownWin, 0), "window 3: request of rank2 dropped (unknown window)"},
+		{ev(KPacketDrop, 3, 2, DropUnheldUnlock, 0), "window 3: request of rank2 dropped (unlock of unheld lock)"},
+		{ev(KPacketDrop, 3, 2, DropStalePost, 0), "window 3: request of rank2 dropped (unexpected post)"},
+		{ev(KPacketDrop, 3, 2, DropStaleComplete, 0), "window 3: request of rank2 dropped (unexpected complete)"},
+		{ev(KPacketDrop, 3, 2, DropRemotePut, 0), "window 3: request of rank2 dropped (remote-put failed)"},
+		{ev(KPacketDrop, 0, 1, 99, 0), "packet to/from rank1 dropped (reason 99)"},
+		{ev(KWinDegraded, 3, 1, 0, 0), "window 3: direct view of rank1 degraded to emulation"},
+		{ev(KWinAbandoned, 3, 0, 0, 0), "window 3 abandoned"},
+		{ev(KConnLost, 0, 1, 5, 0), "connection node0 -> node1 lost after 5 failed checks"},
+	} {
+		if got := FormatEvent(tc.e); got != tc.want {
+			t.Errorf("FormatEvent(%+v) = %q, want %q", tc.e, got, tc.want)
+		}
 	}
 }
 

@@ -4,11 +4,21 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"scimpich/internal/fault"
 )
 
-// Human rendering of dumps and reports, shared by cmd/postmortem and the
-// tests so the root-cause text asserted in CI is exactly what the tool
-// prints.
+// Human rendering of dumps and reports, shared by cmd/postmortem, the
+// Chrome export's instants and the tests, so the root-cause text asserted in
+// CI is exactly what the tool prints.
+
+// dropNames names the KPacketDrop reasons.
+var dropNames = [...]string{
+	DropRevoked: "peer revoked", DropNodeDown: "node down", DropDuplicate: "duplicate",
+	DropStray: "stray", DropDrainFailed: "drain failed", DropUnknownWin: "unknown window",
+	DropUnheldUnlock: "unlock of unheld lock", DropStalePost: "unexpected post",
+	DropStaleComplete: "unexpected complete", DropRemotePut: "remote-put failed",
+}
 
 // FormatEvent renders one event as a short human-readable line (no
 // timestamp — callers prepend it).
@@ -49,8 +59,13 @@ func FormatEvent(e DumpEvent) string {
 		}
 		return fmt.Sprintf("deposit path %s (%dB)", p, e.B)
 	case KPacketDrop:
-		reasons := map[int64]string{DropRevoked: "peer revoked", DropNodeDown: "node down", DropDuplicate: "duplicate"}
-		return fmt.Sprintf("packet to/from rank%d dropped (%s)", e.B, reasons[e.C])
+		switch {
+		case e.C <= 0 || int(e.C) >= len(dropNames):
+			return fmt.Sprintf("packet to/from rank%d dropped (reason %d)", e.B, e.C)
+		case e.C >= DropUnknownWin:
+			return fmt.Sprintf("window %d: request of rank%d dropped (%s)", e.A, e.B, dropNames[e.C])
+		}
+		return fmt.Sprintf("packet to/from rank%d dropped (%s)", e.B, dropNames[e.C])
 	case KFenceEnter:
 		return fmt.Sprintf("fence round %d on window %d entered", e.B, e.A)
 	case KFenceExit:
@@ -88,13 +103,27 @@ func FormatEvent(e DumpEvent) string {
 	case KDupInject:
 		return fmt.Sprintf("duplicate delivery injected towards rank%d (seq %d)", e.B, e.C)
 	case KFault:
-		return fmt.Sprintf("fault injected: kind %d from %d to %d", e.A, e.B, e.C)
+		k := fault.Kind(e.A)
+		if k == fault.ImportDenied {
+			return fmt.Sprintf("fault: import of segment %d@node%d denied", e.C, e.B)
+		}
+		s := fmt.Sprintf("fault: %v from %d to %d", k, e.B, e.C)
+		if e.D > 0 {
+			s += fmt.Sprintf(" (retry %d)", e.D)
+		}
+		return s
 	case KError:
 		peer := fmt.Sprintf("rank%d", e.B)
 		if e.B < 0 {
 			peer = "collective"
 		}
 		return fmt.Sprintf("ERROR: %s failed (%s)", Op(e.A), peer)
+	case KWinDegraded:
+		return fmt.Sprintf("window %d: direct view of rank%d degraded to emulation", e.A, e.B)
+	case KWinAbandoned:
+		return fmt.Sprintf("window %d abandoned", e.A)
+	case KConnLost:
+		return fmt.Sprintf("connection node%d -> node%d lost after %d failed checks", e.A, e.B, e.C)
 	}
 	return fmt.Sprintf("%s a=%d b=%d c=%d d=%d", e.Kind, e.A, e.B, e.C, e.D)
 }

@@ -3,7 +3,7 @@
 // histograms, plus span-based tracing layered on virtual time.
 //
 // Every protocol layer (sci, mpi, osc, pack, flow, fault) reports into
-// these two sinks:
+// these sinks:
 //
 //   - A Registry holds labelled metrics. Counters and gauges are atomic;
 //     histograms bucket values by powers of two and answer quantile
@@ -11,10 +11,13 @@
 //     to protocol paths (direct PIO pack vs. pack-and-send, direct
 //     one-sided vs. emulation, remote-put Gets).
 //   - A Trace records spans (StartSpan/End with parent/child links, so a
-//     rendezvous send or an OSC epoch shows up as one nested tree) and
-//     instant events, all timestamped in virtual time. Traces export to
-//     Chrome trace-event JSON (loadable in chrome://tracing or Perfetto),
-//     and aggregate into per-category latency/byte summaries.
+//     rendezvous send or an OSC epoch shows up as one nested tree),
+//     timestamped in virtual time. Traces export to Chrome trace-event
+//     JSON (loadable in chrome://tracing or Perfetto) together with the
+//     flight recorder's events as instants, and aggregate into
+//     per-category latency/byte summaries.
+//   - The flight recorder (package flight) is the one event log: every
+//     protocol and fault event is a typed, fixed-size record there.
 //
 // Everything is nil-safe: a nil *Registry hands out nil collectors, and
 // nil collectors, nil *Trace and nil *Span are no-ops that allocate

@@ -8,18 +8,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scimpich/internal/obs/flight"
 )
 
 // Concurrency stress for the trace exporter: per-actor span stacks, the
-// shared span/event rings and drop counters, and a concurrent Chrome
-// export. Run under -race in CI.
+// shared span ring and drop counter, flight rings recorded beside them, and
+// a concurrent Chrome export of both. Run under -race in CI.
 
 func TestTraceConcurrentStress(t *testing.T) {
 	const (
 		actors   = 8
 		spansPer = 300
 	)
-	tr := NewTrace(128) // small ring so the drop counters are exercised
+	// Small rings, so the drop counters are exercised.
+	tr := NewTrace(128)
+	rec := flight.New(128)
 
 	var wg sync.WaitGroup
 	for a := 0; a < actors; a++ {
@@ -35,7 +39,7 @@ func TestTraceConcurrentStress(t *testing.T) {
 				inner.End(at + 2)
 				outer.AddBytes(65536)
 				outer.End(at + 3)
-				tr.Instant(at+4, actor, "fault", "retry")
+				rec.Actor(actor).Record(at+4, flight.KFault, 0, int64(a), 0, 1)
 			}
 		}(a)
 	}
@@ -44,13 +48,8 @@ func TestTraceConcurrentStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			_ = tr.Spans()
-			_ = tr.Events()
-			_ = tr.SpanCount()
-			_ = tr.EventCount()
 			_ = tr.DroppedSpans()
-			_ = tr.DroppedEvents()
-			_ = tr.Actors()
-			if err := tr.WriteChrome(io.Discard); err != nil {
+			if err := tr.WriteChrome(io.Discard, rec); err != nil {
 				t.Errorf("WriteChrome: %v", err)
 			}
 		}
@@ -58,34 +57,32 @@ func TestTraceConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	wantSpans := int64(actors * spansPer * 2)
-	if got := int64(tr.SpanCount()) + tr.DroppedSpans(); got != wantSpans {
+	if got := int64(len(tr.Spans())) + tr.DroppedSpans(); got != wantSpans {
 		t.Errorf("spans retained+dropped = %d, want %d", got, wantSpans)
 	}
-	wantEvents := int64(actors * spansPer)
-	if got := int64(tr.EventCount()) + tr.DroppedEvents(); got != wantEvents {
-		t.Errorf("events retained+dropped = %d, want %d", got, wantEvents)
-	}
-	if len(tr.Actors()) != actors {
-		t.Errorf("actors = %v, want %d of them", tr.Actors(), actors)
+	d := rec.Snapshot("")
+	if got, want := uint64(d.TotalEvents())+d.TotalDropped(), uint64(actors*spansPer); got != want {
+		t.Errorf("flight events retained+dropped = %d, want %d", got, want)
 	}
 }
 
 func TestChromeExportCarriesDropCounts(t *testing.T) {
 	tr := NewTrace(2)
+	rec := flight.New(2)
 	for i := 0; i < 5; i++ {
 		at := time.Duration(i) * time.Microsecond
 		tr.StartSpan(at, "rank0", "send", "short").End(at + 1)
-		tr.Instant(at, "rank0", "fault", "retry")
+		rec.Actor("rank0").Record(at, flight.KFault, 0, 0, 1, 1)
 	}
-	if tr.DroppedSpans() != 3 || tr.DroppedEvents() != 3 {
+	if tr.DroppedSpans() != 3 || rec.Actor("rank0").Dropped() != 3 {
 		t.Fatalf("drops = %d spans / %d events, want 3 / 3",
-			tr.DroppedSpans(), tr.DroppedEvents())
+			tr.DroppedSpans(), rec.Actor("rank0").Dropped())
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
-	evs, other, err := ReadChromeMeta(&buf)
+	evs, other, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +96,16 @@ func TestChromeExportCarriesDropCounts(t *testing.T) {
 	// A complete trace must not emit otherData at all.
 	tr2 := NewTrace(0)
 	tr2.StartSpan(0, "rank0", "send", "short").End(1)
+	rec2 := flight.New(0)
+	rec2.Actor("rank0").Record(0, flight.KFault, 0, 0, 1, 1)
 	var buf2 bytes.Buffer
-	if err := tr2.WriteChrome(&buf2); err != nil {
+	if err := tr2.WriteChrome(&buf2, rec2); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf2.String(), "otherData") {
 		t.Errorf("complete trace emitted otherData:\n%s", buf2.String())
 	}
-	if _, other2, err := ReadChromeMeta(&buf2); err != nil || other2 != (ChromeOther{}) {
+	if _, other2, err := ReadChrome(&buf2); err != nil || other2 != (ChromeOther{}) {
 		t.Errorf("complete trace meta = %+v, %v; want zero, nil", other2, err)
 	}
 }

@@ -6,15 +6,6 @@ import (
 	"time"
 )
 
-// Event is one instant on the timeline: which actor did what, when
-// (virtual time), and through which protocol category.
-type Event struct {
-	At       time.Duration
-	Actor    string // "rank3", "dev1", "node0", ...
-	Category string // "send", "recv", "rdv", "osc", "fault", ...
-	Detail   string
-}
-
 // Span is one timed operation on the timeline. Spans on the same actor
 // nest: a span started while another is open becomes its child, so a
 // rendezvous send shows its pack and chunk phases as one tree. A nil span
@@ -37,70 +28,29 @@ type Span struct {
 	ended bool
 }
 
-// Trace collects spans and instant events, timestamped in virtual time.
-// All methods are safe for concurrent use; the nil trace discards
-// everything at zero cost.
+// Trace collects span trees, timestamped in virtual time. Point events
+// (sends, matches, faults) are not its business: the flight recorder
+// (internal/obs/flight) is the one event log, and WriteChrome merges its
+// rings into the export. All methods are safe for concurrent use; the nil
+// trace discards everything at zero cost.
 //
 // With limit > 0 the trace is a ring buffer: the most recent limit spans
-// and limit events are retained and older ones are dropped.
+// are retained and older ones are dropped.
 type Trace struct {
 	mu     sync.Mutex
 	limit  int
 	nextID int64
 
-	events  []Event
-	eshead  int // ring start in events when len == limit
-	edrop   int64
-	spans   []*Span
-	sphead  int
-	spdrop  int64
-	open    map[string][]*Span // per-actor stack of open spans
-	actors  []string           // first-appearance order (stable tids)
-	actorID map[string]int
+	spans  []*Span
+	sphead int
+	spdrop int64
+	open   map[string][]*Span // per-actor stack of open spans
 }
 
-// NewTrace returns a trace retaining at most limit spans and limit instant
-// events (0 = unlimited). When full, the oldest entries are dropped.
+// NewTrace returns a trace retaining at most limit spans (0 = unlimited).
+// When full, the oldest spans are dropped.
 func NewTrace(limit int) *Trace {
-	return &Trace{
-		limit:   limit,
-		open:    make(map[string][]*Span),
-		actorID: make(map[string]int),
-	}
-}
-
-func (t *Trace) noteActor(actor string) {
-	if _, ok := t.actorID[actor]; !ok {
-		t.actorID[actor] = len(t.actors)
-		t.actors = append(t.actors, actor)
-	}
-}
-
-// Instant records an instantaneous event.
-func (t *Trace) Instant(at time.Duration, actor, category, detail string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.noteActor(actor)
-	e := Event{At: at, Actor: actor, Category: category, Detail: detail}
-	if t.limit > 0 && len(t.events) >= t.limit {
-		// Ring: overwrite the oldest slot, keeping the newest events.
-		t.events[t.eshead] = e
-		t.eshead = (t.eshead + 1) % t.limit
-		t.edrop++
-	} else {
-		t.events = append(t.events, e)
-	}
-	t.mu.Unlock()
-}
-
-// Instantf is Instant with a formatted detail.
-func (t *Trace) Instantf(at time.Duration, actor, category, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Instant(at, actor, category, fmt.Sprintf(format, args...))
+	return &Trace{limit: limit, open: make(map[string][]*Span)}
 }
 
 // StartSpan opens a span at virtual time at. If the actor already has an
@@ -112,7 +62,6 @@ func (t *Trace) StartSpan(at time.Duration, actor, category, name string) *Span 
 		return nil
 	}
 	t.mu.Lock()
-	t.noteActor(actor)
 	t.nextID++
 	s := &Span{
 		ID: t.nextID, Actor: actor, Category: category, Name: name,
@@ -182,42 +131,6 @@ func (s *Span) End(at time.Duration) {
 	t.mu.Unlock()
 }
 
-// Events returns the retained instant events, oldest first.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.events) == 0 {
-		return nil
-	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.eshead:]...)
-	out = append(out, t.events[:t.eshead]...)
-	return out
-}
-
-// EventCount returns the number of retained instant events.
-func (t *Trace) EventCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// DroppedEvents returns how many instant events the ring has evicted.
-func (t *Trace) DroppedEvents() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.edrop
-}
-
 // DroppedSpans returns how many completed spans the ring has evicted.
 func (t *Trace) DroppedSpans() int64 {
 	if t == nil {
@@ -243,27 +156,6 @@ func (t *Trace) Spans() []*Span {
 	out = append(out, t.spans[t.sphead:]...)
 	out = append(out, t.spans[:t.sphead]...)
 	return out
-}
-
-// SpanCount returns the number of retained completed spans.
-func (t *Trace) SpanCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
-// Actors returns every actor seen, in first-appearance order. The index
-// of an actor in this slice is its stable thread id in exports.
-func (t *Trace) Actors() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.actors...)
 }
 
 // Duration of the span (0 while open).

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scimpich/internal/obs/flight"
 )
 
 func TestSpanNesting(t *testing.T) {
@@ -66,7 +68,7 @@ func TestSpanEndIdempotent(t *testing.T) {
 	s := tr.StartSpan(0, "a", "c", "n")
 	s.End(10)
 	s.End(99) // must not re-append or move EndAt
-	if got := tr.SpanCount(); got != 1 {
+	if got := len(tr.Spans()); got != 1 {
 		t.Fatalf("double End produced %d spans", got)
 	}
 	if s.EndAt != 10 {
@@ -80,10 +82,10 @@ func TestOpenSpansDroppedFromExport(t *testing.T) {
 	done := tr.StartSpan(1, "a", "c", "done")
 	done.End(2)
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadChrome(&buf)
+	evs, _, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,22 +99,8 @@ func TestOpenSpansDroppedFromExport(t *testing.T) {
 func TestRingKeepsNewest(t *testing.T) {
 	tr := NewTrace(3)
 	for i := 0; i < 10; i++ {
-		tr.Instant(time.Duration(i), "a", "c", fmt.Sprintf("e%d", i))
 		s := tr.StartSpan(time.Duration(i), "a", "c", fmt.Sprintf("s%d", i))
 		s.End(time.Duration(i) + 1)
-	}
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
-	}
-	for i, want := range []string{"e7", "e8", "e9"} {
-		if evs[i].Detail != want {
-			t.Errorf("event[%d] = %q, want %q (ring must keep newest, oldest-first order)",
-				i, evs[i].Detail, want)
-		}
-	}
-	if tr.DroppedEvents() != 7 {
-		t.Errorf("dropped = %d, want 7", tr.DroppedEvents())
 	}
 	spans := tr.Spans()
 	if len(spans) != 3 {
@@ -120,14 +108,18 @@ func TestRingKeepsNewest(t *testing.T) {
 	}
 	for i, want := range []string{"s7", "s8", "s9"} {
 		if spans[i].Name != want {
-			t.Errorf("span[%d] = %q, want %q", i, spans[i].Name, want)
+			t.Errorf("span[%d] = %q, want %q (ring must keep newest, oldest-first order)", i, spans[i].Name, want)
 		}
+	}
+	if tr.DroppedSpans() != 7 {
+		t.Errorf("dropped = %d, want 7", tr.DroppedSpans())
 	}
 }
 
 func TestChromeRoundTrip(t *testing.T) {
 	tr := NewTrace(0)
-	tr.Instant(5, "rank1", "fault", "crc injected")
+	rec := flight.New(0)
+	rec.Actor("rank1").Record(5, flight.KFault, 0, 1, 0, 0) // fault kind 0 is crc
 	outer := tr.StartSpan(0, "rank0", "send", "rdv")
 	inner := tr.StartSpan(10, "rank0", "pack", "direct_pack_ff")
 	inner.SetBytes(4096)
@@ -137,25 +129,28 @@ func TestChromeRoundTrip(t *testing.T) {
 	outer.End(30)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadChrome(&buf)
+	evs, _, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatalf("WriteChrome output does not parse back: %v", err)
 	}
 
 	var meta, complete, instant int
 	byName := map[string]ChromeEvent{}
+	tidName := map[int]string{}
 	for _, e := range evs {
 		switch e.Ph {
 		case "M":
 			meta++
+			tidName[e.Tid], _ = e.Args["name"].(string)
 		case "X":
 			complete++
 			byName[e.Name] = e
 		case "i":
 			instant++
+			byName[e.Name] = e
 		default:
 			t.Errorf("unexpected phase %q", e.Ph)
 		}
@@ -165,6 +160,11 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 	if complete != 2 || instant != 1 {
 		t.Errorf("complete=%d instant=%d, want 2/1", complete, instant)
+	}
+	// The flight event is an instant on its actor's thread, named as
+	// flight.FormatEvent renders it.
+	if f, ok := byName["fault: crc from 1 to 0"]; !ok || f.Cat != "fault" || f.Ts != 0.005 || tidName[f.Tid] != "rank1" {
+		t.Errorf("flight instant = %+v (present %v), want fault on rank1 at 0.005us", f, ok)
 	}
 
 	o, i := byName["rdv"], byName["direct_pack_ff"]
@@ -219,10 +219,10 @@ func TestSummarize(t *testing.T) {
 
 	// SummarizeChrome over the exported file must agree on counts and bytes.
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadChrome(&buf)
+	evs, _, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,6 @@ func TestTraceConcurrency(t *testing.T) {
 			defer wg.Done()
 			actor := fmt.Sprintf("rank%d", g)
 			for i := 0; i < 200; i++ {
-				tr.Instantf(time.Duration(i), actor, "send", "ev %d", i)
 				s := tr.StartSpan(time.Duration(i), actor, "send", "op")
 				s.AddBytes(8)
 				s.End(time.Duration(i + 1))
@@ -249,31 +248,24 @@ func TestTraceConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := tr.EventCount(); got != 64 {
-		t.Errorf("events retained = %d, want limit 64", got)
-	}
-	if got := tr.SpanCount(); got != 64 {
+	if got := len(tr.Spans()); got != 64 {
 		t.Errorf("spans retained = %d, want limit 64", got)
 	}
-	if got := len(tr.Actors()); got != 8 {
-		t.Errorf("actors = %d, want 8", got)
-	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestInstantfFormatsAndNilTraceIsInert(t *testing.T) {
-	tr := NewTrace(0)
-	tr.Instantf(time.Microsecond, "rank0", "send", "-> 1: %d bytes", 100)
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Detail != "-> 1: 100 bytes" || evs[0].Actor != "rank0" || evs[0].At != time.Microsecond {
-		t.Errorf("events = %+v", evs)
-	}
+func TestNilTraceIsInert(t *testing.T) {
 	var none *Trace
-	none.Instantf(0, "x", "y", "z %d", 1) // must not panic
-	if none.StartSpan(0, "a", "b", "c") != nil || none.Events() != nil || none.EventCount() != 0 {
+	sp := none.StartSpan(0, "a", "b", "c") // must not panic
+	sp.SetDetail("d %d", 1)
+	sp.End(1)
+	if sp != nil || none.Spans() != nil || none.Summarize() != nil {
 		t.Error("nil trace leaked state")
+	}
+	if err := none.WriteChrome(&bytes.Buffer{}, nil); err == nil {
+		t.Error("WriteChrome on a nil trace succeeded")
 	}
 }

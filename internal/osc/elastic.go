@@ -6,6 +6,7 @@ import (
 
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
+	"scimpich/internal/obs/flight"
 	"scimpich/internal/sci"
 )
 
@@ -39,8 +40,7 @@ func (w *Win) Abandon() {
 	w.closeEpoch()
 	w.ep = epochNone
 	w.lockHeld = -1
-	c := w.sys.c
-	c.Tracer().Instantf(c.Proc().Now(), w.actor, "fault", "window %d abandoned", w.id)
+	w.fl.Record(w.sys.c.Proc().Now(), flight.KWinAbandoned, int64(w.id), 0, 0, 0)
 	delete(w.sys.wins, w.id)
 }
 

@@ -7,6 +7,7 @@ import (
 	"scimpich/internal/datatype"
 	"scimpich/internal/memmodel"
 	"scimpich/internal/mpi"
+	"scimpich/internal/obs/flight"
 	"scimpich/internal/pack"
 	"scimpich/internal/sim"
 )
@@ -67,8 +68,7 @@ func (s *System) handle(p *sim.Proc, src int, req any) any {
 		// Not a programming error under recovery: a stale request for a
 		// window this rank already freed or abandoned (window ids are never
 		// reused). Refuse gracefully — the origin sees ErrWinGone.
-		s.c.Tracer().Instantf(p.Now(), fmt.Sprintf("rank%d", s.c.WorldRank()), "fault",
-			"refusing request for unknown window %d from world rank %d", r.win, src)
+		s.c.FlightRing().Record(p.Now(), flight.KPacketDrop, int64(r.win), int64(src), flight.DropUnknownWin, 0)
 		return &oscReply{ok: false}
 	}
 	switch r.kind {
@@ -88,8 +88,7 @@ func (s *System) handle(p *sim.Proc, src int, req any) any {
 		if !w.privLockBusy {
 			// Stale unlock from a revoked or recovered origin; refuse rather
 			// than corrupt the lock state.
-			s.c.Tracer().Instantf(p.Now(), w.actor, "fault",
-				"refusing unlock of unheld window %d lock from world rank %d", w.id, src)
+			w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropUnheldUnlock, 0)
 			return &oscReply{ok: false}
 		}
 		w.privLockBusy = false
@@ -129,16 +128,14 @@ func (s *System) handleGet(p *sim.Proc, src int, w *Win, r *oscReq) {
 	defer scratch.Put() // WriteStream captures the bytes synchronously
 	_, st := pack.FFPack(pack.BufferSink{Buf: scratch.B}, win[r.off:], r.dt, r.count, r.skip, r.n)
 	p.Sleep(s.memModel().CopyCost(st.Bytes, st.AvgBlock(), st.Bytes*2))
-	if err := stage.WriteStream(p, getBase, scratch.B, r.n); err != nil {
-		// Handler side of a get whose origin just died: there is nobody to
-		// report to — trace and drop (the origin's own watchdog fires).
-		s.c.Tracer().Instantf(p.Now(), w.actor, "fault",
-			"window %d: remote-put toward world rank %d failed (%v)", w.id, src, err)
-		return
+	err := stage.WriteStream(p, getBase, scratch.B, r.n)
+	if err == nil {
+		err = stage.Sync(p)
 	}
-	if err := stage.Sync(p); err != nil {
-		s.c.Tracer().Instantf(p.Now(), w.actor, "fault",
-			"window %d: remote-put sync toward world rank %d failed (%v)", w.id, src, err)
+	if err != nil {
+		// Handler side of a get whose origin just died: there is nobody to
+		// report to — record and drop (the origin's own watchdog fires).
+		w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropRemotePut, 0)
 	}
 }
 

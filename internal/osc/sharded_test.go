@@ -74,8 +74,7 @@ func TestStatsReadableMidRun(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		cfg := mpi.DefaultConfig(ranks, 1)
 		cfg.Shards = shards
-		cfg.SCI.FaultRate = 0.2
-		cfg.SCI.Fault = fault.New(7).WithDuplicates(0.4)
+		cfg.SCI.Fault = fault.New(7).WithRetries(0.2).WithDuplicates(0.4)
 		read := func(w *mpi.World, win *Win, me int) reading {
 			return reading{w.Stats(me), w.InterconnectStats(w.NodeOf(1 - me)), win.Snapshot()}
 		}

@@ -88,8 +88,6 @@ func (w *Win) FenceChecked() error {
 		}
 		if !ok {
 			w.countSyncTimeout()
-			c.Tracer().Instantf(p.Now(), w.actor, "fault",
-				"window %d: fence round %d timed out (%d/%d peers)", w.id, round, w.pendingFence[round], need)
 			err := ErrSyncTimeout{Op: "fence", Win: w.id, Target: -1, Waited: waited}
 			w.fl.Fail(p.Now(), flight.OpFence, -1, err)
 			return err
@@ -159,9 +157,8 @@ func (w *Win) Start(group []int) {
 		src := p.Recv(w.postQ).(int) // world rank
 		if need[src] == 0 {
 			// Stale post from a rank outside the group — e.g. a peer revoked
-			// after it notified. Ignore it; only expected posts count.
-			w.sys.c.Tracer().Instantf(p.Now(), w.actor, "fault",
-				"window %d: ignoring unexpected post from world rank %d", w.id, src)
+			// after it notified. Drop it; only expected posts count.
+			w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropStalePost, 0)
 			continue
 		}
 		need[src]--
@@ -198,9 +195,8 @@ func (w *Win) Wait(group []int) {
 	for remaining := len(group); remaining > 0; {
 		src := p.Recv(w.completeQ).(int) // world rank
 		if need[src] == 0 {
-			// Stale complete from outside the group (revoked origin); ignore.
-			w.sys.c.Tracer().Instantf(p.Now(), w.actor, "fault",
-				"window %d: ignoring unexpected complete from world rank %d", w.id, src)
+			// Stale complete from outside the group (revoked origin); drop it.
+			w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropStaleComplete, 0)
 			continue
 		}
 		need[src]--
@@ -286,8 +282,6 @@ func (w *Win) LockChecked(target int) error {
 		waited += p.Now() - start
 		if waited >= w.cfg.SyncTimeout {
 			w.countSyncTimeout()
-			c.Tracer().Instantf(p.Now(), w.actor, "fault",
-				"window %d: lock of rank %d timed out after %v", w.id, target, waited)
 			err := ErrSyncTimeout{Op: "lock", Win: w.id, Target: target, Waited: waited}
 			w.fl.Fail(p.Now(), flight.OpLock, world, err)
 			return err

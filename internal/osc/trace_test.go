@@ -7,17 +7,19 @@ import (
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
+	"scimpich/internal/obs/flight"
 )
 
 // TestGuardedTraceSites is the one-sided half of mpi.TestGuardedTraceSites:
 // every SetDetail with arguments is guarded at its call site by the span it
 // holds, and with a tracer attached each must record exactly the Detail the
 // unguarded call produced — the epoch, and a put, get and accumulate on the
-// direct and on the emulated path.
+// direct and on the emulated path. The puts' events are the flight ring's.
 func TestGuardedTraceSites(t *testing.T) {
 	cfg := mpi.DefaultConfig(2, 1)
 	tr := obs.NewTrace(0)
-	cfg.Tracer = tr
+	rec := flight.New(0)
+	cfg.Tracer, cfg.Flight = tr, rec
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		shared, private := mkWin(c, 64<<10, true), mkWin(c, 64<<10, false)
 		small, large := fill(64), fill(16<<10)
@@ -39,6 +41,9 @@ func TestGuardedTraceSites(t *testing.T) {
 			got[s.Actor+" "+s.Name+": "+s.Detail]++
 		}
 	}
+	for _, e := range rec.Snapshot("").Actor("rank0").Events {
+		got["flight "+flight.FormatEvent(e)]++
+	}
 	for _, want := range []struct {
 		line string
 		n    int
@@ -51,6 +56,8 @@ func TestGuardedTraceSites(t *testing.T) {
 		{"rank0 get: remote-put <- 1", 3},
 		{"rank0 acc: inline -> 1", 2},
 		{"rank0 acc: staged -> 1", 2},
+		{"flight put -> rank1 64B on window 0 (direct)", 1},
+		{"flight put -> rank1 64B on window 0 (emulated)", 1},
 	} {
 		if got[want.line] != want.n {
 			t.Errorf("recorded %d x %q, want %d", got[want.line], want.line, want.n)

@@ -340,8 +340,7 @@ func (w *Win) degrade(target int, err error) {
 	w.degraded[target] = true
 	w.count(&w.stats.Degradations, w.sys.met.degradations, 1)
 	c := w.sys.c
-	c.Tracer().Instantf(c.Proc().Now(), w.actor, "fault",
-		"window %d: direct view of rank %d degraded to emulation (%v)", w.id, target, err)
+	w.fl.Record(c.Proc().Now(), flight.KWinDegraded, int64(w.id), int64(c.GroupToWorld(target)), 0, 0)
 }
 
 // Degraded reports whether the direct view of rank target has been

@@ -130,25 +130,16 @@ type Config struct {
 	// the one-sided emulation path to invoke a remote handler).
 	InterruptLatency time.Duration
 
-	// FaultRate is the probability that a transfer suffers a transmission
-	// error and must be retried; RetryLatency is the added delay per retry.
-	// Faults are generated by a deterministic seeded PRNG.
-	FaultRate    float64
+	// RetryLatency is the added delay of one retransmission.
 	RetryLatency time.Duration
-	FaultSeed    uint64
 
 	// Fault is an optional deterministic fault-injection plan: scheduled
-	// node crashes, link-disturbance windows, CRC/sequence transfer
-	// errors, transfer-check failures and segment revocations. Unlike the
-	// latency-only FaultRate knob above, plan faults make operations fail
-	// with typed errors that the recovery layers must handle. nil injects
+	// node crashes, link-disturbance windows, latency-only retransmissions,
+	// CRC/sequence transfer errors, transfer-check failures and segment
+	// revocations, all drawn from the plan's one seeded stream. nil injects
 	// nothing. A Plan holds mutable draw state — use a fresh Plan (same
 	// seed) per run.
 	Fault *fault.Plan
-
-	// Tracer, when non-nil, receives fault-injection and recovery events
-	// (category "fault").
-	Tracer *obs.Trace
 
 	// Metrics, when non-nil, receives the interconnect's counters and
 	// latency histograms (sci.pio.*, sci.dma.ns, sci.store_barrier.ns,
@@ -156,10 +147,11 @@ type Config struct {
 	// PIO hot path.
 	Metrics *obs.Registry
 
-	// Flight, when non-nil, receives node crash/restore and segment
-	// revocation events on the per-node actor rings ("node<i>"), so a
-	// post-mortem can correlate protocol stalls with the injected
-	// interconnect faults. nil records nothing at zero cost.
+	// Flight, when non-nil, receives node crash/restore, segment
+	// revocation, surfaced-fault and connection-loss events on the per-node
+	// actor rings ("node<i>") and every fault the plan draws on the
+	// "faultplan" ring, so a post-mortem can correlate protocol stalls with
+	// the injected interconnect faults. nil records nothing at zero cost.
 	Flight *flight.Recorder
 
 	// CheckRetryMax bounds the retries of the transfer-check barrier
@@ -200,9 +192,7 @@ func DefaultConfig(nodes int) Config {
 		DMASGPeakBW:         225 * MiB,
 		DMASGGap:            8,
 		InterruptLatency:    14 * time.Microsecond,
-		FaultRate:           0,
 		RetryLatency:        30 * time.Microsecond,
-		FaultSeed:           1,
 		CheckRetryMax:       4,
 		CheckBackoff:        10 * time.Microsecond,
 		Mem:                 memmodel.PentiumIII800(),

@@ -80,7 +80,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 		}
 		start := p.Now()
 		p.Sleep(cfg.DMAStartup)
-		d.node.ic.faults.maybeRetry(p, &d.node.stats)
+		d.node.retransmit(p)
 		n := int64(len(req.data.B))
 		// Failures complete the request with the typed error instead of
 		// panicking inside the engine daemon: the submitter gets it from
@@ -121,7 +121,7 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *DMARequest) {
 		avgRun = n / int64(runs)
 	}
 	p.Sleep(cfg.DMAStartup + time.Duration(len(req.descs))*cfg.DMASGDesc)
-	d.node.ic.faults.maybeRetry(p, &d.node.stats)
+	d.node.retransmit(p)
 	if err := req.m.stateErr(); err != nil {
 		req.done.Complete(err)
 		return
@@ -156,8 +156,6 @@ func (d *dmaEngine) drawFault(p *sim.Proc, req *DMARequest) error {
 		return nil
 	}
 	d.node.stats.TransferErrors++
-	d.node.ic.countFault(fe.Kind)
-	d.node.ic.tracef(d.node.name, "%v error on DMA to node %d", fe.Kind, req.m.seg.owner.id)
 	p.Sleep(cfg.RetryLatency)
 	return fe
 }

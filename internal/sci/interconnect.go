@@ -24,10 +24,9 @@ type Interconnect struct {
 	Ring *ring.Topology
 	Cfg  Config
 
-	nodes  []*Node
-	paths  [][]flow.Hop // Node.path by from*len(nodes)+owner, each built on first use
-	faults *faultInjector
-	met    icMetrics
+	nodes []*Node
+	paths [][]flow.Hop // Node.path by from*len(nodes)+owner, each built on first use
+	met   icMetrics
 }
 
 // Stats is one node's transfer counters: the live set the node bumps, and
@@ -93,11 +92,21 @@ func newICMetrics(r *obs.Registry) icMetrics {
 }
 
 // countFault bumps the per-kind injected-fault counter (nil-registry safe;
-// fault paths are cold, so the labelled lookup is fine here).
+// fault paths are cold, so the labelled lookup is fine here). Its callers,
+// the plan's observer (see applyPlan) for the faults the plan draws and
+// surfaceFault for the rest, record each counted fault as one KFault.
 func (ic *Interconnect) countFault(k fault.Kind) {
 	if ic.Cfg.Metrics != nil {
 		ic.Cfg.Metrics.Counter(obs.Name("fault.injected", "kind", k.String())).Inc()
 	}
+}
+
+// surfaceFault counts a fault the interconnect surfaces without a plan draw
+// (an unreachable owner, a disturbance that outlasted the retries) and
+// records it as one KFault on node n's ring, D being the retries spent.
+func (n *Node) surfaceFault(at time.Duration, k fault.Kind, to, retries int) {
+	n.ic.countFault(k)
+	n.ic.Cfg.Flight.Actor(n.name).Record(at, flight.KFault, int64(k), int64(n.id), int64(to), int64(retries))
 }
 
 // Node is one cluster node with its adapter.
@@ -179,7 +188,6 @@ func New(e sim.Host, cfg Config) *Interconnect {
 		Cfg:  cfg,
 	}
 	ic.Net.SetMetrics(cfg.Metrics)
-	ic.faults = newFaultInjector(cfg.FaultRate, cfg.RetryLatency, cfg.FaultSeed)
 	if ic.Cfg.CheckRetryMax <= 0 {
 		ic.Cfg.CheckRetryMax = 4
 	}
@@ -204,12 +212,19 @@ func New(e sim.Host, cfg Config) *Interconnect {
 }
 
 // applyPlan schedules the fault plan's node crashes/restorations and
-// segment revocations as engine events.
+// segment revocations as engine events, and counts every fault the plan
+// draws and puts it on the flight recorder, so a post-mortem can separate
+// injected causes from symptoms.
 func (ic *Interconnect) applyPlan() {
 	plan := ic.Cfg.Fault
 	if plan == nil {
 		return
 	}
+	flr := ic.Cfg.Flight.Actor("faultplan")
+	plan.SetObserver(func(at time.Duration, k fault.Kind, from, to int) {
+		ic.countFault(k)
+		flr.Record(at, flight.KFault, int64(k), int64(from), int64(to), 0)
+	})
 	for _, ev := range plan.NodeSchedule() {
 		ev := ev
 		if ev.Node < 0 || ev.Node >= len(ic.nodes) {
@@ -219,11 +234,9 @@ func (ic *Interconnect) applyPlan() {
 		ic.E.At(ev.At, func() {
 			if ev.Up {
 				ic.RestoreNode(ev.Node)
-				ic.tracef(fmt.Sprintf("node%d", ev.Node), "node restored (plan)")
 				flr.Record(ic.E.Now(), flight.KNodeUp, int64(ev.Node), 0, 0, 0)
 			} else {
 				ic.FailNode(ev.Node)
-				ic.tracef(fmt.Sprintf("node%d", ev.Node), "node crashed (plan)")
 				flr.Record(ic.E.Now(), flight.KNodeDown, int64(ev.Node), 0, 0, 0)
 			}
 		})
@@ -236,15 +249,9 @@ func (ic *Interconnect) applyPlan() {
 		flr := ic.Cfg.Flight.Actor(fmt.Sprintf("node%d", ev.Owner))
 		ic.E.At(ev.At, func() {
 			ic.RevokeSegment(ev.Owner, ev.Seg)
-			ic.tracef(fmt.Sprintf("node%d", ev.Owner), "segment %d revoked (plan)", ev.Seg)
 			flr.Record(ic.E.Now(), flight.KSegRevoked, int64(ev.Owner), int64(ev.Seg), 0, 0)
 		})
 	}
-}
-
-// tracef records a fault/recovery event on the configured tracer (nil-safe).
-func (ic *Interconnect) tracef(actor, format string, args ...any) {
-	ic.Cfg.Tracer.Instantf(ic.E.Now(), actor, "fault", format, args...)
 }
 
 // Plan returns the configured fault plan (possibly nil; all Plan query
@@ -358,6 +365,15 @@ func (n *Node) StoreBarrier(p *sim.Proc) {
 // flow network.
 const flowThreshold = 2048
 
+// retransmit charges the retransmissions the fault plan draws for one
+// transfer: latency only, the adapter clears them on its own.
+func (n *Node) retransmit(p *sim.Proc) {
+	if k := n.ic.Cfg.Fault.DrawRetries(); k > 0 {
+		n.stats.Retries += int64(k)
+		p.Sleep(time.Duration(k) * n.ic.Cfg.RetryLatency)
+	}
+}
+
 // transferCost moves `bytes` from node n toward owner at the given source
 // cap, blocking p for the virtual time of the move. Unreachable targets
 // and link disturbances are reported as typed errors.
@@ -365,7 +381,7 @@ func (n *Node) transferCost(p *sim.Proc, owner *Node, bytes int64, srcCap float6
 	if bytes <= 0 {
 		return nil
 	}
-	n.ic.faults.maybeRetry(p, &n.stats)
+	n.retransmit(p)
 	if n == owner {
 		// Local access: charged by the caller's memory model instead.
 		return nil
@@ -400,7 +416,6 @@ func (n *Node) tryLinkClear(p *sim.Proc, owner *Node) error {
 		}
 	}
 	n.stats.TransferErrors++
-	n.ic.countFault(fault.LinkDisturbed)
-	n.ic.tracef(n.name, "link to node %d disturbed, transfer aborted", owner.id)
+	n.surfaceFault(p.Now(), fault.LinkDisturbed, owner.id, maxTransferRetries)
 	return &fault.Error{Kind: fault.LinkDisturbed, From: n.id, To: owner.id, At: p.Now()}
 }

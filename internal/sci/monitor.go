@@ -89,8 +89,7 @@ func (n *Node) tryReachable(p *sim.Proc, target *Node) error {
 			return nil // the connection came back mid-retry
 		}
 	}
-	n.ic.countFault(fault.NodeUnreachable)
-	n.ic.tracef(n.name, "connection to node %d lost after %d retries", target.id, maxTransferRetries)
+	n.surfaceFault(p.Now(), fault.NodeUnreachable, target.id, maxTransferRetries)
 	return ErrConnectionLost{From: n.id, To: target.id}
 }
 

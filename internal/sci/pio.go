@@ -49,8 +49,6 @@ func (m *Mapping) drawPIOFault(p *sim.Proc) error {
 		return nil
 	}
 	from.stats.TransferErrors++
-	from.ic.countFault(fe.Kind)
-	from.ic.tracef(from.name, "%v error on transfer to node %d", fe.Kind, m.seg.owner.id)
 	p.Sleep(from.ic.Cfg.RetryLatency)
 	return fe
 }
@@ -210,7 +208,7 @@ func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 		return nil
 	}
 	start := p.Now()
-	from.ic.faults.maybeRetry(p, &from.stats)
+	from.retransmit(p)
 	if err := from.tryReachable(p, m.seg.owner); err != nil {
 		return err
 	}
@@ -249,7 +247,7 @@ func (m *Mapping) tryReadStrided(p *sim.Proc, off int64, dst []byte, accessSize,
 		memmodel.Gather(dst, m.seg.Local()[off:], a.Access, a.Stride)
 		return nil
 	}
-	from.ic.faults.maybeRetry(p, &from.stats)
+	from.retransmit(p)
 	if err := from.tryReachable(p, m.seg.owner); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"scimpich/internal/fault"
 	"scimpich/internal/sim"
 )
 
@@ -315,7 +316,7 @@ func TestTwoSendersShareTargetIngress(t *testing.T) {
 func TestFaultInjectionPreservesDataAndAddsRetries(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := DefaultConfig(2)
-	cfg.FaultRate = 0.2
+	cfg.Fault = fault.New(1).WithRetries(0.2)
 	ic := New(e, cfg)
 	seg := ic.Node(1).Export(1 << 20)
 	src := fill(1 << 20)
@@ -339,7 +340,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 	run := func() int64 {
 		e := sim.NewEngine()
 		cfg := DefaultConfig(2)
-		cfg.FaultRate = 0.3
+		cfg.Fault = fault.New(1).WithRetries(0.3)
 		ic := New(e, cfg)
 		seg := ic.Node(1).Export(1 << 16)
 		e.Go("p", func(p *sim.Proc) {

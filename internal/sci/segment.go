@@ -6,6 +6,7 @@ import (
 
 	"scimpich/internal/fault"
 	"scimpich/internal/memmodel"
+	"scimpich/internal/obs/flight"
 	"scimpich/internal/sim"
 )
 
@@ -120,9 +121,7 @@ func (n *Node) ImportInto(m *Mapping, owner int, segID int) error {
 	if owner < 0 || owner >= len(n.ic.nodes) {
 		return fmt.Errorf("sci: import from unknown node %d", owner)
 	}
-	if n.ic.Cfg.Fault.TakeImportFailure(owner, segID) {
-		n.ic.countFault(fault.ImportDenied)
-		n.ic.tracef(n.name, "import of segment %d@node%d denied (plan)", segID, owner)
+	if n.ic.Cfg.Fault.TakeImportFailure(n.ic.E.Now(), owner, segID) {
 		return &fault.Error{Kind: fault.ImportDenied, From: n.id, To: owner, At: n.ic.E.Now()}
 	}
 	if !n.ic.Alive(owner) {
@@ -130,8 +129,7 @@ func (n *Node) ImportInto(m *Mapping, owner int, segID int) error {
 		// layers rebuild their windows after a crash), not a programming
 		// error: surface the typed unreachability fault instead of panicking
 		// in MustImport on the missing export table.
-		n.ic.countFault(fault.NodeUnreachable)
-		n.ic.tracef(n.name, "import of segment %d@node%d failed: node down", segID, owner)
+		n.surfaceFault(n.ic.E.Now(), fault.NodeUnreachable, owner, 0)
 		return &fault.Error{Kind: fault.NodeUnreachable, From: n.id, To: owner, At: n.ic.E.Now()}
 	}
 	seg := n.ic.nodes[owner].segment(segID)
@@ -199,13 +197,13 @@ func (m *Mapping) CheckedSync(p *sim.Proc) error {
 			return err
 		}
 		if attempt >= cfg.CheckRetryMax {
-			from.ic.tracef(from.name,
-				"transfer check toward node %d failed %d times, connection lost", m.seg.owner.id, attempt+1)
+			// Every failed check is a KFault of the plan's; the give-up is
+			// the connection's own record.
+			cfg.Flight.Actor(from.name).Record(p.Now(), flight.KConnLost,
+				int64(from.id), int64(m.seg.owner.id), int64(attempt+1), 0)
 			return ErrConnectionLost{From: from.id, To: m.seg.owner.id}
 		}
 		from.stats.CheckRetries++
-		from.ic.tracef(from.name,
-			"transfer check toward node %d failed (%v), retry %d after %v", m.seg.owner.id, fe.Kind, attempt+1, backoff)
 		p.Sleep(backoff)
 		backoff *= 2
 	}
@@ -226,7 +224,6 @@ func (m *Mapping) checkStatus(p *sim.Proc) error {
 	}
 	if fe := m.from.ic.Cfg.Fault.DrawCheckError(p.Now(), m.from.id, owner.id); fe != nil {
 		m.from.stats.TransferErrors++
-		m.from.ic.countFault(fe.Kind)
 		return fe
 	}
 	return nil

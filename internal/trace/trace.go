@@ -1,6 +1,6 @@
 // Package trace is the name the frozen benchmark harness (benchmark/tracer.go)
 // attaches a timeline under. The tracer is obs.Trace; every layer holds a
-// *obs.Trace and calls Instantf/StartSpan on it directly.
+// *obs.Trace and calls StartSpan on it directly.
 package trace
 
 import "scimpich/internal/obs"
