@@ -19,7 +19,6 @@ import (
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
-	"scimpich/internal/nic"
 	"scimpich/internal/osc"
 	"scimpich/internal/pack"
 	"scimpich/internal/ring"
@@ -452,34 +451,5 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 				c.Sendrecv(buf, len(buf), datatype.Byte, next, r, in, len(in), datatype.Byte, prev, r)
 			}
 		})
-	}
-}
-
-// BenchmarkNICTransport runs the noncontig workload over the message-NIC
-// fabric (Myrinet class): the comparator configuration on the real stack.
-func BenchmarkNICTransport(b *testing.B) {
-	ty := datatype.Vector(2048, 16, 32, datatype.Float64).Commit()
-	src := make([]byte, ty.Extent()+64)
-	run := func(k nic.Config) float64 {
-		cfg := mpi.NICConfig(2, 1, k)
-		var elapsed time.Duration
-		mpi.Run(cfg, func(c *mpi.Comm) {
-			switch c.Rank() {
-			case 0:
-				start := c.WtimeDuration()
-				c.Send(src, 1, ty, 1, 0)
-				c.Recv(nil, 0, datatype.Byte, 1, 1)
-				elapsed = c.WtimeDuration() - start
-			case 1:
-				dst := make([]byte, len(src))
-				c.Recv(dst, 1, ty, 0, 0)
-				c.Send(nil, 0, datatype.Byte, 0, 1)
-			}
-		})
-		return float64(ty.Size()) / elapsed.Seconds() / (1 << 20)
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run(nic.Myrinet1280()), "myrinet-MiB/s")
-		b.ReportMetric(run(nic.FastEthernet()), "ethernet-MiB/s")
 	}
 }

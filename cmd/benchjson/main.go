@@ -21,13 +21,11 @@ import (
 
 func main() {
 	dir := flag.String("dir", ".", "directory the BENCH_*.json artifacts are written to")
-	var sweep bench.Sweep
-	flag.Uint64Var(&sweep.RmemSeed, "rmem-seed", 42, "fault-plan seed of the rmem failover suite")
 	flag.Parse()
 
 	failed := false
 	for _, file := range bench.ArtifactFiles() {
-		data, gates := bench.RunArtifact(file, sweep, os.Stdout)
+		data, gates := bench.RunArtifact(file, bench.Sweep{}, os.Stdout)
 		if data == nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", file, gates)
 			os.Exit(1)

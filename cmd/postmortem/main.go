@@ -5,7 +5,8 @@
 //   - the invariant report — unmatched or stalled rendezvous transfers,
 //     fence-stall attribution (which rank held up the round, and whether an
 //     injected crash is the root cause), shrink-agreement divergence, epoch
-//     regressions and lost committed writes — ranked by severity,
+//     regressions, partially stamped rmem epochs and lost committed writes —
+//     ranked by severity,
 //   - the causal chain terminating at the failure, annotated with Lamport
 //     clocks derived from the send/recv, rendezvous, fence and put edges,
 //   - the tail of every actor's event timeline.

@@ -15,7 +15,7 @@ import (
 func TestBenchArtifactsDeterministic(t *testing.T) {
 	marshal := func() (rmem, engine []byte) {
 		t.Helper()
-		rmemRows, ok := RunRmemBench(42)
+		rmemRows, ok := RunRmemBench()
 		if !ok {
 			t.Fatalf("rmem gates failed: %+v", rmemRows)
 		}

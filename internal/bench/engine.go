@@ -31,6 +31,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -133,7 +134,7 @@ func mpiStackRow(shards int) EngineResult {
 			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			z ^= z >> 31
-			putU64(send[i*8:], z)
+			binary.LittleEndian.PutUint64(send[i*8:], z)
 		}
 		for it := 0; it < mpiStackIters; it++ {
 			c.Allreduce(send, recv, MPIStackElems, datatype.Int64, mpi.OpSum)
@@ -141,7 +142,7 @@ func mpiStackRow(shards int) EngineResult {
 		}
 		var sum uint64
 		for i := 0; i < MPIStackElems; i++ {
-			sum += getU64(recv[i*8:])*0x100000001b3 + uint64(i)
+			sum += binary.LittleEndian.Uint64(recv[i*8:])*0x100000001b3 + uint64(i)
 		}
 		sums[me] = sum
 	}
@@ -177,20 +178,6 @@ func mpiStackRow(shards int) EngineResult {
 		DumpFNV:  fmt.Sprintf("%016x", h.Sum64()),
 	}
 	return r
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }
 
 // RunEngineBench executes the pinned 512-node torus scenario plus the

@@ -108,8 +108,8 @@ func noncontigBW(nodes, procs int, bs int64, useFF bool) float64 {
 }
 
 // vectorBW measures the strided-vector workload on a custom cluster
-// configuration (the UltraSparc II reproduction, the NIC cross-check, the
-// DMA path-selection suite with its own deposit policy).
+// configuration (the UltraSparc II reproduction, the DMA path-selection
+// suite with its own deposit policy).
 func vectorBW(cfg mpi.Config, bs int64) float64 {
 	return streamBW(cfg, vectorType(bs), 1, noncontigReps)
 }

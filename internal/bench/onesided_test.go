@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"scimpich/internal/mpi"
-	"scimpich/internal/nic"
-	"scimpich/internal/platform"
 )
 
 func TestOneVsTwoSidedConclusion(t *testing.T) {
@@ -92,32 +90,5 @@ func TestTorusProjection(t *testing.T) {
 	if giant.PerNode > torus512.PerNode/10 {
 		t.Errorf("flat 512-ring per-node bw %.1f did not collapse (torus %.1f)",
 			giant.PerNode, torus512.PerNode)
-	}
-}
-
-func TestNICStackMatchesAnalyticPlatformClass(t *testing.T) {
-	// Cross-validation: the Myrinet-class comparator is modeled twice —
-	// as an analytic curve (internal/platform, figure 10) and as the real
-	// MPI stack over the message-NIC transport. The two must agree on the
-	// class of result: generic-only noncontig well below contiguous, and
-	// similar contiguous bandwidth.
-	cfg := mpi.NICConfig(2, 1, nic.Myrinet1280())
-	simContig := contigBWOn(cfg)
-	simNC := vectorBW(staticPath(cfg, true), 512) // ff enabled but useless on a NIC
-
-	pl := platform.SCoreMyrinet()
-	anaNC, anaContig := pl.NoncontigBW(512, NoncontigTotal)
-
-	if ratio := simContig / (anaContig / MiB); ratio < 0.5 || ratio > 2 {
-		t.Errorf("contiguous: simulated %.1f vs analytic %.1f MiB/s — class mismatch",
-			simContig, anaContig/MiB)
-	}
-	if ratio := simNC / (anaNC / MiB); ratio < 0.4 || ratio > 2.5 {
-		t.Errorf("noncontig: simulated %.1f vs analytic %.1f MiB/s — class mismatch",
-			simNC, anaNC/MiB)
-	}
-	// Both agree that noncontig stays below contiguous on a message NIC.
-	if simNC >= simContig {
-		t.Errorf("simulated NIC noncontig (%.1f) not below contiguous (%.1f)", simNC, simContig)
 	}
 }

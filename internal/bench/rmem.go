@@ -45,10 +45,12 @@ type RmemResult struct {
 	GateP99Bound          bool `json:"gate_p99_bound,omitempty"`
 }
 
-// RmemNodes and RmemCrashAt pin the benchmark scenario.
+// RmemNodes, RmemCrashAt and RmemSeed (the fault-plan seed) pin the
+// benchmark scenario.
 const (
 	RmemNodes   = 4
 	RmemCrashAt = 5200 * time.Microsecond
+	RmemSeed    = 42
 )
 
 func rmemConfig(plan *fault.Plan) mpi.Config {
@@ -59,9 +61,9 @@ func rmemConfig(plan *fault.Plan) mpi.Config {
 	return cfg
 }
 
-func rmemRow(scenario string, seed uint64, reports []rmem.RankReport, end time.Duration) RmemResult {
+func rmemRow(scenario string, reports []rmem.RankReport, end time.Duration) RmemResult {
 	wl := rmem.DefaultWorkload()
-	r := RmemResult{Scenario: scenario, Nodes: RmemNodes, Seed: seed, Rounds: wl.Rounds, ElapsedNS: int64(end)}
+	r := RmemResult{Scenario: scenario, Nodes: RmemNodes, Seed: RmemSeed, Rounds: wl.Rounds, ElapsedNS: int64(end)}
 	for _, rr := range reports {
 		if rr.Died {
 			continue
@@ -113,15 +115,15 @@ func gateRmem(churn *RmemResult, watchdog time.Duration) bool {
 
 // RunRmemBench executes the baseline and churn scenarios and evaluates the
 // availability gates on the churn row. ok reports whether every gate holds.
-func RunRmemBench(seed uint64) (rows []RmemResult, ok bool) {
+func RunRmemBench() (rows []RmemResult, ok bool) {
 	wl := rmem.DefaultWorkload()
 	cfg := rmem.DefaultConfig()
 
-	baseRep, baseEnd := rmem.RunWorkload(rmemConfig(fault.New(seed)), cfg, wl)
-	base := rmemRow("baseline", seed, baseRep, baseEnd)
+	baseRep, baseEnd := rmem.RunWorkload(rmemConfig(fault.New(RmemSeed)), cfg, wl)
+	base := rmemRow("baseline", baseRep, baseEnd)
 
-	churnRep, churnEnd := rmem.RunWorkload(rmemConfig(fault.New(seed).CrashNode(1, RmemCrashAt)), cfg, wl)
-	churn := rmemRow("churn", seed, churnRep, churnEnd)
+	churnRep, churnEnd := rmem.RunWorkload(rmemConfig(fault.New(RmemSeed).CrashNode(1, RmemCrashAt)), cfg, wl)
+	churn := rmemRow("churn", churnRep, churnEnd)
 
 	ok = gateRmem(&churn, rmemWatchdog())
 	return []RmemResult{base, churn}, ok

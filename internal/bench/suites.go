@@ -24,9 +24,6 @@ type Sweep struct {
 	Min, Max int64
 	// Quick asks for coarser sweeps and smaller machines.
 	Quick bool
-	// RmemSeed is the fault-plan seed of the rmem suite; zero means 42,
-	// the seed of the committed artefact.
-	RmemSeed uint64
 }
 
 // sizes resolves a suite's power-of-two size axis, by default [lo, hi].
@@ -200,12 +197,8 @@ advantage appears when the target must not participate.
 		}),
 		func(r []CollResult) []block { return []block{text(FormatColl(r))} }),
 	suite("rmem", "replicated remote memory: crash-free baseline vs a primary crash mid-workload, with the availability gates", "BENCH_rmem.json",
-		func(s Sweep) ([]RmemResult, error) {
-			seed := s.RmemSeed
-			if seed == 0 {
-				seed = 42
-			}
-			r, ok := RunRmemBench(seed)
+		func(Sweep) ([]RmemResult, error) {
+			r, ok := RunRmemBench()
 			return gated(r, ok, "rmem availability gates")
 		},
 		func(r []RmemResult) []block { return []block{text(FormatRmem(r))} }),

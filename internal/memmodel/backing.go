@@ -1,8 +1,8 @@
 package memmodel
 
 // Backing is the host memory behind a piece of simulated node memory that
-// other processes can reach: an exported SCI segment, a shared-memory region,
-// a NIC buffer. Its size is fixed at creation; the slice itself is
+// other processes can reach: an exported SCI segment or a shared-memory
+// region. Its size is fixed at creation; the slice itself is
 // materialised — whole and zeroed, there is no paging — by the first access
 // that reads or writes it, so memory that a run exports but never touches
 // costs the host nothing. Size never materialises, which keeps range checks

@@ -14,7 +14,6 @@ import (
 
 	"scimpich/internal/allocwin"
 	"scimpich/internal/datatype"
-	"scimpich/internal/nic"
 )
 
 // hostCost builds a world for cfg, runs round warm times on every rank, and
@@ -96,10 +95,7 @@ func vec256K(block int) (*datatype.Type, []byte) {
 // channel, the pack cursors, the descriptor list and the receiver's
 // transfer state live in recycled scratch records, the four store barriers
 // wait on the node's own future, the DMA request is pooled and the Recv
-// recycles its Request. The message NIC, a comparator transport this
-// change leaves alone, copies each chunk and makes a future, a pending-set
-// entry and two closures for it: it is pinned just above what it reaches, 16
-// objects and one copy of the message.
+// recycles its Request.
 func TestAllocsRendezvousBudget(t *testing.T) {
 	contig := make([]byte, 256<<10)
 	ff1024, buf1024 := vec256K(1024)
@@ -120,7 +116,6 @@ func TestAllocsRendezvousBudget(t *testing.T) {
 		{"ff-pio-1024", with(DefaultConfig(2, 1), func(p *ProtocolConfig) { p.Path = PathPIO }), buf1024, 1, ff1024, 2, 1},
 		{"dma-sg-8", with(DefaultConfig(2, 1), func(p *ProtocolConfig) { p.Path = PathDMA }), buf8, 1, sg8, 2, 1},
 		{"generic-1024", with(DefaultConfig(2, 1), func(p *ProtocolConfig) { p.UseFF = false }), buf1024, 1, ff1024, 2, 1},
-		{"nic-contiguous", NICConfig(2, 1, nic.GigabitEthernet()), contig, len(contig), datatype.Byte, 17, 260},
 	} {
 		objs, bytes := hostCost(t, tc.cfg, 10, 100, exchange(tc.buf, tc.count, tc.dt, 1000))
 		t.Logf("%s 256 KiB rendezvous message: %.2f objects, %.1f B", tc.name, objs/2, bytes/2)
@@ -268,7 +263,7 @@ func TestPairStructSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"sendPort", unsafe.Sizeof(sendPort{}), 176},
-		{"port", unsafe.Sizeof(port{}), 32},
+		{"port", unsafe.Sizeof(port{}), 24},
 		{"rank", unsafe.Sizeof(rank{}), 120},
 	} {
 		if s.got > s.want {

@@ -151,13 +151,9 @@ func (w *World) observeColl(kind collKind, alg CollAlg, bytes int64, elapsed tim
 // collCtl is the prior for one zero/small control message between two
 // ranks of this world (issue + wire + dispatch on the dominant transport).
 func (w *World) collCtl() time.Duration {
-	p := w.protocol()
-	base := p.CallOverhead + p.HandlerLatency
+	base := callOverhead + handlerLatency
 	if w.ic != nil {
 		return base + w.cfg.SCI.WriteIssueOverhead + w.cfg.SCI.PIOWriteLatency
-	}
-	if w.nicNet != nil {
-		return base + w.cfg.NIC.PerMessageCPU + w.cfg.NIC.Latency
 	}
 	return base + w.cfg.Shm.SignalLatency
 }
@@ -170,9 +166,6 @@ type traceSpan = obs.Span
 func (w *World) collLinkBW() float64 {
 	if w.ic != nil {
 		return w.cfg.SCI.StreamWriteBW(w.protocol().RendezvousChunk)
-	}
-	if w.nicNet != nil {
-		return w.cfg.NIC.Bandwidth
 	}
 	return w.cfg.Shm.Mem.CopyBW(128 << 10)
 }

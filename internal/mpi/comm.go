@@ -172,8 +172,8 @@ func RunOn(f sim.Fabric, cfg Config, main func(c *Comm)) time.Duration {
 	return end
 }
 
-// NewWorldOn wires a cluster onto one locale of an existing fabric. The
-// hosting locale is cfg.Locale. The caller runs the fabric.
+// NewWorldOn wires a cluster onto locale 0 of an existing fabric. The
+// caller runs the fabric.
 func NewWorldOn(f sim.Fabric, cfg Config) *World {
 	return newWorld(f, cfg)
 }

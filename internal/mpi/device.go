@@ -19,7 +19,7 @@ import (
 // the receive side of the short/eager/rendezvous protocols.
 //
 // It is a serial server. Items are handled one at a time in arrival order,
-// each HandlerLatency after the later of its arrival and the end of the
+// each handlerLatency after the later of its arrival and the end of the
 // previous handler. Most handlers only forward or bookkeep and run as event
 // callbacks on the hosting queue; a handler that has to block — it takes a
 // bus, reads a port through the interconnect or sends a reply — is continued
@@ -148,7 +148,7 @@ func (d *device) post(item any) {
 
 func deviceAdmit(arg any) {
 	d := arg.(*device)
-	d.rk.w.host.AfterCall(d.rk.w.protocol().HandlerLatency, deviceServe, d)
+	d.rk.w.host.AfterCall(handlerLatency, deviceServe, d)
 }
 
 // next ends the current handler: the oldest queued item starts its handler

@@ -201,7 +201,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	w := c.rk.w
 	p := c.p
 	me := c.rk.id
-	p.Sleep(w.protocol().CallOverhead)
+	p.Sleep(callOverhead)
 	if w.revoked[me] || !w.NodeAlive(me) {
 		return nil, &RevokedRankError{Rank: me}
 	}

@@ -225,7 +225,7 @@ func TestSimCountersPublished(t *testing.T) {
 // serves a kind. A stackless kind and a process-served kind arriving back
 // to back, stackless kinds arriving at the same instant, and a stackless
 // kind arriving while the daemon is busy are each handled in arrival order,
-// HandlerLatency (500 ns) after the later of their arrival and the end of
+// handlerLatency (500 ns) after the later of their arrival and the end of
 // the previous handler. The instants are the ones the parent commit's
 // all-daemon device produced for the same script.
 func TestDeviceServesInArrivalOrder(t *testing.T) {

@@ -96,7 +96,7 @@ func (c *Comm) countOSCDelivery(interrupt bool) {
 // the mutex serializing its use.
 func (c *Comm) OSCStage(target int) (mem smi.Mem, off, size int64, lock *sim.Mutex) {
 	out := &c.rk.out[target]
-	return out.mem, c.w.oscOff(), c.w.protocol().OSCBuf, &out.oscLock
+	return out.mem, c.w.oscOff(), oscBuf, &out.oscLock
 }
 
 // OSCStageLocal returns this rank's local (receive-side) view of the

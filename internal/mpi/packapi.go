@@ -56,7 +56,7 @@ func (c *Comm) Unpack(in []byte, position *int64, buf []byte, count int, dt *dat
 // returns its status without receiving it (MPI_Probe). src may be
 // AnySource, tag AnyTag. The status Source is communicator-local.
 func (c *Comm) Probe(src, tag int) *Status {
-	c.p.Sleep(c.rk.w.protocol().CallOverhead)
+	c.p.Sleep(callOverhead)
 	if src != AnySource {
 		src = c.worldRank(src)
 	}
@@ -70,7 +70,7 @@ func (c *Comm) Probe(src, tag int) *Status {
 // Iprobe reports whether a matching message is available, without blocking
 // (MPI_Iprobe). Returns (status, true) when one is queued.
 func (c *Comm) Iprobe(src, tag int) (*Status, bool) {
-	c.p.Sleep(c.rk.w.protocol().CallOverhead)
+	c.p.Sleep(callOverhead)
 	if src != AnySource {
 		src = c.worldRank(src)
 	}

@@ -76,9 +76,7 @@ func WaitAllPersistent(reqs []*PersistentRequest) {
 // matching receive has been posted, implemented by always taking the
 // rendezvous path regardless of message size.
 func (c *Comm) Ssend(buf []byte, count int, dt *datatype.Type, dst, tag int) {
-	p := c.p
-	w := c.rk.w
-	p.Sleep(w.protocol().CallOverhead)
+	c.p.Sleep(callOverhead)
 	worldDst := c.worldRank(dst)
 	if worldDst == c.rk.id {
 		panic("mpi: synchronous self-send would deadlock")

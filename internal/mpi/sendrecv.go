@@ -53,7 +53,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	p := c.p
 	w := c.rk.w
 	proto := w.protocol()
-	p.Sleep(proto.CallOverhead)
+	p.Sleep(callOverhead)
 	dst = c.worldRank(dst) // all plumbing below uses world ranks
 	if dst < 0 || dst >= w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
@@ -244,11 +244,7 @@ func (c *Comm) sendShort(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 	w := c.rk.w
 	// Charge the wire cost of the payload riding along the control packet.
 	if c.remote(dst) && bytes > 0 {
-		bw := w.cfg.SCI.PIOWritePeakBW
-		if w.nicNet != nil {
-			bw = w.cfg.NIC.Bandwidth
-		}
-		c.p.Sleep(sim.RateDuration(bytes, bw))
+		c.p.Sleep(sim.RateDuration(bytes, w.cfg.SCI.PIOWritePeakBW))
 	}
 	w.ring(c.p, c.rk.id, dst, envelope{
 		kind: envShort, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,
@@ -785,7 +781,7 @@ func (c *Comm) irecv(buf []byte, count int, dt *datatype.Type, src, tag, ctx int
 
 // postRecv posts the receive on req, a zero Request.
 func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, src, tag, ctx int) *Request {
-	c.p.Sleep(c.rk.w.protocol().CallOverhead)
+	c.p.Sleep(callOverhead)
 	if !dt.Committed() {
 		panic(fmt.Sprintf("mpi: receive with uncommitted datatype %s", dt))
 	}

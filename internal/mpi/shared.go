@@ -3,7 +3,6 @@ package mpi
 import (
 	"time"
 
-	"scimpich/internal/nic"
 	"scimpich/internal/sci"
 	"scimpich/internal/shmem"
 	"scimpich/internal/smi"
@@ -16,8 +15,7 @@ type SharedSeg struct {
 	w      *World
 	owner  int // world rank
 	buf    []byte
-	seg    *sci.Segment  // non-nil on multi-node SCI clusters
-	nicBuf *nic.Buffer   // non-nil on NIC clusters
+	seg    *sci.Segment  // non-nil on multi-node clusters
 	region *shmem.Region // intra-node view
 }
 
@@ -35,9 +33,6 @@ func (w *World) allocShared(owner int, size int64) *SharedSeg {
 	s.region = w.buses[node].AllocBacked(s.buf)
 	if w.ic != nil {
 		s.seg = w.ic.Node(node).ExportBuffer(s.buf)
-	}
-	if w.nicNet != nil {
-		s.nicBuf = w.nicNet.AllocBacked(node, s.buf)
 	}
 	return s
 }
@@ -62,9 +57,6 @@ func (s *SharedSeg) MapFrom(rank int) smi.Mem {
 	if fromNode == ownerNode {
 		return smi.FromShm(s.region)
 	}
-	if w.nicNet != nil {
-		return smi.FromNIC(w.nicNet.View(fromNode, s.nicBuf))
-	}
 	return smi.FromSCI(w.ic.Node(fromNode).MustImport(ownerNode, s.seg.ID()))
 }
 
@@ -74,10 +66,6 @@ func (s *SharedSeg) MapFrom(rank int) smi.Mem {
 func (w *World) LockLatency(owner, from int) time.Duration {
 	if w.ranks[owner].node == w.ranks[from].node {
 		return 600 * time.Nanosecond
-	}
-	if w.nicNet != nil {
-		// Message-based lock: a request/grant round trip.
-		return 2 * w.cfg.NIC.Latency
 	}
 	cfg := &w.cfg.SCI
 	// A remote lock costs a stalled read plus a posted write.

@@ -14,7 +14,6 @@ import (
 
 	"scimpich/internal/fault"
 	"scimpich/internal/flow"
-	"scimpich/internal/nic"
 	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/pack"
@@ -29,10 +28,9 @@ type ProtocolConfig struct {
 	// ShortMax is the largest payload carried inline in a control packet.
 	ShortMax int64
 	// EagerMax is the largest message sent through preallocated eager
-	// slots; larger messages use the rendezvous protocol.
+	// slots (eagerSlots per pair); larger messages use the rendezvous
+	// protocol.
 	EagerMax int64
-	// EagerSlots is the number of eager buffers per sender/receiver pair.
-	EagerSlots int
 	// RendezvousChunk is the bytes moved per handshake cycle. The paper
 	// requires it below the L2 size to avoid cache thrashing with
 	// direct_pack_ff.
@@ -49,14 +47,6 @@ type ProtocolConfig struct {
 	// on remote-memory transports: adaptive prediction (the default),
 	// the legacy static thresholds, or a forced path (see PathPolicy).
 	Path PathPolicy
-	// OSCBuf is the per-pair staging area for emulated one-sided transfers
-	// into private windows.
-	OSCBuf int64
-	// HandlerLatency is the software cost of dispatching one control
-	// envelope in the device.
-	HandlerLatency time.Duration
-	// CallOverhead is the software cost of entering an MPI call.
-	CallOverhead time.Duration
 
 	// Coll selects the collective algorithm policy: the cost-model +
 	// EWMA chooser (CollAuto, the default), the legacy point-to-point
@@ -93,12 +83,8 @@ func DefaultProtocol() ProtocolConfig {
 	return ProtocolConfig{
 		ShortMax:        128,
 		EagerMax:        16 << 10,
-		EagerSlots:      8,
 		RendezvousChunk: 64 << 10, // a quarter of the P-III L2: chunk + scattered span stay cache-resident
-		OSCBuf:          128 << 10,
 		UseFF:           true,
-		HandlerLatency:  500 * time.Nanosecond,
-		CallOverhead:    250 * time.Nanosecond,
 
 		Path: PathAdaptive,
 
@@ -110,6 +96,20 @@ func DefaultProtocol() ProtocolConfig {
 		SendBackoff:       20 * time.Microsecond,
 	}
 }
+
+// The device's fixed software costs and port layout.
+const (
+	// eagerSlots is the number of eager buffers per sender/receiver pair.
+	eagerSlots = 8
+	// oscBuf is the per-pair staging area for emulated one-sided transfers
+	// into private windows.
+	oscBuf = 128 << 10
+	// handlerLatency is the software cost of dispatching one control
+	// envelope in the device.
+	handlerLatency = 500 * time.Nanosecond
+	// callOverhead is the software cost of entering an MPI call.
+	callOverhead = 250 * time.Nanosecond
+)
 
 // retryBudget resolves the sender's retransmission budget: the attempts and
 // the initial backoff, with the defaults standing in for unset fields.
@@ -124,32 +124,14 @@ func (p *ProtocolConfig) retryBudget() (max int, backoff time.Duration) {
 	return max, backoff
 }
 
-// InterconnectKind selects the inter-node transport.
-type InterconnectKind int
-
-const (
-	// InterconnectSCI is the paper's platform: transparent remote memory
-	// over a ringlet.
-	InterconnectSCI InterconnectKind = iota
-	// InterconnectNIC is a conventional message NIC (ethernet/Myrinet
-	// class): no remote memory, every access a message. With it the
-	// runtime behaves like the paper's comparator MPIs -- in particular,
-	// direct_pack_ff degenerates to local packing.
-	InterconnectNIC
-)
-
 // Config describes a simulated cluster run.
 type Config struct {
 	// Nodes is the number of cluster nodes; ProcsPerNode ranks run on
 	// each. Rank r lives on node r / ProcsPerNode.
 	Nodes        int
 	ProcsPerNode int
-	// Kind selects the inter-node transport (default SCI).
-	Kind InterconnectKind
 	// SCI configures the interconnect (ignored for a single node).
 	SCI sci.Config
-	// NIC configures the message fabric when Kind is InterconnectNIC.
-	NIC nic.Config
 	// Shm configures the intra-node memory system.
 	Shm shmem.Config
 	// Protocol configures the device.
@@ -174,15 +156,12 @@ type Config struct {
 
 	// Shards selects the engine Run constructs: 0 or 1 (the default) runs
 	// the world on the sequential oracle; >1 builds a conservative-parallel
-	// sim.ShardedEngine and hosts the world on one of its locales. The
-	// virtual outcome — end time, message schedule, flight dump — is
-	// byte-identical either way: the world is confined to a single locale,
-	// so its event schedule is governed only by that locale's (time, seq)
-	// heap order, which the sharded engine preserves exactly.
+	// sim.ShardedEngine and hosts the world on its locale 0. The virtual
+	// outcome — end time, message schedule, flight dump — is byte-identical
+	// either way: the world is confined to a single locale, so its event
+	// schedule is governed only by that locale's (time, seq) heap order,
+	// which the sharded engine preserves exactly.
 	Shards int
-	// Locale selects which locale of the fabric hosts the world (for Run
-	// with Shards > 1, and for NewWorldOn on a multi-locale fabric).
-	Locale int
 }
 
 // DefaultConfig returns a cluster of nodes dual-SMP nodes matching the
@@ -197,16 +176,8 @@ func DefaultConfig(nodes, procsPerNode int) Config {
 	}
 }
 
-// NICConfig returns a cluster over a message NIC.
-func NICConfig(nodes, procsPerNode int, n nic.Config) Config {
-	cfg := DefaultConfig(nodes, procsPerNode)
-	cfg.Kind = InterconnectNIC
-	cfg.NIC = n
-	return cfg
-}
-
-// World is the runtime state of a cluster run. The world lives on one
-// locale of a sim.Fabric: all its processes, device daemons, flow networks
+// World is the runtime state of a cluster run. The world lives on locale 0
+// of a sim.Fabric: all its processes, device daemons, flow networks
 // and services are scheduled on that locale's heap, so the same world runs
 // byte-identically on the sequential oracle and on any shard of a
 // conservative-parallel engine.
@@ -215,7 +186,6 @@ type World struct {
 	fabric sim.Fabric
 	host   sim.Host // the hosting locale's scheduling surface
 	ic     *sci.Interconnect
-	nicNet *nic.Network
 	buses  []*shmem.Bus
 	ranks  []*rank
 
@@ -385,9 +355,8 @@ type rank struct {
 // port is the receive-side memory a rank exposes to one particular sender:
 // eager slots plus a double-buffered rendezvous area.
 type port struct {
-	mem    smi.Mem
-	segID  int         // SCI segment id for remote senders (-1 otherwise)
-	nicBuf *nic.Buffer // NIC buffer for remote senders (nil otherwise)
+	mem   smi.Mem
+	segID int // SCI segment id for remote senders (-1 otherwise)
 }
 
 // sendPort is the sender-side view of a receiver's port.
@@ -409,59 +378,43 @@ func (w *World) protocol() *ProtocolConfig { return &w.cfg.Protocol }
 // portSize returns the byte size of one pair port.
 func (w *World) portSize() int64 {
 	p := w.protocol()
-	return int64(p.EagerSlots)*p.EagerMax + 2*p.RendezvousChunk + p.OSCBuf
+	return eagerSlots*p.EagerMax + 2*p.RendezvousChunk + oscBuf
 }
 
 func (w *World) eagerOff(slot int) int64 { return int64(slot) * w.protocol().EagerMax }
 
 func (w *World) rdvOff(slot int) int64 {
 	p := w.protocol()
-	return int64(p.EagerSlots)*p.EagerMax + int64(slot%2)*p.RendezvousChunk
+	return eagerSlots*p.EagerMax + int64(slot%2)*p.RendezvousChunk
 }
 
 // oscOff returns the offset of the one-sided staging area in a pair port.
 func (w *World) oscOff() int64 {
 	p := w.protocol()
-	return int64(p.EagerSlots)*p.EagerMax + 2*p.RendezvousChunk
-}
-
-// hostingLocale returns the locale of f that hosts the world: cfg.Locale,
-// checked against the fabric.
-func hostingLocale(f sim.Fabric, cfg Config) sim.Locale {
-	if cfg.Locale < 0 || cfg.Locale >= f.Locales() {
-		panic(fmt.Sprintf("mpi: hosting locale %d outside fabric of %d", cfg.Locale, f.Locales()))
-	}
-	return f.Locale(cfg.Locale)
+	return eagerSlots*p.EagerMax + 2*p.RendezvousChunk
 }
 
 // newWorld wires the cluster — interconnect, per-node buses, ranks, ports —
-// confined to one locale of the fabric.
+// confined to locale 0 of the fabric.
 func newWorld(f sim.Fabric, cfg Config) *World {
 	if cfg.Nodes < 1 || cfg.ProcsPerNode < 1 {
 		panic("mpi: need at least one node and one proc per node")
 	}
-	w := &World{cfg: cfg, fabric: f, host: hostingLocale(f, cfg), size: cfg.Nodes * cfg.ProcsPerNode}
+	w := &World{cfg: cfg, fabric: f, host: f.Locale(0), size: cfg.Nodes * cfg.ProcsPerNode}
 	e := w.host
 	w.met = newWorldMetrics(cfg.Metrics)
 	w.suspects = make([]bool, w.size)
 	w.revoked = make([]bool, w.size)
 	if cfg.Nodes > 1 {
-		switch cfg.Kind {
-		case InterconnectSCI:
-			if cfg.SCI.Metrics == nil {
-				cfg.SCI.Metrics = cfg.Metrics
-			}
-			if cfg.SCI.Flight == nil {
-				cfg.SCI.Flight = cfg.Flight
-			}
-			w.cfg.SCI.Metrics = cfg.SCI.Metrics
-			w.cfg.SCI.Flight = cfg.SCI.Flight
-			w.ic = sci.New(e, cfg.SCI)
-		case InterconnectNIC:
-			w.nicNet = nic.New(e, cfg.Nodes, cfg.NIC)
-		default:
-			panic(fmt.Sprintf("mpi: unknown interconnect kind %d", cfg.Kind))
+		if cfg.SCI.Metrics == nil {
+			cfg.SCI.Metrics = cfg.Metrics
 		}
+		if cfg.SCI.Flight == nil {
+			cfg.SCI.Flight = cfg.Flight
+		}
+		w.cfg.SCI.Metrics = cfg.SCI.Metrics
+		w.cfg.SCI.Flight = cfg.SCI.Flight
+		w.ic = sci.New(e, cfg.SCI)
 	}
 	// All intra-node buses share one flow network so that, on request,
 	// cross-transport interactions stay in one simulation.
@@ -494,26 +447,18 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 
 // buildPorts allocates the receive-side memory this rank exposes to every
 // sender: intra-node senders get a shm region, remote senders an SCI
-// segment (or a NIC buffer). The per-pair records live in one slab per kind
-// and rank, so a world wires O(ranks) objects; the node hands the segments of
-// one slab consecutive ids in source order, which fault plans address from
-// t = 0 (see docs/FAULTS.md).
+// segment. The per-pair records live in one slab per kind and rank, so a
+// world wires O(ranks) objects; the node hands the segments of one slab
+// consecutive ids in source order, which fault plans address from t = 0
+// (see docs/FAULTS.md).
 func (rk *rank) buildPorts() {
 	w := rk.w
 	rk.ports = make([]port, w.size)
 	remote := w.size - w.cfg.ProcsPerNode
 	regions := make([]shmem.Region, w.cfg.ProcsPerNode-1)
-	var (
-		segs     []sci.Segment
-		local    []sci.Mapping // this rank's own views of segs
-		bufs     []nic.Buffer
-		nicViews []nic.View
-	)
-	switch {
-	case w.nicNet != nil:
-		bufs, nicViews = make([]nic.Buffer, remote), make([]nic.View, remote)
-	case w.ic != nil:
-		segs, local = make([]sci.Segment, remote), make([]sci.Mapping, remote)
+	segs := make([]sci.Segment, remote)
+	local := make([]sci.Mapping, remote) // this rank's own views of segs
+	if w.ic != nil {
 		w.ic.Node(rk.node).ExportSlab(segs, w.portSize())
 	}
 	nl, nr := 0, 0 // intra-node and remote senders wired so far
@@ -523,23 +468,17 @@ func (rk *rank) buildPorts() {
 		}
 		pt := &rk.ports[src]
 		pt.segID = -1
-		switch {
-		case w.ranks[src].node == rk.node:
+		if w.ranks[src].node == rk.node {
 			w.buses[rk.node].AllocInto(&regions[nl], w.portSize())
 			pt.mem = smi.FromShm(&regions[nl])
 			nl++
-		case w.nicNet != nil:
-			w.nicNet.AllocInto(&bufs[nr], rk.node, w.portSize())
-			w.nicNet.ViewInto(&nicViews[nr], rk.node, &bufs[nr])
-			pt.mem, pt.nicBuf = smi.FromNIC(&nicViews[nr]), &bufs[nr]
-			nr++
-		default:
-			// The owning rank's local view; the sender imports the segment
-			// in buildSendPorts.
-			pt.segID = segs[nr].ID()
-			pt.mem = smi.FromSCI(w.importInto(&local[nr], rk.node, rk.node, pt.segID))
-			nr++
+			continue
 		}
+		// The owning rank's local view; the sender imports the segment in
+		// buildSendPorts.
+		pt.segID = segs[nr].ID()
+		pt.mem = smi.FromSCI(w.importInto(&local[nr], rk.node, rk.node, pt.segID))
+		nr++
 	}
 }
 
@@ -553,23 +492,12 @@ func (w *World) importInto(m *sci.Mapping, from, owner, segID int) *sci.Mapping 
 }
 
 // buildSendPorts creates this rank's sender-side view of each peer's port,
-// the imports and NIC views in one slab per rank like the ports themselves.
+// the imports in one slab per rank like the ports themselves.
 func (rk *rank) buildSendPorts() {
 	w := rk.w
 	rk.out = make([]sendPort, w.size)
-	slots := w.protocol().EagerSlots
-	rings := make([]int, w.size*slots) // every pair's credit FIFO, one allocation
-	remote := w.size - w.cfg.ProcsPerNode
-	var (
-		imports  []sci.Mapping
-		nicViews []nic.View
-	)
-	switch {
-	case w.nicNet != nil:
-		nicViews = make([]nic.View, remote)
-	case w.ic != nil:
-		imports = make([]sci.Mapping, remote)
-	}
+	rings := make([]int, w.size*eagerSlots) // every pair's credit FIFO, one allocation
+	imports := make([]sci.Mapping, w.size-w.cfg.ProcsPerNode)
 	nr := 0 // remote receivers wired so far
 	for dst := 0; dst < w.size; dst++ {
 		if dst == rk.id {
@@ -577,18 +505,13 @@ func (rk *rank) buildSendPorts() {
 		}
 		peer := w.ranks[dst]
 		out := &rk.out[dst]
-		switch {
-		case peer.node == rk.node:
+		if peer.node == rk.node {
 			out.mem = peer.ports[rk.id].mem // same shm region
-		case w.nicNet != nil:
-			w.nicNet.ViewInto(&nicViews[nr], rk.node, peer.ports[rk.id].nicBuf)
-			out.mem = smi.FromNIC(&nicViews[nr])
-			nr++
-		default:
+		} else {
 			out.mem = smi.FromSCI(w.importInto(&imports[nr], rk.node, peer.node, peer.ports[rk.id].segID))
 			nr++
 		}
-		out.credits.Init(rings[dst*slots : (dst+1)*slots])
+		out.credits.Init(rings[dst*eagerSlots : (dst+1)*eagerSlots])
 	}
 }
 
@@ -616,15 +539,9 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		w.host.AfterCall(w.cfg.Shm.SignalLatency, deliverEnvelope, w.newEnvelope(e))
 		return
 	}
-	if w.nicNet != nil {
-		ncfg := &w.cfg.NIC
-		p.Sleep(ncfg.PerMessageCPU)
-		w.host.AfterCall(ncfg.Latency, deliverEnvelope, w.newEnvelope(e))
-		return
-	}
 	cfg := &w.cfg.SCI
 	p.Sleep(cfg.WriteIssueOverhead + sim.RateDuration(envelopeWireBytes, cfg.PIOWritePeakBW))
-	if w.ic != nil && (!w.ic.Alive(from.node) || !w.ic.Alive(to.node)) {
+	if !w.ic.Alive(from.node) || !w.ic.Alive(to.node) {
 		// A crashed endpoint black-holes the control packet: the sender has
 		// paid the issue cost but nothing arrives. Recovery layers detect
 		// this via watchdog timeouts, not via a magic error here.

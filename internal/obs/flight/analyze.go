@@ -1,7 +1,10 @@
 package flight
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,7 +70,7 @@ type analysis struct {
 	// rank topology (from the "topology" meta ring and actor names)
 	actorOfRank map[int]string
 	nodeOfRank  map[int]int64
-	nodeDownAt  map[int64]int64 // node id -> first crash time (virtual ns)
+	nodeDown    map[int64]*node // node id -> its first KNodeDown
 }
 
 // Analyze builds the happens-before graph of a dump and runs every
@@ -88,6 +91,7 @@ func Analyze(d *Dump) *Report {
 	rep.Anomalies = append(rep.Anomalies, a.checkAgreement()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkRendezvous()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkEpochMonotonic()...)
+	rep.Anomalies = append(rep.Anomalies, a.checkPartialStamp()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkDurability()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkUnmatchedSends()...)
 	sort.SliceStable(rep.Anomalies, func(i, j int) bool {
@@ -117,7 +121,7 @@ func build(d *Dump) *analysis {
 		byActor:     make(map[string][]*node),
 		actorOfRank: make(map[int]string),
 		nodeOfRank:  make(map[int]int64),
-		nodeDownAt:  make(map[int64]int64),
+		nodeDown:    make(map[int64]*node),
 	}
 	for ai := range d.Actors {
 		ad := &d.Actors[ai]
@@ -134,8 +138,8 @@ func build(d *Dump) *analysis {
 				a.actorOfRank[int(ev.A)] = fmt.Sprintf("rank%d", ev.A)
 				a.nodeOfRank[int(ev.A)] = ev.B
 			case KNodeDown:
-				if _, seen := a.nodeDownAt[ev.A]; !seen {
-					a.nodeDownAt[ev.A] = ev.At
+				if _, seen := a.nodeDown[ev.A]; !seen {
+					a.nodeDown[ev.A] = n
 				}
 			}
 		}
@@ -349,18 +353,26 @@ func (a *analysis) chain() []EventRef {
 	return refs
 }
 
+// nodeDownOf returns the KNodeDown of the rank's node if it crashed at or
+// before t, else nil.
+func (a *analysis) nodeDownOf(rank int, t int64) *node {
+	nd, ok := a.nodeOfRank[rank]
+	if !ok {
+		return nil
+	}
+	if n := a.nodeDown[nd]; n != nil && n.ev.At <= t {
+		return n
+	}
+	return nil
+}
+
 // crashedBefore reports whether the actor's node crashed at or before t,
 // and when.
 func (a *analysis) crashedBefore(rank int, t int64) (int64, bool) {
-	nd, ok := a.nodeOfRank[rank]
-	if !ok {
-		return 0, false
+	if n := a.nodeDownOf(rank, t); n != nil {
+		return n.ev.At, true
 	}
-	at, down := a.nodeDownAt[nd]
-	if !down || at > t {
-		return 0, false
-	}
-	return at, true
+	return 0, false
 }
 
 func (a *analysis) errorsOf(op Op) []*node {
@@ -615,6 +627,139 @@ func (a *analysis) checkEpochMonotonic() []Anomaly {
 		}
 	}
 	return out
+}
+
+// checkPartialStamp finds rmem epochs that closed on some replicas of a
+// shard and never will on the others. After its fence round completes, a
+// commit stamps every touched shard's replicas one accumulate at a time, so a
+// crash between two stamps leaves the survivors disagreeing on whether the
+// epoch closed. A shard's replicas are read off the dump: every rank stamped
+// for it since the last shrink adoption (a shrink re-homes the shards). For
+// the latest epoch stamped on a shard, a replica without the stamp never gets
+// it when its node is down, or when every rank that stamped the epoch there
+// has stopped: its node is down or it recorded a failure. A commit still in
+// progress is not reported.
+func (a *analysis) checkPartialStamp() []Anomaly {
+	type shardStamps struct {
+		replicas map[int64]bool
+		epoch    int64
+		stamps   []*node // the stamps of epoch
+	}
+	shards := make(map[int64]*shardStamps)
+	for _, n := range a.nodes {
+		switch {
+		case n.k == KShrinkAdopt:
+			shards = make(map[int64]*shardStamps)
+		case n.k == KEpochStamp && n.rank >= 0:
+			sh := shards[n.ev.A]
+			if sh == nil {
+				sh = &shardStamps{replicas: make(map[int64]bool)}
+				shards[n.ev.A] = sh
+			}
+			sh.replicas[n.ev.C] = true
+			if n.ev.B > sh.epoch {
+				sh.epoch, sh.stamps = n.ev.B, nil
+			}
+			if n.ev.B == sh.epoch {
+				sh.stamps = append(sh.stamps, n)
+			}
+		}
+	}
+	end := maxAt(a.nodes)
+	var out []Anomaly
+	for _, id := range slices.Sorted(maps.Keys(shards)) {
+		sh := shards[id]
+		stamped := make(map[int64]bool)
+		last := make(map[string]*node) // stamper -> its last stamp of the epoch here
+		for _, n := range sh.stamps {
+			stamped[n.ev.C] = true
+			last[n.actor] = n
+		}
+		// Why each stamper stopped; a stamper still running may yet stamp
+		// every replica.
+		var causes []*node
+		stopped := true
+		for _, st := range last {
+			if dn := a.nodeDownOf(st.rank, end); dn != nil {
+				causes = append(causes, dn)
+				continue
+			}
+			if e := a.failureAfter(st); e != nil {
+				causes = append(causes, e)
+				continue
+			}
+			stopped = false
+		}
+		never := make(map[int64]bool)
+		for r := range sh.replicas {
+			if stamped[r] {
+				continue
+			}
+			if dn := a.nodeDownOf(int(r), end); dn != nil {
+				causes = append(causes, dn)
+				never[r] = true
+			} else if stopped {
+				never[r] = true
+			}
+		}
+		if len(never) == 0 {
+			continue
+		}
+		an := Anomaly{Check: "partially-stamped-epoch", Severity: 93}
+		first := sh.stamps[0]
+		fence := ""
+		for n := first.prev; n != nil; n = n.prev {
+			if n.k == KFenceExit {
+				fence = fmt.Sprintf(" after fence round %d on window %d completed", n.ev.B, n.ev.A)
+				an.Evidence = append(an.Evidence, n.ref())
+				break
+			}
+		}
+		for _, n := range sh.stamps {
+			an.Evidence = append(an.Evidence, n.ref())
+		}
+		slices.SortFunc(causes, func(x, y *node) int { return cmp.Compare(x.ev.Seq, y.ev.Seq) })
+		var why []string
+		for _, c := range slices.Compact(causes) {
+			an.Evidence = append(an.Evidence, c.ref())
+			if c.k == KNodeDown {
+				why = append(why, fmt.Sprintf("node%d crashed at %v", c.ev.A, time.Duration(c.ev.At)))
+			} else {
+				to := ""
+				if c.ev.B >= 0 {
+					to = fmt.Sprintf(" to rank%d", c.ev.B)
+				}
+				why = append(why, fmt.Sprintf("%s's %s%s failed", c.actor, Op(c.ev.A), to))
+			}
+		}
+		an.Summary = fmt.Sprintf("epoch %d is partially stamped on shard %d%s: stamped on %s, never on %s (%s)",
+			sh.epoch, id, fence, rankList(stamped), rankList(never), strings.Join(why, "; "))
+		out = append(out, an)
+	}
+	return out
+}
+
+// failureAfter returns the first KError the actor of n recorded after n,
+// before any commit sealed its round; nil if none.
+func (a *analysis) failureAfter(n *node) *node {
+	for _, m := range a.byActor[n.actor][n.idx+1:] {
+		switch m.k {
+		case KCommit:
+			return nil
+		case KError:
+			return m
+		}
+	}
+	return nil
+}
+
+// rankList renders a set of world ranks as "rank0,rank2", in rank order.
+func rankList(set map[int64]bool) string {
+	var names []string
+	for _, r := range slices.Sorted(maps.Keys(set)) {
+		names = append(names, fmt.Sprintf("rank%d", r))
+	}
+	return strings.Join(names, ",")
 }
 
 // checkDurability surfaces committed writes the verifier found missing,

@@ -136,6 +136,78 @@ func TestAnalyzeEpochRegression(t *testing.T) {
 	}
 }
 
+// TestAnalyzePartiallyStampedEpoch: epoch 1 reaches both replicas of shard
+// 0 (rank0, rank1); epoch 2 reaches rank0 after fence round 2, then node1
+// crashes and rank0's accumulate to rank1 fails. The epoch closed on one
+// replica and never will on the other. The same stamps are not a finding
+// while the commit may still finish (no crash, no failure), nor once a
+// shrink re-homed the shard and the next commit stamped its new replicas.
+func TestAnalyzePartiallyStampedEpoch(t *testing.T) {
+	const (
+		crash = iota // node1 crashes, rank0's accumulate fails
+		inFlight
+		rehomed
+	)
+	for _, tc := range []struct {
+		name string
+		mode int
+		want bool
+	}{
+		{"crash", crash, true},
+		{"in-flight", inFlight, false},
+		{"re-homed", rehomed, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := New(32)
+			topo(rec, 0, 1, 2)
+			r0 := rec.Actor("rank0")
+			r0.Record(10*us, KFenceExit, 0, 1, 2, 0)
+			r0.Record(11*us, KEpochStamp, 0, 1, 0, 0)
+			r0.Record(12*us, KEpochStamp, 0, 1, 1, 0)
+			r0.Record(12*us, KCommit, 1, 1, 0, 0)
+			r0.Record(20*us, KFenceExit, 0, 2, 2, 0)
+			r0.Record(21*us, KEpochStamp, 0, 2, 0, 0)
+			if tc.mode != inFlight {
+				rec.Actor("node1").Record(21*us, KNodeDown, 1, 0, 0, 0)
+				r0.Fail(22*us, OpAccumulate, 1, errors.New("connection lost"))
+			}
+			if tc.mode == rehomed {
+				r0.Record(30*us, KShrinkAdopt, 7, 1, 111, 0)
+				r0.Record(40*us, KFenceExit, 1, 1, 1, 0)
+				r0.Record(41*us, KEpochStamp, 0, 2, 0, 0)
+				r0.Record(42*us, KEpochStamp, 0, 2, 2, 0)
+				r0.Record(42*us, KCommit, 2, 1, 0, 0)
+			}
+			rep := Analyze(rec.Snapshot("test"))
+			var found []Anomaly
+			for _, an := range rep.Anomalies {
+				if an.Check == "partially-stamped-epoch" {
+					found = append(found, an)
+				}
+			}
+			if !tc.want {
+				if len(found) != 0 {
+					t.Fatalf("reported %+v", found)
+				}
+				return
+			}
+			if len(found) != 1 || found[0].Severity != 93 {
+				t.Fatalf("anomalies = %+v, want one sev-93 partially-stamped-epoch", rep.Anomalies)
+			}
+			for _, want := range []string{"epoch 2", "shard 0", "fence round 2", "stamped on rank0,", "never on rank1",
+				"node1 crashed", "rank0's accumulate to rank1 failed"} {
+				if !strings.Contains(found[0].Summary, want) {
+					t.Errorf("summary %q lacks %q", found[0].Summary, want)
+				}
+			}
+			// The fence exit, the one stamp, the crash and the failure.
+			if len(found[0].Evidence) != 4 {
+				t.Errorf("evidence = %+v, want fence exit, stamp, node-down and error", found[0].Evidence)
+			}
+		})
+	}
+}
+
 func TestAnalyzeLostWriteTiesEvidenceToStage(t *testing.T) {
 	rec := New(16)
 	rg := rec.Actor("rank0")

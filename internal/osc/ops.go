@@ -183,7 +183,7 @@ func avgBlock(dt *datatype.Type) int64 {
 func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, targetOff, n int64) error {
 	c := w.sys.c
 	p := c.Proc()
-	if n <= w.cfg.InlineMax {
+	if n <= inlineMax {
 		// The RPC blocks until the handler replied, i.e. after its last read
 		// of the inline bytes — on success the pooled payload can be
 		// recycled. On an expired watchdog the handler may still read them
@@ -406,7 +406,7 @@ func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 	// for emulation traffic, so request an interrupt.
 	interrupt := !w.isShared[target] || w.degraded[target]
 
-	if n <= w.cfg.InlineMax || target == c.Rank() {
+	if n <= inlineMax || target == c.Rank() {
 		if sp != nil {
 			sp.SetDetail("inline -> %d", target)
 		}

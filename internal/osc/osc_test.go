@@ -7,7 +7,6 @@ import (
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
-	"scimpich/internal/nic"
 )
 
 // runCluster runs main on nodes x procs ranks.
@@ -466,69 +465,4 @@ func TestDeterministicOneSidedRuns(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Errorf("identical one-sided runs ended at %v and %v", a, b)
 	}
-}
-
-func TestOneSidedOverMessageNIC(t *testing.T) {
-	// Windows on a message NIC behave like the paper's LAM-class
-	// implementations: correct, but every access pays the wire.
-	cfg := mpi.NICConfig(2, 1, nic.FastEthernet())
-	src := fill(4096)
-	var putLat time.Duration
-	mpi.Run(cfg, func(c *mpi.Comm) {
-		s := NewSystem(c)
-		w := s.CreateShared(c.AllocShared(8192), DefaultConfig())
-		w.Fence()
-		if c.Rank() == 0 {
-			start := c.WtimeDuration()
-			w.Put(src[:64], 64, datatype.Byte, 1, 0)
-			putLat = c.WtimeDuration() - start
-			w.Put(src, 4096, datatype.Byte, 1, 128)
-		}
-		w.Fence()
-		if c.Rank() == 1 {
-			if !bytes.Equal(w.LocalBytes()[128:128+4096], src) {
-				t.Error("NIC one-sided put corrupted")
-			}
-		}
-	})
-	// A small put is posted (write-and-forget): the origin pays the
-	// per-message host cost and wire occupancy; the one-way latency is
-	// settled by the closing fence.
-	if putLat < 8*time.Microsecond {
-		t.Errorf("NIC put origin cost = %v, want at least the per-message CPU", putLat)
-	}
-	lat, bw := nicSparsePut(64)
-	if lat < 8 {
-		t.Errorf("NIC sparse put per-call cost = %.1fµs, want host-cost dominated", lat)
-	}
-	if bw > 11 {
-		t.Errorf("NIC sparse put bandwidth = %.1f MiB/s, want <= wire", bw)
-	}
-}
-
-// nicSparsePut runs the sparse put workload over the NIC fabric.
-func nicSparsePut(accessSize int64) (latUS, bw float64) {
-	const winSize = 64 << 10
-	var elapsed time.Duration
-	var calls, moved int64
-	mpi.Run(mpi.NICConfig(2, 1, nic.FastEthernet()), func(c *mpi.Comm) {
-		s := NewSystem(c)
-		w := s.CreateShared(c.AllocShared(winSize), DefaultConfig())
-		partner := 1 - c.Rank()
-		buf := make([]byte, accessSize)
-		w.Fence()
-		start := c.WtimeDuration()
-		var n, bytes int64
-		for off := int64(0); off+accessSize < winSize; off += 2 * accessSize {
-			w.Put(buf, int(accessSize), datatype.Byte, partner, off)
-			n++
-			bytes += accessSize
-		}
-		w.Fence()
-		if c.Rank() == 0 {
-			elapsed = c.WtimeDuration() - start
-			calls, moved = n, bytes
-		}
-	})
-	return elapsed.Seconds() * 1e6 / float64(calls), float64(moved) / elapsed.Seconds() / (1 << 20)
 }

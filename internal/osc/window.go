@@ -89,9 +89,6 @@ type Config struct {
 	// remote-put path. (Paper §4.2: "direct reading will only be effective
 	// up to a certain amount of data".)
 	GetDirectMax int64
-	// InlineMax is the largest payload carried inline in a handler request
-	// instead of the staging area.
-	InlineMax int64
 	// SyncTimeout bounds the checked synchronization calls (FenceChecked,
 	// LockChecked) and the checked data operations' handler round-trips:
 	// waiting longer than this for a peer yields an ErrSyncTimeout instead
@@ -104,9 +101,12 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		GetDirectMax: 8 << 10,
-		InlineMax:    128,
 	}
 }
+
+// inlineMax is the largest payload carried inline in a handler request
+// instead of the staging area.
+const inlineMax = 128
 
 // epoch tracks which synchronization mode currently permits access.
 type epoch int

@@ -7,6 +7,7 @@ import (
 
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
+	"scimpich/internal/obs/flight"
 )
 
 var faultSeed = flag.Uint64("fault.seed", 42, "seed for the fault-injection plans of the failover tests")
@@ -55,12 +56,23 @@ func TestPutGetCommitNoFaults(t *testing.T) {
 // crash stalls, queueing behind detection and recovery included — stays
 // below one expiry of the scaled watchdog mpi.AutoTimeout resolves to for
 // the service's windows: survivors learn of the crash from the liveness
-// view, they do not sit a watchdog out.
+// view, they do not sit a watchdog out. The crash lands between commits, so
+// the dump at the first failure holds no partially stamped epoch.
 func TestFailoverClaims(t *testing.T) {
 	wl := DefaultWorkload()
 	base, _ := RunWorkload(testConfig(fault.New(*faultSeed)), DefaultConfig(), wl)
-	churnCfg, _ := flightConfig(t, *faultSeed)
+	churnCfg, rec := flightConfig(t, *faultSeed)
+	var dump *flight.Dump
+	rec.SetDumpSink(func(d *flight.Dump) { dump = d })
 	churn, _ := RunWorkload(churnCfg, DefaultConfig(), wl)
+	if dump == nil {
+		t.Fatal("the crash produced no failure dump")
+	}
+	for _, an := range flight.Analyze(dump).Anomalies {
+		if an.Check == "partially-stamped-epoch" {
+			t.Errorf("clean failover reported %s", an.Summary)
+		}
+	}
 
 	var watchdog time.Duration
 	mpi.Run(testConfig(nil), func(c *mpi.Comm) { watchdog = c.World().ScaledSyncTimeout() })

@@ -156,10 +156,8 @@ type Config struct {
 
 	// CheckRetryMax bounds the retries of the transfer-check barrier
 	// (Mapping.CheckedSync) before it converts a persistently failing
-	// check into ErrConnectionLost; CheckBackoff is the initial backoff,
-	// doubled per retry.
+	// check into ErrConnectionLost.
 	CheckRetryMax int
-	CheckBackoff  time.Duration
 
 	// Mem is the local memory hierarchy model of every node.
 	Mem *memmodel.Model
@@ -194,7 +192,6 @@ func DefaultConfig(nodes int) Config {
 		InterruptLatency:    14 * time.Microsecond,
 		RetryLatency:        30 * time.Microsecond,
 		CheckRetryMax:       4,
-		CheckBackoff:        10 * time.Microsecond,
 		Mem:                 memmodel.PentiumIII800(),
 	}
 }

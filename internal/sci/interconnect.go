@@ -191,9 +191,6 @@ func New(e sim.Host, cfg Config) *Interconnect {
 	if ic.Cfg.CheckRetryMax <= 0 {
 		ic.Cfg.CheckRetryMax = 4
 	}
-	if ic.Cfg.CheckBackoff <= 0 {
-		ic.Cfg.CheckBackoff = 10 * time.Microsecond
-	}
 	ic.met = newICMetrics(cfg.Metrics)
 	ic.nodes = make([]*Node, cfg.Nodes)
 	for i := range ic.nodes {

@@ -3,6 +3,7 @@ package sci
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"scimpich/internal/fault"
 	"scimpich/internal/memmodel"
@@ -174,18 +175,22 @@ func (m *Mapping) Sync(p *sim.Proc) {
 	m.from.StoreBarrier(p)
 }
 
+// checkBackoff is the initial backoff of a failed transfer check, doubled
+// per retry.
+const checkBackoff = 10 * time.Microsecond
+
 // CheckedSync is the transfer-check barrier (check-after-store-barrier, as
 // SCI-MPICH performs after each Sync): a store barrier followed by a check
 // of the adapter's transfer status toward the segment owner. Failed checks
 // of retryable faults (CRC/sequence/link disturbance) are retried with
-// exponential backoff, bounded by Config.CheckRetryMax; exhausting the cap
-// converts the persistent failure into ErrConnectionLost. Non-retryable
-// failures (dead owner, revoked segment) surface immediately as their
-// typed error.
+// exponential backoff from checkBackoff, bounded by Config.CheckRetryMax;
+// exhausting the cap converts the persistent failure into
+// ErrConnectionLost. Non-retryable failures (dead owner, revoked segment)
+// surface immediately as their typed error.
 func (m *Mapping) CheckedSync(p *sim.Proc) error {
 	from := m.from
 	cfg := &from.ic.Cfg
-	backoff := cfg.CheckBackoff
+	backoff := checkBackoff
 	for attempt := 0; ; attempt++ {
 		from.StoreBarrier(p)
 		err := m.checkStatus(p)

@@ -11,7 +11,6 @@
 package smi
 
 import (
-	"scimpich/internal/nic"
 	"scimpich/internal/pack"
 	"scimpich/internal/sci"
 	"scimpich/internal/shmem"
@@ -19,12 +18,11 @@ import (
 )
 
 // Mem is a shared memory region as seen by one process: possibly remote
-// (costed with the SCI or NIC model) or node-local (costed with the memory
-// model). It is exactly the operations the protocol stack issues, and each
-// has one failure mode: on transports that can fail (SCI), injected faults,
-// revoked segments and unreachable owners come back as typed errors for the
-// caller's recovery machinery; reliable transports (intra-node memory,
-// message NICs) always return nil.
+// (costed with the SCI model) or node-local (costed with the memory model).
+// It is exactly the operations the protocol stack issues, and each has one
+// failure mode: on SCI, injected faults, revoked segments and unreachable
+// owners come back as typed errors for the caller's recovery machinery;
+// intra-node memory always returns nil.
 type Mem interface {
 	// Remote reports whether accesses cross the interconnect.
 	Remote() bool
@@ -101,43 +99,6 @@ func (s sciMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Des
 	return s.m.DMAWriteSG(p, base, src, descs), true
 }
 
-// --- NIC adapter ---
-
-type nicMem struct {
-	v *nic.View
-}
-
-// FromNIC wraps a message-NIC buffer view as an SMI region.
-func FromNIC(v *nic.View) Mem { return nicMem{v} }
-
-func (s nicMem) Remote() bool  { return s.v.Remote() }
-func (s nicMem) Bytes() []byte { return s.v.Bytes() }
-func (s nicMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
-	s.v.WriteStream(p, off, src, ws)
-	return nil
-}
-func (s nicMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
-	s.v.WriteStrided(p, off, src, a, st) // a message NIC has no put fast path
-	return nil
-}
-func (s nicMem) Read(p *sim.Proc, off int64, dst []byte) error {
-	s.v.Read(p, off, dst)
-	return nil
-}
-func (s nicMem) Sync(p *sim.Proc) error {
-	s.v.Sync(p)
-	return nil
-}
-func (s nicMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter {
-	return reliableBW{s.v.NewBlockWriter(p, ws)}
-}
-func (s nicMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sci.DMARequest, bool) {
-	return nil, false // message NICs expose no DMA path
-}
-func (s nicMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) (*sci.DMARequest, bool) {
-	return nil, false
-}
-
 // --- Intra-node adapter ---
 
 type shmMem struct {
@@ -172,13 +133,10 @@ func (s shmMem) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Des
 	return nil, false
 }
 
-// reliableBW adapts the block writers of transports that cannot fail
-// (intra-node memory, message NICs) to the fallible BlockWriter interface.
+// reliableBW adapts the block writer of intra-node memory, which cannot
+// fail, to the fallible BlockWriter interface.
 type reliableBW struct {
-	bw interface {
-		Write(off int64, src []byte)
-		Flush()
-	}
+	bw *shmem.BlockWriter
 }
 
 func (r reliableBW) Write(off int64, src []byte) { r.bw.Write(off, src) }

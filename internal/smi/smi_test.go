@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"scimpich/internal/nic"
 	"scimpich/internal/pack"
 	"scimpich/internal/sci"
 	"scimpich/internal/shmem"
@@ -29,14 +28,6 @@ func TestMemConformance(t *testing.T) {
 		{"sci-local", false, false, func(e *sim.Engine) Mem {
 			ic := sci.New(e, sci.DefaultConfig(2))
 			return FromSCI(ic.Node(0).MustImport(0, ic.Node(0).Export(confSize).ID()))
-		}},
-		{"nic-remote", true, false, func(e *sim.Engine) Mem {
-			n := nic.New(e, 2, nic.Myrinet1280())
-			return FromNIC(n.View(0, n.Alloc(1, confSize)))
-		}},
-		{"nic-local", false, false, func(e *sim.Engine) Mem {
-			n := nic.New(e, 2, nic.Myrinet1280())
-			return FromNIC(n.View(0, n.Alloc(0, confSize)))
 		}},
 		{"shm", false, false, func(e *sim.Engine) Mem {
 			return FromShm(shmem.NewBus(e, nil, "n0", shmem.DefaultConfig()).Alloc(confSize))
