@@ -208,8 +208,10 @@ func ringExchange(c *Comm) {
 // running it must stay under 1 MiB. Objects: the records behind those ports
 // — segments, mappings, regions — live in one slab per rank and kind, so a
 // world is O(ranks) objects (1 395 for this one when each record was an
-// object of its own), and doubling the ranks must about double the objects:
-// an O(ranks^2) count that came back would read 3.2 here, as it did then.
+// object of its own, 647 while every device and DMA engine started a daemon
+// goroutine with the world), and doubling the ranks must about double the
+// objects: an O(ranks^2) count that came back would read 3.2 here, as it did
+// then.
 func TestAllocsWorldBudget(t *testing.T) {
 	objs, bytes, _ := worldCost(t, DefaultConfig(8, 2), func(*Comm) {})
 	t.Logf("empty 8x2 world: %d bytes, %d objects", bytes, objs)
@@ -219,8 +221,8 @@ func TestAllocsWorldBudget(t *testing.T) {
 	if allocwin.RaceEnabled {
 		return // the detector allocates on its own
 	}
-	if objs > 700 {
-		t.Errorf("empty 8x2 world allocated %d objects, budget is 700", objs)
+	if objs > 480 {
+		t.Errorf("empty 8x2 world allocated %d objects, budget is 480", objs)
 	}
 	o32, _, _ := worldCost(t, DefaultConfig(32, 1), ringExchange)
 	o64, _, _ := worldCost(t, DefaultConfig(64, 1), ringExchange)
@@ -233,8 +235,9 @@ func TestAllocsWorldBudget(t *testing.T) {
 
 // TestWorld512Builds: an ordinary 512-rank World is affordable. One ring
 // exchange on 512x1 ends at the virtual instant it ends at on 64x1 (each
-// rank talks to its two neighbours, whatever the size) within 50 000
-// objects; it took 824 858 when every pair record was an object.
+// rank talks to its two neighbours, whatever the size) within 25 000
+// objects; it took 824 858 when every pair record was an object, and 30 369
+// while every device and DMA engine started a daemon with the world.
 func TestWorld512Builds(t *testing.T) {
 	if testing.Short() || allocwin.RaceEnabled {
 		t.Skip("a 512-rank world takes ~100 MB; skipped under -short and -race")
@@ -245,8 +248,44 @@ func TestWorld512Builds(t *testing.T) {
 	if end != end64 {
 		t.Errorf("ring exchange ends at %v on 512x1 and %v on 64x1, want the same instant", end, end64)
 	}
-	if objs > 50000 {
-		t.Errorf("512x1 world allocated %d objects, budget is 50 000", objs)
+	if objs > 25000 {
+		t.Errorf("512x1 world allocated %d objects, budget is 25 000", objs)
+	}
+}
+
+// TestProcsPerWorld: a world starts only the processes its run needs. 64 B
+// exchanges into contiguous buffers and a Barrier are served by event
+// callbacks, so an 8x2 world doing them starts its 16 ranks and no device or
+// DMA daemon; a 256 KiB rendezvous needs the receiver's device to block, and
+// starts that daemon alone.
+func TestProcsPerWorld(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		main func(c *Comm)
+		want uint64
+	}{
+		{"8x2 short exchanges", DefaultConfig(8, 2), func(c *Comm) {
+			out, in := make([]byte, 64), make([]byte, 64)
+			r, n := c.Rank(), c.Size()
+			c.Sendrecv(out, 64, datatype.Byte, r^1, 1000, in, 64, datatype.Byte, r^1, 1000) // inside the node
+			c.Sendrecv(out, 64, datatype.Byte, (r+2)%n, 1001, in, 64, datatype.Byte, (r+n-2)%n, 1001)
+			c.Barrier()
+		}, 16},
+		{"2x1 rendezvous", DefaultConfig(2, 1), func(c *Comm) {
+			buf := make([]byte, 256<<10)
+			if c.Rank() == 0 {
+				c.Send(buf, len(buf), datatype.Byte, 1, 1000)
+			} else {
+				c.Recv(buf, len(buf), datatype.Byte, 0, 1000)
+			}
+		}, 3},
+	} {
+		f := NewFabric(tc.cfg)
+		NewWorldOn(f, tc.cfg).Run(tc.main)
+		if got := f.ProcsStarted(); got != tc.want {
+			t.Errorf("%s: %d processes started, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

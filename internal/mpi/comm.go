@@ -215,11 +215,11 @@ func (w *World) Spawn(main func(c *Comm)) {
 func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats }
 
 // PublishMetrics exports the end-of-run statistics into a registry as
-// gauges: the fabric's event, process-switch, elided-sleep and
-// cancelled-timer counts and its deepest event heap (sim.events,
-// sim.proc_switches, sim.sleeps_elided, sim.timers_cancelled,
-// sim.heap_depth_max), every field of each rank's DeviceStats
-// (mpi.device.*{rank=r}), of the per-engine pack totals (pack.*{engine=e})
+// gauges: the fabric's event, process-switch, started-process, elided-sleep
+// and cancelled-timer counts and its deepest event heap (sim.events,
+// sim.proc_switches, sim.procs_started, sim.sleeps_elided,
+// sim.timers_cancelled, sim.heap_depth_max), every field of each rank's
+// DeviceStats (mpi.device.*{rank=r}), of the per-engine pack totals (pack.*{engine=e})
 // and of each node's sci.Stats (sci.node.*{node=n}), and sci.retries, the
 // sum of the per-node retries. Run calls this
 // automatically when Config.Metrics is set; harnesses driving the engine
@@ -231,6 +231,7 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 	// What the run cost the simulator, beside what it did in the model.
 	r.SetGauge("sim.events", int64(w.fabric.Events()))
 	r.SetGauge("sim.proc_switches", int64(w.fabric.ProcSwitches()))
+	r.SetGauge("sim.procs_started", int64(w.fabric.ProcsStarted()))
 	r.SetGauge("sim.sleeps_elided", int64(w.fabric.SleepsElided()))
 	r.SetGauge("sim.timers_cancelled", int64(w.fabric.TimersCancelled()))
 	r.SetGauge("sim.heap_depth_max", int64(w.fabric.HeapDepthMax()))

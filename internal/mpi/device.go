@@ -23,7 +23,8 @@ import (
 // previous handler. Most handlers only forward or bookkeep and run as event
 // callbacks on the hosting queue; a handler that has to block — it takes a
 // bus, reads a port through the interconnect or sends a reply — is continued
-// on the daemon process p, inside the same event.
+// on the daemon process p, inside the same event. The first such handler
+// creates p (see resume): a device whose work never blocks has none.
 type device struct {
 	rk    *rank
 	actor string // cached "dev<i>"
@@ -118,13 +119,11 @@ const (
 // newDevice builds rk's device; lastSeq is its row of the world's one
 // sequence-number table.
 func newDevice(rk *rank, lastSeq []int64) *device {
-	d := &device{
+	return &device{
 		rk:      rk,
 		actor:   fmt.Sprintf("dev%d", rk.id),
 		lastSeq: lastSeq,
 	}
-	d.p = rk.w.host.GoDaemon(d.actor, d.run)
-	return d
 }
 
 // mem returns the node's memory-hierarchy model.
@@ -188,7 +187,7 @@ func (d *device) handle() (finished bool) {
 		return d.handleIncoming(env)
 	case envRdvData, envOSC:
 		d.env = env
-		d.p.Resume()
+		d.resume()
 		return false
 	case envRdvCancel:
 		d.handleRdvCancel(env)
@@ -210,12 +209,20 @@ func (d *device) handle() (finished bool) {
 	return true
 }
 
-// run is the daemon process: the part of a handler that blocks. deviceServe
-// and deliver resume it, inside their event, with the work in d.req and
-// d.env.
+// resume continues the handler of d.cur on the daemon process, inside the
+// current event, with the work in d.req and d.env. The first call creates the
+// daemon, whose body starts right here.
+func (d *device) resume() {
+	if d.p == nil {
+		d.p = d.rk.w.host.GoDaemon(d.actor, d.run)
+	}
+	d.p.Resume()
+}
+
+// run is the daemon process: the part of a handler that blocks. Each resume
+// serves one item and parks.
 func (d *device) run(p *sim.Proc) {
 	for {
-		p.Park()
 		req, env := d.req, d.env
 		switch env.kind {
 		case envShort:
@@ -236,6 +243,7 @@ func (d *device) run(p *sim.Proc) {
 		// Every kind that reaches the daemon ends at this device.
 		d.rk.w.freeEnvelope(env)
 		d.next()
+		p.Park()
 	}
 }
 
@@ -318,7 +326,7 @@ func (d *device) deliver(req *Request, env *envelope) {
 		d.rk.w.host.AfterCall(d.mem().CopyCost(env.bytes, env.bytes, env.bytes), deviceShortCopied, d)
 		return
 	}
-	d.p.Resume()
+	d.resume()
 }
 
 func deviceShortCopied(arg any) {

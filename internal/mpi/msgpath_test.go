@@ -171,8 +171,8 @@ func TestSwitchesPingPongBudget(t *testing.T) {
 
 // TestSimCountersPublished: what a run cost the simulator is in the metric
 // registry beside what it did in the model, on both engines — the engine's
-// events, process switches, elided sleeps, cancelled timers and deepest heap
-// as the fabric counted them, and the flow solver's passes, re-anchored flows
+// events, process switches, started processes, elided sleeps, cancelled
+// timers and deepest heap as the fabric counted them, and the flow solver's passes, re-anchored flows
 // and heap visits. The rendezvous exchange puts 64 KiB chunks through the flow network
 // in both directions at once, and a solver pass that finds the completion
 // timer armed cancels it; in that exchange both ranks wake at the same
@@ -200,6 +200,7 @@ func TestSimCountersPublished(t *testing.T) {
 		}{
 			{"sim.events", f.Events()},
 			{"sim.proc_switches", f.ProcSwitches()},
+			{"sim.procs_started", f.ProcsStarted()},
 			{"sim.sleeps_elided", f.SleepsElided()},
 			{"sim.timers_cancelled", f.TimersCancelled()},
 			{"sim.heap_depth_max", uint64(f.HeapDepthMax())},

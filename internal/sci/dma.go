@@ -14,10 +14,16 @@ import (
 // descriptor list and gather straight from the submitter's source buffer,
 // which therefore must stay valid and unmodified until Wait returns (the
 // protocol layers above wait before reusing anything).
+//
+// A node's engine is made by its first transfer, and its daemon p starts at
+// the first submission, which wakes it; a node that never uses DMA has
+// neither.
 type dmaEngine struct {
 	node  *Node
-	queue *sim.Chan
-	free  []*DMARequest // requests whose submitter has waited (see Wait)
+	p     *sim.Proc
+	queue sim.FIFO[*DMARequest] // submitted, not yet taken up by p
+	idle  bool                  // p is parked waiting for a submission
+	free  []*DMARequest         // requests whose submitter has waited (see Wait)
 }
 
 // DMARequest is one submitted DMA transfer. Its submitter calls Wait, once,
@@ -50,10 +56,14 @@ func (r *DMARequest) Wait(p *sim.Proc) error {
 	return err
 }
 
-// request returns a zero request of this engine, recycled when one is free.
-func (d *dmaEngine) request() *DMARequest {
-	r := sim.TakeFree(&d.free)
-	r.eng = d
+// dmaRequest returns a zero request of n's DMA engine, recycled when one is
+// free. The node's first request makes the engine.
+func (n *Node) dmaRequest() *DMARequest {
+	if n.dma == nil {
+		n.dma = newDMAEngine(n)
+	}
+	r := sim.TakeFree(&n.dma.free)
+	r.eng = n.dma
 	return r
 }
 
@@ -65,22 +75,35 @@ func failedDMA(err error) *DMARequest {
 }
 
 func newDMAEngine(n *Node) *dmaEngine {
-	d := &dmaEngine{node: n, queue: sim.NewChan(1 << 20)}
-	n.ic.E.GoDaemon("dma", d.run)
+	d := &dmaEngine{node: n, idle: true}
+	d.p = n.ic.E.GoDaemon("dma", d.run)
 	return d
+}
+
+// submit queues req behind the transfers already submitted and wakes the
+// engine if it is idle.
+func (d *dmaEngine) submit(req *DMARequest) {
+	d.queue.Push(req)
+	if d.idle {
+		d.idle = false
+		d.p.Wake()
+	}
 }
 
 func (d *dmaEngine) run(p *sim.Proc) {
 	cfg := &d.node.ic.Cfg
 	for {
-		req := p.Recv(d.queue).(*DMARequest)
+		if d.queue.Len() == 0 {
+			d.idle = true
+			p.Park()
+		}
+		req := d.queue.Pop()
 		if req.descs != nil {
 			d.runSG(p, cfg, req)
 			continue
 		}
 		start := p.Now()
 		p.Sleep(cfg.DMAStartup)
-		d.node.retransmit(p)
 		n := int64(len(req.data.B))
 		// Failures complete the request with the typed error instead of
 		// panicking inside the engine daemon: the submitter gets it from
@@ -121,7 +144,6 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *DMARequest) {
 		avgRun = n / int64(runs)
 	}
 	p.Sleep(cfg.DMAStartup + time.Duration(len(req.descs))*cfg.DMASGDesc)
-	d.node.retransmit(p)
 	if err := req.m.stateErr(); err != nil {
 		req.done.Complete(err)
 		return
@@ -171,9 +193,9 @@ func (m *Mapping) DMAWrite(p *sim.Proc, off int64, src []byte) *DMARequest {
 		return failedDMA(err)
 	}
 	p.Sleep(2 * m.from.ic.Cfg.WriteIssueOverhead)
-	req := m.from.dma.request()
+	req := m.from.dmaRequest()
 	req.m, req.off, req.data = m, off, bufpool.Clone(src)
-	p.Send(m.from.dma.queue, req)
+	req.eng.submit(req)
 	return req
 }
 
@@ -196,12 +218,12 @@ func (m *Mapping) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.D
 	}
 	cfg := &m.from.ic.Cfg
 	p.Sleep(2*cfg.WriteIssueOverhead + time.Duration(len(descs))*cfg.DMASGBuild)
-	req := m.from.dma.request()
+	req := m.from.dmaRequest()
 	if n == 0 {
 		req.done.Complete(nil)
 		return req
 	}
 	req.m, req.off, req.src, req.descs = m, base, src, descs
-	p.Send(m.from.dma.queue, req)
+	req.eng.submit(req)
 	return req
 }

@@ -130,7 +130,7 @@ type Node struct {
 	pendingWrites int
 	barrier       sim.Future
 
-	dma *dmaEngine
+	dma *dmaEngine // made by the node's first DMA transfer
 	// bwFree holds the block writers whose session has been flushed.
 	bwFree []*BlockWriter
 
@@ -201,7 +201,6 @@ func New(e sim.Host, cfg Config) *Interconnect {
 			egress:  flow.NewLink(fmt.Sprintf("node%d-egress", i), cfg.PIOWritePeakBW, nil),
 			ingress: flow.NewLink(fmt.Sprintf("node%d-ingress", i), cfg.PIOWritePeakBW, nil),
 		}
-		n.dma = newDMAEngine(n)
 		ic.nodes[i] = n
 	}
 	ic.applyPlan()

@@ -139,7 +139,7 @@ func (n *Node) StartMonitor(peers []int, interval time.Duration) *Monitor {
 	for _, t := range peers {
 		m.state[t] = true
 	}
-	n.ic.E.GoDaemon(fmt.Sprintf("monitor%d", n.id), m.run)
+	n.ic.E.GoDaemon(fmt.Sprintf("monitor%d", n.id), m.run).Wake()
 	return m
 }
 

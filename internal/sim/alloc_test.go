@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestStaleTimerCancelIsNoop pins the generation check on recycled events: a
@@ -47,6 +48,28 @@ func TestStaleTimerCancelIsNoop(t *testing.T) {
 	}
 	if got := e.TimersCancelled(); got != 1 {
 		t.Errorf("TimersCancelled = %d, want 1", got)
+	}
+}
+
+// TestAllocsEventBlocks: the queue makes events in blocks, each as large as
+// everything made before it and at least 16, and sizes the freelist with each
+// block to hold every event made: however many of them come back, recycle
+// never moves the freelist to a larger array.
+func TestAllocsEventBlocks(t *testing.T) {
+	e := NewEngine()
+	fn := func(any) {}
+	for _, c := range []struct{ queued, made int }{{1, 16}, {16, 16}, {17, 32}, {100, 128}} {
+		for i := 0; i < c.queued; i++ {
+			e.AfterCall(time.Duration(i), fn, nil)
+		}
+		if e.made != c.made || cap(e.free) != c.made {
+			t.Errorf("%d events queued: %d made, freelist holds %d; want %d and %d", c.queued, e.made, cap(e.free), c.made, c.made)
+		}
+		free := unsafe.SliceData(e.free)
+		e.Run()
+		if unsafe.SliceData(e.free) != free || len(e.free) != c.made {
+			t.Errorf("%d events fired: the freelist moved, or holds %d of the %d events made", c.queued, len(e.free), c.made)
+		}
 	}
 }
 

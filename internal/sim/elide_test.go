@@ -132,7 +132,7 @@ func TestNoElisionAfterStop(t *testing.T) {
 		e.Stop()
 		p.Sleep(time.Microsecond)
 		returned = true
-	})
+	}).Wake()
 	if end := e.Run(); end != time.Microsecond {
 		t.Errorf("run ended at %v, want 1µs: the sleep after Stop moved the clock", end)
 	}

@@ -60,6 +60,7 @@ type eventQueue struct {
 	seq    uint64
 	queue  []*event // 4-ary min-heap on (at, seq); every entry is live
 	free   []*event // recycled events (hot paths schedule without allocating)
+	made   int      // events allocated so far, in blocks (see refill)
 	events uint64   // events dispatched, elided sleeps included
 
 	cancelled uint64 // events Timer.Cancel took out of the heap
@@ -143,14 +144,13 @@ func (q *eventQueue) schedule(t time.Duration, fn func(), fnArg func(any), arg a
 	if t < q.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, q.now))
 	}
-	var ev *event
-	if n := len(q.free); n > 0 {
-		ev = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		ev = &event{q: q}
+	if len(q.free) == 0 {
+		q.refill()
 	}
+	n := len(q.free)
+	ev := q.free[n-1]
+	q.free[n-1] = nil
+	q.free = q.free[:n-1]
 	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg = t, q.seq, fn, fnArg, arg
 	if q.tieSeed != 0 {
 		ev.seq = permuteTie(q.seq, q.tieSeed)
@@ -160,6 +160,20 @@ func (q *eventQueue) schedule(t time.Duration, fn func(), fnArg func(any), arg a
 	q.siftUp(len(q.queue)-1, ev)
 	q.depthMax = max(q.depthMax, len(q.queue))
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// refill stocks the empty freelist with a block of new events, as many as the
+// queue has made so far and at least 16, so a queue makes O(log n) blocks for
+// n events in flight at once. free is sized here to hold every event made, so
+// recycle never grows it.
+func (q *eventQueue) refill() {
+	block := make([]event, max(16, q.made))
+	q.made += len(block)
+	q.free = make([]*event, len(block), q.made)
+	for i := range block {
+		block[i].q = q
+		q.free[i] = &block[i]
+	}
 }
 
 // recycle invalidates outstanding Timers for ev and returns it to the

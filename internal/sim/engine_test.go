@@ -175,7 +175,7 @@ func TestGoDaemonDoesNotDeadlockOnDrain(t *testing.T) {
 			p.Recv(ch)
 			served++
 		}
-	})
+	}).Wake()
 	e.Go("client", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Send(ch, i)

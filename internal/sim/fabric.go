@@ -27,6 +27,7 @@ type Fabric interface {
 	Run() time.Duration
 	Events() uint64
 	ProcSwitches() uint64
+	ProcsStarted() uint64
 	SleepsElided() uint64
 	TimersCancelled() uint64
 	HeapDepthMax() int
@@ -76,6 +77,7 @@ func (f *seqFabric) Lookahead() time.Duration { return f.lookahead }
 func (f *seqFabric) Run() time.Duration       { return f.e.Run() }
 func (f *seqFabric) Events() uint64           { return f.e.Events() }
 func (f *seqFabric) ProcSwitches() uint64     { return f.e.ProcSwitches() }
+func (f *seqFabric) ProcsStarted() uint64     { return f.e.ProcsStarted() }
 func (f *seqFabric) SleepsElided() uint64     { return f.e.SleepsElided() }
 func (f *seqFabric) TimersCancelled() uint64  { return f.e.TimersCancelled() }
 func (f *seqFabric) HeapDepthMax() int        { return f.e.HeapDepthMax() }

@@ -121,6 +121,7 @@ func TestResumeContinuesParkedProcInsideTheEvent(t *testing.T) {
 			log = append(log, "done at "+p.Now().String())
 		}
 	})
+	server.Wake() // runs the body into its first Park
 	e.After(5*time.Microsecond, func() {
 		events, switches := e.Events(), e.ProcSwitches()
 		log = append(log, "request")

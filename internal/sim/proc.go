@@ -33,6 +33,7 @@ type procRuntime struct {
 
 	switches uint64 // control transfers to a process (dispatch calls)
 	elided   uint64 // sleeps that returned without one (see Proc.Sleep)
+	started  uint64 // processes whose first dispatch made their goroutine
 
 	// ownEvent is true while the running process was dispatched by an event
 	// of its own (dispatchProc), false while it runs under Resume inside
@@ -58,6 +59,11 @@ func (rt *procRuntime) ProcSwitches() uint64 { return rt.switches }
 // yielding because the sleeper's own wake was the next event to fire (see
 // Proc.Sleep). Each still counts in Events.
 func (rt *procRuntime) SleepsElided() uint64 { return rt.elided }
+
+// ProcsStarted returns the number of processes that were dispatched at least
+// once: each got a goroutine then. A daemon that nothing ever woke or resumed
+// has none and is not counted.
+func (rt *procRuntime) ProcsStarted() uint64 { return rt.started }
 
 // initHost prepares a host's runtime and queue: the yield channel cannot be
 // the zero value, the runtime schedules wakes on q, and q runs unbounded
@@ -91,14 +97,17 @@ type Proc struct {
 	rt   *procRuntime
 	host Host
 	name string
+	body func(p *Proc)
 
+	// resume is made, with the goroutine, by the process's first dispatch
+	// (see dispatch); until then the process costs this struct alone.
 	resume chan struct{}
 	// parked is true while the proc is blocked waiting for an external
 	// wake (not a self-scheduled timer). Used to catch double-wakes.
 	parked bool
 	// daemon processes do not count toward the deadlock check: they are
 	// expected to stay blocked forever once the workload has drained
-	// (device handlers, DMA engines).
+	// (device handlers, DMA engines). A daemon starts parked.
 	daemon bool
 	// finished is set when the body returns; the deadlock report lists
 	// non-daemon procs that never got here.
@@ -129,9 +138,14 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	return spawnProc(e, &e.procRuntime, name, body, false)
 }
 
-// GoDaemon spawns a daemon process: one that services requests forever and
+// GoDaemon makes a daemon process: one that services requests forever and
 // is allowed to still be blocked when the event queue drains (it does not
 // trigger the deadlock check). Use it for device handler threads.
+//
+// The daemon starts parked, with no goroutine and nothing queued: its body
+// runs from the top at its first piece of work, when an event callback
+// Resumes it or something Wakes it. A daemon that is never given work costs
+// its Proc and nothing else.
 func (e *Engine) GoDaemon(name string, body func(p *Proc)) *Proc {
 	return spawnProc(e, &e.procRuntime, name, body, true)
 }
@@ -140,29 +154,31 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 	if rt.released {
 		panic(fmt.Sprintf("sim: process %q spawned on a host that already ran: %s", name, releasedRule))
 	}
-	p := &Proc{rt: rt, host: h, name: name, resume: make(chan struct{}), daemon: daemon}
+	p := &Proc{rt: rt, host: h, name: name, body: body, daemon: daemon, parked: daemon}
+	rt.procs = append(rt.procs, p)
 	if !daemon {
 		rt.nprocs++
+		h.AfterCall(0, dispatchProc, p)
 	}
-	rt.procs = append(rt.procs, p)
-	go func() {
-		// A panic in a process body is re-raised inside the host's event
-		// loop so callers (and tests) can observe it on that goroutine.
-		defer func() {
-			if r := recover(); r != nil {
-				rt.pendingPanic = &procPanic{proc: p.name, value: r}
-			}
-			p.finished = true
-			if !p.daemon {
-				rt.nprocs--
-			}
-			rt.yield <- struct{}{} // return control to the host for good
-		}()
-		p.awaitResume() // wait for first dispatch
-		body(p)
-	}()
-	h.AfterCall(0, dispatchProc, p)
 	return p
+}
+
+// main is the body of p's goroutine, which p's first dispatch starts. A
+// panic in the body is re-raised inside the host's event loop so callers (and
+// tests) can observe it on that goroutine.
+func (p *Proc) main() {
+	rt := p.rt
+	defer func() {
+		if r := recover(); r != nil {
+			rt.pendingPanic = &procPanic{proc: p.name, value: r}
+		}
+		p.finished = true
+		if !p.daemon {
+			rt.nprocs--
+		}
+		rt.yield <- struct{}{} // return control to the host for good
+	}()
+	p.body(p)
 }
 
 // dispatchProc is the event that hands control to a process: a top-level
@@ -176,13 +192,20 @@ func dispatchProc(arg any) {
 
 // dispatch transfers control to p until it blocks again; ownEvent says
 // whether the event doing so is p's own (dispatchProc) or somebody else's
-// callback (Resume).
+// callback (Resume). The first dispatch of p makes its goroutine, which runs
+// the body from the top.
 func (rt *procRuntime) dispatch(p *Proc, ownEvent bool) {
 	prev := rt.cur
 	rt.cur = p
 	rt.ownEvent = ownEvent
 	rt.switches++
-	p.resume <- struct{}{}
+	if p.resume == nil {
+		p.resume = make(chan struct{})
+		rt.started++
+		go p.main()
+	} else {
+		p.resume <- struct{}{}
+	}
 	<-rt.yield
 	rt.cur = prev
 	rt.ownEvent = false
@@ -205,16 +228,11 @@ func (rt *procRuntime) blockedProcs() []string {
 }
 
 // yieldToHost blocks the calling process and resumes the host's event loop.
-// The process will continue when something calls rt.dispatch(p) again.
+// The process will continue when something calls rt.dispatch(p) again. A
+// daemon that releaseDaemons resumed ends here instead: Goexit runs main's
+// deferred hand-back like a normal return.
 func (p *Proc) yieldToHost() {
 	p.rt.yield <- struct{}{}
-	p.awaitResume()
-}
-
-// awaitResume blocks the process's goroutine until the host hands it
-// control. A daemon that releaseDaemons resumed ends here instead: Goexit
-// runs the spawn wrapper's deferred hand-back like a normal return.
-func (p *Proc) awaitResume() {
 	<-p.resume
 	if p.killed {
 		runtime.Goexit()
@@ -228,15 +246,21 @@ const releasedRule = "a drained run ends its daemons, so a host that had any run
 // one at a time and in spawn order. Run calls it on its way out: a drained
 // simulation can never wake its device handlers, DMA engines and monitors
 // again, and their parked goroutines would pin everything they reference —
-// a whole world — for the life of the program.
+// a whole world — for the life of the program. A daemon that never started
+// has no goroutine to end and is skipped, but its host is finished with all
+// the same.
 func (rt *procRuntime) releaseDaemons() {
 	for _, p := range rt.procs {
-		if p.daemon && !p.finished {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-rt.yield
-			rt.released = true
+		if !p.daemon || p.finished {
+			continue
 		}
+		rt.released = true
+		if p.resume == nil {
+			continue
+		}
+		p.killed = true
+		p.resume <- struct{}{}
+		<-rt.yield
 	}
 }
 
@@ -278,13 +302,14 @@ func (p *Proc) park() {
 // Park blocks the process until an event callback calls Resume on it.
 func (p *Proc) Park() { p.park() }
 
-// Resume continues a process blocked in Park inside the current event:
-// control passes to p at once and comes back when p next blocks. It serves a
-// handler whose requests arrive as events and only sometimes need a stack —
-// the callback does the bookkeeping and resumes the process for the rest at
-// the same instant and event sequence number, where waking it would cost a
-// further event. Only an event callback may call it: a process that resumed
-// another would leave two goroutines waiting on the host's yield handshake.
+// Resume continues a process blocked in Park, or starts a daemon that has not
+// started yet, inside the current event: control passes to p at once and
+// comes back when p next blocks. It serves a handler whose requests arrive as
+// events and only sometimes need a stack — the callback does the bookkeeping
+// and resumes the process for the rest at the same instant and event sequence
+// number, where waking it would cost a further event. Only an event callback
+// may call it: a process that resumed another would leave two goroutines
+// waiting on the host's yield handshake.
 func (p *Proc) Resume() {
 	if p.rt.cur != nil {
 		panic(fmt.Sprintf("sim: Resume of process %q from process %q, not from an event callback", p.name, p.rt.cur.name))
@@ -296,11 +321,12 @@ func (p *Proc) Resume() {
 	p.rt.dispatch(p, false)
 }
 
-// wake schedules a parked process to resume at the current virtual time.
-// Waking a process that is not parked panics: it indicates a bookkeeping bug
-// in a synchronization primitive. Synchronization primitives are confined to
-// one host: waking a process from another shard would corrupt both heaps.
-func (p *Proc) wake() {
+// Wake schedules a parked process to resume at the current virtual time: a
+// process blocked in Park, or a daemon that has not started yet. Waking a
+// process that is not parked panics: it indicates a bookkeeping bug in a
+// synchronization primitive. Synchronization primitives are confined to one
+// host: waking a process from another shard would corrupt both heaps.
+func (p *Proc) Wake() {
 	if !p.parked {
 		panic(fmt.Sprintf("sim: wake of non-parked process %q", p.name))
 	}

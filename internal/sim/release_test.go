@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scimpich/internal/allocwin"
 )
 
 // A drained run ends its daemons: the goroutines of device-style servers
@@ -27,17 +29,18 @@ func waitGoroutines(t *testing.T, before int) {
 }
 
 // spawnServers starts a daemon that never gets a request and one that is
-// parked again after serving three.
+// parked again after serving three. Both are woken at once, so both have a
+// goroutine for Run to end.
 func spawnServers(h Host, served *int) {
 	idle, busy := NewChan(0), NewChan(4)
-	h.GoDaemon("idle", func(p *Proc) { p.Recv(idle) })
+	h.GoDaemon("idle", func(p *Proc) { p.Recv(idle) }).Wake()
 	h.GoDaemon("busy", func(p *Proc) {
 		for {
 			p.Recv(busy)
 			p.Sleep(time.Microsecond)
 			*served++
 		}
-	})
+	}).Wake()
 	h.Go("client", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Send(busy, i)
@@ -64,6 +67,50 @@ func TestRunReleasesDaemons(t *testing.T) {
 		}
 		waitGoroutines(t, before)
 	}
+}
+
+// TestIdleDaemonCostsNothing: a daemon starts at its first piece of work.
+// Until then it has no goroutine and nothing queued, and costs its Proc and a
+// slot of the host's registry. Its first Resume runs the body from the top
+// inside the resuming event, at that event's instant.
+func TestIdleDaemonCostsNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	body := func(p *Proc) { t.Error("the body of a daemon nothing woke ran") }
+	win := allocwin.New(t)
+	win.Open()
+	for i := 0; i < 100; i++ {
+		e.GoDaemon("idle", body)
+	}
+	win.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("100 idle daemons started %d goroutines", n-before)
+	}
+	per := float64(win.Objects()) / 100
+	t.Logf("an idle daemon: %.2f objects", per)
+	if per >= 1.2 && !allocwin.RaceEnabled {
+		t.Errorf("an idle daemon costs %.2f objects, want its Proc and the registry's growth (< 1.2)", per)
+	}
+	if end := e.Run(); end != 0 || e.Events() != 0 || e.ProcSwitches() != 0 || e.ProcsStarted() != 0 {
+		t.Errorf("run of 100 idle daemons: ended at %v after %d events, %d switches, %d processes started; want 0s and none",
+			end, e.Events(), e.ProcSwitches(), e.ProcsStarted())
+	}
+
+	e = NewEngine()
+	var ranAt time.Duration = -1
+	server := e.GoDaemon("server", func(p *Proc) {
+		ranAt = p.Now()
+		p.Park()
+	})
+	e.After(5*time.Microsecond, func() {
+		events := e.Events()
+		server.Resume()
+		if ranAt != 5*time.Microsecond || e.Events() != events || e.ProcsStarted() != 1 {
+			t.Errorf("first Resume at 5µs: body ran at %v, %d further events, %d processes started; want 5µs, 0, 1",
+				ranAt, e.Events()-events, e.ProcsStarted())
+		}
+	})
+	e.Run()
 }
 
 func TestStopReleasesUndispatchedDaemon(t *testing.T) {

@@ -212,6 +212,15 @@ func (se *ShardedEngine) ProcSwitches() uint64 {
 	return n
 }
 
+// ProcsStarted returns the total processes started across all shards.
+func (se *ShardedEngine) ProcsStarted() uint64 {
+	var n uint64
+	for _, s := range se.shards {
+		n += s.started
+	}
+	return n
+}
+
 // SleepsElided returns the total elided sleeps across all shards.
 func (se *ShardedEngine) SleepsElided() uint64 {
 	var n uint64

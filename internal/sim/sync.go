@@ -36,11 +36,11 @@ func (f *Future) Complete(v any) {
 	f.done = true
 	f.value = v
 	if f.waiter != nil {
-		f.waiter.wake()
+		f.waiter.Wake()
 		f.waiter = nil
 	}
 	for i, p := range f.waiters {
-		p.wake()
+		p.Wake()
 		f.waiters[i] = nil
 	}
 	f.waiters = f.waiters[:0] // storage kept for a future that is re-armed
@@ -124,7 +124,7 @@ func (p *Proc) AwaitTimeout(f *Future, d time.Duration) (any, bool) {
 	t := p.host.After(d, func() {
 		if f.dropWaiter(p) {
 			timedOut = true
-			p.wake()
+			p.Wake()
 		}
 	})
 	p.park()
@@ -246,7 +246,7 @@ func (c *Chan) handOff(v any) bool {
 	}
 	r := c.recvers.Pop()
 	r.handoff = v
-	r.wake()
+	r.Wake()
 	return true
 }
 
@@ -302,13 +302,13 @@ func (p *Proc) TryRecv(c *Chan) (any, bool) {
 		if c.senders.Len() > 0 {
 			w := c.senders.Pop()
 			c.buf.Push(w.val)
-			w.p.wake()
+			w.p.Wake()
 		}
 		return v, true
 	}
 	if c.senders.Len() > 0 {
 		w := c.senders.Pop()
-		w.p.wake()
+		w.p.Wake()
 		return w.val, true
 	}
 	return nil, false
@@ -330,7 +330,7 @@ func (p *Proc) RecvTimeout(c *Chan, d time.Duration) (any, bool) {
 			if *c.recvers.at(i) == p {
 				c.recvers.removeAt(i)
 				timedOut = true
-				p.wake()
+				p.Wake()
 				return
 			}
 		}
@@ -377,7 +377,7 @@ func (p *Proc) Unlock(m *Mutex) {
 	if len(m.waiters) > 0 {
 		next := m.waiters[0]
 		m.waiters = m.waiters[1:]
-		next.wake()
+		next.Wake()
 		return
 	}
 	m.held = false
@@ -430,7 +430,7 @@ func (c *Credits) Release(slot int) {
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
 		*w.slot = slot
-		w.p.wake()
+		w.p.Wake()
 		return
 	}
 	if c.n == len(c.ring) {
