@@ -61,16 +61,15 @@ failover:
 	$(GO) test -run TestFailoverClaims -count=1 ./internal/rmem
 
 # shard-stress hammers the conservative-parallel engine and the incremental
-# flow solver under the race detector, then the torus machine, the full MPI
-# stack and the one-sided layer on the sharded engine (the mpi.TorusWorld
-# and confined-world cross-engine property tests, the torus run's allocation
-# budget at 1 and 2 shards, the plain-field Stats read mid-run, plus the
-# engine bench rows) — with real goroutine parallelism, so window-barrier,
-# cross-shard-queue and recycled-delivery races surface.
+# flow solver under the race detector, then the torus machine on the sharded
+# engine (the mpi.TorusWorld cross-engine property tests, the torus run's
+# allocation budget at 1 and 2 shards, plus the engine bench rows) — with
+# real goroutine parallelism, so window-barrier, cross-shard-queue and
+# recycled-delivery races surface. An MPI world runs on the sequential
+# engine only; make race covers it.
 shard-stress:
 	$(GO) test -race -count=2 ./internal/sim/ ./internal/flow/
-	$(GO) test -race -count=2 -run 'TestCrossEngine|TestTorus|TestAllocsTorusRunBudget' ./internal/mpi/
-	$(GO) test -race -count=2 -run 'TestFenceEpochOnShardedEngine|TestStatsReadableMidRun' ./internal/osc/
+	$(GO) test -race -count=2 -run 'TestTorus|TestAllocsTorusRunBudget' ./internal/mpi/
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
 
 # alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack,

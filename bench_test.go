@@ -331,9 +331,9 @@ func BenchmarkOutlookOneVsTwoSided(b *testing.B) {
 func BenchmarkAblationDMARendezvous(b *testing.B) {
 	const size = 1 << 20
 	src := make([]byte, size)
-	run := func(dmaMin int64) float64 {
+	run := func(path mpi.PathPolicy) float64 {
 		cfg := mpi.DefaultConfig(2, 1)
-		cfg.Protocol.DMAMin = dmaMin
+		cfg.Protocol.Path = path
 		var elapsed time.Duration
 		mpi.Run(cfg, func(c *mpi.Comm) {
 			switch c.Rank() {
@@ -351,8 +351,8 @@ func BenchmarkAblationDMARendezvous(b *testing.B) {
 		return float64(size) / elapsed.Seconds() / (1 << 20)
 	}
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run(0), "pio-MiB/s")
-		b.ReportMetric(run(32<<10), "dma-MiB/s")
+		b.ReportMetric(run(mpi.PathAdaptive), "pio-MiB/s")
+		b.ReportMetric(run(mpi.PathDMA), "dma-MiB/s")
 	}
 }
 

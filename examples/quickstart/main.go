@@ -3,9 +3,7 @@
 //
 // It starts a 2-node cluster, sends a strided vector datatype from rank 0
 // to rank 1 (exercising direct_pack_ff), does a one-sided put with fence
-// synchronization, and prints the virtual-time costs. It then reruns the
-// same program with Config.Shards = 2 — the conservative-parallel engine —
-// and checks the virtual outcome is identical, byte for byte.
+// synchronization, and prints the virtual-time costs.
 //
 //	go run ./examples/quickstart
 package main
@@ -62,13 +60,4 @@ func program(c *scimpich.Comm) {
 func main() {
 	end := scimpich.Run(scimpich.DefaultConfig(2, 1), program)
 	fmt.Printf("simulation finished at virtual time %v\n", end)
-
-	// Same program, conservative-parallel engine: Config.Shards picks the
-	// fabric, the schedule stays byte-identical.
-	cfg := scimpich.DefaultConfig(2, 1)
-	cfg.Shards = 2
-	if sharded := scimpich.Run(cfg, program); sharded != end {
-		log.Fatalf("sharded run diverged: %v != %v", sharded, end)
-	}
-	fmt.Println("sharded rerun (2 shards) reproduced the virtual time exactly")
 }

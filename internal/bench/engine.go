@@ -1,8 +1,7 @@
 package bench
 
-// The sharded-engine benchmark behind BENCH_engine.json. Two workloads run
-// per engine/shard-count cell, both built through the public fabric-first
-// constructors in internal/mpi:
+// The engine benchmark behind BENCH_engine.json. Two workloads, both built
+// through the public fabric-first constructors in internal/mpi:
 //
 //   - "torus-allreduce": the §6-scale 512-node (8x8x8 torus) chunked ring
 //     allreduce (mpi.TorusWorld), once on the sequential oracle with one
@@ -12,22 +11,19 @@ package bench
 //     hash exactly (byte-identical schedule per seed).
 //
 //   - "mpi-allreduce": the full MPI protocol stack (short/eager/rendezvous
-//     device, forced ring Allreduce) as a confined world hosted on one
-//     locale of the same engines, via mpi.NewFabric + mpi.RunOn. These
-//     rows gate that the whole stack — not just the torus projection —
-//     is schedule-deterministic on the sharded engine: virtual time,
-//     reduction checksum and flight-dump hash must match the sequential
-//     oracle at every shard count.
+//     device, forced ring Allreduce) on the sequential engine, via
+//     mpi.NewFabric + mpi.RunOn: its virtual time, reduction checksum,
+//     flight-dump hash and event count pin the whole stack's schedule.
 //
 // The artifact holds only what the seed determines. Wall time, events/s and
 // speedup beside ncpu are printed by FormatEngine and not written. Since the
 // flow solver stopped scanning all flows (PR 20) a shard's network does no
 // less work per flow than the sequential one, so the torus speedup is
 // bounded by the host's CPUs and window overhead — no sharded row has beaten
-// the sequential one on the 2-vCPU reference machine — and a confined world
-// occupies a single shard, so there sharding only adds window overhead. The
-// wall-clock cost of the engines is measured by benchmark/'s torus216_ring
-// workload.
+// the sequential one on the 2-vCPU reference machine. An MPI world runs on
+// one engine: it would occupy a single shard, where sharding only adds window
+// overhead. The wall-clock cost of the engines is measured by benchmark/'s
+// torus216_ring workload.
 
 import (
 	"bytes"
@@ -41,7 +37,6 @@ import (
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
-	"scimpich/internal/sim"
 )
 
 // EngineResult is one workload/engine/shard-count row of the sharded-engine
@@ -111,11 +106,9 @@ func engineRow(cfg mpi.TorusConfig, sharded bool) (EngineResult, error) {
 
 // mpiStackRow runs the full-stack workload: MPIStackRanks ranks on one
 // SMP node each, forced ring Allreduce over MPIStackElems int64 elements,
-// the whole world confined to one locale of the fabric Run would build
-// for cfg.Shards.
-func mpiStackRow(shards int) EngineResult {
+// on the fabric Run would build.
+func mpiStackRow() EngineResult {
 	cfg := mpi.DefaultConfig(MPIStackRanks, 1)
-	cfg.Shards = shards
 	cfg.Protocol.Coll = mpi.CollRing
 	rec := flight.New(256)
 	cfg.Flight = rec
@@ -126,7 +119,7 @@ func mpiStackRow(shards int) EngineResult {
 		me := c.Rank()
 		send := make([]byte, MPIStackElems*8)
 		recv := make([]byte, MPIStackElems*8)
-		// splitmix64-seeded per-rank vector, identical on every engine.
+		// splitmix64-seeded per-rank vector.
 		x := uint64(me)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
 		for i := 0; i < MPIStackElems; i++ {
 			x += 0x9e3779b97f4a7c15
@@ -162,35 +155,28 @@ func mpiStackRow(shards int) EngineResult {
 	h := fnv.New64a()
 	h.Write(buf.Bytes())
 
-	engine := "sequential"
-	var windows uint64
-	if se, ok := f.(*sim.ShardedEngine); ok {
-		engine = "sharded"
-		windows = se.Windows()
-	}
-	r := EngineResult{
+	return EngineResult{
 		Workload: "mpi-allreduce",
-		Engine:   engine, Shards: shards, Nodes: MPIStackRanks,
-		Steps:  mpiStackIters * 2 * (MPIStackRanks - 1),
-		Events: f.Events(), Windows: windows,
+		Engine:   "sequential", Shards: 1, Nodes: MPIStackRanks,
+		Steps:     mpiStackIters * 2 * (MPIStackRanks - 1),
+		Events:    f.Events(),
 		VirtualNS: int64(end), WallNS: int64(wall),
 		Checksum: fmt.Sprintf("%016x", checksum),
 		DumpFNV:  fmt.Sprintf("%016x", h.Sum64()),
 	}
-	return r
 }
 
 // RunEngineBench executes the pinned 512-node torus scenario plus the
-// full-stack MPI rows and evaluates the determinism gates. ok reports
-// whether every gate holds.
+// full-stack MPI row and evaluates the determinism gates. ok reports whether
+// every gate holds.
 func RunEngineBench() ([]EngineResult, bool) {
 	return RunEngineBenchAt(EngineDims[0], EngineDims[1], EngineDims[2], EngineShardCounts)
 }
 
 // RunEngineBenchAt runs the torus allreduce on a dx*dy*dz torus,
 // sequentially and at each sharded configuration, then the full-stack MPI
-// allreduce across the same shard counts. Determinism against the
-// respective sequential oracle is gated on every sharded row.
+// allreduce. Determinism against the sequential oracle is gated on every
+// sharded row.
 func RunEngineBenchAt(dx, dy, dz int, shardCounts []int) ([]EngineResult, bool) {
 	seq, err := engineRow(mpi.DefaultTorusConfig(dx, dy, dz, 1), false)
 	if err != nil {
@@ -208,16 +194,7 @@ func RunEngineBenchAt(dx, dy, dz int, shardCounts []int) ([]EngineResult, bool) 
 		ok = ok && r.GateDeterministic
 		rows = append(rows, r)
 	}
-	mpiSeq := mpiStackRow(1)
-	rows = append(rows, mpiSeq)
-	for _, shards := range shardCounts {
-		r := mpiStackRow(shards)
-		r.GateDeterministic = r.VirtualNS == mpiSeq.VirtualNS &&
-			r.Checksum == mpiSeq.Checksum && r.DumpFNV == mpiSeq.DumpFNV
-		ok = ok && r.GateDeterministic
-		rows = append(rows, r)
-	}
-	return rows, ok
+	return append(rows, mpiStackRow()), ok
 }
 
 // FormatEngine renders the sharded-engine suite as an aligned text table,

@@ -9,15 +9,15 @@ import (
 
 // TestEngineBenchSmall runs the engine suite on a 4x4x4 machine — big
 // enough to exercise the sequential row plus two sharded configurations,
-// small enough for the test suite. The determinism gates must hold at any
-// scale, on both the torus and the full-stack MPI workloads.
+// small enough for the test suite. The torus determinism gates must hold at
+// any scale, and the full-stack MPI row runs on the sequential engine.
 func TestEngineBenchSmall(t *testing.T) {
 	rows, ok := RunEngineBenchAt(4, 4, 4, []int{2, 4})
 	if !ok {
 		t.Fatalf("engine gates failed: %+v", rows)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6 (3 torus + 3 mpi-stack)", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4 (3 torus + 1 mpi-stack)", len(rows))
 	}
 	if rows[0].Workload != "torus-allreduce" || rows[0].Engine != "sequential" {
 		t.Fatalf("torus baseline row = %+v", rows[0])
@@ -33,16 +33,8 @@ func TestEngineBenchSmall(t *testing.T) {
 			t.Fatalf("sharded row ran no windows: %+v", r)
 		}
 	}
-	if rows[3].Workload != "mpi-allreduce" || rows[3].Engine != "sequential" {
-		t.Fatalf("mpi-stack baseline row = %+v", rows[3])
-	}
-	for _, r := range rows[4:] {
-		if r.Workload != "mpi-allreduce" || r.Engine != "sharded" || !r.GateDeterministic {
-			t.Fatalf("sharded mpi-stack row not deterministic: %+v", r)
-		}
-		if r.VirtualNS != rows[3].VirtualNS || r.Checksum != rows[3].Checksum || r.DumpFNV != rows[3].DumpFNV {
-			t.Fatalf("mpi-stack row diverged from oracle: %+v vs %+v", r, rows[3])
-		}
+	if r := rows[3]; r.Workload != "mpi-allreduce" || r.Engine != "sequential" || r.Events == 0 || r.VirtualNS <= 0 {
+		t.Fatalf("mpi-stack row = %+v", r)
 	}
 	out := FormatEngine(rows)
 	if !strings.Contains(out, "sequential") || !strings.Contains(out, "det=true") ||

@@ -58,13 +58,13 @@ func TestDTBenchSuiteInvariants(t *testing.T) {
 func TestDMARendezvousOption(t *testing.T) {
 	// The §6 outlook: large contiguous chunks over the DMA engine. The CPU
 	// is freed (not modeled as time here), at the price of bandwidth.
-	contigBWWithDMA := func(dmaMin int64) float64 { // dmaMin 0 = PIO
+	contigBWOnPath := func(path mpi.PathPolicy) float64 {
 		cfg := mpi.DefaultConfig(2, 1)
-		cfg.Protocol.DMAMin = dmaMin
+		cfg.Protocol.Path = path
 		return contigBWOn(cfg)
 	}
-	bwPIO := contigBWWithDMA(0)
-	bwDMA := contigBWWithDMA(64 << 10)
+	bwPIO := contigBWOnPath(mpi.PathAdaptive)
+	bwDMA := contigBWOnPath(mpi.PathDMA)
 	if bwDMA >= bwPIO {
 		t.Errorf("DMA transfer (%.1f MiB/s) should trade bandwidth vs PIO (%.1f MiB/s) on this platform",
 			bwDMA, bwPIO)

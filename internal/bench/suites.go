@@ -202,7 +202,7 @@ advantage appears when the target must not participate.
 			return gated(r, ok, "rmem availability gates")
 		},
 		func(r []RmemResult) []block { return []block{text(FormatRmem(r))} }),
-	suite("engine", "the 512-node torus and the full-stack MPI ring allreduce, sequential oracle vs sharded engine, with the determinism gates", "BENCH_engine.json",
+	suite("engine", "the 512-node torus ring allreduce, sequential oracle vs sharded engine, with the determinism gates, and the full-stack MPI ring allreduce", "BENCH_engine.json",
 		func(s Sweep) ([]EngineResult, error) {
 			dims, shards := EngineDims, EngineShardCounts
 			if s.Quick {

@@ -1,7 +1,7 @@
 package mpi
 
 // A call costs what it touches: the per-message and per-call allocation
-// budgets above ShortMax — eager, rendezvous on every data engine, the
+// budgets above shortMax — eager, rendezvous on every data engine, the
 // reduction collectives — and the proof that tracing which is off boxes
 // nothing. Every budget here is measured with tags >= 256 and payloads
 // >= 256 B: Go boxes an integer below 256 into an interface from a static

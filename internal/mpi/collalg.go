@@ -179,7 +179,7 @@ func (c *Comm) modelP2PMsg(n int64) time.Duration {
 	ctl := w.collCtl()
 	wire := sim.RateDuration(n, w.collLinkBW())
 	switch {
-	case n <= p.ShortMax:
+	case n <= shortMax:
 		return ctl
 	case n <= p.EagerMax:
 		// Slot deposit plus the receiver's copy-out and credit return.

@@ -311,36 +311,13 @@ func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, ro
 	must(c.GatherChecked(send, count, dt, recv, root))
 }
 
-// GatherChecked is Gather returning failures as typed errors. The root
-// posts all receives up front and then waits, so senders complete
-// concurrently instead of being drained one rank at a time.
+// GatherChecked is Gather returning failures as typed errors.
 func (c *Comm) GatherChecked(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
 	if err := c.checkRoot("Gather", root); err != nil {
 		return err
 	}
-	cc := c.collective()
-	bytes := dt.Size() * int64(count)
-	op := c.collBegin(collGather, CollP2P, bytes)
-	if c.Rank() != root {
-		return op.end(cc.send(send, count, dt, root, tagGather, cc.ctx))
-	}
-	copy(recv[int64(root)*bytes:], send[:bytes])
-	reqs := make([]*Request, c.Size())
-	for i := 0; i < c.Size(); i++ {
-		if i == root {
-			continue
-		}
-		reqs[i] = cc.irecvColl(recv[int64(i)*bytes:int64(i+1)*bytes], count, dt, i, tagGather)
-	}
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if err := cc.waitColl(r); err != nil {
-			return op.end(err)
-		}
-	}
-	return op.end(nil)
+	op := c.collBegin(collGather, CollP2P, dt.Size()*int64(count))
+	return op.end(c.collective().gather(send, count, dt, recv, blockLayout{count: count}, root, tagGather))
 }
 
 // Scatter distributes contiguous count-element pieces of send (at root) to
@@ -355,20 +332,6 @@ func (c *Comm) ScatterChecked(send []byte, count int, dt *datatype.Type, recv []
 	if err := c.checkRoot("Scatter", root); err != nil {
 		return err
 	}
-	cc := c.collective()
-	bytes := dt.Size() * int64(count)
-	op := c.collBegin(collScatter, CollP2P, bytes)
-	if c.Rank() != root {
-		return op.end(cc.recvColl(recv, count, dt, root, tagScatter))
-	}
-	copy(recv, send[int64(root)*bytes:int64(root+1)*bytes])
-	for i := 0; i < c.Size(); i++ {
-		if i == root {
-			continue
-		}
-		if err := cc.send(send[int64(i)*bytes:int64(i+1)*bytes], count, dt, i, tagScatter, cc.ctx); err != nil {
-			return op.end(err)
-		}
-	}
-	return op.end(nil)
+	op := c.collBegin(collScatter, CollP2P, dt.Size()*int64(count))
+	return op.end(c.collective().scatter(send, blockLayout{count: count}, dt, recv, count, root, tagScatter))
 }

@@ -44,19 +44,7 @@ func (c *Comm) AllgatherChecked(send []byte, count int, dt *datatype.Type, recv 
 			func(src int) []byte { return recv[int64(src)*bytes : int64(src+1)*bytes] },
 		))
 	}
-	right := (me + 1) % size
-	left := (me - 1 + size) % size
-	for step := 0; step < size-1; step++ {
-		sendIdx := (me - step + size) % size
-		recvIdx := (me - step - 1 + size) % size
-		if err := cc.sendrecvColl(
-			recv[int64(sendIdx)*bytes:int64(sendIdx+1)*bytes], count, dt, right, tagAllgather+step,
-			recv[int64(recvIdx)*bytes:int64(recvIdx+1)*bytes], count, dt, left, tagAllgather+step,
-		); err != nil {
-			return op.end(err)
-		}
-	}
-	return op.end(nil)
+	return op.end(cc.allgatherRing(recv, dt, blockLayout{count: count}, tagAllgather))
 }
 
 // Alltoall sends the i-th count-element slice of send to rank i and
@@ -86,17 +74,8 @@ func (c *Comm) AlltoallChecked(send []byte, count int, dt *datatype.Type, recv [
 			func(src int) []byte { return recv[int64(src)*bytes : int64(src+1)*bytes] },
 		))
 	}
-	for step := 1; step < size; step++ {
-		to := (me + step) % size
-		from := (me - step + size) % size
-		if err := cc.sendrecvColl(
-			send[int64(to)*bytes:int64(to+1)*bytes], count, dt, to, tagAlltoall+step,
-			recv[int64(from)*bytes:int64(from+1)*bytes], count, dt, from, tagAlltoall+step,
-		); err != nil {
-			return op.end(err)
-		}
-	}
-	return op.end(nil)
+	lay := blockLayout{count: count}
+	return op.end(cc.alltoallPairwise(send, lay, dt, recv, lay, tagAlltoall))
 }
 
 // Scan computes the inclusive prefix reduction: recv on rank r holds

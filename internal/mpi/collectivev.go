@@ -23,6 +23,120 @@ func (c *Comm) checkV(call string, counts, displs []int) error {
 	return nil
 }
 
+// blockLayout places the per-rank blocks of a gather-family buffer: rank
+// r's block holds counts[r] elements at element displacement displs[r], or,
+// for the regular collectives (counts nil), count elements at r*count. The
+// regular and the v-variant of a collective run one body over it.
+type blockLayout struct {
+	counts, displs []int
+	count          int
+}
+
+// block returns the element count of rank r's block and its byte range in
+// a buffer of es-byte elements.
+func (l blockLayout) block(r int, es int64) (n int, lo, hi int64) {
+	if l.counts == nil {
+		lo = int64(r) * int64(l.count) * es
+		return l.count, lo, lo + int64(l.count)*es
+	}
+	lo = int64(l.displs[r]) * es
+	return l.counts[r], lo, lo + int64(l.counts[r])*es
+}
+
+// gather is the body of Gather and Gatherv: a non-root rank sends its
+// count elements, the root copies its own block and posts all receives up
+// front and then waits, so senders complete concurrently instead of being
+// drained one rank at a time.
+func (c *Comm) gather(send []byte, count int, dt *datatype.Type, recv []byte, lay blockLayout, root, tag int) error {
+	if c.Rank() != root {
+		return c.send(send, count, dt, root, tag, c.ctx)
+	}
+	es := dt.Size()
+	_, lo, hi := lay.block(root, es)
+	copy(recv[lo:], send[:hi-lo])
+	reqs := make([]*Request, c.Size())
+	for r := range reqs {
+		if r == root {
+			continue
+		}
+		n, lo, hi := lay.block(r, es)
+		reqs[r] = c.irecvColl(recv[lo:hi], n, dt, r, tag)
+	}
+	for _, req := range reqs {
+		if req == nil {
+			continue
+		}
+		if err := c.waitColl(req); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scatter is the body of Scatter and Scatterv: a non-root rank receives
+// its count elements, the root copies its own block and sends every other
+// rank's in rank order.
+func (c *Comm) scatter(send []byte, lay blockLayout, dt *datatype.Type, recv []byte, count int, root, tag int) error {
+	if c.Rank() != root {
+		return c.recvColl(recv, count, dt, root, tag)
+	}
+	es := dt.Size()
+	_, lo, hi := lay.block(root, es)
+	copy(recv, send[lo:hi])
+	for r := 0; r < c.Size(); r++ {
+		if r == root {
+			continue
+		}
+		n, lo, hi := lay.block(r, es)
+		if err := c.send(send[lo:hi], n, dt, r, tag, c.ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// allgatherRing is the point-to-point body of Allgather and Allgatherv, run
+// once every rank's own block is in recv: size-1 steps, each forwarding
+// the block received last to the right neighbour while taking the next one
+// from the left, on tags tag, tag+1, ...
+func (c *Comm) allgatherRing(recv []byte, dt *datatype.Type, lay blockLayout, tag int) error {
+	size, me, es := c.Size(), c.Rank(), dt.Size()
+	right := (me + 1) % size
+	left := (me - 1 + size) % size
+	for step := 0; step < size-1; step++ {
+		sn, slo, shi := lay.block((me-step+size)%size, es)
+		rn, rlo, rhi := lay.block((me-step-1+size)%size, es)
+		if err := c.sendrecvColl(
+			recv[slo:shi], sn, dt, right, tag+step,
+			recv[rlo:rhi], rn, dt, left, tag+step,
+		); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// alltoallPairwise is the point-to-point body of Alltoall and Alltoallv,
+// run once every rank's own block is in recv: in step s each rank sends to
+// the rank s to its right and receives from the rank s to its left, on tags
+// tag+1, tag+2, ...
+func (c *Comm) alltoallPairwise(send []byte, slay blockLayout, dt *datatype.Type, recv []byte, rlay blockLayout, tag int) error {
+	size, me, es := c.Size(), c.Rank(), dt.Size()
+	for step := 1; step < size; step++ {
+		to := (me + step) % size
+		from := (me - step + size) % size
+		sn, slo, shi := slay.block(to, es)
+		rn, rlo, rhi := rlay.block(from, es)
+		if err := c.sendrecvColl(
+			send[slo:shi], sn, dt, to, tag+step,
+			recv[rlo:rhi], rn, dt, from, tag+step,
+		); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Gatherv collects counts[r] elements from each rank r into recv at
 // element displacement displs[r] on root (MPI_Gatherv). It panics on
 // failures; use GathervChecked under fault plans.
@@ -30,40 +144,18 @@ func (c *Comm) Gatherv(send []byte, count int, dt *datatype.Type, recv []byte, c
 	must(c.GathervChecked(send, count, dt, recv, counts, displs, root))
 }
 
-// GathervChecked is Gatherv returning failures as typed errors. The root
-// posts all receives up front and then waits, so senders complete
-// concurrently instead of being drained one rank at a time.
+// GathervChecked is Gatherv returning failures as typed errors.
 func (c *Comm) GathervChecked(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int, root int) error {
 	if err := c.checkRoot("Gatherv", root); err != nil {
 		return err
 	}
-	cc := c.collective()
-	es := dt.Size()
-	op := c.collBegin(collGatherv, CollP2P, es*int64(count))
-	if c.Rank() != root {
-		return op.end(cc.send(send, count, dt, root, tagGatherv, cc.ctx))
-	}
-	if err := c.checkV("Gatherv", counts, displs); err != nil {
-		return op.end(err)
-	}
-	copy(recv[int64(displs[root])*es:], send[:int64(counts[root])*es])
-	reqs := make([]*Request, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		off := int64(displs[r]) * es
-		reqs[r] = cc.irecvColl(recv[off:off+int64(counts[r])*es], counts[r], dt, r, tagGatherv)
-	}
-	for _, req := range reqs {
-		if req == nil {
-			continue
-		}
-		if err := cc.waitColl(req); err != nil {
+	op := c.collBegin(collGatherv, CollP2P, dt.Size()*int64(count))
+	if c.Rank() == root {
+		if err := c.checkV("Gatherv", counts, displs); err != nil {
 			return op.end(err)
 		}
 	}
-	return op.end(nil)
+	return op.end(c.collective().gather(send, count, dt, recv, blockLayout{counts: counts, displs: displs}, root, tagGatherv))
 }
 
 // Scatterv distributes counts[r] elements from send (at displacement
@@ -78,26 +170,13 @@ func (c *Comm) ScattervChecked(send []byte, counts, displs []int, dt *datatype.T
 	if err := c.checkRoot("Scatterv", root); err != nil {
 		return err
 	}
-	cc := c.collective()
-	es := dt.Size()
-	op := c.collBegin(collScatterv, CollP2P, es*int64(count))
-	if c.Rank() != root {
-		return op.end(cc.recvColl(recv, count, dt, root, tagScatterv))
-	}
-	if err := c.checkV("Scatterv", counts, displs); err != nil {
-		return op.end(err)
-	}
-	copy(recv, send[int64(displs[root])*es:int64(displs[root])*es+int64(counts[root])*es])
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		off := int64(displs[r]) * es
-		if err := cc.send(send[off:off+int64(counts[r])*es], counts[r], dt, r, tagScatterv, cc.ctx); err != nil {
+	op := c.collBegin(collScatterv, CollP2P, dt.Size()*int64(count))
+	if c.Rank() == root {
+		if err := c.checkV("Scatterv", counts, displs); err != nil {
 			return op.end(err)
 		}
 	}
-	return op.end(nil)
+	return op.end(c.collective().scatter(send, blockLayout{counts: counts, displs: displs}, dt, recv, count, root, tagScatterv))
 }
 
 // Allgatherv collects counts[r] elements from every rank into every rank's
@@ -112,28 +191,13 @@ func (c *Comm) AllgathervChecked(send []byte, count int, dt *datatype.Type, recv
 	if err := c.checkV("Allgatherv", counts, displs); err != nil {
 		return err
 	}
-	cc := c.collective()
-	size := c.Size()
-	me := c.Rank()
+	lay := blockLayout{counts: counts, displs: displs}
 	es := dt.Size()
-	copy(recv[int64(displs[me])*es:], send[:int64(counts[me])*es])
-	if size == 1 {
+	_, lo, hi := lay.block(c.Rank(), es)
+	copy(recv[lo:], send[:hi-lo])
+	if c.Size() == 1 {
 		return nil
 	}
 	op := c.collBegin(collAgatherv, CollP2P, es*int64(count))
-	right := (me + 1) % size
-	left := (me - 1 + size) % size
-	for step := 0; step < size-1; step++ {
-		sendIdx := (me - step + size) % size
-		recvIdx := (me - step - 1 + size) % size
-		so := int64(displs[sendIdx]) * es
-		ro := int64(displs[recvIdx]) * es
-		if err := cc.sendrecvColl(
-			recv[so:so+int64(counts[sendIdx])*es], counts[sendIdx], dt, right, tagAgatherv+step,
-			recv[ro:ro+int64(counts[recvIdx])*es], counts[recvIdx], dt, left, tagAgatherv+step,
-		); err != nil {
-			return op.end(err)
-		}
-	}
-	return op.end(nil)
+	return op.end(c.collective().allgatherRing(recv, dt, lay, tagAgatherv))
 }

@@ -130,33 +130,16 @@ func (c *Comm) derive() *Comm {
 // Run builds a cluster from cfg, runs main once per rank, and returns the
 // virtual time at which the last rank finished. With a metrics registry
 // configured, the per-rank and per-node statistics gauges are published
-// into it after the run. Cfg.Shards selects the engine: the sequential
-// oracle by default, a conservative-parallel ShardedEngine for Shards > 1
-// — the virtual outcome is byte-identical either way.
+// into it after the run.
 func Run(cfg Config, main func(c *Comm)) time.Duration {
 	return RunOn(NewFabric(cfg), cfg, main)
 }
 
-// NewFabric builds the fabric Run would use for cfg: a sharded engine with
-// cfg.Shards shards when Shards > 1, else a one-locale wrap of a fresh
-// sequential engine. The lookahead is the SCI segment latency.
+// NewFabric builds the fabric Run would use for cfg: a one-locale wrap of a
+// fresh sequential engine. One locale sends nothing across locales, so the
+// fabric needs no lookahead.
 func NewFabric(cfg Config) sim.Fabric {
-	la := lookaheadFor(cfg)
-	if cfg.Shards > 1 {
-		return sim.NewShardedEngine(cfg.Shards, la)
-	}
-	return sim.NewSeqFabric(sim.NewEngine(), 1, la)
-}
-
-// lookaheadFor resolves the conservative lookahead of a run: the
-// configured SCI segment latency (the minimum delay of any cross-shard
-// interaction on the paper's hardware), or the paper's 70 ns B-Link
-// segment delay.
-func lookaheadFor(cfg Config) time.Duration {
-	if cfg.SCI.SegmentLatency > 0 {
-		return cfg.SCI.SegmentLatency
-	}
-	return 70 * time.Nanosecond
+	return sim.NewLocalFabric(1, 0)
 }
 
 // RunOn builds a world on an existing fabric, runs main once per rank, and

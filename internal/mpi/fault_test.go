@@ -278,8 +278,6 @@ func TestCancelledRendezvousTearsDownReceiver(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	cfg.SCI.Fault = fault.New(13).WithWriteErrors(1).WithDMAErrors(1)
 	cfg.SCI.RetryLatency = 10 * time.Microsecond
-	cfg.Protocol.SendRetryMax = 2
-	cfg.Protocol.SendBackoff = 10 * time.Microsecond
 	payload := fill(256 << 10) // rendezvous-sized
 	var w *World
 	var sendErr, recvErr error
@@ -312,11 +310,15 @@ func TestCancelledRendezvousTearsDownReceiver(t *testing.T) {
 	}
 }
 
+// TestDMAPathDeliversData: under PathDMA every contiguous rendezvous chunk
+// goes through the adapter's DMA engine, and the bytes arrive intact.
 func TestDMAPathDeliversData(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
-	cfg.Protocol.DMAMin = 32 << 10
+	cfg.Protocol.Path = PathDMA
 	src := fill(512 << 10)
+	var w *World
 	Run(cfg, func(c *Comm) {
+		w = c.World()
 		switch c.Rank() {
 		case 0:
 			c.Send(src, len(src), datatype.Byte, 1, 0)
@@ -328,4 +330,7 @@ func TestDMAPathDeliversData(t *testing.T) {
 			}
 		}
 	})
+	if got, want := w.InterconnectStats(0).DMATransfers, int64(len(src))/cfg.Protocol.RendezvousChunk; got != want {
+		t.Errorf("%d DMA transfers, want one per %d B chunk (%d)", got, cfg.Protocol.RendezvousChunk, want)
+	}
 }

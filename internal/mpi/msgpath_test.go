@@ -170,55 +170,49 @@ func TestSwitchesPingPongBudget(t *testing.T) {
 }
 
 // TestSimCountersPublished: what a run cost the simulator is in the metric
-// registry beside what it did in the model, on both engines — the engine's
-// events, process switches, started processes, elided sleeps, cancelled
-// timers and deepest heap as the fabric counted them, and the flow solver's passes, re-anchored flows
-// and heap visits. The rendezvous exchange puts 64 KiB chunks through the flow network
-// in both directions at once, and a solver pass that finds the completion
-// timer armed cancels it; in that exchange both ranks wake at the same
-// instants and every sleep yields, so a one-way short message follows, whose
-// sender sleeps alone.
+// registry beside what it did in the model — the engine's events, process
+// switches, started processes, elided sleeps, cancelled timers and deepest
+// heap as the fabric counted them, and the flow solver's passes, re-anchored
+// flows and heap visits. The rendezvous exchange puts 64 KiB chunks through
+// the flow network in both directions at once, and a solver pass that finds
+// the completion timer armed cancels it; in that exchange both ranks wake at
+// the same instants and every sleep yields, so a one-way short message
+// follows, whose sender sleeps alone.
 func TestSimCountersPublished(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		cfg := DefaultConfig(2, 1)
-		cfg.Shards = shards
-		cfg.Metrics = obs.NewRegistry()
-		f := NewFabric(cfg)
-		NewWorldOn(f, cfg).Run(func(c *Comm) {
-			out, in := make([]byte, 256<<10), make([]byte, 256<<10)
-			c.Sendrecv(out, len(out), datatype.Byte, c.Rank()^1, 0, in, len(in), datatype.Byte, c.Rank()^1, 0)
-			c.Barrier()
-			if c.Rank() == 0 {
-				c.Send(out, 64, datatype.Byte, 1, 1)
-			} else {
-				c.Recv(in, 64, datatype.Byte, 0, 1)
-			}
-		})
-		for _, g := range []struct {
-			name string
-			want uint64
-		}{
-			{"sim.events", f.Events()},
-			{"sim.proc_switches", f.ProcSwitches()},
-			{"sim.procs_started", f.ProcsStarted()},
-			{"sim.sleeps_elided", f.SleepsElided()},
-			{"sim.timers_cancelled", f.TimersCancelled()},
-			{"sim.heap_depth_max", uint64(f.HeapDepthMax())},
-		} {
-			// A shard's window is one segment latency, 70 ns: no sleep of the
-			// message path ends inside it, so none is elided there.
-			zeroOK := g.name == "sim.sleeps_elided" && shards > 0
-			if got := cfg.Metrics.Gauge(g.name).Value(); got == 0 && !zeroOK || got != int64(g.want) {
-				t.Errorf("shards=%d: published %s = %d, the fabric counted %d", shards, g.name, got, g.want)
-			}
+	cfg := DefaultConfig(2, 1)
+	cfg.Metrics = obs.NewRegistry()
+	f := NewFabric(cfg)
+	NewWorldOn(f, cfg).Run(func(c *Comm) {
+		out, in := make([]byte, 256<<10), make([]byte, 256<<10)
+		c.Sendrecv(out, len(out), datatype.Byte, c.Rank()^1, 0, in, len(in), datatype.Byte, c.Rank()^1, 0)
+		c.Barrier()
+		if c.Rank() == 0 {
+			c.Send(out, 64, datatype.Byte, 1, 1)
+		} else {
+			c.Recv(in, 64, datatype.Byte, 0, 1)
 		}
-		solves := cfg.Metrics.Counter("flow.solves").Value()
-		reanchored := cfg.Metrics.Counter("flow.reanchored").Value()
-		visits := cfg.Metrics.Counter("flow.heap_visits").Value()
-		if solves == 0 || reanchored == 0 || visits == 0 || reanchored > 2*solves || visits > 2*solves {
-			t.Errorf("shards=%d: %d solver passes re-anchored %d flows and visited %d: want all positive, and a pass to touch a flow or two",
-				shards, solves, reanchored, visits)
+	})
+	for _, g := range []struct {
+		name string
+		want uint64
+	}{
+		{"sim.events", f.Events()},
+		{"sim.proc_switches", f.ProcSwitches()},
+		{"sim.procs_started", f.ProcsStarted()},
+		{"sim.sleeps_elided", f.SleepsElided()},
+		{"sim.timers_cancelled", f.TimersCancelled()},
+		{"sim.heap_depth_max", uint64(f.HeapDepthMax())},
+	} {
+		if got := cfg.Metrics.Gauge(g.name).Value(); got == 0 || got != int64(g.want) {
+			t.Errorf("published %s = %d, the fabric counted %d", g.name, got, g.want)
 		}
+	}
+	solves := cfg.Metrics.Counter("flow.solves").Value()
+	reanchored := cfg.Metrics.Counter("flow.reanchored").Value()
+	visits := cfg.Metrics.Counter("flow.heap_visits").Value()
+	if solves == 0 || reanchored == 0 || visits == 0 || reanchored > 2*solves || visits > 2*solves {
+		t.Errorf("%d solver passes re-anchored %d flows and visited %d: want all positive, and a pass to touch a flow or two",
+			solves, reanchored, visits)
 	}
 }
 

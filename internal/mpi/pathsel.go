@@ -17,7 +17,7 @@ const (
 	// bandwidth estimates of the paths actually exercised.
 	PathAdaptive PathPolicy = iota
 	// PathStatic keeps the legacy static thresholds (UseFF decides ff vs
-	// generic; DMAMin gates contiguous DMA).
+	// generic).
 	PathStatic
 	// PathPIO forces direct_pack_ff deposits (PIO block writes).
 	PathPIO

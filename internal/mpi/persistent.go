@@ -103,22 +103,11 @@ func (c *Comm) AlltoallvChecked(send []byte, sendCounts, sdispls []int, dt *data
 		return argErrf("Alltoallv", "argument lengths %d/%d/%d/%d for %d ranks",
 			len(sendCounts), len(sdispls), len(recvCounts), len(rdispls), size)
 	}
-	cc := c.collective()
-	me := c.Rank()
-	es := dt.Size()
-	copy(recv[int64(rdispls[me])*es:int64(rdispls[me])*es+int64(recvCounts[me])*es],
-		send[int64(sdispls[me])*es:int64(sdispls[me])*es+int64(sendCounts[me])*es])
-	for step := 1; step < size; step++ {
-		to := (me + step) % size
-		from := (me - step + size) % size
-		so := int64(sdispls[to]) * es
-		ro := int64(rdispls[from]) * es
-		if err := cc.sendrecvColl(
-			send[so:so+int64(sendCounts[to])*es], sendCounts[to], dt, to, tagAlltoall+step,
-			recv[ro:ro+int64(recvCounts[from])*es], recvCounts[from], dt, from, tagAlltoall+step,
-		); err != nil {
-			return err
-		}
-	}
-	return nil
+	slay := blockLayout{counts: sendCounts, displs: sdispls}
+	rlay := blockLayout{counts: recvCounts, displs: rdispls}
+	me, es := c.Rank(), dt.Size()
+	_, slo, shi := slay.block(me, es)
+	_, rlo, rhi := rlay.block(me, es)
+	copy(recv[rlo:rhi], send[slo:shi])
+	return c.collective().alltoallPairwise(send, slay, dt, recv, rlay, tagAlltoall)
 }

@@ -32,8 +32,8 @@ func TestProtocolSelectionBoundaries(t *testing.T) {
 		size              int64
 		short, eager, rdv int64
 	}{
-		{proto.ShortMax, 1, 0, 0},
-		{proto.ShortMax + 1, 0, 1, 0},
+		{shortMax, 1, 0, 0},
+		{shortMax + 1, 0, 1, 0},
 		{proto.EagerMax, 0, 1, 0},
 		{proto.EagerMax + 1, 0, 0, 1},
 	}

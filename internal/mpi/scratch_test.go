@@ -70,7 +70,6 @@ func TestRdvScratchRecycling(t *testing.T) {
 	t.Run("cancel", func(t *testing.T) {
 		cfg := DefaultConfig(2, 1)
 		cfg.SCI.Fault = fault.New(5).DisturbLink(0, 1, 0, 3*time.Millisecond)
-		cfg.Protocol.SendRetryMax = 1
 		var w *World
 		var sc *rdvSend
 		var st *rdvRecv

@@ -34,7 +34,7 @@ func (c *Comm) Send(buf []byte, count int, dt *datatype.Type, dst, tag int) {
 // watchdog (ProtocolConfig.RendezvousTimeout) a *fault.Error of kind
 // Timeout, and persistent injected transfer errors their fault kind.
 // Transient faults are retried with exponential backoff before any error
-// is surfaced (ProtocolConfig.SendRetryMax / SendBackoff).
+// is surfaced (sendRetryMax attempts from sendBackoff).
 func (c *Comm) SendChecked(buf []byte, count int, dt *datatype.Type, dst, tag int) error {
 	return c.send(buf, count, dt, dst, tag, c.ctx)
 }
@@ -64,7 +64,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	switch {
 	case dst == c.rk.id:
 		protoCode = 0
-	case bytes <= proto.ShortMax:
+	case bytes <= shortMax:
 		protoCode = 1
 	case bytes <= proto.EagerMax:
 		protoCode = 2
@@ -88,7 +88,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 
 	start := p.Now()
 	switch {
-	case bytes <= proto.ShortMax:
+	case bytes <= shortMax:
 		sp := tr.StartSpan(start, c.rk.actor, "send", "short")
 		sp.SetBytes(bytes)
 		if sp != nil {
@@ -179,17 +179,17 @@ func (c *Comm) watchdogExpired(peer int) error {
 }
 
 // retryTransfer runs a fallible data deposit, retrying retryable injected
-// faults with exponential backoff (SendRetryMax attempts, SendBackoff
+// faults with exponential backoff (sendRetryMax attempts, sendBackoff
 // initial delay) before surfacing the error.
 func (c *Comm) retryTransfer(dst int, op func() error) error {
-	max, backoff := c.rk.w.protocol().retryBudget()
+	backoff := sendBackoff
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil {
 			return nil
 		}
 		fe, ok := err.(*fault.Error)
-		if !ok || !fe.Retryable() || attempt >= max {
+		if !ok || !fe.Retryable() || attempt >= sendRetryMax {
 			return err
 		}
 		c.rk.dev.stats.SendRetries++
@@ -490,17 +490,9 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 	proto := w.protocol()
 	switch {
 	case contig:
-		// Contiguous chunks keep the legacy static gate (DMAMin) under the
-		// adaptive policy too: the choice is a fixed engine crossover, not
-		// a per-type regime. Forced policies override it.
-		useDMA := proto.DMAMin > 0 && n >= proto.DMAMin
-		switch proto.Path {
-		case PathDMA:
-			useDMA = true
-		case PathPIO, PathStaged:
-			useDMA = false
-		}
-		if useDMA {
+		// A contiguous chunk takes the DMA engine only under PathDMA; every
+		// other policy streams it by PIO.
+		if proto.Path == PathDMA {
 			if req, ok := mem.DMAWrite(c.p, off, buf[skip:skip+n]); ok {
 				// The CPU is free during the transfer; the protocol simply
 				// waits for the engine before signalling the chunk.

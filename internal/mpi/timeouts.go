@@ -28,8 +28,8 @@ const AutoTimeout time.Duration = -1
 func (w *World) watchdogUnit() time.Duration {
 	p := w.protocol()
 	unit := 8 * w.collCtl()
-	max, backoff := p.retryBudget()
-	for i := 0; i <= max; i++ {
+	backoff := sendBackoff
+	for i := 0; i <= sendRetryMax; i++ {
 		unit += backoff
 		backoff *= 2
 	}

@@ -48,15 +48,15 @@ type TorusConfig struct {
 	ChunkBytes     int64         // bytes per allreduce chunk transfer
 	LinkBW         float64       // per-segment bandwidth, bytes/second
 	SrcCap         float64       // per-node sustained deposit rate
-	SegmentLatency time.Duration // per-segment propagation delay
+	SegmentLatency time.Duration // per-segment propagation delay; the shards' lookahead
 
 	SampleEvery int           // flight sample period in steps (<=0: 64)
 	Registry    *obs.Registry // optional shared metrics registry
 }
 
 // DefaultTorusConfig returns a machine calibrated like the paper's testbed
-// (166 MHz ringlets, Table 2 sustained put bandwidth) with the given
-// partitioning.
+// (166 MHz ringlets, Table 2 sustained put bandwidth, 70 ns B-Link segment
+// delay) with the given partitioning.
 func DefaultTorusConfig(dx, dy, dz, shards int) TorusConfig {
 	sc := sci.DefaultConfig(8)
 	return TorusConfig{
@@ -64,7 +64,7 @@ func DefaultTorusConfig(dx, dy, dz, shards int) TorusConfig {
 		ChunkBytes:     64 << 10,
 		LinkBW:         ring.BandwidthForMHz(sc.LinkMHz),
 		SrcCap:         sc.SustainedPutBW,
-		SegmentLatency: sc.SegmentLatency,
+		SegmentLatency: 70 * time.Nanosecond,
 		SampleEvery:    64,
 	}
 }

@@ -25,8 +25,6 @@ import (
 
 // ProtocolConfig holds the device protocol parameters.
 type ProtocolConfig struct {
-	// ShortMax is the largest payload carried inline in a control packet.
-	ShortMax int64
 	// EagerMax is the largest message sent through preallocated eager
 	// slots (eagerSlots per pair); larger messages use the rendezvous
 	// protocol.
@@ -38,14 +36,12 @@ type ProtocolConfig struct {
 	// UseFF selects direct_pack_ff for non-contiguous datatypes; false
 	// forces the generic pack-and-send baseline everywhere.
 	UseFF bool
-	// DMAMin, when positive, routes contiguous rendezvous chunks of at
-	// least this many bytes through the adapter's DMA engine instead of
-	// PIO (the paper's §6 outlook: "non-contiguous data transfers with
-	// DMA-based interconnects"). 0 disables DMA.
-	DMAMin int64
-	// Path selects the deposit engine for non-contiguous rendezvous chunks
-	// on remote-memory transports: adaptive prediction (the default),
-	// the legacy static thresholds, or a forced path (see PathPolicy).
+	// Path selects the deposit engine of rendezvous chunks on remote-memory
+	// transports: adaptive prediction (the default), the legacy static
+	// thresholds, or a forced path (see PathPolicy). Contiguous chunks take
+	// the adapter's DMA engine only under PathDMA (the paper's §6 outlook:
+	// "non-contiguous data transfers with DMA-based interconnects"), PIO
+	// otherwise.
 	Path PathPolicy
 
 	// Coll selects the collective algorithm policy: the cost-model +
@@ -70,18 +66,11 @@ type ProtocolConfig struct {
 	// peer's node is down, or a fault.Timeout error otherwise, instead of
 	// hanging the simulation.
 	RendezvousTimeout time.Duration
-	// SendRetryMax bounds the retransmission attempts of a failed data
-	// deposit (eager slot write, rendezvous chunk) before the typed error
-	// is surfaced; SendBackoff is the initial backoff, doubled per retry.
-	SendRetryMax int
-	// SendBackoff is the initial retry backoff (doubled each attempt).
-	SendBackoff time.Duration
 }
 
 // DefaultProtocol returns the SCI-MPICH-like protocol parameters.
 func DefaultProtocol() ProtocolConfig {
 	return ProtocolConfig{
-		ShortMax:        128,
 		EagerMax:        16 << 10,
 		RendezvousChunk: 64 << 10, // a quarter of the P-III L2: chunk + scattered span stay cache-resident
 		UseFF:           true,
@@ -92,13 +81,13 @@ func DefaultProtocol() ProtocolConfig {
 		CollSlot: 256 << 10, // two double-buffered 128 KiB halves per pair
 
 		RendezvousTimeout: 0, // wait forever unless a run opts into watchdogs
-		SendRetryMax:      6,
-		SendBackoff:       20 * time.Microsecond,
 	}
 }
 
-// The device's fixed software costs and port layout.
+// The device's fixed protocol thresholds, software costs and port layout.
 const (
+	// shortMax is the largest payload carried inline in a control packet.
+	shortMax = 128
 	// eagerSlots is the number of eager buffers per sender/receiver pair.
 	eagerSlots = 8
 	// oscBuf is the per-pair staging area for emulated one-sided transfers
@@ -109,20 +98,12 @@ const (
 	handlerLatency = 500 * time.Nanosecond
 	// callOverhead is the software cost of entering an MPI call.
 	callOverhead = 250 * time.Nanosecond
+	// sendRetryMax bounds the retransmission attempts of a failed data
+	// deposit (eager slot write, rendezvous chunk) before the typed error
+	// is surfaced; sendBackoff is the initial backoff, doubled per retry.
+	sendRetryMax = 6
+	sendBackoff  = 20 * time.Microsecond
 )
-
-// retryBudget resolves the sender's retransmission budget: the attempts and
-// the initial backoff, with the defaults standing in for unset fields.
-func (p *ProtocolConfig) retryBudget() (max int, backoff time.Duration) {
-	max, backoff = p.SendRetryMax, p.SendBackoff
-	if max <= 0 {
-		max = 6
-	}
-	if backoff <= 0 {
-		backoff = 20 * time.Microsecond
-	}
-	return max, backoff
-}
 
 // Config describes a simulated cluster run.
 type Config struct {
@@ -153,15 +134,6 @@ type Config struct {
 	// window to a JSON dump (see internal/obs/flight and cmd/postmortem).
 	// It is inherited by the SCI layer unless SCI.Flight is set explicitly.
 	Flight *flight.Recorder
-
-	// Shards selects the engine Run constructs: 0 or 1 (the default) runs
-	// the world on the sequential oracle; >1 builds a conservative-parallel
-	// sim.ShardedEngine and hosts the world on its locale 0. The virtual
-	// outcome — end time, message schedule, flight dump — is byte-identical
-	// either way: the world is confined to a single locale, so its event
-	// schedule is governed only by that locale's (time, seq) heap order,
-	// which the sharded engine preserves exactly.
-	Shards int
 }
 
 // DefaultConfig returns a cluster of nodes dual-SMP nodes matching the
@@ -177,10 +149,8 @@ func DefaultConfig(nodes, procsPerNode int) Config {
 }
 
 // World is the runtime state of a cluster run. The world lives on locale 0
-// of a sim.Fabric: all its processes, device daemons, flow networks
-// and services are scheduled on that locale's heap, so the same world runs
-// byte-identically on the sequential oracle and on any shard of a
-// conservative-parallel engine.
+// of a sim.Fabric: all its processes, device daemons, flow networks and
+// services are scheduled on that locale's heap.
 type World struct {
 	cfg    Config
 	fabric sim.Fabric

@@ -28,35 +28,29 @@ func waitGoroutines(t *testing.T, what string, before int) {
 	}
 }
 
-// TestRunLeavesNoGoroutines: the device, DMA and monitor daemons of a world
-// are parked forever once its run has drained; Run ends them, on the
-// sequential oracle and on the sharded engine alike.
+// TestRunLeavesNoGoroutines: the device and DMA daemons of a world are
+// parked forever once its run has drained; Run ends them.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, shards := range []int{0, 2, 4} {
-		cfg := mpi.DefaultConfig(8, 2)
-		cfg.Shards = shards
-		mpi.Run(cfg, func(c *mpi.Comm) {
-			// One message per protocol: short, eager, rendezvous.
-			for _, n := range []int{64, 4 << 10, 256 << 10} {
-				out, in := make([]byte, n), make([]byte, n)
-				c.Sendrecv(out, n, datatype.Byte, c.Rank()^1, 1, in, n, datatype.Byte, c.Rank()^1, 1)
-			}
-			c.Barrier()
-		})
-		waitGoroutines(t, "8x2 world", before)
-
-		// A node crashes mid-run: its rank stops early, the survivors shrink
-		// and fail over, and the dead node's daemons stay parked to the end.
-		rcfg := mpi.DefaultConfig(4, 1)
-		rcfg.Shards = shards
-		rcfg.SCI.Fault = fault.New(42).CrashNode(1, 5200*time.Microsecond)
-		rcfg.Protocol.CollTimeout = mpi.AutoTimeout
-		rcfg.Protocol.RendezvousTimeout = mpi.AutoTimeout
-		reports, _ := rmem.RunWorkload(rcfg, rmem.DefaultConfig(), rmem.DefaultWorkload())
-		if !reports[1].Died {
-			t.Errorf("shards=%d: the crash was not exercised: %+v", shards, reports[1])
+	mpi.Run(mpi.DefaultConfig(8, 2), func(c *mpi.Comm) {
+		// One message per protocol: short, eager, rendezvous.
+		for _, n := range []int{64, 4 << 10, 256 << 10} {
+			out, in := make([]byte, n), make([]byte, n)
+			c.Sendrecv(out, n, datatype.Byte, c.Rank()^1, 1, in, n, datatype.Byte, c.Rank()^1, 1)
 		}
-		waitGoroutines(t, "rmem crash run", before)
+		c.Barrier()
+	})
+	waitGoroutines(t, "8x2 world", before)
+
+	// A node crashes mid-run: its rank stops early, the survivors shrink
+	// and fail over, and the dead node's daemons stay parked to the end.
+	rcfg := mpi.DefaultConfig(4, 1)
+	rcfg.SCI.Fault = fault.New(42).CrashNode(1, 5200*time.Microsecond)
+	rcfg.Protocol.CollTimeout = mpi.AutoTimeout
+	rcfg.Protocol.RendezvousTimeout = mpi.AutoTimeout
+	reports, _ := rmem.RunWorkload(rcfg, rmem.DefaultConfig(), rmem.DefaultWorkload())
+	if !reports[1].Died {
+		t.Errorf("the crash was not exercised: %+v", reports[1])
 	}
+	waitGoroutines(t, "rmem crash run", before)
 }

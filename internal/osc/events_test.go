@@ -23,13 +23,10 @@ import (
 func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 	// sciRun runs body on node 0 of a two-node interconnect with node 1's
 	// 4 KiB segment imported.
-	sciRun := func(rec *flight.Recorder, plan *fault.Plan, tune func(*sci.Config), body func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping)) {
+	sciRun := func(rec *flight.Recorder, plan *fault.Plan, body func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping)) {
 		e := sim.NewEngine()
 		cfg := sci.DefaultConfig(2)
 		cfg.Flight, cfg.Fault = rec, plan
-		if tune != nil {
-			tune(&cfg)
-		}
 		ic := sci.New(e, cfg)
 		seg := ic.Node(1).Export(4096)
 		m := ic.Node(0).MustImport(1, seg.ID())
@@ -51,7 +48,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 		want []string // "actor event text", each at least once
 	}{
 		{"import from a dead node", func(t *testing.T, rec *flight.Recorder) {
-			sciRun(rec, nil, nil, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
+			sciRun(rec, nil, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
 				ic.FailNode(1)
 				if _, err := ic.Node(0).Import(1, m.Segment().ID()); err == nil {
 					t.Error("import from a dead node succeeded")
@@ -60,7 +57,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 		}, []string{"node0 fault: node-unreachable from 0 to 1"}},
 
 		{"transfer toward a dead node", func(t *testing.T, rec *flight.Recorder) {
-			sciRun(rec, nil, nil, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
+			sciRun(rec, nil, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
 				ic.FailNode(1)
 				if m.TryWriteStream(p, 0, buf[:4096], 0) == nil {
 					t.Error("write toward a dead node succeeded")
@@ -70,7 +67,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 
 		{"link disturbed past the retries", func(t *testing.T, rec *flight.Recorder) {
 			plan := fault.New(1).DisturbLink(0, 1, 0, time.Second)
-			sciRun(rec, plan, nil, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
+			sciRun(rec, plan, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
 				if m.TryWriteStream(p, 0, buf[:4096], 0) == nil {
 					t.Error("write across a disturbed link succeeded")
 				}
@@ -78,13 +75,13 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 		}, []string{"node0 fault: link-disturbed from 0 to 1 (retry 3)"}},
 
 		{"transfer check given up", func(t *testing.T, rec *flight.Recorder) {
-			plan := fault.New(5).WithCheckErrors(0.95)
-			sciRun(rec, plan, func(c *sci.Config) { c.CheckRetryMax = 1 }, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
+			plan := fault.New(2).WithCheckErrors(0.95)
+			sciRun(rec, plan, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
 				if m.CheckedSync(p) == nil {
 					t.Error("checked sync survived persistent check errors")
 				}
 			})
-		}, []string{"node0 connection node0 -> node1 lost after 2 failed checks"}},
+		}, []string{"node0 connection node0 -> node1 lost after 5 failed checks"}},
 
 		{"rendezvous cancelled before the receive", func(t *testing.T, rec *flight.Recorder) {
 			// The sender's watchdog gives up before the receiver posts: the

@@ -96,13 +96,6 @@ type Config struct {
 	// packets impose on the return-path ring segments.
 	EchoFraction float64
 
-	// SegmentLatency is the propagation delay of one ring segment (B-Link
-	// plus cable). It does not affect transfer rates; it is the quantity a
-	// partitioned simulation derives its conservative lookahead from: no
-	// interaction between nodes can take effect in less than the latency of
-	// the segments between them.
-	SegmentLatency time.Duration
-
 	// DMAStartup and DMAPeakBW describe the adapter's DMA engine.
 	DMAStartup time.Duration
 	DMAPeakBW  float64
@@ -154,11 +147,6 @@ type Config struct {
 	// the injected interconnect faults. nil records nothing at zero cost.
 	Flight *flight.Recorder
 
-	// CheckRetryMax bounds the retries of the transfer-check barrier
-	// (Mapping.CheckedSync) before it converts a persistently failing
-	// check into ErrConnectionLost.
-	CheckRetryMax int
-
 	// Mem is the local memory hierarchy model of every node.
 	Mem *memmodel.Model
 }
@@ -182,7 +170,6 @@ func DefaultConfig(nodes int) Config {
 		WriteGatherGap:      8,
 		WriteGatherGapTiny:  64,
 		EchoFraction:        0.25,
-		SegmentLatency:      70 * time.Nanosecond,
 		DMAStartup:          22 * time.Microsecond,
 		DMAPeakBW:           85 * MiB,
 		DMASGDesc:           30 * time.Nanosecond,
@@ -191,7 +178,6 @@ func DefaultConfig(nodes int) Config {
 		DMASGGap:            8,
 		InterruptLatency:    14 * time.Microsecond,
 		RetryLatency:        30 * time.Microsecond,
-		CheckRetryMax:       4,
 		Mem:                 memmodel.PentiumIII800(),
 	}
 }

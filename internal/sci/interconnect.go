@@ -134,7 +134,7 @@ type Node struct {
 	// bwFree holds the block writers whose session has been flushed.
 	bwFree []*BlockWriter
 
-	// dead marks the node unreachable (see monitor.go).
+	// dead marks the node unreachable (see failure.go).
 	dead bool
 
 	stats Stats
@@ -188,9 +188,6 @@ func New(e sim.Host, cfg Config) *Interconnect {
 		Cfg:  cfg,
 	}
 	ic.Net.SetMetrics(cfg.Metrics)
-	if ic.Cfg.CheckRetryMax <= 0 {
-		ic.Cfg.CheckRetryMax = 4
-	}
 	ic.met = newICMetrics(cfg.Metrics)
 	ic.nodes = make([]*Node, cfg.Nodes)
 	for i := range ic.nodes {

@@ -176,14 +176,18 @@ func (m *Mapping) Sync(p *sim.Proc) {
 }
 
 // checkBackoff is the initial backoff of a failed transfer check, doubled
-// per retry.
-const checkBackoff = 10 * time.Microsecond
+// per retry; checkRetryMax bounds the retries before CheckedSync converts a
+// persistently failing check into ErrConnectionLost.
+const (
+	checkBackoff  = 10 * time.Microsecond
+	checkRetryMax = 4
+)
 
 // CheckedSync is the transfer-check barrier (check-after-store-barrier, as
 // SCI-MPICH performs after each Sync): a store barrier followed by a check
 // of the adapter's transfer status toward the segment owner. Failed checks
 // of retryable faults (CRC/sequence/link disturbance) are retried with
-// exponential backoff from checkBackoff, bounded by Config.CheckRetryMax;
+// exponential backoff from checkBackoff, bounded by checkRetryMax;
 // exhausting the cap converts the persistent failure into
 // ErrConnectionLost. Non-retryable failures (dead owner, revoked segment)
 // surface immediately as their typed error.
@@ -201,7 +205,7 @@ func (m *Mapping) CheckedSync(p *sim.Proc) error {
 		if !ok || !fe.Retryable() {
 			return err
 		}
-		if attempt >= cfg.CheckRetryMax {
+		if attempt >= checkRetryMax {
 			// Every failed check is a KFault of the plan's; the give-up is
 			// the connection's own record.
 			cfg.Flight.Actor(from.name).Record(p.Now(), flight.KConnLost,

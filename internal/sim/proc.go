@@ -244,11 +244,11 @@ const releasedRule = "a drained run ends its daemons, so a host that had any run
 
 // releaseDaemons ends the goroutine of every daemon that is still blocked,
 // one at a time and in spawn order. Run calls it on its way out: a drained
-// simulation can never wake its device handlers, DMA engines and monitors
-// again, and their parked goroutines would pin everything they reference —
-// a whole world — for the life of the program. A daemon that never started
-// has no goroutine to end and is skipped, but its host is finished with all
-// the same.
+// simulation can never wake its device handlers and DMA engines again, and
+// their parked goroutines would pin everything they reference — a whole
+// world — for the life of the program. A daemon that never started has no
+// goroutine to end and is skipped, but its host is finished with all the
+// same.
 func (rt *procRuntime) releaseDaemons() {
 	for _, p := range rt.procs {
 		if !p.daemon || p.finished {

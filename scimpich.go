@@ -41,9 +41,7 @@ import (
 // Cluster configuration and runtime.
 type (
 	// Config describes a simulated cluster (nodes, SMP width, interconnect
-	// and protocol parameters). Config.Shards selects the engine: the
-	// sequential oracle by default, the conservative-parallel sharded
-	// engine for Shards > 1 — same virtual outcome, byte for byte.
+	// and protocol parameters). A cluster runs on the sequential engine.
 	Config = mpi.Config
 	// Comm is a rank's communicator handle.
 	Comm = mpi.Comm
@@ -154,7 +152,7 @@ var (
 )
 
 // Run builds a simulated cluster and executes main once per rank, returning
-// the final virtual time. Config.Shards picks the engine (see Config).
+// the final virtual time.
 var Run = mpi.Run
 
 // Fabric-first construction: NewFabric builds the engine Run would use for
