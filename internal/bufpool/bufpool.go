@@ -103,6 +103,14 @@ func (b *Buf) Put() {
 	pools[b.class].Put(b)
 }
 
+// Write copies src into the buffer at off. It makes a *Buf a pack.Sink that
+// packs into the buffer's bytes: a pointer converts to an interface without
+// allocating, where a BufferSink value built around B would be boxed at
+// every call.
+func (b *Buf) Write(off int64, src []byte) {
+	copy(b.B[off:], src)
+}
+
 // Stats is a snapshot of pool traffic.
 type Stats struct {
 	// Gets and Puts count Get/Clone calls and returns.

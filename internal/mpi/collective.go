@@ -141,7 +141,7 @@ func (c *Comm) BcastChecked(buf []byte, count int, dt *datatype.Type, root int) 
 	// packs, everyone else unpacks after the contiguous broadcast.
 	lin := bufpool.Get(int(bytes))
 	if c.Rank() == root {
-		_, st := pack.FFPack(pack.BufferSink{Buf: lin.B}, buf, dt, count, 0, -1)
+		_, st := pack.FFPack(lin, buf, dt, count, 0, -1)
 		c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	}
 	err := cc.bcastOneSided(lin.B, root)

@@ -64,7 +64,7 @@ func (c *Comm) newReduceView(send, recv []byte, count int, dt, base *datatype.Ty
 	case !dt.Contiguous():
 		v.pool = bufpool.Get(int(bytes))
 		v.buf = v.pool.B
-		_, st := pack.FFPack(pack.BufferSink{Buf: v.buf}, send, dt, count, 0, -1)
+		_, st := pack.FFPack(v.pool, send, dt, count, 0, -1)
 		c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	case recv == nil:
 		v.pool = bufpool.Clone(send[:bytes])

@@ -30,15 +30,6 @@ func (c *Comm) SetOSCHandler(h func(p *sim.Proc, src int, req any) any) {
 	}
 }
 
-// OSCCall invokes the remote handler at target (a WORLD rank) with req and
-// blocks until its reply arrives. interrupt selects the remote-interrupt
-// delivery path (required when the target may not be polling — the
-// passive-target case).
-func (c *Comm) OSCCall(target int, req any, interrupt bool) any {
-	reply, _ := c.OSCCallTimeout(target, req, interrupt, 0) // unbounded: cannot expire
-	return reply
-}
-
 // oscReply unwraps a one-sided reply taken off its reply channel; the
 // envelope ends here.
 func (c *Comm) oscReply(v any) any {
@@ -48,24 +39,39 @@ func (c *Comm) oscReply(v any) any {
 	return reply
 }
 
-// OSCCallTimeout is OSCCall with a watchdog: if no reply arrives within
-// timeout (virtual time) it returns the error of an expired wait — the
-// revocation or connection error of a target that is gone, a *fault.Error
-// of kind Timeout against one that is alive but silent. A timeout of 0
-// waits forever.
+// OSCCallTimeout invokes the remote handler at target (a WORLD rank) with
+// req and blocks until its reply arrives. interrupt selects the
+// remote-interrupt delivery path (required when the target may not be
+// polling — the passive-target case). If no reply arrives within timeout
+// (virtual time) it returns the error of an expired wait — the revocation
+// or connection error of a target that is gone, a *fault.Error of kind
+// Timeout against one that is alive but silent. A timeout of 0 waits
+// forever and cannot fail.
+//
+// The reply channel comes from a per-world free list under the rule of
+// rdvSend: it goes back once its reply was read and nothing else is queued
+// on it, and a call whose watchdog expired leaves it to the GC. A late
+// reply therefore lands on a channel no later call waits on. The same rule
+// is the caller's for req: once a call returned without error, the handler
+// is done with it.
 func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.Duration) (any, error) {
-	reply := sim.NewChan(1)
+	reply := sim.TakeFree(&c.w.oscReplyFree)
 	c.countOSCDelivery(interrupt)
 	c.w.ring(c.p, c.rk.id, target, envelope{
 		kind: envOSC, src: c.rk.id, dst: target,
 		osc: req, reply: reply,
 	}, interrupt)
+	var v any
 	if timeout <= 0 {
-		return c.oscReply(c.p.Recv(reply)), nil
+		v = c.p.Recv(reply)
+	} else {
+		var ok bool
+		if v, ok = c.p.RecvTimeout(reply, timeout); !ok {
+			return nil, c.watchdogExpired(target)
+		}
 	}
-	v, ok := c.p.RecvTimeout(reply, timeout)
-	if !ok {
-		return nil, c.watchdogExpired(target)
+	if reply.Len() == 0 {
+		c.w.oscReplyFree = append(c.w.oscReplyFree, reply)
 	}
 	return c.oscReply(v), nil
 }

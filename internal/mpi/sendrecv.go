@@ -599,7 +599,7 @@ func (c *Comm) depositStaged(mem smi.Mem, off int64, buf []byte, cur *pack.Curso
 	sp.SetBytes(n)
 	scratch := bufpool.Get(int(n))
 	cur.SeekTo(skip)
-	_, st := cur.Pack(pack.BufferSink{Buf: scratch.B}, buf, n)
+	_, st := cur.Pack(scratch, buf, n)
 	c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	err := mem.WriteStream(c.p, off, scratch.B, n)
 	scratch.Put()

@@ -184,11 +184,13 @@ type World struct {
 	// envFree is the envelope free list (see envelope). rdvSendFree and
 	// rdvRecvFree hold the scratch records of rendezvous transfers that
 	// ended cleanly (see rdvSend), reqFree the Requests of collective-
-	// internal receives (see irecvColl).
-	envFree     []*envelope
-	rdvSendFree []*rdvSend
-	rdvRecvFree []*rdvRecv
-	reqFree     []*Request
+	// internal receives (see irecvColl), oscReplyFree the reply channels of
+	// one-sided calls whose reply was read (see OSCCallTimeout).
+	envFree      []*envelope
+	rdvSendFree  []*rdvSend
+	rdvRecvFree  []*rdvRecv
+	reqFree      []*Request
+	oscReplyFree []*sim.Chan
 
 	met worldMetrics
 	// packFF/packGeneric accumulate the block structure of every pack and

@@ -3,11 +3,13 @@ package osc
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/sci"
+	"scimpich/internal/sim"
 )
 
 // Elastic-recovery support: after a node crash and a Comm.ShrinkChecked
@@ -75,14 +77,31 @@ func (w *Win) lostTarget(target int) error {
 	return nil
 }
 
+// call sends r to the handler at world rank target in a recycled request
+// record and waits up to timeout (0: forever) for the reply: whether the
+// handler accepted the request (a bool boxes without allocating). The record goes
+// back once the reply was read; after an expired watchdog the handler may
+// still read it, so it is left to the GC.
+func (s *System) call(target int, r oscReq, interrupt bool, timeout time.Duration) (bool, error) {
+	req := sim.TakeFree(&s.reqFree)
+	*req = r
+	rep, err := s.c.OSCCallTimeout(target, req, interrupt, timeout)
+	if err != nil {
+		return false, err
+	}
+	*req = oscReq{}
+	s.reqFree = append(s.reqFree, req)
+	return rep.(bool), nil
+}
+
 // oscRPC issues a handler request bounded by the window's SyncTimeout (with
-// SyncTimeout zero it blocks like plain OSCCall). An expired watchdog
-// surfaces as the underlying fault when the target is provably gone, else
-// as ErrSyncTimeout; a refused reply means the target dropped the window
+// SyncTimeout zero it blocks until the reply). An expired watchdog surfaces
+// as the underlying fault when the target is provably gone, else as
+// ErrSyncTimeout; a refused reply means the target dropped the window
 // (ErrWinGone).
-func (w *Win) oscRPC(op string, target int, req *oscReq, interrupt bool) error {
+func (w *Win) oscRPC(op string, target int, r oscReq, interrupt bool) error {
 	c := w.sys.c
-	rep, err := c.OSCCallTimeout(c.GroupToWorld(target), req, interrupt, w.cfg.SyncTimeout)
+	ok, err := w.sys.call(c.GroupToWorld(target), r, interrupt, w.cfg.SyncTimeout)
 	if err != nil {
 		w.countSyncTimeout()
 		var silent *fault.Error
@@ -91,7 +110,7 @@ func (w *Win) oscRPC(op string, target int, req *oscReq, interrupt bool) error {
 		}
 		return err
 	}
-	if r, isRep := rep.(*oscReply); isRep && !r.ok {
+	if !ok {
 		return ErrWinGone{Win: w.id, Target: target}
 	}
 	return nil

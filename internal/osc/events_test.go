@@ -160,7 +160,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 			mpiRun(rec, 2, nil, func(c *mpi.Comm) {
 				w := mkWin(c, 8192, false)
 				if c.Rank() == 0 {
-					c.OSCCall(c.GroupToWorld(1), &oscReq{kind: reqUnlock, win: w.id}, true)
+					c.OSCCallTimeout(c.GroupToWorld(1), &oscReq{kind: reqUnlock, win: w.id}, true, 0)
 				}
 				c.Barrier()
 			})

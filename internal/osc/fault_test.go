@@ -2,6 +2,7 @@ package osc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -234,5 +235,95 @@ func TestDegradedGetFallsBackToRemotePut(t *testing.T) {
 			}
 		}
 		w.Fence()
+	})
+}
+
+// TestLateReplyNeverTakenByLaterCall: call records and reply channels are
+// recycled only after their reply was read. A window whose SyncTimeout is
+// shorter than one emulated round trip lets an inline accumulate and a
+// remote-put get expire before the handler answers; their replies arrive
+// later, while the same rank's next calls, on a window with the automatic
+// watchdog, wait for theirs. Each of those must see its own reply and its
+// own bytes, and the expired request record must never go back to the free
+// list. The late accumulate still lands: the handler served it.
+func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
+	const size = 4096
+	fast := DefaultConfig()
+	fast.SyncTimeout = 100 * time.Nanosecond
+	auto := DefaultConfig()
+	auto.SyncTimeout = mpi.AutoTimeout
+	ones := make([]byte, 32)
+	for i := 0; i < len(ones); i += 8 {
+		binary.LittleEndian.PutUint64(ones[i:], 1)
+	}
+	runCluster(2, 1, func(c *mpi.Comm) {
+		s := NewSystem(c)
+		a := s.CreatePrivate(make([]byte, size), fast)
+		b := s.CreatePrivate(fill(size), auto)
+		a.Fence()
+		b.Fence()
+		if c.Rank() == 0 {
+			got := make([]byte, 64)
+			if err := b.GetChecked(got, len(got), datatype.Byte, 1, 0); err != nil || !bytes.Equal(got, fill(size)[:64]) {
+				t.Fatalf("warm-up get: err = %v, bytes match = %v", err, bytes.Equal(got, fill(size)[:64]))
+			}
+			if len(s.reqFree) != 1 {
+				t.Fatalf("%d request records free after one call, want 1", len(s.reqFree))
+			}
+			expired := s.reqFree[0] // the next call takes it
+			var st ErrSyncTimeout
+			if err := a.AccumulateChecked(ones, 4, datatype.Int64, mpi.OpSum, 1, 0); !errors.As(err, &st) {
+				t.Fatalf("accumulate under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
+			}
+			if err := a.GetChecked(got, len(got), datatype.Byte, 1, 0); !errors.As(err, &st) {
+				t.Fatalf("remote-put get under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
+			}
+			if len(s.reqFree) != 0 {
+				t.Fatalf("%d request records went back to the free list after expired calls", len(s.reqFree))
+			}
+			for i := int64(0); i < 4; i++ {
+				val := fill(64)
+				val[0] = byte(i)
+				if err := b.PutChecked(val, len(val), datatype.Byte, 1, 1024+64*i); err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+				if err := b.GetChecked(got, len(got), datatype.Byte, 1, 64*i); err != nil {
+					t.Fatalf("get %d: %v", i, err)
+				}
+				if want := fill(size)[64*i : 64*i+64]; !bytes.Equal(got, want) {
+					t.Errorf("get %d returned bytes that are not its own", i)
+				}
+				if err := b.AccumulateChecked(ones, 4, datatype.Int64, mpi.OpSum, 1, 2048+32*i); err != nil {
+					t.Fatalf("accumulate %d: %v", i, err)
+				}
+				for _, r := range s.reqFree {
+					if r == expired {
+						t.Fatalf("the record of an expired call was recycled by call %d", i)
+					}
+				}
+			}
+			if n := a.Snapshot().SyncTimeouts; n != 2 {
+				t.Errorf("SyncTimeouts = %d on the fast window, want 2", n)
+			}
+		}
+		b.Fence()
+		a.Fence()
+		if c.Rank() == 1 {
+			if v := binary.LittleEndian.Uint64(a.LocalBytes()); v != 1 {
+				t.Errorf("late accumulate: window holds %d, want 1", v)
+			}
+			win := b.LocalBytes()
+			for i := int64(0); i < 4; i++ {
+				val := fill(64)
+				val[0] = byte(i)
+				if !bytes.Equal(win[1024+64*i:1088+64*i], val) {
+					t.Errorf("put %d not delivered", i)
+				}
+				want := binary.LittleEndian.Uint64(fill(size)[2048+32*i:]) + 1
+				if v := binary.LittleEndian.Uint64(win[2048+32*i:]); v != want {
+					t.Errorf("accumulate %d: window holds %d, want %d", i, v, want)
+				}
+			}
+		}
 	})
 }

@@ -33,7 +33,13 @@ const (
 	reqFence
 )
 
-// oscReq is a one-sided handler request.
+// oscReq is a one-sided handler request. The records of calls — requests
+// that wait for a reply — are recycled by System.call under the rule of
+// their reply channel (see mpi.Comm.OSCCallTimeout): a record goes back
+// once its reply was read, and one whose watchdog expired is left to the
+// GC, since the handler may still read it. A notification (OSCNotify: fence
+// arrivals, post, complete) has no reply to mark the end of its reading and
+// allocates its record.
 type oscReq struct {
 	kind   reqKind
 	win    int
@@ -45,11 +51,6 @@ type oscReq struct {
 	count  int
 	op     mpi.Op
 	round  int // checked-fence round number (reqFence)
-}
-
-// oscReply is the handler's answer.
-type oscReply struct {
-	ok bool
 }
 
 // memModel returns the node's memory hierarchy model.
@@ -69,7 +70,7 @@ func (s *System) handle(p *sim.Proc, src int, req any) any {
 		// window this rank already freed or abandoned (window ids are never
 		// reused). Refuse gracefully — the origin sees ErrWinGone.
 		s.c.FlightRing().Record(p.Now(), flight.KPacketDrop, int64(r.win), int64(src), flight.DropUnknownWin, 0)
-		return &oscReply{ok: false}
+		return false
 	}
 	switch r.kind {
 	case reqPut:
@@ -80,16 +81,16 @@ func (s *System) handle(p *sim.Proc, src int, req any) any {
 		s.handleAcc(p, src, w, r)
 	case reqLockTry:
 		if w.privLockBusy {
-			return &oscReply{ok: false}
+			return false
 		}
 		w.privLockBusy = true
-		return &oscReply{ok: true}
+		return true
 	case reqUnlock:
 		if !w.privLockBusy {
 			// Stale unlock from a revoked or recovered origin; refuse rather
 			// than corrupt the lock state.
 			w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropUnheldUnlock, 0)
-			return &oscReply{ok: false}
+			return false
 		}
 		w.privLockBusy = false
 	case reqPost:
@@ -101,7 +102,7 @@ func (s *System) handle(p *sim.Proc, src int, req any) any {
 	default:
 		panic(fmt.Sprintf("osc: unknown request kind %d", r.kind))
 	}
-	return &oscReply{ok: true}
+	return true
 }
 
 // handlePut drains a staged (or inline) chunk into the local window.
@@ -126,7 +127,7 @@ func (s *System) handleGet(p *sim.Proc, src int, w *Win, r *oscReq) {
 	getBase := base + size/2
 	scratch := bufpool.Get(int(r.n))
 	defer scratch.Put() // WriteStream captures the bytes synchronously
-	_, st := pack.FFPack(pack.BufferSink{Buf: scratch.B}, win[r.off:], r.dt, r.count, r.skip, r.n)
+	_, st := pack.FFPack(scratch, win[r.off:], r.dt, r.count, r.skip, r.n)
 	p.Sleep(s.memModel().CopyCost(st.Bytes, st.AvgBlock(), st.Bytes*2))
 	err := stage.WriteStream(p, getBase, scratch.B, r.n)
 	if err == nil {

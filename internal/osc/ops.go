@@ -189,8 +189,8 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 		// recycled. On an expired watchdog the handler may still read them
 		// later, so the error path leaks the buffer to the GC instead.
 		payload := bufpool.Get(int(n))
-		pack.FFPack(pack.BufferSink{Buf: payload.B}, buf, dt, count, 0, -1)
-		if err := w.oscRPC("put", target, &oscReq{
+		pack.FFPack(payload, buf, dt, count, 0, -1)
+		if err := w.oscRPC("put", target, oscReq{
 			kind: reqPut, win: w.id, off: targetOff, n: n,
 			inline: payload.B, dt: dt, count: count,
 		}, true); err != nil {
@@ -215,7 +215,7 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 			chunk = n - sent
 		}
 		cur.SeekTo(sent) // free: the loop is sequential
-		_, st := cur.Pack(pack.BufferSink{Buf: scratch.B}, buf, chunk)
+		_, st := cur.Pack(scratch, buf, chunk)
 		w.chargeLocal(st)
 		if err := stage.WriteStream(p, base, scratch.B[:chunk], chunk); err != nil {
 			return err
@@ -223,7 +223,7 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 		if err := stage.Sync(p); err != nil {
 			return err
 		}
-		if err := w.oscRPC("put", target, &oscReq{
+		if err := w.oscRPC("put", target, oscReq{
 			kind: reqPut, win: w.id, off: targetOff, n: chunk,
 			skip: sent, dt: dt, count: count,
 		}, true); err != nil {
@@ -348,7 +348,7 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 		if got+chunk > n {
 			chunk = n - got
 		}
-		if err := w.oscRPC("get", target, &oscReq{
+		if err := w.oscRPC("get", target, oscReq{
 			kind: reqGet, win: w.id, off: targetOff, n: chunk,
 			skip: got, dt: dt, count: count,
 		}, interrupt); err != nil {
@@ -415,7 +415,7 @@ func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 		payload := bufpool.Get(int(n))
 		w.chargeLocalBytes(n)
 		copy(payload.B, buf[:n])
-		if err := w.oscRPC("acc", target, &oscReq{
+		if err := w.oscRPC("acc", target, oscReq{
 			kind: reqAcc, win: w.id, off: targetOff, n: n,
 			inline: payload.B, dt: dt, count: count, op: op,
 		}, interrupt); err != nil {
@@ -445,7 +445,7 @@ func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi
 		if err := stage.Sync(p); err != nil {
 			return err
 		}
-		if err := w.oscRPC("acc", target, &oscReq{
+		if err := w.oscRPC("acc", target, oscReq{
 			kind: reqAcc, win: w.id, off: targetOff + sent, n: chunk,
 			dt: dt, count: int(chunk / elemSize), op: op,
 		}, interrupt); err != nil {

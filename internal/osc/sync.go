@@ -228,8 +228,8 @@ func (w *Win) Lock(target int) {
 		p.Lock(w.sharedLocks[target])
 	} else {
 		for {
-			rep := c.OSCCall(c.GroupToWorld(target), &oscReq{kind: reqLockTry, win: w.id}, true).(*oscReply)
-			if rep.ok {
+			ok, _ := w.sys.call(c.GroupToWorld(target), oscReq{kind: reqLockTry, win: w.id}, true, 0) // unbounded: cannot fail
+			if ok {
 				break
 			}
 			p.Sleep(5 * time.Microsecond) // backoff and retry
@@ -274,8 +274,8 @@ func (w *Win) LockChecked(target int) error {
 				}
 			}
 		} else {
-			rep, err := c.OSCCallTimeout(world, &oscReq{kind: reqLockTry, win: w.id}, true, w.cfg.SyncTimeout-waited)
-			if err == nil && rep.(*oscReply).ok {
+			ok, err := w.sys.call(world, oscReq{kind: reqLockTry, win: w.id}, true, w.cfg.SyncTimeout-waited)
+			if err == nil && ok {
 				break
 			}
 		}
@@ -319,7 +319,7 @@ func (w *Win) Unlock(target int) {
 		}
 		p.Unlock(w.sharedLocks[target])
 	} else {
-		c.OSCCall(c.GroupToWorld(target), &oscReq{kind: reqUnlock, win: w.id}, true)
+		w.sys.call(c.GroupToWorld(target), oscReq{kind: reqUnlock, win: w.id}, true, 0)
 	}
 	w.ep = epochNone
 	w.lockHeld = -1

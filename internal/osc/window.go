@@ -39,6 +39,9 @@ type System struct {
 	wins    map[int]*Win
 	nextWin int
 	met     oscMetrics
+	// reqFree holds the request records of calls whose reply was read (see
+	// oscReq).
+	reqFree []*oscReq
 }
 
 // NewSystem installs the one-sided engine on the calling rank.

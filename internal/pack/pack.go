@@ -83,7 +83,9 @@ func (c *Cumulative) Add(st Stats) {
 	}
 }
 
-// BufferSink packs into a contiguous local buffer.
+// BufferSink packs into a contiguous local buffer. Passed as a Sink, the
+// value is boxed at every call; a pooled *bufpool.Buf is a Sink of its own
+// and packs into its bytes without that allocation.
 type BufferSink struct {
 	Buf []byte
 }

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
@@ -30,8 +29,8 @@ import (
 )
 
 // Config shapes the shard layout of the service. The key space is exactly
-// Shards*SlotsPerShard keys: key k lives in shard k%Shards at slot
-// (k/Shards)%SlotsPerShard, so distinct keys never alias a slot.
+// the Shards*SlotsPerShard keys [0, Keys()): key k lives in shard k%Shards
+// at slot k/Shards, so distinct keys never alias a slot.
 type Config struct {
 	// Shards is the number of replicated shard regions.
 	Shards int
@@ -72,11 +71,19 @@ func (e ErrShardLost) Error() string {
 	return fmt.Sprintf("rmem: shard %d lost both replicas", e.Shard)
 }
 
-// pendingWrite is a staged, not-yet-committed deposit held at the origin
-// for replay across a failover.
-type pendingWrite struct {
-	seq int64
-	val []byte
+// ErrKeyRange reports a Put or Get of a key outside [0, Keys()): its slot
+// would be another key's.
+type ErrKeyRange struct{ Key, Keys int64 }
+
+func (e ErrKeyRange) Error() string {
+	return fmt.Sprintf("rmem: key %d outside the key space [0, %d)", e.Key, e.Keys)
+}
+
+// ErrValueSize reports a Put of a value larger than the slot payload.
+type ErrValueSize struct{ Bytes, Max int64 }
+
+func (e ErrValueSize) Error() string {
+	return fmt.Sprintf("rmem: value of %d bytes exceeds the slot payload of %d", e.Bytes, e.Max)
 }
 
 // Service is one rank's handle on the replicated store. All ranks of the
@@ -94,14 +101,29 @@ type Service struct {
 	// next re-replication.
 	ranks []int
 
-	epoch   int64
-	nextSeq int64
-	pending map[int64]*pendingWrite
-	// committed is the origin-side ledger: key -> last acknowledged
-	// sequence number. Verification reads every entry back through the
-	// window and any mismatch is a lost committed write.
-	committed map[int64]int64
-	touched   map[int]bool
+	// The origin-side state is dense over the fixed key space, indexed by
+	// key (or shard) and walked in ascending order — the order the
+	// simulated timeline of a commit, a replay and a verification follows.
+	// A sequence number of 0 marks an empty entry (Put numbers from 1).
+	//
+	// pendSeq[k] and pendVal[k*ValBytes:] hold key k's staged,
+	// not-yet-committed deposit, kept for replay across a failover.
+	// committed[k] is the ledger of the last acknowledged
+	// sequence number of k, which verification reads back through the
+	// window (a mismatch is a lost committed write); ncommitted counts its
+	// entries. touched[sh] marks a shard staged into since the last commit.
+	epoch      int64
+	nextSeq    int64
+	pendSeq    []int64
+	pendVal    []byte
+	committed  []int64
+	ncommitted int
+	touched    []bool
+	// slot is the scratch of the slot image a Put, Get or replay moves, and
+	// stamp that of a commit's epoch register: both are copied out (or read)
+	// before the operation returns.
+	slot  []byte
+	stamp [8]byte
 
 	// Failovers counts completed recoveries on this rank; LostShards
 	// counts shards that lost both replicas (zero under single crashes).
@@ -126,9 +148,11 @@ func New(c *mpi.Comm, cfg Config) (*Service, error) {
 		c:         c,
 		sys:       osc.NewSystem(c),
 		seg:       c.AllocShared(cfg.winBytes()),
-		pending:   make(map[int64]*pendingWrite),
-		committed: make(map[int64]int64),
-		touched:   make(map[int]bool),
+		pendSeq:   make([]int64, cfg.Keys()),
+		pendVal:   make([]byte, cfg.Keys()*cfg.ValBytes),
+		committed: make([]int64, cfg.Keys()),
+		touched:   make([]bool, cfg.Shards),
+		slot:      make([]byte, cfg.slotBytes()),
 
 		fl:           c.FlightRing(),
 		putBytes:     c.Metrics().HistogramUnit("rmem.put.bytes", obs.UnitBytes),
@@ -161,26 +185,51 @@ func (s *Service) backup(sh int) int  { return (sh + 1) % s.c.Size() }
 
 func (s *Service) shardOf(key int64) int { return int(key % int64(s.cfg.Shards)) }
 
+// slotOff returns the window offset of key's slot; key is in [0, Keys()).
 func (s *Service) slotOff(key int64) int64 {
 	sh := s.shardOf(key)
-	slot := (key / int64(s.cfg.Shards)) % int64(s.cfg.SlotsPerShard)
+	slot := key / int64(s.cfg.Shards)
 	return int64(sh)*s.cfg.shardBytes() + 8 + slot*s.cfg.slotBytes()
+}
+
+// checkKey returns ErrKeyRange unless key is in [0, Keys()).
+func (s *Service) checkKey(key int64) error {
+	if key < 0 || key >= s.cfg.Keys() {
+		return ErrKeyRange{Key: key, Keys: s.cfg.Keys()}
+	}
+	return nil
+}
+
+// pendingVal returns key's staged value bytes.
+func (s *Service) pendingVal(key int64) []byte {
+	return s.pendVal[key*s.cfg.ValBytes : (key+1)*s.cfg.ValBytes]
+}
+
+// fillSlot writes the slot image of (seq, key, val) into the scratch slot;
+// the payload bytes past val are zero.
+func (s *Service) fillSlot(seq, key int64, val []byte) []byte {
+	slot := s.slot
+	binary.LittleEndian.PutUint64(slot[0:], uint64(seq))
+	binary.LittleEndian.PutUint64(slot[8:], uint64(key))
+	clear(slot[slotHeader+copy(slot[slotHeader:], val):])
+	return slot
 }
 
 // Put stages a deposit of val under key: the slot (sequence number, key,
 // value) is written to both replicas of the key's shard and remembered for
 // replay until the next successful Commit. Each key must be written only by
 // its owning origin (the workload partitions the key space); concurrent
-// writers to one key would race on the slot.
+// writers to one key would race on the slot. A key outside the key space
+// returns ErrKeyRange, a value larger than the slot payload ErrValueSize.
 func (s *Service) Put(key int64, val []byte) error {
+	if err := s.checkKey(key); err != nil {
+		return err
+	}
 	if int64(len(val)) > s.cfg.ValBytes {
-		panic(fmt.Sprintf("rmem: value of %d bytes exceeds slot payload %d", len(val), s.cfg.ValBytes))
+		return ErrValueSize{Bytes: int64(len(val)), Max: s.cfg.ValBytes}
 	}
 	s.nextSeq++
-	slot := make([]byte, s.cfg.slotBytes())
-	binary.LittleEndian.PutUint64(slot[0:], uint64(s.nextSeq))
-	binary.LittleEndian.PutUint64(slot[8:], uint64(key))
-	copy(slot[slotHeader:], val)
+	slot := s.fillSlot(s.nextSeq, key, val)
 	sh := s.shardOf(key)
 	off := s.slotOff(key)
 	for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
@@ -188,7 +237,8 @@ func (s *Service) Put(key int64, val []byte) error {
 			return err
 		}
 	}
-	s.pending[key] = &pendingWrite{seq: s.nextSeq, val: append([]byte(nil), val...)}
+	s.pendSeq[key] = s.nextSeq
+	copy(s.pendingVal(key), slot[slotHeader:])
 	s.touched[sh] = true
 	s.fl.Record(s.c.Proc().Now(), flight.KPutStage, key, s.nextSeq, int64(sh), 0)
 	s.putBytes.Observe(int64(len(val)))
@@ -197,9 +247,13 @@ func (s *Service) Put(key int64, val []byte) error {
 
 // Get fetches the slot of key from the shard's primary. It returns the
 // stored sequence number (zero for a never-written slot) and copies the
-// value payload into val when the slot holds the requested key.
+// value payload into val when the slot holds the requested key. A key
+// outside the key space returns ErrKeyRange.
 func (s *Service) Get(key int64, val []byte) (int64, error) {
-	slot := make([]byte, s.cfg.slotBytes())
+	if err := s.checkKey(key); err != nil {
+		return 0, err
+	}
+	slot := s.slot
 	if err := s.win.GetChecked(slot, len(slot), datatype.Byte, s.primary(s.shardOf(key)), s.slotOff(key)); err != nil {
 		return 0, err
 	}
@@ -223,46 +277,35 @@ func (s *Service) Commit() error {
 		return err
 	}
 	next := s.epoch + 1
-	var stamp [8]byte
-	binary.LittleEndian.PutUint64(stamp[:], uint64(next))
-	for _, sh := range sortedShards(s.touched) {
+	binary.LittleEndian.PutUint64(s.stamp[:], uint64(next))
+	for sh, touched := range s.touched {
+		if !touched {
+			continue
+		}
 		for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
-			if err := s.win.AccumulateChecked(stamp[:], 1, datatype.Int64, mpi.OpMax, tgt, int64(sh)*s.cfg.shardBytes()); err != nil {
+			if err := s.win.AccumulateChecked(s.stamp[:], 1, datatype.Int64, mpi.OpMax, tgt, int64(sh)*s.cfg.shardBytes()); err != nil {
 				return err
 			}
 			s.fl.Record(s.c.Proc().Now(), flight.KEpochStamp, int64(sh), next, int64(s.c.GroupToWorld(tgt)), 0)
 		}
 	}
 	s.epoch = next
-	staged := int64(len(s.pending))
-	for key, pw := range s.pending {
-		s.committed[key] = pw.seq
+	var staged int64
+	for key, seq := range s.pendSeq {
+		if seq == 0 {
+			continue
+		}
+		staged++
+		if s.committed[key] == 0 {
+			s.ncommitted++
+		}
+		s.committed[key] = seq
 	}
-	s.pending = make(map[int64]*pendingWrite)
-	s.touched = make(map[int]bool)
+	clear(s.pendSeq)
+	clear(s.touched)
 	s.fl.Record(s.c.Proc().Now(), flight.KCommit, next, staged, 0, 0)
 	s.commitStaged.Observe(staged)
 	return nil
-}
-
-// sortedShards returns the touched shard ids in deterministic order (map
-// iteration order would perturb the simulated timeline).
-func sortedShards(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for sh := range m {
-		out = append(out, sh)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedKeys(m map[int64]*pendingWrite) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Recover is the failover path, called after any operation or commit
@@ -304,14 +347,14 @@ func (s *Service) recover() error {
 	if err := s.win.FenceChecked(); err != nil {
 		return err
 	}
-	for _, key := range sortedKeys(s.pending) {
-		pw := s.pending[key]
+	for k, seq := range s.pendSeq {
+		if seq == 0 {
+			continue
+		}
+		key := int64(k)
 		sh := s.shardOf(key)
-		s.fl.Record(s.c.Proc().Now(), flight.KReplay, key, pw.seq, int64(sh), 0)
-		slot := make([]byte, s.cfg.slotBytes())
-		binary.LittleEndian.PutUint64(slot[0:], uint64(pw.seq))
-		binary.LittleEndian.PutUint64(slot[8:], uint64(key))
-		copy(slot[slotHeader:], pw.val)
+		s.fl.Record(s.c.Proc().Now(), flight.KReplay, key, seq, int64(sh), 0)
+		slot := s.fillSlot(seq, key, s.pendingVal(key))
 		for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
 			if err := s.win.PutChecked(slot, len(slot), datatype.Byte, tgt, s.slotOff(key)); err != nil {
 				return err
@@ -369,27 +412,26 @@ func (s *Service) rereplicate(prev []int) error {
 // writes the store no longer serves — the headline durability gate, which
 // must be zero.
 func (s *Service) Verify() (lost int64, err error) {
-	keys := make([]int64, 0, len(s.committed))
-	for k := range s.committed {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	val := make([]byte, s.cfg.ValBytes)
-	for _, key := range keys {
+	for k, want := range s.committed {
+		if want == 0 {
+			continue
+		}
+		key := int64(k)
 		seq, gerr := s.Get(key, val)
 		if gerr != nil {
 			return lost, gerr
 		}
-		if seq != s.committed[key] {
+		if seq != want {
 			lost++
-			s.fl.Record(s.c.Proc().Now(), flight.KWriteLost, key, s.committed[key], seq, 0)
+			s.fl.Record(s.c.Proc().Now(), flight.KWriteLost, key, want, seq, 0)
 		}
 	}
 	return lost, nil
 }
 
 // CommittedCount returns the size of this origin's committed ledger.
-func (s *Service) CommittedCount() int { return len(s.committed) }
+func (s *Service) CommittedCount() int { return s.ncommitted }
 
 // Epoch returns the service's current commit epoch.
 func (s *Service) Epoch() int64 { return s.epoch }

@@ -119,3 +119,54 @@ func TestAllocsAfterCallSteadyState(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestAllocsRecvTimeoutSteadyState pins the timed waits at zero allocations
+// when they are satisfied before expiry: the watchdog is a top-level function
+// scheduled through AfterCall, and what it needs — the channel or future,
+// and the mark of an expiry — rides in the Proc's hand-off slot, so a Proc
+// stays in the 80-byte size class (a world holds one per rank). A wait that
+// expires leaves nothing behind for the next one.
+func TestAllocsRecvTimeoutSteadyState(t *testing.T) {
+	if size := unsafe.Sizeof(Proc{}); size > 80 {
+		t.Errorf("a Proc takes %d bytes, want at most 80", size)
+	}
+	e := NewEngine()
+	c := NewChan(0)
+	var f Future
+	post := func(any) { Post(c, c) }
+	complete := func(any) { f.Complete(nil) }
+	e.Go("waiter", func(p *Proc) {
+		recv := func() {
+			e.AfterCall(time.Microsecond, post, nil)
+			if _, ok := p.RecvTimeout(c, time.Millisecond); !ok {
+				t.Error("RecvTimeout expired before the value posted 1us later")
+			}
+		}
+		await := func() {
+			e.AfterCall(time.Microsecond, complete, nil)
+			if _, ok := p.AwaitTimeout(&f, time.Millisecond); !ok {
+				t.Error("AwaitTimeout expired before the completion 1us later")
+			}
+			f.Rearm()
+		}
+		for i := 0; i < 4; i++ { // warm the freelist and the receiver FIFO
+			recv()
+			await()
+		}
+		if n := testing.AllocsPerRun(100, recv); n != 0 {
+			t.Errorf("RecvTimeout satisfied before expiry: %v allocs/op, want 0", n)
+		}
+		if n := testing.AllocsPerRun(100, await); n != 0 {
+			t.Errorf("AwaitTimeout satisfied before expiry: %v allocs/op, want 0", n)
+		}
+		if _, ok := p.RecvTimeout(c, time.Microsecond); ok {
+			t.Error("RecvTimeout on a silent channel did not expire")
+		}
+		if _, ok := p.AwaitTimeout(&f, time.Microsecond); ok {
+			t.Error("AwaitTimeout on an incomplete future did not expire")
+		}
+		recv()
+		await()
+	})
+	e.Run()
+}

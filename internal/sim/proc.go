@@ -116,7 +116,9 @@ type Proc struct {
 	// continuing when it is next resumed (see releaseDaemons).
 	killed bool
 	// handoff is where a channel deposits the value for p while p is blocked
-	// as its receiver (see takeHandoff).
+	// as its receiver (see takeHandoff). In a timed wait it holds what p
+	// waits on until the value arrives, or the expiry event leaves
+	// waitExpired there (see RecvTimeout).
 	handoff any
 }
 

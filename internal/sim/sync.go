@@ -114,25 +114,37 @@ func (p *Proc) Await(f *Future) any {
 
 // AwaitTimeout blocks p until the future completes or d elapses. It
 // returns (value, true) on completion and (nil, false) on timeout; in the
-// latter case p is no longer registered as a waiter.
+// latter case p is no longer registered as a waiter. Like RecvTimeout it
+// allocates nothing.
 func (p *Proc) AwaitTimeout(f *Future, d time.Duration) (any, bool) {
 	if f.done {
 		return f.value, true
 	}
 	f.addWaiter(p)
-	timedOut := false
-	t := p.host.After(d, func() {
-		if f.dropWaiter(p) {
-			timedOut = true
-			p.Wake()
-		}
-	})
+	p.handoff = f
+	t := p.host.AfterCall(d, awaitExpired, p)
 	p.park()
-	if timedOut {
+	if p.takeHandoff() == waitExpired {
 		return nil, false
 	}
 	t.Cancel()
 	return f.value, true
+}
+
+// waitExpired is what the expiry event of a timed wait leaves in the
+// waiter's hand-off slot: a pointer of an unexported type, so no value sent
+// from outside this package can be taken for it.
+var waitExpired any = new(struct{ byte })
+
+// awaitExpired is the watchdog event of AwaitTimeout: a top-level function
+// scheduled through AfterCall, so arming it makes no closure. Complete wakes
+// its waiters, so a process still parked has not been served.
+func awaitExpired(arg any) {
+	p := arg.(*Proc)
+	if p.parked && p.handoff.(*Future).dropWaiter(p) {
+		p.handoff = waitExpired
+		p.Wake()
+	}
 }
 
 // AwaitAll blocks p until every future in fs has completed.
@@ -317,30 +329,44 @@ func (p *Proc) TryRecv(c *Chan) (any, bool) {
 // RecvTimeout takes the next value from the channel, giving up after d of
 // virtual time. It returns (value, true) on success and (nil, false) on
 // timeout; in the latter case p is no longer queued as a receiver.
+//
+// A process blocks in one wait at a time, so the watchdog's state lives in
+// the Proc: the hand-off slot holds the channel until a value replaces it,
+// and the expiry is a top-level function scheduled through AfterCall — a
+// wait allocates nothing.
 func (p *Proc) RecvTimeout(c *Chan, d time.Duration) (any, bool) {
 	if v, ok := p.TryRecv(c); ok {
 		return v, true
 	}
 	c.recvers.Push(p)
-	timedOut := false
-	t := p.host.After(d, func() {
-		// Send/Post remove the receiver before waking it, so finding p
-		// still queued here means no value was handed off.
-		for i := 0; i < c.recvers.Len(); i++ {
-			if *c.recvers.at(i) == p {
-				c.recvers.removeAt(i)
-				timedOut = true
-				p.Wake()
-				return
-			}
-		}
-	})
+	p.handoff = c
+	t := p.host.AfterCall(d, recvExpired, p)
 	p.park()
-	if timedOut {
+	v := p.takeHandoff()
+	if v == waitExpired {
 		return nil, false
 	}
 	t.Cancel()
-	return p.takeHandoff(), true
+	return v, true
+}
+
+// recvExpired is the watchdog event of RecvTimeout. Send and Post take the
+// receiver off the queue and wake it, so a process still parked is still
+// queued on the channel in its hand-off slot and was handed nothing.
+func recvExpired(arg any) {
+	p := arg.(*Proc)
+	if !p.parked {
+		return
+	}
+	c := p.handoff.(*Chan)
+	for i := 0; i < c.recvers.Len(); i++ {
+		if *c.recvers.at(i) == p {
+			c.recvers.removeAt(i)
+			p.handoff = waitExpired
+			p.Wake()
+			return
+		}
+	}
 }
 
 // Mutex is a virtual-time mutual-exclusion lock with FIFO waiters.
