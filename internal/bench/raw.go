@@ -91,6 +91,7 @@ func runRawSize(size int64) RawResult {
 		res.DMABW = BWMiB(size*reps, p.Now()-start)
 	})
 	f.Run()
+	ic.Publish(ic.Cfg.Metrics)
 
 	mem := memmodel.PentiumIII800()
 	res.ShmCopyBW = mem.CopyBW(size) / MiB

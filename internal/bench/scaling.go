@@ -147,6 +147,7 @@ func ringScenario(mhz float64, activeNodes, procsPerNode int, neighbour bool, di
 		elapsed = p.Now() - start
 	})
 	f.Run()
+	ic.Publish(ic.Cfg.Metrics)
 
 	total := int64(len(paths)) * bytesPerFlow
 	acc := BWMiB(total, elapsed)

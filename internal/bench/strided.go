@@ -61,6 +61,7 @@ func stridedBW(access, stride int64, writeCombine bool) float64 {
 		elapsed = p.Now() - start
 	})
 	f.Run()
+	ic.Publish(ic.Cfg.Metrics)
 	return BWMiB(total, elapsed)
 }
 

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"strconv"
 	"time"
 
 	"scimpich/internal/memmodel"
@@ -129,8 +128,7 @@ func (c *Comm) derive() *Comm {
 
 // Run builds a cluster from cfg, runs main once per rank, and returns the
 // virtual time at which the last rank finished. With a metrics registry
-// configured, the per-rank and per-node statistics gauges are published
-// into it after the run.
+// configured, the world's counts are published into it after the run.
 func Run(cfg Config, main func(c *Comm)) time.Duration {
 	return RunOn(NewFabric(cfg), cfg, main)
 }
@@ -149,9 +147,7 @@ func RunOn(f sim.Fabric, cfg Config, main func(c *Comm)) time.Duration {
 	w := NewWorldOn(f, cfg)
 	w.Spawn(main)
 	end := f.Run()
-	if cfg.Metrics != nil {
-		w.PublishMetrics(cfg.Metrics)
-	}
+	w.PublishMetrics(cfg.Metrics)
 	return end
 }
 
@@ -176,9 +172,7 @@ func (w *World) Size() int { return w.size }
 func (w *World) Run(main func(c *Comm)) time.Duration {
 	w.Spawn(main)
 	end := w.fabric.Run()
-	if w.cfg.Metrics != nil {
-		w.PublishMetrics(w.cfg.Metrics)
-	}
+	w.PublishMetrics(w.cfg.Metrics)
 	return end
 }
 
@@ -197,42 +191,40 @@ func (w *World) Spawn(main func(c *Comm)) {
 // Stats returns a copy of the device statistics of a rank.
 func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats }
 
-// PublishMetrics exports the end-of-run statistics into a registry as
-// gauges: the fabric's event, process-switch, started-process, elided-sleep
-// and cancelled-timer counts and its deepest event heap (sim.events,
-// sim.proc_switches, sim.procs_started, sim.sleeps_elided,
-// sim.timers_cancelled, sim.heap_depth_max), every field of each rank's
-// DeviceStats (mpi.device.*{rank=r}), of the per-engine pack totals (pack.*{engine=e})
-// and of each node's sci.Stats (sci.node.*{node=n}), and sci.retries, the
-// sum of the per-node retries. Run calls this
-// automatically when Config.Metrics is set; harnesses driving the engine
-// themselves call it after Engine.Run.
+// PublishMetrics adds each stats struct of the world to r once (see
+// obs.Registry.AddStats), so worlds sharing a registry sum: the fabric's
+// sim.* costs, every rank's DeviceStats (mpi.device.*), the pack totals
+// (pack.*{engine=e}), every node's sci.Stats (sci.*) and what layers
+// registered with OnPublish (osc.*). Adding is not idempotent, so a second
+// call is a no-op. Run calls it when Config.Metrics is set.
 func (w *World) PublishMetrics(r *obs.Registry) {
-	if r == nil {
+	if r == nil || w.published {
 		return
 	}
-	// What the run cost the simulator, beside what it did in the model.
-	r.SetGauge("sim.events", int64(w.fabric.Events()))
-	r.SetGauge("sim.proc_switches", int64(w.fabric.ProcSwitches()))
-	r.SetGauge("sim.procs_started", int64(w.fabric.ProcsStarted()))
-	r.SetGauge("sim.sleeps_elided", int64(w.fabric.SleepsElided()))
-	r.SetGauge("sim.timers_cancelled", int64(w.fabric.TimersCancelled()))
-	r.SetGauge("sim.heap_depth_max", int64(w.fabric.HeapDepthMax()))
+	w.published = true
+	f := w.fabric
+	r.AddStats("sim", struct {
+		Events, ProcSwitches, ProcsStarted, SleepsElided, TimersCancelled int64
+		HeapDepthMax                                                      int64 `metric:",max"`
+	}{int64(f.Events()), int64(f.ProcSwitches()), int64(f.ProcsStarted()),
+		int64(f.SleepsElided()), int64(f.TimersCancelled()), int64(f.HeapDepthMax())})
 	for rank := range w.ranks {
-		r.SetGauges("mpi.device", w.Stats(rank), "rank", strconv.Itoa(rank))
+		r.AddStats("mpi.device", w.Stats(rank))
 	}
-	r.SetGauges("pack", w.packFF, "engine", "direct_pack_ff")
-	r.SetGauges("pack", w.packGeneric, "engine", "generic")
-	if w.ic == nil {
-		return
+	r.AddStats("pack", w.packFF, "engine", "direct_pack_ff")
+	r.AddStats("pack", w.packGeneric, "engine", "generic")
+	if w.ic != nil {
+		w.ic.Publish(r)
 	}
-	var retries int64
-	for node := 0; node < w.cfg.Nodes; node++ {
-		ns := w.InterconnectStats(node)
-		r.SetGauges("sci.node", ns, "node", strconv.Itoa(node))
-		retries += ns.Retries
+	for _, publish := range w.publishers {
+		publish(r)
 	}
-	r.SetGauge("sci.retries", retries)
+}
+
+// OnPublish registers publish to add a layer's counts to the registry when
+// the world publishes (PublishMetrics).
+func (w *World) OnPublish(publish func(*obs.Registry)) {
+	w.publishers = append(w.publishers, publish)
 }
 
 // MemModel returns the per-node memory hierarchy model.

@@ -177,7 +177,8 @@ func TestSwitchesPingPongBudget(t *testing.T) {
 // the flow network in both directions at once, and a solver pass that finds
 // the completion timer armed cancels it; in that exchange both ranks wake at
 // the same instants and every sleep yields, so a one-way short message
-// follows, whose sender sleeps alone.
+// follows, whose sender sleeps alone. The counts are counters, the deepest
+// heap a high-water gauge.
 func TestSimCountersPublished(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	cfg.Metrics = obs.NewRegistry()
@@ -201,11 +202,13 @@ func TestSimCountersPublished(t *testing.T) {
 		{"sim.procs_started", f.ProcsStarted()},
 		{"sim.sleeps_elided", f.SleepsElided()},
 		{"sim.timers_cancelled", f.TimersCancelled()},
-		{"sim.heap_depth_max", uint64(f.HeapDepthMax())},
 	} {
-		if got := cfg.Metrics.Gauge(g.name).Value(); got == 0 || got != int64(g.want) {
+		if got := cfg.Metrics.Counter(g.name).Value(); got == 0 || got != int64(g.want) {
 			t.Errorf("published %s = %d, the fabric counted %d", g.name, got, g.want)
 		}
+	}
+	if got, want := cfg.Metrics.Gauge("sim.heap_depth_max").Value(), int64(f.HeapDepthMax()); got == 0 || got != want {
+		t.Errorf("published high-water sim.heap_depth_max = %d, the fabric counted %d", got, want)
 	}
 	solves := cfg.Metrics.Counter("flow.solves").Value()
 	reanchored := cfg.Metrics.Counter("flow.reanchored").Value()

@@ -1,7 +1,8 @@
-package mpi
+package mpi_test
 
-// One owner per count: the Stats structs are the live counters and the
-// registry gauges are derived from their fields.
+// One home per count: each layer's stats struct is the one store of its
+// counts, and a world adds every struct to the registry once, when it
+// publishes.
 
 import (
 	"bytes"
@@ -14,110 +15,269 @@ import (
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
+	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
+	"scimpich/internal/osc"
 )
 
-// gaugeDump runs a 2-node ping-pong of one message per protocol under plan
-// and returns the world and its registry's gauges, name -> value.
-func gaugeDump(t *testing.T, plan *fault.Plan) (*World, map[string]int64) {
+// simCounts is what a world's fabric counted, in the shape PublishMetrics
+// publishes it.
+type simCounts struct {
+	Events, ProcSwitches, ProcsStarted, SleepsElided, TimersCancelled int64
+	HeapDepthMax                                                      int64 `metric:",max"`
+}
+
+// metric is one line of a registry dump.
+type metric struct {
+	kind  string
+	value int64
+}
+
+// dump returns a registry's counters and gauges, name -> metric.
+func dump(r *obs.Registry) map[string]metric {
+	var text bytes.Buffer
+	r.WriteText(&text)
+	out := map[string]metric{}
+	for _, m := range regexp.MustCompile(`(?m)^(counter|gauge) +(\S+) +(-?\d+)$`).FindAllStringSubmatch(text.String(), -1) {
+		v, _ := strconv.ParseInt(m[3], 10, 64) // the pattern admits only integers
+		out[m[2]] = metric{m[1], v}
+	}
+	return out
+}
+
+// disturbed is a link disturbance the transfers ride out, at a cost in
+// retries.
+func disturbed() *fault.Plan { return fault.New(1).DisturbLink(0, 1, 0, 40*time.Microsecond) }
+
+// statsWorld runs one world on reg under plan: a message of each protocol
+// both ways, contiguous and as a vector, then a put, a local put, a get and
+// an accumulate in a fence epoch on a shared and on a private window, after
+// which the private window is abandoned. It returns the world and every
+// window it created.
+func statsWorld(t *testing.T, cfg mpi.Config, plan *fault.Plan, reg *obs.Registry) (*mpi.World, []*osc.Win) {
 	t.Helper()
-	cfg := DefaultConfig(2, 1)
+	cfg.Metrics = reg
 	cfg.SCI.Fault = plan
-	cfg.Metrics = obs.NewRegistry()
-	var w *World
-	Run(cfg, func(c *Comm) {
+	var w *mpi.World
+	wins := make([]*osc.Win, 2*cfg.Nodes*cfg.ProcsPerNode)
+	mpi.Run(cfg, func(c *mpi.Comm) {
 		w = c.World()
-		// Short, eager and rendezvous, each contiguous and as a vector of
-		// every other int64: the short one is packed by the generic engine,
-		// the rendezvous one by direct_pack_ff.
+		peer := c.Rank() ^ 1
 		for tag, size := range []int{64, 4 << 10, 256 << 10} {
 			vec := datatype.Vector(size/8, 1, 2, datatype.Int64).Commit()
 			buf := make([]byte, vec.Extent())
-			if c.Rank() == 0 {
-				c.Send(buf, size, datatype.Byte, 1, tag)
-				c.Send(buf, 1, vec, 1, tag)
-			} else {
-				c.Recv(buf, size, datatype.Byte, 0, tag)
-				c.Recv(buf, 1, vec, 0, tag)
+			for turn := 0; turn < 2; turn++ {
+				if c.Rank() == turn {
+					c.Send(buf, size, datatype.Byte, peer, tag)
+					c.Send(buf, 1, vec, peer, tag)
+				} else {
+					c.Recv(buf, size, datatype.Byte, peer, tag)
+					c.Recv(buf, 1, vec, peer, tag)
+				}
 			}
 		}
+		sys := osc.NewSystem(c)
+		shared := sys.CreateShared(c.AllocShared(4096), osc.DefaultConfig())
+		private := sys.CreatePrivate(make([]byte, 4096), osc.DefaultConfig())
+		buf := make([]byte, 64)
+		for _, win := range []*osc.Win{shared, private} {
+			win.Fence()
+			win.Put(buf, 64, datatype.Byte, peer, 0)
+			win.Put(buf, 64, datatype.Byte, c.Rank(), 64)
+			win.Get(buf, 64, datatype.Byte, peer, 128)
+			win.Accumulate(mpi.Float64Bytes([]float64{1}), 1, datatype.Float64, mpi.OpSum, peer, 256)
+			win.Fence()
+		}
+		private.Abandon()
+		wins[2*c.Rank()], wins[2*c.Rank()+1] = shared, private
 	})
-	var text bytes.Buffer
-	cfg.Metrics.WriteText(&text)
-	gauges := map[string]int64{}
-	for _, m := range regexp.MustCompile(`(?m)^gauge +(\S+) +(-?\d+)$`).FindAllStringSubmatch(text.String(), -1) {
-		gauges[m[1]], _ = strconv.ParseInt(m[2], 10, 64) // the pattern admits only integers
-	}
-	return w, gauges
+	return w, wins
 }
 
-// TestEveryStatsFieldIsPublished: each int64 field of sci.Stats,
-// mpi.DeviceStats and the pack totals has exactly one gauge, named after
-// the field and carrying its value. The comparison ignores case and
-// underscores, so it does not depend on how a gauge name is derived.
-func TestEveryStatsFieldIsPublished(t *testing.T) {
-	w, gauges := gaugeDump(t, nil)
-	ff, generic := w.PackStats()
-	for _, s := range []struct {
-		base, label string
-		stats       any
-	}{
-		{"mpi.device.", "{rank=1}", w.Stats(1)},
-		{"sci.node.", "{node=0}", w.InterconnectStats(0)},
-		{"pack.", "{engine=direct_pack_ff}", ff},
-		{"pack.", "{engine=generic}", generic},
-	} {
-		published := map[string]int64{} // squashed gauge name -> value
-		for name, v := range gauges {
-			if strings.HasPrefix(name, s.base) && strings.HasSuffix(name, s.label) {
-				field := strings.TrimSuffix(strings.TrimPrefix(name, s.base), s.label)
-				published[strings.ReplaceAll(field, "_", "")] = v
-			}
-		}
-		v := reflect.ValueOf(s.stats)
-		fields, nonZero := 0, false
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Type().Field(i)
-			if f.Type.Kind() != reflect.Int64 {
-				continue
-			}
-			fields++
-			got, ok := published[strings.ToLower(f.Name)]
-			if !ok {
-				t.Errorf("%T.%s has no gauge %s*%s", s.stats, f.Name, s.base, s.label)
-			} else if got != v.Field(i).Int() {
-				t.Errorf("%T.%s = %d, its gauge reads %d", s.stats, f.Name, v.Field(i).Int(), got)
-			}
-			nonZero = nonZero || got != 0
-		}
-		if len(published) != fields {
-			t.Errorf("%d gauges %s*%s for the %d int64 fields of %T: %v", len(published), s.base, s.label, fields, s.stats, published)
-		}
-		if !nonZero {
-			t.Errorf("every gauge %s*%s is zero: the run did not exercise the layer", s.base, s.label)
+// checkFamily holds the metrics published under base (with the given label
+// suffix) to the instances of one stats struct: each int64 field is exactly
+// one metric, a counter holding the sum over the instances, or, for a
+// ",max"-tagged field, a gauge holding their maximum. A field's metric is
+// named by its tag, or by its name compared ignoring case and underscores.
+func checkFamily(t *testing.T, got map[string]metric, base, labels string, instances ...any) {
+	t.Helper()
+	byKey := map[string]string{} // field key -> published name
+	for name := range got {
+		if strings.HasPrefix(name, base) && strings.HasSuffix(name, labels) {
+			byKey[strings.TrimSuffix(strings.TrimPrefix(name, base), labels)] = name
 		}
 	}
+	typ := reflect.TypeOf(instances[0])
+	matched, nonZero := 0, false
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			continue
+		}
+		key, max := strings.CutSuffix(f.Tag.Get("metric"), ",max")
+		want := metric{"counter", 0}
+		if max {
+			want.kind = "gauge"
+		}
+		for _, s := range instances {
+			switch v := reflect.ValueOf(s).Field(i).Int(); {
+			case !max:
+				want.value += v
+			case v > want.value:
+				want.value = v
+			}
+		}
+		name, ok := byKey[key]
+		if key == "" {
+			for suffix, n := range byKey {
+				if strings.ReplaceAll(suffix, "_", "") == strings.ToLower(f.Name) {
+					name, ok = n, true
+				}
+			}
+		}
+		if !ok {
+			t.Errorf("%s.%s: no metric %s*%s", typ, f.Name, base, labels)
+			continue
+		}
+		matched++
+		if got[name] != want {
+			t.Errorf("%s.%s: published %s = %v, the structs hold %v", typ, f.Name, name, got[name], want)
+		}
+		nonZero = nonZero || want.value != 0
+	}
+	if matched != len(byKey) {
+		t.Errorf("%d metrics %s*%s for %d fields of %s: %v", len(byKey), base, labels, matched, typ, byKey)
+	}
+	if !nonZero {
+		t.Errorf("every %s field is zero: the run did not exercise the layer", typ)
+	}
+}
+
+// structs collects, per published family, the stats struct instances of
+// the worlds added to it.
+type structs struct {
+	sims, devices, nodes, ff, gen, wins []any
+}
+
+// add collects w's structs: its fabric's, each rank's device's, each
+// node's adapter's (of an inter-node world), both pack engines' and those
+// of the windows ws.
+func (s *structs) add(w *mpi.World, ws []*osc.Win) {
+	f := w.Fabric()
+	s.sims = append(s.sims, simCounts{int64(f.Events()), int64(f.ProcSwitches()), int64(f.ProcsStarted()),
+		int64(f.SleepsElided()), int64(f.TimersCancelled()), int64(f.HeapDepthMax())})
+	for rank := 0; rank < w.Size(); rank++ {
+		s.devices = append(s.devices, w.Stats(rank))
+	}
+	if n := nodes(w); n > 1 {
+		for node := 0; node < n; node++ {
+			s.nodes = append(s.nodes, w.InterconnectStats(node))
+		}
+	}
+	ff, gen := w.PackStats()
+	s.ff, s.gen = append(s.ff, ff), append(s.gen, gen)
+	for _, win := range ws {
+		s.wins = append(s.wins, win.Snapshot())
+	}
+}
+
+// check holds every published family to the structs collected.
+func (s *structs) check(t *testing.T, got map[string]metric) {
+	t.Helper()
+	checkFamily(t, got, "sim.", "", s.sims...)
+	checkFamily(t, got, "mpi.device.", "", s.devices...)
+	checkFamily(t, got, "sci.", "", s.nodes...)
+	checkFamily(t, got, "pack.", "{engine=direct_pack_ff}", s.ff...)
+	checkFamily(t, got, "pack.", "{engine=generic}", s.gen...)
+	checkFamily(t, got, "osc.", "", s.wins...)
+}
+
+// nodes is the number of nodes w runs on; ranks fill the nodes in order.
+func nodes(w *mpi.World) int { return w.NodeOf(w.Size()-1) + 1 }
+
+// retries is the sum of the adapters' retry counts in w.
+func retries(w *mpi.World) int64 {
+	var n int64
+	for node := 0; node < nodes(w); node++ {
+		n += w.InterconnectStats(node).Retries
+	}
+	return n
+}
+
+// TestEveryStatsFieldIsPublished: after one inter-node world, each int64
+// field of the fabric counts, mpi.DeviceStats, sci.Stats, the pack totals
+// and osc.Stats has exactly one published metric, named after the field
+// (or its tag) and carrying the field's sum over the instances. The
+// comparison ignores case and underscores, so it does not depend on how a
+// name is derived.
+func TestEveryStatsFieldIsPublished(t *testing.T) {
+	reg := obs.NewRegistry()
+	var s structs
+	s.add(statsWorld(t, mpi.DefaultConfig(2, 1), nil, reg))
+	s.check(t, dump(reg))
 }
 
 // TestRetriesAggregatePublished: sci.retries, the name the repo's benchmark
-// reads, is the sum of the per-node retry gauges, and a link disturbance the
-// transfers ride out makes it non-zero.
+// reads, is a counter published even when it is zero, and under a link
+// disturbance the transfers ride out it is the non-zero sum of the nodes'
+// retries.
 func TestRetriesAggregatePublished(t *testing.T) {
-	_, clean := gaugeDump(t, nil)
-	if v, ok := clean["sci.retries"]; !ok || v != 0 {
-		t.Errorf("undisturbed run: sci.retries = %d (published: %v), want a published 0", v, ok)
+	clean := obs.NewRegistry()
+	statsWorld(t, mpi.DefaultConfig(2, 1), nil, clean)
+	if got, ok := dump(clean)["sci.retries"]; !ok || got != (metric{"counter", 0}) {
+		t.Errorf("undisturbed run: sci.retries = %v (published: %v), want a published counter 0", got, ok)
 	}
-	w, gauges := gaugeDump(t, fault.New(1).DisturbLink(0, 1, 0, 40*time.Microsecond))
-	var sum int64
-	for name, v := range gauges {
-		if strings.HasPrefix(name, "sci.node.retries{") {
-			sum += v
+	reg := obs.NewRegistry()
+	w, _ := statsWorld(t, mpi.DefaultConfig(2, 1), disturbed(), reg)
+	sum := retries(w)
+	if got := dump(reg)["sci.retries"]; got.value == 0 || got != (metric{"counter", sum}) {
+		t.Errorf("sci.retries = %v, the nodes counted %d (want an equal, non-zero counter)", got, sum)
+	}
+}
+
+// TestPublishedCountersAreStructSums: an intra-node and an inter-node world
+// publish into one registry, and every published count is the sum of the
+// struct fields it comes from — over ranks, nodes, windows (an abandoned one
+// included) and both worlds — under one name without a node or rank label.
+// A second PublishMetrics changes nothing.
+func TestPublishedCountersAreStructSums(t *testing.T) {
+	reg := obs.NewRegistry()
+	var (
+		worlds []*mpi.World
+		s      structs
+	)
+	for _, cfg := range []mpi.Config{mpi.DefaultConfig(1, 2), mpi.DefaultConfig(2, 1)} {
+		var plan *fault.Plan
+		if cfg.Nodes > 1 {
+			plan = disturbed()
+		}
+		w, ws := statsWorld(t, cfg, plan, reg)
+		if cfg.Nodes > 1 && retries(w) == 0 {
+			t.Error("the disturbed link cost no retries")
+		}
+		worlds = append(worlds, w)
+		s.add(w, ws)
+	}
+	got := dump(reg)
+	s.check(t, got)
+	for name := range got {
+		if strings.Contains(name, "{node=") || strings.Contains(name, "{rank=") {
+			t.Errorf("%s: counts are summed, not labelled per instance", name)
 		}
 	}
-	if got := gauges["sci.retries"]; got == 0 || got != sum {
-		t.Errorf("sci.retries = %d, the per-node gauges sum to %d (want equal and non-zero)", got, sum)
+	for _, name := range []string{ // the names the repo's benchmark reads
+		"sci.bytes.written", "sci.bytes.read", "sci.dma.sg.transfers", "sci.retries",
+		"osc.puts{path=direct}", "osc.puts{path=emulated}", "osc.gets{path=direct}", "osc.gets{path=remote-put}",
+	} {
+		if got[name].kind != "counter" {
+			t.Errorf("%s is not a published counter", name)
+		}
 	}
-	if direct := w.InterconnectStats(0).Retries + w.InterconnectStats(1).Retries; direct != sum {
-		t.Errorf("the nodes counted %d retries, the gauges say %d", direct, sum)
+
+	for _, w := range worlds {
+		w.PublishMetrics(reg)
+	}
+	if again := dump(reg); !reflect.DeepEqual(again, got) {
+		t.Error("a second PublishMetrics changed the registry")
 	}
 }

@@ -123,9 +123,8 @@ type Config struct {
 	Tracer *obs.Trace
 	// Metrics, when non-nil, receives the runtime's counters and latency
 	// histograms (mpi.send.*{path=...}, mpi.pack.*) and, after Run, the
-	// per-rank device and per-node interconnect gauges published by
-	// World.PublishMetrics. It is inherited by the SCI layer unless
-	// SCI.Metrics is set explicitly.
+	// counts of every layer's stats structs, added by World.PublishMetrics.
+	// It is inherited by the SCI layer unless SCI.Metrics is set explicitly.
 	Metrics *obs.Registry
 	// Flight, when non-nil, is the always-on flight recorder: every rank
 	// records typed protocol events (send/recv matches, rendezvous
@@ -197,6 +196,11 @@ type World struct {
 	// unpack operation charged on this world, per engine (see PackStats).
 	packFF      pack.Cumulative
 	packGeneric pack.Cumulative
+
+	// publishers add the layers' counts at PublishMetrics (see OnPublish);
+	// published makes a second PublishMetrics a no-op.
+	publishers []func(*obs.Registry)
+	published  bool
 }
 
 // PackStats returns the cumulative totals of all pack/unpack operations

@@ -20,7 +20,6 @@ func TestNilObservabilityAllocFree(t *testing.T) {
 		fn   func()
 	}{
 		{"nil counter add", func() { c.Add(5) }},
-		{"nil gauge set", func() { g.Set(5) }},
 		{"nil gauge max", func() { g.Max(5) }},
 		{"nil histogram observe", func() { h.Observe(5) }},
 		{"nil registry counter lookup", func() { r.Counter("x").Add(1) }},

@@ -37,21 +37,13 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can move both ways (set to the latest snapshot
-// value). The nil gauge discards everything.
+// Gauge is a high-water mark: it only moves up, to the largest value it was
+// raised to. The nil gauge discards everything.
 type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores the gauge value. No-op on a nil gauge.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Max raises the gauge to n if n is larger (a high-water mark).
+// Max raises the gauge to n if n is larger. No-op on a nil gauge.
 func (g *Gauge) Max(n int64) {
 	if g == nil {
 		return
@@ -207,15 +199,14 @@ func (r *Registry) HistogramUnitOf(name string) Unit {
 	return r.histUnits[name]
 }
 
-// SetGauge is shorthand for Gauge(name).Set(v).
-func (r *Registry) SetGauge(name string, v int64) { r.Gauge(name).Set(v) }
-
-// SetGauges publishes every int64 field of the struct stats as a gauge named
+// AddStats adds each int64 field of the struct stats to the counter
 // Name(base+"."+field, labels...), where field is the field's name in snake
-// case (BytesWritten -> bytes_written, OSCRequests -> osc_requests) or its
-// `gauge:"..."` tag. A layer's stats struct is thereby its own gauge list: a
-// field added to it is published without being named a second time.
-func (r *Registry) SetGauges(base string, stats any, labels ...string) {
+// case (BytesWritten -> bytes_written, OSCRequests -> osc_requests) or the
+// name its `metric:"..."` tag gives, labels included (`metric:"puts{path=direct}"`).
+// A tag ending in ",max" raises a high-water gauge instead (Gauge.Max). A
+// stats struct is thereby its own publish list, and instances published into
+// one registry sum; adding is not idempotent, so publish each one once.
+func (r *Registry) AddStats(base string, stats any, labels ...string) {
 	if r == nil {
 		return
 	}
@@ -226,11 +217,16 @@ func (r *Registry) SetGauges(base string, stats any, labels ...string) {
 		if f.Type.Kind() != reflect.Int64 {
 			continue
 		}
-		name, ok := f.Tag.Lookup("gauge")
-		if !ok {
+		name, max := strings.CutSuffix(f.Tag.Get("metric"), ",max")
+		if name == "" {
 			name = snakeCase(f.Name)
 		}
-		r.SetGauge(Name(base+"."+name, labels...), v.Field(i).Int())
+		name = Name(base+"."+name, labels...)
+		if max {
+			r.Gauge(name).Max(v.Field(i).Int())
+		} else {
+			r.Counter(name).Add(v.Field(i).Int())
+		}
 	}
 }
 

@@ -15,10 +15,6 @@ func TestRegistryBasics(t *testing.T) {
 	if v := r.Counter("mpi.sends").Value(); v != 4 {
 		t.Errorf("counter = %d, want 4", v)
 	}
-	r.SetGauge("sci.retries", 7)
-	if v := r.Gauge("sci.retries").Value(); v != 7 {
-		t.Errorf("gauge = %d, want 7", v)
-	}
 	r.Gauge("flow.active.max").Max(3)
 	r.Gauge("flow.active.max").Max(9)
 	r.Gauge("flow.active.max").Max(5) // must not lower a high-water mark
@@ -47,9 +43,8 @@ func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)
 	r.Counter("x").Inc()
-	r.Gauge("y").Set(2)
 	r.Gauge("y").Max(2)
-	r.SetGauge("y", 3)
+	r.AddStats("y", struct{ A int64 }{3})
 	r.Histogram("z").Observe(4)
 	r.Histogram("z").ObserveDuration(time.Second)
 	if r.Counter("x").Value() != 0 || r.Gauge("y").Value() != 0 || r.Histogram("z").Count() != 0 {
@@ -65,7 +60,7 @@ func TestNilRegistrySafe(t *testing.T) {
 func TestWriteTextSortedAndComplete(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.counter").Add(2)
-	r.SetGauge("a.gauge", 5)
+	r.Gauge("a.gauge").Max(5)
 	r.Histogram("c.hist.ns").ObserveDuration(time.Microsecond)
 	var buf bytes.Buffer
 	r.WriteText(&buf)
@@ -137,29 +132,36 @@ func TestHistogramUnits(t *testing.T) {
 	}
 }
 
-// TestSetGaugesNames pins how a stats field becomes a gauge name: these are
-// the spellings dashboards and the repo's benchmark already read.
-func TestSetGaugesNames(t *testing.T) {
-	r := NewRegistry()
-	r.SetGauges("sci.node", struct {
+// TestAddStatsNames pins how a stats field becomes a metric name, the
+// spellings dashboards and the repo's benchmark already read, and that
+// publishing two instances adds them (a high-water field keeps the larger).
+func TestAddStatsNames(t *testing.T) {
+	type stats struct {
 		BytesWritten   int64
 		OSCRequests    int64
 		DMATransfers   int64
-		DMASGTransfers int64 `gauge:"dma_sg_transfers"`
-		Ops            int64
+		DMASGTransfers int64  `metric:"dma.sg.transfers"`
+		MaxBlock       int64  `metric:",max"`
 		Name           string // not a count: skipped
-	}{1, 2, 3, 4, 5, "n"}, "node", "7")
+	}
+	r := NewRegistry()
+	r.AddStats("sci", stats{1, 2, 3, 4, 60, "n"}, "engine", "ff")
+	r.AddStats("sci", stats{10, 20, 30, 40, 6, "m"}, "engine", "ff")
+	r.AddStats("osc", struct {
+		DirectPuts int64 `metric:"puts{path=direct}"`
+	}{7})
 	var buf bytes.Buffer
 	r.WriteText(&buf)
-	want := `gauge   sci.node.bytes_written{node=7} 1
-gauge   sci.node.dma_sg_transfers{node=7} 4
-gauge   sci.node.dma_transfers{node=7} 3
-gauge   sci.node.ops{node=7} 5
-gauge   sci.node.osc_requests{node=7} 2
+	want := `counter osc.puts{path=direct} 7
+counter sci.bytes_written{engine=ff} 11
+counter sci.dma.sg.transfers{engine=ff} 44
+counter sci.dma_transfers{engine=ff} 33
+gauge   sci.max_block{engine=ff} 60
+counter sci.osc_requests{engine=ff} 22
 `
 	if got := strings.Join(strings.Fields(buf.String()), " "); got != strings.Join(strings.Fields(want), " ") {
-		t.Errorf("SetGauges published\n%s\nwant\n%s", buf.String(), want)
+		t.Errorf("AddStats published\n%s\nwant\n%s", buf.String(), want)
 	}
 	var nilReg *Registry
-	nilReg.SetGauges("x", struct{ A int64 }{1}) // nil registry: no-op
+	nilReg.AddStats("x", struct{ A int64 }{1}) // nil registry: no-op
 }

@@ -43,7 +43,7 @@ func (w *Win) Abandon() {
 	w.ep = epochNone
 	w.lockHeld = -1
 	w.fl.Record(w.sys.c.Proc().Now(), flight.KWinAbandoned, int64(w.id), 0, 0, 0)
-	delete(w.sys.wins, w.id)
+	w.detach()
 }
 
 // Rebind re-homes the one-sided engine on a new communicator — the shrunken
@@ -103,7 +103,7 @@ func (w *Win) oscRPC(op string, target int, r oscReq, interrupt bool) error {
 	c := w.sys.c
 	ok, err := w.sys.call(c.GroupToWorld(target), r, interrupt, w.cfg.SyncTimeout)
 	if err != nil {
-		w.countSyncTimeout()
+		w.stats.SyncTimeouts++
 		var silent *fault.Error
 		if errors.As(err, &silent) && silent.Kind == fault.Timeout {
 			return ErrSyncTimeout{Op: op, Win: w.id, Target: target, Waited: w.cfg.SyncTimeout}

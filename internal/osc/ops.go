@@ -56,7 +56,7 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	}
 	w.checkTarget(target, targetOff, span)
 	w.stats.Puts++
-	w.count(&w.stats.BytesPut, w.sys.met.bytesPut, n)
+	w.stats.BytesPut += n
 	p := w.sys.c.Proc()
 	start := p.Now()
 	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "put")
@@ -80,7 +80,7 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		// persistent transfer faults) degrades to the emulation path below —
 		// unless the target itself is gone, which is the caller's problem.
 		if err := w.tryDirectPut(p, buf, count, dt, target, targetOff, n, span); err == nil {
-			w.count(&w.stats.DirectPuts, w.sys.met.directPuts, 1)
+			w.stats.DirectPuts++
 			if sp != nil {
 				sp.SetDetail("direct -> %d", target)
 			}
@@ -94,7 +94,7 @@ func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	}
 	// Emulation: stage the linearized data into the pair's staging area
 	// and invoke the remote handler.
-	w.count(&w.stats.EmulatedPuts, w.sys.met.emulatedPuts, 1)
+	w.stats.EmulatedPuts++
 	if sp != nil {
 		sp.SetDetail("emulated -> %d", target)
 	}
@@ -261,7 +261,7 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	}
 	w.checkTarget(target, targetOff, span)
 	w.stats.Gets++
-	w.count(&w.stats.BytesGot, w.sys.met.bytesGot, n)
+	w.stats.BytesGot += n
 	p := w.sys.c.Proc()
 	start := p.Now()
 	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "get")
@@ -285,7 +285,7 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 		// failing view degrades to the remote-put path below, which rereads
 		// the whole amount.
 		if err := w.tryDirectGet(p, buf, count, dt, target, targetOff, n); err == nil {
-			w.count(&w.stats.DirectGets, w.sys.met.directGets, 1)
+			w.stats.DirectGets++
 			if sp != nil {
 				sp.SetDetail("direct <- %d", target)
 			}
@@ -298,7 +298,7 @@ func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, t
 	}
 	// Remote-put: the handler at the target writes the data into this
 	// process's staging area (its own address space view of us).
-	w.count(&w.stats.RemotePuts, w.sys.met.remotePuts, 1)
+	w.stats.RemotePuts++
 	if sp != nil {
 		sp.SetDetail("remote-put <- %d", target)
 	}

@@ -87,7 +87,7 @@ func (w *Win) FenceChecked() error {
 			waited += p.Now() - before
 		}
 		if !ok {
-			w.countSyncTimeout()
+			w.stats.SyncTimeouts++
 			err := ErrSyncTimeout{Op: "fence", Win: w.id, Target: -1, Waited: waited}
 			w.fl.Fail(p.Now(), flight.OpFence, -1, err)
 			return err
@@ -100,12 +100,6 @@ func (w *Win) FenceChecked() error {
 	w.openEpoch("fence")
 	w.resetPattern()
 	return nil
-}
-
-// countSyncTimeout bumps the window counter and registry metric for an
-// expired checked synchronization call.
-func (w *Win) countSyncTimeout() {
-	w.count(&w.stats.SyncTimeouts, w.sys.met.syncTimeouts, 1)
 }
 
 // syncViews guarantees delivery of every posted store this rank issued
@@ -281,7 +275,7 @@ func (w *Win) LockChecked(target int) error {
 		}
 		waited += p.Now() - start
 		if waited >= w.cfg.SyncTimeout {
-			w.countSyncTimeout()
+			w.stats.SyncTimeouts++
 			err := ErrSyncTimeout{Op: "lock", Win: w.id, Target: target, Waited: waited}
 			w.fl.Fail(p.Now(), flight.OpLock, world, err)
 			return err

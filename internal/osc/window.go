@@ -22,6 +22,7 @@ package osc
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"scimpich/internal/mpi"
@@ -39,50 +40,49 @@ type System struct {
 	wins    map[int]*Win
 	nextWin int
 	met     oscMetrics
+	// freed sums the counts of the windows freed or abandoned on this rank,
+	// so that they are still published; nil without a registry.
+	freed *Stats
 	// reqFree holds the request records of calls whose reply was read (see
 	// oscReq).
 	reqFree []*oscReq
 }
 
-// NewSystem installs the one-sided engine on the calling rank.
+// NewSystem installs the one-sided engine on the calling rank; with a
+// metrics registry, the world publishes its windows' counts (see publish).
 func NewSystem(c *mpi.Comm) *System {
 	s := &System{c: c, wins: make(map[int]*Win), met: newOSCMetrics(c.Metrics())}
 	c.SetOSCHandler(s.handle)
+	if c.Metrics() != nil {
+		s.freed = new(Stats)
+		c.World().OnPublish(s.publish)
+	}
 	return s
 }
 
-// oscMetrics caches the registry collectors for the one-sided layer,
+// publish adds the Stats of every window this rank created, live, freed or
+// abandoned, to r: one osc.* counter per field, summed over windows and ranks.
+func (s *System) publish(r *obs.Registry) {
+	r.AddStats("osc", *s.freed)
+	for _, w := range s.wins {
+		r.AddStats("osc", w.stats)
+	}
+}
+
+// oscMetrics caches the registry histograms for the one-sided layer,
 // resolved once at System creation so the operation paths never do a map
 // lookup. All fields are nil without a registry; nil collectors are no-ops.
 type oscMetrics struct {
 	putNS, getNS, accNS *obs.Histogram
 	epochNS             *obs.Histogram
-	bytesPut, bytesGot  *obs.Counter
-	directPuts          *obs.Counter
-	emulatedPuts        *obs.Counter
-	directGets          *obs.Counter
-	remotePuts          *obs.Counter
-	degradations        *obs.Counter
-	syncTimeouts        *obs.Counter
 }
 
 func newOSCMetrics(r *obs.Registry) oscMetrics {
-	if r == nil {
-		return oscMetrics{}
-	}
 	return oscMetrics{
-		putNS:        r.Histogram("osc.put.ns"),
-		getNS:        r.Histogram("osc.get.ns"),
-		accNS:        r.Histogram("osc.acc.ns"),
-		epochNS:      r.Histogram("osc.epoch.ns"),
-		bytesPut:     r.Counter("osc.bytes.put"),
-		bytesGot:     r.Counter("osc.bytes.got"),
-		directPuts:   r.Counter(obs.Name("osc.puts", "path", "direct")),
-		emulatedPuts: r.Counter(obs.Name("osc.puts", "path", "emulated")),
-		directGets:   r.Counter(obs.Name("osc.gets", "path", "direct")),
-		remotePuts:   r.Counter(obs.Name("osc.gets", "path", "remote-put")),
-		degradations: r.Counter("osc.degradations"),
-		syncTimeouts: r.Counter("osc.sync_timeouts"),
+		putNS:   r.Histogram("osc.put.ns"),
+		getNS:   r.Histogram("osc.get.ns"),
+		accNS:   r.Histogram("osc.acc.ns"),
+		epochNS: r.Histogram("osc.epoch.ns"),
 	}
 }
 
@@ -185,18 +185,21 @@ type Win struct {
 	stats Stats
 }
 
-// Stats is the one-sided activity of a window on this rank: the live
-// counters the owning rank bumps, and what Win.Snapshot returns by value.
-// Plain integers suffice because at most one process of a host runs at a
-// time (sim.Host), and every reader is such a process or runs after the run.
+// Stats is the one-sided activity of a window on this rank, the one store of
+// these counts: the owning rank bumps them, Win.Snapshot returns them by
+// value, and System.publish adds them to a registry. Puts counts local puts
+// too, the path counters only remote ones. Plain integers suffice because at
+// most one process of a host runs at a time (sim.Host), and every reader is
+// such a process or runs after the run.
 type Stats struct {
 	Puts, Gets, Accs     int64
-	DirectPuts           int64
-	DirectGets           int64
-	RemotePuts           int64 // gets served by the remote-put path
-	EmulatedPuts         int64
+	DirectPuts           int64 `metric:"puts{path=direct}"`
+	DirectGets           int64 `metric:"gets{path=direct}"`
+	RemotePuts           int64 `metric:"gets{path=remote-put}"` // gets served by the remote-put path
+	EmulatedPuts         int64 `metric:"puts{path=emulated}"`
 	EmulatedAccumulates  int64
-	BytesPut, BytesGot   int64
+	BytesPut             int64 `metric:"bytes.put"`
+	BytesGot             int64 `metric:"bytes.got"`
 	Fences, Locks, Posts int64
 	// Degradations counts direct views abandoned for the emulation path;
 	// SyncTimeouts counts checked synchronization calls that expired.
@@ -207,11 +210,20 @@ type Stats struct {
 // Snapshot returns a copy of the window's statistics.
 func (w *Win) Snapshot() Stats { return w.stats }
 
-// count adds n to one of the window's Stats fields and to the system-wide
-// registry counter of the same event, so neither moves without the other.
-func (w *Win) count(field *int64, c *obs.Counter, n int64) {
-	*field += n
-	c.Add(n)
+// detach removes a freed or abandoned window from its System, folding its
+// counts into the System's when they are published. Every Stats field is an
+// int64 count.
+func (w *Win) detach() {
+	if w.sys.wins[w.id] != w {
+		return // already detached: fold the counts once
+	}
+	delete(w.sys.wins, w.id)
+	if w.sys.freed != nil {
+		sum, own := reflect.ValueOf(w.sys.freed).Elem(), reflect.ValueOf(&w.stats).Elem()
+		for i := 0; i < sum.NumField(); i++ {
+			sum.Field(i).SetInt(sum.Field(i).Int() + own.Field(i).Int())
+		}
+	}
 }
 
 // CreateShared collectively creates a window whose local memory is the
@@ -305,7 +317,7 @@ func (w *Win) Free() {
 	}
 	w.closeEpoch()
 	w.sys.c.Barrier()
-	delete(w.sys.wins, w.id)
+	w.detach()
 }
 
 // openEpoch starts the trace span covering the access epoch just opened;
@@ -341,7 +353,7 @@ func (w *Win) degrade(target int, err error) {
 		return
 	}
 	w.degraded[target] = true
-	w.count(&w.stats.Degradations, w.sys.met.degradations, 1)
+	w.stats.Degradations++
 	c := w.sys.c
 	w.fl.Record(c.Proc().Now(), flight.KWinDegraded, int64(w.id), int64(c.GroupToWorld(target)), 0, 0)
 }

@@ -65,8 +65,9 @@ type Cumulative struct {
 	Ops int64
 	// Blocks and Bytes total the contiguous copies and data bytes moved.
 	Blocks, Bytes int64
-	// MaxBlock is the largest single block encountered.
-	MaxBlock int64
+	// MaxBlock is the largest single block encountered (a high-water mark
+	// when published).
+	MaxBlock int64 `metric:",max"`
 }
 
 // Add folds one operation's Stats into the running totals. Empty

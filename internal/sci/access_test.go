@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"scimpich/internal/obs"
 	"scimpich/internal/pack"
 	"scimpich/internal/sim"
 )
@@ -108,5 +109,33 @@ func TestAccessOpsCheckRangeAndState(t *testing.T) {
 				t.Error("a failed access materialised the revoked segment")
 			}
 		})
+	}
+}
+
+// TestAccessOpsPublishTheirBytes: every access op counts the bytes it moves
+// in its node's Stats, and Publish adds them to sci.bytes.written or
+// sci.bytes.read: a word write too.
+func TestAccessOpsPublishTheirBytes(t *testing.T) {
+	for _, op := range accessOps {
+		e := sim.NewEngine()
+		cfg := DefaultConfig(2)
+		cfg.Metrics = obs.NewRegistry()
+		ic := New(e, cfg)
+		m := ic.Node(0).MustImport(1, ic.Node(1).Export(256).ID())
+		e.Go("p", func(p *sim.Proc) {
+			if err := op.do(p, m, 0, fill(64)); err != nil {
+				t.Errorf("%s: %v", op.name, err)
+			}
+			ic.Node(0).StoreBarrier(p)
+		})
+		e.Run()
+		ic.Publish(cfg.Metrics)
+		name, counted := "sci.bytes.written", ic.Node(0).Snapshot().BytesWritten
+		if op.reads {
+			name, counted = "sci.bytes.read", ic.Node(0).Snapshot().BytesRead
+		}
+		if got := cfg.Metrics.Counter(name).Value(); counted != 64 || got != counted {
+			t.Errorf("%s moved 64 B: the node counted %d, %s reads %d", op.name, counted, name, got)
+		}
 	}
 }

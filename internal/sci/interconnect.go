@@ -29,13 +29,14 @@ type Interconnect struct {
 	met   icMetrics
 }
 
-// Stats is one node's transfer counters: the live set the node bumps, and
-// what Node.Snapshot returns by value. Plain integers suffice because at
-// most one process of a host runs at a time (sim.Host), and every reader is
-// such a process or runs after the run has returned.
+// Stats is one node's transfer counters, the one store of these counts: the
+// node bumps them, Node.Snapshot returns them by value, and
+// Interconnect.Publish adds them to a registry. Plain integers suffice
+// because at most one process of a host runs at a time (sim.Host), and every
+// reader is such a process or runs after the run has returned.
 type Stats struct {
-	BytesWritten  int64
-	BytesRead     int64
+	BytesWritten  int64 `metric:"bytes.written"`
+	BytesRead     int64 `metric:"bytes.read"`
 	WriteOps      int64
 	ReadOps       int64
 	StoreBarriers int64
@@ -43,8 +44,11 @@ type Stats struct {
 	DMATransfers  int64
 
 	// DMASGTransfers counts the subset of DMATransfers that were
-	// scatter-gather descriptor-list submissions.
-	DMASGTransfers int64 `gauge:"dma_sg_transfers"`
+	// scatter-gather descriptor-list submissions, DMASGBytes and DMASGDescs
+	// the bytes and descriptors they carried.
+	DMASGTransfers int64 `metric:"dma.sg.transfers"`
+	DMASGBytes     int64 `metric:"dma.sg.bytes"`
+	DMASGDescs     int64 `metric:"dma.sg.descs"`
 
 	// TransferErrors counts injected CRC/sequence/link faults surfaced to
 	// this node's operations as typed errors (as opposed to Retries,
@@ -54,7 +58,7 @@ type Stats struct {
 	CheckRetries int64
 }
 
-// icMetrics caches the interconnect's registry collectors so the PIO hot
+// icMetrics caches the interconnect's registry histograms so the PIO hot
 // path never performs a map lookup. With metrics disabled every field is a
 // nil collector, and every call below is an allocation-free no-op.
 type icMetrics struct {
@@ -64,13 +68,7 @@ type icMetrics struct {
 	blockFlushNS  *obs.Histogram
 	dmaNS         *obs.Histogram
 	barrierNS     *obs.Histogram
-	bytesWritten  *obs.Counter
-	bytesRead     *obs.Counter
-
-	dmaSGNS        *obs.Histogram
-	dmaSGTransfers *obs.Counter
-	dmaSGBytes     *obs.Counter
-	dmaSGDescs     *obs.Counter
+	dmaSGNS       *obs.Histogram
 }
 
 func newICMetrics(r *obs.Registry) icMetrics {
@@ -81,13 +79,15 @@ func newICMetrics(r *obs.Registry) icMetrics {
 		blockFlushNS:  r.Histogram("sci.blockwrite.flush.ns"),
 		dmaNS:         r.Histogram("sci.dma.ns"),
 		barrierNS:     r.Histogram("sci.store_barrier.ns"),
-		bytesWritten:  r.Counter("sci.bytes.written"),
-		bytesRead:     r.Counter("sci.bytes.read"),
+		dmaSGNS:       r.Histogram("sci.dma.sg.ns"),
+	}
+}
 
-		dmaSGNS:        r.Histogram("sci.dma.sg.ns"),
-		dmaSGTransfers: r.Counter("sci.dma.sg.transfers"),
-		dmaSGBytes:     r.Counter("sci.dma.sg.bytes"),
-		dmaSGDescs:     r.Counter("sci.dma.sg.descs"),
+// Publish adds every node's Stats to r, once, after the run: each sci.*
+// counter is the sum over the nodes.
+func (ic *Interconnect) Publish(r *obs.Registry) {
+	for _, n := range ic.nodes {
+		r.AddStats("sci", n.stats)
 	}
 }
 
@@ -127,15 +127,15 @@ type Node struct {
 	// the same breath (the completion carries no value, and a barrier
 	// entered from then on waits for the writes posted from then on). So
 	// neither posting a write nor waiting for it allocates.
-	pendingWrites int
-	barrier       sim.Future
+	pendingWrites int32
+	// dead marks the node unreachable (see failure.go); it shares a word
+	// with pendingWrites, so a Node keeps its allocation size class.
+	dead    bool
+	barrier sim.Future
 
 	dma *dmaEngine // made by the node's first DMA transfer
 	// bwFree holds the block writers whose session has been flushed.
 	bwFree []*BlockWriter
-
-	// dead marks the node unreachable (see failure.go).
-	dead bool
 
 	stats Stats
 }
@@ -143,19 +143,15 @@ type Node struct {
 // Snapshot returns a copy of the node's transfer counters.
 func (n *Node) Snapshot() Stats { return n.stats }
 
-// countWrite and countRead record one data transfer issued as ops accesses:
-// the node's own counters and the interconnect-wide registry counter move
-// together.
+// countWrite and countRead record one data transfer issued as ops accesses.
 func (n *Node) countWrite(ops, bytes int64) {
 	n.stats.WriteOps += ops
 	n.stats.BytesWritten += bytes
-	n.ic.met.bytesWritten.Add(bytes)
 }
 
 func (n *Node) countRead(ops, bytes int64) {
 	n.stats.ReadOps += ops
 	n.stats.BytesRead += bytes
-	n.ic.met.bytesRead.Add(bytes)
 }
 
 // countDMA records one completed DMA transfer; descs is the length of its
@@ -163,12 +159,10 @@ func (n *Node) countRead(ops, bytes int64) {
 func (n *Node) countDMA(bytes int64, descs int) {
 	n.stats.DMATransfers++
 	n.stats.BytesWritten += bytes
-	n.ic.met.bytesWritten.Add(bytes)
 	if descs > 0 {
 		n.stats.DMASGTransfers++
-		n.ic.met.dmaSGTransfers.Inc()
-		n.ic.met.dmaSGBytes.Add(bytes)
-		n.ic.met.dmaSGDescs.Add(int64(descs))
+		n.stats.DMASGBytes += bytes
+		n.stats.DMASGDescs += int64(descs)
 	}
 }
 

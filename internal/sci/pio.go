@@ -172,8 +172,7 @@ func (m *Mapping) tryWriteWord(p *sim.Proc, off int64, src []byte) error {
 		return err
 	}
 	from := m.from
-	from.stats.WriteOps++
-	from.stats.BytesWritten += n
+	from.countWrite(1, n)
 	p.Sleep(from.ic.Cfg.WriteIssueOverhead)
 	if !m.Remote() {
 		copy(m.seg.Local()[off:], src)
