@@ -80,20 +80,23 @@ shard-stress:
 # (the yielding Sleep and the elided one), for a RecvTimeout or AwaitTimeout
 # satisfied before expiry (TestAllocsRecvTimeoutSteadyState), per flow
 # (Transfer, StartCall, a warm re-solve) and for Contiguous() on a committed
-# datatype; under 1 MiB and 480 objects for an empty 8x2 world with its
-# per-pair structs at their pinned size, about twice the objects for twice
-# the ranks, a 512x1 world within 25 000, no process started that the run
-# does not need; a torus run at its construction cost; and the per-message
+# datatype; under 1 MiB and 110 objects for an empty 8x2 world with its
+# per-pair structs at their pinned size, at most 2.2x the objects for twice
+# the ranks, a 512x1 world within 5 000, 64 spawns within 8
+# (TestAllocsProcBlocks), a free list sized for 16 records refilled in one
+# block (TestTakeFreeRefillsInBlocks), none for a world communicator's group
+# (TestGroupRanksAllocatesNothing), no process started that the run does not
+# need; a torus run at its construction cost; and the per-message
 # budgets, all measured at tags >= 256: a 64 B round trip (no allocation at
 # two tag pairs, at most 4 process switches, 24 events), a 4 KiB eager
 # message (none), a 256 KiB rendezvous message on every data engine, the
 # staged path included (none), an 8-rank allreduce on every algorithm (at
 # most 4 per rank), a put + fence epoch (none), an emulated one-sided put,
-# remote-put get and accumulate (none: TestAllocsRPCBudget), and an rmem Put
-# or Get (none) and Commit (the fence notifications only:
-# TestAllocsOpBudget). CI fails the bench job if these regress.
+# remote-put get and accumulate (none: TestAllocsRPCBudget), and an rmem Put,
+# Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
+# these regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes|TestWorld512Builds|TestProcsPerWorld' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/ ./internal/osc/ ./internal/rmem/
+	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes|TestWorld512Builds|TestProcsPerWorld|TestTakeFreeRefillsInBlocks|TestGroupRanksAllocatesNothing' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/ ./internal/osc/ ./internal/rmem/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

@@ -84,10 +84,20 @@ func Path(links ...*Link) []Hop {
 // NewLink returns a link with the given nominal capacity in bytes/second.
 // model may be nil for an ideal (loss-free) link.
 func NewLink(name string, capacity float64, model CongestionModel) *Link {
+	return &NewLinks(1, capacity, model, func(int) string { return name })[0]
+}
+
+// NewLinks returns the n links of one topology in one slab, each with the
+// given capacity and model; link i is named name(i).
+func NewLinks(n int, capacity float64, model CongestionModel, name func(i int) string) []Link {
 	if capacity <= 0 {
 		panic("flow: link capacity must be positive")
 	}
-	return &Link{name: name, capacity: capacity, model: model}
+	links := make([]Link, n)
+	for i := range links {
+		links[i] = Link{name: name(i), capacity: capacity, model: model}
+	}
+	return links
 }
 
 // Name returns the link's name.

@@ -96,6 +96,10 @@ func (c *Comm) Metrics() *obs.Registry { return c.w.cfg.Metrics }
 // flight calls are nil-safe).
 func (c *Comm) Flight() *flight.Recorder { return c.w.cfg.Flight }
 
+// Actor returns this rank's actor name ("rank<i>"), which its processes,
+// trace spans and flight ring carry.
+func (c *Comm) Actor() string { return c.rk.actor }
+
 // FlightRing returns this rank's flight-recorder ring (nil without a
 // recorder). Layered libraries (one-sided windows, rmem) record their
 // protocol events into the owning rank's ring so a post-mortem reads one
@@ -109,12 +113,18 @@ func (c *Comm) mem() *memmodel.Model { return c.w.cfg.Shm.Mem }
 // communicator in its collective context, one per communicator.
 func (c *Comm) collective() *Comm {
 	if c.coll == nil {
-		cc := c.derive()
-		cc.ctx = cc.collCtx
-		cc.coll = cc
-		c.coll = cc
+		c.setCollective(new(Comm))
 	}
 	return c.coll
+}
+
+// setCollective makes cc, in the caller's storage, c's collective view: c in
+// its collective context, which is its own collective view.
+func (c *Comm) setCollective(cc *Comm) {
+	*cc = *c
+	cc.ctx = cc.collCtx
+	cc.coll = cc
+	c.coll = cc
 }
 
 // derive returns a copy of c for the caller to change: everything but the
@@ -177,14 +187,15 @@ func (w *World) Run(main func(c *Comm)) time.Duration {
 }
 
 // Spawn starts main on every rank, as processes hosted on the world's
-// locale.
+// locale. The ranks' world communicators and their collective views are one
+// slab.
 func (w *World) Spawn(main func(c *Comm)) {
-	for r := 0; r < w.size; r++ {
-		rk := w.ranks[r]
-		w.host.Go(rk.actor, func(p *sim.Proc) {
-			rk.p = p
-			main(&Comm{w: w, rk: rk, p: p, ctx: ctxUser, collCtx: ctxCollective})
-		})
+	comms := make([]Comm, 2*w.size)
+	for r, rk := range w.ranks {
+		c := &comms[2*r]
+		*c = Comm{w: w, rk: rk, ctx: ctxUser, collCtx: ctxCollective}
+		c.p = w.host.Go(rk.actor, func(*sim.Proc) { main(c) })
+		c.setCollective(&comms[2*r+1])
 	}
 }
 

@@ -53,9 +53,9 @@ type device struct {
 	// (exactly-once delivery under retransmission faults).
 	lastSeq []int64
 
-	// oscHandler serves envOSC requests (registered by the osc package:
-	// the remote handler that emulates direct access for private windows).
-	oscHandler func(p *sim.Proc, env *envelope)
+	// osc serves envOSC requests (registered by the osc package: the remote
+	// handler that emulates direct access for private windows).
+	osc OSCHandler
 
 	stats DeviceStats
 }
@@ -115,16 +115,6 @@ const (
 	rdvFF                     // direct_pack_ff on both sides
 	rdvGeneric                // pack / transfer / unpack baseline
 )
-
-// newDevice builds rk's device; lastSeq is its row of the world's one
-// sequence-number table.
-func newDevice(rk *rank, lastSeq []int64) *device {
-	return &device{
-		rk:      rk,
-		actor:   fmt.Sprintf("dev%d", rk.id),
-		lastSeq: lastSeq,
-	}
-}
 
 // mem returns the node's memory-hierarchy model.
 func (d *device) mem() *memmodel.Model { return d.rk.w.cfg.Shm.Mem }
@@ -235,10 +225,7 @@ func (d *device) run(p *sim.Proc) {
 			d.handleRdvData(p, env)
 		case envOSC:
 			d.stats.OSCRequests++
-			if d.oscHandler == nil {
-				panic("mpi: one-sided request with no handler registered")
-			}
-			d.oscHandler(p, env)
+			d.serveOSC(p, env)
 		}
 		// Every kind that reaches the daemon ends at this device.
 		d.rk.w.freeEnvelope(env)

@@ -121,7 +121,9 @@ type envelope struct {
 	// local probe
 	probe *probeReq
 
-	// one-sided communication
+	// one-sided communication: osc is the request of a call; a notification
+	// (OSCNotify) has none, and its kind, window and round ride in tag, ctx
+	// and chunk.
 	osc any
 }
 
@@ -168,7 +170,8 @@ func (w *World) newEnvelope(e envelope) *envelope {
 }
 
 // freeEnvelope takes env back after its last read. The list holds only
-// envelopes that were in flight at once; it is never pre-sized.
+// envelopes that were made in the blocks of sim.TakeFree, the first of them
+// sized for one per rank (see newWorld).
 func (w *World) freeEnvelope(env *envelope) {
 	env.live()
 	*env = envelope{gen: env.gen + 1}

@@ -128,14 +128,18 @@ func (c *Comm) Split(color, key int) *Comm {
 	return sub
 }
 
-// groupRanks returns the world ranks of this communicator's members.
+// groupRanks returns the world ranks of this communicator's members. The
+// result is shared, never to be written: a split communicator's group, or
+// the world's identity table, built by the first call that needs it.
 func (c *Comm) groupRanks() []int {
 	if c.group != nil {
 		return c.group
 	}
-	all := make([]int, c.w.size)
-	for i := range all {
-		all[i] = i
+	if c.w.identity == nil {
+		c.w.identity = make([]int, c.w.size)
+		for i := range c.w.identity {
+			c.w.identity[i] = i
+		}
 	}
-	return all
+	return c.w.identity
 }

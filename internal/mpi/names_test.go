@@ -1,0 +1,67 @@
+package mpi
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"scimpich/internal/datatype"
+	"scimpich/internal/fault"
+	"scimpich/internal/obs/flight"
+)
+
+// TestNamesUnchanged: a world cuts each kind's names from one string, and
+// every name must read exactly what formatting it on its own did. On a 3x2
+// world whose node 2 crashes, that is each rank, device and node actor, each
+// link of the ring, the adapters and the memory buses, and the deadlock
+// report of a rank left waiting. (The one-sided windows' trace actor is
+// osc.TestWindowTraceActorIsRankName.)
+func TestNamesUnchanged(t *testing.T) {
+	const nodes, ppn = 3, 2
+	cfg := DefaultConfig(nodes, ppn)
+	cfg.SCI.Fault = fault.New(1).CrashNode(2, time.Microsecond)
+	rec := flight.New(0)
+	cfg.Flight = rec
+	f := NewFabric(cfg)
+	w := NewWorldOn(f, cfg)
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s is %q, want %q", what, got, want)
+		}
+	}
+	for r, rk := range w.ranks {
+		check("rank actor", rk.actor, fmt.Sprintf("rank%d", r))
+		check("device actor", rk.dev.actor, fmt.Sprintf("dev%d", r))
+	}
+	for n := 0; n < nodes; n++ {
+		egress, ingress := w.ic.Node(n).Links()
+		check("egress link", egress.Name(), fmt.Sprintf("node%d-egress", n))
+		check("ingress link", ingress.Name(), fmt.Sprintf("node%d-ingress", n))
+		check("ring segment", w.ic.Ring.Link(n).Name(), fmt.Sprintf("seg%d->%d", n, (n+1)%nodes))
+		check("memory bus", w.buses[n].Link().Name(), fmt.Sprintf("node%d-membus", n))
+	}
+
+	// Rank 5 waits for a message nobody sends: the run ends in the deadlock
+	// panic, which names it.
+	var report string
+	func() {
+		defer func() { report = fmt.Sprint(recover()) }()
+		w.Run(func(c *Comm) {
+			if c.Rank() == 5 {
+				c.Recv(make([]byte, 8), 8, datatype.Byte, 0, 1)
+			}
+		})
+	}()
+	check("deadlock report", report, "sim: deadlock: 1 process(es) still blocked at 1µs with no pending events: rank5")
+
+	actors := map[string]bool{}
+	for _, a := range rec.Snapshot("").Actors {
+		actors[a.Actor] = true
+	}
+	for _, want := range []string{"rank0", "rank5", "node2", "faultplan", "topology"} {
+		if !actors[want] {
+			t.Errorf("the flight recorder has no actor %q (it has %v)", want, actors)
+		}
+	}
+}

@@ -13,21 +13,36 @@ import (
 // the per-pair staging areas used to move emulated-put/get data with the
 // standard transfer mechanisms.
 
-// SetOSCHandler registers the handler that services one-sided requests
-// arriving at this rank. It runs on the rank's device process; src is the
-// requesting rank and the returned value travels back to the caller.
-func (c *Comm) SetOSCHandler(h func(p *sim.Proc, src int, req any) any) {
-	dev := c.rk.dev
-	dev.oscHandler = func(p *sim.Proc, env *envelope) {
-		reply := h(p, env.src, env.osc)
-		if env.reply == nil {
-			return // fire-and-forget notification
-		}
-		c.w.ring(p, c.rk.id, env.src, envelope{
-			kind: envOSCReply, src: c.rk.id, dst: env.src,
-			osc: reply, reply: env.reply,
-		}, false)
+// OSCHandler serves the one-sided requests that arrive at a rank (the osc
+// package's remote handler). Its methods run on the rank's device process;
+// src is the requesting rank.
+type OSCHandler interface {
+	// ServeCall serves an OSCCallTimeout request and returns the value that
+	// travels back to the caller.
+	ServeCall(p *sim.Proc, src int, req any) any
+	// ServeNote serves an OSCNotify notification.
+	ServeNote(p *sim.Proc, src, kind, win, round int)
+}
+
+// SetOSCHandler registers the handler of the one-sided requests arriving at
+// this rank.
+func (c *Comm) SetOSCHandler(h OSCHandler) { c.rk.dev.osc = h }
+
+// serveOSC hands a one-sided request to the rank's handler and sends a
+// call's reply back.
+func (d *device) serveOSC(p *sim.Proc, env *envelope) {
+	if d.osc == nil {
+		panic("mpi: one-sided request with no handler registered")
 	}
+	if env.reply == nil {
+		d.osc.ServeNote(p, env.src, env.tag, env.ctx, env.chunk)
+		return
+	}
+	reply := d.osc.ServeCall(p, env.src, env.osc)
+	d.rk.w.ring(p, d.rk.id, env.src, envelope{
+		kind: envOSCReply, src: d.rk.id, dst: env.src,
+		osc: reply, reply: env.reply,
+	}, false)
 }
 
 // oscReply unwraps a one-sided reply taken off its reply channel; the
@@ -76,12 +91,15 @@ func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.
 	return c.oscReply(v), nil
 }
 
-// OSCNotify invokes the remote handler without waiting for a reply.
-func (c *Comm) OSCNotify(target int, req any, interrupt bool) {
+// OSCNotify invokes the remote handler's ServeNote without waiting for a
+// reply. A notification is three integers, which the envelope carries in its
+// own fields: with no reply to mark when the handler is done with a request
+// record, it has none to allocate.
+func (c *Comm) OSCNotify(target, kind, win, round int, interrupt bool) {
 	c.countOSCDelivery(interrupt)
 	c.w.ring(c.p, c.rk.id, target, envelope{
 		kind: envOSC, src: c.rk.id, dst: target,
-		osc: req, reply: nil,
+		tag: kind, ctx: win, chunk: round,
 	}, interrupt)
 }
 

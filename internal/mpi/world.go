@@ -9,7 +9,6 @@
 package mpi
 
 import (
-	"fmt"
 	"time"
 
 	"scimpich/internal/fault"
@@ -155,10 +154,11 @@ type World struct {
 	fabric sim.Fabric
 	host   sim.Host // the hosting locale's scheduling surface
 	ic     *sci.Interconnect
-	buses  []*shmem.Bus
+	buses  []shmem.Bus
 	ranks  []*rank
 
 	size       int
+	identity   []int // world ranks 0..size-1, for groupRanks
 	exchange   map[string][]any
 	seq        map[seqKey][]int
 	ctxCounter int
@@ -318,7 +318,6 @@ type rank struct {
 	actor      string       // cached "rank<i>" (avoids Sprintf on the send hot path)
 	fl         *flight.Ring // cached flight ring for the actor (nil without a recorder)
 	dev        *device
-	p          *sim.Proc // the user process, set when spawned
 	reqCounter int64
 
 	// ports[i] is the memory this rank exposes to sender i.
@@ -371,16 +370,20 @@ func (w *World) oscOff() int64 {
 }
 
 // newWorld wires the cluster — interconnect, per-node buses, ranks, ports —
-// confined to locale 0 of the fabric.
+// confined to locale 0 of the fabric. Each kind of record is one slab for
+// the whole world — the ranks, their devices, each kind of per-pair record,
+// the names of each kind — and rank r's share of a per-rank kind is row r of
+// its slab (see row), so a world costs O(kinds) objects, not O(ranks).
 func newWorld(f sim.Fabric, cfg Config) *World {
 	if cfg.Nodes < 1 || cfg.ProcsPerNode < 1 {
 		panic("mpi: need at least one node and one proc per node")
 	}
-	w := &World{cfg: cfg, fabric: f, host: f.Locale(0), size: cfg.Nodes * cfg.ProcsPerNode}
+	n := cfg.Nodes * cfg.ProcsPerNode
+	w := &World{cfg: cfg, fabric: f, host: f.Locale(0), size: n}
 	e := w.host
 	w.met = newWorldMetrics(cfg.Metrics)
-	w.suspects = make([]bool, w.size)
-	w.revoked = make([]bool, w.size)
+	flags := make([]bool, 2*n) // suspects, then revoked
+	w.suspects, w.revoked = flags[:n:n], flags[n:]
 	if cfg.Nodes > 1 {
 		if cfg.SCI.Metrics == nil {
 			cfg.SCI.Metrics = cfg.Metrics
@@ -396,44 +399,62 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	// cross-transport interactions stay in one simulation.
 	net := flow.NewNetworkOn(e)
 	net.SetMetrics(cfg.Metrics)
-	w.buses = make([]*shmem.Bus, cfg.Nodes)
-	for n := range w.buses {
-		w.buses[n] = shmem.NewBus(e, net, fmt.Sprintf("node%d", n), cfg.Shm)
-	}
-	w.ranks = make([]*rank, w.size)
+	w.buses = shmem.NewBuses(e, net, "node", cfg.Nodes, cfg.Shm)
+	// The free lists of the records every rank takes one of at once (a
+	// message's envelope, a receive's Request) hold the world's first block
+	// of them (see sim.TakeFree).
+	w.envFree = make([]*envelope, 0, n)
+	w.reqFree = make([]*Request, 0, n)
+
+	ranks, devs := make([]rank, n), make([]device, n)
+	w.ranks = make([]*rank, n)
+	actors, devActors := obs.NewNumbered("rank", n, ""), obs.NewNumbered("dev", n, "")
+	lastSeq := make([]int64, n*n)
+	posted := make([]*Request, n) // every device's room for its first posted receive
 	topo := cfg.Flight.Actor("topology")
-	for r := range w.ranks {
-		rk := &rank{w: w, id: r, node: r / cfg.ProcsPerNode, actor: fmt.Sprintf("rank%d", r)}
+	for r := range ranks {
+		rk := &ranks[r]
+		*rk = rank{w: w, id: r, node: r / cfg.ProcsPerNode, actor: actors.At(r), dev: &devs[r]}
 		rk.fl = cfg.Flight.Actor(rk.actor)
 		// The topology meta ring maps ranks to nodes for the post-mortem
 		// analyzer; a dedicated ring so long runs cannot evict it.
 		topo.Record(0, flight.KRankNode, int64(r), int64(rk.node), 0, 0)
+		devs[r] = device{rk: rk, actor: devActors.At(r), lastSeq: row(lastSeq, r, n), posted: row(posted, r, 1)[:0]}
 		w.ranks[r] = rk
 	}
-	lastSeq := make([]int64, w.size*w.size) // every device's row, one allocation
-	for r, rk := range w.ranks {
-		rk.buildPorts()
-		rk.dev = newDevice(rk, lastSeq[r*w.size:(r+1)*w.size])
+
+	local, remote := cfg.ProcsPerNode-1, n-cfg.ProcsPerNode // senders per receiver
+	ports, regions := make([]port, n*n), make([]shmem.Region, n*local)
+	segs, views := make([]sci.Segment, n*remote), make([]sci.Mapping, n*remote)
+	if w.ic != nil {
+		w.ic.ReserveSegments(cfg.ProcsPerNode * remote)
 	}
-	for _, rk := range w.ranks {
-		rk.buildSendPorts()
+	for r, rk := range w.ranks {
+		rk.ports = row(ports, r, n)
+		rk.buildPorts(row(regions, r, local), row(segs, r, remote), row(views, r, remote))
+	}
+	out, credits, imports := make([]sendPort, n*n), make([]int, n*n*eagerSlots), make([]sci.Mapping, n*remote)
+	for r, rk := range w.ranks {
+		rk.out = row(out, r, n)
+		rk.buildSendPorts(row(credits, r, n*eagerSlots), row(imports, r, remote))
 	}
 	return w
 }
 
-// buildPorts allocates the receive-side memory this rank exposes to every
+// row returns row r of a slab of rows of n records, capped at its end so
+// that an append to it cannot run into the next row.
+func row[T any](slab []T, r, n int) []T {
+	return slab[r*n : (r+1)*n : (r+1)*n]
+}
+
+// buildPorts sets up the receive-side memory this rank exposes to every
 // sender: intra-node senders get a shm region, remote senders an SCI
-// segment. The per-pair records live in one slab per kind and rank, so a
-// world wires O(ranks) objects; the node hands the segments of one slab
-// consecutive ids in source order, which fault plans address from t = 0
-// (see docs/FAULTS.md).
-func (rk *rank) buildPorts() {
+// segment, in this rank's rows of the world's slabs (regions, the segments
+// and the owner's own views of them). The node hands the segments of one
+// rank consecutive ids in source order, which fault plans address from
+// t = 0 (see docs/FAULTS.md).
+func (rk *rank) buildPorts(regions []shmem.Region, segs []sci.Segment, views []sci.Mapping) {
 	w := rk.w
-	rk.ports = make([]port, w.size)
-	remote := w.size - w.cfg.ProcsPerNode
-	regions := make([]shmem.Region, w.cfg.ProcsPerNode-1)
-	segs := make([]sci.Segment, remote)
-	local := make([]sci.Mapping, remote) // this rank's own views of segs
 	if w.ic != nil {
 		w.ic.Node(rk.node).ExportSlab(segs, w.portSize())
 	}
@@ -453,7 +474,7 @@ func (rk *rank) buildPorts() {
 		// The owning rank's local view; the sender imports the segment in
 		// buildSendPorts.
 		pt.segID = segs[nr].ID()
-		pt.mem = smi.FromSCI(w.importInto(&local[nr], rk.node, rk.node, pt.segID))
+		pt.mem = smi.FromSCI(w.importInto(&views[nr], rk.node, rk.node, pt.segID))
 		nr++
 	}
 }
@@ -467,13 +488,11 @@ func (w *World) importInto(m *sci.Mapping, from, owner, segID int) *sci.Mapping 
 	return m
 }
 
-// buildSendPorts creates this rank's sender-side view of each peer's port,
-// the imports in one slab per rank like the ports themselves.
-func (rk *rank) buildSendPorts() {
+// buildSendPorts sets up this rank's sender-side view of each peer's port:
+// every pair's credit FIFO and the imports of remote ports are this rank's
+// rows of the world's slabs.
+func (rk *rank) buildSendPorts(credits []int, imports []sci.Mapping) {
 	w := rk.w
-	rk.out = make([]sendPort, w.size)
-	rings := make([]int, w.size*eagerSlots) // every pair's credit FIFO, one allocation
-	imports := make([]sci.Mapping, w.size-w.cfg.ProcsPerNode)
 	nr := 0 // remote receivers wired so far
 	for dst := 0; dst < w.size; dst++ {
 		if dst == rk.id {
@@ -487,7 +506,7 @@ func (rk *rank) buildSendPorts() {
 			out.mem = smi.FromSCI(w.importInto(&imports[nr], rk.node, peer.node, peer.ports[rk.id].segID))
 			nr++
 		}
-		out.credits.Init(rings[dst*eagerSlots : (dst+1)*eagerSlots])
+		out.credits.Init(row(credits, dst, eagerSlots))
 	}
 }
 

@@ -53,7 +53,7 @@ func (w *Win) Abandon() {
 // All surviving ranks must Rebind before creating new windows.
 func (s *System) Rebind(c *mpi.Comm) {
 	s.c = c
-	c.SetOSCHandler(s.handle)
+	c.SetOSCHandler(s)
 }
 
 // lostTarget is the fast-fail reachability check run before (and after) an

@@ -178,7 +178,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 					w.Post([]int{0})
 					w.Wait([]int{0})
 				case 2:
-					c.OSCNotify(c.GroupToWorld(0), &oscReq{kind: reqPost, win: w.id}, false)
+					c.OSCNotify(c.GroupToWorld(0), int(reqPost), w.id, 0, false)
 				}
 				c.Barrier()
 			})
@@ -196,7 +196,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 					w.Post([]int{0})
 					w.Wait([]int{0})
 				case 2:
-					c.OSCNotify(c.GroupToWorld(1), &oscReq{kind: reqComplete, win: w.id}, false)
+					c.OSCNotify(c.GroupToWorld(1), int(reqComplete), w.id, 0, false)
 				}
 				c.Barrier()
 			})

@@ -37,9 +37,10 @@ const (
 // that wait for a reply — are recycled by System.call under the rule of
 // their reply channel (see mpi.Comm.OSCCallTimeout): a record goes back
 // once its reply was read, and one whose watchdog expired is left to the
-// GC, since the handler may still read it. A notification (OSCNotify: fence
-// arrivals, post, complete) has no reply to mark the end of its reading and
-// allocates its record.
+// GC, since the handler may still read it. A notification (fence arrivals,
+// post, complete) has no reply to mark the end of its reading, so it has no
+// record: mpi.Comm.OSCNotify carries its kind, window and round as integers,
+// and ServeNote rebuilds the request on its stack.
 type oscReq struct {
 	kind   reqKind
 	win    int
@@ -58,12 +59,23 @@ func (s *System) memModel() *memmodel.Model {
 	return s.c.World().MemModel()
 }
 
-// handle services one handler request on the device process.
-func (s *System) handle(p *sim.Proc, src int, req any) any {
+// ServeCall services one call request on the device process.
+func (s *System) ServeCall(p *sim.Proc, src int, req any) any {
 	r, ok := req.(*oscReq)
 	if !ok {
 		panic(fmt.Sprintf("osc: unexpected handler request %T", req))
 	}
+	return s.serve(p, src, r)
+}
+
+// ServeNote services one notification on the device process.
+func (s *System) ServeNote(p *sim.Proc, src, kind, win, round int) {
+	r := oscReq{kind: reqKind(kind), win: win, round: round}
+	s.serve(p, src, &r)
+}
+
+// serve services one handler request and returns its reply.
+func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 	w, ok := s.wins[r.win]
 	if !ok {
 		// Not a programming error under recovery: a stale request for a

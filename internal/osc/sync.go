@@ -68,7 +68,7 @@ func (w *Win) FenceChecked() error {
 	me := c.Rank()
 	for r := 0; r < c.Size(); r++ {
 		if r != me {
-			c.OSCNotify(c.GroupToWorld(r), &oscReq{kind: reqFence, win: w.id, round: round}, false)
+			c.OSCNotify(c.GroupToWorld(r), int(reqFence), w.id, round, false)
 		}
 	}
 	need := c.Size() - 1
@@ -132,7 +132,7 @@ func (w *Win) Post(group []int) {
 	w.stats.Posts++
 	c := w.sys.c
 	for _, origin := range group {
-		c.OSCNotify(c.GroupToWorld(origin), &oscReq{kind: reqPost, win: w.id}, false)
+		c.OSCNotify(c.GroupToWorld(origin), int(reqPost), w.id, 0, false)
 	}
 }
 
@@ -173,7 +173,7 @@ func (w *Win) Complete(group []int) {
 	w.syncViews()
 	c := w.sys.c
 	for _, t := range group {
-		c.OSCNotify(c.GroupToWorld(t), &oscReq{kind: reqComplete, win: w.id}, false)
+		c.OSCNotify(c.GroupToWorld(t), int(reqComplete), w.id, 0, false)
 	}
 	w.ep = epochNone
 }

@@ -1,6 +1,7 @@
 package osc
 
 import (
+	"fmt"
 	"testing"
 
 	"scimpich/internal/allocwin"
@@ -66,6 +67,31 @@ func TestGuardedTraceSites(t *testing.T) {
 	if t.Failed() {
 		for line, n := range got {
 			t.Logf("%d x %s", n, line)
+		}
+	}
+}
+
+// TestWindowTraceActorIsRankName: a window takes its trace actor from the
+// rank's cached name, which reads exactly "rank<i>" on every rank of a 3x2
+// world (the rest of the world's names are mpi.TestNamesUnchanged's).
+func TestWindowTraceActorIsRankName(t *testing.T) {
+	cfg := mpi.DefaultConfig(3, 2)
+	tr := obs.NewTrace(0)
+	cfg.Tracer = tr
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		w := mkWin(c, 4096, false)
+		w.Fence()
+		w.Fence() // ends the epoch the first one opened
+	})
+	epochs := map[string]int{}
+	for _, s := range tr.Spans() {
+		if s.Category == "osc" && s.Name == "epoch" {
+			epochs[s.Actor]++
+		}
+	}
+	for r := 0; r < 6; r++ {
+		if actor := fmt.Sprintf("rank%d", r); epochs[actor] != 1 {
+			t.Errorf("%d epoch spans on actor %q, want 1 (spans by actor: %v)", epochs[actor], actor, epochs)
 		}
 	}
 }

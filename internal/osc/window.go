@@ -52,7 +52,7 @@ type System struct {
 // metrics registry, the world publishes its windows' counts (see publish).
 func NewSystem(c *mpi.Comm) *System {
 	s := &System{c: c, wins: make(map[int]*Win), met: newOSCMetrics(c.Metrics())}
-	c.SetOSCHandler(s.handle)
+	c.SetOSCHandler(s)
 	if c.Metrics() != nil {
 		s.freed = new(Stats)
 		c.World().OnPublish(s.publish)
@@ -250,7 +250,7 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	w := &Win{
 		sys: s, id: id, cfg: cfg,
 		shared: seg, private: buf,
-		actor:      fmt.Sprintf("rank%d", c.WorldRank()),
+		actor:      c.Actor(),
 		fl:         c.FlightRing(),
 		lastTarget: -1, lockHeld: -1,
 		postQ:        sim.NewChan(1 << 16),

@@ -7,6 +7,8 @@ package ring
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"scimpich/internal/flow"
@@ -31,28 +33,35 @@ func BandwidthForMHz(mhz float64) float64 {
 // Topology is a single SCI ringlet.
 type Topology struct {
 	n     int
-	links []*flow.Link
+	links []flow.Link
 }
 
 // New builds a ringlet of n nodes with the given per-segment bandwidth in
-// bytes/second. model may be nil for ideal links.
+// bytes/second. model may be nil for ideal links. The links are one slab and
+// their names ("seg0->1", ..., "seg<n-1>->0") are cut from one string.
 func New(n int, linkBW float64, model flow.CongestionModel) *Topology {
 	if n < 1 {
 		panic("ring: need at least one node")
 	}
-	t := &Topology{n: n}
-	t.links = make([]*flow.Link, n)
-	for i := range t.links {
-		t.links[i] = flow.NewLink(fmt.Sprintf("seg%d->%d", i, (i+1)%n), linkBW, model)
+	var names strings.Builder
+	var digits [20]byte
+	names.Grow(n * (len("seg->") + 2*len(strconv.AppendInt(digits[:0], int64(n-1), 10))))
+	name := func(i int) string {
+		start := names.Len()
+		names.WriteString("seg")
+		names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		names.WriteString("->")
+		names.Write(strconv.AppendInt(digits[:0], int64((i+1)%n), 10))
+		return names.String()[start:]
 	}
-	return t
+	return &Topology{n: n, links: flow.NewLinks(n, linkBW, model, name)}
 }
 
 // Nodes returns the number of nodes on the ringlet.
 func (t *Topology) Nodes() int { return t.n }
 
 // Link returns the segment leaving node i (toward node (i+1) mod n).
-func (t *Topology) Link(i int) *flow.Link { return t.links[i] }
+func (t *Topology) Link(i int) *flow.Link { return &t.links[i] }
 
 // Route returns the segments a transfer from node a to node b traverses,
 // in order. A self-route (a == b) is empty: local accesses never enter the
@@ -66,7 +75,7 @@ func (t *Topology) Route(a, b int) []*flow.Link {
 	}
 	var path []*flow.Link
 	for i := a; i != b; i = (i + 1) % t.n {
-		path = append(path, t.links[i])
+		path = append(path, &t.links[i])
 	}
 	return path
 }
@@ -77,7 +86,7 @@ func (t *Topology) Route(a, b int) []*flow.Link {
 func (t *Topology) FullLoop(a int) []*flow.Link {
 	path := make([]*flow.Link, 0, t.n)
 	for i := 0; i < t.n; i++ {
-		path = append(path, t.links[(a+i)%t.n])
+		path = append(path, &t.links[(a+i)%t.n])
 	}
 	return path
 }
@@ -92,7 +101,7 @@ type Segment struct {
 func (t *Topology) Segments() []Segment {
 	segs := make([]Segment, t.n)
 	for i := range segs {
-		segs[i] = Segment{Link: t.links[i], From: i, To: (i + 1) % t.n}
+		segs[i] = Segment{Link: &t.links[i], From: i, To: (i + 1) % t.n}
 	}
 	return segs
 }
@@ -101,8 +110,8 @@ func (t *Topology) Segments() []Segment {
 // lookahead source for partitioned simulations of this ring) and returns
 // the topology for chained construction.
 func (t *Topology) SetLinkLatency(d time.Duration) *Topology {
-	for _, l := range t.links {
-		l.SetLatency(d)
+	for i := range t.links {
+		t.links[i].SetLatency(d)
 	}
 	return t
 }

@@ -33,7 +33,7 @@ func (ic *Interconnect) RestoreNode(n int) {
 // it): existing mappings fail subsequent accesses with ErrSegmentLost and
 // new imports no longer find it.
 func (ic *Interconnect) RevokeSegment(owner, segID int) {
-	n := ic.nodes[owner]
+	n := &ic.nodes[owner]
 	if seg := n.segment(segID); seg != nil {
 		seg.revoked = true
 		n.segs[segID] = nil

@@ -1,7 +1,6 @@
 package sci
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -24,7 +23,7 @@ type Interconnect struct {
 	Ring *ring.Topology
 	Cfg  Config
 
-	nodes []*Node
+	nodes []Node
 	paths [][]flow.Hop // Node.path by from*len(nodes)+owner, each built on first use
 	met   icMetrics
 }
@@ -86,8 +85,8 @@ func newICMetrics(r *obs.Registry) icMetrics {
 // Publish adds every node's Stats to r, once, after the run: each sci.*
 // counter is the sum over the nodes.
 func (ic *Interconnect) Publish(r *obs.Registry) {
-	for _, n := range ic.nodes {
-		r.AddStats("sci", n.stats)
+	for i := range ic.nodes {
+		r.AddStats("sci", ic.nodes[i].stats)
 	}
 }
 
@@ -166,7 +165,9 @@ func (n *Node) countDMA(bytes int64, descs int) {
 	}
 }
 
-// New builds the simulated cluster.
+// New builds the simulated cluster. The nodes, the adapters' egress links
+// and their ingress links are one slab each, and each kind's names are cut
+// from one string.
 func New(e sim.Host, cfg Config) *Interconnect {
 	if cfg.Nodes < 1 {
 		panic("sci: need at least one node")
@@ -183,16 +184,13 @@ func New(e sim.Host, cfg Config) *Interconnect {
 	}
 	ic.Net.SetMetrics(cfg.Metrics)
 	ic.met = newICMetrics(cfg.Metrics)
-	ic.nodes = make([]*Node, cfg.Nodes)
+	n := cfg.Nodes
+	names := obs.NewNumbered("node", n, "")
+	egress := flow.NewLinks(n, cfg.PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-egress").At)
+	ingress := flow.NewLinks(n, cfg.PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-ingress").At)
+	ic.nodes = make([]Node, n)
 	for i := range ic.nodes {
-		n := &Node{
-			ic:      ic,
-			id:      i,
-			name:    fmt.Sprintf("node%d", i),
-			egress:  flow.NewLink(fmt.Sprintf("node%d-egress", i), cfg.PIOWritePeakBW, nil),
-			ingress: flow.NewLink(fmt.Sprintf("node%d-ingress", i), cfg.PIOWritePeakBW, nil),
-		}
-		ic.nodes[i] = n
+		ic.nodes[i] = Node{ic: ic, id: i, name: names.At(i), egress: &egress[i], ingress: &ingress[i]}
 	}
 	ic.applyPlan()
 	return ic
@@ -217,7 +215,7 @@ func (ic *Interconnect) applyPlan() {
 		if ev.Node < 0 || ev.Node >= len(ic.nodes) {
 			continue
 		}
-		flr := ic.Cfg.Flight.Actor(fmt.Sprintf("node%d", ev.Node))
+		flr := ic.Cfg.Flight.Actor(ic.nodes[ev.Node].name)
 		ic.E.At(ev.At, func() {
 			if ev.Up {
 				ic.RestoreNode(ev.Node)
@@ -233,7 +231,7 @@ func (ic *Interconnect) applyPlan() {
 		if ev.Owner < 0 || ev.Owner >= len(ic.nodes) {
 			continue
 		}
-		flr := ic.Cfg.Flight.Actor(fmt.Sprintf("node%d", ev.Owner))
+		flr := ic.Cfg.Flight.Actor(ic.nodes[ev.Owner].name)
 		ic.E.At(ev.At, func() {
 			ic.RevokeSegment(ev.Owner, ev.Seg)
 			flr.Record(ic.E.Now(), flight.KSegRevoked, int64(ev.Owner), int64(ev.Seg), 0, 0)
@@ -246,13 +244,16 @@ func (ic *Interconnect) applyPlan() {
 func (ic *Interconnect) Plan() *fault.Plan { return ic.Cfg.Fault }
 
 // Node returns node i.
-func (ic *Interconnect) Node(i int) *Node { return ic.nodes[i] }
+func (ic *Interconnect) Node(i int) *Node { return &ic.nodes[i] }
 
 // Nodes returns the number of nodes.
 func (ic *Interconnect) Nodes() int { return len(ic.nodes) }
 
 // ID returns the node's ring position.
 func (n *Node) ID() int { return n.id }
+
+// Links returns the adapter's egress and ingress links.
+func (n *Node) Links() (egress, ingress *flow.Link) { return n.egress, n.ingress }
 
 // path returns the flow path for a transfer from node n to the segment
 // owner: adapter egress, the ring segments to the target, adapter ingress,

@@ -66,6 +66,22 @@ func (n *Node) ExportSlab(slab []Segment, size int64) {
 	}
 }
 
+// ReserveSegments makes room in every node's export table for perNode more
+// segments, the tables of all nodes in one allocation, so that the exports
+// which follow grow none of them.
+func (ic *Interconnect) ReserveSegments(perNode int) {
+	total := 0
+	for i := range ic.nodes {
+		total += len(ic.nodes[i].segs) + perNode
+	}
+	tables := make([]*Segment, total)
+	for i := range ic.nodes {
+		n := &ic.nodes[i]
+		k := copy(tables, n.segs)
+		n.segs, tables = tables[:k:k+perNode], tables[k+perNode:]
+	}
+}
+
 // ExportBuffer exports an existing buffer as a segment (the paper's [13]:
 // recent SCI drivers can expose arbitrary user memory). The caller keeps
 // direct access to buf; windows use this to share one backing array between

@@ -16,6 +16,7 @@ import (
 
 	"scimpich/internal/flow"
 	"scimpich/internal/memmodel"
+	"scimpich/internal/obs"
 	"scimpich/internal/sim"
 )
 
@@ -49,24 +50,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// NewBus builds a memory system on the engine. A private flow network is
-// created if net is nil.
-func NewBus(e sim.Host, net *flow.Network, name string, cfg Config) *Bus {
+// NewBuses builds the memory systems of n nodes on the engine, in one slab;
+// bus i's link is named prefix+i+"-membus", and the links are one slab too.
+// A private flow network is created if net is nil.
+func NewBuses(e sim.Host, net *flow.Network, prefix string, n int, cfg Config) []Bus {
 	if cfg.Mem == nil {
 		panic("shmem: config requires a memory model")
 	}
 	if net == nil {
 		net = flow.NewNetworkOn(e)
 	}
-	return &Bus{
-		net: net,
-		bus: [1]flow.Hop{{Link: flow.NewLink(fmt.Sprintf("%s-membus", name), cfg.BusBW, cfg.Congestion), Weight: 1}},
-		mem: cfg.Mem,
+	links := flow.NewLinks(n, cfg.BusBW, cfg.Congestion, obs.NewNumbered(prefix, n, "-membus").At)
+	buses := make([]Bus, n)
+	for i := range buses {
+		buses[i] = Bus{net: net, bus: [1]flow.Hop{{Link: &links[i], Weight: 1}}, mem: cfg.Mem}
 	}
+	return buses
 }
 
 // Mem returns the bus's memory hierarchy model.
 func (b *Bus) Mem() *memmodel.Model { return b.mem }
+
+// Link returns the memory bus link.
+func (b *Bus) Link() *flow.Link { return b.bus[0].Link }
 
 // Charge bills an arbitrary memory operation of `bytes` bytes with the
 // given pre-computed cost, contending on the bus for large operations.

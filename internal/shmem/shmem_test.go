@@ -11,7 +11,7 @@ import (
 
 func testBus() (*sim.Engine, *Bus) {
 	e := sim.NewEngine()
-	return e, NewBus(e, nil, "node0", DefaultConfig())
+	return e, &NewBuses(e, nil, "node", 1, DefaultConfig())[0]
 }
 
 func fill(n int) []byte {
@@ -84,7 +84,7 @@ func TestBusContention(t *testing.T) {
 	e.Run()
 
 	e2 := sim.NewEngine()
-	b2 := NewBus(e2, nil, "node0", DefaultConfig())
+	b2 := &NewBuses(e2, nil, "node", 1, DefaultConfig())[0]
 	r2 := b2.Alloc(64 << 20)
 	for i := 0; i < 2; i++ {
 		off := int64(i) * n

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"scimpich/internal/allocwin"
 )
 
 // TestStaleTimerCancelIsNoop pins the generation check on recycled events: a
@@ -70,6 +72,53 @@ func TestAllocsEventBlocks(t *testing.T) {
 		if unsafe.SliceData(e.free) != free || len(e.free) != c.made {
 			t.Errorf("%d events fired: the freelist moved, or holds %d of the %d events made", c.queued, len(e.free), c.made)
 		}
+	}
+}
+
+// TestAllocsProcBlocks: a host makes its Procs in blocks like its events, and
+// grows the registry with each block, so spawning 64 processes that never
+// run costs three blocks (16, 16, 32) and three registry arrays, not 64
+// objects.
+func TestAllocsProcBlocks(t *testing.T) {
+	e := NewEngine()
+	body := func(*Proc) { t.Error("the body of a daemon nothing woke ran") }
+	win := allocwin.New(t)
+	win.Open()
+	for i := 0; i < 64; i++ {
+		e.GoDaemon("idle", body)
+	}
+	win.Close()
+	t.Logf("64 spawns: %d objects", win.Objects())
+	if win.Objects() > 8 && !allocwin.RaceEnabled {
+		t.Errorf("64 spawns allocated %d objects, want at most 8: a Proc is an object of its own again", win.Objects())
+	}
+	e.Run()
+}
+
+// TestTakeFreeRefillsInBlocks: an empty free list is refilled with a block of
+// as many records as it has capacity for, so an owner that sizes the list
+// for the records it has in use at once pays one allocation for them, and
+// taking them all back never moves the list.
+func TestTakeFreeRefillsInBlocks(t *testing.T) {
+	type rec struct{ a, b int64 }
+	free := make([]*rec, 0, 16)
+	taken := make([]*rec, 0, 16)
+	win := allocwin.New(t)
+	win.Open()
+	for i := 0; i < 16; i++ {
+		taken = append(taken, TakeFree(&free))
+	}
+	win.Close()
+	if win.Objects() != 1 && !allocwin.RaceEnabled {
+		t.Errorf("16 takes from a list sized for 16 allocated %d objects, want the one block", win.Objects())
+	}
+	list := unsafe.SliceData(free)
+	free = append(free, taken...)
+	if unsafe.SliceData(free) != list {
+		t.Error("taking back the 16 records moved the list")
+	}
+	if r := TakeFree(&free); *r != (rec{}) || len(free) != 15 {
+		t.Errorf("a take from the full list: record %+v, %d left; want a zero record and 15", *r, len(free))
 	}
 }
 

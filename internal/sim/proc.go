@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -30,6 +31,9 @@ type procRuntime struct {
 	cur    *Proc
 	nprocs int     // non-daemon procs spawned and not yet finished
 	procs  []*Proc // registry of all spawned procs (deadlock reports name them)
+	// procBlock holds the Procs of the current block not handed out yet (see
+	// newProc).
+	procBlock []Proc
 
 	switches uint64 // control transfers to a process (dispatch calls)
 	elided   uint64 // sleeps that returned without one (see Proc.Sleep)
@@ -156,12 +160,27 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 	if rt.released {
 		panic(fmt.Sprintf("sim: process %q spawned on a host that already ran: %s", name, releasedRule))
 	}
-	p := &Proc{rt: rt, host: h, name: name, body: body, daemon: daemon, parked: daemon}
+	p := rt.newProc()
+	*p = Proc{rt: rt, host: h, name: name, body: body, daemon: daemon, parked: daemon}
 	rt.procs = append(rt.procs, p)
 	if !daemon {
 		rt.nprocs++
 		h.AfterCall(0, dispatchProc, p)
 	}
+	return p
+}
+
+// newProc hands out the next Proc of the current block. Procs are made in
+// blocks, as many as were made so far and at least 16, and the registry grows
+// with each block, so n spawns cost O(log n) allocations, not n.
+func (rt *procRuntime) newProc() *Proc {
+	if len(rt.procBlock) == 0 {
+		n := max(16, len(rt.procs))
+		rt.procBlock = make([]Proc, n)
+		rt.procs = slices.Grow(rt.procs, n)
+	}
+	p := &rt.procBlock[0]
+	rt.procBlock = rt.procBlock[1:]
 	return p
 }
 

@@ -154,14 +154,21 @@ func (p *Proc) AwaitAll(fs ...*Future) {
 	}
 }
 
-// TakeFree pops a record off a free list, or allocates a zero one when the
-// list is empty. A free list is a plain LIFO slice its owner appends to: the
-// processes and callbacks of one host run one at a time, so it needs no
-// lock, and it is never pre-sized, so it holds only what was in use at once.
+// TakeFree pops a record off a free list. A free list is a plain LIFO slice
+// its owner appends to: the processes and callbacks of one host run one at a
+// time, so it needs no lock. An empty list is refilled with a block of zero
+// records as large as the list's capacity (at least one). The capacity grows
+// to the most records that came back at once, and an owner that knows how
+// many it will have in use at once sizes the list for them before the first
+// take, so they cost one allocation.
 func TakeFree[T any](free *[]*T) *T {
 	n := len(*free)
 	if n == 0 {
-		return new(T)
+		block := make([]T, max(1, cap(*free)))
+		for i := range block[1:] {
+			*free = append(*free, &block[i+1])
+		}
+		return &block[0]
 	}
 	r := (*free)[n-1]
 	(*free)[n-1] = nil

@@ -30,7 +30,7 @@ func TestMemConformance(t *testing.T) {
 			return FromSCI(ic.Node(0).MustImport(0, ic.Node(0).Export(confSize).ID()))
 		}},
 		{"shm", false, false, func(e *sim.Engine) Mem {
-			return FromShm(shmem.NewBus(e, nil, "n0", shmem.DefaultConfig()).Alloc(confSize))
+			return FromShm(shmem.NewBuses(e, nil, "n", 1, shmem.DefaultConfig())[0].Alloc(confSize))
 		}},
 	}
 
