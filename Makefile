@@ -86,9 +86,12 @@ shard-stress:
 # (TestAllocsProcBlocks), a free list sized for 16 records refilled in one
 # block (TestTakeFreeRefillsInBlocks), none for a world communicator's group
 # (TestGroupRanksAllocatesNothing), no process started that the run does not
-# need; a torus run at its construction cost; and the per-message
-# budgets, all measured at tags >= 256: a 64 B round trip (no allocation at
-# two tag pairs, at most 4 process switches, 24 events), a 4 KiB eager
+# need; a torus run within one constant of objects at any machine size
+# (TestAllocsTorusRunBudget: 69 for 64 or 216 nodes on one shard, the larger
+# at most 20 above the smaller) and a torus hop count at none
+# (TestHopCountAllocFree); and the per-message budgets, all measured at
+# tags >= 256: a 64 B round trip (no allocation at two tag pairs, at most 4
+# process switches, 24 events), a 4 KiB eager
 # message (none), a 256 KiB rendezvous message on every data engine, the
 # staged path included (none), an 8-rank allreduce on every algorithm (at
 # most 4 per rank), a put + fence epoch (none), an emulated one-sided put,
@@ -96,7 +99,7 @@ shard-stress:
 # Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
 # these regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes|TestWorld512Builds|TestProcsPerWorld|TestTakeFreeRefillsInBlocks|TestGroupRanksAllocatesNothing' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/mpi/ ./internal/osc/ ./internal/rmem/
+	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes|TestWorld512Builds|TestProcsPerWorld|TestTakeFreeRefillsInBlocks|TestGroupRanksAllocatesNothing' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/torus/ ./internal/mpi/ ./internal/osc/ ./internal/rmem/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

@@ -383,15 +383,32 @@ func (n *Network) admit(f *Flow, path []Hop, bytes int64, srcCap float64) {
 	n.heapPush(f)
 }
 
-// acquire returns a zero Flow the network owns, recycled when one is free.
-func (n *Network) acquire() *Flow {
-	if k := len(n.free); k > 0 {
-		f := n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
-		return f
+// acquire returns a zero Flow the network owns, recycled when one is free
+// (see sim.TakeFree).
+func (n *Network) acquire() *Flow { return sim.TakeFree(&n.free) }
+
+// ReserveFlows sizes the network for k more transfers of Transfer or
+// StartCall in flight at once: the first of them makes all k records in one
+// block, and neither the active-flow heap nor the set of flows retired at
+// one instant grows to hold them.
+func (n *Network) ReserveFlows(k int) {
+	n.free = slices.Grow(n.free, k)
+	n.flows = slices.Grow(n.flows, k)
+	n.finished = slices.Grow(n.finished, k)
+}
+
+// ReserveSlots gives every link of path that has no room for a flow yet room
+// for one, all from one slab. A caller that lays out routes sharing no link
+// before it starts them pays one allocation for their links' flow lists
+// instead of one per link; a link that more flows cross grows its list as
+// usual.
+func ReserveSlots(path []Hop) {
+	slots := make([]linkFlow, len(path))
+	for i, h := range path {
+		if cap(h.Link.flows) == 0 {
+			h.Link.flows = slots[i : i : i+1]
+		}
 	}
-	return new(Flow)
 }
 
 // release recycles a retired flow the network owns. Its last reader calls

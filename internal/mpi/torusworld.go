@@ -124,78 +124,79 @@ type TorusWorld struct {
 	cfg    TorusConfig
 	fab    sim.Fabric
 	top    *torus.Topology
-	nodes  []*torusNode
+	nodes  []torusNode
 	total  int // allreduce steps per node
 	reg    *obs.Registry
 	chunks *obs.Counter
 	moved  *obs.Counter
 }
 
-// TorusLookahead derives the conservative lookahead of a partition from the
-// topology: the minimum latency among links crossing it, falling back to
-// the configured segment latency when no link crosses (single shard).
-func TorusLookahead(top *torus.Topology, assign []int, segment time.Duration) time.Duration {
-	if la := flow.MinLatency(top.CrossShardLinks(assign)); la > 0 {
-		return la
+// torusLookahead checks cfg's machine and partition and returns the
+// lookahead of its fabric. NewTorusWorldOn gives every link the segment
+// latency, so the least latency among the links crossing the z-block
+// partition is that latency, and a single shard, which no link crosses,
+// falls back to it: no topology needs building to find it.
+func torusLookahead(cfg TorusConfig) time.Duration {
+	if cfg.DX*cfg.DY*cfg.DZ < 2 {
+		panic("mpi: torus machine needs at least two nodes")
 	}
-	return segment
+	torus.PlanesPerShard(cfg.DZ, cfg.Shards)
+	return cfg.SegmentLatency
 }
 
 // NewTorusFabric builds the conservative-parallel fabric for cfg: one shard
-// per z-plane block, lookahead derived from the links crossing the
+// per z-plane block, lookahead the latency of the links crossing the
 // partition.
 func NewTorusFabric(cfg TorusConfig) sim.Fabric {
-	top, assign := buildTorusTopology(cfg)
-	return sim.NewShardedEngine(cfg.Shards, TorusLookahead(top, assign, cfg.SegmentLatency))
+	return sim.NewShardedEngine(cfg.Shards, torusLookahead(cfg))
 }
 
 // NewTorusOracle builds the sequential-oracle fabric for cfg: the same
 // locale count over one sequential engine, the differential-testing
 // baseline for the sharded fabric.
 func NewTorusOracle(cfg TorusConfig) sim.Fabric {
-	top, assign := buildTorusTopology(cfg)
-	return sim.NewSeqFabric(sim.NewEngine(), cfg.Shards, TorusLookahead(top, assign, cfg.SegmentLatency))
+	return sim.NewSeqFabric(sim.NewEngine(), cfg.Shards, torusLookahead(cfg))
 }
 
 // NewTorusWorldOn builds the torus machine on an existing fabric. On a
 // sharded engine every locale gets its own flow network (the per-shard
 // solve); on any other fabric all locales share one monolithic network —
 // the oracle baseline whose per-event costs grow with the whole machine's
-// flow count.
+// flow count. Each network is sized for the flows of its nodes, one per
+// node in flight.
 func NewTorusWorldOn(f sim.Fabric, cfg TorusConfig) *TorusWorld {
-	top, assign := buildTorusTopology(cfg)
+	torusLookahead(cfg) // for its checks of the machine and the partition
 	if f.Locales() != cfg.Shards {
 		panic(fmt.Sprintf("mpi: torus config wants %d locales, fabric has %d", cfg.Shards, f.Locales()))
 	}
+	top := torus.New(cfg.DX, cfg.DY, cfg.DZ, cfg.LinkBW, nil).SetLinkLatency(cfg.SegmentLatency)
 	nets := make([]*flow.Network, cfg.Shards)
 	if _, sharded := f.(*sim.ShardedEngine); sharded {
 		for i := range nets {
 			nets[i] = flow.NewNetworkOn(f.Locale(i))
 			nets[i].SetMetrics(cfg.Registry)
+			nets[i].ReserveFlows(top.Nodes() / cfg.Shards)
 		}
 	} else {
 		net := flow.NewNetworkOn(f.Locale(0))
 		net.SetMetrics(cfg.Registry)
+		net.ReserveFlows(top.Nodes())
 		for i := range nets {
 			nets[i] = net
 		}
 	}
-	return buildTorusWorld(cfg, f, top, assign, nets)
+	return buildTorusWorld(cfg, f, top, top.PartitionZ(cfg.Shards), nets)
 }
 
-func buildTorusTopology(cfg TorusConfig) (*torus.Topology, []int) {
-	if cfg.DX*cfg.DY*cfg.DZ < 2 {
-		panic("mpi: torus machine needs at least two nodes")
-	}
-	top := torus.New(cfg.DX, cfg.DY, cfg.DZ, cfg.LinkBW, nil).SetLinkLatency(cfg.SegmentLatency)
-	return top, top.PartitionZ(cfg.Shards)
-}
-
+// buildTorusWorld lays out the node actors. Every kind of per-node record —
+// node, route, chunk digests, sample log, delivery — is one slab for the
+// whole machine, and each node's share of it a capped row sized for the
+// whole run, so no node's append ever reaches a neighbour's row.
 func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assign []int, nets []*flow.Network) *TorusWorld {
 	n := top.Nodes()
 	m := &TorusWorld{
 		cfg: cfg, fab: fab, top: top,
-		nodes: make([]*torusNode, n),
+		nodes: make([]torusNode, n),
 		total: 2 * (n - 1),
 		reg:   cfg.Registry,
 	}
@@ -203,21 +204,41 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 		m.chunks = m.reg.Counter("mpi.torus.chunks")
 		m.moved = m.reg.Counter("mpi.torus.bytes")
 	}
+	hopCount := 0
 	for i := 0; i < n; i++ {
+		hopCount += top.HopCount(i, (i+1)%n)
+	}
+	// A node samples every sampleEvery-th of its steps, then its commit.
+	every := m.sampleEvery()
+	samples := (m.total+every-1)/every + 1
+	hops := make([]flow.Hop, 0, hopCount)
+	chunks := make([]uint64, n*n)
+	logs := make([]flight.Event, n*samples)
+	deliveries := make([]torusDelivery, n)
+	// A node starts each step holding one delivery, sends one and applies
+	// one, so it never holds more than two.
+	spares := make([]*torusDelivery, 2*n)
+	for i := range m.nodes {
 		next := (i + 1) % n
 		shard := assign[i]
-		nd := &torusNode{
+		start := len(hops)
+		hops = top.AppendHops(hops, i, next)
+		nd := &m.nodes[i]
+		*nd = torusNode{
 			m: m, id: i, loc: fab.Locale(shard), net: nets[shard],
 			next: next, nextLoc: assign[next],
-			route:  flow.Path(top.Route(i, next)...),
-			chunks: make([]uint64, n),
+			route:  hops[start:len(hops):len(hops)],
+			chunks: chunks[i*n : (i+1)*n : (i+1)*n],
+			log:    logs[i*samples : i*samples : (i+1)*samples],
+			spare:  append(spares[2*i:2*i:2*i+2], &deliveries[i]),
 		}
 		nd.delay = flow.PathLatency(nd.route)
 		for c := range nd.chunks {
 			nd.chunks[c] = torusChunkInit(i, c)
 		}
-		m.nodes[i] = nd
 	}
+	// Ring-neighbour routes share no segment: one flow slot per link.
+	flow.ReserveSlots(hops)
 	return m
 }
 
@@ -277,7 +298,7 @@ func torusSent(arg any) {
 	} else {
 		d = new(torusDelivery)
 	}
-	*d = torusDelivery{to: m.nodes[nd.next], step: nd.step, chunk: nd.sendChunk, val: nd.sendVal}
+	*d = torusDelivery{to: &m.nodes[nd.next], step: nd.step, chunk: nd.sendChunk, val: nd.sendVal}
 	nd.loc.Send(nd.nextLoc, nd.delay, torusDeliver, d)
 	nd.sendDone = true
 	nd.maybeAdvance()
@@ -347,7 +368,8 @@ func (nd *torusNode) maybeAdvance() {
 
 // Run executes the allreduce to completion and verifies the reduction.
 func (m *TorusWorld) Run() (TorusResult, error) {
-	for _, nd := range m.nodes {
+	for i := range m.nodes {
+		nd := &m.nodes[i]
 		nd.loc.AfterCall(0, torusBegin, nd)
 	}
 	end := m.fab.Run()
@@ -366,7 +388,8 @@ func (m *TorusWorld) Run() (TorusResult, error) {
 		}
 		res.Checksum += want[c]
 	}
-	for _, nd := range m.nodes {
+	for i := range m.nodes {
+		nd := &m.nodes[i]
 		if !nd.finished {
 			return res, fmt.Errorf("mpi: torus node %d stalled at step %d/%d", nd.id, nd.step, m.total)
 		}
@@ -391,7 +414,8 @@ func (m *TorusWorld) FlightDump() []byte {
 	}
 	var all []tagged
 	perActor := 0
-	for _, nd := range m.nodes {
+	for i := range m.nodes {
+		nd := &m.nodes[i]
 		if len(nd.log) > perActor {
 			perActor = len(nd.log)
 		}

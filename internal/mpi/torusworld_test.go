@@ -2,13 +2,13 @@ package mpi
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"scimpich/internal/allocwin"
+	"scimpich/internal/flow"
 	"scimpich/internal/obs"
-	"scimpich/internal/ring"
-	"scimpich/internal/sci"
 	"scimpich/internal/torus"
 )
 
@@ -147,53 +147,131 @@ func TestTorusShardedRepeatDeterminism(t *testing.T) {
 	}
 }
 
-// TestTorusLookaheadDerivation: the engine's lookahead comes from the
-// cross-partition link latencies.
-func TestTorusLookaheadDerivation(t *testing.T) {
-	cfg := smallTorus(4)
-	mkTop := func(c TorusConfig) (*torus.Topology, []int) {
-		top := torus.New(c.DX, c.DY, c.DZ, ring.BandwidthForMHz(sci.DefaultConfig(8).LinkMHz), nil).
-			SetLinkLatency(c.SegmentLatency)
-		return top, top.PartitionZ(c.Shards)
+// torusLookaheadOracle derives the conservative lookahead of a partition
+// from a built topology: the minimum latency among links crossing it,
+// falling back to the configured segment latency when no link crosses
+// (single shard).
+func torusLookaheadOracle(top *torus.Topology, assign []int, segment time.Duration) time.Duration {
+	if la := flow.MinLatency(top.CrossShardLinks(assign)); la > 0 {
+		return la
 	}
-	top, assign := mkTop(cfg)
-	if la := TorusLookahead(top, assign, cfg.SegmentLatency); la != cfg.SegmentLatency {
-		t.Fatalf("lookahead = %v, want %v", la, cfg.SegmentLatency)
-	}
-	// Single-shard partition has no cross links; the fallback applies.
-	cfg1 := smallTorus(1)
-	top1, assign1 := mkTop(cfg1)
-	if la := TorusLookahead(top1, assign1, 123*time.Nanosecond); la != 123*time.Nanosecond {
-		t.Fatalf("single-shard lookahead fallback = %v", la)
-	}
+	return segment
 }
 
-// TestAllocsTorusRunBudget pins a torus run to its construction cost: the
-// topology, a node and its route per node, and the flows, deliveries and
-// events of one step, all recycled from then on — about 30 objects per node
-// (35 under the race detector, with a second shard). Nothing is allocated
-// per step and node: a 4x4x4 run has 64 x 126 = 8 064 of those, and before
-// flows and deliveries were recycled it allocated five objects for each.
-func TestAllocsTorusRunBudget(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		cfg := smallTorus(shards)
-		fabric := NewTorusOracle
-		if shards > 1 {
-			fabric = NewTorusFabric
+// TestTorusLookaheadDerivation: the fabric constructors take the segment
+// latency as their lookahead without building the machine, and that is the
+// lookahead derived from the built topology's cross-partition links at
+// every shard count and latency. A partition the machine cannot take still
+// panics.
+func TestTorusLookaheadDerivation(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		for _, lat := range []time.Duration{0, 70 * time.Nanosecond, 123 * time.Nanosecond} {
+			cfg := smallTorus(shards)
+			cfg.SegmentLatency = lat
+			top := torus.New(cfg.DX, cfg.DY, cfg.DZ, cfg.LinkBW, nil).SetLinkLatency(lat)
+			want := torusLookaheadOracle(top, top.PartitionZ(shards), lat)
+			if got := NewTorusOracle(cfg).Lookahead(); got != want {
+				t.Errorf("shards=%d latency=%v: oracle lookahead %v, want %v", shards, lat, got, want)
+			}
+			if lat == 0 {
+				// A sharded engine cannot run on a zero lookahead.
+				wantPanic(t, "sim: sharded engine needs a positive lookahead", func() { NewTorusFabric(cfg) })
+			} else if got := NewTorusFabric(cfg).Lookahead(); got != want {
+				t.Errorf("shards=%d latency=%v: sharded lookahead %v, want %v", shards, lat, got, want)
+			}
 		}
-		win := allocwin.New(t)
-		win.Open()
-		res, err := NewTorusWorldOn(fabric(cfg), cfg).Run()
-		win.Close()
+	}
+	const indivisible = "torus: 3 shards do not evenly divide dz=4"
+	wantPanic(t, indivisible, func() { NewTorusOracle(smallTorus(3)) })
+	wantPanic(t, indivisible, func() { NewTorusFabric(smallTorus(3)) })
+	wantPanic(t, "mpi: torus machine needs at least two nodes", func() { NewTorusOracle(DefaultTorusConfig(1, 1, 1, 1)) })
+}
+
+// wantPanic fails t unless fn panics with the value want.
+func wantPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != want {
+			t.Errorf("panic %v, want %q", r, want)
+		}
+	}()
+	fn()
+}
+
+// TestTorusRoutesAndResultUnchanged: each node's route, cut from the
+// machine's one hop table, is link for link the torus route to its
+// successor, and a 6x6x6 run on the oracle keeps its virtual end, checksum
+// and event count.
+func TestTorusRoutesAndResultUnchanged(t *testing.T) {
+	for _, d := range [][3]int{{3, 4, 5}, {6, 6, 6}} {
+		cfg := DefaultTorusConfig(d[0], d[1], d[2], 1)
+		m := NewTorusWorldOn(NewTorusOracle(cfg), cfg)
+		for i := range m.nodes {
+			nd := &m.nodes[i]
+			want := flow.Path(m.top.Route(i, nd.next)...)
+			if !slices.Equal(nd.route, want) {
+				t.Fatalf("%v: node %d route %v, want %v", d, i, nd.route, want)
+			}
+			if cap(nd.route) != len(nd.route) {
+				t.Fatalf("%v: node %d route row has room to grow into its neighbour's", d, i)
+			}
+		}
+		if d != [3]int{6, 6, 6} {
+			continue
+		}
+		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, budget := win.Objects(), uint64(40*res.Nodes)
-		t.Logf("shards=%d: %d objects, %d bytes for %d nodes x %d steps", shards, got,
-			win.Bytes(), res.Nodes, res.Steps)
-		if got >= budget {
-			t.Errorf("shards=%d: %d objects allocated, budget is 40 per node (%d): the run is paying per step",
-				shards, got, budget)
+		if res.End != 218532310*time.Nanosecond || res.Checksum != 0xf078cac4d90e74ca || res.Events != 93956 {
+			t.Errorf("6x6x6: end %v, checksum %#x, %d events; want 218.53231ms, 0xf078cac4d90e74ca, 93956",
+				res.End, res.Checksum, res.Events)
 		}
+	}
+}
+
+// torusRunObjects returns the objects one torus run allocates, construction
+// included.
+func torusRunObjects(t *testing.T, cfg TorusConfig) uint64 {
+	t.Helper()
+	fabric := NewTorusOracle
+	if cfg.Shards > 1 {
+		fabric = NewTorusFabric
+	}
+	win := allocwin.New(t)
+	win.Open()
+	res, err := NewTorusWorldOn(fabric(cfg), cfg).Run()
+	win.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%dx%dx%d on %d shards: %d objects, %d bytes for %d nodes x %d steps", cfg.DX, cfg.DY, cfg.DZ,
+		cfg.Shards, win.Objects(), win.Bytes(), res.Nodes, res.Steps)
+	return win.Objects()
+}
+
+// TestAllocsTorusRunBudget pins a torus run to a constant number of objects,
+// whatever the machine's size: the topology is one slab of links and one of
+// ringlets, every per-node record is a row of one slab per kind sized at
+// construction, and each network takes its flows in one block sized for one
+// flow per node. A 4x4x4 run measured 53 objects and a 6x6x6 run 60, so
+// both are held to 69 (the larger plus 15 %), and the 216-node run to at
+// most 20 more than the 64-node one: nothing is paid per node, nor per step
+// and node (a 4x4x4 run has 64 x 126 = 8 064 of those, and before flows and
+// deliveries were recycled it allocated five objects for each). Two shards
+// have their own bound, 347 measured plus 15 %: the sharded engine's window
+// exchange allocates as it sorts each window's cross-shard messages.
+func TestAllocsTorusRunBudget(t *testing.T) {
+	const oneShard, twoShards = 69, 400
+	small := torusRunObjects(t, DefaultTorusConfig(4, 4, 4, 1))
+	large := torusRunObjects(t, DefaultTorusConfig(6, 6, 6, 1))
+	if small > oneShard || large > oneShard {
+		t.Errorf("one shard: 64 nodes %d objects, 216 nodes %d; budget is %d", small, large, oneShard)
+	}
+	if large > small+20 {
+		t.Errorf("216 nodes allocate %d objects, 64 nodes %d: the run is paying per node", large, small)
+	}
+	if got := torusRunObjects(t, smallTorus(2)); got > twoShards {
+		t.Errorf("two shards: %d objects, budget is %d", got, twoShards)
 	}
 }

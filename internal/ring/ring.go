@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"scimpich/internal/flow"
 )
@@ -44,17 +43,54 @@ func New(n int, linkBW float64, model flow.CongestionModel) *Topology {
 		panic("ring: need at least one node")
 	}
 	var names strings.Builder
-	var digits [20]byte
-	names.Grow(n * (len("seg->") + 2*len(strconv.AppendInt(digits[:0], int64(n-1), 10))))
+	var buf [48]byte
+	names.Grow(namesLen(n))
 	name := func(i int) string {
 		start := names.Len()
-		names.WriteString("seg")
-		names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
-		names.WriteString("->")
-		names.Write(strconv.AppendInt(digits[:0], int64((i+1)%n), 10))
+		names.Write(appendName(buf[:0], i, n))
 		return names.String()[start:]
 	}
-	return &Topology{n: n, links: flow.NewLinks(n, linkBW, model, name)}
+	t := Over(flow.NewLinks(n, linkBW, model, name))
+	return &t
+}
+
+// Over returns the ringlet whose segments are links, link i leaving node i.
+// The links stay the caller's: a machine of many ringlets cuts all of theirs
+// from one slab.
+func Over(links []flow.Link) Topology {
+	if len(links) < 1 {
+		panic("ring: need at least one node")
+	}
+	return Topology{n: len(links), links: links}
+}
+
+// AppendNames appends to dst the names New gives the segments of an n-node
+// ringlet, "seg0->1", ..., "seg<n-1>->0", all cut from one string.
+func AppendNames(dst []string, n int) []string {
+	var names strings.Builder
+	var buf [48]byte
+	names.Grow(namesLen(n))
+	for i := 0; i < n; i++ {
+		start := names.Len()
+		names.Write(appendName(buf[:0], i, n))
+		dst = append(dst, names.String()[start:])
+	}
+	return dst
+}
+
+// namesLen bounds the bytes of the n segment names of an n-node ringlet.
+func namesLen(n int) int {
+	var digits [20]byte
+	return n * (len("seg->") + 2*len(strconv.AppendInt(digits[:0], int64(n-1), 10)))
+}
+
+// appendName appends the name of segment i of an n-node ringlet,
+// "seg<i>-><(i+1) mod n>", to b.
+func appendName(b []byte, i, n int) []byte {
+	b = append(b, "seg"...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, "->"...)
+	return strconv.AppendInt(b, int64((i+1)%n), 10)
 }
 
 // Nodes returns the number of nodes on the ringlet.
@@ -67,17 +103,29 @@ func (t *Topology) Link(i int) *flow.Link { return &t.links[i] }
 // in order. A self-route (a == b) is empty: local accesses never enter the
 // ring. Panics on out-of-range nodes.
 func (t *Topology) Route(a, b int) []*flow.Link {
-	if a < 0 || a >= t.n || b < 0 || b >= t.n {
-		panic(fmt.Sprintf("ring: route %d->%d outside ring of %d", a, b, t.n))
-	}
-	if a == b {
-		return nil
-	}
+	t.checkPair(a, b)
 	var path []*flow.Link
 	for i := a; i != b; i = (i + 1) % t.n {
 		path = append(path, &t.links[i])
 	}
 	return path
+}
+
+// AppendHops appends Route(a, b) to dst as weight-1 hops and returns the
+// extended slice: the form for a caller that lays many routes into one
+// table.
+func (t *Topology) AppendHops(dst []flow.Hop, a, b int) []flow.Hop {
+	t.checkPair(a, b)
+	for i := a; i != b; i = (i + 1) % t.n {
+		dst = append(dst, flow.Hop{Link: &t.links[i], Weight: 1})
+	}
+	return dst
+}
+
+func (t *Topology) checkPair(a, b int) {
+	if a < 0 || a >= t.n || b < 0 || b >= t.n {
+		panic(fmt.Sprintf("ring: route %d->%d outside ring of %d", a, b, t.n))
+	}
 }
 
 // FullLoop returns all n segments starting at node a — the worst-case
@@ -89,31 +137,6 @@ func (t *Topology) FullLoop(a int) []*flow.Link {
 		path = append(path, &t.links[(a+i)%t.n])
 	}
 	return path
-}
-
-// Segment describes one ring link together with its endpoint nodes.
-type Segment struct {
-	Link     *flow.Link
-	From, To int
-}
-
-// Segments enumerates the ring's links with their endpoints, in node order.
-func (t *Topology) Segments() []Segment {
-	segs := make([]Segment, t.n)
-	for i := range segs {
-		segs[i] = Segment{Link: &t.links[i], From: i, To: (i + 1) % t.n}
-	}
-	return segs
-}
-
-// SetLinkLatency sets the propagation latency of every segment (the
-// lookahead source for partitioned simulations of this ring) and returns
-// the topology for chained construction.
-func (t *Topology) SetLinkLatency(d time.Duration) *Topology {
-	for i := range t.links {
-		t.links[i].SetLatency(d)
-	}
-	return t
 }
 
 // Distance returns the number of segments between nodes a and b.
