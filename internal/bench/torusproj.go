@@ -124,5 +124,6 @@ func runFlows(paths [][]flow.Hop) float64 {
 		elapsed = p.Now() - start
 	})
 	f.Run()
+	net.Publish(obsMetrics)
 	return BWMiB(int64(len(paths))*projBytes, elapsed) / float64(len(paths))
 }

@@ -58,6 +58,9 @@ const (
 	// Timeout is a watchdog expiry in a recovery layer (rendezvous
 	// control traffic, one-sided synchronization). Not retryable.
 	Timeout
+
+	// Kinds is the number of kinds.
+	Kinds
 )
 
 func (k Kind) String() string {

@@ -333,18 +333,12 @@ func TestAllocsFlowLifecycle(t *testing.T) {
 func TestSolverCostMetrics(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	reg := obs.NewRegistry()
-	n.SetMetrics(reg)
 	for i := 0; i < 3; i++ {
 		n.Start(Path(NewLink("l", 100*mib, nil)), 25*mib, 100*mib)
 	}
 	e.Run()
-	for _, c := range []struct {
-		name string
-		want int64
-	}{{"flow.solves", 4}, {"flow.reanchored", 3}, {"flow.heap_visits", 3}} {
-		if got := reg.Counter(c.name).Value(); got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, got, c.want)
-		}
+	got := n.Stats()
+	if got.Solves != 4 || got.Reanchored != 3 || got.HeapVisits != 3 {
+		t.Errorf("Stats() = %+v, want 4 solves, 3 re-anchored, 3 heap visits", got)
 	}
 }

@@ -280,14 +280,19 @@ type Network struct {
 	armedBy    *Flow
 	rekeyed    []*Flow // scratch: flows given a key since the last arm
 
-	// metric collectors (nil without SetMetrics; nil collectors are no-ops).
-	transferNS    *obs.Histogram
-	metBytes      *obs.Counter
-	activeHW      *obs.Gauge
-	metSolves     *obs.Counter
-	metReanchored *obs.Counter
-	metHeapVisits *obs.Counter
-	highWater     int
+	transferNS *obs.Histogram // nil without SetMetrics: a no-op
+	stats      Stats
+}
+
+// Stats is a network's counts, the one store of the flow.* counters: the
+// network bumps them, Stats returns them by value and Publish adds them to a
+// registry. Plain integers suffice: a network is used from one domain only.
+type Stats struct {
+	Bytes      int64 // delivered by completed transfers
+	Solves     int64 // solver passes: one per start, batch or completion timer
+	Reanchored int64 // flows re-anchored by those passes
+	HeapVisits int64 // flows evaluated to arm the completion timer
+	ActiveMax  int64 `metric:"active.max,max"` // the most flows in flight at once
 }
 
 // NewNetwork returns an empty flow network bound to the sequential engine.
@@ -301,42 +306,26 @@ func NewNetworkOn(s sim.Scheduler) *Network {
 	return &Network{s: s}
 }
 
-// SetMetrics registers the network's collectors in r: a completed-transfer
-// duration histogram (flow.transfer.ns), a delivered-bytes counter
-// (flow.bytes), a concurrent-flows high-water gauge (flow.active.max) and
-// what the solver cost the host: passes (flow.solves, one per start, batch
-// or completion timer), flows re-anchored by them (flow.reanchored) and
-// flows evaluated to arm the timer after them (flow.heap_visits).
-// Call it right after NewNetwork; a nil registry leaves metrics disabled.
-// The collectors themselves are goroutine-safe, so shard-local networks may
-// share one registry.
+// SetMetrics registers the network's completed-transfer duration histogram
+// (flow.transfer.ns) in r, which shard-local networks may share; a nil
+// registry leaves it disabled. The counts are Stats (see Publish).
 func (n *Network) SetMetrics(r *obs.Registry) {
-	if r == nil {
-		return
-	}
 	n.transferNS = r.Histogram("flow.transfer.ns")
-	n.metBytes = r.Counter("flow.bytes")
-	n.activeHW = r.Gauge("flow.active.max")
-	n.metSolves = r.Counter("flow.solves")
-	n.metReanchored = r.Counter("flow.reanchored")
-	n.metHeapVisits = r.Counter("flow.heap_visits")
 }
+
+// Stats returns a copy of the network's counts.
+func (n *Network) Stats() Stats { return n.stats }
+
+// Publish adds the network's counts to r once, after the run: networks
+// published into one registry sum, and flow.active.max keeps the largest.
+func (n *Network) Publish(r *obs.Registry) { r.AddStats("flow", n.stats) }
 
 // ActiveFlows returns the number of in-flight transfers.
 func (n *Network) ActiveFlows() int { return len(n.flows) }
 
-// noteStarted records a flow's admission for the high-water gauge.
+// noteStarted records a flow's admission for the high-water count.
 func (n *Network) noteStarted() {
-	if len(n.flows) > n.highWater {
-		n.highWater = len(n.flows)
-		n.activeHW.Max(int64(n.highWater))
-	}
-}
-
-// noteFinished feeds a completed flow into the duration and byte metrics.
-func (n *Network) noteFinished(f *Flow) {
-	n.transferNS.ObserveDuration(n.s.Now() - f.started)
-	n.metBytes.Add(f.bytes)
+	n.stats.ActiveMax = max(n.stats.ActiveMax, int64(len(n.flows)))
 }
 
 // markDirty queues l for the next incremental solve.
@@ -524,7 +513,7 @@ func (n *Network) reallocate() {
 	n.next.Cancel()
 	n.next = sim.Timer{}
 	now := n.s.Now()
-	n.metSolves.Add(1)
+	n.stats.Solves++
 
 	// Retire the flows that have reached (numerical) completion: exactly
 	// those whose key has come. They are ordered by admission — futures are
@@ -537,7 +526,8 @@ func (n *Network) reallocate() {
 	slices.SortFunc(n.finished[base:], byAdmission)
 	for _, f := range n.finished[base:] {
 		n.unlink(f)
-		n.noteFinished(f)
+		n.transferNS.ObserveDuration(now - f.started)
+		n.stats.Bytes += f.bytes
 	}
 
 	n.solve()
@@ -582,7 +572,7 @@ func (n *Network) nextDelay(now time.Duration) time.Duration {
 		n.armedAt, n.armedDelay = now, math.MaxInt64
 		visits = n.soonest(0, now)
 	}
-	n.metHeapVisits.Add(int64(visits))
+	n.stats.HeapVisits += int64(visits)
 	return n.armedDelay
 }
 
@@ -725,7 +715,7 @@ func (n *Network) solve() {
 			}
 		}
 		n.rekeyed = append(n.rekeyed, n.comp...)
-		n.metReanchored.Add(int64(len(n.comp)))
+		n.stats.Reanchored += int64(len(n.comp))
 	}
 	n.dirty = n.dirty[:0]
 }

@@ -298,6 +298,10 @@ func TestNetworkMetrics(t *testing.T) {
 		n.Transfer(p, Path(l), 50*mib, 100*mib)
 	})
 	e.Run()
+	if got := n.Stats(); got.Bytes != 150*mib || got.ActiveMax != 2 {
+		t.Errorf("Stats() = %+v, want Bytes %d, ActiveMax 2", got, 150*mib)
+	}
+	n.Publish(reg)
 	if got := reg.Counter("flow.bytes").Value(); got != 150*mib {
 		t.Errorf("flow.bytes = %d, want %d", got, 150*mib)
 	}

@@ -407,7 +407,7 @@ type collOp struct {
 // algorithm: the decision counter, a trace span, and the timing baseline.
 func (c *Comm) collBegin(kind collKind, alg CollAlg, bytes int64) collOp {
 	w := c.rk.w
-	w.met.collChosen[kind][alg].Inc()
+	w.stats.CollChosen[kind][alg]++
 	sp := w.cfg.Tracer.StartSpan(c.p.Now(), c.rk.actor, "coll", kind.String())
 	sp.SetBytes(bytes)
 	if sp != nil {

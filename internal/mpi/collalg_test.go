@@ -9,7 +9,6 @@ import (
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
-	"scimpich/internal/obs"
 	"scimpich/internal/sci"
 )
 
@@ -294,7 +293,6 @@ func TestBcastDerivedOneSided(t *testing.T) {
 // divergent pick would deadlock; the metric counters expose the choice).
 func TestCollChooserDeterministicAcrossRanks(t *testing.T) {
 	cfg := collConfig(4, CollAuto)
-	cfg.Metrics = obs.NewRegistry()
 	var w *World
 	Run(cfg, func(c *Comm) {
 		if c.Rank() == 0 {
@@ -308,9 +306,9 @@ func TestCollChooserDeterministicAcrossRanks(t *testing.T) {
 		}
 	})
 	total := int64(0)
-	for k := collKind(0); k < collKindCount; k++ {
-		for a := CollAlg(0); a < collAlgCount; a++ {
-			total += w.met.collChosen[k][a].Value()
+	for _, algs := range w.WorldStats().CollChosen {
+		for _, n := range algs {
+			total += n
 		}
 	}
 	// 4 ranks × 6 iterations × 2 collectives = 48 choices; a divergent

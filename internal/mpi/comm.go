@@ -202,10 +202,14 @@ func (w *World) Spawn(main func(c *Comm)) {
 // Stats returns a copy of the device statistics of a rank.
 func (w *World) Stats(rank int) DeviceStats { return w.ranks[rank].dev.stats }
 
+// WorldStats returns a copy of the world's decision and volume counts.
+func (w *World) WorldStats() WorldStats { return w.stats }
+
 // PublishMetrics adds each stats struct of the world to r once (see
 // obs.Registry.AddStats), so worlds sharing a registry sum: the fabric's
-// sim.* costs, every rank's DeviceStats (mpi.device.*), the pack totals
-// (pack.*{engine=e}), every node's sci.Stats (sci.*) and what layers
+// sim.* costs, the WorldStats (mpi.*), every rank's DeviceStats
+// (mpi.device.*), the pack totals (pack.*{engine=e}), the buses' flow.*,
+// the interconnect's counts (see sci.Interconnect.Publish) and what layers
 // registered with OnPublish (osc.*). Adding is not idempotent, so a second
 // call is a no-op. Run calls it when Config.Metrics is set.
 func (w *World) PublishMetrics(r *obs.Registry) {
@@ -219,11 +223,13 @@ func (w *World) PublishMetrics(r *obs.Registry) {
 		HeapDepthMax                                                      int64 `metric:",max"`
 	}{int64(f.Events()), int64(f.ProcSwitches()), int64(f.ProcsStarted()),
 		int64(f.SleepsElided()), int64(f.TimersCancelled()), int64(f.HeapDepthMax())})
+	r.AddStats("mpi", w.stats)
 	for rank := range w.ranks {
 		r.AddStats("mpi.device", w.Stats(rank))
 	}
 	r.AddStats("pack", w.packFF, "engine", "direct_pack_ff")
 	r.AddStats("pack", w.packGeneric, "engine", "generic")
+	w.buses[0].Network().Publish(r)
 	if w.ic != nil {
 		w.ic.Publish(r)
 	}

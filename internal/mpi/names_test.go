@@ -7,6 +7,7 @@ import (
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
+	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
 )
 
@@ -62,6 +63,39 @@ func TestNamesUnchanged(t *testing.T) {
 	for _, want := range []string{"rank0", "rank5", "node2", "faultplan", "topology"} {
 		if !actors[want] {
 			t.Errorf("the flight recorder has no actor %q (it has %v)", want, actors)
+		}
+	}
+}
+
+// TestWorldStatsLabelsMatchNames: the label values a WorldStats tag lists
+// are the names the runtime gives what an array is indexed by — sendPaths,
+// depositPath and the flight.Path* codes, collKind and CollAlg — so every
+// element is published under the name its index stands for.
+func TestWorldStatsLabelsMatchNames(t *testing.T) {
+	var s WorldStats
+	next := int64(0)
+	count := func(n *int64) int64 { next++; *n = next; return next }
+	want := map[string]int64{}
+	for i, path := range sendPaths {
+		want[obs.Name("mpi.sends", "path", path)] = count(&s.Sends[i])
+		want[obs.Name("mpi.send.bytes", "path", path)] = count(&s.SendBytes[i])
+	}
+	for d := depositPath(0); d < depositPathCount; d++ {
+		want[obs.Name("mpi.path.chosen", "path", d.String())] = count(&s.PathChosen[d])
+	}
+	for code, path := range map[int]string{flight.PathGeneric: "generic", flight.PathPIOCont: "pio-stream", flight.PathDMACont: "dma"} {
+		want[obs.Name("mpi.path.chosen", "path", path)] = count(&s.PathChosen[code])
+	}
+	for k := collKind(0); k < collKindCount; k++ {
+		for a := CollAlg(0); a < collAlgCount; a++ {
+			want[obs.Name("mpi.coll.alg.chosen", "coll", k.String(), "alg", a.String())] = count(&s.CollChosen[k][a])
+		}
+	}
+	r := obs.NewRegistry()
+	r.AddStats("mpi", s)
+	for name, n := range want {
+		if got := r.Counter(name).Value(); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
 		}
 	}
 }

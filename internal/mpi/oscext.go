@@ -109,10 +109,10 @@ func (c *Comm) OSCNotify(target, kind, win, round int, interrupt bool) {
 // whose direct view has degraded mid-epoch.
 func (c *Comm) countOSCDelivery(interrupt bool) {
 	if interrupt {
-		c.w.met.oscCallsInterrupt.Inc()
-		return
+		c.w.stats.OSCInterrupt++
+	} else {
+		c.w.stats.OSCPolled++
 	}
-	c.w.met.oscCallsPoll.Inc()
 }
 
 // OSCStage returns the calling rank's sender-side view of the one-sided

@@ -16,9 +16,6 @@ const (
 	// cost models, then refines the prediction with per-peer EWMA
 	// bandwidth estimates of the paths actually exercised.
 	PathAdaptive PathPolicy = iota
-	// PathStatic keeps the legacy static thresholds (UseFF decides ff vs
-	// generic).
-	PathStatic
 	// PathPIO forces direct_pack_ff deposits (PIO block writes).
 	PathPIO
 	// PathStaged forces the staged path: cursor-pack into local scratch,
@@ -27,14 +24,15 @@ const (
 	// PathDMA forces scatter-gather DMA deposits where the transport has a
 	// descriptor-list engine (contiguous chunks use the plain DMA engine).
 	PathDMA
+	// PathStatic, the legacy static thresholds (UseFF decides ff vs
+	// generic), deposits ff chunks as PathPIO forces them.
+	PathStatic = PathPIO
 )
 
 func (p PathPolicy) String() string {
 	switch p {
 	case PathAdaptive:
 		return "adaptive"
-	case PathStatic:
-		return "static"
 	case PathPIO:
 		return "pio"
 	case PathStaged:

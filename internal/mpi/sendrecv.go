@@ -87,44 +87,26 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	}
 
 	start := p.Now()
-	switch {
-	case bytes <= shortMax:
-		sp := tr.StartSpan(start, c.rk.actor, "send", "short")
-		sp.SetBytes(bytes)
-		if sp != nil {
-			sp.SetDetail("-> %d tag %d", dst, tag)
-		}
-		err := c.sendShort(buf, count, dt, dst, tag, ctx, bytes)
-		sp.End(p.Now())
-		w.met.sendsShort.Inc()
-		w.met.bytesShort.Add(bytes)
-		w.met.sendShortNS.ObserveDuration(p.Now() - start)
-		return c.fail(flight.OpSend, dst, err)
-	case bytes <= proto.EagerMax:
-		sp := tr.StartSpan(start, c.rk.actor, "send", "eager")
-		sp.SetBytes(bytes)
-		if sp != nil {
-			sp.SetDetail("-> %d tag %d", dst, tag)
-		}
-		err := c.sendEager(buf, count, dt, dst, tag, ctx, bytes)
-		sp.End(p.Now())
-		w.met.sendsEager.Inc()
-		w.met.bytesEager.Add(bytes)
-		w.met.sendEagerNS.ObserveDuration(p.Now() - start)
-		return c.fail(flight.OpSend, dst, err)
-	default:
-		sp := tr.StartSpan(start, c.rk.actor, "send", "rdv")
-		sp.SetBytes(bytes)
-		if sp != nil {
-			sp.SetDetail("-> %d tag %d", dst, tag)
-		}
-		err := c.sendRendezvous(buf, count, dt, dst, tag, ctx, bytes)
-		sp.End(p.Now())
-		w.met.sendsRdv.Inc()
-		w.met.bytesRdv.Add(bytes)
-		w.met.sendRdvNS.ObserveDuration(p.Now() - start)
-		return c.fail(flight.OpSend, dst, err)
+	path := protoCode - 1 // the index of the protocol in sendPaths
+	sp := tr.StartSpan(start, c.rk.actor, "send", sendPaths[path])
+	sp.SetBytes(bytes)
+	if sp != nil {
+		sp.SetDetail("-> %d tag %d", dst, tag)
 	}
+	var err error
+	switch protoCode {
+	case 1:
+		err = c.sendShort(buf, count, dt, dst, tag, ctx, bytes)
+	case 2:
+		err = c.sendEager(buf, count, dt, dst, tag, ctx, bytes)
+	default:
+		err = c.sendRendezvous(buf, count, dt, dst, tag, ctx, bytes)
+	}
+	sp.End(p.Now())
+	w.stats.Sends[path]++
+	w.stats.SendBytes[path] += bytes
+	w.met.sendNS[path].ObserveDuration(p.Now() - start)
+	return c.fail(flight.OpSend, dst, err)
 }
 
 // fail passes the result of an operation against world rank peer through,
@@ -501,15 +483,13 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 				sp.SetBytes(n)
 				err := req.Wait(c.p)
 				sp.End(c.p.Now())
-				w.met.pathDMAContig.Inc()
-				w.met.transferDMABytes.Add(n)
+				w.stats.DMABytes += n
 				w.met.transferDMANS.ObserveDuration(c.p.Now() - start)
-				c.rk.fl.Record(c.p.Now(), flight.KPathChosen, flight.PathDMACont, n, 0, 0)
+				c.choosePath(flight.PathDMACont, n)
 				return err
 			}
 		}
-		w.met.pathPIOStream.Inc()
-		c.rk.fl.Record(c.p.Now(), flight.KPathChosen, flight.PathPIOCont, n, 0, 0)
+		c.choosePath(flight.PathPIOCont, n)
 		return mem.WriteStream(c.p, off, buf[skip:skip+n], dt.Size()*int64(count))
 	case mode == rdvFF && proto.UseFF:
 		// The receiver ff-unpacks, so every candidate engine must deposit
@@ -522,8 +502,7 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 		}
 		blocks := (n + avgBlock - 1) / avgBlock
 		path := depositFF
-		if proto.Path != PathStatic &&
-			(proto.Path != PathAdaptive || (w.ic != nil && mem.Remote())) {
+		if proto.Path != PathAdaptive || (w.ic != nil && mem.Remote()) {
 			// Adaptive ranking only where the SCI cost models apply; forced
 			// policies always take effect (SG falls back below if the
 			// transport has no descriptor engine).
@@ -544,8 +523,7 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 		default:
 			err = c.depositFF(mem, sc, off, buf, skip, n)
 		}
-		w.met.pathChosen[path].Inc()
-		c.rk.fl.Record(c.p.Now(), flight.KPathChosen, int64(path), n, 0, 0)
+		c.choosePath(int(path), n)
 		if err == nil {
 			c.observeDeposit(out, path, n, c.p.Now()-start)
 		}
@@ -561,12 +539,18 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 		err := mem.WriteStream(c.p, off, scratch.B, n)
 		scratch.Put()
 		sp.End(c.p.Now())
-		w.met.pathGeneric.Inc()
-		w.met.packGenBytes.Add(n)
+		w.stats.PackGenericBytes += n
 		w.met.packGenericNS.ObserveDuration(c.p.Now() - start)
-		c.rk.fl.Record(c.p.Now(), flight.KPathChosen, flight.PathGeneric, n, 0, 0)
+		c.choosePath(flight.PathGeneric, n)
 		return err
 	}
+}
+
+// choosePath counts an n-byte rendezvous chunk under the path that deposited
+// it, a flight.Path* code, and records the choice.
+func (c *Comm) choosePath(path int, n int64) {
+	c.rk.w.stats.PathChosen[path]++
+	c.rk.fl.Record(c.p.Now(), flight.KPathChosen, int64(path), n, 0, 0)
 }
 
 // depositFF packs one chunk straight into the (possibly remote) buffer
@@ -583,7 +567,7 @@ func (c *Comm) depositFF(mem smi.Mem, sc *rdvSend, off int64, buf []byte, skip, 
 	sc.cur.Pack(&sc.sink, buf, n)
 	err := bw.Flush()
 	sp.End(c.p.Now())
-	w.met.packFFBytes.Add(n)
+	w.stats.PackFFBytes += n
 	w.met.packFFNS.ObserveDuration(c.p.Now() - start)
 	return err
 }
@@ -604,7 +588,7 @@ func (c *Comm) depositStaged(mem smi.Mem, off int64, buf []byte, cur *pack.Curso
 	err := mem.WriteStream(c.p, off, scratch.B, n)
 	scratch.Put()
 	sp.End(c.p.Now())
-	w.met.packFFBytes.Add(n)
+	w.stats.PackFFBytes += n
 	w.met.packFFNS.ObserveDuration(c.p.Now() - start)
 	return err
 }
@@ -631,7 +615,7 @@ func (c *Comm) depositSG(out *sendPort, sc *rdvSend, off int64, buf []byte, skip
 	w.countPack(st, true)
 	err = req.Wait(c.p)
 	sp.End(c.p.Now())
-	w.met.packSGBytes.Add(n)
+	w.stats.PackSGBytes += n
 	w.met.packSGNS.ObserveDuration(c.p.Now() - start)
 	return true, err
 }

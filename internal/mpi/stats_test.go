@@ -46,8 +46,9 @@ func dump(r *obs.Registry) map[string]metric {
 }
 
 // disturbed is a link disturbance the transfers ride out, at a cost in
-// retries.
-func disturbed() *fault.Plan { return fault.New(1).DisturbLink(0, 1, 0, 40*time.Microsecond) }
+// retries: the adapter surfaces some of them as faults, which the protocol
+// retries in turn.
+func disturbed() *fault.Plan { return fault.New(1).DisturbLink(0, 1, 0, 200*time.Microsecond) }
 
 // statsWorld runs one world on reg under plan: a message of each protocol
 // both ways, contiguous and as a vector, then a put, a local put, a get and
@@ -156,13 +157,23 @@ func checkFamily(t *testing.T, got map[string]metric, base, labels string, insta
 // structs collects, per published family, the stats struct instances of
 // the worlds added to it.
 type structs struct {
-	sims, devices, nodes, ff, gen, wins []any
+	sims, devices, nodes, ff, gen, wins, flows []any
+	worlds                                     []mpi.WorldStats
+	faults                                     [fault.Kinds]int64
 }
 
-// add collects w's structs: its fabric's, each rank's device's, each
-// node's adapter's (of an inter-node world), both pack engines' and those
-// of the windows ws.
+// add collects w's structs: its fabric's, its own, each rank's device's,
+// each node's adapter's (of an inter-node world), both pack engines', each
+// flow network's, the interconnect's fault counts and those of the windows
+// ws.
 func (s *structs) add(w *mpi.World, ws []*osc.Win) {
+	s.worlds = append(s.worlds, w.WorldStats())
+	for _, fs := range w.FlowStats() {
+		s.flows = append(s.flows, fs)
+	}
+	for k, n := range w.FaultsInjected() {
+		s.faults[k] += n
+	}
 	f := w.Fabric()
 	s.sims = append(s.sims, simCounts{int64(f.Events()), int64(f.ProcSwitches()), int64(f.ProcsStarted()),
 		int64(f.SleepsElided()), int64(f.TimersCancelled()), int64(f.HeapDepthMax())})
@@ -190,6 +201,63 @@ func (s *structs) check(t *testing.T, got map[string]metric) {
 	checkFamily(t, got, "pack.", "{engine=direct_pack_ff}", s.ff...)
 	checkFamily(t, got, "pack.", "{engine=generic}", s.gen...)
 	checkFamily(t, got, "osc.", "", s.wins...)
+	checkFamily(t, got, "flow.", "", s.flows...)
+	s.checkWorlds(t, got)
+	for k, n := range s.faults {
+		name := obs.Name("fault.injected", "kind", fault.Kind(k).String())
+		if m, ok := got[name]; n != m.value || ok != (n > 0) {
+			t.Errorf("%s = %v (published: %v), the interconnects counted %d", name, m, ok, n)
+		}
+	}
+}
+
+// checkWorlds holds the mpi.* counters but mpi.device.* to the WorldStats:
+// the decisions and volumes the benchmark reads are the sums of their fields
+// over the worlds, and every one of them is published as added again from
+// the structs.
+func (s *structs) checkWorlds(t *testing.T, got map[string]metric) {
+	t.Helper()
+	var sum mpi.WorldStats
+	readd := obs.NewRegistry()
+	for _, ws := range s.worlds {
+		readd.AddStats("mpi", ws)
+		for i := range ws.Sends {
+			sum.Sends[i] += ws.Sends[i]
+			sum.SendBytes[i] += ws.SendBytes[i]
+		}
+		for i, n := range ws.PathChosen {
+			sum.PathChosen[i] += n
+		}
+		sum.PackSGBytes += ws.PackSGBytes
+		sum.OSCPolled += ws.OSCPolled
+		sum.OSCInterrupt += ws.OSCInterrupt
+		sum.CollChosen[0][mpi.CollP2P] += ws.CollChosen[0][mpi.CollP2P]
+	}
+	for name, want := range map[string]int64{
+		"mpi.sends{path=short}":                     sum.Sends[0],
+		"mpi.sends{path=eager}":                     sum.Sends[1],
+		"mpi.sends{path=rdv}":                       sum.Sends[2],
+		"mpi.send.bytes{path=rdv}":                  sum.SendBytes[2],
+		"mpi.path.chosen{path=dma-sg}":              sum.PathChosen[2],
+		"mpi.path.chosen{path=pio-stream}":          sum.PathChosen[4],
+		"mpi.pack.bytes{engine=dma_sg}":             sum.PackSGBytes,
+		"mpi.osc.calls{delivery=poll}":              sum.OSCPolled,
+		"mpi.osc.calls{delivery=interrupt}":         sum.OSCInterrupt,
+		"mpi.coll.alg.chosen{coll=barrier,alg=p2p}": sum.CollChosen[0][mpi.CollP2P],
+	} {
+		if got[name] != (metric{"counter", want}) || want == 0 {
+			t.Errorf("%s = %v, the worlds counted %d (want an equal, non-zero counter)", name, got[name], want)
+		}
+	}
+	want := dump(readd)
+	for name, m := range got {
+		if strings.HasPrefix(name, "mpi.") && !strings.HasPrefix(name, "mpi.device.") && want[name] != m {
+			t.Errorf("%s = %v, the WorldStats add up to %v", name, m, want[name])
+		}
+	}
+	if len(want) != 83 {
+		t.Errorf("WorldStats publish %d counters, want 83", len(want))
+	}
 }
 
 // nodes is the number of nodes w runs on; ranks fill the nodes in order.
@@ -237,9 +305,11 @@ func TestRetriesAggregatePublished(t *testing.T) {
 
 // TestPublishedCountersAreStructSums: an intra-node and an inter-node world
 // publish into one registry, and every published count is the sum of the
-// struct fields it comes from — over ranks, nodes, windows (an abandoned one
-// included) and both worlds — under one name without a node or rank label.
-// A second PublishMetrics changes nothing.
+// struct fields it comes from — over ranks, nodes, flow networks, windows
+// (an abandoned one included) and both worlds — under one name without a
+// node or rank label: the mpi decision counts, flow.* and, under the
+// disturbed link, fault.injected{kind} included. A second PublishMetrics
+// changes nothing.
 func TestPublishedCountersAreStructSums(t *testing.T) {
 	reg := obs.NewRegistry()
 	var (
@@ -260,6 +330,9 @@ func TestPublishedCountersAreStructSums(t *testing.T) {
 	}
 	got := dump(reg)
 	s.check(t, got)
+	if s.faults == [fault.Kinds]int64{} {
+		t.Error("the disturbed link injected no fault")
+	}
 	for name := range got {
 		if strings.Contains(name, "{node=") || strings.Contains(name, "{rank=") {
 			t.Errorf("%s: counts are summed, not labelled per instance", name)

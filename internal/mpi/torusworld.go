@@ -121,14 +121,11 @@ type torusNode struct {
 
 // TorusWorld is the full torus plus its node actors, bound to a fabric.
 type TorusWorld struct {
-	cfg    TorusConfig
-	fab    sim.Fabric
-	top    *torus.Topology
-	nodes  []torusNode
-	total  int // allreduce steps per node
-	reg    *obs.Registry
-	chunks *obs.Counter
-	moved  *obs.Counter
+	cfg   TorusConfig
+	fab   sim.Fabric
+	top   *torus.Topology
+	nodes []torusNode
+	total int // allreduce steps per node
 }
 
 // torusLookahead checks cfg's machine and partition and returns the
@@ -198,11 +195,6 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 		cfg: cfg, fab: fab, top: top,
 		nodes: make([]torusNode, n),
 		total: 2 * (n - 1),
-		reg:   cfg.Registry,
-	}
-	if m.reg != nil {
-		m.chunks = m.reg.Counter("mpi.torus.chunks")
-		m.moved = m.reg.Counter("mpi.torus.bytes")
 	}
 	hopCount := 0
 	for i := 0; i < n; i++ {
@@ -288,10 +280,6 @@ func torusBegin(arg any) { arg.(*torusNode).beginStep() }
 func torusSent(arg any) {
 	nd := arg.(*torusNode)
 	m := nd.m
-	if m.chunks != nil {
-		m.chunks.Add(1)
-		m.moved.Add(m.cfg.ChunkBytes)
-	}
 	var d *torusDelivery
 	if k := len(nd.spare); k > 0 {
 		d, nd.spare = nd.spare[k-1], nd.spare[:k-1]
@@ -366,13 +354,15 @@ func (nd *torusNode) maybeAdvance() {
 	}
 }
 
-// Run executes the allreduce to completion and verifies the reduction.
+// Run executes the allreduce to completion, publishes the machine's counts
+// into the configured registry and verifies the reduction.
 func (m *TorusWorld) Run() (TorusResult, error) {
 	for i := range m.nodes {
 		nd := &m.nodes[i]
 		nd.loc.AfterCall(0, torusBegin, nd)
 	}
 	end := m.fab.Run()
+	m.publish(m.cfg.Registry)
 	res := TorusResult{
 		Nodes: len(m.nodes), Shards: m.cfg.Shards, End: end,
 		Events: m.fab.Events(), Steps: m.total,
@@ -400,6 +390,26 @@ func (m *TorusWorld) Run() (TorusResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// publish adds the run's counts to r on the caller's goroutine, once the
+// engine has returned: each distinct flow network's (the oracle's shared one
+// once) and the chunks the nodes sent, one per step they finished.
+func (m *TorusWorld) publish(r *obs.Registry) {
+	if r == nil {
+		return
+	}
+	var nets []*flow.Network
+	var chunks int64
+	for i := range m.nodes {
+		nd := &m.nodes[i]
+		if !slices.Contains(nets, nd.net) {
+			nets = append(nets, nd.net)
+			nd.net.Publish(r)
+		}
+		chunks += int64(nd.step)
+	}
+	r.AddStats("mpi.torus", struct{ Chunks, Bytes int64 }{chunks, chunks * m.cfg.ChunkBytes})
 }
 
 // FlightDump merges every node's local samples into one deterministic

@@ -191,7 +191,8 @@ type World struct {
 	reqFree      []*Request
 	oscReplyFree []*sim.Chan
 
-	met worldMetrics
+	met   worldMetrics
+	stats WorldStats
 	// packFF/packGeneric accumulate the block structure of every pack and
 	// unpack operation charged on this world, per engine (see PackStats).
 	packFF      pack.Cumulative
@@ -219,95 +220,67 @@ func (w *World) countPack(st pack.Stats, ff bool) {
 	}
 }
 
-// worldMetrics caches the runtime's registry collectors so the send hot
+// worldMetrics caches the runtime's registry histograms so the send hot
 // path never performs a map lookup. With metrics disabled every field is a
-// nil collector and every update below is an allocation-free no-op.
+// nil histogram and every observation below is an allocation-free no-op.
 type worldMetrics struct {
-	sendShortNS *obs.Histogram
-	sendEagerNS *obs.Histogram
-	sendRdvNS   *obs.Histogram
-
-	sendsShort *obs.Counter
-	sendsEager *obs.Counter
-	sendsRdv   *obs.Counter
-	bytesShort *obs.Counter
-	bytesEager *obs.Counter
-	bytesRdv   *obs.Counter
+	sendNS [len(sendPaths)]*obs.Histogram // by protocol, as WorldStats.Sends
 
 	packFFNS      *obs.Histogram
 	packGenericNS *obs.Histogram
-	packFFBytes   *obs.Counter
-	packGenBytes  *obs.Counter
+	packSGNS      *obs.Histogram
+	transferDMANS *obs.Histogram
 
-	packSGNS    *obs.Histogram
-	packSGBytes *obs.Counter
-
-	transferDMANS    *obs.Histogram
-	transferDMABytes *obs.Counter
-
-	// pathChosen counts adaptive/static deposit decisions per chunk, one
-	// counter per path label.
-	pathChosen [depositPathCount]*obs.Counter
-	pathGeneric,
-	pathPIOStream,
-	pathDMAContig *obs.Counter
-
-	oscCallsInterrupt *obs.Counter
-	oscCallsPoll      *obs.Counter
-
-	// collChosen counts collective algorithm decisions, one counter per
-	// (collective, algorithm) pair; collNS times whole collective calls.
-	collChosen [collKindCount][collAlgCount]*obs.Counter
-	collNS     [collKindCount]*obs.Histogram
+	collNS [collKindCount]*obs.Histogram // whole collective calls
 }
+
+// sendPaths names the protocols of a send to another rank, in the order of
+// WorldStats.Sends.
+var sendPaths = [...]string{"short", "eager", "rdv"}
 
 func newWorldMetrics(r *obs.Registry) worldMetrics {
 	if r == nil {
 		return worldMetrics{} // obs.Name would still build every name below
 	}
 	m := worldMetrics{
-		sendShortNS: r.Histogram(obs.Name("mpi.send.ns", "path", "short")),
-		sendEagerNS: r.Histogram(obs.Name("mpi.send.ns", "path", "eager")),
-		sendRdvNS:   r.Histogram(obs.Name("mpi.send.ns", "path", "rdv")),
-
-		sendsShort: r.Counter(obs.Name("mpi.sends", "path", "short")),
-		sendsEager: r.Counter(obs.Name("mpi.sends", "path", "eager")),
-		sendsRdv:   r.Counter(obs.Name("mpi.sends", "path", "rdv")),
-		bytesShort: r.Counter(obs.Name("mpi.send.bytes", "path", "short")),
-		bytesEager: r.Counter(obs.Name("mpi.send.bytes", "path", "eager")),
-		bytesRdv:   r.Counter(obs.Name("mpi.send.bytes", "path", "rdv")),
-
 		packFFNS:      r.Histogram(obs.Name("mpi.pack.ns", "engine", "direct_pack_ff")),
 		packGenericNS: r.Histogram(obs.Name("mpi.pack.ns", "engine", "generic")),
-		packFFBytes:   r.Counter(obs.Name("mpi.pack.bytes", "engine", "direct_pack_ff")),
-		packGenBytes:  r.Counter(obs.Name("mpi.pack.bytes", "engine", "generic")),
-
-		packSGNS:    r.Histogram(obs.Name("mpi.pack.ns", "engine", "dma_sg")),
-		packSGBytes: r.Counter(obs.Name("mpi.pack.bytes", "engine", "dma_sg")),
-
-		transferDMANS:    r.Histogram(obs.Name("mpi.transfer.ns", "path", "dma")),
-		transferDMABytes: r.Counter(obs.Name("mpi.transfer.bytes", "path", "dma")),
-
-		pathChosen: [depositPathCount]*obs.Counter{
-			depositFF:     r.Counter(obs.Name("mpi.path.chosen", "path", "pio-ff")),
-			depositStaged: r.Counter(obs.Name("mpi.path.chosen", "path", "staged")),
-			depositSG:     r.Counter(obs.Name("mpi.path.chosen", "path", "dma-sg")),
-		},
-		pathGeneric:   r.Counter(obs.Name("mpi.path.chosen", "path", "generic")),
-		pathPIOStream: r.Counter(obs.Name("mpi.path.chosen", "path", "pio-stream")),
-		pathDMAContig: r.Counter(obs.Name("mpi.path.chosen", "path", "dma")),
-
-		oscCallsInterrupt: r.Counter(obs.Name("mpi.osc.calls", "delivery", "interrupt")),
-		oscCallsPoll:      r.Counter(obs.Name("mpi.osc.calls", "delivery", "poll")),
+		packSGNS:      r.Histogram(obs.Name("mpi.pack.ns", "engine", "dma_sg")),
+		transferDMANS: r.Histogram(obs.Name("mpi.transfer.ns", "path", "dma")),
+	}
+	for i, path := range sendPaths {
+		m.sendNS[i] = r.Histogram(obs.Name("mpi.send.ns", "path", path))
 	}
 	for k := collKind(0); k < collKindCount; k++ {
 		m.collNS[k] = r.Histogram(obs.Name("mpi.coll.ns", "coll", k.String()))
-		for a := CollAlg(0); a < collAlgCount; a++ {
-			m.collChosen[k][a] = r.Counter(obs.Name("mpi.coll.alg.chosen",
-				"coll", k.String(), "alg", a.String()))
-		}
 	}
 	return m
+}
+
+// WorldStats is a world's decision and volume counts, the one store of the
+// mpi.* counters: the ranks bump them, World.WorldStats returns them by value
+// and PublishMetrics adds them to a registry, zeros included, each array
+// element labelled as its tag lists (see obs.Registry.AddStats).
+type WorldStats struct {
+	// Sends and SendBytes count the sends to other ranks by protocol.
+	Sends     [len(sendPaths)]int64 `metric:"sends{path=short|eager|rdv}"`
+	SendBytes [len(sendPaths)]int64 `metric:"send.bytes{path=short|eager|rdv}"`
+
+	// The rendezvous bytes each deposit engine packed (staged counts as
+	// ff), and the contiguous bytes the DMA engine moved.
+	PackFFBytes      int64 `metric:"pack.bytes{engine=direct_pack_ff}"`
+	PackGenericBytes int64 `metric:"pack.bytes{engine=generic}"`
+	PackSGBytes      int64 `metric:"pack.bytes{engine=dma_sg}"`
+	DMABytes         int64 `metric:"transfer.bytes{path=dma}"`
+
+	// PathChosen counts the rendezvous chunks by the flight.Path* code of
+	// the path that deposited them.
+	PathChosen [flight.PathDMACont + 1]int64 `metric:"path.chosen{path=pio-ff|staged|dma-sg|generic|pio-stream|dma}"`
+
+	OSCPolled    int64 `metric:"osc.calls{delivery=poll}"`
+	OSCInterrupt int64 `metric:"osc.calls{delivery=interrupt}"`
+
+	CollChosen [collKindCount][collAlgCount]int64 `metric:"coll.alg.chosen{coll=barrier|bcast|reduce|allreduce|gather|scatter|allgather|alltoall|scan|redscat|gatherv|scatterv|allgatherv,alg=auto|p2p|recdbl|ring|onesided}"`
 }
 
 // rank is one MPI process.

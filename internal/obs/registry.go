@@ -202,30 +202,52 @@ func (r *Registry) HistogramUnitOf(name string) Unit {
 // AddStats adds each int64 field of the struct stats to the counter
 // Name(base+"."+field, labels...), where field is the field's name in snake
 // case (BytesWritten -> bytes_written, OSCRequests -> osc_requests) or the
-// name its `metric:"..."` tag gives, labels included (`metric:"puts{path=direct}"`).
-// A tag ending in ",max" raises a high-water gauge instead (Gauge.Max). A
-// stats struct is thereby its own publish list, and instances published into
-// one registry sum; adding is not idempotent, so publish each one once.
+// name its `metric:"..."` tag gives, labels included (`metric:"puts{path=direct}"`)
+// and placed after those passed. An array of int64 (or of such arrays) is one
+// counter per element: its tag gives a label per dimension, outermost first,
+// with the values in index order (`metric:"sends{path=short|eager|rdv}"`). A
+// tag ending in ",max" raises a high-water gauge instead (Gauge.Max). A stats
+// struct is thereby its own publish list, and instances published into one
+// registry sum; adding is not idempotent, so publish each one once.
 func (r *Registry) AddStats(base string, stats any, labels ...string) {
 	if r == nil {
 		return
 	}
 	v := reflect.ValueOf(stats)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if f.Type.Kind() != reflect.Int64 {
-			continue
-		}
-		name, max := strings.CutSuffix(f.Tag.Get("metric"), ",max")
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		tag, max := strings.CutSuffix(f.Tag.Get("metric"), ",max")
+		name, dims, _ := strings.Cut(strings.TrimSuffix(tag, "}"), "{")
 		if name == "" {
 			name = snakeCase(f.Name)
 		}
-		name = Name(base+"."+name, labels...)
-		if max {
-			r.Gauge(name).Max(v.Field(i).Int())
+		r.addCounts(base+"."+name, v.Field(i), max, labels, strings.FieldsFunc(dims, func(c rune) bool { return c == ',' }))
+	}
+}
+
+// addCounts adds v under name: an int64 with labels and then each of dims, a
+// "key=value" label; an array of counts element by element, element j taking
+// the j-th value of dims[0] ("key=v0|v1|...") and the rest of dims on. Fields
+// of any other kind are not counts and add nothing.
+func (r *Registry) addCounts(name string, v reflect.Value, max bool, labels, dims []string) {
+	switch v.Kind() {
+	case reflect.Int64:
+		for _, d := range dims {
+			labels = append(labels[:len(labels):len(labels)], strings.SplitN(d, "=", 2)...)
+		}
+		if name = Name(name, labels...); max {
+			r.Gauge(name).Max(v.Int())
 		} else {
-			r.Counter(name).Add(v.Field(i).Int())
+			r.Counter(name).Add(v.Int())
+		}
+	case reflect.Array:
+		key, values, _ := strings.Cut(dims[0], "=")
+		vals := strings.Split(values, "|")
+		if len(vals) != v.Len() {
+			panic(fmt.Sprintf("obs: %s: %d label values for %d counts", name, len(vals), v.Len()))
+		}
+		for j, val := range vals {
+			r.addCounts(name, v.Index(j), max, append(labels[:len(labels):len(labels)], key, val), dims[1:])
 		}
 	}
 }

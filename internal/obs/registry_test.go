@@ -133,8 +133,10 @@ func TestHistogramUnits(t *testing.T) {
 }
 
 // TestAddStatsNames pins how a stats field becomes a metric name, the
-// spellings dashboards and the repo's benchmark already read, and that
-// publishing two instances adds them (a high-water field keeps the larger).
+// spellings dashboards and the repo's benchmark already read, that an array
+// of counts is one counter per element (the tag's labels after those passed,
+// zeros included), and that publishing two instances adds them (a high-water
+// field keeps the larger).
 func TestAddStatsNames(t *testing.T) {
 	type stats struct {
 		BytesWritten   int64
@@ -150,9 +152,19 @@ func TestAddStatsNames(t *testing.T) {
 	r.AddStats("osc", struct {
 		DirectPuts int64 `metric:"puts{path=direct}"`
 	}{7})
+	r.AddStats("mpi", struct {
+		Sends  [2]int64    `metric:"sends{path=short|rdv}"`
+		Chosen [2][2]int64 `metric:"chosen{coll=bcast|scan,alg=p2p|ring}"`
+	}{[2]int64{1, 0}, [2][2]int64{{2, 3}, {4, 5}}}, "world", "w")
 	var buf bytes.Buffer
 	r.WriteText(&buf)
-	want := `counter osc.puts{path=direct} 7
+	want := `counter mpi.chosen{world=w,coll=bcast,alg=p2p} 2
+counter mpi.chosen{world=w,coll=bcast,alg=ring} 3
+counter mpi.chosen{world=w,coll=scan,alg=p2p} 4
+counter mpi.chosen{world=w,coll=scan,alg=ring} 5
+counter mpi.sends{world=w,path=rdv} 0
+counter mpi.sends{world=w,path=short} 1
+counter osc.puts{path=direct} 7
 counter sci.bytes_written{engine=ff} 11
 counter sci.dma.sg.transfers{engine=ff} 44
 counter sci.dma_transfers{engine=ff} 33

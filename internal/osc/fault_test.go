@@ -10,7 +10,6 @@ import (
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
-	"scimpich/internal/obs"
 )
 
 // Fault-injection tests for the one-sided layer: a direct window view that
@@ -182,9 +181,6 @@ func TestFenceCheckedCompletesAndTransfers(t *testing.T) {
 func TestDegradedSharedTargetUsesInterruptDelivery(t *testing.T) {
 	cfg := mpi.DefaultConfig(2, 1)
 	cfg.SCI.Fault = fault.New(13).RevokeSegment(1, 1, time.Millisecond)
-	reg := obs.NewRegistry()
-	cfg.Metrics = reg
-	interrupts := reg.Counter(obs.Name("mpi.osc.calls", "delivery", "interrupt"))
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		s := NewSystem(c)
 		w := s.CreateShared(c.AllocShared(4096), DefaultConfig())
@@ -194,7 +190,7 @@ func TestDegradedSharedTargetUsesInterruptDelivery(t *testing.T) {
 		w.Fence()
 		c.Proc().Sleep(2 * time.Millisecond) // revocation strikes here
 		if c.Rank() == 0 {
-			before := interrupts.Value()
+			before := c.World().WorldStats().OSCInterrupt
 			dst := make([]byte, 1024)
 			w.Get(dst, len(dst), datatype.Byte, 1, 0)
 			if !bytes.Equal(dst, fill(1024)) {
@@ -203,7 +199,7 @@ func TestDegradedSharedTargetUsesInterruptDelivery(t *testing.T) {
 			if !w.Degraded(1) {
 				t.Error("target view not degraded after revoked-segment get")
 			}
-			if interrupts.Value() == before {
+			if c.World().WorldStats().OSCInterrupt == before {
 				t.Error("fallback get toward degraded shared target used polled delivery")
 			}
 		}

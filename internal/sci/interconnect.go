@@ -26,6 +26,9 @@ type Interconnect struct {
 	nodes []Node
 	paths [][]flow.Hop // Node.path by from*len(nodes)+owner, each built on first use
 	met   icMetrics
+	// faults counts the injected faults by kind (fault.injected{kind}), each
+	// one KFault: the plan's draws (applyPlan) and surfaceFault's.
+	faults [fault.Kinds]int64
 }
 
 // Stats is one node's transfer counters, the one store of these counts: the
@@ -82,29 +85,29 @@ func newICMetrics(r *obs.Registry) icMetrics {
 	}
 }
 
-// Publish adds every node's Stats to r, once, after the run: each sci.*
-// counter is the sum over the nodes.
+// Publish adds the interconnect's counts to r, once, after the run: each
+// sci.* counter is the sum over the nodes, flow.* the ring's network's, and
+// fault.injected{kind} one counter per kind that occurred.
 func (ic *Interconnect) Publish(r *obs.Registry) {
 	for i := range ic.nodes {
 		r.AddStats("sci", ic.nodes[i].stats)
 	}
-}
-
-// countFault bumps the per-kind injected-fault counter (nil-registry safe;
-// fault paths are cold, so the labelled lookup is fine here). Its callers,
-// the plan's observer (see applyPlan) for the faults the plan draws and
-// surfaceFault for the rest, record each counted fault as one KFault.
-func (ic *Interconnect) countFault(k fault.Kind) {
-	if ic.Cfg.Metrics != nil {
-		ic.Cfg.Metrics.Counter(obs.Name("fault.injected", "kind", k.String())).Inc()
+	ic.Net.Publish(r)
+	for k, n := range ic.faults {
+		if n > 0 {
+			r.AddStats("fault", struct{ Injected int64 }{n}, "kind", fault.Kind(k).String())
+		}
 	}
 }
+
+// Faults returns a copy of the injected-fault counts, by kind.
+func (ic *Interconnect) Faults() [fault.Kinds]int64 { return ic.faults }
 
 // surfaceFault counts a fault the interconnect surfaces without a plan draw
 // (an unreachable owner, a disturbance that outlasted the retries) and
 // records it as one KFault on node n's ring, D being the retries spent.
 func (n *Node) surfaceFault(at time.Duration, k fault.Kind, to, retries int) {
-	n.ic.countFault(k)
+	n.ic.faults[k]++
 	n.ic.Cfg.Flight.Actor(n.name).Record(at, flight.KFault, int64(k), int64(n.id), int64(to), int64(retries))
 }
 
@@ -207,7 +210,7 @@ func (ic *Interconnect) applyPlan() {
 	}
 	flr := ic.Cfg.Flight.Actor("faultplan")
 	plan.SetObserver(func(at time.Duration, k fault.Kind, from, to int) {
-		ic.countFault(k)
+		ic.faults[k]++
 		flr.Record(at, flight.KFault, int64(k), int64(from), int64(to), 0)
 	})
 	for _, ev := range plan.NodeSchedule() {

@@ -74,6 +74,9 @@ func (b *Bus) Mem() *memmodel.Model { return b.mem }
 // Link returns the memory bus link.
 func (b *Bus) Link() *flow.Link { return b.bus[0].Link }
 
+// Network returns the flow network the bus's transfers run on.
+func (b *Bus) Network() *flow.Network { return b.net }
+
 // Charge bills an arbitrary memory operation of `bytes` bytes with the
 // given pre-computed cost, contending on the bus for large operations.
 // Callers that compute their own copy costs (the MPI pack/unpack engines)
