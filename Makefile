@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet no-atomics build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
+.PHONY: check fmt-check vet no-atomics no-fma build test race bench bench-json alloc-test trace-demo failover postmortem-demo shard-stress
 
-# check is the tier-1 gate: gofmt, vet, the no-atomics lint, build everything,
-# the full test suite with the race detector, then the failover availability
-# claims. fmt-check, vet and build also cover benchmark/, a module of its own
+# check is the tier-1 gate: gofmt, vet, the no-atomics and no-fma lints, build
+# everything, the full test suite with the race detector, then the failover
+# availability claims. fmt-check, vet and build also cover benchmark/, a module of its own
 # that compiles against the internal packages, so an API change cannot break
 # it unnoticed.
-check: fmt-check vet no-atomics build race failover
+check: fmt-check vet no-atomics no-fma build race failover
 
 # fmt-check fails, naming the file, if gofmt would change any Go file of the
 # root module or of benchmark/.
@@ -31,6 +31,22 @@ SIM_LAYERS := sim flow sci shmem smi mpi osc pack rmem ring torus
 no-atomics:
 	@! grep -l '"sync/atomic"' $(filter-out %_test.go,$(wildcard internal/sci/*.go internal/mpi/*.go internal/osc/*.go internal/pack/*.go))
 	@! grep -lE '\*obs\.(Counter|Gauge)|\.(Counter|Gauge)\(' $(filter-out %_test.go,$(wildcard $(SIM_LAYERS:%=internal/%/*.go)))
+
+# no-fma fails, naming each source line and instruction, if the compiler fuses
+# a multiply-add anywhere in the non-test code of internal/. The Go spec lets
+# a compiler fuse x*y + z into one instruction with a single rounding, and
+# arm64, ppc64le, s390x and riscv64 do, so virtual time would differ by
+# architecture; an explicit float64(x*y) forbids the fusion. amd64 never
+# fuses, so the lint cross-compiles the assembly listing (-gcflags=-S) for the
+# four that do; the toolchain builds their standard library from GOROOT.
+FMA_ARCHS := arm64 ppc64le s390x riscv64
+no-fma:
+	@for a in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$a $(GO) build -gcflags=-S ./internal/... 2>&1) || { GOARCH=$$a $(GO) build ./internal/...; exit 1; }; \
+		fused=$$(printf '%s\n' "$$asm" | grep -E '^[[:space:]]+0x[0-9a-f]+ [0-9]+ \(.*\)[[:space:]]+FN?M(ADD|SUB)[DS]?[[:space:]]' | \
+			sed -E 's|^.*\($(CURDIR)/([^)]*)\)[[:space:]]+([A-Z]+).*|\1 \2|' | sort -u); \
+		if [ -n "$$fused" ]; then echo "no-fma: $$a fuses multiply-adds at:"; echo "$$fused" | sed 's/^/  /'; fail=1; fi; \
+	done; exit $${fail:-0}
 
 build:
 	$(GO) build ./...

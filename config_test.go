@@ -8,12 +8,14 @@ import (
 	"scimpich/internal/mpi"
 	"scimpich/internal/osc"
 	"scimpich/internal/sci"
+	"scimpich/internal/shmem"
 )
 
 // TestConfigSurface pins the settable knobs of the runtime: the exported
 // fields of every configuration struct a program fills in. A knob is added
 // or removed here, by name, in the same change that adds or removes it —
-// thresholds no workload varies are constants in their package, not fields.
+// thresholds and calibration no workload varies are constants in their
+// package, not fields.
 func TestConfigSurface(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  any
@@ -27,12 +29,11 @@ func TestConfigSurface(t *testing.T) {
 			"Coll", "CollSlot", "CollTimeout", "RendezvousTimeout",
 		}},
 		{sci.Config{}, []string{
-			"Nodes", "LinkMHz", "WriteCombine", "PIOWritePeakBW", "SustainedPutBW",
-			"PIOWriteLatency", "PIOReadStall", "PIOReadChunk", "PIOReadPipeline",
-			"StoreBarrierLatency", "WriteIssueOverhead", "WriteGatherGap", "WriteGatherGapTiny",
-			"EchoFraction", "DMAStartup", "DMAPeakBW",
-			"DMASGDesc", "DMASGBuild", "DMASGPeakBW", "DMASGGap",
-			"InterruptLatency", "RetryLatency", "Fault", "Metrics", "Flight", "Mem",
+			"Nodes", "LinkMHz", "WriteCombine", "PIOWriteLatency", "Fault", "Metrics", "Flight", "Mem",
+		}},
+		{shmem.Config{}, []string{"Mem", "BusBW"}},
+		{mpi.TorusConfig{}, []string{
+			"DX", "DY", "DZ", "Shards", "ChunkBytes", "SegmentLatency", "SampleEvery", "Registry",
 		}},
 		{osc.Config{}, []string{"GetDirectMax", "SyncTimeout"}},
 	} {

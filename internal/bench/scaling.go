@@ -67,7 +67,7 @@ func RunTable2(mhz float64) []Table2Row {
 		perNode1, _, _ := ringScenario(mhz, n, 2, true, 1)
 		perNode8, acc8, _ := ringScenario(mhz, n, 2, false, 0)
 		nominal := ring.BandwidthForMHz(mhz) / MiB
-		attempted := float64(n) * sustainedPutMiB()
+		attempted := float64(n) * (sci.SustainedPutBW / MiB)
 		rows = append(rows, Table2Row{
 			ActiveNodes: n,
 			PerNode1:    perNode1,
@@ -79,10 +79,6 @@ func RunTable2(mhz float64) []Table2Row {
 		})
 	}
 	return rows
-}
-
-func sustainedPutMiB() float64 {
-	return sci.DefaultConfig(RingNodes).SustainedPutBW / MiB
 }
 
 // ringScenario runs one steady-state scenario: activeNodes nodes, each with
@@ -98,7 +94,7 @@ func ringScenario(mhz float64, activeNodes, procsPerNode int, neighbour bool, di
 	cfg := sci.DefaultConfig(RingNodes)
 	cfg.LinkMHz = mhz
 	ic := sci.New(e, instrumentSCI(cfg))
-	srcCap := cfg.SustainedPutBW / float64(procsPerNode)
+	srcCap := sci.SustainedPutBW / float64(procsPerNode)
 	const bytesPerFlow = 32 << 20
 
 	var paths [][]flow.Hop
@@ -107,10 +103,10 @@ func ringScenario(mhz float64, activeNodes, procsPerNode int, neighbour bool, di
 		switch {
 		case neighbour:
 			next := (n + 1) % RingNodes
-			path = putPath(ic.Ring.Route(n, next), ic.Ring.Route(next, n), cfg.EchoFraction)
+			path = putPath(ic.Ring.Route(n, next), ic.Ring.Route(next, n))
 		case distance > 0:
 			dst := (n + distance) % RingNodes
-			path = putPath(ic.Ring.Route(n, dst), ic.Ring.Route(dst, n), cfg.EchoFraction)
+			path = putPath(ic.Ring.Route(n, dst), ic.Ring.Route(dst, n))
 		default:
 			// Full loop: the transfer crosses every segment (maximal
 			// utilization); the "echo" path is empty.
@@ -126,7 +122,7 @@ func ringScenario(mhz float64, activeNodes, procsPerNode int, neighbour bool, di
 	segDemand := make(map[*flow.Link]float64)
 	for _, path := range paths {
 		for _, h := range path {
-			segDemand[h.Link] += srcCap * h.Weight
+			segDemand[h.Link] += float64(srcCap * h.Weight)
 		}
 	}
 	maxSegLoad := 0.0
@@ -156,10 +152,10 @@ func ringScenario(mhz float64, activeNodes, procsPerNode int, neighbour bool, di
 
 // putPath is the path of one sustained put: the route to the target at full
 // weight, then the flow-control echo traffic on the route back.
-func putPath(out, back []*flow.Link, echoFraction float64) []flow.Hop {
+func putPath(out, back []*flow.Link) []flow.Hop {
 	path := flow.Path(out...)
 	for _, l := range back {
-		path = append(path, flow.Hop{Link: l, Weight: echoFraction})
+		path = append(path, flow.Hop{Link: l, Weight: sci.EchoFraction})
 	}
 	return path
 }
@@ -177,7 +173,7 @@ func minFairness(load float64) float64 {
 			x0, y0 := curve[i-1][0], curve[i-1][1]
 			x1, y1 := curve[i][0], curve[i][1]
 			t := (load - x0) / (x1 - x0)
-			return y0 + t*(y1-y0)
+			return y0 + float64(t*(y1-y0))
 		}
 	}
 	return curve[len(curve)-1][1]

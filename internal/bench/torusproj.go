@@ -79,7 +79,6 @@ func ringletScenario(mhz float64) float64 {
 // that it does so for every one of the 64 x-rings simultaneously.
 func torusScenario(mhz float64) float64 {
 	to := torus.New(8, 8, 8, ring.BandwidthForMHz(mhz), flow.SCIRingCongestion{})
-	echo := sci.DefaultConfig(RingNodes).EchoFraction
 	var paths [][]flow.Hop
 	for z := 0; z < 8; z++ {
 		for y := 0; y < 8; y++ {
@@ -87,7 +86,7 @@ func torusScenario(mhz float64) float64 {
 				a := to.NodeID(x, y, z)
 				b := to.NodeID((x+4)%8, y, z)
 				// The echo returns on the x-ring.
-				paths = append(paths, putPath(to.Route(a, b), to.Route(b, a), echo))
+				paths = append(paths, putPath(to.Route(a, b), to.Route(b, a)))
 			}
 		}
 	}
@@ -98,11 +97,10 @@ func torusScenario(mhz float64) float64 {
 // what scaling without the torus would look like.
 func giantRingScenario(mhz float64) float64 {
 	r := ring.New(512, ring.BandwidthForMHz(mhz), flow.SCIRingCongestion{})
-	echo := sci.DefaultConfig(RingNodes).EchoFraction
 	var paths [][]flow.Hop
 	for n := 0; n < 512; n++ {
 		dst := (n + 256) % 512
-		paths = append(paths, putPath(r.Route(n, dst), r.Route(dst, n), echo))
+		paths = append(paths, putPath(r.Route(n, dst), r.Route(dst, n)))
 	}
 	return runFlows(paths)
 }
@@ -117,7 +115,7 @@ func runFlows(paths [][]flow.Hop) float64 {
 	var elapsed time.Duration
 	e.Go("driver", func(p *sim.Proc) {
 		start := p.Now()
-		flows := net.StartBatch(paths, projBytes, sci.DefaultConfig(RingNodes).SustainedPutBW)
+		flows := net.StartBatch(paths, projBytes, sci.SustainedPutBW)
 		for _, f := range flows {
 			p.Await(f.Done())
 		}

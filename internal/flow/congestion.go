@@ -57,7 +57,7 @@ func (SCIRingCongestion) AchievedFraction(load float64, flows int) float64 {
 	if blend > 1 {
 		blend = 1
 	}
-	return ideal + blend*(high-ideal)
+	return ideal + float64(blend*(high-ideal))
 }
 
 // interpCurve linearly interpolates y for x over a sorted (x, y) table,
@@ -75,7 +75,7 @@ func interpCurve(curve [][2]float64, x float64) float64 {
 			x0, y0 := curve[i-1][0], curve[i-1][1]
 			x1, y1 := curve[i][0], curve[i][1]
 			t := (x - x0) / (x1 - x0)
-			return y0 + t*(y1-y0)
+			return y0 + float64(t*(y1-y0))
 		}
 	}
 	return last[1]
@@ -99,7 +99,7 @@ func (b BusCongestion) AchievedFraction(load float64, flows int) float64 {
 	if ideal > 1 {
 		ideal = 1
 	}
-	penalty := 1 - b.PerFlowPenalty*float64(flows-1)
+	penalty := 1 - float64(b.PerFlowPenalty*float64(flows-1))
 	if penalty < b.Floor {
 		penalty = b.Floor
 	}

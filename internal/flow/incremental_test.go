@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -85,6 +86,36 @@ func TestSolveAllDoesNotPerturbProgress(t *testing.T) {
 	if plain != 500*time.Millisecond || solved != plain {
 		t.Fatalf("50 MiB at 100 MiB/s finished at %v, with a solveAll at 200ms at %v; want 500ms both",
 			plain, solved)
+	}
+}
+
+// TestRemainingAtRoundsItsProduct recomputes TestSolveAllDoesNotPerturbProgress
+// with remainingAt's product fused into a multiply-add (math.FMA: one
+// rounding), as arm64, ppc64le, s390x and riscv64 compile a - r*dt unless the
+// product is converted explicitly. After the re-anchor at 200 ms the rounded
+// product leaves nothing at 500 ms; the fused one leaves a residue above
+// finishedBelow, so the flow would finish after 500 ms and the observer solve
+// would perturb progress after all. make no-fma keeps the fusion out.
+func TestRemainingAtRoundsItsProduct(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	f := n.Start(Path(NewLink("l", 100*mib, nil)), 50*mib, 1000*mib)
+	end := 500 * time.Millisecond
+	var rounded, fused float64
+	e.At(200*time.Millisecond, func() {
+		n.solveAll()
+		if f.anchorAt != 200*time.Millisecond {
+			t.Fatalf("solveAll at 200ms anchored the flow at %v", f.anchorAt)
+		}
+		rounded = f.remainingAt(end)
+		fused = max(0, math.FMA(-f.rate, (end-f.anchorAt).Seconds(), f.anchorRemaining))
+	})
+	e.Run()
+	if rounded != 0 {
+		t.Errorf("remainingAt(500ms) = %g bytes, want 0", rounded)
+	}
+	if fused <= finishedBelow {
+		t.Errorf("fused remainingAt(500ms) = %g bytes, within finishedBelow: the scenario no longer shows the hazard", fused)
 	}
 }
 

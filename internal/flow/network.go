@@ -154,7 +154,7 @@ func (l *Link) effectiveCapacity() float64 {
 	}
 	demand := 0.0
 	for _, lf := range l.flows {
-		demand += lf.flow.srcCap * lf.weight
+		demand += float64(lf.flow.srcCap * lf.weight)
 	}
 	load := demand / l.capacity
 	frac := l.model.AchievedFraction(load, len(l.flows))
@@ -209,7 +209,7 @@ func (f *Flow) Done() *sim.Future { return &f.done }
 
 // remainingAt returns the bytes left at virtual time now.
 func (f *Flow) remainingAt(now time.Duration) float64 {
-	return max(0, f.anchorRemaining-f.rate*(now-f.anchorAt).Seconds())
+	return max(0, f.anchorRemaining-float64(f.rate*(now-f.anchorAt).Seconds()))
 }
 
 // finishedBelow is the residue, in bytes, at or below which a flow counts as
@@ -827,7 +827,7 @@ func (n *Network) solveComponent() {
 				unfrozen--
 				for _, h := range f.path {
 					l := h.Link
-					l.residual = max(0, l.residual-f.rate*h.Weight)
+					l.residual = max(0, l.residual-float64(f.rate*h.Weight))
 					l.weight = max(0, l.weight-h.Weight)
 				}
 			}

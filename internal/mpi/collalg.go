@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"scimpich/internal/obs"
+	"scimpich/internal/sci"
+	"scimpich/internal/shmem"
 	"scimpich/internal/sim"
 )
 
@@ -153,9 +155,9 @@ func (w *World) observeColl(kind collKind, alg CollAlg, bytes int64, elapsed tim
 func (w *World) collCtl() time.Duration {
 	base := callOverhead + handlerLatency
 	if w.ic != nil {
-		return base + w.cfg.SCI.WriteIssueOverhead + w.cfg.SCI.PIOWriteLatency
+		return base + sci.WriteIssueOverhead + w.cfg.SCI.PIOWriteLatency
 	}
-	return base + w.cfg.Shm.SignalLatency
+	return base + shmem.SignalLatency
 }
 
 // traceSpan aliases the tracer's span type for the collOp bookkeeping.

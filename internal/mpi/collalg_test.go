@@ -394,7 +394,6 @@ func TestNodeCrashMidAllreduceTypedError(t *testing.T) {
 func TestLinkFaultsDontBreakOneSidedCollectives(t *testing.T) {
 	cfg := collConfig(4, CollOneSided)
 	cfg.SCI.Fault = fault.New(11).WithWriteErrors(0.2)
-	cfg.SCI.RetryLatency = 20 * time.Microsecond
 	payload := fill(200 << 10)
 	Run(cfg, func(c *Comm) {
 		buf := make([]byte, len(payload))

@@ -19,7 +19,6 @@ import (
 func faultyConfig(rate float64) Config {
 	cfg := DefaultConfig(2, 1)
 	cfg.SCI.Fault = fault.New(1).WithRetries(rate)
-	cfg.SCI.RetryLatency = 30 * time.Microsecond
 	return cfg
 }
 
@@ -65,7 +64,6 @@ func TestFaultsSlowButDontBreakCollectives(t *testing.T) {
 	run := func(rate float64) (time.Duration, int64) {
 		cfg := DefaultConfig(4, 1)
 		cfg.SCI.Fault = fault.New(1).WithRetries(rate)
-		cfg.SCI.RetryLatency = 50 * time.Microsecond
 		var w *World
 		d := Run(cfg, func(c *Comm) {
 			if c.Rank() == 0 {
@@ -217,7 +215,6 @@ func TestDuplicateInjectionExactlyOnce(t *testing.T) {
 func TestEagerRetryBackoff(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	cfg.SCI.Fault = fault.New(9).WithWriteErrors(0.3)
-	cfg.SCI.RetryLatency = 20 * time.Microsecond
 	src := fill(8 << 10) // eager-sized
 	var w *World
 	Run(cfg, func(c *Comm) {
@@ -277,7 +274,6 @@ func TestRendezvousTimeoutWithoutReceiver(t *testing.T) {
 func TestCancelledRendezvousTearsDownReceiver(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	cfg.SCI.Fault = fault.New(13).WithWriteErrors(1).WithDMAErrors(1)
-	cfg.SCI.RetryLatency = 10 * time.Microsecond
 	payload := fill(256 << 10) // rendezvous-sized
 	var w *World
 	var sendErr, recvErr error

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"scimpich/internal/datatype"
+	"scimpich/internal/obs"
+	"scimpich/internal/obs/flight"
 )
 
 func fill(n int) []byte {
@@ -62,6 +64,37 @@ func TestSendRecvIntraNode(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWorldSizesItsInterconnect: the interconnect spans Config.Nodes and
+// reports to Config.Metrics and Config.Flight, so a node count raised after
+// DefaultConfig needs no second edit in Config.SCI.
+func TestWorldSizesItsInterconnect(t *testing.T) {
+	cfg := DefaultConfig(2, 1)
+	cfg.Nodes = 4
+	cfg.Metrics, cfg.Flight = obs.NewRegistry(), flight.New(0)
+	src := fill(4096)
+	var w *World
+	Run(cfg, func(c *Comm) {
+		if c.Rank() == 0 {
+			w = c.World()
+			for dst := 1; dst < c.Size(); dst++ {
+				c.Send(src, len(src), datatype.Byte, dst, 0)
+			}
+			return
+		}
+		dst := make([]byte, len(src))
+		c.Recv(dst, len(dst), datatype.Byte, 0, 0)
+		if !bytes.Equal(dst, src) {
+			t.Errorf("rank %d: received data mismatch", c.Rank())
+		}
+	})
+	if got := w.ic.Nodes(); got != 4 {
+		t.Errorf("interconnect has %d nodes, want 4", got)
+	}
+	if w.ic.Cfg.Metrics != cfg.Metrics || w.ic.Cfg.Flight != cfg.Flight {
+		t.Error("interconnect does not report to the world's registry and recorder")
+	}
 }
 
 func TestSelfSend(t *testing.T) {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"time"
 
+	"scimpich/internal/sci"
 	"scimpich/internal/sim"
 )
 
@@ -82,7 +83,7 @@ const defaultPathEWMA = 0.25
 // yet).
 func ewma(prev, sample float64) float64 {
 	if prev > 0 {
-		return defaultPathEWMA*sample + (1-defaultPathEWMA)*prev
+		return float64(defaultPathEWMA*sample) + float64((1-defaultPathEWMA)*prev)
 	}
 	return sample
 }
@@ -93,22 +94,22 @@ func ewma(prev, sample float64) float64 {
 // so the chooser starts out consistent with the simulator and only departs
 // from it as measurements arrive.
 func (c *Comm) modelDeposit(path depositPath, n, avgBlock, blocks int64) time.Duration {
-	sci := &c.rk.w.cfg.SCI
+	cfg := &c.rk.w.cfg.SCI
 	switch path {
 	case depositFF:
 		// Per-block PIO issue plus gather-gap streaming at the block size.
 		return time.Duration(blocks)*sci.WriteIssueOverhead +
-			sim.RateDuration(n, sci.StreamWriteBW(avgBlock))
+			sim.RateDuration(n, cfg.StreamWriteBW(avgBlock))
 	case depositStaged:
 		// Local cursor pack (ff cost model), then one full-speed stream.
 		return c.mem().BlockCopyCostFF(n, avgBlock, 2*n) +
-			sci.WriteIssueOverhead + sim.RateDuration(n, sci.StreamWriteBW(n))
+			sci.WriteIssueOverhead + sim.RateDuration(n, cfg.StreamWriteBW(n))
 	case depositSG:
 		// Descriptor build on the CPU, then the engine's startup,
 		// per-descriptor and merged-run streaming costs. The rendezvous
 		// destination is one contiguous run.
 		return 2*sci.WriteIssueOverhead + time.Duration(blocks)*sci.DMASGBuild +
-			sci.SGTransferCost(int(blocks), n, n)
+			cfg.SGTransferCost(int(blocks), n, n)
 	default:
 		panic("mpi: unknown deposit path")
 	}

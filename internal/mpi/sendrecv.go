@@ -226,7 +226,7 @@ func (c *Comm) sendShort(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 	w := c.rk.w
 	// Charge the wire cost of the payload riding along the control packet.
 	if c.remote(dst) && bytes > 0 {
-		c.p.Sleep(sim.RateDuration(bytes, w.cfg.SCI.PIOWritePeakBW))
+		c.p.Sleep(sim.RateDuration(bytes, sci.PIOWritePeakBW))
 	}
 	w.ring(c.p, c.rk.id, dst, envelope{
 		kind: envShort, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,

@@ -67,7 +67,6 @@ func (w *World) LockLatency(owner, from int) time.Duration {
 	if w.ranks[owner].node == w.ranks[from].node {
 		return 600 * time.Nanosecond
 	}
-	cfg := &w.cfg.SCI
 	// A remote lock costs a stalled read plus a posted write.
-	return cfg.PIOReadStall + cfg.PIOWriteLatency
+	return sci.PIOReadStall + w.cfg.SCI.PIOWriteLatency
 }

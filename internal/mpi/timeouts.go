@@ -3,6 +3,7 @@ package mpi
 import (
 	"time"
 
+	"scimpich/internal/sci"
 	"scimpich/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func (w *World) watchdogUnit() time.Duration {
 		backoff *= 2
 	}
 	if w.ic != nil {
-		unit += 3*w.cfg.SCI.RetryLatency + w.cfg.SCI.InterruptLatency
+		unit += 3*sci.RetryLatency + sci.InterruptLatency
 	}
 	unit += sim.RateDuration(p.RendezvousChunk, w.collLinkBW())
 	return unit

@@ -46,8 +46,6 @@ type TorusConfig struct {
 	Shards     int // z-plane blocks (fabric locales); must divide DZ
 
 	ChunkBytes     int64         // bytes per allreduce chunk transfer
-	LinkBW         float64       // per-segment bandwidth, bytes/second
-	SrcCap         float64       // per-node sustained deposit rate
 	SegmentLatency time.Duration // per-segment propagation delay; the shards' lookahead
 
 	SampleEvery int           // flight sample period in steps (<=0: 64)
@@ -58,12 +56,9 @@ type TorusConfig struct {
 // (166 MHz ringlets, Table 2 sustained put bandwidth, 70 ns B-Link segment
 // delay) with the given partitioning.
 func DefaultTorusConfig(dx, dy, dz, shards int) TorusConfig {
-	sc := sci.DefaultConfig(8)
 	return TorusConfig{
 		DX: dx, DY: dy, DZ: dz, Shards: shards,
 		ChunkBytes:     64 << 10,
-		LinkBW:         ring.BandwidthForMHz(sc.LinkMHz),
-		SrcCap:         sc.SustainedPutBW,
 		SegmentLatency: 70 * time.Nanosecond,
 		SampleEvery:    64,
 	}
@@ -166,7 +161,10 @@ func NewTorusWorldOn(f sim.Fabric, cfg TorusConfig) *TorusWorld {
 	if f.Locales() != cfg.Shards {
 		panic(fmt.Sprintf("mpi: torus config wants %d locales, fabric has %d", cfg.Shards, f.Locales()))
 	}
-	top := torus.New(cfg.DX, cfg.DY, cfg.DZ, cfg.LinkBW, nil).SetLinkLatency(cfg.SegmentLatency)
+	// The torus is calibrated like the ring it is built of: 166 MHz segments,
+	// and nodes that deposit at the adapter's sustained put rate (beginStep).
+	top := torus.New(cfg.DX, cfg.DY, cfg.DZ, ring.BandwidthForMHz(ring.DefaultLinkMHz), nil).
+		SetLinkLatency(cfg.SegmentLatency)
 	nets := make([]*flow.Network, cfg.Shards)
 	if _, sharded := f.(*sim.ShardedEngine); sharded {
 		for i := range nets {
@@ -269,7 +267,7 @@ func (nd *torusNode) beginStep() {
 		nd.log = append(nd.log, flight.Event{At: nd.loc.Now(), Kind: flight.KPut,
 			A: int64(nd.next), B: int64(c), C: int64(nd.sendVal)})
 	}
-	nd.net.StartCall(nd.route, m.cfg.ChunkBytes, m.cfg.SrcCap, torusSent, nd)
+	nd.net.StartCall(nd.route, m.cfg.ChunkBytes, sci.SustainedPutBW, torusSent, nd)
 }
 
 // torusBegin starts a node's first step (the seeding event of Run).

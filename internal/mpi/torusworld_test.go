@@ -9,6 +9,7 @@ import (
 	"scimpich/internal/allocwin"
 	"scimpich/internal/flow"
 	"scimpich/internal/obs"
+	"scimpich/internal/ring"
 	"scimpich/internal/torus"
 )
 
@@ -168,7 +169,7 @@ func TestTorusLookaheadDerivation(t *testing.T) {
 		for _, lat := range []time.Duration{0, 70 * time.Nanosecond, 123 * time.Nanosecond} {
 			cfg := smallTorus(shards)
 			cfg.SegmentLatency = lat
-			top := torus.New(cfg.DX, cfg.DY, cfg.DZ, cfg.LinkBW, nil).SetLinkLatency(lat)
+			top := torus.New(cfg.DX, cfg.DY, cfg.DZ, ring.BandwidthForMHz(ring.DefaultLinkMHz), nil).SetLinkLatency(lat)
 			want := torusLookaheadOracle(top, top.PartitionZ(shards), lat)
 			if got := NewTorusOracle(cfg).Lookahead(); got != want {
 				t.Errorf("shards=%d latency=%v: oracle lookahead %v, want %v", shards, lat, got, want)

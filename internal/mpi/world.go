@@ -110,7 +110,9 @@ type Config struct {
 	// each. Rank r lives on node r / ProcsPerNode.
 	Nodes        int
 	ProcsPerNode int
-	// SCI configures the interconnect (ignored for a single node).
+	// SCI configures the interconnect (ignored for a single node). Its
+	// Nodes, Metrics and Flight are not read: the interconnect spans this
+	// Config's Nodes and reports to its Metrics and Flight.
 	SCI sci.Config
 	// Shm configures the intra-node memory system.
 	Shm shmem.Config
@@ -123,14 +125,14 @@ type Config struct {
 	// Metrics, when non-nil, receives the runtime's counters and latency
 	// histograms (mpi.send.*{path=...}, mpi.pack.*) and, after Run, the
 	// counts of every layer's stats structs, added by World.PublishMetrics.
-	// It is inherited by the SCI layer unless SCI.Metrics is set explicitly.
+	// The SCI layer records into it too.
 	Metrics *obs.Registry
 	// Flight, when non-nil, is the always-on flight recorder: every rank
 	// records typed protocol events (send/recv matches, rendezvous
 	// progress, shrink agreements) into its per-actor ring, and the first
 	// typed error surfaced by a checked operation snapshots the whole
 	// window to a JSON dump (see internal/obs/flight and cmd/postmortem).
-	// It is inherited by the SCI layer unless SCI.Flight is set explicitly.
+	// The SCI layer records into it too.
 	Flight *flight.Recorder
 }
 
@@ -358,15 +360,8 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	flags := make([]bool, 2*n) // suspects, then revoked
 	w.suspects, w.revoked = flags[:n:n], flags[n:]
 	if cfg.Nodes > 1 {
-		if cfg.SCI.Metrics == nil {
-			cfg.SCI.Metrics = cfg.Metrics
-		}
-		if cfg.SCI.Flight == nil {
-			cfg.SCI.Flight = cfg.Flight
-		}
-		w.cfg.SCI.Metrics = cfg.SCI.Metrics
-		w.cfg.SCI.Flight = cfg.SCI.Flight
-		w.ic = sci.New(e, cfg.SCI)
+		w.cfg.SCI.Nodes, w.cfg.SCI.Metrics, w.cfg.SCI.Flight = cfg.Nodes, cfg.Metrics, cfg.Flight
+		w.ic = sci.New(e, w.cfg.SCI)
 	}
 	// All intra-node buses share one flow network so that, on request,
 	// cross-transport interactions stay in one simulation.
@@ -504,11 +499,10 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 	e.to = to.dev
 	if from.node == to.node {
 		p.Sleep(60 * time.Nanosecond)
-		w.host.AfterCall(w.cfg.Shm.SignalLatency, deliverEnvelope, w.newEnvelope(e))
+		w.host.AfterCall(shmem.SignalLatency, deliverEnvelope, w.newEnvelope(e))
 		return
 	}
-	cfg := &w.cfg.SCI
-	p.Sleep(cfg.WriteIssueOverhead + sim.RateDuration(envelopeWireBytes, cfg.PIOWritePeakBW))
+	p.Sleep(sci.WriteIssueOverhead + sim.RateDuration(envelopeWireBytes, sci.PIOWritePeakBW))
 	if !w.ic.Alive(from.node) || !w.ic.Alive(to.node) {
 		// A crashed endpoint black-holes the control packet: the sender has
 		// paid the issue cost but nothing arrives. Recovery layers detect
@@ -521,9 +515,9 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		out.msgSeq++
 		e.seq = out.msgSeq
 	}
-	delay := cfg.PIOWriteLatency
+	delay := w.cfg.SCI.PIOWriteLatency
 	if interrupt {
-		delay += cfg.InterruptLatency
+		delay += sci.InterruptLatency
 	}
 	w.host.AfterCall(delay, deliverEnvelope, w.newEnvelope(e))
 	if w.plan().DrawDuplicate() && dedupable(e.kind) {
@@ -535,7 +529,7 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		// before its payload would be read.
 		from.fl.Record(p.Now(), flight.KDupInject, int64(e.kind), int64(dst), e.seq, 0)
 		e.payload, e.payloadBuf = nil, nil
-		w.host.AfterCall(delay+cfg.RetryLatency, deliverEnvelope, w.newEnvelope(e))
+		w.host.AfterCall(delay+sci.RetryLatency, deliverEnvelope, w.newEnvelope(e))
 	}
 }
 

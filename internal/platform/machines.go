@@ -24,11 +24,11 @@ func CrayT3E() *Platform {
 		ncEfficiency: func(bs int64) float64 {
 			switch {
 			case bs < 512:
-				return 0.06 + 0.10*float64(bs)/512
+				return 0.06 + float64(0.10*float64(bs)/512)
 			case bs < 4096:
-				return 0.16 + 0.24*float64(bs-512)/3584
+				return 0.16 + float64(0.24*float64(bs-512)/3584)
 			case bs < 8192:
-				return 0.40 + 0.55*float64(bs-4096)/4096
+				return 0.40 + float64(0.55*float64(bs-4096)/4096)
 			case bs <= 32768:
 				return 0.98
 			default:
@@ -90,7 +90,7 @@ func SunFireShm() *Platform {
 				return base
 			}
 			// Backplane contention beyond 6 active processors.
-			return base / (1 + 0.18*float64(p-6))
+			return base / (1 + float64(0.18*float64(p-6)))
 		},
 	}
 }
@@ -142,12 +142,12 @@ func LAMShm() *Platform {
 			if accessSize >= 4096 {
 				// Coarse-grained accesses saturate the shared bus almost
 				// immediately.
-				return base / (1 + 0.85*float64(p-1))
+				return base / (1 + float64(0.85*float64(p-1)))
 			}
 			if p <= 2 {
 				return base
 			}
-			return base / (1 + 0.35*float64(p-2))
+			return base / (1 + float64(0.35*float64(p-2)))
 		},
 	}
 }

@@ -109,7 +109,7 @@ func TestAllocsStoreBarrierWaiting(t *testing.T) {
 				m.WriteStream(p, int64(i)*1024, src, 0)
 				entered := p.Now()
 				ic.Node(0).StoreBarrier(p)
-				if p.Now()-entered <= ic.Cfg.StoreBarrierLatency {
+				if p.Now()-entered <= storeBarrierLatency {
 					t.Errorf("round %d: writer %d did not have to wait in the barrier", r, i)
 				}
 				woke[i] = append(woke[i], p.Now())

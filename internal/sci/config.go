@@ -42,7 +42,82 @@ import (
 // MiB is one mebibyte.
 const MiB = 1 << 20
 
-// Config holds the calibrated parameters of the simulated SCI cluster.
+// The adapter's calibration to the paper's testbed: dual Pentium-III 800
+// nodes, 64 bit / 66 MHz PCI, Dolphin D330 adapters. The model is calibrated
+// once (Figure 1, §4.3, Table 2) and no caller varies these values, so they
+// are constants; a Config field is what two callers set differently.
+const (
+	// PIOWritePeakBW is the peak bandwidth of sequential transparent remote
+	// writes (stream buffers fully gathering), bytes/second.
+	PIOWritePeakBW float64 = 225 * MiB
+
+	// SustainedPutBW is the per-node sustained throughput ceiling of the
+	// MPI put path (Table 2 measures ~121-123 MiB/s per node).
+	SustainedPutBW float64 = 123 * MiB
+
+	// PIOReadStall is the CPU stall per remote read transaction.
+	PIOReadStall time.Duration = 4700 * time.Nanosecond
+	// pioReadChunk is the number of bytes fetched per read transaction.
+	pioReadChunk int64 = 64
+	// pioReadPipeline is the number of outstanding read transactions the
+	// CPU/chipset sustains (>=1); larger values lift large-read bandwidth.
+	pioReadPipeline float64 = 1.15
+
+	// storeBarrierLatency is the cost of a store barrier (flushing the
+	// adapter and checking transaction completion).
+	storeBarrierLatency time.Duration = 1800 * time.Nanosecond
+
+	// WriteIssueOverhead is the per-block software cost of a remote
+	// block-wise write (address setup, loop control).
+	WriteIssueOverhead time.Duration = 50 * time.Nanosecond
+
+	// writeGatherGap and writeGatherGapTiny model stream-buffer restart
+	// cost, expressed as equivalent dead bytes per block. Blocks below 16
+	// bytes cannot gather effectively and use the tiny (large) gap: this is
+	// the paper's footnote about the "relatively high latency of remote
+	// memory accesses with 8 byte granularity".
+	writeGatherGap     int64 = 8
+	writeGatherGapTiny int64 = 64
+
+	// EchoFraction is the fraction of the data rate that flow-control echo
+	// packets impose on the return-path ring segments.
+	EchoFraction float64 = 0.25
+
+	// dmaStartup and dmaPeakBW describe the adapter's DMA engine.
+	dmaStartup time.Duration = 22 * time.Microsecond
+	dmaPeakBW  float64       = 85 * MiB
+
+	// Scatter-gather DMA: a descriptor-list engine that gathers scattered
+	// source runs and streams them onto the ring without the CPU. Unlike
+	// the plain block engine (dmaPeakBW, calibrated against the D330's
+	// single-transfer programmed setup), the list engine pipelines
+	// descriptor fetch with data movement and feeds the adapter's stream
+	// buffers directly, so its streaming rate approaches the PIO write
+	// peak; what it pays instead is a per-descriptor processing cost.
+	//
+	// dmaSGDesc is the engine-side processing cost per descriptor;
+	// DMASGBuild is the CPU cost of building one descriptor at submission;
+	// dmaSGPeakBW is the engine's peak streaming bandwidth; dmaSGGap is
+	// the stream restart cost per destination run, in equivalent dead
+	// bytes (the analogue of writeGatherGap for the engine's own stream
+	// transactions).
+	dmaSGDesc   time.Duration = 30 * time.Nanosecond
+	DMASGBuild  time.Duration = 15 * time.Nanosecond
+	dmaSGPeakBW float64       = 225 * MiB
+	dmaSGGap    int64         = 8
+
+	// InterruptLatency is the cost of raising a remote interrupt (used by
+	// the one-sided emulation path to invoke a remote handler).
+	InterruptLatency time.Duration = 14 * time.Microsecond
+
+	// RetryLatency is the added delay of one retransmission.
+	RetryLatency time.Duration = 30 * time.Microsecond
+)
+
+// Config holds what callers set of the simulated SCI cluster: its size,
+// the two switches the paper's own reruns vary, the fault plan, the
+// observers and the memory model. The rest of the calibration is the
+// constants above.
 type Config struct {
 	// Nodes is the number of nodes on the (single) ringlet.
 	Nodes int
@@ -56,75 +131,10 @@ type Config struct {
 	// bandwidth (paper §4.3).
 	WriteCombine bool
 
-	// PIOWritePeakBW is the peak bandwidth of sequential transparent remote
-	// writes (stream buffers fully gathering), bytes/second.
-	PIOWritePeakBW float64
-
-	// SustainedPutBW is the per-node sustained throughput ceiling of the
-	// MPI put path (Table 2 measures ~121-123 MiB/s per node).
-	SustainedPutBW float64
-
 	// PIOWriteLatency is the wire latency until a posted remote write is
-	// visible at the target.
+	// visible at the target. No caller sets it; it stays a field because
+	// the benchmark module reads it from Interconnect.Cfg.
 	PIOWriteLatency time.Duration
-
-	// PIOReadStall is the CPU stall per remote read transaction.
-	PIOReadStall time.Duration
-	// PIOReadChunk is the number of bytes fetched per read transaction.
-	PIOReadChunk int64
-	// PIOReadPipeline is the number of outstanding read transactions the
-	// CPU/chipset sustains (>=1); larger values lift large-read bandwidth.
-	PIOReadPipeline float64
-
-	// StoreBarrierLatency is the cost of a store barrier (flushing the
-	// adapter and checking transaction completion).
-	StoreBarrierLatency time.Duration
-
-	// WriteIssueOverhead is the per-block software cost of a remote
-	// block-wise write (address setup, loop control).
-	WriteIssueOverhead time.Duration
-
-	// WriteGatherGap and WriteGatherGapTiny model stream-buffer restart
-	// cost, expressed as equivalent dead bytes per block. Blocks below 16
-	// bytes cannot gather effectively and use the tiny (large) gap: this is
-	// the paper's footnote about the "relatively high latency of remote
-	// memory accesses with 8 byte granularity".
-	WriteGatherGap     int64
-	WriteGatherGapTiny int64
-
-	// EchoFraction is the fraction of the data rate that flow-control echo
-	// packets impose on the return-path ring segments.
-	EchoFraction float64
-
-	// DMAStartup and DMAPeakBW describe the adapter's DMA engine.
-	DMAStartup time.Duration
-	DMAPeakBW  float64
-
-	// Scatter-gather DMA: a descriptor-list engine that gathers scattered
-	// source runs and streams them onto the ring without the CPU. Unlike
-	// the plain block engine (DMAPeakBW, calibrated against the D330's
-	// single-transfer programmed setup), the list engine pipelines
-	// descriptor fetch with data movement and feeds the adapter's stream
-	// buffers directly, so its streaming rate approaches the PIO write
-	// peak; what it pays instead is a per-descriptor processing cost.
-	//
-	// DMASGDesc is the engine-side processing cost per descriptor;
-	// DMASGBuild is the CPU cost of building one descriptor at submission;
-	// DMASGPeakBW is the engine's peak streaming bandwidth; DMASGGap is
-	// the stream restart cost per destination run, in equivalent dead
-	// bytes (the analogue of WriteGatherGap for the engine's own stream
-	// transactions).
-	DMASGDesc   time.Duration
-	DMASGBuild  time.Duration
-	DMASGPeakBW float64
-	DMASGGap    int64
-
-	// InterruptLatency is the cost of raising a remote interrupt (used by
-	// the one-sided emulation path to invoke a remote handler).
-	InterruptLatency time.Duration
-
-	// RetryLatency is the added delay of one retransmission.
-	RetryLatency time.Duration
 
 	// Fault is an optional deterministic fault-injection plan: scheduled
 	// node crashes, link-disturbance windows, latency-only retransmissions,
@@ -156,29 +166,11 @@ type Config struct {
 // adapters on a single 166 MHz ringlet.
 func DefaultConfig(nodes int) Config {
 	return Config{
-		Nodes:               nodes,
-		LinkMHz:             ring.DefaultLinkMHz,
-		WriteCombine:        true,
-		PIOWritePeakBW:      225 * MiB,
-		SustainedPutBW:      123 * MiB,
-		PIOWriteLatency:     2300 * time.Nanosecond,
-		PIOReadStall:        4700 * time.Nanosecond,
-		PIOReadChunk:        64,
-		PIOReadPipeline:     1.15,
-		StoreBarrierLatency: 1800 * time.Nanosecond,
-		WriteIssueOverhead:  50 * time.Nanosecond,
-		WriteGatherGap:      8,
-		WriteGatherGapTiny:  64,
-		EchoFraction:        0.25,
-		DMAStartup:          22 * time.Microsecond,
-		DMAPeakBW:           85 * MiB,
-		DMASGDesc:           30 * time.Nanosecond,
-		DMASGBuild:          15 * time.Nanosecond,
-		DMASGPeakBW:         225 * MiB,
-		DMASGGap:            8,
-		InterruptLatency:    14 * time.Microsecond,
-		RetryLatency:        30 * time.Microsecond,
-		Mem:                 memmodel.PentiumIII800(),
+		Nodes:           nodes,
+		LinkMHz:         ring.DefaultLinkMHz,
+		WriteCombine:    true,
+		PIOWriteLatency: 2300 * time.Nanosecond,
+		Mem:             memmodel.PentiumIII800(),
 	}
 }
 
@@ -187,29 +179,29 @@ func DefaultConfig(nodes int) Config {
 // write pattern: ascending addresses, block-wise source).
 func (c *Config) StreamWriteBW(blockSize int64) float64 {
 	if blockSize <= 0 {
-		return c.PIOWritePeakBW
+		return PIOWritePeakBW
 	}
-	gap := c.WriteGatherGap
+	gap := writeGatherGap
 	if blockSize < 16 {
-		gap = c.WriteGatherGapTiny
+		gap = writeGatherGapTiny
 	}
-	peak := c.PIOWritePeakBW
+	peak := PIOWritePeakBW
 	if !c.WriteCombine {
 		peak *= 0.5
 	}
 	return peak * float64(blockSize) / float64(blockSize+gap)
 }
 
-// SGStreamBW returns the effective streaming bandwidth of the
+// sgStreamBW returns the effective streaming bandwidth of the
 // scatter-gather DMA engine for destination runs averaging runBytes: each
-// run restart costs DMASGGap equivalent dead bytes, mirroring the stream
+// run restart costs dmaSGGap equivalent dead bytes, mirroring the stream
 // buffer model of StreamWriteBW but without the CPU write-combine
 // interaction (the engine always emits full SCI transactions).
-func (c *Config) SGStreamBW(runBytes int64) float64 {
+func sgStreamBW(runBytes int64) float64 {
 	if runBytes <= 0 {
-		return c.DMASGPeakBW
+		return dmaSGPeakBW
 	}
-	return c.DMASGPeakBW * float64(runBytes) / float64(runBytes+c.DMASGGap)
+	return dmaSGPeakBW * float64(runBytes) / float64(runBytes+dmaSGGap)
 }
 
 // SGTransferCost returns the engine-side duration of a scatter-gather
@@ -220,14 +212,14 @@ func (c *Config) SGStreamBW(runBytes int64) float64 {
 // it is charged with.
 func (c *Config) SGTransferCost(nDesc int, bytes, avgRun int64) time.Duration {
 	if bytes <= 0 {
-		return c.DMAStartup
+		return dmaStartup
 	}
-	bw := c.SGStreamBW(avgRun)
+	bw := sgStreamBW(avgRun)
 	if c.Mem != nil {
 		bw = c.Mem.EffectiveSourceBW(bw, bytes)
 	}
 	stream := time.Duration(float64(bytes) / bw * float64(time.Second))
-	return c.DMAStartup + time.Duration(nDesc)*c.DMASGDesc + stream
+	return dmaStartup + time.Duration(nDesc)*dmaSGDesc + stream
 }
 
 // alignedStrided and worstStrided are the calibrated raw bandwidths
@@ -267,8 +259,8 @@ func (c *Config) StridedWriteBW(accessSize, stride int64) float64 {
 	if !c.WriteCombine {
 		return interp(wcOffStrided, float64(accessSize)) * MiB
 	}
-	aligned := interp(alignedStrided, float64(accessSize)) * MiB
-	worst := interp(worstStrided, float64(accessSize)) * MiB
+	aligned := float64(interp(alignedStrided, float64(accessSize)) * MiB)
+	worst := float64(interp(worstStrided, float64(accessSize)) * MiB)
 	switch stride % 32 {
 	case 0:
 		return aligned
@@ -279,14 +271,14 @@ func (c *Config) StridedWriteBW(accessSize, stride int64) float64 {
 	}
 }
 
-// ReadBW returns the effective bandwidth of a remote read of n bytes:
-// the CPU stalls per PIOReadChunk transaction, mildly pipelined.
-func (c *Config) ReadBW(n int64) float64 {
+// readBW returns the effective bandwidth of a remote read of n bytes:
+// the CPU stalls per pioReadChunk transaction, mildly pipelined.
+func readBW(n int64) float64 {
 	if n <= 0 {
 		return 1
 	}
-	chunks := (n + c.PIOReadChunk - 1) / c.PIOReadChunk
-	stall := c.PIOReadStall.Seconds() / c.PIOReadPipeline
+	chunks := (n + pioReadChunk - 1) / pioReadChunk
+	stall := PIOReadStall.Seconds() / pioReadPipeline
 	return float64(n) / (float64(chunks) * stall)
 }
 
@@ -304,7 +296,7 @@ func interp(curve [][2]float64, x float64) float64 {
 			x0, y0 := curve[i-1][0], curve[i-1][1]
 			x1, y1 := curve[i][0], curve[i][1]
 			t := (x - x0) / (x1 - x0)
-			return y0 + t*(y1-y0)
+			return y0 + float64(t*(y1-y0))
 		}
 	}
 	return last[1]

@@ -103,7 +103,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 			continue
 		}
 		start := p.Now()
-		p.Sleep(cfg.DMAStartup)
+		p.Sleep(dmaStartup)
 		n := int64(len(req.data.B))
 		// Failures complete the request with the typed error instead of
 		// panicking inside the engine daemon: the submitter gets it from
@@ -118,7 +118,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 			req.done.Complete(fe)
 			continue
 		}
-		bw := cfg.Mem.EffectiveSourceBW(cfg.DMAPeakBW, n)
+		bw := cfg.Mem.EffectiveSourceBW(dmaPeakBW, n)
 		if err := d.node.transferCost(p, req.m.seg.owner, n, bw); err != nil {
 			req.data.Put()
 			req.done.Complete(err)
@@ -143,7 +143,7 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *DMARequest) {
 	if runs > 0 {
 		avgRun = n / int64(runs)
 	}
-	p.Sleep(cfg.DMAStartup + time.Duration(len(req.descs))*cfg.DMASGDesc)
+	p.Sleep(dmaStartup + time.Duration(len(req.descs))*dmaSGDesc)
 	if err := req.m.stateErr(); err != nil {
 		req.done.Complete(err)
 		return
@@ -152,7 +152,7 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *DMARequest) {
 		req.done.Complete(fe)
 		return
 	}
-	bw := cfg.Mem.EffectiveSourceBW(cfg.SGStreamBW(avgRun), n)
+	bw := cfg.Mem.EffectiveSourceBW(sgStreamBW(avgRun), n)
 	if err := d.node.transferCost(p, req.m.seg.owner, n, bw); err != nil {
 		req.done.Complete(err)
 		return
@@ -172,13 +172,12 @@ func (d *dmaEngine) drawFault(p *sim.Proc, req *DMARequest) error {
 	if !req.m.Remote() {
 		return nil
 	}
-	cfg := &d.node.ic.Cfg
-	fe := cfg.Fault.DrawDMAError(p.Now(), d.node.id, req.m.seg.owner.id)
+	fe := d.node.ic.Cfg.Fault.DrawDMAError(p.Now(), d.node.id, req.m.seg.owner.id)
 	if fe == nil {
 		return nil
 	}
 	d.node.stats.TransferErrors++
-	p.Sleep(cfg.RetryLatency)
+	p.Sleep(RetryLatency)
 	return fe
 }
 
@@ -192,7 +191,7 @@ func (m *Mapping) DMAWrite(p *sim.Proc, off int64, src []byte) *DMARequest {
 	if err := m.accessErr(off, int64(len(src))); err != nil {
 		return failedDMA(err)
 	}
-	p.Sleep(2 * m.from.ic.Cfg.WriteIssueOverhead)
+	p.Sleep(2 * WriteIssueOverhead)
 	req := m.from.dmaRequest()
 	req.m, req.off, req.data = m, off, bufpool.Clone(src)
 	req.eng.submit(req)
@@ -216,8 +215,7 @@ func (m *Mapping) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.D
 	if err := m.accessErr(base, span); err != nil {
 		return failedDMA(err)
 	}
-	cfg := &m.from.ic.Cfg
-	p.Sleep(2*cfg.WriteIssueOverhead + time.Duration(len(descs))*cfg.DMASGBuild)
+	p.Sleep(2*WriteIssueOverhead + time.Duration(len(descs))*DMASGBuild)
 	req := m.from.dmaRequest()
 	if n == 0 {
 		req.done.Complete(nil)

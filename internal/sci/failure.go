@@ -68,7 +68,7 @@ func (n *Node) tryReachable(p *sim.Proc, target *Node) error {
 	}
 	for i := 0; i < maxTransferRetries; i++ {
 		n.stats.Retries++
-		p.Sleep(n.ic.Cfg.RetryLatency)
+		p.Sleep(RetryLatency)
 		if !target.dead {
 			return nil // the connection came back mid-retry
 		}

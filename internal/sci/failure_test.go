@@ -42,7 +42,7 @@ func TestTransferRetriesThroughTransientFailure(t *testing.T) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		ic.FailNode(1)
 		// The connection returns while the adapter is still retrying.
-		e.After(ic.Cfg.RetryLatency+time.Microsecond, func() { ic.RestoreNode(1) })
+		e.After(RetryLatency+time.Microsecond, func() { ic.RestoreNode(1) })
 		m.WriteStream(p, 0, make([]byte, 64<<10), 0)
 		ic.Node(0).StoreBarrier(p)
 		if ic.Node(0).Snapshot().Retries == 0 {

@@ -179,7 +179,6 @@ func TestLinkDisturbanceWindowRetriesThenClears(t *testing.T) {
 	// A short window: the transfer's bounded retries ride it out.
 	plan := fault.New(1).DisturbLink(0, 1, 0, 40*time.Microsecond)
 	e, ic := faultyCluster(2, plan)
-	ic.Cfg.RetryLatency = 30 * time.Microsecond
 	seg := ic.Node(1).Export(4096)
 	src := fill(512)
 	e.Go("writer", func(p *sim.Proc) {

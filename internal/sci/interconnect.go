@@ -189,8 +189,8 @@ func New(e sim.Host, cfg Config) *Interconnect {
 	ic.met = newICMetrics(cfg.Metrics)
 	n := cfg.Nodes
 	names := obs.NewNumbered("node", n, "")
-	egress := flow.NewLinks(n, cfg.PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-egress").At)
-	ingress := flow.NewLinks(n, cfg.PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-ingress").At)
+	egress := flow.NewLinks(n, PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-egress").At)
+	ingress := flow.NewLinks(n, PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-ingress").At)
 	ic.nodes = make([]Node, n)
 	for i := range ic.nodes {
 		ic.nodes[i] = Node{ic: ic, id: i, name: names.At(i), egress: &egress[i], ingress: &ingress[i]}
@@ -281,10 +281,8 @@ func (n *Node) path(owner *Node) []flow.Hop {
 		hops = append(hops, flow.Hop{Link: l, Weight: 1})
 	}
 	hops = append(hops, flow.Hop{Link: owner.ingress, Weight: 1})
-	if ef := n.ic.Cfg.EchoFraction; ef > 0 {
-		for _, l := range n.ic.Ring.Route(owner.id, n.id) {
-			hops = append(hops, flow.Hop{Link: l, Weight: ef})
-		}
+	for _, l := range n.ic.Ring.Route(owner.id, n.id) {
+		hops = append(hops, flow.Hop{Link: l, Weight: EchoFraction})
 	}
 	*slot = hops
 	return hops
@@ -344,7 +342,7 @@ func (n *Node) postDelivery(seg *Segment, off int64, buf *bufpool.Buf, access, s
 func (n *Node) StoreBarrier(p *sim.Proc) {
 	n.stats.StoreBarriers++
 	start := p.Now()
-	p.Sleep(n.ic.Cfg.StoreBarrierLatency)
+	p.Sleep(storeBarrierLatency)
 	for n.pendingWrites > 0 {
 		p.Await(&n.barrier)
 	}
@@ -361,7 +359,7 @@ const flowThreshold = 2048
 func (n *Node) retransmit(p *sim.Proc) {
 	if k := n.ic.Cfg.Fault.DrawRetries(); k > 0 {
 		n.stats.Retries += int64(k)
-		p.Sleep(time.Duration(k) * n.ic.Cfg.RetryLatency)
+		p.Sleep(time.Duration(k) * RetryLatency)
 	}
 }
 
@@ -401,7 +399,7 @@ func (n *Node) tryLinkClear(p *sim.Proc, owner *Node) error {
 	}
 	for i := 0; i < maxTransferRetries; i++ {
 		n.stats.Retries++
-		p.Sleep(n.ic.Cfg.RetryLatency)
+		p.Sleep(RetryLatency)
 		if !plan.Disturbed(n.id, owner.id, p.Now()) {
 			return nil
 		}

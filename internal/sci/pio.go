@@ -49,7 +49,7 @@ func (m *Mapping) drawPIOFault(p *sim.Proc) error {
 		return nil
 	}
 	from.stats.TransferErrors++
-	p.Sleep(from.ic.Cfg.RetryLatency)
+	p.Sleep(RetryLatency)
 	return fe
 }
 
@@ -146,8 +146,8 @@ func (m *Mapping) tryWriteStrided(p *sim.Proc, off int64, src []byte, accessSize
 	} else {
 		bw = cfg.StridedWriteBW(a.Access, a.Stride)
 	}
-	if put && bw > cfg.SustainedPutBW {
-		bw = cfg.SustainedPutBW
+	if put && bw > SustainedPutBW {
+		bw = SustainedPutBW
 	}
 	if err := from.transferCost(p, m.seg.owner, n, bw); err != nil {
 		return err
@@ -173,7 +173,7 @@ func (m *Mapping) tryWriteWord(p *sim.Proc, off int64, src []byte) error {
 	}
 	from := m.from
 	from.countWrite(1, n)
-	p.Sleep(from.ic.Cfg.WriteIssueOverhead)
+	p.Sleep(WriteIssueOverhead)
 	if !m.Remote() {
 		copy(m.seg.Local()[off:], src)
 		return nil
@@ -217,7 +217,7 @@ func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 	if err := m.drawPIOFault(p); err != nil {
 		return err
 	}
-	p.Sleep(sim.RateDuration(n, cfg.ReadBW(n)))
+	p.Sleep(sim.RateDuration(n, readBW(n)))
 	copy(dst, m.seg.Local()[off:off+n])
 	from.ic.met.readNS.ObserveDuration(p.Now() - start)
 	return nil
@@ -252,7 +252,7 @@ func (m *Mapping) tryReadStrided(p *sim.Proc, off int64, dst []byte, accessSize,
 	}
 	// Each access pays its own stall sequence; strided reads cannot be
 	// gathered by the stream buffers.
-	per := sim.RateDuration(a.Access, cfg.ReadBW(a.Access))
+	per := sim.RateDuration(a.Access, readBW(a.Access))
 	p.Sleep(time.Duration(a.Accesses) * per)
 	memmodel.Gather(dst, m.seg.Local()[off:], a.Access, a.Stride)
 	return nil
@@ -302,7 +302,7 @@ func (w *BlockWriter) Write(off int64, src []byte) {
 	w.bytes += n
 	w.m.from.countWrite(1, n)
 	if w.m.Remote() {
-		w.cost += cfg.WriteIssueOverhead + sim.RateDuration(n, cfg.StreamWriteBW(n))
+		w.cost += WriteIssueOverhead + sim.RateDuration(n, cfg.StreamWriteBW(n))
 	} else {
 		w.cost += cfg.Mem.BlockCopyCostFF(n, n, w.workingSet)
 	}
@@ -342,14 +342,8 @@ func (w *BlockWriter) flush() error {
 	if err := w.m.drawPIOFault(w.p); err != nil {
 		return err
 	}
-	cost := w.cost
-	if cost <= 0 {
-		// WriteIssueOverhead 0 plus sub-nanosecond stream costs can round
-		// the batch cost to zero; charge a minimal cost instead of deriving
-		// an infinite bandwidth below.
-		cost = time.Nanosecond
-	}
-	eff := float64(w.bytes) / cost.Seconds()
+	// Every remote block added WriteIssueOverhead, so the cost is positive.
+	eff := float64(w.bytes) / w.cost.Seconds()
 	if err := from.transferCost(w.p, w.m.seg.owner, w.bytes, eff); err != nil {
 		return err
 	}

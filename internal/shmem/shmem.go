@@ -33,20 +33,21 @@ type Config struct {
 	Mem *memmodel.Model
 	// BusBW is the aggregate memory bus bandwidth in bytes/second.
 	BusBW float64
-	// Congestion degrades the bus under concurrent access; nil for ideal.
-	Congestion flow.CongestionModel
-	// SignalLatency is the flag-propagation latency between processes.
-	SignalLatency time.Duration
 }
+
+// SignalLatency is the flag-propagation latency between processes.
+const SignalLatency time.Duration = 400 * time.Nanosecond
+
+// busCongestion degrades every bus under concurrent access. It is held as
+// the interface, so that building a bus boxes nothing.
+var busCongestion flow.CongestionModel = flow.BusCongestion{PerFlowPenalty: 0.12, Floor: 0.35}
 
 // DefaultConfig returns the intra-node configuration of the paper's dual
 // Pentium-III nodes.
 func DefaultConfig() Config {
 	return Config{
-		Mem:           memmodel.PentiumIII800(),
-		BusBW:         640e6,
-		Congestion:    flow.BusCongestion{PerFlowPenalty: 0.12, Floor: 0.35},
-		SignalLatency: 400 * time.Nanosecond,
+		Mem:   memmodel.PentiumIII800(),
+		BusBW: 640e6,
 	}
 }
 
@@ -60,7 +61,7 @@ func NewBuses(e sim.Host, net *flow.Network, prefix string, n int, cfg Config) [
 	if net == nil {
 		net = flow.NewNetworkOn(e)
 	}
-	links := flow.NewLinks(n, cfg.BusBW, cfg.Congestion, obs.NewNumbered(prefix, n, "-membus").At)
+	links := flow.NewLinks(n, cfg.BusBW, busCongestion, obs.NewNumbered(prefix, n, "-membus").At)
 	buses := make([]Bus, n)
 	for i := range buses {
 		buses[i] = Bus{net: net, bus: [1]flow.Hop{{Link: &links[i], Weight: 1}}, mem: cfg.Mem}
