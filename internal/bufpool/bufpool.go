@@ -40,10 +40,25 @@ type Buf struct {
 
 var pools [numClasses]sync.Pool
 
+// small keeps up to keepSmall free buffers of the smallest class, the
+// payloads of short messages and control words, out of the collector's
+// reach. A collection empties a sync.Pool, and the pool's next Put that
+// finds its per-P slot taken allocates the pool's queue again, so a short
+// message allocated or not depending on when the collector had last run.
+// The larger classes stay in their pools, which the collector may empty:
+// their buffers are too large to keep for the life of the process.
+var small struct {
+	sync.Mutex
+	free []*Buf
+}
+
+const keepSmall = 8
+
 // stats counts pool traffic (exposed for tests and the bench harness).
 var gets, puts, misses atomic.Int64
 
 func init() {
+	small.free = make([]*Buf, 0, keepSmall)
 	for i := range pools {
 		class := int32(i)
 		size := 1 << (minBits + i)
@@ -75,7 +90,19 @@ func Get(n int) *Buf {
 	if c == unpooled {
 		return &Buf{B: make([]byte, n), class: unpooled}
 	}
-	b := pools[c].Get().(*Buf)
+	var b *Buf
+	if c == 0 {
+		small.Lock()
+		if k := len(small.free); k > 0 {
+			b = small.free[k-1]
+			small.free[k-1] = nil
+			small.free = small.free[:k-1]
+		}
+		small.Unlock()
+	}
+	if b == nil {
+		b = pools[c].Get().(*Buf)
+	}
 	b.B = b.B[:n]
 	return b
 }
@@ -100,6 +127,17 @@ func (b *Buf) Put() {
 		return // oversized one-off: let the GC have it
 	}
 	b.B = b.B[:cap(b.B)]
+	if b.class == 0 {
+		small.Lock()
+		kept := len(small.free) < keepSmall
+		if kept {
+			small.free = append(small.free, b)
+		}
+		small.Unlock()
+		if kept {
+			return
+		}
+	}
 	pools[b.class].Put(b)
 }
 

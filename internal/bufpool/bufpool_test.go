@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"runtime"
 	"testing"
 
 	"scimpich/internal/allocwin"
@@ -75,6 +76,32 @@ func TestClassFor(t *testing.T) {
 			t.Errorf("Get(%d): cap %d, want %d", tc.n, cap(b.B), tc.wantCap)
 		}
 		b.Put()
+	}
+}
+
+// TestAllocsSmallAcrossCollections: short-message buffers survive a
+// collection. Two of them out at once and back, then a collection, then the
+// same again allocates nothing; from a sync.Pool the second round allocated
+// the pool's per-P slot and queue again.
+func TestAllocsSmallAcrossCollections(t *testing.T) {
+	if allocwin.RaceEnabled {
+		t.Skip("allocation budgets are not checked under the race detector")
+	}
+	round := func() {
+		a, b := Get(64), Get(64)
+		a.Put()
+		b.Put()
+	}
+	round()
+	win := allocwin.New(t)
+	win.Open()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		round()
+	}
+	win.Close()
+	if n := win.Objects(); n > 2 { // ReadMemStats itself may allocate
+		t.Errorf("%d allocations in 10 rounds of two short-message buffers with a collection before each, want 0", n)
 	}
 }
 
