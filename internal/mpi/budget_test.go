@@ -303,7 +303,7 @@ func TestPairStructSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"sendPort", unsafe.Sizeof(sendPort{}), 176},
+		{"sendPort", unsafe.Sizeof(sendPort{}), 152},
 		{"port", unsafe.Sizeof(port{}), 24},
 		{"rank", unsafe.Sizeof(rank{}), 120},
 	} {

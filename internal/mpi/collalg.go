@@ -11,11 +11,11 @@ import (
 
 // The collective algorithm engine: every collective call is dispatched
 // through an algorithm chooser that ranks the implemented algorithm
-// families per message size and communicator size, extending the
-// rendezvous deposit chooser's design (pathsel.go) to whole collectives:
-// cost-model priors keep the first decisions consistent with what the
-// simulator bills, and an EWMA of achieved collective bandwidth refines
-// them as calls complete.
+// families per message size and communicator size. Like the rendezvous
+// deposit chooser (pathsel.go) it starts from cost-model priors; unlike it,
+// it refines them with an EWMA of achieved collective bandwidth as calls
+// complete, because on their own the priors pick slower algorithms for
+// some collectives (EXPERIMENTS.md, "Ablation: priors-only choosers").
 //
 // Correctness requires every member of a collective to pick the *same*
 // algorithm. The EWMA state therefore lives on the World, and each matched
@@ -146,6 +146,18 @@ func (w *World) observeColl(kind collKind, alg CollAlg, bytes int64, elapsed tim
 		return
 	}
 	w.collLive[kind][alg] = ewma(w.collLive[kind][alg], float64(bytes)/elapsed.Seconds())
+}
+
+// collEWMA is the blend factor of the live feedback table.
+const collEWMA = 0.25
+
+// ewma folds a bandwidth sample into the running estimate prev (0 = none
+// yet).
+func ewma(prev, sample float64) float64 {
+	if prev > 0 {
+		return float64(collEWMA*sample) + float64((1-collEWMA)*prev)
+	}
+	return sample
 }
 
 // --- cost-model priors ---

@@ -70,7 +70,8 @@ func TestNamesUnchanged(t *testing.T) {
 // TestWorldStatsLabelsMatchNames: the label values a WorldStats tag lists
 // are the names the runtime gives what an array is indexed by — sendPaths,
 // depositPath and the flight.Path* codes, collKind and CollAlg — so every
-// element is published under the name its index stands for.
+// element is published under the name its index stands for. A post-mortem
+// names a KPathChosen code by the same label the metric carries.
 func TestWorldStatsLabelsMatchNames(t *testing.T) {
 	var s WorldStats
 	next := int64(0)
@@ -96,6 +97,16 @@ func TestWorldStatsLabelsMatchNames(t *testing.T) {
 	for name, n := range want {
 		if got := r.Counter(name).Value(); got != n {
 			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+	for code, n := range s.PathChosen {
+		line := flight.FormatEvent(flight.DumpEvent{Kind: flight.KPathChosen.String(), A: int64(code), B: 1})
+		var path string
+		if _, err := fmt.Sscanf(line, "deposit path %s", &path); err != nil {
+			t.Fatalf("path code %d renders as %q: %v", code, line, err)
+		}
+		if got := r.Counter(obs.Name("mpi.path.chosen", "path", path)).Value(); got != n {
+			t.Errorf("path code %d renders as %q, but mpi.path.chosen{path=%s} = %d, want %d", code, line, path, got, n)
 		}
 	}
 }

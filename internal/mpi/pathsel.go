@@ -12,10 +12,10 @@ import (
 type PathPolicy int
 
 const (
-	// PathAdaptive (the default) predicts the cheapest of direct_pack_ff,
-	// staged pack-and-stream and scatter-gather DMA per chunk from the
-	// cost models, then refines the prediction with per-peer EWMA
-	// bandwidth estimates of the paths actually exercised.
+	// PathAdaptive (the default) deposits each chunk by whichever of
+	// direct_pack_ff, staged pack-and-stream and scatter-gather DMA the
+	// cost models price cheapest for its size, average block and block
+	// count; no history enters the choice.
 	PathAdaptive PathPolicy = iota
 	// PathPIO forces direct_pack_ff deposits (PIO block writes).
 	PathPIO
@@ -75,24 +75,11 @@ func (d depositPath) String() string {
 	}
 }
 
-// defaultPathEWMA is the blend factor of both bandwidth estimators: the
-// deposit chooser's per-peer one and the collective chooser's per-world one.
-const defaultPathEWMA = 0.25
-
-// ewma folds a bandwidth sample into the running estimate prev (0 = none
-// yet).
-func ewma(prev, sample float64) float64 {
-	if prev > 0 {
-		return float64(defaultPathEWMA*sample) + float64((1-defaultPathEWMA)*prev)
-	}
-	return sample
-}
-
 // modelDeposit is the cost-model prior for depositing an n-byte chunk of
 // blocks contiguous blocks (average avgBlock bytes) on a remote SCI peer.
-// The formulas mirror what the charging code of each path actually bills,
-// so the chooser starts out consistent with the simulator and only departs
-// from it as measurements arrive.
+// The formulas mirror what the charging code of each path actually bills
+// (TestDepositPriorIsTheBill names the gaps), so ranking them is ranking the
+// bills.
 func (c *Comm) modelDeposit(path depositPath, n, avgBlock, blocks int64) time.Duration {
 	cfg := &c.rk.w.cfg.SCI
 	switch path {
@@ -115,20 +102,10 @@ func (c *Comm) modelDeposit(path depositPath, n, avgBlock, blocks int64) time.Du
 	}
 }
 
-// predictDeposit estimates the duration of a deposit: the per-peer EWMA
-// bandwidth when the path has been exercised, the cost-model prior before
-// that. out.rdvLock is held, so the EWMA state needs no further locking.
-func (c *Comm) predictDeposit(out *sendPort, path depositPath, n, avgBlock, blocks int64) time.Duration {
-	if bw := out.paths[path]; bw > 0 {
-		return sim.RateDuration(n, bw)
-	}
-	return c.modelDeposit(path, n, avgBlock, blocks)
-}
-
 // chooseDeposit ranks the candidate paths for one chunk and returns the
 // predicted-cheapest; forced policies (PathPIO/PathStaged/PathDMA) bypass
 // the ranking.
-func (c *Comm) chooseDeposit(out *sendPort, n, avgBlock, blocks int64) depositPath {
+func (c *Comm) chooseDeposit(n, avgBlock, blocks int64) depositPath {
 	switch c.rk.w.protocol().Path {
 	case PathPIO:
 		return depositFF
@@ -137,21 +114,12 @@ func (c *Comm) chooseDeposit(out *sendPort, n, avgBlock, blocks int64) depositPa
 	case PathDMA:
 		return depositSG
 	}
-	best, bestCost := depositFF, c.predictDeposit(out, depositFF, n, avgBlock, blocks)
-	if cost := c.predictDeposit(out, depositStaged, n, avgBlock, blocks); cost < bestCost {
+	best, bestCost := depositFF, c.modelDeposit(depositFF, n, avgBlock, blocks)
+	if cost := c.modelDeposit(depositStaged, n, avgBlock, blocks); cost < bestCost {
 		best, bestCost = depositStaged, cost
 	}
-	if cost := c.predictDeposit(out, depositSG, n, avgBlock, blocks); cost < bestCost {
+	if cost := c.modelDeposit(depositSG, n, avgBlock, blocks); cost < bestCost {
 		best = depositSG
 	}
 	return best
-}
-
-// observeDeposit folds a completed deposit into the per-peer EWMA
-// bandwidth estimate of its path (out.rdvLock held).
-func (c *Comm) observeDeposit(out *sendPort, path depositPath, n int64, elapsed time.Duration) {
-	if n <= 0 || elapsed <= 0 {
-		return
-	}
-	out.paths[path] = ewma(out.paths[path], float64(n)/elapsed.Seconds())
 }

@@ -506,9 +506,8 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 			// Adaptive ranking only where the SCI cost models apply; forced
 			// policies always take effect (SG falls back below if the
 			// transport has no descriptor engine).
-			path = c.chooseDeposit(out, n, avgBlock, blocks)
+			path = c.chooseDeposit(n, avgBlock, blocks)
 		}
-		start := c.p.Now()
 		var err error
 		switch path {
 		case depositStaged:
@@ -524,9 +523,6 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 			err = c.depositFF(mem, sc, off, buf, skip, n)
 		}
 		c.choosePath(int(path), n)
-		if err == nil {
-			c.observeDeposit(out, path, n, c.p.Now()-start)
-		}
 		return err
 	default:
 		// Generic baseline: local pack, then one streamed copy.

@@ -36,7 +36,7 @@ type ProtocolConfig struct {
 	// forces the generic pack-and-send baseline everywhere.
 	UseFF bool
 	// Path selects the deposit engine of rendezvous chunks on remote-memory
-	// transports: adaptive prediction (the default), the legacy static
+	// transports: the cost-model ranking (the default), the legacy static
 	// thresholds, or a forced path (see PathPolicy). Contiguous chunks take
 	// the adapter's DMA engine only under PathDMA (the paper's §6 outlook:
 	// "non-contiguous data transfers with DMA-based interconnects"), PIO
@@ -316,11 +316,6 @@ type sendPort struct {
 	rdvLock sim.Mutex   // serializes rendezvous transfers on this pair
 	oscLock sim.Mutex   // serializes one-sided staging on this pair
 	msgSeq  int64       // sequence stamp for message-bearing envelopes
-
-	// paths holds the adaptive chooser's per-path EWMA of achieved deposit
-	// bandwidth toward this peer, bytes/sec (0 = never exercised). Guarded
-	// by rdvLock, like the transfers it describes.
-	paths [depositPathCount]float64
 }
 
 func (w *World) protocol() *ProtocolConfig { return &w.cfg.Protocol }

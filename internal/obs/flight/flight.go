@@ -208,10 +208,11 @@ func (o Op) String() string {
 }
 
 // Deposit-path codes for KPathChosen (mirrors the mpi path policy plus the
-// contiguous fast paths).
+// contiguous fast paths). FormatEvent names each code by its
+// mpi.path.chosen label.
 const (
 	PathFF      = 0 // direct_pack_ff PIO deposit
-	PathStaged  = 1 // staged DMA
+	PathStaged  = 1 // local cursor pack, then one contiguous PIO stream
 	PathSG      = 2 // scatter-gather DMA
 	PathGeneric = 3 // generic pack + PIO
 	PathPIOCont = 4 // contiguous PIO stream

@@ -52,7 +52,7 @@ func FormatEvent(e DumpEvent) string {
 	case KRdvCancel:
 		return fmt.Sprintf("rendezvous %x with rank%d cancelled after %dB", e.B, e.A, e.C)
 	case KPathChosen:
-		names := [...]string{"pio-ff", "dma-staged", "dma-sg", "generic", "pio-stream", "dma-contig"}
+		names := [...]string{"pio-ff", "staged", "dma-sg", "generic", "pio-stream", "dma"}
 		p := "?"
 		if e.A >= 0 && int(e.A) < len(names) {
 			p = names[e.A]
