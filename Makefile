@@ -100,14 +100,18 @@ shard-stress:
 # (the yielding Sleep and the elided one), for a RecvTimeout or AwaitTimeout
 # satisfied before expiry (TestAllocsRecvTimeoutSteadyState), per flow
 # (Transfer, StartCall, a warm re-solve) and for Contiguous() on a committed
-# datatype; under 1 MiB and 110 objects for an empty 8x2 world with its
-# per-pair structs at their pinned size, at most 2.2x the objects for twice
-# the ranks, a 512x1 world within 5 000, 64 spawns within 8
-# (TestAllocsProcBlocks), a free list sized for 16 records refilled in one
-# block (TestTakeFreeRefillsInBlocks), none for a world communicator's group
-# (TestGroupRanksAllocatesNothing), no process started that the run does not
-# need; a torus run within one constant of objects at any machine size
-# (TestAllocsTorusRunBudget: 69 for 64 or 216 nodes on one shard, the larger
+# datatype; under 1 MiB and 53 objects for the first empty 8x2 world in a
+# process and 51 for a later one, with its per-pair structs at their pinned
+# size, at most 2.2x the objects for twice the ranks, a 512x1 world within
+# 3 900, 64 spawns within 8 (TestAllocsProcBlocks), none for starting and
+# ending 72 processes once a program has run some, nor for giving their
+# resume channels back (TestAllocsProcStartWarm,
+# TestAllocsResumeHandBackAllocFree), a free list sized for 16 records
+# refilled in one block (TestTakeFreeRefillsInBlocks), none for a world
+# communicator's group (TestGroupRanksAllocatesNothing), no process started
+# that the run does not need; a torus run within one constant of objects at
+# any machine size
+# (TestAllocsTorusRunBudget: 64 for 64 or 216 nodes on one shard, the larger
 # at most 20 above the smaller) and a torus hop count at none
 # (TestHopCountAllocFree); and the per-message budgets, all measured at
 # tags >= 256: a 64 B round trip (no allocation at two tag pairs, at most 4

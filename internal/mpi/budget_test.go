@@ -211,21 +211,29 @@ func ringExchange(c *Comm) {
 // running it must stay under 1 MiB. Objects: every kind of record — ranks,
 // devices, nodes, links, the segments, mappings and regions behind those
 // ports, the names of each kind — is one slab for the whole world (see
-// newWorld), so an empty world costs a fixed number of objects plus what its
-// ranks' processes start. A run that exchanges messages adds what every rank
-// does, so doubling the ranks must at most about double the objects: an
-// O(ranks^2) count that came back would read 3.2 here.
+// newWorld), so an empty world costs a fixed number of objects, and its ranks'
+// processes start for nothing: no rank makes a closure, and a process takes
+// its resume channel from the ones earlier processes gave back. The first
+// world in a process may find none (an empty world's ranks end one after
+// another and pass one channel along): 46 objects measured then, 44 in a
+// later world, each held to its measurement plus 15 %. A run that exchanges
+// messages adds what every rank does, so doubling the ranks must at most
+// about double the objects: an O(ranks^2) count that came back would read 3.2
+// here.
 func TestAllocsWorldBudget(t *testing.T) {
-	objs, bytes, _ := worldCost(t, DefaultConfig(8, 2), func(*Comm) {})
-	t.Logf("empty 8x2 world: %d bytes, %d objects", bytes, objs)
-	if bytes >= 1<<20 {
-		t.Errorf("empty 8x2 world allocated %d bytes, budget is 1 MiB", bytes)
+	const first, later = 53, 51
+	for i, budget := range []uint64{first, later} {
+		objs, bytes, _ := worldCost(t, DefaultConfig(8, 2), func(*Comm) {})
+		t.Logf("empty 8x2 world %d: %d bytes, %d objects", i+1, bytes, objs)
+		if bytes >= 1<<20 {
+			t.Errorf("empty 8x2 world %d allocated %d bytes, budget is 1 MiB", i+1, bytes)
+		}
+		if objs > budget && !allocwin.RaceEnabled {
+			t.Errorf("empty 8x2 world %d allocated %d objects, budget is %d", i+1, objs, budget)
+		}
 	}
 	if allocwin.RaceEnabled {
 		return // the detector allocates on its own
-	}
-	if objs > 110 {
-		t.Errorf("empty 8x2 world allocated %d objects, budget is 110", objs)
 	}
 	o32, _, _ := worldCost(t, DefaultConfig(32, 1), ringExchange)
 	o64, _, _ := worldCost(t, DefaultConfig(64, 1), ringExchange)
@@ -238,9 +246,10 @@ func TestAllocsWorldBudget(t *testing.T) {
 
 // TestWorld512Builds: an ordinary 512-rank World is affordable. One ring
 // exchange on 512x1 ends at the virtual instant it ends at on 64x1 (each
-// rank talks to its two neighbours, whatever the size) within 5 000 objects,
-// the first run in a process included (it makes the runtime's goroutine
-// records, ~450 more than a later run).
+// rank talks to its two neighbours, whatever the size) within 3 900 objects
+// (3 353 measured, plus 15 %), the first run in a process included: it makes
+// the runtime's goroutine records, ~450 more than a later run, and every run
+// makes the resume channels of the 448 ranks beyond the 64 the list keeps.
 func TestWorld512Builds(t *testing.T) {
 	if testing.Short() || allocwin.RaceEnabled {
 		t.Skip("a 512-rank world takes ~100 MB; skipped under -short and -race")
@@ -251,8 +260,8 @@ func TestWorld512Builds(t *testing.T) {
 	if end != end64 {
 		t.Errorf("ring exchange ends at %v on 512x1 and %v on 64x1, want the same instant", end, end64)
 	}
-	if objs > 5000 {
-		t.Errorf("512x1 world allocated %d objects, budget is 5 000", objs)
+	if objs > 3900 {
+		t.Errorf("512x1 world allocated %d objects, budget is 3 900", objs)
 	}
 }
 

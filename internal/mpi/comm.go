@@ -187,16 +187,29 @@ func (w *World) Run(main func(c *Comm)) time.Duration {
 }
 
 // Spawn starts main on every rank, as processes hosted on the world's
-// locale. The ranks' world communicators and their collective views are one
-// slab.
+// locale; a rank runs one process, so a world spawns once. The ranks' world
+// communicators and their collective views are one slab, and no rank makes a
+// closure: each process runs rankMain, which finds main in the world and its
+// communicator in the process.
 func (w *World) Spawn(main func(c *Comm)) {
+	if w.main != nil {
+		panic("mpi: Spawn on a world that already spawned its ranks")
+	}
+	w.main = main
 	comms := make([]Comm, 2*w.size)
 	for r, rk := range w.ranks {
 		c := &comms[2*r]
 		*c = Comm{w: w, rk: rk, ctx: ctxUser, collCtx: ctxCollective}
-		c.p = w.host.Go(rk.actor, func(*sim.Proc) { main(c) })
+		c.p = w.host.Go(rk.actor, rankMain)
+		c.p.SetArg(c)
 		c.setCollective(&comms[2*r+1])
 	}
+}
+
+// rankMain is the body of every rank's process.
+func rankMain(p *sim.Proc) {
+	c := p.TakeArg().(*Comm)
+	c.w.main(c)
 }
 
 // Stats returns a copy of the device statistics of a rank.

@@ -204,10 +204,15 @@ func (d *device) handle() (finished bool) {
 // daemon, whose body starts right here.
 func (d *device) resume() {
 	if d.p == nil {
-		d.p = d.rk.w.host.GoDaemon(d.actor, d.run)
+		d.p = d.rk.w.host.GoDaemon(d.actor, deviceMain)
+		d.p.SetArg(d)
 	}
 	d.p.Resume()
 }
+
+// deviceMain starts a device's daemon: a top-level function, where the
+// method value d.run would be a closure per device.
+func deviceMain(p *sim.Proc) { p.TakeArg().(*device).run(p) }
 
 // run is the daemon process: the part of a handler that blocks. Each resume
 // serves one item and parks.

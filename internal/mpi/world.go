@@ -158,6 +158,7 @@ type World struct {
 	ic     *sci.Interconnect
 	buses  []shmem.Bus
 	ranks  []*rank
+	main   func(c *Comm) // what every rank runs (see Spawn)
 
 	size       int
 	identity   []int // world ranks 0..size-1, for groupRanks

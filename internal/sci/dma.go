@@ -76,9 +76,14 @@ func failedDMA(err error) *DMARequest {
 
 func newDMAEngine(n *Node) *dmaEngine {
 	d := &dmaEngine{node: n, idle: true}
-	d.p = n.ic.E.GoDaemon("dma", d.run)
+	d.p = n.ic.E.GoDaemon("dma", dmaMain)
+	d.p.SetArg(d)
 	return d
 }
+
+// dmaMain starts a DMA engine's daemon: a top-level function, where the
+// method value d.run would be a closure per engine.
+func dmaMain(p *sim.Proc) { p.TakeArg().(*dmaEngine).run(p) }
 
 // submit queues req behind the transfers already submitted and wakes the
 // engine if it is idle.

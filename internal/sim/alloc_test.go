@@ -54,15 +54,19 @@ func TestStaleTimerCancelIsNoop(t *testing.T) {
 }
 
 // TestAllocsEventBlocks: the queue makes events in blocks, each as large as
-// everything made before it and at least 16, and sizes the freelist with each
-// block to hold every event made: however many of them come back, recycle
-// never moves the freelist to a larger array.
+// everything made before it and at least 16, and sizes the freelist and the
+// heap with each block to hold every event made: however many of them come
+// back, recycle never moves the freelist to a larger array, and however many
+// are queued, schedule never moves the heap.
 func TestAllocsEventBlocks(t *testing.T) {
 	e := NewEngine()
 	fn := func(any) {}
 	for _, c := range []struct{ queued, made int }{{1, 16}, {16, 16}, {17, 32}, {100, 128}} {
 		for i := 0; i < c.queued; i++ {
 			e.AfterCall(time.Duration(i), fn, nil)
+			if cap(e.queue) != e.made {
+				t.Fatalf("%d events queued: the heap holds %d, %d were made", i+1, cap(e.queue), e.made)
+			}
 		}
 		if e.made != c.made || cap(e.free) != c.made {
 			t.Errorf("%d events queued: %d made, freelist holds %d; want %d and %d", c.queued, e.made, cap(e.free), c.made, c.made)

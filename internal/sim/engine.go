@@ -164,8 +164,9 @@ func (q *eventQueue) schedule(t time.Duration, fn func(), fnArg func(any), arg a
 
 // refill stocks the empty freelist with a block of new events, as many as the
 // queue has made so far and at least 16, so a queue makes O(log n) blocks for
-// n events in flight at once. free is sized here to hold every event made, so
-// recycle never grows it.
+// n events in flight at once. free and the heap are sized here to hold every
+// event made — every queued entry is one — so neither recycle nor schedule
+// ever grows them.
 func (q *eventQueue) refill() {
 	block := make([]event, max(16, q.made))
 	q.made += len(block)
@@ -174,6 +175,7 @@ func (q *eventQueue) refill() {
 		block[i].q = q
 		q.free[i] = &block[i]
 	}
+	q.queue = append(make([]*event, 0, q.made), q.queue...)
 }
 
 // recycle invalidates outstanding Timers for ev and returns it to the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -103,8 +104,9 @@ type Proc struct {
 	name string
 	body func(p *Proc)
 
-	// resume is made, with the goroutine, by the process's first dispatch
-	// (see dispatch); until then the process costs this struct alone.
+	// resume is taken from resumeChans, with a goroutine started, by the
+	// process's first dispatch, and given back when that goroutine ends (see
+	// main); until then the process costs this struct alone.
 	resume chan struct{}
 	// parked is true while the proc is blocked waiting for an external
 	// wake (not a self-scheduled timer). Used to catch double-wakes.
@@ -122,7 +124,8 @@ type Proc struct {
 	// handoff is where a channel deposits the value for p while p is blocked
 	// as its receiver (see takeHandoff). In a timed wait it holds what p
 	// waits on until the value arrives, or the expiry event leaves
-	// waitExpired there (see RecvTimeout).
+	// waitExpired there (see RecvTimeout). Before p first runs it holds
+	// what its spawner left for the body (see SetArg).
 	handoff any
 }
 
@@ -184,9 +187,29 @@ func (rt *procRuntime) newProc() *Proc {
 	return p
 }
 
+// SetArg leaves arg for p's body to take with TakeArg. A spawner that starts
+// many processes from one body passes each its own state this way rather than
+// in a closure per process. Call it before p first runs.
+func (p *Proc) SetArg(arg any) {
+	if p.resume != nil || p.finished {
+		panic(fmt.Sprintf("sim: SetArg on process %q, which already ran", p.name))
+	}
+	p.handoff = arg
+}
+
+// TakeArg returns what SetArg left for p and clears it. Call it at the top of
+// the body, before p blocks: the slot is p's hand-off slot from then on.
+func (p *Proc) TakeArg() any {
+	arg := p.handoff
+	p.handoff = nil
+	return arg
+}
+
 // main is the body of p's goroutine, which p's first dispatch starts. A
 // panic in the body is re-raised inside the host's event loop so callers (and
-// tests) can observe it on that goroutine.
+// tests) can observe it on that goroutine. The deferred hand-back also runs
+// for a daemon ended through Goexit (see releaseDaemons), so every started
+// process gives its resume channel back.
 func (p *Proc) main() {
 	rt := p.rt
 	defer func() {
@@ -197,9 +220,73 @@ func (p *Proc) main() {
 		if !p.daemon {
 			rt.nprocs--
 		}
+		putResume(p.resume)
+		p.resume = nil
 		rt.yield <- struct{}{} // return control to the host for good
 	}()
 	p.body(p)
+}
+
+// procStart hands each process to the goroutine its first dispatch starts: a
+// go statement with an argument makes a closure, so the goroutine runs the
+// capture-free procEntry and takes a process here. Fresh goroutines are
+// interchangeable: when shards start processes at once, it does not matter
+// which takes which. The host puts the process in before the go statement and
+// then waits for its yield, as it would after go p.main(), so a body that
+// returns at once ends its goroutine before the host goes on. Unbuffered, the
+// host would block on the hand-over and the goroutine then on its yield, to
+// stay behind, runnable, until the host next parked: on one P, a goroutine
+// record per process of a world. The 64 slots are one per host starting a
+// process at the same moment, more than the shards of any engine the
+// repository builds (8); a host that finds every slot taken only waits until
+// a started goroutine takes a process out.
+var procStart = make(chan *Proc, 64)
+
+func procEntry() { (<-procStart).main() }
+
+// maxIdleResume bounds resumeChans. The most processes a committed benchmark
+// workload has alive at once is 16: world_churn's 8x2 ranks, or allreduce8's
+// 8 ranks and their 8 device daemons (rmem_failover's world peaks at 8). 64
+// keeps the channels of four such worlds run side by side, as parallel tests
+// and shards do, for 512 B of static array and 112 B per idle channel.
+const maxIdleResume = 64
+
+// resumeChans holds the resume channels of processes that ended, for the
+// next first dispatch anywhere in the program: once a world has run, the
+// processes of the next one make none. It is an array, so a hand-back inside
+// a measured window never grows it; a channel that finds it full is left to
+// the collector. The shards of a ShardedEngine start and end processes in
+// parallel, hence the lock.
+var resumeChans struct {
+	sync.Mutex
+	n    int
+	free [maxIdleResume]chan struct{}
+}
+
+// takeResume returns an idle resume channel, or a new one if none is idle.
+func takeResume() chan struct{} {
+	l := &resumeChans
+	l.Lock()
+	defer l.Unlock()
+	if l.n == 0 {
+		return make(chan struct{})
+	}
+	l.n--
+	c := l.free[l.n]
+	l.free[l.n] = nil
+	return c
+}
+
+// putResume keeps c for a later process unless the list is full. Nothing
+// sends on c again: its process finished.
+func putResume(c chan struct{}) {
+	l := &resumeChans
+	l.Lock()
+	defer l.Unlock()
+	if l.n < len(l.free) {
+		l.free[l.n] = c
+		l.n++
+	}
 }
 
 // dispatchProc is the event that hands control to a process: a top-level
@@ -213,17 +300,19 @@ func dispatchProc(arg any) {
 
 // dispatch transfers control to p until it blocks again; ownEvent says
 // whether the event doing so is p's own (dispatchProc) or somebody else's
-// callback (Resume). The first dispatch of p makes its goroutine, which runs
-// the body from the top.
+// callback (Resume). The first dispatch of p takes its resume channel and
+// starts its goroutine, which runs the body from the top; once resumeChans
+// is warm it makes neither a channel nor a closure.
 func (rt *procRuntime) dispatch(p *Proc, ownEvent bool) {
 	prev := rt.cur
 	rt.cur = p
 	rt.ownEvent = ownEvent
 	rt.switches++
 	if p.resume == nil {
-		p.resume = make(chan struct{})
+		p.resume = takeResume()
 		rt.started++
-		go p.main()
+		procStart <- p
+		go procEntry()
 	} else {
 		p.resume <- struct{}{}
 	}
