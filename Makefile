@@ -100,10 +100,12 @@ shard-stress:
 # (the yielding Sleep and the elided one), for a RecvTimeout or AwaitTimeout
 # satisfied before expiry (TestAllocsRecvTimeoutSteadyState), per flow
 # (Transfer, StartCall, a warm re-solve) and for Contiguous() on a committed
-# datatype; under 1 MiB and 53 objects for the first empty 8x2 world in a
-# process and 51 for a later one, with its per-pair structs at their pinned
-# size, at most 2.2x the objects for twice the ranks, a 512x1 world within
-# 3 900, 64 spawns within 8 (TestAllocsProcBlocks), none for starting and
+# datatype; within 84.7 kB and 53 objects for the first empty 8x2 world in a
+# process and 84.0 kB and 51 for a later one, with its per-pair structs at
+# their pinned size (an 80 B sendPort), at most 2.2x the objects for twice the
+# ranks, a 512x1 world within 3 900 objects and 59.4 MB, none for a contended
+# Mutex or a blocked credit Acquire (TestAllocsContendedSync), 64 spawns
+# within 8 (TestAllocsProcBlocks), none for starting and
 # ending 72 processes once a program has run some, nor for giving their
 # resume channels back (TestAllocsProcStartWarm,
 # TestAllocsResumeHandBackAllocFree), a free list sized for 16 records

@@ -104,6 +104,10 @@ const (
 	sendBackoff  = 20 * time.Microsecond
 )
 
+// A pair's eager credits live inside its sendPort: the build fails if they
+// outgrow the ring a sim.Credits holds.
+var _ [sim.MaxCredits - eagerSlots]struct{}
+
 // Config describes a simulated cluster run.
 type Config struct {
 	// Nodes is the number of cluster nodes; ProcsPerNode ranks run on
@@ -397,10 +401,10 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 		rk.ports = row(ports, r, n)
 		rk.buildPorts(row(regions, r, local), row(segs, r, remote), row(views, r, remote))
 	}
-	out, credits, imports := make([]sendPort, n*n), make([]int, n*n*eagerSlots), make([]sci.Mapping, n*remote)
+	out, imports := make([]sendPort, n*n), make([]sci.Mapping, n*remote)
 	for r, rk := range w.ranks {
 		rk.out = row(out, r, n)
-		rk.buildSendPorts(row(credits, r, n*eagerSlots), row(imports, r, remote))
+		rk.buildSendPorts(row(imports, r, remote))
 	}
 	return w
 }
@@ -453,9 +457,9 @@ func (w *World) importInto(m *sci.Mapping, from, owner, segID int) *sci.Mapping 
 }
 
 // buildSendPorts sets up this rank's sender-side view of each peer's port:
-// every pair's credit FIFO and the imports of remote ports are this rank's
-// rows of the world's slabs.
-func (rk *rank) buildSendPorts(credits []int, imports []sci.Mapping) {
+// every pair's credits, and the imports of remote ports in this rank's row
+// of the world's slab.
+func (rk *rank) buildSendPorts(imports []sci.Mapping) {
 	w := rk.w
 	nr := 0 // remote receivers wired so far
 	for dst := 0; dst < w.size; dst++ {
@@ -470,7 +474,7 @@ func (rk *rank) buildSendPorts(credits []int, imports []sci.Mapping) {
 			out.mem = smi.FromSCI(w.importInto(&imports[nr], rk.node, peer.node, peer.ports[rk.id].segID))
 			nr++
 		}
-		out.credits.Init(row(credits, dst, eagerSlots))
+		out.credits.Init(eagerSlots)
 	}
 }
 

@@ -38,8 +38,8 @@ func (e ErrSegmentLost) Error() string {
 // is exported but never read or written holds no host memory.
 type Segment struct {
 	owner   *Node
-	id      int
 	mem     memmodel.Backing
+	id      int32 // beside revoked, in one word: a world holds one per remote pair
 	revoked bool
 }
 
@@ -95,12 +95,12 @@ func (n *Node) ExportBuffer(buf []byte) *Segment {
 // export registers s under the node's next id: ids are dense, per node, in
 // export order, and index the segment table.
 func (n *Node) export(s *Segment, mem memmodel.Backing) {
-	*s = Segment{owner: n, id: len(n.segs), mem: mem}
+	*s = Segment{owner: n, id: int32(len(n.segs)), mem: mem}
 	n.segs = append(n.segs, s)
 }
 
 // ID returns the segment's identifier, unique per owning node.
-func (s *Segment) ID() int { return s.id }
+func (s *Segment) ID() int { return int(s.id) }
 
 // Owner returns the owning node.
 func (s *Segment) Owner() *Node { return s.owner }
@@ -267,7 +267,7 @@ func (m *Mapping) accessErr(off, n int64) error {
 // stateErr reports a revoked mapping as ErrSegmentLost.
 func (m *Mapping) stateErr() error {
 	if m.seg.revoked {
-		return ErrSegmentLost{Owner: m.seg.owner.id, Seg: m.seg.id}
+		return ErrSegmentLost{Owner: m.seg.owner.id, Seg: int(m.seg.id)}
 	}
 	return nil
 }

@@ -223,3 +223,42 @@ func TestAllocsRecvTimeoutSteadyState(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestAllocsContendedSync: three processes that each round take a contended
+// Mutex and then block for the one slot of a Credits allocate nothing per
+// round. A wait list is linked through the parked processes' hand-off slots,
+// and the slot a Release hands over is boxed from the runtime's table of
+// small integers.
+func TestAllocsContendedSync(t *testing.T) {
+	const warm, rounds = 4, 100
+	win := allocwin.New(t)
+	e := NewEngine()
+	var m Mutex
+	var cr Credits
+	cr.Init(1)
+	for i := 0; i < 3; i++ {
+		e.Go("contender", func(p *Proc) {
+			for r := 0; r < warm+rounds; r++ {
+				if i == 0 && r == warm {
+					win.Open()
+				}
+				p.Lock(&m)
+				p.Sleep(time.Microsecond)
+				p.Unlock(&m)
+				slot := p.Acquire(&cr)
+				p.Sleep(time.Microsecond)
+				cr.Release(slot)
+			}
+			if i == 0 {
+				win.Close()
+			}
+		})
+	}
+	e.Run()
+	perRound := float64(win.Objects()) / rounds
+	t.Logf("contended Lock/Unlock and Acquire/Release: %.2f objects per round", perRound)
+	if win.Objects() != 0 && !allocwin.RaceEnabled {
+		t.Errorf("contended sync allocated %d objects in %d rounds (%.2f per round), want none",
+			win.Objects(), rounds, perRound)
+	}
+}

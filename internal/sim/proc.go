@@ -124,8 +124,10 @@ type Proc struct {
 	// handoff is where a channel deposits the value for p while p is blocked
 	// as its receiver (see takeHandoff). In a timed wait it holds what p
 	// waits on until the value arrives, or the expiry event leaves
-	// waitExpired there (see RecvTimeout). Before p first runs it holds
-	// what its spawner left for the body (see SetArg).
+	// waitExpired there (see RecvTimeout). While p is queued on a Mutex or
+	// a Credits it links the next waiter in the list's ring, and a Release
+	// leaves the slot p was handed there (see waitList). Before p first runs
+	// it holds what its spawner left for the body (see SetArg).
 	handoff any
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Virtual-time synchronization primitives. All of them are deterministic:
 // waiters are queued and released in FIFO order.
@@ -376,10 +379,46 @@ func recvExpired(arg any) {
 	}
 }
 
+// waitList is a FIFO of parked processes linked through their hand-off
+// slots: a process blocked in Lock or Acquire waits on nothing else, so the
+// slot holds the next waiter and a list costs its owner one pointer. The
+// links form a ring and the list points at its tail, whose slot holds the
+// head, so push and pop both take constant time however deep the queue.
+type waitList struct {
+	tail *Proc
+}
+
+// push queues p behind the processes already waiting.
+func (l *waitList) push(p *Proc) {
+	if t := l.tail; t == nil {
+		p.handoff = p
+	} else {
+		p.handoff, t.handoff = t.handoff, p
+	}
+	l.tail = p
+}
+
+// pop unlinks and returns the oldest waiter, its hand-off slot cleared, or
+// nil if none waits.
+func (l *waitList) pop() *Proc {
+	t := l.tail
+	if t == nil {
+		return nil
+	}
+	h := t.handoff.(*Proc)
+	if h == t {
+		l.tail = nil
+	} else {
+		t.handoff = h.handoff
+	}
+	h.handoff = nil
+	return h
+}
+
 // Mutex is a virtual-time mutual-exclusion lock with FIFO waiters.
 type Mutex struct {
 	held    bool
-	waiters []*Proc
+	waiters waitList
 }
 
 // Lock acquires m, blocking p in virtual time if it is held.
@@ -388,7 +427,7 @@ func (p *Proc) Lock(m *Mutex) {
 		m.held = true
 		return
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	p.park()
 	// Ownership is transferred directly by Unlock; held stays true.
 }
@@ -407,68 +446,66 @@ func (p *Proc) Unlock(m *Mutex) {
 	if !m.held {
 		panic("sim: unlock of unlocked mutex")
 	}
-	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	if next := m.waiters.pop(); next != nil {
 		next.Wake()
 		return
 	}
 	m.held = false
 }
 
+// MaxCredits is the most slots a Credits can hold: its free ring is an
+// array inside it, so a pool embeds by value with no storage of its own.
+const MaxCredits = 8
+
 // Credits is the flow control of a pool of numbered buffer slots: Acquire
 // hands out free slot indices in the order they were released and blocks in
 // virtual time while none is free; blocked processes are served in FIFO
 // order. It behaves like a Chan pre-loaded with one token per slot, but the
-// tokens are plain ints in a circular FIFO over storage the owner provides,
-// so a Credits can be embedded by value and steady traffic allocates nothing.
+// tokens are bytes in a circular FIFO held inline, so a Credits embeds by
+// value and neither steady traffic nor contention allocates.
 type Credits struct {
-	ring    []int // free slots: n of them, starting at head, wrapping
-	head, n int
-	waiters []creditWaiter
+	waiters       waitList
+	ring          [MaxCredits]uint8 // free slots: n of them, starting at head, wrapping at size
+	head, n, size uint8
 }
 
-type creditWaiter struct {
-	p    *Proc
-	slot *int // where Release deposits the slot it hands over
-}
-
-// Init makes every slot 0..len(ring)-1 free, in ascending order, using ring
-// as the FIFO's storage.
-func (c *Credits) Init(ring []int) {
-	for i := range ring {
-		ring[i] = i
+// Init makes every slot 0..n-1 free, in ascending order. n must not exceed
+// MaxCredits.
+func (c *Credits) Init(n int) {
+	if n < 0 || n > MaxCredits {
+		panic(fmt.Sprintf("sim: %d credits, at most %d fit", n, MaxCredits))
 	}
-	c.ring, c.head, c.n = ring, 0, len(ring)
+	for i := range n {
+		c.ring[i] = uint8(i)
+	}
+	c.head, c.n, c.size = 0, uint8(n), uint8(n)
 }
 
 // Acquire takes the oldest free slot, blocking p until one is released.
 func (p *Proc) Acquire(c *Credits) int {
 	if c.n > 0 {
 		slot := c.ring[c.head]
-		c.head = (c.head + 1) % len(c.ring)
+		c.head = (c.head + 1) % c.size
 		c.n--
-		return slot
+		return int(slot)
 	}
-	var slot int
-	c.waiters = append(c.waiters, creditWaiter{p: p, slot: &slot})
+	c.waiters.push(p)
 	p.park()
-	return slot
+	// Release left the slot in the hand-off slot.
+	return p.takeHandoff().(int)
 }
 
 // Release frees slot, handing it straight to the oldest blocked process if
 // there is one. Like Post it needs no process context and never blocks.
 func (c *Credits) Release(slot int) {
-	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		*w.slot = slot
-		w.p.Wake()
+	if w := c.waiters.pop(); w != nil {
+		w.handoff = slot // below MaxCredits: boxing it allocates nothing
+		w.Wake()
 		return
 	}
-	if c.n == len(c.ring) {
+	if c.n == c.size {
 		panic("sim: more credits released than slots exist")
 	}
-	c.ring[(c.head+c.n)%len(c.ring)] = slot
+	c.ring[(c.head+c.n)%c.size] = uint8(slot)
 	c.n++
 }

@@ -208,49 +208,94 @@ func TestMutexExcludesAndIsFIFO(t *testing.T) {
 			p.Unlock(m)
 		})
 	}
+	// Four waiters queue behind a, spawned out of their arrival order.
 	hold("a", 0, 10*time.Microsecond)
 	hold("b", time.Microsecond, time.Microsecond)
+	hold("e", 4*time.Microsecond, time.Microsecond)
 	hold("c", 2*time.Microsecond, time.Microsecond)
+	hold("d", 3*time.Microsecond, time.Microsecond)
 	e.Run()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("lock order = %v, want %v", order, want)
-		}
+	if want := []string{"a", "b", "c", "d", "e"}; !slices.Equal(order, want) {
+		t.Fatalf("lock order = %v, want %v", order, want)
 	}
 }
 
 // TestCreditsMatchPreloadedChan drives a Credits and a Chan pre-loaded with
 // the same tokens through one schedule of takers and releases; the slots must
-// be handed out in the same order to the same processes.
+// be handed out in the same order to the same processes, for a few slots and
+// for as many as a Credits holds.
 func TestCreditsMatchPreloadedChan(t *testing.T) {
-	const slots, takers = 3, 7
-	run := func(take func(*Proc) int, release func(int)) []int {
+	for _, slots := range []int{3, MaxCredits} {
+		takers := 2*slots + 1
+		run := func(take func(*Proc) int, release func(int)) []int {
+			e := NewEngine()
+			var order []int
+			for i := 0; i < takers; i++ {
+				e.Go("taker", func(p *Proc) {
+					p.Sleep(time.Duration(i%3) * time.Microsecond)
+					slot := take(p)
+					order = append(order, i, slot)
+					p.Sleep(time.Duration(1+slot) * time.Microsecond)
+					release(slot)
+				})
+			}
+			e.Run()
+			return order
+		}
+		var cr Credits
+		cr.Init(slots)
+		ch := NewChan(slots + 1)
+		for i := 0; i < slots; i++ {
+			Post(ch, i)
+		}
+		got := run(func(p *Proc) int { return p.Acquire(&cr) }, cr.Release)
+		want := run(func(p *Proc) int { return p.Recv(ch).(int) }, func(s int) { Post(ch, s) })
+		if len(got) != 2*takers || !slices.Equal(got, want) {
+			t.Errorf("%d slots: credits handed out (taker, slot) %v, channel %v", slots, got, want)
+		}
+	}
+}
+
+// TestDeepWaitQueues queues a few thousand processes behind the holder of a
+// Mutex and of a one-slot Credits, spawned in the reverse of their arrival
+// order; each primitive must serve them in arrival order.
+func TestDeepWaitQueues(t *testing.T) {
+	const n = 2000
+	var m Mutex
+	var cr Credits
+	cr.Init(1)
+	prims := []struct {
+		name          string
+		take, release func(*Proc)
+	}{
+		{"mutex", func(p *Proc) { p.Lock(&m) }, func(p *Proc) { p.Unlock(&m) }},
+		{"credits", func(p *Proc) { p.Acquire(&cr) }, func(*Proc) { cr.Release(0) }},
+	}
+	for _, prim := range prims {
 		e := NewEngine()
 		var order []int
-		for i := 0; i < takers; i++ {
-			i := i
-			e.Go("taker", func(p *Proc) {
-				p.Sleep(time.Duration(i%3) * time.Microsecond)
-				slot := take(p)
-				order = append(order, i, slot)
-				p.Sleep(time.Duration(1+slot) * time.Microsecond)
-				release(slot)
+		e.Go("holder", func(p *Proc) {
+			prim.take(p)
+			p.Sleep((n + 1) * time.Nanosecond)
+			prim.release(p)
+		})
+		for i := n - 1; i >= 0; i-- {
+			e.Go("waiter", func(p *Proc) {
+				p.Sleep(time.Duration(i+1) * time.Nanosecond)
+				prim.take(p)
+				order = append(order, i)
+				prim.release(p)
 			})
 		}
 		e.Run()
-		return order
-	}
-	var cr Credits
-	cr.Init(make([]int, slots))
-	ch := NewChan(slots + 1)
-	for i := 0; i < slots; i++ {
-		Post(ch, i)
-	}
-	got := run(func(p *Proc) int { return p.Acquire(&cr) }, cr.Release)
-	want := run(func(p *Proc) int { return p.Recv(ch).(int) }, func(s int) { Post(ch, s) })
-	if len(got) != 2*takers || !slices.Equal(got, want) {
-		t.Errorf("credits handed out (taker, slot) %v, channel %v", got, want)
+		if len(order) != n {
+			t.Fatalf("%s: %d of %d waiters served", prim.name, len(order), n)
+		}
+		for i, w := range order {
+			if w != i {
+				t.Fatalf("%s: waiter %d served %dth, want arrival order", prim.name, w, i)
+			}
+		}
 	}
 }
 
@@ -261,8 +306,70 @@ func TestCreditsOverReleasePanics(t *testing.T) {
 		}
 	}()
 	var cr Credits
-	cr.Init(make([]int, 2))
+	cr.Init(2)
 	cr.Release(0)
+}
+
+func TestCreditsInitAboveMaxPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Init(%d) did not panic", MaxCredits+1)
+		}
+	}()
+	var cr Credits
+	cr.Init(MaxCredits + 1)
+}
+
+// TestWaitLeavesNoStaleHandoff: a process that queued on a Mutex and then on
+// Credits — both linked through its hand-off slot — leaves the slot empty,
+// and a later blocking Recv and RecvTimeout hand it the values sent, not a
+// leftover link or slot.
+func TestWaitLeavesNoStaleHandoff(t *testing.T) {
+	e := NewEngine()
+	var m Mutex
+	var cr Credits
+	cr.Init(1)
+	c := NewChan(0)
+	e.Go("holder", func(p *Proc) {
+		p.Lock(&m)
+		slot := p.Acquire(&cr)
+		p.Sleep(2 * time.Microsecond)
+		p.Unlock(&m)
+		p.Sleep(2 * time.Microsecond)
+		cr.Release(slot)
+		p.Sleep(2 * time.Microsecond)
+		p.Send(c, "first")
+		p.Sleep(2 * time.Microsecond)
+		p.Send(c, "second")
+	})
+	for _, name := range []string{"waiter", "behind"} {
+		e.Go(name, func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			p.Lock(&m)
+			if p.handoff != nil {
+				t.Errorf("%s: hand-off slot holds %v after Lock", name, p.handoff)
+			}
+			p.Unlock(&m)
+			slot := p.Acquire(&cr)
+			if p.handoff != nil {
+				t.Errorf("%s: hand-off slot holds %v after Acquire", name, p.handoff)
+			}
+			if slot != 0 {
+				t.Errorf("%s: acquired slot %d, want 0", name, slot)
+			}
+			cr.Release(slot)
+			if name != "waiter" {
+				return
+			}
+			if v := p.Recv(c); v != "first" {
+				t.Errorf("Recv after the waits = %v, want first", v)
+			}
+			if v, ok := p.RecvTimeout(c, time.Millisecond); !ok || v != "second" {
+				t.Errorf("RecvTimeout after the waits = %v, %v, want second, true", v, ok)
+			}
+		})
+	}
+	e.Run()
 }
 
 func TestUnlockUnlockedPanics(t *testing.T) {
