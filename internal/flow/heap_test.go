@@ -205,7 +205,7 @@ func TestCompletionHeapMatchesScan(t *testing.T) {
 // admission order, and each generation one transfer time after the last.
 func TestReentrantCompletions(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	type hit struct {
 		lane, generation int
 		at               time.Duration
@@ -249,7 +249,7 @@ func TestReentrantCompletions(t *testing.T) {
 // again, and still reads as done at rate zero.
 func TestStartedFlowIsNeverRecycled(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l := NewLink("l", 100*mib, nil)
 	owned := append(n.StartBatch([][]Hop{Path(l), nil}, 4096, 50*mib),
 		n.Start(Path(l), 4096, 50*mib), n.Start(nil, 0, 50*mib))
@@ -286,7 +286,7 @@ func TestStartedFlowIsNeverRecycled(t *testing.T) {
 // one the new timer takes, however far away the long flows' completion is.
 func TestAllocsFlowLifecycle(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	n.SetMetrics(obs.NewRegistry())
 	shared := NewLink("shared", 100*mib, SCIRingCongestion{})
 	long := make([][]Hop, 32)
@@ -332,7 +332,7 @@ func TestAllocsFlowLifecycle(t *testing.T) {
 // (the same-instant shortcut) — not every active flow.
 func TestSolverCostMetrics(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	for i := 0; i < 3; i++ {
 		n.Start(Path(NewLink("l", 100*mib, nil)), 25*mib, 100*mib)
 	}

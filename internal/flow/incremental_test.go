@@ -19,7 +19,7 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
-		n := NewNetwork(e)
+		n := NewNetworkOn(e)
 		links := make([]*Link, 8)
 		for i := range links {
 			links[i] = NewLink("l", float64(rng.Intn(400)+50)*mib, nil)
@@ -72,7 +72,7 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 func TestSolveAllDoesNotPerturbProgress(t *testing.T) {
 	run := func(solveMidFlight bool) time.Duration {
 		e := sim.NewEngine()
-		n := NewNetwork(e)
+		n := NewNetworkOn(e)
 		l := NewLink("l", 100*mib, nil)
 		var done time.Duration
 		n.Start(Path(l), 50*mib, 1000*mib).Done().OnComplete(func(any) { done = e.Now() })
@@ -98,7 +98,7 @@ func TestSolveAllDoesNotPerturbProgress(t *testing.T) {
 // would perturb progress after all. make no-fma keeps the fusion out.
 func TestRemainingAtRoundsItsProduct(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	f := n.Start(Path(NewLink("l", 100*mib, nil)), 50*mib, 1000*mib)
 	end := 500 * time.Millisecond
 	var rounded, fused float64
@@ -123,7 +123,7 @@ func TestRemainingAtRoundsItsProduct(t *testing.T) {
 // warm, re-solving a 64-flow network of 8 components — discovery, admission
 // ordering, re-anchoring and progressive filling — allocates nothing.
 func TestSolveAllocFree(t *testing.T) {
-	n := NewNetwork(sim.NewEngine())
+	n := NewNetworkOn(sim.NewEngine())
 	var links [16]*Link
 	for i := range links {
 		links[i] = NewLink("l", 100*mib, SCIRingCongestion{})

@@ -295,9 +295,6 @@ type Stats struct {
 	ActiveMax  int64 `metric:"active.max,max"` // the most flows in flight at once
 }
 
-// NewNetwork returns an empty flow network bound to the sequential engine.
-func NewNetwork(e *sim.Engine) *Network { return NewNetworkOn(e) }
-
 // NewNetworkOn returns an empty flow network driven by any scheduler — a
 // sequential Engine or one shard of a sharded engine. A network must only
 // ever be used from its scheduler's domain; per-shard networks are how a

@@ -13,7 +13,7 @@ const mib = 1 << 20
 
 func TestSingleFlowSourceLimited(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l := NewLink("l", 1000*mib, nil)
 	var done time.Duration
 	e.Go("p", func(p *sim.Proc) {
@@ -29,7 +29,7 @@ func TestSingleFlowSourceLimited(t *testing.T) {
 
 func TestSingleFlowLinkLimited(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l := NewLink("l", 50*mib, nil)
 	var done time.Duration
 	e.Go("p", func(p *sim.Proc) {
@@ -45,7 +45,7 @@ func TestSingleFlowLinkLimited(t *testing.T) {
 
 func TestTwoFlowsShareLinkFairly(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l := NewLink("l", 100*mib, nil)
 	var d1, d2 time.Duration
 	e.Go("a", func(p *sim.Proc) {
@@ -67,7 +67,7 @@ func TestTwoFlowsShareLinkFairly(t *testing.T) {
 
 func TestFlowDepartureSpeedsUpRemainder(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l := NewLink("l", 100*mib, nil)
 	var dShort, dLong time.Duration
 	e.Go("short", func(p *sim.Proc) {
@@ -93,7 +93,7 @@ func TestMaxMinWithHeterogeneousCaps(t *testing.T) {
 	// Flow A capped at 20; flows B and C uncapped on a 100 link.
 	// Max-min: A=20, B=C=40.
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l := NewLink("l", 100*mib, nil)
 	var rates []float64
 	e.Go("driver", func(p *sim.Proc) {
@@ -115,7 +115,7 @@ func TestMaxMinWithHeterogeneousCaps(t *testing.T) {
 
 func TestMultiLinkPathBottleneck(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l1 := NewLink("l1", 100*mib, nil)
 	l2 := NewLink("l2", 30*mib, nil)
 	var done time.Duration
@@ -131,7 +131,7 @@ func TestMultiLinkPathBottleneck(t *testing.T) {
 
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	f := n.Start(nil, 0, 1)
 	if !f.Done().Done() {
 		t.Fatal("zero-byte flow not immediately done")
@@ -155,7 +155,7 @@ func TestRateConservationProperty(t *testing.T) {
 	}
 	for ci, cfg := range configs {
 		e := sim.NewEngine()
-		n := NewNetwork(e)
+		n := NewNetworkOn(e)
 		l := NewLink("l", cfg.capLink*mib, nil)
 		var flows []*Flow
 		e.Go("driver", func(p *sim.Proc) {
@@ -245,7 +245,7 @@ func TestInterpCurveEdges(t *testing.T) {
 func TestStartBatchMatchesIndividualStarts(t *testing.T) {
 	run := func(batch bool) time.Duration {
 		e := sim.NewEngine()
-		n := NewNetwork(e)
+		n := NewNetworkOn(e)
 		l := NewLink("l", 100*mib, nil)
 		paths := [][]Hop{Path(l), Path(l), Path(l)}
 		var done time.Duration
@@ -274,7 +274,7 @@ func TestStartBatchMatchesIndividualStarts(t *testing.T) {
 
 func TestStartBatchZeroBytes(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	l := NewLink("l", 100*mib, nil)
 	flows := n.StartBatch([][]Hop{Path(l), Path(l)}, 0, 1)
 	for i, f := range flows {
@@ -287,7 +287,7 @@ func TestStartBatchZeroBytes(t *testing.T) {
 
 func TestNetworkMetrics(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	reg := obs.NewRegistry()
 	n.SetMetrics(reg)
 	l := NewLink("l", 1000*mib, nil)
@@ -319,7 +319,7 @@ func TestNetworkMetrics(t *testing.T) {
 
 func TestNetworkMetricsNilRegistry(t *testing.T) {
 	e := sim.NewEngine()
-	n := NewNetwork(e)
+	n := NewNetworkOn(e)
 	n.SetMetrics(nil) // must stay a no-op
 	l := NewLink("l", 1000*mib, nil)
 	e.Go("a", func(p *sim.Proc) { n.Transfer(p, Path(l), mib, mib) })

@@ -53,7 +53,7 @@ func (netSpec) Generate(rng *rand.Rand, size int) reflect.Value {
 func TestQuickMaxMinInvariants(t *testing.T) {
 	prop := func(s netSpec) bool {
 		e := sim.NewEngine()
-		n := NewNetwork(e)
+		n := NewNetworkOn(e)
 		links := make([]*Link, len(s.LinkCaps))
 		for i, c := range s.LinkCaps {
 			links[i] = NewLink("l", float64(c)*mib, nil)
@@ -145,7 +145,7 @@ func TestQuickRepeatedLinkIsSummedWeight(t *testing.T) {
 		wa, wb := float64(w1%8+1)/8, float64(w2%8+1)/8
 		run := func(repeat bool) outcome {
 			e := sim.NewEngine()
-			n := NewNetwork(e)
+			n := NewNetworkOn(e)
 			var model CongestionModel
 			if congested {
 				model = SCIRingCongestion{}
@@ -187,7 +187,7 @@ func TestQuickFlowConservation(t *testing.T) {
 		na := int64(bytesA%200+1) * 64 << 10
 		nb := int64(bytesB%200+1) * 64 << 10
 		e := sim.NewEngine()
-		n := NewNetwork(e)
+		n := NewNetworkOn(e)
 		l := NewLink("l", capL, nil)
 		var endA, endB float64
 		e.Go("a", func(p *sim.Proc) {

@@ -161,11 +161,19 @@ func RunOn(f sim.Fabric, cfg Config, main func(c *Comm)) time.Duration {
 	return end
 }
 
-// NewWorldOn wires a cluster onto locale 0 of an existing fabric. The
-// caller runs the fabric.
+// NewWorldOn wires a cluster onto locale 0 of an existing sequential fabric.
+// The caller runs the fabric. A world's ranks and device daemons are
+// processes, and only the sequential engine runs processes, so a sharded
+// fabric is refused here rather than at the first spawn.
 func NewWorldOn(f sim.Fabric, cfg Config) *World {
+	if _, ok := f.(*sim.ShardedEngine); ok {
+		panic(shardedWorldRule)
+	}
 	return newWorld(f, cfg)
 }
+
+// shardedWorldRule is why NewWorldOn refuses a sharded fabric.
+const shardedWorldRule = "mpi: a world needs a sequential fabric (mpi.NewFabric or sim.NewSeqFabric): its ranks are processes, and a sharded engine runs none"
 
 // Fabric returns the fabric the world's locale belongs to.
 func (w *World) Fabric() sim.Fabric { return w.fabric }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -275,5 +276,20 @@ func TestAllocsTorusRunBudget(t *testing.T) {
 	}
 	if got := torusRunObjects(t, smallTorus(2)); got > twoShards {
 		t.Errorf("two shards: %d objects, budget is %d", got, twoShards)
+	}
+}
+
+// TestWorldRefusesShardedFabric: a world's ranks are processes, and a
+// sharded engine runs none, so NewWorldOn refuses a sharded fabric when it
+// is called, before it builds anything or starts a goroutine.
+func TestWorldRefusesShardedFabric(t *testing.T) {
+	f := NewTorusFabric(smallTorus(2))
+	before := runtime.NumGoroutine()
+	wantPanic(t, shardedWorldRule, func() { NewWorldOn(f, DefaultConfig(2, 1)) })
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("the refused world started %d goroutines", n-before)
+	}
+	if end := f.Run(); end != 0 || f.Events() != 0 {
+		t.Errorf("the refused world left work queued: ran to %v in %d events", end, f.Events())
 	}
 }

@@ -79,7 +79,7 @@ func TestAllocsEventBlocks(t *testing.T) {
 	}
 }
 
-// TestAllocsProcBlocks: a host makes its Procs in blocks like its events, and
+// TestAllocsProcBlocks: an engine makes its Procs in blocks like its events, and
 // grows the registry with each block, so spawning 64 processes that never
 // run costs three blocks (16, 16, 32) and three registry arrays, not 64
 // objects.

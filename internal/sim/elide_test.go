@@ -9,9 +9,9 @@ import (
 // Sleep elision: a sleep whose own wake would be the very next event to fire
 // returns without yielding. The tests pin when it may (nothing live is due
 // up to and including now+d) and when it must not (something is, the process
-// runs under Resume, the host was stopped, the wake lies past the shard's
-// window), and that an elided sleep leaves the same clock, sequence numbers
-// and event count behind as one that yielded.
+// runs under Resume, the engine was stopped), and that an elided sleep leaves
+// the same clock, sequence numbers and event count behind as one that
+// yielded.
 
 // TestAllocsLoneSleeperElided: with nothing else queued a sleep is one event, no
 // process switch, no allocation, and the clock advances.
@@ -141,35 +141,6 @@ func TestNoElisionAfterStop(t *testing.T) {
 	}
 	if got := e.SleepsElided(); got != 1 {
 		t.Errorf("SleepsElided = %d, want 1 (the sleep before Stop)", got)
-	}
-}
-
-// TestNoElisionPastWindowEnd: on a shard a sleep is elided only if its wake
-// lies inside the window the shard is running; one that reaches past the
-// window end yields, so the barrier can merge what other shards send. The
-// same program on the sequential engine elides all three sleeps, and ends at
-// the same instant after the same number of events.
-func TestNoElisionPastWindowEnd(t *testing.T) {
-	body := func(p *Proc) {
-		p.Sleep(100 * time.Nanosecond) // inside the first window [0, 1µs)
-		p.Sleep(10 * time.Microsecond) // past it
-		p.Sleep(100 * time.Nanosecond) // inside the window the wake opened
-	}
-	se := NewShardedEngine(2, time.Microsecond)
-	se.Shard(0).Go("sleeper", body)
-	e := NewEngine()
-	e.Go("sleeper", body)
-	if a, b := se.Run(), e.Run(); a != b || a != 10200*time.Nanosecond {
-		t.Errorf("sharded run ended at %v, sequential at %v, want 10.2µs for both", a, b)
-	}
-	if a, b := se.Events(), e.Events(); a != b {
-		t.Errorf("%d events sharded, %d sequential", a, b)
-	}
-	if el, sw := se.SleepsElided(), se.ProcSwitches(); el != 2 || sw != 2 {
-		t.Errorf("sharded: %d sleeps elided and %d switches, want 2 and 2", el, sw)
-	}
-	if el, sw := e.SleepsElided(), e.ProcSwitches(); el != 3 || sw != 1 {
-		t.Errorf("sequential: %d sleeps elided and %d switches, want 3 and 1", el, sw)
 	}
 }
 

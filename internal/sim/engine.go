@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -32,24 +31,45 @@ type Scheduler interface {
 	AfterCall(d time.Duration, fn func(any), arg any) Timer
 }
 
-// Engine is a discrete-event simulator. The zero value is not usable; create
-// one with NewEngine.
+// Engine is a discrete-event simulator, and the one host of cooperative
+// processes. The zero value is not usable; create one with NewEngine.
 type Engine struct {
-	procRuntime
 	eventQueue
 
-	// stopped is set by Stop; Run returns as soon as it is observed. It is
-	// atomic only to have the shape of the sharded engine's flag, which
-	// another shard's goroutine may set: the queue reads either through one
-	// pointer.
-	stopped atomic.Bool
+	// stopped is set by Stop; Run returns as soon as it is observed.
+	stopped bool
+
+	// The process runtime: the yield handshake, the current process, and
+	// the registry the deadlock report names.
+	yield  chan struct{} // procs signal the engine here when they block
+	cur    *Proc
+	nprocs int     // non-daemon procs spawned and not yet finished
+	procs  []*Proc // registry of all spawned procs (deadlock reports name them)
+	// procBlock holds the Procs of the current block not handed out yet (see
+	// newProc).
+	procBlock []Proc
+
+	switches uint64 // control transfers to a process (dispatch calls)
+	elided   uint64 // sleeps that returned without one (see Proc.Sleep)
+	started  uint64 // processes whose first dispatch made their goroutine
+
+	// ownEvent is true while the running process was dispatched by an event
+	// of its own (dispatchProc), false while it runs under Resume inside
+	// somebody else's callback: only the former may elide a sleep.
+	ownEvent bool
+
+	// pendingPanic holds a panic recovered from a process body, re-raised
+	// by dispatch on the engine's goroutine.
+	pendingPanic *procPanic
+
+	// released is set once a finished Run has ended daemon goroutines: the
+	// engine's services are gone, so it refuses further processes.
+	released bool
 }
 
 // NewEngine returns an empty simulation at virtual time zero.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.initHost(&e.eventQueue, &e.stopped)
-	return e
+	return &Engine{yield: make(chan struct{})}
 }
 
 // eventQueue is one scheduling domain's virtual clock, event heap and
@@ -65,12 +85,6 @@ type eventQueue struct {
 
 	cancelled uint64 // events Timer.Cancel took out of the heap
 	depthMax  int    // most events ever queued at once
-
-	// The run loop fires only events strictly before horizon, and none once
-	// *stop is set: a shard's window end and its engine's flag, no bound and
-	// the Engine's own flag on the sequential engine.
-	horizon time.Duration
-	stop    *atomic.Bool
 
 	// tieSeed, when non-zero, breaks ties among same-instant events by a
 	// seeded permutation of the scheduling order instead of the order
@@ -222,17 +236,16 @@ func (q *eventQueue) peek() *event {
 
 // skipTo stands in for an event the caller would schedule at t only to wait
 // for it, when that event would be the very next to fire: nothing queued is
-// due at or before t (a tie at t might be ordered first), the run loop is
-// not stopped, and t is inside its horizon. It then moves the clock to t,
-// consumes the sequence number and counts the event, as scheduling and
-// firing it would have, and reports true.
-func (q *eventQueue) skipTo(t time.Duration) bool {
-	if len(q.queue) > 0 && q.queue[0].at <= t || t >= q.horizon || q.stop.Load() {
+// due at or before t (a tie at t might be ordered first) and the run loop is
+// not stopped. It then moves the clock to t, consumes the sequence number and
+// counts the event, as scheduling and firing it would have, and reports true.
+func (e *Engine) skipTo(t time.Duration) bool {
+	if len(e.queue) > 0 && e.queue[0].at <= t || e.stopped {
 		return false
 	}
-	q.now = t
-	q.seq++
-	q.events++
+	e.now = t
+	e.seq++
+	e.events++
 	return true
 }
 
@@ -254,7 +267,7 @@ func (q *eventQueue) fire(ev *event) {
 }
 
 // Stop makes Run return after the currently dispatched event completes.
-func (e *Engine) Stop() { e.stopped.Store(true) }
+func (e *Engine) Stop() { e.stopped = true }
 
 // Run dispatches events until the queue is empty or Stop is called. It
 // returns the final virtual time. Run panics if any spawned process is still
@@ -268,23 +281,19 @@ func (e *Engine) Run() time.Duration {
 		panic("sim: Run on an engine that already ran: " + releasedRule)
 	}
 	defer e.releaseDaemons()
-	for !e.stopped.Load() {
+	for !e.stopped {
 		ev := e.peek()
 		if ev == nil {
 			break
 		}
 		e.fire(ev)
 	}
-	if !e.stopped.Load() && e.nprocs > 0 {
+	if !e.stopped && e.nprocs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked at %v with no pending events: %s",
 			e.nprocs, e.now, blockedProcList(e.BlockedProcs())))
 	}
 	return e.now
 }
-
-// BlockedProcs returns the names of the non-daemon processes that have been
-// spawned but not finished — the processes a deadlock report must name.
-func (e *Engine) BlockedProcs() []string { return e.blockedProcs() }
 
 // blockedProcList renders a deadlock name list, capped so a 512-node
 // deadlock stays readable.

@@ -11,8 +11,9 @@ import (
 // locale, cross-locale interaction only through Send with at least the
 // fabric's lookahead of delay) runs unchanged on either engine, which is
 // what makes the sequential engine a differential-testing oracle for the
-// sharded one. A Locale is a Host: it can run cooperative Procs, so full
-// protocol worlds (the MPI stack) can be constructed on a locale.
+// sharded one. A Locale is a Host, but only a locale of a sequential fabric
+// runs cooperative Procs, so a full protocol world (the MPI stack) is built
+// on one; a shard refuses them (see Shard.Go).
 type Locale interface {
 	Host
 	ID() int

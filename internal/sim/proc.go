@@ -5,84 +5,40 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Host is a Scheduler that can also run cooperative processes: the
-// sequential Engine, one Shard of a ShardedEngine, or a Locale of a Fabric.
-// Layers that spawn procs or device daemons (the SCI interconnect, the MPI
-// device, shared-memory buses) accept a Host so the same protocol stack
-// runs unchanged under either engine. The cooperative contract is per host:
-// at most one process of a host executes at any moment, so state confined
-// to one host needs no locking even when several hosts (shards) run in
-// parallel.
+// sequential Engine, or a Locale of a fabric over one. Layers that spawn
+// procs or device daemons (the SCI interconnect, the MPI device,
+// shared-memory buses) accept a Host. The cooperative contract: at most one
+// process of an engine executes at any moment, so state confined to one
+// engine needs no locking. Only the Engine runs processes: a Shard has Go
+// and GoDaemon only because a Locale is a Host, and both panic.
 type Host interface {
 	Scheduler
 	Go(name string, body func(p *Proc)) *Proc
 	GoDaemon(name string, body func(p *Proc)) *Proc
 }
 
-// procRuntime is the cooperative-process machinery shared by the sequential
-// Engine and each Shard of a ShardedEngine: the yield handshake, the
-// current-process pointer, and the registry the deadlock report names.
-type procRuntime struct {
-	yield  chan struct{} // procs signal the runtime here when they block
-	q      *eventQueue   // the host's queue: where a sleeping proc's wake goes
-	cur    *Proc
-	nprocs int     // non-daemon procs spawned and not yet finished
-	procs  []*Proc // registry of all spawned procs (deadlock reports name them)
-	// procBlock holds the Procs of the current block not handed out yet (see
-	// newProc).
-	procBlock []Proc
-
-	switches uint64 // control transfers to a process (dispatch calls)
-	elided   uint64 // sleeps that returned without one (see Proc.Sleep)
-	started  uint64 // processes whose first dispatch made their goroutine
-
-	// ownEvent is true while the running process was dispatched by an event
-	// of its own (dispatchProc), false while it runs under Resume inside
-	// somebody else's callback: only the former may elide a sleep.
-	ownEvent bool
-
-	// pendingPanic holds a panic recovered from a process body, re-raised
-	// by dispatch on the host's goroutine.
-	pendingPanic *procPanic
-
-	// released is set once a finished Run has ended daemon goroutines: the
-	// host's services are gone, so it refuses further processes.
-	released bool
-}
-
 // ProcSwitches returns the number of times control was handed to a process
-// so far: each is two goroutine switches on the host, and costs more wall
+// so far: each is two goroutine switches on the engine, and costs more wall
 // time than everything else an event does. A sleep that was elided made
 // none; SleepsElided counts those.
-func (rt *procRuntime) ProcSwitches() uint64 { return rt.switches }
+func (e *Engine) ProcSwitches() uint64 { return e.switches }
 
 // SleepsElided returns the number of Sleep calls that returned without
 // yielding because the sleeper's own wake was the next event to fire (see
 // Proc.Sleep). Each still counts in Events.
-func (rt *procRuntime) SleepsElided() uint64 { return rt.elided }
+func (e *Engine) SleepsElided() uint64 { return e.elided }
 
 // ProcsStarted returns the number of processes that were dispatched at least
 // once: each got a goroutine then. A daemon that nothing ever woke or resumed
 // has none and is not counted.
-func (rt *procRuntime) ProcsStarted() uint64 { return rt.started }
+func (e *Engine) ProcsStarted() uint64 { return e.started }
 
-// initHost prepares a host's runtime and queue: the yield channel cannot be
-// the zero value, the runtime schedules wakes on q, and q runs unbounded
-// until stop is set.
-func (rt *procRuntime) initHost(q *eventQueue, stop *atomic.Bool) {
-	rt.yield = make(chan struct{})
-	rt.q = q
-	q.horizon = maxDuration
-	q.stop = stop
-}
-
-// procPanic wraps a panic that escaped a process body. It is re-raised as
-// the panic value itself so outer recovery layers (the sharded engine's
-// window recover) can attribute it to the process by name.
+// procPanic wraps a panic that escaped a process body, re-raised by dispatch
+// on the engine's goroutine with the process's name.
 type procPanic struct {
 	proc  string
 	value any
@@ -93,14 +49,13 @@ func (pp *procPanic) Error() string {
 }
 
 // Proc is a cooperative simulated process. A Proc's body runs on its own
-// goroutine, but its host guarantees that at most one of its processes
+// goroutine, but its engine guarantees that at most one of its processes
 // executes at a time; a process runs until it blocks on a virtual-time
 // primitive.
 //
 // All Proc methods must be called from the process's own body.
 type Proc struct {
-	rt   *procRuntime
-	host Host
+	e    *Engine
 	name string
 	body func(p *Proc)
 
@@ -131,22 +86,17 @@ type Proc struct {
 	handoff any
 }
 
-// Host returns the host this process runs on (an Engine, a Shard, or a
-// Locale-backed host). Use it to schedule events or spawn helper procs on
-// the same scheduling domain as p.
-func (p *Proc) Host() Host { return p.host }
-
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// Now returns the current virtual time of the process's host.
-func (p *Proc) Now() time.Duration { return p.host.Now() }
+// Now returns the current virtual time of the process's engine.
+func (p *Proc) Now() time.Duration { return p.e.now }
 
 // Go spawns a new process. The body starts at the current virtual time,
 // after already-scheduled same-time events. Go may be called before Run or
 // from within any process or event callback.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	return spawnProc(e, &e.procRuntime, name, body, false)
+	return e.spawn(name, body, false)
 }
 
 // GoDaemon makes a daemon process: one that services requests forever and
@@ -158,19 +108,19 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 // Resumes it or something Wakes it. A daemon that is never given work costs
 // its Proc and nothing else.
 func (e *Engine) GoDaemon(name string, body func(p *Proc)) *Proc {
-	return spawnProc(e, &e.procRuntime, name, body, true)
+	return e.spawn(name, body, true)
 }
 
-func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon bool) *Proc {
-	if rt.released {
-		panic(fmt.Sprintf("sim: process %q spawned on a host that already ran: %s", name, releasedRule))
+func (e *Engine) spawn(name string, body func(p *Proc), daemon bool) *Proc {
+	if e.released {
+		panic(fmt.Sprintf("sim: process %q spawned on an engine that already ran: %s", name, releasedRule))
 	}
-	p := rt.newProc()
-	*p = Proc{rt: rt, host: h, name: name, body: body, daemon: daemon, parked: daemon}
-	rt.procs = append(rt.procs, p)
+	p := e.newProc()
+	*p = Proc{e: e, name: name, body: body, daemon: daemon, parked: daemon}
+	e.procs = append(e.procs, p)
 	if !daemon {
-		rt.nprocs++
-		h.AfterCall(0, dispatchProc, p)
+		e.nprocs++
+		e.AfterCall(0, dispatchProc, p)
 	}
 	return p
 }
@@ -178,14 +128,14 @@ func spawnProc(h Host, rt *procRuntime, name string, body func(p *Proc), daemon 
 // newProc hands out the next Proc of the current block. Procs are made in
 // blocks, as many as were made so far and at least 16, and the registry grows
 // with each block, so n spawns cost O(log n) allocations, not n.
-func (rt *procRuntime) newProc() *Proc {
-	if len(rt.procBlock) == 0 {
-		n := max(16, len(rt.procs))
-		rt.procBlock = make([]Proc, n)
-		rt.procs = slices.Grow(rt.procs, n)
+func (e *Engine) newProc() *Proc {
+	if len(e.procBlock) == 0 {
+		n := max(16, len(e.procs))
+		e.procBlock = make([]Proc, n)
+		e.procs = slices.Grow(e.procs, n)
 	}
-	p := &rt.procBlock[0]
-	rt.procBlock = rt.procBlock[1:]
+	p := &e.procBlock[0]
+	e.procBlock = e.procBlock[1:]
 	return p
 }
 
@@ -208,23 +158,23 @@ func (p *Proc) TakeArg() any {
 }
 
 // main is the body of p's goroutine, which p's first dispatch starts. A
-// panic in the body is re-raised inside the host's event loop so callers (and
-// tests) can observe it on that goroutine. The deferred hand-back also runs
+// panic in the body is re-raised inside the engine's event loop so callers
+// (and tests) can observe it on that goroutine. The deferred hand-back also runs
 // for a daemon ended through Goexit (see releaseDaemons), so every started
 // process gives its resume channel back.
 func (p *Proc) main() {
-	rt := p.rt
+	e := p.e
 	defer func() {
 		if r := recover(); r != nil {
-			rt.pendingPanic = &procPanic{proc: p.name, value: r}
+			e.pendingPanic = &procPanic{proc: p.name, value: r}
 		}
 		p.finished = true
 		if !p.daemon {
-			rt.nprocs--
+			e.nprocs--
 		}
 		putResume(p.resume)
 		p.resume = nil
-		rt.yield <- struct{}{} // return control to the host for good
+		e.yield <- struct{}{} // return control to the engine for good
 	}()
 	p.body(p)
 }
@@ -232,16 +182,16 @@ func (p *Proc) main() {
 // procStart hands each process to the goroutine its first dispatch starts: a
 // go statement with an argument makes a closure, so the goroutine runs the
 // capture-free procEntry and takes a process here. Fresh goroutines are
-// interchangeable: when shards start processes at once, it does not matter
-// which takes which. The host puts the process in before the go statement and
-// then waits for its yield, as it would after go p.main(), so a body that
-// returns at once ends its goroutine before the host goes on. Unbuffered, the
-// host would block on the hand-over and the goroutine then on its yield, to
-// stay behind, runnable, until the host next parked: on one P, a goroutine
-// record per process of a world. The 64 slots are one per host starting a
-// process at the same moment, more than the shards of any engine the
-// repository builds (8); a host that finds every slot taken only waits until
-// a started goroutine takes a process out.
+// interchangeable: when engines on different goroutines (parallel tests, or
+// harnesses that run worlds side by side) start processes at once, it does
+// not matter which takes which. The engine puts the process in before the go
+// statement and then waits for its yield, as it would after go p.main(), so a
+// body that returns at once ends its goroutine before the engine goes on.
+// Unbuffered, the engine would block on the hand-over and the goroutine then
+// on its yield, to stay behind, runnable, until the engine next parked: on
+// one P, a goroutine record per process of a world. The 64 slots are one per
+// engine starting a process at the same moment; an engine that finds every
+// slot taken only waits until a started goroutine takes a process out.
 var procStart = make(chan *Proc, 64)
 
 func procEntry() { (<-procStart).main() }
@@ -250,15 +200,16 @@ func procEntry() { (<-procStart).main() }
 // workload has alive at once is 16: world_churn's 8x2 ranks, or allreduce8's
 // 8 ranks and their 8 device daemons (rmem_failover's world peaks at 8). 64
 // keeps the channels of four such worlds run side by side, as parallel tests
-// and shards do, for 512 B of static array and 112 B per idle channel.
+// do, for 512 B of static array and 112 B per idle channel.
 const maxIdleResume = 64
 
 // resumeChans holds the resume channels of processes that ended, for the
 // next first dispatch anywhere in the program: once a world has run, the
 // processes of the next one make none. It is an array, so a hand-back inside
 // a measured window never grows it; a channel that finds it full is left to
-// the collector. The shards of a ShardedEngine start and end processes in
-// parallel, hence the lock.
+// the collector. Every engine in the program shares it, and independent
+// engines may run on different goroutines at once (parallel tests, worlds
+// run side by side), hence the lock.
 var resumeChans struct {
 	sync.Mutex
 	n    int
@@ -297,7 +248,7 @@ func putResume(c chan struct{}) {
 // the process blocks — which is what lets Sleep elide.
 func dispatchProc(arg any) {
 	p := arg.(*Proc)
-	p.rt.dispatch(p, true)
+	p.e.dispatch(p, true)
 }
 
 // dispatch transfers control to p until it blocks again; ownEvent says
@@ -305,33 +256,33 @@ func dispatchProc(arg any) {
 // callback (Resume). The first dispatch of p takes its resume channel and
 // starts its goroutine, which runs the body from the top; once resumeChans
 // is warm it makes neither a channel nor a closure.
-func (rt *procRuntime) dispatch(p *Proc, ownEvent bool) {
-	prev := rt.cur
-	rt.cur = p
-	rt.ownEvent = ownEvent
-	rt.switches++
+func (e *Engine) dispatch(p *Proc, ownEvent bool) {
+	prev := e.cur
+	e.cur = p
+	e.ownEvent = ownEvent
+	e.switches++
 	if p.resume == nil {
 		p.resume = takeResume()
-		rt.started++
+		e.started++
 		procStart <- p
 		go procEntry()
 	} else {
 		p.resume <- struct{}{}
 	}
-	<-rt.yield
-	rt.cur = prev
-	rt.ownEvent = false
-	if pp := rt.pendingPanic; pp != nil {
-		rt.pendingPanic = nil
+	<-e.yield
+	e.cur = prev
+	e.ownEvent = false
+	if pp := e.pendingPanic; pp != nil {
+		e.pendingPanic = nil
 		panic(pp)
 	}
 }
 
-// blockedProcs returns the names of the non-daemon processes that have been
+// BlockedProcs returns the names of the non-daemon processes that have been
 // spawned but not finished — the processes a deadlock report must name.
-func (rt *procRuntime) blockedProcs() []string {
+func (e *Engine) BlockedProcs() []string {
 	var names []string
-	for _, p := range rt.procs {
+	for _, p := range e.procs {
 		if !p.daemon && !p.finished {
 			names = append(names, p.name)
 		}
@@ -339,47 +290,47 @@ func (rt *procRuntime) blockedProcs() []string {
 	return names
 }
 
-// yieldToHost blocks the calling process and resumes the host's event loop.
-// The process will continue when something calls rt.dispatch(p) again. A
-// daemon that releaseDaemons resumed ends here instead: Goexit runs main's
+// yieldToEngine blocks the calling process and resumes the engine's event
+// loop. The process will continue when something calls e.dispatch(p) again.
+// A daemon that releaseDaemons resumed ends here instead: Goexit runs main's
 // deferred hand-back like a normal return.
-func (p *Proc) yieldToHost() {
-	p.rt.yield <- struct{}{}
+func (p *Proc) yieldToEngine() {
+	p.e.yield <- struct{}{}
 	<-p.resume
 	if p.killed {
 		runtime.Goexit()
 	}
 }
 
-// releasedRule is why a host that ended daemons refuses further work.
-const releasedRule = "a drained run ends its daemons, so a host that had any runs once; build a new engine"
+// releasedRule is why an engine that ended daemons refuses further work.
+const releasedRule = "a drained run ends its daemons, so an engine that had any runs once; build a new engine"
 
 // releaseDaemons ends the goroutine of every daemon that is still blocked,
 // one at a time and in spawn order. Run calls it on its way out: a drained
 // simulation can never wake its device handlers and DMA engines again, and
 // their parked goroutines would pin everything they reference — a whole
 // world — for the life of the program. A daemon that never started has no
-// goroutine to end and is skipped, but its host is finished with all the
+// goroutine to end and is skipped, but its engine is finished with all the
 // same.
-func (rt *procRuntime) releaseDaemons() {
-	for _, p := range rt.procs {
+func (e *Engine) releaseDaemons() {
+	for _, p := range e.procs {
 		if !p.daemon || p.finished {
 			continue
 		}
-		rt.released = true
+		e.released = true
 		if p.resume == nil {
 			continue
 		}
 		p.killed = true
 		p.resume <- struct{}{}
-		<-rt.yield
+		<-e.yield
 	}
 }
 
 // Sleep advances the process's virtual time by d. Negative d is clamped to
 // zero. Everything queued for an instant up to and including now+d runs
 // before Sleep returns, same-time events under Sleep(0) too; for that the
-// process schedules its own wake and yields to the host.
+// process schedules its own wake and yields to the engine.
 //
 // When nothing is queued that early, the wake would be the very next event
 // to fire and nobody could observe the yield, so Sleep elides it: it moves
@@ -387,20 +338,19 @@ func (rt *procRuntime) releaseDaemons() {
 // returns, with no goroutine switch and nothing queued. Schedules, Events
 // and every tie-break are those of the yielding sleep. A process running
 // under Resume always yields — the callback that resumed it has work left at
-// the old instant — as does one on a host that was stopped, or whose wake
-// lies past the window its shard is running.
+// the old instant — as does one on an engine that was stopped.
 func (p *Proc) Sleep(d time.Duration) {
 	p.checkCurrent("Sleep")
 	if d < 0 {
 		d = 0
 	}
-	rt := p.rt
-	if rt.ownEvent && rt.q.skipTo(rt.q.now+d) {
-		rt.elided++
+	e := p.e
+	if e.ownEvent && e.skipTo(e.now+d) {
+		e.elided++
 		return
 	}
-	rt.q.schedule(rt.q.now+d, nil, dispatchProc, p)
-	p.yieldToHost()
+	e.schedule(e.now+d, nil, dispatchProc, p)
+	p.yieldToEngine()
 }
 
 // park blocks the process until Wake is called on it. It is the building
@@ -408,7 +358,7 @@ func (p *Proc) Sleep(d time.Duration) {
 func (p *Proc) park() {
 	p.checkCurrent("park")
 	p.parked = true
-	p.yieldToHost()
+	p.yieldToEngine()
 }
 
 // Park blocks the process until an event callback calls Resume on it.
@@ -421,33 +371,33 @@ func (p *Proc) Park() { p.park() }
 // and resumes the process for the rest at the same instant and event sequence
 // number, where waking it would cost a further event. Only an event callback
 // may call it: a process that resumed another would leave two goroutines
-// waiting on the host's yield handshake.
+// waiting on the engine's yield handshake.
 func (p *Proc) Resume() {
-	if p.rt.cur != nil {
-		panic(fmt.Sprintf("sim: Resume of process %q from process %q, not from an event callback", p.name, p.rt.cur.name))
+	if cur := p.e.cur; cur != nil {
+		panic(fmt.Sprintf("sim: Resume of process %q from process %q, not from an event callback", p.name, cur.name))
 	}
 	if !p.parked {
 		panic(fmt.Sprintf("sim: Resume of non-parked process %q", p.name))
 	}
 	p.parked = false
-	p.rt.dispatch(p, false)
+	p.e.dispatch(p, false)
 }
 
 // Wake schedules a parked process to resume at the current virtual time: a
 // process blocked in Park, or a daemon that has not started yet. Waking a
 // process that is not parked panics: it indicates a bookkeeping bug in a
 // synchronization primitive. Synchronization primitives are confined to one
-// host: waking a process from another shard would corrupt both heaps.
+// engine: waking a process from another would corrupt both heaps.
 func (p *Proc) Wake() {
 	if !p.parked {
 		panic(fmt.Sprintf("sim: wake of non-parked process %q", p.name))
 	}
 	p.parked = false
-	p.rt.q.schedule(p.rt.q.now, nil, dispatchProc, p)
+	p.e.schedule(p.e.now, nil, dispatchProc, p)
 }
 
 func (p *Proc) checkCurrent(op string) {
-	if p.rt.cur != p {
+	if p.e.cur != p {
 		panic(fmt.Sprintf("sim: %s called on process %q from outside its body", op, p.name))
 	}
 }

@@ -75,9 +75,9 @@ func TestAllocsProcStartWarm(t *testing.T) {
 }
 
 // TestAllocsProcEndsAtOnce: a process whose body returns without blocking
-// ends its goroutine before its host goes on, so the next start reuses the
+// ends its goroutine before its engine goes on, so the next start reuses the
 // goroutine's record: 64 of them in a row leave no goroutine behind, even on
-// one P with nothing else to run. A host that blocked on handing the process
+// one P with nothing else to run. An engine that blocked on handing the process
 // over would leave every one of them runnable, each holding its record.
 func TestAllocsProcEndsAtOnce(t *testing.T) {
 	allocwin.New(t)
@@ -148,46 +148,5 @@ func TestAllocsResumeHandBackAllocFree(t *testing.T) {
 	}
 	if win.Objects() != 0 && !allocwin.RaceEnabled {
 		t.Errorf("64 processes ending allocated %d objects, want none", win.Objects())
-	}
-}
-
-// TestAllocsProcStartTwoShards: the shards of a ShardedEngine start and end
-// processes at once, taking channels from the one list and giving them back
-// in parallel (make shard-stress runs this under the race detector). A second
-// engine's processes make no channel: they take the ones the first gave back.
-func TestAllocsProcStartTwoShards(t *testing.T) {
-	const perShard = 32
-	run := func() [2][]chan struct{} {
-		se := NewShardedEngine(2, time.Microsecond)
-		var got [2][]chan struct{} // one slice per shard: shards run in parallel
-		for s := range got {
-			got[s] = make([]chan struct{}, perShard)
-			for i := range got[s] {
-				se.Shard(s).Go("worker", func(p *Proc) {
-					got[s][i] = p.resume
-					for range 4 {
-						p.Sleep(time.Microsecond)
-					}
-				})
-			}
-		}
-		se.Run()
-		if n := se.ProcsStarted(); n != 2*perShard {
-			t.Errorf("%d processes started, want %d", n, 2*perShard)
-		}
-		return got
-	}
-	run()
-	idle := idleResume()
-	made := 0
-	for _, chans := range run() {
-		for _, c := range chans {
-			if !idle[c] {
-				made++
-			}
-		}
-	}
-	if made != 0 {
-		t.Errorf("the second engine's workers made %d channels; %d were idle", made, len(idle))
 	}
 }

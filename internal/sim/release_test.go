@@ -11,7 +11,7 @@ import (
 )
 
 // A drained run ends its daemons: the goroutines of device-style servers
-// that are still blocked when Run returns are gone afterwards, and a host
+// that are still blocked when Run returns are gone afterwards, and an engine
 // that lost its daemons refuses further work.
 
 // waitGoroutines waits for the goroutine count to come back down to the
@@ -31,17 +31,17 @@ func waitGoroutines(t *testing.T, before int) {
 // spawnServers starts a daemon that never gets a request and one that is
 // parked again after serving three. Both are woken at once, so both have a
 // goroutine for Run to end.
-func spawnServers(h Host, served *int) {
+func spawnServers(e *Engine, served *int) {
 	idle, busy := NewChan(0), NewChan(4)
-	h.GoDaemon("idle", func(p *Proc) { p.Recv(idle) }).Wake()
-	h.GoDaemon("busy", func(p *Proc) {
+	e.GoDaemon("idle", func(p *Proc) { p.Recv(idle) }).Wake()
+	e.GoDaemon("busy", func(p *Proc) {
 		for {
 			p.Recv(busy)
 			p.Sleep(time.Microsecond)
 			*served++
 		}
 	}).Wake()
-	h.Go("client", func(p *Proc) {
+	e.Go("client", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Send(busy, i)
 		}
@@ -50,28 +50,19 @@ func spawnServers(h Host, served *int) {
 
 func TestRunReleasesDaemons(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, shards := range []int{0, 2, 4} {
-		var f Fabric = NewLocalFabric(1, time.Microsecond)
-		if shards > 0 {
-			f = NewShardedEngine(shards, time.Microsecond)
-		}
-		served := make([]int, f.Locales()) // shards run in parallel: one counter each
-		for i := range served {
-			spawnServers(f.Locale(i), &served[i])
-		}
-		f.Run()
-		for i, n := range served {
-			if n != 3 {
-				t.Errorf("shards=%d: locale %d served %d requests, want 3", shards, i, n)
-			}
-		}
-		waitGoroutines(t, before)
+	e := NewEngine()
+	served := 0
+	spawnServers(e, &served)
+	e.Run()
+	if served != 3 {
+		t.Errorf("served %d requests, want 3", served)
 	}
+	waitGoroutines(t, before)
 }
 
 // TestIdleDaemonCostsNothing: a daemon starts at its first piece of work.
 // Until then it has no goroutine and nothing queued, and costs its Proc and a
-// slot of the host's registry. Its first Resume runs the body from the top
+// slot of the engine's registry. Its first Resume runs the body from the top
 // inside the resuming event, at that event's instant.
 func TestIdleDaemonCostsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -142,11 +133,6 @@ func TestDrainedEngineRefusesReuse(t *testing.T) {
 	mustPanicWith(t, "second Run", rule, func() { e.Run() })
 	mustPanicWith(t, "Go after Run", rule, func() { e.Go("late", func(*Proc) {}) })
 
-	se := NewShardedEngine(2, time.Microsecond)
-	se.Shard(1).GoDaemon("server", func(p *Proc) { p.Recv(NewChan(0)) })
-	se.Run()
-	mustPanicWith(t, "shard Go after Run", rule, func() { se.Shard(1).Go("late", func(*Proc) {}) })
-
 	// Without daemons nothing was ended, and an engine stays reusable.
 	plain := NewEngine()
 	ticks := 0
@@ -162,24 +148,19 @@ func TestDrainedEngineRefusesReuse(t *testing.T) {
 // Failure reports are unchanged by the release: a proc panic and a deadlock
 // surface with the same messages when daemons are parked beside them.
 func TestFailuresWithParkedDaemons(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		build := func() Fabric {
-			var f Fabric = NewLocalFabric(1, time.Microsecond)
-			if shards > 0 {
-				f = NewShardedEngine(shards, time.Microsecond)
-			}
-			f.Locale(0).GoDaemon("server", func(p *Proc) { p.Recv(NewChan(0)) })
-			return f
-		}
-		f := build()
-		f.Locale(0).Go("boom", func(p *Proc) {
-			p.Sleep(time.Microsecond)
-			panic("kaboom")
-		})
-		mustPanicWith(t, "proc panic", `process "boom" panicked: kaboom`, func() { f.Run() })
-
-		f = build()
-		f.Locale(0).Go("stuck", func(p *Proc) { p.Recv(NewChan(0)) })
-		mustPanicWith(t, "deadlock", "deadlock: 1 process(es) still blocked", func() { f.Run() })
+	build := func() *Engine {
+		e := NewEngine()
+		e.GoDaemon("server", func(p *Proc) { p.Recv(NewChan(0)) })
+		return e
 	}
+	e := build()
+	e.Go("boom", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		panic("kaboom")
+	})
+	mustPanicWith(t, "proc panic", `process "boom" panicked: kaboom`, func() { e.Run() })
+
+	e = build()
+	e.Go("stuck", func(p *Proc) { p.Recv(NewChan(0)) })
+	mustPanicWith(t, "deadlock", "deadlock: 1 process(es) still blocked", func() { e.Run() })
 }

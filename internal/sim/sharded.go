@@ -44,34 +44,29 @@ type xmsg struct {
 // Shard is one worker of a ShardedEngine: a private event queue plus the
 // outboxes of its cross-shard sends. During a window only the shard's own
 // goroutine touches its state, so event callbacks run lock-free; between
-// windows only the coordinator does. Shard implements Scheduler, Host and
-// Locale: a shard can run cooperative Procs, so a full protocol world
-// confined to one shard behaves exactly as it would on the sequential Engine.
+// windows only the coordinator does. Shard implements Scheduler and Locale:
+// it runs event callbacks, and refuses processes (see Go).
 type Shard struct {
-	procRuntime
 	eventQueue
 	id     int
 	eng    *ShardedEngine
 	outbox [][]xmsg // per-destination buffers, drained at the barrier
-	work   chan time.Duration
 }
 
 // ID returns the shard's index within its engine.
 func (s *Shard) ID() int { return s.id }
 
-// Go spawns a cooperative process hosted on this shard. The process runs
-// only inside the shard's windows (on the shard's worker goroutine), so it
-// may freely touch shard-confined state; it must never touch another
-// shard's state — cross-shard interaction goes through Send.
+// shardProcRule is why a shard refuses processes.
+const shardProcRule = "only the sequential Engine runs processes; a shard runs event callbacks, so build a world that has processes on a sequential fabric"
+
+// Go panics: a Shard is a Locale, and so a Host, but only the sequential
+// Engine runs processes.
 func (s *Shard) Go(name string, body func(p *Proc)) *Proc {
-	return spawnProc(s, &s.procRuntime, name, body, false)
+	panic(fmt.Sprintf("sim: process %q spawned on shard %d: %s", name, s.id, shardProcRule))
 }
 
-// GoDaemon spawns a daemon process hosted on this shard (see
-// Engine.GoDaemon).
-func (s *Shard) GoDaemon(name string, body func(p *Proc)) *Proc {
-	return spawnProc(s, &s.procRuntime, name, body, true)
-}
+// GoDaemon panics, as Go does.
+func (s *Shard) GoDaemon(name string, body func(p *Proc)) *Proc { return s.Go(name, body) }
 
 // Send schedules fn(arg) to run d from now on shard dst. A send to the
 // shard itself is an ordinary local event with no constraint; a cross-shard
@@ -99,15 +94,11 @@ func (s *Shard) Send(dst int, d time.Duration, fn func(any), arg any) {
 
 // window runs runWindow, converting a panic that escapes an event callback
 // into a recorded failure (first one wins) for Run to re-raise on its own
-// goroutine. A panic that originated inside a hosted process body arrives
-// as a *procPanic, preserving the process name for attribution.
+// goroutine.
 func (s *Shard) window(until time.Duration) {
 	defer func() {
 		if r := recover(); r != nil {
 			sp := &shardPanic{shard: s.id, value: r}
-			if pp, ok := r.(*procPanic); ok {
-				sp.proc, sp.value = pp.proc, pp.value
-			}
 			s.eng.panicMu.Lock()
 			if s.eng.panicked == nil {
 				s.eng.panicked = sp
@@ -121,7 +112,6 @@ func (s *Shard) window(until time.Duration) {
 
 // runWindow executes the shard's local events strictly before until.
 func (s *Shard) runWindow(until time.Duration) {
-	s.horizon = until
 	for !s.eng.stopped.Load() {
 		ev := s.peek()
 		if ev == nil || ev.at >= until {
@@ -133,8 +123,9 @@ func (s *Shard) runWindow(until time.Duration) {
 
 // ShardedEngine is the conservative-parallel counterpart of Engine. Create
 // one with NewShardedEngine, populate the shards (Shard/At/Send), then call
-// Run once. The sequential Engine remains the right tool for small runs and
-// is the differential-testing oracle for this one.
+// Run; a drained engine runs again the events scheduled since. The
+// sequential Engine remains the right tool for small runs and is the
+// differential-testing oracle for this one.
 type ShardedEngine struct {
 	shards    []*Shard
 	lookahead time.Duration
@@ -146,11 +137,9 @@ type ShardedEngine struct {
 	panicked *shardPanic // first panic recovered from a worker, re-raised by Run
 }
 
-// shardPanic wraps a panic that escaped an event callback on a shard. proc
-// is non-empty when the panic escaped the body of a hosted process.
+// shardPanic wraps a panic that escaped an event callback on a shard.
 type shardPanic struct {
 	shard int
-	proc  string
 	value any
 }
 
@@ -170,14 +159,7 @@ func NewShardedEngine(nshards int, lookahead time.Duration) *ShardedEngine {
 	se := &ShardedEngine{lookahead: lookahead}
 	se.shards = make([]*Shard, nshards)
 	for i := range se.shards {
-		s := &Shard{
-			id:     i,
-			eng:    se,
-			outbox: make([][]xmsg, nshards),
-			work:   make(chan time.Duration),
-		}
-		s.initHost(&s.eventQueue, &se.stopped)
-		se.shards[i] = s
+		se.shards[i] = &Shard{id: i, eng: se, outbox: make([][]xmsg, nshards)}
 	}
 	return se
 }
@@ -203,32 +185,11 @@ func (se *ShardedEngine) Events() uint64 {
 	return n
 }
 
-// ProcSwitches returns the total process dispatches across all shards.
-func (se *ShardedEngine) ProcSwitches() uint64 {
-	var n uint64
-	for _, s := range se.shards {
-		n += s.switches
-	}
-	return n
-}
-
-// ProcsStarted returns the total processes started across all shards.
-func (se *ShardedEngine) ProcsStarted() uint64 {
-	var n uint64
-	for _, s := range se.shards {
-		n += s.started
-	}
-	return n
-}
-
-// SleepsElided returns the total elided sleeps across all shards.
-func (se *ShardedEngine) SleepsElided() uint64 {
-	var n uint64
-	for _, s := range se.shards {
-		n += s.elided
-	}
-	return n
-}
+// ProcSwitches, ProcsStarted and SleepsElided return 0: a shard runs no
+// processes (see Shard.Go).
+func (se *ShardedEngine) ProcSwitches() uint64 { return 0 }
+func (se *ShardedEngine) ProcsStarted() uint64 { return 0 }
+func (se *ShardedEngine) SleepsElided() uint64 { return 0 }
 
 // TimersCancelled returns the total cancelled events across all shards.
 func (se *ShardedEngine) TimersCancelled() uint64 {
@@ -259,13 +220,15 @@ func (se *ShardedEngine) Stop() { se.stopped.Store(true) }
 func (se *ShardedEngine) Run() time.Duration {
 	n := len(se.shards)
 	done := make(chan struct{}, n)
-	for _, s := range se.shards {
-		go func(s *Shard) {
-			for until := range s.work {
+	work := make([]chan time.Duration, n) // one worker per shard, for this Run
+	for i, s := range se.shards {
+		work[i] = make(chan time.Duration)
+		go func(s *Shard, work <-chan time.Duration) {
+			for until := range work {
 				s.window(until)
 				done <- struct{}{}
 			}
-		}(s)
+		}(s, work[i])
 	}
 	for !se.stopped.Load() {
 		// Globally earliest pending event; nothing pending means the
@@ -281,8 +244,8 @@ func (se *ShardedEngine) Run() time.Duration {
 		}
 		until := earliest + se.lookahead
 		// Parallel phase: every shard runs its window.
-		for _, s := range se.shards {
-			s.work <- until
+		for _, w := range work {
+			w <- until
 		}
 		for range se.shards {
 			<-done
@@ -294,39 +257,16 @@ func (se *ShardedEngine) Run() time.Duration {
 		// Barrier phase: exchange buffered cross-shard events.
 		se.exchange()
 	}
-	for _, s := range se.shards {
-		close(s.work)
-		s.releaseDaemons()
+	for _, w := range work {
+		close(w)
 	}
 	if p := se.panicked; p != nil {
 		// Re-raise on the caller's goroutine: a panic that escapes an event
 		// callback on a worker would otherwise kill the whole process with no
-		// chance for the caller (or a test) to observe it. A panic from a
-		// hosted process names the process (an MPI rank) and the shard.
-		if p.proc != "" {
-			panic(fmt.Sprintf("sim: shard %d: process %q panicked: %v", p.shard, p.proc, p.value))
-		}
+		// chance for the caller (or a test) to observe it.
 		panic(fmt.Sprintf("sim: shard %d: %v", p.shard, p.value))
 	}
 	var end time.Duration
-	if !se.stopped.Load() {
-		// Deadlock check, mirroring Engine.Run: the queues drained but some
-		// hosted non-daemon process never finished — nothing can wake it.
-		blocked := 0
-		var names []string
-		for _, s := range se.shards {
-			if s.nprocs > 0 {
-				blocked += s.nprocs
-				for _, nm := range s.blockedProcs() {
-					names = append(names, fmt.Sprintf("%s (shard %d)", nm, s.id))
-				}
-			}
-		}
-		if blocked > 0 {
-			panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked with no pending events: %s",
-				blocked, blockedProcList(names)))
-		}
-	}
 	for _, s := range se.shards {
 		if s.now > end {
 			end = s.now

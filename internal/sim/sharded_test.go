@@ -206,3 +206,58 @@ func TestShardedWindowSafety(t *testing.T) {
 		t.Fatalf("log = %v, want %s", log, want)
 	}
 }
+
+// TestShardRefusesProcesses: only the sequential Engine runs processes. A
+// shard is a Locale, and so has Go and GoDaemon, but both panic naming the
+// rule, before anything is queued.
+func TestShardRefusesProcesses(t *testing.T) {
+	se := NewShardedEngine(2, time.Microsecond)
+	body := func(p *Proc) { t.Error("a process body ran on a shard") }
+	mustPanicWith(t, "Shard.Go", shardProcRule, func() { se.Shard(1).Go("rank", body) })
+	mustPanicWith(t, "Shard.GoDaemon", shardProcRule, func() { se.Locale(0).GoDaemon("device", body) })
+	if end := se.Run(); end != 0 || se.Events() != 0 {
+		t.Errorf("refused spawns left work behind: ended at %v after %d events", end, se.Events())
+	}
+}
+
+// TestShardedEngineRunsTwice: a drained sharded engine runs again what was
+// scheduled since, like a sequential fabric does, and a Run with nothing
+// pending returns at once. Both fabrics end each run at the same instant
+// after the same number of events. The shards' clocks differ after a run, so
+// the next run's first events are placed at the end instant, not relative to
+// a shard's clock.
+func TestShardedEngineRunsTwice(t *testing.T) {
+	const la = time.Microsecond
+	schedule := func(f Fabric, start time.Duration, hops int) {
+		n := f.Locales()
+		hop := make([]func(any), n) // hop[i] runs on locale i
+		for i := range hop {
+			next := (i + 1) % n
+			hop[i] = func(arg any) {
+				if left := arg.(int); left > 0 {
+					f.Locale(i).Send(next, la+time.Duration(left)*time.Nanosecond, hop[next], left-1)
+				}
+			}
+		}
+		for i := range hop {
+			f.Locale(i).At(start+time.Duration(i)*time.Nanosecond, func() { hop[i](hops) })
+		}
+	}
+	sh, seq := Fabric(NewShardedEngine(2, la)), NewSeqFabric(NewEngine(), 2, la)
+	var end time.Duration
+	for run, hops := range []int{5, 3, 0} {
+		if hops > 0 {
+			schedule(sh, end, hops)
+			schedule(seq, end, hops)
+		}
+		a, b := sh.Run(), seq.Run()
+		if a != b || sh.Events() != seq.Events() {
+			t.Errorf("run %d: sharded ended at %v after %d events, sequential at %v after %d",
+				run+1, a, sh.Events(), b, seq.Events())
+		}
+		end = b
+	}
+	if want := uint64(2 * (6 + 4)); seq.Events() != want {
+		t.Errorf("%d events over the runs, want %d", seq.Events(), want)
+	}
+}

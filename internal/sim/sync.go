@@ -125,7 +125,7 @@ func (p *Proc) AwaitTimeout(f *Future, d time.Duration) (any, bool) {
 	}
 	f.addWaiter(p)
 	p.handoff = f
-	t := p.host.AfterCall(d, awaitExpired, p)
+	t := p.e.AfterCall(d, awaitExpired, p)
 	p.park()
 	if p.takeHandoff() == waitExpired {
 		return nil, false
@@ -350,7 +350,7 @@ func (p *Proc) RecvTimeout(c *Chan, d time.Duration) (any, bool) {
 	}
 	c.recvers.Push(p)
 	p.handoff = c
-	t := p.host.AfterCall(d, recvExpired, p)
+	t := p.e.AfterCall(d, recvExpired, p)
 	p.park()
 	v := p.takeHandoff()
 	if v == waitExpired {
