@@ -25,8 +25,16 @@ type OSCHandler interface {
 }
 
 // SetOSCHandler registers the handler of the one-sided requests arriving at
-// this rank.
-func (c *Comm) SetOSCHandler(h OSCHandler) { c.rk.dev.osc = h }
+// this rank. A rank keeps one handler: requests name their window by an id
+// that only the engine which created it knows, so a second engine would
+// take over the first one's traffic. Registering the same handler again (on
+// a new communicator) is legal; a different one panics.
+func (c *Comm) SetOSCHandler(h OSCHandler) {
+	if d := c.rk.dev; d.osc != nil && d.osc != h {
+		panic("mpi: the rank already has a one-sided engine (one engine per rank)")
+	}
+	c.rk.dev.osc = h
+}
 
 // serveOSC hands a one-sided request to the rank's handler and sends a
 // call's reply back.

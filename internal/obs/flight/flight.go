@@ -62,7 +62,7 @@ const (
 	// C=reason (see Drop*), D=reason detail (sequence number, chunk index
 	// or rendezvous request id).
 	KPacketDrop
-	// KFenceEnter / KFenceExit: a checked fence round. A=window id,
+	// KFenceEnter / KFenceExit: a fence round. A=window id,
 	// B=round; KFenceExit C=peers heard from.
 	KFenceEnter
 	KFenceExit

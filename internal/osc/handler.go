@@ -29,7 +29,7 @@ const (
 	reqUnlock
 	reqPost
 	reqComplete
-	// reqFence announces a rank's arrival at a checked fence round.
+	// reqFence announces a rank's arrival at a fence round.
 	reqFence
 )
 
@@ -51,7 +51,7 @@ type oscReq struct {
 	dt     *datatype.Type
 	count  int
 	op     mpi.Op
-	round  int // checked-fence round number (reqFence)
+	round  int // fence round number (reqFence)
 }
 
 // memModel returns the node's memory hierarchy model.
@@ -110,7 +110,10 @@ func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 	case reqComplete:
 		sim.Post(w.completeQ, src)
 	case reqFence:
-		sim.Post(w.fenceQ, r.round)
+		w.pendingFence[r.round]++
+		if r.round == w.fenceWait && w.pendingFence[r.round] == s.c.Size()-1 {
+			sim.Post(w.fenceQ, nil)
+		}
 	default:
 		panic(fmt.Sprintf("osc: unknown request kind %d", r.kind))
 	}

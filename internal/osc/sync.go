@@ -32,31 +32,18 @@ func (e ErrSyncTimeout) Error() string {
 
 // Fence closes the current access epoch (completing all outstanding posted
 // stores with a store barrier), synchronizes all ranks barrier-style, and
-// opens the next epoch (MPI_Win_fence).
-//
-// Fence and FenceChecked are two algorithms, not a wrapper and its body: a
-// dissemination barrier (log2(P) rounds) here, an all-to-all announcement
-// round that survives a dead peer there. They cost different virtual time,
-// which the Figure 9 rows and the rmem rounds pin, so neither is written
-// over the other.
-func (w *Win) Fence() {
-	w.stats.Fences++
-	w.closeEpoch()
-	w.syncViews()
-	w.sys.c.Barrier()
-	w.ep = epochFence
-	w.openEpoch("fence")
-	w.resetPattern()
-}
+// opens the next epoch (MPI_Win_fence). It waits for its peers forever.
+func (w *Win) Fence() { must(w.fence(0)) }
 
-// FenceChecked is Fence with a watchdog: instead of the collective barrier
-// (which deadlocks if a peer crashed), every rank announces its fence
-// arrival to all others and waits for the full round with a bounded wait.
-// Waiting longer than Config.SyncTimeout for any peer returns an
-// ErrSyncTimeout; with SyncTimeout zero it waits forever. All ranks of the
-// window must use FenceChecked for the same fence (the announcement rounds
-// are counted separately from plain Fence barriers).
-func (w *Win) FenceChecked() error {
+// FenceChecked is Fence with a watchdog: waiting longer than
+// Config.SyncTimeout for any peer (typically one whose node crashed) returns
+// an ErrSyncTimeout; with SyncTimeout zero it waits forever.
+func (w *Win) FenceChecked() error { return w.fence(w.cfg.SyncTimeout) }
+
+// fence is the body of both: every rank announces its arrival to all others
+// and waits for the full round, giving up after timeout (0: never). Rounds
+// are numbered per window; the handler counts the arrivals (see fenceWait).
+func (w *Win) fence(timeout time.Duration) error {
 	w.stats.Fences++
 	w.closeEpoch()
 	w.syncViews()
@@ -73,17 +60,17 @@ func (w *Win) FenceChecked() error {
 	}
 	need := c.Size() - 1
 	var waited time.Duration
-	for w.pendingFence[round] < need {
-		if w.cfg.SyncTimeout <= 0 {
-			w.pendingFence[p.Recv(w.fenceQ).(int)]++
+	w.fenceWait = round
+	for w.pendingFence[round] < need { // a timed-out round may leave a stale wake
+		if timeout <= 0 {
+			p.Recv(w.fenceQ)
 			continue
 		}
-		var v any
-		remaining := w.cfg.SyncTimeout - waited
+		remaining := timeout - waited
 		ok := remaining > 0
 		if ok {
 			before := p.Now()
-			v, ok = p.RecvTimeout(w.fenceQ, remaining)
+			_, ok = p.RecvTimeout(w.fenceQ, remaining)
 			waited += p.Now() - before
 		}
 		if !ok {
@@ -92,7 +79,6 @@ func (w *Win) FenceChecked() error {
 			w.fl.Fail(p.Now(), flight.OpFence, -1, err)
 			return err
 		}
-		w.pendingFence[v.(int)]++
 	}
 	delete(w.pendingFence, round)
 	w.fl.Record(p.Now(), flight.KFenceExit, int64(w.id), int64(round), int64(need), 0)
@@ -202,99 +188,77 @@ func (w *Win) Wait(group []int) {
 // window (MPI_Win_lock). For windows in shared memory the lock is a
 // shared-memory spinlock that does not involve the target's CPU; for
 // private windows the handler arbitrates (with remote-interrupt latency).
-//
-// Lock and LockChecked are two algorithms as well: Lock queues on the
-// shared-memory lock (FIFO hand-off) or retries the handler at a fixed
-// interval, LockChecked polls both with exponential backoff so that it can
-// give up. A contended lock is granted at different virtual instants by the
-// two, so Lock is not LockChecked with the error dropped.
-func (w *Win) Lock(target int) {
-	if w.ep != epochNone {
-		panic("osc: Lock inside another access epoch")
-	}
-	w.stats.Locks++
-	c := w.sys.c
-	p := c.Proc()
-	if w.isShared[target] {
-		if target != c.Rank() {
-			p.Sleep(c.World().LockLatency(c.GroupToWorld(target), c.WorldRank()))
-		}
-		p.Lock(w.sharedLocks[target])
-	} else {
-		for {
-			ok, _ := w.sys.call(c.GroupToWorld(target), oscReq{kind: reqLockTry, win: w.id}, true, 0) // unbounded: cannot fail
-			if ok {
-				break
-			}
-			p.Sleep(5 * time.Microsecond) // backoff and retry
-		}
-	}
-	w.ep = epochLock
-	w.lockHeld = target
-	w.openEpoch("lock")
-	w.resetPattern()
-}
+// It waits for the lock without a bound, and panics if the target is
+// crashed or revoked.
+func (w *Win) Lock(target int) { must(w.lock(target, 0)) }
 
-// LockChecked is Lock with a watchdog: it polls for the lock (and, for
-// shared windows, the target node's liveness) and gives up with an
-// ErrSyncTimeout after Config.SyncTimeout instead of blocking forever on a
-// crashed or lock-hogging target. With SyncTimeout zero it behaves like
-// Lock. On success the epoch is open exactly as after Lock.
-func (w *Win) LockChecked(target int) error {
+// LockChecked is Lock with a watchdog: it gives up with an ErrSyncTimeout
+// after Config.SyncTimeout instead of blocking forever on a crashed or
+// lock-hogging target. With SyncTimeout zero it behaves like Lock and
+// returns the typed error of a crashed or revoked target. On success the
+// epoch is open exactly as after Lock.
+func (w *Win) LockChecked(target int) error { return w.lock(target, w.cfg.SyncTimeout) }
+
+// lock is the body of both: it polls for the lock with exponential backoff,
+// giving up after timeout (0: never). Without a watchdog each poll first
+// checks that the target can still grant it; with one, a shared window's
+// poll waits out a dead target node, which may be restored.
+func (w *Win) lock(target int, timeout time.Duration) error {
 	if w.ep != epochNone {
 		panic("osc: Lock inside another access epoch")
 	}
-	if w.cfg.SyncTimeout <= 0 {
-		w.Lock(target)
-		return nil
-	}
 	w.stats.Locks++
-	c := w.sys.c
-	p := c.Proc()
-	world := c.GroupToWorld(target)
+	p := w.sys.c.Proc()
 	var waited time.Duration
-	backoff := 5 * time.Microsecond
-	for {
+	for backoff := 5 * time.Microsecond; ; backoff = min(2*backoff, 160*time.Microsecond) {
+		var err error
+		if timeout <= 0 {
+			err = w.lostTarget(target)
+		}
 		start := p.Now()
-		if w.isShared[target] {
-			// A dead target node cannot serve its exported lock; keep
-			// polling (it may be restored) until the watchdog expires.
-			if c.World().NodeAlive(world) {
-				if target != c.Rank() {
-					p.Sleep(c.World().LockLatency(world, c.WorldRank()))
-				}
-				if w.sharedLocks[target].TryLock() {
-					break
-				}
-			}
-		} else {
-			ok, err := w.sys.call(world, oscReq{kind: reqLockTry, win: w.id}, true, w.cfg.SyncTimeout-waited)
-			if err == nil && ok {
-				break
-			}
+		if err == nil && w.tryLock(target, timeout-waited) {
+			break
 		}
 		waited += p.Now() - start
-		if waited >= w.cfg.SyncTimeout {
+		if err == nil && timeout > 0 && waited >= timeout {
 			w.stats.SyncTimeouts++
-			err := ErrSyncTimeout{Op: "lock", Win: w.id, Target: target, Waited: waited}
-			w.fl.Fail(p.Now(), flight.OpLock, world, err)
+			err = ErrSyncTimeout{Op: "lock", Win: w.id, Target: target, Waited: waited}
+		}
+		if err != nil {
+			w.fl.Fail(p.Now(), flight.OpLock, w.sys.c.GroupToWorld(target), err)
 			return err
 		}
 		sleep := backoff
-		if waited+sleep > w.cfg.SyncTimeout {
-			sleep = w.cfg.SyncTimeout - waited
+		if timeout > 0 {
+			sleep = min(sleep, timeout-waited)
 		}
 		p.Sleep(sleep)
 		waited += sleep
-		if backoff < 160*time.Microsecond {
-			backoff *= 2
-		}
 	}
 	w.ep = epochLock
 	w.lockHeld = target
 	w.openEpoch("lock")
 	w.resetPattern()
 	return nil
+}
+
+// tryLock polls target's lock once: the shared-memory lock of a live node,
+// or the handler of a private window, whose reply it waits for up to
+// timeout (not positive: for ever).
+func (w *Win) tryLock(target int, timeout time.Duration) bool {
+	c := w.sys.c
+	world := c.GroupToWorld(target)
+	if !w.isShared[target] {
+		ok, err := w.sys.call(world, oscReq{kind: reqLockTry, win: w.id}, true, timeout)
+		return err == nil && ok
+	}
+	if !c.World().NodeAlive(world) {
+		return false
+	}
+	if target != c.Rank() {
+		c.Proc().Sleep(c.World().LockLatency(world, c.WorldRank()))
+	}
+	return w.sharedLocks[target].TryLock()
 }
 
 // Unlock closes the passive-target epoch: completes all transfers to the

@@ -16,13 +16,16 @@ import (
 // holds, and with a tracer attached each must record exactly the Detail the
 // unguarded call produced — the epoch, and a put, get and accumulate on the
 // direct and on the emulated path. The puts' events are the flight ring's.
+// Both windows belong to one engine, so they are windows 0 and 1.
 func TestGuardedTraceSites(t *testing.T) {
 	cfg := mpi.DefaultConfig(2, 1)
 	tr := obs.NewTrace(0)
 	rec := flight.New(0)
 	cfg.Tracer, cfg.Flight = tr, rec
 	mpi.Run(cfg, func(c *mpi.Comm) {
-		shared, private := mkWin(c, 64<<10, true), mkWin(c, 64<<10, false)
+		s := NewSystem(c)
+		shared := s.CreateShared(c.AllocShared(64<<10), DefaultConfig())
+		private := s.CreatePrivate(make([]byte, 64<<10), DefaultConfig())
 		small, large := fill(64), fill(16<<10)
 		for _, w := range []*Win{shared, private} {
 			w.Fence()
@@ -49,8 +52,10 @@ func TestGuardedTraceSites(t *testing.T) {
 		line string
 		n    int
 	}{
-		{"rank0 epoch: win 0 fence", 2},
-		{"rank1 epoch: win 0 fence", 2},
+		{"rank0 epoch: win 0 fence", 1},
+		{"rank1 epoch: win 0 fence", 1},
+		{"rank0 epoch: win 1 fence", 1},
+		{"rank1 epoch: win 1 fence", 1},
 		{"rank0 put: direct -> 1", 1},
 		{"rank0 put: emulated -> 1", 1},
 		{"rank0 get: direct <- 1", 1},
@@ -58,7 +63,7 @@ func TestGuardedTraceSites(t *testing.T) {
 		{"rank0 acc: inline -> 1", 2},
 		{"rank0 acc: staged -> 1", 2},
 		{"flight put -> rank1 64B on window 0 (direct)", 1},
-		{"flight put -> rank1 64B on window 0 (emulated)", 1},
+		{"flight put -> rank1 64B on window 1 (emulated)", 1},
 	} {
 		if got[want.line] != want.n {
 			t.Errorf("recorded %d x %q, want %d", got[want.line], want.line, want.n)
@@ -97,15 +102,15 @@ func TestWindowTraceActorIsRankName(t *testing.T) {
 }
 
 // TestAllocsPutFenceBudget pins a put + fence epoch on a shared window, with
-// tracing off, at no object on either rank: the collective view of the
-// communicator each rank's fence barrier uses is made once. It is the
-// one-sided half of mpi.TestTracingOffBoxesNothing: the fence's barrier runs
-// at tags >= 1<<20 and the epoch span takes a string, so every trace call
-// site that boxed its arguments with the tracer off showed here — 15 objects
-// per epoch before the sites were guarded and the barrier recycled its
-// Requests, 2 while every barrier copied the communicator.
+// tracing off, at no object on either rank. It is the one-sided half of
+// mpi.TestTracingOffBoxesNothing: the epoch span takes a string, so every
+// trace call site that boxed its arguments with the tracer off showed here
+// (15 objects per epoch before the sites were guarded, 2 while every fence
+// barrier copied the communicator). The window opens after 300 fences, so
+// the round numbers the fence's arrival notifications carry are past 255,
+// where an int boxed into an interface allocates.
 func TestAllocsPutFenceBudget(t *testing.T) {
-	const warm, n = 20, 200
+	const warm, n = 300, 200
 	src := fill(4096)
 	win := allocwin.New(t)
 	runCluster(2, 1, func(c *mpi.Comm) {

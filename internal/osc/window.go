@@ -34,7 +34,8 @@ import (
 
 // System is a rank's one-sided communication engine; it owns the remote
 // handler and dispatches requests to windows. Create one per rank (after
-// mpi setup) before creating windows.
+// mpi setup) before creating windows: a rank keeps one engine, and a
+// second NewSystem on it panics (see mpi.Comm.SetOSCHandler).
 type System struct {
 	c       *mpi.Comm
 	wins    map[int]*Win
@@ -160,13 +161,15 @@ type Win struct {
 	// privLockBusy: handler-side lock state for passive target on private
 	// windows.
 	privLockBusy bool
-	// fence watchdog state: fenceQ receives peer fence-arrival rounds,
-	// pendingFence counts arrivals that ran ahead of this rank's round.
+	// fence state: the handler counts peer arrivals per round in
+	// pendingFence (a peer may be a round ahead) and, once fenceWait, the
+	// round this rank last waited for, is full, wakes it through fenceQ.
 	fenceQ       *sim.Chan
 	fenceRound   int
+	fenceWait    int
 	pendingFence map[int]int
-	// ownLock is the shared-memory lock guarding this rank's own shared
-	// window, handed to origins through the exchange table.
+	// ownLock guards this rank's own shared window (nil if private);
+	// origins take it from the exchange table.
 	ownLock *sim.Mutex
 
 	// actor is the cached trace-actor name of the owning rank ("rank<i>").
@@ -258,6 +261,9 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 		fenceQ:       sim.NewChan(1 << 16),
 		pendingFence: make(map[int]int),
 	}
+	if seg != nil {
+		w.ownLock = new(sim.Mutex)
+	}
 	key := fmt.Sprintf("osc.win.%d.%d", c.ContextID(), id)
 	c.World().Deposit(key, c.Rank(), w)
 	c.Barrier()
@@ -274,7 +280,7 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 			w.sizes[r] = rw.shared.Size()
 			w.isShared[r] = true
 			w.views[r] = rw.shared.MapFrom(c.WorldRank())
-			w.sharedLocks[r] = rw.lockFor()
+			w.sharedLocks[r] = rw.ownLock
 		} else {
 			w.sizes[r] = int64(len(rw.private))
 		}
@@ -282,15 +288,6 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	s.wins[id] = w
 	c.Barrier()
 	return w
-}
-
-// lockFor returns the single shared lock object guarding this rank's
-// window (created once, shared by all origins through the exchange table).
-func (w *Win) lockFor() *sim.Mutex {
-	if w.ownLock == nil {
-		w.ownLock = &sim.Mutex{}
-	}
-	return w.ownLock
 }
 
 // Size returns rank r's window size.
