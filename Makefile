@@ -103,16 +103,19 @@ shard-stress:
 # (the yielding Sleep and the elided one), for a RecvTimeout or AwaitTimeout
 # satisfied before expiry (TestAllocsRecvTimeoutSteadyState), per flow
 # (Transfer, StartCall, a warm re-solve) and for Contiguous() on a committed
-# datatype; within 84.7 kB and 53 objects for the first empty 8x2 world in a
+# datatype; within 84.7 kB and 64 objects for the first empty 8x2 world in a
 # process and 84.0 kB and 51 for a later one, with its per-pair structs at
 # their pinned size (an 80 B sendPort), at most 2.2x the objects for twice the
-# ranks, a 512x1 world within 3 900 objects and 59.4 MB, none for a contended
+# ranks, a 512x1 world within 9 520 objects and 59.4 MB, none for a contended
 # Mutex or a blocked credit Acquire (TestAllocsContendedSync), 64 spawns
 # within 8 (TestAllocsProcBlocks), none for starting and
 # ending 72 processes once a program has run some, nor for giving their
-# resume channels back (TestAllocsProcStartWarm,
-# TestAllocsResumeHandBackAllocFree), a free list sized for 16 records
-# refilled in one block (TestTakeFreeRefillsInBlocks), none for a world
+# coroutines back to the pool (TestAllocsProcStartWarm,
+# TestAllocsCoroutineHandBackAllocFree) or after a process panicked, called
+# Goexit or was released (TestHowAProcessEnds), exactly 13 objects for a
+# coroutine the pool cannot supply (TestAllocsColdCoroutine), a free list
+# sized for 16 records refilled in one block (TestTakeFreeRefillsInBlocks),
+# none for a world
 # communicator's group (TestGroupRanksAllocatesNothing), no process started
 # that the run does not need; a torus run within one constant of objects at
 # any machine size
@@ -128,7 +131,7 @@ shard-stress:
 # Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
 # these regress.
 alloc-test:
-	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes|TestWorld512Builds|TestProcsPerWorld|TestTakeFreeRefillsInBlocks|TestGroupRanksAllocatesNothing' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/torus/ ./internal/mpi/ ./internal/osc/ ./internal/rmem/
+	$(GO) test -run 'TestAllocs|AllocFree|Budget|TestTracingOffBoxesNothing|TestPairStructSizes|TestWorld512Builds|TestProcsPerWorld|TestTakeFreeRefillsInBlocks|TestGroupRanksAllocatesNothing|TestHowAProcessEnds' -v ./internal/pack/ ./internal/datatype/ ./internal/sci/ ./internal/bufpool/ ./internal/obs/ ./internal/obs/flight/ ./internal/sim/ ./internal/flow/ ./internal/torus/ ./internal/mpi/ ./internal/osc/ ./internal/rmem/
 
 # trace-demo produces a Chrome trace-event timeline from a ping-pong sweep
 # (load /tmp/scimpich-trace.json in Perfetto or chrome://tracing) and

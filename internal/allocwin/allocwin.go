@@ -18,10 +18,10 @@ type Window struct {
 
 // New prepares the calling test for a measurement and returns its window.
 // Like testing.AllocsPerRun it confines the process to one P until the test
-// ends: a simulation host hands control between goroutines over channels, and
-// on several Ps those hand-offs move the runtime's wait records between per-P
-// caches, which now and then allocates one inside the window; goroutines of
-// an earlier test that are still winding down on another P do the same. And
+// ends: on several Ps, goroutines that block and wake — the test's own, or an
+// earlier test's still winding down on another P — move the runtime's wait
+// records between per-P caches, which now and then allocates one inside the
+// window. And
 // it settles first: one collection now and none until the test ends, so that
 // no cycle empties a sync.Pool inside the window, then the goroutines that
 // are runnable get to run until no more of them end.

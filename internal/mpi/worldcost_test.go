@@ -7,32 +7,42 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/rmem"
+	"scimpich/internal/sim"
 )
 
-// waitGoroutines waits for the goroutine count to come back down to the
-// count taken before the run: an ended goroutine has handed control back
-// before Run returns, but may not have left the scheduler yet.
+// liveGoroutines counts the goroutines outside the program's coroutine pool:
+// an idle pooled coroutine is a parked goroutine that pins nothing of the
+// run that last used it.
+func liveGoroutines() int { return runtime.NumGoroutine() - sim.IdleCoroutines() }
+
+// waitGoroutines waits for the goroutines outside the pool to come back down
+// to their count taken before the run (liveGoroutines): a goroutine that
+// ended has handed control back before Run returns, but may not have left
+// the scheduler yet.
 func waitGoroutines(t *testing.T, what string, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
+	for liveGoroutines() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines left, %d before the run", what, runtime.NumGoroutine(), before)
+			t.Fatalf("%s: %d goroutines outside the coroutine pool left, %d before the run", what, liveGoroutines(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestRunLeavesNoGoroutines: the device and DMA daemons of a world are
-// parked forever once its run has drained; Run ends them.
+// parked forever once its run has drained; Run ends them, their coroutines
+// go back to the pool, and nothing is left that pins the world's engine.
 func TestRunLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	mpi.Run(mpi.DefaultConfig(8, 2), func(c *mpi.Comm) {
+	before := liveGoroutines()
+	e := sim.NewEngine()
+	mpi.RunOn(sim.NewSeqFabric(e, 1, 0), mpi.DefaultConfig(8, 2), func(c *mpi.Comm) {
 		// One message per protocol: short, eager, rendezvous.
 		for _, n := range []int{64, 4 << 10, 256 << 10} {
 			out, in := make([]byte, n), make([]byte, n)
@@ -41,6 +51,13 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		c.Barrier()
 	})
 	waitGoroutines(t, "8x2 world", before)
+	engine := weak.Make(e)
+	e = nil
+	runtime.GC()
+	runtime.GC()
+	if engine.Value() != nil {
+		t.Error("the engine of a finished 8x2 world is still reachable after two collections")
+	}
 
 	// A node crashes mid-run: its rank stops early, the survivors shrink
 	// and fail over, and the dead node's daemons stay parked to the end.

@@ -2,7 +2,7 @@
 // with cooperative, virtual-time processes.
 //
 // The engine owns a virtual clock and a priority queue of events. Processes
-// are goroutines, but exactly one of them (or the engine itself) runs at any
+// are coroutines, and exactly one of them (or the engine itself) runs at any
 // moment: a process executes until it blocks on a virtual-time primitive
 // (Sleep, channel operation, mutex, future, ...), at which point control
 // returns to the engine, which dispatches the next event. Ties in the event
@@ -39,9 +39,8 @@ type Engine struct {
 	// stopped is set by Stop; Run returns as soon as it is observed.
 	stopped bool
 
-	// The process runtime: the yield handshake, the current process, and
-	// the registry the deadlock report names.
-	yield  chan struct{} // procs signal the engine here when they block
+	// The process runtime: the current process, and the registry the
+	// deadlock report names.
 	cur    *Proc
 	nprocs int     // non-daemon procs spawned and not yet finished
 	procs  []*Proc // registry of all spawned procs (deadlock reports name them)
@@ -51,25 +50,22 @@ type Engine struct {
 
 	switches uint64 // control transfers to a process (dispatch calls)
 	elided   uint64 // sleeps that returned without one (see Proc.Sleep)
-	started  uint64 // processes whose first dispatch made their goroutine
+	started  uint64 // processes whose first dispatch took a coroutine
 
 	// ownEvent is true while the running process was dispatched by an event
 	// of its own (dispatchProc), false while it runs under Resume inside
 	// somebody else's callback: only the former may elide a sleep.
 	ownEvent bool
 
-	// pendingPanic holds a panic recovered from a process body, re-raised
-	// by dispatch on the engine's goroutine.
-	pendingPanic *procPanic
-
-	// released is set once a finished Run has ended daemon goroutines: the
+	// released is set when a finished Run starts ending its daemons: a
+	// daemon resumed then leaves its body (see yieldToEngine), and the
 	// engine's services are gone, so it refuses further processes.
 	released bool
 }
 
 // NewEngine returns an empty simulation at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // eventQueue is one scheduling domain's virtual clock, event heap and

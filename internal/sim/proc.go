@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 	"slices"
 	"sync"
 	"time"
@@ -22,7 +22,7 @@ type Host interface {
 }
 
 // ProcSwitches returns the number of times control was handed to a process
-// so far: each is two goroutine switches on the engine, and costs more wall
+// so far: each is a coroutine switch there and one back, and costs more wall
 // time than everything else an event does. A sleep that was elided made
 // none; SleepsElided counts those.
 func (e *Engine) ProcSwitches() uint64 { return e.switches }
@@ -33,12 +33,13 @@ func (e *Engine) ProcSwitches() uint64 { return e.switches }
 func (e *Engine) SleepsElided() uint64 { return e.elided }
 
 // ProcsStarted returns the number of processes that were dispatched at least
-// once: each got a goroutine then. A daemon that nothing ever woke or resumed
-// has none and is not counted.
+// once: each took a coroutine then. A daemon that nothing ever woke or
+// resumed has none and is not counted.
 func (e *Engine) ProcsStarted() uint64 { return e.started }
 
-// procPanic wraps a panic that escaped a process body, re-raised by dispatch
-// on the engine's goroutine with the process's name.
+// procPanic wraps a panic that escaped a process body, with the process's
+// name. It propagates out of the coroutine's next onto the engine's
+// goroutine.
 type procPanic struct {
 	proc  string
 	value any
@@ -48,10 +49,10 @@ func (pp *procPanic) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", pp.proc, pp.value)
 }
 
-// Proc is a cooperative simulated process. A Proc's body runs on its own
-// goroutine, but its engine guarantees that at most one of its processes
-// executes at a time; a process runs until it blocks on a virtual-time
-// primitive.
+// Proc is a cooperative simulated process. A Proc's body runs on a
+// coroutine of its own, which its engine switches to and which switches back
+// when the process blocks on a virtual-time primitive, so at most one of an
+// engine's processes executes at a time.
 //
 // All Proc methods must be called from the process's own body.
 type Proc struct {
@@ -59,10 +60,10 @@ type Proc struct {
 	name string
 	body func(p *Proc)
 
-	// resume is taken from resumeChans, with a goroutine started, by the
-	// process's first dispatch, and given back when that goroutine ends (see
-	// main); until then the process costs this struct alone.
-	resume chan struct{}
+	// co is taken from the coroutine pool by the process's first dispatch,
+	// and given back by the engine once the body has returned (see
+	// dispatch); until then the process costs this struct alone.
+	co *coroutine
 	// parked is true while the proc is blocked waiting for an external
 	// wake (not a self-scheduled timer). Used to catch double-wakes.
 	parked bool
@@ -73,9 +74,6 @@ type Proc struct {
 	// finished is set when the body returns; the deadlock report lists
 	// non-daemon procs that never got here.
 	finished bool
-	// killed tells a blocked daemon to end its goroutine instead of
-	// continuing when it is next resumed (see releaseDaemons).
-	killed bool
 	// handoff is where a channel deposits the value for p while p is blocked
 	// as its receiver (see takeHandoff). In a timed wait it holds what p
 	// waits on until the value arrives, or the expiry event leaves
@@ -103,7 +101,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 // is allowed to still be blocked when the event queue drains (it does not
 // trigger the deadlock check). Use it for device handler threads.
 //
-// The daemon starts parked, with no goroutine and nothing queued: its body
+// The daemon starts parked, with no coroutine and nothing queued: its body
 // runs from the top at its first piece of work, when an event callback
 // Resumes it or something Wakes it. A daemon that is never given work costs
 // its Proc and nothing else.
@@ -143,7 +141,7 @@ func (e *Engine) newProc() *Proc {
 // many processes from one body passes each its own state this way rather than
 // in a closure per process. Call it before p first runs.
 func (p *Proc) SetArg(arg any) {
-	if p.resume != nil || p.finished {
+	if p.co != nil || p.finished {
 		panic(fmt.Sprintf("sim: SetArg on process %q, which already ran", p.name))
 	}
 	p.handoff = arg
@@ -157,89 +155,122 @@ func (p *Proc) TakeArg() any {
 	return arg
 }
 
-// main is the body of p's goroutine, which p's first dispatch starts. A
-// panic in the body is re-raised inside the engine's event loop so callers
-// (and tests) can observe it on that goroutine. The deferred hand-back also runs
-// for a daemon ended through Goexit (see releaseDaemons), so every started
-// process gives its resume channel back.
+// main runs p's body on p's coroutine. However the body ends, p is finished
+// then. A panic in the body goes on as a *procPanic, which the coroutine's
+// next raises on the engine's goroutine so callers (and tests) can observe
+// it there; the daemonReleased panic of releaseDaemons ends here like a
+// return, after the body's deferred calls ran.
 func (p *Proc) main() {
-	e := p.e
 	defer func() {
-		if r := recover(); r != nil {
-			e.pendingPanic = &procPanic{proc: p.name, value: r}
-		}
+		r := recover()
 		p.finished = true
 		if !p.daemon {
-			e.nprocs--
+			p.e.nprocs--
 		}
-		putResume(p.resume)
-		p.resume = nil
-		e.yield <- struct{}{} // return control to the engine for good
+		if _, released := r.(daemonReleased); r != nil && !released {
+			panic(&procPanic{proc: p.name, value: r})
+		}
 	}()
 	p.body(p)
 }
 
-// procStart hands each process to the goroutine its first dispatch starts: a
-// go statement with an argument makes a closure, so the goroutine runs the
-// capture-free procEntry and takes a process here. Fresh goroutines are
-// interchangeable: when engines on different goroutines (parallel tests, or
-// harnesses that run worlds side by side) start processes at once, it does
-// not matter which takes which. The engine puts the process in before the go
-// statement and then waits for its yield, as it would after go p.main(), so a
-// body that returns at once ends its goroutine before the engine goes on.
-// Unbuffered, the engine would block on the hand-over and the goroutine then
-// on its yield, to stay behind, runnable, until the engine next parked: on
-// one P, a goroutine record per process of a world. The 64 slots are one per
-// engine starting a process at the same moment; an engine that finds every
-// slot taken only waits until a started goroutine takes a process out.
-var procStart = make(chan *Proc, 64)
+// daemonReleased is the panic with which a daemon that releaseDaemons
+// resumed leaves its body (see yieldToEngine).
+type daemonReleased struct{}
 
-func procEntry() { (<-procStart).main() }
+// coroutine is a stackful coroutine from iter.Pull that runs processes, one
+// after another: next switches to it, and it switches back when the process
+// blocks (yield) or ends. Between processes it sits in the coroutine pool,
+// holding no process and no body.
+type coroutine struct {
+	p     *Proc // the process it runs; nil while pooled
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
 
-// maxIdleResume bounds resumeChans. The most processes a committed benchmark
-// workload has alive at once is 16: world_churn's 8x2 ranks, or allreduce8's
-// 8 ranks and their 8 device daemons (rmem_failover's world peaks at 8). 64
-// keeps the channels of four such worlds run side by side, as parallel tests
-// do, for 512 B of static array and 112 B per idle channel.
-const maxIdleResume = 64
+func newCoroutine() *coroutine {
+	co := new(coroutine)
+	co.next, co.stop = iter.Pull(co.run)
+	return co
+}
 
-// resumeChans holds the resume channels of processes that ended, for the
-// next first dispatch anywhere in the program: once a world has run, the
-// processes of the next one make none. It is an array, so a hand-back inside
-// a measured window never grows it; a channel that finds it full is left to
-// the collector. Every engine in the program shares it, and independent
-// engines may run on different goroutines at once (parallel tests, worlds
-// run side by side), hence the lock.
-var resumeChans struct {
+// run is the coroutine's body: run the assigned process to its end, switch
+// back, and take the next process on the next switch in. It returns when
+// the pool, full, stops it. A process that panics or calls runtime.Goexit
+// ends the loop with it, and iter.Pull passes the panic or the Goexit on to
+// the goroutine that switched in: that coroutine is done and dropped.
+func (co *coroutine) run(yield func(struct{}) bool) {
+	co.yield = yield
+	for {
+		co.p.main()
+		co.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// maxIdleCoroutines bounds the coroutine pool. The most processes a
+// committed benchmark workload has alive at once is 16: world_churn's 8x2
+// ranks, or allreduce8's 8 ranks and their 8 device daemons (rmem_failover's
+// world peaks at 8). 64 keeps the coroutines of four such worlds run side by
+// side, as parallel tests do.
+const maxIdleCoroutines = 64
+
+// coroutines is the coroutine pool: the coroutines of processes that ended,
+// for the next first dispatch anywhere in the program, so once a world has
+// run, the processes of the next one make none. It is an array, so a
+// hand-back inside a measured window never grows it; a coroutine that finds
+// it full is stopped, which ends its goroutine. Every engine in the program
+// shares it, and independent engines may run on different goroutines at once
+// (parallel tests, worlds run side by side), hence the lock.
+var coroutines struct {
 	sync.Mutex
 	n    int
-	free [maxIdleResume]chan struct{}
+	idle [maxIdleCoroutines]*coroutine
 }
 
-// takeResume returns an idle resume channel, or a new one if none is idle.
-func takeResume() chan struct{} {
-	l := &resumeChans
+// takeCoroutine returns an idle coroutine, or a new one if none is idle.
+func takeCoroutine() *coroutine {
+	l := &coroutines
 	l.Lock()
-	defer l.Unlock()
 	if l.n == 0 {
-		return make(chan struct{})
+		l.Unlock()
+		return newCoroutine()
 	}
 	l.n--
-	c := l.free[l.n]
-	l.free[l.n] = nil
-	return c
+	co := l.idle[l.n]
+	l.idle[l.n] = nil
+	l.Unlock()
+	return co
 }
 
-// putResume keeps c for a later process unless the list is full. Nothing
-// sends on c again: its process finished.
-func putResume(c chan struct{}) {
-	l := &resumeChans
+// putCoroutine keeps co, whose process ended, for a later process unless the
+// pool is full, and stops it then. Only an engine gives a coroutine back,
+// after co's next has returned: from inside co, the hand-back would let an
+// engine on another goroutine switch in before co had switched out.
+func putCoroutine(co *coroutine) {
+	l := &coroutines
+	l.Lock()
+	if l.n < len(l.idle) {
+		l.idle[l.n] = co
+		l.n++
+		l.Unlock()
+		return
+	}
+	l.Unlock()
+	co.stop()
+}
+
+// IdleCoroutines returns the number of coroutines the pool holds. Each is a
+// parked goroutine that runtime.NumGoroutine counts, so a leak check compares
+// the goroutine count with the one before the run plus the pool's growth.
+func IdleCoroutines() int {
+	l := &coroutines
 	l.Lock()
 	defer l.Unlock()
-	if l.n < len(l.free) {
-		l.free[l.n] = c
-		l.n++
-	}
+	return l.n
 }
 
 // dispatchProc is the event that hands control to a process: a top-level
@@ -253,28 +284,27 @@ func dispatchProc(arg any) {
 
 // dispatch transfers control to p until it blocks again; ownEvent says
 // whether the event doing so is p's own (dispatchProc) or somebody else's
-// callback (Resume). The first dispatch of p takes its resume channel and
-// starts its goroutine, which runs the body from the top; once resumeChans
-// is warm it makes neither a channel nor a closure.
+// callback (Resume). The first dispatch of p takes a coroutine from the pool,
+// which runs the body from the top; once the pool is warm that makes
+// nothing. When the body has returned, the coroutine goes back to the pool.
+// A panic of the body comes out of next and leaves e.cur to Run's way out
+// (see releaseDaemons).
 func (e *Engine) dispatch(p *Proc, ownEvent bool) {
 	prev := e.cur
 	e.cur = p
 	e.ownEvent = ownEvent
 	e.switches++
-	if p.resume == nil {
-		p.resume = takeResume()
+	if p.co == nil {
+		p.co = takeCoroutine()
+		p.co.p = p
 		e.started++
-		procStart <- p
-		go procEntry()
-	} else {
-		p.resume <- struct{}{}
 	}
-	<-e.yield
+	p.co.next()
 	e.cur = prev
 	e.ownEvent = false
-	if pp := e.pendingPanic; pp != nil {
-		e.pendingPanic = nil
-		panic(pp)
+	if p.finished {
+		putCoroutine(p.co)
+		p.co = nil
 	}
 }
 
@@ -292,38 +322,41 @@ func (e *Engine) BlockedProcs() []string {
 
 // yieldToEngine blocks the calling process and resumes the engine's event
 // loop. The process will continue when something calls e.dispatch(p) again.
-// A daemon that releaseDaemons resumed ends here instead: Goexit runs main's
-// deferred hand-back like a normal return.
+// A daemon that releaseDaemons resumed leaves its body instead, by the
+// daemonReleased panic that main recovers.
 func (p *Proc) yieldToEngine() {
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		runtime.Goexit()
+	p.co.yield(struct{}{})
+	if p.e.released {
+		panic(daemonReleased{})
 	}
 }
 
 // releasedRule is why an engine that ended daemons refuses further work.
 const releasedRule = "a drained run ends its daemons, so an engine that had any runs once; build a new engine"
 
-// releaseDaemons ends the goroutine of every daemon that is still blocked,
-// one at a time and in spawn order. Run calls it on its way out: a drained
-// simulation can never wake its device handlers and DMA engines again, and
-// their parked goroutines would pin everything they reference — a whole
-// world — for the life of the program. A daemon that never started has no
-// goroutine to end and is skipped, but its engine is finished with all the
-// same.
+// releaseDaemons ends every daemon that is still blocked, one at a time and
+// in spawn order, and gives its coroutine back to the pool. Run calls it on
+// its way out, after which no process is current: a drained simulation can
+// never wake its device handlers and DMA engines again, and their parked
+// coroutines would pin everything they reference — a whole world — for the
+// life of the program. A daemon that never started has no coroutine and is
+// skipped, but its engine is finished with all the same. A resumed daemon
+// sees released set and leaves its body (see yieldToEngine); no switch is
+// counted.
 func (e *Engine) releaseDaemons() {
+	e.cur, e.ownEvent = nil, false
 	for _, p := range e.procs {
 		if !p.daemon || p.finished {
 			continue
 		}
 		e.released = true
-		if p.resume == nil {
-			continue
+		if co := p.co; co != nil {
+			for !p.finished {
+				co.next()
+			}
+			putCoroutine(co)
+			p.co = nil
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.yield
 	}
 }
 
@@ -335,7 +368,7 @@ func (e *Engine) releaseDaemons() {
 // When nothing is queued that early, the wake would be the very next event
 // to fire and nobody could observe the yield, so Sleep elides it: it moves
 // the clock, consumes the wake's sequence number, counts its event and
-// returns, with no goroutine switch and nothing queued. Schedules, Events
+// returns, with no coroutine switch and nothing queued. Schedules, Events
 // and every tie-break are those of the yielding sleep. A process running
 // under Resume always yields — the callback that resumed it has work left at
 // the old instant — as does one on an engine that was stopped.
@@ -370,8 +403,8 @@ func (p *Proc) Park() { p.park() }
 // events and only sometimes need a stack — the callback does the bookkeeping
 // and resumes the process for the rest at the same instant and event sequence
 // number, where waking it would cost a further event. Only an event callback
-// may call it: a process that resumed another would leave two goroutines
-// waiting on the engine's yield handshake.
+// may call it: the engine switches to its processes, and a process that
+// switched to another would hand control back to the wrong side.
 func (p *Proc) Resume() {
 	if cur := p.e.cur; cur != nil {
 		panic(fmt.Sprintf("sim: Resume of process %q from process %q, not from an event callback", p.name, cur.name))

@@ -2,15 +2,17 @@ package sim
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"scimpich/internal/allocwin"
 )
 
-// A process's first dispatch takes its resume channel from resumeChans and
-// starts a capture-free goroutine; its goroutine gives the channel back when
-// it ends. These tests pin what that saves and where it must not cost.
+// A process's first dispatch takes a coroutine from the program-wide pool;
+// its engine gives the coroutine back once the body has returned. These tests
+// pin what that saves, what a coroutine the pool cannot supply costs, and
+// where the pool must not cost.
 
 // sleepOnce is a worker body that blocks once, so every worker of a program
 // is alive at once, and then runs to completion.
@@ -25,23 +27,37 @@ func wakeAll(arg any) {
 	}
 }
 
-// idleResume returns the channels resumeChans holds.
-func idleResume() map[chan struct{}]bool {
-	l := &resumeChans
+// idleCoroutines returns the coroutines the pool holds.
+func idleCoroutines() map[*coroutine]bool {
+	l := &coroutines
 	l.Lock()
 	defer l.Unlock()
-	idle := make(map[chan struct{}]bool, l.n)
-	for _, c := range l.free[:l.n] {
-		idle[c] = true
+	idle := make(map[*coroutine]bool, l.n)
+	for _, co := range l.idle[:l.n] {
+		idle[co] = true
 	}
 	return idle
 }
 
-// spawnWorkersAndDaemons spawns 64 workers and 8 daemons that are woken once
-// the workers have finished, so at most 64 processes are alive at once.
-func spawnWorkersAndDaemons(e *Engine) {
+// emptyPool stops every pooled coroutine, which ends its goroutine, so the
+// next processes of the program find none.
+func emptyPool() {
+	l := &coroutines
+	l.Lock()
+	idle, n := l.idle, l.n
+	l.idle, l.n = [maxIdleCoroutines]*coroutine{}, 0
+	l.Unlock()
+	for _, co := range idle[:n] {
+		co.stop()
+	}
+}
+
+// spawnWorkersAndDaemons spawns 64 workers running body and 8 daemons that
+// are woken once the workers have finished, so at most 64 processes are alive
+// at once (sleepOnce), or 8 (a body that returns without blocking).
+func spawnWorkersAndDaemons(e *Engine, body func(p *Proc)) {
 	for i := 0; i < 64; i++ {
-		e.Go("worker", sleepOnce)
+		e.Go("worker", body)
 	}
 	daemons := make([]*Proc, 8)
 	for i := range daemons {
@@ -52,16 +68,16 @@ func spawnWorkersAndDaemons(e *Engine) {
 
 // TestAllocsProcStartWarm: once the program has run processes, a run that
 // starts 64 processes which finish and 8 daemons which Run ends allocates
-// nothing — no resume channel and no go-statement closure. The spawns come
-// before the window, so it holds what starting and ending them costs.
+// nothing — no coroutine and no closure. The spawns come before the window,
+// so it holds what starting and ending them costs.
 func TestAllocsProcStartWarm(t *testing.T) {
 	win := allocwin.New(t)
 	warm := NewEngine()
-	spawnWorkersAndDaemons(warm)
+	spawnWorkersAndDaemons(warm, sleepOnce)
 	warm.Run()
 
 	e := NewEngine()
-	spawnWorkersAndDaemons(e)
+	spawnWorkersAndDaemons(e, sleepOnce)
 	win.Open()
 	e.Run()
 	win.Close()
@@ -74,66 +90,124 @@ func TestAllocsProcStartWarm(t *testing.T) {
 	}
 }
 
+// A process's first dispatch, when the pool has no coroutine for it, makes
+// one: iter.Pull's closures, the variables they share and the runtime's
+// coroutine, the yield closure of the coroutine's first run, and the
+// coroutine record and its body's method value. That costs
+// coldCoroutineObjects objects and coldCoroutineBytes bytes where the runtime
+// still has the record of an ended goroutine to reuse, and a goroutine record
+// (one object, 480 B) more where it has none. A pooled coroutine costs nothing
+// to start (TestAllocsProcStartWarm).
+const (
+	coldCoroutineObjects = 13
+	coldCoroutineBytes   = 384
+)
+
+// TestAllocsColdCoroutine pins the cost of a coroutine the program makes: 64
+// processes alive at once on an empty pool make 64, and their spawns are paid
+// before the window opens. The 64 coroutines made and stopped first leave the
+// runtime 64 goroutine records to reuse, so the reading does not depend on
+// what ran before. The engine's later hand-backs fill the pool again.
+func TestAllocsColdCoroutine(t *testing.T) {
+	win := allocwin.New(t)
+	warm := NewEngine()
+	for i := 0; i < 64; i++ {
+		warm.Go("worker", sleepOnce)
+	}
+	warm.Run()
+	emptyPool()
+
+	e := NewEngine()
+	e.At(0, win.Open) // the first event: the workers' dispatches come after it
+	for i := 0; i < 64; i++ {
+		e.Go("worker", sleepOnce)
+	}
+	e.At(time.Microsecond/2, win.Close)
+	e.Run()
+	t.Logf("64 cold coroutines: %d objects, %d bytes", win.Objects(), win.Bytes())
+	if got := len(idleCoroutines()); got != 64 {
+		t.Errorf("the pool holds %d coroutines after 64 processes ended, want 64", got)
+	}
+	// The bytes are rounded down: some of a coroutine's variables are tiny
+	// objects, which share 16 B blocks.
+	objs, bytes := win.Objects(), win.Bytes()/64
+	if (objs != 64*coldCoroutineObjects || bytes != coldCoroutineBytes) && !allocwin.RaceEnabled {
+		t.Errorf("a cold coroutine costs %.2f objects and %d bytes, want %d and %d",
+			float64(objs)/64, bytes, coldCoroutineObjects, coldCoroutineBytes)
+	}
+}
+
 // TestAllocsProcEndsAtOnce: a process whose body returns without blocking
-// ends its goroutine before its engine goes on, so the next start reuses the
-// goroutine's record: 64 of them in a row leave no goroutine behind, even on
-// one P with nothing else to run. An engine that blocked on handing the process
-// over would leave every one of them runnable, each holding its record.
+// gives its coroutine back before its engine goes on, so the next start takes
+// it again: 64 of them in a row leave no goroutine behind, except at most the
+// one coroutine the pool grew by, even on one P with nothing else to run.
 func TestAllocsProcEndsAtOnce(t *testing.T) {
 	allocwin.New(t)
-	before := runtime.NumGoroutine()
+	before, idle := runtime.NumGoroutine(), IdleCoroutines()
 	e := NewEngine()
 	for i := 0; i < 64; i++ {
 		e.Go("returns", func(*Proc) {})
 	}
 	e.Run()
-	if n := runtime.NumGoroutine() - before; n != 0 {
-		t.Errorf("%d goroutines of finished processes still there when Run returned", n)
+	grew := IdleCoroutines() - idle
+	if n := runtime.NumGoroutine() - before - grew; n != 0 || grew > 1 {
+		t.Errorf("%d goroutines of finished processes still there when Run returned, the pool grew by %d", n, grew)
 	}
 }
 
-// TestAllocsResumeReusedAcrossEngines: the channels the processes of one
-// engine gave back are the ones the next engine's processes take.
-func TestAllocsResumeReusedAcrossEngines(t *testing.T) {
-	run := func() []chan struct{} {
+// TestAllocsCoroutineReusedAcrossGoroutines: the coroutines the processes of
+// one engine gave back are the ones engines on other goroutines take, running
+// side by side: every switch into them comes from a goroutine, and maybe a
+// thread, other than the one they first ran for.
+func TestAllocsCoroutineReusedAcrossGoroutines(t *testing.T) {
+	run := func(n int) []*coroutine {
 		e := NewEngine()
-		got := make([]chan struct{}, 16)
+		got := make([]*coroutine, n)
 		for i := range got {
 			e.Go("worker", func(p *Proc) {
-				got[i] = p.resume
+				got[i] = p.co
 				p.Sleep(time.Microsecond)
 			})
 		}
 		e.Run()
 		return got
 	}
-	first := run()
-	idle := idleResume()
-	for i, c := range first {
-		if !idle[c] {
-			t.Fatalf("worker %d of the first engine did not give its channel back", i)
+	first := run(16)
+	idle := idleCoroutines()
+	gave := make(map[*coroutine]bool, len(first))
+	for i, co := range first {
+		if !idle[co] {
+			t.Fatalf("worker %d of the first engine did not give its coroutine back", i)
 		}
+		gave[co] = true
 	}
-	reused := make(map[chan struct{}]bool, len(first))
-	for _, c := range first {
-		reused[c] = true
+	// The 16 given back are the top of the pool; two engines of 8 processes,
+	// each alive at once, take no more than them, whatever the interleaving.
+	var wg sync.WaitGroup
+	later := make([][]*coroutine, 2)
+	for i := range later {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			later[i] = run(8)
+		}()
 	}
-	for i, c := range run() {
-		if !reused[c] {
-			t.Errorf("worker %d of the second engine has a channel the first did not give back", i)
+	wg.Wait()
+	for i, got := range later {
+		for j, co := range got {
+			if !gave[co] {
+				t.Errorf("worker %d of engine %d has a coroutine the first engine did not give back", j, i)
+			}
 		}
 	}
 }
 
-// TestAllocsResumeHandBackAllocFree: a process that ends inside a measured
-// window gives its channel back without allocating, however many come back
-// into an empty list: the list is an array, never grown.
-func TestAllocsResumeHandBackAllocFree(t *testing.T) {
+// TestAllocsCoroutineHandBackAllocFree: a process that ends inside a measured
+// window gives its coroutine back without allocating, however many come back
+// into an empty pool: the pool is an array, never grown.
+func TestAllocsCoroutineHandBackAllocFree(t *testing.T) {
 	win := allocwin.New(t)
-	resumeChans.Lock()
-	clear(resumeChans.free[:])
-	resumeChans.n = 0
-	resumeChans.Unlock()
+	emptyPool()
 
 	e := NewEngine()
 	for i := 0; i < 64; i++ {
@@ -142,9 +216,9 @@ func TestAllocsResumeHandBackAllocFree(t *testing.T) {
 	e.At(time.Microsecond, win.Open)
 	e.At(3*time.Microsecond, win.Close)
 	e.Run()
-	t.Logf("64 hand-backs into an empty list: %d objects", win.Objects())
-	if n := len(idleResume()); n != 64 {
-		t.Errorf("the list holds %d channels after 64 processes ended, want 64", n)
+	t.Logf("64 hand-backs into an empty pool: %d objects", win.Objects())
+	if n := len(idleCoroutines()); n != 64 {
+		t.Errorf("the pool holds %d coroutines after 64 processes ended, want 64", n)
 	}
 	if win.Objects() != 0 && !allocwin.RaceEnabled {
 		t.Errorf("64 processes ending allocated %d objects, want none", win.Objects())

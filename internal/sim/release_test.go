@@ -6,23 +6,31 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"scimpich/internal/allocwin"
 )
 
-// A drained run ends its daemons: the goroutines of device-style servers
-// that are still blocked when Run returns are gone afterwards, and an engine
-// that lost its daemons refuses further work.
+// A drained run ends its daemons: device-style servers that are still
+// blocked when Run returns have left their bodies afterwards, their
+// coroutines are back in the pool, and an engine that lost its daemons
+// refuses further work.
 
-// waitGoroutines waits for the goroutine count to come back down to the
-// count taken before the run: an ended goroutine has handed control back
-// before Run returns, but may not have left the scheduler yet.
+// liveGoroutines counts the goroutines outside the coroutine pool: an idle
+// pooled coroutine is a parked goroutine, which pins nothing of the run that
+// last used it (TestFinishedEngineIsCollected).
+func liveGoroutines() int { return runtime.NumGoroutine() - IdleCoroutines() }
+
+// waitGoroutines waits for the goroutines outside the pool to come back down
+// to their count taken before the run (liveGoroutines): a goroutine that
+// ended has handed control back before Run returns, but may not have left
+// the scheduler yet.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
+	for liveGoroutines() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left, %d before the run", runtime.NumGoroutine(), before)
+			t.Fatalf("%d goroutines outside the coroutine pool left, %d before the run", liveGoroutines(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -49,7 +57,7 @@ func spawnServers(e *Engine, served *int) {
 }
 
 func TestRunReleasesDaemons(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	e := NewEngine()
 	served := 0
 	spawnServers(e, &served)
@@ -58,6 +66,41 @@ func TestRunReleasesDaemons(t *testing.T) {
 		t.Errorf("served %d requests, want 3", served)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestFinishedEngineIsCollected: what the goroutine count of a leak check
+// stands for. A finished run pins nothing of its engine: the coroutines its
+// processes ran on, released daemons' included, went back to the pool holding
+// no process and no body, so once the engine is unreachable the collector
+// takes it, while those coroutines stay pooled.
+func TestFinishedEngineIsCollected(t *testing.T) {
+	e := NewEngine()
+	var ran []*coroutine
+	record := func(p *Proc) { ran = append(ran, p.co) }
+	served := 0
+	spawnServers(e, &served)
+	e.GoDaemon("recorded-daemon", func(p *Proc) {
+		record(p)
+		p.Park()
+	}).Wake()
+	e.Go("recorded-worker", func(p *Proc) {
+		record(p)
+		p.Sleep(time.Microsecond)
+	})
+	e.Run()
+	engine := weak.Make(e)
+	e = nil
+	runtime.GC()
+	runtime.GC()
+	if engine.Value() != nil {
+		t.Error("a finished engine is still reachable after two collections")
+	}
+	idle := idleCoroutines()
+	for i, co := range ran {
+		if !idle[co] || co.p != nil {
+			t.Errorf("coroutine %d of the finished run: pooled %v, holds process %v; want pooled and none", i, idle[co], co.p)
+		}
+	}
 }
 
 // TestIdleDaemonCostsNothing: a daemon starts at its first piece of work.
@@ -105,7 +148,7 @@ func TestIdleDaemonCostsNothing(t *testing.T) {
 }
 
 func TestStopReleasesUndispatchedDaemon(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	e := NewEngine()
 	e.Stop()
 	e.GoDaemon("never-started", func(p *Proc) { t.Error("body ran") })
@@ -163,4 +206,84 @@ func TestFailuresWithParkedDaemons(t *testing.T) {
 	e = build()
 	e.Go("stuck", func(p *Proc) { p.Recv(NewChan(0)) })
 	mustPanicWith(t, "deadlock", "deadlock: 1 process(es) still blocked", func() { e.Run() })
+}
+
+// runEnding runs e on a goroutine of its own and says how Run ended: it
+// returned, it panicked (the panic's text), its goroutine ended without
+// either, as runtime.Goexit ends it, or it did not end within 5 s.
+func runEnding(e *Engine) string {
+	done := make(chan string, 1)
+	go func() {
+		how := "goroutine ended"
+		defer func() {
+			if r := recover(); r != nil {
+				how = fmt.Sprint(r)
+			}
+			done <- how
+		}()
+		e.Run()
+		how = "returned"
+	}()
+	select {
+	case how := <-done:
+		return how
+	case <-time.After(5 * time.Second):
+		return "hangs"
+	}
+}
+
+// TestHowAProcessEnds: however a process's body ends, Run surfaces it on the
+// engine's goroutine, ends the daemon parked beside it by running its
+// deferred calls, and leaves the coroutine pool whole: no pooled coroutine
+// holds a process, and the next run starts 72 processes (64 that return at
+// once and 8 daemons) without allocating. A runtime.Goexit in a body, which
+// is what t.FailNow does, ends Run's goroutine as it would end the body's.
+func TestHowAProcessEnds(t *testing.T) {
+	win := allocwin.New(t)
+	warm := NewEngine()
+	spawnWorkersAndDaemons(warm, sleepOnce)
+	warm.Run()
+	for _, row := range []struct {
+		name string
+		body func(p *Proc)
+		want string
+	}{
+		{"returns beside a released daemon", sleepOnce, "returned"},
+		{"panics", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			panic("kaboom")
+		}, `sim: process "x" panicked: kaboom`},
+		{"calls Goexit", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			runtime.Goexit()
+		}, "goroutine ended"},
+	} {
+		e := NewEngine()
+		released := false
+		e.GoDaemon("server", func(p *Proc) {
+			defer func() { released = true }()
+			p.Park()
+		}).Wake()
+		e.Go("x", row.body)
+		if got := runEnding(e); got != row.want {
+			t.Errorf("%s: Run ended as %q, want %q", row.name, got, row.want)
+		}
+		if !released {
+			t.Errorf("%s: the released daemon's deferred call did not run", row.name)
+		}
+		for co := range idleCoroutines() {
+			if co.p != nil {
+				t.Errorf("%s: a pooled coroutine holds process %q", row.name, co.p.name)
+			}
+		}
+
+		next := NewEngine()
+		spawnWorkersAndDaemons(next, func(*Proc) {})
+		win.Open()
+		next.Run()
+		win.Close()
+		if got := next.ProcsStarted(); got != 72 || win.Objects() != 0 && !allocwin.RaceEnabled {
+			t.Errorf("%s: the next run started %d processes in %d objects, want 72 in none", row.name, got, win.Objects())
+		}
+	}
 }
