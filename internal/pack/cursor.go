@@ -3,6 +3,7 @@ package pack
 import (
 	"fmt"
 
+	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 )
 
@@ -140,10 +141,28 @@ func (c *Cursor) clamp(maxBytes int64) int64 {
 // Pack packs up to maxBytes bytes (negative: to the end) from the user
 // buffer into sink, advancing the cursor. Sink offsets are relative to the
 // cursor position at the start of the call, matching FFPack's convention
-// for a chunk starting at skip.
+// for a chunk starting at skip. A sink in local memory (a *bufpool.Buf or a
+// BufferSink) takes each run as one copy loop; any other sink sees one
+// Write per block, since each call may be a modelled block write.
 func (c *Cursor) Pack(sink Sink, user []byte, maxBytes int64) (int64, Stats) {
-	return c.run(c.clamp(maxBytes), func(userOff, linOff, n int64) {
-		sink.Write(linOff, user[userOff:userOff+n])
+	budget := c.clamp(maxBytes)
+	var local []byte
+	switch s := sink.(type) {
+	case *bufpool.Buf:
+		local = s.B
+	case BufferSink:
+		local = s.Buf
+	default:
+		return c.run(budget, func(userOff, linOff, n, stride, k int64) {
+			for ; k > 0; k-- {
+				sink.Write(linOff, user[userOff:userOff+n])
+				userOff += stride
+				linOff += n
+			}
+		})
+	}
+	return c.run(budget, func(userOff, linOff, n, stride, k int64) {
+		copyRun(local, linOff, n, user, userOff, stride, n, k)
 	})
 }
 
@@ -151,21 +170,54 @@ func (c *Cursor) Pack(sink Sink, user []byte, maxBytes int64) (int64, Stats) {
 // 0 corresponds to the cursor's current offset) into the non-contiguous
 // user buffer, advancing the cursor.
 func (c *Cursor) Unpack(user, src []byte, maxBytes int64) (int64, Stats) {
-	return c.run(c.clamp(maxBytes), func(userOff, linOff, n int64) {
-		copy(user[userOff:userOff+n], src[linOff:linOff+n])
+	return c.run(c.clamp(maxBytes), func(userOff, linOff, n, stride, k int64) {
+		copyRun(user, userOff, stride, src, linOff, n, n, k)
 	})
 }
 
-// run drives the leaf/stack iteration for up to budget bytes, invoking move
-// for every contiguous block: move(userOff, linOff, n) with linOff relative
-// to the call start. budget must already be clamped to Remaining().
-func (c *Cursor) run(budget int64, move func(userOff, linOff, n int64)) (int64, Stats) {
+// copyRun copies k blocks of n bytes: block i from src at sOff + i·sStride
+// to dst at dOff + i·dStride. It is the inner loop of direct_pack_ff in
+// both directions and of the scatter-gather engine (Descriptor.Gather).
+func copyRun(dst []byte, dOff, dStride int64, src []byte, sOff, sStride, n, k int64) {
+	switch n {
+	case 8:
+		// The small blocks of vectors of doubles: a fixed-size move
+		// instead of a memmove call per block.
+		for ; k > 0; k-- {
+			*(*[8]byte)(dst[dOff:]) = *(*[8]byte)(src[sOff:])
+			dOff += dStride
+			sOff += sStride
+		}
+		return
+	case 16:
+		for ; k > 0; k-- {
+			*(*[16]byte)(dst[dOff:]) = *(*[16]byte)(src[sOff:])
+			dOff += dStride
+			sOff += sStride
+		}
+		return
+	}
+	for ; k > 0; k-- {
+		copy(dst[dOff:dOff+n], src[sOff:sOff+n])
+		dOff += dStride
+		sOff += sStride
+	}
+}
+
+// run drives the leaf/stack iteration for up to budget bytes, handing move
+// one strided run at a time: move(userOff, linOff, n, stride, k) stands for
+// k blocks of n bytes, block i at userOff + i·stride in the user buffer and
+// at linOff + i·n in the linearization, linOff relative to the call start.
+// A run is the part of one innermost stack level that the budget covers; a
+// block split by the budget is a run of its own (k = 1). budget must
+// already be clamped to Remaining().
+func (c *Cursor) run(budget int64, move func(userOff, linOff, n, stride, k int64)) (int64, Stats) {
 	var st Stats
 	if budget <= 0 {
 		return 0, st
 	}
 	if c.dense {
-		move(c.denseOff+c.off, 0, budget)
+		move(c.denseOff+c.off, 0, budget, 0, 1)
 		st.add(budget)
 		c.off += budget
 		return budget, st
@@ -184,96 +236,90 @@ func (c *Cursor) run(budget int64, move func(userOff, linOff, n int64)) (int64, 
 
 // instance packs the current type instance from the cursor position,
 // stopping at the byte budget. It leaves the cursor state at the stopping
-// point and returns the updated written count.
-func (c *Cursor) instance(move func(userOff, linOff, n int64), written, budget int64, st *Stats) int64 {
+// point — the state a block-at-a-time walk would leave — and returns the
+// updated written count.
+func (c *Cursor) instance(move func(userOff, linOff, n, stride, k int64), written, budget int64, st *Stats) int64 {
 	f := c.f
 	base := c.inst * f.Extent
 	for c.leaf < len(f.Leaves) {
 		leaf := &f.Leaves[c.leaf]
-		switch len(leaf.Stack) {
-		case 0:
+		size := leaf.Size
+		if len(leaf.Stack) == 0 {
 			// Once-occurring block: a single (possibly split) copy.
-			n := leaf.Size - c.rem
-			if written+n > budget {
-				n = budget - written
-			}
-			move(base+leaf.First+c.rem, written, n)
+			n := min(size-c.rem, budget-written)
+			move(base+leaf.First+c.rem, written, n, 0, 1)
 			st.add(n)
 			written += n
 			c.rem += n
-			if c.rem < leaf.Size {
+			if c.rem < size {
 				return written // budget hit mid-block
 			}
 			c.rem = 0
 			c.leaf++
-		case 1:
-			// Dominant shape (vectors, matrix rows/columns): one replication
-			// level, iterated without the odometer.
-			lv := &leaf.Stack[0]
-			odo := c.odo()
-			i := odo[0]
-			for i < lv.Count {
-				n := leaf.Size - c.rem
-				if written+n > budget {
-					n = budget - written
-				}
-				move(base+leaf.First+i*lv.Stride+c.rem, written, n)
+			if written >= budget {
+				return written
+			}
+			continue
+		}
+		// Repeat pattern: the odometer steps the outer levels, and the
+		// innermost level is one strided run per step.
+		stack := leaf.Stack
+		d := len(stack) - 1
+		lv := &stack[d]
+		idx := c.odo()[:len(stack)]
+		for {
+			off := base + leaf.First
+			for j := range d {
+				off += idx[j] * stack[j].Stride
+			}
+			i := idx[d]
+			if c.rem > 0 {
+				// Head block split by the previous call.
+				n := min(size-c.rem, budget-written)
+				move(off+i*lv.Stride+c.rem, written, n, 0, 1)
 				st.add(n)
 				written += n
 				c.rem += n
-				if c.rem < leaf.Size {
-					odo[0] = i
+				if c.rem < size {
 					return written
 				}
 				c.rem = 0
 				i++
-				if written >= budget {
-					break
-				}
+			}
+			if k := min(lv.Count-i, (budget-written)/size); k > 0 {
+				move(off+i*lv.Stride, written, size, lv.Stride, k)
+				st.addRun(size, k)
+				written += k * size
+				i += k
 			}
 			if i < lv.Count {
-				odo[0] = i
+				idx[d] = i
+				if written < budget {
+					// Tail block split by the budget.
+					n := budget - written
+					move(off+i*lv.Stride, written, n, 0, 1)
+					st.add(n)
+					written += n
+					c.rem = n
+				}
 				return written
 			}
-			odo[0] = 0
-			c.leaf++
-		default:
-			// General repeat pattern: odometer over the stack levels.
-			stack := leaf.Stack
-			idx := c.odo()[:len(stack)]
-			for {
-				off := base + leaf.First
-				for j := range stack {
-					off += idx[j] * stack[j].Stride
-				}
-				n := leaf.Size - c.rem
-				if written+n > budget {
-					n = budget - written
-				}
-				move(off+c.rem, written, n)
-				st.add(n)
-				written += n
-				c.rem += n
-				if c.rem < leaf.Size {
-					return written
-				}
-				c.rem = 0
-				// Odometer increment, innermost level first.
-				j := len(idx) - 1
-				for ; j >= 0; j-- {
-					idx[j]++
-					if idx[j] < stack[j].Count {
-						break
-					}
-					idx[j] = 0
-				}
-				if j < 0 {
-					c.leaf++ // leaf exhausted, odometer wrapped to zero
+			// Level exhausted: carry into the outer levels.
+			idx[d] = 0
+			j := d - 1
+			for ; j >= 0; j-- {
+				idx[j]++
+				if idx[j] < stack[j].Count {
 					break
 				}
-				if written >= budget {
-					return written
-				}
+				idx[j] = 0
+			}
+			if j < 0 {
+				c.leaf++ // leaf exhausted, odometer wrapped to zero
+				break
+			}
+			if written >= budget {
+				return written
 			}
 		}
 		if written >= budget {

@@ -6,10 +6,14 @@ import (
 
 // This file implements the direct_pack_ff algorithm (paper §3.3.2, figure
 // 6): scan the list of leaves; for each leaf, evaluate its repeat-pattern
-// stack with two nested loops (odometer over the stack indices, plain copy
-// of the contiguous block). find_position resumes a partial transfer at an
-// arbitrary byte offset in O(leaves)+O(depth); split blocks at both ends of
-// the budget are handled by clamping the first and last copies.
+// stack with two nested loops. The outer loop is an odometer over the
+// stack's outer levels; the inner one is a strided run — the k blocks of
+// the innermost level, block i at first + i·stride in the user buffer and
+// back to back in the linearization — which the consumers copy in one
+// tight loop (Pack, Unpack) or record as one run-length scatter-gather
+// entry (Descriptors). find_position resumes a partial transfer at an
+// arbitrary byte offset in O(leaves)+O(depth); a block split by the budget
+// at either end of a call is a run of one, clamped.
 //
 // The linearization is leaf-major: all occurrences of leaf 0, then leaf 1,
 // and so on. Sender and receiver use the same committed representation, so
@@ -28,9 +32,7 @@ func FFPack(sink Sink, user []byte, t *datatype.Type, count int, skip, maxBytes 
 	var c Cursor
 	c.Init(t, count)
 	c.SeekTo(skip)
-	return c.run(budget, func(userOff, linOff, n int64) {
-		sink.Write(linOff, user[userOff:userOff+n])
-	})
+	return c.Pack(sink, user, budget)
 }
 
 // FFUnpack is the receive-side direction swap: it copies packed bytes from
@@ -41,76 +43,23 @@ func FFUnpack(user []byte, src []byte, t *datatype.Type, count int, skip, maxByt
 	var c Cursor
 	c.Init(t, count)
 	c.SeekTo(skip)
-	return c.run(budget, func(userOff, linOff, n int64) {
-		copy(user[userOff:userOff+n], src[linOff:linOff+n])
-	})
+	return c.Unpack(user, src, budget)
 }
 
 // Walk visits every contiguous block of count instances of t in leaf-major
 // order, calling fn(off, size) with user-buffer offsets. It is the layout
 // iterator used for mirrored one-sided transfers (same datatype applied at
-// origin and target). Unlike the cursor engine it never splits a block, so
-// it runs its own tight loops: fn is invoked directly (no budget clamping,
-// no second indirection) and the odometer lives on the stack.
+// origin and target): a cursor over the whole linearization, which never
+// splits a block.
 func Walk(t *datatype.Type, count int, fn func(off, size int64)) Stats {
-	var st Stats
-	f := t.Flat()
-	if first, ok := denseRun(f); ok {
-		n := f.Size * int64(count)
-		if n > 0 {
-			fn(first, n)
-			st.add(n)
+	var c Cursor
+	c.Init(t, count)
+	_, st := c.run(c.total, func(userOff, _, n, stride, k int64) {
+		for ; k > 0; k-- {
+			fn(userOff, n)
+			userOff += stride
 		}
-		return st
-	}
-	var idxBuf [inlineDepth]int64
-	idx := idxBuf[:]
-	if f.Depth > inlineDepth {
-		idx = make([]int64, f.Depth)
-	}
-	for inst := int64(0); inst < int64(count); inst++ {
-		base := inst * f.Extent
-		for li := range f.Leaves {
-			leaf := &f.Leaves[li]
-			switch len(leaf.Stack) {
-			case 0:
-				fn(base+leaf.First, leaf.Size)
-				st.add(leaf.Size)
-			case 1:
-				lv := &leaf.Stack[0]
-				off := base + leaf.First
-				for i := int64(0); i < lv.Count; i++ {
-					fn(off, leaf.Size)
-					st.add(leaf.Size)
-					off += lv.Stride
-				}
-			default:
-				stack := leaf.Stack
-				o := idx[:len(stack)]
-				for {
-					off := base + leaf.First
-					for j := range stack {
-						off += o[j] * stack[j].Stride
-					}
-					fn(off, leaf.Size)
-					st.add(leaf.Size)
-					// Odometer increment, innermost level first; wraps back
-					// to all zeros when the leaf is exhausted.
-					j := len(o) - 1
-					for ; j >= 0; j-- {
-						o[j]++
-						if o[j] < stack[j].Count {
-							break
-						}
-						o[j] = 0
-					}
-					if j < 0 {
-						break
-					}
-				}
-			}
-		}
-	}
+	})
 	return st
 }
 

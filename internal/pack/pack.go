@@ -48,6 +48,13 @@ func (s *Stats) add(n int64) {
 	}
 }
 
+// addRun counts k blocks of n bytes, exactly as k calls of add(n) would.
+func (s *Stats) addRun(n, k int64) {
+	s.add(n)
+	s.Blocks += k - 1
+	s.Bytes += (k - 1) * n
+}
+
 // AvgBlock returns the mean block size, or 0 for an empty operation.
 func (s *Stats) AvgBlock() int64 {
 	if s.Blocks == 0 {

@@ -370,12 +370,15 @@ func TestQuickDescriptorsEqualFFPack(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(chunkSeed)))
 		var descs []Descriptor
 		apply := func(start int64) bool {
-			n, runs := DescriptorRuns(descs)
-			if runs > len(descs) {
+			n, runs, blocks := DescriptorRuns(descs)
+			if runs > len(descs) || len(descs) > blocks {
 				return false
 			}
 			for _, d := range descs {
-				copy(got[start+d.DstOff:], user[d.SrcOff:d.SrcOff+d.Len])
+				for i := range d.Count {
+					src := d.SrcOff + i*d.Stride
+					copy(got[start+d.DstOff+i*d.Len:], user[src:src+d.Len])
+				}
 			}
 			return n == cur.Offset()-start
 		}

@@ -39,7 +39,7 @@ var accessOps = []struct {
 		return m.DMAWrite(p, off, buf).Wait(p)
 	}},
 	{"DMAWriteSG", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: 64}}
+		descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: 64, Count: 1}}
 		return m.DMAWriteSG(p, off, buf, descs).Wait(p)
 	}},
 	{"Read", true, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {

@@ -142,7 +142,7 @@ func TestAllocsBlockWriterAndDMARequest(t *testing.T) {
 	e, ic := testCluster(2)
 	seg := ic.Node(1).Export(1 << 16)
 	src := fill(4096)
-	descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: 2048}, {SrcOff: 2048, DstOff: 4096, Len: 2048}}
+	descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: 2048, Count: 1}, {SrcOff: 2048, DstOff: 4096, Len: 2048, Count: 1}}
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		session := func() {

@@ -37,8 +37,13 @@ type DMARequest struct {
 
 	// Scatter-gather requests (descs != nil): src is the caller's buffer,
 	// descs the gather list, off the destination base of every DstOff.
-	src   []byte
-	descs []pack.Descriptor
+	// sgBytes, sgRuns and sgBlocks are the list's DescriptorRuns, taken at
+	// submission.
+	src      []byte
+	descs    []pack.Descriptor
+	sgBytes  int64
+	sgRuns   int
+	sgBlocks int
 
 	done sim.Future // completes with nil or the typed transfer error
 }
@@ -143,12 +148,12 @@ func (d *dmaEngine) run(p *sim.Proc) {
 // shared SGTransferCost model.
 func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *DMARequest) {
 	start := p.Now()
-	n, runs := pack.DescriptorRuns(req.descs)
+	n, runs := req.sgBytes, req.sgRuns
 	avgRun := n
 	if runs > 0 {
 		avgRun = n / int64(runs)
 	}
-	p.Sleep(dmaStartup + time.Duration(len(req.descs))*dmaSGDesc)
+	p.Sleep(dmaStartup + time.Duration(req.sgBlocks)*dmaSGDesc)
 	if err := req.m.stateErr(); err != nil {
 		req.done.Complete(err)
 		return
@@ -163,10 +168,10 @@ func (d *dmaEngine) runSG(p *sim.Proc, cfg *Config, req *DMARequest) {
 		return
 	}
 	dst := req.m.seg.Local()[req.off:]
-	for _, desc := range req.descs {
-		copy(dst[desc.DstOff:], req.src[desc.SrcOff:desc.SrcOff+desc.Len])
+	for i := range req.descs {
+		req.descs[i].Gather(dst, req.src)
 	}
-	d.node.countDMA(n, len(req.descs))
+	d.node.countDMA(n, req.sgBlocks)
 	d.node.ic.met.dmaSGNS.ObserveDuration(p.Now() - start)
 	req.done.Complete(nil)
 }
@@ -204,29 +209,53 @@ func (m *Mapping) DMAWrite(p *sim.Proc, off int64, src []byte) *DMARequest {
 }
 
 // DMAWriteSG submits a scatter-gather DMA transfer: every descriptor
-// gathers Len bytes at SrcOff of src and lands them at base+DstOff of the
-// mapped segment, without any CPU pack pass. The CPU pays the descriptor
-// build cost at submission; the engine charges startup, per-descriptor
-// processing and the merged-run stream (Config.SGTransferCost). src and
-// descs must stay valid and unmodified until the request's Wait returns;
-// failures come back from it as for DMAWrite.
+// gathers its blocks at SrcOff + i·Stride of src and lands them back to back
+// at base+DstOff of the mapped segment, without any CPU pack pass. The CPU
+// pays the descriptor build cost at submission; the engine charges startup,
+// per-descriptor processing and the merged-run stream
+// (Config.SGTransferCost), both per flat descriptor (block). src and descs
+// must stay valid and unmodified until the request's Wait returns; failures
+// come back from it as for DMAWrite, an entry that reaches outside the
+// segment or src, or has Count < 1, as ErrOutOfRange.
 func (m *Mapping) DMAWriteSG(p *sim.Proc, base int64, src []byte, descs []pack.Descriptor) *DMARequest {
-	n, _ := pack.DescriptorRuns(descs)
-	var span int64
-	if len(descs) > 0 {
-		last := descs[len(descs)-1]
-		span = last.DstOff + last.Len
+	span, err := sgSpan(descs, int64(len(src)))
+	if err == nil {
+		err = m.accessErr(base, span)
 	}
-	if err := m.accessErr(base, span); err != nil {
+	if err != nil {
 		return failedDMA(err)
 	}
-	p.Sleep(2*WriteIssueOverhead + time.Duration(len(descs))*DMASGBuild)
+	n, runs, blocks := pack.DescriptorRuns(descs)
+	p.Sleep(2*WriteIssueOverhead + time.Duration(blocks)*DMASGBuild)
 	req := m.from.dmaRequest()
 	if n == 0 {
 		req.done.Complete(nil)
 		return req
 	}
 	req.m, req.off, req.src, req.descs = m, base, src, descs
+	req.sgBytes, req.sgRuns, req.sgBlocks = n, runs, blocks
 	req.eng.submit(req)
 	return req
+}
+
+// sgSpan returns the destination bytes a descriptor list reaches, the
+// largest end over all its entries, after checking the shape of every
+// entry: at least one block, no negative length or destination offset, and
+// every block inside a source of srcLen bytes.
+func sgSpan(descs []pack.Descriptor, srcLen int64) (span int64, err error) {
+	for i := range descs {
+		d := &descs[i]
+		if d.Count < 1 || d.Len < 0 || d.DstOff < 0 {
+			return 0, ErrOutOfRange{Off: d.DstOff, Len: d.Count * d.Len, Size: srcLen}
+		}
+		lo, hi := d.SrcOff, d.SrcOff+(d.Count-1)*d.Stride
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		if lo < 0 || hi+d.Len > srcLen {
+			return 0, ErrOutOfRange{Off: lo, Len: hi + d.Len - lo, Size: srcLen}
+		}
+		span = max(span, d.DstOff+d.Count*d.Len)
+	}
+	return span, nil
 }

@@ -1,6 +1,8 @@
 package sci
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -31,7 +33,7 @@ func TestDMADrawsRetriesOnce(t *testing.T) {
 		return ic.Node(0).Snapshot().Retries
 	}
 	src := fill(size)
-	descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: size}}
+	descs := []pack.Descriptor{{SrcOff: 0, DstOff: 0, Len: size, Count: 1}}
 	dma := run(func(p *sim.Proc, m *Mapping, i int) {
 		var req *DMARequest
 		if i%2 == 0 {
@@ -73,5 +75,63 @@ func TestDMAQueuedBehindFirst(t *testing.T) {
 	e.Run()
 	if want := [2]time.Duration{2966277, 3723572}; done != want {
 		t.Errorf("transfers done at %v, want %v", done, want)
+	}
+}
+
+// TestDMAWriteSGChecksEveryEntry: a scatter-gather list is bounded by the
+// largest destination end over all its entries, not by its last one, and an
+// entry that reads outside src or holds no block is refused. Every refusal
+// is ErrOutOfRange from Wait, the engine moves nothing and stays up; an
+// accepted run-length entry lands its blocks back to back.
+func TestDMAWriteSGChecksEveryEntry(t *testing.T) {
+	const segSize = 4096
+	src := fill(256)
+	cases := []struct {
+		name  string
+		descs []pack.Descriptor
+		ok    bool
+	}{
+		{"far entry before the last", []pack.Descriptor{
+			{SrcOff: 0, DstOff: 8192, Len: 64, Count: 1},
+			{SrcOff: 64, DstOff: 0, Len: 64, Count: 1}}, false},
+		{"entry past the end of src", []pack.Descriptor{
+			{SrcOff: 0, DstOff: 0, Len: 64, Count: 1},
+			{SrcOff: 224, DstOff: 64, Len: 64, Count: 1}}, false},
+		{"run past the end of src", []pack.Descriptor{
+			{SrcOff: 0, DstOff: 0, Len: 8, Count: 5, Stride: 64}}, false},
+		{"negative source offset", []pack.Descriptor{
+			{SrcOff: -8, DstOff: 0, Len: 8, Count: 1}}, false},
+		{"empty run", []pack.Descriptor{
+			{SrcOff: 0, DstOff: 0, Len: 8, Count: 0}}, false},
+		{"strided run", []pack.Descriptor{
+			{SrcOff: 0, DstOff: 16, Len: 8, Count: 4, Stride: 64},
+			{SrcOff: 8, DstOff: 0, Len: 16, Count: 1}}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ic := testCluster(2)
+			seg := ic.Node(1).Export(segSize)
+			e.Go("submitter", func(p *sim.Proc) {
+				m := ic.Node(0).MustImport(1, seg.ID())
+				err := m.DMAWriteSG(p, 0, src, tc.descs).Wait(p)
+				var oor ErrOutOfRange
+				if tc.ok && err != nil || !tc.ok && !errors.As(err, &oor) {
+					t.Fatalf("Wait = %v, want ok=%v or ErrOutOfRange", err, tc.ok)
+				}
+			})
+			e.Run()
+			want := make([]byte, segSize)
+			if tc.ok {
+				for _, d := range tc.descs {
+					for i := range d.Count {
+						s := d.SrcOff + i*d.Stride
+						copy(want[d.DstOff+i*d.Len:], src[s:s+d.Len])
+					}
+				}
+			}
+			if !bytes.Equal(seg.Local(), want) {
+				t.Error("segment bytes differ from the gathered list")
+			}
+		})
 	}
 }

@@ -81,8 +81,8 @@ func TestMemConformance(t *testing.T) {
 					must("DMAWrite fallback", mem.WriteStream(p, 512, src, 0))
 				}
 				descs := []pack.Descriptor{
-					{SrcOff: 32, DstOff: 0, Len: 16},
-					{SrcOff: 0, DstOff: 16, Len: 16},
+					{SrcOff: 32, DstOff: 0, Len: 16, Count: 1},
+					{SrcOff: 0, DstOff: 16, Len: 16, Count: 1},
 				}
 				req, ok = mem.DMAWriteSG(p, 640, src, descs)
 				if ok != tr.dma {
