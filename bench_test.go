@@ -197,13 +197,13 @@ func BenchmarkAblationRendezvousChunk(b *testing.B) {
 					switch c.Rank() {
 					case 0:
 						start := c.WtimeDuration()
-						c.Send(src, 1, ty, 1, 0)
-						c.Recv(nil, 0, datatype.Byte, 1, 1)
+						must(c.Send(src, 1, ty, 1, 0))
+						must1(c.Recv(nil, 0, datatype.Byte, 1, 1))
 						elapsed = c.WtimeDuration() - start
 					case 1:
 						dst := make([]byte, len(src))
-						c.Recv(dst, 1, ty, 0, 0)
-						c.Send(nil, 0, datatype.Byte, 0, 1)
+						must1(c.Recv(dst, 1, ty, 0, 0))
+						must(c.Send(nil, 0, datatype.Byte, 0, 1))
 					}
 				})
 				bw = float64(ty.Size()) / elapsed.Seconds() / (1 << 20)
@@ -232,14 +232,14 @@ func BenchmarkAblationGetThreshold(b *testing.B) {
 					cfg := osc.DefaultConfig()
 					cfg.GetDirectMax = threshold
 					w := s.CreateShared(c.AllocShared(n), cfg)
-					w.Fence()
+					must(w.Fence())
 					if c.Rank() == 0 {
 						dst := make([]byte, n)
 						start := c.WtimeDuration()
-						w.Get(dst, n, datatype.Byte, 1, 0)
+						must(w.Get(dst, n, datatype.Byte, 1, 0))
 						lat = c.WtimeDuration() - start
 					}
-					w.Fence()
+					must(w.Fence())
 				})
 			}
 			b.ReportMetric(lat.Seconds()*1e6, "modeled-µs")
@@ -291,16 +291,16 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 			case 0:
 				start := c.WtimeDuration()
 				for i := 0; i < 8; i++ {
-					c.Send(src, size, datatype.Byte, 1, i)
+					must(c.Send(src, size, datatype.Byte, 1, i))
 				}
-				c.Recv(nil, 0, datatype.Byte, 1, 99)
+				must1(c.Recv(nil, 0, datatype.Byte, 1, 99))
 				elapsed = c.WtimeDuration() - start
 			case 1:
 				dst := make([]byte, size)
 				for i := 0; i < 8; i++ {
-					c.Recv(dst, size, datatype.Byte, 0, i)
+					must1(c.Recv(dst, size, datatype.Byte, 0, i))
 				}
-				c.Send(nil, 0, datatype.Byte, 0, 99)
+				must(c.Send(nil, 0, datatype.Byte, 0, 99))
 			}
 		})
 		return float64(size*8) / elapsed.Seconds() / (1 << 20)
@@ -339,13 +339,13 @@ func BenchmarkAblationDMARendezvous(b *testing.B) {
 			switch c.Rank() {
 			case 0:
 				start := c.WtimeDuration()
-				c.Send(src, size, datatype.Byte, 1, 0)
-				c.Recv(nil, 0, datatype.Byte, 1, 1)
+				must(c.Send(src, size, datatype.Byte, 1, 0))
+				must1(c.Recv(nil, 0, datatype.Byte, 1, 1))
 				elapsed = c.WtimeDuration() - start
 			case 1:
 				dst := make([]byte, size)
-				c.Recv(dst, size, datatype.Byte, 0, 0)
-				c.Send(nil, 0, datatype.Byte, 0, 1)
+				must1(c.Recv(dst, size, datatype.Byte, 0, 0))
+				must(c.Send(nil, 0, datatype.Byte, 0, 1))
 			}
 		})
 		return float64(size) / elapsed.Seconds() / (1 << 20)
@@ -376,7 +376,7 @@ func BenchmarkFaultedExchange(b *testing.B) {
 			prev := (c.Rank() + c.Size() - 1) % c.Size()
 			in := make([]byte, size)
 			for r := 0; r < 8; r++ {
-				c.Sendrecv(src, size, datatype.Byte, next, r, in, size, datatype.Byte, prev, r)
+				must1(c.Sendrecv(src, size, datatype.Byte, next, r, in, size, datatype.Byte, prev, r))
 			}
 		})
 		return d, w
@@ -418,16 +418,16 @@ func BenchmarkFaultedOneSided(b *testing.B) {
 			mpi.Run(cfg, func(c *mpi.Comm) {
 				s := osc.NewSystem(c)
 				w := s.CreateShared(c.AllocShared(n), osc.DefaultConfig())
-				w.Fence()
+				must(w.Fence())
 				c.Proc().Sleep(2 * time.Millisecond)
 				if c.Rank() == 0 {
 					buf := make([]byte, n)
 					start := c.WtimeDuration()
-					w.Put(buf, n, datatype.Byte, 1, 0)
+					must(w.Put(buf, n, datatype.Byte, 1, 0))
 					lat = c.WtimeDuration() - start
 					degr = w.Snapshot().Degradations
 				}
-				w.Fence()
+				must(w.Fence())
 			})
 			return lat, degr
 		}
@@ -448,7 +448,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			prev := (c.Rank() + c.Size() - 1) % c.Size()
 			in := make([]byte, len(buf))
 			for r := 0; r < 4; r++ {
-				c.Sendrecv(buf, len(buf), datatype.Byte, next, r, in, len(in), datatype.Byte, prev, r)
+				must1(c.Sendrecv(buf, len(buf), datatype.Byte, next, r, in, len(in), datatype.Byte, prev, r))
 			}
 		})
 	}

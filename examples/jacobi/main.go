@@ -115,10 +115,14 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 				win.Post(group)
 				win.Start(group)
 				if left >= 0 {
-					win.Put(mpi.Float64Bytes(cur[1:2]), 8, datatype.Byte, left, 8)
+					if err := win.Put(mpi.Float64Bytes(cur[1:2]), 8, datatype.Byte, left, 8); err != nil {
+						log.Fatalf("rank %d: %v", me, err)
+					}
 				}
 				if right < ranks {
-					win.Put(mpi.Float64Bytes(cur[localN:localN+1]), 8, datatype.Byte, right, 0)
+					if err := win.Put(mpi.Float64Bytes(cur[localN:localN+1]), 8, datatype.Byte, right, 0); err != nil {
+						log.Fatalf("rank %d: %v", me, err)
+					}
 				}
 				win.Complete(group)
 				win.Wait(group)
@@ -131,13 +135,17 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 			} else {
 				in := make([]byte, 8)
 				if left >= 0 {
-					c.Sendrecv(mpi.Float64Bytes(cur[1:2]), 8, datatype.Byte, left, 0,
-						in, 8, datatype.Byte, left, 0)
+					if _, err := c.Sendrecv(mpi.Float64Bytes(cur[1:2]), 8, datatype.Byte, left, 0,
+						in, 8, datatype.Byte, left, 0); err != nil {
+						log.Fatalf("rank %d: %v", me, err)
+					}
 					cur[0] = mpi.BytesFloat64(in)[0]
 				}
 				if right < ranks {
-					c.Sendrecv(mpi.Float64Bytes(cur[localN:localN+1]), 8, datatype.Byte, right, 0,
-						in, 8, datatype.Byte, right, 0)
+					if _, err := c.Sendrecv(mpi.Float64Bytes(cur[localN:localN+1]), 8, datatype.Byte, right, 0,
+						in, 8, datatype.Byte, right, 0); err != nil {
+						log.Fatalf("rank %d: %v", me, err)
+					}
 					cur[localN+1] = mpi.BytesFloat64(in)[0]
 				}
 			}
@@ -162,7 +170,9 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 			// sweep would be needless global synchronization).
 			if it == sweeps-1 {
 				recv := make([]byte, 8)
-				c.Allreduce(mpi.Float64Bytes([]float64{res}), recv, 1, datatype.Float64, mpi.OpSum)
+				if err := c.Allreduce(mpi.Float64Bytes([]float64{res}), recv, 1, datatype.Float64, mpi.OpSum); err != nil {
+					log.Fatalf("rank %d: %v", me, err)
+				}
 				if me == 0 {
 					finalRes = math.Sqrt(mpi.BytesFloat64(recv)[0])
 				}
@@ -171,7 +181,9 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 
 		// Gather the interior onto rank 0.
 		all := make([]byte, globalN*8)
-		c.Gather(mpi.Float64Bytes(cur[1:localN+1]), localN*8, datatype.Byte, all, 0)
+		if err := c.Gather(mpi.Float64Bytes(cur[1:localN+1]), localN*8, datatype.Byte, all, 0); err != nil {
+			log.Fatalf("rank %d: %v", me, err)
+		}
 		if me == 0 {
 			solution = mpi.BytesFloat64(all)
 		}

@@ -121,7 +121,9 @@ func run(useFF bool) time.Duration {
 
 		off := func(x, y, z int) int64 { return int64(f.idx(x, y, z)) * 8 }
 
-		c.Barrier()
+		if err := c.Barrier(); err != nil {
+			log.Fatalf("rank %d: %v", rank, err)
+		}
 		start := c.WtimeDuration()
 		for s := 0; s < steps; s++ {
 			// East/west: contiguous y-z planes (x fixed). Both directions
@@ -133,7 +135,9 @@ func run(useFF bool) time.Duration {
 			exchangePair(c, buf, planeNS, north, off(1, ly, 0), off(1, ly+1, 0), 30+s)
 			exchangePair(c, buf, planeNS, south, off(1, 1, 0), off(1, 0, 0), 30+s)
 		}
-		c.Barrier()
+		if err := c.Barrier(); err != nil {
+			log.Fatalf("rank %d: %v", rank, err)
+		}
 		if rank == 0 {
 			exchange = c.WtimeDuration() - start
 		}
@@ -167,5 +171,7 @@ func exchangePair(c *mpi.Comm, buf []byte, dt *datatype.Type, peer int, sendOff,
 	if peer < 0 {
 		return
 	}
-	c.Sendrecv(buf[sendOff:], 1, dt, peer, tag, buf[recvOff:], 1, dt, peer, tag)
+	if _, err := c.Sendrecv(buf[sendOff:], 1, dt, peer, tag, buf[recvOff:], 1, dt, peer, tag); err != nil {
+		log.Fatalf("rank %d: halo exchange with %d: %v", c.Rank(), peer, err)
+	}
 }

@@ -30,24 +30,35 @@ func program(c *scimpich.Comm) {
 		}
 		copy(src, scimpich.Float64Bytes(vals)) // dense prefix; the type picks blocks
 		t0 := c.Wtime()
-		c.Send(src, 1, column, 1, 0)
+		if err := c.Send(src, 1, column, 1, 0); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("rank 0: sent %d strided bytes in %.1f µs\n",
 			column.Size(), (c.Wtime()-t0)*1e6)
 	case 1:
 		dst := make([]byte, column.Extent())
-		st := c.Recv(dst, 1, column, 0, 0)
+		st, err := c.Recv(dst, 1, column, 0, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("rank 1: received %d bytes from rank %d\n", st.Bytes, st.Source)
 	}
 
 	// One-sided: every rank exposes a window and rank 0 puts into 1.
 	sys := scimpich.NewOSC(c)
 	win := sys.CreateShared(c.AllocShared(4096), scimpich.DefaultOSCConfig())
-	win.Fence()
+	if err := win.Fence(); err != nil {
+		log.Fatal(err)
+	}
 	if c.Rank() == 0 {
 		payload := scimpich.Float64Bytes([]float64{3.14159})
-		win.Put(payload, 8, scimpich.Byte, 1, 0)
+		if err := win.Put(payload, 8, scimpich.Byte, 1, 0); err != nil {
+			log.Fatal(err)
+		}
 	}
-	win.Fence()
+	if err := win.Fence(); err != nil {
+		log.Fatal(err)
+	}
 	if c.Rank() == 1 {
 		got := scimpich.BytesFloat64(win.LocalBytes()[:8])[0]
 		fmt.Printf("rank 1: window[0] = %g after fence\n", got)

@@ -73,7 +73,9 @@ func main() {
 
 		// Expose-and-read epoch: everyone fences, gathers the remote x
 		// entries its rows need, fences again.
-		xWin.Fence()
+		if err := xWin.Fence(); err != nil {
+			log.Fatalf("rank %d: %v", me, err)
+		}
 		rows := make([][]entry, localN)
 		needed := make(map[int]float64) // global col -> value (filled below)
 		for r := 0; r < localN; r++ {
@@ -86,10 +88,14 @@ func main() {
 		for col := range needed {
 			owner := col / localN
 			off := int64(col%localN) * 8
-			xWin.Get(buf, 8, datatype.Byte, owner, off)
+			if err := xWin.Get(buf, 8, datatype.Byte, owner, off); err != nil {
+				log.Fatalf("rank %d: %v", me, err)
+			}
 			needed[col] = mpi.BytesFloat64(buf)[0]
 		}
-		xWin.Fence()
+		if err := xWin.Fence(); err != nil {
+			log.Fatalf("rank %d: %v", me, err)
+		}
 
 		// Local multiply.
 		y := make([]float64, localN)
@@ -116,7 +122,9 @@ func main() {
 			sum += v
 		}
 		recv := make([]byte, 8)
-		c.Reduce(mpi.Float64Bytes([]float64{sum}), recv, 1, datatype.Float64, mpi.OpSum, 0)
+		if err := c.Reduce(mpi.Float64Bytes([]float64{sum}), recv, 1, datatype.Float64, mpi.OpSum, 0); err != nil {
+			log.Fatalf("rank %d: %v", me, err)
+		}
 		if me == 0 {
 			checksum = mpi.BytesFloat64(recv)[0]
 			fmt.Printf("y = A*x computed over %d ranks: checksum %.6f, stats %+v\n",

@@ -45,17 +45,25 @@ func main() {
 		// The task counter lives in rank 0's shared window.
 		seg := c.AllocShared(8)
 		win := sys.CreateShared(seg, osc.DefaultConfig())
-		c.Barrier()
+		if err := c.Barrier(); err != nil {
+			log.Fatalf("rank %d: %v", me, err)
+		}
 
 		claimed := 0
 		for {
 			// Fetch-and-increment under the window lock (passive target:
 			// rank 0 takes no action).
-			win.Lock(0)
+			if err := win.Lock(0); err != nil {
+				log.Fatalf("rank %d: %v", me, err)
+			}
 			buf := make([]byte, 8)
-			win.Get(buf, 8, datatype.Byte, 0, 0)
+			if err := win.Get(buf, 8, datatype.Byte, 0, 0); err != nil {
+				log.Fatalf("rank %d: %v", me, err)
+			}
 			next := int(mpi.BytesFloat64(buf)[0])
-			win.Put(mpi.Float64Bytes([]float64{float64(next + 1)}), 8, datatype.Byte, 0, 0)
+			if err := win.Put(mpi.Float64Bytes([]float64{float64(next + 1)}), 8, datatype.Byte, 0, 0); err != nil {
+				log.Fatalf("rank %d: %v", me, err)
+			}
 			win.Unlock(0)
 
 			if next >= tasks {
@@ -67,7 +75,9 @@ func main() {
 			claimed++
 		}
 		perRank[me] = claimed
-		c.Barrier()
+		if err := c.Barrier(); err != nil {
+			log.Fatalf("rank %d: %v", me, err)
+		}
 	})
 
 	total := 0

@@ -2,9 +2,15 @@ package scimpich_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"scimpich"
+	"scimpich/internal/fault"
+	"scimpich/internal/mpi"
+	"scimpich/internal/osc"
+	"scimpich/internal/sci"
 )
 
 // The facade test exercises the public API end to end: cluster, datatypes,
@@ -20,10 +26,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		// Typed point-to-point.
 		switch c.Rank() {
 		case 0:
-			c.Send(src, 1, ty, 1, 0)
+			must(c.Send(src, 1, ty, 1, 0))
 		case 1:
 			dst := make([]byte, len(src))
-			st := c.Recv(dst, 1, ty, 0, 0)
+			st := must1(c.Recv(dst, 1, ty, 0, 0))
 			if st.Bytes != ty.Size() {
 				t.Errorf("received %d bytes, want %d", st.Bytes, ty.Size())
 			}
@@ -36,7 +42,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 		// Collective.
 		recv := make([]byte, 8)
-		c.Allreduce(scimpich.Float64Bytes([]float64{1}), recv, 1, scimpich.Float64, scimpich.OpSum)
+		must(c.Allreduce(scimpich.Float64Bytes([]float64{1}), recv, 1, scimpich.Float64, scimpich.OpSum))
 		if scimpich.BytesFloat64(recv)[0] != float64(c.Size()) {
 			t.Errorf("allreduce = %g, want %d", scimpich.BytesFloat64(recv)[0], c.Size())
 		}
@@ -44,11 +50,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		// One-sided.
 		sys := scimpich.NewOSC(c)
 		win := sys.CreateShared(c.AllocShared(64), scimpich.DefaultOSCConfig())
-		win.Fence()
+		must(win.Fence())
 		if c.Rank() == 0 {
-			win.Put(scimpich.Float64Bytes([]float64{2.5}), 8, scimpich.Byte, c.Size()-1, 0)
+			must(win.Put(scimpich.Float64Bytes([]float64{2.5}), 8, scimpich.Byte, c.Size()-1, 0))
 		}
-		win.Fence()
+		must(win.Fence())
 		if c.Rank() == c.Size()-1 {
 			if got := scimpich.BytesFloat64(win.LocalBytes()[:8])[0]; got != 2.5 {
 				t.Errorf("window value = %g, want 2.5", got)
@@ -57,7 +63,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 		// Communicator management.
 		sub := c.Split(c.Rank()%2, c.Rank())
-		sub.Barrier()
+		must(sub.Barrier())
 	})
 	if end <= 0 {
 		t.Error("virtual end time not positive")
@@ -78,4 +84,66 @@ func TestFacadeDatatypeConstructors(t *testing.T) {
 			t.Errorf("%s: non-positive size", name)
 		}
 	}
+}
+
+// TestFacadeCallsReturnFaults: node 1 crashes after a healthy first fence,
+// and every call rank 0 then aims at it — a send, a bounded receive, an
+// allreduce, a put, a fence and a lock (on a second window: a fenced one
+// takes no lock) — returns a typed fault instead of panicking, and Run
+// returns.
+func TestFacadeCallsReturnFaults(t *testing.T) {
+	const crash = 2 * time.Millisecond
+	cfg := scimpich.DefaultConfig(2, 1)
+	cfg.SCI.Fault = fault.New(7).CrashNode(1, crash)
+	cfg.Protocol.CollTimeout = mpi.AutoTimeout
+	cfg.Protocol.RendezvousTimeout = mpi.AutoTimeout
+	oscCfg := scimpich.DefaultOSCConfig()
+	oscCfg.SyncTimeout = mpi.AutoTimeout
+	errs := map[string]error{}
+	scimpich.Run(cfg, func(c *scimpich.Comm) {
+		sys := scimpich.NewOSC(c)
+		win := sys.CreateShared(c.AllocShared(64), oscCfg)
+		lockWin := sys.CreateShared(c.AllocShared(64), oscCfg)
+		if err := win.Fence(); err != nil {
+			t.Errorf("rank %d: healthy fence: %v", c.Rank(), err)
+		}
+		if c.Rank() == 1 {
+			return
+		}
+		if c.WtimeDuration() >= crash {
+			t.Errorf("the first fence ended at %v, after the crash", c.WtimeDuration())
+			return
+		}
+		c.Proc().Sleep(crash + time.Millisecond - c.WtimeDuration())
+		buf := make([]byte, 8)
+		errs["Send"] = c.Send(buf, 8, scimpich.Byte, 1, 0)
+		_, errs["RecvTimeout"] = c.RecvTimeout(buf, 8, scimpich.Byte, 1, 0, mpi.AutoTimeout)
+		errs["Allreduce"] = c.Allreduce(buf, make([]byte, 8), 1, scimpich.Float64, scimpich.OpSum)
+		errs["Put"] = win.Put(buf, 8, scimpich.Byte, 1, 0)
+		errs["Fence"] = win.Fence()
+		errs["Lock"] = lockWin.Lock(1)
+	})
+	for _, call := range []string{"Send", "RecvTimeout", "Allreduce", "Put", "Fence", "Lock"} {
+		err := errs[call]
+		t.Logf("%s: %v", call, err)
+		var lost sci.ErrConnectionLost
+		var fe *fault.Error
+		var st osc.ErrSyncTimeout
+		if !errors.As(err, &lost) && !errors.As(err, &fe) && !errors.As(err, &st) {
+			t.Errorf("%s toward the crashed node: err = %v (%T), want a typed fault", call, err, err)
+		}
+	}
+}
+
+// must fails the calling rank on a fault the test does not expect.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
 }

@@ -316,3 +316,16 @@ func TestUltraSparcReproducesShmQuirkAtDifferentBlockSizes(t *testing.T) {
 		t.Error("UltraSparc II model never shows the ff-over-contiguous quirk")
 	}
 }
+
+// must fails the calling rank on a fault the test does not expect.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
+}

@@ -12,6 +12,7 @@ package bench
 // depend on the chooser.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -143,28 +144,29 @@ func collBW(coll string, nodes int, size int64, alg mpi.CollAlg, reg *obs.Regist
 	const reps = 4
 	blk := size / int64(nodes)
 	var elapsed time.Duration
-	mpi.Run(cfg, func(c *mpi.Comm) {
+	mpi.Run(cfg, healthy(func(c *mpi.Comm) (err error) {
 		buf := make([]byte, size)
 		buf2 := make([]byte, size)
-		c.Barrier()
+		err = errors.Join(err, c.Barrier())
 		start := c.WtimeDuration()
 		for i := 0; i < reps; i++ {
 			switch coll {
 			case "bcast":
-				c.Bcast(buf, int(size), datatype.Byte, 0)
+				err = errors.Join(err, c.Bcast(buf, int(size), datatype.Byte, 0))
 			case "allreduce":
-				c.Allreduce(buf, buf2, int(size)/8, datatype.Float64, mpi.OpSum)
+				err = errors.Join(err, c.Allreduce(buf, buf2, int(size)/8, datatype.Float64, mpi.OpSum))
 			case "allgather":
-				c.Allgather(buf[:blk], int(blk), datatype.Byte, buf2)
+				err = errors.Join(err, c.Allgather(buf[:blk], int(blk), datatype.Byte, buf2))
 			case "alltoall":
-				c.Alltoall(buf, int(blk), datatype.Byte, buf2)
+				err = errors.Join(err, c.Alltoall(buf, int(blk), datatype.Byte, buf2))
 			}
 		}
-		c.Barrier()
+		err = errors.Join(err, c.Barrier())
 		if c.Rank() == 0 {
 			elapsed = c.WtimeDuration() - start
 		}
-	})
+		return err
+	}))
 	return BWMiB(size*reps, elapsed)
 }
 

@@ -28,6 +28,7 @@ package bench
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -115,7 +116,7 @@ func mpiStackRow() EngineResult {
 	f := mpi.NewFabric(cfg)
 
 	sums := make([]uint64, MPIStackRanks)
-	main := func(c *mpi.Comm) {
+	main := healthy(func(c *mpi.Comm) (err error) {
 		me := c.Rank()
 		send := make([]byte, MPIStackElems*8)
 		recv := make([]byte, MPIStackElems*8)
@@ -130,7 +131,7 @@ func mpiStackRow() EngineResult {
 			binary.LittleEndian.PutUint64(send[i*8:], z)
 		}
 		for it := 0; it < mpiStackIters; it++ {
-			c.Allreduce(send, recv, MPIStackElems, datatype.Int64, mpi.OpSum)
+			err = errors.Join(err, c.Allreduce(send, recv, MPIStackElems, datatype.Int64, mpi.OpSum))
 			copy(send, recv)
 		}
 		var sum uint64
@@ -138,7 +139,8 @@ func mpiStackRow() EngineResult {
 			sum += binary.LittleEndian.Uint64(recv[i*8:])*0x100000001b3 + uint64(i)
 		}
 		sums[me] = sum
-	}
+		return err
+	})
 
 	start := time.Now()
 	end := mpi.RunOn(f, cfg, main)

@@ -24,11 +24,11 @@ func benchPingPongShort(b *testing.B, rec *flight.Recorder) {
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		for i := 0; i < b.N; i++ {
 			if c.Rank() == 0 {
-				c.Send(buf, size, datatype.Byte, 1, 0)
-				c.Recv(buf, size, datatype.Byte, 1, 1)
+				must(c.Send(buf, size, datatype.Byte, 1, 0))
+				must1(c.Recv(buf, size, datatype.Byte, 1, 1))
 			} else {
-				c.Recv(buf, size, datatype.Byte, 0, 0)
-				c.Send(buf, size, datatype.Byte, 0, 1)
+				must1(c.Recv(buf, size, datatype.Byte, 0, 0))
+				must(c.Send(buf, size, datatype.Byte, 0, 1))
 			}
 		}
 	})

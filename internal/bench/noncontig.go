@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"time"
 
 	"scimpich/internal/datatype"
@@ -68,24 +69,25 @@ func streamBW(cfg mpi.Config, ty *datatype.Type, count, reps int) float64 {
 	src := make([]byte, span)
 	dst := make([]byte, span)
 	var elapsed time.Duration
-	mpi.Run(cfg, func(c *mpi.Comm) {
+	mpi.Run(cfg, healthy(func(c *mpi.Comm) (err error) {
 		switch c.Rank() {
 		case 0:
-			c.Barrier()
+			err = errors.Join(err, c.Barrier())
 			start := c.WtimeDuration()
 			for i := 0; i < reps; i++ {
-				c.Send(src, count, ty, 1, i)
+				err = errors.Join(err, c.Send(src, count, ty, 1, i))
 			}
-			c.Recv(nil, 0, datatype.Byte, 1, 999)
+			err = errors.Join(err, errOf(c.Recv(nil, 0, datatype.Byte, 1, 999)))
 			elapsed = c.WtimeDuration() - start
 		case 1:
-			c.Barrier()
+			err = errors.Join(err, c.Barrier())
 			for i := 0; i < reps; i++ {
-				c.Recv(dst, count, ty, 0, i)
+				err = errors.Join(err, errOf(c.Recv(dst, count, ty, 0, i)))
 			}
-			c.Send(nil, 0, datatype.Byte, 0, 999)
+			err = errors.Join(err, c.Send(nil, 0, datatype.Byte, 0, 999))
 		}
-	})
+		return err
+	}))
 	return BWMiB(ty.Size()*int64(count*reps), elapsed)
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"time"
 
 	"scimpich/internal/datatype"
@@ -77,26 +78,27 @@ func twoSidedPingPong() time.Duration {
 
 func oneSidedPingPong() time.Duration {
 	var d time.Duration
-	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), func(c *mpi.Comm) {
+	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), healthy(func(c *mpi.Comm) (err error) {
 		s := osc.NewSystem(c)
 		w := s.CreateShared(c.AllocShared(16), osc.DefaultConfig())
 		buf := make([]byte, 8)
-		w.Fence()
+		err = errors.Join(err, w.Fence())
 		start := c.WtimeDuration()
 		for i := 0; i < ppRounds; i++ {
 			if c.Rank() == 0 {
-				w.Put(buf, 8, datatype.Byte, 1, 0)
+				err = errors.Join(err, w.Put(buf, 8, datatype.Byte, 1, 0))
 			}
-			w.Fence()
+			err = errors.Join(err, w.Fence())
 			if c.Rank() == 1 {
-				w.Put(buf, 8, datatype.Byte, 0, 8)
+				err = errors.Join(err, w.Put(buf, 8, datatype.Byte, 0, 8))
 			}
-			w.Fence()
+			err = errors.Join(err, w.Fence())
 		}
 		if c.Rank() == 0 {
 			d = (c.WtimeDuration() - start) / ppRounds
 		}
-	})
+		return err
+	}))
 	return d
 }
 
@@ -112,29 +114,29 @@ const (
 // communication exists to avoid). Rank 0 issues request-reply accesses.
 func twoSidedBusyTarget() time.Duration {
 	var d time.Duration
-	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), func(c *mpi.Comm) {
+	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), healthy(func(c *mpi.Comm) (err error) {
 		switch c.Rank() {
 		case 0:
-			c.Barrier()
+			err = errors.Join(err, c.Barrier())
 			start := c.WtimeDuration()
 			req := make([]byte, 8)
 			reply := make([]byte, busyAccessBytes)
 			for i := 0; i < busyAccesses; i++ {
-				c.Send(req, 8, datatype.Byte, 1, 100)
-				c.Recv(reply, busyAccessBytes, datatype.Byte, 1, 101)
+				err = errors.Join(err, c.Send(req, 8, datatype.Byte, 1, 100))
+				err = errors.Join(err, errOf(c.Recv(reply, busyAccessBytes, datatype.Byte, 1, 101)))
 			}
-			c.Send(nil, 0, datatype.Byte, 1, 102) // done
+			err = errors.Join(err, c.Send(nil, 0, datatype.Byte, 1, 102)) // done
 			d = c.WtimeDuration() - start
 		case 1:
 			data := make([]byte, busyAccessBytes)
-			c.Barrier()
+			err = errors.Join(err, c.Barrier())
 			done := false
 			for chunk := 0; chunk < computeChunks && !done; chunk++ {
 				c.Proc().Sleep(computeChunk) // compute
 				// Poll: service everything that queued up.
 				for {
 					if _, ok := c.Iprobe(0, 102); ok {
-						c.Recv(nil, 0, datatype.Byte, 0, 102)
+						err = errors.Join(err, errOf(c.Recv(nil, 0, datatype.Byte, 0, 102)))
 						done = true
 						break
 					}
@@ -143,23 +145,24 @@ func twoSidedBusyTarget() time.Duration {
 						break
 					}
 					buf := make([]byte, st.Bytes)
-					c.Recv(buf, int(st.Bytes), datatype.Byte, 0, 100)
-					c.Send(data, busyAccessBytes, datatype.Byte, 0, 101)
+					err = errors.Join(err, errOf(c.Recv(buf, int(st.Bytes), datatype.Byte, 0, 100)))
+					err = errors.Join(err, c.Send(data, busyAccessBytes, datatype.Byte, 0, 101))
 				}
 			}
 			// Drain any remainder so the origin completes.
 			for !done {
 				st := c.Probe(0, mpi.AnyTag)
 				if st.Tag == 102 {
-					c.Recv(nil, 0, datatype.Byte, 0, 102)
+					err = errors.Join(err, errOf(c.Recv(nil, 0, datatype.Byte, 0, 102)))
 					break
 				}
 				buf := make([]byte, st.Bytes)
-				c.Recv(buf, int(st.Bytes), datatype.Byte, 0, 100)
-				c.Send(data, busyAccessBytes, datatype.Byte, 0, 101)
+				err = errors.Join(err, errOf(c.Recv(buf, int(st.Bytes), datatype.Byte, 0, 100)))
+				err = errors.Join(err, c.Send(data, busyAccessBytes, datatype.Byte, 0, 101))
 			}
 		}
-	})
+		return err
+	}))
 	return d
 }
 
@@ -167,16 +170,16 @@ func twoSidedBusyTarget() time.Duration {
 // shared window while the target computes, uninvolved.
 func oneSidedBusyTarget() time.Duration {
 	var d time.Duration
-	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), func(c *mpi.Comm) {
+	mpi.Run(instrument(mpi.DefaultConfig(2, 1)), healthy(func(c *mpi.Comm) (err error) {
 		s := osc.NewSystem(c)
 		w := s.CreateShared(c.AllocShared(4096), osc.DefaultConfig())
-		w.Fence()
+		err = errors.Join(err, w.Fence())
 		switch c.Rank() {
 		case 0:
 			start := c.WtimeDuration()
 			buf := make([]byte, busyAccessBytes)
 			for i := 0; i < busyAccesses; i++ {
-				w.Get(buf, busyAccessBytes, datatype.Byte, 1, 0)
+				err = errors.Join(err, w.Get(buf, busyAccessBytes, datatype.Byte, 1, 0))
 			}
 			d = c.WtimeDuration() - start
 		case 1:
@@ -185,7 +188,8 @@ func oneSidedBusyTarget() time.Duration {
 				c.Proc().Sleep(computeChunk)
 			}
 		}
-		w.Fence()
-	})
+		err = errors.Join(err, w.Fence())
+		return err
+	}))
 	return d
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"time"
 
 	"scimpich/internal/datatype"
@@ -47,23 +48,24 @@ func pingPong(nodes, procs int, size int64) (latUS, bw float64) {
 // times; it returns rank 0's elapsed virtual time.
 func pingPongElapsed(nodes, procs int, size int64, rounds int) time.Duration {
 	var elapsed time.Duration
-	mpi.Run(instrument(mpi.DefaultConfig(nodes, procs)), func(c *mpi.Comm) {
+	mpi.Run(instrument(mpi.DefaultConfig(nodes, procs)), healthy(func(c *mpi.Comm) (err error) {
 		buf := make([]byte, size)
-		c.Barrier()
+		err = errors.Join(err, c.Barrier())
 		start := c.WtimeDuration()
 		for i := 0; i < rounds; i++ {
 			if c.Rank() == 0 {
-				c.Send(buf, int(size), datatype.Byte, 1, 0)
-				c.Recv(buf, int(size), datatype.Byte, 1, 1)
+				err = errors.Join(err, c.Send(buf, int(size), datatype.Byte, 1, 0))
+				err = errors.Join(err, errOf(c.Recv(buf, int(size), datatype.Byte, 1, 1)))
 			} else {
-				c.Recv(buf, int(size), datatype.Byte, 0, 0)
-				c.Send(buf, int(size), datatype.Byte, 0, 1)
+				err = errors.Join(err, errOf(c.Recv(buf, int(size), datatype.Byte, 0, 0)))
+				err = errors.Join(err, c.Send(buf, int(size), datatype.Byte, 0, 1))
 			}
 		}
 		if c.Rank() == 0 {
 			elapsed = c.WtimeDuration() - start
 		}
-	})
+		return err
+	}))
 	return elapsed
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"time"
 
 	"scimpich/internal/datatype"
@@ -53,7 +54,7 @@ func sparseRun(nodes, procs int, accessSize int64, put, shared bool) (float64, f
 	var elapsed time.Duration
 	var calls int64
 	var moved int64
-	mpi.Run(instrument(mpi.DefaultConfig(nodes, procs)), func(c *mpi.Comm) {
+	mpi.Run(instrument(mpi.DefaultConfig(nodes, procs)), healthy(func(c *mpi.Comm) (err error) {
 		s := osc.NewSystem(c)
 		var w *osc.Win
 		if shared {
@@ -64,25 +65,26 @@ func sparseRun(nodes, procs int, accessSize int64, put, shared bool) (float64, f
 		partner := 1 - c.Rank()
 		buf := make([]byte, accessSize)
 		stride := 2 * accessSize
-		w.Fence()
+		err = errors.Join(err, w.Fence())
 		start := c.WtimeDuration()
 		var n, bytes int64
 		for off := int64(0); off+accessSize < SparseWinSize; off += stride {
 			if put {
-				w.Put(buf, int(accessSize), datatype.Byte, partner, off)
+				err = errors.Join(err, w.Put(buf, int(accessSize), datatype.Byte, partner, off))
 			} else {
-				w.Get(buf, int(accessSize), datatype.Byte, partner, off)
+				err = errors.Join(err, w.Get(buf, int(accessSize), datatype.Byte, partner, off))
 			}
 			n++
 			bytes += accessSize
 		}
-		w.Fence()
+		err = errors.Join(err, w.Fence())
 		if c.Rank() == 0 {
 			elapsed = c.WtimeDuration() - start
 			calls = n
 			moved = bytes
 		}
-	})
+		return err
+	}))
 	if calls == 0 {
 		return 0, 0
 	}

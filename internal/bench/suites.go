@@ -85,6 +85,20 @@ func rows[R any](run func(Sweep) R) func(Sweep) (R, error) {
 	return func(s Sweep) (R, error) { return run(s), nil }
 }
 
+// healthy adapts to mpi.Run a kernel's rank body, which returns the errors
+// of its MPI calls (errors.Join). The experiments drive healthy clusters,
+// so a failed call is a defect of the model: it stops the run.
+func healthy(body func(c *mpi.Comm) error) func(c *mpi.Comm) {
+	return func(c *mpi.Comm) {
+		if err := body(c); err != nil {
+			panic(fmt.Sprintf("bench: rank %d: %v", c.Rank(), err))
+		}
+	}
+}
+
+// errOf is the error of a call whose value (a Status) the kernel ignores.
+func errOf[T any](_ T, err error) error { return err }
+
 // gated turns a driver's gate verdict into Run's error.
 func gated[R any](rows R, ok bool, gates string) (R, error) {
 	if !ok {

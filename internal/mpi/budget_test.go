@@ -31,14 +31,14 @@ func hostCost(t *testing.T, cfg Config, warm, n int, round func(c *Comm, i int))
 		for i := 0; i < warm; i++ {
 			round(c, i)
 		}
-		c.Barrier()
+		must(c.Barrier())
 		if c.Rank() == 0 {
 			win.Open()
 		}
 		for i := 0; i < n; i++ {
 			round(c, warm+i)
 		}
-		c.Barrier() // every rank is done before rank 0 reads
+		must(c.Barrier()) // every rank is done before rank 0 reads
 		if c.Rank() == 0 {
 			win.Close()
 		}
@@ -52,11 +52,11 @@ func exchange(buf []byte, count int, dt *datatype.Type, tag int) func(c *Comm, i
 	return func(c *Comm, _ int) {
 		switch c.Rank() {
 		case 0:
-			c.Send(buf, count, dt, 1, tag)
-			c.Recv(buf, count, dt, 1, tag+1)
+			must(c.Send(buf, count, dt, 1, tag))
+			must1(c.Recv(buf, count, dt, 1, tag+1))
 		case 1:
-			c.Recv(buf, count, dt, 0, tag)
-			c.Send(buf, count, dt, 0, tag+1)
+			must1(c.Recv(buf, count, dt, 0, tag))
+			must(c.Send(buf, count, dt, 0, tag+1))
 		}
 	}
 }
@@ -154,7 +154,7 @@ func TestAllocsAllreduceBudget(t *testing.T) {
 			send[r], recv[r] = make([]byte, tc.bytes), make([]byte, tc.bytes)
 		}
 		objs, bytes := hostCost(t, cfg, 4, 20, func(c *Comm, _ int) {
-			c.Allreduce(send[c.Rank()], recv[c.Rank()], tc.bytes/8, datatype.Int64, OpSum)
+			must(c.Allreduce(send[c.Rank()], recv[c.Rank()], tc.bytes/8, datatype.Int64, OpSum))
 		})
 		t.Logf("%v allreduce of %d B on %d ranks: %.2f objects, %.1f B per rank and call",
 			tc.alg, tc.bytes, ranks, objs/ranks, bytes/ranks)
@@ -204,7 +204,7 @@ func worldCost(t *testing.T, cfg Config, main func(c *Comm)) (objs, bytes uint64
 func ringExchange(c *Comm) {
 	out, in := make([]byte, 64), make([]byte, 64)
 	next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
-	c.Sendrecv(out, 64, datatype.Byte, next, 1000, in, 64, datatype.Byte, prev, 1000)
+	must1(c.Sendrecv(out, 64, datatype.Byte, next, 1000, in, 64, datatype.Byte, prev, 1000))
 }
 
 // TestAllocsWorldBudget pins the host cost of a world that does nothing, in
@@ -297,16 +297,16 @@ func TestProcsPerWorld(t *testing.T) {
 		{"8x2 short exchanges", DefaultConfig(8, 2), func(c *Comm) {
 			out, in := make([]byte, 64), make([]byte, 64)
 			r, n := c.Rank(), c.Size()
-			c.Sendrecv(out, 64, datatype.Byte, r^1, 1000, in, 64, datatype.Byte, r^1, 1000) // inside the node
-			c.Sendrecv(out, 64, datatype.Byte, (r+2)%n, 1001, in, 64, datatype.Byte, (r+n-2)%n, 1001)
-			c.Barrier()
+			must1(c.Sendrecv(out, 64, datatype.Byte, r^1, 1000, in, 64, datatype.Byte, r^1, 1000)) // inside the node
+			must1(c.Sendrecv(out, 64, datatype.Byte, (r+2)%n, 1001, in, 64, datatype.Byte, (r+n-2)%n, 1001))
+			must(c.Barrier())
 		}, 16},
 		{"2x1 rendezvous", DefaultConfig(2, 1), func(c *Comm) {
 			buf := make([]byte, 256<<10)
 			if c.Rank() == 0 {
-				c.Send(buf, len(buf), datatype.Byte, 1, 1000)
+				must(c.Send(buf, len(buf), datatype.Byte, 1, 1000))
 			} else {
-				c.Recv(buf, len(buf), datatype.Byte, 0, 1000)
+				must1(c.Recv(buf, len(buf), datatype.Byte, 0, 1000))
 			}
 		}, 3},
 	} {

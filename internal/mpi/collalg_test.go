@@ -40,7 +40,7 @@ func runAllreduce(t *testing.T, procs int, alg CollAlg, count int, dt *datatype.
 		send := make([]byte, n)
 		mkSend(c.Rank(), send)
 		recv := make([]byte, n)
-		if err := c.AllreduceChecked(send, recv, count, dt, op); err != nil {
+		if err := c.Allreduce(send, recv, count, dt, op); err != nil {
 			t.Errorf("procs=%d alg=%s: Allreduce failed: %v", procs, alg, err)
 			return
 		}
@@ -178,7 +178,7 @@ func TestReduceDerivedDatatype(t *testing.T) {
 		}
 		copy(send, Float64Bytes(v))
 		recv := make([]byte, size)
-		if err := c.ReduceChecked(send, recv, 1, dt, OpSum, 0); err != nil {
+		if err := c.Reduce(send, recv, 1, dt, OpSum, 0); err != nil {
 			t.Errorf("derived reduce failed: %v", err)
 			return
 		}
@@ -215,7 +215,7 @@ func TestBcastAllgatherAlltoallAlgorithmEquivalence(t *testing.T) {
 				if me == 1%procs {
 					copy(buf, payload)
 				}
-				if err := c.BcastChecked(buf, len(buf), datatype.Byte, 1%procs); err != nil {
+				if err := c.Bcast(buf, len(buf), datatype.Byte, 1%procs); err != nil {
 					t.Errorf("procs=%d alg=%s: bcast: %v", procs, alg, err)
 				} else if !bytes.Equal(buf, payload) {
 					t.Errorf("procs=%d alg=%s: bcast corrupted", procs, alg)
@@ -227,7 +227,7 @@ func TestBcastAllgatherAlltoallAlgorithmEquivalence(t *testing.T) {
 					mine[i] = byte(me*13 + i)
 				}
 				all := make([]byte, blk*procs)
-				if err := c.AllgatherChecked(mine, blk, datatype.Byte, all); err != nil {
+				if err := c.Allgather(mine, blk, datatype.Byte, all); err != nil {
 					t.Errorf("procs=%d alg=%s: allgather: %v", procs, alg, err)
 				}
 				for r := 0; r < procs; r++ {
@@ -243,7 +243,7 @@ func TestBcastAllgatherAlltoallAlgorithmEquivalence(t *testing.T) {
 					send[i] = byte(me*31 + i)
 				}
 				recvA := make([]byte, blk*procs)
-				if err := c.AlltoallChecked(send, blk, datatype.Byte, recvA); err != nil {
+				if err := c.Alltoall(send, blk, datatype.Byte, recvA); err != nil {
 					t.Errorf("procs=%d alg=%s: alltoall: %v", procs, alg, err)
 				}
 				for r := 0; r < procs; r++ {
@@ -272,7 +272,7 @@ func TestBcastDerivedOneSided(t *testing.T) {
 			}
 			copy(buf, Float64Bytes(v))
 		}
-		if err := c.BcastChecked(buf, 1, dt, 0); err != nil {
+		if err := c.Bcast(buf, 1, dt, 0); err != nil {
 			t.Errorf("derived one-sided bcast: %v", err)
 			return
 		}
@@ -300,9 +300,9 @@ func TestCollChooserDeterministicAcrossRanks(t *testing.T) {
 		}
 		buf := make([]byte, 64<<10)
 		for i := 0; i < 6; i++ {
-			c.Bcast(buf, len(buf), datatype.Byte, 0)
+			must(c.Bcast(buf, len(buf), datatype.Byte, 0))
 			recv := make([]byte, 8)
-			c.Allreduce(Float64Bytes([]float64{1}), recv, 1, datatype.Float64, OpSum)
+			must(c.Allreduce(Float64Bytes([]float64{1}), recv, 1, datatype.Float64, OpSum))
 		}
 	})
 	total := int64(0)
@@ -327,17 +327,17 @@ func TestCollectiveArgumentErrors(t *testing.T) {
 		}
 		var argErr *ArgumentError
 		buf := make([]byte, 8)
-		if err := c.BcastChecked(buf, 8, datatype.Byte, 5); !errors.As(err, &argErr) {
+		if err := c.Bcast(buf, 8, datatype.Byte, 5); !errors.As(err, &argErr) {
 			t.Errorf("Bcast bad root: %v, want *ArgumentError", err)
 		}
-		if err := c.GathervChecked(buf, 8, datatype.Byte, buf, []int{1}, []int{0}, 0); !errors.As(err, &argErr) {
+		if err := c.Gatherv(buf, 8, datatype.Byte, buf, []int{1}, []int{0}, 0); !errors.As(err, &argErr) {
 			t.Errorf("Gatherv bad counts: %v, want *ArgumentError", err)
 		}
 		mixed := datatype.StructOf(
 			datatype.Field{Type: datatype.Int32, Blocklen: 1, Disp: 0},
 			datatype.Field{Type: datatype.Float64, Blocklen: 1, Disp: 8},
 		).Commit()
-		if err := c.AllreduceChecked(make([]byte, 16), make([]byte, 16), 1, mixed, OpSum); !errors.As(err, &argErr) {
+		if err := c.Allreduce(make([]byte, 16), make([]byte, 16), 1, mixed, OpSum); !errors.As(err, &argErr) {
 			t.Errorf("Allreduce mixed-base datatype: %v, want *ArgumentError", err)
 		} else if argErr.Call != "Allreduce" {
 			t.Errorf("ArgumentError.Call = %q", argErr.Call)
@@ -346,7 +346,7 @@ func TestCollectiveArgumentErrors(t *testing.T) {
 }
 
 // TestNodeCrashMidAllreduceTypedError: a node crash scheduled mid-window
-// must surface on the survivors as a typed error from AllreduceChecked
+// must surface on the survivors as a typed error from Allreduce
 // (connection-lost or watchdog timeout) — never a hang — under every
 // algorithm family, and runs stay deterministic.
 func TestNodeCrashMidAllreduceTypedError(t *testing.T) {
@@ -364,7 +364,7 @@ func TestNodeCrashMidAllreduceTypedError(t *testing.T) {
 				// A couple of rounds so the crash lands mid-collective.
 				var err error
 				for i := 0; i < 4 && err == nil; i++ {
-					err = c.AllreduceChecked(send, recv, n/8, datatype.Float64, OpSum)
+					err = c.Allreduce(send, recv, n/8, datatype.Float64, OpSum)
 				}
 				if c.Rank() == 0 {
 					r0Err = err
@@ -400,7 +400,7 @@ func TestLinkFaultsDontBreakOneSidedCollectives(t *testing.T) {
 		if c.Rank() == 0 {
 			copy(buf, payload)
 		}
-		if err := c.BcastChecked(buf, len(buf), datatype.Byte, 0); err != nil {
+		if err := c.Bcast(buf, len(buf), datatype.Byte, 0); err != nil {
 			t.Errorf("rank %d: one-sided bcast under write errors: %v", c.Rank(), err)
 		} else if !bytes.Equal(buf, payload) {
 			t.Errorf("rank %d: payload corrupted under write errors", c.Rank())

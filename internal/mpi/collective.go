@@ -11,11 +11,10 @@ import (
 
 // Collective operations, built on point-to-point messaging and one-sided
 // window deposits in a separate communicator context so they never match
-// user traffic. Every collective has a checked variant returning typed
-// errors (invalid arguments as *ArgumentError, transfer failures as the
+// user traffic. Every collective returns its failures as typed errors
+// (invalid arguments as *ArgumentError, transfer failures as the
 // send/receive error taxonomy, expired CollTimeout watchdogs as
-// sci.ErrConnectionLost / fault.Timeout); the classic panicking methods
-// are thin wrappers over the checked path. Algorithm selection happens in
+// sci.ErrConnectionLost / fault.Timeout). Algorithm selection happens in
 // collalg.go.
 
 // Tags for collective phases.
@@ -27,19 +26,10 @@ const (
 	tagScatter = 5 << 20
 )
 
-// must is the whole body of the legacy panicking surface: every operation
-// is implemented once, as its Checked form, and the classic name panics on
-// the error that form returns.
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-// checkRoot validates a root rank argument.
-func (c *Comm) checkRoot(call string, root int) error {
-	if root < 0 || root >= c.Size() {
-		return argErrf(call, "root %d out of range for %d ranks", root, c.Size())
+// checkRank validates a rank argument; role names it ("root", "destination").
+func (c *Comm) checkRank(call, role string, r int) error {
+	if r < 0 || r >= c.Size() {
+		return argErrf(call, "%s %d out of range for %d ranks", role, r, c.Size())
 	}
 	return nil
 }
@@ -77,13 +67,9 @@ func (c *Comm) sendrecvColl(sendBuf []byte, sendCount int, sendType *datatype.Ty
 	return c.waitColl(r)
 }
 
-// Barrier blocks until every rank has entered it. It panics on transfer
-// failures; use BarrierChecked under fault plans.
-func (c *Comm) Barrier() { must(c.BarrierChecked()) }
-
-// BarrierChecked is Barrier returning failures as typed errors
-// (dissemination algorithm, log2(P) rounds of zero-byte messages).
-func (c *Comm) BarrierChecked() error {
+// Barrier blocks until every rank has entered it (dissemination algorithm,
+// log2(P) rounds of zero-byte messages).
+func (c *Comm) Barrier() error {
 	if c.Size() == 1 {
 		return nil
 	}
@@ -110,17 +96,11 @@ func (c *Comm) barrierDissemination(tag int, timeout time.Duration) error {
 	return nil
 }
 
-// Bcast broadcasts count elements of dt from root to every rank. It
-// panics on failures; use BcastChecked under fault plans.
-func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) {
-	must(c.BcastChecked(buf, count, dt, root))
-}
-
-// BcastChecked is Bcast returning failures as typed errors. The engine
-// picks between the binomial tree over point-to-point messages and the
-// chunk-pipelined one-sided tree over window deposits.
-func (c *Comm) BcastChecked(buf []byte, count int, dt *datatype.Type, root int) error {
-	if err := c.checkRoot("Bcast", root); err != nil {
+// Bcast broadcasts count elements of dt from root to every rank. The
+// engine picks between the binomial tree over point-to-point messages and
+// the chunk-pipelined one-sided tree over window deposits.
+func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) error {
+	if err := c.checkRank("Bcast", "root", root); err != nil {
 		return err
 	}
 	size := c.Size()
@@ -194,16 +174,10 @@ func lowestSetOrSize(vrank, size int) int {
 // Reduce combines count elements of dt from every rank with op, leaving
 // the result in recv on root (recv may be nil elsewhere). send must hold
 // the rank's contribution. Derived datatypes reduce through their ff
-// linearization as long as all leaves share one basic type. It panics on
-// failures; use ReduceChecked under fault plans.
-func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, root int) {
-	must(c.ReduceChecked(send, recv, count, dt, op, root))
-}
-
-// ReduceChecked is Reduce returning failures as typed errors (binomial
-// fold over the base-typed reduction views).
-func (c *Comm) ReduceChecked(send, recv []byte, count int, dt *datatype.Type, op Op, root int) error {
-	if err := c.checkRoot("Reduce", root); err != nil {
+// linearization as long as all leaves share one basic type (binomial fold
+// over the base-typed reduction views).
+func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, root int) error {
+	if err := c.checkRank("Reduce", "root", root); err != nil {
 		return err
 	}
 	base, err := checkReduceDT("Reduce", dt)
@@ -257,17 +231,11 @@ func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op,
 }
 
 // Allreduce leaves op over every rank's send buffer in every rank's recv
-// buffer. It panics on failures; use AllreduceChecked under fault plans.
-func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op) {
-	must(c.AllreduceChecked(send, recv, count, dt, op))
-}
-
-// AllreduceChecked is Allreduce returning failures as typed errors. The
-// engine picks among reduce+bcast (small messages), recursive doubling,
-// the bandwidth-optimal ring (reduce-scatter + allgather), and the ring
-// over one-sided window deposits; all variants run on the contiguous
-// base-typed views, so derived datatypes work everywhere.
-func (c *Comm) AllreduceChecked(send, recv []byte, count int, dt *datatype.Type, op Op) error {
+// buffer. The engine picks among reduce+bcast (small messages), recursive
+// doubling, the bandwidth-optimal ring (reduce-scatter + allgather), and
+// the ring over one-sided window deposits; all variants run on the
+// contiguous base-typed views, so derived datatypes work everywhere.
+func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op) error {
 	base, err := checkReduceDT("Allreduce", dt)
 	if err != nil {
 		return err
@@ -305,15 +273,9 @@ func (c *Comm) AllreduceChecked(send, recv []byte, count int, dt *datatype.Type,
 }
 
 // Gather collects each rank's send buffer into recv at root, ordered by
-// rank (recv needs size*count elements at root; ignored elsewhere). It
-// panics on failures; use GatherChecked under fault plans.
-func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, root int) {
-	must(c.GatherChecked(send, count, dt, recv, root))
-}
-
-// GatherChecked is Gather returning failures as typed errors.
-func (c *Comm) GatherChecked(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
-	if err := c.checkRoot("Gather", root); err != nil {
+// rank (recv needs size*count elements at root; ignored elsewhere).
+func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
+	if err := c.checkRank("Gather", "root", root); err != nil {
 		return err
 	}
 	op := c.collBegin(collGather, CollP2P, dt.Size()*int64(count))
@@ -321,15 +283,9 @@ func (c *Comm) GatherChecked(send []byte, count int, dt *datatype.Type, recv []b
 }
 
 // Scatter distributes contiguous count-element pieces of send (at root) to
-// every rank's recv buffer. It panics on failures; use ScatterChecked
-// under fault plans.
-func (c *Comm) Scatter(send []byte, count int, dt *datatype.Type, recv []byte, root int) {
-	must(c.ScatterChecked(send, count, dt, recv, root))
-}
-
-// ScatterChecked is Scatter returning failures as typed errors.
-func (c *Comm) ScatterChecked(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
-	if err := c.checkRoot("Scatter", root); err != nil {
+// every rank's recv buffer.
+func (c *Comm) Scatter(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
+	if err := c.checkRank("Scatter", "root", root); err != nil {
 		return err
 	}
 	op := c.collBegin(collScatter, CollP2P, dt.Size()*int64(count))

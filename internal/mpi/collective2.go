@@ -17,17 +17,10 @@ const (
 )
 
 // Allgather collects every rank's count elements of dt into recv (ordered
-// by rank) on all ranks. It panics on failures; use AllgatherChecked under
-// fault plans.
-func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte) {
-	must(c.AllgatherChecked(send, count, dt, recv))
-}
-
-// AllgatherChecked is Allgather returning failures as typed errors. The
-// engine picks between the ring over point-to-point messages and the
-// one-shot window exchange (every rank deposits its block into every
-// peer's slot directly).
-func (c *Comm) AllgatherChecked(send []byte, count int, dt *datatype.Type, recv []byte) error {
+// by rank) on all ranks. The engine picks between the ring over
+// point-to-point messages and the one-shot window exchange (every rank
+// deposits its block into every peer's slot directly).
+func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte) error {
 	size := c.Size()
 	me := c.Rank()
 	bytes := dt.Size() * int64(count)
@@ -48,16 +41,10 @@ func (c *Comm) AllgatherChecked(send []byte, count int, dt *datatype.Type, recv 
 }
 
 // Alltoall sends the i-th count-element slice of send to rank i and
-// receives rank i's slice into the i-th slot of recv. It panics on
-// failures; use AlltoallChecked under fault plans.
-func (c *Comm) Alltoall(send []byte, count int, dt *datatype.Type, recv []byte) {
-	must(c.AlltoallChecked(send, count, dt, recv))
-}
-
-// AlltoallChecked is Alltoall returning failures as typed errors
-// (pairwise exchange, or the one-sided window exchange when the per-peer
-// block fits a slot and the cost model favours it).
-func (c *Comm) AlltoallChecked(send []byte, count int, dt *datatype.Type, recv []byte) error {
+// receives rank i's slice into the i-th slot of recv (pairwise exchange,
+// or the one-sided window exchange when the per-peer block fits a slot and
+// the cost model favours it).
+func (c *Comm) Alltoall(send []byte, count int, dt *datatype.Type, recv []byte) error {
 	size := c.Size()
 	me := c.Rank()
 	bytes := dt.Size() * int64(count)
@@ -79,16 +66,9 @@ func (c *Comm) AlltoallChecked(send []byte, count int, dt *datatype.Type, recv [
 }
 
 // Scan computes the inclusive prefix reduction: recv on rank r holds
-// op(send_0, ..., send_r). It panics on failures; use ScanChecked under
-// fault plans.
-func (c *Comm) Scan(send, recv []byte, count int, dt *datatype.Type, op Op) {
-	must(c.ScanChecked(send, recv, count, dt, op))
-}
-
-// ScanChecked is Scan returning failures as typed errors. Linear
-// algorithm on the base-typed views: receive from the left, fold,
-// forward to the right.
-func (c *Comm) ScanChecked(send, recv []byte, count int, dt *datatype.Type, op Op) error {
+// op(send_0, ..., send_r). Linear algorithm on the base-typed views:
+// receive from the left, fold, forward to the right.
+func (c *Comm) Scan(send, recv []byte, count int, dt *datatype.Type, op Op) error {
 	base, err := checkReduceDT("Scan", dt)
 	if err != nil {
 		return err
@@ -121,47 +101,31 @@ func (c *Comm) ScanChecked(send, recv []byte, count int, dt *datatype.Type, op O
 
 // ReduceScatterBlock reduces size*count elements elementwise across all
 // ranks and scatters equal count-element blocks: rank r receives the
-// reduction of everyone's r-th block. It panics on failures; use
-// ReduceScatterBlockChecked under fault plans.
-func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, dt *datatype.Type, op Op) {
-	must(c.ReduceScatterBlockChecked(send, recv, count, dt, op))
-}
-
-// ReduceScatterBlockChecked is ReduceScatterBlock returning failures as
-// typed errors (implemented as Reduce + Scatter through the checked
-// paths).
-func (c *Comm) ReduceScatterBlockChecked(send, recv []byte, count int, dt *datatype.Type, op Op) error {
+// reduction of everyone's r-th block (Reduce + Scatter).
+func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, dt *datatype.Type, op Op) error {
 	size := c.Size()
 	total := count * size
 	var full []byte
 	if c.Rank() == 0 {
 		full = make([]byte, dt.Size()*int64(total))
 	}
-	if err := c.ReduceChecked(send, full, total, dt, op, 0); err != nil {
+	if err := c.Reduce(send, full, total, dt, op, 0); err != nil {
 		return err
 	}
-	return c.ScatterChecked(full, count, dt, recv, 0)
+	return c.Scatter(full, count, dt, recv, 0)
 }
 
 // Waitall blocks until every request has completed, returning the statuses
-// (nil entries for sends). It panics on failures; use WaitallChecked under
-// fault plans.
-func (c *Comm) Waitall(reqs []*Request) []*Status {
-	out, err := c.WaitallChecked(reqs)
-	must(err)
-	return out
-}
-
-// WaitallChecked waits for every request, returning the statuses and the
-// first error encountered (all requests are drained either way).
-func (c *Comm) WaitallChecked(reqs []*Request) ([]*Status, error) {
+// (nil entries for sends) and the first error encountered (all requests are
+// drained either way).
+func (c *Comm) Waitall(reqs []*Request) ([]*Status, error) {
 	out := make([]*Status, len(reqs))
 	var first error
 	for i, r := range reqs {
 		if r == nil {
 			continue
 		}
-		st, err := r.WaitChecked()
+		st, err := r.Wait()
 		out[i] = st
 		if err != nil && first == nil {
 			first = err

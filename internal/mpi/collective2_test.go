@@ -11,7 +11,7 @@ func TestAllgatherRing(t *testing.T) {
 		Run(DefaultConfig(procs, 1), func(c *Comm) {
 			mine := []byte{byte(c.Rank() * 3), byte(c.Rank()*3 + 1)}
 			all := make([]byte, 2*procs)
-			c.Allgather(mine, 2, datatype.Byte, all)
+			must(c.Allgather(mine, 2, datatype.Byte, all))
 			for r := 0; r < procs; r++ {
 				if all[2*r] != byte(r*3) || all[2*r+1] != byte(r*3+1) {
 					t.Fatalf("procs=%d rank=%d: slot %d = %v", procs, c.Rank(), r, all[2*r:2*r+2])
@@ -30,7 +30,7 @@ func TestAlltoallPairwise(t *testing.T) {
 			send[i] = byte(me*10 + i) // value encodes (sender, receiver)
 		}
 		recv := make([]byte, procs)
-		c.Alltoall(send, 1, datatype.Byte, recv)
+		must(c.Alltoall(send, 1, datatype.Byte, recv))
 		for i := range recv {
 			if recv[i] != byte(i*10+me) {
 				t.Fatalf("rank %d slot %d = %d, want %d", me, i, recv[i], i*10+me)
@@ -44,7 +44,7 @@ func TestScanPrefixSums(t *testing.T) {
 	Run(DefaultConfig(procs, 1), func(c *Comm) {
 		mine := Float64Bytes([]float64{float64(c.Rank() + 1), 1})
 		recv := make([]byte, 16)
-		c.Scan(mine, recv, 2, datatype.Float64, OpSum)
+		must(c.Scan(mine, recv, 2, datatype.Float64, OpSum))
 		got := BytesFloat64(recv)
 		want0 := 0.0
 		for r := 0; r <= c.Rank(); r++ {
@@ -59,7 +59,7 @@ func TestScanPrefixSums(t *testing.T) {
 func TestScanSingleRank(t *testing.T) {
 	Run(DefaultConfig(1, 1), func(c *Comm) {
 		recv := make([]byte, 8)
-		c.Scan(Float64Bytes([]float64{7}), recv, 1, datatype.Float64, OpSum)
+		must(c.Scan(Float64Bytes([]float64{7}), recv, 1, datatype.Float64, OpSum))
 		if BytesFloat64(recv)[0] != 7 {
 			t.Error("single-rank scan wrong")
 		}
@@ -75,7 +75,7 @@ func TestReduceScatterBlock(t *testing.T) {
 			send[r] = float64(c.Rank() + r*100)
 		}
 		recv := make([]byte, 8)
-		c.ReduceScatterBlock(Float64Bytes(send), recv, 1, datatype.Float64, OpSum)
+		must(c.ReduceScatterBlock(Float64Bytes(send), recv, 1, datatype.Float64, OpSum))
 		got := BytesFloat64(recv)[0]
 		want := float64(0+1+2+3) + float64(procs*c.Rank()*100)
 		if got != want {
@@ -93,7 +93,7 @@ func TestWaitall(t *testing.T) {
 			for i := 0; i < n; i++ {
 				reqs = append(reqs, c.Isend([]byte{byte(i)}, 1, datatype.Byte, 1, i))
 			}
-			c.Waitall(reqs)
+			must1(c.Waitall(reqs))
 		case 1:
 			bufs := make([][]byte, n)
 			var reqs []*Request
@@ -101,7 +101,7 @@ func TestWaitall(t *testing.T) {
 				bufs[i] = make([]byte, 1)
 				reqs = append(reqs, c.Irecv(bufs[i], 1, datatype.Byte, 0, i))
 			}
-			sts := c.Waitall(reqs)
+			sts := must1(c.Waitall(reqs))
 			for i, st := range sts {
 				if st == nil || st.Bytes != 1 || bufs[i][0] != byte(i) {
 					t.Fatalf("request %d: status %+v buf %v", i, st, bufs[i])
@@ -116,7 +116,7 @@ func TestAllgatherOnSMPCluster(t *testing.T) {
 	Run(DefaultConfig(3, 2), func(c *Comm) {
 		mine := []byte{byte(c.Rank() + 1)}
 		all := make([]byte, c.Size())
-		c.Allgather(mine, 1, datatype.Byte, all)
+		must(c.Allgather(mine, 1, datatype.Byte, all))
 		for r := 0; r < c.Size(); r++ {
 			if all[r] != byte(r+1) {
 				t.Fatalf("rank %d: allgather slot %d = %d", c.Rank(), r, all[r])
@@ -131,7 +131,7 @@ func TestScanNonCommutativeOrdering(t *testing.T) {
 	Run(DefaultConfig(procs, 1), func(c *Comm) {
 		mine := Float64Bytes([]float64{float64(c.Rank() + 2)})
 		recv := make([]byte, 8)
-		c.Scan(mine, recv, 1, datatype.Float64, OpProd)
+		must(c.Scan(mine, recv, 1, datatype.Float64, OpProd))
 		want := 1.0
 		for r := 0; r <= c.Rank(); r++ {
 			want *= float64(r + 2)

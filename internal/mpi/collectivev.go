@@ -138,15 +138,9 @@ func (c *Comm) alltoallPairwise(send []byte, slay blockLayout, dt *datatype.Type
 }
 
 // Gatherv collects counts[r] elements from each rank r into recv at
-// element displacement displs[r] on root (MPI_Gatherv). It panics on
-// failures; use GathervChecked under fault plans.
-func (c *Comm) Gatherv(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int, root int) {
-	must(c.GathervChecked(send, count, dt, recv, counts, displs, root))
-}
-
-// GathervChecked is Gatherv returning failures as typed errors.
-func (c *Comm) GathervChecked(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int, root int) error {
-	if err := c.checkRoot("Gatherv", root); err != nil {
+// element displacement displs[r] on root (MPI_Gatherv).
+func (c *Comm) Gatherv(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int, root int) error {
+	if err := c.checkRank("Gatherv", "root", root); err != nil {
 		return err
 	}
 	op := c.collBegin(collGatherv, CollP2P, dt.Size()*int64(count))
@@ -159,15 +153,9 @@ func (c *Comm) GathervChecked(send []byte, count int, dt *datatype.Type, recv []
 }
 
 // Scatterv distributes counts[r] elements from send (at displacement
-// displs[r], on root) to each rank r's recv buffer (MPI_Scatterv). It
-// panics on failures; use ScattervChecked under fault plans.
-func (c *Comm) Scatterv(send []byte, counts, displs []int, dt *datatype.Type, recv []byte, count int, root int) {
-	must(c.ScattervChecked(send, counts, displs, dt, recv, count, root))
-}
-
-// ScattervChecked is Scatterv returning failures as typed errors.
-func (c *Comm) ScattervChecked(send []byte, counts, displs []int, dt *datatype.Type, recv []byte, count int, root int) error {
-	if err := c.checkRoot("Scatterv", root); err != nil {
+// displs[r], on root) to each rank r's recv buffer (MPI_Scatterv).
+func (c *Comm) Scatterv(send []byte, counts, displs []int, dt *datatype.Type, recv []byte, count int, root int) error {
+	if err := c.checkRank("Scatterv", "root", root); err != nil {
 		return err
 	}
 	op := c.collBegin(collScatterv, CollP2P, dt.Size()*int64(count))
@@ -181,13 +169,7 @@ func (c *Comm) ScattervChecked(send []byte, counts, displs []int, dt *datatype.T
 
 // Allgatherv collects counts[r] elements from every rank into every rank's
 // recv buffer at displacement displs[r] (MPI_Allgatherv; ring algorithm).
-// It panics on failures; use AllgathervChecked under fault plans.
-func (c *Comm) Allgatherv(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int) {
-	must(c.AllgathervChecked(send, count, dt, recv, counts, displs))
-}
-
-// AllgathervChecked is Allgatherv returning failures as typed errors.
-func (c *Comm) AllgathervChecked(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int) error {
+func (c *Comm) Allgatherv(send []byte, count int, dt *datatype.Type, recv []byte, counts, displs []int) error {
 	if err := c.checkV("Allgatherv", counts, displs); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"testing"
 
 	"scimpich/internal/datatype"
@@ -29,7 +30,7 @@ func TestGatherv(t *testing.T) {
 			mine[i] = byte(me*10 + i)
 		}
 		recv := make([]byte, total)
-		c.Gatherv(mine, counts[me], datatype.Byte, recv, counts, displs, 1)
+		must(c.Gatherv(mine, counts[me], datatype.Byte, recv, counts, displs, 1))
 		if c.Rank() != 1 {
 			return
 		}
@@ -58,7 +59,7 @@ func TestScatterv(t *testing.T) {
 			}
 		}
 		recv := make([]byte, counts[me])
-		c.Scatterv(send, counts, displs, datatype.Byte, recv, counts[me], 0)
+		must(c.Scatterv(send, counts, displs, datatype.Byte, recv, counts[me], 0))
 		for i := range recv {
 			if recv[i] != byte(me+100) {
 				t.Fatalf("rank %d slot %d = %d, want %d", me, i, recv[i], me+100)
@@ -77,7 +78,7 @@ func TestAllgatherv(t *testing.T) {
 				mine[i] = byte(me + 1)
 			}
 			recv := make([]byte, total)
-			c.Allgatherv(mine, counts[me], datatype.Byte, recv, counts, displs)
+			must(c.Allgatherv(mine, counts[me], datatype.Byte, recv, counts, displs))
 			for r := 0; r < procs; r++ {
 				for i := 0; i < counts[r]; i++ {
 					if recv[displs[r]+i] != byte(r+1) {
@@ -89,17 +90,18 @@ func TestAllgatherv(t *testing.T) {
 	}
 }
 
+// TestVCollectiveValidation: a root whose counts do not cover every rank
+// gets an *ArgumentError back.
 func TestVCollectiveValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched counts did not panic")
-		}
-	}()
 	Run(DefaultConfig(2, 1), func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Gatherv(nil, 0, datatype.Byte, nil, []int{1}, []int{0}, 0)
+			err := c.Gatherv(nil, 0, datatype.Byte, nil, []int{1}, []int{0}, 0)
+			var arg *ArgumentError
+			if !errors.As(err, &arg) || arg.Call != "Gatherv" {
+				t.Errorf("mismatched counts: err = %v, want *ArgumentError from Gatherv", err)
+			}
 		} else {
-			c.Gatherv(nil, 0, datatype.Byte, nil, []int{1, 1}, []int{0, 1}, 0)
+			must(c.Gatherv(nil, 0, datatype.Byte, nil, []int{1, 1}, []int{0, 1}, 0))
 		}
 	})
 }
@@ -114,7 +116,7 @@ func TestGathervWithFloat64(t *testing.T) {
 			vals[i] = float64(me) + float64(i)/10
 		}
 		recv := make([]byte, total*8)
-		c.Gatherv(Float64Bytes(vals), counts[me], datatype.Float64, recv, counts, displs, 0)
+		must(c.Gatherv(Float64Bytes(vals), counts[me], datatype.Float64, recv, counts, displs, 0))
 		if me == 0 {
 			all := BytesFloat64(recv)
 			for r := 0; r < procs; r++ {

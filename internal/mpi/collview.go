@@ -41,7 +41,7 @@ type reduceView struct {
 }
 
 // checkReduceDT validates a reduction datatype, returning its base basic
-// type or the ArgumentError the checked API surfaces.
+// type or the ArgumentError the call returns.
 func checkReduceDT(call string, dt *datatype.Type) (*datatype.Type, error) {
 	base := dt.Base()
 	if base == nil {

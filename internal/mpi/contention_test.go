@@ -35,21 +35,21 @@ func contendedPair(t *testing.T, cfg Config) (end time.Duration, spans int, dump
 				reqs = append(reqs, c.Isend(buf, len(buf), datatype.Byte, 1, 2000+i))
 			}
 			for _, r := range reqs {
-				r.Wait()
+				must1(r.Wait())
 			}
 			return
 		}
 		c.Proc().Sleep(50 * time.Microsecond)
 		for i := 0; i < eager; i++ {
 			got := make([]byte, eagerBytes)
-			c.Recv(got, len(got), datatype.Byte, 0, 1000+i)
+			must1(c.Recv(got, len(got), datatype.Byte, 0, 1000+i))
 			if !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, eagerBytes)) {
 				t.Errorf("eager message %d delivered the wrong bytes", i)
 			}
 		}
 		for i := 0; i < 2; i++ {
 			got := make([]byte, rdvBytes)
-			c.Recv(got, len(got), datatype.Byte, 0, 2000+i)
+			must1(c.Recv(got, len(got), datatype.Byte, 0, 2000+i))
 			if !bytes.Equal(got, bytes.Repeat([]byte{byte(100 + i)}, rdvBytes)) {
 				t.Errorf("rendezvous message %d delivered the wrong bytes", i)
 			}

@@ -20,7 +20,7 @@ import (
 //     drops traffic to and from it, in-flight operations against it
 //     complete with *RevokedRankError, and new operations fail fast
 //     instead of waiting for watchdogs;
-//   - ShrinkChecked: a deterministic agreement protocol among survivors
+//   - Shrink: a deterministic agreement protocol among survivors
 //     producing a new communicator over exactly the surviving ranks, with
 //     fresh contexts and rebuilt collective-window state. It tolerates
 //     further crashes mid-agreement by re-running the agreement from the
@@ -109,7 +109,7 @@ func (w *World) resetCollState() {
 	w.collCalls = nil
 }
 
-// shrinkRec is the replicated decision record of one matched ShrinkChecked
+// shrinkRec is the replicated decision record of one matched Shrink
 // call: the per-member suspicion snapshots, and — once a member's wait is
 // satisfied and it seals the record — the agreed dead set and the context
 // pair of the shrunken communicator.
@@ -162,7 +162,7 @@ func (w *World) agreementDeadline() time.Duration {
 	return w.ScaledSyncTimeout() + 4*w.ScaledCollTimeout()
 }
 
-// ShrinkChecked is the survivors' recovery collective: every live member
+// Shrink is the survivors' recovery collective: every live member
 // of the communicator calls it after observing a failure, and each
 // receives a new communicator over exactly the agreed surviving ranks,
 // with fresh contexts and rebuilt collective state. A caller whose own
@@ -176,7 +176,7 @@ func (w *World) agreementDeadline() time.Duration {
 // its snapshot and then crashes may still land in the decided membership —
 // the next collective on the shrunken communicator fails fast and the
 // caller shrinks again, the usual ULFM contract.
-func (c *Comm) ShrinkChecked() (*Comm, error) {
+func (c *Comm) Shrink() (*Comm, error) {
 	cur := c
 	for attempt := 0; attempt <= len(c.groupRanks()); attempt++ {
 		next, err := cur.shrinkOnce()
@@ -243,7 +243,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			break
 		}
 		if p.Now() >= deadline {
-			// ShrinkChecked records the error as its flight KError.
+			// Shrink records the error as its flight KError.
 			return nil, &fault.Error{Kind: fault.Timeout, From: me, To: -1, At: p.Now()}
 		}
 		p.Sleep(w.agreementPoll())

@@ -31,7 +31,7 @@ func shrinkWhenNeeded(t *testing.T, c *Comm, body func(c *Comm) error) (*Comm, e
 		if err == nil {
 			return c, nil
 		}
-		nc, serr := c.ShrinkChecked()
+		nc, serr := c.Shrink()
 		if serr != nil {
 			return nil, serr
 		}
@@ -54,7 +54,7 @@ func TestShrinkAfterCrashAllreduce(t *testing.T) {
 		send := Float64Bytes([]float64{float64(me + 1)})
 		recv := make([]byte, 8)
 		nc, err := shrinkWhenNeeded(t, c, func(c *Comm) error {
-			return c.AllreduceChecked(send, recv, 1, datatype.Float64, OpSum)
+			return c.Allreduce(send, recv, 1, datatype.Float64, OpSum)
 		})
 		if err != nil {
 			var rev *RevokedRankError
@@ -109,7 +109,7 @@ func TestShrinkMidAgreementCrash(t *testing.T) {
 		send := Float64Bytes([]float64{float64(me + 1)})
 		recv := make([]byte, 8)
 		nc, err := shrinkWhenNeeded(t, c, func(c *Comm) error {
-			return c.AllreduceChecked(send, recv, 1, datatype.Float64, OpSum)
+			return c.Allreduce(send, recv, 1, datatype.Float64, OpSum)
 		})
 		if err != nil {
 			var rev *RevokedRankError
@@ -152,7 +152,7 @@ func TestRevokedFastFail(t *testing.T) {
 			pending = c.Irecv(make([]byte, 8), 8, datatype.Byte, 1, 77)
 		}
 		c.Proc().Sleep(time.Millisecond)
-		nc, err := c.ShrinkChecked()
+		nc, err := c.Shrink()
 		if err != nil {
 			var rev *RevokedRankError
 			if !errors.As(err, &rev) || me != 1 {
@@ -171,10 +171,10 @@ func TestRevokedFastFail(t *testing.T) {
 		if !pending.Done() {
 			t.Error("pre-posted receive from the revoked rank still pending")
 		}
-		_, pendingErr = pending.WaitChecked()
+		_, pendingErr = pending.Wait()
 		// A send to the revoked world rank fails fast: no watchdog wait.
 		start := c.Proc().Now()
-		sendErr = c.SendChecked(make([]byte, 64<<10), 64<<10, datatype.Byte, 1, 5)
+		sendErr = c.Send(make([]byte, 64<<10), 64<<10, datatype.Byte, 1, 5)
 		sendElapsed = c.Proc().Now() - start
 	})
 	var rev *RevokedRankError
@@ -203,7 +203,7 @@ func TestRestoredNodeCannotCorrupt(t *testing.T) {
 	Run(elasticConfig(plan), func(c *Comm) {
 		me := c.Rank()
 		c.Proc().Sleep(700 * time.Microsecond) // crash landed, restore pending
-		nc, err := c.ShrinkChecked()
+		nc, err := c.Shrink()
 		if err != nil {
 			var rev *RevokedRankError
 			if !errors.As(err, &rev) || me != 1 {
@@ -212,8 +212,8 @@ func TestRestoredNodeCannotCorrupt(t *testing.T) {
 			}
 			// The revoked rank waits out its restore, then attacks the world.
 			c.Proc().Sleep(time.Millisecond)
-			restoredSendErr = c.SendChecked(fill(256), 256, datatype.Byte, 0, 99)
-			restoredCollErr = c.AllreduceChecked(
+			restoredSendErr = c.Send(fill(256), 256, datatype.Byte, 0, 99)
+			restoredCollErr = c.Allreduce(
 				Float64Bytes([]float64{1000}), make([]byte, 8), 1, datatype.Float64, OpSum)
 			return
 		}
@@ -223,7 +223,7 @@ func TestRestoredNodeCannotCorrupt(t *testing.T) {
 		recv := make([]byte, 8)
 		for i := 0; i < 6; i++ {
 			c.Proc().Sleep(300 * time.Microsecond)
-			if err := nc.AllreduceChecked(send, recv, 1, datatype.Float64, OpSum); err != nil {
+			if err := nc.Allreduce(send, recv, 1, datatype.Float64, OpSum); err != nil {
 				t.Errorf("rank %d: post-shrink allreduce %d failed: %v", me, i, err)
 				return
 			}
@@ -252,14 +252,14 @@ func TestShrinkDeterministicPerSeed(t *testing.T) {
 		end := Run(elasticConfig(plan), func(c *Comm) {
 			me := c.Rank()
 			c.Proc().Sleep(time.Millisecond)
-			nc, err := c.ShrinkChecked()
+			nc, err := c.Shrink()
 			if err != nil {
 				return
 			}
 			for i := 0; i < nc.Size(); i++ {
 				sets[me] = append(sets[me], nc.GroupToWorld(i))
 			}
-			if err := nc.BarrierChecked(); err != nil {
+			if err := nc.Barrier(); err != nil {
 				t.Errorf("rank %d: post-shrink barrier: %v", me, err)
 			}
 		})

@@ -28,10 +28,9 @@ func (e *CancelledError) Error() string {
 	return fmt.Sprintf("mpi: rendezvous %d cancelled by sender %d", e.ReqID, e.Sender)
 }
 
-// ArgumentError reports invalid arguments to a collective call (a
-// non-reducible datatype passed to a reduction, mismatched counts/displs
-// lengths, an out-of-range root). The checked collective variants return
-// it; the panicking wrappers panic with it.
+// ArgumentError reports invalid arguments to an MPI call (a non-reducible
+// datatype passed to a reduction, mismatched counts/displs lengths, an
+// out-of-range root or destination, a synchronous send to self).
 type ArgumentError struct {
 	Call   string // the API entry point, e.g. "Reduce"
 	Reason string

@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"fmt"
+	"log"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
@@ -14,9 +15,14 @@ func Example() {
 		buf := make([]byte, ty.Extent())
 		switch c.Rank() {
 		case 0:
-			c.Send(buf, 1, ty, 1, 0)
+			if err := c.Send(buf, 1, ty, 1, 0); err != nil {
+				log.Fatal(err)
+			}
 		case 1:
-			st := c.Recv(buf, 1, ty, 0, 0)
+			st, err := c.Recv(buf, 1, ty, 0, 0)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("received %d bytes from rank %d\n", st.Bytes, st.Source)
 		}
 	})
@@ -27,7 +33,9 @@ func Example() {
 func ExampleComm_Allreduce() {
 	mpi.Run(mpi.DefaultConfig(4, 1), func(c *mpi.Comm) {
 		recv := make([]byte, 8)
-		c.Allreduce(mpi.Float64Bytes([]float64{float64(c.Rank())}), recv, 1, datatype.Float64, mpi.OpSum)
+		if err := c.Allreduce(mpi.Float64Bytes([]float64{float64(c.Rank())}), recv, 1, datatype.Float64, mpi.OpSum); err != nil {
+			log.Fatal(err)
+		}
 		if c.Rank() == 0 {
 			fmt.Println("sum of ranks:", mpi.BytesFloat64(recv)[0])
 		}

@@ -28,10 +28,10 @@ func TestFaultySendRecvAllSizes(t *testing.T) {
 		Run(faultyConfig(0.1), func(c *Comm) {
 			switch c.Rank() {
 			case 0:
-				c.Send(src, size, datatype.Byte, 1, 0)
+				must(c.Send(src, size, datatype.Byte, 1, 0))
 			case 1:
 				dst := make([]byte, size)
-				c.Recv(dst, size, datatype.Byte, 0, 0)
+				must1(c.Recv(dst, size, datatype.Byte, 0, 0))
 				if !bytes.Equal(dst, src) {
 					t.Errorf("size %d: data corrupted under fault injection", size)
 				}
@@ -46,10 +46,10 @@ func TestFaultyNoncontigFF(t *testing.T) {
 	Run(faultyConfig(0.15), func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, 1, ty, 1, 0)
+			must(c.Send(src, 1, ty, 1, 0))
 		case 1:
 			dst := make([]byte, len(src))
-			c.Recv(dst, 1, ty, 0, 0)
+			must1(c.Recv(dst, 1, ty, 0, 0))
 			for _, b := range ty.TypeMap() {
 				if !bytes.Equal(dst[b.Off:b.Off+b.Len], src[b.Off:b.Off+b.Len]) {
 					t.Fatalf("ff block at %d corrupted under faults", b.Off)
@@ -98,12 +98,12 @@ func collectiveWorkload(t *testing.T, payload []byte) func(c *Comm) {
 		if c.Rank() == 2 {
 			copy(buf, payload)
 		}
-		c.Bcast(buf, len(buf), datatype.Byte, 2)
+		must(c.Bcast(buf, len(buf), datatype.Byte, 2))
 		if !bytes.Equal(buf, payload) {
 			t.Errorf("rank %d: bcast corrupted under faults", c.Rank())
 		}
 		recv := make([]byte, 8)
-		c.Allreduce(Float64Bytes([]float64{1}), recv, 1, datatype.Float64, OpSum)
+		must(c.Allreduce(Float64Bytes([]float64{1}), recv, 1, datatype.Float64, OpSum))
 		if BytesFloat64(recv)[0] != float64(c.Size()) {
 			t.Errorf("rank %d: allreduce wrong under faults", c.Rank())
 		}
@@ -116,10 +116,10 @@ func TestFaultyRunsRemainDeterministic(t *testing.T) {
 			buf := fill(128 << 10)
 			switch c.Rank() {
 			case 0:
-				c.Send(buf, len(buf), datatype.Byte, 1, 0)
+				must(c.Send(buf, len(buf), datatype.Byte, 1, 0))
 			case 1:
 				dst := make([]byte, len(buf))
-				c.Recv(dst, len(dst), datatype.Byte, 0, 0)
+				must1(c.Recv(dst, len(dst), datatype.Byte, 0, 0))
 			}
 		})
 	}
@@ -144,10 +144,10 @@ func TestNodeCrashMidRendezvousYieldsConnectionLost(t *testing.T) {
 		d := Run(cfg, func(c *Comm) {
 			switch c.Rank() {
 			case 0:
-				sendErr = c.SendChecked(payload, len(payload), datatype.Byte, 1, 0)
+				sendErr = c.Send(payload, len(payload), datatype.Byte, 1, 0)
 			case 1:
 				dst := make([]byte, len(payload))
-				_, recvErr = c.RecvChecked(dst, len(dst), datatype.Byte, 0, 0, AutoTimeout)
+				_, recvErr = c.RecvTimeout(dst, len(dst), datatype.Byte, 0, 0, AutoTimeout)
 			}
 		})
 		return d, sendErr, recvErr
@@ -186,10 +186,10 @@ func TestDuplicateInjectionExactlyOnce(t *testing.T) {
 				src := fill(size)
 				switch c.Rank() {
 				case 0:
-					c.Send(src, size, datatype.Byte, 1, round)
+					must(c.Send(src, size, datatype.Byte, 1, round))
 				case 1:
 					dst := make([]byte, size)
-					st := c.Recv(dst, size, datatype.Byte, 0, round)
+					st := must1(c.Recv(dst, size, datatype.Byte, 0, round))
 					if !bytes.Equal(dst, src) {
 						t.Errorf("round %d size %d: contents corrupted under duplicates", round, size)
 					}
@@ -224,12 +224,12 @@ func TestEagerRetryBackoff(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			switch c.Rank() {
 			case 0:
-				if err := c.SendChecked(src, len(src), datatype.Byte, 1, i); err != nil {
+				if err := c.Send(src, len(src), datatype.Byte, 1, i); err != nil {
 					t.Errorf("send %d failed despite retry budget: %v", i, err)
 				}
 			case 1:
 				dst := make([]byte, len(src))
-				c.Recv(dst, len(dst), datatype.Byte, 0, i)
+				must1(c.Recv(dst, len(dst), datatype.Byte, 0, i))
 				if !bytes.Equal(dst, src) {
 					t.Errorf("send %d: contents corrupted under injected write errors", i)
 				}
@@ -255,7 +255,7 @@ func TestRendezvousTimeoutWithoutReceiver(t *testing.T) {
 	Run(cfg, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			sendErr = c.SendChecked(payload, len(payload), datatype.Byte, 1, 0)
+			sendErr = c.Send(payload, len(payload), datatype.Byte, 1, 0)
 		case 1:
 			c.Proc().Sleep(2 * time.Millisecond) // never posts the receive
 		}
@@ -281,10 +281,10 @@ func TestCancelledRendezvousTearsDownReceiver(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			w = c.World()
-			sendErr = c.SendChecked(payload, len(payload), datatype.Byte, 1, 0)
+			sendErr = c.Send(payload, len(payload), datatype.Byte, 1, 0)
 		case 1:
 			dst := make([]byte, len(payload))
-			_, recvErr = c.RecvChecked(dst, len(dst), datatype.Byte, 0, 0, 10*time.Millisecond)
+			_, recvErr = c.RecvTimeout(dst, len(dst), datatype.Byte, 0, 0, 10*time.Millisecond)
 		}
 	})
 	var fe *fault.Error
@@ -317,10 +317,10 @@ func TestDMAPathDeliversData(t *testing.T) {
 		w = c.World()
 		switch c.Rank() {
 		case 0:
-			c.Send(src, len(src), datatype.Byte, 1, 0)
+			must(c.Send(src, len(src), datatype.Byte, 1, 0))
 		case 1:
 			dst := make([]byte, len(src))
-			c.Recv(dst, len(dst), datatype.Byte, 0, 0)
+			must1(c.Recv(dst, len(dst), datatype.Byte, 0, 0))
 			if !bytes.Equal(dst, src) {
 				t.Error("DMA rendezvous corrupted data")
 			}

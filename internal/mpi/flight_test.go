@@ -19,9 +19,9 @@ func TestFlightRecordsSendRecv(t *testing.T) {
 	Run(cfg, func(c *Comm) {
 		buf := make([]byte, bytes)
 		if c.Rank() == 0 {
-			c.Send(buf, bytes, datatype.Byte, 1, tag)
+			must(c.Send(buf, bytes, datatype.Byte, 1, tag))
 		} else {
-			c.Recv(buf, bytes, datatype.Byte, 0, tag)
+			must1(c.Recv(buf, bytes, datatype.Byte, 0, tag))
 		}
 	})
 

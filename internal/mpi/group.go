@@ -44,7 +44,7 @@ func (w *World) nextCtxPair() (int, int) {
 }
 
 // Dup returns a communicator with the same group but a separate
-// communication context (MPI_Comm_dup). Collective over the communicator.
+// communication context (MPI_Comm_dup), collectively; a failed barrier panics.
 func (c *Comm) Dup() *Comm {
 	// Key the exchange by this rank's own collective-call sequence number:
 	// matched collective calls have matching indices on every member, with
@@ -54,24 +54,30 @@ func (c *Comm) Dup() *Comm {
 		user, coll := c.w.nextCtxPair()
 		c.w.Deposit(key, c.worldRank(0), [2]int{user, coll})
 	}
-	c.Barrier()
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
 	pair := c.w.Collect(key)[c.worldRank(0)].([2]int)
 	dup := c.derive()
 	dup.ctx = pair[0]
 	dup.collCtx = pair[1]
-	c.Barrier()
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
 	return dup
 }
 
 // Split partitions the communicator by color (MPI_Comm_split): every rank
 // passing the same color lands in a new communicator holding those ranks,
 // ordered by key (ties broken by old rank). A negative color returns nil
-// (MPI_UNDEFINED).
+// (MPI_UNDEFINED). A failed barrier panics.
 func (c *Comm) Split(color, key int) *Comm {
 	type entry struct{ color, key, world int }
 	tag := fmt.Sprintf("mpi.split.%d.%d", c.ctx, c.w.callSeq(seqSplit, c.ctx, c.rk.id))
 	c.w.Deposit(tag, c.worldRank(c.Rank()), entry{color, key, c.worldRank(c.Rank())})
-	c.Barrier()
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
 	var mine []entry
 	for _, r := range c.groupRanks() {
 		e := c.w.Collect(tag)[r].(entry)
@@ -103,9 +109,13 @@ func (c *Comm) Split(color, key int) *Comm {
 		}
 		c.w.Deposit(ctxKey, c.worldRank(0), pairs)
 	}
-	c.Barrier()
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
 	allPairs := c.w.Collect(ctxKey)[c.worldRank(0)].(map[int][2]int)
-	c.Barrier()
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
 	if color < 0 {
 		return nil
 	}

@@ -32,15 +32,15 @@ func TestDupSeparatesTraffic(t *testing.T) {
 		// across: send on both, receive in swapped order.
 		switch c.Rank() {
 		case 0:
-			c.Send([]byte{1}, 1, datatype.Byte, 1, 7)
-			d.Send([]byte{2}, 1, datatype.Byte, 1, 7)
+			must(c.Send([]byte{1}, 1, datatype.Byte, 1, 7))
+			must(d.Send([]byte{2}, 1, datatype.Byte, 1, 7))
 		case 1:
 			buf := make([]byte, 1)
-			d.Recv(buf, 1, datatype.Byte, 0, 7)
+			must1(d.Recv(buf, 1, datatype.Byte, 0, 7))
 			if buf[0] != 2 {
 				t.Errorf("dup recv got %d, want 2", buf[0])
 			}
-			c.Recv(buf, 1, datatype.Byte, 0, 7)
+			must1(c.Recv(buf, 1, datatype.Byte, 0, 7))
 			if buf[0] != 1 {
 				t.Errorf("world recv got %d, want 1", buf[0])
 			}
@@ -65,7 +65,7 @@ func TestSplitByParity(t *testing.T) {
 		// Collective inside the subgroup: gather the world ranks.
 		mine := []byte{byte(c.Rank())}
 		all := make([]byte, sub.Size())
-		sub.Allgather(mine, 1, datatype.Byte, all)
+		must(sub.Allgather(mine, 1, datatype.Byte, all))
 		for i, v := range all {
 			want := byte(2*i + c.Rank()%2)
 			if v != want {
@@ -87,7 +87,7 @@ func TestSplitReverseKeyOrder(t *testing.T) {
 		buf := []byte{byte(c.Rank())}
 		in := make([]byte, 1)
 		peer := sub.Size() - 1 - sub.Rank() // my own world rank's slot
-		sub.Sendrecv(buf, 1, datatype.Byte, peer, 0, in, 1, datatype.Byte, peer, 0)
+		must1(sub.Sendrecv(buf, 1, datatype.Byte, peer, 0, in, 1, datatype.Byte, peer, 0))
 		if in[0] != byte(procs-1-c.Rank()) {
 			t.Errorf("world %d: exchanged with %d, got %d", c.Rank(), peer, in[0])
 		}
@@ -110,7 +110,7 @@ func TestSplitUndefinedColor(t *testing.T) {
 		if sub == nil || sub.Size() != 2 {
 			t.Fatalf("split lost members: %+v", sub)
 		}
-		sub.Barrier()
+		must(sub.Barrier())
 	})
 }
 
@@ -123,10 +123,10 @@ func TestSplitStatusSourceIsLocal(t *testing.T) {
 		}
 		switch sub.Rank() {
 		case 0:
-			sub.Send([]byte{9}, 1, datatype.Byte, 1, 0)
+			must(sub.Send([]byte{9}, 1, datatype.Byte, 1, 0))
 		case 1:
 			buf := make([]byte, 1)
-			st := sub.Recv(buf, 1, datatype.Byte, AnySource, AnyTag)
+			st := must1(sub.Recv(buf, 1, datatype.Byte, AnySource, AnyTag))
 			if st.Source != 0 {
 				t.Errorf("status source = %d (group-local expected 0)", st.Source)
 			}
@@ -144,7 +144,7 @@ func TestNestedSplit(t *testing.T) {
 		}
 		// Reduction within the quarter: sum of world ranks.
 		recv := make([]byte, 8)
-		quarter.Allreduce(Float64Bytes([]float64{float64(c.Rank())}), recv, 1, datatype.Float64, OpSum)
+		must(quarter.Allreduce(Float64Bytes([]float64{float64(c.Rank())}), recv, 1, datatype.Float64, OpSum))
 		base := (c.Rank() / 2) * 2
 		want := float64(base + base + 1)
 		if got := BytesFloat64(recv)[0]; got != want {

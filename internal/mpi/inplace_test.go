@@ -97,14 +97,14 @@ func TestReductionsInPlace(t *testing.T) {
 
 						send, recv, sent := buffers()
 						prior := append([]byte(nil), recv...)
-						c.Allreduce(send, recv, rc.count, rc.dt, OpSum)
+						must(c.Allreduce(send, recv, rc.count, rc.dt, OpSum))
 						check("Allreduce", send, recv, sent, rc.want(prior, 0, procs-1))
 
 						// Reduce to the last rank; the others' recv must stay as it was.
 						root := procs - 1
 						send, recv, sent = buffers()
 						prior = append([]byte(nil), recv...)
-						c.Reduce(send, recv, rc.count, rc.dt, OpSum, root)
+						must(c.Reduce(send, recv, rc.count, rc.dt, OpSum, root))
 						want := prior
 						if me == root {
 							want = rc.want(prior, 0, procs-1)
@@ -113,7 +113,7 @@ func TestReductionsInPlace(t *testing.T) {
 
 						send, recv, sent = buffers()
 						prior = append([]byte(nil), recv...)
-						c.Scan(send, recv, rc.count, rc.dt, OpSum)
+						must(c.Scan(send, recv, rc.count, rc.dt, OpSum))
 						check("Scan", send, recv, sent, rc.want(prior, 0, me))
 					})
 				}

@@ -34,10 +34,10 @@ func TestSendRecvSizesInterNode(t *testing.T) {
 			runPair(t, func(c *Comm) {
 				switch c.Rank() {
 				case 0:
-					c.Send(src, size, datatype.Byte, 1, 5)
+					must(c.Send(src, size, datatype.Byte, 1, 5))
 				case 1:
 					dst := make([]byte, size)
-					st := c.Recv(dst, size, datatype.Byte, 0, 5)
+					st := must1(c.Recv(dst, size, datatype.Byte, 0, 5))
 					if st.Bytes != int64(size) || st.Source != 0 || st.Tag != 5 {
 						t.Errorf("status = %+v, want %d bytes from 0 tag 5", st, size)
 					}
@@ -55,10 +55,10 @@ func TestSendRecvIntraNode(t *testing.T) {
 	Run(DefaultConfig(1, 2), func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, len(src), datatype.Byte, 1, 0)
+			must(c.Send(src, len(src), datatype.Byte, 1, 0))
 		case 1:
 			dst := make([]byte, len(src))
-			c.Recv(dst, len(dst), datatype.Byte, 0, 0)
+			must1(c.Recv(dst, len(dst), datatype.Byte, 0, 0))
 			if !bytes.Equal(dst, src) {
 				t.Error("intra-node data mismatch")
 			}
@@ -79,12 +79,12 @@ func TestWorldSizesItsInterconnect(t *testing.T) {
 		if c.Rank() == 0 {
 			w = c.World()
 			for dst := 1; dst < c.Size(); dst++ {
-				c.Send(src, len(src), datatype.Byte, dst, 0)
+				must(c.Send(src, len(src), datatype.Byte, dst, 0))
 			}
 			return
 		}
 		dst := make([]byte, len(src))
-		c.Recv(dst, len(dst), datatype.Byte, 0, 0)
+		must1(c.Recv(dst, len(dst), datatype.Byte, 0, 0))
 		if !bytes.Equal(dst, src) {
 			t.Errorf("rank %d: received data mismatch", c.Rank())
 		}
@@ -104,8 +104,8 @@ func TestSelfSend(t *testing.T) {
 		}
 		src := fill(1000)
 		dst := make([]byte, 1000)
-		c.Send(src, 1000, datatype.Byte, 0, 9)
-		c.Recv(dst, 1000, datatype.Byte, 0, 9)
+		must(c.Send(src, 1000, datatype.Byte, 0, 9))
+		must1(c.Recv(dst, 1000, datatype.Byte, 0, 9))
 		if !bytes.Equal(dst, src) {
 			t.Error("self-send mismatch")
 		}
@@ -122,10 +122,10 @@ func TestNonContiguousRoundTripFF(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, 1, ty, 1, 0)
+			must(c.Send(src, 1, ty, 1, 0))
 		case 1:
 			dst := make([]byte, len(src))
-			st := c.Recv(dst, 1, ty, 0, 0)
+			st := must1(c.Recv(dst, 1, ty, 0, 0))
 			if st.Bytes != ty.Size() {
 				t.Errorf("received %d bytes, want %d", st.Bytes, ty.Size())
 			}
@@ -162,10 +162,10 @@ func TestNonContiguousGenericBaseline(t *testing.T) {
 	Run(cfg, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, 1, ty, 1, 0)
+			must(c.Send(src, 1, ty, 1, 0))
 		case 1:
 			dst := make([]byte, len(src))
-			c.Recv(dst, 1, ty, 0, 0)
+			must1(c.Recv(dst, 1, ty, 0, 0))
 			checkTyped(t, ty, src, dst)
 		}
 	})
@@ -185,13 +185,13 @@ func TestFFFasterThanGenericForStridedVector(t *testing.T) {
 			case 0:
 				start := c.WtimeDuration()
 				for i := 0; i < 4; i++ {
-					c.Send(src, 1, ty, 1, i)
+					must(c.Send(src, 1, ty, 1, i))
 				}
 				d = c.WtimeDuration() - start
 			case 1:
 				dst := make([]byte, len(src))
 				for i := 0; i < 4; i++ {
-					c.Recv(dst, 1, ty, 0, i)
+					must1(c.Recv(dst, 1, ty, 0, i))
 				}
 			}
 		})
@@ -211,10 +211,10 @@ func TestMixedTypesAcrossSides(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, 1, ty, 1, 0)
+			must(c.Send(src, 1, ty, 1, 0))
 		case 1:
 			dst := make([]byte, ty.Size())
-			c.Recv(dst, int(ty.Size()), datatype.Byte, 0, 0)
+			must1(c.Recv(dst, int(ty.Size()), datatype.Byte, 0, 0))
 			// Expected: the canonical linearization (vector types have a
 			// single leaf, so ff and canonical coincide).
 			var want []byte
@@ -234,16 +234,16 @@ func TestTagAndSourceMatching(t *testing.T) {
 		case 0:
 			a := []byte{1}
 			b := []byte{2}
-			c.Send(a, 1, datatype.Byte, 1, 10)
-			c.Send(b, 1, datatype.Byte, 1, 20)
+			must(c.Send(a, 1, datatype.Byte, 1, 10))
+			must(c.Send(b, 1, datatype.Byte, 1, 20))
 		case 1:
 			buf := make([]byte, 1)
 			// Receive tag 20 first, although tag 10 arrived earlier.
-			c.Recv(buf, 1, datatype.Byte, 0, 20)
+			must1(c.Recv(buf, 1, datatype.Byte, 0, 20))
 			if buf[0] != 2 {
 				t.Errorf("tag-20 recv got %d, want 2", buf[0])
 			}
-			st := c.Recv(buf, 1, datatype.Byte, AnySource, AnyTag)
+			st := must1(c.Recv(buf, 1, datatype.Byte, AnySource, AnyTag))
 			if buf[0] != 1 || st.Tag != 10 {
 				t.Errorf("wildcard recv got %d tag %d, want 1 tag 10", buf[0], st.Tag)
 			}
@@ -258,12 +258,12 @@ func TestMessageOrderingPerPair(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			for i := 0; i < n; i++ {
-				c.Send([]byte{byte(i)}, 1, datatype.Byte, 1, 0)
+				must(c.Send([]byte{byte(i)}, 1, datatype.Byte, 1, 0))
 			}
 		case 1:
 			buf := make([]byte, 1)
 			for i := 0; i < n; i++ {
-				c.Recv(buf, 1, datatype.Byte, 0, 0)
+				must1(c.Recv(buf, 1, datatype.Byte, 0, 0))
 				if buf[0] != byte(i) {
 					t.Fatalf("message %d overtaken by %d", i, buf[0])
 				}
@@ -282,14 +282,14 @@ func TestEagerCreditBackpressure(t *testing.T) {
 		case 0:
 			for i := 0; i < msgs; i++ {
 				buf := bytes.Repeat([]byte{byte(i + 1)}, size)
-				c.Send(buf, size, datatype.Byte, 1, i)
+				must(c.Send(buf, size, datatype.Byte, 1, i))
 			}
 		case 1:
 			// Delay receiving so sends must queue.
 			c.Proc().Sleep(time.Millisecond)
 			buf := make([]byte, size)
 			for i := 0; i < msgs; i++ {
-				c.Recv(buf, size, datatype.Byte, 0, i)
+				must1(c.Recv(buf, size, datatype.Byte, 0, i))
 				if buf[0] != byte(i+1) || buf[size-1] != byte(i+1) {
 					t.Fatalf("message %d corrupted", i)
 				}
@@ -307,15 +307,15 @@ func TestIsendIrecvOverlap(t *testing.T) {
 			b := fill(size)
 			ra := c.Isend(a, size, datatype.Byte, 1, 1)
 			rb := c.Isend(b, size, datatype.Byte, 1, 2)
-			ra.Wait()
-			rb.Wait()
+			must1(ra.Wait())
+			must1(rb.Wait())
 		case 1:
 			a := make([]byte, size)
 			b := make([]byte, size)
 			rb := c.Irecv(b, size, datatype.Byte, 0, 2)
 			ra := c.Irecv(a, size, datatype.Byte, 0, 1)
-			ra.Wait()
-			rb.Wait()
+			must1(ra.Wait())
+			must1(rb.Wait())
 			if !bytes.Equal(a, fill(size)) || !bytes.Equal(b, fill(size)) {
 				t.Error("overlapped transfers corrupted data")
 			}
@@ -328,7 +328,7 @@ func TestSendrecvExchange(t *testing.T) {
 		peer := 1 - c.Rank()
 		out := []byte{byte(c.Rank() + 40)}
 		in := make([]byte, 1)
-		c.Sendrecv(out, 1, datatype.Byte, peer, 0, in, 1, datatype.Byte, peer, 0)
+		must1(c.Sendrecv(out, 1, datatype.Byte, peer, 0, in, 1, datatype.Byte, peer, 0))
 		if in[0] != byte(peer+40) {
 			t.Errorf("rank %d received %d, want %d", c.Rank(), in[0], peer+40)
 		}
@@ -339,7 +339,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	var releases [4]time.Duration
 	Run(DefaultConfig(4, 1), func(c *Comm) {
 		c.Proc().Sleep(time.Duration(c.Rank()) * 100 * time.Microsecond)
-		c.Barrier()
+		must(c.Barrier())
 		releases[c.Rank()] = c.WtimeDuration()
 	})
 	latest := releases[3]
@@ -362,7 +362,7 @@ func TestBcastVariousRootsAndSizes(t *testing.T) {
 				if c.Rank() == root {
 					copy(buf, payload)
 				}
-				c.Bcast(buf, len(buf), datatype.Byte, root)
+				must(c.Bcast(buf, len(buf), datatype.Byte, root))
 				if !bytes.Equal(buf, payload) {
 					t.Errorf("procs=%d root=%d rank=%d: bcast mismatch", procs, root, c.Rank())
 				}
@@ -380,7 +380,7 @@ func TestReduceSum(t *testing.T) {
 			vals[i] = float64(c.Rank()*count + i)
 		}
 		recv := make([]byte, count*8)
-		c.Reduce(Float64Bytes(vals), recv, count, datatype.Float64, OpSum, 2)
+		must(c.Reduce(Float64Bytes(vals), recv, count, datatype.Float64, OpSum, 2))
 		if c.Rank() == 2 {
 			got := BytesFloat64(recv)
 			for i := range got {
@@ -401,7 +401,7 @@ func TestAllreduceMax(t *testing.T) {
 	Run(DefaultConfig(procs, 1), func(c *Comm) {
 		v := []int32{int32(c.Rank() * 10), int32(100 - c.Rank())}
 		recv := make([]byte, 8)
-		c.Allreduce(Int32Bytes(v), recv, 2, datatype.Int32, OpMax)
+		must(c.Allreduce(Int32Bytes(v), recv, 2, datatype.Int32, OpMax))
 		got := BytesInt32(recv)
 		if got[0] != 30 || got[1] != 100 {
 			t.Errorf("rank %d: allreduce = %v, want [30 100]", c.Rank(), got)
@@ -414,7 +414,7 @@ func TestGatherScatter(t *testing.T) {
 	Run(DefaultConfig(procs, 1), func(c *Comm) {
 		mine := []byte{byte(c.Rank() + 1)}
 		all := make([]byte, procs)
-		c.Gather(mine, 1, datatype.Byte, all, 0)
+		must(c.Gather(mine, 1, datatype.Byte, all, 0))
 		if c.Rank() == 0 {
 			for i := range all {
 				if all[i] != byte(i+1) {
@@ -423,7 +423,7 @@ func TestGatherScatter(t *testing.T) {
 			}
 		}
 		out := make([]byte, 1)
-		c.Scatter(all, 1, datatype.Byte, out, 0)
+		must(c.Scatter(all, 1, datatype.Byte, out, 0))
 		if c.Rank() == 0 && out[0] != 1 {
 			t.Errorf("scatter: rank 0 got %d", out[0])
 		}
@@ -439,7 +439,7 @@ func TestSMPClusterMixedTransports(t *testing.T) {
 		prev := (c.Rank() + c.Size() - 1) % c.Size()
 		out := bytes.Repeat([]byte{byte(c.Rank() + 1)}, size)
 		in := make([]byte, size)
-		c.Sendrecv(out, size, datatype.Byte, next, 0, in, size, datatype.Byte, prev, 0)
+		must1(c.Sendrecv(out, size, datatype.Byte, next, 0, in, size, datatype.Byte, prev, 0))
 		if in[0] != byte(prev+1) || in[size-1] != byte(prev+1) {
 			t.Errorf("rank %d: ring exchange mismatch", c.Rank())
 		}
@@ -455,13 +455,13 @@ func TestIntraNodeFasterThanInterNode(t *testing.T) {
 			switch c.Rank() {
 			case 0:
 				start := c.WtimeDuration()
-				c.Send(src, size, datatype.Byte, 1, 0)
-				c.Recv(src[:1], 1, datatype.Byte, 1, 1)
+				must(c.Send(src, size, datatype.Byte, 1, 0))
+				must1(c.Recv(src[:1], 1, datatype.Byte, 1, 1))
 				d = c.WtimeDuration() - start
 			case 1:
 				dst := make([]byte, size)
-				c.Recv(dst, size, datatype.Byte, 0, 0)
-				c.Send(dst[:1], 1, datatype.Byte, 0, 1)
+				must1(c.Recv(dst, size, datatype.Byte, 0, 0))
+				must(c.Send(dst[:1], 1, datatype.Byte, 0, 1))
 			}
 		})
 		return d
@@ -482,9 +482,9 @@ func TestTruncationPanics(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(make([]byte, 100), 100, datatype.Byte, 1, 0)
+			must(c.Send(make([]byte, 100), 100, datatype.Byte, 1, 0))
 		case 1:
-			c.Recv(make([]byte, 10), 10, datatype.Byte, 0, 0)
+			must1(c.Recv(make([]byte, 10), 10, datatype.Byte, 0, 0))
 		}
 	})
 }
@@ -504,11 +504,11 @@ func TestDeterministicRuns(t *testing.T) {
 		return Run(DefaultConfig(4, 2), func(c *Comm) {
 			buf := make([]byte, 64<<10)
 			for i := 0; i < 3; i++ {
-				c.Barrier()
+				must(c.Barrier())
 				next := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() + c.Size() - 1) % c.Size()
 				in := make([]byte, len(buf))
-				c.Sendrecv(buf, len(buf), datatype.Byte, next, i, in, len(in), datatype.Byte, prev, i)
+				must1(c.Sendrecv(buf, len(buf), datatype.Byte, next, i, in, len(in), datatype.Byte, prev, i))
 			}
 		})
 	}
@@ -516,4 +516,17 @@ func TestDeterministicRuns(t *testing.T) {
 	if a != b {
 		t.Errorf("identical runs ended at %v and %v", a, b)
 	}
+}
+
+// must fails the calling rank on a fault the test does not expect.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
 }

@@ -46,35 +46,34 @@ func TestEnvKindNames(t *testing.T) {
 
 // TestIsendFailureReachesWaitChecked: a fault under a nonblocking send — the
 // peer's node crashes mid-rendezvous — completes the request with the typed
-// error instead of panicking inside the helper process: WaitChecked returns
-// it, Wait panics with it, and the run ends without a hang.
+// error instead of panicking inside the helper process: Wait returns it,
+// again on a second call, and the run ends without a hang.
 func TestIsendFailureReachesWaitChecked(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	cfg.SCI.Fault = fault.New(3).CrashNode(1, 500*time.Microsecond)
 	cfg.Protocol.RendezvousTimeout = AutoTimeout
 	payload := fill(2 << 20) // long enough to straddle the crash
-	var checked error
-	var waitPanic any
+	var first, again, recvErr error
 	Run(cfg, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			r := c.Isend(payload, len(payload), datatype.Byte, 1, 0)
-			_, checked = r.WaitChecked()
-			func() {
-				defer func() { waitPanic = recover() }()
-				r.Wait()
-			}()
+			_, first = r.Wait()
+			_, again = r.Wait()
 		case 1:
 			dst := make([]byte, len(payload))
-			c.RecvChecked(dst, len(dst), datatype.Byte, 0, 0, AutoTimeout)
+			_, recvErr = c.RecvTimeout(dst, len(dst), datatype.Byte, 0, 0, AutoTimeout)
 		}
 	})
 	var lost sci.ErrConnectionLost
-	if !errors.As(checked, &lost) || lost.To != 1 {
-		t.Errorf("WaitChecked = %v, want sci.ErrConnectionLost toward node 1", checked)
+	if !errors.As(first, &lost) || lost.To != 1 {
+		t.Errorf("Wait = %v, want sci.ErrConnectionLost toward node 1", first)
 	}
-	if err, ok := waitPanic.(error); !ok || !errors.As(err, &lost) {
-		t.Errorf("Wait panicked with %v, want the same typed error", waitPanic)
+	if !errors.As(again, &lost) {
+		t.Errorf("second Wait = %v, want the same typed error", again)
+	}
+	if recvErr == nil {
+		t.Error("the crashed receiver's receive succeeded")
 	}
 }
 
@@ -96,17 +95,17 @@ func pingPongCostAt(t *testing.T, ping, pong int) (allocs, switches, events floa
 		buf := make([]byte, size)
 		round := func() {
 			if c.Rank() == 0 {
-				c.Send(buf, size, datatype.Byte, 1, ping)
-				c.Recv(buf, size, datatype.Byte, 1, pong)
+				must(c.Send(buf, size, datatype.Byte, 1, ping))
+				must1(c.Recv(buf, size, datatype.Byte, 1, pong))
 			} else {
-				c.Recv(buf, size, datatype.Byte, 0, ping)
-				c.Send(buf, size, datatype.Byte, 0, pong)
+				must1(c.Recv(buf, size, datatype.Byte, 0, ping))
+				must(c.Send(buf, size, datatype.Byte, 0, pong))
 			}
 		}
 		for i := 0; i < warm; i++ {
 			round()
 		}
-		c.Barrier()
+		must(c.Barrier())
 		if c.Rank() == 0 {
 			win.Open()
 			ev, sw, el = f.Events(), f.ProcSwitches(), f.SleepsElided()
@@ -185,12 +184,12 @@ func TestSimCountersPublished(t *testing.T) {
 	f := NewFabric(cfg)
 	NewWorldOn(f, cfg).Run(func(c *Comm) {
 		out, in := make([]byte, 256<<10), make([]byte, 256<<10)
-		c.Sendrecv(out, len(out), datatype.Byte, c.Rank()^1, 0, in, len(in), datatype.Byte, c.Rank()^1, 0)
-		c.Barrier()
+		must1(c.Sendrecv(out, len(out), datatype.Byte, c.Rank()^1, 0, in, len(in), datatype.Byte, c.Rank()^1, 0))
+		must(c.Barrier())
 		if c.Rank() == 0 {
-			c.Send(out, 64, datatype.Byte, 1, 1)
+			must(c.Send(out, 64, datatype.Byte, 1, 1))
 		} else {
-			c.Recv(in, 64, datatype.Byte, 0, 1)
+			must1(c.Recv(in, 64, datatype.Byte, 0, 1))
 		}
 	})
 	for _, g := range []struct {
@@ -313,9 +312,9 @@ func TestEnvelopeRecycleUnderDuplicates(t *testing.T) {
 					reqs = append(reqs, c.Irecv(in[i], n, datatype.Byte, peer, i))
 				}
 				for i, n := range sizes {
-					c.Send(stormPayload(c.Rank(), round, i, n), n, datatype.Byte, peer, i)
+					must(c.Send(stormPayload(c.Rank(), round, i, n), n, datatype.Byte, peer, i))
 				}
-				c.Waitall(reqs)
+				must1(c.Waitall(reqs))
 				for i, n := range sizes {
 					if !bytes.Equal(in[i], stormPayload(peer, round, i, n)) {
 						t.Errorf("seed %d round %d: %d B message from %d corrupted", seed, round, n, peer)

@@ -50,7 +50,7 @@ func TestNamesUnchanged(t *testing.T) {
 		defer func() { report = fmt.Sprint(recover()) }()
 		w.Run(func(c *Comm) {
 			if c.Rank() == 5 {
-				c.Recv(make([]byte, 8), 8, datatype.Byte, 0, 1)
+				must1(c.Recv(make([]byte, 8), 8, datatype.Byte, 0, 1))
 			}
 		})
 	}()

@@ -48,10 +48,10 @@ func TestPackedBufferInteroperatesWithByteSend(t *testing.T) {
 			out := make([]byte, PackSize(2, ty))
 			var pos int64
 			c.Pack(user, 2, ty, out, &pos)
-			c.Send(out, int(pos), datatype.Byte, 1, 0)
+			must(c.Send(out, int(pos), datatype.Byte, 1, 0))
 		case 1:
 			in := make([]byte, PackSize(2, ty))
-			c.Recv(in, len(in), datatype.Byte, 0, 0)
+			must1(c.Recv(in, len(in), datatype.Byte, 0, 0))
 			back := make([]byte, len(user))
 			var pos int64
 			c.Unpack(in, &pos, back, 2, ty)
@@ -85,7 +85,7 @@ func TestProbeBlockingAndStatus(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			c.Proc().Sleep(100 * time.Microsecond)
-			c.Send(fill(500), 500, datatype.Byte, 1, 42)
+			must(c.Send(fill(500), 500, datatype.Byte, 1, 42))
 		case 1:
 			start := c.WtimeDuration()
 			st := c.Probe(AnySource, AnyTag)
@@ -97,7 +97,7 @@ func TestProbeBlockingAndStatus(t *testing.T) {
 			}
 			// The message is still there: receive it normally.
 			buf := make([]byte, st.Bytes)
-			c.Recv(buf, int(st.Bytes), datatype.Byte, st.Source, st.Tag)
+			must1(c.Recv(buf, int(st.Bytes), datatype.Byte, st.Source, st.Tag))
 			if !bytes.Equal(buf, fill(500)) {
 				t.Error("data corrupted after probe")
 			}
@@ -109,19 +109,19 @@ func TestIprobe(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send([]byte{1}, 1, datatype.Byte, 1, 5)
-			c.Send(nil, 0, datatype.Byte, 1, 6) // "sent" signal
+			must(c.Send([]byte{1}, 1, datatype.Byte, 1, 5))
+			must(c.Send(nil, 0, datatype.Byte, 1, 6)) // "sent" signal
 		case 1:
 			if _, ok := c.Iprobe(0, 99); ok {
 				t.Error("Iprobe matched a nonexistent message")
 			}
-			c.Recv(nil, 0, datatype.Byte, 0, 6) // wait for the signal
+			must1(c.Recv(nil, 0, datatype.Byte, 0, 6)) // wait for the signal
 			st, ok := c.Iprobe(0, 5)
 			if !ok || st.Bytes != 1 {
 				t.Errorf("Iprobe missed the queued message: %v %v", st, ok)
 			}
 			buf := make([]byte, 1)
-			c.Recv(buf, 1, datatype.Byte, 0, 5)
+			must1(c.Recv(buf, 1, datatype.Byte, 0, 5))
 		}
 	})
 }
@@ -132,12 +132,12 @@ func TestProbeThenWildcardRecvConsistent(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send([]byte{10}, 1, datatype.Byte, 1, 1)
-			c.Send([]byte{20}, 1, datatype.Byte, 1, 2)
+			must(c.Send([]byte{10}, 1, datatype.Byte, 1, 1))
+			must(c.Send([]byte{20}, 1, datatype.Byte, 1, 2))
 		case 1:
 			st := c.Probe(0, AnyTag)
 			buf := make([]byte, 1)
-			got := c.Recv(buf, 1, datatype.Byte, st.Source, st.Tag)
+			got := must1(c.Recv(buf, 1, datatype.Byte, st.Source, st.Tag))
 			if got.Tag != st.Tag {
 				t.Errorf("received tag %d after probing tag %d", got.Tag, st.Tag)
 			}
@@ -145,7 +145,7 @@ func TestProbeThenWildcardRecvConsistent(t *testing.T) {
 			if st.Tag != 1 || buf[0] != 10 {
 				t.Errorf("probe saw tag %d value %d, want the first message", st.Tag, buf[0])
 			}
-			c.Recv(buf, 1, datatype.Byte, 0, 2)
+			must1(c.Recv(buf, 1, datatype.Byte, 0, 2))
 		}
 	})
 }

@@ -36,11 +36,11 @@ func TestDepositChoiceIgnoresHistory(t *testing.T) {
 			for i, ty := range types {
 				buf := make([]byte, ty.Extent())
 				if c.Rank() == 1 {
-					c.Recv(buf, 1, ty, 0, 256+i)
+					must1(c.Recv(buf, 1, ty, 0, 256+i))
 					continue
 				}
 				before := c.World().WorldStats().PathChosen
-				c.Send(buf, 1, ty, 1, 256+i)
+				must(c.Send(buf, 1, ty, 1, 256+i))
 				after := c.World().WorldStats().PathChosen
 				for p := range delta {
 					delta[p] = after[p] - before[p]
@@ -96,10 +96,10 @@ func TestDepositPriorIsTheBill(t *testing.T) {
 			Run(cfg, func(c *Comm) {
 				buf := make([]byte, ty.Extent())
 				if c.Rank() == 1 {
-					c.Recv(buf, 1, ty, 0, 256)
+					must1(c.Recv(buf, 1, ty, 0, 256))
 					return
 				}
-				c.Send(buf, 1, ty, 1, 256)
+				must(c.Send(buf, 1, ty, 1, 256))
 				path = c.chooseDeposit(n, bs, blocks)
 				prior = c.modelDeposit(path, n, bs, blocks)
 				switch bw := cfg.SCI.StreamWriteBW(bs); path {

@@ -45,14 +45,14 @@ func (pr *PersistentRequest) Start() {
 }
 
 // Wait completes the active operation and returns the request to the
-// inactive state (nil status for sends).
-func (pr *PersistentRequest) Wait() *Status {
+// inactive state (nil status for sends) and returns Request.Wait's error.
+func (pr *PersistentRequest) Wait() (*Status, error) {
 	if pr.active == nil {
 		panic("mpi: Wait on an inactive persistent request")
 	}
-	st := pr.active.Wait()
+	st, err := pr.active.Wait()
 	pr.active = nil
-	return st
+	return st, err
 }
 
 // Active reports whether the request has been started and not yet waited.
@@ -65,38 +65,38 @@ func StartAll(reqs []*PersistentRequest) {
 	}
 }
 
-// WaitAllPersistent completes every active request.
-func WaitAllPersistent(reqs []*PersistentRequest) {
+// WaitAllPersistent completes every active request and returns the first
+// error encountered (all requests are drained either way).
+func WaitAllPersistent(reqs []*PersistentRequest) (first error) {
 	for _, r := range reqs {
-		r.Wait()
+		if _, err := r.Wait(); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
 // Ssend is the synchronous send (MPI_Ssend): it completes only after the
 // matching receive has been posted, implemented by always taking the
-// rendezvous path regardless of message size.
-func (c *Comm) Ssend(buf []byte, count int, dt *datatype.Type, dst, tag int) {
+// rendezvous path regardless of message size. A send to itself (which
+// would never complete) is an *ArgumentError.
+func (c *Comm) Ssend(buf []byte, count int, dt *datatype.Type, dst, tag int) error {
 	c.p.Sleep(callOverhead)
+	if err := c.checkRank("Ssend", "destination", dst); err != nil {
+		return err
+	}
 	worldDst := c.worldRank(dst)
 	if worldDst == c.rk.id {
-		panic("mpi: synchronous self-send would deadlock")
+		return argErrf("Ssend", "synchronous send to self (rank %d) would deadlock", dst)
 	}
 	bytes := dt.Size() * int64(count)
-	must(c.sendRendezvous(buf, count, dt, worldDst, tag, c.ctx, bytes))
+	return c.sendRendezvous(buf, count, dt, worldDst, tag, c.ctx, bytes)
 }
 
-// Alltoallv is the variable-count all-to-all (MPI_Alltoallv): the slice for
-// rank r starts at element sdispls[r] of send with sendCounts[r] elements,
-// and symmetric for the receive side. It panics on failures; use
-// AlltoallvChecked under fault plans.
+// Alltoallv is the variable-count all-to-all (MPI_Alltoallv; pairwise
+// exchange): the slice for rank r starts at element sdispls[r] of send with
+// sendCounts[r] elements, and symmetric for the receive side.
 func (c *Comm) Alltoallv(send []byte, sendCounts, sdispls []int, dt *datatype.Type,
-	recv []byte, recvCounts, rdispls []int) {
-	must(c.AlltoallvChecked(send, sendCounts, sdispls, dt, recv, recvCounts, rdispls))
-}
-
-// AlltoallvChecked is Alltoallv returning failures as typed errors
-// (pairwise exchange).
-func (c *Comm) AlltoallvChecked(send []byte, sendCounts, sdispls []int, dt *datatype.Type,
 	recv []byte, recvCounts, rdispls []int) error {
 	size := c.Size()
 	if len(sendCounts) != size || len(sdispls) != size || len(recvCounts) != size || len(rdispls) != size {

@@ -17,9 +17,9 @@ func statsAfterSend(t *testing.T, size int64) DeviceStats {
 	Run(DefaultConfig(2, 1), func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(make([]byte, size), int(size), datatype.Byte, 1, 0)
+			must(c.Send(make([]byte, size), int(size), datatype.Byte, 1, 0))
 		case 1:
-			c.Recv(make([]byte, size), int(size), datatype.Byte, 0, 0)
+			must1(c.Recv(make([]byte, size), int(size), datatype.Byte, 0, 0))
 			st = c.World().Stats(1)
 		}
 	})
@@ -51,15 +51,15 @@ func TestUnexpectedMessageCounting(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			// Arrives before the receive is posted.
-			c.Send(make([]byte, 64), 64, datatype.Byte, 1, 0)
-			c.Recv(nil, 0, datatype.Byte, 1, 1)
+			must(c.Send(make([]byte, 64), 64, datatype.Byte, 1, 0))
+			must1(c.Recv(nil, 0, datatype.Byte, 1, 1))
 		case 1:
 			c.Proc().Sleep(100 * time.Microsecond)
-			c.Recv(make([]byte, 64), 64, datatype.Byte, 0, 0)
+			must1(c.Recv(make([]byte, 64), 64, datatype.Byte, 0, 0))
 			if st := c.World().Stats(1); st.Unexpected != 1 {
 				t.Errorf("unexpected count = %d, want 1", st.Unexpected)
 			}
-			c.Send(nil, 0, datatype.Byte, 0, 1)
+			must(c.Send(nil, 0, datatype.Byte, 0, 1))
 		}
 	})
 }

@@ -70,15 +70,15 @@ func TestRevokedPortUnderReceiveSweep(t *testing.T) {
 					switch c.Rank() {
 					case 0:
 						for i := 0; i < sc.msgs && sendErr == nil; i++ {
-							sendErr = c.SendChecked(src, sc.bytes, datatype.Byte, 1, i)
+							sendErr = c.Send(src, sc.bytes, datatype.Byte, 1, i)
 						}
 					case 1:
 						dst := make([]byte, 2*sc.bytes)
 						for i := 0; i < sc.msgs && recvErr == nil; i++ {
 							if sc.recvDT != nil {
-								_, recvErr = c.RecvChecked(dst, 1, sc.recvDT, 0, i, AutoTimeout)
+								_, recvErr = c.RecvTimeout(dst, 1, sc.recvDT, 0, i, AutoTimeout)
 							} else {
-								_, recvErr = c.RecvChecked(dst, sc.bytes, datatype.Byte, 0, i, AutoTimeout)
+								_, recvErr = c.RecvTimeout(dst, sc.bytes, datatype.Byte, 0, i, AutoTimeout)
 							}
 						}
 					}
@@ -165,17 +165,17 @@ func TestPortSegmentIDLayout(t *testing.T) {
 			}
 			switch c.Rank() {
 			case tc.from:
-				err := c.SendChecked(buf, len(buf), datatype.Byte, tc.to, 1000)
+				err := c.Send(buf, len(buf), datatype.Byte, tc.to, 1000)
 				if want := (sci.ErrSegmentLost{Owner: tc.node, Seg: tc.seg}); !errors.Is(err, want) {
 					t.Errorf("%dx%d: send %d -> %d returned %v, want %v", tc.nodes, tc.ppn, tc.from, tc.to, err, want)
 				}
 			case tc.other:
-				if err := c.SendChecked(buf, len(buf), datatype.Byte, tc.to, 1000); err != nil {
+				if err := c.Send(buf, len(buf), datatype.Byte, tc.to, 1000); err != nil {
 					t.Errorf("%dx%d: send %d -> %d through a port that was not revoked: %v", tc.nodes, tc.ppn, tc.other, tc.to, err)
 				}
 			case tc.to:
 				if tc.other >= 0 {
-					c.Recv(make([]byte, len(buf)), len(buf), datatype.Byte, tc.other, 1000)
+					must1(c.Recv(make([]byte, len(buf)), len(buf), datatype.Byte, tc.other, 1000))
 				}
 			}
 		})

@@ -34,10 +34,10 @@ func cleanTransfer(t *testing.T, c *Comm, tag int) {
 	payload := fill(256 << 10)
 	switch c.Rank() {
 	case 0:
-		c.Send(payload, len(payload), datatype.Byte, 1, tag)
+		must(c.Send(payload, len(payload), datatype.Byte, 1, tag))
 	case 1:
 		got := make([]byte, len(payload))
-		c.Recv(got, len(got), datatype.Byte, 0, tag)
+		must1(c.Recv(got, len(got), datatype.Byte, 0, tag))
 		if !bytes.Equal(got, payload) {
 			t.Errorf("clean transfer at tag %d delivered the wrong bytes", tag)
 		}
@@ -80,9 +80,9 @@ func TestRdvScratchRecycling(t *testing.T) {
 			switch c.Rank() {
 			case 0:
 				sc, st = seedScratch(w)
-				sendErr = c.SendChecked(buf, len(buf), datatype.Byte, 1, 300)
+				sendErr = c.Send(buf, len(buf), datatype.Byte, 1, 300)
 			case 1:
-				_, recvErr = c.RecvChecked(buf, len(buf), datatype.Byte, 0, 300, 0)
+				_, recvErr = c.Recv(buf, len(buf), datatype.Byte, 0, 300)
 			}
 			c.p.Sleep(4*time.Millisecond - c.p.Now())
 			if n := len(w.rdvSendFree) + len(w.rdvRecvFree); c.Rank() == 0 && n != 0 {
@@ -113,10 +113,10 @@ func TestRdvScratchRecycling(t *testing.T) {
 			switch c.Rank() {
 			case 0:
 				sc, st = seedScratch(w)
-				sendErr = c.SendChecked(buf, len(buf), datatype.Byte, 1, 300)
+				sendErr = c.Send(buf, len(buf), datatype.Byte, 1, 300)
 			case 1:
 				c.p.Sleep(time.Millisecond)
-				_, recvErr = c.RecvChecked(buf, len(buf), datatype.Byte, 0, 300, time.Millisecond)
+				_, recvErr = c.RecvTimeout(buf, len(buf), datatype.Byte, 0, 300, time.Millisecond)
 			}
 			c.p.Sleep(4*time.Millisecond - c.p.Now())
 			cleanTransfer(t, c, 301)
@@ -151,15 +151,15 @@ func TestRdvScratchRecycling(t *testing.T) {
 				r := c.Isend(payload, len(payload), datatype.Byte, 1, 300)
 				c.p.Sleep(500 * time.Microsecond) // the CTS is in, acks are due
 				c.rk.dev.post(w.newEnvelope(envelope{kind: envRdvCTS, src: 1, dst: 0, reply: &sc.reply}))
-				r.Wait()
+				must1(r.Wait())
 			case 1:
 				got := make([]byte, len(payload))
-				c.Recv(got, len(got), datatype.Byte, 0, 300)
+				must1(c.Recv(got, len(got), datatype.Byte, 0, 300))
 				if !bytes.Equal(got, payload) {
 					t.Error("the transfer with a duplicate CTS delivered the wrong bytes")
 				}
 			}
-			c.Barrier()
+			must(c.Barrier())
 			if c.Rank() == 0 {
 				if got := w.Stats(0).Duplicates; got != 1 {
 					t.Errorf("sender counted %d stray control packets, want 1", got)
@@ -177,7 +177,7 @@ func TestRdvScratchRecycling(t *testing.T) {
 					t.Error("a clean transfer did not hand its seeded records back")
 				}
 			}
-			c.Barrier()
+			must(c.Barrier())
 			cleanTransfer(t, c, 301)
 		})
 		checkRecycled(t, w, nil, nil)
@@ -209,16 +209,16 @@ func TestRecvRequestRecycling(t *testing.T) {
 		w := c.rk.w
 		if c.Rank() == 0 {
 			c.p.Sleep(2 * time.Millisecond) // the receiver has given up by now
-			c.Send(late, len(late), datatype.Byte, 1, 300)
-			c.Send(next, len(next), datatype.Byte, 1, 300)
-			c.Send(next, len(next), datatype.Byte, 1, 301)
+			must(c.Send(late, len(late), datatype.Byte, 1, 300))
+			must(c.Send(next, len(next), datatype.Byte, 1, 300))
+			must(c.Send(next, len(next), datatype.Byte, 1, 301))
 			return
 		}
 		abandoned := make([]byte, len(late))
-		_, err := c.RecvChecked(abandoned, len(abandoned), datatype.Byte, 0, 300, time.Millisecond)
+		_, err := c.RecvTimeout(abandoned, len(abandoned), datatype.Byte, 0, 300, time.Millisecond)
 		var fe *fault.Error
 		if !errors.As(err, &fe) || fe.Kind != fault.Timeout {
-			t.Fatalf("RecvChecked = %v, want a timeout", err)
+			t.Fatalf("RecvTimeout = %v, want a timeout", err)
 		}
 		if len(c.rk.dev.posted) != 1 {
 			t.Fatalf("%d receives posted after the timeout, want the abandoned one", len(c.rk.dev.posted))
@@ -231,7 +231,7 @@ func TestRecvRequestRecycling(t *testing.T) {
 		// The late send lands in the abandoned request, the one after it in
 		// this receive.
 		got := make([]byte, len(next))
-		st := c.Recv(got, len(got), datatype.Byte, 0, 300)
+		st := must1(c.Recv(got, len(got), datatype.Byte, 0, 300))
 		if !bytes.Equal(abandoned, late) {
 			t.Error("the late send did not complete the abandoned receive it matched")
 		}
@@ -252,39 +252,31 @@ func TestRecvRequestRecycling(t *testing.T) {
 		if r := w.reqFree[n-1]; r.p != nil || r.c != nil || r.buf != nil || r.dt != nil || r.done.Done() {
 			t.Errorf("a recycled Request is not empty: %+v", r)
 		}
-		c.Recv(got, len(got), datatype.Byte, 0, 301)
+		must1(c.Recv(got, len(got), datatype.Byte, 0, 301))
 		if len(w.reqFree) != n {
 			t.Errorf("%d Requests on the free list after another clean receive, want %d as before", len(w.reqFree), n)
 		}
 	})
 }
 
-// TestSendrecvChecked: the checked exchange returns the Status by value, and
-// a revoked source as a typed error where Sendrecv would panic with it.
+// TestSendrecvChecked: the exchange returns the Status by value, and a
+// revoked source as a typed error without taking a Request.
 func TestSendrecvChecked(t *testing.T) {
 	Run(DefaultConfig(2, 1), func(c *Comm) {
 		peer := c.Rank() ^ 1
 		out, in := fill(300), make([]byte, 300)
-		st, err := c.SendrecvChecked(out, len(out), datatype.Byte, peer, 400, in, len(in), datatype.Byte, peer, 400)
+		st, err := c.Sendrecv(out, len(out), datatype.Byte, peer, 400, in, len(in), datatype.Byte, peer, 400)
 		if err != nil || st != (Status{Source: peer, Tag: 400, Bytes: 300}) || !bytes.Equal(in, out) {
-			t.Errorf("rank %d: SendrecvChecked = %+v, %v", c.Rank(), st, err)
+			t.Errorf("rank %d: Sendrecv = %+v, %v", c.Rank(), st, err)
 		}
 		free := len(c.rk.w.reqFree)
-		c.Barrier()
+		must(c.Barrier())
 		c.rk.w.revoked[peer] = true
-		_, err = c.SendrecvChecked(out, len(out), datatype.Byte, peer, 401, in, len(in), datatype.Byte, peer, 401)
+		_, err = c.Sendrecv(out, len(out), datatype.Byte, peer, 401, in, len(in), datatype.Byte, peer, 401)
 		var rev *RevokedRankError
 		if !errors.As(err, &rev) || rev.Rank != peer {
-			t.Errorf("rank %d: SendrecvChecked with a revoked source = %v, want *RevokedRankError{%d}", c.Rank(), err, peer)
+			t.Errorf("rank %d: Sendrecv with a revoked source = %v, want *RevokedRankError{%d}", c.Rank(), err, peer)
 		}
-		func() {
-			defer func() {
-				if r, _ := recover().(error); !errors.As(r, &rev) {
-					t.Errorf("rank %d: Sendrecv with a revoked source panicked with %v, want the typed error", c.Rank(), r)
-				}
-			}()
-			c.Sendrecv(out, len(out), datatype.Byte, peer, 401, in, len(in), datatype.Byte, peer, 401)
-		}()
 		if got := len(c.rk.w.reqFree); got < free {
 			t.Errorf("rank %d: a refused exchange took a Request off the free list (%d, was %d)", c.Rank(), got, free)
 		}
@@ -304,15 +296,15 @@ func TestStoreBarrierTwoRanksOfOneNode(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			if me < 2 {
 				msg := bytes.Repeat([]byte{byte(me*100 + i)}, 4<<10)
-				c.Send(msg, len(msg), datatype.Byte, me+2, 500+i)
+				must(c.Send(msg, len(msg), datatype.Byte, me+2, 500+i))
 			} else {
 				got := make([]byte, 4<<10)
-				c.Recv(got, len(got), datatype.Byte, me-2, 500+i)
+				must1(c.Recv(got, len(got), datatype.Byte, me-2, 500+i))
 				if want := byte((me-2)*100 + i); got[0] != want || got[len(got)-1] != want {
 					t.Errorf("round %d: rank %d received %d, want %d", i, me, got[0], want)
 				}
 			}
-			c.Barrier()
+			must(c.Barrier())
 		}
 	})
 	if got := w.InterconnectStats(0).StoreBarriers; got < 2*rounds {

@@ -22,20 +22,13 @@ func genericTraversalPenalty(blocks int64) time.Duration {
 }
 
 // Send transmits count instances of dt from buf to rank dst with the given
-// tag, blocking (in virtual time) until the user buffer is reusable.
-// Unrecoverable transfer failures (a crashed peer node under an active
-// fault plan) panic; use SendChecked to handle them as errors.
-func (c *Comm) Send(buf []byte, count int, dt *datatype.Type, dst, tag int) {
-	must(c.SendChecked(buf, count, dt, dst, tag))
-}
-
-// SendChecked is Send returning transfer failures as typed errors: a
+// tag, blocking (in virtual time) until the user buffer is reusable. A
 // crashed peer node yields sci.ErrConnectionLost, an expired rendezvous
 // watchdog (ProtocolConfig.RendezvousTimeout) a *fault.Error of kind
-// Timeout, and persistent injected transfer errors their fault kind.
-// Transient faults are retried with exponential backoff before any error
-// is surfaced (sendRetryMax attempts from sendBackoff).
-func (c *Comm) SendChecked(buf []byte, count int, dt *datatype.Type, dst, tag int) error {
+// Timeout, persistent injected transfer errors their fault kind and a dst
+// outside the communicator an *ArgumentError. Transient faults are retried
+// with exponential backoff first (sendRetryMax attempts from sendBackoff).
+func (c *Comm) Send(buf []byte, count int, dt *datatype.Type, dst, tag int) error {
 	return c.send(buf, count, dt, dst, tag, c.ctx)
 }
 
@@ -54,10 +47,10 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	w := c.rk.w
 	proto := w.protocol()
 	p.Sleep(callOverhead)
-	dst = c.worldRank(dst) // all plumbing below uses world ranks
-	if dst < 0 || dst >= w.size {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
+	if err := c.checkRank("Send", "destination", dst); err != nil {
+		return err
 	}
+	dst = c.worldRank(dst) // all plumbing below uses world ranks
 	bytes := dt.Size() * int64(count)
 	tr := w.cfg.Tracer
 	var protoCode int64 // matches the KSendPost payload table
@@ -148,8 +141,8 @@ func (c *Comm) peerLost(dst int) error {
 // counts the expiry and lets the liveness of the awaited world rank decide
 // the error — a revoked endpoint or a dead node as peerLost reports them, a
 // *fault.Error of kind Timeout against a peer that is alive but silent, or
-// against AnySource. The checked operation the wait belongs to records the
-// error as its flight KError.
+// against AnySource. The operation the wait belongs to records the error
+// as its flight KError.
 func (c *Comm) watchdogExpired(peer int) error {
 	c.rk.dev.stats.SendTimeouts++
 	if peer != AnySource {
@@ -630,16 +623,13 @@ func (o *offsetSink) Write(off int64, src []byte) { o.w.Write(o.base+off, src) }
 func (c *Comm) remote(dst int) bool { return c.rk.w.ranks[dst].node != c.rk.node }
 
 // Recv blocks until a matching message has been received into buf.
-// src may be AnySource and tag may be AnyTag. It panics on a failed receive
-// (a revoked source, a sender that cancelled its rendezvous); use
-// RecvChecked to handle that as an error.
-func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) Status {
-	st, err := c.RecvChecked(buf, count, dt, src, tag, 0)
-	must(err)
-	return st
+// src may be AnySource and tag may be AnyTag. It waits without a bound
+// (RecvTimeout has one) and returns the typed errors RecvTimeout does.
+func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) (Status, error) {
+	return c.RecvTimeout(buf, count, dt, src, tag, 0)
 }
 
-// RecvChecked is Recv with a watchdog: if no matching message arrives
+// RecvTimeout is Recv with a watchdog: if no matching message arrives
 // within timeout (virtual time) it returns a *fault.Error of kind Timeout —
 // or sci.ErrConnectionLost when a specific source rank's node is down —
 // instead of blocking forever. A timeout of 0 waits indefinitely;
@@ -648,7 +638,7 @@ func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) Stat
 // The Status comes back by value: the receive's Request is the call's own,
 // taken from the world's free list and returned to it by finishRecv, so a
 // blocking receive allocates nothing.
-func (c *Comm) RecvChecked(buf []byte, count int, dt *datatype.Type, src, tag int, timeout time.Duration) (Status, error) {
+func (c *Comm) RecvTimeout(buf []byte, count int, dt *datatype.Type, src, tag int, timeout time.Duration) (Status, error) {
 	peer, err := c.recvPeer(src)
 	if err != nil {
 		return Status{}, err
@@ -685,7 +675,7 @@ func (c *Comm) finishRecv(r *Request, to time.Duration) (Status, error) {
 			return Status{}, c.watchdogExpired(r.src)
 		}
 	}
-	if _, err := r.WaitChecked(); err != nil {
+	if _, err := r.Wait(); err != nil {
 		return Status{}, err
 	}
 	// Matched, delivered and read: nothing names the request any more. One
@@ -716,20 +706,10 @@ func (r *Request) complete(src, tag int, bytes int64) {
 }
 
 // Wait blocks until the operation completes, returning the receive status
-// (nil for sends). The status Source is communicator-local. An operation
-// that failed (a send to a crashed or revoked peer, a receive whose sender
-// cancelled its rendezvous after a permanent deposit failure) panics; use
-// WaitChecked to handle it as an error.
-func (r *Request) Wait() *Status {
-	st, err := r.WaitChecked()
-	must(err)
-	return st
-}
-
-// WaitChecked is Wait returning failures as typed errors: a receive whose
-// rendezvous the sender abandoned completes with a *CancelledError, a
-// nonblocking send with the error SendChecked would have returned.
-func (r *Request) WaitChecked() (*Status, error) {
+// (nil for sends). The status Source is communicator-local. A receive whose
+// rendezvous the sender abandoned fails with a *CancelledError, a
+// nonblocking send with the error Send would have returned.
+func (r *Request) Wait() (*Status, error) {
 	switch v := r.p.Await(&r.done).(type) {
 	case error:
 		return nil, v
@@ -772,7 +752,7 @@ func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, 
 // Isend starts a nonblocking send. The transfer work runs on a transient
 // helper process; Wait returns once the user buffer is reusable. A transfer
 // failure completes the request with the typed error, so it reaches the
-// caller of WaitChecked instead of ending the run from inside the helper.
+// caller of Wait instead of ending the run from inside the helper.
 func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Request {
 	req := &Request{p: c.p, c: c}
 	c.rk.w.host.Go(fmt.Sprintf("isend%d->%d", c.rk.id, dst), func(p *sim.Proc) {
@@ -788,19 +768,9 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Re
 }
 
 // Sendrecv performs a simultaneous send and receive (deadlock-free). It
-// panics on a failure of either half; use SendrecvChecked to handle that as
-// an error.
-func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
-	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) Status {
-	st, err := c.SendrecvChecked(sendBuf, sendCount, sendType, dst, sendTag, recvBuf, recvCount, recvType, src, recvTag)
-	must(err)
-	return st
-}
-
-// SendrecvChecked is Sendrecv returning failures as typed errors: those of
-// SendChecked for the send half, those of RecvChecked with no timeout for
+// returns the failures of Send for the send half and those of Recv for
 // the receive half.
-func (c *Comm) SendrecvChecked(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
+func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
 	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) (Status, error) {
 	peer, err := c.recvPeer(src)
 	if err != nil {

@@ -16,9 +16,9 @@ func TestSignatureMismatchPanics(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(make([]byte, 64), 8, datatype.Float64, 1, 0)
+			must(c.Send(make([]byte, 64), 8, datatype.Float64, 1, 0))
 		case 1:
-			c.Recv(make([]byte, 64), 16, datatype.Int32, 0, 0)
+			must1(c.Recv(make([]byte, 64), 16, datatype.Int32, 0, 0))
 		}
 	})
 }
@@ -30,9 +30,9 @@ func TestByteWildcardAccepted(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, 1, ty, 1, 0)
+			must(c.Send(src, 1, ty, 1, 0))
 		case 1:
-			c.Recv(make([]byte, ty.Size()), int(ty.Size()), datatype.Byte, 0, 0)
+			must1(c.Recv(make([]byte, ty.Size()), int(ty.Size()), datatype.Byte, 0, 0))
 		}
 	})
 }
@@ -45,9 +45,9 @@ func TestMatchingLayoutsDifferentShapesAccepted(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, 1, v, 1, 0)
+			must(c.Send(src, 1, v, 1, 0))
 		case 1:
-			c.Recv(make([]byte, ct.Size()), 1, ct, 0, 0)
+			must1(c.Recv(make([]byte, ct.Size()), 1, ct, 0, 0))
 		}
 	})
 }

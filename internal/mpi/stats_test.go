@@ -69,11 +69,11 @@ func statsWorld(t *testing.T, cfg mpi.Config, plan *fault.Plan, reg *obs.Registr
 			buf := make([]byte, vec.Extent())
 			for turn := 0; turn < 2; turn++ {
 				if c.Rank() == turn {
-					c.Send(buf, size, datatype.Byte, peer, tag)
-					c.Send(buf, 1, vec, peer, tag)
+					must(c.Send(buf, size, datatype.Byte, peer, tag))
+					must(c.Send(buf, 1, vec, peer, tag))
 				} else {
-					c.Recv(buf, size, datatype.Byte, peer, tag)
-					c.Recv(buf, 1, vec, peer, tag)
+					must1(c.Recv(buf, size, datatype.Byte, peer, tag))
+					must1(c.Recv(buf, 1, vec, peer, tag))
 				}
 			}
 		}
@@ -82,12 +82,12 @@ func statsWorld(t *testing.T, cfg mpi.Config, plan *fault.Plan, reg *obs.Registr
 		private := sys.CreatePrivate(make([]byte, 4096), osc.DefaultConfig())
 		buf := make([]byte, 64)
 		for _, win := range []*osc.Win{shared, private} {
-			win.Fence()
-			win.Put(buf, 64, datatype.Byte, peer, 0)
-			win.Put(buf, 64, datatype.Byte, c.Rank(), 64)
-			win.Get(buf, 64, datatype.Byte, peer, 128)
-			win.Accumulate(mpi.Float64Bytes([]float64{1}), 1, datatype.Float64, mpi.OpSum, peer, 256)
-			win.Fence()
+			must(win.Fence())
+			must(win.Put(buf, 64, datatype.Byte, peer, 0))
+			must(win.Put(buf, 64, datatype.Byte, c.Rank(), 64))
+			must(win.Get(buf, 64, datatype.Byte, peer, 128))
+			must(win.Accumulate(mpi.Float64Bytes([]float64{1}), 1, datatype.Float64, mpi.OpSum, peer, 256))
+			must(win.Fence())
 		}
 		private.Abandon()
 		wins[2*c.Rank()], wins[2*c.Rank()+1] = shared, private

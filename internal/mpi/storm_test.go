@@ -36,7 +36,7 @@ func TestStormRandomSizesAndOrders(t *testing.T) {
 			case 0:
 				for i := 0; i < nmsgs; i++ {
 					payload := bytes.Repeat([]byte{byte(i + 1)}, sizes[i])
-					c.Send(payload, sizes[i], datatype.Byte, 1, i)
+					must(c.Send(payload, sizes[i], datatype.Byte, 1, i))
 				}
 			case 1:
 				reqs := make([]*Request, nmsgs)
@@ -45,7 +45,7 @@ func TestStormRandomSizesAndOrders(t *testing.T) {
 					bufs[i] = make([]byte, sizes[i])
 					reqs[i] = c.Irecv(bufs[i], sizes[i], datatype.Byte, 0, i)
 				}
-				sts := c.Waitall(reqs)
+				sts := must1(c.Waitall(reqs))
 				for i := range sts {
 					if sts[i].Bytes != int64(sizes[i]) {
 						t.Errorf("trial %d msg %d: %d bytes, want %d", trial, i, sts[i].Bytes, sizes[i])
@@ -84,7 +84,7 @@ func TestStormAllToAllTraffic(t *testing.T) {
 			payload := bytes.Repeat([]byte{byte(me + 1)}, size)
 			reqs = append(reqs, c.Isend(payload, size, datatype.Byte, r, 0))
 		}
-		c.Waitall(reqs)
+		must1(c.Waitall(reqs))
 		for r := 0; r < procs; r++ {
 			if r == me {
 				continue
@@ -105,8 +105,8 @@ func TestStormBidirectionalRendezvous(t *testing.T) {
 		out := bytes.Repeat([]byte{byte(c.Rank() + 1)}, size)
 		in := make([]byte, size)
 		r := c.Irecv(in, size, datatype.Byte, peer, 0)
-		c.Send(out, size, datatype.Byte, peer, 0)
-		r.Wait()
+		must(c.Send(out, size, datatype.Byte, peer, 0))
+		must1(r.Wait())
 		if in[0] != byte(peer+1) || in[size-1] != byte(peer+1) {
 			t.Error("bidirectional rendezvous corrupted data")
 		}
@@ -123,7 +123,7 @@ func TestStormManySmallToOneReceiver(t *testing.T) {
 			counts := make([]int, procs)
 			buf := make([]byte, 2)
 			for i := 0; i < (procs-1)*per; i++ {
-				st := c.Recv(buf, 2, datatype.Byte, AnySource, AnyTag)
+				st := must1(c.Recv(buf, 2, datatype.Byte, AnySource, AnyTag))
 				src := st.Source
 				if int(buf[0]) != src || int(buf[1]) != counts[src] {
 					t.Fatalf("message from %d out of order: seq %d, want %d", src, buf[1], counts[src])
@@ -138,7 +138,7 @@ func TestStormManySmallToOneReceiver(t *testing.T) {
 			return
 		}
 		for i := 0; i < per; i++ {
-			c.Send([]byte{byte(c.Rank()), byte(i)}, 2, datatype.Byte, 0, i)
+			must(c.Send([]byte{byte(c.Rank()), byte(i)}, 2, datatype.Byte, 0, i))
 		}
 	})
 }

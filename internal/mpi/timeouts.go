@@ -16,7 +16,7 @@ import (
 // reachability retries, and the wire time of one protocol chunk.
 
 // AutoTimeout, assigned to ProtocolConfig.CollTimeout,
-// ProtocolConfig.RendezvousTimeout, the timeout argument of RecvChecked,
+// ProtocolConfig.RendezvousTimeout, the timeout argument of RecvTimeout,
 // or the one-sided SyncTimeout (osc.Config), selects the scaled watchdog
 // bound for the world instead of a hand-tuned constant.
 const AutoTimeout time.Duration = -1

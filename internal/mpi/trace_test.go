@@ -35,10 +35,10 @@ func TestTracerRecordsProtocolTimeline(t *testing.T) {
 	Run(cfg, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(src, len(src), datatype.Byte, 1, 3)
+			must(c.Send(src, len(src), datatype.Byte, 1, 3))
 		case 1:
 			dst := make([]byte, len(src))
-			c.Recv(dst, len(dst), datatype.Byte, 0, 3)
+			must1(c.Recv(dst, len(dst), datatype.Byte, 0, 3))
 		}
 	})
 	spans := map[string]int{}
@@ -87,9 +87,9 @@ func TestTracerOffByDefault(t *testing.T) {
 	// A run with the nil tracer must work (hooks are nil-safe).
 	Run(cfg, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send([]byte{1}, 1, datatype.Byte, 1, 0)
+			must(c.Send([]byte{1}, 1, datatype.Byte, 1, 0))
 		} else {
-			c.Recv(make([]byte, 1), 1, datatype.Byte, 0, 0)
+			must1(c.Recv(make([]byte, 1), 1, datatype.Byte, 0, 0))
 		}
 	})
 }
@@ -116,19 +116,19 @@ func TestGuardedTraceSites(t *testing.T) {
 		ints := make([]byte, 4<<10)
 		switch c.Rank() {
 		case 0:
-			c.Send(plain, 64, datatype.Byte, 1, 300)
-			c.Send(plain, 4<<10, datatype.Byte, 1, 301)
-			c.Send(plain, 256<<10, datatype.Byte, 1, 302)
-			c.Send(strided, 1, vecA, 1, 303)
-			c.Send(strided, 1, vecA, 1, 304)
+			must(c.Send(plain, 64, datatype.Byte, 1, 300))
+			must(c.Send(plain, 4<<10, datatype.Byte, 1, 301))
+			must(c.Send(plain, 256<<10, datatype.Byte, 1, 302))
+			must(c.Send(strided, 1, vecA, 1, 303))
+			must(c.Send(strided, 1, vecA, 1, 304))
 		case 1:
-			c.Recv(plain, 64, datatype.Byte, 0, 300)
-			c.Recv(plain, 4<<10, datatype.Byte, 0, 301)
-			c.Recv(plain, 256<<10, datatype.Byte, 0, 302)
-			c.Recv(strided, 1, vecA, 0, 303)
-			c.Recv(strided, 1, vecB, 0, 304)
+			must1(c.Recv(plain, 64, datatype.Byte, 0, 300))
+			must1(c.Recv(plain, 4<<10, datatype.Byte, 0, 301))
+			must1(c.Recv(plain, 256<<10, datatype.Byte, 0, 302))
+			must1(c.Recv(strided, 1, vecA, 0, 303))
+			must1(c.Recv(strided, 1, vecB, 0, 304))
 		}
-		c.Allreduce(ints, ints, len(ints)/8, datatype.Int64, OpSum)
+		must(c.Allreduce(ints, ints, len(ints)/8, datatype.Int64, OpSum))
 	})
 	got := flightLines(rec)
 	for _, s := range tr.Spans() {

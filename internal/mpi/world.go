@@ -53,10 +53,10 @@ type ProtocolConfig struct {
 	// first use). 0 disables the window and the one-sided collective
 	// algorithms.
 	CollSlot int64
-	// CollTimeout bounds each internal wait inside a checked collective
-	// (BarrierChecked and friends): an expired wait surfaces as
-	// sci.ErrConnectionLost when the awaited peer's node is down, or a
-	// fault.Timeout error otherwise. 0 waits forever.
+	// CollTimeout bounds each internal wait inside a collective (Barrier
+	// and friends): an expired wait surfaces as sci.ErrConnectionLost when
+	// the awaited peer's node is down, or a fault.Timeout error otherwise.
+	// 0 waits forever.
 	CollTimeout time.Duration
 
 	// RendezvousTimeout bounds each wait for rendezvous control traffic
@@ -134,8 +134,8 @@ type Config struct {
 	// Flight, when non-nil, is the always-on flight recorder: every rank
 	// records typed protocol events (send/recv matches, rendezvous
 	// progress, shrink agreements) into its per-actor ring, and the first
-	// typed error surfaced by a checked operation snapshots the whole
-	// window to a JSON dump (see internal/obs/flight and cmd/postmortem).
+	// typed error an operation returns snapshots the whole window to a
+	// JSON dump (see internal/obs/flight and cmd/postmortem).
 	// The SCI layer records into it too.
 	Flight *flight.Recorder
 }

@@ -46,9 +46,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		// One message per protocol: short, eager, rendezvous.
 		for _, n := range []int{64, 4 << 10, 256 << 10} {
 			out, in := make([]byte, n), make([]byte, n)
-			c.Sendrecv(out, n, datatype.Byte, c.Rank()^1, 1, in, n, datatype.Byte, c.Rank()^1, 1)
+			must1(c.Sendrecv(out, n, datatype.Byte, c.Rank()^1, 1, in, n, datatype.Byte, c.Rank()^1, 1))
 		}
-		c.Barrier()
+		must(c.Barrier())
 	})
 	waitGoroutines(t, "8x2 world", before)
 	engine := weak.Make(e)
@@ -70,4 +70,17 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		t.Errorf("the crash was not exercised: %+v", reports[1])
 	}
 	waitGoroutines(t, "rmem crash run", before)
+}
+
+// must fails the calling rank on a fault the test does not expect.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
 }

@@ -12,7 +12,7 @@ import (
 	"scimpich/internal/sim"
 )
 
-// Elastic-recovery support: after a node crash and a Comm.ShrinkChecked
+// Elastic-recovery support: after a node crash and a Comm.Shrink
 // agreement, a window over the old communicator cannot be freed collectively
 // (Free's barrier would hang on the dead rank) and the System's handler is
 // still bound to the old communicator's context. Abandon and Rebind let a
@@ -47,7 +47,7 @@ func (w *Win) Abandon() {
 }
 
 // Rebind re-homes the one-sided engine on a new communicator — the shrunken
-// communicator returned by ShrinkChecked. The handler moves with it; window
+// communicator returned by Shrink. The handler moves with it; window
 // ids stay monotonic across the rebind so requests addressed to pre-shrink
 // windows hit the graceful unknown-window path instead of a rebuilt window.
 // All surviving ranks must Rebind before creating new windows.

@@ -88,22 +88,24 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 			// cancel finds no transfer at the receiver.
 			mpiRun(rec, 2, nil, func(c *mpi.Comm) {
 				if c.Rank() == 0 {
-					if c.SendChecked(buf, 256<<10, datatype.Byte, 1, 300) == nil {
+					if c.Send(buf, 256<<10, datatype.Byte, 1, 300) == nil {
 						t.Error("send outlived its watchdog")
 					}
 					return
 				}
 				c.Proc().Sleep(time.Millisecond)
-				c.RecvChecked(buf, 256<<10, datatype.Byte, 0, 300, time.Millisecond)
+				if _, err := c.RecvTimeout(buf, 256<<10, datatype.Byte, 0, 300, time.Millisecond); err == nil {
+					t.Error("receive of a cancelled rendezvous succeeded")
+				}
 			})
 		}, []string{"rank1 packet to/from rank0 dropped (stray)", "rank0 ERROR: send failed (rank1)"}},
 
 		{"duplicated rendezvous chunks", func(t *testing.T, rec *flight.Recorder) {
 			mpiRun(rec, 2, fault.New(3).WithDuplicates(0.5), func(c *mpi.Comm) {
 				if c.Rank() == 0 {
-					c.Send(buf, 1<<20, datatype.Byte, 1, 300)
+					must(c.Send(buf, 1<<20, datatype.Byte, 1, 300))
 				} else {
-					c.Recv(buf, 1<<20, datatype.Byte, 0, 300)
+					must1(c.Recv(buf, 1<<20, datatype.Byte, 0, 300))
 				}
 			})
 		}, []string{"rank1 packet to/from rank0 dropped (duplicate)"}},
@@ -117,9 +119,9 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					var err error
 					if c.Rank() == 0 {
-						err = c.SendChecked(buf, 8<<10, datatype.Byte, 1, 300+i)
+						err = c.Send(buf, 8<<10, datatype.Byte, 1, 300+i)
 					} else {
-						_, err = c.RecvChecked(buf, 8<<10, datatype.Byte, 0, 300+i, mpi.AutoTimeout)
+						_, err = c.RecvTimeout(buf, 8<<10, datatype.Byte, 0, 300+i, mpi.AutoTimeout)
 					}
 					if err != nil {
 						return
@@ -132,25 +134,25 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 			// Segment 1 of node 1 backs rank 1's window.
 			mpiRun(rec, 2, fault.New(1).RevokeSegment(1, 1, time.Millisecond), func(c *mpi.Comm) {
 				w := mkWin(c, 8192, true)
-				w.Fence()
+				must(w.Fence())
 				c.Proc().Sleep(2 * time.Millisecond)
 				if c.Rank() == 0 {
-					w.Put(buf[:64], 64, datatype.Byte, 1, 0)
+					must(w.Put(buf[:64], 64, datatype.Byte, 1, 0))
 				}
-				w.Fence()
+				must(w.Fence())
 			})
 		}, []string{"rank0 window 0: direct view of rank1 degraded to emulation"}},
 
 		{"request for an abandoned window", func(t *testing.T, rec *flight.Recorder) {
 			mpiRun(rec, 2, nil, func(c *mpi.Comm) {
 				w := mkWin(c, 8192, false)
-				w.Fence()
+				must(w.Fence())
 				if c.Rank() == 1 {
 					w.Abandon()
 					return
 				}
 				c.Proc().Sleep(time.Millisecond)
-				if w.PutChecked(buf[:64], 64, datatype.Byte, 1, 0) == nil {
+				if w.Put(buf[:64], 64, datatype.Byte, 1, 0) == nil {
 					t.Error("put into an abandoned window succeeded")
 				}
 			})
@@ -160,9 +162,11 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 			mpiRun(rec, 2, nil, func(c *mpi.Comm) {
 				w := mkWin(c, 8192, false)
 				if c.Rank() == 0 {
-					c.OSCCallTimeout(c.GroupToWorld(1), &oscReq{kind: reqUnlock, win: w.id}, true, 0)
+					if _, err := c.OSCCallTimeout(c.GroupToWorld(1), &oscReq{kind: reqUnlock, win: w.id}, true, 0); err != nil {
+						t.Errorf("unlock of an unheld lock: %v", err)
+					}
 				}
-				c.Barrier()
+				must(c.Barrier())
 			})
 		}, []string{"rank1 window 0: request of rank0 dropped (unlock of unheld lock)"}},
 
@@ -180,7 +184,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 				case 2:
 					c.OSCNotify(c.GroupToWorld(0), int(reqPost), w.id, 0, false)
 				}
-				c.Barrier()
+				must(c.Barrier())
 			})
 		}, []string{"rank0 window 0: request of rank2 dropped (unexpected post)"}},
 
@@ -198,7 +202,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 				case 2:
 					c.OSCNotify(c.GroupToWorld(1), int(reqComplete), w.id, 0, false)
 				}
-				c.Barrier()
+				must(c.Barrier())
 			})
 		}, []string{"rank1 window 0: request of rank2 dropped (unexpected complete)"}},
 
@@ -207,12 +211,12 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 			// area rank 1's handler deposits a large get into.
 			mpiRun(rec, 2, fault.New(1).RevokeSegment(0, 0, time.Millisecond), func(c *mpi.Comm) {
 				w := mkWin(c, 64<<10, false)
-				w.Fence()
+				must(w.Fence())
 				c.Proc().Sleep(2 * time.Millisecond)
 				if c.Rank() == 0 {
-					w.Get(buf[:16<<10], 16<<10, datatype.Byte, 1, 0)
+					must(w.Get(buf[:16<<10], 16<<10, datatype.Byte, 1, 0))
 				}
-				c.Barrier()
+				must(c.Barrier())
 			})
 		}, []string{"rank1 window 0: request of rank0 dropped (remote-put failed)"}},
 	} {

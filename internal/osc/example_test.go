@@ -2,6 +2,7 @@ package osc_test
 
 import (
 	"fmt"
+	"log"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
@@ -13,11 +14,17 @@ func Example() {
 	mpi.Run(mpi.DefaultConfig(2, 1), func(c *mpi.Comm) {
 		sys := osc.NewSystem(c)
 		win := sys.CreateShared(c.AllocShared(64), osc.DefaultConfig())
-		win.Fence()
-		if c.Rank() == 0 {
-			win.Put(mpi.Float64Bytes([]float64{42}), 8, datatype.Byte, 1, 0)
+		if err := win.Fence(); err != nil {
+			log.Fatal(err)
 		}
-		win.Fence()
+		if c.Rank() == 0 {
+			if err := win.Put(mpi.Float64Bytes([]float64{42}), 8, datatype.Byte, 1, 0); err != nil {
+				log.Fatal(err)
+			}
+		}
+		if err := win.Fence(); err != nil {
+			log.Fatal(err)
+		}
 		if c.Rank() == 1 {
 			fmt.Println("window holds:", mpi.BytesFloat64(win.LocalBytes()[:8])[0])
 		}
@@ -33,16 +40,26 @@ func ExampleWin_Lock() {
 	mpi.Run(mpi.DefaultConfig(2, 1), func(c *mpi.Comm) {
 		sys := osc.NewSystem(c)
 		win := sys.CreateShared(c.AllocShared(8), osc.DefaultConfig())
-		c.Barrier()
+		if err := c.Barrier(); err != nil {
+			log.Fatal(err)
+		}
 		if c.Rank() == 1 {
-			win.Lock(0)
+			if err := win.Lock(0); err != nil {
+				log.Fatal(err)
+			}
 			buf := make([]byte, 8)
-			win.Get(buf, 8, datatype.Byte, 0, 0)
+			if err := win.Get(buf, 8, datatype.Byte, 0, 0); err != nil {
+				log.Fatal(err)
+			}
 			v := mpi.BytesFloat64(buf)[0]
-			win.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0)
+			if err := win.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0); err != nil {
+				log.Fatal(err)
+			}
 			win.Unlock(0)
 		}
-		c.Barrier()
+		if err := c.Barrier(); err != nil {
+			log.Fatal(err)
+		}
 		if c.Rank() == 0 {
 			fmt.Println("counter:", mpi.BytesFloat64(win.LocalBytes())[0])
 		}

@@ -35,22 +35,22 @@ func TestSharedWindowDegradesMidEpoch(t *testing.T) {
 		d := mpi.Run(cfg, func(c *mpi.Comm) {
 			s := NewSystem(c)
 			w := s.CreateShared(c.AllocShared(8192), DefaultConfig())
-			w.Fence()
+			must(w.Fence())
 			if c.Rank() == 0 {
-				w.Put(srcA, len(srcA), datatype.Byte, 1, 0)
+				must(w.Put(srcA, len(srcA), datatype.Byte, 1, 0))
 			}
-			w.Fence()                            // healthy: first put lands through the direct view
+			must(w.Fence())                      // healthy: first put lands through the direct view
 			c.Proc().Sleep(3 * time.Millisecond) // revocation strikes here
 			if c.Rank() == 0 {
 				if w.Degraded(1) {
 					t.Error("view degraded before any access observed the failure")
 				}
-				w.Put(srcB, len(srcB), datatype.Byte, 1, 4096)
+				must(w.Put(srcB, len(srcB), datatype.Byte, 1, 4096))
 				if !w.Degraded(1) {
 					t.Error("view not degraded after put through revoked segment")
 				}
 			}
-			w.Fence()
+			must(w.Fence())
 			switch c.Rank() {
 			case 0:
 				got = w.Snapshot()
@@ -78,7 +78,7 @@ func TestSharedWindowDegradesMidEpoch(t *testing.T) {
 	}
 }
 
-// TestLockTimeoutRecovery: LockChecked against a crashed node returns a
+// TestLockTimeoutRecovery: Lock against a crashed node returns a
 // typed ErrSyncTimeout within the watchdog budget, and succeeds normally
 // once the node is restored.
 func TestLockTimeoutRecovery(t *testing.T) {
@@ -94,7 +94,7 @@ func TestLockTimeoutRecovery(t *testing.T) {
 		w := s.CreateShared(c.AllocShared(4096), oscCfg)
 		if c.Rank() == 0 {
 			c.Proc().Sleep(1500 * time.Microsecond) // node 1 is down now
-			err := w.LockChecked(1)
+			err := w.Lock(1)
 			var st ErrSyncTimeout
 			if !errors.As(err, &st) {
 				t.Fatalf("lock against crashed node: err = %v, want ErrSyncTimeout", err)
@@ -106,10 +106,10 @@ func TestLockTimeoutRecovery(t *testing.T) {
 				t.Errorf("SyncTimeouts = %d, want 1", w.Snapshot().SyncTimeouts)
 			}
 			c.Proc().Sleep(3 * time.Millisecond) // past the restoration
-			if err := w.LockChecked(1); err != nil {
+			if err := w.Lock(1); err != nil {
 				t.Fatalf("lock after restore failed: %v", err)
 			}
-			w.Put(src, len(src), datatype.Byte, 1, 0)
+			must(w.Put(src, len(src), datatype.Byte, 1, 0))
 			w.Unlock(1)
 		} else {
 			c.Proc().Sleep(8 * time.Millisecond)
@@ -120,7 +120,7 @@ func TestLockTimeoutRecovery(t *testing.T) {
 	})
 }
 
-// TestFenceWatchdogNoDeadlock: FenceChecked against a peer that never
+// TestFenceWatchdogNoDeadlock: Fence against a peer that never
 // arrives returns ErrSyncTimeout instead of deadlocking the simulation.
 func TestFenceWatchdogNoDeadlock(t *testing.T) {
 	oscCfg := DefaultConfig()
@@ -129,7 +129,7 @@ func TestFenceWatchdogNoDeadlock(t *testing.T) {
 		s := NewSystem(c)
 		w := s.CreateShared(c.AllocShared(1024), oscCfg)
 		if c.Rank() == 0 {
-			err := w.FenceChecked()
+			err := w.Fence()
 			var st ErrSyncTimeout
 			if !errors.As(err, &st) {
 				t.Fatalf("fence without peer: err = %v, want ErrSyncTimeout", err)
@@ -146,8 +146,9 @@ func TestFenceWatchdogNoDeadlock(t *testing.T) {
 	})
 }
 
-// TestFenceCheckedCompletesAndTransfers: when every rank arrives, checked
-// fences behave exactly like plain fences (epochs open, puts land).
+// TestFenceCheckedCompletesAndTransfers: when every rank arrives, fences
+// under a watchdog behave exactly like unbounded ones (epochs open, puts
+// land, no timeout counted).
 func TestFenceCheckedCompletesAndTransfers(t *testing.T) {
 	src := fill(1024)
 	oscCfg := DefaultConfig()
@@ -155,17 +156,17 @@ func TestFenceCheckedCompletesAndTransfers(t *testing.T) {
 	runCluster(2, 1, func(c *mpi.Comm) {
 		s := NewSystem(c)
 		w := s.CreateShared(c.AllocShared(4096), oscCfg)
-		if err := w.FenceChecked(); err != nil {
+		if err := w.Fence(); err != nil {
 			t.Fatalf("opening fence failed: %v", err)
 		}
 		if c.Rank() == 0 {
-			w.Put(src, len(src), datatype.Byte, 1, 100)
+			must(w.Put(src, len(src), datatype.Byte, 1, 100))
 		}
-		if err := w.FenceChecked(); err != nil {
+		if err := w.Fence(); err != nil {
 			t.Fatalf("closing fence failed: %v", err)
 		}
 		if c.Rank() == 1 && !bytes.Equal(w.LocalBytes()[100:100+len(src)], src) {
-			t.Error("put not visible after checked fence")
+			t.Error("put not visible after the fence")
 		}
 		if w.Snapshot().SyncTimeouts != 0 {
 			t.Errorf("spurious SyncTimeouts = %d", w.Snapshot().SyncTimeouts)
@@ -187,12 +188,12 @@ func TestDegradedSharedTargetUsesInterruptDelivery(t *testing.T) {
 		if c.Rank() == 1 {
 			copy(w.LocalBytes(), fill(1024))
 		}
-		w.Fence()
+		must(w.Fence())
 		c.Proc().Sleep(2 * time.Millisecond) // revocation strikes here
 		if c.Rank() == 0 {
 			before := c.World().WorldStats().OSCInterrupt
 			dst := make([]byte, 1024)
-			w.Get(dst, len(dst), datatype.Byte, 1, 0)
+			must(w.Get(dst, len(dst), datatype.Byte, 1, 0))
 			if !bytes.Equal(dst, fill(1024)) {
 				t.Error("degraded get returned wrong data")
 			}
@@ -203,7 +204,7 @@ func TestDegradedSharedTargetUsesInterruptDelivery(t *testing.T) {
 				t.Error("fallback get toward degraded shared target used polled delivery")
 			}
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 
@@ -218,11 +219,11 @@ func TestDegradedGetFallsBackToRemotePut(t *testing.T) {
 		if c.Rank() == 1 {
 			copy(w.LocalBytes(), fill(1024))
 		}
-		w.Fence()
+		must(w.Fence())
 		c.Proc().Sleep(2 * time.Millisecond) // revocation strikes here
 		if c.Rank() == 0 {
 			dst := make([]byte, 1024)
-			w.Get(dst, len(dst), datatype.Byte, 1, 0)
+			must(w.Get(dst, len(dst), datatype.Byte, 1, 0))
 			if !bytes.Equal(dst, fill(1024)) {
 				t.Error("degraded get returned wrong data")
 			}
@@ -230,22 +231,21 @@ func TestDegradedGetFallsBackToRemotePut(t *testing.T) {
 				t.Errorf("stats = %+v, want 1 degradation, 1 remote-put", w.Snapshot())
 			}
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 
 // TestLateReplyNeverTakenByLaterCall: call records and reply channels are
 // recycled only after their reply was read. A window whose SyncTimeout is
-// shorter than one emulated round trip lets an inline accumulate and a
-// remote-put get expire before the handler answers; their replies arrive
+// shorter than one emulated round trip (set between its fences, which
+// would expire under it too) lets an inline accumulate and a remote-put get
+// expire before the handler answers; their replies arrive
 // later, while the same rank's next calls, on a window with the automatic
 // watchdog, wait for theirs. Each of those must see its own reply and its
 // own bytes, and the expired request record must never go back to the free
 // list. The late accumulate still lands: the handler served it.
 func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 	const size = 4096
-	fast := DefaultConfig()
-	fast.SyncTimeout = 100 * time.Nanosecond
 	auto := DefaultConfig()
 	auto.SyncTimeout = mpi.AutoTimeout
 	ones := make([]byte, 32)
@@ -254,42 +254,44 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 	}
 	runCluster(2, 1, func(c *mpi.Comm) {
 		s := NewSystem(c)
-		a := s.CreatePrivate(make([]byte, size), fast)
+		a := s.CreatePrivate(make([]byte, size), DefaultConfig())
 		b := s.CreatePrivate(fill(size), auto)
-		a.Fence()
-		b.Fence()
+		must(a.Fence())
+		must(b.Fence())
 		if c.Rank() == 0 {
 			got := make([]byte, 64)
-			if err := b.GetChecked(got, len(got), datatype.Byte, 1, 0); err != nil || !bytes.Equal(got, fill(size)[:64]) {
+			if err := b.Get(got, len(got), datatype.Byte, 1, 0); err != nil || !bytes.Equal(got, fill(size)[:64]) {
 				t.Fatalf("warm-up get: err = %v, bytes match = %v", err, bytes.Equal(got, fill(size)[:64]))
 			}
 			if len(s.reqFree) != 1 {
 				t.Fatalf("%d request records free after one call, want 1", len(s.reqFree))
 			}
 			expired := s.reqFree[0] // the next call takes it
+			a.cfg.SyncTimeout = 100 * time.Nanosecond
 			var st ErrSyncTimeout
-			if err := a.AccumulateChecked(ones, 4, datatype.Int64, mpi.OpSum, 1, 0); !errors.As(err, &st) {
+			if err := a.Accumulate(ones, 4, datatype.Int64, mpi.OpSum, 1, 0); !errors.As(err, &st) {
 				t.Fatalf("accumulate under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
 			}
-			if err := a.GetChecked(got, len(got), datatype.Byte, 1, 0); !errors.As(err, &st) {
+			if err := a.Get(got, len(got), datatype.Byte, 1, 0); !errors.As(err, &st) {
 				t.Fatalf("remote-put get under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
 			}
+			a.cfg.SyncTimeout = 0
 			if len(s.reqFree) != 0 {
 				t.Fatalf("%d request records went back to the free list after expired calls", len(s.reqFree))
 			}
 			for i := int64(0); i < 4; i++ {
 				val := fill(64)
 				val[0] = byte(i)
-				if err := b.PutChecked(val, len(val), datatype.Byte, 1, 1024+64*i); err != nil {
+				if err := b.Put(val, len(val), datatype.Byte, 1, 1024+64*i); err != nil {
 					t.Fatalf("put %d: %v", i, err)
 				}
-				if err := b.GetChecked(got, len(got), datatype.Byte, 1, 64*i); err != nil {
+				if err := b.Get(got, len(got), datatype.Byte, 1, 64*i); err != nil {
 					t.Fatalf("get %d: %v", i, err)
 				}
 				if want := fill(size)[64*i : 64*i+64]; !bytes.Equal(got, want) {
 					t.Errorf("get %d returned bytes that are not its own", i)
 				}
-				if err := b.AccumulateChecked(ones, 4, datatype.Int64, mpi.OpSum, 1, 2048+32*i); err != nil {
+				if err := b.Accumulate(ones, 4, datatype.Int64, mpi.OpSum, 1, 2048+32*i); err != nil {
 					t.Fatalf("accumulate %d: %v", i, err)
 				}
 				for _, r := range s.reqFree {
@@ -302,8 +304,8 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 				t.Errorf("SyncTimeouts = %d on the fast window, want 2", n)
 			}
 		}
-		b.Fence()
-		a.Fence()
+		must(b.Fence())
+		must(a.Fence())
 		if c.Rank() == 1 {
 			if v := binary.LittleEndian.Uint64(a.LocalBytes()); v != 1 {
 				t.Errorf("late accumulate: window holds %d, want 1", v)

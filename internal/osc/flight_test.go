@@ -15,7 +15,7 @@ import (
 
 // TestFenceStallDumpNamesInjectedCrash is the end-to-end dump-on-failure
 // acceptance test: a seeded fault plan crashes node1 mid-run, a survivor's
-// FenceChecked times out, the recorder dumps at that first typed error,
+// Fence times out, the recorder dumps at that first typed error,
 // and the post-mortem analyzer names the injected crash of node1 — not the
 // rank that happened to surface the timeout — as the root cause.
 func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
@@ -34,7 +34,7 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 		oscCfg.SyncTimeout = 500 * time.Microsecond
 		s := NewSystem(c)
 		w := s.CreateShared(c.AllocShared(4096), oscCfg)
-		if err := w.FenceChecked(); err != nil { // open the first epoch
+		if err := w.Fence(); err != nil { // open the first epoch
 			t.Errorf("rank%d: opening fence failed: %v", c.Rank(), err)
 			return
 		}
@@ -45,11 +45,11 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 				return
 			}
 			if round < 2 && c.Rank() == 0 {
-				if err := w.PutChecked(src, len(src), datatype.Byte, 2, 0); err != nil {
+				if err := w.Put(src, len(src), datatype.Byte, 2, 0); err != nil {
 					t.Errorf("healthy-phase put failed: %v", err)
 				}
 			}
-			if err := w.FenceChecked(); err != nil {
+			if err := w.Fence(); err != nil {
 				var st ErrSyncTimeout
 				if !errors.As(err, &st) {
 					t.Errorf("rank%d: fence error = %v, want ErrSyncTimeout", c.Rank(), err)
@@ -113,15 +113,15 @@ func TestFlightRecordsPutPath(t *testing.T) {
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		s := NewSystem(c)
 		w := s.CreateShared(c.AllocShared(4096), DefaultConfig())
-		if err := w.FenceChecked(); err != nil {
+		if err := w.Fence(); err != nil {
 			t.Errorf("fence: %v", err)
 		}
 		if c.Rank() == 0 {
-			if err := w.PutChecked(src, len(src), datatype.Byte, 1, 0); err != nil {
+			if err := w.Put(src, len(src), datatype.Byte, 1, 0); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}
-		if err := w.FenceChecked(); err != nil {
+		if err := w.Fence(); err != nil {
 			t.Errorf("fence: %v", err)
 		}
 	})

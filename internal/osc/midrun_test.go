@@ -39,15 +39,15 @@ func TestStatsReadableMidRun(t *testing.T) {
 		src, dst := fill(4<<10), make([]byte, 4<<10)
 		for round := 0; round < 8; round++ {
 			if me == 0 {
-				c.Send(src, len(src), datatype.Byte, 1, round)
-				c.Recv(dst, len(dst), datatype.Byte, 1, round)
+				must(c.Send(src, len(src), datatype.Byte, 1, round))
+				must1(c.Recv(dst, len(dst), datatype.Byte, 1, round))
 			} else {
-				c.Recv(dst, len(dst), datatype.Byte, 0, round)
-				c.Send(src, len(src), datatype.Byte, 0, round)
+				must1(c.Recv(dst, len(dst), datatype.Byte, 0, round))
+				must(c.Send(src, len(src), datatype.Byte, 0, round))
 			}
-			win.Fence()
-			win.Put(src, 512, datatype.Byte, 1-me, 0)
-			win.Fence()
+			must(win.Fence())
+			must(win.Put(src, 512, datatype.Byte, 1-me, 0))
+			must(win.Fence())
 			mid[me] = read(world, win, me)
 		}
 	})

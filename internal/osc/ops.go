@@ -18,14 +18,6 @@ import (
 // (mirrored layout), which covers the paper's workloads (contiguous strided
 // accesses in sparse; halo datatypes in the examples).
 
-// must is the body of the panicking surface: Put, Get and Accumulate are
-// their Checked forms with the error turned into a panic.
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
 // fail is the flight record of a data operation that returns err: a KError
 // event against the target's world rank (which also triggers the recorder's
 // dump-on-failure). A nil err records nothing.
@@ -36,18 +28,12 @@ func (w *Win) fail(op flight.Op, target int, err error) {
 }
 
 // Put moves count elements of dt from buf into target's window at
-// displacement targetOff (MPI_Put). It panics on failures against crashed
-// or revoked targets; use PutChecked under fault plans.
-func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) {
-	must(w.PutChecked(buf, count, dt, target, targetOff))
-}
-
-// PutChecked is Put returning failures as typed errors: a dead target node
-// yields sci.ErrConnectionLost, a revoked rank *mpi.RevokedRankError, an
-// expired handler watchdog ErrSyncTimeout, and a target that dropped the
-// window ErrWinGone. Epoch and bounds violations still panic (programming
-// errors).
-func (w *Win) PutChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
+// displacement targetOff (MPI_Put). It returns failures as typed errors: a
+// dead target node yields sci.ErrConnectionLost, a revoked rank
+// *mpi.RevokedRankError, an expired handler watchdog ErrSyncTimeout, and a
+// target that dropped the window ErrWinGone. Epoch and bounds violations
+// still panic (programming errors).
+func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	w.checkEpoch("Put")
 	n := dt.Size() * int64(count)
 	span := dt.Extent()*int64(count-1) + dt.UB() - dt.LB()
@@ -244,15 +230,9 @@ func (w *Win) chargeLocal(st pack.Stats) {
 // Get moves count elements of dt from target's window at displacement
 // targetOff into buf (MPI_Get). Small amounts are read directly; larger
 // ones use the remote-put path (the target writes into the origin's
-// address space), because SCI remote reads are slow. It panics on failures
-// against crashed or revoked targets; use GetChecked under fault plans.
-func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) {
-	must(w.GetChecked(buf, count, dt, target, targetOff))
-}
-
-// GetChecked is Get returning failures as typed errors (see PutChecked for
-// the taxonomy).
-func (w *Win) GetChecked(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
+// address space), because SCI remote reads are slow. Failures come back
+// as Put's typed errors.
+func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	w.checkEpoch("Get")
 	n := dt.Size() * int64(count)
 	span := dt.Extent()*int64(count-1) + dt.UB() - dt.LB()
@@ -368,15 +348,8 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 // Accumulate combines count elements of the basic type dt from buf into
 // target's window at targetOff using op (MPI_Accumulate). The operation
 // always executes at the target, which makes it atomic with respect to
-// other accumulates. It panics on failures against crashed or revoked
-// targets; use AccumulateChecked under fault plans.
-func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) {
-	must(w.AccumulateChecked(buf, count, dt, op, target, targetOff))
-}
-
-// AccumulateChecked is Accumulate returning failures as typed errors (see
-// PutChecked for the taxonomy).
-func (w *Win) AccumulateChecked(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) (err error) {
+// other accumulates. Failures come back as Put's typed errors.
+func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) (err error) {
 	w.checkEpoch("Accumulate")
 	if dt.Kind() != datatype.KindBasic {
 		panic(fmt.Sprintf("osc: Accumulate requires a basic datatype, got %s", dt))

@@ -35,11 +35,11 @@ func TestPutFenceSharedWindow(t *testing.T) {
 	src := fill(4096)
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 8192, true)
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
-			w.Put(src, 4096, datatype.Byte, 1, 100)
+			must(w.Put(src, 4096, datatype.Byte, 1, 100))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 1 {
 			if !bytes.Equal(w.LocalBytes()[100:100+4096], src) {
 				t.Error("put data not visible after fence")
@@ -58,11 +58,11 @@ func TestPutFencePrivateWindowUsesEmulation(t *testing.T) {
 	src := fill(256 << 10)
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 512<<10, false)
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
-			w.Put(src, len(src), datatype.Byte, 1, 64)
+			must(w.Put(src, len(src), datatype.Byte, 1, 64))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 1 && !bytes.Equal(w.LocalBytes()[64:64+len(src)], src) {
 			t.Error("emulated put data mismatch")
 		}
@@ -80,10 +80,10 @@ func TestGetDirectSmallSharedWindow(t *testing.T) {
 		if c.Rank() == 1 {
 			copy(w.LocalBytes()[200:], fill(512))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
 			dst := make([]byte, 512)
-			w.Get(dst, 512, datatype.Byte, 1, 200)
+			must(w.Get(dst, 512, datatype.Byte, 1, 200))
 			if !bytes.Equal(dst, fill(512)) {
 				t.Error("direct get mismatch")
 			}
@@ -91,7 +91,7 @@ func TestGetDirectSmallSharedWindow(t *testing.T) {
 				t.Errorf("stats = %+v, want 1 direct get", w.Snapshot())
 			}
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 
@@ -102,10 +102,10 @@ func TestGetLargeUsesRemotePut(t *testing.T) {
 		if c.Rank() == 1 {
 			copy(w.LocalBytes(), fill(n))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
 			dst := make([]byte, n)
-			w.Get(dst, n, datatype.Byte, 1, 0)
+			must(w.Get(dst, n, datatype.Byte, 1, 0))
 			if !bytes.Equal(dst, fill(n)) {
 				t.Error("remote-put get mismatch")
 			}
@@ -113,7 +113,7 @@ func TestGetLargeUsesRemotePut(t *testing.T) {
 				t.Errorf("stats = %+v, want remote-put path", w.Snapshot())
 			}
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 
@@ -127,14 +127,14 @@ func TestRemotePutFasterThanDirectReadForLargeGets(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.GetDirectMax = directMax
 			w := s.CreateShared(c.AllocShared(n), cfg)
-			w.Fence()
+			must(w.Fence())
 			if c.Rank() == 0 {
 				dst := make([]byte, n)
 				start := c.WtimeDuration()
-				w.Get(dst, n, datatype.Byte, 1, 0)
+				must(w.Get(dst, n, datatype.Byte, 1, 0))
 				d = c.WtimeDuration() - start
 			}
-			w.Fence()
+			must(w.Fence())
 		})
 		return d
 	}
@@ -149,14 +149,14 @@ func TestAccumulateSum(t *testing.T) {
 	const procs = 4
 	runCluster(procs, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 8*8, true)
-		w.Fence()
+		must(w.Fence())
 		// Every rank accumulates its rank id into all 8 slots of rank 0.
 		vals := make([]float64, 8)
 		for i := range vals {
 			vals[i] = float64(c.Rank() + 1)
 		}
-		w.Accumulate(mpi.Float64Bytes(vals), 8, datatype.Float64, mpi.OpSum, 0, 0)
-		w.Fence()
+		must(w.Accumulate(mpi.Float64Bytes(vals), 8, datatype.Float64, mpi.OpSum, 0, 0))
+		must(w.Fence())
 		if c.Rank() == 0 {
 			got := mpi.BytesFloat64(w.LocalBytes())
 			want := float64(1 + 2 + 3 + 4)
@@ -175,12 +175,12 @@ func TestAccumulateAtomicUnderContention(t *testing.T) {
 	const rounds = 50
 	runCluster(3, 2, func(c *mpi.Comm) {
 		w := mkWin(c, 8, true)
-		w.Fence()
+		must(w.Fence())
 		one := mpi.Float64Bytes([]float64{1})
 		for i := 0; i < rounds; i++ {
-			w.Accumulate(one, 1, datatype.Float64, mpi.OpSum, 0, 0)
+			must(w.Accumulate(one, 1, datatype.Float64, mpi.OpSum, 0, 0))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
 			got := mpi.BytesFloat64(w.LocalBytes())[0]
 			if got != procs*rounds {
@@ -196,11 +196,11 @@ func TestNonContiguousPutMirrorsLayout(t *testing.T) {
 	src := fill(int(span) + 64)
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, span+128, true)
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
-			w.Put(src, 1, ty, 1, 0)
+			must(w.Put(src, 1, ty, 1, 0))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 1 {
 			win := w.LocalBytes()
 			for _, b := range ty.TypeMap() {
@@ -232,10 +232,10 @@ func TestNonContiguousGetRoundTrip(t *testing.T) {
 		if c.Rank() == 1 {
 			copy(w.LocalBytes(), fill(int(span)))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
 			dst := make([]byte, span+64)
-			w.Get(dst, 1, ty, 1, 0)
+			must(w.Get(dst, 1, ty, 1, 0))
 			win := fill(int(span))
 			for _, b := range ty.TypeMap() {
 				if !bytes.Equal(dst[b.Off:b.Off+b.Len], win[b.Off:b.Off+b.Len]) {
@@ -243,7 +243,7 @@ func TestNonContiguousGetRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 
@@ -254,7 +254,7 @@ func TestPSCWSynchronization(t *testing.T) {
 		switch c.Rank() {
 		case 0: // origin
 			w.Start([]int{1})
-			w.Put(src, len(src), datatype.Byte, 1, 0)
+			must(w.Put(src, len(src), datatype.Byte, 1, 0))
 			w.Complete([]int{1})
 		case 1: // target
 			w.Post([]int{0})
@@ -291,17 +291,17 @@ func TestLockUnlockPassiveTargetShared(t *testing.T) {
 	const rounds = 20
 	runCluster(procs, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 8, true)
-		w.Fence()
+		must(w.Fence())
 		w.ep = epochNone // leave the fence epoch; passive target only below
 		for i := 0; i < rounds; i++ {
-			w.Lock(0)
+			must(w.Lock(0))
 			buf := make([]byte, 8)
-			w.Get(buf, 8, datatype.Byte, 0, 0)
+			must(w.Get(buf, 8, datatype.Byte, 0, 0))
 			v := mpi.BytesFloat64(buf)[0]
-			w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0)
+			must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
 			w.Unlock(0)
 		}
-		c.Barrier()
+		must(c.Barrier())
 		if c.Rank() == 0 {
 			got := mpi.BytesFloat64(w.LocalBytes())[0]
 			if got != procs*rounds {
@@ -316,16 +316,16 @@ func TestLockUnlockPassiveTargetPrivate(t *testing.T) {
 	const rounds = 10
 	runCluster(procs, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 8, false)
-		c.Barrier()
+		must(c.Barrier())
 		for i := 0; i < rounds; i++ {
-			w.Lock(0)
+			must(w.Lock(0))
 			buf := make([]byte, 8)
-			w.Get(buf, 8, datatype.Byte, 0, 0)
+			must(w.Get(buf, 8, datatype.Byte, 0, 0))
 			v := mpi.BytesFloat64(buf)[0]
-			w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0)
+			must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
 			w.Unlock(0)
 		}
-		c.Barrier()
+		must(c.Barrier())
 		if c.Rank() == 0 {
 			got := mpi.BytesFloat64(w.LocalBytes())[0]
 			if got != procs*rounds {
@@ -339,11 +339,11 @@ func TestIntraNodeWindow(t *testing.T) {
 	src := fill(32 << 10)
 	runCluster(1, 2, func(c *mpi.Comm) {
 		w := mkWin(c, 64<<10, true)
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
-			w.Put(src, len(src), datatype.Byte, 1, 0)
+			must(w.Put(src, len(src), datatype.Byte, 1, 0))
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 1 && !bytes.Equal(w.LocalBytes()[:len(src)], src) {
 			t.Error("intra-node put mismatch")
 		}
@@ -353,15 +353,15 @@ func TestIntraNodeWindow(t *testing.T) {
 func TestSelfAccess(t *testing.T) {
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 1024, true)
-		w.Fence()
+		must(w.Fence())
 		me := c.Rank()
-		w.Put(fill(100), 100, datatype.Byte, me, 10)
+		must(w.Put(fill(100), 100, datatype.Byte, me, 10))
 		dst := make([]byte, 100)
-		w.Get(dst, 100, datatype.Byte, me, 10)
+		must(w.Get(dst, 100, datatype.Byte, me, 10))
 		if !bytes.Equal(dst, fill(100)) {
 			t.Error("self put/get mismatch")
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 
@@ -374,7 +374,7 @@ func TestAccessOutsideEpochPanics(t *testing.T) {
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 64, true)
 		if c.Rank() == 0 {
-			w.Put(fill(8), 8, datatype.Byte, 1, 0)
+			must(w.Put(fill(8), 8, datatype.Byte, 1, 0))
 		}
 	})
 }
@@ -387,11 +387,11 @@ func TestAccessOutsideWindowPanics(t *testing.T) {
 	}()
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 64, true)
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
-			w.Put(fill(128), 128, datatype.Byte, 1, 0)
+			must(w.Put(fill(128), 128, datatype.Byte, 1, 0))
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 
@@ -404,16 +404,16 @@ func TestSharedGetFasterThanPrivate(t *testing.T) {
 		var d time.Duration
 		runCluster(2, 1, func(c *mpi.Comm) {
 			w := mkWin(c, 8192, shared)
-			w.Fence()
+			must(w.Fence())
 			if c.Rank() == 0 {
 				dst := make([]byte, n)
 				start := c.WtimeDuration()
 				for i := 0; i < 16; i++ {
-					w.Get(dst, n, datatype.Byte, 1, 0)
+					must(w.Get(dst, n, datatype.Byte, 1, 0))
 				}
 				d = c.WtimeDuration() - start
 			}
-			w.Fence()
+			must(w.Fence())
 		})
 		return d
 	}
@@ -434,10 +434,10 @@ func TestMixedSharedAndPrivateWindows(t *testing.T) {
 		} else {
 			w = s.CreatePrivate(make([]byte, 128<<10), DefaultConfig())
 		}
-		w.Fence()
+		must(w.Fence())
 		other := 1 - c.Rank()
-		w.Put(src, len(src), datatype.Byte, other, 0)
-		w.Fence()
+		must(w.Put(src, len(src), datatype.Byte, other, 0))
+		must(w.Fence())
 		if !bytes.Equal(w.LocalBytes()[:len(src)], src) {
 			t.Errorf("rank %d: window contents wrong", c.Rank())
 		}
@@ -454,15 +454,28 @@ func TestDeterministicOneSidedRuns(t *testing.T) {
 	run := func() time.Duration {
 		return runCluster(4, 1, func(c *mpi.Comm) {
 			w := mkWin(c, 64<<10, true)
-			w.Fence()
+			must(w.Fence())
 			buf := fill(1024)
 			for i := 0; i < 8; i++ {
-				w.Put(buf, 1024, datatype.Byte, (c.Rank()+1)%c.Size(), int64(i)*2048)
+				must(w.Put(buf, 1024, datatype.Byte, (c.Rank()+1)%c.Size(), int64(i)*2048))
 			}
-			w.Fence()
+			must(w.Fence())
 		})
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("identical one-sided runs ended at %v and %v", a, b)
 	}
+}
+
+// must fails the calling rank on a fault the test does not expect.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
 }

@@ -75,16 +75,16 @@ func TestPropertyRandomFencedPutsMatchReference(t *testing.T) {
 		finals := make([][]byte, procs)
 		mpi.Run(mpi.DefaultConfig(procs, 1), func(c *mpi.Comm) {
 			w := mkWin(c, winSize, shared)
-			w.Fence()
+			must(w.Fence())
 			for _, ops := range program {
 				for _, op := range ops {
 					if op.origin != c.Rank() {
 						continue
 					}
 					buf := bytes.Repeat([]byte{op.pattern}, int(op.n))
-					w.Put(buf, int(op.n), datatype.Byte, op.target, op.off)
+					must(w.Put(buf, int(op.n), datatype.Byte, op.target, op.off))
 				}
-				w.Fence()
+				must(w.Fence())
 			}
 			finals[c.Rank()] = append([]byte(nil), w.LocalBytes()...)
 		})
@@ -117,11 +117,11 @@ func TestPropertyGetsObserveFencedState(t *testing.T) {
 					w.LocalBytes()[i] = fill
 				}
 			}
-			w.Fence()
+			must(w.Fence())
 			if c.Rank() > 0 {
 				for i := range offs {
 					buf := make([]byte, lens[i])
-					w.Get(buf, int(lens[i]), datatype.Byte, 0, offs[i])
+					must(w.Get(buf, int(lens[i]), datatype.Byte, 0, offs[i]))
 					for _, b := range buf {
 						if b != fill {
 							t.Fatalf("trial %d: get observed %d, want %d", trial, b, fill)
@@ -129,7 +129,7 @@ func TestPropertyGetsObserveFencedState(t *testing.T) {
 					}
 				}
 			}
-			w.Fence()
+			must(w.Fence())
 		})
 	}
 }
@@ -152,11 +152,11 @@ func TestPropertyAccumulateOrderIndependentSum(t *testing.T) {
 		var got float64
 		mpi.Run(mpi.DefaultConfig(procs, 1), func(c *mpi.Comm) {
 			w := mkWin(c, 8, true)
-			w.Fence()
+			must(w.Fence())
 			for _, v := range vals[c.Rank()] {
-				w.Accumulate(mpi.Float64Bytes([]float64{v}), 1, datatype.Float64, mpi.OpSum, 0, 0)
+				must(w.Accumulate(mpi.Float64Bytes([]float64{v}), 1, datatype.Float64, mpi.OpSum, 0, 0))
 			}
-			w.Fence()
+			must(w.Fence())
 			if c.Rank() == 0 {
 				got = mpi.BytesFloat64(w.LocalBytes())[0]
 			}

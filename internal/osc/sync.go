@@ -12,8 +12,8 @@ import (
 // an epoch; the library optimizes across the epoch boundary (store barriers
 // are issued at the closing call, not per access).
 
-// ErrSyncTimeout reports a checked synchronization call (FenceChecked,
-// LockChecked) that waited longer than Config.SyncTimeout for a peer —
+// ErrSyncTimeout reports a synchronization call (Fence, Lock) or a handler
+// round-trip that waited longer than Config.SyncTimeout for a peer —
 // typically because its node crashed mid-epoch.
 type ErrSyncTimeout struct {
 	Op     string // "fence" or "lock"
@@ -32,18 +32,11 @@ func (e ErrSyncTimeout) Error() string {
 
 // Fence closes the current access epoch (completing all outstanding posted
 // stores with a store barrier), synchronizes all ranks barrier-style, and
-// opens the next epoch (MPI_Win_fence). It waits for its peers forever.
-func (w *Win) Fence() { must(w.fence(0)) }
-
-// FenceChecked is Fence with a watchdog: waiting longer than
-// Config.SyncTimeout for any peer (typically one whose node crashed) returns
-// an ErrSyncTimeout; with SyncTimeout zero it waits forever.
-func (w *Win) FenceChecked() error { return w.fence(w.cfg.SyncTimeout) }
-
-// fence is the body of both: every rank announces its arrival to all others
-// and waits for the full round, giving up after timeout (0: never). Rounds
-// are numbered per window; the handler counts the arrivals (see fenceWait).
-func (w *Win) fence(timeout time.Duration) error {
+// opens the next epoch (MPI_Win_fence): every rank announces its arrival
+// to all others and waits for the full round, numbered per window (the
+// handler counts the arrivals; see fenceWait). Waiting longer than
+// Config.SyncTimeout (0: forever) for a peer returns an ErrSyncTimeout.
+func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
 	w.syncViews()
@@ -62,11 +55,11 @@ func (w *Win) fence(timeout time.Duration) error {
 	var waited time.Duration
 	w.fenceWait = round
 	for w.pendingFence[round] < need { // a timed-out round may leave a stale wake
-		if timeout <= 0 {
+		if w.cfg.SyncTimeout <= 0 {
 			p.Recv(w.fenceQ)
 			continue
 		}
-		remaining := timeout - waited
+		remaining := w.cfg.SyncTimeout - waited
 		ok := remaining > 0
 		if ok {
 			before := p.Now()
@@ -188,22 +181,13 @@ func (w *Win) Wait(group []int) {
 // window (MPI_Win_lock). For windows in shared memory the lock is a
 // shared-memory spinlock that does not involve the target's CPU; for
 // private windows the handler arbitrates (with remote-interrupt latency).
-// It waits for the lock without a bound, and panics if the target is
-// crashed or revoked.
-func (w *Win) Lock(target int) { must(w.lock(target, 0)) }
-
-// LockChecked is Lock with a watchdog: it gives up with an ErrSyncTimeout
-// after Config.SyncTimeout instead of blocking forever on a crashed or
-// lock-hogging target. With SyncTimeout zero it behaves like Lock and
-// returns the typed error of a crashed or revoked target. On success the
-// epoch is open exactly as after Lock.
-func (w *Win) LockChecked(target int) error { return w.lock(target, w.cfg.SyncTimeout) }
-
-// lock is the body of both: it polls for the lock with exponential backoff,
-// giving up after timeout (0: never). Without a watchdog each poll first
-// checks that the target can still grant it; with one, a shared window's
-// poll waits out a dead target node, which may be restored.
-func (w *Win) lock(target int, timeout time.Duration) error {
+// It polls with exponential backoff and gives up with an ErrSyncTimeout
+// after Config.SyncTimeout. With SyncTimeout zero it waits without a bound,
+// but each poll first returns the typed error of a crashed or revoked
+// target; with a bound, a shared window's poll waits out a dead target
+// node, which may be restored.
+func (w *Win) Lock(target int) error {
+	timeout := w.cfg.SyncTimeout
 	if w.ep != epochNone {
 		panic("osc: Lock inside another access epoch")
 	}

@@ -15,29 +15,29 @@ import (
 	"scimpich/internal/sci"
 )
 
-// Fence and Lock are their checked bodies with the error turned into a
-// panic, so the two forms mix freely on one window, and a rank holds one
-// engine whose handler serves every window it created.
+// The watchdog is each rank's own setting (Config.SyncTimeout), so ranks
+// with and without one synchronize on the same window, and a rank holds
+// one engine whose handler serves every window it created.
 
-// TestFenceMixesWithFenceChecked: rank 0 closes an epoch with Fence while
-// rank 1 closes the same one with FenceChecked; both return and the put
-// lands.
+// TestFenceMixesWithFenceChecked: rank 0 closes an epoch with an unbounded
+// Fence while rank 1 closes the same one under a watchdog; both return and
+// the put lands.
 func TestFenceMixesWithFenceChecked(t *testing.T) {
 	src := fill(1024)
-	oscCfg := DefaultConfig()
-	oscCfg.SyncTimeout = time.Millisecond
 	runCluster(2, 1, func(c *mpi.Comm) {
+		oscCfg := DefaultConfig()
+		if c.Rank() == 1 {
+			oscCfg.SyncTimeout = time.Millisecond
+		}
 		w := NewSystem(c).CreateShared(c.AllocShared(4096), oscCfg)
 		fence := func() {
-			if c.Rank() == 0 {
-				w.Fence()
-			} else if err := w.FenceChecked(); err != nil {
-				t.Errorf("FenceChecked beside Fence: %v", err)
+			if err := w.Fence(); err != nil {
+				t.Errorf("rank %d: fence: %v", c.Rank(), err)
 			}
 		}
 		fence()
 		if c.Rank() == 0 {
-			w.Put(src, len(src), datatype.Byte, 1, 0)
+			must(w.Put(src, len(src), datatype.Byte, 1, 0))
 		}
 		fence()
 		if c.Rank() == 1 && !bytes.Equal(w.LocalBytes()[:len(src)], src) {
@@ -47,16 +47,18 @@ func TestFenceMixesWithFenceChecked(t *testing.T) {
 }
 
 // TestLockExclusiveUnderContention: four ranks on four nodes each do 25
-// read-modify-write increments of rank 0's counter, the even ranks under
-// Lock and the odd ones under LockChecked; no update is lost on a shared
-// or on a private window.
+// read-modify-write increments of rank 0's counter, the even ranks without
+// a watchdog and the odd ones under the automatic one; no update is lost on
+// a shared or on a private window.
 func TestLockExclusiveUnderContention(t *testing.T) {
 	const procs, rounds = 4, 25
 	for _, shared := range []bool{true, false} {
 		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
-			oscCfg := DefaultConfig()
-			oscCfg.SyncTimeout = mpi.AutoTimeout
 			runCluster(procs, 1, func(c *mpi.Comm) {
+				oscCfg := DefaultConfig()
+				if c.Rank()%2 == 1 {
+					oscCfg.SyncTimeout = mpi.AutoTimeout
+				}
 				s := NewSystem(c)
 				var w *Win
 				if shared {
@@ -66,18 +68,16 @@ func TestLockExclusiveUnderContention(t *testing.T) {
 				}
 				buf := make([]byte, 8)
 				for i := 0; i < rounds; i++ {
-					if c.Rank()%2 == 0 {
-						w.Lock(0)
-					} else if err := w.LockChecked(0); err != nil {
-						t.Errorf("rank%d: LockChecked: %v", c.Rank(), err)
+					if err := w.Lock(0); err != nil {
+						t.Errorf("rank%d: Lock: %v", c.Rank(), err)
 						return
 					}
-					w.Get(buf, 8, datatype.Byte, 0, 0)
+					must(w.Get(buf, 8, datatype.Byte, 0, 0))
 					v := mpi.BytesFloat64(buf)[0]
-					w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0)
+					must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
 					w.Unlock(0)
 				}
-				c.Barrier()
+				must(c.Barrier())
 				if got := mpi.BytesFloat64(w.LocalBytes())[0]; c.Rank() == 0 && got != procs*rounds {
 					t.Errorf("counter = %g, want %d", got, procs*rounds)
 				}
@@ -87,9 +87,10 @@ func TestLockExclusiveUnderContention(t *testing.T) {
 }
 
 // TestLockOnCrashedNodeFailsTyped: node 1 crashes before rank 0 locks its
-// window. Without a watchdog, Lock panics with sci.ErrConnectionLost (as
-// Put does) and LockChecked returns it, on a shared and on a private
-// window, instead of granting a dead node's lock or waiting forever.
+// window. Without a watchdog, Lock returns sci.ErrConnectionLost (as Put
+// does), on a shared and on a private window, instead of granting a dead
+// node's lock or waiting forever; checked=true runs the same lock under
+// the automatic watchdog, which ends it with a typed error too.
 func TestLockOnCrashedNodeFailsTyped(t *testing.T) {
 	for _, tc := range []struct {
 		shared, checked bool
@@ -97,31 +98,27 @@ func TestLockOnCrashedNodeFailsTyped(t *testing.T) {
 		t.Run(fmt.Sprintf("shared=%v/checked=%v", tc.shared, tc.checked), func(t *testing.T) {
 			cfg := mpi.DefaultConfig(2, 1)
 			cfg.SCI.Fault = fault.New(5).CrashNode(1, time.Millisecond)
+			oscCfg := DefaultConfig()
+			if tc.checked {
+				oscCfg.SyncTimeout = mpi.AutoTimeout
+			}
 			mpi.Run(cfg, func(c *mpi.Comm) {
 				s := NewSystem(c)
 				var w *Win
 				if tc.shared {
-					w = s.CreateShared(c.AllocShared(4096), DefaultConfig())
+					w = s.CreateShared(c.AllocShared(4096), oscCfg)
 				} else {
-					w = s.CreatePrivate(make([]byte, 4096), DefaultConfig())
+					w = s.CreatePrivate(make([]byte, 4096), oscCfg)
 				}
 				c.Proc().Sleep(2 * time.Millisecond) // node 1 is down now
 				if c.Rank() != 0 {
 					return
 				}
-				var err error
-				if tc.checked {
-					err = w.LockChecked(1)
-				} else {
-					err = func() (err error) {
-						defer func() { err, _ = recover().(error) }()
-						w.Lock(1)
-						return nil
-					}()
-				}
+				err := w.Lock(1)
 				var lost sci.ErrConnectionLost
-				if !errors.As(err, &lost) {
-					t.Fatalf("lock toward a crashed node: err = %v, want sci.ErrConnectionLost", err)
+				var st ErrSyncTimeout
+				if !errors.As(err, &lost) && !(tc.checked && errors.As(err, &st)) {
+					t.Errorf("lock toward a crashed node: err = %v, want a typed fault", err)
 				}
 				if w.ep != epochNone {
 					t.Error("a failed lock opened an epoch")
@@ -142,12 +139,12 @@ func TestPlainFenceRecordsFlightEvents(t *testing.T) {
 	src := fill(256)
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		w := mkWin(c, 4096, true)
-		w.Fence()
+		must(w.Fence())
 		for i := 1; i < fences; i++ {
 			if c.Rank() == 0 {
-				w.Put(src, len(src), datatype.Byte, 1, 0)
+				must(w.Put(src, len(src), datatype.Byte, 1, 0))
 			}
-			w.Fence()
+			must(w.Fence())
 		}
 	})
 	d := rec.Snapshot("")
@@ -185,10 +182,10 @@ func TestOneEnginePerRank(t *testing.T) {
 		if text, _ := msg.(string); !strings.Contains(text, "one engine per rank") {
 			t.Errorf("rank%d: second engine: recovered %v, want the one-engine panic", c.Rank(), msg)
 		}
-		w.Fence()
+		must(w.Fence())
 		if c.Rank() == 0 {
 			got := make([]byte, size)
-			w.Get(got, size, datatype.Byte, 1, 0)
+			must(w.Get(got, size, datatype.Byte, 1, 0))
 			if w.Snapshot().RemotePuts != 1 {
 				t.Errorf("get took %d remote-put paths, want 1", w.Snapshot().RemotePuts)
 			}
@@ -196,7 +193,7 @@ func TestOneEnginePerRank(t *testing.T) {
 				t.Errorf("get returned %d wrong bytes of %d", bad, size)
 			}
 		}
-		w.Fence()
+		must(w.Fence())
 	})
 }
 

@@ -28,15 +28,15 @@ func TestGuardedTraceSites(t *testing.T) {
 		private := s.CreatePrivate(make([]byte, 64<<10), DefaultConfig())
 		small, large := fill(64), fill(16<<10)
 		for _, w := range []*Win{shared, private} {
-			w.Fence()
+			must(w.Fence())
 			if c.Rank() == 0 {
-				w.Put(small, len(small), datatype.Byte, 1, 0)
-				w.Get(small, len(small), datatype.Byte, 1, 0)
-				w.Get(large, len(large), datatype.Byte, 1, 0)
-				w.Accumulate(small, len(small)/8, datatype.Int64, mpi.OpSum, 1, 0)
-				w.Accumulate(large, len(large)/8, datatype.Int64, mpi.OpSum, 1, 0)
+				must(w.Put(small, len(small), datatype.Byte, 1, 0))
+				must(w.Get(small, len(small), datatype.Byte, 1, 0))
+				must(w.Get(large, len(large), datatype.Byte, 1, 0))
+				must(w.Accumulate(small, len(small)/8, datatype.Int64, mpi.OpSum, 1, 0))
+				must(w.Accumulate(large, len(large)/8, datatype.Int64, mpi.OpSum, 1, 0))
 			}
-			w.Fence()
+			must(w.Fence())
 		}
 	})
 	got := map[string]int{}
@@ -85,8 +85,8 @@ func TestWindowTraceActorIsRankName(t *testing.T) {
 	cfg.Tracer = tr
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		w := mkWin(c, 4096, false)
-		w.Fence()
-		w.Fence() // ends the epoch the first one opened
+		must(w.Fence())
+		must(w.Fence()) // ends the epoch the first one opened
 	})
 	epochs := map[string]int{}
 	for _, s := range tr.Spans() {
@@ -115,15 +115,15 @@ func TestAllocsPutFenceBudget(t *testing.T) {
 	win := allocwin.New(t)
 	runCluster(2, 1, func(c *mpi.Comm) {
 		w := mkWin(c, 8192, true)
-		w.Fence()
+		must(w.Fence())
 		for i := 0; i < warm+n; i++ {
 			if i == warm && c.Rank() == 0 {
 				win.Open()
 			}
 			if c.Rank() == 0 {
-				w.Put(src, len(src), datatype.Byte, 1, 100)
+				must(w.Put(src, len(src), datatype.Byte, 1, 100))
 			}
-			w.Fence()
+			must(w.Fence())
 		}
 		if c.Rank() == 0 {
 			win.Close()

@@ -93,11 +93,11 @@ type Config struct {
 	// remote-put path. (Paper §4.2: "direct reading will only be effective
 	// up to a certain amount of data".)
 	GetDirectMax int64
-	// SyncTimeout bounds the checked synchronization calls (FenceChecked,
-	// LockChecked) and the checked data operations' handler round-trips:
-	// waiting longer than this for a peer yields an ErrSyncTimeout instead
-	// of deadlocking. 0 disables the watchdog; mpi.AutoTimeout resolves to
-	// the world's scaled bound (ScaledSyncTimeout) at window creation.
+	// SyncTimeout bounds the synchronization calls (Fence, Lock) and the
+	// data operations' handler round-trips: waiting longer than this for a
+	// peer yields an ErrSyncTimeout instead of deadlocking. 0 disables the
+	// watchdog; mpi.AutoTimeout resolves to the world's scaled bound
+	// (ScaledSyncTimeout) at window creation.
 	SyncTimeout time.Duration
 }
 
@@ -205,7 +205,7 @@ type Stats struct {
 	BytesGot             int64 `metric:"bytes.got"`
 	Fences, Locks, Posts int64
 	// Degradations counts direct views abandoned for the emulation path;
-	// SyncTimeouts counts checked synchronization calls that expired.
+	// SyncTimeouts counts synchronization waits that expired.
 	Degradations int64
 	SyncTimeouts int64
 }
@@ -242,7 +242,7 @@ func (s *System) CreatePrivate(buf []byte, cfg Config) *Win {
 }
 
 // create is the collective constructor; every rank must call it in the
-// same order with its own memory.
+// same order with its own memory; a failed barrier panics.
 func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	c := s.c
 	if cfg.SyncTimeout == mpi.AutoTimeout {
@@ -266,7 +266,9 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	}
 	key := fmt.Sprintf("osc.win.%d.%d", c.ContextID(), id)
 	c.World().Deposit(key, c.Rank(), w)
-	c.Barrier()
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
 	all := c.World().Collect(key)
 	n := c.Size()
 	w.sizes = make([]int64, n)
@@ -286,7 +288,9 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 		}
 	}
 	s.wins[id] = w
-	c.Barrier()
+	if err := c.Barrier(); err != nil {
+		panic(err)
+	}
 	return w
 }
 
@@ -307,13 +311,15 @@ func (w *Win) LocalBytes() []byte {
 
 // Free releases the window (MPI_Win_free). It is collective: all ranks
 // synchronize so that no access epoch can still be in flight, then the
-// local state is detached.
+// local state is detached. A failed barrier panics: see Abandon.
 func (w *Win) Free() {
 	if w.ep == epochStart || w.ep == epochLock {
 		panic("osc: Free inside an access epoch")
 	}
 	w.closeEpoch()
-	w.sys.c.Barrier()
+	if err := w.sys.c.Barrier(); err != nil {
+		panic(err)
+	}
 	w.detach()
 }
 

@@ -13,7 +13,7 @@ import (
 // work of all of them. A Put and a Get allocate nothing: the slot image is
 // the Service's scratch and the staged write a row of its dense pending
 // table. Nor does a Commit: the fence-arrival notifications of its
-// FenceChecked carry their kind, window and round in the envelope's integer
+// Fence carry their kind, window and round in the envelope's integer
 // fields, with no request record, and the epoch stamps ride the recycled
 // call records of the one-sided layer.
 func TestAllocsOpBudget(t *testing.T) {

@@ -3,12 +3,12 @@
 // holding a set of shards, each shard is replicated on a primary and a
 // backup rank, and clients deposit and fetch fixed-size slots with MPI_Put
 // and MPI_Get. Commits use the epoch protocol of the fence synchronization
-// — a FenceChecked delivers all staged deposits at both replicas, then an
+// — a Fence delivers all staged deposits at both replicas, then an
 // MPI_Accumulate(MAX) stamps the replicas' per-shard epoch registers.
 //
 // The service survives node crashes: when an operation or fence fails, the
-// survivors agree on the shrunken membership (Comm.ShrinkChecked), abandon
-// the old window, rebind the one-sided engine on the new communicator,
+// survivors agree on the shrunken membership (Comm.Shrink), abandon the
+// old window, rebind the one-sided engine on the new communicator,
 // recompute shard placement, and re-replicate every shard from its
 // surviving replica before resuming. Staged-but-uncommitted writes are
 // replayed from the origin after re-replication, so a committed write is
@@ -160,7 +160,7 @@ func New(c *mpi.Comm, cfg Config) (*Service, error) {
 	}
 	s.ranks = groupWorlds(c)
 	s.win = s.sys.CreateShared(s.seg, cfg.OSC)
-	if err := s.win.FenceChecked(); err != nil {
+	if err := s.win.Fence(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -233,7 +233,7 @@ func (s *Service) Put(key int64, val []byte) error {
 	sh := s.shardOf(key)
 	off := s.slotOff(key)
 	for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
-		if err := s.win.PutChecked(slot, len(slot), datatype.Byte, tgt, off); err != nil {
+		if err := s.win.Put(slot, len(slot), datatype.Byte, tgt, off); err != nil {
 			return err
 		}
 	}
@@ -254,7 +254,7 @@ func (s *Service) Get(key int64, val []byte) (int64, error) {
 		return 0, err
 	}
 	slot := s.slot
-	if err := s.win.GetChecked(slot, len(slot), datatype.Byte, s.primary(s.shardOf(key)), s.slotOff(key)); err != nil {
+	if err := s.win.Get(slot, len(slot), datatype.Byte, s.primary(s.shardOf(key)), s.slotOff(key)); err != nil {
 		return 0, err
 	}
 	seq := int64(binary.LittleEndian.Uint64(slot[0:]))
@@ -273,7 +273,7 @@ func (s *Service) Get(key int64, val []byte) (int64, error) {
 // writes acknowledged into the committed ledger. Commit is collective: all
 // live ranks fence together.
 func (s *Service) Commit() error {
-	if err := s.win.FenceChecked(); err != nil {
+	if err := s.win.Fence(); err != nil {
 		return err
 	}
 	next := s.epoch + 1
@@ -283,7 +283,7 @@ func (s *Service) Commit() error {
 			continue
 		}
 		for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
-			if err := s.win.AccumulateChecked(s.stamp[:], 1, datatype.Int64, mpi.OpMax, tgt, int64(sh)*s.cfg.shardBytes()); err != nil {
+			if err := s.win.Accumulate(s.stamp[:], 1, datatype.Int64, mpi.OpMax, tgt, int64(sh)*s.cfg.shardBytes()); err != nil {
 				return err
 			}
 			s.fl.Record(s.c.Proc().Now(), flight.KEpochStamp, int64(sh), next, int64(s.c.GroupToWorld(tgt)), 0)
@@ -324,7 +324,7 @@ func (s *Service) Recover() error {
 }
 
 func (s *Service) recover() error {
-	nc, err := s.c.ShrinkChecked()
+	nc, err := s.c.Shrink()
 	if err != nil {
 		return err
 	}
@@ -338,13 +338,13 @@ func (s *Service) recover() error {
 	// exchange are rebuilt (the old window id is never reused, so stale
 	// requests are refused, not misdelivered).
 	s.win = s.sys.CreateShared(s.seg, s.cfg.OSC)
-	if err := s.win.FenceChecked(); err != nil {
+	if err := s.win.Fence(); err != nil {
 		return err
 	}
 	if err := s.rereplicate(prev); err != nil {
 		return err
 	}
-	if err := s.win.FenceChecked(); err != nil {
+	if err := s.win.Fence(); err != nil {
 		return err
 	}
 	for k, seq := range s.pendSeq {
@@ -356,7 +356,7 @@ func (s *Service) recover() error {
 		s.fl.Record(s.c.Proc().Now(), flight.KReplay, key, seq, int64(sh), 0)
 		slot := s.fillSlot(seq, key, s.pendingVal(key))
 		for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
-			if err := s.win.PutChecked(slot, len(slot), datatype.Byte, tgt, s.slotOff(key)); err != nil {
+			if err := s.win.Put(slot, len(slot), datatype.Byte, tgt, s.slotOff(key)); err != nil {
 				return err
 			}
 		}
@@ -399,7 +399,7 @@ func (s *Service) rereplicate(prev []int) error {
 		off := int64(sh) * s.cfg.shardBytes()
 		region := s.seg.Bytes()[off : off+s.cfg.shardBytes()]
 		for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
-			if err := s.win.PutChecked(region, len(region), datatype.Byte, tgt, off); err != nil {
+			if err := s.win.Put(region, len(region), datatype.Byte, tgt, off); err != nil {
 				return err
 			}
 		}

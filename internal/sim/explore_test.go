@@ -42,14 +42,14 @@ func TestScheduleExploration(t *testing.T) {
 			buf := make([]byte, 64)
 			for i := 0; i < 40; i++ {
 				if c.Rank() == 0 {
-					c.Send(pattern(i, 64), 64, datatype.Byte, 1, 0)
-					c.Recv(buf, 64, datatype.Byte, 1, 0)
+					must(c.Send(pattern(i, 64), 64, datatype.Byte, 1, 0))
+					must1(c.Recv(buf, 64, datatype.Byte, 1, 0))
 					if !bytes.Equal(buf, pattern(i, 64)) {
 						t.Errorf("round trip %d: echo differs from the payload sent", i)
 					}
 				} else {
-					c.Recv(buf, 64, datatype.Byte, 0, 0)
-					c.Send(buf, 64, datatype.Byte, 0, 0)
+					must1(c.Recv(buf, 64, datatype.Byte, 0, 0))
+					must(c.Send(buf, 64, datatype.Byte, 0, 0))
 				}
 			}
 		}},
@@ -61,8 +61,8 @@ func TestScheduleExploration(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				in := make([]byte, size)
 				r := c.Irecv(in, size, datatype.Byte, peer, i)
-				c.Send(pattern(10*c.Rank()+i, size), size, datatype.Byte, peer, i)
-				r.Wait()
+				must(c.Send(pattern(10*c.Rank()+i, size), size, datatype.Byte, peer, i))
+				must1(r.Wait())
 				if !bytes.Equal(in, pattern(10*peer+i, size)) {
 					t.Errorf("rank %d exchange %d: rendezvous data corrupted", c.Rank(), i)
 				}
@@ -77,7 +77,7 @@ func TestScheduleExploration(t *testing.T) {
 			const size, n = 4 << 10, 24
 			if c.Rank() < 2 {
 				for i := 0; i < n; i++ {
-					c.Send(pattern(100*c.Rank()+i, size), size, datatype.Byte, 2, 7)
+					must(c.Send(pattern(100*c.Rank()+i, size), size, datatype.Byte, 2, 7))
 				}
 				return
 			}
@@ -85,7 +85,7 @@ func TestScheduleExploration(t *testing.T) {
 			buf := make([]byte, size)
 			for i := 0; i < n; i++ {
 				for src := 0; src < 2; src++ {
-					c.Recv(buf, size, datatype.Byte, src, 7)
+					must1(c.Recv(buf, size, datatype.Byte, src, 7))
 					if !bytes.Equal(buf, pattern(100*src+i, size)) {
 						t.Errorf("eager message %d from %d arrived out of order or corrupted", i, src)
 					}
@@ -106,11 +106,11 @@ func TestScheduleExploration(t *testing.T) {
 				} else {
 					w = s.CreatePrivate(make([]byte, region*regions), osc.DefaultConfig())
 				}
-				w.Fence()
+				must(w.Fence())
 				for i := 0; i < regions; i++ {
-					w.Put(pattern(100*c.Rank()+i, region), region, datatype.Byte, peer, int64(i*region))
+					must(w.Put(pattern(100*c.Rank()+i, region), region, datatype.Byte, peer, int64(i*region)))
 				}
-				w.Fence()
+				must(w.Fence())
 				for i := 0; i < regions; i++ {
 					if !bytes.Equal(w.LocalBytes()[i*region:(i+1)*region], pattern(100*peer+i, region)) {
 						t.Errorf("rank %d, shared=%v: region %d differs from what the partner put", c.Rank(), shared, i)
@@ -154,4 +154,17 @@ func TestScheduleExploration(t *testing.T) {
 				reordered, seeds, seeds+1, schedules.Sum64(), ends)
 		})
 	}
+}
+
+// must fails the calling rank on a fault the test does not expect.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
 }

@@ -1,119 +1,180 @@
 package scimpich_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestUncheckedIsMustOverChecked keeps one algorithm per operation: for
-// every X beside an XChecked on the same receiver in the non-test files of
-// internal/mpi and internal/osc, the body of X makes exactly two calls —
-// must, and either XChecked or the one function XChecked returns — so the
-// panicking form is the checked body with its error turned into a panic and
-// the two cannot drift apart in cost or in what they wait for.
-func TestUncheckedIsMustOverChecked(t *testing.T) {
-	pairs := 0
-	for _, dir := range []string{"internal/mpi", "internal/osc"} {
-		funcs := map[string]*ast.FuncDecl{} // "Recv.Name" -> declaration
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+// errorMethods are the receivers whose error-returning methods may not be
+// called as bare statements: the MPI calls of internal/mpi and the
+// one-sided calls of internal/osc return their faults instead of panicking,
+// so a dropped result is a failure nobody sees.
+var errorMethods = map[string]bool{
+	"scimpich/internal/mpi.Comm":              true,
+	"scimpich/internal/mpi.Request":           true,
+	"scimpich/internal/mpi.PersistentRequest": true,
+	"scimpich/internal/osc.Win":               true,
+}
+
+// TestNoDroppedErrors type-checks every package of the module — library,
+// commands, examples and tests — and fails on any call statement (also
+// under go and defer) whose callee is an error-returning method of one of
+// errorMethods. It also keeps the surface single: internal/mpi and
+// internal/osc declare no method named ...Checked and no function must
+// outside their tests.
+func TestNoDroppedErrors(t *testing.T) {
+	pkgs := listPackages(t)
+	checked := 0
+	for _, p := range pkgs {
+		if p.DepOnly || strings.HasSuffix(p.ImportPath, ".test") || p.Standard {
+			continue
+		}
+		base := strings.Fields(p.ImportPath)[0]
+		if p.ForTest != "" && strings.TrimSuffix(base, "_test") != p.ForTest {
+			continue // a dependency recompiled for another package's test
+		}
+		if p.ForTest == "" && pkgs[p.ImportPath+" ["+p.ImportPath+".test]"] != nil {
+			continue // the test variant covers the same files
 		}
 		fset := token.NewFileSet()
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					funcs[funcKey(fd)] = fd
-				}
-			}
+			files = append(files, f)
 		}
-		for key, checked := range funcs {
-			plain := funcs[strings.TrimSuffix(key, "Checked")]
-			if !strings.HasSuffix(key, "Checked") || plain == nil {
-				continue
+		lookup := func(path string) (io.ReadCloser, error) {
+			if id, ok := p.ImportMap[path]; ok {
+				path = id
 			}
-			pairs++
-			ret := returnedCall(checked)
-			var calls []string
-			ast.Inspect(plain.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					calls = append(calls, callee(call))
+			dep := pkgs[path]
+			if dep == nil || dep.Export == "" {
+				return nil, errors.New("no export data for " + path)
+			}
+			return os.Open(dep.Export)
+		}
+		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		if _, err := conf.Check(base, fset, files, info); err != nil {
+			t.Fatalf("%s: %v", p.ImportPath, err)
+		}
+		checked++
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var call *ast.CallExpr
+				switch s := n.(type) {
+				case *ast.ExprStmt:
+					call, _ = s.X.(*ast.CallExpr)
+				case *ast.GoStmt:
+					call = s.Call
+				case *ast.DeferStmt:
+					call = s.Call
+				}
+				if name := droppedError(call, info); name != "" {
+					t.Errorf("%s: error of %s dropped", fset.Position(call.Pos()), name)
 				}
 				return true
 			})
-			var other string
-			if len(calls) == 2 && calls[0] == "must" {
-				other = calls[1]
-			} else if len(calls) == 2 && calls[1] == "must" {
-				other = calls[0]
+		}
+		if base != "scimpich/internal/mpi" && base != "scimpich/internal/osc" {
+			continue
+		}
+		for _, f := range files {
+			if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
 			}
-			if other == "" || other != checked.Name.Name && other != ret {
-				want := checked.Name.Name
-				if ret != "" {
-					want += " or " + ret
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				switch {
+				case !ok:
+				case fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Checked"):
+					t.Errorf("%s: method %s: the error-returning call keeps the plain name", fset.Position(fd.Pos()), fd.Name.Name)
+				case fd.Recv == nil && fd.Name.Name == "must":
+					t.Errorf("%s: library func must: return the error instead", fset.Position(fd.Pos()))
 				}
-				t.Errorf("%s: %s calls %v, want exactly must and %s", dir, plain.Name.Name, calls, want)
 			}
 		}
 	}
-	if pairs < 24 {
-		t.Errorf("found %d X/XChecked pairs, want at least 24 (19 in mpi, 5 in osc)", pairs)
+	if checked < 20 {
+		t.Errorf("type-checked %d packages, want every package of the module", checked)
 	}
 }
 
-// funcKey names a declaration by receiver type and name.
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return "." + fd.Name.Name
-	}
-	typ := fd.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
-	}
-	if id, ok := typ.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return "?." + fd.Name.Name
-}
-
-// returnedCall is the callee of a body that is a single return of a single
-// call, else "".
-func returnedCall(fd *ast.FuncDecl) string {
-	if len(fd.Body.List) != 1 {
+// droppedError names the method call discards when it is an
+// error-returning method of one of errorMethods, else "".
+func droppedError(call *ast.CallExpr, info *types.Info) string {
+	if call == nil {
 		return ""
 	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return ""
-	}
-	call, ok := ret.Results[0].(*ast.CallExpr)
+	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
-	return callee(call)
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return ""
+	}
+	recv := s.Recv()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, ok := types.Unalias(recv).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	key := named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	res := s.Obj().Type().(*types.Signature).Results()
+	if !errorMethods[key] || res.Len() == 0 ||
+		!types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
+		return ""
+	}
+	return named.Obj().Name() + "." + sel.Sel.Name
 }
 
-// callee is the name a call expression invokes: f(...) and x.f(...) are
-// both "f".
-func callee(call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name
-	case *ast.SelectorExpr:
-		return fn.Sel.Name
+// listedPackage is the part of `go list -json` output the lint reads.
+type listedPackage struct {
+	ImportPath string
+	Name       string
+	Dir        string
+	Export     string
+	ForTest    string
+	DepOnly    bool
+	Standard   bool
+	GoFiles    []string
+	ImportMap  map[string]string
+}
+
+// listPackages runs `go list -deps -export -test` over the module and keys
+// its packages by ID (a test variant is "p [q.test]").
+func listPackages(t *testing.T) map[string]*listedPackage {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-test", "-json", "./...")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
 	}
-	return "?"
+	pkgs := map[string]*listedPackage{}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			t.Fatal(err)
+		}
+		pkgs[p.ImportPath] = p
+	}
+	return pkgs
 }

@@ -21,9 +21,11 @@
 //	scimpich.Run(cfg, func(c *scimpich.Comm) {
 //		ty := scimpich.Vector(1024, 2, 4, scimpich.Float64).Commit()
 //		if c.Rank() == 0 {
-//			c.Send(buf, 1, ty, 1, 0)
-//		} else {
-//			c.Recv(buf, 1, ty, 0, 0)
+//			if err := c.Send(buf, 1, ty, 1, 0); err != nil {
+//				log.Fatal(err) // every call returns its faults
+//			}
+//		} else if _, err := c.Recv(buf, 1, ty, 0, 0); err != nil {
+//			log.Fatal(err)
 //		}
 //	})
 //
@@ -78,8 +80,7 @@ type (
 	CollAlg = mpi.CollAlg
 )
 
-// Typed errors surfaced by the checked API (SendChecked, BcastChecked,
-// AllreduceChecked, ...).
+// Typed errors the MPI calls return (Send, Bcast, Allreduce, ...).
 type (
 	// ArgumentError reports an invalid argument to an MPI call.
 	ArgumentError = mpi.ArgumentError
