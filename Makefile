@@ -18,21 +18,27 @@ vet:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 
-# no-atomics fails, naming the file, if non-test code of a layer that owns a
-# Stats struct imports sync/atomic, or non-test code of internal/sim other
-# than sharded.go does, or if non-test code of a simulation layer (sim, flow,
-# sci, shmem, smi, mpi, osc, pack, rmem, ring, torus) holds an *obs.Counter
-# or *obs.Gauge or looks one up (.Counter( or .Gauge(): every count is a
-# plain stats field under the cooperative-host rule (sim.Host), added to the
-# registry once by its owner (obs.Registry.AddStats), and an atomic or live
-# registry collector beside it is the duplicate this lint keeps from growing
-# back. The same rule keeps the Engine's stop flag and process state plain
-# fields: one goroutine at a time touches an Engine, and only the sharded
-# engine's window barrier is shared between goroutines. Histograms stay
-# live; internal/bench and cmd only read what was published.
+# no-atomics fails, naming the file, if non-test code of a simulation layer
+# (sim, flow, sci, shmem, smi, mpi, osc, pack, rmem, ring, torus) other than
+# internal/sim/sharded.go, or of internal/obs or internal/obs/flight, imports
+# sync/atomic; if non-test code of obs or obs/flight holds a sync.Mutex or
+# sync.RWMutex; or if non-test code of a simulation layer holds an
+# *obs.Counter or *obs.Gauge or looks one up (.Counter( or .Gauge(). Every
+# count is a plain stats field under the cooperative-host rule (sim.Host),
+# added to the registry once by its owner (obs.Registry.AddStats), and an
+# atomic or live registry collector beside it is the duplicate this lint
+# keeps from growing back. The same rule keeps the Engine's stop flag and
+# process state plain fields: one goroutine at a time touches an Engine, and
+# only the sharded engine's window barrier is shared between goroutines. A
+# registry, flight recorder or trace belongs to one run at a time, like an
+# engine, so obs and obs/flight neither lock nor count atomically; the
+# sharded torus gives each shard its own transfer histogram and merges them
+# after the run. internal/bench and cmd only read what was published.
 SIM_LAYERS := sim flow sci shmem smi mpi osc pack rmem ring torus
+OBS_PKGS := obs obs/flight
 no-atomics:
-	@! grep -l '"sync/atomic"' $(filter-out %_test.go internal/sim/sharded.go,$(wildcard internal/sci/*.go internal/mpi/*.go internal/osc/*.go internal/pack/*.go internal/sim/*.go))
+	@! grep -l '"sync/atomic"' $(filter-out %_test.go internal/sim/sharded.go,$(wildcard $(SIM_LAYERS:%=internal/%/*.go) $(OBS_PKGS:%=internal/%/*.go)))
+	@! grep -lE 'sync\.(RW)?Mutex' $(filter-out %_test.go,$(wildcard $(OBS_PKGS:%=internal/%/*.go)))
 	@! grep -lE '\*obs\.(Counter|Gauge)|\.(Counter|Gauge)\(' $(filter-out %_test.go,$(wildcard $(SIM_LAYERS:%=internal/%/*.go)))
 
 # no-fma fails, naming each source line and instruction, if the compiler fuses

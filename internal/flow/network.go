@@ -303,11 +303,15 @@ func NewNetworkOn(s sim.Scheduler) *Network {
 	return &Network{s: s}
 }
 
+// transferHist names the completed-transfer duration histogram.
+const transferHist = "flow.transfer.ns"
+
 // SetMetrics registers the network's completed-transfer duration histogram
-// (flow.transfer.ns) in r, which shard-local networks may share; a nil
-// registry leaves it disabled. The counts are Stats (see Publish).
+// (flow.transfer.ns) in r; a nil registry leaves it disabled. r belongs to
+// the goroutine that runs the network's scheduler, so shard-local networks
+// each take their own. The counts are Stats (see Publish).
 func (n *Network) SetMetrics(r *obs.Registry) {
-	n.transferNS = r.Histogram("flow.transfer.ns")
+	n.transferNS = r.Histogram(transferHist)
 }
 
 // Stats returns a copy of the network's counts.
@@ -315,7 +319,16 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // Publish adds the network's counts to r once, after the run: networks
 // published into one registry sum, and flow.active.max keeps the largest.
-func (n *Network) Publish(r *obs.Registry) { r.AddStats("flow", n.stats) }
+// A transfer histogram that SetMetrics placed in another registry (a
+// shard's own) is merged into r's, exactly.
+func (n *Network) Publish(r *obs.Registry) {
+	r.AddStats("flow", n.stats)
+	if n.transferNS != nil {
+		if h := r.Histogram(transferHist); h != n.transferNS {
+			h.Merge(n.transferNS)
+		}
+	}
+}
 
 // ActiveFlows returns the number of in-flight transfers.
 func (n *Network) ActiveFlows() int { return len(n.flows) }

@@ -169,7 +169,11 @@ func NewTorusWorldOn(f sim.Fabric, cfg TorusConfig) *TorusWorld {
 	if _, sharded := f.(*sim.ShardedEngine); sharded {
 		for i := range nets {
 			nets[i] = flow.NewNetworkOn(f.Locale(i))
-			nets[i].SetMetrics(cfg.Registry)
+			if cfg.Registry != nil {
+				// Each shard runs on a goroutine of its own, and a registry
+				// belongs to one: publish merges the shard's (Network.Publish).
+				nets[i].SetMetrics(obs.NewRegistry())
+			}
 			nets[i].ReserveFlows(top.Nodes() / cfg.Shards)
 		}
 	} else {
@@ -392,7 +396,8 @@ func (m *TorusWorld) Run() (TorusResult, error) {
 
 // publish adds the run's counts to r on the caller's goroutine, once the
 // engine has returned: each distinct flow network's (the oracle's shared one
-// once) and the chunks the nodes sent, one per step they finished.
+// once; a shard's transfer histogram merged) and the chunks the nodes sent,
+// one per step they finished.
 func (m *TorusWorld) publish(r *obs.Registry) {
 	if r == nil {
 		return

@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"bytes"
+	"regexp"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,11 +62,8 @@ func TestTorusAllreduceShardedCompletes(t *testing.T) {
 type torusOut struct {
 	res     TorusResult
 	dump    []byte
-	chunks  int64
-	bytes   int64
-	flowB   int64
-	histN   uint64
-	histMax int64
+	metrics string           // the registry's WriteText dump
+	hist    obs.HistSnapshot // flow.transfer.ns, sum and buckets included
 }
 
 func runTorus(t *testing.T, m *TorusWorld, reg *obs.Registry) torusOut {
@@ -73,23 +72,28 @@ func runTorus(t *testing.T, m *TorusWorld, reg *obs.Registry) torusOut {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := reg.Histogram("flow.transfer.ns").Snapshot()
+	var metrics strings.Builder
+	reg.WriteText(&metrics)
 	return torusOut{
 		res:     res,
 		dump:    m.FlightDump(),
-		chunks:  reg.Counter("mpi.torus.chunks").Value(),
-		bytes:   reg.Counter("mpi.torus.bytes").Value(),
-		flowB:   reg.Counter("flow.bytes").Value(),
-		histN:   uint64(hs.Count),
-		histMax: hs.Max,
+		metrics: metrics.String(),
+		hist:    reg.Histogram("flow.transfer.ns").Snapshot(),
 	}
 }
 
+// solverWork matches the registry lines that count a flow network's own
+// work: solves, heap visits and the most flows one network held at once.
+// They depend on how many networks the partition splits the flows among, so
+// only a one-shard run reads them as the oracle's single network does.
+var solverWork = regexp.MustCompile(`(?m)^\S+ +flow\.(solves|heap_visits|active\.max) .*\n`)
+
 // TestTorusCrossEngineDeterminism is the differential-testing gate of the
 // sharded engine: the same seeded program must produce the identical final
-// virtual time, identical flight-dump bytes, identical metric counters and
-// the identical checksum on the sequential oracle and on the sharded engine
-// at every shard count.
+// virtual time, identical flight-dump bytes, the identical registry dump
+// (every counter, gauge and histogram line but solverWork's; the shards'
+// transfer histograms merged) and the identical checksum on the sequential oracle and on the
+// sharded engine at every shard count.
 func TestTorusCrossEngineDeterminism(t *testing.T) {
 	mk := func(shards int, sharded bool) (*TorusWorld, *obs.Registry) {
 		cfg := smallTorus(shards)
@@ -102,7 +106,7 @@ func TestTorusCrossEngineDeterminism(t *testing.T) {
 	}
 	om, oreg := mk(2, false)
 	oracle := runTorus(t, om, oreg)
-	if oracle.res.End <= 0 || len(oracle.dump) == 0 {
+	if oracle.res.End <= 0 || len(oracle.dump) == 0 || oracle.hist.Count == 0 {
 		t.Fatal("oracle run produced no output")
 	}
 	for _, shards := range []int{1, 2, 4} {
@@ -118,13 +122,15 @@ func TestTorusCrossEngineDeterminism(t *testing.T) {
 			t.Errorf("shards=%d: flight dump differs from oracle (%d vs %d bytes)",
 				shards, len(got.dump), len(oracle.dump))
 		}
-		if got.chunks != oracle.chunks || got.bytes != oracle.bytes || got.flowB != oracle.flowB {
-			t.Errorf("shards=%d: counters (%d,%d,%d) != oracle (%d,%d,%d)", shards,
-				got.chunks, got.bytes, got.flowB, oracle.chunks, oracle.bytes, oracle.flowB)
+		gotM, wantM := got.metrics, oracle.metrics
+		if shards > 1 {
+			gotM, wantM = solverWork.ReplaceAllString(gotM, ""), solverWork.ReplaceAllString(wantM, "")
 		}
-		if got.histN != oracle.histN || got.histMax != oracle.histMax {
-			t.Errorf("shards=%d: transfer histogram (%d,%d) != oracle (%d,%d)", shards,
-				got.histN, got.histMax, oracle.histN, oracle.histMax)
+		if gotM != wantM {
+			t.Errorf("shards=%d: registry dump\n%s\nwant the oracle's\n%s", shards, gotM, wantM)
+		}
+		if got.hist != oracle.hist {
+			t.Errorf("shards=%d: transfer histogram %+v != oracle %+v", shards, got.hist, oracle.hist)
 		}
 	}
 }

@@ -3,10 +3,11 @@
 // send/recv match keys, rendezvous chunk progress, fence and epoch
 // transitions, path-policy decisions, shrink-agreement rounds, rmem
 // stage/commit/replay, fault injections — as fixed-size structs into a
-// per-actor ring buffer of bounded capacity. Recording is a mutex lock and
-// a handful of integer stores (zero allocations), so the recorder stays on
-// next to the 0-alloc hot paths; the ring bounds memory no matter how long
-// a run lasts.
+// per-actor ring buffer of bounded capacity. Recording is a handful of
+// integer stores (zero allocations), so the recorder stays on next to the
+// 0-alloc hot paths; the ring bounds memory no matter how long a run lasts.
+// A recorder belongs to one run at a time, like an engine, so nothing in it
+// locks.
 //
 // When a checked operation surfaces a typed error, Ring.Fail snapshots the
 // whole recorder (the last-N window of every actor) to a deterministic
@@ -20,8 +21,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -253,12 +252,9 @@ type Event struct {
 // ring whose Record/Fail are no-ops, so call sites never branch.
 type Recorder struct {
 	capacity int
-	seq      atomic.Uint64
+	seq      uint64
+	byName   map[string]*Ring
 
-	mu     sync.Mutex
-	byName map[string]*Ring
-
-	dumpMu   sync.Mutex
 	dumpPath string
 	sink     func(*Dump)
 	dumped   bool
@@ -281,8 +277,6 @@ func (r *Recorder) Actor(name string) *Ring {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if rg, ok := r.byName[name]; ok {
 		return rg
 	}
@@ -297,9 +291,7 @@ func (r *Recorder) SetDumpPath(path string) {
 	if r == nil {
 		return
 	}
-	r.dumpMu.Lock()
 	r.dumpPath = path
-	r.dumpMu.Unlock()
 }
 
 // SetDumpSink arms dump-on-failure with an in-process consumer (tests,
@@ -308,9 +300,7 @@ func (r *Recorder) SetDumpSink(fn func(*Dump)) {
 	if r == nil {
 		return
 	}
-	r.dumpMu.Lock()
 	r.sink = fn
-	r.dumpMu.Unlock()
 }
 
 // Dumped reports whether a failure dump has fired.
@@ -318,8 +308,6 @@ func (r *Recorder) Dumped() bool {
 	if r == nil {
 		return false
 	}
-	r.dumpMu.Lock()
-	defer r.dumpMu.Unlock()
 	return r.dumped
 }
 
@@ -328,8 +316,6 @@ func (r *Recorder) DumpErr() error {
 	if r == nil {
 		return nil
 	}
-	r.dumpMu.Lock()
-	defer r.dumpMu.Unlock()
 	return r.dumpErr
 }
 
@@ -338,8 +324,6 @@ func (r *Recorder) Reason() string {
 	if r == nil {
 		return ""
 	}
-	r.dumpMu.Lock()
-	defer r.dumpMu.Unlock()
 	return r.reason
 }
 
@@ -350,42 +334,30 @@ func (r *Recorder) ForceDump(reason string) *Dump {
 	if r == nil {
 		return nil
 	}
-	r.dumpMu.Lock()
 	r.dumped = true
 	r.reason = reason
-	path, sink := r.dumpPath, r.sink
-	r.dumpMu.Unlock()
 	d := r.Snapshot(reason)
-	r.deliver(d, path, sink)
+	r.deliver(d)
 	return d
 }
 
 // failure is the dump-on-failure trigger: first failure wins, later
 // failures only leave their KError event in the ring.
 func (r *Recorder) failure(at time.Duration, actor string, op Op, err error) {
-	reason := fmt.Sprintf("%s: %s failed at %v: %v", actor, op, at, err)
-	r.dumpMu.Lock()
 	if r.dumped {
-		r.dumpMu.Unlock()
 		return
 	}
 	r.dumped = true
-	r.reason = reason
-	path, sink := r.dumpPath, r.sink
-	r.dumpMu.Unlock()
-	d := r.Snapshot(reason)
-	r.deliver(d, path, sink)
+	r.reason = fmt.Sprintf("%s: %s failed at %v: %v", actor, op, at, err)
+	r.deliver(r.Snapshot(r.reason))
 }
 
-func (r *Recorder) deliver(d *Dump, path string, sink func(*Dump)) {
-	if sink != nil {
-		sink(d)
+func (r *Recorder) deliver(d *Dump) {
+	if r.sink != nil {
+		r.sink(d)
 	}
-	if path != "" {
-		err := writeDumpFile(path, d)
-		r.dumpMu.Lock()
-		r.dumpErr = err
-		r.dumpMu.Unlock()
+	if r.dumpPath != "" {
+		r.dumpErr = writeDumpFile(r.dumpPath, d)
 	}
 }
 
@@ -407,12 +379,10 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	rings := make([]*Ring, 0, len(r.byName))
 	for _, rg := range r.byName {
 		rings = append(rings, rg)
 	}
-	r.mu.Unlock()
 	sort.Slice(rings, func(i, j int) bool { return rings[i].actor < rings[j].actor })
 	d := &Dump{Reason: reason, Cap: r.capacity}
 	for _, rg := range rings {
@@ -434,10 +404,8 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 type Ring struct {
 	rec   *Recorder
 	actor string
-
-	mu  sync.Mutex
-	buf []Event
-	n   uint64 // events ever recorded; write cursor is n % len(buf)
+	buf   []Event
+	n     uint64 // events ever recorded; write cursor is n % len(buf)
 }
 
 // Actor returns the ring's actor name.
@@ -448,18 +416,15 @@ func (rg *Ring) Actor() string {
 	return rg.actor
 }
 
-// Record appends one event. Zero allocations; safe from any goroutine and
-// on a nil ring.
+// Record appends one event. Zero allocations; safe on a nil ring.
 func (rg *Ring) Record(at time.Duration, k Kind, a, b, c, d int64) {
 	if rg == nil {
 		return
 	}
-	seq := rg.rec.seq.Add(1)
-	rg.mu.Lock()
+	rg.rec.seq++
 	e := &rg.buf[rg.n%uint64(len(rg.buf))]
-	e.At, e.Seq, e.Kind, e.A, e.B, e.C, e.D = at, seq, k, a, b, c, d
+	e.At, e.Seq, e.Kind, e.A, e.B, e.C, e.D = at, rg.rec.seq, k, a, b, c, d
 	rg.n++
-	rg.mu.Unlock()
 }
 
 // Fail records a KError event and triggers the recorder's dump-on-failure
@@ -484,8 +449,6 @@ func (rg *Ring) Window() ([]Event, uint64) {
 	if rg == nil {
 		return nil, 0
 	}
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
 	capacity := uint64(len(rg.buf))
 	if rg.n == 0 {
 		return nil, 0
@@ -507,8 +470,6 @@ func (rg *Ring) Dropped() uint64 {
 	if rg == nil {
 		return 0
 	}
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
 	if c := uint64(len(rg.buf)); rg.n > c {
 		return rg.n - c
 	}
@@ -520,8 +481,6 @@ func (rg *Ring) Len() int {
 	if rg == nil {
 		return 0
 	}
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
 	if c := len(rg.buf); rg.n > uint64(c) {
 		return c
 	}

@@ -251,6 +251,17 @@ func TestAllocsFlightRecord(t *testing.T) {
 	}
 }
 
+// BenchmarkRingRecord is the recording hot path alone, on the default ring
+// capacity: the cost every flight-on event pays. Run with
+// go test -run '^$' -bench RingRecord ./internal/obs/flight/.
+func BenchmarkRingRecord(b *testing.B) {
+	rg := New(0).Actor("rank0")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rg.Record(time.Duration(i), KSendPost, 1, 5, 64, 2)
+	}
+}
+
 func writeFile(t *testing.T, d *Dump) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "d.json")

@@ -3,14 +3,19 @@ package flight
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"testing"
 	"time"
+
+	"scimpich/internal/sim"
 )
 
-// Concurrency stress for the recorder: many writers per ring, writers
-// across rings sharing the global sequence, concurrent snapshot readers,
-// and a mid-flight failure dump. Run under -race in CI.
+// A recorder belongs to one run at a time: the processes of one sim.Engine
+// take turns on it, each a coroutine that the engine switches to. Here
+// writers, each its own actor, record into their own rings and a shared one
+// between yielding Sleeps, each fails once mid-run, and a further process
+// snapshots between their steps. make check runs it under -race, which
+// checks the coroutine hand-offs that order the accesses.
 
 func TestFlightConcurrentStress(t *testing.T) {
 	const (
@@ -19,40 +24,35 @@ func TestFlightConcurrentStress(t *testing.T) {
 		snapshotPolls = 50
 	)
 	rec := New(64)
-	rec.SetDumpSink(func(*Dump) {}) // exercise the sink path under contention
+	rec.SetDumpSink(func(*Dump) {})
 	shared := rec.Actor("shared")
 
-	var wg sync.WaitGroup
+	e := sim.NewEngine()
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			own := rec.Actor(fmt.Sprintf("rank%d", w))
+		e.Go(fmt.Sprintf("rank%d", w), func(p *sim.Proc) {
+			own := rec.Actor(p.Name())
 			for i := 0; i < eventsPer; i++ {
-				at := time.Duration(i) * time.Microsecond
-				shared.Record(at, KSendPost, int64(w), int64(i), 64, 1)
-				own.Record(at, KRecvMatch, int64(w), int64(i), 64, 2)
+				shared.Record(p.Now(), KSendPost, int64(w), int64(i), 64, 1)
+				own.Record(p.Now(), KRecvMatch, int64(w), int64(i), 64, 2)
 				if i == eventsPer/2 {
-					own.Fail(at, OpRecv, w, errors.New("stress failure"))
+					own.Fail(p.Now(), OpRecv, w, errors.New("stress failure"))
 				}
+				p.Sleep(time.Microsecond)
 			}
-		}(w)
+		})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	var polled []uint64
+	e.Go("poller", func(p *sim.Proc) {
 		for i := 0; i < snapshotPolls; i++ {
+			p.Sleep(eventsPer * time.Microsecond / snapshotPolls)
 			d := rec.Snapshot("poll")
-			_ = d.TotalEvents()
-			_ = d.TotalDropped()
+			polled = append(polled, uint64(d.TotalEvents())+d.TotalDropped())
 			_, _ = shared.Window()
-			_ = shared.Dropped()
-			_ = shared.Len()
 			_ = rec.Dumped()
 			_ = rec.Reason()
 		}
-	}()
-	wg.Wait()
+	})
+	e.Run()
 
 	if !rec.Dumped() {
 		t.Fatal("no dump fired despite Fail calls")
@@ -68,17 +68,28 @@ func TestFlightConcurrentStress(t *testing.T) {
 	if got := uint64(shared.Len()) + shared.Dropped(); got != writers*eventsPer {
 		t.Errorf("shared ring: Len+Dropped = %d, want %d", got, writers*eventsPer)
 	}
-	// Seqs within one ring are strictly increasing (writers serialize on
-	// the ring mutex after drawing from the global counter... order within
-	// the buffer is commit order, so windows stay sorted by seq only per
-	// committed position; just check they are all distinct and non-zero).
-	seen := make(map[uint64]bool)
+	// The writers took turns: the shared ring's last window holds all of them.
+	inWindow := map[int64]bool{}
+	for _, e := range shared.Events() {
+		inWindow[e.A] = true
+	}
+	if len(inWindow) != writers {
+		t.Errorf("shared ring's window holds %d writers, want %d", len(inWindow), writers)
+	}
+	// The polls saw the run in progress, growing.
+	total := uint64(writers*eventsPer + writers*(eventsPer+1))
+	if polled[0] == 0 || polled[0] >= total || !slices.IsSorted(polled) {
+		t.Errorf("polled event totals %v, want growing from above 0 and below %d", polled, total)
+	}
+	// One goroutine records at a time, so every ring's window is in strictly
+	// increasing global sequence order.
 	for w := 0; w < writers; w++ {
+		var last uint64
 		for _, e := range rec.Actor(fmt.Sprintf("rank%d", w)).Events() {
-			if e.Seq == 0 || seen[e.Seq] {
-				t.Fatalf("duplicate or zero seq %d", e.Seq)
+			if e.Seq <= last {
+				t.Fatalf("rank%d: seq %d after %d", w, e.Seq, last)
 			}
-			seen[e.Seq] = true
+			last = e.Seq
 		}
 	}
 }

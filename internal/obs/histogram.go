@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math/bits"
-	"sync"
 	"time"
 )
 
@@ -17,7 +16,6 @@ const histBuckets = 65
 // max, so a single-sample histogram reports that sample at every quantile.
 // The nil histogram discards everything.
 type Histogram struct {
-	mu      sync.Mutex
 	count   int64
 	sum     int64
 	min     int64
@@ -34,7 +32,6 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.mu.Lock()
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -44,7 +41,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count++
 	h.sum += v
 	h.buckets[bits.Len64(uint64(v))]++
-	h.mu.Unlock()
 }
 
 // ObserveDuration records a latency sample in nanoseconds.
@@ -53,24 +49,18 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 // Merge folds the samples of o into h (bucket-wise; quantiles of the
 // merged histogram are as accurate as the buckets allow).
 func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
+	if h == nil || o == nil || o.count == 0 {
 		return
 	}
-	s := o.Snapshot()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s.Count == 0 {
-		return
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
 	}
-	if h.count == 0 || s.Min < h.min {
-		h.min = s.Min
+	if o.max > h.max {
+		h.max = o.max
 	}
-	if s.Max > h.max {
-		h.max = s.Max
-	}
-	h.count += s.Count
-	h.sum += s.Sum
-	for i, n := range s.Buckets {
+	h.count += o.count
+	h.sum += o.sum
+	for i, n := range o.buckets {
 		h.buckets[i] += n
 	}
 }
@@ -90,10 +80,8 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return s
 	}
-	h.mu.Lock()
 	s.Count, s.Sum, s.Min, s.Max = h.count, h.sum, h.min, h.max
 	s.Buckets = h.buckets
-	h.mu.Unlock()
 	if s.Count > 0 {
 		s.Mean = s.Sum / s.Count
 	}
@@ -116,8 +104,6 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.count
 }
 

@@ -7,15 +7,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Counter is a monotonically increasing metric. The nil counter discards
 // everything.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increments the counter by n. No-op on a nil counter.
@@ -23,7 +21,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.v.Add(n)
+	c.v += n
 }
 
 // Inc increments the counter by one.
@@ -34,25 +32,19 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Gauge is a high-water mark: it only moves up, to the largest value it was
 // raised to. The nil gauge discards everything.
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Max raises the gauge to n if n is larger. No-op on a nil gauge.
 func (g *Gauge) Max(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
+	if g != nil && n > g.v {
+		g.v = n
 	}
 }
 
@@ -61,7 +53,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // Unit describes what a histogram's samples measure; WriteText formats the
@@ -89,11 +81,11 @@ func (u Unit) String() string {
 	}
 }
 
-// Registry is a process-wide set of named metrics. Collectors are created
-// on first lookup and cached; concurrent lookups and updates are safe. The
-// nil registry hands out nil collectors, which discard everything.
+// Registry is a set of named metrics. Collectors are created on first
+// lookup and cached. Like every obs sink it belongs to one run at a time
+// (see the package comment). The nil registry hands out nil collectors,
+// which discard everything.
 type Registry struct {
-	mu        sync.Mutex
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
@@ -137,8 +129,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -153,8 +143,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -177,8 +165,6 @@ func (r *Registry) HistogramUnit(name string, u Unit) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{}
@@ -194,8 +180,6 @@ func (r *Registry) HistogramUnitOf(name string) Unit {
 	if r == nil {
 		return UnitDuration
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.histUnits[name]
 }
 
@@ -280,7 +264,6 @@ func (r *Registry) WriteText(w io.Writer) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	type entry struct {
 		name string
 		line string
@@ -301,7 +284,6 @@ func (r *Registry) WriteText(w io.Writer) {
 			formatSample(s.Min, u), formatSample(s.P50, u), formatSample(s.P95, u),
 			formatSample(s.P99, u), formatSample(s.Max, u), formatSample(s.Mean, u))})
 	}
-	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	for _, e := range entries {
 		fmt.Fprintln(w, e.line)

@@ -2,10 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"scimpich/internal/sim"
 )
 
 func TestRegistryBasics(t *testing.T) {
@@ -79,21 +81,24 @@ func TestWriteTextSortedAndComplete(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrent: processes of one engine look collectors up and
+// update them between yielding Sleeps while a poller dumps mid-run.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Counter("c").Inc()
-				r.Gauge("g").Max(int64(i))
-				r.Histogram("h").Observe(int64(i))
-			}
-		}()
-	}
-	wg.Wait()
+	runProcs(8, func(p *sim.Proc, _ int) {
+		for i := 0; i < 500; i++ {
+			r.Counter("c").Inc()
+			r.Gauge("g").Max(int64(i))
+			r.Histogram("h").Observe(int64(i))
+			p.Sleep(time.Nanosecond)
+		}
+	}, func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(50 * time.Nanosecond)
+			r.WriteText(io.Discard)
+			_ = r.Histogram("h").Snapshot()
+		}
+	})
 	if v := r.Counter("c").Value(); v != 4000 {
 		t.Errorf("counter = %d, want 4000", v)
 	}

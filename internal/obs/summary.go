@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -67,7 +68,8 @@ func SummarizeChrome(evs []ChromeEvent) []CategorySummary {
 				a.bytes += int64(f)
 			}
 		}
-		a.hist.Observe(int64(e.Dur * 1e3)) // µs back to ns
+		// µs back to ns, rounded: truncating reads 4007 ns back as 4006.
+		a.hist.Observe(int64(math.Round(e.Dur * 1e3)))
 	}
 	return finishSummaries(aggs)
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -31,13 +30,13 @@ type Span struct {
 // Trace collects span trees, timestamped in virtual time. Point events
 // (sends, matches, faults) are not its business: the flight recorder
 // (internal/obs/flight) is the one event log, and WriteChrome merges its
-// rings into the export. All methods are safe for concurrent use; the nil
-// trace discards everything at zero cost.
+// rings into the export. Like every obs sink it belongs to one run at a
+// time (see the package comment); the nil trace discards everything at zero
+// cost.
 //
 // With limit > 0 the trace is a ring buffer: the most recent limit spans
 // are retained and older ones are dropped.
 type Trace struct {
-	mu     sync.Mutex
 	limit  int
 	nextID int64
 
@@ -61,7 +60,6 @@ func (t *Trace) StartSpan(at time.Duration, actor, category, name string) *Span 
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
 	t.nextID++
 	s := &Span{
 		ID: t.nextID, Actor: actor, Category: category, Name: name,
@@ -71,7 +69,6 @@ func (t *Trace) StartSpan(at time.Duration, actor, category, name string) *Span 
 		s.Parent = stack[len(stack)-1].ID
 	}
 	t.open[actor] = append(t.open[actor], s)
-	t.mu.Unlock()
 	return s
 }
 
@@ -104,11 +101,6 @@ func (s *Span) End(at time.Duration) {
 		return
 	}
 	t := s.tr
-	t.mu.Lock()
-	if s.ended { // re-check under the lock
-		t.mu.Unlock()
-		return
-	}
 	s.ended = true
 	s.EndAt = at
 	// Pop from the actor stack (normally the top; tolerate out-of-order
@@ -128,7 +120,6 @@ func (s *Span) End(at time.Duration) {
 	} else {
 		t.spans = append(t.spans, s)
 	}
-	t.mu.Unlock()
 }
 
 // DroppedSpans returns how many completed spans the ring has evicted.
@@ -136,8 +127,6 @@ func (t *Trace) DroppedSpans() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.spdrop
 }
 
@@ -147,8 +136,6 @@ func (t *Trace) Spans() []*Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(t.spans) == 0 {
 		return nil
 	}

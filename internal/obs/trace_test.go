@@ -3,11 +3,14 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"sync"
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"scimpich/internal/obs/flight"
+	"scimpich/internal/sim"
 )
 
 func TestSpanNesting(t *testing.T) {
@@ -232,28 +235,99 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestTraceConcurrency: processes of one engine, each its own actor, open
+// and end spans across yielding Sleeps while a poller exports mid-run.
 func TestTraceConcurrency(t *testing.T) {
+	const actors, spansPer = 8, 200
 	tr := NewTrace(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			actor := fmt.Sprintf("rank%d", g)
-			for i := 0; i < 200; i++ {
-				s := tr.StartSpan(time.Duration(i), actor, "send", "op")
-				s.AddBytes(8)
-				s.End(time.Duration(i + 1))
+	runProcs(actors, func(p *sim.Proc, _ int) {
+		for i := 0; i < spansPer; i++ {
+			s := tr.StartSpan(p.Now(), p.Name(), "send", "op")
+			s.AddBytes(8)
+			p.Sleep(time.Nanosecond)
+			s.End(p.Now())
+		}
+	}, func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(spansPer * time.Nanosecond / 10)
+			if err := tr.WriteChrome(io.Discard, nil); err != nil {
+				t.Errorf("WriteChrome: %v", err)
 			}
-		}(g)
-	}
-	wg.Wait()
+		}
+	})
 	if got := len(tr.Spans()); got != 64 {
 		t.Errorf("spans retained = %d, want limit 64", got)
+	}
+	if got := int64(len(tr.Spans())) + tr.DroppedSpans(); got != actors*spansPer {
+		t.Errorf("spans retained+dropped = %d, want %d", got, actors*spansPer)
+	}
+}
+
+// TestSummarizeChromeMatchesSummarize: a Chrome export read back summarizes
+// exactly as the live trace does. Durations travel in microseconds, and
+// some integer nanosecond counts (4007 ns is the first) come back a hair
+// below the integer, so truncating them would lose 1 ns each.
+func TestSummarizeChromeMatchesSummarize(t *testing.T) {
+	tr := NewTrace(0)
+	for i := 0; i < 1000; i++ {
+		s := tr.StartSpan(time.Duration(i)*time.Millisecond, "rank0", []string{"send", "recv"}[i%2], "op")
+		s.SetBytes(int64(i))
+		s.End(s.Start + time.Duration(4000+i))
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf, nil); err != nil {
 		t.Fatal(err)
+	}
+	evs, _, err := ReadChrome(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := SummarizeChrome(evs), tr.Summarize(); !reflect.DeepEqual(got, want) {
+		t.Errorf("SummarizeChrome = %+v\nwant Summarize = %+v", got, want)
+	}
+}
+
+func TestChromeExportCarriesDropCounts(t *testing.T) {
+	tr := NewTrace(2)
+	rec := flight.New(2)
+	for i := 0; i < 5; i++ {
+		at := time.Duration(i) * time.Microsecond
+		tr.StartSpan(at, "rank0", "send", "short").End(at + 1)
+		rec.Actor("rank0").Record(at, flight.KFault, 0, 0, 1, 1)
+	}
+	if tr.DroppedSpans() != 3 || rec.Actor("rank0").Dropped() != 3 {
+		t.Fatalf("drops = %d spans / %d events, want 3 / 3",
+			tr.DroppedSpans(), rec.Actor("rank0").Dropped())
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	evs, other, err := ReadChrome(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 {
+		t.Fatal("no events round-tripped")
+	}
+	if other.DroppedSpans != 3 || other.DroppedEvents != 3 {
+		t.Errorf("otherData = %+v, want both drop counts at 3", other)
+	}
+
+	// A complete trace must not emit otherData at all.
+	tr2 := NewTrace(0)
+	tr2.StartSpan(0, "rank0", "send", "short").End(1)
+	rec2 := flight.New(0)
+	rec2.Actor("rank0").Record(0, flight.KFault, 0, 0, 1, 1)
+	var buf2 bytes.Buffer
+	if err := tr2.WriteChrome(&buf2, rec2); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf2.String(), "otherData") {
+		t.Errorf("complete trace emitted otherData:\n%s", buf2.String())
+	}
+	if _, other2, err := ReadChrome(&buf2); err != nil || other2 != (ChromeOther{}) {
+		t.Errorf("complete trace meta = %+v, %v; want zero, nil", other2, err)
 	}
 }
 
