@@ -104,7 +104,8 @@ shard-stress:
 	$(GO) test -race -count=2 -run 'TestTorus|TestAllocsTorusRunBudget' ./internal/mpi/
 	$(GO) test -race -count=1 -run 'TestEngineBenchSmall' ./internal/bench/
 
-# alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack,
+# alloc-test runs only the host-cost-pinned tests: 0 allocs/op on the pack
+# (direct_pack_ff and generic),
 # PIO, store-barrier, block-writer, DMA-request and event/hand-off fast paths
 # (the yielding Sleep and the elided one), for a RecvTimeout or AwaitTimeout
 # satisfied before expiry (TestAllocsRecvTimeoutSteadyState), per flow

@@ -297,13 +297,25 @@ func TestResized(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	ty := Vector(4, 2, 3, Float64)
-	if s := ty.String(); s == "" {
-		t.Error("empty String()")
-	}
-	st := StructOf(Field{Type: Int32, Blocklen: 1, Disp: 0})
-	if s := st.String(); s == "" {
-		t.Error("empty struct String()")
+	empty := Vector(0, 1, 2, Int32) // extent 0
+	for _, tc := range []struct {
+		ty   *Type
+		want string
+	}{
+		{Vector(4, 2, 3, Float64), "vector(4,2,3,MPI_DOUBLE)"},
+		{Hvector(2, 1, 24, Int32), "hvector(2,1,24B,MPI_INT)"},
+		{Contiguous(2, Int16), "contig(2,MPI_SHORT)"},
+		{Indexed([]int{1, 0}, []int{0, 4}, Byte), "indexed(2 blocks,MPI_BYTE)"},
+		{StructOf(Field{Type: Int32, Blocklen: 1, Disp: 0}), "struct(1@0:MPI_INT)"},
+		// Zero-extent elements: the stride has no element count.
+		{Vector(3, 2, 2, empty), "vector(3,2,0B,vector(0,1,2,MPI_INT))"},
+		{Vector(2, 1, 1, Contiguous(0, Float64)), "vector(2,1,0B,contig(0,MPI_DOUBLE))"},
+		{Hvector(2, 1, 8, empty), "hvector(2,1,8B,vector(0,1,2,MPI_INT))"},
+		{StructOf(Field{Type: empty, Blocklen: 2, Disp: 4}), "struct(2@4:vector(0,1,2,MPI_INT))"},
+	} {
+		if got := tc.ty.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
 	}
 }
 

@@ -229,12 +229,13 @@ func (t *Type) describe(b *strings.Builder) {
 		fmt.Fprintf(b, "contig(%d,", t.count)
 		t.elem.describe(b)
 		b.WriteString(")")
-	case KindVector:
-		fmt.Fprintf(b, "vector(%d,%d,%d,", t.count, t.blocklen, t.stride/t.elem.Extent())
-		t.elem.describe(b)
-		b.WriteString(")")
-	case KindHvector:
-		fmt.Fprintf(b, "hvector(%d,%d,%dB,", t.count, t.blocklen, t.stride)
+	case KindVector, KindHvector:
+		// A vector's stride counts elements, unless they have no extent.
+		stride := fmt.Sprintf("%dB", t.stride)
+		if ext := t.elem.Extent(); t.kind == KindVector && ext != 0 {
+			stride = fmt.Sprint(t.stride / ext)
+		}
+		fmt.Fprintf(b, "%s(%d,%d,%s,", t.kind, t.count, t.blocklen, stride)
 		t.elem.describe(b)
 		b.WriteString(")")
 	case KindIndexed, KindHindexed:

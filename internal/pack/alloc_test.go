@@ -8,7 +8,8 @@ import (
 
 // The pack hot paths must be allocation-free in steady state (mirroring
 // internal/obs/alloc_test.go): a stack cursor with an inline odometer
-// drives FFPack/FFUnpack/Walk, and a heap Cursor is reused across chunks.
+// drives FFPack/FFUnpack/Walk, the generic engine's cursor and its move
+// closure stay on the stack, and a heap Cursor is reused across chunks.
 // Callers hold the Sink and the Walk callback in variables, as the
 // transport layers do, so the one-time interface conversion is hoisted out
 // of the measured operation.
@@ -43,6 +44,9 @@ func TestAllocsPackHotPaths(t *testing.T) {
 			{"FFPack", func() { FFPack(sink, user, ty, count, 0, -1) }},
 			{"FFPack-skip", func() { FFPack(sink, user, ty, count, total/2, -1) }},
 			{"FFUnpack", func() { FFUnpack(user, packed, ty, count, 0, -1) }},
+			{"GenericPack", func() { GenericPack(packed, user, ty, count, 0, -1) }},
+			{"GenericPack-skip", func() { GenericPack(packed, user, ty, count, total/2, -1) }},
+			{"GenericUnpack", func() { GenericUnpack(user, packed, ty, count, 0, -1) }},
 			{"Walk", func() { Walk(ty, count, walkFn) }},
 			{"Cursor-chunked", func() {
 				cur.Reset()

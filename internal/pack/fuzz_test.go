@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"scimpich/internal/datatype"
 )
 
 // runBlocks is the block-at-a-time direct_pack_ff loop the run-at-a-time
@@ -66,6 +68,148 @@ func (c *Cursor) runBlocks(budget int64, move func(userOff, linOff, n int64)) (i
 	return written, st
 }
 
+// genBlocks is the block-at-a-time generic engine that genCursor's strided
+// runs replaced, kept as the reference FuzzCursorRuns checks GenericPack
+// and GenericUnpack against: the same recursive walk in definition order,
+// with move(userOff, outOff, n) per contiguous block.
+type genBlocks struct {
+	skip    int64 // bytes still to pass over before copying starts
+	limit   int64 // byte budget once copying has started
+	written int64
+	stats   Stats
+	move    func(userOff, outOff, n int64)
+}
+
+// genBlocksPack and genBlocksUnpack are GenericPack and GenericUnpack on
+// the reference engine.
+func genBlocksPack(dst []byte, user []byte, t *datatype.Type, count int, skip, maxBytes int64) (int64, Stats) {
+	c := &genBlocks{
+		skip:  skip,
+		limit: checkArgs(t, count, skip, maxBytes),
+		move: func(userOff, outOff, n int64) {
+			copy(dst[outOff:outOff+n], user[userOff:userOff+n])
+		},
+	}
+	c.run(t, count)
+	return c.written, c.stats
+}
+
+func genBlocksUnpack(user []byte, src []byte, t *datatype.Type, count int, skip, maxBytes int64) (int64, Stats) {
+	c := &genBlocks{
+		skip:  skip,
+		limit: checkArgs(t, count, skip, maxBytes),
+		move: func(userOff, outOff, n int64) {
+			copy(user[userOff:userOff+n], src[outOff:outOff+n])
+		},
+	}
+	c.run(t, count)
+	return c.written, c.stats
+}
+
+func (c *genBlocks) done() bool { return c.written >= c.limit }
+
+func (c *genBlocks) run(t *datatype.Type, count int) {
+	// Fast path: dense instances form one contiguous run.
+	if first, ok := denseRun(t.Flat()); ok {
+		c.block(first, t.Size()*int64(count))
+		return
+	}
+	for i := 0; i < count && !c.done(); i++ {
+		c.walk(t, int64(i)*t.Extent())
+	}
+}
+
+func (c *genBlocks) walk(t *datatype.Type, base int64) {
+	if c.done() {
+		return
+	}
+	switch t.Kind() {
+	case datatype.KindBasic:
+		c.block(base, t.Size())
+	default:
+		sz := t.Size()
+		// Fast path: skip whole subtrees that fall before the start point.
+		if c.written == 0 && c.skip >= sz {
+			c.skip -= sz
+			return
+		}
+		c.walkChildren(t, base)
+	}
+}
+
+func (c *genBlocks) walkChildren(t *datatype.Type, base int64) {
+	switch t.Kind() {
+	case datatype.KindContiguous:
+		elem, count := t.Elem(), t.Count()
+		if elem.Kind() == datatype.KindBasic {
+			c.block(base, int64(count)*elem.Size())
+			return
+		}
+		for i := 0; i < count && !c.done(); i++ {
+			c.walk(elem, base+int64(i)*elem.Extent())
+		}
+	case datatype.KindVector, datatype.KindHvector:
+		elem := t.Elem()
+		basic := elem.Kind() == datatype.KindBasic
+		for i := 0; i < t.Count() && !c.done(); i++ {
+			start := base + int64(i)*t.StrideBytes()
+			if basic {
+				c.block(start, int64(t.Blocklen())*elem.Size())
+				continue
+			}
+			for j := 0; j < t.Blocklen() && !c.done(); j++ {
+				c.walk(elem, start+int64(j)*elem.Extent())
+			}
+		}
+	case datatype.KindIndexed, datatype.KindHindexed:
+		elem := t.Elem()
+		basic := elem.Kind() == datatype.KindBasic
+		lens, displs := t.Blocklens(), t.Displs()
+		for i := range lens {
+			start := base + displs[i]
+			if basic {
+				c.block(start, int64(lens[i])*elem.Size())
+				continue
+			}
+			for j := 0; j < lens[i] && !c.done(); j++ {
+				c.walk(elem, start+int64(j)*elem.Extent())
+			}
+		}
+	case datatype.KindStruct:
+		for _, f := range t.Fields() {
+			start := base + f.Disp
+			if f.Type.Kind() == datatype.KindBasic {
+				c.block(start, int64(f.Blocklen)*f.Type.Size())
+				continue
+			}
+			for j := 0; j < f.Blocklen && !c.done(); j++ {
+				c.walk(f.Type, start+int64(j)*f.Type.Extent())
+			}
+		}
+	}
+}
+
+func (c *genBlocks) block(off, n int64) {
+	if n <= 0 || c.done() {
+		return
+	}
+	if c.skip > 0 {
+		if c.skip >= n {
+			c.skip -= n
+			return
+		}
+		off += c.skip
+		n -= c.skip
+		c.skip = 0
+	}
+	if c.written+n > c.limit {
+		n = c.limit - c.written
+	}
+	c.move(off, c.written, n)
+	c.stats.add(n)
+	c.written += n
+}
+
 // sameState reports whether two cursors over the same operation stand at
 // the same place: offset, instance, leaf, in-block remainder and odometer.
 func sameState(a, b *Cursor) bool {
@@ -105,9 +249,11 @@ func (s *blockSink) Write(off int64, src []byte) {
 // must move the reference's blocks byte for byte, the run-length
 // Descriptors must expand to the flat list the reference's blocks merge
 // into, every Stats must equal the reference's, and every cursor must stand
-// where the reference stands. The generic engine is the oracle for the
-// bytes: chunk by chunk where its definition order is the leaf-major order
-// (one leaf), and for the whole unpacked message otherwise.
+// where the reference stands. The block-at-a-time generic engine
+// (genBlocks) is the oracle for the bytes: chunk by chunk where its
+// definition order is the leaf-major order (one leaf), and for the whole
+// unpacked message otherwise. GenericPack and GenericUnpack must equal it
+// on every chunk of every type in bytes, Stats and length moved.
 func FuzzCursorRuns(f *testing.F) {
 	f.Add(int64(1), uint8(1), []byte{7, 200, 3, 64, 1})
 	f.Add(int64(42), uint8(3), []byte{127, 127, 255, 16})
@@ -167,11 +313,20 @@ func FuzzCursorRuns(f *testing.F) {
 					copy(refUser[b[0]:b[0]+b[2]], lin[b[1]:])
 					writes = append(writes, [2]int64{b[1], b[2]})
 				}
+				// The generic engine in its own definition order: strided
+				// runs against the block-at-a-time reference.
+				gen, genUser := make([]byte, size), make([]byte, len(user))
+				gn, gpst := genBlocksPack(gen, user, ty, n, start, size)
+				gun, gust := genBlocksUnpack(genUser, lin, ty, n, start, size)
+				runGen, runUser := make([]byte, size), make([]byte, len(user))
+				pn, pst := GenericPack(runGen, user, ty, n, start, size)
+				upn, upst := GenericUnpack(runUser, lin, ty, n, start, size)
+				if !bytes.Equal(runGen, gen) || !bytes.Equal(runUser, genUser) ||
+					pn != gn || upn != gun || pst != gpst || upst != gust {
+					t.Fatalf("%s ×%d [%d,+%d): GenericPack %d %+v and GenericUnpack %d %+v, reference %d %+v and %d %+v (or other bytes)",
+						ty, n, start, size, pn, pst, upn, upst, gn, gpst, gun, gust)
+				}
 				if oneLeaf {
-					gen := make([]byte, size)
-					GenericPack(gen, user, ty, n, start, size)
-					genUser := make([]byte, len(user))
-					GenericUnpack(genUser, lin, ty, n, start, size)
 					refChunk := make([]byte, len(user))
 					for _, b := range blocks {
 						copy(refChunk[b[0]:b[0]+b[2]], lin[b[1]:])
@@ -226,9 +381,9 @@ func FuzzCursorRuns(f *testing.F) {
 			// The whole message unpacked chunk by chunk is the generic
 			// engine's round trip.
 			gen := make([]byte, total)
-			GenericPack(gen, user, ty, n, 0, -1)
+			genBlocksPack(gen, user, ty, n, 0, -1)
 			genUser := make([]byte, len(user))
-			GenericUnpack(genUser, gen, ty, n, 0, -1)
+			genBlocksUnpack(genUser, gen, ty, n, 0, -1)
 			if !bytes.Equal(ffUser, genUser) {
 				t.Fatalf("%s ×%d: the chunked unpack differs from the generic round trip", ty, n)
 			}

@@ -267,29 +267,36 @@ func TestSkipBeyondTotalPanics(t *testing.T) {
 }
 
 // randomType builds a random committed datatype of bounded depth/size for
-// property testing.
+// property testing. One count or block length in eight is zero: empty
+// levels and blocks are legal MPI and an edge of every engine.
 func randomType(rng *rand.Rand, depth int) *datatype.Type {
 	basics := []*datatype.Type{datatype.Byte, datatype.Int16, datatype.Int32, datatype.Int64, datatype.Float64}
 	if depth <= 0 || rng.Intn(3) == 0 {
 		return basics[rng.Intn(len(basics))]
 	}
+	upTo := func(hi int) int {
+		if rng.Intn(8) == 0 {
+			return 0
+		}
+		return rng.Intn(hi) + 1
+	}
 	elem := randomType(rng, depth-1)
 	switch rng.Intn(5) {
 	case 0:
-		return datatype.Contiguous(rng.Intn(4)+1, elem)
+		return datatype.Contiguous(upTo(4), elem)
 	case 1:
-		bl := rng.Intn(3) + 1
-		return datatype.Vector(rng.Intn(4)+1, bl, bl+rng.Intn(3), elem)
+		bl := upTo(3)
+		return datatype.Vector(upTo(4), bl, bl+rng.Intn(3), elem)
 	case 2:
-		bl := rng.Intn(3) + 1
-		return datatype.Hvector(rng.Intn(4)+1, bl, int64(bl)*elem.Extent()+int64(rng.Intn(16)), elem)
+		bl := upTo(3)
+		return datatype.Hvector(upTo(4), bl, int64(bl)*elem.Extent()+int64(rng.Intn(16)), elem)
 	case 3:
 		nb := rng.Intn(3) + 1
 		lens := make([]int, nb)
 		displs := make([]int, nb)
 		next := 0
 		for i := range lens {
-			lens[i] = rng.Intn(3) + 1
+			lens[i] = upTo(3)
 			displs[i] = next + rng.Intn(3)
 			next = displs[i] + lens[i] + rng.Intn(2)
 		}
