@@ -261,7 +261,7 @@ func BenchmarkAblationWriteCombine(b *testing.B) {
 		e.Go("bench", func(p *sim.Proc) {
 			m := ic.Node(0).MustImport(1, seg.ID())
 			start := p.Now()
-			m.WriteStrided(p, 0, make([]byte, total), 256, stride)
+			must(m.WriteStrided(p, 0, make([]byte, total), 256, stride))
 			ic.Node(0).StoreBarrier(p)
 			elapsed = p.Now() - start
 		})

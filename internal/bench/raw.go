@@ -49,36 +49,31 @@ func runRawSize(size int64) RawResult {
 
 		// PIO write latency: post plus store barrier (data has arrived).
 		start := p.Now()
-		m.WriteStream(p, 0, src, size)
+		check(m.WriteStream(p, 0, src, size))
 		ic.Node(0).StoreBarrier(p)
 		res.PIOWriteLatency = p.Now() - start
 
 		// PIO write bandwidth: back-to-back streams, one final barrier.
 		start = p.Now()
 		for i := 0; i < reps; i++ {
-			m.WriteStream(p, 0, src, size)
+			check(m.WriteStream(p, 0, src, size))
 		}
 		ic.Node(0).StoreBarrier(p)
 		res.PIOWriteBW = BWMiB(size*reps, p.Now()-start)
 
 		// PIO read.
 		start = p.Now()
-		m.Read(p, 0, dst)
+		check(m.Read(p, 0, dst))
 		res.PIOReadLatency = p.Now() - start
 		start = p.Now()
 		for i := 0; i < reps; i++ {
-			m.Read(p, 0, dst)
+			check(m.Read(p, 0, dst))
 		}
 		res.PIOReadBW = BWMiB(size*reps, p.Now()-start)
 
 		// DMA.
-		wait := func(r *sci.DMARequest) {
-			if err := r.Wait(p); err != nil {
-				panic(err) // the cluster is healthy
-			}
-		}
 		start = p.Now()
-		wait(m.DMAWrite(p, 0, src))
+		check(m.DMAWrite(p, 0, src).Wait(p))
 		res.DMALatency = p.Now() - start
 		start = p.Now()
 		var reqs [reps]*sci.DMARequest
@@ -86,7 +81,7 @@ func runRawSize(size int64) RawResult {
 			reqs[i] = m.DMAWrite(p, 0, src)
 		}
 		for _, r := range reqs {
-			wait(r)
+			check(r.Wait(p))
 		}
 		res.DMABW = BWMiB(size*reps, p.Now()-start)
 	})

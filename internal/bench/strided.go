@@ -56,7 +56,7 @@ func stridedBW(access, stride int64, writeCombine bool) float64 {
 	e.Go("bench", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		start := p.Now()
-		m.WriteStrided(p, 0, src, access, stride)
+		check(m.WriteStrided(p, 0, src, access, stride))
 		ic.Node(0).StoreBarrier(p)
 		elapsed = p.Now() - start
 	})

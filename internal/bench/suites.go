@@ -96,6 +96,14 @@ func healthy(body func(c *mpi.Comm) error) func(c *mpi.Comm) {
 	}
 }
 
+// check stops a bare-interconnect kernel on a failed access: the cluster
+// is healthy, so the failure is a defect of the model.
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // errOf is the error of a call whose value (a Status) the kernel ignores.
 func errOf[T any](_ T, err error) error { return err }
 

@@ -16,7 +16,7 @@
 //     a seeded PRNG so the error schedule is a pure function of the seed
 //     and the (deterministic) simulation schedule,
 //   - transfer-check failures observed by the check-after-store-barrier
-//     (sci.Mapping.CheckedSync),
+//     (sci.Mapping.Sync),
 //   - duplicated control packets (the MPI device must stay exactly-once),
 //   - segment import denials and mid-run segment revocations (unmaps).
 //

@@ -59,7 +59,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 		{"transfer toward a dead node", func(t *testing.T, rec *flight.Recorder) {
 			sciRun(rec, nil, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
 				ic.FailNode(1)
-				if m.TryWriteStream(p, 0, buf[:4096], 0) == nil {
+				if m.WriteStream(p, 0, buf[:4096], 0) == nil {
 					t.Error("write toward a dead node succeeded")
 				}
 			})
@@ -68,7 +68,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 		{"link disturbed past the retries", func(t *testing.T, rec *flight.Recorder) {
 			plan := fault.New(1).DisturbLink(0, 1, 0, time.Second)
 			sciRun(rec, plan, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
-				if m.TryWriteStream(p, 0, buf[:4096], 0) == nil {
+				if m.WriteStream(p, 0, buf[:4096], 0) == nil {
 					t.Error("write across a disturbed link succeeded")
 				}
 			})
@@ -77,7 +77,7 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 		{"transfer check given up", func(t *testing.T, rec *flight.Recorder) {
 			plan := fault.New(2).WithCheckErrors(0.95)
 			sciRun(rec, plan, func(p *sim.Proc, ic *sci.Interconnect, m *sci.Mapping) {
-				if m.CheckedSync(p) == nil {
+				if m.Sync(p) == nil {
 					t.Error("checked sync survived persistent check errors")
 				}
 			})

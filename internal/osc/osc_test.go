@@ -2,6 +2,9 @@ package osc
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -379,20 +382,37 @@ func TestAccessOutsideEpochPanics(t *testing.T) {
 	})
 }
 
+// TestAccessOutsideWindowPanics: a put past the target's window panics with
+// the named osc message on shared and private windows, also one whose end
+// would wrap past math.MaxInt64.
 func TestAccessOutsideWindowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-window access did not panic")
-		}
-	}()
-	runCluster(2, 1, func(c *mpi.Comm) {
-		w := mkWin(c, 64, true)
-		must(w.Fence())
-		if c.Rank() == 0 {
-			must(w.Put(fill(128), 128, datatype.Byte, 1, 0))
-		}
-		must(w.Fence())
-	})
+	for _, c := range []struct {
+		name   string
+		shared bool
+		n      int
+		off    int64
+		want   string
+	}{
+		{"shared", true, 128, 0, "osc: access [0, 128) outside window of 64 bytes at rank 1"},
+		{"shared-near-max-offset", true, 64, math.MaxInt64 - 4, "osc: access [9223372036854775803, "},
+		{"private-near-max-offset", false, 64, math.MaxInt64 - 4, "osc: access [9223372036854775803, "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("panicked with %q, want %q", msg, c.want)
+				}
+			}()
+			runCluster(2, 1, func(comm *mpi.Comm) {
+				w := mkWin(comm, 64, c.shared)
+				must(w.Fence())
+				if comm.Rank() == 0 {
+					must(w.Put(fill(c.n), c.n, datatype.Byte, 1, c.off))
+				}
+				must(w.Fence())
+			})
+		})
+	}
 }
 
 func TestSharedGetFasterThanPrivate(t *testing.T) {

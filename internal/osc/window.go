@@ -375,7 +375,7 @@ func (w *Win) checkTarget(target int, off, n int64) {
 	if target < 0 || target >= len(w.sizes) {
 		panic(fmt.Sprintf("osc: invalid target rank %d", target))
 	}
-	if off < 0 || off+n > w.sizes[target] {
+	if off < 0 || off > w.sizes[target]-n { // not off+n: it wraps near math.MaxInt64
 		panic(fmt.Sprintf("osc: access [%d, %d) outside window of %d bytes at rank %d",
 			off, off+n, w.sizes[target], target))
 	}

@@ -3,6 +3,7 @@ package sci
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"scimpich/internal/obs"
@@ -11,7 +12,7 @@ import (
 )
 
 // accessOps is every way to touch a mapped segment, each moving 64 bytes
-// at off through the fallible core. DMA ops wait for their request, which
+// at off and returning its failure. DMA ops wait for their request, which
 // reports a transfer-time failure like a submission-time one.
 var accessOps = []struct {
 	name  string
@@ -19,16 +20,16 @@ var accessOps = []struct {
 	do    func(p *sim.Proc, m *Mapping, off int64, buf []byte) error
 }{
 	{"WriteStream", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		return m.TryWriteStream(p, off, buf, 0)
+		return m.WriteStream(p, off, buf, 0)
 	}},
 	{"WriteStrided", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		return m.tryWriteStrided(p, off, buf, 64, 64, false)
+		return m.WriteStrided(p, off, buf, 64, 64)
 	}},
 	{"WritePut", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		return m.TryWritePut(p, off, buf, 64, 64)
+		return m.WritePut(p, off, buf, 64, 64)
 	}},
 	{"WriteWord", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		return m.tryWriteWord(p, off, buf)
+		return m.WriteWord(p, off, buf)
 	}},
 	{"BlockWriter", false, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
 		w := m.NewBlockWriter(p, 64)
@@ -43,16 +44,17 @@ var accessOps = []struct {
 		return m.DMAWriteSG(p, off, buf, descs).Wait(p)
 	}},
 	{"Read", true, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		return m.TryRead(p, off, buf)
+		return m.Read(p, off, buf)
 	}},
 	{"ReadStrided", true, func(p *sim.Proc, m *Mapping, off int64, buf []byte) error {
-		return m.tryReadStrided(p, off, buf, 64, 64)
+		return m.ReadStrided(p, off, buf, 64, 64)
 	}},
 }
 
 // TestAccessOpsCheckRangeAndState: every access op fails an out-of-range
-// window, a revoked segment and a dead owner with the same typed errors,
-// and moves the bytes otherwise.
+// window (also one whose end would wrap past math.MaxInt64), a revoked
+// segment and a dead owner with the same typed errors, and moves the bytes
+// otherwise.
 func TestAccessOpsCheckRangeAndState(t *testing.T) {
 	for _, op := range accessOps {
 		op := op
@@ -85,11 +87,13 @@ func TestAccessOpsCheckRangeAndState(t *testing.T) {
 					t.Error("in range: bytes did not arrive")
 				}
 
-				var oor ErrOutOfRange
-				if err := op.do(p, mg, 200, buf); !errors.As(err, &oor) {
-					t.Errorf("out of range: got %v, want ErrOutOfRange", err)
-				} else if oor.Off != 200 || oor.Len != 64 || oor.Size != 256 {
-					t.Errorf("out of range: error = %+v", oor)
+				for _, off := range []int64{200, math.MaxInt64 - 4} {
+					var oor ErrOutOfRange
+					if err := op.do(p, mg, off, buf); !errors.As(err, &oor) {
+						t.Errorf("out of range at %d: got %v, want ErrOutOfRange", off, err)
+					} else if oor != (ErrOutOfRange{Off: off, Len: 64, Size: 256}) {
+						t.Errorf("out of range at %d: error = %+v", off, oor)
+					}
 				}
 				var lost ErrSegmentLost
 				if err := op.do(p, mr, 0, buf); !errors.As(err, &lost) {

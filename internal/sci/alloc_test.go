@@ -30,19 +30,19 @@ func TestAllocsRemoteDeliveryCapture(t *testing.T) {
 			// Each op sleeps past the wire latency so its delivery lands and
 			// returns the pooled buffer before the next iteration grabs one.
 			{"WriteStream", func() {
-				m.WriteStream(p, 0, src, 0)
+				must(m.WriteStream(p, 0, src, 0))
 				p.Sleep(drain)
 			}},
 			{"WritePut-strided", func() {
-				m.WritePut(p, 0, src, 64, 128)
+				must(m.WritePut(p, 0, src, 64, 128))
 				p.Sleep(drain)
 			}},
 			{"WritePut-dense", func() {
-				m.WritePut(p, 0, src, 64, 64)
+				must(m.WritePut(p, 0, src, 64, 64))
 				p.Sleep(drain)
 			}},
 			{"WriteWord", func() {
-				m.WriteWord(p, 4096, word)
+				must(m.WriteWord(p, 4096, word))
 				p.Sleep(drain)
 			}},
 		}
@@ -70,7 +70,7 @@ func TestAllocsStoreBarrierDrained(t *testing.T) {
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		fn := func() {
-			m.WriteStream(p, 0, src, 0)
+			must(m.WriteStream(p, 0, src, 0))
 			p.Sleep(drain)
 			ic.Node(0).StoreBarrier(p)
 		}
@@ -106,7 +106,7 @@ func TestAllocsStoreBarrierWaiting(t *testing.T) {
 				if i == 0 && r == warm {
 					win.Open()
 				}
-				m.WriteStream(p, int64(i)*1024, src, 0)
+				must(m.WriteStream(p, int64(i)*1024, src, 0))
 				entered := p.Now()
 				ic.Node(0).StoreBarrier(p)
 				if p.Now()-entered <= storeBarrierLatency {

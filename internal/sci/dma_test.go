@@ -45,7 +45,7 @@ func TestDMADrawsRetriesOnce(t *testing.T) {
 			t.Errorf("DMA transfer %d failed: %v", i, err)
 		}
 	})
-	pio := run(func(p *sim.Proc, m *Mapping, _ int) { m.WriteStream(p, 0, src, 0) })
+	pio := run(func(p *sim.Proc, m *Mapping, _ int) { must(m.WriteStream(p, 0, src, 0)) })
 	if dma == 0 || dma != pio {
 		t.Errorf("%d DMA transfers recorded %d retries, as many PIO writes %d: want equal and non-zero", n, dma, pio)
 	}

@@ -15,7 +15,7 @@ import (
 //
 // The model lets tests and experiments fail a node; transfers toward it
 // then error out at the adapter level after bounded retries
-// (tryReachable), and the transfer-check barrier (Mapping.CheckedSync)
+// (tryReachable), and the transfer-check barrier (Mapping.Sync)
 // reports a lost connection. Layers above detect a failure from those typed
 // errors; no daemon probes the peers.
 

@@ -43,19 +43,16 @@ func TestStatementWritePanicsOutOfRangeMessage(t *testing.T) {
 	e, ic := testCluster(2)
 	seg := ic.Node(1).Export(256)
 	e.Go("writer", func(p *sim.Proc) {
-		defer func() {
-			r := recover()
-			err, ok := r.(error)
-			if !ok {
-				t.Fatalf("panicked with %v, want an error", r)
-			}
-			want := "sci: access [200, 300) outside segment of 256 bytes"
-			if err.Error() != want {
-				t.Errorf("panic message %q, want %q", err.Error(), want)
-			}
-		}()
 		m := ic.Node(0).MustImport(1, seg.ID())
-		m.WriteStream(p, 200, make([]byte, 100), 0)
+		err := m.WriteStream(p, 200, make([]byte, 100), 0)
+		var oor ErrOutOfRange
+		if !errors.As(err, &oor) {
+			t.Fatalf("got %v, want ErrOutOfRange", err)
+		}
+		want := "sci: access [200, 300) outside segment of 256 bytes"
+		if err.Error() != want {
+			t.Errorf("error message %q, want %q", err.Error(), want)
+		}
 	})
 	e.Run()
 }
@@ -66,7 +63,7 @@ func TestRevokedSegmentSurfacesSegmentLost(t *testing.T) {
 	seg := ic.Node(1).Export(4096)
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		if err := m.TryWriteStream(p, 0, make([]byte, 64), 0); err != nil {
+		if err := m.WriteStream(p, 0, make([]byte, 64), 0); err != nil {
 			t.Fatalf("write before revocation failed: %v", err)
 		}
 		p.Sleep(2 * time.Millisecond)
@@ -74,14 +71,14 @@ func TestRevokedSegmentSurfacesSegmentLost(t *testing.T) {
 			t.Error("mapping still valid after scheduled revocation")
 		}
 		var lost ErrSegmentLost
-		if err := m.TryWriteStream(p, 0, make([]byte, 64), 0); !errors.As(err, &lost) {
+		if err := m.WriteStream(p, 0, make([]byte, 64), 0); !errors.As(err, &lost) {
 			t.Fatalf("err = %v, want ErrSegmentLost", err)
 		}
 		if lost.Owner != 1 || lost.Seg != 0 {
 			t.Errorf("lost = %+v", lost)
 		}
-		if err := m.CheckedSync(p); !errors.As(err, &lost) {
-			t.Errorf("CheckedSync err = %v, want ErrSegmentLost", err)
+		if err := m.Sync(p); !errors.As(err, &lost) {
+			t.Errorf("Sync err = %v, want ErrSegmentLost", err)
 		}
 		if _, err := ic.Node(0).Import(1, 0); err == nil {
 			t.Error("import of revoked segment succeeded")
@@ -107,25 +104,48 @@ func TestImportDeniedByPlan(t *testing.T) {
 	e.Run()
 }
 
+// TestInjectedWriteErrorsRetriedTransparently: an injected CRC/sequence
+// error comes back as a retryable *fault.Error and leaves the target
+// untouched; retrying the write, as mpi and osc do, lands the bytes.
 func TestInjectedWriteErrorsRetriedTransparently(t *testing.T) {
 	plan := fault.New(11).WithWriteErrors(0.4)
 	e, ic := faultyCluster(2, plan)
 	seg := ic.Node(1).Export(1 << 20)
 	src := fill(256 << 10)
+	failed := 0
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		m.WriteStream(p, 0, src, 0) // legacy entry point: retries internally
+		for {
+			err := m.WriteStream(p, 0, src, 0)
+			if err == nil {
+				break
+			}
+			var fe *fault.Error
+			if !errors.As(err, &fe) || !fe.Retryable() {
+				t.Fatalf("write under injected errors: got %v, want a retryable *fault.Error", err)
+			}
+			if failed++; failed > 100 {
+				t.Fatal("write never succeeded at a 40% injection rate")
+			}
+			ic.Node(0).StoreBarrier(p)
+			if !bytes.Equal(seg.Local()[:len(src)], make([]byte, len(src))) {
+				t.Fatal("a failed write deposited bytes")
+			}
+		}
 		ic.Node(0).StoreBarrier(p)
 		if !bytes.Equal(seg.Local()[:len(src)], src) {
 			t.Error("data corrupted under injected write errors")
 		}
 	})
 	e.Run()
-	if ic.Node(0).Snapshot().TransferErrors == 0 {
-		t.Error("no transfer errors recorded at a 40% injection rate")
+	if failed == 0 {
+		t.Error("no write failed at a 40% injection rate")
 	}
-	if plan.Injected.Writes == 0 {
-		t.Error("plan recorded no injected write errors")
+	if got := ic.Node(0).Snapshot().TransferErrors; got != int64(failed) {
+		t.Errorf("TransferErrors = %d, want one per failed write (%d)", got, failed)
+	}
+	if plan.Injected.Writes != int64(failed) {
+		t.Errorf("plan recorded %d injected write errors, want %d", plan.Injected.Writes, failed)
 	}
 }
 
@@ -138,9 +158,9 @@ func TestCheckedSyncRetriesWithBackoff(t *testing.T) {
 		e.Go("writer", func(p *sim.Proc) {
 			m := ic.Node(0).MustImport(1, seg.ID())
 			for i := 0; i < 20; i++ {
-				m.WriteStream(p, 0, make([]byte, 4096), 0)
-				if err := m.CheckedSync(p); err != nil {
-					t.Fatalf("CheckedSync failed despite retry budget: %v", err)
+				must(m.WriteStream(p, 0, make([]byte, 4096), 0))
+				if err := m.Sync(p); err != nil {
+					t.Fatalf("Sync failed despite retry budget: %v", err)
 				}
 			}
 			at = p.Now()
@@ -165,8 +185,8 @@ func TestCheckedSyncGivesUpOnDeadOwner(t *testing.T) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		ic.FailNode(1)
 		var lost ErrConnectionLost
-		if err := m.CheckedSync(p); !errors.As(err, &lost) {
-			t.Fatalf("CheckedSync err = %v, want ErrConnectionLost", err)
+		if err := m.Sync(p); !errors.As(err, &lost) {
+			t.Fatalf("Sync err = %v, want ErrConnectionLost", err)
 		}
 		if lost.From != 0 || lost.To != 1 {
 			t.Errorf("lost = %+v", lost)
@@ -183,7 +203,7 @@ func TestLinkDisturbanceWindowRetriesThenClears(t *testing.T) {
 	src := fill(512)
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		m.WriteStream(p, 0, src, 0)
+		must(m.WriteStream(p, 0, src, 0))
 		ic.Node(0).StoreBarrier(p)
 		if !bytes.Equal(seg.Local()[:len(src)], src) {
 			t.Error("data corrupted across disturbance window")
@@ -202,7 +222,7 @@ func TestLinkDisturbancePersistentFailsTyped(t *testing.T) {
 	seg := ic.Node(1).Export(4096)
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		err := m.TryWriteStream(p, 0, make([]byte, 512), 0)
+		err := m.WriteStream(p, 0, make([]byte, 512), 0)
 		var fe *fault.Error
 		if !errors.As(err, &fe) || fe.Kind != fault.LinkDisturbed {
 			t.Fatalf("err = %v, want LinkDisturbed", err)

@@ -20,12 +20,12 @@ func TestFirstTouchSizeAndRangeNeedNoMemory(t *testing.T) {
 	}
 	e.Go("p", func(p *sim.Proc) {
 		var oor ErrOutOfRange
-		if err := m.TryWriteStream(p, 1<<20-8, make([]byte, 16), 0); !errors.As(err, &oor) {
+		if err := m.WriteStream(p, 1<<20-8, make([]byte, 16), 0); !errors.As(err, &oor) {
 			t.Errorf("out-of-range write: got %v, want ErrOutOfRange", err)
 		} else if oor.Size != 1<<20 {
 			t.Errorf("ErrOutOfRange.Size = %d, want %d", oor.Size, 1<<20)
 		}
-		if err := m.TryRead(p, -1, make([]byte, 4)); !errors.As(err, &oor) {
+		if err := m.Read(p, -1, make([]byte, 4)); !errors.As(err, &oor) {
 			t.Errorf("out-of-range read: got %v, want ErrOutOfRange", err)
 		}
 	})
@@ -40,12 +40,12 @@ func TestFirstTouchReadBeforeWriteIsZero(t *testing.T) {
 	seg := ic.Node(1).Export(4096)
 	e.Go("p", func(p *sim.Proc) {
 		dst := fill(64)
-		ic.Node(0).MustImport(1, seg.ID()).Read(p, 1000, dst)
+		must(ic.Node(0).MustImport(1, seg.ID()).Read(p, 1000, dst))
 		if !bytes.Equal(dst, make([]byte, 64)) {
 			t.Error("remote read of untouched memory is not zero")
 		}
 		dst = fill(64)
-		ic.Node(1).MustImport(1, seg.ID()).ReadStrided(p, 0, dst, 8, 32)
+		must(ic.Node(1).MustImport(1, seg.ID()).ReadStrided(p, 0, dst, 8, 32))
 		if !bytes.Equal(dst, make([]byte, 64)) {
 			t.Error("local strided read of untouched memory is not zero")
 		}
@@ -66,10 +66,10 @@ func TestFirstTouchFailedAccessNeedsNoMemory(t *testing.T) {
 	ic.FailNode(2)
 	e.Go("p", func(p *sim.Proc) {
 		var lost ErrSegmentLost
-		if err := mr.TryWriteStream(p, 0, fill(64), 0); !errors.As(err, &lost) {
+		if err := mr.WriteStream(p, 0, fill(64), 0); !errors.As(err, &lost) {
 			t.Errorf("write to revoked segment: got %v, want ErrSegmentLost", err)
 		}
-		if err := mr.TryRead(p, 0, make([]byte, 64)); !errors.As(err, &lost) {
+		if err := mr.Read(p, 0, make([]byte, 64)); !errors.As(err, &lost) {
 			t.Errorf("read of revoked segment: got %v, want ErrSegmentLost", err)
 		}
 		bw := mr.NewBlockWriter(p, 64)
@@ -78,13 +78,13 @@ func TestFirstTouchFailedAccessNeedsNoMemory(t *testing.T) {
 			t.Errorf("block write to revoked segment: got %v, want ErrSegmentLost", err)
 		}
 		var conn ErrConnectionLost
-		if err := mo.TryWriteStream(p, 0, fill(64), 0); !errors.As(err, &conn) {
+		if err := mo.WriteStream(p, 0, fill(64), 0); !errors.As(err, &conn) {
 			t.Errorf("write to dead owner: got %v, want ErrConnectionLost", err)
 		}
-		if err := mo.TryWritePut(p, 0, fill(64), 8, 16); !errors.As(err, &conn) {
+		if err := mo.WritePut(p, 0, fill(64), 8, 16); !errors.As(err, &conn) {
 			t.Errorf("put to dead owner: got %v, want ErrConnectionLost", err)
 		}
-		if err := mo.TryRead(p, 0, make([]byte, 64)); !errors.As(err, &conn) {
+		if err := mo.Read(p, 0, make([]byte, 64)); !errors.As(err, &conn) {
 			t.Errorf("read from dead owner: got %v, want ErrConnectionLost", err)
 		}
 	})
@@ -106,14 +106,14 @@ func TestExportBufferAliasesCallerMemory(t *testing.T) {
 	}
 	e.Go("p", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		m.WriteStream(p, 16, fill(32), 0)
-		m.Sync(p)
+		must(m.WriteStream(p, 16, fill(32), 0))
+		ic.Node(0).StoreBarrier(p)
 		if !bytes.Equal(buf[16:48], fill(32)) {
 			t.Error("remote write did not land in the caller's buffer")
 		}
 		buf[100] = 0x5A
 		var b [1]byte
-		m.Read(p, 100, b[:])
+		must(m.Read(p, 100, b[:]))
 		if b[0] != 0x5A {
 			t.Error("remote read does not see the caller's store")
 		}

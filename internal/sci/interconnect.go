@@ -42,8 +42,12 @@ type Stats struct {
 	WriteOps      int64
 	ReadOps       int64
 	StoreBarriers int64
-	Retries       int64
-	DMATransfers  int64
+	// Retries counts the adapter's own retries: its retransmissions and
+	// its bounded retries toward an unreachable owner or across a
+	// disturbed link. A caller's retry of a failed access is the caller's
+	// count (mpi, osc), not this one.
+	Retries      int64
+	DMATransfers int64
 
 	// DMASGTransfers counts the subset of DMATransfers that were
 	// scatter-gather descriptor-list submissions, DMASGBytes and DMASGDescs
@@ -56,7 +60,7 @@ type Stats struct {
 	// this node's operations as typed errors (as opposed to Retries,
 	// which only cost latency).
 	TransferErrors int64
-	// CheckRetries counts transfer-check barrier retries (CheckedSync).
+	// CheckRetries counts transfer-check barrier retries (Mapping.Sync).
 	CheckRetries int64
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"scimpich/internal/bufpool"
-	"scimpich/internal/fault"
 	"scimpich/internal/memmodel"
 	"scimpich/internal/sim"
 )
@@ -16,29 +15,9 @@ import (
 // the contention-aware flow network) — and become visible at the target one
 // wire latency later. StoreBarrier waits for all outstanding deliveries.
 
-// Every access has one body, the fallible one: out-of-range windows,
-// revoked segments, unreachable owners and injected transfer errors are
-// returned as typed errors. The names without "try" are the panicking
-// conveniences for code that issues accesses as statements (benchmarks,
-// tests): each is one must over its fallible core.
-
-// must runs a fallible access, retrying retryable injected faults
-// (CRC/sequence/link disturbance) a bounded number of times and panicking
-// on persistent or non-retryable failure, so under a fault plan a
-// statement-style access still cannot silently fail.
-func (m *Mapping) must(try func() error) {
-	for attempt := 0; ; attempt++ {
-		err := try()
-		if err == nil {
-			return
-		}
-		if fe, ok := err.(*fault.Error); ok && fe.Retryable() && attempt < maxTransferRetries {
-			m.from.stats.Retries++
-			continue
-		}
-		panic(err)
-	}
-}
+// Every access returns its failure: out-of-range windows, revoked
+// segments, unreachable owners and injected transfer errors come back as
+// typed errors, and retrying a retryable one is the caller's decision.
 
 // drawPIOFault consults the fault plan for an injected CRC/sequence error
 // on one remote PIO transfer. The failed attempt costs one retry latency.
@@ -58,12 +37,7 @@ func (m *Mapping) drawPIOFault(p *sim.Proc) error {
 // addresses). srcWorkingSet is the size of the source data structure, used
 // to cap the rate at the local memory read bandwidth (the paper's PIO dip
 // beyond 128 kiB).
-func (m *Mapping) WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64) {
-	m.must(func() error { return m.TryWriteStream(p, off, src, srcWorkingSet) })
-}
-
-// TryWriteStream is the fallible WriteStream.
-func (m *Mapping) TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64) error {
+func (m *Mapping) WriteStream(p *sim.Proc, off int64, src []byte, srcWorkingSet int64) error {
 	n := int64(len(src))
 	if err := m.accessErr(off, n); err != nil {
 		return err
@@ -97,26 +71,21 @@ func (m *Mapping) TryWriteStream(p *sim.Proc, off int64, src []byte, srcWorkingS
 // stride bytes apart, starting at off — the access pattern of the sparse
 // one-sided benchmark and the §4.3 strided-write study. The cost depends on
 // stride alignment relative to the CPU's write-combine buffer.
-func (m *Mapping) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64) {
-	m.must(func() error { return m.tryWriteStrided(p, off, src, accessSize, stride, false) })
+func (m *Mapping) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64) error {
+	return m.writeStrided(p, off, src, accessSize, stride, false)
 }
 
 // WritePut is the MPI put path: a strided write whose sustained rate is
 // additionally capped at the adapter's SustainedPutBW (the paper's Table 2
 // measures ~121-123 MiB/s per node for the one-sided put workload, below
 // the raw strided-store peak of the §4.3 microbenchmark).
-func (m *Mapping) WritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) {
-	m.must(func() error { return m.TryWritePut(p, off, src, accessSize, stride) })
+func (m *Mapping) WritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) error {
+	return m.writeStrided(p, off, src, accessSize, stride, true)
 }
 
-// TryWritePut is the fallible WritePut.
-func (m *Mapping) TryWritePut(p *sim.Proc, off int64, src []byte, accessSize, stride int64) error {
-	return m.tryWriteStrided(p, off, src, accessSize, stride, true)
-}
-
-// tryWriteStrided is the one strided-write body; put selects the MPI put
+// writeStrided is the one strided-write body; put selects the MPI put
 // path (SustainedPutBW cap, put latency histogram).
-func (m *Mapping) tryWriteStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64, put bool) error {
+func (m *Mapping) writeStrided(p *sim.Proc, off int64, src []byte, accessSize, stride int64, put bool) error {
 	n := int64(len(src))
 	if n == 0 {
 		return nil
@@ -162,11 +131,7 @@ func (m *Mapping) tryWriteStrided(p *sim.Proc, off int64, src []byte, accessSize
 // WriteWord writes a small value (at most one SCI transaction) and returns
 // immediately; visibility follows after the wire latency. It is the
 // building block for flags and control words.
-func (m *Mapping) WriteWord(p *sim.Proc, off int64, src []byte) {
-	m.must(func() error { return m.tryWriteWord(p, off, src) })
-}
-
-func (m *Mapping) tryWriteWord(p *sim.Proc, off int64, src []byte) error {
+func (m *Mapping) WriteWord(p *sim.Proc, off int64, src []byte) error {
 	n := int64(len(src))
 	if err := m.accessErr(off, n); err != nil {
 		return err
@@ -187,13 +152,9 @@ func (m *Mapping) tryWriteWord(p *sim.Proc, off int64, src []byte) error {
 
 // Read performs a transparent remote read into dst. The CPU stalls until
 // the data arrives; bandwidth is a fraction of the write bandwidth (the
-// paper's motivation for the remote-put optimization of MPI_Get).
-func (m *Mapping) Read(p *sim.Proc, off int64, dst []byte) {
-	m.must(func() error { return m.TryRead(p, off, dst) })
-}
-
-// TryRead is the fallible Read. A failed read leaves dst untouched.
-func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
+// paper's motivation for the remote-put optimization of MPI_Get). A failed
+// read leaves dst untouched.
+func (m *Mapping) Read(p *sim.Proc, off int64, dst []byte) error {
 	n := int64(len(dst))
 	if err := m.accessErr(off, n); err != nil {
 		return err
@@ -225,11 +186,7 @@ func (m *Mapping) TryRead(p *sim.Proc, off int64, dst []byte) error {
 
 // ReadStrided reads count accesses of accessSize bytes placed stride bytes
 // apart into dst (gathering them densely). Every access stalls like Read.
-func (m *Mapping) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64) {
-	m.must(func() error { return m.tryReadStrided(p, off, dst, accessSize, stride) })
-}
-
-func (m *Mapping) tryReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64) error {
+func (m *Mapping) ReadStrided(p *sim.Proc, off int64, dst []byte, accessSize, stride int64) error {
 	n := int64(len(dst))
 	if n == 0 {
 		return nil

@@ -2,6 +2,7 @@ package sci
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -24,13 +25,20 @@ func fill(n int) []byte {
 	return b
 }
 
+// must fails the calling process on a fault the test does not expect.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 func TestWriteStreamDeliversAfterBarrier(t *testing.T) {
 	e, ic := testCluster(2)
 	seg := ic.Node(1).Export(4096)
 	src := fill(1024)
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		m.WriteStream(p, 100, src, 0)
+		must(m.WriteStream(p, 100, src, 0))
 		ic.Node(0).StoreBarrier(p)
 		if !bytes.Equal(seg.Local()[100:1124], src) {
 			t.Error("data not delivered after store barrier")
@@ -44,7 +52,7 @@ func TestWriteVisibilityDelayedUntilWireLatency(t *testing.T) {
 	seg := ic.Node(1).Export(64)
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		m.WriteWord(p, 0, []byte{0xAB})
+		must(m.WriteWord(p, 0, []byte{0xAB}))
 		// Immediately after the posted write the data is still in flight.
 		if seg.Local()[0] == 0xAB {
 			t.Error("posted write visible before wire latency")
@@ -66,7 +74,7 @@ func TestWriteStreamBandwidthNearPeak(t *testing.T) {
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		start := p.Now()
-		m.WriteStream(p, 0, src, 0)
+		must(m.WriteStream(p, 0, src, 0))
 		elapsed = p.Now() - start
 	})
 	e.Run()
@@ -86,10 +94,10 @@ func TestSourceCacheDipForHugeWorkingSet(t *testing.T) {
 	e.Go("writer", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		start := p.Now()
-		m.WriteStream(p, 0, src, 64<<10) // cached source
+		must(m.WriteStream(p, 0, src, 64<<10)) // cached source
 		fast = p.Now() - start
 		start = p.Now()
-		m.WriteStream(p, 0, src, 8<<20) // DRAM source
+		must(m.WriteStream(p, 0, src, 8<<20)) // DRAM source
 		slow = p.Now() - start
 	})
 	e.Run()
@@ -108,11 +116,11 @@ func TestReadSlowerThanWrite(t *testing.T) {
 	e.Go("p", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		start := p.Now()
-		m.WriteStream(p, 0, src, 0)
+		must(m.WriteStream(p, 0, src, 0))
 		ic.Node(0).StoreBarrier(p)
 		wTime = p.Now() - start
 		start = p.Now()
-		m.Read(p, 0, dst)
+		must(m.Read(p, 0, dst))
 		rTime = p.Now() - start
 	})
 	e.Run()
@@ -129,7 +137,7 @@ func TestSmallReadLatency(t *testing.T) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		dst := make([]byte, 8)
 		start := p.Now()
-		m.Read(p, 0, dst)
+		must(m.Read(p, 0, dst))
 		lat = p.Now() - start
 	})
 	e.Run()
@@ -179,7 +187,7 @@ func TestWriteStridedScattersData(t *testing.T) {
 	src := fill(64)
 	e.Go("p", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		m.WriteStrided(p, 0, src, 16, 32)
+		must(m.WriteStrided(p, 0, src, 16, 32))
 		ic.Node(0).StoreBarrier(p)
 	})
 	e.Run()
@@ -209,7 +217,7 @@ func TestReadStridedGathers(t *testing.T) {
 	e.Go("p", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		dst := make([]byte, 64)
-		m.ReadStrided(p, 0, dst, 16, 64)
+		must(m.ReadStrided(p, 0, dst, 16, 64))
 		for i := 0; i < 4; i++ {
 			if !bytes.Equal(dst[i*16:(i+1)*16], fill(16)) {
 				t.Fatalf("gathered access %d mismatch", i)
@@ -293,13 +301,13 @@ func TestTwoSendersShareTargetIngress(t *testing.T) {
 	e.Go("a", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(3, seg.ID())
 		start := p.Now()
-		m.WriteStream(p, 0, make([]byte, n), 0)
+		must(m.WriteStream(p, 0, make([]byte, n), 0))
 		t1 = p.Now() - start
 	})
 	e.Go("b", func(p *sim.Proc) {
 		m := ic.Node(1).MustImport(3, seg.ID())
 		start := p.Now()
-		m.WriteStream(p, n, make([]byte, n), 0)
+		must(m.WriteStream(p, n, make([]byte, n), 0))
 		t2 = p.Now() - start
 	})
 	e.Run()
@@ -323,7 +331,7 @@ func TestFaultInjectionPreservesDataAndAddsRetries(t *testing.T) {
 	e.Go("p", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
 		for i := 0; i < 64; i++ {
-			m.WriteStream(p, int64(i)*16384, src[i*16384:(i+1)*16384], 0)
+			must(m.WriteStream(p, int64(i)*16384, src[i*16384:(i+1)*16384], 0))
 		}
 		ic.Node(0).StoreBarrier(p)
 	})
@@ -346,7 +354,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		e.Go("p", func(p *sim.Proc) {
 			m := ic.Node(0).MustImport(1, seg.ID())
 			for i := 0; i < 100; i++ {
-				m.WriteStream(p, 0, make([]byte, 4096), 0)
+				must(m.WriteStream(p, 0, make([]byte, 4096), 0))
 			}
 		})
 		e.Run()
@@ -385,14 +393,17 @@ func TestOutOfRangeAccessPanics(t *testing.T) {
 	seg := ic.Node(1).Export(16)
 	e.Go("p", func(p *sim.Proc) {
 		m := ic.Node(0).MustImport(1, seg.ID())
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range write did not panic")
-			}
-		}()
-		m.WriteStream(p, 8, make([]byte, 16), 0)
+		var oor ErrOutOfRange
+		if err := m.WriteStream(p, 8, make([]byte, 16), 0); !errors.As(err, &oor) {
+			t.Errorf("out-of-range write: got %v, want ErrOutOfRange", err)
+		} else if oor != (ErrOutOfRange{Off: 8, Len: 16, Size: 16}) {
+			t.Errorf("out-of-range write: error = %+v", oor)
+		}
 	})
 	e.Run()
+	if seg.mem.Resident() {
+		t.Error("the refused write materialised the segment")
+	}
 }
 
 func TestLocalMappingIsImmediate(t *testing.T) {
@@ -403,7 +414,7 @@ func TestLocalMappingIsImmediate(t *testing.T) {
 		if m.Remote() {
 			t.Error("self-import reported remote")
 		}
-		m.WriteWord(p, 0, []byte{7})
+		must(m.WriteWord(p, 0, []byte{7}))
 		if seg.Local()[0] != 7 {
 			t.Error("local write not immediately visible")
 		}

@@ -11,8 +11,7 @@ import (
 	"scimpich/internal/sim"
 )
 
-// ErrOutOfRange is returned (panicked by the statement-style entry points)
-// when an access falls outside the mapped segment.
+// ErrOutOfRange is returned when an access falls outside the mapped segment.
 type ErrOutOfRange struct {
 	Off, Len, Size int64
 }
@@ -185,29 +184,24 @@ func (m *Mapping) Remote() bool { return m.from != m.seg.owner }
 // revoked).
 func (m *Mapping) Valid() bool { return !m.seg.revoked }
 
-// Sync issues a store barrier on the importing node, guaranteeing delivery
-// of all writes this node has posted (not just through this mapping).
-func (m *Mapping) Sync(p *sim.Proc) {
-	m.from.StoreBarrier(p)
-}
-
 // checkBackoff is the initial backoff of a failed transfer check, doubled
-// per retry; checkRetryMax bounds the retries before CheckedSync converts a
+// per retry; checkRetryMax bounds the retries before Sync converts a
 // persistently failing check into ErrConnectionLost.
 const (
 	checkBackoff  = 10 * time.Microsecond
 	checkRetryMax = 4
 )
 
-// CheckedSync is the transfer-check barrier (check-after-store-barrier, as
-// SCI-MPICH performs after each Sync): a store barrier followed by a check
-// of the adapter's transfer status toward the segment owner. Failed checks
-// of retryable faults (CRC/sequence/link disturbance) are retried with
-// exponential backoff from checkBackoff, bounded by checkRetryMax;
-// exhausting the cap converts the persistent failure into
+// Sync is the transfer-check barrier (check-after-store-barrier, as
+// SCI-MPICH performs it): a store barrier on the importing node, which
+// delivers every write the node has posted (not just through this mapping),
+// followed by a check of the adapter's transfer status toward the segment
+// owner. Failed checks of retryable faults (CRC/sequence/link disturbance)
+// are retried with exponential backoff from checkBackoff, bounded by
+// checkRetryMax; exhausting the cap converts the persistent failure into
 // ErrConnectionLost. Non-retryable failures (dead owner, revoked segment)
 // surface immediately as their typed error.
-func (m *Mapping) CheckedSync(p *sim.Proc) error {
+func (m *Mapping) Sync(p *sim.Proc) error {
 	from := m.from
 	cfg := &from.ic.Cfg
 	backoff := checkBackoff
@@ -256,9 +250,10 @@ func (m *Mapping) checkStatus(p *sim.Proc) error {
 
 // accessErr is the first check of every access: the window must lie
 // inside the segment (ErrOutOfRange) and the segment must still be exported
-// (ErrSegmentLost).
+// (ErrSegmentLost). The bound is off > size-n, not off+n > size, which
+// wraps for an offset near math.MaxInt64.
 func (m *Mapping) accessErr(off, n int64) error {
-	if off < 0 || n < 0 || off+n > m.seg.Size() {
+	if off < 0 || n < 0 || off > m.seg.Size()-n {
 		return ErrOutOfRange{Off: off, Len: n, Size: m.seg.Size()}
 	}
 	return m.stateErr()

@@ -160,13 +160,13 @@ func TestRevokedSlabSegmentFailsOldMappings(t *testing.T) {
 	src := fill(64)
 	e.Go("writer", func(p *sim.Proc) {
 		for i := range views {
-			if err := views[i].TryWriteStream(p, 0, src, 0); err != nil {
+			if err := views[i].WriteStream(p, 0, src, 0); err != nil {
 				t.Fatalf("segment %d before the revocation: %v", i, err)
 			}
 		}
 		p.Sleep(2 * time.Millisecond)
 		for i := range views {
-			err := views[i].TryWriteStream(p, 0, src, 0)
+			err := views[i].WriteStream(p, 0, src, 0)
 			var lost ErrSegmentLost
 			switch {
 			case i != 1 && (err != nil || !views[i].Valid()):
@@ -176,11 +176,11 @@ func TestRevokedSlabSegmentFailsOldMappings(t *testing.T) {
 			}
 		}
 		var lost ErrSegmentLost
-		if err := old.TryRead(p, 0, make([]byte, 8)); !errors.As(err, &lost) {
+		if err := old.Read(p, 0, make([]byte, 8)); !errors.As(err, &lost) {
 			t.Errorf("revoked segment through the earlier Import: %v", err)
 		}
-		if err := views[1].CheckedSync(p); !errors.As(err, &lost) {
-			t.Errorf("CheckedSync on the revoked segment: %v", err)
+		if err := views[1].Sync(p); !errors.As(err, &lost) {
+			t.Errorf("Sync on the revoked segment: %v", err)
 		}
 	})
 	e.Run()

@@ -131,7 +131,7 @@ func (r *Region) Size() int64 { return r.mem.Size() }
 func (r *Region) Local() []byte { return r.mem.Bytes() }
 
 func (r *Region) checkRange(off, n int64) {
-	if off < 0 || n < 0 || off+n > r.Size() {
+	if off < 0 || n < 0 || off > r.Size()-n { // not off+n: it wraps near math.MaxInt64
 		panic(fmt.Sprintf("shmem: access [%d, %d) outside region of %d bytes", off, off+n, r.Size()))
 	}
 }

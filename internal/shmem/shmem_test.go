@@ -2,6 +2,8 @@ package shmem
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,16 +131,29 @@ func TestBlockWriterMatchesDataAndChargesMore(t *testing.T) {
 	}
 }
 
+// TestOutOfRangePanics: an access past the region's end panics with the
+// named shmem message, also one whose end would wrap past math.MaxInt64.
 func TestOutOfRangePanics(t *testing.T) {
-	e, b := testBus()
-	r := b.Alloc(16)
-	e.Go("p", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range read did not panic")
-			}
-		}()
-		r.Read(p, 10, make([]byte, 10))
-	})
-	e.Run()
+	for _, c := range []struct {
+		name   string
+		access func(p *sim.Proc, r *Region)
+		want   string
+	}{
+		{"read", func(p *sim.Proc, r *Region) { r.Read(p, 10, make([]byte, 10)) },
+			"shmem: access [10, 20) outside region of 16 bytes"},
+		{"write-near-max-offset", func(p *sim.Proc, r *Region) { r.WriteStream(p, math.MaxInt64-4, make([]byte, 10), 0) },
+			"shmem: access [9223372036854775803, "},
+	} {
+		e, b := testBus()
+		r := b.Alloc(16)
+		e.Go("p", func(p *sim.Proc) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, c.want) {
+					t.Errorf("%s: panicked with %q, want %q...", c.name, msg, c.want)
+				}
+			}()
+			c.access(p, r)
+		})
+		e.Run()
+	}
 }

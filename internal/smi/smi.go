@@ -40,7 +40,7 @@ type Mem interface {
 	// Sync is the transfer-check barrier: it guarantees that all writes
 	// issued through this Mem have been delivered, then checks the
 	// transfer status, with bounded retry/backoff on SCI (see
-	// sci.Mapping.CheckedSync). Free on intra-node memory.
+	// sci.Mapping.Sync). Free on intra-node memory.
 	Sync(p *sim.Proc) error
 	// BlockWriter starts a batched block-wise write session (the
 	// direct_pack_ff write path).
@@ -78,13 +78,13 @@ func FromSCI(m *sci.Mapping) Mem { return sciMem{m} }
 func (s sciMem) Remote() bool  { return s.m.Remote() }
 func (s sciMem) Bytes() []byte { return s.m.Segment().Local() }
 func (s sciMem) WriteStream(p *sim.Proc, off int64, src []byte, ws int64) error {
-	return s.m.TryWriteStream(p, off, src, ws)
+	return s.m.WriteStream(p, off, src, ws)
 }
 func (s sciMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error {
-	return s.m.TryWritePut(p, off, src, a, st)
+	return s.m.WritePut(p, off, src, a, st)
 }
-func (s sciMem) Read(p *sim.Proc, off int64, dst []byte) error { return s.m.TryRead(p, off, dst) }
-func (s sciMem) Sync(p *sim.Proc) error                        { return s.m.CheckedSync(p) }
+func (s sciMem) Read(p *sim.Proc, off int64, dst []byte) error { return s.m.Read(p, off, dst) }
+func (s sciMem) Sync(p *sim.Proc) error                        { return s.m.Sync(p) }
 func (s sciMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter { return s.m.NewBlockWriter(p, ws) }
 func (s sciMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sci.DMARequest, bool) {
 	if !s.m.Remote() {

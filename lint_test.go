@@ -18,22 +18,37 @@ import (
 )
 
 // errorMethods are the receivers whose error-returning methods may not be
-// called as bare statements: the MPI calls of internal/mpi and the
-// one-sided calls of internal/osc return their faults instead of panicking,
-// so a dropped result is a failure nobody sees.
+// called as bare statements: the MPI calls of internal/mpi, the one-sided
+// calls of internal/osc and the remote memory accesses of internal/sci and
+// internal/smi return their faults instead of panicking, so a dropped
+// result is a failure nobody sees.
 var errorMethods = map[string]bool{
 	"scimpich/internal/mpi.Comm":              true,
 	"scimpich/internal/mpi.Request":           true,
 	"scimpich/internal/mpi.PersistentRequest": true,
 	"scimpich/internal/osc.Win":               true,
+	"scimpich/internal/sci.Mapping":           true,
+	"scimpich/internal/sci.BlockWriter":       true,
+	"scimpich/internal/sci.DMARequest":        true,
+	"scimpich/internal/smi.Mem":               true,
+	"scimpich/internal/smi.BlockWriter":       true,
+}
+
+// singleSurface are the packages whose non-test code declares no function
+// must and no method named must, Try... or ...Checked...: each call has one
+// error-returning form under its plain name.
+var singleSurface = map[string]bool{
+	"scimpich/internal/mpi": true,
+	"scimpich/internal/osc": true,
+	"scimpich/internal/sci": true,
+	"scimpich/internal/smi": true,
 }
 
 // TestNoDroppedErrors type-checks every package of the module — library,
 // commands, examples and tests — and fails on any call statement (also
 // under go and defer) whose callee is an error-returning method of one of
-// errorMethods. It also keeps the surface single: internal/mpi and
-// internal/osc declare no method named ...Checked and no function must
-// outside their tests.
+// errorMethods. It also keeps the surface single in the singleSurface
+// packages.
 func TestNoDroppedErrors(t *testing.T) {
 	pkgs := listPackages(t)
 	checked := 0
@@ -90,7 +105,7 @@ func TestNoDroppedErrors(t *testing.T) {
 				return true
 			})
 		}
-		if base != "scimpich/internal/mpi" && base != "scimpich/internal/osc" {
+		if !singleSurface[base] {
 			continue
 		}
 		for _, f := range files {
@@ -101,10 +116,10 @@ func TestNoDroppedErrors(t *testing.T) {
 				fd, ok := d.(*ast.FuncDecl)
 				switch {
 				case !ok:
-				case fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Checked"):
+				case fd.Recv != nil && (strings.HasPrefix(fd.Name.Name, "Try") || strings.Contains(fd.Name.Name, "Checked")):
 					t.Errorf("%s: method %s: the error-returning call keeps the plain name", fset.Position(fd.Pos()), fd.Name.Name)
-				case fd.Recv == nil && fd.Name.Name == "must":
-					t.Errorf("%s: library func must: return the error instead", fset.Position(fd.Pos()))
+				case fd.Name.Name == "must":
+					t.Errorf("%s: library must: return the error instead", fset.Position(fd.Pos()))
 				}
 			}
 		}
