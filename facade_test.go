@@ -60,10 +60,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 				t.Errorf("window value = %g, want 2.5", got)
 			}
 		}
-
-		// Communicator management.
-		sub := c.Split(c.Rank()%2, c.Rank())
-		must(sub.Barrier())
 	})
 	if end <= 0 {
 		t.Error("virtual end time not positive")

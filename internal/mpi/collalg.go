@@ -77,14 +77,8 @@ const (
 	collReduce
 	collAllreduce
 	collGather
-	collScatter
 	collAllgather
 	collAlltoall
-	collScan
-	collRedScat
-	collGatherv
-	collScatterv
-	collAgatherv
 
 	collKindCount
 )
@@ -101,22 +95,10 @@ func (k collKind) String() string {
 		return "allreduce"
 	case collGather:
 		return "gather"
-	case collScatter:
-		return "scatter"
 	case collAllgather:
 		return "allgather"
 	case collAlltoall:
 		return "alltoall"
-	case collScan:
-		return "scan"
-	case collRedScat:
-		return "redscat"
-	case collGatherv:
-		return "gatherv"
-	case collScatterv:
-		return "scatterv"
-	case collAgatherv:
-		return "allgatherv"
 	default:
 		return "unknown"
 	}

@@ -23,7 +23,6 @@ const (
 	tagBcast   = 2 << 20
 	tagReduce  = 3 << 20
 	tagGather  = 4 << 20
-	tagScatter = 5 << 20
 )
 
 // checkRank validates a rank argument; role names it ("root", "destination").
@@ -279,15 +278,33 @@ func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, ro
 		return err
 	}
 	op := c.collBegin(collGather, CollP2P, dt.Size()*int64(count))
-	return op.end(c.collective().gather(send, count, dt, recv, blockLayout{count: count}, root, tagGather))
+	return op.end(c.collective().gather(send, count, dt, recv, root))
 }
 
-// Scatter distributes contiguous count-element pieces of send (at root) to
-// every rank's recv buffer.
-func (c *Comm) Scatter(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
-	if err := c.checkRank("Scatter", "root", root); err != nil {
-		return err
+// gather is the body of Gather: a non-root rank sends its count elements,
+// the root copies its own block and posts all receives up front and then
+// waits, so senders complete concurrently instead of being drained one
+// rank at a time.
+func (c *Comm) gather(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
+	if c.Rank() != root {
+		return c.send(send, count, dt, root, tagGather, c.ctx)
 	}
-	op := c.collBegin(collScatter, CollP2P, dt.Size()*int64(count))
-	return op.end(c.collective().scatter(send, blockLayout{count: count}, dt, recv, count, root, tagScatter))
+	block := dt.Size() * int64(count)
+	copy(recv[int64(root)*block:], send[:block])
+	reqs := make([]*Request, c.Size())
+	for r := range reqs {
+		if r == root {
+			continue
+		}
+		reqs[r] = c.irecvColl(recv[int64(r)*block:int64(r+1)*block], count, dt, r, tagGather)
+	}
+	for _, req := range reqs {
+		if req == nil {
+			continue
+		}
+		if err := c.waitColl(req); err != nil {
+			return err
+		}
+	}
+	return nil
 }

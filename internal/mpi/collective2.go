@@ -1,19 +1,15 @@
 package mpi
 
 import (
-	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 )
 
-// Additional collectives: allgather, all-to-all, scan and
-// reduce-scatter, plus request helpers.
+// Additional collectives: allgather and all-to-all, plus request helpers.
 
 // Tags for the second collective group.
 const (
 	tagAllgather = 6 << 20
 	tagAlltoall  = 7 << 20
-	tagScan      = 8 << 20
-	tagRedScat   = 9 << 20
 )
 
 // Allgather collects every rank's count elements of dt into recv (ordered
@@ -37,7 +33,29 @@ func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte)
 			func(src int) []byte { return recv[int64(src)*bytes : int64(src+1)*bytes] },
 		))
 	}
-	return op.end(cc.allgatherRing(recv, dt, blockLayout{count: count}, tagAllgather))
+	return op.end(cc.allgatherRing(recv, count, dt))
+}
+
+// allgatherRing is the point-to-point body of Allgather, run once every
+// rank's own block is in recv: size-1 steps, each forwarding the block
+// received last to the right neighbour while taking the next one from the
+// left, on tags tagAllgather, tagAllgather+1, ...
+func (c *Comm) allgatherRing(recv []byte, count int, dt *datatype.Type) error {
+	size, me := c.Size(), c.Rank()
+	block := dt.Size() * int64(count)
+	right := (me + 1) % size
+	left := (me - 1 + size) % size
+	for step := 0; step < size-1; step++ {
+		s := int64((me-step+size)%size) * block
+		r := int64((me-step-1+size)%size) * block
+		if err := c.sendrecvColl(
+			recv[s:s+block], count, dt, right, tagAllgather+step,
+			recv[r:r+block], count, dt, left, tagAllgather+step,
+		); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Alltoall sends the i-th count-element slice of send to rank i and
@@ -61,58 +79,27 @@ func (c *Comm) Alltoall(send []byte, count int, dt *datatype.Type, recv []byte) 
 			func(src int) []byte { return recv[int64(src)*bytes : int64(src+1)*bytes] },
 		))
 	}
-	lay := blockLayout{count: count}
-	return op.end(cc.alltoallPairwise(send, lay, dt, recv, lay, tagAlltoall))
+	return op.end(cc.alltoallPairwise(send, recv, count, dt))
 }
 
-// Scan computes the inclusive prefix reduction: recv on rank r holds
-// op(send_0, ..., send_r). Linear algorithm on the base-typed views:
-// receive from the left, fold, forward to the right.
-func (c *Comm) Scan(send, recv []byte, count int, dt *datatype.Type, op Op) error {
-	base, err := checkReduceDT("Scan", dt)
-	if err != nil {
-		return err
-	}
-	bytes := dt.Size() * int64(count)
-	cop := c.collBegin(collScan, CollP2P, bytes)
-	cc := c.collective()
-	view := c.newReduceView(send, recv, count, dt, base)
-	me := c.Rank()
-	if me > 0 {
-		prev := bufpool.Get(int(bytes)) // back unless the receive failed on it
-		if err := cc.recvColl(prev.B, view.elems, base, me-1, tagScan); err != nil {
-			return cop.end(err)
-		}
-		// Combine with the running prefix from the left, preserving
-		// left-to-right order: acc = prefix op mine.
-		c.combineColl(op, base, prev.B, view.buf, view.elems)
-		copy(view.buf, prev.B)
-		prev.Put()
-	}
-	if me < c.Size()-1 {
-		if err := cc.send(view.buf, view.elems, base, me+1, tagScan, cc.ctx); err != nil {
-			return cop.end(err)
+// alltoallPairwise is the point-to-point body of Alltoall, run once every
+// rank's own block is in recv: in step s each rank sends to the rank s to
+// its right and receives from the rank s to its left, on tags
+// tagAlltoall+1, tagAlltoall+2, ...
+func (c *Comm) alltoallPairwise(send, recv []byte, count int, dt *datatype.Type) error {
+	size, me := c.Size(), c.Rank()
+	block := dt.Size() * int64(count)
+	for step := 1; step < size; step++ {
+		to := (me + step) % size
+		from := (me - step + size) % size
+		if err := c.sendrecvColl(
+			send[int64(to)*block:int64(to+1)*block], count, dt, to, tagAlltoall+step,
+			recv[int64(from)*block:int64(from+1)*block], count, dt, from, tagAlltoall+step,
+		); err != nil {
+			return err
 		}
 	}
-	view.writeback(c, recv, count, dt)
-	view.release()
-	return cop.end(nil)
-}
-
-// ReduceScatterBlock reduces size*count elements elementwise across all
-// ranks and scatters equal count-element blocks: rank r receives the
-// reduction of everyone's r-th block (Reduce + Scatter).
-func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, dt *datatype.Type, op Op) error {
-	size := c.Size()
-	total := count * size
-	var full []byte
-	if c.Rank() == 0 {
-		full = make([]byte, dt.Size()*int64(total))
-	}
-	if err := c.Reduce(send, full, total, dt, op, 0); err != nil {
-		return err
-	}
-	return c.Scatter(full, count, dt, recv, 0)
+	return nil
 }
 
 // Waitall blocks until every request has completed, returning the statuses

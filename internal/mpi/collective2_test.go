@@ -39,51 +39,6 @@ func TestAlltoallPairwise(t *testing.T) {
 	})
 }
 
-func TestScanPrefixSums(t *testing.T) {
-	const procs = 6
-	Run(DefaultConfig(procs, 1), func(c *Comm) {
-		mine := Float64Bytes([]float64{float64(c.Rank() + 1), 1})
-		recv := make([]byte, 16)
-		must(c.Scan(mine, recv, 2, datatype.Float64, OpSum))
-		got := BytesFloat64(recv)
-		want0 := 0.0
-		for r := 0; r <= c.Rank(); r++ {
-			want0 += float64(r + 1)
-		}
-		if got[0] != want0 || got[1] != float64(c.Rank()+1) {
-			t.Errorf("rank %d: scan = %v, want [%g %d]", c.Rank(), got, want0, c.Rank()+1)
-		}
-	})
-}
-
-func TestScanSingleRank(t *testing.T) {
-	Run(DefaultConfig(1, 1), func(c *Comm) {
-		recv := make([]byte, 8)
-		must(c.Scan(Float64Bytes([]float64{7}), recv, 1, datatype.Float64, OpSum))
-		if BytesFloat64(recv)[0] != 7 {
-			t.Error("single-rank scan wrong")
-		}
-	})
-}
-
-func TestReduceScatterBlock(t *testing.T) {
-	const procs = 4
-	Run(DefaultConfig(procs, 1), func(c *Comm) {
-		// Everyone contributes block r = [rank + r*100].
-		send := make([]float64, procs)
-		for r := range send {
-			send[r] = float64(c.Rank() + r*100)
-		}
-		recv := make([]byte, 8)
-		must(c.ReduceScatterBlock(Float64Bytes(send), recv, 1, datatype.Float64, OpSum))
-		got := BytesFloat64(recv)[0]
-		want := float64(0+1+2+3) + float64(procs*c.Rank()*100)
-		if got != want {
-			t.Errorf("rank %d: reduce-scatter = %g, want %g", c.Rank(), got, want)
-		}
-	})
-}
-
 func TestWaitall(t *testing.T) {
 	Run(DefaultConfig(2, 1), func(c *Comm) {
 		const n = 8
@@ -121,23 +76,6 @@ func TestAllgatherOnSMPCluster(t *testing.T) {
 			if all[r] != byte(r+1) {
 				t.Fatalf("rank %d: allgather slot %d = %d", c.Rank(), r, all[r])
 			}
-		}
-	})
-}
-
-func TestScanNonCommutativeOrdering(t *testing.T) {
-	// Prefix products depend on order; verify left-to-right evaluation.
-	const procs = 4
-	Run(DefaultConfig(procs, 1), func(c *Comm) {
-		mine := Float64Bytes([]float64{float64(c.Rank() + 2)})
-		recv := make([]byte, 8)
-		must(c.Scan(mine, recv, 1, datatype.Float64, OpProd))
-		want := 1.0
-		for r := 0; r <= c.Rank(); r++ {
-			want *= float64(r + 2)
-		}
-		if got := BytesFloat64(recv)[0]; got != want {
-			t.Errorf("rank %d: prefix product = %g, want %g", c.Rank(), got, want)
 		}
 	})
 }

@@ -55,20 +55,10 @@ func (c *Comm) WorldRank() int { return c.rk.id }
 // GroupToWorld translates a communicator-local rank to a world rank.
 func (c *Comm) GroupToWorld(r int) int { return c.worldRank(r) }
 
-// WorldToGroup translates a world rank into this communicator (-1 if the
-// rank is not a member).
-func (c *Comm) WorldToGroup(world int) int { return c.localRank(world) }
-
 // ContextID returns the communicator's context identifier (distinct per
 // Dup/Split communicator; used by layered libraries to key collective
 // state).
 func (c *Comm) ContextID() int { return c.ctx }
-
-// Node returns the cluster node this rank runs on.
-func (c *Comm) Node() int { return c.rk.node }
-
-// ProcsPerNode returns the SMP width of the cluster.
-func (c *Comm) ProcsPerNode() int { return c.w.cfg.ProcsPerNode }
 
 // Proc exposes the underlying simulation process (for libraries layered on
 // the runtime, like one-sided communication).
@@ -91,10 +81,6 @@ func (c *Comm) Tracer() *obs.Trace { return c.w.cfg.Tracer }
 // configured); libraries layered on the runtime register their collectors
 // here.
 func (c *Comm) Metrics() *obs.Registry { return c.w.cfg.Metrics }
-
-// Flight returns the world's flight recorder (nil when not configured;
-// flight calls are nil-safe).
-func (c *Comm) Flight() *flight.Recorder { return c.w.cfg.Flight }
 
 // Actor returns this rank's actor name ("rank<i>"), which its processes,
 // trace spans and flight ring carry.
@@ -177,9 +163,6 @@ const shardedWorldRule = "mpi: a world needs a sequential fabric (mpi.NewFabric 
 
 // Fabric returns the fabric the world's locale belongs to.
 func (w *World) Fabric() sim.Fabric { return w.fabric }
-
-// Host returns the scheduling surface of the locale hosting the world.
-func (w *World) Host() sim.Host { return w.host }
 
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }

@@ -30,10 +30,8 @@ func (w *World) Collect(key string) []any {
 type seqOp int
 
 const (
-	seqDup seqOp = iota
-	seqSplit
-	seqShrink
-	seqCollAlg // + collKind: one sequence per collective (see chooseCollAlg)
+	seqShrink  seqOp = iota
+	seqCollAlg       // + collKind: one sequence per collective (see chooseCollAlg)
 )
 
 // seqKey identifies one call sequence: an operation on a context.

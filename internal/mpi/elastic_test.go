@@ -168,7 +168,7 @@ func TestRevokedFastFail(t *testing.T) {
 		}
 		_ = nc
 		// The pre-posted receive must already be complete with the typed error.
-		if !pending.Done() {
+		if !pending.done.Done() {
 			t.Error("pre-posted receive from the revoked rank still pending")
 		}
 		_, pendingErr = pending.Wait()
@@ -282,4 +282,41 @@ func TestShrinkDeterministicPerSeed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShrunkCommunicatorIsItsOwnGroup: a shrunken communicator numbers its
+// members locally — in a point-to-point destination and in the Source of a
+// wildcard receive's status — and has a context of its own, so the same
+// (source, tag) sent on the old communicator does not match on it.
+func TestShrunkCommunicatorIsItsOwnGroup(t *testing.T) {
+	plan := fault.New(5).CrashNode(2, 400*time.Microsecond)
+	Run(elasticConfig(plan), func(c *Comm) {
+		if c.Rank() == 2 {
+			return
+		}
+		c.Proc().Sleep(time.Millisecond) // let the crash land
+		nc, err := c.Shrink()
+		if err != nil {
+			t.Errorf("rank %d: shrink: %v", c.Rank(), err)
+			return
+		}
+		if nc.ContextID() == c.ContextID() {
+			t.Errorf("rank %d: shrunken communicator shares context %d", c.Rank(), c.ContextID())
+		}
+		switch nc.Rank() {
+		case 2: // world rank 3
+			must(c.Send([]byte{1}, 1, datatype.Byte, 0, 7))
+			must(nc.Send([]byte{2}, 1, datatype.Byte, 0, 7))
+		case 0:
+			buf := make([]byte, 1)
+			st := must1(nc.Recv(buf, 1, datatype.Byte, AnySource, 7))
+			if buf[0] != 2 || st.Source != 2 {
+				t.Errorf("shrunken recv: byte %d from rank %d, want 2 from local rank 2", buf[0], st.Source)
+			}
+			st = must1(c.Recv(buf, 1, datatype.Byte, 3, 7))
+			if buf[0] != 1 || st.Source != 3 {
+				t.Errorf("world recv: byte %d from rank %d, want 1 from rank 3", buf[0], st.Source)
+			}
+		}
+	})
 }

@@ -43,15 +43,3 @@ func ExampleComm_Allreduce() {
 	// Output:
 	// sum of ranks: 6
 }
-
-func ExampleComm_Split() {
-	mpi.Run(mpi.DefaultConfig(4, 1), func(c *mpi.Comm) {
-		evens := c.Split(c.Rank()%2, c.Rank())
-		if c.Rank() == 0 {
-			fmt.Printf("world rank %d is rank %d of %d in its half\n",
-				c.Rank(), evens.Rank(), evens.Size())
-		}
-	})
-	// Output:
-	// world rank 0 is rank 0 of 2 in its half
-}

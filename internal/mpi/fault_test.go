@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -328,5 +329,74 @@ func TestDMAPathDeliversData(t *testing.T) {
 	})
 	if got, want := w.InterconnectStats(0).DMATransfers, int64(len(src))/cfg.Protocol.RendezvousChunk; got != want {
 		t.Errorf("%d DMA transfers, want one per %d B chunk (%d)", got, cfg.Protocol.RendezvousChunk, want)
+	}
+}
+
+// TestCallsReturnTypedErrors: a bad rank argument or a fault comes back as
+// a typed error, not a panic. Rank 0 makes each call; in the crash rows
+// node 1 is down by then and rank 1 does nothing.
+func TestCallsReturnTypedErrors(t *testing.T) {
+	buf := make([]byte, 8)
+	isArg := func(call string) func(error) bool {
+		return func(err error) bool {
+			var arg *ArgumentError
+			return errors.As(err, &arg) && arg.Call == call
+		}
+	}
+	type row struct {
+		name  string
+		crash bool
+		call  func(c *Comm) error
+		ok    func(error) bool
+	}
+	rows := []row{
+		{"Send past the last rank", false, func(c *Comm) error {
+			return c.Send(buf, 8, datatype.Byte, 2, 0)
+		}, isArg("Send")},
+		{"Send to a negative rank", false, func(c *Comm) error {
+			return c.Send(buf, 8, datatype.Byte, -1, 0)
+		}, isArg("Send")},
+		{"Shrink after a crash", true, func(c *Comm) error {
+			s, err := c.Shrink()
+			if err == nil && s.Size() != 1 {
+				return fmt.Errorf("shrunken communicator has %d ranks, want 1", s.Size())
+			}
+			return err
+		}, func(err error) bool { return err == nil }},
+	}
+	for _, src := range []int{2, -5} {
+		rows = append(rows,
+			row{fmt.Sprintf("Recv from rank %d", src), false, func(c *Comm) error {
+				_, err := c.Recv(buf, 8, datatype.Byte, src, 0)
+				return err
+			}, isArg("Recv")},
+			row{fmt.Sprintf("RecvTimeout from rank %d", src), false, func(c *Comm) error {
+				_, err := c.RecvTimeout(buf, 8, datatype.Byte, src, 0, AutoTimeout)
+				return err
+			}, isArg("Recv")},
+			row{fmt.Sprintf("Sendrecv from rank %d", src), false, func(c *Comm) error {
+				_, err := c.Sendrecv(buf, 8, datatype.Byte, 1, 0, buf, 8, datatype.Byte, src, 0)
+				return err
+			}, isArg("Sendrecv")},
+		)
+	}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2, 1)
+			cfg.Protocol.RendezvousTimeout = AutoTimeout
+			if tc.crash {
+				cfg.SCI.Fault = fault.New(3).CrashNode(1, 100*time.Microsecond)
+			}
+			var err error
+			Run(cfg, func(c *Comm) {
+				if c.Rank() == 0 {
+					c.Proc().Sleep(200 * time.Microsecond)
+					err = tc.call(c)
+				}
+			})
+			if !tc.ok(err) {
+				t.Errorf("err = %v (%T)", err, err)
+			}
+		})
 	}
 }

@@ -409,23 +409,22 @@ func TestAllreduceMax(t *testing.T) {
 	})
 }
 
-func TestGatherScatter(t *testing.T) {
-	const procs = 4
+func TestGather(t *testing.T) {
+	const procs, count, root = 4, 3, 1
 	Run(DefaultConfig(procs, 1), func(c *Comm) {
-		mine := []byte{byte(c.Rank() + 1)}
-		all := make([]byte, procs)
-		must(c.Gather(mine, 1, datatype.Byte, all, 0))
-		if c.Rank() == 0 {
-			for i := range all {
-				if all[i] != byte(i+1) {
-					t.Fatalf("gather slot %d = %d, want %d", i, all[i], i+1)
-				}
-			}
+		mine := make([]int32, count)
+		for i := range mine {
+			mine[i] = int32(10*c.Rank() + i)
 		}
-		out := make([]byte, 1)
-		must(c.Scatter(all, 1, datatype.Byte, out, 0))
-		if c.Rank() == 0 && out[0] != 1 {
-			t.Errorf("scatter: rank 0 got %d", out[0])
+		all := make([]byte, 4*procs*count)
+		must(c.Gather(Int32Bytes(mine), count, datatype.Int32, all, root))
+		if c.Rank() != root {
+			return
+		}
+		for i, v := range BytesInt32(all) {
+			if want := int32(10*(i/count) + i%count); v != want {
+				t.Fatalf("gather element %d = %d, want %d", i, v, want)
+			}
 		}
 	})
 }

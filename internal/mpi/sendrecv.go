@@ -633,13 +633,15 @@ func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) (Sta
 // within timeout (virtual time) it returns a *fault.Error of kind Timeout —
 // or sci.ErrConnectionLost when a specific source rank's node is down —
 // instead of blocking forever. A timeout of 0 waits indefinitely;
-// AutoTimeout selects the world-scaled rendezvous bound.
+// AutoTimeout selects the world-scaled rendezvous bound. A source outside
+// the communicator is an *ArgumentError whose Call is "Recv", the operation
+// both calls make.
 //
 // The Status comes back by value: the receive's Request is the call's own,
 // taken from the world's free list and returned to it by finishRecv, so a
 // blocking receive allocates nothing.
 func (c *Comm) RecvTimeout(buf []byte, count int, dt *datatype.Type, src, tag int, timeout time.Duration) (Status, error) {
-	peer, err := c.recvPeer(src)
+	peer, err := c.recvPeer("Recv", src)
 	if err != nil {
 		return Status{}, err
 	}
@@ -652,11 +654,15 @@ func (c *Comm) RecvTimeout(buf []byte, count int, dt *datatype.Type, src, tag in
 }
 
 // recvPeer resolves the source of a blocking receive to the world rank its
-// failures are reported against (AnySource stays) and refuses a revoked
-// one, which no message can come from any more.
-func (c *Comm) recvPeer(src int) (int, error) {
+// failures are reported against (AnySource stays). It refuses a source
+// outside the communicator with an *ArgumentError naming call, and a
+// revoked one, which no message can come from any more.
+func (c *Comm) recvPeer(call string, src int) (int, error) {
 	if src == AnySource {
 		return src, nil
+	}
+	if err := c.checkRank(call, "source", src); err != nil {
+		return src, err
 	}
 	peer := c.worldRank(src)
 	if c.rk.w.revoked[peer] {
@@ -719,9 +725,6 @@ func (r *Request) Wait() (*Status, error) {
 	return nil, nil
 }
 
-// Done reports whether the operation has completed (MPI_Test).
-func (r *Request) Done() bool { return r.done.Done() }
-
 // Irecv posts a nonblocking receive.
 func (c *Comm) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
 	return c.irecv(buf, count, dt, src, tag, c.ctx)
@@ -772,7 +775,7 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Re
 // the receive half.
 func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
 	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) (Status, error) {
-	peer, err := c.recvPeer(src)
+	peer, err := c.recvPeer("Sendrecv", src)
 	if err != nil {
 		return Status{}, err
 	}

@@ -37,9 +37,6 @@ func (w *World) allocShared(owner int, size int64) *SharedSeg {
 	return s
 }
 
-// Owner returns the owning rank.
-func (s *SharedSeg) Owner() int { return s.owner }
-
 // Size returns the allocation size.
 func (s *SharedSeg) Size() int64 { return int64(len(s.buf)) }
 

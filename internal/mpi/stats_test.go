@@ -255,8 +255,8 @@ func (s *structs) checkWorlds(t *testing.T, got map[string]metric) {
 			t.Errorf("%s = %v, the WorldStats add up to %v", name, m, want[name])
 		}
 	}
-	if len(want) != 83 {
-		t.Errorf("WorldStats publish %d counters, want 83", len(want))
+	if len(want) != 53 {
+		t.Errorf("WorldStats publish %d counters, want 53", len(want))
 	}
 }
 

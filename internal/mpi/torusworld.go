@@ -236,9 +236,6 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 	return m
 }
 
-// Fabric returns the fabric the machine runs on.
-func (m *TorusWorld) Fabric() sim.Fabric { return m.fab }
-
 // torusChunkInit is the deterministic initial digest of (node, chunk) —
 // splitmix64 over the pair, so every input is distinct and the reduced
 // values exercise all 64 bits.

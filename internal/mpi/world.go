@@ -287,7 +287,7 @@ type WorldStats struct {
 	OSCPolled    int64 `metric:"osc.calls{delivery=poll}"`
 	OSCInterrupt int64 `metric:"osc.calls{delivery=interrupt}"`
 
-	CollChosen [collKindCount][collAlgCount]int64 `metric:"coll.alg.chosen{coll=barrier|bcast|reduce|allreduce|gather|scatter|allgather|alltoall|scan|redscat|gatherv|scatterv|allgatherv,alg=auto|p2p|recdbl|ring|onesided}"`
+	CollChosen [collKindCount][collAlgCount]int64 `metric:"coll.alg.chosen{coll=barrier|bcast|reduce|allreduce|gather|allgather|alltoall,alg=auto|p2p|recdbl|ring|onesided}"`
 }
 
 // rank is one MPI process.

@@ -13,15 +13,14 @@ import (
 )
 
 // Elastic-recovery support: after a node crash and a Comm.Shrink
-// agreement, a window over the old communicator cannot be freed collectively
-// (Free's barrier would hang on the dead rank) and the System's handler is
-// still bound to the old communicator's context. Abandon and Rebind let a
-// recovery layer tear the old window down unilaterally and re-home the
-// engine on the shrunken communicator, after which fresh windows are created
-// normally.
+// agreement, a window over the old communicator is unusable (a barrier over
+// it would hang on the dead rank) and the System's handler is still bound to
+// the old communicator's context. Abandon and Rebind let a recovery layer
+// tear the old window down unilaterally and re-home the engine on the
+// shrunken communicator, after which fresh windows are created normally.
 
 // ErrWinGone reports a handler refusal: the target no longer has the window
-// (it was freed or abandoned there, typically during crash recovery).
+// (it was abandoned there, typically during crash recovery).
 type ErrWinGone struct {
 	Win    int
 	Target int
@@ -31,9 +30,9 @@ func (e ErrWinGone) Error() string {
 	return fmt.Sprintf("osc: window %d no longer exists at rank %d", e.Win, e.Target)
 }
 
-// Abandon releases the window unilaterally, without the collective barrier
-// of Free: after a crash the barrier can never complete, but the local state
-// must still be detached before the recovery layer rebuilds. Any epoch is
+// Abandon releases the window unilaterally, without a collective barrier:
+// after a crash a barrier can never complete, but the local state must
+// still be detached before the recovery layer rebuilds. Any epoch is
 // closed without synchronization; in-flight remote requests against the
 // window id are refused gracefully by the handler (ErrWinGone at the
 // origin). Window ids are never reused, so a stale request cannot alias a

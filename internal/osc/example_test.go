@@ -28,7 +28,6 @@ func Example() {
 		if c.Rank() == 1 {
 			fmt.Println("window holds:", mpi.BytesFloat64(win.LocalBytes()[:8])[0])
 		}
-		win.Free()
 	})
 	// Output:
 	// window holds: 42

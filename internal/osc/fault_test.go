@@ -42,11 +42,11 @@ func TestSharedWindowDegradesMidEpoch(t *testing.T) {
 			must(w.Fence())                      // healthy: first put lands through the direct view
 			c.Proc().Sleep(3 * time.Millisecond) // revocation strikes here
 			if c.Rank() == 0 {
-				if w.Degraded(1) {
+				if w.degraded[1] {
 					t.Error("view degraded before any access observed the failure")
 				}
 				must(w.Put(srcB, len(srcB), datatype.Byte, 1, 4096))
-				if !w.Degraded(1) {
+				if !w.degraded[1] {
 					t.Error("view not degraded after put through revoked segment")
 				}
 			}
@@ -197,7 +197,7 @@ func TestDegradedSharedTargetUsesInterruptDelivery(t *testing.T) {
 			if !bytes.Equal(dst, fill(1024)) {
 				t.Error("degraded get returned wrong data")
 			}
-			if !w.Degraded(1) {
+			if !w.degraded[1] {
 				t.Error("target view not degraded after revoked-segment get")
 			}
 			if c.World().WorldStats().OSCInterrupt == before {

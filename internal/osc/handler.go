@@ -79,7 +79,7 @@ func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 	w, ok := s.wins[r.win]
 	if !ok {
 		// Not a programming error under recovery: a stale request for a
-		// window this rank already freed or abandoned (window ids are never
+		// window this rank already abandoned (window ids are never
 		// reused). Refuse gracefully — the origin sees ErrWinGone.
 		s.c.FlightRing().Record(p.Now(), flight.KPacketDrop, int64(r.win), int64(src), flight.DropUnknownWin, 0)
 		return false

@@ -41,9 +41,9 @@ type System struct {
 	wins    map[int]*Win
 	nextWin int
 	met     oscMetrics
-	// freed sums the counts of the windows freed or abandoned on this rank,
-	// so that they are still published; nil without a registry.
-	freed *Stats
+	// abandoned sums the counts of the windows abandoned on this rank, so
+	// that they are still published; nil without a registry.
+	abandoned *Stats
 	// reqFree holds the request records of calls whose reply was read (see
 	// oscReq).
 	reqFree []*oscReq
@@ -55,16 +55,16 @@ func NewSystem(c *mpi.Comm) *System {
 	s := &System{c: c, wins: make(map[int]*Win), met: newOSCMetrics(c.Metrics())}
 	c.SetOSCHandler(s)
 	if c.Metrics() != nil {
-		s.freed = new(Stats)
+		s.abandoned = new(Stats)
 		c.World().OnPublish(s.publish)
 	}
 	return s
 }
 
-// publish adds the Stats of every window this rank created, live, freed or
+// publish adds the Stats of every window this rank created, live or
 // abandoned, to r: one osc.* counter per field, summed over windows and ranks.
 func (s *System) publish(r *obs.Registry) {
-	r.AddStats("osc", *s.freed)
+	r.AddStats("osc", *s.abandoned)
 	for _, w := range s.wins {
 		r.AddStats("osc", w.stats)
 	}
@@ -213,7 +213,7 @@ type Stats struct {
 // Snapshot returns a copy of the window's statistics.
 func (w *Win) Snapshot() Stats { return w.stats }
 
-// detach removes a freed or abandoned window from its System, folding its
+// detach removes an abandoned window from its System, folding its
 // counts into the System's when they are published. Every Stats field is an
 // int64 count.
 func (w *Win) detach() {
@@ -221,8 +221,8 @@ func (w *Win) detach() {
 		return // already detached: fold the counts once
 	}
 	delete(w.sys.wins, w.id)
-	if w.sys.freed != nil {
-		sum, own := reflect.ValueOf(w.sys.freed).Elem(), reflect.ValueOf(&w.stats).Elem()
+	if w.sys.abandoned != nil {
+		sum, own := reflect.ValueOf(w.sys.abandoned).Elem(), reflect.ValueOf(&w.stats).Elem()
 		for i := 0; i < sum.NumField(); i++ {
 			sum.Field(i).SetInt(sum.Field(i).Int() + own.Field(i).Int())
 		}
@@ -294,12 +294,6 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	return w
 }
 
-// Size returns rank r's window size.
-func (w *Win) Size(r int) int64 { return w.sizes[r] }
-
-// SharedAt reports whether rank r's window memory allows direct access.
-func (w *Win) SharedAt(r int) bool { return w.isShared[r] }
-
 // LocalBytes returns the local window memory (owner view, uncosted; for
 // initialization and verification).
 func (w *Win) LocalBytes() []byte {
@@ -307,20 +301,6 @@ func (w *Win) LocalBytes() []byte {
 		return w.shared.Bytes()
 	}
 	return w.private
-}
-
-// Free releases the window (MPI_Win_free). It is collective: all ranks
-// synchronize so that no access epoch can still be in flight, then the
-// local state is detached. A failed barrier panics: see Abandon.
-func (w *Win) Free() {
-	if w.ep == epochStart || w.ep == epochLock {
-		panic("osc: Free inside an access epoch")
-	}
-	w.closeEpoch()
-	if err := w.sys.c.Barrier(); err != nil {
-		panic(err)
-	}
-	w.detach()
 }
 
 // openEpoch starts the trace span covering the access epoch just opened;
@@ -360,10 +340,6 @@ func (w *Win) degrade(target int, err error) {
 	c := w.sys.c
 	w.fl.Record(c.Proc().Now(), flight.KWinDegraded, int64(w.id), int64(c.GroupToWorld(target)), 0, 0)
 }
-
-// Degraded reports whether the direct view of rank target has been
-// abandoned for the emulation path.
-func (w *Win) Degraded(target int) bool { return w.degraded[target] }
 
 func (w *Win) checkEpoch(op string) {
 	if w.ep == epochNone {

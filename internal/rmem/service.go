@@ -174,9 +174,6 @@ func groupWorlds(c *mpi.Comm) []int {
 	return out
 }
 
-// Comm returns the service's current (possibly shrunken) communicator.
-func (s *Service) Comm() *mpi.Comm { return s.c }
-
 // primary and backup return the group ranks holding shard sh under the
 // current membership; the two are distinct whenever the group has at least
 // two members.
@@ -432,9 +429,6 @@ func (s *Service) Verify() (lost int64, err error) {
 
 // CommittedCount returns the size of this origin's committed ledger.
 func (s *Service) CommittedCount() int { return s.ncommitted }
-
-// Epoch returns the service's current commit epoch.
-func (s *Service) Epoch() int64 { return s.epoch }
 
 // IsRevoked reports whether err is the typed revocation error a crashed
 // rank receives from its own Recover.

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,15 +24,14 @@ import (
 // internal/smi return their faults instead of panicking, so a dropped
 // result is a failure nobody sees.
 var errorMethods = map[string]bool{
-	"scimpich/internal/mpi.Comm":              true,
-	"scimpich/internal/mpi.Request":           true,
-	"scimpich/internal/mpi.PersistentRequest": true,
-	"scimpich/internal/osc.Win":               true,
-	"scimpich/internal/sci.Mapping":           true,
-	"scimpich/internal/sci.BlockWriter":       true,
-	"scimpich/internal/sci.DMARequest":        true,
-	"scimpich/internal/smi.Mem":               true,
-	"scimpich/internal/smi.BlockWriter":       true,
+	"scimpich/internal/mpi.Comm":        true,
+	"scimpich/internal/mpi.Request":     true,
+	"scimpich/internal/osc.Win":         true,
+	"scimpich/internal/sci.Mapping":     true,
+	"scimpich/internal/sci.BlockWriter": true,
+	"scimpich/internal/sci.DMARequest":  true,
+	"scimpich/internal/smi.Mem":         true,
+	"scimpich/internal/smi.BlockWriter": true,
 }
 
 // singleSurface are the packages whose non-test code declares no function
@@ -50,45 +50,9 @@ var singleSurface = map[string]bool{
 // errorMethods. It also keeps the surface single in the singleSurface
 // packages.
 func TestNoDroppedErrors(t *testing.T) {
-	pkgs := listPackages(t)
-	checked := 0
+	pkgs := typeCheck(t, ".")
 	for _, p := range pkgs {
-		if p.DepOnly || strings.HasSuffix(p.ImportPath, ".test") || p.Standard {
-			continue
-		}
-		base := strings.Fields(p.ImportPath)[0]
-		if p.ForTest != "" && strings.TrimSuffix(base, "_test") != p.ForTest {
-			continue // a dependency recompiled for another package's test
-		}
-		if p.ForTest == "" && pkgs[p.ImportPath+" ["+p.ImportPath+".test]"] != nil {
-			continue // the test variant covers the same files
-		}
-		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		lookup := func(path string) (io.ReadCloser, error) {
-			if id, ok := p.ImportMap[path]; ok {
-				path = id
-			}
-			dep := pkgs[path]
-			if dep == nil || dep.Export == "" {
-				return nil, errors.New("no export data for " + path)
-			}
-			return os.Open(dep.Export)
-		}
-		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
-		if _, err := conf.Check(base, fset, files, info); err != nil {
-			t.Fatalf("%s: %v", p.ImportPath, err)
-		}
-		checked++
-		for _, f := range files {
+		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				var call *ast.CallExpr
 				switch s := n.(type) {
@@ -99,34 +63,212 @@ func TestNoDroppedErrors(t *testing.T) {
 				case *ast.DeferStmt:
 					call = s.Call
 				}
-				if name := droppedError(call, info); name != "" {
-					t.Errorf("%s: error of %s dropped", fset.Position(call.Pos()), name)
+				if name := droppedError(call, p.info); name != "" {
+					t.Errorf("%s: error of %s dropped", p.fset.Position(call.Pos()), name)
 				}
 				return true
 			})
 		}
-		if !singleSurface[base] {
+		if !singleSurface[p.path] {
 			continue
 		}
-		for _, f := range files {
-			if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
-				continue
-			}
+		for _, f := range p.libraryFiles() {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				switch {
 				case !ok:
 				case fd.Recv != nil && (strings.HasPrefix(fd.Name.Name, "Try") || strings.Contains(fd.Name.Name, "Checked")):
-					t.Errorf("%s: method %s: the error-returning call keeps the plain name", fset.Position(fd.Pos()), fd.Name.Name)
+					t.Errorf("%s: method %s: the error-returning call keeps the plain name", p.fset.Position(fd.Pos()), fd.Name.Name)
 				case fd.Name.Name == "must":
-					t.Errorf("%s: library must: return the error instead", fset.Position(fd.Pos()))
+					t.Errorf("%s: library must: return the error instead", p.fset.Position(fd.Pos()))
 				}
 			}
 		}
 	}
-	if checked < 20 {
-		t.Errorf("type-checked %d packages, want every package of the module", checked)
+	if len(pkgs) < 20 {
+		t.Errorf("type-checked %d packages, want every package of the module", len(pkgs))
 	}
+}
+
+// surfacePackages are the packages whose exported functions and methods
+// must each be reached by something other than a test.
+var surfacePackages = map[string]bool{
+	"scimpich/internal/mpi":  true,
+	"scimpich/internal/osc":  true,
+	"scimpich/internal/rmem": true,
+}
+
+// The reasons an exported name of surfacePackages stays with only tests
+// reaching it.
+const (
+	postsOverlapping = "the protocol and schedule tests post overlapping operations with it"
+	structStore      = "a struct store that the stats parity test and the faulted-run benchmarks read (docs/OBSERVABILITY.md, one store)"
+)
+
+// reachedOnlyByTests are the exported names of surfacePackages that only
+// tests reach, each with the reason it stays.
+var reachedOnlyByTests = map[string]string{
+	"mpi.Comm.Isend":   postsOverlapping,
+	"mpi.Comm.Irecv":   postsOverlapping,
+	"mpi.Comm.Waitall": postsOverlapping,
+
+	"mpi.World.Fabric":            structStore,
+	"mpi.World.Size":              structStore,
+	"mpi.World.WorldStats":        structStore,
+	"mpi.World.InterconnectStats": structStore,
+	"mpi.World.PackStats":         structStore,
+}
+
+// TestSurfaceIsReached fails on an exported function or method declared in
+// the non-test files of a surfacePackages package that nothing reaches but
+// tests: a reference must come from the non-test files of some package of
+// the module (its own included, examples and commands too) or from the
+// benchmark harness, a module of its own whose every file counts. A call
+// through an interface method reaches every method that implements that
+// interface. What stays anyway is in reachedOnlyByTests.
+func TestSurfaceIsReached(t *testing.T) {
+	pkgs := typeCheck(t, ".")
+	harness := typeCheck(t, "benchmark")
+	if len(harness) == 0 {
+		t.Fatal("type-checked no package of the benchmark harness")
+	}
+	reached := map[string]bool{}
+	// The interfaces called through, by their method sets; fmt calls
+	// String and Error through fmt.Stringer and error.
+	ifaces := map[string][]string{
+		"String()(string)": {"String()(string)"},
+		"Error()(string)":  {"Error()(string)"},
+	}
+	use := func(p *checkedPackage, files []*ast.File) {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := p.info.Uses[id].(*types.Func)
+				if !ok {
+					return true
+				}
+				fn = fn.Origin()
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ms := methodSet(recv.Type())
+					ifaces[strings.Join(ms, ";")] = ms
+					return true
+				}
+				reached[funcName(fn)] = true
+				return true
+			})
+		}
+	}
+	for _, p := range pkgs {
+		use(p, p.libraryFiles())
+	}
+	for _, p := range harness {
+		use(p, p.files)
+	}
+	implements := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		have := map[string]bool{}
+		for _, m := range methodSet(recv.Type()) {
+			have[m] = true
+		}
+		me := methodSig(fn)
+		for _, ms := range ifaces {
+			if slices.Contains(ms, me) && !slices.ContainsFunc(ms, func(m string) bool { return !have[m] }) {
+				return true
+			}
+		}
+		return false
+	}
+	surface := 0
+	for _, p := range pkgs {
+		if !surfacePackages[p.path] {
+			continue
+		}
+		for _, f := range p.libraryFiles() {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				surface++
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				name := funcName(fn)
+				short := strings.TrimPrefix(name, "scimpich/internal/")
+				_, allowed := reachedOnlyByTests[short]
+				switch {
+				case reached[name] || implements(fn):
+					if allowed {
+						t.Errorf("%s: %s is reached: take it off reachedOnlyByTests", p.fset.Position(fd.Pos()), short)
+					}
+				case !allowed:
+					t.Errorf("%s: %s is reached only by tests: delete it, or say in reachedOnlyByTests why it stays", p.fset.Position(fd.Pos()), short)
+				}
+			}
+		}
+	}
+	if surface < 100 {
+		t.Errorf("found %d exported functions and methods in %d packages, want the whole surface", surface, len(surfacePackages))
+	}
+}
+
+// funcName names fn by its package path, its receiver's type name for a
+// method, and its own name: "scimpich/internal/mpi.Comm.Send".
+func funcName(fn *types.Func) string {
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := types.Unalias(t).(*types.Named); ok {
+			name = named.Obj().Name() + "." + name
+		}
+	}
+	if fn.Pkg() == nil {
+		return name
+	}
+	return fn.Pkg().Path() + "." + name
+}
+
+// methodSet lists the methods of t, or of *t for a type that is not an
+// interface, as methodSig writes them.
+func methodSet(t types.Type) []string {
+	if !types.IsInterface(t) {
+		if _, ok := t.(*types.Pointer); !ok {
+			t = types.NewPointer(t)
+		}
+	}
+	ms := types.NewMethodSet(t)
+	out := make([]string, ms.Len())
+	for i := range out {
+		out[i] = methodSig(ms.At(i).Obj().(*types.Func))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// methodSig writes a method's name and parameter and result types with full
+// package paths, so that methods from different type-checks compare equal.
+func methodSig(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	qual := func(p *types.Package) string { return p.Path() }
+	tuple := func(tup *types.Tuple) string {
+		parts := make([]string, tup.Len())
+		for i := range parts {
+			parts[i] = types.TypeString(tup.At(i).Type(), qual)
+		}
+		return "(" + strings.Join(parts, ",") + ")"
+	}
+	variadic := ""
+	if sig.Variadic() {
+		variadic = "..."
+	}
+	return fn.Name() + tuple(sig.Params()) + variadic + tuple(sig.Results())
 }
 
 // droppedError names the method call discards when it is an
@@ -173,14 +315,85 @@ type listedPackage struct {
 	ImportMap  map[string]string
 }
 
-// listPackages runs `go list -deps -export -test` over the module and keys
-// its packages by ID (a test variant is "p [q.test]").
-func listPackages(t *testing.T) map[string]*listedPackage {
+// checkedPackage is one package of a module, parsed and type-checked
+// against the export data of its dependencies.
+type checkedPackage struct {
+	path  string // import path; the files of a test variant come with it
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
+}
+
+// libraryFiles are p's files that are not tests.
+func (p *checkedPackage) libraryFiles() []*ast.File {
+	var out []*ast.File
+	for _, f := range p.files {
+		if !strings.HasSuffix(p.fset.Position(f.Pos()).Filename, "_test.go") {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// typeCheck type-checks every package of the module in dir, each once: a
+// package with tests in its test variant, which covers the same files and
+// its tests as well.
+func typeCheck(t *testing.T, dir string) []*checkedPackage {
+	pkgs := listPackages(t, dir)
+	var out []*checkedPackage
+	for _, p := range pkgs {
+		if p.DepOnly || strings.HasSuffix(p.ImportPath, ".test") || p.Standard {
+			continue
+		}
+		base := strings.Fields(p.ImportPath)[0]
+		if p.ForTest != "" && strings.TrimSuffix(base, "_test") != p.ForTest {
+			continue // a dependency recompiled for another package's test
+		}
+		if p.ForTest == "" && pkgs[p.ImportPath+" ["+p.ImportPath+".test]"] != nil {
+			continue // the test variant covers the same files
+		}
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		lookup := func(path string) (io.ReadCloser, error) {
+			if id, ok := p.ImportMap[path]; ok {
+				path = id
+			}
+			dep := pkgs[path]
+			if dep == nil || dep.Export == "" {
+				return nil, errors.New("no export data for " + path)
+			}
+			return os.Open(dep.Export)
+		}
+		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+		info := &types.Info{
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+		}
+		if _, err := conf.Check(base, fset, files, info); err != nil {
+			t.Fatalf("%s: %v", p.ImportPath, err)
+		}
+		out = append(out, &checkedPackage{path: base, fset: fset, files: files, info: info})
+	}
+	return out
+}
+
+// listPackages runs `go list -deps -export -test` over the module in dir
+// and keys its packages by ID (a test variant is "p [q.test]").
+func listPackages(t *testing.T, dir string) map[string]*listedPackage {
 	cmd := exec.Command("go", "list", "-deps", "-export", "-test", "-json", "./...")
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		t.Fatalf("go list in %s: %v", dir, err)
 	}
 	pkgs := map[string]*listedPackage{}
 	dec := json.NewDecoder(bytes.NewReader(out))
