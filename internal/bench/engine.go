@@ -168,13 +168,6 @@ func mpiStackRow() EngineResult {
 	}
 }
 
-// RunEngineBench executes the pinned 512-node torus scenario plus the
-// full-stack MPI row and evaluates the determinism gates. ok reports whether
-// every gate holds.
-func RunEngineBench() ([]EngineResult, bool) {
-	return RunEngineBenchAt(EngineDims[0], EngineDims[1], EngineDims[2], EngineShardCounts)
-}
-
 // RunEngineBenchAt runs the torus allreduce on a dx*dy*dz torus,
 // sequentially and at each sharded configuration, then the full-stack MPI
 // allreduce. Determinism against the sequential oracle is gated on every

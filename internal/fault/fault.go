@@ -144,8 +144,7 @@ type Observer func(at time.Duration, kind Kind, from, to int)
 // injects nothing; build one with New and the chainable With*/schedule
 // methods.
 type Plan struct {
-	seed uint64
-	rng  uint64
+	rng uint64
 
 	nodeEvents []NodeEvent
 	segEvents  []SegmentEvent
@@ -188,11 +187,8 @@ func New(seed uint64) *Plan {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	return &Plan{seed: seed, rng: seed, importFail: make(map[[2]int]int)}
+	return &Plan{rng: seed, importFail: make(map[[2]int]int)}
 }
-
-// Seed returns the plan's seed.
-func (f *Plan) Seed() uint64 { return f.seed }
 
 // draw returns a uniform float64 in [0, 1) from the shared SplitMix64
 // stream.

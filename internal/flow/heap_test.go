@@ -13,20 +13,8 @@ import (
 )
 
 // The completion heap replaced two scans over every active flow. They live on
-// here as the oracle the heap is checked against.
-
-// scanFinished is the retirement scan: the flows that read as finished at
-// now, in admission order.
-func scanFinished(n *Network, now time.Duration) []uint64 {
-	var ids []uint64
-	for _, f := range n.flows {
-		if f.remainingAt(now) <= 1e-9 {
-			ids = append(ids, f.id)
-		}
-	}
-	slices.Sort(ids)
-	return ids
-}
+// here as the oracle the heap is checked against: the timer scan below, the
+// retirement scan in scanProbe.retiring.
 
 // scanSoonest is the timer scan: the least delay over every active flow.
 func scanSoonest(n *Network, now time.Duration) time.Duration {
@@ -80,7 +68,7 @@ type scanProbe struct {
 	*sim.Engine
 	t       *testing.T
 	n       *Network
-	retired []uint64 // admission ids in completion order
+	retired []uint64 // admission ids of StartCall flows in continuation order
 	arms    int
 }
 
@@ -115,13 +103,31 @@ func (pr *scanProbe) AfterCall(d time.Duration, fn func(any), arg any) sim.Timer
 func (pr *scanProbe) due(any) { pr.retiring(pr.n.reallocate) }
 
 // retiring runs pass — something that calls reallocate once at this instant —
-// and checks that it completed exactly the flows the scan finds finished,
-// in admission order.
+// and checks it against the retirement scan, the flows that read as finished
+// now: pass continued exactly the StartCall flows among them, in admission
+// order, and of the StartBatch flows active now it completed exactly those.
 func (pr *scanProbe) retiring(pass func()) {
-	want, mark := scanFinished(pr.n, pr.Now()), len(pr.retired)
+	now, mark := pr.Now(), len(pr.retired)
+	var want []uint64
+	owned := map[*Flow]bool{} // the active StartBatch flows, and whether each reads as finished
+	for _, f := range pr.n.flows {
+		finished := f.remainingAt(now) <= 1e-9
+		switch {
+		case f.fn == nil:
+			owned[f] = finished
+		case finished:
+			want = append(want, f.id)
+		}
+	}
+	slices.Sort(want)
 	pass()
 	if got := pr.retired[mark:]; !slices.Equal(got, want) {
-		pr.t.Errorf("at %v: retired %v, the scan finds %v", pr.Now(), got, want)
+		pr.t.Errorf("at %v: continued %v, the scan finds %v", now, got, want)
+	}
+	for f, finished := range owned {
+		if f.Done().Done() != finished {
+			pr.t.Errorf("at %v: flow %d reads done=%v, the scan finds finished=%v", now, f.id, f.Done().Done(), finished)
+		}
 	}
 }
 
@@ -136,9 +142,9 @@ type heapScenario struct {
 // TestCompletionHeapMatchesScan: over random networks — shared links,
 // weighted hops, congestion models, flows of equal size started at equal
 // instants so that completions tie, and completions that start their
-// successors at the same instant, from Start futures and StartCall
-// continuations alike — every reallocate retires the set the scan finds, in
-// its order, and arms the delay the scan finds.
+// successors at the same instant, from StartCall continuations and processes
+// awaiting StartBatch flows alike — every reallocate retires the set the scan
+// finds, continues it in its order, and arms the delay the scan finds.
 func TestCompletionHeapMatchesScan(t *testing.T) {
 	models := []CongestionModel{nil, SCIRingCongestion{}, BusCongestion{PerFlowPenalty: 0.05, Floor: 0.4}}
 	sizes := []int64{1, 4096, 64 << 10, 100_000, 1 << 20}
@@ -151,23 +157,25 @@ func TestCompletionHeapMatchesScan(t *testing.T) {
 		for i, c := range sc.Net.LinkCaps {
 			links[i] = NewLink("l", float64(c)*mib, models[rng.Intn(len(models))])
 		}
-		// start admits one flow and, when it completes, up to two generations
-		// of successors on the same path at the instant of the completion.
-		var start func(path []Hop, srcCap float64, generation int)
-		start = func(path []Hop, srcCap float64, generation int) {
+		// launch admits one flow and, when it completes, up to two
+		// generations of successors on the same path at the instant of the
+		// completion: from the StartCall continuation, or from a process
+		// awaiting the StartBatch flow.
+		var launch func(path []Hop, srcCap float64, generation int)
+		launch = func(path []Hop, srcCap float64, generation int) {
 			id, bytes := pr.n.nextID, sizes[rng.Intn(len(sizes))]
-			completed := func(any) {
-				pr.retired = append(pr.retired, id)
+			next := func() {
 				if generation < 2 && rng.Intn(2) == 0 {
-					start(path, srcCap, generation+1)
+					launch(path, srcCap, generation+1)
 				}
 			}
 			pr.retiring(func() {
 				if rng.Intn(2) == 0 {
-					pr.n.StartCall(path, bytes, srcCap, completed, nil)
-				} else {
-					pr.n.Start(path, bytes, srcCap).Done().OnComplete(completed)
+					pr.n.StartCall(path, bytes, srcCap, func(any) { pr.retired = append(pr.retired, id); next() }, nil)
+					return
 				}
+				f := start(pr.n, path, bytes, srcCap)
+				pr.Go("owner", func(p *sim.Proc) { p.Await(f.Done()); next() })
 			})
 		}
 		for i, crosses := range sc.Net.FlowPaths {
@@ -182,12 +190,12 @@ func TestCompletionHeapMatchesScan(t *testing.T) {
 			}
 			srcCap := float64(sc.Net.FlowCaps[i]) * mib
 			for range rng.Intn(3) + 1 { // copies tie with each other
-				pr.Engine.After(time.Duration(rng.Intn(3))*200*time.Microsecond, func() { start(path, srcCap, 0) })
+				pr.Engine.After(time.Duration(rng.Intn(3))*200*time.Microsecond, func() { launch(path, srcCap, 0) })
 			}
 		}
 		pr.Run()
-		if pr.n.ActiveFlows() != 0 {
-			t.Errorf("%d flows never finished", pr.n.ActiveFlows())
+		if len(pr.n.flows) != 0 {
+			t.Errorf("%d flows never finished", len(pr.n.flows))
 		}
 		arms += pr.arms
 		return !t.Failed()
@@ -243,7 +251,7 @@ func TestReentrantCompletions(t *testing.T) {
 	}
 }
 
-// TestStartedFlowIsNeverRecycled: a flow returned by Start or StartBatch is
+// TestStartedFlowIsNeverRecycled: a flow returned by StartBatch is
 // the caller's for good. After it finished, while Transfer and StartCall
 // recycle flows through the free list, it is never on that list nor active
 // again, and still reads as done at rate zero.
@@ -252,14 +260,14 @@ func TestStartedFlowIsNeverRecycled(t *testing.T) {
 	n := NewNetworkOn(e)
 	l := NewLink("l", 100*mib, nil)
 	owned := append(n.StartBatch([][]Hop{Path(l), nil}, 4096, 50*mib),
-		n.Start(Path(l), 4096, 50*mib), n.Start(nil, 0, 50*mib))
+		start(n, Path(l), 4096, 50*mib), start(n, nil, 0, 50*mib))
 	check := func(when string) {
 		for i, f := range owned {
 			if slices.Contains(n.free, f) || slices.Contains(n.flows, f) {
 				t.Fatalf("%s: owned flow %d is back in the network", when, i)
 			}
-			if !f.Done().Done() || f.Rate() != 0 {
-				t.Fatalf("%s: owned flow %d reads done=%v rate=%g", when, i, f.Done().Done(), f.Rate())
+			if !f.Done().Done() || f.rate != 0 {
+				t.Fatalf("%s: owned flow %d reads done=%v rate=%g", when, i, f.Done().Done(), f.rate)
 			}
 		}
 	}
@@ -334,7 +342,7 @@ func TestSolverCostMetrics(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetworkOn(e)
 	for i := 0; i < 3; i++ {
-		n.Start(Path(NewLink("l", 100*mib, nil)), 25*mib, 100*mib)
+		start(n, Path(NewLink("l", 100*mib, nil)), 25*mib, 100*mib)
 	}
 	e.Run()
 	got := n.Stats()

@@ -51,7 +51,7 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 					}
 					hops = append(hops, Hop{Link: links[rng.Intn(len(links))], Weight: w})
 				}
-				n.Start(hops, int64(rng.Intn(64)+1)*mib, float64(rng.Intn(200)+10)*mib)
+				start(n, hops, int64(rng.Intn(64)+1)*mib, float64(rng.Intn(200)+10)*mib)
 				check()
 			})
 		}
@@ -59,8 +59,8 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 			e.At(time.Duration(rng.Intn(4000))*time.Millisecond, func() { check() })
 		}
 		e.Run()
-		if n.ActiveFlows() != 0 {
-			t.Fatalf("seed %d: %d flows never finished", seed, n.ActiveFlows())
+		if len(n.flows) != 0 {
+			t.Fatalf("seed %d: %d flows never finished", seed, len(n.flows))
 		}
 	}
 }
@@ -75,7 +75,7 @@ func TestSolveAllDoesNotPerturbProgress(t *testing.T) {
 		n := NewNetworkOn(e)
 		l := NewLink("l", 100*mib, nil)
 		var done time.Duration
-		n.Start(Path(l), 50*mib, 1000*mib).Done().OnComplete(func(any) { done = e.Now() })
+		finishAt(e, start(n, Path(l), 50*mib, 1000*mib), &done)
 		if solveMidFlight {
 			e.At(200*time.Millisecond, n.solveAll)
 		}
@@ -99,7 +99,7 @@ func TestSolveAllDoesNotPerturbProgress(t *testing.T) {
 func TestRemainingAtRoundsItsProduct(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetworkOn(e)
-	f := n.Start(Path(NewLink("l", 100*mib, nil)), 50*mib, 1000*mib)
+	f := start(n, Path(NewLink("l", 100*mib, nil)), 50*mib, 1000*mib)
 	end := 500 * time.Millisecond
 	var rounded, fused float64
 	e.At(200*time.Millisecond, func() {
@@ -131,7 +131,7 @@ func TestSolveAllocFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		g := i % 8 // component g owns links 2g and 2g+1
 		path := Path(links[2*g+i/8%2], links[2*g+1])
-		n.Start(path, 64*mib, float64(10+i)*mib)
+		start(n, path, 64*mib, float64(10+i)*mib)
 	}
 	n.solveAll() // warm the dirty list and the component scratch
 	if a := testing.AllocsPerRun(100, n.solveAll); a != 0 {

@@ -21,8 +21,7 @@
 // re-anchored. A flow the network never hands out (Transfer, StartCall) is
 // recycled through a free list — the last reader frees: Transfer after its
 // Await returns, the network just before it calls the continuation — while a
-// flow returned by Start or StartBatch belongs to the caller and is never
-// reused.
+// flow returned by StartBatch belongs to the caller and is never reused.
 //
 // Links can degrade under load: each Link may carry a CongestionModel that
 // turns (offered load, multiplexing degree) into an achievable fraction of
@@ -102,9 +101,6 @@ func NewLinks(n int, capacity float64, model CongestionModel, name func(i int) s
 
 // Name returns the link's name.
 func (l *Link) Name() string { return l.name }
-
-// Capacity returns the link's nominal capacity in bytes/second.
-func (l *Link) Capacity() float64 { return l.capacity }
 
 // SetLatency records the link's propagation latency. The flow solver ignores
 // it (transfer time is rate-driven); it exists so topologies can expose the
@@ -200,9 +196,6 @@ type Flow struct {
 	frozen bool
 	mark   uint64 // component-search epoch
 }
-
-// Rate returns the currently allocated rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
 
 // Done returns a future completed when the transfer finishes.
 func (f *Flow) Done() *sim.Future { return &f.done }
@@ -330,9 +323,6 @@ func (n *Network) Publish(r *obs.Registry) {
 	}
 }
 
-// ActiveFlows returns the number of in-flight transfers.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
-
 // noteStarted records a flow's admission for the high-water count.
 func (n *Network) noteStarted() {
 	n.stats.ActiveMax = max(n.stats.ActiveMax, int64(len(n.flows)))
@@ -444,24 +434,14 @@ func (n *Network) mergeRepeats(path []Hop) []Hop {
 	return merged
 }
 
-// Start begins a transfer of bytes over path, capped at srcCap bytes/second.
-// It returns immediately; the flow's Done future completes when the last
-// byte has been delivered. An empty path means the flow is limited only by
-// srcCap. A link appearing in several hops accumulates their weights. The
-// returned flow is the caller's: the network never reuses it.
-func (n *Network) Start(path []Hop, bytes int64, srcCap float64) *Flow {
-	f := n.admitOwned(path, bytes, srcCap)
-	if bytes > 0 {
-		n.noteStarted()
-		n.reallocate()
-	}
-	return f
-}
-
-// StartBatch begins many transfers that share one rate recomputation —
-// the moment large symmetric scenarios (a whole machine starting its bulk
-// phase) need: starting n flows one by one costs n full max-min passes,
-// a batch costs one. Like Start's, the returned flows are the caller's.
+// StartBatch begins a transfer of bytes over each of paths, capped at srcCap
+// bytes/second, all sharing one rate recomputation — the moment large
+// symmetric scenarios (a whole machine starting its bulk phase) need:
+// starting n flows one by one costs n full max-min passes, a batch costs
+// one. It returns immediately; each flow's Done future completes when its
+// last byte has been delivered. An empty path means the flow is limited only
+// by srcCap. A link appearing in several hops accumulates their weights. The
+// returned flows are the caller's: the network never reuses them.
 func (n *Network) StartBatch(paths [][]Hop, bytes int64, srcCap float64) []*Flow {
 	flows := make([]*Flow, len(paths))
 	for i, path := range paths {
@@ -485,11 +465,11 @@ func (n *Network) admitOwned(path []Hop, bytes int64, srcCap float64) *Flow {
 	return f
 }
 
-// StartCall begins a transfer like Start and calls fn(arg) when the last
-// byte has been delivered — at once if there is none to deliver. It is the
-// event-driven form for code with no process context (the AfterCall idiom:
-// a shared top-level fn and an explicit arg instead of a closure); the flow
-// never leaves the network, which recycles it.
+// StartCall begins one transfer like StartBatch and calls fn(arg) when the
+// last byte has been delivered — at once if there is none to deliver. It is
+// the event-driven form for code with no process context (the AfterCall
+// idiom: a shared top-level fn and an explicit arg instead of a closure); the
+// flow never leaves the network, which recycles it.
 func (n *Network) StartCall(path []Hop, bytes int64, srcCap float64, fn func(any), arg any) {
 	validate(path, srcCap)
 	if bytes <= 0 {

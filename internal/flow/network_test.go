@@ -11,6 +11,17 @@ import (
 
 const mib = 1 << 20
 
+// start admits one flow for the caller to keep, as StartBatch admits many.
+func start(n *Network, path []Hop, bytes int64, srcCap float64) *Flow {
+	return n.StartBatch([][]Hop{path}, bytes, srcCap)[0]
+}
+
+// finishAt records in at the instant f completes, as a process awaiting it
+// sees it.
+func finishAt(e *sim.Engine, f *Flow, at *time.Duration) {
+	e.Go("observer", func(p *sim.Proc) { p.Await(f.Done()); *at = p.Now() })
+}
+
 func TestSingleFlowSourceLimited(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetworkOn(e)
@@ -97,10 +108,10 @@ func TestMaxMinWithHeterogeneousCaps(t *testing.T) {
 	l := NewLink("l", 100*mib, nil)
 	var rates []float64
 	e.Go("driver", func(p *sim.Proc) {
-		fa := n.Start(Path(l), 1000*mib, 20*mib)
-		fb := n.Start(Path(l), 1000*mib, 1000*mib)
-		fc := n.Start(Path(l), 1000*mib, 1000*mib)
-		rates = []float64{fa.Rate(), fb.Rate(), fc.Rate()}
+		fa := start(n, Path(l), 1000*mib, 20*mib)
+		fb := start(n, Path(l), 1000*mib, 1000*mib)
+		fc := start(n, Path(l), 1000*mib, 1000*mib)
+		rates = []float64{fa.rate, fb.rate, fc.rate}
 		p.Await(fa.Done())
 		e.Stop()
 	})
@@ -132,7 +143,7 @@ func TestMultiLinkPathBottleneck(t *testing.T) {
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetworkOn(e)
-	f := n.Start(nil, 0, 1)
+	f := start(n, nil, 0, 1)
 	if !f.Done().Done() {
 		t.Fatal("zero-byte flow not immediately done")
 	}
@@ -160,20 +171,20 @@ func TestRateConservationProperty(t *testing.T) {
 		var flows []*Flow
 		e.Go("driver", func(p *sim.Proc) {
 			for _, c := range cfg.caps {
-				flows = append(flows, n.Start(Path(l), 1<<40, c*mib))
+				flows = append(flows, start(n, Path(l), 1<<40, c*mib))
 			}
 			total := 0.0
 			for _, f := range flows {
-				total += f.Rate()
+				total += f.rate
 			}
 			if total > cfg.capLink*mib*1.0001 {
 				t.Errorf("config %d: total rate %g exceeds link capacity %g", ci, total/mib, cfg.capLink)
 			}
 			saturated := total >= cfg.capLink*mib*0.9999
 			for fi, f := range flows {
-				atCap := math.Abs(f.Rate()-cfg.caps[fi]*mib) < 1
+				atCap := math.Abs(f.rate-cfg.caps[fi]*mib) < 1
 				if !atCap && !saturated {
-					t.Errorf("config %d flow %d: rate %g below cap %g on unsaturated link", ci, fi, f.Rate()/mib, cfg.caps[fi])
+					t.Errorf("config %d flow %d: rate %g below cap %g on unsaturated link", ci, fi, f.rate/mib, cfg.caps[fi])
 				}
 			}
 			e.Stop()
@@ -255,7 +266,7 @@ func TestStartBatchMatchesIndividualStarts(t *testing.T) {
 				flows = n.StartBatch(paths, 50*mib, 1000*mib)
 			} else {
 				for _, path := range paths {
-					flows = append(flows, n.Start(path, 50*mib, 1000*mib))
+					flows = append(flows, start(n, path, 50*mib, 1000*mib))
 				}
 			}
 			for _, f := range flows {

@@ -68,14 +68,14 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 						hops = append(hops, Hop{Link: links[j], Weight: 1})
 					}
 				}
-				flows = append(flows, n.Start(hops, 1<<40, float64(s.FlowCaps[i])*mib))
+				flows = append(flows, start(n, hops, 1<<40, float64(s.FlowCaps[i])*mib))
 			}
 			// Invariant 1: no link oversubscribed.
 			for j := range links {
 				var sum float64
 				for i, f := range flows {
 					if s.FlowPaths[i][j] {
-						sum += f.Rate()
+						sum += f.rate
 					}
 				}
 				if sum > float64(s.LinkCaps[j])*mib*1.0001 {
@@ -84,10 +84,10 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 			}
 			// Invariant 2: no flow exceeds its source cap.
 			for i, f := range flows {
-				if f.Rate() > float64(s.FlowCaps[i])*mib*1.0001 {
+				if f.rate > float64(s.FlowCaps[i])*mib*1.0001 {
 					ok = false
 				}
-				if f.Rate() <= 0 {
+				if f.rate <= 0 {
 					ok = false
 				}
 			}
@@ -95,7 +95,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 			// its source cap, or on some saturated link where it has the
 			// (weakly) largest rate among the link's flows.
 			for i, f := range flows {
-				if math.Abs(f.Rate()-float64(s.FlowCaps[i])*mib) < 1 {
+				if math.Abs(f.rate-float64(s.FlowCaps[i])*mib) < 1 {
 					continue
 				}
 				bottlenecked := false
@@ -106,13 +106,13 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 					var sum, maxRate float64
 					for k, g := range flows {
 						if s.FlowPaths[k][j] {
-							sum += g.Rate()
-							if g.Rate() > maxRate {
-								maxRate = g.Rate()
+							sum += g.rate
+							if g.rate > maxRate {
+								maxRate = g.rate
 							}
 						}
 					}
-					if sum >= float64(s.LinkCaps[j])*mib*0.9999 && f.Rate() >= maxRate-1 {
+					if sum >= float64(s.LinkCaps[j])*mib*0.9999 && f.rate >= maxRate-1 {
 						bottlenecked = true
 						break
 					}
@@ -158,14 +158,14 @@ func TestQuickRepeatedLinkIsSummedWeight(t *testing.T) {
 			}
 			bytes := int64(kib%512+1) << 10
 			flows := []*Flow{
-				n.Start(pathA, bytes, float64(srcA%80+10)*mib),
-				n.Start(Path(l), 2*bytes, float64(srcB%80+10)*mib),
-				n.Start(Path(m), 3*bytes, 40*mib),
+				start(n, pathA, bytes, float64(srcA%80+10)*mib),
+				start(n, Path(l), 2*bytes, float64(srcB%80+10)*mib),
+				start(n, Path(m), 3*bytes, 40*mib),
 			}
 			o := outcome{ends: make([]time.Duration, len(flows))}
 			for i, f := range flows {
-				o.rates = append(o.rates, f.Rate())
-				f.Done().OnComplete(func(any) { o.ends[i] = e.Now() })
+				o.rates = append(o.rates, f.rate)
+				finishAt(e, f, &o.ends[i])
 			}
 			e.Run()
 			return o

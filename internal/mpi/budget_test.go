@@ -338,7 +338,8 @@ func TestPairStructSizes(t *testing.T) {
 		{"port", unsafe.Sizeof(port{}), 24},
 		{"sci.Segment", unsafe.Sizeof(sci.Segment{}), 48},
 		{"rank", unsafe.Sizeof(rank{}), 120},
-		{"sim.Proc", unsafe.Sizeof(sim.Proc{}), 64}, // one per rank and per started daemon
+		{"sim.Proc", unsafe.Sizeof(sim.Proc{}), 64},     // one per rank and per started daemon
+		{"sim.Future", unsafe.Sizeof(sim.Future{}), 56}, // in every flow, request, DMA request and store barrier
 	} {
 		if s.got > s.want {
 			t.Errorf("%s is %d B, it was %d: per-transfer state goes in a scratch record, not on a per-pair struct",

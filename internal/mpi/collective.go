@@ -179,7 +179,7 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, ro
 	if err := c.checkRank("Reduce", "root", root); err != nil {
 		return err
 	}
-	base, err := checkReduceDT("Reduce", dt)
+	base, err := checkReduce("Reduce", dt, op)
 	if err != nil {
 		return err
 	}
@@ -235,7 +235,7 @@ func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op,
 // the ring over one-sided window deposits; all variants run on the
 // contiguous base-typed views, so derived datatypes work everywhere.
 func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op) error {
-	base, err := checkReduceDT("Allreduce", dt)
+	base, err := checkReduce("Allreduce", dt, op)
 	if err != nil {
 		return err
 	}

@@ -40,9 +40,12 @@ type reduceView struct {
 	pool *bufpool.Buf
 }
 
-// checkReduceDT validates a reduction datatype, returning its base basic
-// type or the ArgumentError the call returns.
-func checkReduceDT(call string, dt *datatype.Type) (*datatype.Type, error) {
+// checkReduce validates a reduction's datatype and op, returning the
+// datatype's base basic type or the ArgumentError the call returns.
+func checkReduce(call string, dt *datatype.Type, op Op) (*datatype.Type, error) {
+	if err := op.Validate(call); err != nil {
+		return nil, err
+	}
 	base := dt.Base()
 	if base == nil {
 		return nil, argErrf(call, "datatype %s mixes basic types; reductions need a single base type", dt)

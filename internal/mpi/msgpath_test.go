@@ -235,7 +235,7 @@ func TestDeviceServesInArrivalOrder(t *testing.T) {
 	Run(DefaultConfig(1, 1), func(c *Comm) {
 		d, w, p := c.rk.dev, c.rk.w, c.p
 		mark := func(what string, f *sim.Future) {
-			f.OnComplete(func(any) { got = append(got, stamp{what, p.Now()}) })
+			w.host.Go("observer", func(q *sim.Proc) { q.Await(f); got = append(got, stamp{what, q.Now()}) })
 		}
 		probe := func(what string) {
 			pr := &probeReq{ctx: c.ctx, src: AnySource, tag: AnyTag, immediate: true, done: sim.NewFuture()}

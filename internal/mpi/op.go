@@ -34,6 +34,17 @@ func (o Op) String() string {
 	}
 }
 
+// Validate returns nil for a predefined operation and otherwise the
+// *ArgumentError that call returns: every call taking an Op refuses an
+// unknown one where it is made, before any traffic, so that no combiner —
+// on another rank, or at a one-sided target — ever meets it.
+func (o Op) Validate(call string) error {
+	if o < OpSum || o > OpMin {
+		return argErrf(call, "unknown reduction op %v", o)
+	}
+	return nil
+}
+
 // CombineOp applies acc[i] = op(acc[i], in[i]) elementwise for count
 // elements of the basic datatype dt (exported for the one-sided
 // accumulate handler).

@@ -50,7 +50,7 @@ func TestDepositChoiceIgnoresHistory(t *testing.T) {
 		return delta
 	}
 	fresh, after8 := chosen(b16), chosen(b8, b16)
-	if want := int64(total / (64 << 10)); fresh[flight.PathSG] != want {
+	if want := int64(total / (64 << 10)); fresh[depositSG] != want {
 		t.Fatalf("a fresh world deposits the 16 B message's chunks as %v, want %d x dma-sg", fresh, want)
 	}
 	if after8 != fresh {

@@ -280,8 +280,8 @@ type WorldStats struct {
 	PackSGBytes      int64 `metric:"pack.bytes{engine=dma_sg}"`
 	DMABytes         int64 `metric:"transfer.bytes{path=dma}"`
 
-	// PathChosen counts the rendezvous chunks by the flight.Path* code of
-	// the path that deposited them.
+	// PathChosen counts the rendezvous chunks by the code of the path that
+	// deposited them: a depositPath, or a flight.Path* code beyond those.
 	PathChosen [flight.PathDMACont + 1]int64 `metric:"path.chosen{path=pio-ff|staged|dma-sg|generic|pio-stream|dma}"`
 
 	OSCPolled    int64 `metric:"osc.calls{delivery=poll}"`

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 )
 
 // Dump is a recorder snapshot: the last-N window of every actor, actors
@@ -38,9 +37,6 @@ type DumpEvent struct {
 
 // KindOf decodes the event kind name.
 func (e DumpEvent) KindOf() Kind { return KindFromName(e.Kind) }
-
-// Time returns the virtual timestamp as a duration.
-func (e DumpEvent) Time() time.Duration { return time.Duration(e.At) }
 
 // WriteJSON encodes the dump deterministically (struct field order, sorted
 // actors, indented for human diffing).

@@ -206,13 +206,10 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// Deposit-path codes for KPathChosen (mirrors the mpi path policy plus the
-// contiguous fast paths). FormatEvent names each code by its
-// mpi.path.chosen label.
+// Deposit-path codes for KPathChosen. Codes 0-2 are the deposit engines the
+// mpi adaptive chooser ranks (pio-ff, staged, dma-sg); these are the paths
+// beside them. FormatEvent names each code by its mpi.path.chosen label.
 const (
-	PathFF      = 0 // direct_pack_ff PIO deposit
-	PathStaged  = 1 // local cursor pack, then one contiguous PIO stream
-	PathSG      = 2 // scatter-gather DMA
 	PathGeneric = 3 // generic pack + PIO
 	PathPIOCont = 4 // contiguous PIO stream
 	PathDMACont = 5 // contiguous DMA
@@ -408,14 +405,6 @@ type Ring struct {
 	n     uint64 // events ever recorded; write cursor is n % len(buf)
 }
 
-// Actor returns the ring's actor name.
-func (rg *Ring) Actor() string {
-	if rg == nil {
-		return ""
-	}
-	return rg.actor
-}
-
 // Record appends one event. Zero allocations; safe on a nil ring.
 func (rg *Ring) Record(at time.Duration, k Kind, a, b, c, d int64) {
 	if rg == nil {
@@ -463,28 +452,6 @@ func (rg *Ring) Window() ([]Event, uint64) {
 	out = append(out, rg.buf[start:]...)
 	out = append(out, rg.buf[:start]...)
 	return out, rg.n - capacity
-}
-
-// Dropped returns how many events the ring has evicted.
-func (rg *Ring) Dropped() uint64 {
-	if rg == nil {
-		return 0
-	}
-	if c := uint64(len(rg.buf)); rg.n > c {
-		return rg.n - c
-	}
-	return 0
-}
-
-// Len returns the number of retained events.
-func (rg *Ring) Len() int {
-	if rg == nil {
-		return 0
-	}
-	if c := len(rg.buf); rg.n > uint64(c) {
-		return c
-	}
-	return int(rg.n)
 }
 
 // DigestInts returns an order-insensitive-free (FNV-1a over the sorted

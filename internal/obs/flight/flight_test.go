@@ -30,9 +30,6 @@ func TestRingWindowWrap(t *testing.T) {
 			t.Errorf("event %d: seq %d not increasing", i, e.Seq)
 		}
 	}
-	if rg.Dropped() != 2 || rg.Len() != 4 {
-		t.Errorf("Dropped/Len = %d/%d, want 2/4", rg.Dropped(), rg.Len())
-	}
 }
 
 func TestGlobalSeqTotalOrder(t *testing.T) {
@@ -57,8 +54,8 @@ func TestNilSafety(t *testing.T) {
 	if evs, dropped := rg.Window(); evs != nil || dropped != 0 {
 		t.Errorf("nil ring Window = %v, %d", evs, dropped)
 	}
-	if rg.Events() != nil || rg.Dropped() != 0 || rg.Len() != 0 || rg.Actor() != "" {
-		t.Errorf("nil ring accessors not inert")
+	if rg.Events() != nil {
+		t.Errorf("nil ring Events = %v", rg.Events())
 	}
 	rec.SetDumpPath("/nonexistent")
 	rec.SetDumpSink(func(*Dump) {})
@@ -134,7 +131,7 @@ func TestDumpRoundTrip(t *testing.T) {
 		t.Errorf("roundtrip lost header: %+v", got)
 	}
 	e := got.Actor("rank0").Events[0]
-	if e.KindOf() != KSendPost || e.Time() != 3*time.Microsecond || e.A != 1 || e.B != 7 || e.C != 64 || e.D != 2 {
+	if e.KindOf() != KSendPost || time.Duration(e.At) != 3*time.Microsecond || e.A != 1 || e.B != 7 || e.C != 64 || e.D != 2 {
 		t.Errorf("roundtrip lost event payload: %+v", e)
 	}
 	// A second encoding of the same snapshot is byte-identical.

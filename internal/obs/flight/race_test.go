@@ -29,8 +29,9 @@ func TestFlightConcurrentStress(t *testing.T) {
 
 	e := sim.NewEngine()
 	for w := 0; w < writers; w++ {
-		e.Go(fmt.Sprintf("rank%d", w), func(p *sim.Proc) {
-			own := rec.Actor(p.Name())
+		actor := fmt.Sprintf("rank%d", w)
+		e.Go(actor, func(p *sim.Proc) {
+			own := rec.Actor(actor)
 			for i := 0; i < eventsPer; i++ {
 				shared.Record(p.Now(), KSendPost, int64(w), int64(i), 64, 1)
 				own.Record(p.Now(), KRecvMatch, int64(w), int64(i), 64, 2)
@@ -61,12 +62,12 @@ func TestFlightConcurrentStress(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		rg := rec.Actor(fmt.Sprintf("rank%d", w))
 		// eventsPer records + 1 KError.
-		if got := uint64(rg.Len()) + rg.Dropped(); got != eventsPer+1 {
-			t.Errorf("rank%d: Len+Dropped = %d, want %d", w, got, eventsPer+1)
+		if got := rg.n; got != eventsPer+1 {
+			t.Errorf("rank%d: %d events recorded, want %d", w, got, eventsPer+1)
 		}
 	}
-	if got := uint64(shared.Len()) + shared.Dropped(); got != writers*eventsPer {
-		t.Errorf("shared ring: Len+Dropped = %d, want %d", got, writers*eventsPer)
+	if got := shared.n; got != writers*eventsPer {
+		t.Errorf("shared ring: %d events recorded, want %d", got, writers*eventsPer)
 	}
 	// The writers took turns: the shared ring's last window holds all of them.
 	inWindow := map[int64]bool{}

@@ -99,14 +99,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return s.Quantile(q)
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // Quantile computes a quantile from the snapshot (see Histogram.Quantile).
 func (s *HistSnapshot) Quantile(q float64) int64 { return s.quantile(q) }
 

@@ -7,8 +7,8 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := &Histogram{}
-	if h.Count() != 0 {
-		t.Fatalf("empty count = %d", h.Count())
+	if h.count != 0 {
+		t.Fatalf("empty count = %d", h.count)
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if v := h.Quantile(q); v != 0 {
@@ -109,15 +109,15 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	// Merging an empty histogram changes nothing.
 	a.Merge(&Histogram{})
-	if a.Count() != 4 {
-		t.Errorf("merge of empty changed count to %d", a.Count())
+	if a.count != 4 {
+		t.Errorf("merge of empty changed count to %d", a.count)
 	}
 	// Nil receivers and arguments are no-ops.
 	var nilH *Histogram
 	nilH.Merge(a)
 	a.Merge(nilH)
-	if a.Count() != 4 {
-		t.Errorf("nil merge changed count to %d", a.Count())
+	if a.count != 4 {
+		t.Errorf("nil merge changed count to %d", a.count)
 	}
 }
 

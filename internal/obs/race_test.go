@@ -19,10 +19,11 @@ import (
 
 // runProcs runs workers processes rank0..rank<workers-1> and a poller
 // process on one engine, to completion.
-func runProcs(workers int, worker func(p *sim.Proc, w int), poller func(p *sim.Proc)) {
+func runProcs(workers int, worker func(p *sim.Proc, actor string, w int), poller func(p *sim.Proc)) {
 	e := sim.NewEngine()
 	for w := 0; w < workers; w++ {
-		e.Go(fmt.Sprintf("rank%d", w), func(p *sim.Proc) { worker(p, w) })
+		actor := fmt.Sprintf("rank%d", w)
+		e.Go(actor, func(p *sim.Proc) { worker(p, actor, w) })
 	}
 	e.Go("poller", poller)
 	e.Run()
@@ -38,18 +39,18 @@ func TestTraceConcurrentStress(t *testing.T) {
 	tr := NewTrace(128)
 	rec := flight.New(128)
 
-	runProcs(actors, func(p *sim.Proc, a int) {
+	runProcs(actors, func(p *sim.Proc, actor string, a int) {
 		for i := 0; i < spansPer; i++ {
 			// Both spans stay open across a yield, so the other actors'
 			// spans start and end while this actor's stack is two deep.
-			outer := tr.StartSpan(p.Now(), p.Name(), "send", "rdv")
-			inner := tr.StartSpan(p.Now(), p.Name(), "pack", "direct_pack_ff")
+			outer := tr.StartSpan(p.Now(), actor, "send", "rdv")
+			inner := tr.StartSpan(p.Now(), actor, "pack", "direct_pack_ff")
 			inner.SetBytes(4096)
 			p.Sleep(time.Microsecond)
 			inner.End(p.Now())
-			outer.AddBytes(65536)
+			outer.SetBytes(65536)
 			outer.End(p.Now())
-			rec.Actor(p.Name()).Record(p.Now(), flight.KFault, 0, int64(a), 0, 1)
+			rec.Actor(actor).Record(p.Now(), flight.KFault, 0, int64(a), 0, 1)
 		}
 	}, func(p *sim.Proc) {
 		for i := 0; i < polls; i++ {

@@ -174,15 +174,6 @@ func (r *Registry) HistogramUnit(name string, u Unit) *Histogram {
 	return h
 }
 
-// HistogramUnitOf reports the unit the named histogram was created with
-// (UnitDuration when the histogram does not exist).
-func (r *Registry) HistogramUnitOf(name string) Unit {
-	if r == nil {
-		return UnitDuration
-	}
-	return r.histUnits[name]
-}
-
 // AddStats adds each int64 field of the struct stats to the counter
 // Name(base+"."+field, labels...), where field is the field's name in snake
 // case (BytesWritten -> bytes_written, OSCRequests -> osc_requests) or the

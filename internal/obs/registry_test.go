@@ -24,7 +24,7 @@ func TestRegistryBasics(t *testing.T) {
 		t.Errorf("high-water gauge = %d, want 9", v)
 	}
 	r.Histogram("sci.pio.ns").ObserveDuration(120 * time.Nanosecond)
-	if c := r.Histogram("sci.pio.ns").Count(); c != 1 {
+	if c := r.Histogram("sci.pio.ns").count; c != 1 {
 		t.Errorf("hist count = %d, want 1", c)
 	}
 }
@@ -49,7 +49,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.AddStats("y", struct{ A int64 }{3})
 	r.Histogram("z").Observe(4)
 	r.Histogram("z").ObserveDuration(time.Second)
-	if r.Counter("x").Value() != 0 || r.Gauge("y").Value() != 0 || r.Histogram("z").Count() != 0 {
+	if r.Counter("x").Value() != 0 || r.Gauge("y").Value() != 0 || r.Histogram("z").Snapshot().Count != 0 {
 		t.Error("nil registry collectors must read zero")
 	}
 	var buf bytes.Buffer
@@ -85,7 +85,7 @@ func TestWriteTextSortedAndComplete(t *testing.T) {
 // update them between yielding Sleeps while a poller dumps mid-run.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	runProcs(8, func(p *sim.Proc, _ int) {
+	runProcs(8, func(p *sim.Proc, _ string, _ int) {
 		for i := 0; i < 500; i++ {
 			r.Counter("c").Inc()
 			r.Gauge("g").Max(int64(i))
@@ -105,7 +105,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if v := r.Gauge("g").Value(); v != 499 {
 		t.Errorf("gauge max = %d, want 499", v)
 	}
-	if c := r.Histogram("h").Count(); c != 4000 {
+	if c := r.Histogram("h").count; c != 4000 {
 		t.Errorf("hist count = %d, want 4000", c)
 	}
 }
@@ -117,10 +117,10 @@ func TestHistogramUnits(t *testing.T) {
 	r.HistogramUnit("op.staged", UnitCount).Observe(37)
 	// First use wins: a later lookup with a different unit must not retag.
 	r.HistogramUnit("op.bytes", UnitDuration).Observe(2 * 1024 * 1024)
-	if u := r.HistogramUnitOf("op.bytes"); u != UnitBytes {
+	if u := r.histUnits["op.bytes"]; u != UnitBytes {
 		t.Errorf("op.bytes unit = %v, want bytes (first use wins)", u)
 	}
-	if u := r.HistogramUnitOf("op.ns"); u != UnitDuration {
+	if u := r.histUnits["op.ns"]; u != UnitDuration {
 		t.Errorf("plain Histogram unit = %v, want duration", u)
 	}
 

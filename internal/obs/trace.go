@@ -79,13 +79,6 @@ func (s *Span) SetBytes(n int64) {
 	}
 }
 
-// AddBytes accumulates payload moved across several phases of the span.
-func (s *Span) AddBytes(n int64) {
-	if s != nil {
-		s.Bytes += n
-	}
-}
-
 // SetDetail attaches a formatted annotation. No-op on a nil span.
 func (s *Span) SetDetail(format string, args ...any) {
 	if s == nil {

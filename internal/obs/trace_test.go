@@ -240,10 +240,10 @@ func TestSummarize(t *testing.T) {
 func TestTraceConcurrency(t *testing.T) {
 	const actors, spansPer = 8, 200
 	tr := NewTrace(64)
-	runProcs(actors, func(p *sim.Proc, _ int) {
+	runProcs(actors, func(p *sim.Proc, actor string, _ int) {
 		for i := 0; i < spansPer; i++ {
-			s := tr.StartSpan(p.Now(), p.Name(), "send", "op")
-			s.AddBytes(8)
+			s := tr.StartSpan(p.Now(), actor, "send", "op")
+			s.SetBytes(8)
 			p.Sleep(time.Nanosecond)
 			s.End(p.Now())
 		}
@@ -295,9 +295,8 @@ func TestChromeExportCarriesDropCounts(t *testing.T) {
 		tr.StartSpan(at, "rank0", "send", "short").End(at + 1)
 		rec.Actor("rank0").Record(at, flight.KFault, 0, 0, 1, 1)
 	}
-	if tr.DroppedSpans() != 3 || rec.Actor("rank0").Dropped() != 3 {
-		t.Fatalf("drops = %d spans / %d events, want 3 / 3",
-			tr.DroppedSpans(), rec.Actor("rank0").Dropped())
+	if _, dropped := rec.Actor("rank0").Window(); tr.DroppedSpans() != 3 || dropped != 3 {
+		t.Fatalf("drops = %d spans / %d events, want 3 / 3", tr.DroppedSpans(), dropped)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf, rec); err != nil {

@@ -92,15 +92,6 @@ func (c *Cursor) Reset() {
 	}
 }
 
-// Offset returns the linearization offset the cursor is positioned at.
-func (c *Cursor) Offset() int64 { return c.off }
-
-// Total returns the packed size of the whole operation.
-func (c *Cursor) Total() int64 { return c.total }
-
-// Remaining returns the bytes left to the end of the linearization.
-func (c *Cursor) Remaining() int64 { return c.total - c.off }
-
 // Done reports whether the cursor has consumed the whole linearization.
 func (c *Cursor) Done() bool { return c.off >= c.total }
 

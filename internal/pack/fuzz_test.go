@@ -285,7 +285,7 @@ func FuzzCursorRuns(f *testing.F) {
 		var descs []Descriptor
 		for i := 0; i < len(ops) && !ref.Done(); i++ {
 			op := ops[i]
-			start := ref.Offset()
+			start := ref.off
 			chunk := int64(op&0x7f) + 1
 			for try := 0; try < 1+int(op>>7); try++ {
 				if try > 0 {
@@ -305,7 +305,7 @@ func FuzzCursorRuns(f *testing.F) {
 					}
 					flat = append(flat, Descriptor{SrcOff: u, DstOff: l, Len: m, Count: 1})
 				})
-				size := ref.Offset() - start
+				size := ref.off - start
 				lin := make([]byte, size)
 				var writes [][2]int64
 				for _, b := range blocks {

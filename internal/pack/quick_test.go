@@ -277,9 +277,9 @@ func TestQuickCursorChunkedEqualsFullPack(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(chunkSeed)))
 		for !cur.Done() {
 			chunk := int64(rng.Intn(29) + 1)
-			off := cur.Offset()
+			off := cur.off
 			n, _ := cur.Pack(offsetSink{BufferSink{got}, off}, user, chunk)
-			if n == 0 || cur.Offset() != off+n {
+			if n == 0 || cur.off != off+n {
 				return false
 			}
 		}
@@ -308,7 +308,7 @@ func TestQuickCursorUnpackChunkedRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(chunkSeed)))
 		for !cur.Done() {
 			chunk := int64(rng.Intn(29) + 1)
-			off := cur.Offset()
+			off := cur.off
 			end := off + chunk
 			if end > total {
 				end = total
@@ -380,14 +380,14 @@ func TestQuickDescriptorsEqualFFPack(t *testing.T) {
 					copy(got[start+d.DstOff+i*d.Len:], user[src:src+d.Len])
 				}
 			}
-			return n == cur.Offset()-start
+			return n == cur.off-start
 		}
 		for !cur.Done() {
 			chunk := int64(rng.Intn(29) + 1)
-			start := cur.Offset()
+			start := cur.off
 			var st Stats
 			descs, st = cur.Descriptors(descs[:0], chunk)
-			if st.Bytes != cur.Offset()-start || !apply(start) {
+			if st.Bytes != cur.off-start || !apply(start) {
 				return false
 			}
 			if rng.Intn(3) == 0 {

@@ -93,9 +93,6 @@ func appendName(b []byte, i, n int) []byte {
 	return strconv.AppendInt(b, int64((i+1)%n), 10)
 }
 
-// Nodes returns the number of nodes on the ringlet.
-func (t *Topology) Nodes() int { return t.n }
-
 // Link returns the segment leaving node i (toward node (i+1) mod n).
 func (t *Topology) Link(i int) *flow.Link { return &t.links[i] }
 

@@ -64,7 +64,7 @@ func TestDMAQueuedBehindFirst(t *testing.T) {
 		p.Sleep(3 * time.Microsecond)
 		reqs := [2]*DMARequest{m.DMAWrite(p, 0, fill(256<<10)), m.DMAWrite(p, 512<<10, fill(64<<10))}
 		for i, req := range reqs {
-			req.done.OnComplete(func(any) { done[i] = e.Now() })
+			e.Go("observer", func(q *sim.Proc) { q.Await(&req.done); done[i] = q.Now() })
 		}
 		for _, req := range reqs {
 			if err := req.Wait(p); err != nil {

@@ -67,7 +67,7 @@ func TestRevokedSegmentSurfacesSegmentLost(t *testing.T) {
 			t.Fatalf("write before revocation failed: %v", err)
 		}
 		p.Sleep(2 * time.Millisecond)
-		if m.Valid() {
+		if !m.seg.revoked {
 			t.Error("mapping still valid after scheduled revocation")
 		}
 		var lost ErrSegmentLost

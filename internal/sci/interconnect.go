@@ -256,9 +256,6 @@ func (ic *Interconnect) Node(i int) *Node { return &ic.nodes[i] }
 // Nodes returns the number of nodes.
 func (ic *Interconnect) Nodes() int { return len(ic.nodes) }
 
-// ID returns the node's ring position.
-func (n *Node) ID() int { return n.id }
-
 // Links returns the adapter's egress and ingress links.
 func (n *Node) Links() (egress, ingress *flow.Link) { return n.egress, n.ingress }
 

@@ -383,7 +383,7 @@ func TestImportErrors(t *testing.T) {
 	if _, err := ic.Node(0).Import(1, seg.ID()); err == nil {
 		t.Error("import of revoked segment succeeded")
 	}
-	if m.Valid() {
+	if !m.seg.revoked {
 		t.Error("mapping made before the revocation is still valid")
 	}
 }

@@ -101,9 +101,6 @@ func (n *Node) export(s *Segment, mem memmodel.Backing) {
 // ID returns the segment's identifier, unique per owning node.
 func (s *Segment) ID() int { return int(s.id) }
 
-// Owner returns the owning node.
-func (s *Segment) Owner() *Node { return s.owner }
-
 // Size returns the segment size in bytes.
 func (s *Segment) Size() int64 { return s.mem.Size() }
 
@@ -179,10 +176,6 @@ func (m *Mapping) Segment() *Segment { return m.seg }
 
 // Remote reports whether the mapping crosses the ring.
 func (m *Mapping) Remote() bool { return m.from != m.seg.owner }
-
-// Valid reports whether the mapping's segment is still exported (not
-// revoked).
-func (m *Mapping) Valid() bool { return !m.seg.revoked }
 
 // checkBackoff is the initial backoff of a failed transfer check, doubled
 // per retry; checkRetryMax bounds the retries before Sync converts a

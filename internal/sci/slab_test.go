@@ -42,8 +42,8 @@ func TestExportSlabIDs(t *testing.T) {
 		if got[i].ID() != want[i].ID() || got[i].ID() != i {
 			t.Errorf("export %d: id %d from the batch, %d one by one, want %d", i, got[i].ID(), want[i].ID(), i)
 		}
-		if got[i].Size() != want[i].Size() || got[i].Owner() != batch.Node(1) {
-			t.Errorf("export %d: size %d owner %d, want %d on node 1", i, got[i].Size(), got[i].Owner().ID(), want[i].Size())
+		if got[i].Size() != want[i].Size() || got[i].owner != batch.Node(1) {
+			t.Errorf("export %d: size %d owner %d, want %d on node 1", i, got[i].Size(), got[i].owner.id, want[i].Size())
 		}
 		m, err := batch.Node(0).Import(1, i)
 		if err != nil || m.Segment() != got[i] {
@@ -131,8 +131,8 @@ func TestRevokeSegmentIDs(t *testing.T) {
 		if (err == nil) != want {
 			t.Errorf("import of id %d: err %v, want success %v", id, err, want)
 		}
-		if want && (m.Segment() != &slab[id] || !m.Valid()) {
-			t.Errorf("id %d maps %p valid %v, want %p", id, m.Segment(), m.Valid(), &slab[id])
+		if want && (m.Segment() != &slab[id] || m.seg.revoked) {
+			t.Errorf("id %d maps %p valid %v, want %p", id, m.Segment(), !m.seg.revoked, &slab[id])
 		}
 	}
 	if _, err := ic.Node(0).Import(1, 1); err == nil || err.Error() != "sci: node 1 exports no segment 1" {
@@ -169,10 +169,10 @@ func TestRevokedSlabSegmentFailsOldMappings(t *testing.T) {
 			err := views[i].WriteStream(p, 0, src, 0)
 			var lost ErrSegmentLost
 			switch {
-			case i != 1 && (err != nil || !views[i].Valid()):
-				t.Errorf("segment %d, a neighbour of the revoked one: valid %v, err %v", i, views[i].Valid(), err)
-			case i == 1 && (!errors.As(err, &lost) || lost != ErrSegmentLost{Owner: 1, Seg: 1} || views[i].Valid()):
-				t.Errorf("revoked segment through the slab mapping: valid %v, err %v", views[i].Valid(), err)
+			case i != 1 && (err != nil || views[i].seg.revoked):
+				t.Errorf("segment %d, a neighbour of the revoked one: valid %v, err %v", i, !views[i].seg.revoked, err)
+			case i == 1 && (!errors.As(err, &lost) || lost != ErrSegmentLost{Owner: 1, Seg: 1} || !views[i].seg.revoked):
+				t.Errorf("revoked segment through the slab mapping: valid %v, err %v", !views[i].seg.revoked, err)
 			}
 		}
 		var lost ErrSegmentLost

@@ -69,9 +69,6 @@ func NewBuses(e sim.Host, net *flow.Network, prefix string, n int, cfg Config) [
 	return buses
 }
 
-// Mem returns the bus's memory hierarchy model.
-func (b *Bus) Mem() *memmodel.Model { return b.mem }
-
 // Link returns the memory bus link.
 func (b *Bus) Link() *flow.Link { return b.bus[0].Link }
 

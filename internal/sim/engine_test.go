@@ -227,12 +227,17 @@ func TestPostBuffersBeyondCapacity(t *testing.T) {
 	}
 }
 
+// TestAwaitAll: a process that awaits several futures in turn, completed in
+// the reverse order, is released when the slowest completes; the ones already
+// done by then return at once.
 func TestAwaitAll(t *testing.T) {
 	e := NewEngine()
 	futs := []*Future{NewFuture(), NewFuture(), NewFuture()}
 	var done time.Duration
 	e.Go("waiter", func(p *Proc) {
-		p.AwaitAll(futs...)
+		for _, f := range futs {
+			p.Await(f)
+		}
 		done = p.Now()
 	})
 	for i, f := range futs {

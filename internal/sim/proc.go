@@ -84,9 +84,6 @@ type Proc struct {
 	handoff any
 }
 
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time of the process's engine.
 func (p *Proc) Now() time.Duration { return p.e.now }
 

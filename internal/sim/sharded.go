@@ -164,9 +164,6 @@ func NewShardedEngine(nshards int, lookahead time.Duration) *ShardedEngine {
 	return se
 }
 
-// Shards returns the number of shards.
-func (se *ShardedEngine) Shards() int { return len(se.shards) }
-
 // Shard returns shard i.
 func (se *ShardedEngine) Shard(i int) *Shard { return se.shards[i] }
 

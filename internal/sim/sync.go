@@ -16,9 +16,8 @@ type Future struct {
 	value any
 	// waiter is the first process to wait, held inline so that the common
 	// one-waiter future allocates no list; later arrivals queue in waiters.
-	waiter    *Proc
-	waiters   []*Proc
-	callbacks []func(any)
+	waiter  *Proc
+	waiters []*Proc
 }
 
 // NewFuture returns an incomplete future.
@@ -26,9 +25,6 @@ func NewFuture() *Future { return &Future{} }
 
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
-
-// Value returns the value passed to Complete, or nil if not yet complete.
-func (f *Future) Value() any { return f.value }
 
 // Complete marks the future done and wakes all waiters. Completing twice
 // panics.
@@ -47,10 +43,6 @@ func (f *Future) Complete(v any) {
 		f.waiters[i] = nil
 	}
 	f.waiters = f.waiters[:0] // storage kept for a future that is re-armed
-	for _, fn := range f.callbacks {
-		fn(v)
-	}
-	f.callbacks = nil
 }
 
 // Rearm makes a completed future incomplete again, keeping the storage of
@@ -64,18 +56,6 @@ func (f *Future) Rearm() {
 		panic("sim: re-arming a future that has not completed")
 	}
 	f.done, f.value = false, nil
-}
-
-// OnComplete registers fn to run synchronously (in registration order) when
-// the future completes; if it already has, fn runs immediately. It is the
-// event-driven counterpart of Await for code with no process context —
-// shard-resident actors of the sharded engine cannot park.
-func (f *Future) OnComplete(fn func(any)) {
-	if f.done {
-		fn(f.value)
-		return
-	}
-	f.callbacks = append(f.callbacks, fn)
 }
 
 // addWaiter queues p behind the processes already waiting. The inline slot
@@ -147,13 +127,6 @@ func awaitExpired(arg any) {
 	if p.parked && p.handoff.(*Future).dropWaiter(p) {
 		p.handoff = waitExpired
 		p.Wake()
-	}
-}
-
-// AwaitAll blocks p until every future in fs has completed.
-func (p *Proc) AwaitAll(fs ...*Future) {
-	for _, f := range fs {
-		p.Await(f)
 	}
 }
 

@@ -64,9 +64,6 @@ func New(dx, dy, dz int, linkBW float64, model flow.CongestionModel) *Topology {
 // Nodes returns the machine size.
 func (t *Topology) Nodes() int { return t.dims[0] * t.dims[1] * t.dims[2] }
 
-// Dims returns the torus dimensions.
-func (t *Topology) Dims() [3]int { return t.dims }
-
 // NodeID flattens coordinates (x fastest).
 func (t *Topology) NodeID(x, y, z int) int {
 	t.check(x, y, z)
