@@ -70,17 +70,19 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json is the virtual-time harness: it rewrites the five committed
+# bench-json is the virtual-time harness: it rewrites the six committed
 # artifacts BENCH_paper.json, BENCH_dma.json, BENCH_coll.json,
-# BENCH_rmem.json and BENCH_engine.json (the paper's figures and tables,
-# path-selection and algorithm-selection matrices, rmem failover suite,
-# sharded-engine 512-node suite) — the rows of internal/bench.Suites that
-# name a file. Every column written is determined by the seed, so
-# `git diff --exit-code BENCH_paper.json BENCH_dma.json BENCH_coll.json
-# BENCH_rmem.json BENCH_engine.json` after it is empty unless behaviour
-# changed; wall-clock columns are printed, not written (benchmark/ measures
-# those). Exits non-zero on a failed rmem availability gate or engine
-# determinism gate. See docs/PERFORMANCE.md.
+# BENCH_rmem.json, BENCH_engine.json and BENCH_ablation.json (the paper's
+# figures and tables, path-selection and algorithm-selection matrices, rmem
+# failover suite, sharded-engine 512-node suite, gated design-choice
+# ablations) — the rows of internal/bench.Suites that name a file. Every
+# column written is determined by the seed, so after it
+# `git diff --exit-code -- 'BENCH_*.json'` is empty and
+# `git status --porcelain -- 'BENCH_*.json'` prints nothing unless behaviour
+# changed (CI runs both, so a new file fails until it is committed);
+# wall-clock columns are printed, not written (benchmark/ measures those).
+# Exits non-zero on a failed gate: rmem availability, engine determinism or
+# an ablation claim. See docs/PERFORMANCE.md.
 bench-json:
 	$(GO) run ./cmd/benchjson -dir .
 

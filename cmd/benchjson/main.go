@@ -1,13 +1,13 @@
 // Command benchjson is the virtual-time harness: it runs the rows of the
 // table of experiments (internal/bench.Suites) that name a committed file —
 // the paper's figures and tables, the DMA path-selection and collective
-// algorithm-selection matrices, the rmem failover suite and the
-// sharded-engine 512-node suite — and writes the five BENCH_*.json
-// artifacts. Every column it writes is determined by the seed, so the files
-// regenerate byte-identically and CI diffs them; wall-clock numbers are
-// printed only (benchmark/ measures those). It exits non-zero when an rmem
-// availability gate or an engine determinism gate fails. See
-// docs/PERFORMANCE.md.
+// algorithm-selection matrices, the rmem failover suite, the sharded-engine
+// 512-node suite and the gated design-choice ablations — and writes the six
+// BENCH_*.json artifacts. Every column it writes is determined by the seed,
+// so the files regenerate byte-identically and CI diffs them; wall-clock
+// numbers are printed only (benchmark/ measures those). It exits non-zero
+// when a row's gate fails: an rmem availability gate, an engine determinism
+// gate or an ablation claim. See docs/PERFORMANCE.md.
 package main
 
 import (

@@ -65,7 +65,7 @@ func vectorType(bs int64) *datatype.Type {
 // an empty message; the bandwidth is the payload over rank 0's elapsed
 // virtual time. The protocol configuration is taken exactly as given.
 func streamBW(cfg mpi.Config, ty *datatype.Type, count, reps int) float64 {
-	span := ty.Extent()*int64(count-1) + ty.UB() + 64
+	span := ty.LB() + ty.Span(count) + 64
 	src := make([]byte, span)
 	dst := make([]byte, span)
 	var elapsed time.Duration

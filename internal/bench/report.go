@@ -3,7 +3,8 @@
 // (Suites) and the two renderers they share (Figure, Table). Each driver
 // returns structured results; cmd/repro prints any subset of the table,
 // cmd/benchjson writes the rows that are committed artefacts, and
-// bench_test.go exposes the drivers as testing.B benchmarks.
+// BenchmarkSuites runs each row as a testing.B sub-benchmark of its host
+// cost.
 package bench
 
 import (

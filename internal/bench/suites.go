@@ -125,7 +125,8 @@ type platformRows[R any] struct {
 }
 
 // Suites is the table, in report order: the paper's evaluation, the
-// extension experiments, then the four artefact suites of the extensions.
+// extension experiments, the four artefact suites of the extensions, then
+// the gated ablations of the design choices.
 var Suites = []Suite{
 	suite("fig1", "Figure 1: raw SCI communication performance (PIO and DMA latency and bandwidth)", PaperFile,
 		rows(func(s Sweep) []RawResult { return RunRaw(s.sizes(8, 512<<10)) }),
@@ -234,6 +235,13 @@ advantage appears when the target must not participate.
 			return gated(r, ok, "engine determinism gates")
 		},
 		func(r []EngineResult) []block { return []block{text(FormatEngine(r))} }),
+	suite("ablation", "the design choices DESIGN.md §5 ablates — rendezvous chunk, get as remote-put, write-combining, DMA rendezvous, a faulted exchange and a degraded put — each claim a gate", AblationFile,
+		func(Sweep) (ablationRows, error) {
+			r := runAblation()
+			ok := gateAblation(&r)
+			return gated(r, ok, "ablation claims")
+		},
+		ablationTables),
 }
 
 // Select resolves a comma-separated list of suite names to rows of the

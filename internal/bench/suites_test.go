@@ -153,21 +153,96 @@ func TestPaperArtifactMatchesCommitted(t *testing.T) {
 	if testing.Short() || allocwin.RaceEnabled {
 		t.Skip("the default sweeps take a few seconds, half a minute under the race detector")
 	}
-	got, err := RunArtifact(PaperFile, Sweep{}, io.Discard)
+	artifactMatchesCommitted(t, PaperFile)
+}
+
+// TestAblationArtifactMatchesCommitted does the same for the ablation row,
+// whose gates hold on the committed numbers.
+func TestAblationArtifactMatchesCommitted(t *testing.T) {
+	artifactMatchesCommitted(t, AblationFile)
+}
+
+func artifactMatchesCommitted(t *testing.T, file string) {
+	got, err := RunArtifact(file, Sweep{}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("../../" + PaperFile)
+	want, err := os.ReadFile("../../" + file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s regenerates differently from the committed file; if the model changed on purpose, run `make bench-json` and commit it", PaperFile)
+		t.Errorf("%s regenerates differently from the committed file; if the model changed on purpose, run `make bench-json` and commit it", file)
 	}
 	for _, col := range []string{"wall", "NaN", "Inf", `"go"`} {
 		if bytes.Contains(got, []byte(col)) {
-			t.Errorf("%s carries %q", PaperFile, col)
+			t.Errorf("%s carries %q", file, col)
 		}
+	}
+}
+
+// TestAblationGatesCanFail feeds each claim of the ablation row a part that
+// violates it: the row's verdict and that claim's gate must be false. The
+// row it starts from is the committed one, rounded, and passes.
+func TestAblationGatesCanFail(t *testing.T) {
+	measured := func() ablationRows {
+		return ablationRows{
+			Chunk: chunkAblation{Default: 64 << 10, Points: []chunkPoint{
+				{32 << 10, 189.2}, {64 << 10, 188.9}, {256 << 10, 170.8}, {chunkBeyondL2, 142.5}}},
+			Get: getAblation{DirectMax: 8 << 10, Points: []getPoint{
+				{128, 8170, 9390, 8170}, {8 << 10, 523130, 53650, 523130}, {getWinAt, 2092520, 229500, 229500}}},
+			WC:  wcAblation{Aligned: 161.9, Misaligned: 7.0, Off: 80.98},
+			DMA: dmaAblation{PIO: 164.1, DMA: 81.65, Peak: 85},
+			Exchange: exchangeAblation{Clean: exchangeRun{100, 4 << 20, "d"}, Faulted: exchangeRun{103, 4 << 20, "d"},
+				Slowdown: 1.03, SendRetries: 1, Duplicates: 10, CheckRetries: 3},
+			OneSided: oneSidedAblation{Degradations: 1, TargetOK: true},
+		}
+	}
+	r := measured()
+	if !gateAblation(&r) {
+		t.Fatalf("the measured row fails its gates: %+v", r)
+	}
+	// Each violation returns the gate it must turn false.
+	for claim, violate := range map[string]func(r *ablationRows) *bool{
+		"default chunk 1.7 % below the best": func(r *ablationRows) *bool { r.Chunk.Points[1].MiBs = 186; return &r.Chunk.GateDefaultNearBest },
+		"512 KiB chunk 15 % below the best":  func(r *ablationRows) *bool { r.Chunk.Points[3].MiBs = 160; return &r.Chunk.GateBeyondL2Drops },
+		"default 8 KiB get is a remote-put": func(r *ablationRows) *bool {
+			r.Get.Points[1].DefaultNS = 53650
+			return &r.Get.GateDefaultFollowsThreshold
+		},
+		"remote-put 4.4x at 32 KiB":          func(r *ablationRows) *bool { r.Get.Points[2].DirectNS = 1000000; return &r.Get.GateRemotePutWins },
+		"write-combining off as fast as on":  func(r *ablationRows) *bool { r.WC.Off = 161.9; return &r.WC.GateOffHalvesAligned },
+		"write-combining off 9x misaligned":  func(r *ablationRows) *bool { r.WC.Misaligned = 9; return &r.WC.GateOffBeatsMisaligned },
+		"DMA faster than PIO":                func(r *ablationRows) *bool { r.DMA.PIO = 80; return &r.DMA.GatePIOFaster },
+		"DMA over its peak":                  func(r *ablationRows) *bool { r.DMA.DMA = 86; return &r.DMA.GateDMAUnderPeak },
+		"faulted exchange, other bytes":      func(r *ablationRows) *bool { r.Exchange.Faulted.Digest = "e"; return &r.Exchange.GateSameBytes },
+		"faulted exchange faster than clean": func(r *ablationRows) *bool { r.Exchange.Slowdown = 0.99; return &r.Exchange.GateNoSpeedup },
+		"no check retry counted":             func(r *ablationRows) *bool { r.Exchange.CheckRetries = 0; return &r.Exchange.GateRecoveryCounted },
+		"revoked view never degraded":        func(r *ablationRows) *bool { r.OneSided.Degradations = 0; return &r.OneSided.GateOneDegradation },
+		"degraded put returns an error":      func(r *ablationRows) *bool { r.OneSided.PutError = "lost"; return &r.OneSided.GatePutOK },
+		"degraded put leaves wrong bytes":    func(r *ablationRows) *bool { r.OneSided.TargetOK = false; return &r.OneSided.GateTargetOK },
+	} {
+		r := measured()
+		gate := violate(&r)
+		if gateAblation(&r) || *gate {
+			t.Errorf("%s passed the gates: %+v", claim, r)
+		}
+	}
+}
+
+// BenchmarkSuites runs every row of the table at its default sweep, one
+// sub-benchmark per row. Its ns/op is the simulator's host cost of the row;
+// the modelled numbers are the rows themselves, which cmd/repro prints and
+// cmd/benchjson commits.
+func BenchmarkSuites(b *testing.B) {
+	for _, s := range Suites {
+		b.Run(s.Name, func(b *testing.B) {
+			for range b.N {
+				if _, err := s.Run(Sweep{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -112,8 +112,17 @@ func (t *Type) Extent() int64 { return t.ub - t.lb }
 // LB returns the lower bound (the lowest byte displacement touched).
 func (t *Type) LB() int64 { return t.lb }
 
-// UB returns the upper bound.
-func (t *Type) UB() int64 { return t.ub }
+// Span returns the bytes count instances of t cover, from the lower bound
+// of the first to the upper bound of the last — Extent()*(count-1) plus one
+// instance's upper minus lower bound — and 0 for count <= 0. A buffer that
+// holds count instances from its first byte is at least LB() + Span(count)
+// long.
+func (t *Type) Span(count int) int64 {
+	if count <= 0 {
+		return 0
+	}
+	return t.Extent()*int64(count-1) + t.ub - t.lb
+}
 
 // Committed reports whether Commit has run.
 func (t *Type) Committed() bool { return t.committed }

@@ -102,6 +102,9 @@ func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) error {
 	if err := c.checkRank("Bcast", "root", root); err != nil {
 		return err
 	}
+	if err := CheckBuffer("Bcast", "buffer", buf, count, dt); err != nil {
+		return err
+	}
 	size := c.Size()
 	if size == 1 {
 		return nil
@@ -180,6 +183,12 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, ro
 		return err
 	}
 	base, err := checkReduce("Reduce", dt, op)
+	if err == nil {
+		err = CheckBuffer("Reduce", "send buffer", send, count, dt)
+	}
+	if err == nil && c.Rank() == root {
+		err = CheckBuffer("Reduce", "receive buffer", recv, count, dt)
+	}
 	if err != nil {
 		return err
 	}
@@ -236,6 +245,12 @@ func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op,
 // contiguous base-typed views, so derived datatypes work everywhere.
 func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op) error {
 	base, err := checkReduce("Allreduce", dt, op)
+	if err == nil {
+		err = CheckBuffer("Allreduce", "send buffer", send, count, dt)
+	}
+	if err == nil {
+		err = CheckBuffer("Allreduce", "receive buffer", recv, count, dt)
+	}
 	if err != nil {
 		return err
 	}
@@ -276,6 +291,14 @@ func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op)
 func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
 	if err := c.checkRank("Gather", "root", root); err != nil {
 		return err
+	}
+	if err := CheckBuffer("Gather", "send buffer", send, count, dt); err != nil {
+		return err
+	}
+	if c.Rank() == root {
+		if err := CheckBuffer("Gather", "receive buffer", recv, c.Size()*count, dt); err != nil {
+			return err
+		}
 	}
 	op := c.collBegin(collGather, CollP2P, dt.Size()*int64(count))
 	return op.end(c.collective().gather(send, count, dt, recv, root))

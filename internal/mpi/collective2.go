@@ -18,6 +18,12 @@ const (
 // deposits its block into every peer's slot directly).
 func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte) error {
 	size := c.Size()
+	if err := CheckBuffer("Allgather", "send buffer", send, count, dt); err != nil {
+		return err
+	}
+	if err := CheckBuffer("Allgather", "receive buffer", recv, size*count, dt); err != nil {
+		return err
+	}
 	me := c.Rank()
 	bytes := dt.Size() * int64(count)
 	copy(recv[int64(me)*bytes:], send[:bytes])
@@ -64,6 +70,12 @@ func (c *Comm) allgatherRing(recv []byte, count int, dt *datatype.Type) error {
 // the cost model favours it).
 func (c *Comm) Alltoall(send []byte, count int, dt *datatype.Type, recv []byte) error {
 	size := c.Size()
+	if err := CheckBuffer("Alltoall", "send buffer", send, size*count, dt); err != nil {
+		return err
+	}
+	if err := CheckBuffer("Alltoall", "receive buffer", recv, size*count, dt); err != nil {
+		return err
+	}
 	me := c.Rank()
 	bytes := dt.Size() * int64(count)
 	copy(recv[int64(me)*bytes:int64(me+1)*bytes], send[int64(me)*bytes:int64(me+1)*bytes])

@@ -332,9 +332,10 @@ func TestDMAPathDeliversData(t *testing.T) {
 	}
 }
 
-// TestCallsReturnTypedErrors: a bad rank argument or a fault comes back as
-// a typed error, not a panic. Rank 0 makes each call; in the crash rows
-// node 1 is down by then and rank 1 does nothing.
+// TestCallsReturnTypedErrors: a bad rank argument, a buffer that cannot
+// hold its count or a fault comes back as a typed error, not a panic. Rank
+// 0 makes each call; rank 1 runs the row's peer, if any; in the crash rows
+// node 1 is down by then.
 func TestCallsReturnTypedErrors(t *testing.T) {
 	buf := make([]byte, 8)
 	isArg := func(call string) func(error) bool {
@@ -348,36 +349,69 @@ func TestCallsReturnTypedErrors(t *testing.T) {
 		crash bool
 		call  func(c *Comm) error
 		ok    func(error) bool
+		peer  func(c *Comm) error
 	}
+	sendBytes := func(n int) func(c *Comm) error {
+		return func(c *Comm) error { return c.Send(make([]byte, n), n, datatype.Byte, 0, 0) }
+	}
+	errOf := func(_ any, err error) error { return err }
+	negativeLB := datatype.Vector(4, 1, -2, datatype.Float64).Commit()
 	rows := []row{
 		{"Send past the last rank", false, func(c *Comm) error {
 			return c.Send(buf, 8, datatype.Byte, 2, 0)
-		}, isArg("Send")},
+		}, isArg("Send"), nil},
 		{"Send to a negative rank", false, func(c *Comm) error {
 			return c.Send(buf, 8, datatype.Byte, -1, 0)
-		}, isArg("Send")},
+		}, isArg("Send"), nil},
 		{"Shrink after a crash", true, func(c *Comm) error {
 			s, err := c.Shrink()
 			if err == nil && s.Size() != 1 {
 				return fmt.Errorf("shrunken communicator has %d ranks, want 1", s.Size())
 			}
 			return err
-		}, func(err error) bool { return err == nil }},
+		}, func(err error) bool { return err == nil }, nil},
+		{"Recv of a 32 B message into 8 B", false, func(c *Comm) error {
+			return errOf(c.Recv(buf, 4, datatype.Float64, 1, 0))
+		}, isArg("Recv"), sendBytes(32)},
+		{"Recv of a 512 KiB message into 8 B", false, func(c *Comm) error {
+			return errOf(c.Recv(buf, 64<<10, datatype.Float64, 1, 0))
+		}, isArg("Recv"), sendBytes(512 << 10)},
+		{"Irecv into 8 B", false, func(c *Comm) error {
+			return errOf(c.Irecv(buf, 4, datatype.Float64, 1, 0).Wait())
+		}, isArg("Irecv"), nil},
+		{"Send of 4 doubles from 8 B", false, func(c *Comm) error {
+			return c.Send(buf, 4, datatype.Float64, 1, 0)
+		}, isArg("Send"), nil},
+		{"Isend of 4 doubles from 8 B", false, func(c *Comm) error {
+			return errOf(c.Isend(buf, 4, datatype.Float64, 1, 0).Wait())
+		}, isArg("Isend"), nil},
+		{"Send of count -1", false, func(c *Comm) error {
+			return c.Send(buf, -1, datatype.Byte, 1, 0)
+		}, isArg("Send"), nil},
+		{"Send of a negative-stride vector", false, func(c *Comm) error {
+			return c.Send(make([]byte, 64), 1, negativeLB, 1, 0)
+		}, isArg("Send"), nil},
+		{"Allreduce of 4 doubles in 8 B", false, func(c *Comm) error {
+			return c.Allreduce(buf, make([]byte, 32), 4, datatype.Float64, OpSum)
+		}, isArg("Allreduce"), nil},
+		{"Bcast of 4 doubles in 8 B", false, func(c *Comm) error {
+			return c.Bcast(buf, 4, datatype.Float64, 0)
+		}, isArg("Bcast"), nil},
 	}
 	for _, src := range []int{2, -5} {
 		rows = append(rows,
 			row{fmt.Sprintf("Recv from rank %d", src), false, func(c *Comm) error {
 				_, err := c.Recv(buf, 8, datatype.Byte, src, 0)
 				return err
-			}, isArg("Recv")},
+			}, isArg("Recv"), nil},
 			row{fmt.Sprintf("RecvTimeout from rank %d", src), false, func(c *Comm) error {
 				_, err := c.RecvTimeout(buf, 8, datatype.Byte, src, 0, AutoTimeout)
 				return err
-			}, isArg("Recv")},
+			}, isArg("Recv"), nil},
 			row{fmt.Sprintf("Sendrecv from rank %d", src), false, func(c *Comm) error {
 				_, err := c.Sendrecv(buf, 8, datatype.Byte, 1, 0, buf, 8, datatype.Byte, src, 0)
 				return err
-			}, isArg("Sendrecv")},
+			}, isArg("Sendrecv"), nil},
 		)
 	}
 	for _, tc := range rows {
@@ -392,6 +426,8 @@ func TestCallsReturnTypedErrors(t *testing.T) {
 				if c.Rank() == 0 {
 					c.Proc().Sleep(200 * time.Microsecond)
 					err = tc.call(c)
+				} else if tc.peer != nil {
+					_ = tc.peer(c) // a rendezvous the refused receive never matches times out
 				}
 			})
 			if !tc.ok(err) {

@@ -26,9 +26,13 @@ func genericTraversalPenalty(blocks int64) time.Duration {
 // crashed peer node yields sci.ErrConnectionLost, an expired rendezvous
 // watchdog (ProtocolConfig.RendezvousTimeout) a *fault.Error of kind
 // Timeout, persistent injected transfer errors their fault kind and a dst
-// outside the communicator an *ArgumentError. Transient faults are retried
-// with exponential backoff first (sendRetryMax attempts from sendBackoff).
+// outside the communicator or a buffer that cannot hold count elements an
+// *ArgumentError. Transient faults are retried with exponential backoff
+// first (sendRetryMax attempts from sendBackoff).
 func (c *Comm) Send(buf []byte, count int, dt *datatype.Type, dst, tag int) error {
+	if err := CheckBuffer("Send", "send buffer", buf, count, dt); err != nil {
+		return err
+	}
 	return c.send(buf, count, dt, dst, tag, c.ctx)
 }
 
@@ -634,14 +638,17 @@ func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) (Sta
 // or sci.ErrConnectionLost when a specific source rank's node is down —
 // instead of blocking forever. A timeout of 0 waits indefinitely;
 // AutoTimeout selects the world-scaled rendezvous bound. A source outside
-// the communicator is an *ArgumentError whose Call is "Recv", the operation
-// both calls make.
+// the communicator, or a buffer that cannot hold count elements, is an
+// *ArgumentError whose Call is "Recv", the operation both calls make.
 //
 // The Status comes back by value: the receive's Request is the call's own,
 // taken from the world's free list and returned to it by finishRecv, so a
 // blocking receive allocates nothing.
 func (c *Comm) RecvTimeout(buf []byte, count int, dt *datatype.Type, src, tag int, timeout time.Duration) (Status, error) {
 	peer, err := c.recvPeer("Recv", src)
+	if err == nil {
+		err = CheckBuffer("Recv", "receive buffer", buf, count, dt)
+	}
 	if err != nil {
 		return Status{}, err
 	}
@@ -725,13 +732,15 @@ func (r *Request) Wait() (*Status, error) {
 	return nil, nil
 }
 
-// Irecv posts a nonblocking receive.
+// Irecv posts a nonblocking receive. A buffer that cannot hold count
+// elements posts nothing: the request completes with the *ArgumentError.
 func (c *Comm) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
-	return c.irecv(buf, count, dt, src, tag, c.ctx)
-}
-
-func (c *Comm) irecv(buf []byte, count int, dt *datatype.Type, src, tag, ctx int) *Request {
-	return c.postRecv(new(Request), buf, count, dt, src, tag, ctx)
+	if err := CheckBuffer("Irecv", "receive buffer", buf, count, dt); err != nil {
+		req := &Request{p: c.p, c: c}
+		req.done.Complete(err)
+		return req
+	}
+	return c.postRecv(new(Request), buf, count, dt, src, tag, c.ctx)
 }
 
 // postRecv posts the receive on req, a zero Request.
@@ -758,6 +767,10 @@ func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, 
 // caller of Wait instead of ending the run from inside the helper.
 func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Request {
 	req := &Request{p: c.p, c: c}
+	if err := CheckBuffer("Isend", "send buffer", buf, count, dt); err != nil {
+		req.done.Complete(err)
+		return req
+	}
 	c.rk.w.host.Go(fmt.Sprintf("isend%d->%d", c.rk.id, dst), func(p *sim.Proc) {
 		h := c.derive()
 		h.p = p
@@ -776,6 +789,12 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Re
 func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
 	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) (Status, error) {
 	peer, err := c.recvPeer("Sendrecv", src)
+	if err == nil {
+		err = CheckBuffer("Sendrecv", "send buffer", sendBuf, sendCount, sendType)
+	}
+	if err == nil {
+		err = CheckBuffer("Sendrecv", "receive buffer", recvBuf, recvCount, recvType)
+	}
 	if err != nil {
 		return Status{}, err
 	}

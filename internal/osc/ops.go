@@ -31,12 +31,15 @@ func (w *Win) fail(op flight.Op, target int, err error) {
 // displacement targetOff (MPI_Put). It returns failures as typed errors: a
 // dead target node yields sci.ErrConnectionLost, a revoked rank
 // *mpi.RevokedRankError, an expired handler watchdog ErrSyncTimeout, and a
-// target that dropped the window ErrWinGone. Epoch and bounds violations
-// still panic (programming errors).
+// target that dropped the window ErrWinGone; an origin buffer that cannot
+// hold count elements is an *mpi.ArgumentError (mpi.CheckBuffer). Epoch and
+// bounds violations still panic (programming errors).
 func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	w.checkEpoch("Put")
-	n := dt.Size() * int64(count)
-	span := dt.Extent()*int64(count-1) + dt.UB() - dt.LB()
+	if err := mpi.CheckBuffer("Put", "origin buffer", buf, count, dt); err != nil {
+		return err
+	}
+	n, span := dt.Size()*int64(count), dt.Span(count)
 	if count == 0 {
 		return nil
 	}
@@ -234,8 +237,10 @@ func (w *Win) chargeLocal(st pack.Stats) {
 // as Put's typed errors.
 func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	w.checkEpoch("Get")
-	n := dt.Size() * int64(count)
-	span := dt.Extent()*int64(count-1) + dt.UB() - dt.LB()
+	if err := mpi.CheckBuffer("Get", "origin buffer", buf, count, dt); err != nil {
+		return err
+	}
+	n, span := dt.Size()*int64(count), dt.Span(count)
 	if count == 0 {
 		return nil
 	}
@@ -348,14 +353,17 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 // Accumulate combines count elements of the basic type dt from buf into
 // target's window at targetOff using op (MPI_Accumulate). The operation
 // always executes at the target, which makes it atomic with respect to
-// other accumulates. An unknown op is an *mpi.ArgumentError, returned
-// before anything is sent; failures come back as Put's typed errors.
+// other accumulates. An unknown op or a short origin buffer is an
+// *mpi.ArgumentError, returned before anything is sent; failures come back as Put's typed errors.
 func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) (err error) {
 	w.checkEpoch("Accumulate")
 	if dt.Kind() != datatype.KindBasic {
 		panic(fmt.Sprintf("osc: Accumulate requires a basic datatype, got %s", dt))
 	}
 	if err := op.Validate("Accumulate"); err != nil {
+		return err
+	}
+	if err := mpi.CheckBuffer("Accumulate", "origin buffer", buf, count, dt); err != nil {
 		return err
 	}
 	n := dt.Size() * int64(count)

@@ -2,6 +2,7 @@ package osc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -412,6 +413,35 @@ func TestAccessOutsideWindowPanics(t *testing.T) {
 				must(w.Fence())
 			})
 		})
+	}
+}
+
+// TestOriginBufferChecked: an origin buffer that cannot hold count elements
+// (8 B for four doubles, or a vector whose lower bound is negative) is an
+// *mpi.ArgumentError naming the call, returned before anything moves.
+func TestOriginBufferChecked(t *testing.T) {
+	buf, negativeLB := make([]byte, 8), datatype.Vector(4, 1, -2, datatype.Float64).Commit()
+	for _, tc := range []struct {
+		call string
+		op   func(w *Win) error
+	}{
+		{"Put", func(w *Win) error { return w.Put(buf, 4, datatype.Float64, 1, 0) }},
+		{"Get", func(w *Win) error { return w.Get(buf, 4, datatype.Float64, 1, 0) }},
+		{"Accumulate", func(w *Win) error { return w.Accumulate(buf, 4, datatype.Float64, mpi.OpSum, 1, 0) }},
+		{"Put", func(w *Win) error { return w.Put(make([]byte, 64), 1, negativeLB, 1, 64) }},
+	} {
+		var err error
+		runCluster(2, 1, func(c *mpi.Comm) {
+			w := mkWin(c, 1024, true)
+			must(w.Fence())
+			if c.Rank() == 0 {
+				err = tc.op(w)
+			}
+			must(w.Fence())
+		})
+		if arg := (*mpi.ArgumentError)(nil); !errors.As(err, &arg) || arg.Call != tc.call {
+			t.Errorf("%s: err = %v (%T), want an *mpi.ArgumentError", tc.call, err, err)
+		}
 	}
 }
 

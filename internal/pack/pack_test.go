@@ -12,7 +12,7 @@ import (
 // instance may extend past count*extent when the type's upper bound exceeds
 // its extent, so size by UB.
 func mkUser(t *datatype.Type, count int, rng *rand.Rand) []byte {
-	n := t.Extent()*int64(count-1) + t.UB() + 64
+	n := t.LB() + t.Span(count) + 64
 	if n < 64 {
 		n = 64
 	}

@@ -86,7 +86,7 @@ func (s typeSpec) build() *datatype.Type {
 
 // userBuf allocates a filled buffer large enough for count instances.
 func userBufFor(t *datatype.Type, count int, seed int64) []byte {
-	n := t.Extent()*int64(count-1) + t.UB() + 64
+	n := t.LB() + t.Span(count) + 64
 	if n < 64 {
 		n = 64
 	}

@@ -83,13 +83,13 @@ const (
 	// packets impose on the return-path ring segments.
 	EchoFraction float64 = 0.25
 
-	// dmaStartup and dmaPeakBW describe the adapter's DMA engine.
+	// dmaStartup and DMAPeakBW describe the adapter's DMA engine.
 	dmaStartup time.Duration = 22 * time.Microsecond
-	dmaPeakBW  float64       = 85 * MiB
+	DMAPeakBW  float64       = 85 * MiB
 
 	// Scatter-gather DMA: a descriptor-list engine that gathers scattered
 	// source runs and streams them onto the ring without the CPU. Unlike
-	// the plain block engine (dmaPeakBW, calibrated against the D330's
+	// the plain block engine (DMAPeakBW, calibrated against the D330's
 	// single-transfer programmed setup), the list engine pipelines
 	// descriptor fetch with data movement and feeds the adapter's stream
 	// buffers directly, so its streaming rate approaches the PIO write

@@ -128,7 +128,7 @@ func (d *dmaEngine) run(p *sim.Proc) {
 			req.done.Complete(fe)
 			continue
 		}
-		bw := cfg.Mem.EffectiveSourceBW(dmaPeakBW, n)
+		bw := cfg.Mem.EffectiveSourceBW(DMAPeakBW, n)
 		if err := d.node.transferCost(p, req.m.seg.owner, n, bw); err != nil {
 			req.data.Put()
 			req.done.Complete(err)

@@ -95,7 +95,7 @@ func TestNoDroppedErrors(t *testing.T) {
 // one of them: those tests read the field or call what production calls.
 const (
 	postsOverlapping = "the protocol and schedule tests post overlapping operations with it"
-	structStore      = "a struct store that the stats parity test and the faulted-run benchmarks read (docs/OBSERVABILITY.md, one store)"
+	structStore      = "a struct store that the stats parity test reads (docs/OBSERVABILITY.md, one store)"
 	planBuilder      = "a fault-plan builder: the fault and recovery tests of sci, osc and mpi compose plans from it (docs/FAULTS.md)"
 	allocHarness     = "the allocation-window harness, test support that the allocation budgets of six packages measure through"
 	testHook         = "a hook for tests to observe a run: a leak check's coroutine count, a failure dump handed over in process"
@@ -111,23 +111,17 @@ var reachedOnlyByTests = map[string]string{
 	"mpi.Comm.Irecv":   postsOverlapping,
 	"mpi.Comm.Waitall": postsOverlapping,
 
-	"mpi.World.Fabric":            structStore,
-	"mpi.World.Size":              structStore,
-	"mpi.World.WorldStats":        structStore,
-	"mpi.World.InterconnectStats": structStore,
-	"mpi.World.PackStats":         structStore,
-	"flow.Network.Stats":          structStore,
-	"sci.Interconnect.Faults":     structStore,
+	"mpi.World.Fabric":        structStore,
+	"mpi.World.WorldStats":    structStore,
+	"mpi.World.PackStats":     structStore,
+	"flow.Network.Stats":      structStore,
+	"sci.Interconnect.Faults": structStore,
 
-	"fault.Plan.RestoreNode":     planBuilder,
-	"fault.Plan.DisturbLink":     planBuilder,
-	"fault.Plan.RevokeSegment":   planBuilder,
-	"fault.Plan.FailImports":     planBuilder,
-	"fault.Plan.WithRetries":     planBuilder,
-	"fault.Plan.WithWriteErrors": planBuilder,
-	"fault.Plan.WithDMAErrors":   planBuilder,
-	"fault.Plan.WithCheckErrors": planBuilder,
-	"fault.Plan.WithDuplicates":  planBuilder,
+	"fault.Plan.RestoreNode":   planBuilder,
+	"fault.Plan.DisturbLink":   planBuilder,
+	"fault.Plan.FailImports":   planBuilder,
+	"fault.Plan.WithRetries":   planBuilder,
+	"fault.Plan.WithDMAErrors": planBuilder,
 
 	"allocwin.New":            allocHarness,
 	"allocwin.RaceEnabled":    allocHarness,
