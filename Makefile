@@ -135,7 +135,9 @@ shard-stress:
 # process switches, 24 events), a 4 KiB eager
 # message (none), a 256 KiB rendezvous message on every data engine, the
 # staged path included (none), an 8-rank allreduce on every algorithm (at
-# most 4 per rank), a put + fence epoch (none), an emulated one-sided put,
+# most 4 per rank), no pooled scratch block for a 2 MiB ring allreduce with
+# distinct dense buffers and one per rank in place
+# (TestAllocsRingAllreduceBorrowsNoScratch), a put + fence epoch (none), an emulated one-sided put,
 # remote-put get and accumulate (none: TestAllocsRPCBudget), and an rmem Put,
 # Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
 # these regress.

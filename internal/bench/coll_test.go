@@ -34,9 +34,10 @@ func forcedColumns(r CollResult) map[string]float64 {
 }
 
 // TestCollAdaptiveTracksBest: the chooser's achieved bandwidth stays
-// within 15% of the measured-best forced algorithm on every row (the
-// cost-model priors are imperfect for cold (kind, alg) pairs; EWMA
-// feedback only narrows the gap once an algorithm has been tried).
+// within 15% of the measured-best forced algorithm on every row. The
+// chooser is the argmin of the cost-model priors, with nothing learned,
+// so where two families come within the priors' error (a near tie) it may
+// pick the slower one; this gate bounds what that costs.
 func TestCollAdaptiveTracksBest(t *testing.T) {
 	for _, r := range collRows() {
 		if r.Best <= 0 {

@@ -135,13 +135,14 @@ func twoSidedBusyTarget() time.Duration {
 				c.Proc().Sleep(computeChunk) // compute
 				// Poll: service everything that queued up.
 				for {
-					if _, ok := c.Iprobe(0, 102); ok {
+					_, ok, perr := c.Iprobe(0, 102)
+					if err = errors.Join(err, perr); ok {
 						err = errors.Join(err, errOf(c.Recv(nil, 0, datatype.Byte, 0, 102)))
 						done = true
 						break
 					}
-					st, ok := c.Iprobe(0, 100)
-					if !ok {
+					st, ok, perr := c.Iprobe(0, 100)
+					if err = errors.Join(err, perr); !ok {
 						break
 					}
 					buf := make([]byte, st.Bytes)
@@ -151,7 +152,11 @@ func twoSidedBusyTarget() time.Duration {
 			}
 			// Drain any remainder so the origin completes.
 			for !done {
-				st := c.Probe(0, mpi.AnyTag)
+				st, perr := c.Probe(0, mpi.AnyTag)
+				if perr != nil {
+					err = errors.Join(err, perr)
+					break
+				}
 				if st.Tag == 102 {
 					err = errors.Join(err, errOf(c.Recv(nil, 0, datatype.Byte, 0, 102)))
 					break

@@ -8,11 +8,13 @@ package mpi
 // table, so a gate fed small tags measures that table, not the code.
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 	"unsafe"
 
 	"scimpich/internal/allocwin"
+	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 	"scimpich/internal/sci"
 	"scimpich/internal/sim"
@@ -134,10 +136,11 @@ func TestAllocsRendezvousBudget(t *testing.T) {
 // TestAllocsAllreduceBudget pins an 8-rank Allreduce at 4 objects per rank
 // and call (none expected) on every forced algorithm at 4 KiB, and the ring
 // at 2 MiB at the same count with no term in the vector length: the
-// accumulator is the caller's recv, the scratch vectors are pooled, the
-// internal receives recycle their Requests and the collective view of the
-// communicator is made once. (The payload is >= 256 B; collective tags are
-// all >= 1<<20.)
+// accumulator is the caller's recv, the ring reads the caller's distinct
+// send buffer in place of a scratch block (TestAllocsRingAllreduceBorrowsNoScratch)
+// and every other scratch vector is pooled, the internal receives recycle
+// their Requests and the collective view of the communicator is made once.
+// (The payload is >= 256 B; collective tags are all >= 1<<20.)
 func TestAllocsAllreduceBudget(t *testing.T) {
 	const ranks = 8
 	for _, tc := range []struct {
@@ -164,6 +167,46 @@ func TestAllocsAllreduceBudget(t *testing.T) {
 		if bytes/ranks > 4<<10 {
 			t.Errorf("%v at %d B: %.0f B per rank and call: the cost grows with the vector", tc.alg, tc.bytes, bytes/ranks)
 		}
+	}
+}
+
+// TestAllocsRingAllreduceBorrowsNoScratch: a fresh 8-rank world's first
+// 2 MiB ring Allreduce with distinct dense buffers takes no pooled block:
+// each rank receives its left neighbour's partials straight into recv and
+// folds its send buffer's block in. An in-place call has no second copy of
+// the contribution, so it still borrows one 256 KiB block per rank, and its
+// sum is still right. The two calls differ in nothing else, so their
+// bufpool.Get counts differ by exactly the in-place call's 8 blocks.
+func TestAllocsRingAllreduceBorrowsNoScratch(t *testing.T) {
+	const ranks, n = 8, 2 << 20
+	// gets runs one ring Allreduce of n bytes on a fresh world and returns
+	// the pool gets of the whole run.
+	gets := func(inPlace bool) int64 {
+		before := bufpool.Snapshot().Gets
+		Run(collConfig(ranks, CollRing), func(c *Comm) {
+			send := make([]byte, n)
+			for i := 0; i < n/8; i++ {
+				binary.LittleEndian.PutUint64(send[8*i:], uint64(c.Rank()+i))
+			}
+			recv := make([]byte, n)
+			if inPlace {
+				recv = send
+			}
+			must(c.Allreduce(send, recv, n/8, datatype.Int64, OpSum))
+			for _, i := range []int{0, n/16 + 3, n/8 - 1} {
+				want := int64(ranks*(ranks-1)/2 + ranks*i)
+				if got := int64(binary.LittleEndian.Uint64(recv[8*i:])); got != want {
+					t.Errorf("in place %v: rank %d element %d = %d, want %d", inPlace, c.Rank(), i, got, want)
+				}
+			}
+		})
+		return bufpool.Snapshot().Gets - before
+	}
+	distinct, inPlace := gets(false), gets(true)
+	t.Logf("pool gets per 2 MiB ring allreduce on %d ranks: %d with distinct buffers, %d in place", ranks, distinct, inPlace)
+	if inPlace-distinct != ranks {
+		t.Errorf("the in-place call takes %d more pooled buffers than the one with distinct buffers, want %d (one scratch block per rank)",
+			inPlace-distinct, ranks)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"slices"
 	"time"
 
 	"scimpich/internal/obs"
@@ -12,25 +13,21 @@ import (
 // The collective algorithm engine: every collective call is dispatched
 // through an algorithm chooser that ranks the implemented algorithm
 // families per message size and communicator size. Like the rendezvous
-// deposit chooser (pathsel.go) it starts from cost-model priors; unlike it,
-// it refines them with an EWMA of achieved collective bandwidth as calls
-// complete, because on their own the priors pick slower algorithms for
-// some collectives (EXPERIMENTS.md, "Ablation: priors-only choosers").
+// deposit chooser (pathsel.go) it is its cost model: the pick is the
+// eligible family with the cheapest prior, a pure function of the call.
 //
 // Correctness requires every member of a collective to pick the *same*
-// algorithm. The EWMA state therefore lives on the World, and each matched
-// call is decided once, keyed by the call's sequence number
-// (World.callSeq): the first rank to enter call #k ranks the candidates
-// against the live table and records the winner, the remaining members
-// read that record, and completions fold into the live table only. The
-// simulation is single-threaded, so the shared tables need no locking.
+// algorithm. Every input of the pick — kind, communicator size, payload,
+// per-pair block and the world's configuration — is equal on all members of
+// a matched call, and nothing is learned from earlier calls, so each member
+// computes the same pick by itself.
 
 // CollAlg selects the algorithm family of a collective operation.
 type CollAlg int
 
 const (
-	// CollAuto (the default) ranks the eligible algorithms per call from
-	// the cost-model priors, refined by EWMA bandwidth feedback.
+	// CollAuto (the default) ranks the eligible algorithms per call by
+	// their cost-model priors.
 	CollAuto CollAlg = iota
 	// CollP2P forces the legacy point-to-point algorithms (binomial
 	// trees, rings, pairwise exchange).
@@ -104,44 +101,6 @@ func (k collKind) String() string {
 	}
 }
 
-// collEWMATable holds the per-(collective, algorithm) EWMA of achieved
-// bandwidth, bytes/sec (0 = never exercised).
-type collEWMATable [collKindCount][collAlgCount]float64
-
-// collCallKey identifies one matched collective call across its members.
-type collCallKey struct {
-	kind collKind
-	ctx  int
-	seq  int
-}
-
-// collDecision is the algorithm the first entrant of a matched call chose;
-// left counts the members that have not read it yet.
-type collDecision struct {
-	alg  CollAlg
-	left int
-}
-
-// observeColl folds one completed collective into the live feedback table.
-func (w *World) observeColl(kind collKind, alg CollAlg, bytes int64, elapsed time.Duration) {
-	if bytes <= 0 || elapsed <= 0 {
-		return
-	}
-	w.collLive[kind][alg] = ewma(w.collLive[kind][alg], float64(bytes)/elapsed.Seconds())
-}
-
-// collEWMA is the blend factor of the live feedback table.
-const collEWMA = 0.25
-
-// ewma folds a bandwidth sample into the running estimate prev (0 = none
-// yet).
-func ewma(prev, sample float64) float64 {
-	if prev > 0 {
-		return float64(collEWMA*sample) + float64((1-collEWMA)*prev)
-	}
-	return sample
-}
-
 // --- cost-model priors ---
 
 // collCtl is the prior for one zero/small control message between two
@@ -154,9 +113,6 @@ func (w *World) collCtl() time.Duration {
 	return base + shmem.SignalLatency
 }
 
-// traceSpan aliases the tracer's span type for the collOp bookkeeping.
-type traceSpan = obs.Span
-
 // collLinkBW is the prior for the sustained stream bandwidth between two
 // ranks (bytes/sec) on the dominant transport.
 func (w *World) collLinkBW() float64 {
@@ -166,42 +122,69 @@ func (w *World) collLinkBW() float64 {
 	return w.cfg.Shm.Mem.CopyBW(128 << 10)
 }
 
-// modelP2PMsg is the prior for one point-to-point message of n bytes:
-// protocol control traffic plus wire time, mirroring what the short /
-// eager / rendezvous paths bill.
-func (c *Comm) modelP2PMsg(n int64) time.Duration {
+// collStreamBW is the prior for the rate (bytes/sec) at which a member
+// streams a message in transfers of chunk bytes from a source working set
+// of ws bytes while all size members send at once, split evenly over the
+// downstream distances dists (none: no pattern is priced). On SCI it
+// mirrors Mapping.WriteStream — the adapter's stream rate for the chunk,
+// capped by the local memory read of the source — under the ringlet's
+// segment load (sci.Interconnect.ShiftBW) when the members are the
+// ringlet's nodes, one on each. Traffic between the processes of one node
+// gets no ring term.
+func (w *World) collStreamBW(size int, chunk, ws int64, dists ...int) float64 {
+	if w.ic == nil {
+		return w.collLinkBW()
+	}
+	bw := w.cfg.SCI.Mem.EffectiveSourceBW(w.cfg.SCI.StreamWriteBW(chunk), ws)
+	if len(dists) == 0 || w.cfg.ProcsPerNode != 1 || size != w.cfg.Nodes {
+		return bw
+	}
+	return w.ic.ShiftBW(chunk, bw, dists...)
+}
+
+// modelP2PMsg is the prior for one point-to-point message of n bytes
+// between members of a size-rank communicator that all send at once over
+// the distances dists (see collStreamBW): protocol control traffic, wire
+// time and the receiver's copy-out, mirroring what the short / eager /
+// rendezvous paths bill for a contiguous message.
+func (c *Comm) modelP2PMsg(n int64, size int, dists ...int) time.Duration {
 	w := c.rk.w
 	p := w.protocol()
 	ctl := w.collCtl()
-	wire := sim.RateDuration(n, w.collLinkBW())
 	switch {
 	case n <= shortMax:
 		return ctl
 	case n <= p.EagerMax:
 		// Slot deposit plus the receiver's copy-out and credit return.
-		return 2*ctl + wire + c.mem().CopyCost(n, n, 2*n)
+		wire := sim.RateDuration(n, w.collStreamBW(size, n, n, dists...))
+		return 2*ctl + wire + c.mem().CopyCost(n, n, n)
 	default:
 		// Request + CTS handshake, chunked deposits with per-chunk acks,
-		// and the receiver's per-chunk unpack.
-		chunks := (n + p.RendezvousChunk - 1) / p.RendezvousChunk
-		return time.Duration(2+chunks)*ctl + wire + c.mem().CopyCost(n, p.RendezvousChunk, 2*n)
+		// and the receiver's per-chunk copy-out. The two chunk slots
+		// pipeline deposit and copy-out: the slower stage sets the pace,
+		// and one chunk of the faster one shows.
+		chunk := p.RendezvousChunk
+		chunks := (n + chunk - 1) / chunk
+		wire := sim.RateDuration(n, w.collStreamBW(size, chunk, n, dists...))
+		unpack := c.mem().CopyCost(n, chunk, chunk)
+		return time.Duration(2+chunks)*ctl + max(wire, unpack) + min(wire, unpack)/time.Duration(chunks)
 	}
 }
 
-// modelOSBlock is the prior for one one-sided window exchange of n bytes:
-// the deposit stream, a notify/ack pair, and the receiver's copy out of
-// its window slot. No handshake and no per-chunk protocol below the slot
-// size — the point of the one-sided algorithms.
-func (c *Comm) modelOSBlock(n int64) time.Duration {
+// modelOSBlock is the prior for one one-sided window exchange of n bytes,
+// priced like modelP2PMsg: the deposit, a notify/ack pair, and the
+// receiver's copy out of its window slot, a read of its own shared memory
+// through the node's bus. No handshake and no per-chunk protocol — the
+// point of the one-sided algorithms.
+func (c *Comm) modelOSBlock(n int64, size int, dists ...int) time.Duration {
 	w := c.rk.w
-	chunk := w.osChunk()
-	chunks := int64(1)
-	if chunk > 0 {
-		chunks = (n + chunk - 1) / chunk
-	}
-	return sim.RateDuration(n, w.collLinkBW()) +
-		time.Duration(2*chunks)*w.collCtl() +
-		c.mem().CopyCost(n, n, 2*n)
+	return sim.RateDuration(n, w.collStreamBW(size, n, 2*n, dists...)) + 2*w.collCtl() + c.modelWindowCopy(n)
+}
+
+// modelWindowCopy is the prior for copying n bytes out of this rank's own
+// collective window: a read of shared memory, billed through the node's bus.
+func (c *Comm) modelWindowCopy(n int64) time.Duration {
+	return c.rk.w.cfg.Shm.CopyCost(n, c.mem().CopyCost(n, n, n))
 }
 
 // modelCombine is the prior for the elementwise reduction of n bytes
@@ -221,59 +204,75 @@ func ceilLog2(p int) int {
 
 // modelColl is the cost-model prior for one collective: kind and algorithm
 // over size ranks, where bytes is the operation's per-rank payload and
-// perPeer the per-pair block (they coincide for bcast and allreduce).
+// perPeer the per-pair block (they coincide for bcast and allreduce). The
+// algorithms whose members all send at once in a fixed pattern — the
+// rings, recursive doubling, the pairwise and the window exchange — price
+// their wire under the segment load of that pattern (collStreamBW); the
+// trees do not.
 func (c *Comm) modelColl(kind collKind, alg CollAlg, size int, bytes, perPeer int64) time.Duration {
+	w := c.rk.w
 	depth := ceilLog2(size)
 	steps := int64(size - 1)
 	switch kind {
 	case collBcast:
 		switch alg {
 		case CollOneSided:
-			// Pipelined chunk forwarding down the binomial tree: one wire
-			// pass plus the pipeline fill over the tree depth.
-			chunk := c.rk.w.osChunk()
-			fill := time.Duration(depth) * sim.RateDuration(min64(bytes, chunk), c.rk.w.collLinkBW())
-			return c.modelOSBlock(bytes) + fill
+			// Pipelined chunk forwarding down the binomial tree. The
+			// root deposits every chunk into each of its depth children's
+			// windows in turn, the pipeline's slowest stage; then the last
+			// chunk descends the tree, copied out and forwarded at every
+			// level. An empty payload still runs one chunk.
+			chunk := max(min(bytes, w.osChunk()), 1)
+			chunks := max((bytes+chunk-1)/chunk, 1)
+			ctl := w.collCtl()
+			deposit := sim.RateDuration(bytes, w.collStreamBW(size, chunk, 2*chunk)) + time.Duration(chunks)*ctl
+			return time.Duration(depth) * (deposit + c.modelWindowCopy(chunk) + ctl)
 		default:
 			// Store-and-forward binomial tree.
-			return time.Duration(depth) * c.modelP2PMsg(bytes)
+			return time.Duration(depth) * c.modelP2PMsg(bytes, size)
 		}
 	case collAllreduce:
 		block := (bytes + int64(size) - 1) / int64(size)
 		switch alg {
 		case CollRecDbl:
-			return time.Duration(depth) * (c.modelP2PMsg(bytes) + c.modelCombine(bytes))
+			// Round m pairs rank me with me^m: half the ranks send m
+			// downstream, the other half size-m.
+			var d time.Duration
+			for m := 1; m < 1<<depth; m <<= 1 {
+				d += c.modelP2PMsg(bytes, size, m, size-m) + c.modelCombine(bytes)
+			}
+			return d
 		case CollRing:
-			return 2*time.Duration(steps)*c.modelP2PMsg(block) +
+			return 2*time.Duration(steps)*c.modelP2PMsg(block, size, 1) +
 				time.Duration(steps)*c.modelCombine(block)
 		case CollOneSided:
-			return 2*time.Duration(steps)*c.modelOSBlock(block) +
+			return 2*time.Duration(steps)*c.modelOSBlock(block, size, 1) +
 				time.Duration(steps)*c.modelCombine(block)
 		default:
 			// Reduce to root, then broadcast: two tree traversals.
-			return time.Duration(2*depth)*c.modelP2PMsg(bytes) +
+			return time.Duration(2*depth)*c.modelP2PMsg(bytes, size) +
 				time.Duration(depth)*c.modelCombine(bytes)
 		}
 	case collAllgather, collAlltoall:
-		switch alg {
-		case CollOneSided:
-			// size-1 deposits issued back to back, receives overlap; a
-			// dissemination barrier closes the epoch.
-			return time.Duration(steps)*c.modelOSBlock(perPeer) +
-				time.Duration(2*depth)*c.rk.w.collCtl()
-		default:
-			return time.Duration(steps) * c.modelP2PMsg(perPeer)
+		// Step k of the pairwise exchange and of the one-sided window
+		// exchange sends k downstream, every step of the allgather ring 1.
+		// The window exchange issues its deposits back to back, and the
+		// copy-outs and acks overlap them.
+		var d time.Duration
+		for k := 1; k < size; k++ {
+			switch {
+			case alg == CollOneSided:
+				d += c.modelOSBlock(perPeer, size, k)
+			case kind == collAllgather:
+				d += c.modelP2PMsg(perPeer, size, 1)
+			default:
+				d += c.modelP2PMsg(perPeer, size, k)
+			}
 		}
+		return d
 	default:
-		return time.Duration(steps) * c.modelP2PMsg(bytes)
+		return time.Duration(steps) * c.modelP2PMsg(bytes, size)
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- eligibility and selection ---
@@ -297,14 +296,7 @@ func collCandidates(kind collKind) []CollAlg {
 // implemented for the kind, and (for the one-sided family) the per-pair
 // block fits the collective window slots.
 func (c *Comm) collAlgOK(kind collKind, alg CollAlg, size int, bytes, perPeer int64) bool {
-	found := false
-	for _, a := range collCandidates(kind) {
-		if a == alg {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(collCandidates(kind), alg) {
 		return false
 	}
 	if alg != CollOneSided {
@@ -325,11 +317,11 @@ func (c *Comm) collAlgOK(kind collKind, alg CollAlg, size int, bytes, perPeer in
 	}
 }
 
-// chooseCollAlg picks the algorithm for one matched collective call. All
-// inputs are identical on every member, so every member picks the same
-// algorithm: forced policies resolve statically, and under CollAuto the
-// first member to enter the call ranks the candidates and the others read
-// its decision.
+// chooseCollAlg picks the algorithm for one matched collective call:
+// forced policies resolve statically, and under CollAuto the pick is the
+// eligible candidate with the cheapest prior. The pick depends on the
+// call's inputs only, which are equal on every member (see the top of this
+// file).
 func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) CollAlg {
 	forced := c.rk.w.protocol().Coll
 	if forced != CollAuto {
@@ -342,45 +334,13 @@ func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) Coll
 		}
 		return CollP2P
 	}
-	cands := collCandidates(kind)
-	if len(cands) == 1 {
-		return cands[0]
-	}
-	// Size, bytes and per-peer block are equal across the members of a
-	// matched call, so the first entrant's ranking stands for all of them.
-	w := c.rk.w
-	key := collCallKey{kind, c.ctx, w.callSeq(seqCollAlg+seqOp(kind), c.ctx, c.rk.id)}
-	d, ok := w.collCalls[key]
-	if !ok {
-		d = collDecision{alg: c.rankColl(kind, cands, size, bytes, perPeer), left: size}
-	}
-	if d.left--; d.left <= 0 {
-		delete(w.collCalls, key)
-	} else {
-		if w.collCalls == nil {
-			w.collCalls = make(map[collCallKey]collDecision)
-		}
-		w.collCalls[key] = d
-	}
-	return d.alg
-}
-
-// rankColl returns the cheapest eligible candidate: by achieved bandwidth
-// where the live feedback table has one, by the cost-model prior otherwise.
-func (c *Comm) rankColl(kind collKind, cands []CollAlg, size int, bytes, perPeer int64) CollAlg {
 	best, bestCost := CollP2P, time.Duration(0)
-	first := true
-	for _, a := range cands {
+	for i, a := range collCandidates(kind) {
 		if !c.collAlgOK(kind, a, size, bytes, perPeer) {
 			continue
 		}
-		cost := c.modelColl(kind, a, size, bytes, perPeer)
-		if bw := c.rk.w.collLive[kind][a]; bw > 0 {
-			cost = sim.RateDuration(bytes, bw)
-		}
-		if first || cost < bestCost {
+		if cost := c.modelColl(kind, a, size, bytes, perPeer); i == 0 || cost < bestCost {
 			best, bestCost = a, cost
-			first = false
 		}
 	}
 	return best
@@ -388,15 +348,12 @@ func (c *Comm) rankColl(kind collKind, cands []CollAlg, size int, bytes, perPeer
 
 // --- per-call bookkeeping ---
 
-// collOp tracks one collective call: its span, timing, and the feedback
-// fold at completion.
+// collOp tracks one collective call: its span and timing.
 type collOp struct {
 	c     *Comm
 	kind  collKind
-	alg   CollAlg
-	bytes int64
 	start time.Duration
-	sp    *traceSpan
+	sp    *obs.Span
 }
 
 // collBegin opens the bookkeeping for one collective call with the chosen
@@ -409,18 +366,14 @@ func (c *Comm) collBegin(kind collKind, alg CollAlg, bytes int64) collOp {
 	if sp != nil {
 		sp.SetDetail("alg %s", alg)
 	}
-	return collOp{c: c, kind: kind, alg: alg, bytes: bytes, start: c.p.Now(), sp: sp}
+	return collOp{c: c, kind: kind, start: c.p.Now(), sp: sp}
 }
 
-// end closes the call: span, latency histogram, and (on success, in
-// adaptive mode) the EWMA feedback fold. It returns err for chaining.
+// end closes the call's span and latency histogram. It returns err for
+// chaining.
 func (op collOp) end(err error) error {
 	c := op.c
-	w := c.rk.w
 	op.sp.End(c.p.Now())
-	w.met.collNS[op.kind].ObserveDuration(c.p.Now() - op.start)
-	if err == nil && w.protocol().Coll == CollAuto {
-		w.observeColl(op.kind, op.alg, op.bytes, c.p.Now()-op.start)
-	}
+	c.rk.w.met.collNS[op.kind].ObserveDuration(c.p.Now() - op.start)
 	return err
 }

@@ -3,12 +3,14 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
+	"scimpich/internal/obs"
 	"scimpich/internal/sci"
 )
 
@@ -291,6 +293,9 @@ func TestBcastDerivedOneSided(t *testing.T) {
 // TestCollChooserDeterministicAcrossRanks: with the adaptive chooser, all
 // members of one matched collective call must pick the same algorithm (a
 // divergent pick would deadlock; the metric counters expose the choice).
+// Agreement holds by construction: the pick is a function of the call's
+// inputs, which are equal on every member, and nothing is shared between
+// ranks or learned between calls.
 func TestCollChooserDeterministicAcrossRanks(t *testing.T) {
 	cfg := collConfig(4, CollAuto)
 	var w *World
@@ -315,6 +320,153 @@ func TestCollChooserDeterministicAcrossRanks(t *testing.T) {
 	// pick would have deadlocked the run before we got here.
 	if total != 48 {
 		t.Errorf("recorded %d algorithm choices, want 48", total)
+	}
+}
+
+// TestCollZeroCountAuto: a zero-count collective under the adaptive chooser
+// completes on every rank. The chooser prices every eligible family for an
+// empty payload, the one-sided bcast's pipeline among them, which still
+// runs one chunk.
+func TestCollZeroCountAuto(t *testing.T) {
+	Run(collConfig(4, CollAuto), func(c *Comm) {
+		var none []byte
+		calls := []struct {
+			name string
+			err  error
+		}{
+			{"Bcast", c.Bcast(none, 0, datatype.Byte, 0)},
+			{"Reduce", c.Reduce(none, none, 0, datatype.Float64, OpSum, 0)},
+			{"Allreduce", c.Allreduce(none, none, 0, datatype.Float64, OpSum)},
+			{"Gather", c.Gather(none, 0, datatype.Byte, none, 0)},
+			{"Allgather", c.Allgather(none, 0, datatype.Byte, none)},
+			{"Alltoall", c.Alltoall(none, 0, datatype.Byte, none)},
+		}
+		for _, call := range calls {
+			if call.err != nil {
+				t.Errorf("rank %d: zero-count %s: %v", c.Rank(), call.name, call.err)
+			}
+		}
+	})
+}
+
+// TestCollChoiceIgnoresHistory: the algorithm of a collective call depends
+// on the call alone. A 4 KiB Allreduce on 8 nodes takes the family it takes
+// in a fresh world even after three 2 MiB calls ran another one.
+func TestCollChoiceIgnoresHistory(t *testing.T) {
+	const ranks = 8
+	// chosen runs an Allreduce of each size in turn on a fresh world and
+	// returns how often each family ran, counted over the ranks.
+	chosen := func(sizes ...int) [collAlgCount]int64 {
+		var w *World
+		Run(collConfig(ranks, CollAuto), func(c *Comm) {
+			w = c.World()
+			for _, n := range sizes {
+				send, recv := make([]byte, n), make([]byte, n)
+				must(c.Allreduce(send, recv, n/8, datatype.Float64, OpSum))
+			}
+		})
+		return w.WorldStats().CollChosen[collAllreduce]
+	}
+	fresh := chosen(4 << 10)
+	before, all := chosen(2<<20, 2<<20, 2<<20), chosen(2<<20, 2<<20, 2<<20, 4<<10)
+	var after [collAlgCount]int64
+	for a := range after {
+		after[a] = all[a] - before[a]
+	}
+	if fresh[CollRing] != ranks {
+		t.Fatalf("a fresh world runs the 4 KiB allreduce as %v, want ring on all %d ranks", fresh, ranks)
+	}
+	if after != fresh {
+		t.Errorf("after three 2 MiB calls the 4 KiB allreduce runs as %v, in a fresh world as %v", after, fresh)
+	}
+}
+
+// collGrid is the BENCH_coll.json grid (bench.CollCases and
+// bench.CollNodeCounts, which this package cannot import).
+var collGrid = []struct {
+	kind  collKind
+	algs  []CollAlg
+	sizes []int64
+}{
+	{collBcast, []CollAlg{CollP2P, CollOneSided}, []int64{4 << 10, 64 << 10, 256 << 10, 2 << 20}},
+	{collAllreduce, []CollAlg{CollP2P, CollRecDbl, CollRing, CollOneSided}, []int64{4 << 10, 64 << 10, 256 << 10, 2 << 20}},
+	{collAllgather, []CollAlg{CollP2P, CollOneSided}, []int64{4 << 10, 32 << 10, 128 << 10}},
+	{collAlltoall, []CollAlg{CollP2P, CollOneSided}, []int64{4 << 10, 32 << 10, 128 << 10}},
+}
+
+// TestCollPriorIsTheBill: modelColl prices one call of each collective,
+// forced to each family on each cell of the BENCH_coll.json grid where the
+// family is eligible, within 10 % of what the simulator bills for it (the
+// longest coll span over the ranks of a fresh world), up to named terms.
+// The terms the priors lack:
+//
+//   - overlap: the one-sided window exchange issues its deposits back to
+//     back, and each block's notify and ack travel while the next deposit
+//     streams, but the prior bills both control latencies of every block in
+//     full. At 512 B blocks on 8 nodes they are most of a block's cost
+//     (prior 16 % over).
+//
+// The pipelining of consecutive calls is outside every prior: it is why
+// the one-sided bcast of 64 KiB, slower than the p2p tree for one call, is
+// faster in BENCH_coll.json's four back-to-back calls.
+func TestCollPriorIsTheBill(t *testing.T) {
+	const overlap = "overlap"
+	terms := map[string]string{
+		"allgather n=8 4096 B onesided": overlap,
+		"alltoall n=8 4096 B onesided":  overlap,
+	}
+	for _, g := range collGrid {
+		for _, nodes := range []int{4, 8} {
+			for _, bytes := range g.sizes {
+				perPeer := bytes
+				if g.kind == collAllgather || g.kind == collAlltoall {
+					perPeer = bytes / int64(nodes)
+				}
+				for _, alg := range g.algs {
+					cfg := collConfig(nodes, alg)
+					tr := obs.NewTrace(0)
+					cfg.Tracer = tr
+					eligible := true
+					var prior time.Duration
+					Run(cfg, func(c *Comm) {
+						if c.Rank() == 0 {
+							eligible = c.collAlgOK(g.kind, alg, nodes, bytes, perPeer)
+							prior = c.modelColl(g.kind, alg, nodes, bytes, perPeer)
+						}
+						buf, buf2 := make([]byte, bytes), make([]byte, bytes)
+						must(c.Barrier())
+						switch g.kind {
+						case collBcast:
+							must(c.Bcast(buf, int(bytes), datatype.Byte, 0))
+						case collAllreduce:
+							must(c.Allreduce(buf, buf2, int(bytes)/8, datatype.Float64, OpSum))
+						case collAllgather:
+							must(c.Allgather(buf[:perPeer], int(perPeer), datatype.Byte, buf2))
+						case collAlltoall:
+							must(c.Alltoall(buf, int(perPeer), datatype.Byte, buf2))
+						}
+					})
+					if !eligible {
+						continue
+					}
+					var bill time.Duration
+					for _, sp := range tr.Spans() {
+						if sp.Category == "coll" && sp.Name == g.kind.String() {
+							bill = max(bill, sp.Duration())
+						}
+					}
+					row := fmt.Sprintf("%s n=%d %d B %s", g.kind, nodes, bytes, alg)
+					ratio := float64(prior) / float64(bill)
+					term, named := terms[row]
+					switch within := ratio >= 0.9 && ratio <= 1.1; {
+					case !within && !named:
+						t.Errorf("%s: prior %v, bill %v (prior/bill %.3f), and no term names the gap", row, prior, bill, ratio)
+					case within && named:
+						t.Errorf("%s: prior/bill %.3f is within 10 %%, but the row still names the term %q", row, ratio, term)
+					}
+				}
+			}
+		}
 	}
 }
 

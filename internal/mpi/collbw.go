@@ -51,8 +51,7 @@ func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop O
 			return err
 		}
 		// The partner is the lower rank: acc = partner op mine.
-		c.combineColl(rop, base, tmp, acc, elems)
-		copy(acc, tmp)
+		c.combineColl(rop, base, acc, tmp, acc, elems)
 		newRank = me / 2
 	}
 	for round, mask := 0, 1; mask < pow2; round, mask = round+1, mask<<1 {
@@ -67,10 +66,9 @@ func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop O
 		}
 		// Fold in rank order so non-commutative combiners stay well defined.
 		if partner < me {
-			c.combineColl(rop, base, tmp, acc, elems)
-			copy(acc, tmp)
+			c.combineColl(rop, base, acc, tmp, acc, elems)
 		} else {
-			c.combineColl(rop, base, acc, tmp, elems)
+			c.combineColl(rop, base, acc, acc, tmp, elems)
 		}
 	}
 	scratch.Put()
@@ -130,11 +128,15 @@ func ringSendBlock(me, s, size int) int {
 	return ((me+1-(s-(size-1)))%size + 2*size) % size
 }
 
-// allreduceRing reduces acc across all ranks with reduce-scatter followed
-// by ring allgather. oneSided selects the window-deposit block exchange
-// (the one-sided family); otherwise blocks travel point-to-point. c must
-// be the collective view.
-func (c *Comm) allreduceRing(acc []byte, elems int, base *datatype.Type, rop Op, oneSided bool) error {
+// allreduceRing reduces across all ranks into acc with reduce-scatter
+// followed by ring allgather. src holds this rank's contribution: acc itself,
+// or a dense send buffer the caller keeps apart from acc. In the second case
+// the left neighbour's partial lands straight in its block of acc and the
+// send buffer's block is folded into it; every block of acc is written by the
+// ring before it is read, and no scratch block is borrowed. oneSided selects
+// the window-deposit block exchange (the one-sided family); otherwise blocks
+// travel point-to-point. c must be the collective view.
+func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, rop Op, oneSided bool) error {
 	size := c.Size()
 	me := c.Rank()
 	es := base.Size()
@@ -142,32 +144,31 @@ func (c *Comm) allreduceRing(acc []byte, elems int, base *datatype.Type, rop Op,
 	left := (me - 1 + size) % size
 	steps := 2 * (size - 1)
 	link := ringLink{cc: c, right: right, left: left, steps: steps, oneSided: oneSided}
-	maxBlock := 0
-	for i := 0; i < size; i++ {
-		if n := len(ringBlock(acc, elems, size, i, es)); n > maxBlock {
-			maxBlock = n
-		}
+	var scratch *bufpool.Buf // back unless a receive failed on it
+	if len(acc) > 0 && &src[0] == &acc[0] {
+		scratch = bufpool.Get((elems + size - 1) / size * int(es)) // the largest block
 	}
-	scratch := bufpool.Get(maxBlock) // back unless a receive failed on it
-	tmp := scratch.B
 	// Reduce-scatter for the first size-1 steps (after which rank me holds
 	// the complete reduction of block (me+1) mod size), then ring allgather
-	// of the completed blocks — both driven by the shared rotation.
+	// of the completed blocks — both driven by the shared rotation. Step 0
+	// sends this rank's own block, which only src holds.
 	for t := 0; t < steps; t++ {
 		sendIdx := ringSendBlock(me, t, size)
 		recvIdx := (sendIdx - 1 + size) % size
-		if t < size-1 {
-			mine := ringBlock(acc, elems, size, recvIdx, es)
-			in := tmp[:len(mine)]
-			if err := link.xfer(t, ringBlock(acc, elems, size, sendIdx, es), in); err != nil {
-				return err
-			}
-			c.combineColl(rop, base, mine, in, len(in)/int(es))
-			continue
+		out := ringBlock(acc, elems, size, sendIdx, es)
+		if t == 0 {
+			out = ringBlock(src, elems, size, sendIdx, es)
 		}
-		if err := link.xfer(t, ringBlock(acc, elems, size, sendIdx, es),
-			ringBlock(acc, elems, size, recvIdx, es)); err != nil {
+		dst := ringBlock(acc, elems, size, recvIdx, es)
+		in := dst
+		if t < size-1 && scratch != nil {
+			in = scratch.B[:len(dst)]
+		}
+		if err := link.xfer(t, out, in); err != nil {
 			return err
+		}
+		if t < size-1 {
+			c.combineColl(rop, base, dst, ringBlock(src, elems, size, recvIdx, es), in, len(in)/int(es))
 		}
 	}
 	scratch.Put()

@@ -199,6 +199,7 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, ro
 		result = recv
 	}
 	view := c.newReduceView(send, result, count, dt, base)
+	view.fill()
 	if c.Size() > 1 {
 		if err := c.collective().reduceBinomial(view.buf, view.elems, base, op, root); err != nil {
 			return cop.end(err)
@@ -231,7 +232,7 @@ func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op,
 			if err := c.recvColl(tmp.B, elems, base, (child+root)%size, tagReduce); err != nil {
 				return err
 			}
-			c.combineColl(op, base, acc, tmp.B, elems)
+			c.combineColl(op, base, acc, acc, tmp.B, elems)
 		}
 	}
 	tmp.Put()
@@ -258,6 +259,7 @@ func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op)
 	size := c.Size()
 	view := c.newReduceView(send, recv, count, dt, base)
 	if size == 1 {
+		view.fill()
 		view.writeback(c, recv, count, dt)
 		view.release()
 		return nil
@@ -267,13 +269,15 @@ func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op)
 	cc := c.collective()
 	switch alg {
 	case CollRecDbl:
+		view.fill()
 		err = cc.allreduceRecDbl(view.buf, view.elems, base, op)
 	case CollRing:
-		err = cc.allreduceRing(view.buf, view.elems, base, op, false)
+		err = cc.allreduceRing(view.src, view.buf, view.elems, base, op, false)
 	case CollOneSided:
-		err = cc.allreduceRing(view.buf, view.elems, base, op, true)
+		err = cc.allreduceRing(view.src, view.buf, view.elems, base, op, true)
 	default:
 		// Reduce to rank 0, then broadcast, both on the packed view.
+		view.fill()
 		err = cc.reduceBinomial(view.buf, view.elems, base, op, 0)
 		if err == nil {
 			err = cc.bcastBinomial(view.buf, view.elems, base, 0)

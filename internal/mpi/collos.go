@@ -121,7 +121,7 @@ func (c *Comm) bcastOneSided(buf []byte, root int) error {
 	}
 	for i := 0; i < nChunks; i++ {
 		lo := int64(i) * chunk
-		hi := min64(lo+chunk, n)
+		hi := min(lo+chunk, n)
 		piece := buf[lo:hi]
 		if parent >= 0 {
 			if err := c.recvColl(nil, 0, datatype.Byte, parent, tagCollOSN+i); err != nil {

@@ -34,6 +34,9 @@ type reduceView struct {
 	base  *datatype.Type
 	elems int
 	buf   []byte
+	// src holds the rank's contribution: send for a dense type (buf's own
+	// bytes in place), else buf. fill copies it in; the rings read it as is.
+	src []byte
 	// pool backs buf unless buf is the caller's recv. It goes back by
 	// release after a reduction that succeeded; a failed one leaves it to
 	// the GC, because a receive that timed out may still be posted on it.
@@ -57,9 +60,10 @@ func checkReduce(call string, dt *datatype.Type, op Op) (*datatype.Type, error) 
 }
 
 // newReduceView sets up the accumulator of a reduction over count elements
-// of dt, holding the rank's contribution send: ff-packed (and charged) for a
-// derived type, in recv[:bytes] for a dense one — after one copy, none when
-// send is recv — or in a pooled buffer when recv is nil. send is only read.
+// of dt and its contribution send: ff-packed (and charged) for a derived
+// type, cloned into a pooled buffer when recv is nil, else recv[:bytes] with
+// send read in place. A dense send and recv are one buffer or disjoint: MPI
+// calls other aliasing erroneous, and a ring reduction then goes wrong.
 func (c *Comm) newReduceView(send, recv []byte, count int, dt, base *datatype.Type) reduceView {
 	bytes := dt.Size() * int64(count)
 	v := reduceView{base: base, elems: int(bytes / base.Size())}
@@ -67,18 +71,25 @@ func (c *Comm) newReduceView(send, recv []byte, count int, dt, base *datatype.Ty
 	case !dt.Contiguous():
 		v.pool = bufpool.Get(int(bytes))
 		v.buf = v.pool.B
+		v.src = v.buf
 		_, st := pack.FFPack(v.pool, send, dt, count, 0, -1)
 		c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	case recv == nil:
 		v.pool = bufpool.Clone(send[:bytes])
 		v.buf = v.pool.B
+		v.src = v.buf
 	default:
 		v.buf = recv[:bytes]
-		if bytes > 0 && &send[0] != &recv[0] {
-			copy(v.buf, send[:bytes])
-		}
+		v.src = send[:bytes] // the same bytes as buf when send is recv
 	}
 	return v
+}
+
+// fill leaves the contribution in buf, unless it is there already.
+func (v reduceView) fill() {
+	if len(v.buf) > 0 && &v.src[0] != &v.buf[0] {
+		copy(v.buf, v.src)
+	}
 }
 
 // writeback leaves the reduced view in recv, laid out as count elements of
@@ -103,8 +114,9 @@ func (c *Comm) chargeCombine(n int64) {
 	}
 }
 
-// combineColl folds count elements of in into acc and bills the work.
-func (c *Comm) combineColl(op Op, base *datatype.Type, acc, in []byte, count int) {
-	combine(op, base, acc, in, count)
+// combineColl leaves op(mine, in) for count elements in dst and bills the
+// work.
+func (c *Comm) combineColl(op Op, base *datatype.Type, dst, mine, in []byte, count int) {
+	combine(op, base, dst, mine, in, count)
 	c.chargeCombine(base.Size() * int64(count))
 }

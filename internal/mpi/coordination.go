@@ -25,35 +25,16 @@ func (w *World) Collect(key string) []any {
 	return w.exchange[key]
 }
 
-// seqOp names a collective operation whose matched calls are numbered by
-// callSeq.
-type seqOp int
-
-const (
-	seqShrink  seqOp = iota
-	seqCollAlg       // + collKind: one sequence per collective (see chooseCollAlg)
-)
-
-// seqKey identifies one call sequence: an operation on a context.
-type seqKey struct {
-	op  seqOp
-	ctx int
-}
-
-// callSeq returns this rank's 1-based invocation count of the given
-// collective operation on the given context. Matched collective calls have
-// equal sequence numbers on every member, making them usable as exchange
-// keys without reading shared state.
-func (w *World) callSeq(op seqOp, ctx, rank int) int {
+// callSeq returns this rank's 1-based invocation count of Shrink on the
+// given context. Matched calls have equal sequence numbers on every member,
+// making them usable as exchange keys without reading shared state.
+func (w *World) callSeq(ctx, rank int) int {
 	if w.seq == nil {
-		w.seq = make(map[seqKey][]int)
+		w.seq = make(map[int][]int)
 	}
-	key := seqKey{op, ctx}
-	slot, ok := w.seq[key]
-	if !ok {
-		slot = make([]int, w.size)
-		w.seq[key] = slot
+	if w.seq[ctx] == nil {
+		w.seq[ctx] = make([]int, w.size)
 	}
-	slot[rank]++
-	return slot[rank]
+	w.seq[ctx][rank]++
+	return w.seq[ctx][rank]
 }

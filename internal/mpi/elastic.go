@@ -97,8 +97,8 @@ func (w *World) revokeRank(p *sim.Proc, r int) {
 	}
 }
 
-// resetCollState drops the lazily built collective windows, view matrices
-// and pending chooser decisions after a shrink. The algorithms rebuild them over
+// resetCollState drops the lazily built collective windows and view
+// matrices after a shrink. The algorithms rebuild them over
 // the surviving membership on next use; every survivor is inside the
 // agreement when this runs, so no collective is in flight. The abandoned
 // segments stay exported but unread — stale deposits by a restored node
@@ -106,7 +106,6 @@ func (w *World) revokeRank(p *sim.Proc, r int) {
 func (w *World) resetCollState() {
 	w.collWins = nil
 	w.collViews = nil
-	w.collCalls = nil
 }
 
 // shrinkRec is the replicated decision record of one matched Shrink
@@ -205,7 +204,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	if w.revoked[me] || !w.NodeAlive(me) {
 		return nil, &RevokedRankError{Rank: me}
 	}
-	key := fmt.Sprintf("mpi.shrink.%d.%d", c.ctx, w.callSeq(seqShrink, c.ctx, me))
+	key := fmt.Sprintf("mpi.shrink.%d.%d", c.ctx, w.callSeq(c.ctx, me))
 	agreeID := flight.DigestString(key)
 	rec := w.shrinkRec(key)
 	c.probeSuspects()

@@ -412,6 +412,16 @@ func TestCallsReturnTypedErrors(t *testing.T) {
 				_, err := c.Sendrecv(buf, 8, datatype.Byte, 1, 0, buf, 8, datatype.Byte, src, 0)
 				return err
 			}, isArg("Sendrecv"), nil},
+			row{fmt.Sprintf("Irecv from rank %d", src), false, func(c *Comm) error {
+				return errOf(c.Irecv(buf, 8, datatype.Byte, src, 0).Wait())
+			}, isArg("Irecv"), nil},
+			row{fmt.Sprintf("Probe of rank %d", src), false, func(c *Comm) error {
+				return errOf(c.Probe(src, 0))
+			}, isArg("Probe"), nil},
+			row{fmt.Sprintf("Iprobe of rank %d", src), false, func(c *Comm) error {
+				_, _, err := c.Iprobe(src, 0)
+				return err
+			}, isArg("Iprobe"), nil},
 		)
 	}
 	for _, tc := range rows {

@@ -49,35 +49,37 @@ func (o Op) Validate(call string) error {
 // elements of the basic datatype dt (exported for the one-sided
 // accumulate handler).
 func CombineOp(op Op, dt *datatype.Type, acc, in []byte, count int) {
-	combine(op, dt, acc, in, count)
+	combine(op, dt, acc, acc, in, count)
 }
 
-// combine applies acc[i] = op(acc[i], in[i]) elementwise for count elements
-// of the basic datatype dt.
-func combine(op Op, dt *datatype.Type, acc, in []byte, count int) {
+// combine applies dst[i] = op(mine[i], in[i]) elementwise for count
+// elements of the basic datatype dt. The operand order is fixed: MIN and MAX
+// keep mine on a tie, which decides between -0 and +0 and against NaN. dst
+// may be mine or in.
+func combine(op Op, dt *datatype.Type, dst, mine, in []byte, count int) {
 	switch dt {
 	case datatype.Float64:
-		apply(op, acc, in, count, 8,
+		apply(op, dst, mine, in, count, 8,
 			func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) },
 			func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) })
 	case datatype.Float32:
-		apply(op, acc, in, count, 4,
+		apply(op, dst, mine, in, count, 4,
 			func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) },
 			func(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) })
 	case datatype.Int32:
-		apply(op, acc, in, count, 4,
+		apply(op, dst, mine, in, count, 4,
 			func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) },
 			func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) })
 	case datatype.Int64:
-		apply(op, acc, in, count, 8,
+		apply(op, dst, mine, in, count, 8,
 			func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) },
 			func(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) })
 	case datatype.Int16:
-		apply(op, acc, in, count, 2,
+		apply(op, dst, mine, in, count, 2,
 			func(b []byte) int16 { return int16(binary.LittleEndian.Uint16(b)) },
 			func(b []byte, v int16) { binary.LittleEndian.PutUint16(b, uint16(v)) })
 	case datatype.Byte, datatype.Char:
-		apply(op, acc, in, count, 1,
+		apply(op, dst, mine, in, count, 1,
 			func(b []byte) uint8 { return b[0] },
 			func(b []byte, v uint8) { b[0] = v })
 	default:
@@ -90,9 +92,9 @@ type number interface {
 	~int16 | ~int32 | ~int64 | ~uint8 | ~float32 | ~float64
 }
 
-func apply[T number](op Op, acc, in []byte, count int, width int, get func([]byte) T, put func([]byte, T)) {
+func apply[T number](op Op, dst, mine, in []byte, count int, width int, get func([]byte) T, put func([]byte, T)) {
 	for i := 0; i < count; i++ {
-		a := get(acc[i*width:])
+		a := get(mine[i*width:])
 		b := get(in[i*width:])
 		var r T
 		switch op {
@@ -113,7 +115,7 @@ func apply[T number](op Op, acc, in []byte, count int, width int, get func([]byt
 		default:
 			panic(fmt.Sprintf("mpi: unknown op %v", op))
 		}
-		put(acc[i*width:], r)
+		put(dst[i*width:], r)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestProbeBlockingAndStatus(t *testing.T) {
 			must(c.Send(fill(500), 500, datatype.Byte, 1, 42))
 		case 1:
 			start := c.WtimeDuration()
-			st := c.Probe(AnySource, AnyTag)
+			st := must1(c.Probe(AnySource, AnyTag))
 			if c.WtimeDuration()-start < 100*time.Microsecond {
 				t.Error("probe returned before any message was sent")
 			}
@@ -40,13 +40,13 @@ func TestIprobe(t *testing.T) {
 			must(c.Send([]byte{1}, 1, datatype.Byte, 1, 5))
 			must(c.Send(nil, 0, datatype.Byte, 1, 6)) // "sent" signal
 		case 1:
-			if _, ok := c.Iprobe(0, 99); ok {
-				t.Error("Iprobe matched a nonexistent message")
+			if _, ok, err := c.Iprobe(0, 99); ok || err != nil {
+				t.Errorf("Iprobe of a nonexistent message: matched %v, err %v", ok, err)
 			}
 			must1(c.Recv(nil, 0, datatype.Byte, 0, 6)) // wait for the signal
-			st, ok := c.Iprobe(0, 5)
-			if !ok || st.Bytes != 1 {
-				t.Errorf("Iprobe missed the queued message: %v %v", st, ok)
+			st, ok, err := c.Iprobe(0, 5)
+			if !ok || err != nil || st.Bytes != 1 {
+				t.Errorf("Iprobe missed the queued message: %v %v %v", st, ok, err)
 			}
 			buf := make([]byte, 1)
 			must1(c.Recv(buf, 1, datatype.Byte, 0, 5))
@@ -63,7 +63,7 @@ func TestProbeThenWildcardRecvConsistent(t *testing.T) {
 			must(c.Send([]byte{10}, 1, datatype.Byte, 1, 1))
 			must(c.Send([]byte{20}, 1, datatype.Byte, 1, 2))
 		case 1:
-			st := c.Probe(0, AnyTag)
+			st := must1(c.Probe(0, AnyTag))
 			buf := make([]byte, 1)
 			got := must1(c.Recv(buf, 1, datatype.Byte, st.Source, st.Tag))
 			if got.Tag != st.Tag {

@@ -732,10 +732,15 @@ func (r *Request) Wait() (*Status, error) {
 	return nil, nil
 }
 
-// Irecv posts a nonblocking receive. A buffer that cannot hold count
-// elements posts nothing: the request completes with the *ArgumentError.
+// Irecv posts a nonblocking receive. A source outside the communicator, a
+// revoked one, or a buffer that cannot hold count elements posts nothing:
+// the request completes with the *ArgumentError or *RevokedRankError.
 func (c *Comm) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
-	if err := CheckBuffer("Irecv", "receive buffer", buf, count, dt); err != nil {
+	_, err := c.recvPeer("Irecv", src)
+	if err == nil {
+		err = CheckBuffer("Irecv", "receive buffer", buf, count, dt)
+	}
+	if err != nil {
 		req := &Request{p: c.p, c: c}
 		req.done.Complete(err)
 		return req

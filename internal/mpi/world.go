@@ -43,8 +43,8 @@ type ProtocolConfig struct {
 	// otherwise.
 	Path PathPolicy
 
-	// Coll selects the collective algorithm policy: the cost-model +
-	// EWMA chooser (CollAuto, the default), the legacy point-to-point
+	// Coll selects the collective algorithm policy: the cost-model
+	// chooser (CollAuto, the default), the legacy point-to-point
 	// algorithms (CollP2P), or one forced algorithm family for ablation
 	// runs (see CollAlg).
 	Coll CollAlg
@@ -167,7 +167,7 @@ type World struct {
 	size       int
 	identity   []int // world ranks 0..size-1, for groupRanks
 	exchange   map[string][]any
-	seq        map[seqKey][]int
+	seq        map[int][]int // per context: each rank's Shrink count (callSeq)
 	ctxCounter int
 
 	// Failure-detector and revocation state (see elastic.go), indexed by
@@ -178,14 +178,11 @@ type World struct {
 	shrinkRecs map[string]*shrinkRec
 
 	// Collective algorithm engine state: the lazily built one-sided
-	// windows (one SharedSeg per owning rank, a per-source view matrix)
-	// and the chooser's feedback tables (see collalg.go). All of it is
-	// mutated from rank processes without locking: the simulation is
+	// windows (one SharedSeg per owning rank, a per-source view matrix).
+	// It is mutated from rank processes without locking: the simulation is
 	// single-threaded.
 	collWins  []*SharedSeg
 	collViews [][]smi.Mem
-	collLive  collEWMATable
-	collCalls map[collCallKey]collDecision
 
 	// envFree is the envelope free list (see envelope). rdvSendFree and
 	// rdvRecvFree hold the scratch records of rendezvous transfers that

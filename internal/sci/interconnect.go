@@ -289,6 +289,30 @@ func (n *Node) path(owner *Node) []flow.Hop {
 	return hops
 }
 
+// ShiftBW is the rate of each flow when every node of the ringlet streams a
+// transfer of bytes at srcCap at once, the nodes split evenly over the
+// downstream distances dists: a ring collective's step (distance 1), or a
+// recursive-doubling round (m and n-m). Every flow crosses the whole ringlet
+// (path), d segments forward and n-d with its echoes at EchoFraction, so
+// each segment carries all n flows at a weight of d + (n-d)·EchoFraction per
+// unit of rate, averaged over dists; the ringlet's congestion model prices
+// that load as the flow network does. A transfer below flowThreshold never
+// reaches the flow network: it moves at srcCap.
+func (ic *Interconnect) ShiftBW(bytes int64, srcCap float64, dists ...int) float64 {
+	n := len(ic.nodes)
+	if bytes < flowThreshold {
+		return srcCap
+	}
+	weight := 0.0
+	for _, d := range dists {
+		weight += float64(d) + float64(float64(n-d)*EchoFraction)
+	}
+	weight /= float64(len(dists))
+	linkBW := ring.BandwidthForMHz(ic.Cfg.LinkMHz)
+	achieved := linkBW * flow.SCIRingCongestion{}.AchievedFraction(srcCap*weight/linkBW, n)
+	return min(srcCap, achieved/weight)
+}
+
 // delivery is one posted write in flight: the captured source bytes (a
 // pooled buffer, nil for cost-only flushes) and where to land them. The
 // structs themselves are pooled; arrival recycles both struct and buffer.

@@ -92,6 +92,16 @@ func (b *Bus) Charge(p *sim.Proc, bytes int64, cost time.Duration) {
 	b.net.Transfer(p, b.bus[:], bytes, rate)
 }
 
+// CopyCost is what a bus of this configuration bills, uncontended, for a
+// copy of bytes whose memory-hierarchy cost is cost (Bus.Charge): the cost
+// itself below flowThreshold, and no less than the bytes at BusBW above it.
+func (c Config) CopyCost(bytes int64, cost time.Duration) time.Duration {
+	if bytes < flowThreshold {
+		return cost
+	}
+	return max(cost, sim.RateDuration(bytes, c.BusBW))
+}
+
 // Region is a shared memory region on the bus. Its memory is materialised
 // on the first access (see memmodel.Backing).
 type Region struct {
