@@ -129,7 +129,8 @@ shard-stress:
 # that the run does not need; a torus run within one constant of objects at
 # any machine size
 # (TestAllocsTorusRunBudget: 64 for 64 or 216 nodes on one shard, the larger
-# at most 20 above the smaller) and a torus hop count at none
+# at most 20 above the smaller; 1 800 B per node for either, the larger at
+# most 1.4x the smaller's per node) and a torus hop count at none
 # (TestHopCountAllocFree); and the per-message budgets, all measured at
 # tags >= 256: a 64 B round trip (no allocation at two tag pairs, at most 4
 # process switches, 24 events), a 4 KiB eager

@@ -181,6 +181,16 @@ func (c *Comm) modelOSBlock(n int64, size int, dists ...int) time.Duration {
 	return sim.RateDuration(n, w.collStreamBW(size, n, 2*n, dists...)) + 2*w.collCtl() + c.modelWindowCopy(n)
 }
 
+// modelOSServe is the prior for what one block of the one-sided window
+// exchange (osExchange) costs beyond its wire time when its notify and ack
+// travel behind the next deposit: the deposit's check, which waits out the
+// write's latency, then for each of the notify and the ack a call at both
+// ends and the receiver's dispatch, and the copy out of the window slot.
+func (c *Comm) modelOSServe(n int64) time.Duration {
+	latency := c.rk.w.collCtl() - callOverhead - handlerLatency
+	return latency + 2*(2*callOverhead+handlerLatency) + c.modelWindowCopy(n)
+}
+
 // modelWindowCopy is the prior for copying n bytes out of this rank's own
 // collective window: a read of shared memory, billed through the node's bus.
 func (c *Comm) modelWindowCopy(n int64) time.Duration {
@@ -256,13 +266,17 @@ func (c *Comm) modelColl(kind collKind, alg CollAlg, size int, bytes, perPeer in
 	case collAllgather, collAlltoall:
 		// Step k of the pairwise exchange and of the one-sided window
 		// exchange sends k downstream, every step of the allgather ring 1.
-		// The window exchange issues its deposits back to back, and the
-		// copy-outs and acks overlap them.
+		// The window exchange issues its deposits back to back, each
+		// block's notify and ack overlap the next deposit, and only the
+		// last ack's flight shows.
 		var d time.Duration
+		if alg == CollOneSided {
+			d = w.collCtl()
+		}
 		for k := 1; k < size; k++ {
 			switch {
 			case alg == CollOneSided:
-				d += c.modelOSBlock(perPeer, size, k)
+				d += sim.RateDuration(perPeer, w.collStreamBW(size, perPeer, 2*perPeer, k)) + c.modelOSServe(perPeer)
 			case kind == collAllgather:
 				d += c.modelP2PMsg(perPeer, size, 1)
 			default:

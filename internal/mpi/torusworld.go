@@ -16,6 +16,13 @@ package mpi
 // and commutative — so chunk digests, checksums, flight dumps and
 // completion times are bit-identical across engines and shard counts.
 //
+// A node holds the chunk it carries, not the vector: no step reads more than
+// the chunk received on the step before, which the node forwards next (plus
+// its own contribution during reduce-scatter). Each chunk a node holds fully
+// reduced — the last reduce-scatter step's and every allgather step's — is
+// checked on landing against the machine's expected digest and folded into
+// the node's running sum, so a node's state is O(1) and the machine's O(n).
+//
 // Shard locality of the flow solve is structural: with ring-neighbor-only
 // traffic under dimension-ordered routing, the route of node i to i+1 stays
 // inside i's z-plane except for the final z-hop at a plane boundary, and no
@@ -76,10 +83,10 @@ type TorusResult struct {
 }
 
 // torusDelivery is one chunk handed to the successor node. Deliveries are
-// recycled: the sender takes one from its own free list and the receiver,
-// once it has applied the chunk, puts it on its own — every node sends and
-// receives one per step, so the lists stay level and each is only ever
-// touched on its node's locale.
+// recycled: the sender fills its spare one when its step begins and the
+// receiver, once it has applied the chunk, keeps it as its spare — every node
+// sends and receives one per step, so each holds one between steps and a
+// delivery is only ever touched on the locale of the node holding it.
 type torusDelivery struct {
 	to    *torusNode
 	step  int
@@ -98,20 +105,24 @@ type torusNode struct {
 	route   []flow.Hop    // dimension-ordered path to successor
 	delay   time.Duration // propagation latency of route
 
-	chunks   []uint64 // per-chunk reduction digests
-	step     int
+	// carry is the digest the node sends next: its own chunk's initial
+	// digest at step 0, then the chunk received on the step before (with
+	// the node's own digest of it added during reduce-scatter). sum is the
+	// wrapping sum of the fully reduced chunks landed so far, what the
+	// commit sample records; err is the first that differed from the
+	// machine's want.
+	carry uint64
+	sum   uint64
+	err   error
+
+	step     int // the node is done once it reaches the machine's total
 	sendDone bool
 	recvDone bool
 	inbox    []*torusDelivery // arrivals for steps we have not reached yet
-	spare    []*torusDelivery // applied deliveries, for this node's next sends
+	out      *torusDelivery   // the chunk in flight: what torusSent delivers
+	spare    *torusDelivery   // the last applied delivery, for the next send
 
-	// The chunk in flight to the successor: what torusSent delivers.
-	sendChunk int
-	sendVal   uint64
-
-	log      []flight.Event // local samples, merged deterministically post-run
-	finished bool
-	doneAt   time.Duration
+	log []flight.Event // local samples, merged deterministically post-run
 }
 
 // TorusWorld is the full torus plus its node actors, bound to a fabric.
@@ -120,7 +131,8 @@ type TorusWorld struct {
 	fab   sim.Fabric
 	top   *torus.Topology
 	nodes []torusNode
-	total int // allreduce steps per node
+	want  []uint64 // every chunk's fully reduced digest
+	total int      // allreduce steps per node
 }
 
 // torusLookahead checks cfg's machine and partition and returns the
@@ -188,14 +200,15 @@ func NewTorusWorldOn(f sim.Fabric, cfg TorusConfig) *TorusWorld {
 }
 
 // buildTorusWorld lays out the node actors. Every kind of per-node record —
-// node, route, chunk digests, sample log, delivery — is one slab for the
-// whole machine, and each node's share of it a capped row sized for the
-// whole run, so no node's append ever reaches a neighbour's row.
+// node, route, sample log, delivery — is one slab for the whole machine, and
+// each node's share of it a capped row sized for the whole run, so no node's
+// append ever reaches a neighbour's row.
 func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assign []int, nets []*flow.Network) *TorusWorld {
 	n := top.Nodes()
 	m := &TorusWorld{
 		cfg: cfg, fab: fab, top: top,
 		nodes: make([]torusNode, n),
+		want:  make([]uint64, n),
 		total: 2 * (n - 1),
 	}
 	hopCount := 0
@@ -206,12 +219,8 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 	every := m.sampleEvery()
 	samples := (m.total+every-1)/every + 1
 	hops := make([]flow.Hop, 0, hopCount)
-	chunks := make([]uint64, n*n)
 	logs := make([]flight.Event, n*samples)
 	deliveries := make([]torusDelivery, n)
-	// A node starts each step holding one delivery, sends one and applies
-	// one, so it never holds more than two.
-	spares := make([]*torusDelivery, 2*n)
 	for i := range m.nodes {
 		next := (i + 1) % n
 		shard := assign[i]
@@ -221,14 +230,14 @@ func buildTorusWorld(cfg TorusConfig, fab sim.Fabric, top *torus.Topology, assig
 		*nd = torusNode{
 			m: m, id: i, loc: fab.Locale(shard), net: nets[shard],
 			next: next, nextLoc: assign[next],
-			route:  hops[start:len(hops):len(hops)],
-			chunks: chunks[i*n : (i+1)*n : (i+1)*n],
-			log:    logs[i*samples : i*samples : (i+1)*samples],
-			spare:  append(spares[2*i:2*i:2*i+2], &deliveries[i]),
+			route: hops[start:len(hops):len(hops)],
+			carry: torusChunkInit(i, ringSendBlock(i, 0, n)),
+			log:   logs[i*samples : i*samples : (i+1)*samples],
+			spare: &deliveries[i],
 		}
 		nd.delay = flow.PathLatency(nd.route)
-		for c := range nd.chunks {
-			nd.chunks[c] = torusChunkInit(i, c)
+		for c := range m.want {
+			m.want[c] += torusChunkInit(i, c)
 		}
 	}
 	// Ring-neighbour routes share no segment: one flow slot per link.
@@ -251,22 +260,21 @@ func torusChunkInit(node, chunk int) uint64 {
 func (nd *torusNode) beginStep() {
 	m := nd.m
 	if nd.step >= m.total {
-		var sum uint64
-		for _, v := range nd.chunks {
-			sum += v
-		}
-		nd.finished = true
-		nd.doneAt = nd.loc.Now()
-		nd.log = append(nd.log, flight.Event{At: nd.doneAt, Kind: flight.KCommit,
-			A: int64(nd.step), B: int64(sum)})
+		nd.log = append(nd.log, flight.Event{At: nd.loc.Now(), Kind: flight.KCommit,
+			A: int64(nd.step), B: int64(nd.sum)})
 		return
 	}
+	d := nd.spare
+	if d == nil {
+		d = new(torusDelivery)
+	}
 	c := ringSendBlock(nd.id, nd.step, len(m.nodes))
-	nd.sendChunk, nd.sendVal = c, nd.chunks[c]
+	*d = torusDelivery{to: &m.nodes[nd.next], step: nd.step, chunk: c, val: nd.carry}
+	nd.out, nd.spare = d, nil
 	nd.sendDone, nd.recvDone = false, false
 	if every := m.sampleEvery(); nd.step%every == 0 {
 		nd.log = append(nd.log, flight.Event{At: nd.loc.Now(), Kind: flight.KPut,
-			A: int64(nd.next), B: int64(c), C: int64(nd.sendVal)})
+			A: int64(nd.next), B: int64(c), C: int64(d.val)})
 	}
 	nd.net.StartCall(nd.route, m.cfg.ChunkBytes, sci.SustainedPutBW, torusSent, nd)
 }
@@ -278,16 +286,8 @@ func torusBegin(arg any) { arg.(*torusNode).beginStep() }
 // the chunk leaves for the successor, one route latency away.
 func torusSent(arg any) {
 	nd := arg.(*torusNode)
-	m := nd.m
-	var d *torusDelivery
-	if k := len(nd.spare); k > 0 {
-		d, nd.spare = nd.spare[k-1], nd.spare[:k-1]
-	} else {
-		d = new(torusDelivery)
-	}
-	*d = torusDelivery{to: &m.nodes[nd.next], step: nd.step, chunk: nd.sendChunk, val: nd.sendVal}
-	nd.loc.Send(nd.nextLoc, nd.delay, torusDeliver, d)
-	nd.sendDone = true
+	nd.loc.Send(nd.nextLoc, nd.delay, torusDeliver, nd.out)
+	nd.out, nd.sendDone = nil, true
 	nd.maybeAdvance()
 }
 
@@ -319,16 +319,25 @@ func (nd *torusNode) onRecv(d *torusDelivery) {
 	nd.maybeAdvance()
 }
 
-// apply merges one received chunk — wrapping add during reduce-scatter,
-// overwrite during allgather — and recycles the delivery.
+// apply takes one received chunk as the node's carry — with the node's own
+// digest of it added during reduce-scatter — lands it if it is now fully
+// reduced (from the last reduce-scatter step on), and recycles the delivery.
 func (nd *torusNode) apply(d *torusDelivery) {
-	if nd.step < len(nd.m.nodes)-1 {
-		nd.chunks[d.chunk] += d.val
-	} else {
-		nd.chunks[d.chunk] = d.val
+	m := nd.m
+	n := len(m.nodes)
+	v := d.val
+	if nd.step < n-1 {
+		v += torusChunkInit(nd.id, d.chunk)
 	}
+	if nd.step >= n-2 {
+		nd.sum += v
+		if want := m.want[d.chunk]; v != want && nd.err == nil {
+			nd.err = fmt.Errorf("mpi: torus node %d chunk %d = %#x, want %#x", nd.id, d.chunk, v, want)
+		}
+	}
+	nd.carry = v
 	nd.recvDone = true
-	nd.spare = append(nd.spare, d)
+	nd.spare = d
 }
 
 // maybeAdvance moves to the next step once the node's own transfer finished
@@ -369,23 +378,21 @@ func (m *TorusWorld) Run() (TorusResult, error) {
 	if se, ok := m.fab.(*sim.ShardedEngine); ok {
 		res.Windows = se.Windows()
 	}
-	// Every node must hold the identical fully reduced vector.
-	want := make([]uint64, len(m.nodes))
-	for c := range want {
-		for id := range m.nodes {
-			want[c] += torusChunkInit(id, c)
-		}
-		res.Checksum += want[c]
+	for _, v := range m.want {
+		res.Checksum += v
 	}
+	// Every node must have landed every chunk fully reduced: each as it
+	// landed, and all of them, once each, in its sum.
 	for i := range m.nodes {
 		nd := &m.nodes[i]
-		if !nd.finished {
+		if nd.step < m.total {
 			return res, fmt.Errorf("mpi: torus node %d stalled at step %d/%d", nd.id, nd.step, m.total)
 		}
-		for c, v := range nd.chunks {
-			if v != want[c] {
-				return res, fmt.Errorf("mpi: torus node %d chunk %d = %#x, want %#x", nd.id, c, v, want[c])
-			}
+		if nd.err != nil {
+			return res, nd.err
+		}
+		if nd.sum != res.Checksum {
+			return res, fmt.Errorf("mpi: torus node %d landed chunks summing to %#x, want %#x", nd.id, nd.sum, res.Checksum)
 		}
 	}
 	return res, nil

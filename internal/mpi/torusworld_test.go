@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"runtime"
 	"slices"
@@ -208,10 +209,22 @@ func wantPanic(t *testing.T, want string, fn func()) {
 
 // TestTorusRoutesAndResultUnchanged: each node's route, cut from the
 // machine's one hop table, is link for link the torus route to its
-// successor, and a 6x6x6 run on the oracle keeps its virtual end, checksum
-// and event count.
+// successor, and a run on the oracle keeps its virtual end, checksum and
+// event count — pinned for the smallest legal machine (two nodes, where the
+// one reduce-scatter step is also the last), an uneven 3x4x5 one and the
+// 6x6x6 one, as they were when every node held the whole vector.
 func TestTorusRoutesAndResultUnchanged(t *testing.T) {
-	for _, d := range [][3]int{{3, 4, 5}, {6, 6, 6}} {
+	for _, pin := range []struct {
+		d        [3]int
+		end      time.Duration
+		checksum uint64
+		events   uint64
+	}{
+		{[3]int{1, 1, 2}, 1016402 * time.Nanosecond, 0x579ac1e7a4fbc117, 8},
+		{[3]int{3, 4, 5}, 59971218 * time.Nanosecond, 0x11d96e9d6bab9023, 7375},
+		{[3]int{6, 6, 6}, 218532310 * time.Nanosecond, 0xf078cac4d90e74ca, 93956},
+	} {
+		d := pin.d
 		cfg := DefaultTorusConfig(d[0], d[1], d[2], 1)
 		m := NewTorusWorldOn(NewTorusOracle(cfg), cfg)
 		for i := range m.nodes {
@@ -224,23 +237,42 @@ func TestTorusRoutesAndResultUnchanged(t *testing.T) {
 				t.Fatalf("%v: node %d route row has room to grow into its neighbour's", d, i)
 			}
 		}
-		if d != [3]int{6, 6, 6} {
-			continue
-		}
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.End != 218532310*time.Nanosecond || res.Checksum != 0xf078cac4d90e74ca || res.Events != 93956 {
-			t.Errorf("6x6x6: end %v, checksum %#x, %d events; want 218.53231ms, 0xf078cac4d90e74ca, 93956",
-				res.End, res.Checksum, res.Events)
+		if res.End != pin.end || res.Checksum != pin.checksum || res.Events != pin.events {
+			t.Errorf("%v: end %v, checksum %#x, %d events; want %v, %#x, %d",
+				d, res.End, res.Checksum, res.Events, pin.end, pin.checksum, pin.events)
 		}
 	}
 }
 
-// torusRunObjects returns the objects one torus run allocates, construction
-// included.
-func torusRunObjects(t *testing.T, cfg TorusConfig) uint64 {
+// TestTorusLandingCheckCanFail: a node checks each chunk against the
+// machine's want as it lands, so a want entry that is off by one fails the
+// run naming that chunk, on the oracle and on two shards alike.
+func TestTorusLandingCheckCanFail(t *testing.T) {
+	const bad = 5
+	for _, sharded := range []bool{false, true} {
+		cfg := smallTorus(2)
+		fabric := NewTorusOracle(cfg)
+		if sharded {
+			fabric = NewTorusFabric(cfg)
+		}
+		m := NewTorusWorldOn(fabric, cfg)
+		reduced := m.want[bad]
+		m.want[bad]++
+		_, err := m.Run()
+		want := fmt.Sprintf("mpi: torus node 0 chunk %d = %#x, want %#x", bad, reduced, reduced+1)
+		if err == nil || err.Error() != want {
+			t.Errorf("sharded=%v: error %v, want %q", sharded, err, want)
+		}
+	}
+}
+
+// torusRunCost returns the objects one torus run allocates, construction
+// included, and its bytes per node.
+func torusRunCost(t *testing.T, cfg TorusConfig) (objects, perNode uint64) {
 	t.Helper()
 	fabric := NewTorusOracle
 	if cfg.Shards > 1 {
@@ -253,34 +285,51 @@ func torusRunObjects(t *testing.T, cfg TorusConfig) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%dx%dx%d on %d shards: %d objects, %d bytes for %d nodes x %d steps", cfg.DX, cfg.DY, cfg.DZ,
-		cfg.Shards, win.Objects(), win.Bytes(), res.Nodes, res.Steps)
-	return win.Objects()
+	perNode = win.Bytes() / uint64(res.Nodes)
+	t.Logf("%dx%dx%d on %d shards: %d objects, %d bytes (%d per node) for %d nodes x %d steps", cfg.DX, cfg.DY, cfg.DZ,
+		cfg.Shards, win.Objects(), win.Bytes(), perNode, res.Nodes, res.Steps)
+	return win.Objects(), perNode
 }
 
 // TestAllocsTorusRunBudget pins a torus run to a constant number of objects,
 // whatever the machine's size: the topology is one slab of links and one of
 // ringlets, every per-node record is a row of one slab per kind sized at
 // construction, and each network takes its flows in one block sized for one
-// flow per node; the event heap grows only with the event blocks. A 4x4x4
-// run measured 49 objects and a 6x6x6 run 56, so both are held to 64 (the
-// larger plus 15 %), and the 216-node run to at most 20 more than the
-// 64-node one: nothing is paid per node, nor per step
-// and node (a 4x4x4 run has 64 x 126 = 8 064 of those, and before flows and
-// deliveries were recycled it allocated five objects for each). Two shards
-// have their own bound, 347 measured plus 15 %: the sharded engine's window
-// exchange allocates as it sorts each window's cross-shard messages.
+// flow per node; the event heap grows only with the event blocks. Both a
+// 4x4x4 and a 6x6x6 run are held to 64 objects (they measured 49 and 56 when
+// the bound was set, 46 and 53 or 54 since nodes carry one chunk), and the
+// 216-node run to at most 20 more than the 64-node one: nothing is paid per
+// node, nor per step and node (a 4x4x4 run has 64 x 126 = 8 064 of those,
+// and before flows and deliveries were recycled it allocated five objects
+// for each). Two shards have their own bound, 347 measured plus 15 %: the
+// sharded engine's window exchange allocates as it sorts each window's
+// cross-shard messages.
+//
+// Bytes per node must not grow with the machine either: a node carries the
+// chunk in flight, not an n-entry vector. The two runs measured 1 224 and
+// 1 553 B per node, so each is held to 1 800 (the larger plus 15 %) and the
+// 216-node run to 1.4 times the 64-node one (1.27 measured; what still grows
+// is the sample logs and routes, which lengthen with the run and the
+// torus). With a whole vector per node the runs read 1 798 and 3 354 B, a
+// ratio of 1.87, and fail both bounds.
 func TestAllocsTorusRunBudget(t *testing.T) {
-	const oneShard, twoShards = 64, 400
-	small := torusRunObjects(t, DefaultTorusConfig(4, 4, 4, 1))
-	large := torusRunObjects(t, DefaultTorusConfig(6, 6, 6, 1))
+	const oneShard, twoShards, perNodeBytes, perNodeGrowth = 64, 400, 1800, 1.4
+	small, smallPerNode := torusRunCost(t, DefaultTorusConfig(4, 4, 4, 1))
+	large, largePerNode := torusRunCost(t, DefaultTorusConfig(6, 6, 6, 1))
 	if small > oneShard || large > oneShard {
 		t.Errorf("one shard: 64 nodes %d objects, 216 nodes %d; budget is %d", small, large, oneShard)
 	}
 	if large > small+20 {
 		t.Errorf("216 nodes allocate %d objects, 64 nodes %d: the run is paying per node", large, small)
 	}
-	if got := torusRunObjects(t, smallTorus(2)); got > twoShards {
+	if smallPerNode > perNodeBytes || largePerNode > perNodeBytes {
+		t.Errorf("one shard: 64 nodes %d B per node, 216 nodes %d; budget is %d", smallPerNode, largePerNode, perNodeBytes)
+	}
+	if float64(largePerNode) > perNodeGrowth*float64(smallPerNode) {
+		t.Errorf("216 nodes allocate %d B per node, 64 nodes %d: more than %.1fx, a node's state grows with the machine",
+			largePerNode, smallPerNode, perNodeGrowth)
+	}
+	if got, _ := torusRunCost(t, smallTorus(2)); got > twoShards {
 		t.Errorf("two shards: %d objects, budget is %d", got, twoShards)
 	}
 }
