@@ -138,7 +138,9 @@ shard-stress:
 # staged path included (none), an 8-rank allreduce on every algorithm (at
 # most 4 per rank), no pooled scratch block for a 2 MiB ring allreduce with
 # distinct dense buffers and one per rank in place
-# (TestAllocsRingAllreduceBorrowsNoScratch), a put + fence epoch (none), an emulated one-sided put,
+# (TestAllocsRingAllreduceBorrowsNoScratch), the collective chooser's picks
+# for Allreduce and Alltoall on an 8x2 communicator (none:
+# TestAllocsCollChoiceAllocFree), a put + fence epoch (none), an emulated one-sided put,
 # remote-put get and accumulate (none: TestAllocsRPCBudget), and an rmem Put,
 # Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
 # these regress.

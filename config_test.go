@@ -25,7 +25,7 @@ func TestConfigSurface(t *testing.T) {
 			"Nodes", "ProcsPerNode", "SCI", "Shm", "Protocol", "Tracer", "Metrics", "Flight",
 		}},
 		{mpi.ProtocolConfig{}, []string{
-			"EagerMax", "RendezvousChunk", "UseFF", "Path",
+			"RendezvousChunk", "UseFF", "Path",
 			"Coll", "CollSlot", "CollTimeout", "RendezvousTimeout",
 		}},
 		{sci.Config{}, []string{

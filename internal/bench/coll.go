@@ -71,7 +71,7 @@ func CollCases() []collCase {
 }
 
 // CollNodeCounts is the cluster-size axis of the sweep.
-func CollNodeCounts() []int { return []int{4, 8} }
+func CollNodeCounts() []int { return []int{2, 3, 4, 6, 8} }
 
 // RunCollBench executes the collective selection matrix.
 func RunCollBench(nodes []int) []CollResult { return runCollBench(nodes, math.MaxInt64) }
@@ -196,10 +196,18 @@ func FormatColl(results []CollResult) string {
 	out := "coll (MiB/s):\n"
 	out += fmt.Sprintf("  %-9s %5s %9s %9s %9s %9s %9s %9s  %-8s %-8s\n",
 		"coll", "nodes", "bytes", "p2p", "recdbl", "ring", "onesided", "adaptive", "chosen", "best")
+	misses, worst, at := 0, 0.0, ""
 	for _, r := range results {
 		out += fmt.Sprintf("  %-9s %5d %9d %9s %9s %9s %9s %9s  %-8s %-8s\n",
 			r.Coll, r.Nodes, r.Bytes, mibs(r.P2P), mibs(r.RecDbl), mibs(r.Ring), mibs(r.OneSided),
 			mibs(r.Adaptive), r.Chosen, r.BestAlg)
+		if r.Best > 0 && r.Adaptive < r.Best {
+			misses++
+			if short := 1 - r.Adaptive/r.Best; short > worst {
+				worst, at = short, fmt.Sprintf(" (%s, %d nodes, %d B)", r.Coll, r.Nodes, r.Bytes)
+			}
+		}
 	}
-	return out
+	return out + fmt.Sprintf("  chooser misses %d of %d cells, worst shortfall %.1f %%%s\n",
+		misses, len(results), 100*worst, at)
 }

@@ -101,11 +101,13 @@ func TestCollOneSidedBcastWinsLarge(t *testing.T) {
 // TestCollOneSidedExchangeWinsSmallBlocks: for latency-bound small
 // per-peer blocks, the one-sided window exchange (one deposit and two
 // control packets per block) beats the P2P ring/pairwise algorithms in
-// allgather and alltoall.
+// allgather and alltoall, once a member has more than one peer: its
+// notifies and acks then travel behind its next deposits. With one peer
+// (2 nodes) nothing hides them, and the pairwise message is faster.
 func TestCollOneSidedExchangeWinsSmallBlocks(t *testing.T) {
 	hit := 0
 	for _, r := range collRows() {
-		if (r.Coll != "allgather" && r.Coll != "alltoall") || r.Bytes > 4<<10 {
+		if (r.Coll != "allgather" && r.Coll != "alltoall") || r.Bytes > 4<<10 || r.Nodes < 3 {
 			continue
 		}
 		hit++

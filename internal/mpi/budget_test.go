@@ -390,3 +390,37 @@ func TestPairStructSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsCollChoiceAllocFree pins the chooser's picks for Allreduce and
+// Alltoall on an 8x2 communicator at no allocation: the families are a
+// static table, and the evaluator's scratch is sized once per world, at
+// its first priced call.
+func TestAllocsCollChoiceAllocFree(t *testing.T) {
+	if allocwin.RaceEnabled {
+		t.Skip("allocation budgets are not checked under the race detector")
+	}
+	const ranks = 16
+	win := allocwin.New(t)
+	var picks [4]CollAlg
+	Run(DefaultConfig(8, 2), func(c *Comm) {
+		if c.Rank() != 0 {
+			return
+		}
+		pick := func() {
+			picks[0] = c.chooseCollAlg(collAllreduce, ranks, 4<<10, 4<<10)
+			picks[1] = c.chooseCollAlg(collAllreduce, ranks, 2<<20, 2<<20)
+			picks[2] = c.chooseCollAlg(collAlltoall, ranks, ranks*256, 256)
+			picks[3] = c.chooseCollAlg(collAlltoall, ranks, ranks*(32<<10), 32<<10)
+		}
+		pick()
+		win.Open()
+		for i := 0; i < 10; i++ {
+			pick()
+		}
+		win.Close()
+	})
+	t.Logf("picks %v: %d objects, %d B over 10 rounds", picks, win.Objects(), win.Bytes())
+	if win.Objects() != 0 {
+		t.Errorf("10 rounds of four picks allocated %d objects (%d B), want none", win.Objects(), win.Bytes())
+	}
+}

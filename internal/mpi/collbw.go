@@ -24,42 +24,74 @@ const (
 	tagARecDblFinal = tagARecDbl + (1 << 19) + 1
 )
 
-// allreduceRecDbl reduces acc (elems elements of base) across all ranks
-// with recursive doubling. Non-power-of-two sizes fold the first rem pairs
-// onto their odd member first and fan the result back out at the end
-// (MPICH's rem-handling). c must be the collective view.
-func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop Op) error {
-	size := c.Size()
-	me := c.Rank()
+// recDblSteps returns the steps of recursive doubling over size ranks: the
+// fold, one round per doubling of the largest power of two within size,
+// and the return of the result.
+func recDblSteps(size int) int { return ceilLog2(size+1) + 1 }
+
+// recDblPeer returns rank me's partner at step s of recursive doubling over
+// size ranks (-1: me idles), and whether me sends to it, receives from it,
+// or both. Non-power-of-two sizes fold the first rem pairs onto their odd
+// member at step 0 and fan the result back out at the last step (MPICH's
+// rem-handling); in between the remaining pow2 ranks exchange with the
+// partner at distance 2^(s-1) of their renumbering.
+func recDblPeer(me, s, size int) (peer int, sends, recvs bool) {
 	pow2 := 1
 	for pow2*2 <= size {
 		pow2 *= 2
 	}
 	rem := size - pow2
-	if me < 2*rem && me%2 == 0 {
+	rounds := ceilLog2(pow2)
+	switch {
+	case s == 0 || s == rounds+1:
+		if me >= 2*rem {
+			return -1, false, false
+		}
+		odd := me%2 == 1
+		if s == 0 {
+			return me ^ 1, !odd, odd
+		}
+		return me ^ 1, odd, !odd
+	case me < 2*rem && me%2 == 0:
+		return -1, false, false // folded: idle until the result returns
+	}
+	newRank := me - rem
+	if me < 2*rem {
+		newRank = me / 2
+	}
+	partnerNew := newRank ^ (1 << (s - 1))
+	if partnerNew < rem {
+		return partnerNew*2 + 1, true, true
+	}
+	return partnerNew + rem, true, true
+}
+
+// allreduceRecDbl reduces acc (elems elements of base) across all ranks
+// with recursive doubling, on recDblPeer's schedule. c must be the
+// collective view.
+func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop Op) error {
+	size := c.Size()
+	me := c.Rank()
+	last := recDblSteps(size) - 1
+	if peer, sends, _ := recDblPeer(me, 0, size); sends {
 		// Fold onto the odd partner, then idle until the result returns.
-		if err := c.send(acc, elems, base, me+1, tagARecDblFold, c.ctx); err != nil {
+		if err := c.send(acc, elems, base, peer, tagARecDblFold, c.ctx); err != nil {
 			return err
 		}
-		return c.recvColl(acc, elems, base, me+1, tagARecDblFinal)
+		return c.recvColl(acc, elems, base, peer, tagARecDblFinal)
 	}
 	scratch := bufpool.Get(len(acc)) // back unless a receive failed on it
 	tmp := scratch.B
-	newRank := me - rem
-	if me < 2*rem {
-		if err := c.recvColl(tmp, elems, base, me-1, tagARecDblFold); err != nil {
+	if peer, _, recvs := recDblPeer(me, 0, size); recvs {
+		if err := c.recvColl(tmp, elems, base, peer, tagARecDblFold); err != nil {
 			return err
 		}
 		// The partner is the lower rank: acc = partner op mine.
 		c.combineColl(rop, base, acc, tmp, acc, elems)
-		newRank = me / 2
 	}
-	for round, mask := 0, 1; mask < pow2; round, mask = round+1, mask<<1 {
-		partnerNew := newRank ^ mask
-		partner := partnerNew + rem
-		if partnerNew < rem {
-			partner = partnerNew*2 + 1
-		}
+	for s := 1; s < last; s++ {
+		partner, _, _ := recDblPeer(me, s, size)
+		round := s - 1
 		if err := c.sendrecvColl(acc, elems, base, partner, tagARecDbl+round,
 			tmp, elems, base, partner, tagARecDbl+round); err != nil {
 			return err
@@ -72,8 +104,8 @@ func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop O
 		}
 	}
 	scratch.Put()
-	if me < 2*rem {
-		return c.send(acc, elems, base, me-1, tagARecDblFinal, c.ctx)
+	if peer, sends, _ := recDblPeer(me, last, size); sends {
+		return c.send(acc, elems, base, peer, tagARecDblFinal, c.ctx)
 	}
 	return nil
 }
@@ -105,6 +137,10 @@ func (l *ringLink) finish() error {
 	}
 	return nil
 }
+
+// ringPeers returns the ring neighbours of rank me: every step of the ring
+// algorithms receives from the left one and sends to the right one.
+func ringPeers(me, size int) (left, right int) { return (me - 1 + size) % size, (me + 1) % size }
 
 // ringBlock returns the byte range of partition block i of elems elements
 // (the even spread all members compute identically).
@@ -140,8 +176,7 @@ func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, ro
 	size := c.Size()
 	me := c.Rank()
 	es := base.Size()
-	right := (me + 1) % size
-	left := (me - 1 + size) % size
+	left, right := ringPeers(me, size)
 	steps := 2 * (size - 1)
 	link := ringLink{cc: c, right: right, left: left, steps: steps, oneSided: oneSided}
 	var scratch *bufpool.Buf // back unless a receive failed on it

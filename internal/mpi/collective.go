@@ -140,37 +140,47 @@ func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) error {
 func (c *Comm) bcastBinomial(buf []byte, count int, dt *datatype.Type, root int) error {
 	size := c.Size()
 	vrank := (c.Rank() - root + size) % size
-	// Receive from parent.
-	if vrank != 0 {
-		parent := ((vrank & (vrank - 1)) + root) % size
-		if err := c.recvColl(buf, count, dt, parent, tagBcast); err != nil {
-			return err
+	// Receive from the parent, then forward to the children.
+	for k := 0; k < ceilLog2(size); k++ {
+		peer, parent := binomialPeer(vrank, k, size)
+		if peer < 0 {
+			continue
 		}
-	}
-	// Forward to children.
-	for bit := lowestSetOrSize(vrank, size); bit > 0; bit >>= 1 {
-		child := vrank | bit
-		if child != vrank && child < size {
-			if err := c.send(buf, count, dt, (child+root)%size, tagBcast, c.ctx); err != nil {
-				return err
-			}
+		var err error
+		if parent {
+			err = c.recvColl(buf, count, dt, (peer+root)%size, tagBcast)
+		} else {
+			err = c.send(buf, count, dt, (peer+root)%size, tagBcast, c.ctx)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// lowestSetOrSize returns the highest bit a node may address as a child in
-// the binomial tree: for vrank 0 the full width, otherwise the bit below
-// the lowest set bit of vrank.
-func lowestSetOrSize(vrank, size int) int {
-	if vrank == 0 {
-		b := 1
-		for b < size {
-			b <<= 1
-		}
-		return b >> 1
+// binomialPeer returns the peer of vrank (a rank counted from the root) at
+// step k of the binomial tree over size ranks, top down, and whether it is
+// vrank's parent. Step k addresses bit b = top>>k, top the highest power of
+// two below size: vrank receives from its parent at the step of its lowest
+// set bit, and sends to its child vrank|b at each later step while that is
+// a rank. -1: vrank idles at step k. Reductions walk the same tree bottom
+// up.
+func binomialPeer(vrank, k, size int) (peer int, parent bool) {
+	top := 1
+	for top*2 < size {
+		top *= 2
 	}
-	return (vrank & -vrank) >> 1
+	bit := top >> k
+	switch {
+	case bit == 0:
+		return -1, false
+	case vrank&bit != 0 && vrank&(bit-1) == 0:
+		return vrank &^ bit, true
+	case vrank&(2*bit-1) == 0 && vrank|bit < size:
+		return vrank | bit, false
+	}
+	return -1, false
 }
 
 // Reduce combines count elements of dt from every rank with op, leaving
@@ -218,22 +228,22 @@ func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op,
 	size := c.Size()
 	vrank := (c.Rank() - root + size) % size
 	var tmp *bufpool.Buf // taken by the first child, back unless a receive failed on it
-	for bit := 1; bit < size; bit <<= 1 {
-		if vrank&bit != 0 {
-			parent := ((vrank &^ bit) + root) % size
+	for k := ceilLog2(size) - 1; k >= 0; k-- {
+		peer, parent := binomialPeer(vrank, k, size)
+		if peer < 0 {
+			continue
+		}
+		if parent {
 			tmp.Put()
-			return c.send(acc, elems, base, parent, tagReduce, c.ctx)
+			return c.send(acc, elems, base, (peer+root)%size, tagReduce, c.ctx)
 		}
-		child := vrank | bit
-		if child < size {
-			if tmp == nil {
-				tmp = bufpool.Get(len(acc))
-			}
-			if err := c.recvColl(tmp.B, elems, base, (child+root)%size, tagReduce); err != nil {
-				return err
-			}
-			c.combineColl(op, base, acc, acc, tmp.B, elems)
+		if tmp == nil {
+			tmp = bufpool.Get(len(acc))
 		}
+		if err := c.recvColl(tmp.B, elems, base, (peer+root)%size, tagReduce); err != nil {
+			return err
+		}
+		c.combineColl(op, base, acc, acc, tmp.B, elems)
 	}
 	tmp.Put()
 	return nil

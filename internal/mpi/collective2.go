@@ -49,8 +49,7 @@ func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte)
 func (c *Comm) allgatherRing(recv []byte, count int, dt *datatype.Type) error {
 	size, me := c.Size(), c.Rank()
 	block := dt.Size() * int64(count)
-	right := (me + 1) % size
-	left := (me - 1 + size) % size
+	left, right := ringPeers(me, size)
 	for step := 0; step < size-1; step++ {
 		s := int64((me-step+size)%size) * block
 		r := int64((me-step-1+size)%size) * block
@@ -102,8 +101,7 @@ func (c *Comm) alltoallPairwise(send, recv []byte, count int, dt *datatype.Type)
 	size, me := c.Size(), c.Rank()
 	block := dt.Size() * int64(count)
 	for step := 1; step < size; step++ {
-		to := (me + step) % size
-		from := (me - step + size) % size
+		to, from := pairwisePeers(me, step, size)
 		if err := c.sendrecvColl(
 			send[int64(to)*block:int64(to+1)*block], count, dt, to, tagAlltoall+step,
 			recv[int64(from)*block:int64(from+1)*block], count, dt, from, tagAlltoall+step,
@@ -113,6 +111,12 @@ func (c *Comm) alltoallPairwise(send, recv []byte, count int, dt *datatype.Type)
 	}
 	return nil
 }
+
+// pairwisePeers returns whom rank me sends to and receives from at step s
+// (1 <= s < size) of the pairwise exchange: the rank s to its right and the
+// rank s to its left. The one-sided window exchange deposits in the same
+// order.
+func pairwisePeers(me, s, size int) (to, from int) { return (me + s) % size, (me - s + size) % size }
 
 // Waitall blocks until every request has completed, returning the statuses
 // (nil entries for sends) and the first error encountered (all requests are

@@ -108,15 +108,11 @@ func (c *Comm) bcastOneSided(buf []byte, root int) error {
 		nChunks = 1
 	}
 	vrank := (me - root + size) % size
+	depth := ceilLog2(size)
 	parent := -1
-	if vrank != 0 {
-		parent = ((vrank & (vrank - 1)) + root) % size
-	}
-	var children []int
-	for bit := lowestSetOrSize(vrank, size); bit > 0; bit >>= 1 {
-		child := vrank | bit
-		if child != vrank && child < size {
-			children = append(children, (child+root)%size)
+	for k := 0; k < depth; k++ {
+		if peer, up := binomialPeer(vrank, k, size); up {
+			parent = (peer + root) % size
 		}
 	}
 	for i := 0; i < nChunks; i++ {
@@ -134,7 +130,12 @@ func (c *Comm) bcastOneSided(buf []byte, root int) error {
 				return err
 			}
 		}
-		for _, child := range children {
+		for k := 0; k < depth; k++ {
+			peer, up := binomialPeer(vrank, k, size)
+			if peer < 0 || up {
+				continue
+			}
+			child := (peer + root) % size
 			if i >= 2 {
 				if err := c.recvColl(nil, 0, datatype.Byte, child, tagCollOSA+i-2); err != nil {
 					return err
@@ -150,13 +151,13 @@ func (c *Comm) bcastOneSided(buf []byte, root int) error {
 	}
 	// Drain the children's last acks so the slot halves are free for the
 	// next collective before this one returns.
-	first := nChunks - 2
-	if first < 0 {
-		first = 0
-	}
-	for _, child := range children {
-		for i := first; i < nChunks; i++ {
-			if err := c.recvColl(nil, 0, datatype.Byte, child, tagCollOSA+i); err != nil {
+	for k := 0; k < depth; k++ {
+		peer, up := binomialPeer(vrank, k, size)
+		if peer < 0 || up {
+			continue
+		}
+		for i := max(nChunks-2, 0); i < nChunks; i++ {
+			if err := c.recvColl(nil, 0, datatype.Byte, (peer+root)%size, tagCollOSA+i); err != nil {
 				return err
 			}
 		}
@@ -176,7 +177,7 @@ func (c *Comm) osExchange(out func(dst int) []byte, in func(src int) []byte) err
 	me := c.Rank()
 	slot := w.protocol().CollSlot
 	for step := 1; step < size; step++ {
-		dst := (me + step) % size
+		dst, _ := pairwisePeers(me, step, size)
 		if err := c.osDeposit(c.worldRank(dst), int64(c.rk.id)*slot, out(dst)); err != nil {
 			return err
 		}
@@ -185,7 +186,7 @@ func (c *Comm) osExchange(out func(dst int) []byte, in func(src int) []byte) err
 		}
 	}
 	for step := 1; step < size; step++ {
-		src := (me - step + size) % size
+		_, src := pairwisePeers(me, step, size)
 		if err := c.recvColl(nil, 0, datatype.Byte, src, tagCollOSN); err != nil {
 			return err
 		}
@@ -197,7 +198,7 @@ func (c *Comm) osExchange(out func(dst int) []byte, in func(src int) []byte) err
 		}
 	}
 	for step := 1; step < size; step++ {
-		dst := (me + step) % size
+		dst, _ := pairwisePeers(me, step, size)
 		if err := c.recvColl(nil, 0, datatype.Byte, dst, tagCollOSA); err != nil {
 			return err
 		}

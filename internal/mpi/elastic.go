@@ -146,7 +146,7 @@ func (c *Comm) suspectSnapshot() []int {
 // agreementPoll is the interval at which a member waiting for deposits
 // re-reads the agreement record and re-probes liveness.
 func (w *World) agreementPoll() time.Duration {
-	d := 8 * w.collCtl()
+	d := 8 * w.slowCtl()
 	if d < time.Microsecond {
 		d = time.Microsecond
 	}
@@ -220,7 +220,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			live++
 		}
 	}
-	p.Sleep(time.Duration(live) * w.collCtl())
+	p.Sleep(time.Duration(live) * w.slowCtl())
 
 	// Wait until every member this rank does not suspect has deposited (or
 	// another member has sealed the decision). Each poll re-runs the

@@ -27,15 +27,14 @@ func statsAfterSend(t *testing.T, size int64) DeviceStats {
 }
 
 func TestProtocolSelectionBoundaries(t *testing.T) {
-	proto := DefaultProtocol()
 	cases := []struct {
 		size              int64
 		short, eager, rdv int64
 	}{
 		{shortMax, 1, 0, 0},
 		{shortMax + 1, 0, 1, 0},
-		{proto.EagerMax, 0, 1, 0},
-		{proto.EagerMax + 1, 0, 0, 1},
+		{eagerMax, 0, 1, 0},
+		{eagerMax + 1, 0, 0, 1},
 	}
 	for _, cse := range cases {
 		st := statsAfterSend(t, cse.size)

@@ -49,7 +49,6 @@ func sendSig(dt *datatype.Type) uint64 {
 func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int) error {
 	p := c.p
 	w := c.rk.w
-	proto := w.protocol()
 	p.Sleep(callOverhead)
 	if err := c.checkRank("Send", "destination", dst); err != nil {
 		return err
@@ -63,7 +62,7 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		protoCode = 0
 	case bytes <= shortMax:
 		protoCode = 1
-	case bytes <= proto.EagerMax:
+	case bytes <= eagerMax:
 		protoCode = 2
 	default:
 		protoCode = 3

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"scimpich/internal/sci"
+	"scimpich/internal/shmem"
 	"scimpich/internal/sim"
 )
 
@@ -28,7 +29,7 @@ const AutoTimeout time.Duration = -1
 // one full protocol chunk on the wire.
 func (w *World) watchdogUnit() time.Duration {
 	p := w.protocol()
-	unit := 8 * w.collCtl()
+	unit := 8 * w.slowCtl()
 	backoff := sendBackoff
 	for i := 0; i <= sendRetryMax; i++ {
 		unit += backoff
@@ -36,9 +37,21 @@ func (w *World) watchdogUnit() time.Duration {
 	}
 	if w.ic != nil {
 		unit += 3*sci.RetryLatency + sci.InterruptLatency
+		return unit + sim.RateDuration(p.RendezvousChunk, w.cfg.SCI.StreamWriteBW(p.RendezvousChunk))
 	}
-	unit += sim.RateDuration(p.RendezvousChunk, w.collLinkBW())
-	return unit
+	return unit + sim.RateDuration(p.RendezvousChunk, w.cfg.Shm.Mem.CopyBW(128<<10))
+}
+
+// slowCtl is one control message between the world's farthest ranks (the
+// call, the issue and flight on the ringlet when there is one, else on a
+// node's shared memory, and the receiver's dispatch). The watchdogs and the
+// shrink agreement's polling scale with it.
+func (w *World) slowCtl() time.Duration {
+	base := callOverhead + handlerLatency
+	if w.ic != nil {
+		return base + sci.WriteIssueOverhead + w.cfg.SCI.PIOWriteLatency
+	}
+	return base + shmem.SignalLatency
 }
 
 // ScaledCollTimeout is the AutoTimeout bound of one internal collective

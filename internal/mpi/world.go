@@ -24,10 +24,6 @@ import (
 
 // ProtocolConfig holds the device protocol parameters.
 type ProtocolConfig struct {
-	// EagerMax is the largest message sent through preallocated eager
-	// slots (eagerSlots per pair); larger messages use the rendezvous
-	// protocol.
-	EagerMax int64
 	// RendezvousChunk is the bytes moved per handshake cycle. The paper
 	// requires it below the L2 size to avoid cache thrashing with
 	// direct_pack_ff.
@@ -70,7 +66,6 @@ type ProtocolConfig struct {
 // DefaultProtocol returns the SCI-MPICH-like protocol parameters.
 func DefaultProtocol() ProtocolConfig {
 	return ProtocolConfig{
-		EagerMax:        16 << 10,
 		RendezvousChunk: 64 << 10, // a quarter of the P-III L2: chunk + scattered span stay cache-resident
 		UseFF:           true,
 
@@ -87,6 +82,10 @@ func DefaultProtocol() ProtocolConfig {
 const (
 	// shortMax is the largest payload carried inline in a control packet.
 	shortMax = 128
+	// eagerMax is the largest message sent through preallocated eager
+	// slots (eagerSlots per pair); larger messages use the rendezvous
+	// protocol.
+	eagerMax = 16 << 10
 	// eagerSlots is the number of eager buffers per sender/receiver pair.
 	eagerSlots = 8
 	// oscBuf is the per-pair staging area for emulated one-sided transfers
@@ -183,6 +182,9 @@ type World struct {
 	// single-threaded.
 	collWins  []*SharedSeg
 	collViews [][]smi.Mem
+	// eval is the cost-model evaluator's scratch (collEval), built at the
+	// first call the chooser prices.
+	eval *collEval
 
 	// envFree is the envelope free list (see envelope). rdvSendFree and
 	// rdvRecvFree hold the scratch records of rendezvous transfers that
@@ -324,21 +326,18 @@ func (w *World) protocol() *ProtocolConfig { return &w.cfg.Protocol }
 
 // portSize returns the byte size of one pair port.
 func (w *World) portSize() int64 {
-	p := w.protocol()
-	return eagerSlots*p.EagerMax + 2*p.RendezvousChunk + oscBuf
+	return eagerSlots*eagerMax + 2*w.protocol().RendezvousChunk + oscBuf
 }
 
-func (w *World) eagerOff(slot int) int64 { return int64(slot) * w.protocol().EagerMax }
+func (w *World) eagerOff(slot int) int64 { return int64(slot) * eagerMax }
 
 func (w *World) rdvOff(slot int) int64 {
-	p := w.protocol()
-	return eagerSlots*p.EagerMax + int64(slot%2)*p.RendezvousChunk
+	return eagerSlots*eagerMax + int64(slot%2)*w.protocol().RendezvousChunk
 }
 
 // oscOff returns the offset of the one-sided staging area in a pair port.
 func (w *World) oscOff() int64 {
-	p := w.protocol()
-	return eagerSlots*p.EagerMax + 2*p.RendezvousChunk
+	return eagerSlots*eagerMax + 2*w.protocol().RendezvousChunk
 }
 
 // newWorld wires the cluster — interconnect, per-node buses, ranks, ports —
@@ -495,11 +494,11 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 	from, to := w.ranks[src], w.ranks[dst]
 	e.to = to.dev
 	if from.node == to.node {
-		p.Sleep(60 * time.Nanosecond)
+		p.Sleep(shmIssue)
 		w.host.AfterCall(shmem.SignalLatency, deliverEnvelope, w.newEnvelope(e))
 		return
 	}
-	p.Sleep(sci.WriteIssueOverhead + sim.RateDuration(envelopeWireBytes, sci.PIOWritePeakBW))
+	p.Sleep(sciIssue)
 	if !w.ic.Alive(from.node) || !w.ic.Alive(to.node) {
 		// A crashed endpoint black-holes the control packet: the sender has
 		// paid the issue cost but nothing arrives. Recovery layers detect
@@ -560,3 +559,9 @@ func (w *World) plan() *fault.Plan {
 
 // envelopeWireBytes is the size of a control packet on the wire.
 const envelopeWireBytes = 64
+
+// shmIssue is the cost of storing a control packet's flag into a node-local
+// peer's shared memory, sciIssue of writing the packet across the ringlet.
+const shmIssue = 60 * time.Nanosecond
+
+var sciIssue = sci.WriteIssueOverhead + sim.RateDuration(envelopeWireBytes, sci.PIOWritePeakBW)

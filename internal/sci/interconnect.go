@@ -289,27 +289,35 @@ func (n *Node) path(owner *Node) []flow.Hop {
 	return hops
 }
 
-// ShiftBW is the rate of each flow when every node of the ringlet streams a
-// transfer of bytes at srcCap at once, the nodes split evenly over the
-// downstream distances dists: a ring collective's step (distance 1), or a
-// recursive-doubling round (m and n-m). Every flow crosses the whole ringlet
-// (path), d segments forward and n-d with its echoes at EchoFraction, so
-// each segment carries all n flows at a weight of d + (n-d)·EchoFraction per
-// unit of rate, averaged over dists; the ringlet's congestion model prices
-// that load as the flow network does. A transfer below flowThreshold never
-// reaches the flow network: it moves at srcCap.
-func (ic *Interconnect) ShiftBW(bytes int64, srcCap float64, dists ...int) float64 {
+// ShiftBW is the rate of each of a step's concurrent transfers of bytes at
+// srcCap across the ringlet, dists holding the downstream node distance of
+// every transfer of the step (one entry per transfer, so a node whose ranks
+// all send counts once per rank), and adapterFlows the most transfers either
+// adapter of this one carries at once. An adapter streams at PIOWritePeakBW
+// in all, shared evenly. Every transfer crosses the whole ringlet (path), d
+// segments forward and n-d with its echoes at EchoFraction, so a segment
+// carries every transfer, at a weight of d + (n-d)·EchoFraction per unit of
+// rate summed over dists and spread over the n segments; the ringlet's
+// congestion model prices that load as the flow network does. A transfer
+// below flowThreshold never reaches the flow network: it moves at srcCap.
+func (ic *Interconnect) ShiftBW(bytes int64, srcCap float64, adapterFlows int, dists ...int) float64 {
 	n := len(ic.nodes)
 	if bytes < flowThreshold {
+		return srcCap
+	}
+	if adapterFlows > 1 {
+		srcCap = min(srcCap, PIOWritePeakBW/float64(adapterFlows))
+	}
+	if len(dists) == 0 {
 		return srcCap
 	}
 	weight := 0.0
 	for _, d := range dists {
 		weight += float64(d) + float64(float64(n-d)*EchoFraction)
 	}
-	weight /= float64(len(dists))
+	weight /= float64(n)
 	linkBW := ring.BandwidthForMHz(ic.Cfg.LinkMHz)
-	achieved := linkBW * flow.SCIRingCongestion{}.AchievedFraction(srcCap*weight/linkBW, n)
+	achieved := linkBW * flow.SCIRingCongestion{}.AchievedFraction(srcCap*weight/linkBW, len(dists))
 	return min(srcCap, achieved/weight)
 }
 

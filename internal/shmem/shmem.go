@@ -92,14 +92,19 @@ func (b *Bus) Charge(p *sim.Proc, bytes int64, cost time.Duration) {
 	b.net.Transfer(p, b.bus[:], bytes, rate)
 }
 
-// CopyCost is what a bus of this configuration bills, uncontended, for a
-// copy of bytes whose memory-hierarchy cost is cost (Bus.Charge): the cost
-// itself below flowThreshold, and no less than the bytes at BusBW above it.
-func (c Config) CopyCost(bytes int64, cost time.Duration) time.Duration {
-	if bytes < flowThreshold {
+// CopyCost is what a bus of this configuration bills each of flows
+// concurrent copies of bytes whose memory-hierarchy cost is cost
+// (Bus.Charge): the cost itself below flowThreshold, and above it no less
+// than the bytes at the copy's share of the bus, which busCongestion
+// degrades per concurrent copy as the flow network does.
+func (c Config) CopyCost(bytes int64, cost time.Duration, flows int) time.Duration {
+	if bytes < flowThreshold || cost <= 0 {
 		return cost
 	}
-	return max(cost, sim.RateDuration(bytes, c.BusBW))
+	flows = max(flows, 1)
+	src := float64(bytes) / cost.Seconds()
+	share := c.BusBW * busCongestion.AchievedFraction(float64(flows)*src/c.BusBW, flows) / float64(flows)
+	return max(cost, sim.RateDuration(bytes, min(src, share)))
 }
 
 // Region is a shared memory region on the bus. Its memory is materialised
