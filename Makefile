@@ -161,15 +161,16 @@ trace-demo:
 	@grep -Eq '^# .* spans, [1-9][0-9]* instants\)$$' /tmp/scimpich-tracestat.txt || \
 		{ echo "trace-demo: no instants in the export (flight recorder -> Chrome bridge empty)" >&2; exit 1; }
 
-# postmortem-demo crashes a node inside an rmem commit, captures the
-# flight-recorder dump at the first typed error, and renders the causal
-# post-mortem — the full dump-on-failure pipeline in one command. It fails
-# unless the report names the partially stamped epoch the crash leaves
-# behind. See docs/OBSERVABILITY.md.
+# postmortem-demo crashes a node inside an rmem commit's fence round,
+# captures the flight-recorder dump at the first typed error, and renders the
+# causal post-mortem — the full dump-on-failure pipeline in one command. At
+# 5 027 µs the crash splits the round: two survivors complete it, the third
+# loses the crashed node's packet and stays in it. The demo fails unless the
+# report names the split fence. See docs/OBSERVABILITY.md.
 postmortem-demo:
-	$(GO) run ./cmd/rmemserve -crash-node 1 -crash-at 5030us \
+	$(GO) run ./cmd/rmemserve -crash-node 1 -crash-at 5027us \
 		-flight-out /tmp/scimpich-flight.json
 	$(GO) run ./cmd/postmortem /tmp/scimpich-flight.json > /tmp/scimpich-postmortem.txt
 	@cat /tmp/scimpich-postmortem.txt
-	@grep -q 'partially-stamped-epoch' /tmp/scimpich-postmortem.txt || \
-		{ echo "postmortem-demo: the report does not name the partially stamped epoch" >&2; exit 1; }
+	@grep -q 'split-fence' /tmp/scimpich-postmortem.txt || \
+		{ echo "postmortem-demo: the report does not name the split fence" >&2; exit 1; }

@@ -4,9 +4,9 @@
 //
 //   - the invariant report — unmatched or stalled rendezvous transfers,
 //     fence-stall attribution (which rank held up the round, and whether an
-//     injected crash is the root cause), shrink-agreement divergence, epoch
-//     regressions, partially stamped rmem epochs and lost committed writes —
-//     ranked by severity,
+//     injected crash is the root cause), shrink-agreement divergence, commit
+//     epoch regressions, fence rounds a crash split and lost committed
+//     writes — ranked by severity,
 //   - the causal chain terminating at the failure, annotated with Lamport
 //     clocks derived from the send/recv, rendezvous, fence and put edges,
 //   - the tail of every actor's event timeline.

@@ -91,7 +91,7 @@ func Analyze(d *Dump) *Report {
 	rep.Anomalies = append(rep.Anomalies, a.checkAgreement()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkRendezvous()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkEpochMonotonic()...)
-	rep.Anomalies = append(rep.Anomalies, a.checkPartialStamp()...)
+	rep.Anomalies = append(rep.Anomalies, a.checkSplitFence()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkDurability()...)
 	rep.Anomalies = append(rep.Anomalies, a.checkUnmatchedSends()...)
 	sort.SliceStable(rep.Anomalies, func(i, j int) bool {
@@ -588,178 +588,83 @@ func maxAt(ns []*node) int64 {
 	return ns[len(ns)-1].ev.At
 }
 
-// checkEpochMonotonic pins the rmem epoch discipline: per actor, epoch
-// stamps must be non-decreasing per shard and commit epochs strictly
-// increasing.
+// checkEpochMonotonic pins the rmem epoch discipline: per actor, commit
+// epochs strictly increase.
 func (a *analysis) checkEpochMonotonic() []Anomaly {
 	var out []Anomaly
-	actors := make([]string, 0, len(a.byActor))
-	for actor := range a.byActor {
-		actors = append(actors, actor)
-	}
-	sort.Strings(actors)
-	for _, actor := range actors {
-		lastStamp := make(map[int64]int64)
+	for _, actor := range slices.Sorted(maps.Keys(a.byActor)) {
 		lastCommit := int64(-1)
 		for _, n := range a.byActor[actor] {
-			switch n.k {
-			case KEpochStamp:
-				if prev, ok := lastStamp[n.ev.A]; ok && n.ev.B < prev {
-					out = append(out, Anomaly{
-						Check: "epoch-regression", Severity: 80, Actor: actor,
-						Summary: fmt.Sprintf("%s stamped epoch %d on shard %d after %d — epoch stamps must never regress",
-							actor, n.ev.B, n.ev.A, prev),
-						Evidence: []EventRef{n.ref()},
-					})
-				}
-				lastStamp[n.ev.A] = n.ev.B
-			case KCommit:
-				if n.ev.A <= lastCommit {
-					out = append(out, Anomaly{
-						Check: "epoch-regression", Severity: 80, Actor: actor,
-						Summary: fmt.Sprintf("%s committed epoch %d after %d — commit epochs must strictly increase",
-							actor, n.ev.A, lastCommit),
-						Evidence: []EventRef{n.ref()},
-					})
-				}
-				lastCommit = n.ev.A
+			if n.k != KCommit {
+				continue
 			}
+			if n.ev.A <= lastCommit {
+				out = append(out, Anomaly{
+					Check: "epoch-regression", Severity: 80, Actor: actor,
+					Summary: fmt.Sprintf("%s committed epoch %d after %d — commit epochs must strictly increase",
+						actor, n.ev.A, lastCommit),
+					Evidence: []EventRef{n.ref()},
+				})
+			}
+			lastCommit = n.ev.A
 		}
 	}
 	return out
 }
 
-// checkPartialStamp finds rmem epochs that closed on some replicas of a
-// shard and never will on the others. After its fence round completes, a
-// commit stamps every touched shard's replicas one accumulate at a time, so a
-// crash between two stamps leaves the survivors disagreeing on whether the
-// epoch closed. A shard's replicas are read off the dump: every rank stamped
-// for it since the last shrink adoption (a shrink re-homes the shards). For
-// the latest epoch stamped on a shard, a replica without the stamp never gets
-// it when its node is down, or when every rank that stamped the epoch there
-// has stopped: its node is down or it recorded a failure. A commit still in
-// progress is not reported.
-func (a *analysis) checkPartialStamp() []Anomaly {
-	type shardStamps struct {
-		replicas map[int64]bool
-		epoch    int64
-		stamps   []*node // the stamps of epoch
+// checkSplitFence finds fence rounds a crash split: a node went down after
+// the round's first enter, and the round completed on some actors but is
+// still open on one whose node is up, so the survivors disagree on which
+// round they are in.
+func (a *analysis) checkSplitFence() []Anomaly {
+	type round struct {
+		key  [2]int64         // window, round
+		open map[string]*node // actor -> its enter, until it exits
+		done []string         // the actors that exited, with their exits in ev
+		ev   []EventRef
+		down *node // the first KNodeDown after the first enter
 	}
-	shards := make(map[int64]*shardStamps)
+	var rounds []*round
+	byKey := make(map[[2]int64]*round)
 	for _, n := range a.nodes {
-		switch {
-		case n.k == KShrinkAdopt:
-			shards = make(map[int64]*shardStamps)
-		case n.k == KEpochStamp && n.rank >= 0:
-			sh := shards[n.ev.A]
-			if sh == nil {
-				sh = &shardStamps{replicas: make(map[int64]bool)}
-				shards[n.ev.A] = sh
+		switch n.k {
+		case KNodeDown:
+			for _, r := range rounds {
+				r.down = cmp.Or(r.down, n)
 			}
-			sh.replicas[n.ev.C] = true
-			if n.ev.B > sh.epoch {
-				sh.epoch, sh.stamps = n.ev.B, nil
+		case KFenceEnter, KFenceExit:
+			k := [2]int64{n.ev.A, n.ev.B}
+			if byKey[k] == nil {
+				byKey[k] = &round{key: k, open: make(map[string]*node)}
+				rounds = append(rounds, byKey[k])
 			}
-			if n.ev.B == sh.epoch {
-				sh.stamps = append(sh.stamps, n)
+			r := byKey[k]
+			delete(r.open, n.actor)
+			if n.k == KFenceEnter {
+				r.open[n.actor] = n
+			} else {
+				r.done = append(r.done, n.actor)
+				r.ev = append(r.ev, n.ref())
 			}
 		}
 	}
-	end := maxAt(a.nodes)
 	var out []Anomaly
-	for _, id := range slices.Sorted(maps.Keys(shards)) {
-		sh := shards[id]
-		stamped := make(map[int64]bool)
-		last := make(map[string]*node) // stamper -> its last stamp of the epoch here
-		for _, n := range sh.stamps {
-			stamped[n.ev.C] = true
-			last[n.actor] = n
-		}
-		// Why each stamper stopped; a stamper still running may yet stamp
-		// every replica.
-		var causes []*node
-		stopped := true
-		for _, st := range last {
-			if dn := a.nodeDownOf(st.rank, end); dn != nil {
-				causes = append(causes, dn)
-				continue
-			}
-			if e := a.failureAfter(st); e != nil {
-				causes = append(causes, e)
-				continue
-			}
-			stopped = false
-		}
-		never := make(map[int64]bool)
-		for r := range sh.replicas {
-			if stamped[r] {
-				continue
-			}
-			if dn := a.nodeDownOf(int(r), end); dn != nil {
-				causes = append(causes, dn)
-				never[r] = true
-			} else if stopped {
-				never[r] = true
+	for _, r := range rounds {
+		var open []string
+		for _, actor := range slices.Sorted(maps.Keys(r.open)) {
+			if en := r.open[actor]; a.nodeDownOf(en.rank, maxAt(a.nodes)) == nil {
+				open = append(open, actor)
+				r.ev = append(r.ev, en.ref())
 			}
 		}
-		if len(never) == 0 {
+		if len(r.done) == 0 || r.down == nil || len(open) == 0 {
 			continue
 		}
-		an := Anomaly{Check: "partially-stamped-epoch", Severity: 93}
-		first := sh.stamps[0]
-		fence := ""
-		for n := first.prev; n != nil; n = n.prev {
-			if n.k == KFenceExit {
-				fence = fmt.Sprintf(" after fence round %d on window %d completed", n.ev.B, n.ev.A)
-				an.Evidence = append(an.Evidence, n.ref())
-				break
-			}
-		}
-		for _, n := range sh.stamps {
-			an.Evidence = append(an.Evidence, n.ref())
-		}
-		slices.SortFunc(causes, func(x, y *node) int { return cmp.Compare(x.ev.Seq, y.ev.Seq) })
-		var why []string
-		for _, c := range slices.Compact(causes) {
-			an.Evidence = append(an.Evidence, c.ref())
-			if c.k == KNodeDown {
-				why = append(why, fmt.Sprintf("node%d crashed at %v", c.ev.A, time.Duration(c.ev.At)))
-			} else {
-				to := ""
-				if c.ev.B >= 0 {
-					to = fmt.Sprintf(" to rank%d", c.ev.B)
-				}
-				why = append(why, fmt.Sprintf("%s's %s%s failed", c.actor, Op(c.ev.A), to))
-			}
-		}
-		an.Summary = fmt.Sprintf("epoch %d is partially stamped on shard %d%s: stamped on %s, never on %s (%s)",
-			sh.epoch, id, fence, rankList(stamped), rankList(never), strings.Join(why, "; "))
-		out = append(out, an)
+		out = append(out, Anomaly{Check: "split-fence", Severity: 93, Evidence: append(r.ev, r.down.ref()),
+			Summary: fmt.Sprintf("fence round %d on window %d is split: completed on %s, still open on %s after node%d crashed at %v",
+				r.key[1], r.key[0], strings.Join(r.done, ","), strings.Join(open, ","), r.down.ev.A, time.Duration(r.down.ev.At))})
 	}
 	return out
-}
-
-// failureAfter returns the first KError the actor of n recorded after n,
-// before any commit sealed its round; nil if none.
-func (a *analysis) failureAfter(n *node) *node {
-	for _, m := range a.byActor[n.actor][n.idx+1:] {
-		switch m.k {
-		case KCommit:
-			return nil
-		case KError:
-			return m
-		}
-	}
-	return nil
-}
-
-// rankList renders a set of world ranks as "rank0,rank2", in rank order.
-func rankList(set map[int64]bool) string {
-	var names []string
-	for _, r := range slices.Sorted(maps.Keys(set)) {
-		names = append(names, fmt.Sprintf("rank%d", r))
-	}
-	return strings.Join(names, ",")
 }
 
 // checkDurability surfaces committed writes the verifier found missing,

@@ -121,88 +121,68 @@ func TestAnalyzeAgreementStallBlamesCrash(t *testing.T) {
 func TestAnalyzeEpochRegression(t *testing.T) {
 	rec := New(16)
 	rg := rec.Actor("rank0")
-	rg.Record(10*us, KEpochStamp, 2, 5, 1, 0)
-	rg.Record(20*us, KEpochStamp, 2, 3, 1, 0) // regresses shard 2 from 5 to 3
 	rg.Record(30*us, KCommit, 4, 2, 0, 0)
 	rg.Record(40*us, KCommit, 4, 2, 0, 0) // commit epoch not strictly increasing
 	rep := Analyze(rec.Snapshot("test"))
-	if len(rep.Anomalies) != 2 {
-		t.Fatalf("anomalies = %+v, want stamp regression and commit regression", rep.Anomalies)
+	if len(rep.Anomalies) != 1 {
+		t.Fatalf("anomalies = %+v, want the commit regression", rep.Anomalies)
 	}
-	for _, an := range rep.Anomalies {
-		if an.Check != "epoch-regression" || an.Severity != 80 || an.Actor != "rank0" {
-			t.Errorf("anomaly = %+v, want sev-80 epoch-regression on rank0", an)
-		}
+	if an := rep.Anomalies[0]; an.Check != "epoch-regression" || an.Severity != 80 || an.Actor != "rank0" {
+		t.Errorf("anomaly = %+v, want sev-80 epoch-regression on rank0", an)
 	}
 }
 
-// TestAnalyzePartiallyStampedEpoch: epoch 1 reaches both replicas of shard
-// 0 (rank0, rank1); epoch 2 reaches rank0 after fence round 2, then node1
-// crashes and rank0's accumulate to rank1 fails. The epoch closed on one
-// replica and never will on the other. The same stamps are not a finding
-// while the commit may still finish (no crash, no failure), nor once a
-// shrink re-homed the shard and the next commit stamped its new replicas.
-func TestAnalyzePartiallyStampedEpoch(t *testing.T) {
-	const (
-		crash = iota // node1 crashes, rank0's accumulate fails
-		inFlight
-		rehomed
-	)
+// TestAnalyzeSplitFence: four ranks enter fence round 2, node1 crashes
+// inside it, rank0 and rank2 complete the round and rank3 does not. The
+// round is split, and rank3 is named; rank1 is not, its node is down. The
+// same round still completing with no crash is not a finding.
+func TestAnalyzeSplitFence(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mode int
-		want bool
+		name  string
+		crash bool
 	}{
-		{"crash", crash, true},
-		{"in-flight", inFlight, false},
-		{"re-homed", rehomed, false},
+		{"crash", true},
+		{"completing", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := New(32)
-			topo(rec, 0, 1, 2)
-			r0 := rec.Actor("rank0")
-			r0.Record(10*us, KFenceExit, 0, 1, 2, 0)
-			r0.Record(11*us, KEpochStamp, 0, 1, 0, 0)
-			r0.Record(12*us, KEpochStamp, 0, 1, 1, 0)
-			r0.Record(12*us, KCommit, 1, 1, 0, 0)
-			r0.Record(20*us, KFenceExit, 0, 2, 2, 0)
-			r0.Record(21*us, KEpochStamp, 0, 2, 0, 0)
-			if tc.mode != inFlight {
+			topo(rec, 0, 1, 2, 3)
+			var rs []*Ring
+			for _, name := range []string{"rank0", "rank1", "rank2", "rank3"} {
+				rg := rec.Actor(name)
+				rg.Record(10*us, KFenceEnter, 0, 1, 0, 0)
+				rg.Record(12*us, KFenceExit, 0, 1, 3, 0)
+				rg.Record(20*us, KFenceEnter, 0, 2, 0, 0)
+				rs = append(rs, rg)
+			}
+			if tc.crash {
 				rec.Actor("node1").Record(21*us, KNodeDown, 1, 0, 0, 0)
-				r0.Fail(22*us, OpAccumulate, 1, errors.New("connection lost"))
 			}
-			if tc.mode == rehomed {
-				r0.Record(30*us, KShrinkAdopt, 7, 1, 111, 0)
-				r0.Record(40*us, KFenceExit, 1, 1, 1, 0)
-				r0.Record(41*us, KEpochStamp, 0, 2, 0, 0)
-				r0.Record(42*us, KEpochStamp, 0, 2, 2, 0)
-				r0.Record(42*us, KCommit, 2, 1, 0, 0)
-			}
+			rs[0].Record(25*us, KFenceExit, 0, 2, 3, 0)
+			rs[2].Record(25*us, KFenceExit, 0, 2, 3, 0)
 			rep := Analyze(rec.Snapshot("test"))
 			var found []Anomaly
 			for _, an := range rep.Anomalies {
-				if an.Check == "partially-stamped-epoch" {
+				if an.Check == "split-fence" {
 					found = append(found, an)
 				}
 			}
-			if !tc.want {
+			if !tc.crash {
 				if len(found) != 0 {
 					t.Fatalf("reported %+v", found)
 				}
 				return
 			}
 			if len(found) != 1 || found[0].Severity != 93 {
-				t.Fatalf("anomalies = %+v, want one sev-93 partially-stamped-epoch", rep.Anomalies)
+				t.Fatalf("anomalies = %+v, want one sev-93 split-fence", rep.Anomalies)
 			}
-			for _, want := range []string{"epoch 2", "shard 0", "fence round 2", "stamped on rank0,", "never on rank1",
-				"node1 crashed", "rank0's accumulate to rank1 failed"} {
-				if !strings.Contains(found[0].Summary, want) {
-					t.Errorf("summary %q lacks %q", found[0].Summary, want)
-				}
+			want := "fence round 2 on window 0 is split: completed on rank0,rank2, still open on rank3 after node1 crashed at 21µs"
+			if found[0].Summary != want {
+				t.Errorf("summary %q, want %q", found[0].Summary, want)
 			}
-			// The fence exit, the one stamp, the crash and the failure.
+			// The two exits, rank3's enter and the crash.
 			if len(found[0].Evidence) != 4 {
-				t.Errorf("evidence = %+v, want fence exit, stamp, node-down and error", found[0].Evidence)
+				t.Errorf("evidence = %+v, want two exits, an enter and node-down", found[0].Evidence)
 			}
 		})
 	}

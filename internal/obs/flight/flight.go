@@ -71,9 +71,6 @@ const (
 	// KPutStage (rmem): a write was staged on both replicas.
 	// A=key, B=seq, C=shard.
 	KPutStage
-	// KEpochStamp (rmem): an epoch stamp was accumulated on a replica.
-	// A=shard, B=epoch, C=target rank.
-	KEpochStamp
 	// KCommit (rmem): a commit round sealed. A=epoch, B=writes sealed.
 	KCommit
 	// KReplay (rmem): a pending write was replayed during recovery.
@@ -139,7 +136,6 @@ var kindNames = [kindCount]string{
 	KFenceExit:     "fence-exit",
 	KPut:           "put",
 	KPutStage:      "put-stage",
-	KEpochStamp:    "epoch-stamp",
 	KCommit:        "commit",
 	KReplay:        "replay",
 	KWriteLost:     "write-lost",

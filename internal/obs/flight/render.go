@@ -78,8 +78,6 @@ func FormatEvent(e DumpEvent) string {
 		return fmt.Sprintf("put -> rank%d %dB on window %d (%s)", e.A, e.B, e.C, mode)
 	case KPutStage:
 		return fmt.Sprintf("staged key %d seq %d on shard %d", e.A, e.B, e.C)
-	case KEpochStamp:
-		return fmt.Sprintf("stamped epoch %d on shard %d at rank%d", e.B, e.A, e.C)
 	case KCommit:
 		return fmt.Sprintf("committed epoch %d (%d writes)", e.A, e.B)
 	case KReplay:

@@ -12,10 +12,9 @@ import (
 // rank runs the same loops in step, so the windows rank 0 opens hold the
 // work of all of them. A Put and a Get allocate nothing: the slot image is
 // the Service's scratch and the staged write a row of its dense pending
-// table. Nor does a Commit: the fence-arrival notifications of its
-// Fence carry their kind, window and round in the envelope's integer
-// fields, with no request record, and the epoch stamps ride the recycled
-// call records of the one-sided layer.
+// table. Nor does a Commit, which is one Fence: its fence-arrival
+// notifications carry their kind, window and round in the envelope's
+// integer fields, with no request record.
 func TestAllocsOpBudget(t *testing.T) {
 	const warm, n, rounds = 20, 200, 20
 	const nodes = 4 // testConfig's world

@@ -57,7 +57,7 @@ func TestPutGetCommitNoFaults(t *testing.T) {
 // below one expiry of the scaled watchdog mpi.AutoTimeout resolves to for
 // the service's windows: survivors learn of the crash from the liveness
 // view, they do not sit a watchdog out. The crash lands between commits, so
-// the dump at the first failure holds no partially stamped epoch.
+// the dump at the first failure holds no split fence round.
 func TestFailoverClaims(t *testing.T) {
 	wl := DefaultWorkload()
 	base, _ := RunWorkload(testConfig(fault.New(*faultSeed)), DefaultConfig(), wl)
@@ -68,11 +68,7 @@ func TestFailoverClaims(t *testing.T) {
 	if dump == nil {
 		t.Fatal("the crash produced no failure dump")
 	}
-	for _, an := range flight.Analyze(dump).Anomalies {
-		if an.Check == "partially-stamped-epoch" {
-			t.Errorf("clean failover reported %s", an.Summary)
-		}
-	}
+	checkNoSplitFence(t, dump)
 
 	var watchdog time.Duration
 	mpi.Run(testConfig(nil), func(c *mpi.Comm) { watchdog = c.World().ScaledSyncTimeout() })
@@ -82,34 +78,45 @@ func TestFailoverClaims(t *testing.T) {
 			t.Fatalf("baseline rank %d saw failures", r.Rank)
 		}
 	}
-	if !churn[1].Died {
-		t.Fatalf("crashed rank 1 did not observe its own revocation: %+v", churn[1])
-	}
+	checkRecovered(t, churn)
 	for _, me := range []int{0, 2, 3} {
 		r := churn[me]
-		if r.Died || r.RecoverErr != "" || r.VerifyErr != "" {
-			t.Fatalf("survivor %d: died=%v recoverErr=%q verifyErr=%q", me, r.Died, r.RecoverErr, r.VerifyErr)
-		}
-		if r.Failovers != 1 {
-			t.Errorf("survivor %d: %d failovers, want 1", me, r.Failovers)
-		}
 		if r.LostShards != 0 {
 			t.Errorf("survivor %d: %d shards lost both replicas", me, r.LostShards)
 		}
-		if r.LostWrites != 0 {
-			t.Errorf("survivor %d: %d committed writes lost", me, r.LostWrites)
-		}
 		if r.FailedAfterRecovery != 0 {
 			t.Errorf("survivor %d: %d operations failed after the failover epoch", me, r.FailedAfterRecovery)
-		}
-		if len(r.Survivors) != 3 || r.Survivors[0] != 0 || r.Survivors[1] != 2 || r.Survivors[2] != 3 {
-			t.Errorf("survivor %d: final membership %v, want [0 2 3]", me, r.Survivors)
 		}
 		if r.OpFailures == 0 {
 			t.Errorf("survivor %d observed no failures at all — crash not exercised", me)
 		}
 		if p := time.Duration(r.SojournNS.P99); p <= 0 || p > watchdog {
 			t.Errorf("survivor %d: sojourn p99 %v, want within the %v watchdog", me, p, watchdog)
+		}
+	}
+}
+
+// checkRecovered fails unless the crashed rank 1 observed its own
+// revocation and every survivor recovered once, lost no committed write and
+// ended in the membership [0 2 3].
+func checkRecovered(t *testing.T, reports []RankReport) {
+	t.Helper()
+	if !reports[1].Died {
+		t.Fatalf("crashed rank 1 did not observe its own revocation: %+v", reports[1])
+	}
+	for _, me := range []int{0, 2, 3} {
+		r := reports[me]
+		if r.Died || r.RecoverErr != "" || r.VerifyErr != "" {
+			t.Fatalf("survivor %d: died=%v recoverErr=%q verifyErr=%q", me, r.Died, r.RecoverErr, r.VerifyErr)
+		}
+		if r.Failovers != 1 {
+			t.Errorf("survivor %d: %d failovers, want 1", me, r.Failovers)
+		}
+		if r.LostWrites != 0 {
+			t.Errorf("survivor %d: %d committed writes lost", me, r.LostWrites)
+		}
+		if len(r.Survivors) != 3 || r.Survivors[0] != 0 || r.Survivors[1] != 2 || r.Survivors[2] != 3 {
+			t.Errorf("survivor %d: final membership %v, want [0 2 3]", me, r.Survivors)
 		}
 	}
 }

@@ -2,9 +2,9 @@
 // built on the one-sided communication layer: every rank exports a window
 // holding a set of shards, each shard is replicated on a primary and a
 // backup rank, and clients deposit and fetch fixed-size slots with MPI_Put
-// and MPI_Get. Commits use the epoch protocol of the fence synchronization
-// — a Fence delivers all staged deposits at both replicas, then an
-// MPI_Accumulate(MAX) stamps the replicas' per-shard epoch registers.
+// and MPI_Get. A commit is one fence: its store barrier makes every staged
+// deposit visible at both replicas at once, and only then does the origin
+// acknowledge the writes into its committed ledger.
 //
 // The service survives node crashes: when an operation or fence fails, the
 // survivors agree on the shrunken membership (Comm.Shrink), abandon the
@@ -60,7 +60,7 @@ func (c Config) Keys() int64 { return int64(c.Shards * c.SlotsPerShard) }
 const slotHeader = 16
 
 func (c Config) slotBytes() int64  { return slotHeader + c.ValBytes }
-func (c Config) shardBytes() int64 { return 8 + int64(c.SlotsPerShard)*c.slotBytes() }
+func (c Config) shardBytes() int64 { return int64(c.SlotsPerShard) * c.slotBytes() }
 func (c Config) winBytes() int64   { return int64(c.Shards) * c.shardBytes() }
 
 // ErrShardLost reports a shard whose primary and backup both crashed before
@@ -111,19 +111,16 @@ type Service struct {
 	// committed[k] is the ledger of the last acknowledged
 	// sequence number of k, which verification reads back through the
 	// window (a mismatch is a lost committed write); ncommitted counts its
-	// entries. touched[sh] marks a shard staged into since the last commit.
+	// entries.
 	epoch      int64
 	nextSeq    int64
 	pendSeq    []int64
 	pendVal    []byte
 	committed  []int64
 	ncommitted int
-	touched    []bool
-	// slot is the scratch of the slot image a Put, Get or replay moves, and
-	// stamp that of a commit's epoch register: both are copied out (or read)
-	// before the operation returns.
-	slot  []byte
-	stamp [8]byte
+	// slot is the scratch of the slot image a Put, Get or replay moves: it
+	// is copied out (or read) before the operation returns.
+	slot []byte
 
 	// Failovers counts completed recoveries on this rank; LostShards
 	// counts shards that lost both replicas (zero under single crashes).
@@ -151,7 +148,6 @@ func New(c *mpi.Comm, cfg Config) (*Service, error) {
 		pendSeq:   make([]int64, cfg.Keys()),
 		pendVal:   make([]byte, cfg.Keys()*cfg.ValBytes),
 		committed: make([]int64, cfg.Keys()),
-		touched:   make([]bool, cfg.Shards),
 		slot:      make([]byte, cfg.slotBytes()),
 
 		fl:           c.FlightRing(),
@@ -186,7 +182,7 @@ func (s *Service) shardOf(key int64) int { return int(key % int64(s.cfg.Shards))
 func (s *Service) slotOff(key int64) int64 {
 	sh := s.shardOf(key)
 	slot := key / int64(s.cfg.Shards)
-	return int64(sh)*s.cfg.shardBytes() + 8 + slot*s.cfg.slotBytes()
+	return int64(sh)*s.cfg.shardBytes() + slot*s.cfg.slotBytes()
 }
 
 // checkKey returns ErrKeyRange unless key is in [0, Keys()).
@@ -236,7 +232,6 @@ func (s *Service) Put(key int64, val []byte) error {
 	}
 	s.pendSeq[key] = s.nextSeq
 	copy(s.pendingVal(key), slot[slotHeader:])
-	s.touched[sh] = true
 	s.fl.Record(s.c.Proc().Now(), flight.KPutStage, key, s.nextSeq, int64(sh), 0)
 	s.putBytes.Observe(int64(len(val)))
 	return nil
@@ -263,30 +258,15 @@ func (s *Service) Get(key int64, val []byte) (int64, error) {
 	return seq, nil
 }
 
-// Commit closes the epoch: the fence delivers every staged deposit at both
-// replicas, then the per-shard epoch registers of every touched shard are
-// stamped with the new epoch number (Accumulate MAX — the paper's atomic
-// handler-side read-modify-write). Only after both steps are the staged
-// writes acknowledged into the committed ledger. Commit is collective: all
-// live ranks fence together.
+// Commit closes the epoch. The fence is the commit: its store barrier
+// delivers every staged deposit at both replicas at once, and only after
+// it returns are the staged writes acknowledged into the committed ledger.
+// Commit is collective: all live ranks fence together.
 func (s *Service) Commit() error {
 	if err := s.win.Fence(); err != nil {
 		return err
 	}
-	next := s.epoch + 1
-	binary.LittleEndian.PutUint64(s.stamp[:], uint64(next))
-	for sh, touched := range s.touched {
-		if !touched {
-			continue
-		}
-		for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
-			if err := s.win.Accumulate(s.stamp[:], 1, datatype.Int64, mpi.OpMax, tgt, int64(sh)*s.cfg.shardBytes()); err != nil {
-				return err
-			}
-			s.fl.Record(s.c.Proc().Now(), flight.KEpochStamp, int64(sh), next, int64(s.c.GroupToWorld(tgt)), 0)
-		}
-	}
-	s.epoch = next
+	s.epoch++
 	var staged int64
 	for key, seq := range s.pendSeq {
 		if seq == 0 {
@@ -299,8 +279,7 @@ func (s *Service) Commit() error {
 		s.committed[key] = seq
 	}
 	clear(s.pendSeq)
-	clear(s.touched)
-	s.fl.Record(s.c.Proc().Now(), flight.KCommit, next, staged, 0, 0)
+	s.fl.Record(s.c.Proc().Now(), flight.KCommit, s.epoch, staged, 0, 0)
 	s.commitStaged.Observe(staged)
 	return nil
 }
@@ -357,7 +336,6 @@ func (s *Service) recover() error {
 				return err
 			}
 		}
-		s.touched[sh] = true
 	}
 	if err := s.Commit(); err != nil {
 		return err
@@ -368,8 +346,8 @@ func (s *Service) recover() error {
 
 // rereplicate re-homes every shard under the new membership: for each
 // shard, the surviving holder of the old placement (the old primary, or the
-// old backup if the primary died) pushes the whole shard region — epoch
-// register and slots — to the shard's new primary and backup. Shards whose
+// old backup if the primary died) pushes the whole shard region to the
+// shard's new primary and backup. Shards whose
 // both old holders died are counted in LostShards.
 func (s *Service) rereplicate(prev []int) error {
 	alive := make(map[int]bool, len(s.ranks))
