@@ -135,48 +135,52 @@ func TestAllocsRendezvousBudget(t *testing.T) {
 
 // TestAllocsAllreduceBudget pins an 8-rank Allreduce at 4 objects per rank
 // and call (none expected) on every forced algorithm at 4 KiB, and the ring
-// at 2 MiB at the same count with no term in the vector length: the
-// accumulator is the caller's recv, the ring reads the caller's distinct
-// send buffer in place of a scratch block (TestAllocsRingAllreduceBorrowsNoScratch)
-// and every other scratch vector is pooled, the internal receives recycle
-// their Requests and the collective view of the communicator is made once.
-// (The payload is >= 256 B; collective tags are all >= 1<<20.)
+// at 2 MiB, with distinct buffers and in place, at the same count with no
+// term in the vector length: the accumulator is the caller's recv, the
+// ring's partials combine into it as they drain
+// (TestAllocsRingAllreduceBorrowsNoScratch) and every other scratch vector
+// is pooled, the internal receives recycle their Requests and the
+// collective view of the communicator is made once. (The payload is
+// >= 256 B; collective tags are all >= 1<<20.)
 func TestAllocsAllreduceBudget(t *testing.T) {
 	const ranks = 8
 	for _, tc := range []struct {
-		alg   CollAlg
-		bytes int
+		alg     CollAlg
+		bytes   int
+		inPlace bool
 	}{
-		{CollRing, 4 << 10}, {CollRecDbl, 4 << 10}, {CollP2P, 4 << 10}, {CollOneSided, 4 << 10},
-		{CollRing, 2 << 20},
+		{CollRing, 4 << 10, false}, {CollRecDbl, 4 << 10, false}, {CollP2P, 4 << 10, false}, {CollOneSided, 4 << 10, false},
+		{CollRing, 2 << 20, false}, {CollRing, 2 << 20, true},
 	} {
 		cfg := DefaultConfig(ranks, 1)
 		cfg.Protocol.Coll = tc.alg
 		send, recv := make([][]byte, ranks), make([][]byte, ranks)
 		for r := range send {
 			send[r], recv[r] = make([]byte, tc.bytes), make([]byte, tc.bytes)
+			if tc.inPlace {
+				recv[r] = send[r]
+			}
 		}
 		objs, bytes := hostCost(t, cfg, 4, 20, func(c *Comm, _ int) {
 			must(c.Allreduce(send[c.Rank()], recv[c.Rank()], tc.bytes/8, datatype.Int64, OpSum))
 		})
-		t.Logf("%v allreduce of %d B on %d ranks: %.2f objects, %.1f B per rank and call",
-			tc.alg, tc.bytes, ranks, objs/ranks, bytes/ranks)
+		t.Logf("%v allreduce of %d B on %d ranks (in place %v): %.2f objects, %.1f B per rank and call",
+			tc.alg, tc.bytes, ranks, tc.inPlace, objs/ranks, bytes/ranks)
 		if objs/ranks > 4 {
-			t.Errorf("%v at %d B: %.2f objects per rank and call, budget is 4", tc.alg, tc.bytes, objs/ranks)
+			t.Errorf("%v at %d B (in place %v): %.2f objects per rank and call, budget is 4", tc.alg, tc.bytes, tc.inPlace, objs/ranks)
 		}
 		if bytes/ranks > 4<<10 {
-			t.Errorf("%v at %d B: %.0f B per rank and call: the cost grows with the vector", tc.alg, tc.bytes, bytes/ranks)
+			t.Errorf("%v at %d B (in place %v): %.0f B per rank and call: the cost grows with the vector", tc.alg, tc.bytes, tc.inPlace, bytes/ranks)
 		}
 	}
 }
 
 // TestAllocsRingAllreduceBorrowsNoScratch: a fresh 8-rank world's first
-// 2 MiB ring Allreduce with distinct dense buffers takes no pooled block:
-// each rank receives its left neighbour's partials straight into recv and
-// folds its send buffer's block in. An in-place call has no second copy of
-// the contribution, so it still borrows one 256 KiB block per rank, and its
-// sum is still right. The two calls differ in nothing else, so their
-// bufpool.Get counts differ by exactly the in-place call's 8 blocks.
+// 2 MiB ring Allreduce takes no pooled scratch block, with distinct dense
+// buffers or in place: each rank's left neighbour's partials travel by
+// rendezvous and combine with the rank's own block as each chunk drains,
+// straight into recv. The two calls differ in nothing else, so their
+// bufpool.Get counts are equal, and both sums are right.
 func TestAllocsRingAllreduceBorrowsNoScratch(t *testing.T) {
 	const ranks, n = 8, 2 << 20
 	// gets runs one ring Allreduce of n bytes on a fresh world and returns
@@ -204,9 +208,9 @@ func TestAllocsRingAllreduceBorrowsNoScratch(t *testing.T) {
 	}
 	distinct, inPlace := gets(false), gets(true)
 	t.Logf("pool gets per 2 MiB ring allreduce on %d ranks: %d with distinct buffers, %d in place", ranks, distinct, inPlace)
-	if inPlace-distinct != ranks {
-		t.Errorf("the in-place call takes %d more pooled buffers than the one with distinct buffers, want %d (one scratch block per rank)",
-			inPlace-distinct, ranks)
+	if inPlace != distinct {
+		t.Errorf("the in-place call takes %d more pooled buffers than the one with distinct buffers, want none (no scratch block)",
+			inPlace-distinct)
 	}
 }
 

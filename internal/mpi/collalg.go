@@ -271,16 +271,21 @@ func (c *Comm) load(ev *collEval, s collSched, k, steps, size int, n int64, oneS
 // leaves when its sender's chain reaches the step; a rendezvous message,
 // whose handshake needs the receiver, when both chains do. The receiver's
 // chain goes on when it holds the message and its own send of the step is
-// done, and folds it in after.
+// done, and folds it in after — or, where the family combines as the
+// message drains (foldsOnDrain: every point-to-point family but recursive
+// doubling, whose exchange sends the accumulator it receives into), in the
+// drain's copy-out itself.
 func (c *Comm) walk(s collSched, steps, size int, n int64, oneSided bool, combineSteps int) time.Duration {
 	ev := c.collEval(size)
 	clear(ev.t[:size])
 	handshake := !oneSided && n > eagerMax
+	folds := !oneSided && s != schedRecDbl && c.rk.w.foldsOnDrain(n)
 	for k := 0; k < steps; k++ {
 		c.load(ev, s, k, steps, size, n, oneSided)
+		fold := folds && k < combineSteps
 		for r := 0; r < size; r++ {
 			if from := ev.from[r]; from >= 0 {
-				ev.send[from], ev.full[r] = c.modelMsg(from, r, n, oneSided, ev)
+				ev.send[from], ev.full[r] = c.modelMsg(from, r, n, oneSided, fold, ev)
 			}
 		}
 		for r := 0; r < size; r++ {
@@ -298,7 +303,7 @@ func (c *Comm) walk(s collSched, steps, size int, n int64, oneSided bool, combin
 					start = max(start, ev.t[r])
 				}
 				t = max(t, start+ev.full[r])
-				if k < combineSteps {
+				if k < combineSteps && !fold {
 					t += c.modelCombine(n)
 				}
 			}
@@ -343,16 +348,22 @@ func (c *Comm) pairWire(a, b int, n int64, ev *collEval) time.Duration {
 
 // pairCopy is the prior for member b copying n bytes it received from
 // member a out of its buffer in the step's chunks: a local copy of an SCI
-// segment, or reads of shared memory through the node's bus.
-func (c *Comm) pairCopy(a, b int, n int64, ev *collEval) time.Duration {
+// segment, or reads of shared memory through the node's bus. A copy that
+// combines (fold) streams three chunks, the drain's and the accumulator's
+// two.
+func (c *Comm) pairCopy(a, b int, n int64, fold bool, ev *collEval) time.Duration {
 	nb := ev.node[b]
+	ws := ev.chunk
+	if fold {
+		ws *= 3
+	}
 	switch {
 	case n <= 0:
 		return 0
 	case ev.node[a] != nb:
-		return c.mem().CopyCost(n, ev.chunk, ev.chunk)
+		return c.mem().CopyCost(n, ev.chunk, ws)
 	}
-	return ev.busCopies(c, nb, n, ev.chunk)
+	return ev.busCopies(c, nb, n, ws)
 }
 
 // busCopies is the prior for copying n bytes in the step's chunks from a
@@ -365,8 +376,9 @@ func (ev *collEval) busCopies(c *Comm, node int, n, ws int64) time.Duration {
 
 // modelMsg prices one message of n bytes from member a to member b under
 // the step's load: how long the sender is busy with it, and when the
-// receiver holds it, counted from the step's start.
-func (c *Comm) modelMsg(a, b int, n int64, oneSided bool, ev *collEval) (send, full time.Duration) {
+// receiver holds it (fold: combined it as it drained), counted from the
+// step's start.
+func (c *Comm) modelMsg(a, b int, n int64, oneSided, fold bool, ev *collEval) (send, full time.Duration) {
 	if oneSided {
 		// The ring and the tree reuse a slot half every other block:
 		// the sender first takes the ack that frees it.
@@ -374,7 +386,7 @@ func (c *Comm) modelMsg(a, b int, n int64, oneSided bool, ev *collEval) (send, f
 		send = callOverhead + handlerLatency + c.modelOSDeposit(a, b, n, ev)
 		return send, send + flight + c.modelOSTake(a, b, n, ev)
 	}
-	return c.modelP2PMsg(a, b, n, ev)
+	return c.modelP2PMsg(a, b, n, fold, ev)
 }
 
 // modelP2PMsg is the prior for one point-to-point message of n bytes from
@@ -382,8 +394,9 @@ func (c *Comm) modelMsg(a, b int, n int64, oneSided bool, ev *collEval) (send, f
 // receiver's copy-out, mirroring what the short / eager / rendezvous paths
 // bill for a contiguous message; the receiver's call posts its receive. A
 // control message (ctl) is the call, the packet's issue and flight, and the
-// receiver's dispatch.
-func (c *Comm) modelP2PMsg(a, b int, n int64, ev *collEval) (send, full time.Duration) {
+// receiver's dispatch. A rendezvous message that folds combines in its
+// copy-out, which pipelines with the deposits like the copy it replaces.
+func (c *Comm) modelP2PMsg(a, b int, n int64, fold bool, ev *collEval) (send, full time.Duration) {
 	issue, flight, sync := c.pairLink(a, b, ev)
 	ctl := callOverhead + issue + flight + handlerLatency
 	switch {
@@ -394,20 +407,27 @@ func (c *Comm) modelP2PMsg(a, b int, n int64, ev *collEval) (send, full time.Dur
 		// and its credit return.
 		wire := c.pairWire(a, b, n, ev)
 		send = callOverhead + wire + sync + issue
-		return send, ctl + callOverhead + sync + wire + c.pairCopy(a, b, n, ev) + issue
+		return send, ctl + callOverhead + sync + wire + c.pairCopy(a, b, n, false, ev) + issue
 	default:
 		// Request + CTS handshake, chunked deposits with per-chunk acks,
 		// and the receiver's per-chunk copy-out. The two chunk slots
 		// pipeline deposit and copy-out: the slower stage sets the pace,
-		// and one chunk of the faster one shows. Inside a node the stage
-		// that runs alone at either end of a pipeline of several chunks
-		// has the bus share of both, so none shows. The sender waits for
-		// the last ack.
+		// and one chunk of the faster one shows. Inside a node a pipeline
+		// of several chunks runs both stages beside each other on the bus
+		// for all but one chunk: its first deposit and its last copy-out
+		// run beside only the step's other lone stages, at half the
+		// step's bus load (see load). The sender waits for the last ack.
 		chunks := (n + ev.chunk - 1) / ev.chunk
-		wire, unpack := c.pairWire(a, b, n, ev), c.pairCopy(a, b, n, ev)
+		wire, unpack := c.pairWire(a, b, n, ev), c.pairCopy(a, b, n, fold, ev)
 		d := time.Duration(2+chunks)*ctl + max(wire, unpack)
-		if ev.node[a] != ev.node[b] || chunks == 1 {
+		if nb := ev.node[b]; ev.node[a] != nb || chunks == 1 {
 			d += min(wire, unpack) / time.Duration(chunks)
+		} else {
+			load := ev.bus[nb]
+			ev.bus[nb] = max(load/2, 1)
+			lone := c.pairWire(a, b, ev.chunk, ev) + c.pairCopy(a, b, ev.chunk, fold, ev)
+			ev.bus[nb] = load
+			d += lone - max(wire, unpack)/time.Duration(chunks)
 		}
 		return d, d
 	}

@@ -532,14 +532,17 @@ var collTerms = []struct {
 	{"ringlet", []string{"4x2"}, collAlltoall, CollP2P, []int64{32 << 10}, 0.85, 0.92},
 	// bus: on one node a payload of several chunks keeps copies of
 	// different steps on the bus at once — the one-sided tree forwards
-	// each chunk as it lands (more copies than one step's), a rendezvous
-	// message overlaps its deposits and copy-outs only between its first
-	// and last chunk (fewer). The more chunks, the more the forwarding
-	// overlaps.
+	// each chunk as it lands (more copies than one step's). The more
+	// chunks, the more the forwarding overlaps.
 	{"bus", []string{"1x4", "1x8"}, collBcast, CollOneSided, []int64{256 << 10}, 0.6, 0.72},
 	{"bus", []string{"1x4", "1x8"}, collBcast, CollOneSided, []int64{2 << 20}, 0.38, 0.5},
-	{"bus", []string{"1x8"}, collBcast, CollP2P, []int64{256 << 10}, 1.05, 1.15},
-	{"bus", []string{"1x4"}, collAllreduce, CollRecDbl, []int64{256 << 10}, 1.2, 1.32},
+	// exchange: on one node the four pipelines of a recursive-doubling
+	// round (both directions of both pairs) keep fewer than the eight
+	// stages the prior counts on the bus through their middle chunks, and
+	// the bus's congestion curve is steep there (a 64 KiB copy beside 5
+	// others takes 1.5 ms, beside 7 2.3 ms): a 256 KiB round's transfer
+	// bills 7.24 ms against the prior's 8.31.
+	{"exchange", []string{"1x4"}, collAllreduce, CollRecDbl, []int64{256 << 10}, 1.1, 1.2},
 }
 
 // collMisses are the cells where the chooser may miss the cheapest bill by

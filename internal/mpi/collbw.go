@@ -131,6 +131,18 @@ func (l *ringLink) xfer(t int, out, in []byte) error {
 		in, len(in), datatype.Byte, l.left, tagARing+t)
 }
 
+// xferFold is xfer for a point-to-point reduce-scatter step whose block
+// combines as it drains (foldsOnDrain): the left neighbour's partial leaves
+// op(mine, partial) in dst.
+func (l *ringLink) xferFold(t int, out, dst, mine []byte, base *datatype.Type, rop Op) error {
+	c := l.cc
+	r := c.irecvFold(dst, mine, len(dst)/int(base.Size()), base, rop, l.left, tagARing+t)
+	if err := c.send(out, len(out), datatype.Byte, l.right, tagARing+t, c.ctx); err != nil {
+		return err
+	}
+	return c.waitColl(r)
+}
+
 func (l *ringLink) finish() error {
 	if l.oneSided {
 		return l.osFinish()
@@ -166,12 +178,14 @@ func ringSendBlock(me, s, size int) int {
 
 // allreduceRing reduces across all ranks into acc with reduce-scatter
 // followed by ring allgather. src holds this rank's contribution: acc itself,
-// or a dense send buffer the caller keeps apart from acc. In the second case
-// the left neighbour's partial lands straight in its block of acc and the
-// send buffer's block is folded into it; every block of acc is written by the
-// ring before it is read, and no scratch block is borrowed. oneSided selects
-// the window-deposit block exchange (the one-sided family); otherwise blocks
-// travel point-to-point. c must be the collective view.
+// or a dense send buffer the caller keeps apart from acc. The left
+// neighbour's partial of a reduce-scatter step combines with src's block
+// into acc's: as it drains, when it travels point-to-point by rendezvous
+// (foldsOnDrain); else it lands in acc's block, or in a scratch block when
+// that block is src's, and is combined after. Every block of acc is written
+// by the ring before it is read. oneSided selects the window-deposit block
+// exchange (the one-sided family); otherwise blocks travel point-to-point.
+// c must be the collective view.
 func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, rop Op, oneSided bool) error {
 	size := c.Size()
 	me := c.Rank()
@@ -179,8 +193,11 @@ func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, ro
 	left, right := ringPeers(me, size)
 	steps := 2 * (size - 1)
 	link := ringLink{cc: c, right: right, left: left, steps: steps, oneSided: oneSided}
+	// Blocks differ by one element at most: the smallest decides whether
+	// any partial is copied out before its combine.
+	fold := !oneSided && c.rk.w.foldsOnDrain(int64(elems/size)*es)
 	var scratch *bufpool.Buf // back unless a receive failed on it
-	if len(acc) > 0 && &src[0] == &acc[0] {
+	if len(acc) > 0 && &src[0] == &acc[0] && !fold {
 		scratch = bufpool.Get((elems + size - 1) / size * int(es)) // the largest block
 	}
 	// Reduce-scatter for the first size-1 steps (after which rank me holds
@@ -195,16 +212,27 @@ func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, ro
 			out = ringBlock(src, elems, size, sendIdx, es)
 		}
 		dst := ringBlock(acc, elems, size, recvIdx, es)
+		if t >= size-1 {
+			if err := link.xfer(t, out, dst); err != nil {
+				return err
+			}
+			continue
+		}
+		mine := ringBlock(src, elems, size, recvIdx, es)
+		if fold {
+			if err := link.xferFold(t, out, dst, mine, base, rop); err != nil {
+				return err
+			}
+			continue
+		}
 		in := dst
-		if t < size-1 && scratch != nil {
+		if scratch != nil {
 			in = scratch.B[:len(dst)]
 		}
 		if err := link.xfer(t, out, in); err != nil {
 			return err
 		}
-		if t < size-1 {
-			c.combineColl(rop, base, dst, ringBlock(src, elems, size, recvIdx, es), in, len(in)/int(es))
-		}
+		c.combineColl(rop, base, dst, mine, in, len(in)/int(es))
 	}
 	scratch.Put()
 	return link.finish()

@@ -47,7 +47,7 @@ func (c *Comm) waitColl(r *Request) error {
 // Status inside) never reaches the user, so finishRecv, its last reader,
 // recycles it through the world's free list.
 func (c *Comm) irecvColl(buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
-	return c.postRecv(sim.TakeFree(&c.rk.w.reqFree), buf, count, dt, src, tag, c.ctx)
+	return c.postRecv(sim.TakeFree(&c.rk.w.reqFree), buf, count, dt, src, tag)
 }
 
 // recvColl is the internal collective receive: irecvColl + waitColl.
@@ -198,6 +198,9 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, ro
 	}
 	if err == nil && c.Rank() == root {
 		err = CheckBuffer("Reduce", "receive buffer", recv, count, dt)
+		if err == nil {
+			err = checkOverlap("Reduce", send, recv, count, dt)
+		}
 	}
 	if err != nil {
 		return err
@@ -223,24 +226,33 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, ro
 }
 
 // reduceBinomial folds the base-typed views up the binomial tree to root:
-// receive from children, combine, send to the parent.
+// receive from children, combine, send to the parent. A child's partial
+// that travels by rendezvous combines into acc as it drains; a smaller one
+// lands in a scratch block and is combined after.
 func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op, root int) error {
 	size := c.Size()
 	vrank := (c.Rank() - root + size) % size
+	fold := c.rk.w.foldsOnDrain(int64(len(acc)))
 	var tmp *bufpool.Buf // taken by the first child, back unless a receive failed on it
 	for k := ceilLog2(size) - 1; k >= 0; k-- {
 		peer, parent := binomialPeer(vrank, k, size)
 		if peer < 0 {
 			continue
 		}
-		if parent {
+		peer = (peer + root) % size
+		switch {
+		case parent:
 			tmp.Put()
-			return c.send(acc, elems, base, (peer+root)%size, tagReduce, c.ctx)
-		}
-		if tmp == nil {
+			return c.send(acc, elems, base, peer, tagReduce, c.ctx)
+		case fold:
+			if err := c.waitColl(c.irecvFold(acc, acc, elems, base, op, peer, tagReduce)); err != nil {
+				return err
+			}
+			continue
+		case tmp == nil:
 			tmp = bufpool.Get(len(acc))
 		}
-		if err := c.recvColl(tmp.B, elems, base, (peer+root)%size, tagReduce); err != nil {
+		if err := c.recvColl(tmp.B, elems, base, peer, tagReduce); err != nil {
 			return err
 		}
 		c.combineColl(op, base, acc, acc, tmp.B, elems)
@@ -261,6 +273,9 @@ func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op)
 	}
 	if err == nil {
 		err = CheckBuffer("Allreduce", "receive buffer", recv, count, dt)
+	}
+	if err == nil {
+		err = checkOverlap("Allreduce", send, recv, count, dt)
 	}
 	if err != nil {
 		return err

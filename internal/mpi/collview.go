@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"unsafe"
+
 	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
 	"scimpich/internal/pack"
+	"scimpich/internal/sim"
 )
 
 // Reductions over derived datatypes: instead of restricting Reduce /
@@ -57,6 +60,27 @@ func checkReduce(call string, dt *datatype.Type, op Op) (*datatype.Type, error) 
 		return nil, argErrf(call, "reduction on unsupported base type %s", base)
 	}
 	return base, nil
+}
+
+// checkOverlap refuses the send and receive buffers of a reduction that
+// overlap without being one buffer, spans as CheckBuffer sizes them: the
+// algorithms read the contribution while they write the result (a ring
+// folds into one block of recv while blocks of send are still to be sent,
+// and a drain combines send's bytes into recv's as each chunk lands), so
+// bytes of one would be read after the other overwrote them. One buffer —
+// the same first byte — is the in-place form.
+func checkOverlap(call string, send, recv []byte, count int, dt *datatype.Type) error {
+	if count == 0 {
+		return nil
+	}
+	span := uintptr(dt.LB() + dt.Span(count))
+	s := uintptr(unsafe.Pointer(unsafe.SliceData(send)))
+	r := uintptr(unsafe.Pointer(unsafe.SliceData(recv)))
+	if s == r || s >= r+span || r >= s+span {
+		return nil
+	}
+	return argErrf(call, "send and receive buffers overlap without being one buffer (%d bytes apart, %d-byte spans)",
+		max(s, r)-min(s, r), span)
 }
 
 // newReduceView sets up the accumulator of a reduction over count elements
@@ -119,4 +143,39 @@ func (c *Comm) chargeCombine(n int64) {
 func (c *Comm) combineColl(op Op, base *datatype.Type, dst, mine, in []byte, count int) {
 	combine(op, base, dst, mine, in, count)
 	c.chargeCombine(base.Size() * int64(count))
+}
+
+// reduceFold is the combine a collective receive carries: the drain leaves
+// op(mine, partial) in the receive buffer, elements of the receive's
+// datatype. mine holds the first of the rank's own bytes, as many as the
+// receive buffer's (nil: no combine); a pointer in place of a slice keeps
+// the fold inside the Request's 160 bytes, a size class every receive
+// pays for.
+type reduceFold struct {
+	mine *byte
+	op   Op
+}
+
+// bytes returns the rank's own n bytes.
+func (f reduceFold) bytes(n int) []byte { return unsafe.Slice(f.mine, n) }
+
+// foldsOnDrain reports whether a collective receive of an n-byte partial
+// combines as it drains (irecvFold): the partial travels by rendezvous,
+// whose data never lands before its receive is posted (the CTS comes
+// first), in chunks that split no element of any reducible type. A smaller
+// partial can wait in an eager slot or a control packet before its receive
+// exists, so it is copied out and combined after (combineColl).
+func (w *World) foldsOnDrain(n int64) bool {
+	return n > eagerMax && w.protocol().RendezvousChunk%8 == 0
+}
+
+// irecvFold posts a collective receive of count elements of base from src
+// that leaves op(mine, partial) in dst as the rendezvous drain takes each
+// chunk out of the port: one pass over the three streams in place of a
+// copy and a combine after the last chunk. dst may be mine; neither may
+// overlap a buffer in flight. The caller checks foldsOnDrain.
+func (c *Comm) irecvFold(dst, mine []byte, count int, base *datatype.Type, op Op, src, tag int) *Request {
+	req := sim.TakeFree(&c.rk.w.reqFree)
+	req.fold = reduceFold{mine: unsafe.SliceData(mine[:len(dst)]), op: op}
+	return c.postRecv(req, dst, count, base, src, tag)
 }

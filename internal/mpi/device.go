@@ -83,6 +83,9 @@ type DeviceStats struct {
 	// RdvCancels counts rendezvous transfers torn down on the receive side
 	// after the sender abandoned them (envRdvCancel).
 	RdvCancels int64
+	// DrainCombined counts the bytes of rendezvous chunks a collective
+	// receive combined straight out of its port (irecvFold).
+	DrainCombined int64
 }
 
 // rdvRecv tracks one in-progress rendezvous receive. It is the receiver's
@@ -308,6 +311,10 @@ func (d *device) deliver(req *Request, env *envelope) {
 	now := d.now()
 	d.rk.fl.Record(now, flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
 	d.checkSignature(req, env)
+	if req.fold.mine != nil && env.kind != envRdvReq {
+		panic(fmt.Sprintf("mpi: rank %d: a combining receive matched a %v message from %d (tag %d)",
+			d.rk.id, env.kind, env.src, env.tag))
+	}
 	d.req, d.env = req, env
 	if env.kind != envRdvReq {
 		d.span = d.rk.w.cfg.Tracer.StartSpan(now, d.actor, "recv", env.kind.String()) // "short" or "eager"
@@ -503,13 +510,26 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 }
 
 // drainChunk moves one announced chunk out of the rendezvous buffer into
-// the user buffer with the transfer's data engine.
+// the user buffer with the transfer's data engine. A receive that carries a
+// fold combines the chunk with its own bytes in the same pass instead.
 func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 	tr := d.rk.w.cfg.Tracer
 	mem := d.rk.ports[env.src].mem
 	off := d.rk.w.rdvOff(env.chunk)
 	skip := st.received
 	n := env.chunkLen
+	if f := st.req.fold; f.mine != nil {
+		// dst = op(mine, slot): two streams in and one out, billed as
+		// chargeCombine bills the chunk's rows. A failed read leaves dst
+		// as it was.
+		slot, err := mem.ReadView(p, off, n, 3*n)
+		if err == nil {
+			buf, dt := st.req.buf, st.req.dt
+			combine(f.op, dt, buf[skip:skip+n], f.bytes(len(buf))[skip:skip+n], slot, int(n/dt.Size()))
+			d.stats.DrainCombined += n
+		}
+		return err
+	}
 	switch st.mode {
 	case rdvContig:
 		return mem.Read(p, off, st.req.buf[skip:skip+n])

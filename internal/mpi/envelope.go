@@ -178,12 +178,13 @@ func (w *World) freeEnvelope(env *envelope) {
 	w.envFree = append(w.envFree, env)
 }
 
-// recvReq is the matching key and destination of a posted receive.
+// recvReq is the matching key and destination of a posted receive; the
+// key's context is its Request's communicator's.
 type recvReq struct {
-	ctx, src, tag int // src/tag may be wildcards
-	buf           []byte
-	count         int
-	dt            *datatype.Type
+	src, tag int // may be wildcards
+	buf      []byte
+	count    int
+	dt       *datatype.Type
 }
 
 // Status describes a completed receive.
@@ -204,8 +205,8 @@ const (
 
 // matches reports whether an incoming (src, tag, ctx) matches the posted
 // request.
-func (r *recvReq) matches(src, tag, ctx int) bool {
-	if r.ctx != ctx {
+func (r *Request) matches(src, tag, ctx int) bool {
+	if r.c.ctx != ctx {
 		return false
 	}
 	if r.src != AnySource && r.src != src {

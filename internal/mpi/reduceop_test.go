@@ -25,104 +25,217 @@ var (
 // than a one-sided accumulate carries inline.
 const matrixRanks, matrixCount = 4, 22
 
-// contribution is element i of rank's input: a small non-zero integer, so
-// that every order of combining is exact in every type — no rounding, no
-// overflow, no signed zero. Byte and Char combine unsigned and take 1 to 3;
-// the others take -2, -1, 1, 2 and 3.
-func contribution(dt *datatype.Type, rank, i int) int64 {
+// rdvCount is an element count of dt whose reduction sends every partial by
+// rendezvous on matrixRanks ranks in every family: split unevenly, each
+// rank's ring block is 64 bytes above the 16 KiB eager limit.
+func rdvCount(dt *datatype.Type) int { return matrixRanks*(16<<10+64)/int(dt.Size()) + 3 }
+
+// contribution is element i of rank's input to op. Integers are small and
+// non-zero, so that every order of combining is exact in every type — no
+// rounding, no overflow: Byte and Char combine unsigned and take 1 to 3, the
+// others -2, -1, 1, 2 and 3. Floats also take, on five of every eight
+// elements, a signed zero, an infinity or a NaN, placed so that every order
+// of combining gives the same bytes: -0 everywhere; +0 beside -0 (SUM,
+// PROD), or the one zero above negatives (MAX) or below positives (MIN),
+// where a tie cannot pick; +Inf or -Inf on one rank; a NaN on one rank
+// (SUM, PROD) or on every rank (MAX and MIN keep their left operand against
+// a NaN).
+func contribution(dt *datatype.Type, op mpi.Op, rank, i int) float64 {
 	h := (rank + 1) * (i + 2)
 	if dt == datatype.Byte || dt == datatype.Char {
-		return int64(h%3 + 1)
+		return float64(h%3 + 1)
 	}
-	return [...]int64{-2, -1, 1, 2, 3}[h%5]
+	finite := float64([...]int64{-2, -1, 1, 2, 3}[h%5])
+	if dt != datatype.Float64 && dt != datatype.Float32 {
+		return finite
+	}
+	negZero := math.Copysign(0, -1)
+	odd := rank == (i/8)%matrixRanks // the rank holding the element's odd value
+	switch i % 8 {
+	case 3:
+		return negZero
+	case 4:
+		switch {
+		case odd && op == mpi.OpMin:
+			return negZero
+		case odd:
+			return 0
+		case op == mpi.OpMax:
+			return -1 - float64(rank%2)
+		case op == mpi.OpMin:
+			return 1 + float64(rank%2)
+		}
+		return negZero
+	case 5:
+		if odd {
+			return math.Inf(1)
+		}
+	case 6:
+		if odd {
+			return math.Inf(-1)
+		}
+	case 7:
+		if odd || op == mpi.OpMax || op == mpi.OpMin {
+			return math.NaN()
+		}
+	}
+	return finite
 }
 
-// hostOp is op on the host, with plain Go operators.
-func hostOp(op mpi.Op, a, b int64) int64 {
+// hostOp is op on the host by the combiner's rule: MIN and MAX keep a on a
+// tie and against a NaN.
+func hostOp[T int64 | float32 | float64](op mpi.Op, a, b T) T {
 	switch op {
 	case mpi.OpSum:
 		return a + b
 	case mpi.OpProd:
 		return a * b
 	case mpi.OpMax:
-		return max(a, b)
+		if b > a {
+			return b
+		}
 	default:
-		return min(a, b)
+		if b < a {
+			return b
+		}
 	}
+	return a
 }
 
 // encode writes vals in dt's little-endian encoding.
 func encode(dt *datatype.Type, vals []int64) []byte {
-	w := int(dt.Size())
-	b := make([]byte, w*len(vals))
+	b := make([]byte, int(dt.Size())*len(vals))
 	for i, v := range vals {
-		e := b[i*w:]
-		switch dt {
-		case datatype.Float64:
-			binary.LittleEndian.PutUint64(e, math.Float64bits(float64(v)))
-		case datatype.Float32:
-			binary.LittleEndian.PutUint32(e, math.Float32bits(float32(v)))
-		case datatype.Int64:
-			binary.LittleEndian.PutUint64(e, uint64(v))
-		case datatype.Int32:
-			binary.LittleEndian.PutUint32(e, uint32(v))
-		case datatype.Int16:
-			binary.LittleEndian.PutUint16(e, uint16(v))
-		default:
-			e[0] = byte(v)
-		}
+		put(dt, b, i, float64(v))
 	}
 	return b
 }
 
-// input is rank's encoded contribution.
-func input(dt *datatype.Type, rank int) []byte {
-	vals := make([]int64, matrixCount)
-	for i := range vals {
-		vals[i] = contribution(dt, rank, i)
+// put writes v as element i of b in dt's encoding: a float in its own
+// precision, an integer truncated to its width.
+func put(dt *datatype.Type, b []byte, i int, v float64) {
+	e := b[i*int(dt.Size()):]
+	switch dt {
+	case datatype.Float64:
+		binary.LittleEndian.PutUint64(e, math.Float64bits(v))
+	case datatype.Float32:
+		binary.LittleEndian.PutUint32(e, math.Float32bits(float32(v)))
+	case datatype.Int64:
+		binary.LittleEndian.PutUint64(e, uint64(int64(v)))
+	case datatype.Int32:
+		binary.LittleEndian.PutUint32(e, uint32(int64(v)))
+	case datatype.Int16:
+		binary.LittleEndian.PutUint16(e, uint16(int64(v)))
+	default:
+		e[0] = byte(int64(v))
 	}
-	return encode(dt, vals)
 }
 
-// reduced is the host reference: op over every rank's contribution.
-func reduced(dt *datatype.Type, op mpi.Op) []byte {
-	vals := make([]int64, matrixCount)
-	for i := range vals {
-		vals[i] = contribution(dt, 0, i)
-		for r := 1; r < matrixRanks; r++ {
-			vals[i] = hostOp(op, vals[i], contribution(dt, r, i))
-		}
+// input is rank's encoded contribution to op, count elements.
+func input(dt *datatype.Type, op mpi.Op, rank, count int) []byte {
+	b := make([]byte, int(dt.Size())*count)
+	for i := 0; i < count; i++ {
+		put(dt, b, i, contribution(dt, op, rank, i))
 	}
-	return encode(dt, vals)
+	return b
+}
+
+// reduced is the host reference: op over every rank's contribution, folded
+// in rank order in dt's own arithmetic.
+func reduced(dt *datatype.Type, op mpi.Op, count int) []byte {
+	b := make([]byte, int(dt.Size())*count)
+	for i := 0; i < count; i++ {
+		v := contribution(dt, op, 0, i)
+		switch dt {
+		case datatype.Float64:
+			for r := 1; r < matrixRanks; r++ {
+				v = hostOp(op, v, contribution(dt, op, r, i))
+			}
+		case datatype.Float32:
+			v32 := float32(v)
+			for r := 1; r < matrixRanks; r++ {
+				v32 = hostOp(op, v32, float32(contribution(dt, op, r, i)))
+			}
+			v = float64(v32)
+		default:
+			n := int64(v)
+			for r := 1; r < matrixRanks; r++ {
+				n = hostOp(op, n, int64(contribution(dt, op, r, i)))
+			}
+			v = float64(n)
+		}
+		put(dt, b, i, v)
+	}
+	return b
 }
 
 // TestReductionMatrix runs every (type, op) pair through Allreduce under
 // each forced algorithm, one world per algorithm with the pairs as
-// successive calls, and through Reduce to a non-zero root; every result
-// matches the host reference bit for bit.
+// successive calls, and through Reduce to a non-zero root, each with
+// distinct buffers and in place; every result matches the host reference
+// bit for bit. It does so at matrixCount elements on 4×1, and at rdvCount
+// on 4×1 (every partial drained out of an SCI port) and on 2×2 (half of
+// them out of shared memory), where the families that combine as a partial
+// drains do so.
 func TestReductionMatrix(t *testing.T) {
 	const root = 2
-	for _, alg := range []mpi.CollAlg{mpi.CollP2P, mpi.CollRecDbl, mpi.CollRing, mpi.CollOneSided} {
-		cfg := mpi.DefaultConfig(matrixRanks, 1)
-		cfg.Protocol.Coll = alg
-		mpi.Run(cfg, func(c *mpi.Comm) {
-			for _, dt := range reduceTypes {
-				for _, op := range reduceOps {
-					send, want := input(dt, c.Rank()), reduced(dt, op)
-					recv := make([]byte, len(send))
-					must(c.Allreduce(send, recv, matrixCount, dt, op))
-					if !bytes.Equal(recv, want) {
-						t.Errorf("%s: Allreduce %s %s on rank %d = %v, want %v", alg, dt, op, c.Rank(), recv, want)
+	for _, tc := range []struct {
+		name       string
+		nodes, ppn int
+		count      func(*datatype.Type) int
+	}{
+		{"4x1/eager", 4, 1, func(*datatype.Type) int { return matrixCount }},
+		{"4x1/rendezvous", 4, 1, rdvCount},
+		{"2x2/rendezvous", 2, 2, rdvCount},
+	} {
+		for _, alg := range []mpi.CollAlg{mpi.CollP2P, mpi.CollRecDbl, mpi.CollRing, mpi.CollOneSided} {
+			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
+				cfg := mpi.DefaultConfig(tc.nodes, tc.ppn)
+				cfg.Protocol.Coll = alg
+				mpi.Run(cfg, func(c *mpi.Comm) {
+					for _, dt := range reduceTypes {
+						n := tc.count(dt)
+						for _, op := range reduceOps {
+							send, want := input(dt, op, c.Rank(), n), reduced(dt, op, n)
+							check := func(call string, got []byte) {
+								if !bytes.Equal(got, want) {
+									t.Errorf("%s %s %s (%d elements) on rank %d: %d of %d bytes differ from the host reference",
+										call, dt, op, n, c.Rank(), differing(got, want), len(want))
+								}
+							}
+							recv := make([]byte, len(send))
+							must(c.Allreduce(send, recv, n, dt, op))
+							check("Allreduce", recv)
+							copy(recv, send)
+							must(c.Allreduce(recv, recv, n, dt, op))
+							check("Allreduce in place", recv)
+							clear(recv)
+							must(c.Reduce(send, recv, n, dt, op, root))
+							if c.Rank() == root {
+								check("Reduce", recv)
+							}
+							copy(recv, send)
+							must(c.Reduce(recv, recv, n, dt, op, root))
+							if c.Rank() == root {
+								check("Reduce in place", recv)
+							}
+						}
 					}
-					clear(recv)
-					must(c.Reduce(send, recv, matrixCount, dt, op, root))
-					if c.Rank() == root && !bytes.Equal(recv, want) {
-						t.Errorf("%s: Reduce %s %s to rank %d = %v, want %v", alg, dt, op, root, recv, want)
-					}
-				}
-			}
-		})
+				})
+			})
+		}
 	}
+}
+
+// differing counts the bytes where got and want differ.
+func differing(got, want []byte) int {
+	n := 0
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			n++
+		}
+	}
+	return n
 }
 
 // TestAccumulateMatrix runs every (type, op) pair through Win.Accumulate on
@@ -150,18 +263,20 @@ func TestAccumulateMatrix(t *testing.T) {
 				}
 			}
 			if c.Rank() == target {
-				each(func(dt *datatype.Type, _ mpi.Op, off int64) { copy(w.LocalBytes()[off:], input(dt, target)) })
+				each(func(dt *datatype.Type, op mpi.Op, off int64) {
+					copy(w.LocalBytes()[off:], input(dt, op, target, matrixCount))
+				})
 			}
 			must(w.Fence())
 			if c.Rank() != target {
 				each(func(dt *datatype.Type, op mpi.Op, off int64) {
-					must(w.Accumulate(input(dt, c.Rank()), matrixCount, dt, op, target, off))
+					must(w.Accumulate(input(dt, op, c.Rank(), matrixCount), matrixCount, dt, op, target, off))
 				})
 			}
 			must(w.Fence())
 			if c.Rank() == target {
 				each(func(dt *datatype.Type, op mpi.Op, off int64) {
-					want := reduced(dt, op)
+					want := reduced(dt, op, matrixCount)
 					if got := w.LocalBytes()[off : off+int64(len(want))]; !bytes.Equal(got, want) {
 						t.Errorf("%s window: Accumulate %s %s = %v, want %v", kind, dt, op, got, want)
 					}
@@ -206,5 +321,144 @@ func TestUnknownOpIsArgumentError(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestOverlappingReductionBuffersRefused: a send and a receive buffer that
+// overlap without being one buffer are an *mpi.ArgumentError from Allreduce on
+// every rank and from Reduce at the root, before any traffic, at an eager
+// and at a rendezvous size; the world goes on to reduce in place and with
+// distinct buffers. (Unchecked, the ring summed such buffers wrong at
+// 8192 elements and right at 64.)
+func TestOverlappingReductionBuffersRefused(t *testing.T) {
+	const ranks, root = 4, 1
+	for _, count := range []int{64, 8192} {
+		n := 8 * count
+		mpi.Run(mpi.DefaultConfig(ranks, 1), func(c *mpi.Comm) {
+			buf := make([]byte, n+8)
+			refused := func(call string, err error) {
+				var argErr *mpi.ArgumentError
+				if !errors.As(err, &argErr) || argErr.Call != call {
+					t.Errorf("%d elements, rank %d: %s on overlapping buffers returned %v, want an *mpi.ArgumentError from %s",
+						count, c.Rank(), call, err, call)
+				}
+			}
+			refused("Allreduce", c.Allreduce(buf[8:], buf[:n], count, datatype.Int64, mpi.OpSum))
+			refused("Allreduce", c.Allreduce(buf[:n], buf[8:], count, datatype.Int64, mpi.OpSum))
+			if c.Rank() == root {
+				refused("Reduce", c.Reduce(buf[8:], buf[:n], count, datatype.Int64, mpi.OpSum, root))
+			}
+			send := make([]byte, n)
+			for i := 0; i < count; i++ {
+				binary.LittleEndian.PutUint64(send[8*i:], uint64(c.Rank()+i))
+			}
+			sum := func(call string, got []byte) {
+				for i := 0; i < count; i++ {
+					if v, want := binary.LittleEndian.Uint64(got[8*i:]), uint64(ranks*i+ranks*(ranks-1)/2); v != want {
+						t.Errorf("%d elements, rank %d: %s element %d = %d, want %d", count, c.Rank(), call, i, v, want)
+						return
+					}
+				}
+			}
+			recv := make([]byte, n)
+			must(c.Allreduce(send, recv, count, datatype.Int64, mpi.OpSum))
+			sum("Allreduce", recv)
+			copy(recv, send)
+			must(c.Allreduce(recv, recv, count, datatype.Int64, mpi.OpSum))
+			sum("Allreduce in place", recv)
+			copy(recv, send)
+			must(c.Reduce(recv, recv, count, datatype.Int64, mpi.OpSum, root))
+			if c.Rank() == root {
+				sum("Reduce in place", recv)
+			}
+		})
+	}
+}
+
+// TestDrainFoldKeepsOperandOrder: a partial combined as it drains gives the
+// bytes of one copied out and combined after, also where the operand order
+// decides them — MIN and MAX ties between +0 and -0, NaNs of different
+// payloads, infinities. The world whose rendezvous chunk splits an 8-byte
+// element (64 KiB + 4) cannot combine on the drain, so it copies; the
+// default one combines every partial as it drains. Ring and reduce+bcast
+// allreduces and a Reduce, on 4×1 and 2×2, Float64 and Float32.
+func TestDrainFoldKeepsOperandOrder(t *testing.T) {
+	const ranks, count = 4, 40 << 10 // a 320 KiB Float64 vector, 80 KiB ring blocks
+	specials := []uint64{
+		0, 1 << 63, // +0, -0
+		0x7ff8000000000001, 0xfff8000000000002, 0x7ff8000000000003, // NaNs
+		0x7ff0000000000000, 0xfff0000000000000, // +Inf, -Inf
+		0x3ff0000000000000, // 1
+	}
+	input := func(rank int, dt *datatype.Type) []byte {
+		b := make([]byte, count*int(dt.Size()))
+		for i := 0; i < count; i++ {
+			bits := specials[(i*7+rank*3+i/5)%len(specials)]
+			if dt == datatype.Float32 {
+				binary.LittleEndian.PutUint32(b[4*i:], uint32(bits>>32))
+				continue
+			}
+			binary.LittleEndian.PutUint64(b[8*i:], bits)
+		}
+		return b
+	}
+	type key struct {
+		dt   *datatype.Type
+		op   mpi.Op
+		call int
+	}
+	run := func(nodes, ppn int, alg mpi.CollAlg, chunk int64) (map[key][ranks][]byte, int64) {
+		out := make(map[key][ranks][]byte)
+		cfg := mpi.DefaultConfig(nodes, ppn)
+		cfg.Protocol.Coll = alg
+		cfg.Protocol.RendezvousChunk = chunk
+		var w *mpi.World
+		mpi.Run(cfg, func(c *mpi.Comm) {
+			me := c.Rank()
+			if me == 0 {
+				w = c.World()
+			}
+			for _, dt := range []*datatype.Type{datatype.Float64, datatype.Float32} {
+				for _, op := range []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin} {
+					send := input(me, dt)
+					recv := make([]byte, len(send))
+					must(c.Allreduce(send, recv, count, dt, op))
+					red := make([]byte, len(send))
+					must(c.Reduce(send, red, count, dt, op, 1))
+					for call, b := range [][]byte{recv, red} {
+						k := key{dt, op, call}
+						v := out[k]
+						v[me] = b
+						out[k] = v
+					}
+				}
+			}
+		})
+		var combined int64
+		for r := 0; r < ranks; r++ {
+			combined += w.Stats(r).DrainCombined
+		}
+		return out, combined
+	}
+	for _, shape := range []struct{ nodes, ppn int }{{4, 1}, {2, 2}} {
+		for _, alg := range []mpi.CollAlg{mpi.CollRing, mpi.CollP2P} {
+			fused, combined := run(shape.nodes, shape.ppn, alg, 64<<10)
+			copied, none := run(shape.nodes, shape.ppn, alg, 64<<10+4)
+			if combined == 0 || none != 0 {
+				t.Fatalf("%dx%d %s: %d bytes combined on the drain with 64 KiB chunks and %d with split elements, want some and none",
+					shape.nodes, shape.ppn, alg, combined, none)
+			}
+			for k, want := range copied {
+				for r := 0; r < ranks; r++ {
+					if k.call == 1 && r != 1 {
+						continue // only Reduce's root holds a result
+					}
+					if !bytes.Equal(fused[k][r], want[r]) {
+						t.Errorf("%dx%d %s: %s of %s by %v on rank %d: %d bytes differ between the combining drain and the copy",
+							shape.nodes, shape.ppn, alg, []string{"Allreduce", "Reduce"}[k.call], k.dt, k.op, r, differing(fused[k][r], want[r]))
+					}
+				}
+			}
+		}
 	}
 }

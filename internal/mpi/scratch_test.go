@@ -249,7 +249,7 @@ func TestRecvRequestRecycling(t *testing.T) {
 		if n == 0 {
 			t.Fatal("the clean receive left no Request on the free list")
 		}
-		if r := w.reqFree[n-1]; r.p != nil || r.c != nil || r.buf != nil || r.dt != nil || r.done.Done() {
+		if r := w.reqFree[n-1]; r.fold.mine != nil || r.c != nil || r.buf != nil || r.dt != nil || r.done.Done() {
 			t.Errorf("a recycled Request is not empty: %+v", r)
 		}
 		must1(c.Recv(got, len(got), datatype.Byte, 0, 301))

@@ -651,7 +651,7 @@ func (c *Comm) RecvTimeout(buf []byte, count int, dt *datatype.Type, src, tag in
 	if err != nil {
 		return Status{}, err
 	}
-	r := c.postRecv(sim.TakeFree(&c.rk.w.reqFree), buf, count, dt, src, tag, c.ctx)
+	r := c.postRecv(sim.TakeFree(&c.rk.w.reqFree), buf, count, dt, src, tag)
 	if timeout == AutoTimeout {
 		timeout = c.rk.w.ScaledRendezvousTimeout()
 	}
@@ -703,11 +703,13 @@ func (c *Comm) finishRecv(r *Request, to time.Duration) (Status, error) {
 // one object for its whole life: the matching key the device queues, the
 // future the caller waits on and the status it gets back are all embedded.
 type Request struct {
-	p *sim.Proc
-	c *Comm
+	c *Comm // its process c.p waits on it; its context is the match's
 	recvReq
 	done   sim.Future // completes with &status, an error, or nil (sends)
 	status Status
+	// fold is the combine a collective receive carries (irecvFold), zero
+	// for every other receive and for sends.
+	fold reduceFold
 }
 
 // complete finishes a receive matched to a message of bytes from world rank
@@ -722,7 +724,7 @@ func (r *Request) complete(src, tag int, bytes int64) {
 // rendezvous the sender abandoned fails with a *CancelledError, a
 // nonblocking send with the error Send would have returned.
 func (r *Request) Wait() (*Status, error) {
-	switch v := r.p.Await(&r.done).(type) {
+	switch v := r.c.p.Await(&r.done).(type) {
 	case error:
 		return nil, v
 	case *Status:
@@ -740,15 +742,15 @@ func (c *Comm) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int) *Re
 		err = CheckBuffer("Irecv", "receive buffer", buf, count, dt)
 	}
 	if err != nil {
-		req := &Request{p: c.p, c: c}
+		req := &Request{c: c}
 		req.done.Complete(err)
 		return req
 	}
-	return c.postRecv(new(Request), buf, count, dt, src, tag, c.ctx)
+	return c.postRecv(new(Request), buf, count, dt, src, tag)
 }
 
-// postRecv posts the receive on req, a zero Request.
-func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, src, tag, ctx int) *Request {
+// postRecv posts the receive on req, a zero Request but for its fold.
+func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
 	c.p.Sleep(callOverhead)
 	if !dt.Committed() {
 		panic(fmt.Sprintf("mpi: receive with uncommitted datatype %s", dt))
@@ -756,8 +758,8 @@ func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, 
 	if src != AnySource {
 		src = c.worldRank(src)
 	}
-	*req = Request{p: c.p, c: c, recvReq: recvReq{
-		ctx: ctx, src: src, tag: tag,
+	*req = Request{c: c, fold: req.fold, recvReq: recvReq{
+		src: src, tag: tag,
 		buf: buf, count: count, dt: dt,
 	}}
 	c.rk.fl.Record(c.p.Now(), flight.KRecvPost, int64(src), int64(tag), dt.Size()*int64(count), 0)
@@ -770,7 +772,7 @@ func (c *Comm) postRecv(req *Request, buf []byte, count int, dt *datatype.Type, 
 // failure completes the request with the typed error, so it reaches the
 // caller of Wait instead of ending the run from inside the helper.
 func (c *Comm) Isend(buf []byte, count int, dt *datatype.Type, dst, tag int) *Request {
-	req := &Request{p: c.p, c: c}
+	req := &Request{c: c}
 	if err := CheckBuffer("Isend", "send buffer", buf, count, dt); err != nil {
 		req.done.Complete(err)
 		return req
@@ -802,7 +804,7 @@ func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *datatype.Type, 
 	if err != nil {
 		return Status{}, err
 	}
-	r := c.postRecv(sim.TakeFree(&c.rk.w.reqFree), recvBuf, recvCount, recvType, src, recvTag, c.ctx)
+	r := c.postRecv(sim.TakeFree(&c.rk.w.reqFree), recvBuf, recvCount, recvType, src, recvTag)
 	if err := c.send(sendBuf, sendCount, sendType, dst, sendTag, c.ctx); err != nil {
 		return Status{}, err
 	}

@@ -156,32 +156,41 @@ func (m *Mapping) WriteWord(p *sim.Proc, off int64, src []byte) error {
 // read leaves dst untouched.
 func (m *Mapping) Read(p *sim.Proc, off int64, dst []byte) error {
 	n := int64(len(dst))
+	v, err := m.ReadView(p, off, n, n)
+	copy(dst, v)
+	return err
+}
+
+// ReadView bills a read of n bytes at off as Read does, a local one as a
+// copy from a working set of ws bytes, and hands the segment's bytes back in
+// place of copying them: the caller consumes them before it yields (a
+// receive that combines a chunk straight out of its port reads three
+// streams, so ws is three chunks). A failed read returns no bytes.
+func (m *Mapping) ReadView(p *sim.Proc, off, n, ws int64) ([]byte, error) {
 	if err := m.accessErr(off, n); err != nil {
-		return err
+		return nil, err
 	}
 	from := m.from
 	from.countRead(1, n)
 	cfg := &from.ic.Cfg
 	if !m.Remote() {
-		p.Sleep(cfg.Mem.CopyCost(n, n, n))
-		copy(dst, m.seg.Local()[off:off+n])
-		return nil
+		p.Sleep(cfg.Mem.CopyCost(n, n, ws))
+		return m.seg.Local()[off : off+n], nil
 	}
 	start := p.Now()
 	from.retransmit(p)
 	if err := from.tryReachable(p, m.seg.owner); err != nil {
-		return err
+		return nil, err
 	}
 	if err := from.tryLinkClear(p, m.seg.owner); err != nil {
-		return err
+		return nil, err
 	}
 	if err := m.drawPIOFault(p); err != nil {
-		return err
+		return nil, err
 	}
 	p.Sleep(sim.RateDuration(n, readBW(n)))
-	copy(dst, m.seg.Local()[off:off+n])
 	from.ic.met.readNS.ObserveDuration(p.Now() - start)
-	return nil
+	return m.seg.Local()[off : off+n], nil
 }
 
 // ReadStrided reads count accesses of accessSize bytes placed stride bytes

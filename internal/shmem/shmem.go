@@ -185,9 +185,16 @@ func (r *Region) WriteStrided(p *sim.Proc, off int64, src []byte, accessSize, st
 // Read copies from the region into dst.
 func (r *Region) Read(p *sim.Proc, off int64, dst []byte) {
 	n := int64(len(dst))
+	copy(dst, r.ReadView(p, off, n, n))
+}
+
+// ReadView bills a read of n bytes at off as Read does, from a working set
+// of ws bytes, and hands the region's bytes back in place of copying them:
+// the caller consumes them before it yields.
+func (r *Region) ReadView(p *sim.Proc, off, n, ws int64) []byte {
 	r.checkRange(off, n)
-	r.charge(p, r.bus.mem.CopyCost(n, n, n), n)
-	copy(dst, r.Local()[off:off+n])
+	r.charge(p, r.bus.mem.CopyCost(n, n, ws), n)
+	return r.Local()[off : off+n]
 }
 
 // BlockWriter batches block-wise writes into the region, mirroring

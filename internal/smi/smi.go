@@ -37,6 +37,11 @@ type Mem interface {
 	// Read copies len(dst) bytes from off into dst. A failed read leaves
 	// dst untouched.
 	Read(p *sim.Proc, off int64, dst []byte) error
+	// ReadView bills a read of n bytes at off as Read does, a local one
+	// as a copy from a working set of ws bytes, and returns the region's
+	// bytes in place, for the caller to consume before it yields. A failed
+	// read returns no bytes.
+	ReadView(p *sim.Proc, off, n, ws int64) ([]byte, error)
 	// Sync is the transfer-check barrier: it guarantees that all writes
 	// issued through this Mem have been delivered, then checks the
 	// transfer status, with bounded retry/backoff on SCI (see
@@ -84,6 +89,9 @@ func (s sciMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error 
 	return s.m.WritePut(p, off, src, a, st)
 }
 func (s sciMem) Read(p *sim.Proc, off int64, dst []byte) error { return s.m.Read(p, off, dst) }
+func (s sciMem) ReadView(p *sim.Proc, off, n, ws int64) ([]byte, error) {
+	return s.m.ReadView(p, off, n, ws)
+}
 func (s sciMem) Sync(p *sim.Proc) error                        { return s.m.Sync(p) }
 func (s sciMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter { return s.m.NewBlockWriter(p, ws) }
 func (s sciMem) DMAWrite(p *sim.Proc, off int64, src []byte) (*sci.DMARequest, bool) {
@@ -121,6 +129,9 @@ func (s shmMem) WritePut(p *sim.Proc, off int64, src []byte, a, st int64) error 
 func (s shmMem) Read(p *sim.Proc, off int64, dst []byte) error {
 	s.r.Read(p, off, dst)
 	return nil
+}
+func (s shmMem) ReadView(p *sim.Proc, off, n, ws int64) ([]byte, error) {
+	return s.r.ReadView(p, off, n, ws), nil
 }
 func (s shmMem) Sync(p *sim.Proc) error { return nil }
 func (s shmMem) BlockWriter(p *sim.Proc, ws int64) BlockWriter {

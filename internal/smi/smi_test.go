@@ -12,7 +12,7 @@ import (
 
 const confSize = 1024
 
-// TestMemConformance drives the same sequence over all nine Mem methods
+// TestMemConformance drives the same sequence over all ten Mem methods
 // through every adapter and requires the same bytes everywhere: a transport
 // whose adapter drifts from the others fails against the reference image.
 func TestMemConformance(t *testing.T) {
@@ -103,6 +103,11 @@ func TestMemConformance(t *testing.T) {
 				must("Read", mem.Read(p, 0, got))
 				if !bytes.Equal(got, want) {
 					t.Error("Read returned bytes that differ from the reference image")
+				}
+				view, err := mem.ReadView(p, 128, 64, 3*64)
+				must("ReadView", err)
+				if !bytes.Equal(view, want[128:192]) {
+					t.Error("ReadView returned bytes that differ from the reference image")
 				}
 			})
 			e.Run()
