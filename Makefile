@@ -137,7 +137,8 @@ shard-stress:
 # message (none), a 256 KiB rendezvous message on every data engine, the
 # staged path included (none), an 8-rank allreduce on every algorithm (at
 # most 4 per rank; the 2 MiB ring also in place), no pooled scratch block for
-# a 2 MiB ring allreduce with distinct dense buffers or in place
+# a 2 MiB or 4 KiB ring allreduce, a 4 KiB one-sided ring allreduce or a
+# 4 KiB point-to-point reduce with distinct dense buffers or in place
 # (TestAllocsRingAllreduceBorrowsNoScratch), the collective chooser's picks
 # for Allreduce and Alltoall on an 8x2 communicator (none:
 # TestAllocsCollChoiceAllocFree), a put + fence epoch (none), an emulated one-sided put,

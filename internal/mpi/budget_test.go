@@ -176,41 +176,63 @@ func TestAllocsAllreduceBudget(t *testing.T) {
 }
 
 // TestAllocsRingAllreduceBorrowsNoScratch: a fresh 8-rank world's first
-// 2 MiB ring Allreduce takes no pooled scratch block, with distinct dense
-// buffers or in place: each rank's left neighbour's partials travel by
-// rendezvous and combine with the rank's own block as each chunk drains,
-// straight into recv. The two calls differ in nothing else, so their
-// bufpool.Get counts are equal, and both sums are right.
+// reduction takes no pooled scratch block, with distinct dense buffers or in
+// place: each partial folds with the rank's own bytes where it lands,
+// straight into recv — a 2 MiB ring Allreduce's rendezvous chunks, a 4 KiB
+// ring Allreduce's eager blocks, a 4 KiB one-sided ring Allreduce's window
+// blocks and a 4 KiB point-to-point Reduce's eager partials. The two calls
+// of a case differ in nothing else, so their bufpool.Get counts are equal,
+// and every sum is right.
 func TestAllocsRingAllreduceBorrowsNoScratch(t *testing.T) {
-	const ranks, n = 8, 2 << 20
-	// gets runs one ring Allreduce of n bytes on a fresh world and returns
-	// the pool gets of the whole run.
-	gets := func(inPlace bool) int64 {
-		before := bufpool.Snapshot().Gets
-		Run(collConfig(ranks, CollRing), func(c *Comm) {
-			send := make([]byte, n)
-			for i := 0; i < n/8; i++ {
-				binary.LittleEndian.PutUint64(send[8*i:], uint64(c.Rank()+i))
-			}
-			recv := make([]byte, n)
-			if inPlace {
-				recv = send
-			}
-			must(c.Allreduce(send, recv, n/8, datatype.Int64, OpSum))
-			for _, i := range []int{0, n/16 + 3, n/8 - 1} {
-				want := int64(ranks*(ranks-1)/2 + ranks*i)
-				if got := int64(binary.LittleEndian.Uint64(recv[8*i:])); got != want {
-					t.Errorf("in place %v: rank %d element %d = %d, want %d", inPlace, c.Rank(), i, got, want)
+	const ranks, root = 8, 3
+	for _, tc := range []struct {
+		alg    CollAlg
+		n      int
+		reduce bool
+	}{
+		{CollRing, 2 << 20, false}, {CollRing, 4 << 10, false}, {CollOneSided, 4 << 10, false}, {CollP2P, 4 << 10, true},
+	} {
+		call := "Allreduce"
+		if tc.reduce {
+			call = "Reduce"
+		}
+		// gets runs the case's reduction on a fresh world and returns the
+		// pool gets of the whole run.
+		gets := func(inPlace bool) int64 {
+			before := bufpool.Snapshot().Gets
+			Run(collConfig(ranks, tc.alg), func(c *Comm) {
+				n := tc.n
+				send := make([]byte, n)
+				for i := 0; i < n/8; i++ {
+					binary.LittleEndian.PutUint64(send[8*i:], uint64(c.Rank()+i))
 				}
-			}
-		})
-		return bufpool.Snapshot().Gets - before
-	}
-	distinct, inPlace := gets(false), gets(true)
-	t.Logf("pool gets per 2 MiB ring allreduce on %d ranks: %d with distinct buffers, %d in place", ranks, distinct, inPlace)
-	if inPlace != distinct {
-		t.Errorf("the in-place call takes %d more pooled buffers than the one with distinct buffers, want none (no scratch block)",
-			inPlace-distinct)
+				recv := make([]byte, n)
+				if inPlace {
+					recv = send
+				}
+				if tc.reduce {
+					must(c.Reduce(send, recv, n/8, datatype.Int64, OpSum, root))
+					if c.Rank() != root {
+						return
+					}
+				} else {
+					must(c.Allreduce(send, recv, n/8, datatype.Int64, OpSum))
+				}
+				for _, i := range []int{0, n/16 + 3, n/8 - 1} {
+					want := int64(ranks*(ranks-1)/2 + ranks*i)
+					if got := int64(binary.LittleEndian.Uint64(recv[8*i:])); got != want {
+						t.Errorf("%v %s of %d B, in place %v: rank %d element %d = %d, want %d", tc.alg, call, n, inPlace, c.Rank(), i, got, want)
+					}
+				}
+			})
+			return bufpool.Snapshot().Gets - before
+		}
+		distinct, inPlace := gets(false), gets(true)
+		t.Logf("pool gets per %v %s of %d B on %d ranks: %d with distinct buffers, %d in place", tc.alg, call, tc.n, ranks, distinct, inPlace)
+		if inPlace != distinct {
+			t.Errorf("%v %s of %d B: the in-place call takes %d more pooled buffers than the one with distinct buffers, want none (no scratch block)",
+				tc.alg, call, tc.n, inPlace-distinct)
+		}
 	}
 }
 

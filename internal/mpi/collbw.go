@@ -123,20 +123,15 @@ type ringLink struct {
 	oneSided    bool
 }
 
-func (l *ringLink) xfer(t int, out, in []byte) error {
+// xfer runs step t: out goes right, the left neighbour's block lands in in
+// — on a reduce-scatter step (mine not nil) folded with the rank's own
+// block as op(mine, partial), elements of base, read where it lands.
+func (l *ringLink) xfer(t int, out, in, mine []byte, base *datatype.Type, rop Op) error {
 	if l.oneSided {
-		return l.osXfer(t, out, in)
+		return l.osXfer(t, out, in, mine, base, rop)
 	}
-	return l.cc.sendrecvColl(out, len(out), datatype.Byte, l.right, tagARing+t,
-		in, len(in), datatype.Byte, l.left, tagARing+t)
-}
-
-// xferFold is xfer for a point-to-point reduce-scatter step whose block
-// combines as it drains (foldsOnDrain): the left neighbour's partial leaves
-// op(mine, partial) in dst.
-func (l *ringLink) xferFold(t int, out, dst, mine []byte, base *datatype.Type, rop Op) error {
 	c := l.cc
-	r := c.irecvFold(dst, mine, len(dst)/int(base.Size()), base, rop, l.left, tagARing+t)
+	r := c.irecvFold(in, mine, len(in)/int(base.Size()), base, rop, l.left, tagARing+t)
 	if err := c.send(out, len(out), datatype.Byte, l.right, tagARing+t, c.ctx); err != nil {
 		return err
 	}
@@ -179,13 +174,11 @@ func ringSendBlock(me, s, size int) int {
 // allreduceRing reduces across all ranks into acc with reduce-scatter
 // followed by ring allgather. src holds this rank's contribution: acc itself,
 // or a dense send buffer the caller keeps apart from acc. The left
-// neighbour's partial of a reduce-scatter step combines with src's block
-// into acc's: as it drains, when it travels point-to-point by rendezvous
-// (foldsOnDrain); else it lands in acc's block, or in a scratch block when
-// that block is src's, and is combined after. Every block of acc is written
-// by the ring before it is read. oneSided selects the window-deposit block
-// exchange (the one-sided family); otherwise blocks travel point-to-point.
-// c must be the collective view.
+// neighbour's partial of a reduce-scatter step folds with src's block into
+// acc's where it lands (xfer), so no scratch block is borrowed; every block
+// of acc is written by the ring before it is read. oneSided selects the
+// window-deposit block exchange (the one-sided family); otherwise blocks
+// travel point-to-point. c must be the collective view.
 func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, rop Op, oneSided bool) error {
 	size := c.Size()
 	me := c.Rank()
@@ -193,13 +186,6 @@ func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, ro
 	left, right := ringPeers(me, size)
 	steps := 2 * (size - 1)
 	link := ringLink{cc: c, right: right, left: left, steps: steps, oneSided: oneSided}
-	// Blocks differ by one element at most: the smallest decides whether
-	// any partial is copied out before its combine.
-	fold := !oneSided && c.rk.w.foldsOnDrain(int64(elems/size)*es)
-	var scratch *bufpool.Buf // back unless a receive failed on it
-	if len(acc) > 0 && &src[0] == &acc[0] && !fold {
-		scratch = bufpool.Get((elems + size - 1) / size * int(es)) // the largest block
-	}
 	// Reduce-scatter for the first size-1 steps (after which rank me holds
 	// the complete reduction of block (me+1) mod size), then ring allgather
 	// of the completed blocks — both driven by the shared rotation. Step 0
@@ -211,29 +197,13 @@ func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, ro
 		if t == 0 {
 			out = ringBlock(src, elems, size, sendIdx, es)
 		}
-		dst := ringBlock(acc, elems, size, recvIdx, es)
-		if t >= size-1 {
-			if err := link.xfer(t, out, dst); err != nil {
-				return err
-			}
-			continue
+		var mine []byte
+		if t < size-1 {
+			mine = ringBlock(src, elems, size, recvIdx, es)
 		}
-		mine := ringBlock(src, elems, size, recvIdx, es)
-		if fold {
-			if err := link.xferFold(t, out, dst, mine, base, rop); err != nil {
-				return err
-			}
-			continue
-		}
-		in := dst
-		if scratch != nil {
-			in = scratch.B[:len(dst)]
-		}
-		if err := link.xfer(t, out, in); err != nil {
+		if err := link.xfer(t, out, ringBlock(acc, elems, size, recvIdx, es), mine, base, rop); err != nil {
 			return err
 		}
-		c.combineColl(rop, base, dst, mine, in, len(in)/int(es))
 	}
-	scratch.Put()
 	return link.finish()
 }

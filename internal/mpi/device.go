@@ -11,6 +11,7 @@ import (
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/pack"
 	"scimpich/internal/sim"
+	"scimpich/internal/smi"
 )
 
 // device is the per-rank communication engine: it receives control
@@ -83,8 +84,9 @@ type DeviceStats struct {
 	// RdvCancels counts rendezvous transfers torn down on the receive side
 	// after the sender abandoned them (envRdvCancel).
 	RdvCancels int64
-	// DrainCombined counts the bytes of rendezvous chunks a collective
-	// receive combined straight out of its port (irecvFold).
+	// DrainCombined counts the bytes of partials a reduction combined
+	// where they landed (irecvFold, the one-sided ring's window): out of
+	// a short packet, an eager slot, a rendezvous chunk or the window.
 	DrainCombined int64
 }
 
@@ -305,16 +307,13 @@ func (d *device) handleProbe(pr *probeReq) {
 }
 
 // deliver starts the receive side of a matched message. A short message
-// into a contiguous buffer is one copy after one fixed delay and finishes
-// in a second callback; everything else blocks and goes to the daemon.
+// into a contiguous buffer is one copy (or fold) after one fixed delay and
+// finishes in a second callback; everything else blocks and goes to the
+// daemon.
 func (d *device) deliver(req *Request, env *envelope) {
 	now := d.now()
 	d.rk.fl.Record(now, flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
 	d.checkSignature(req, env)
-	if req.fold.mine != nil && env.kind != envRdvReq {
-		panic(fmt.Sprintf("mpi: rank %d: a combining receive matched a %v message from %d (tag %d)",
-			d.rk.id, env.kind, env.src, env.tag))
-	}
 	d.req, d.env = req, env
 	if env.kind != envRdvReq {
 		d.span = d.rk.w.cfg.Tracer.StartSpan(now, d.actor, "recv", env.kind.String()) // "short" or "eager"
@@ -322,7 +321,8 @@ func (d *device) deliver(req *Request, env *envelope) {
 	}
 	if env.kind == envShort && req.dt.Contiguous() {
 		d.acceptShort(req, env)
-		d.rk.w.host.AfterCall(d.mem().CopyCost(env.bytes, env.bytes, env.bytes), deviceShortCopied, d)
+		ws := foldWS(env.bytes, req.fold.mine != nil)
+		d.rk.w.host.AfterCall(d.mem().CopyCost(env.bytes, env.bytes, ws), deviceShortCopied, d)
 		return
 	}
 	d.resume()
@@ -330,7 +330,12 @@ func (d *device) deliver(req *Request, env *envelope) {
 
 func deviceShortCopied(arg any) {
 	d := arg.(*device)
-	copy(d.req.buf, d.env.payload)
+	if req := d.req; req.fold.mine != nil {
+		dst, mine := req.folded(0, d.env.bytes)
+		d.fold(req.fold.op, req.dt, dst, mine, d.env.payload)
+	} else {
+		copy(d.req.buf, d.env.payload)
+	}
 	d.finishShort(d.req, d.env)
 	d.rk.w.freeEnvelope(d.env)
 	d.next()
@@ -384,7 +389,8 @@ func (d *device) unpackShort(p *sim.Proc, req *Request, env *envelope) {
 	d.finishShort(req, env)
 }
 
-// deliverEager copies data out of the eager slot and returns the credit.
+// deliverEager copies data out of the eager slot, or folds it in where it
+// sits, and returns the credit.
 func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	d.capacity(req, env.bytes)
 	d.stats.EagerRecvd++
@@ -392,9 +398,13 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	mem := d.rk.ports[env.src].mem
 	off := d.rk.w.eagerOff(env.slot)
 	var err error
-	if req.dt.Contiguous() {
+	switch {
+	case req.fold.mine != nil:
+		dst, mine := req.folded(0, env.bytes)
+		err = d.foldView(p, mem, off, req.fold.op, req.dt, dst, mine)
+	case req.dt.Contiguous():
 		err = mem.Read(p, off, req.buf[:env.bytes])
-	} else {
+	default:
 		slot := mem.Bytes()[off : off+env.bytes]
 		_, st := pack.GenericUnpack(req.buf, slot, req.dt, req.count, 0, env.bytes)
 		d.rk.w.chargeBlocks(p, d.rk.node, st, false)
@@ -410,6 +420,25 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 		req.complete(env.src, env.tag, env.bytes)
 	}
 	d.span.End(p.Now())
+}
+
+// foldView leaves op(mine, partial) in dst for the partial of len(dst)
+// bytes at off of mem, elements of dt, read where it lies: two streams in
+// and one out, billed on p as combineColl bills them. A failed read
+// leaves dst as it was.
+func (d *device) foldView(p *sim.Proc, mem smi.Mem, off int64, op Op, dt *datatype.Type, dst, mine []byte) error {
+	n := int64(len(dst))
+	partial, err := mem.ReadView(p, off, n, 3*n)
+	if err == nil {
+		d.fold(op, dt, dst, mine, partial)
+	}
+	return err
+}
+
+// fold leaves op(mine, partial) in dst and counts the bytes.
+func (d *device) fold(op Op, dt *datatype.Type, dst, mine, partial []byte) {
+	combine(op, dt, dst, mine, partial, len(partial)/int(dt.Size()))
+	d.stats.DrainCombined += int64(len(partial))
 }
 
 // failRecv completes a matched receive with the typed error of a failed
@@ -519,16 +548,8 @@ func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 	skip := st.received
 	n := env.chunkLen
 	if f := st.req.fold; f.mine != nil {
-		// dst = op(mine, slot): two streams in and one out, billed as
-		// chargeCombine bills the chunk's rows. A failed read leaves dst
-		// as it was.
-		slot, err := mem.ReadView(p, off, n, 3*n)
-		if err == nil {
-			buf, dt := st.req.buf, st.req.dt
-			combine(f.op, dt, buf[skip:skip+n], f.bytes(len(buf))[skip:skip+n], slot, int(n/dt.Size()))
-			d.stats.DrainCombined += n
-		}
-		return err
+		dst, mine := st.req.folded(skip, n)
+		return d.foldView(p, mem, off, f.op, st.req.dt, dst, mine)
 	}
 	switch st.mode {
 	case rdvContig:

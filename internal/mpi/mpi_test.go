@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -486,6 +487,25 @@ func TestTruncationPanics(t *testing.T) {
 			must1(c.Recv(make([]byte, 10), 10, datatype.Byte, 0, 0))
 		}
 	})
+}
+
+// TestRendezvousChunkRefused: a world whose rendezvous chunk is not a
+// positive multiple of 8 is refused at construction, naming the field: a
+// zero chunk would divide by zero in the first rendezvous send, and one of
+// 64 KiB + 4 would split an element inside a fold.
+func TestRendezvousChunkRefused(t *testing.T) {
+	for _, chunk := range []int64{0, -8, 64<<10 + 4} {
+		cfg := DefaultConfig(2, 1)
+		cfg.Protocol.RendezvousChunk = chunk
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "RendezvousChunk") {
+					t.Errorf("chunk %d: world construction panicked with %q, want a refusal naming RendezvousChunk", chunk, msg)
+				}
+			}()
+			NewWorldOn(NewFabric(cfg), cfg)
+		}()
+	}
 }
 
 func TestWtimeAdvances(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -375,22 +376,26 @@ func TestOverlappingReductionBuffersRefused(t *testing.T) {
 	}
 }
 
-// TestDrainFoldKeepsOperandOrder: a partial combined as it drains gives the
-// bytes of one copied out and combined after, also where the operand order
-// decides them — MIN and MAX ties between +0 and -0, NaNs of different
-// payloads, infinities. The world whose rendezvous chunk splits an 8-byte
-// element (64 KiB + 4) cannot combine on the drain, so it copies; the
-// default one combines every partial as it drains. Ring and reduce+bcast
-// allreduces and a Reduce, on 4×1 and 2×2, Float64 and Float32.
+// TestDrainFoldKeepsOperandOrder: every partial folds in where it lands as
+// op(mine, partial), the receiver's own bytes first, also where the operand
+// order decides the bytes — MIN and MAX ties between +0 and -0, NaNs of
+// different payloads, infinities. The reference is a host fold in each
+// family's order: a ring's block b is op(x[b-1], op(x[b-2], … op(x[b+1],
+// x[b]))) over the ranks' contributions x, and a tree member folds its
+// children smallest bit first into its own bytes (Reduce to rank 1; the
+// point-to-point Allreduce reduces to rank 0). Ring, one-sided ring and
+// point-to-point allreduces and a Reduce, on 4×1 and 2×2, Float64 and
+// Float32, at vectors whose partials travel short, eager and by
+// rendezvous. Every call folds (ranks-1) vectors' bytes.
 func TestDrainFoldKeepsOperandOrder(t *testing.T) {
-	const ranks, count = 4, 40 << 10 // a 320 KiB Float64 vector, 80 KiB ring blocks
+	const ranks, root = 4, 1
 	specials := []uint64{
 		0, 1 << 63, // +0, -0
 		0x7ff8000000000001, 0xfff8000000000002, 0x7ff8000000000003, // NaNs
 		0x7ff0000000000000, 0xfff0000000000000, // +Inf, -Inf
 		0x3ff0000000000000, // 1
 	}
-	input := func(rank int, dt *datatype.Type) []byte {
+	input := func(rank, count int, dt *datatype.Type) []byte {
 		b := make([]byte, count*int(dt.Size()))
 		for i := 0; i < count; i++ {
 			bits := specials[(i*7+rank*3+i/5)%len(specials)]
@@ -402,61 +407,95 @@ func TestDrainFoldKeepsOperandOrder(t *testing.T) {
 		}
 		return b
 	}
-	type key struct {
-		dt   *datatype.Type
-		op   mpi.Op
-		call int
+	// fold returns op(mine, partial), mine first.
+	fold := func(op mpi.Op, dt *datatype.Type, mine, partial []byte) []byte {
+		out := bytes.Clone(mine)
+		mpi.CombineOp(op, dt, out, partial, len(out)/int(dt.Size()))
+		return out
 	}
-	run := func(nodes, ppn int, alg mpi.CollAlg, chunk int64) (map[key][ranks][]byte, int64) {
-		out := make(map[key][ranks][]byte)
-		cfg := mpi.DefaultConfig(nodes, ppn)
-		cfg.Protocol.Coll = alg
-		cfg.Protocol.RendezvousChunk = chunk
-		var w *mpi.World
-		mpi.Run(cfg, func(c *mpi.Comm) {
-			me := c.Rank()
-			if me == 0 {
-				w = c.World()
+	ring := func(x [ranks][]byte, op mpi.Op, dt *datatype.Type, count int) []byte {
+		es := int(dt.Size())
+		out := make([]byte, count*es)
+		for b := 0; b < ranks; b++ {
+			lo, hi := count*b/ranks*es, count*(b+1)/ranks*es
+			acc := x[b][lo:hi]
+			for j := 1; j < ranks; j++ {
+				acc = fold(op, dt, x[(b+j)%ranks][lo:hi], acc)
 			}
-			for _, dt := range []*datatype.Type{datatype.Float64, datatype.Float32} {
-				for _, op := range []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin} {
-					send := input(me, dt)
-					recv := make([]byte, len(send))
-					must(c.Allreduce(send, recv, count, dt, op))
-					red := make([]byte, len(send))
-					must(c.Reduce(send, red, count, dt, op, 1))
-					for call, b := range [][]byte{recv, red} {
-						k := key{dt, op, call}
-						v := out[k]
-						v[me] = b
-						out[k] = v
-					}
-				}
-			}
-		})
-		var combined int64
-		for r := 0; r < ranks; r++ {
-			combined += w.Stats(r).DrainCombined
+			copy(out[lo:hi], acc)
 		}
-		return out, combined
+		return out
 	}
-	for _, shape := range []struct{ nodes, ppn int }{{4, 1}, {2, 2}} {
-		for _, alg := range []mpi.CollAlg{mpi.CollRing, mpi.CollP2P} {
-			fused, combined := run(shape.nodes, shape.ppn, alg, 64<<10)
-			copied, none := run(shape.nodes, shape.ppn, alg, 64<<10+4)
-			if combined == 0 || none != 0 {
-				t.Fatalf("%dx%d %s: %d bytes combined on the drain with 64 KiB chunks and %d with split elements, want some and none",
-					shape.nodes, shape.ppn, alg, combined, none)
-			}
-			for k, want := range copied {
+	var tree func(x [ranks][]byte, op mpi.Op, dt *datatype.Type, root, v int) []byte
+	tree = func(x [ranks][]byte, op mpi.Op, dt *datatype.Type, root, v int) []byte {
+		acc := x[(v+root)%ranks]
+		for bit := 1; v&(2*bit-1) == 0 && v|bit < ranks; bit *= 2 {
+			acc = fold(op, dt, acc, tree(x, op, dt, root, v|bit))
+		}
+		return acc
+	}
+	for _, count := range []int{16, 1 << 10, 40 << 10} { // short, eager and rendezvous partials
+		for _, shape := range []struct{ nodes, ppn int }{{4, 1}, {2, 2}} {
+			for _, alg := range []mpi.CollAlg{mpi.CollRing, mpi.CollOneSided, mpi.CollP2P} {
+				cfg := mpi.DefaultConfig(shape.nodes, shape.ppn)
+				cfg.Protocol.Coll = alg
+				type key struct {
+					dt *datatype.Type
+					op mpi.Op
+				}
+				allreduce, reduce := make(map[key][ranks][]byte), make(map[key][]byte)
+				var w *mpi.World
+				mpi.Run(cfg, func(c *mpi.Comm) {
+					me := c.Rank()
+					if me == 0 {
+						w = c.World()
+					}
+					for _, dt := range []*datatype.Type{datatype.Float64, datatype.Float32} {
+						for _, op := range []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin} {
+							send := input(me, count, dt)
+							recv := make([]byte, len(send))
+							must(c.Allreduce(send, recv, count, dt, op))
+							k := key{dt, op}
+							v := allreduce[k]
+							v[me] = recv
+							allreduce[k] = v
+							red := make([]byte, len(send))
+							must(c.Reduce(send, red, count, dt, op, root))
+							if me == root {
+								reduce[k] = red
+							}
+						}
+					}
+				})
+				name := func(k key) string {
+					return fmt.Sprintf("%dx%d %s, %d %s by %v", shape.nodes, shape.ppn, alg, count, k.dt, k.op)
+				}
+				var combined, payload int64
+				for k, got := range allreduce {
+					var x [ranks][]byte
+					for r := range x {
+						x[r] = input(r, count, k.dt)
+					}
+					want := tree(x, k.op, k.dt, 0, 0)
+					if alg != mpi.CollP2P {
+						want = ring(x, k.op, k.dt, count)
+					}
+					for r := 0; r < ranks; r++ {
+						if !bytes.Equal(got[r], want) {
+							t.Errorf("%s: Allreduce on rank %d: %d bytes differ from the host fold", name(k), r, differing(got[r], want))
+						}
+					}
+					if want := tree(x, k.op, k.dt, root, 0); !bytes.Equal(reduce[k], want) {
+						t.Errorf("%s: Reduce: %d bytes differ from the host fold", name(k), differing(reduce[k], want))
+					}
+					payload += 2 * int64(len(want))
+				}
 				for r := 0; r < ranks; r++ {
-					if k.call == 1 && r != 1 {
-						continue // only Reduce's root holds a result
-					}
-					if !bytes.Equal(fused[k][r], want[r]) {
-						t.Errorf("%dx%d %s: %s of %s by %v on rank %d: %d bytes differ between the combining drain and the copy",
-							shape.nodes, shape.ppn, alg, []string{"Allreduce", "Reduce"}[k.call], k.dt, k.op, r, differing(fused[k][r], want[r]))
-					}
+					combined += w.Stats(r).DrainCombined
+				}
+				if want := (ranks - 1) * payload; combined != want {
+					t.Errorf("%dx%d %s at %d elements: %d bytes folded where they landed, want %d",
+						shape.nodes, shape.ppn, alg, count, combined, want)
 				}
 			}
 		}

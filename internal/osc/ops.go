@@ -353,12 +353,13 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 // Accumulate combines count elements of the basic type dt from buf into
 // target's window at targetOff using op (MPI_Accumulate). The operation
 // always executes at the target, which makes it atomic with respect to
-// other accumulates. An unknown op or a short origin buffer is an
-// *mpi.ArgumentError, returned before anything is sent; failures come back as Put's typed errors.
+// other accumulates. A derived datatype, an unknown op or a short origin
+// buffer is an *mpi.ArgumentError, returned before anything is sent;
+// failures come back as Put's typed errors.
 func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) (err error) {
 	w.checkEpoch("Accumulate")
 	if dt.Kind() != datatype.KindBasic {
-		panic(fmt.Sprintf("osc: Accumulate requires a basic datatype, got %s", dt))
+		return &mpi.ArgumentError{Call: "Accumulate", Reason: fmt.Sprintf("datatype %s is not a basic type", dt)}
 	}
 	if err := op.Validate("Accumulate"); err != nil {
 		return err

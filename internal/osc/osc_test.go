@@ -445,6 +445,41 @@ func TestOriginBufferChecked(t *testing.T) {
 	}
 }
 
+// TestAccumulateRefusesDerivedTypes: Accumulate over a derived datatype —
+// a contiguous run of doubles or a vector — is an *mpi.ArgumentError naming
+// the call on a shared and on a private window, returned before anything
+// moves: no accumulate is counted and the target's window keeps its bytes.
+func TestAccumulateRefusesDerivedTypes(t *testing.T) {
+	for _, dt := range []*datatype.Type{
+		datatype.Contiguous(4, datatype.Float64).Commit(),
+		datatype.Vector(4, 1, 2, datatype.Float64).Commit(),
+	} {
+		for _, shared := range []bool{true, false} {
+			var err error
+			var accs int64
+			var target []byte
+			runCluster(2, 1, func(c *mpi.Comm) {
+				w := mkWin(c, 1024, shared)
+				must(w.Fence())
+				if c.Rank() == 0 {
+					err = w.Accumulate(make([]byte, 256), 2, dt, mpi.OpSum, 1, 0)
+					accs = w.Snapshot().Accs
+				}
+				must(w.Fence())
+				if c.Rank() == 1 {
+					target = w.LocalBytes()
+				}
+			})
+			if arg := (*mpi.ArgumentError)(nil); !errors.As(err, &arg) || arg.Call != "Accumulate" {
+				t.Errorf("%s (shared %v): err = %v (%T), want an *mpi.ArgumentError from Accumulate", dt, shared, err, err)
+			}
+			if accs != 0 || !bytes.Equal(target, make([]byte, len(target))) {
+				t.Errorf("%s (shared %v): %d accumulates counted and the target's window changed, want none", dt, shared, accs)
+			}
+		}
+	}
+}
+
 func TestSharedGetFasterThanPrivate(t *testing.T) {
 	// Paper figure 9: direct access to shared windows beats the emulated
 	// path for small accesses (for larger ones both go through message
