@@ -114,7 +114,7 @@ shard-stress:
 # (Transfer, StartCall, a warm re-solve) and for Contiguous() on a committed
 # datatype; within 84.7 kB and 64 objects for the first empty 8x2 world in a
 # process and 84.0 kB and 51 for a later one, with its per-pair structs at
-# their pinned size (an 80 B sendPort), at most 2.2x the objects for twice the
+# their pinned size (an 80 B sendPort; a receive's Request at 160 B), at most 2.2x the objects for twice the
 # ranks, a 512x1 world within 9 520 objects and 59.4 MB, none for a contended
 # Mutex or a blocked credit Acquire (TestAllocsContendedSync), 64 spawns
 # within 8 (TestAllocsProcBlocks), none for starting and
@@ -136,7 +136,9 @@ shard-stress:
 # process switches, 24 events), a 4 KiB eager
 # message (none), a 256 KiB rendezvous message on every data engine, the
 # staged path included (none), an 8-rank allreduce on every algorithm (at
-# most 4 per rank; the 2 MiB ring also in place), no pooled scratch block for
+# most 4 per rank; the 2 MiB ring, and recursive doubling at 4 KiB and 2 MiB,
+# also in place, recursive doubling's in-place calls borrowing no more pooled
+# buffers than its distinct ones), no pooled scratch block for
 # a 2 MiB or 4 KiB ring allreduce, a 4 KiB one-sided ring allreduce or a
 # 4 KiB point-to-point reduce with distinct dense buffers or in place
 # (TestAllocsRingAllreduceBorrowsNoScratch), the collective chooser's picks

@@ -131,6 +131,28 @@ func TestFacadeCallsReturnFaults(t *testing.T) {
 	}
 }
 
+// TestNegativeRecvTimeoutRefused: a negative timeout other than
+// mpi.AutoTimeout is an *mpi.ArgumentError from Recv, returned before the
+// receive is posted. It used to wait forever: with no sender the run ended
+// in the engine's deadlock panic. AutoTimeout still bounds the wait.
+func TestNegativeRecvTimeoutRefused(t *testing.T) {
+	var refused, auto error
+	scimpich.Run(scimpich.DefaultConfig(2, 1), func(c *scimpich.Comm) {
+		if c.Rank() != 1 {
+			return
+		}
+		buf := make([]byte, 8)
+		_, refused = c.RecvTimeout(buf, 8, scimpich.Byte, 0, 0, -5*time.Nanosecond)
+		_, auto = c.RecvTimeout(buf, 8, scimpich.Byte, 0, 0, mpi.AutoTimeout)
+	})
+	if arg := (*mpi.ArgumentError)(nil); !errors.As(refused, &arg) || arg.Call != "Recv" {
+		t.Errorf("RecvTimeout(-5ns) = %v (%T), want an *mpi.ArgumentError from Recv", refused, refused)
+	}
+	if fe := (*fault.Error)(nil); !errors.As(auto, &fe) {
+		t.Errorf("RecvTimeout(AutoTimeout) with no sender = %v (%T), want a *fault.Error", auto, auto)
+	}
+}
+
 // must fails the calling rank on a fault the test does not expect.
 func must(err error) {
 	if err != nil {

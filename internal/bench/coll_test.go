@@ -121,9 +121,12 @@ func TestCollOneSidedExchangeWinsSmallBlocks(t *testing.T) {
 	}
 }
 
-// TestCollRingAllreduceWinsLarge: the bandwidth-optimal ring beats both
-// the naive reduce+bcast composition and recursive doubling for large
-// vectors (the reason the engine exists).
+// TestCollRingAllreduceWinsLarge: the bandwidth-optimal ring beats the
+// naive reduce+bcast composition for large vectors (the reason the engine
+// exists), and recursive doubling on 3 or more nodes. On 2 nodes both
+// families move the vector once per rank, and recursive doubling does it in
+// one step where the ring needs two, so there only the chooser's pick is
+// held: it takes the better family.
 func TestCollRingAllreduceWinsLarge(t *testing.T) {
 	hit := 0
 	for _, r := range collRows() {
@@ -131,9 +134,13 @@ func TestCollRingAllreduceWinsLarge(t *testing.T) {
 			continue
 		}
 		hit++
-		if r.Ring <= r.P2P || r.Ring <= r.RecDbl {
+		if r.Ring <= r.P2P || (r.Nodes >= 3 && r.Ring <= r.RecDbl) {
 			t.Errorf("allreduce n=%d bytes=%d: ring %.1f MiB/s not above p2p %.1f and recdbl %.1f",
 				r.Nodes, r.Bytes, r.Ring, r.P2P, r.RecDbl)
+		}
+		if r.Nodes == 2 && r.Adaptive != r.Best {
+			t.Errorf("allreduce n=2 bytes=%d: the chooser's %s at %.1f MiB/s is not the best family's %s at %.1f",
+				r.Bytes, r.Chosen, r.Adaptive, r.BestAlg, r.Best)
 		}
 	}
 	if hit == 0 {

@@ -135,22 +135,33 @@ func TestAllocsRendezvousBudget(t *testing.T) {
 
 // TestAllocsAllreduceBudget pins an 8-rank Allreduce at 4 objects per rank
 // and call (none expected) on every forced algorithm at 4 KiB, and the ring
-// at 2 MiB, with distinct buffers and in place, at the same count with no
-// term in the vector length: the accumulator is the caller's recv, the
-// ring's partials combine into it as they drain
-// (TestAllocsRingAllreduceBorrowsNoScratch) and every other scratch vector
-// is pooled, the internal receives recycle their Requests and the
-// collective view of the communicator is made once. (The payload is
-// >= 256 B; collective tags are all >= 1<<20.)
+// and recursive doubling at 2 MiB, with distinct buffers and in place
+// (recursive doubling at 4 KiB too), at the same count with no term in the
+// vector length: the accumulator is the caller's recv, the ring's partials
+// combine into it as they drain (TestAllocsRingAllreduceBorrowsNoScratch)
+// and every other scratch vector is pooled — recursive doubling's partials
+// fold into recv and one pooled scratch vector per rank and call, in turn —
+// the internal receives recycle their Requests and the collective view of
+// the communicator is made once. An in-place call takes as many pooled
+// buffers as one with distinct buffers: recursive doubling's copy at the
+// end of an odd fold count borrows none. (The payload is >= 256 B;
+// collective tags are all >= 1<<20.)
 func TestAllocsAllreduceBudget(t *testing.T) {
 	const ranks = 8
+	type call struct {
+		alg   CollAlg
+		bytes int
+	}
+	distinctGets := make(map[call]int64)
 	for _, tc := range []struct {
 		alg     CollAlg
 		bytes   int
 		inPlace bool
 	}{
 		{CollRing, 4 << 10, false}, {CollRecDbl, 4 << 10, false}, {CollP2P, 4 << 10, false}, {CollOneSided, 4 << 10, false},
+		{CollRecDbl, 4 << 10, true},
 		{CollRing, 2 << 20, false}, {CollRing, 2 << 20, true},
+		{CollRecDbl, 2 << 20, false}, {CollRecDbl, 2 << 20, true},
 	} {
 		cfg := DefaultConfig(ranks, 1)
 		cfg.Protocol.Coll = tc.alg
@@ -161,11 +172,19 @@ func TestAllocsAllreduceBudget(t *testing.T) {
 				recv[r] = send[r]
 			}
 		}
+		gets := bufpool.Snapshot().Gets
 		objs, bytes := hostCost(t, cfg, 4, 20, func(c *Comm, _ int) {
 			must(c.Allreduce(send[c.Rank()], recv[c.Rank()], tc.bytes/8, datatype.Int64, OpSum))
 		})
-		t.Logf("%v allreduce of %d B on %d ranks (in place %v): %.2f objects, %.1f B per rank and call",
-			tc.alg, tc.bytes, ranks, tc.inPlace, objs/ranks, bytes/ranks)
+		gets = bufpool.Snapshot().Gets - gets
+		t.Logf("%v allreduce of %d B on %d ranks (in place %v): %.2f objects, %.1f B, %.2f pool gets per rank and call",
+			tc.alg, tc.bytes, ranks, tc.inPlace, objs/ranks, bytes/ranks, float64(gets)/(24*ranks))
+		if k := (call{tc.alg, tc.bytes}); !tc.inPlace {
+			distinctGets[k] = gets
+		} else if gets != distinctGets[k] {
+			t.Errorf("%v at %d B: the in-place calls take %d pooled buffers, those with distinct buffers %d; want as many",
+				tc.alg, tc.bytes, gets, distinctGets[k])
+		}
 		if objs/ranks > 4 {
 			t.Errorf("%v at %d B (in place %v): %.2f objects per rank and call, budget is 4", tc.alg, tc.bytes, tc.inPlace, objs/ranks)
 		}
@@ -395,7 +414,9 @@ func TestProcsPerWorld(t *testing.T) {
 // world). Per-transfer state
 // belongs in the scratch records on the world's free lists, and a wait list in
 // the parked processes (sim.Mutex and sim.Credits link their waiters through
-// them). This is the object-size half of TestAllocsWorldBudget's claim.
+// them). This is the object-size half of TestAllocsWorldBudget's claim. It
+// also pins the Request every receive recycles at its 160 B size class: the
+// fold a collective receive carries (reduceFold) fits inside it.
 func TestPairStructSizes(t *testing.T) {
 	for _, s := range []struct {
 		name      string
@@ -409,6 +430,7 @@ func TestPairStructSizes(t *testing.T) {
 		{"rank", unsafe.Sizeof(rank{}), 120},
 		{"sim.Proc", unsafe.Sizeof(sim.Proc{}), 64},     // one per rank and per started daemon
 		{"sim.Future", unsafe.Sizeof(sim.Future{}), 56}, // in every flow, request, DMA request and store barrier
+		{"Request", unsafe.Sizeof(Request{}), 160},      // every receive's; a fold adds nothing (reduceFold)
 	} {
 		if s.got > s.want {
 			t.Errorf("%s is %d B, it was %d: per-transfer state goes in a scratch record, not on a per-pair struct",

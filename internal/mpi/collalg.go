@@ -272,16 +272,14 @@ func (c *Comm) load(ev *collEval, s collSched, k, steps, size int, n int64, oneS
 // whose handshake needs the receiver, when both chains do. The receiver's
 // chain goes on when it holds the message and its own send of the step is
 // done. A combining step folds the message in where it lands, in the
-// receiver's copy-out itself — every family but recursive doubling, whose
-// exchange sends the accumulator it would fold into, so it copies the
-// message out and combines after.
+// receiver's copy-out itself.
 func (c *Comm) walk(s collSched, steps, size int, n int64, oneSided bool, combineSteps int) time.Duration {
 	ev := c.collEval(size)
 	clear(ev.t[:size])
 	handshake := !oneSided && n > eagerMax
 	for k := 0; k < steps; k++ {
 		c.load(ev, s, k, steps, size, n, oneSided)
-		fold := s != schedRecDbl && k < combineSteps
+		fold := k < combineSteps
 		for r := 0; r < size; r++ {
 			if from := ev.from[r]; from >= 0 {
 				ev.send[from], ev.full[r] = c.modelMsg(from, r, n, oneSided, fold, ev)
@@ -302,9 +300,6 @@ func (c *Comm) walk(s collSched, steps, size int, n int64, oneSided bool, combin
 					start = max(start, ev.t[r])
 				}
 				t = max(t, start+ev.full[r])
-				if k < combineSteps && !fold {
-					t += c.modelCombine(n)
-				}
 			}
 			ev.next[r] = t
 		}
@@ -500,13 +495,6 @@ func (c *Comm) modelExchange(size int, n int64) time.Duration {
 		}
 	}
 	return max(slices.Max(got), slices.Max(acked))
-}
-
-// modelCombine is the prior for the elementwise reduction of n bytes after
-// its copy-out (memory-bound: two streams in, one out), recursive
-// doubling's. It matches combineColl.
-func (c *Comm) modelCombine(n int64) time.Duration {
-	return c.mem().CopyCost(n, n, 3*n)
 }
 
 // ceilLog2 returns ceil(log2(p)) for p >= 1.

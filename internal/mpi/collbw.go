@@ -15,13 +15,8 @@ import (
 
 // Tags of the bandwidth algorithms.
 const (
-	tagARecDbl = 13 << 20 // + round; the rem-fold and final return use fixed offsets below
+	tagARecDbl = 13 << 20 // + step of recDblPeer's schedule
 	tagARing   = 14 << 20 // + step
-)
-
-const (
-	tagARecDblFold  = tagARecDbl + (1 << 19)
-	tagARecDblFinal = tagARecDbl + (1 << 19) + 1
 )
 
 // recDblSteps returns the steps of recursive doubling over size ranks: the
@@ -66,46 +61,63 @@ func recDblPeer(me, s, size int) (peer int, sends, recvs bool) {
 	return partnerNew + rem, true, true
 }
 
-// allreduceRecDbl reduces acc (elems elements of base) across all ranks
-// with recursive doubling, on recDblPeer's schedule. c must be the
-// collective view.
-func (c *Comm) allreduceRecDbl(acc []byte, elems int, base *datatype.Type, rop Op) error {
+// allreduceRecDbl reduces across all ranks into acc with recursive
+// doubling, on recDblPeer's schedule. src holds this rank's contribution:
+// acc itself, or a dense send buffer the caller keeps apart from acc. Every
+// partial folds in where it lands (irecvFold) in rank order, op(lower,
+// higher), so both members of a pair hold the same bytes after it. c must
+// be the collective view.
+func (c *Comm) allreduceRecDbl(src, acc []byte, elems int, base *datatype.Type, rop Op) error {
 	size := c.Size()
 	me := c.Rank()
 	last := recDblSteps(size) - 1
-	if peer, sends, _ := recDblPeer(me, 0, size); sends {
+	peer, sends, remFold := recDblPeer(me, 0, size)
+	if sends {
 		// Fold onto the odd partner, then idle until the result returns.
-		if err := c.send(acc, elems, base, peer, tagARecDblFold, c.ctx); err != nil {
+		if err := c.send(src, elems, base, peer, tagARecDbl, c.ctx); err != nil {
 			return err
 		}
-		return c.recvColl(acc, elems, base, peer, tagARecDblFinal)
+		return c.recvColl(acc, elems, base, peer, tagARecDbl+last)
 	}
 	scratch := bufpool.Get(len(acc)) // back unless a receive failed on it
-	tmp := scratch.B
-	if peer, _, recvs := recDblPeer(me, 0, size); recvs {
-		if err := c.recvColl(tmp, elems, base, peer, tagARecDblFold); err != nil {
-			return err
-		}
-		// The partner is the lower rank: acc = partner op mine.
-		c.combineColl(rop, base, acc, tmp, acc, elems)
+	// The folds alternate between acc and scratch, the one the rank is not
+	// sending, and an even count starts in scratch so that the last lands
+	// in acc. In place, a first fold that is an exchange cannot land in
+	// acc, which it sends (the rem fold sends nothing): an odd count then
+	// ends in scratch and is copied over.
+	folds := last - 1 // one per round, and the rem fold's
+	if remFold {
+		folds++
 	}
-	for s := 1; s < last; s++ {
-		partner, _, _ := recDblPeer(me, s, size)
-		round := s - 1
-		if err := c.sendrecvColl(acc, elems, base, partner, tagARecDbl+round,
-			tmp, elems, base, partner, tagARecDbl+round); err != nil {
+	land, spare := acc, scratch.B
+	if folds%2 == 0 || !remFold && len(acc) > 0 && &src[0] == &acc[0] {
+		land, spare = spare, land
+	}
+	cur := src
+	for s := 0; s < last; s++ {
+		partner, sends, recvs := recDblPeer(me, s, size)
+		if !recvs {
+			continue // step 0 outside the rem fold
+		}
+		r := c.irecvFold(land, cur, elems, base, rop, partner < me, partner, tagARecDbl+s)
+		if sends {
+			if err := c.send(cur, elems, base, partner, tagARecDbl+s, c.ctx); err != nil {
+				return err
+			}
+		}
+		if err := c.waitColl(r); err != nil {
 			return err
 		}
-		// Fold in rank order so non-commutative combiners stay well defined.
-		if partner < me {
-			c.combineColl(rop, base, acc, tmp, acc, elems)
-		} else {
-			c.combineColl(rop, base, acc, acc, tmp, elems)
-		}
+		cur, land, spare = land, spare, land
+	}
+	if len(acc) > 0 && &cur[0] != &acc[0] {
+		copy(acc, cur)
+		n := int64(len(acc))
+		c.p.Sleep(c.mem().CopyCost(n, n, 2*n))
 	}
 	scratch.Put()
 	if peer, sends, _ := recDblPeer(me, last, size); sends {
-		return c.send(acc, elems, base, peer, tagARecDblFinal, c.ctx)
+		return c.send(acc, elems, base, peer, tagARecDbl+last, c.ctx)
 	}
 	return nil
 }
@@ -131,7 +143,7 @@ func (l *ringLink) xfer(t int, out, in, mine []byte, base *datatype.Type, rop Op
 		return l.osXfer(t, out, in, mine, base, rop)
 	}
 	c := l.cc
-	r := c.irecvFold(in, mine, len(in)/int(base.Size()), base, rop, l.left, tagARing+t)
+	r := c.irecvFold(in, mine, len(in)/int(base.Size()), base, rop, false, l.left, tagARing+t)
 	if err := c.send(out, len(out), datatype.Byte, l.right, tagARing+t, c.ctx); err != nil {
 		return err
 	}

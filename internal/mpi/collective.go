@@ -46,7 +46,7 @@ func (c *Comm) waitColl(r *Request) error {
 // Status inside) never reaches the user, so finishRecv, its last reader,
 // recycles it through the world's free list.
 func (c *Comm) irecvColl(buf []byte, count int, dt *datatype.Type, src, tag int) *Request {
-	return c.irecvFold(buf, nil, count, dt, 0, src, tag)
+	return c.irecvFold(buf, nil, count, dt, 0, false, src, tag)
 }
 
 // recvColl is the internal collective receive: irecvColl + waitColl.
@@ -239,7 +239,7 @@ func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op,
 		if parent {
 			return c.send(acc, elems, base, peer, tagReduce, c.ctx)
 		}
-		if err := c.waitColl(c.irecvFold(acc, acc, elems, base, op, peer, tagReduce)); err != nil {
+		if err := c.waitColl(c.irecvFold(acc, acc, elems, base, op, false, peer, tagReduce)); err != nil {
 			return err
 		}
 	}
@@ -279,8 +279,7 @@ func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op)
 	cc := c.collective()
 	switch alg {
 	case CollRecDbl:
-		view.fill()
-		err = cc.allreduceRecDbl(view.buf, view.elems, base, op)
+		err = cc.allreduceRecDbl(view.src, view.buf, view.elems, base, op)
 	case CollRing:
 		err = cc.allreduceRing(view.src, view.buf, view.elems, base, op, false)
 	case CollOneSided:

@@ -233,7 +233,7 @@ func (l *ringLink) osXfer(t int, out, in, mine []byte, base *datatype.Type, rop 
 	if off := w.osSlotOff(c.worldRank(l.left), t); mine == nil {
 		err = c.osCopyOut(off, in)
 	} else if len(in) > 0 {
-		err = c.rk.dev.foldView(c.p, w.collView(c.rk.id, c.rk.id), off, rop, base, in, mine)
+		err = c.rk.dev.foldView(c.p, w.collView(c.rk.id, c.rk.id), off, reduceFold{op: int32(rop)}, base, in, mine)
 	}
 	if err != nil {
 		return err

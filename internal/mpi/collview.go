@@ -38,7 +38,8 @@ type reduceView struct {
 	elems int
 	buf   []byte
 	// src holds the rank's contribution: send for a dense type (buf's own
-	// bytes in place), else buf. fill copies it in; the rings read it as is.
+	// bytes in place), else buf. fill copies it in; the rings and recursive
+	// doubling read it as is.
 	src []byte
 	// pool backs buf unless buf is the caller's recv. It goes back by
 	// release after a reduction that succeeded; a failed one leaves it to
@@ -130,25 +131,17 @@ func (v reduceView) writeback(c *Comm, recv []byte, count int, dt *datatype.Type
 // release returns the view's pooled buffer, if it has one.
 func (v reduceView) release() { v.pool.Put() }
 
-// combineColl leaves op(mine, in) for count elements in dst and bills the
-// work on the calling process (memory-bound: two streams in, one out; see
-// modelCombine): recursive doubling's combine after its copy-out.
-func (c *Comm) combineColl(op Op, base *datatype.Type, dst, mine, in []byte, count int) {
-	combine(op, base, dst, mine, in, count)
-	if n := base.Size() * int64(count); n > 0 {
-		c.p.Sleep(c.mem().CopyCost(n, n, 3*n))
-	}
-}
-
 // reduceFold is the combine a collective receive carries: the device leaves
-// op(mine, partial) in the receive buffer, elements of the receive's
+// op(mine, partial) in the receive buffer — op(partial, mine) when
+// mineLast, the partial being the lower rank's — elements of the receive's
 // datatype. mine holds the first of the rank's own bytes, as many as the
-// receive buffer's (nil: no combine); a pointer in place of a slice keeps
-// the fold inside the Request's 160 bytes, a size class every receive
-// pays for.
+// receive buffer's (nil: no combine). A pointer in place of a slice, and
+// the Op narrowed beside the order, keep the fold inside the Request's 160
+// bytes, a size class every receive pays for.
 type reduceFold struct {
-	mine *byte
-	op   Op
+	mine     *byte
+	op       int32 // an Op
+	mineLast bool
 }
 
 // foldWS is the working set of a copy-out of n bytes: three streams of n
@@ -167,19 +160,20 @@ func (r *Request) folded(skip, n int64) (dst, mine []byte) {
 }
 
 // irecvFold posts a collective receive of count elements of base from src
-// that leaves op(mine, partial) in dst, read where the partial lands: the
-// short packet's payload, the eager slot, or each rendezvous chunk in the
-// port as it drains — one pass over the three streams in place of a copy
-// and a combine after. mine is read when the partial is taken, not when it
-// arrives, so an eager or short partial that lands before its receive is
-// posted waits in its slot or packet as any other. A rendezvous chunk
-// splits no element (newWorld refuses a RendezvousChunk that is not a
-// multiple of 8). dst may be mine; neither may overlap a buffer in flight.
-// mine nil posts a plain receive, and op is unused (irecvColl).
-func (c *Comm) irecvFold(dst, mine []byte, count int, base *datatype.Type, op Op, src, tag int) *Request {
+// that leaves op(mine, partial) in dst — op(partial, mine) when mineLast —
+// read where the partial lands: the short packet's payload, the eager slot,
+// or each rendezvous chunk in the port as it drains — one pass over the
+// three streams in place of a copy and a combine after. mine is read when
+// the partial is taken, not when it arrives, so an eager or short partial
+// that lands before its receive is posted waits in its slot or packet as
+// any other. A rendezvous chunk splits no element (newWorld refuses a
+// RendezvousChunk that is not a multiple of 8). dst may be mine; neither
+// may overlap a buffer in flight. mine nil posts a plain receive, and op
+// is unused (irecvColl).
+func (c *Comm) irecvFold(dst, mine []byte, count int, base *datatype.Type, op Op, mineLast bool, src, tag int) *Request {
 	req := sim.TakeFree(&c.rk.w.reqFree)
 	if mine != nil {
-		req.fold = reduceFold{mine: unsafe.SliceData(mine[:len(dst)]), op: op}
+		req.fold = reduceFold{mine: unsafe.SliceData(mine[:len(dst)]), op: int32(op), mineLast: mineLast}
 	}
 	return c.postRecv(req, dst, count, base, src, tag)
 }

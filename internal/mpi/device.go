@@ -332,7 +332,7 @@ func deviceShortCopied(arg any) {
 	d := arg.(*device)
 	if req := d.req; req.fold.mine != nil {
 		dst, mine := req.folded(0, d.env.bytes)
-		d.fold(req.fold.op, req.dt, dst, mine, d.env.payload)
+		d.fold(req.fold, req.dt, dst, mine, d.env.payload)
 	} else {
 		copy(d.req.buf, d.env.payload)
 	}
@@ -401,7 +401,7 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	switch {
 	case req.fold.mine != nil:
 		dst, mine := req.folded(0, env.bytes)
-		err = d.foldView(p, mem, off, req.fold.op, req.dt, dst, mine)
+		err = d.foldView(p, mem, off, req.fold, req.dt, dst, mine)
 	case req.dt.Contiguous():
 		err = mem.Read(p, off, req.buf[:env.bytes])
 	default:
@@ -422,23 +422,26 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	d.span.End(p.Now())
 }
 
-// foldView leaves op(mine, partial) in dst for the partial of len(dst)
-// bytes at off of mem, elements of dt, read where it lies: two streams in
-// and one out, billed on p as combineColl bills them. A failed read
-// leaves dst as it was.
-func (d *device) foldView(p *sim.Proc, mem smi.Mem, off int64, op Op, dt *datatype.Type, dst, mine []byte) error {
+// foldView leaves f's fold of mine and the partial of len(dst) bytes at off
+// of mem in dst, elements of dt, read where it lies: two streams in and one
+// out, billed on p as a read from a working set of three times its bytes
+// (Fold). A failed read leaves dst as it was.
+func (d *device) foldView(p *sim.Proc, mem smi.Mem, off int64, f reduceFold, dt *datatype.Type, dst, mine []byte) error {
 	n := int64(len(dst))
 	partial, err := mem.ReadView(p, off, n, 3*n)
 	if err == nil {
-		d.fold(op, dt, dst, mine, partial)
+		d.fold(f, dt, dst, mine, partial)
 	}
 	return err
 }
 
-// fold leaves op(mine, partial) in dst and counts the bytes.
-func (d *device) fold(op Op, dt *datatype.Type, dst, mine, partial []byte) {
-	combine(op, dt, dst, mine, partial, len(partial)/int(dt.Size()))
-	d.stats.DrainCombined += int64(len(partial))
+// fold leaves f's fold of mine and partial in dst and counts the bytes.
+func (d *device) fold(f reduceFold, dt *datatype.Type, dst, mine, partial []byte) {
+	if f.mineLast {
+		mine, partial = partial, mine
+	}
+	Fold(Op(f.op), dt, dst, mine, partial)
+	d.stats.DrainCombined += int64(len(dst))
 }
 
 // failRecv completes a matched receive with the typed error of a failed
@@ -549,7 +552,7 @@ func (d *device) drainChunk(p *sim.Proc, st *rdvRecv, env *envelope) error {
 	n := env.chunkLen
 	if f := st.req.fold; f.mine != nil {
 		dst, mine := st.req.folded(skip, n)
-		return d.foldView(p, mem, off, f.op, st.req.dt, dst, mine)
+		return d.foldView(p, mem, off, f, st.req.dt, dst, mine)
 	}
 	switch st.mode {
 	case rdvContig:

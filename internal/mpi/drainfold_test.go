@@ -15,8 +15,9 @@ var faultSeed = flag.Uint64("fault.seed", 42, "seed for the fault plan of TestDr
 
 // TestDrainCombinesOnceUnderFaults: reductions on 4×1 whose partials fold
 // in where they land — rendezvous chunks (a 2 MiB ring Allreduce and a
-// 256 KiB Reduce), short packets (a 128 B ring Allreduce and Reduce), eager
-// slots (4 KiB) and the one-sided ring's window (a 256 KiB Allreduce) —
+// 256 KiB Reduce; a 1 MiB recursive-doubling Allreduce), short packets (a
+// 128 B ring Allreduce and Reduce), eager slots (4 KiB) and the one-sided
+// ring's window (a 256 KiB Allreduce) —
 // under a fault plan of retryable kinds only: duplicated control packets,
 // PIO CRC errors, adapter retransmissions and failed transfer checks. Each
 // returns the fault-free bytes, with distinct buffers and in place, and
@@ -24,7 +25,9 @@ var faultSeed = flag.Uint64("fault.seed", 42, "seed for the fault plan of TestDr
 // carries the row's partials (a chunk announcement, a short or an eager
 // message; the one-sided ring's notifies and acks are short) is dropped
 // before any fold (at least one is, per row and seed), and the bytes folded
-// are (ranks-1) times the payload per call, as without faults. Every row
+// are (ranks-1) times the payload per call — for recursive doubling, the
+// payload once per receive of recDblPeer's schedule — as without faults.
+// Every row
 // whose partials cross the SCI data path draws at least one transfer
 // fault; a short partial rides inside its control packet, which only the
 // duplication touches, so the short row is exempt. -fault.seed picks the
@@ -99,6 +102,7 @@ func TestDrainCombinesOnceUnderFaults(t *testing.T) {
 		{"short", CollRing, 128, 128, envShort, true},
 		{"eager", CollRing, 4 << 10, 4 << 10, envEager, false},
 		{"one-sided", CollOneSided, 256 << 10, 0, envShort, false},
+		{"recursive doubling", CollRecDbl, 1 << 20, 0, envRdvData, false},
 	} {
 		clean, faulty := run(row.alg, row.arBytes, row.redBytes, row.dup, false), run(row.alg, row.arBytes, row.redBytes, row.dup, true)
 		for call, name := range []string{"Allreduce", "Allreduce in place", "Reduce", "Reduce in place"} {
@@ -108,7 +112,18 @@ func TestDrainCombinesOnceUnderFaults(t *testing.T) {
 				}
 			}
 		}
-		if want := int64(ranks-1) * int64(2*row.arBytes+2*row.redBytes); clean.combined != want || faulty.combined != want {
+		arFolds := ranks - 1 // payloads one Allreduce folds
+		if row.alg == CollRecDbl {
+			arFolds = 0
+			for r := 0; r < ranks; r++ {
+				for s := 0; s < recDblSteps(ranks)-1; s++ {
+					if _, _, recvs := recDblPeer(r, s, ranks); recvs {
+						arFolds++
+					}
+				}
+			}
+		}
+		if want := int64(arFolds*2*row.arBytes + (ranks-1)*2*row.redBytes); clean.combined != want || faulty.combined != want {
 			t.Errorf("seed %d, %s: %d bytes folded where they landed without faults and %d with, want %d each",
 				*faultSeed, row.name, clean.combined, faulty.combined, want)
 		}

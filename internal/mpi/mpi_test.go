@@ -508,6 +508,33 @@ func TestRendezvousChunkRefused(t *testing.T) {
 	}
 }
 
+// TestNegativeTimeoutsRefused: a world whose CollTimeout or
+// RendezvousTimeout is negative and not AutoTimeout is refused at
+// construction, naming the field; such a value used to wait forever, as 0
+// does. AutoTimeout builds.
+func TestNegativeTimeoutsRefused(t *testing.T) {
+	for _, field := range []string{"CollTimeout", "RendezvousTimeout"} {
+		for _, d := range []time.Duration{-5 * time.Nanosecond, AutoTimeout} {
+			cfg := DefaultConfig(2, 1)
+			if field == "CollTimeout" {
+				cfg.Protocol.CollTimeout = d
+			} else {
+				cfg.Protocol.RendezvousTimeout = d
+			}
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if refused := strings.Contains(msg, "Protocol."+field); refused != (d != AutoTimeout) {
+						t.Errorf("%s %v: world construction panicked with %q, want a refusal naming it for any negative value but AutoTimeout",
+							field, d, msg)
+					}
+				}()
+				NewWorldOn(NewFabric(cfg), cfg)
+			}()
+		}
+	}
+}
+
 func TestWtimeAdvances(t *testing.T) {
 	runPair(t, func(c *Comm) {
 		t0 := c.Wtime()

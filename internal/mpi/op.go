@@ -45,18 +45,14 @@ func (o Op) Validate(call string) error {
 	return nil
 }
 
-// CombineOp applies acc[i] = op(acc[i], in[i]) elementwise for count
-// elements of the basic datatype dt (exported for the one-sided
-// accumulate handler).
-func CombineOp(op Op, dt *datatype.Type, acc, in []byte, count int) {
-	combine(op, dt, acc, acc, in, count)
-}
-
-// combine applies dst[i] = op(mine[i], in[i]) elementwise for count
-// elements of the basic datatype dt. The operand order is fixed: MIN and MAX
-// keep mine on a tie, which decides between -0 and +0 and against NaN. dst
-// may be mine or in.
-func combine(op Op, dt *datatype.Type, dst, mine, in []byte, count int) {
+// Fold applies dst[i] = op(mine[i], in[i]) elementwise for the elements of
+// the basic datatype dt that in holds: the one combine of every reduction
+// receive and of the one-sided accumulate, each billed as one pass over
+// three streams (memmodel.Model.CopyCost(n, n, 3n) for n bytes). The operand
+// order is fixed: MIN and MAX keep mine on a tie, which decides between -0
+// and +0 and against NaN. dst may be mine or in.
+func Fold(op Op, dt *datatype.Type, dst, mine, in []byte) {
+	count := len(in) / int(dt.Size())
 	switch dt {
 	case datatype.Float64:
 		apply(op, dst, mine, in, count, 8,

@@ -386,7 +386,12 @@ func TestOverlappingReductionBuffersRefused(t *testing.T) {
 // point-to-point Allreduce reduces to rank 0). Ring, one-sided ring and
 // point-to-point allreduces and a Reduce, on 4×1 and 2×2, Float64 and
 // Float32, at vectors whose partials travel short, eager and by
-// rendezvous. Every call folds (ranks-1) vectors' bytes.
+// rendezvous. Every call folds (ranks-1) vectors' bytes. Recursive
+// doubling folds in rank order instead: each pair leaves op(lower, higher)
+// in both members, after the rem fold of the first pairs off a power of
+// two, so every rank holds the same bytes; it runs on 4×1, 3×1 and 2×2,
+// with distinct buffers and in place, and folds rem + pow2·log2(pow2)
+// vectors' bytes per call.
 func TestDrainFoldKeepsOperandOrder(t *testing.T) {
 	const ranks, root = 4, 1
 	specials := []uint64{
@@ -410,7 +415,7 @@ func TestDrainFoldKeepsOperandOrder(t *testing.T) {
 	// fold returns op(mine, partial), mine first.
 	fold := func(op mpi.Op, dt *datatype.Type, mine, partial []byte) []byte {
 		out := bytes.Clone(mine)
-		mpi.CombineOp(op, dt, out, partial, len(out)/int(dt.Size()))
+		mpi.Fold(op, dt, out, mine, partial)
 		return out
 	}
 	ring := func(x [ranks][]byte, op mpi.Op, dt *datatype.Type, count int) []byte {
@@ -497,6 +502,89 @@ func TestDrainFoldKeepsOperandOrder(t *testing.T) {
 					t.Errorf("%dx%d %s at %d elements: %d bytes folded where they landed, want %d",
 						shape.nodes, shape.ppn, alg, count, combined, want)
 				}
+			}
+		}
+	}
+	// recDbl returns the vector every rank holds after recursive doubling
+	// over the contributions x, and how many vectors it folds.
+	recDbl := func(x [][]byte, op mpi.Op, dt *datatype.Type) (out []byte, folds int) {
+		pow2 := 1
+		for pow2*2 <= len(x) {
+			pow2 *= 2
+		}
+		rem := len(x) - pow2
+		var v [][]byte // by the renumbering: the rem fold's odd members, then the rest
+		for r := 1; r < 2*rem; r += 2 {
+			v = append(v, fold(op, dt, x[r-1], x[r]))
+		}
+		v = append(v, x[2*rem:]...)
+		folds = rem
+		for d := 1; d < pow2; d *= 2 {
+			next := make([][]byte, pow2)
+			for i := range next {
+				next[i] = fold(op, dt, v[min(i, i^d)], v[max(i, i^d)])
+			}
+			v = next
+			folds += pow2
+		}
+		return v[0], folds
+	}
+	for _, count := range []int{16, 1 << 10, 40 << 10} {
+		for _, shape := range []struct{ nodes, ppn int }{{4, 1}, {3, 1}, {2, 2}} {
+			size := shape.nodes * shape.ppn
+			cfg := mpi.DefaultConfig(shape.nodes, shape.ppn)
+			cfg.Protocol.Coll = mpi.CollRecDbl
+			type key struct {
+				dt      *datatype.Type
+				op      mpi.Op
+				inPlace bool
+			}
+			got := make(map[key][][]byte)
+			var w *mpi.World
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				me := c.Rank()
+				if me == 0 {
+					w = c.World()
+				}
+				for _, dt := range []*datatype.Type{datatype.Float64, datatype.Float32} {
+					for _, op := range []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin} {
+						for _, inPlace := range []bool{false, true} {
+							send := input(me, count, dt)
+							recv := send
+							if !inPlace {
+								recv = make([]byte, len(send))
+							}
+							must(c.Allreduce(send, recv, count, dt, op))
+							k := key{dt, op, inPlace}
+							if got[k] == nil {
+								got[k] = make([][]byte, size)
+							}
+							got[k][me] = recv
+						}
+					}
+				}
+			})
+			var combined, want int64
+			for k, out := range got {
+				x := make([][]byte, size)
+				for r := range x {
+					x[r] = input(r, count, k.dt)
+				}
+				ref, folds := recDbl(x, k.op, k.dt)
+				for r := 0; r < size; r++ {
+					if !bytes.Equal(out[r], ref) {
+						t.Errorf("%dx%d recdbl, %d %s by %v (in place %v): Allreduce on rank %d: %d bytes differ from the host fold",
+							shape.nodes, shape.ppn, count, k.dt, k.op, k.inPlace, r, differing(out[r], ref))
+					}
+				}
+				want += int64(folds * len(ref))
+			}
+			for r := 0; r < size; r++ {
+				combined += w.Stats(r).DrainCombined
+			}
+			if combined != want {
+				t.Errorf("%dx%d recdbl at %d elements: %d bytes folded where they landed, want %d",
+					shape.nodes, shape.ppn, count, combined, want)
 			}
 		}
 	}

@@ -637,8 +637,9 @@ func (c *Comm) Recv(buf []byte, count int, dt *datatype.Type, src, tag int) (Sta
 // or sci.ErrConnectionLost when a specific source rank's node is down —
 // instead of blocking forever. A timeout of 0 waits indefinitely;
 // AutoTimeout selects the world-scaled rendezvous bound. A source outside
-// the communicator, or a buffer that cannot hold count elements, is an
-// *ArgumentError whose Call is "Recv", the operation both calls make.
+// the communicator, a buffer that cannot hold count elements, or a
+// negative timeout other than AutoTimeout is an *ArgumentError whose Call
+// is "Recv", the operation both calls make.
 //
 // The Status comes back by value: the receive's Request is the call's own,
 // taken from the world's free list and returned to it by finishRecv, so a
@@ -647,6 +648,9 @@ func (c *Comm) RecvTimeout(buf []byte, count int, dt *datatype.Type, src, tag in
 	peer, err := c.recvPeer("Recv", src)
 	if err == nil {
 		err = CheckBuffer("Recv", "receive buffer", buf, count, dt)
+	}
+	if err == nil && timeout < 0 && timeout != AutoTimeout {
+		err = argErrf("Recv", "timeout %v is negative and not AutoTimeout", timeout)
 	}
 	if err != nil {
 		return Status{}, err

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"time"
 
 	"scimpich/internal/sci"
@@ -72,6 +73,15 @@ func (w *World) ScaledRendezvousTimeout() time.Duration {
 // which may lag a full protocol step behind the slowest member.
 func (w *World) ScaledSyncTimeout() time.Duration {
 	return time.Duration(w.size+1) * w.watchdogUnit()
+}
+
+// CheckTimeout panics, naming the configuration field, on a timeout that
+// is negative and not AutoTimeout: such a value would silently wait
+// forever, as 0 does.
+func CheckTimeout(field string, d time.Duration) {
+	if d < 0 && d != AutoTimeout {
+		panic(fmt.Sprintf("mpi: %s %v is negative and not AutoTimeout", field, d))
+	}
 }
 
 // scaledOr resolves a configured timeout: AutoTimeout takes the scaled

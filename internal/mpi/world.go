@@ -54,14 +54,16 @@ type ProtocolConfig struct {
 	// CollTimeout bounds each internal wait inside a collective (Barrier
 	// and friends): an expired wait surfaces as sci.ErrConnectionLost when
 	// the awaited peer's node is down, or a fault.Timeout error otherwise.
-	// 0 waits forever.
+	// 0 waits forever; AutoTimeout scales the bound with the world; a world
+	// with another negative value is refused.
 	CollTimeout time.Duration
 
 	// RendezvousTimeout bounds each wait for rendezvous control traffic
 	// (CTS, chunk acks). 0 waits forever (the legacy behaviour); with a
 	// timeout, an expired wait surfaces as sci.ErrConnectionLost when the
 	// peer's node is down, or a fault.Timeout error otherwise, instead of
-	// hanging the simulation.
+	// hanging the simulation. AutoTimeout scales the bound with the world;
+	// a world with another negative value is refused.
 	RendezvousTimeout time.Duration
 }
 
@@ -354,6 +356,8 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	if c := cfg.Protocol.RendezvousChunk; c < 8 || c%8 != 0 {
 		panic(fmt.Sprintf("mpi: Protocol.RendezvousChunk %d is not a positive multiple of 8", c))
 	}
+	CheckTimeout("Protocol.CollTimeout", cfg.Protocol.CollTimeout)
+	CheckTimeout("Protocol.RendezvousTimeout", cfg.Protocol.RendezvousTimeout)
 	n := cfg.Nodes * cfg.ProcsPerNode
 	w := &World{cfg: cfg, fabric: f, host: f.Locale(0), size: n}
 	e := w.host

@@ -165,7 +165,8 @@ func (s *System) handleAcc(p *sim.Proc, src int, w *Win, r *oscReq) {
 		stage, base := s.c.OSCStageLocal(src)
 		data = stage.Bytes()[base : base+r.n]
 	}
-	// Read-modify-write: two passes over the data.
-	p.Sleep(2 * s.memModel().CopyCost(r.n, r.n, r.n*2))
-	mpi.CombineOp(r.op, r.dt, win[r.off:r.off+r.n], data, r.count)
+	// op(window, origin): one pass over three streams, as every fold.
+	p.Sleep(s.memModel().CopyCost(r.n, r.n, 3*r.n))
+	acc := win[r.off : r.off+r.n]
+	mpi.Fold(r.op, r.dt, acc, acc, data)
 }

@@ -480,6 +480,32 @@ func TestAccumulateRefusesDerivedTypes(t *testing.T) {
 	}
 }
 
+// TestNegativeSyncTimeoutRefused: creating a window whose SyncTimeout is
+// negative and not mpi.AutoTimeout panics, naming the field, on a shared
+// and on a private window; such a value used to disable the watchdog, as 0
+// does.
+func TestNegativeSyncTimeoutRefused(t *testing.T) {
+	for _, shared := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.SyncTimeout = -5 * time.Nanosecond
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "SyncTimeout") {
+					t.Errorf("shared %v: window creation panicked with %q, want a refusal naming SyncTimeout", shared, msg)
+				}
+			}()
+			runCluster(2, 1, func(c *mpi.Comm) {
+				s := NewSystem(c)
+				if shared {
+					s.CreateShared(c.AllocShared(64), cfg)
+				} else {
+					s.CreatePrivate(make([]byte, 64), cfg)
+				}
+			})
+		}()
+	}
+}
+
 func TestSharedGetFasterThanPrivate(t *testing.T) {
 	// Paper figure 9: direct access to shared windows beats the emulated
 	// path for small accesses (for larger ones both go through message

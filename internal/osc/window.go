@@ -97,7 +97,8 @@ type Config struct {
 	// data operations' handler round-trips: waiting longer than this for a
 	// peer yields an ErrSyncTimeout instead of deadlocking. 0 disables the
 	// watchdog; mpi.AutoTimeout resolves to the world's scaled bound
-	// (ScaledSyncTimeout) at window creation.
+	// (ScaledSyncTimeout) at window creation, which panics on any other
+	// negative value.
 	SyncTimeout time.Duration
 }
 
@@ -245,6 +246,7 @@ func (s *System) CreatePrivate(buf []byte, cfg Config) *Win {
 // same order with its own memory; a failed barrier panics.
 func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	c := s.c
+	mpi.CheckTimeout("osc.Config.SyncTimeout", cfg.SyncTimeout)
 	if cfg.SyncTimeout == mpi.AutoTimeout {
 		cfg.SyncTimeout = c.World().ScaledSyncTimeout()
 	}
