@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"scimpich/internal/datatype"
@@ -49,7 +50,8 @@ type CollResult struct {
 
 // collCase describes one collective's sweep: the payload interpretation is
 // per-operation total bytes (bcast/allreduce: the vector length;
-// allgather/alltoall: per-peer block times peers).
+// allgather/alltoall: per-peer block times peers). allreduce_inplace is
+// allreduce with one buffer for send and recv.
 type collCase struct {
 	name  string
 	algs  []mpi.CollAlg
@@ -67,6 +69,8 @@ func CollCases() []collCase {
 			[]int64{4 << 10, 32 << 10, 128 << 10}},
 		{"alltoall", []mpi.CollAlg{mpi.CollP2P, mpi.CollOneSided},
 			[]int64{4 << 10, 32 << 10, 128 << 10}},
+		{"allreduce_inplace", []mpi.CollAlg{mpi.CollP2P, mpi.CollRecDbl, mpi.CollRing, mpi.CollOneSided},
+			[]int64{256 << 10, 2 << 20}},
 	}
 }
 
@@ -107,7 +111,7 @@ func runCollBench(nodes []int, maxBytes int64) []CollResult {
 				}
 				reg := obs.NewRegistry()
 				r.Adaptive = collBW(cs.name, n, size, mpi.CollAuto, reg)
-				r.Chosen = dominantCollAlg(reg, cs.name)
+				r.Chosen = dominantCollAlg(reg, strings.TrimSuffix(cs.name, "_inplace"))
 				out = append(out, r)
 			}
 		}
@@ -124,7 +128,7 @@ func collForcedEligible(coll string, alg mpi.CollAlg, nodes int, size int64) boo
 	switch {
 	case alg != mpi.CollOneSided:
 		return true
-	case coll == "allreduce":
+	case coll == "allreduce" || coll == "allreduce_inplace":
 		return size/int64(nodes) <= proto.CollSlot/2
 	case coll == "allgather" || coll == "alltoall":
 		return size/int64(nodes) <= proto.CollSlot
@@ -155,6 +159,8 @@ func collBW(coll string, nodes int, size int64, alg mpi.CollAlg, reg *obs.Regist
 				err = errors.Join(err, c.Bcast(buf, int(size), datatype.Byte, 0))
 			case "allreduce":
 				err = errors.Join(err, c.Allreduce(buf, buf2, int(size)/8, datatype.Float64, mpi.OpSum))
+			case "allreduce_inplace":
+				err = errors.Join(err, c.Allreduce(buf, buf, int(size)/8, datatype.Float64, mpi.OpSum))
 			case "allgather":
 				err = errors.Join(err, c.Allgather(buf[:blk], int(blk), datatype.Byte, buf2))
 			case "alltoall":
