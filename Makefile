@@ -137,11 +137,12 @@ shard-stress:
 # message (none), a 256 KiB rendezvous message on every data engine, the
 # staged path included (none), an 8-rank allreduce on every algorithm (at
 # most 4 per rank; the 2 MiB ring, and recursive doubling at 4 KiB and 2 MiB,
-# also in place, recursive doubling's in-place calls borrowing no more pooled
-# buffers than its distinct ones), no pooled scratch block for
-# a 2 MiB or 4 KiB ring allreduce, a 4 KiB one-sided ring allreduce or a
-# 4 KiB point-to-point reduce with distinct dense buffers or in place
-# (TestAllocsRingAllreduceBorrowsNoScratch), the collective chooser's picks
+# also in place, recursive doubling borrowing no vector: 3.25 and 96.25 pool
+# gets per rank and call, in place as with distinct buffers), no pooled
+# scratch block for a 2 MiB or 4 KiB ring allreduce, a 4 KiB one-sided ring
+# allreduce, a 4 KiB point-to-point reduce or a 4 KiB or 2 MiB
+# recursive-doubling allreduce with distinct dense buffers or in place
+# (TestAllocsReductionBorrowsNoScratch), the collective chooser's picks
 # for Allreduce and Alltoall on an 8x2 communicator (none:
 # TestAllocsCollChoiceAllocFree), a put + fence epoch (none), an emulated one-sided put,
 # remote-put get and accumulate (none: TestAllocsRPCBudget), and an rmem Put,

@@ -3,6 +3,8 @@ package scimpich_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,6 +152,53 @@ func TestNegativeRecvTimeoutRefused(t *testing.T) {
 	}
 	if fe := (*fault.Error)(nil); !errors.As(auto, &fe) {
 		t.Errorf("RecvTimeout(AutoTimeout) with no sender = %v (%T), want a *fault.Error", auto, auto)
+	}
+}
+
+// TestNilDatatypeRefused: every facade call that takes a datatype returns
+// an *mpi.ArgumentError naming the call for a nil one, whatever the count,
+// before anything is sent, posted or deposited. It used to panic the rank
+// with a nil dereference.
+func TestNilDatatypeRefused(t *testing.T) {
+	var nilType *scimpich.Type
+	errs := map[string]error{}
+	scimpich.Run(scimpich.DefaultConfig(2, 1), func(c *scimpich.Comm) {
+		buf := make([]byte, 64)
+		win := scimpich.NewOSC(c).CreateShared(c.AllocShared(64), scimpich.DefaultOSCConfig())
+		must(win.Fence())
+		for _, count := range []int{0, 8} {
+			calls := map[string]error{
+				"Send":       c.Send(buf, count, nilType, 1-c.Rank(), 0),
+				"Bcast":      c.Bcast(buf, count, nilType, 0),
+				"Reduce":     c.Reduce(buf, buf, count, nilType, scimpich.OpSum, 0),
+				"Allreduce":  c.Allreduce(buf, buf, count, nilType, scimpich.OpSum),
+				"Gather":     c.Gather(buf, count, nilType, buf, 0),
+				"Allgather":  c.Allgather(buf, count, nilType, buf),
+				"Alltoall":   c.Alltoall(buf, count, nilType, buf),
+				"Put":        win.Put(buf, count, nilType, 1-c.Rank(), 0),
+				"Get":        win.Get(buf, count, nilType, 1-c.Rank(), 0),
+				"Accumulate": win.Accumulate(buf, count, nilType, scimpich.OpSum, 1-c.Rank(), 0),
+			}
+			_, calls["Recv"] = c.Recv(buf, count, nilType, 1-c.Rank(), 0)
+			_, calls["Sendrecv"] = c.Sendrecv(buf, count, nilType, 1-c.Rank(), 0, buf, count, nilType, 1-c.Rank(), 0)
+			_, calls["Isend"] = c.Isend(buf, count, nilType, 1-c.Rank(), 0).Wait()
+			_, calls["Irecv"] = c.Irecv(buf, count, nilType, 1-c.Rank(), 0).Wait()
+			if c.Rank() == 0 {
+				for call, err := range calls {
+					errs[fmt.Sprintf("%s/count=%d", call, count)] = err
+				}
+			}
+		}
+		must(win.Fence())
+	})
+	if len(errs) != 28 {
+		t.Fatalf("%d calls recorded, want 28", len(errs))
+	}
+	for name, err := range errs {
+		call, _, _ := strings.Cut(name, "/")
+		if arg := (*mpi.ArgumentError)(nil); !errors.As(err, &arg) || arg.Call != call {
+			t.Errorf("%s with a nil datatype = %v (%T), want an *mpi.ArgumentError from %s", name, err, err, call)
+		}
 	}
 }
 

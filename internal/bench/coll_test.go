@@ -148,6 +148,42 @@ func TestCollRingAllreduceWinsLarge(t *testing.T) {
 	}
 }
 
+// TestCollInPlaceCostsNoMore: an in-place Allreduce costs no more than the
+// same call with distinct buffers (Hunold, Carpen-Amarie & Träff's
+// self-consistency guideline): on every allreduce_inplace row, each forced
+// family and the chooser reach at least 99 % of the distinct row's
+// bandwidth.
+func TestCollInPlaceCostsNoMore(t *testing.T) {
+	distinct := map[[2]int64]CollResult{}
+	for _, r := range collRows() {
+		if r.Coll == "allreduce" {
+			distinct[[2]int64{int64(r.Nodes), r.Bytes}] = r
+		}
+	}
+	hit := 0
+	for _, r := range collRows() {
+		if r.Coll != "allreduce_inplace" {
+			continue
+		}
+		d, ok := distinct[[2]int64{int64(r.Nodes), r.Bytes}]
+		if !ok {
+			t.Fatalf("in-place allreduce n=%d bytes=%d has no distinct row", r.Nodes, r.Bytes)
+		}
+		hit++
+		cols, dcols := forcedColumns(r), forcedColumns(d)
+		cols["adaptive"], dcols["adaptive"] = r.Adaptive, d.Adaptive
+		for alg, bw := range dcols {
+			if cols[alg] < 0.99*bw {
+				t.Errorf("allreduce n=%d bytes=%d %s: %.1f MiB/s in place, %.1f with distinct buffers",
+					r.Nodes, r.Bytes, alg, cols[alg], bw)
+			}
+		}
+	}
+	if hit == 0 {
+		t.Fatal("sweep has no in-place allreduce rows")
+	}
+}
+
 // A family that does not implement a collective is 0 in the result and
 // omitted from the JSON; the text table must not print it as a measured 0.0.
 func TestFormatCollMarksUnimplementedFamilies(t *testing.T) {

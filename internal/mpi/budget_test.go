@@ -137,15 +137,14 @@ func TestAllocsRendezvousBudget(t *testing.T) {
 // and call (none expected) on every forced algorithm at 4 KiB, and the ring
 // and recursive doubling at 2 MiB, with distinct buffers and in place
 // (recursive doubling at 4 KiB too), at the same count with no term in the
-// vector length: the accumulator is the caller's recv, the ring's partials
-// combine into it as they drain (TestAllocsRingAllreduceBorrowsNoScratch)
-// and every other scratch vector is pooled — recursive doubling's partials
-// fold into recv and one pooled scratch vector per rank and call, in turn —
-// the internal receives recycle their Requests and the collective view of
-// the communicator is made once. An in-place call takes as many pooled
-// buffers as one with distinct buffers: recursive doubling's copy at the
-// end of an odd fold count borrows none. (The payload is >= 256 B;
-// collective tags are all >= 1<<20.)
+// vector length: the accumulator is the caller's recv, every partial folds
+// into it where it lands (TestAllocsReductionBorrowsNoScratch), every other
+// scratch is pooled, the internal receives recycle their Requests and the
+// collective view of the communicator is made once. Recursive doubling
+// borrows no vector: its pool gets per rank and call are pinned at 3.25 at
+// 4 KiB and 96.25 at 2 MiB (a scratch vector was one more), the same in
+// place as with distinct buffers. (The payload is >= 256 B; collective tags
+// are all >= 1<<20.)
 func TestAllocsAllreduceBudget(t *testing.T) {
 	const ranks = 8
 	type call struct {
@@ -153,6 +152,7 @@ func TestAllocsAllreduceBudget(t *testing.T) {
 		bytes int
 	}
 	distinctGets := make(map[call]int64)
+	recDblGets := map[int]float64{4 << 10: 3.25, 2 << 20: 96.25} // per rank and call
 	for _, tc := range []struct {
 		alg     CollAlg
 		bytes   int
@@ -179,6 +179,10 @@ func TestAllocsAllreduceBudget(t *testing.T) {
 		gets = bufpool.Snapshot().Gets - gets
 		t.Logf("%v allreduce of %d B on %d ranks (in place %v): %.2f objects, %.1f B, %.2f pool gets per rank and call",
 			tc.alg, tc.bytes, ranks, tc.inPlace, objs/ranks, bytes/ranks, float64(gets)/(24*ranks))
+		if want := recDblGets[tc.bytes]; tc.alg == CollRecDbl && float64(gets)/(24*ranks) != want {
+			t.Errorf("recdbl at %d B (in place %v): %.2f pool gets per rank and call, want %.2f",
+				tc.bytes, tc.inPlace, float64(gets)/(24*ranks), want)
+		}
 		if k := (call{tc.alg, tc.bytes}); !tc.inPlace {
 			distinctGets[k] = gets
 		} else if gets != distinctGets[k] {
@@ -194,15 +198,17 @@ func TestAllocsAllreduceBudget(t *testing.T) {
 	}
 }
 
-// TestAllocsRingAllreduceBorrowsNoScratch: a fresh 8-rank world's first
+// TestAllocsReductionBorrowsNoScratch: a fresh 8-rank world's first
 // reduction takes no pooled scratch block, with distinct dense buffers or in
 // place: each partial folds with the rank's own bytes where it lands,
 // straight into recv — a 2 MiB ring Allreduce's rendezvous chunks, a 4 KiB
 // ring Allreduce's eager blocks, a 4 KiB one-sided ring Allreduce's window
-// blocks and a 4 KiB point-to-point Reduce's eager partials. The two calls
-// of a case differ in nothing else, so their bufpool.Get counts are equal,
-// and every sum is right.
-func TestAllocsRingAllreduceBorrowsNoScratch(t *testing.T) {
+// blocks, a 4 KiB point-to-point Reduce's eager partials, and a 4 KiB and a
+// 2 MiB recursive-doubling Allreduce's eager and rendezvous partials, over
+// the vector the rank is sending in place. The two calls of a case differ
+// in nothing else, so their bufpool.Get counts are equal, and every sum is
+// right.
+func TestAllocsReductionBorrowsNoScratch(t *testing.T) {
 	const ranks, root = 8, 3
 	for _, tc := range []struct {
 		alg    CollAlg
@@ -210,6 +216,7 @@ func TestAllocsRingAllreduceBorrowsNoScratch(t *testing.T) {
 		reduce bool
 	}{
 		{CollRing, 2 << 20, false}, {CollRing, 4 << 10, false}, {CollOneSided, 4 << 10, false}, {CollP2P, 4 << 10, true},
+		{CollRecDbl, 4 << 10, false}, {CollRecDbl, 2 << 20, false},
 	} {
 		call := "Allreduce"
 		if tc.reduce {

@@ -299,7 +299,14 @@ func (c *Comm) walk(s collSched, steps, size int, n int64, oneSided bool, combin
 				if handshake {
 					start = max(start, ev.t[r])
 				}
-				t = max(t, start+ev.full[r])
+				if fold && from == to && !handshake && n > shortMax {
+					// An exchange folds over the vector it sends: an eager
+					// partial's copy-out waits for the send (exchHold).
+					cp := c.pairCopy(from, r, n, fold, ev)
+					t = max(t, start+ev.full[r]-cp) + cp
+				} else {
+					t = max(t, start+ev.full[r])
+				}
 			}
 			ev.next[r] = t
 		}

@@ -1,7 +1,8 @@
 package mpi
 
 import (
-	"scimpich/internal/bufpool"
+	"unsafe"
+
 	"scimpich/internal/datatype"
 )
 
@@ -64,62 +65,61 @@ func recDblPeer(me, s, size int) (peer int, sends, recvs bool) {
 // allreduceRecDbl reduces across all ranks into acc with recursive
 // doubling, on recDblPeer's schedule. src holds this rank's contribution:
 // acc itself, or a dense send buffer the caller keeps apart from acc. Every
-// partial folds in where it lands (irecvFold) in rank order, op(lower,
-// higher), so both members of a pair hold the same bytes after it. c must
-// be the collective view.
+// partial folds into acc where it lands (foldExchange) in rank order,
+// op(lower, higher), so both members of a pair hold the same bytes after
+// it. c must be the collective view.
 func (c *Comm) allreduceRecDbl(src, acc []byte, elems int, base *datatype.Type, rop Op) error {
 	size := c.Size()
 	me := c.Rank()
 	last := recDblSteps(size) - 1
-	peer, sends, remFold := recDblPeer(me, 0, size)
-	if sends {
+	if peer, sends, _ := recDblPeer(me, 0, size); sends {
 		// Fold onto the odd partner, then idle until the result returns.
 		if err := c.send(src, elems, base, peer, tagARecDbl, c.ctx); err != nil {
 			return err
 		}
 		return c.recvColl(acc, elems, base, peer, tagARecDbl+last)
 	}
-	scratch := bufpool.Get(len(acc)) // back unless a receive failed on it
-	// The folds alternate between acc and scratch, the one the rank is not
-	// sending, and an even count starts in scratch so that the last lands
-	// in acc. In place, a first fold that is an exchange cannot land in
-	// acc, which it sends (the rem fold sends nothing): an odd count then
-	// ends in scratch and is copied over.
-	folds := last - 1 // one per round, and the rem fold's
-	if remFold {
-		folds++
-	}
-	land, spare := acc, scratch.B
-	if folds%2 == 0 || !remFold && len(acc) > 0 && &src[0] == &acc[0] {
-		land, spare = spare, land
-	}
-	cur := src
+	cur := src // the vector the rank holds: its contribution, then acc
 	for s := 0; s < last; s++ {
 		partner, sends, recvs := recDblPeer(me, s, size)
 		if !recvs {
 			continue // step 0 outside the rem fold
 		}
-		r := c.irecvFold(land, cur, elems, base, rop, partner < me, partner, tagARecDbl+s)
-		if sends {
-			if err := c.send(cur, elems, base, partner, tagARecDbl+s, c.ctx); err != nil {
-				return err
-			}
-		}
-		if err := c.waitColl(r); err != nil {
+		if err := c.foldExchange(cur, acc, sends, elems, base, rop, partner, tagARecDbl+s); err != nil {
 			return err
 		}
-		cur, land, spare = land, spare, land
+		cur = acc
 	}
-	if len(acc) > 0 && &cur[0] != &acc[0] {
-		copy(acc, cur)
-		n := int64(len(acc))
-		c.p.Sleep(c.mem().CopyCost(n, n, 2*n))
-	}
-	scratch.Put()
 	if peer, sends, _ := recDblPeer(me, last, size); sends {
 		return c.send(acc, elems, base, peer, tagARecDbl+last, c.ctx)
 	}
 	return nil
+}
+
+// foldExchange folds partner's partial into acc with out, the vector the
+// rank holds, as op(lower rank's, higher rank's), and sends out to partner
+// when sends. out may be acc, so while the send runs the device holds each
+// chunk of the partial until the send has read the bytes it folds over
+// (exchHold). The rem fold sends nothing and is not held.
+func (c *Comm) foldExchange(out, acc []byte, sends bool, elems int, base *datatype.Type, rop Op, partner, tag int) error {
+	var h *exchHold
+	if sends {
+		if w := c.rk.w; w.holds == nil {
+			w.holds = make([]exchHold, w.size)
+		}
+		h = c.rk.hold()
+		h.buf, h.read = unsafe.SliceData(out), 0
+	}
+	r := c.irecvFold(acc, out, elems, base, rop, partner < c.Rank(), partner, tag)
+	if sends {
+		err := c.send(out, elems, base, partner, tag, c.ctx)
+		h.buf = nil
+		c.rk.dev.release(c.p) // what a failed send leaves parked
+		if err != nil {
+			return err
+		}
+	}
+	return c.waitColl(r)
 }
 
 // ringLink exchanges one block per ring step: out goes to the right

@@ -53,6 +53,9 @@ func checkReduce(call string, dt *datatype.Type, op Op) (*datatype.Type, error) 
 	if err := op.Validate(call); err != nil {
 		return nil, err
 	}
+	if dt == nil {
+		return nil, argErrf(call, "no datatype (nil)")
+	}
 	base := dt.Base()
 	if base == nil {
 		return nil, argErrf(call, "datatype %s mixes basic types; reductions need a single base type", dt)
@@ -168,8 +171,9 @@ func (r *Request) folded(skip, n int64) (dst, mine []byte) {
 // that lands before its receive is posted waits in its slot or packet as
 // any other. A rendezvous chunk splits no element (newWorld refuses a
 // RendezvousChunk that is not a multiple of 8). dst may be mine; neither
-// may overlap a buffer in flight. mine nil posts a plain receive, and op
-// is unused (irecvColl).
+// may overlap a buffer in flight but the one an exchange sends, whose
+// partials the device holds (exchHold). mine nil posts a plain receive,
+// and op is unused (irecvColl).
 func (c *Comm) irecvFold(dst, mine []byte, count int, base *datatype.Type, op Op, mineLast bool, src, tag int) *Request {
 	req := sim.TakeFree(&c.rk.w.reqFree)
 	if mine != nil {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
@@ -224,21 +225,26 @@ func deviceMain(p *sim.Proc) { p.TakeArg().(*device).run(p) }
 func (d *device) run(p *sim.Proc) {
 	for {
 		req, env := d.req, d.env
+		kept := false
 		switch env.kind {
 		case envShort:
 			d.unpackShort(p, req, env)
 		case envEager:
 			d.deliverEager(p, req, env)
+			d.span.End(p.Now())
 		case envRdvReq:
 			d.startRendezvous(p, req, env)
 		case envRdvData:
-			d.handleRdvData(p, env)
+			kept = d.handleRdvData(p, env)
 		case envOSC:
 			d.stats.OSCRequests++
 			d.serveOSC(p, env)
 		}
-		// Every kind that reaches the daemon ends at this device.
-		d.rk.w.freeEnvelope(env)
+		// Every kind that reaches the daemon ends at this device, a parked
+		// chunk once it is released.
+		if !kept {
+			d.rk.w.freeEnvelope(env)
+		}
 		d.next()
 		p.Park()
 	}
@@ -250,8 +256,7 @@ func (d *device) handlePost(req *Request) (finished bool) {
 	for i, env := range d.unexpected {
 		if req.matches(env.src, env.tag, env.ctx) {
 			d.unexpected = append(d.unexpected[:i], d.unexpected[i+1:]...)
-			d.deliver(req, env)
-			return false
+			return d.deliver(req, env)
 		}
 	}
 	d.posted = append(d.posted, req)
@@ -274,8 +279,7 @@ func (d *device) handleIncoming(env *envelope) (finished bool) {
 	for i, req := range d.posted {
 		if req.matches(env.src, env.tag, env.ctx) {
 			d.posted = append(d.posted[:i], d.posted[i+1:]...)
-			d.deliver(req, env)
-			return false
+			return d.deliver(req, env)
 		}
 	}
 	d.stats.Unexpected++
@@ -309,11 +313,16 @@ func (d *device) handleProbe(pr *probeReq) {
 // deliver starts the receive side of a matched message. A short message
 // into a contiguous buffer is one copy (or fold) after one fixed delay and
 // finishes in a second callback; everything else blocks and goes to the
-// daemon.
-func (d *device) deliver(req *Request, env *envelope) {
+// daemon. A short or eager partial that would fold over bytes the rank's
+// own send has yet to read is parked instead (finished: exchHold).
+func (d *device) deliver(req *Request, env *envelope) (finished bool) {
 	now := d.now()
 	d.rk.fl.Record(now, flight.KRecvMatch, int64(env.src), int64(env.tag), env.bytes, int64(env.kind))
 	d.checkSignature(req, env)
+	if h := d.rk.hold(); env.kind != envRdvReq && h.holds(req, 0) {
+		h.parked = append(h.parked, parkedMsg{req, env})
+		return true
+	}
 	d.req, d.env = req, env
 	if env.kind != envRdvReq {
 		d.span = d.rk.w.cfg.Tracer.StartSpan(now, d.actor, "recv", env.kind.String()) // "short" or "eager"
@@ -321,24 +330,37 @@ func (d *device) deliver(req *Request, env *envelope) {
 	}
 	if env.kind == envShort && req.dt.Contiguous() {
 		d.acceptShort(req, env)
-		ws := foldWS(env.bytes, req.fold.mine != nil)
-		d.rk.w.host.AfterCall(d.mem().CopyCost(env.bytes, env.bytes, ws), deviceShortCopied, d)
-		return
+		d.rk.w.host.AfterCall(d.shortCopyCost(req, env), deviceShortCopied, d)
+		return false
 	}
 	d.resume()
+	return false
+}
+
+// shortCopyCost is the time a short message takes to copy (or fold) into
+// a contiguous receive.
+func (d *device) shortCopyCost(req *Request, env *envelope) time.Duration {
+	return d.mem().CopyCost(env.bytes, env.bytes, foldWS(env.bytes, req.fold.mine != nil))
 }
 
 func deviceShortCopied(arg any) {
 	d := arg.(*device)
-	if req := d.req; req.fold.mine != nil {
-		dst, mine := req.folded(0, d.env.bytes)
-		d.fold(req.fold, req.dt, dst, mine, d.env.payload)
-	} else {
-		copy(d.req.buf, d.env.payload)
-	}
-	d.finishShort(d.req, d.env)
+	d.copyShort(d.req, d.env)
+	d.span.End(d.now())
 	d.rk.w.freeEnvelope(d.env)
 	d.next()
+}
+
+// copyShort leaves a short message's payload in a contiguous receive,
+// folded if the receive folds, and completes it.
+func (d *device) copyShort(req *Request, env *envelope) {
+	if req.fold.mine != nil {
+		dst, mine := req.folded(0, env.bytes)
+		d.fold(req.fold, req.dt, dst, mine, env.payload)
+	} else {
+		copy(req.buf, env.payload)
+	}
+	d.finishShort(req, env)
 }
 
 // capacity returns the receive capacity in bytes and checks truncation.
@@ -378,7 +400,6 @@ func (d *device) finishShort(req *Request, env *envelope) {
 	// Last read of the inline payload: return the pooled buffer.
 	env.payloadBuf.Put()
 	req.complete(env.src, env.tag, env.bytes)
-	d.span.End(d.now())
 }
 
 // unpackShort scatters an inline payload into a non-contiguous receive.
@@ -387,6 +408,7 @@ func (d *device) unpackShort(p *sim.Proc, req *Request, env *envelope) {
 	_, st := pack.GenericUnpack(req.buf, env.payload, req.dt, req.count, 0, env.bytes)
 	d.rk.w.chargeBlocks(p, d.rk.node, st, false)
 	d.finishShort(req, env)
+	d.span.End(p.Now())
 }
 
 // deliverEager copies data out of the eager slot, or folds it in where it
@@ -419,7 +441,6 @@ func (d *device) deliverEager(p *sim.Proc, req *Request, env *envelope) {
 	} else {
 		req.complete(env.src, env.tag, env.bytes)
 	}
-	d.span.End(p.Now())
 }
 
 // foldView leaves f's fold of mine and the partial of len(dst) bytes at off
@@ -502,17 +523,30 @@ func leafCopies(f *datatype.Flat) int64 {
 	return n
 }
 
-// handleRdvData drains one rendezvous chunk into the user buffer.
-func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
+// handleRdvData takes one announced rendezvous chunk: drained into the
+// user buffer, or parked (kept: the hold owns the envelope) while it would
+// fold over bytes the rank's own send has yet to read.
+func (d *device) handleRdvData(p *sim.Proc, env *envelope) (kept bool) {
 	st, ok := d.rdv[env.reqID]
 	if !ok || env.chunk < st.nextChunk {
 		// A duplicated chunk announcement: either the transfer already
-		// completed (request gone) or the chunk was already drained. Drop
-		// it without a second ack — the sender counted the first one.
+		// completed (request gone) or the chunk was already taken. Drop it
+		// without a second ack — the sender counted the first one.
 		d.stats.Duplicates++
 		d.rk.fl.Record(p.Now(), flight.KPacketDrop, int64(env.kind), int64(env.src), flight.DropDuplicate, int64(env.chunk))
-		return
+		return false
 	}
+	st.nextChunk++
+	if h := d.rk.hold(); h.holds(st.req, env.chunk) {
+		h.parked = append(h.parked, parkedMsg{st.req, env})
+		return true
+	}
+	d.drainRdv(p, st, env)
+	return false
+}
+
+// drainRdv drains chunk env of st into the user buffer on p and acks it.
+func (d *device) drainRdv(p *sim.Proc, st *rdvRecv, env *envelope) {
 	n := env.chunkLen
 	csp := d.rk.w.cfg.Tracer.StartSpan(p.Now(), d.actor, "recv", "rdv-chunk")
 	csp.SetBytes(n)
@@ -523,7 +557,6 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 	}
 	csp.End(p.Now())
 	st.received += n
-	st.nextChunk++
 	d.stats.BytesRecvd += n
 	d.rk.fl.Record(p.Now(), flight.KRdvChunk, int64(env.src), env.reqID, n, st.received)
 	d.rk.w.ring(p, d.rk.id, env.src, envelope{
@@ -538,6 +571,69 @@ func (d *device) handleRdvData(p *sim.Proc, env *envelope) {
 			*st = rdvRecv{} // a recycled record starts empty
 			d.rk.w.rdvRecvFree = append(d.rk.w.rdvRecvFree, st)
 		}
+	}
+}
+
+// exchHold keeps the partner's partial of a folding exchange off the bytes
+// the rank is sending until its send has read them. Both members send the
+// same bytes in the same chunks — a short or eager message is one chunk —
+// so the partner's chunk k covers the bytes of the rank's own chunk k and
+// may fold once that chunk has left: copied out, or deposited (a retried
+// deposit reads it again). Until then the device parks it instead of
+// blocking on it, because it routes the acks the rank's send waits on; the
+// send folds it right after its own chunk left (sendRead). DESIGN.md argues
+// why this cannot deadlock.
+type exchHold struct {
+	buf    *byte       // the first byte the rank is sending; nil: no hold
+	read   int         // chunks of it the send has read
+	parked []parkedMsg // in chunk order; one per rendezvous slot half at most
+}
+
+// parkedMsg is a matched partial the hold keeps: a short or eager message,
+// or a rendezvous chunk of req's transfer.
+type parkedMsg struct {
+	req *Request
+	env *envelope
+}
+
+// holds reports whether chunk k of a partial received into req's buffer
+// folds over bytes the rank's own send has yet to read.
+func (h *exchHold) holds(req *Request, k int) bool {
+	return h != nil && h.buf != nil && unsafe.SliceData(req.buf) == h.buf && k >= h.read
+}
+
+// sendRead tells the hold that the rank's send of buf has read its chunk k
+// (0 for a short or eager message), and folds on p the partials that
+// frees.
+func (d *device) sendRead(p *sim.Proc, buf []byte, k int) {
+	if h := d.rk.hold(); h != nil && h.buf != nil && h.buf == unsafe.SliceData(buf) {
+		h.read = k + 1
+		d.release(p)
+	}
+}
+
+// release folds on p, in order, the parked partials the hold no longer
+// holds: those the send has read past, or all of them once the hold is off
+// (buf nil). A rendezvous chunk whose transfer was torn down meanwhile goes
+// unread.
+func (d *device) release(p *sim.Proc) {
+	h := d.rk.hold()
+	for len(h.parked) > 0 && (h.buf == nil || h.parked[0].env.chunk < h.read) {
+		m := h.parked[0]
+		h.parked = append(h.parked[:0], h.parked[1:]...)
+		switch m.env.kind {
+		case envShort:
+			d.acceptShort(m.req, m.env)
+			p.Sleep(d.shortCopyCost(m.req, m.env))
+			d.copyShort(m.req, m.env)
+		case envEager:
+			d.deliverEager(p, m.req, m.env)
+		default:
+			if st, ok := d.rdv[m.env.reqID]; ok {
+				d.drainRdv(p, st, m.env)
+			}
+		}
+		d.rk.w.freeEnvelope(m.env)
 	}
 }
 

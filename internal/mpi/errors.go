@@ -45,7 +45,7 @@ func (e *ArgumentError) Error() string {
 }
 
 // CheckBuffer refuses, as an *ArgumentError naming call, a buffer that
-// cannot hold count elements of dt: a negative count, a datatype with a
+// cannot hold count elements of dt: a nil dt, a negative count, a datatype with a
 // negative lower bound (its first bytes would lie before buf) or a buf
 // shorter than the last byte of the count elements' type map. role names
 // the buffer in the reason. Every call that takes a user buffer checks it
@@ -53,6 +53,8 @@ func (e *ArgumentError) Error() string {
 // its data operations with it.
 func CheckBuffer(call, role string, buf []byte, count int, dt *datatype.Type) error {
 	switch {
+	case dt == nil:
+		return argErrf(call, "%s has no datatype (nil)", role)
 	case count < 0:
 		return argErrf(call, "negative count %d", count)
 	case count == 0:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"scimpich/internal/datatype"
 )
@@ -13,7 +14,7 @@ import (
 // hold Allreduce and Reduce against a host reference on every forced
 // algorithm with send aliasing recv, with distinct buffers (send must come
 // back bit for bit: it is no longer copied first, so nothing may write it),
-// with a derived type, and with count 0.
+// with a derived type, and with count 0, on 2 to 8 ranks.
 
 // contribution is element i of rank r's send vector.
 func contribution(r, i int) int32 { return int32(r*7919 + i*13 - 5000) }
@@ -37,9 +38,11 @@ func reduceCases() []reduceCase {
 	// within an instance of extent 4*(4*49+2).
 	vec := datatype.Vector(50, 2, 4, datatype.Int32).Commit()
 	ext := int(vec.Extent())
+	slot := func(i int) int { return (i/100)*ext + 4*(4*((i%100)/2)+i%2) }
 	return []reduceCase{
 		dense(0), dense(1000), dense(20000), // nothing, eager, rendezvous
-		{"vector", vec, 2, 200, func(i int) int { return (i/100)*ext + 4*(4*((i%100)/2)+i%2) }, 2 * ext},
+		{"vector", vec, 2, 200, slot, 2 * ext},
+		{"vector-rdv", vec, 50, 5000, slot, 50 * ext}, // a 20 000 B view: rendezvous
 		{"vector0", vec, 0, 0, nil, 2 * ext},
 	}
 }
@@ -72,7 +75,7 @@ func (rc reduceCase) want(prior []byte, ranks int) []byte {
 
 func TestReductionsInPlace(t *testing.T) {
 	for _, alg := range collAlgs {
-		for _, procs := range []int{3, 4, 8} {
+		for _, procs := range []int{2, 3, 4, 8} {
 			for _, rc := range reduceCases() {
 				for _, alias := range []bool{false, true} {
 					name := fmt.Sprintf("%v/p%d/%s/alias=%v", alg, procs, rc.name, alias)
@@ -95,8 +98,12 @@ func TestReductionsInPlace(t *testing.T) {
 							}
 						}
 
+						// The ranks enter Allreduce staggered, so a partial can land
+						// before its receiver's own send has read the bytes it
+						// folds over.
 						send, recv, sent := buffers()
 						prior := append([]byte(nil), recv...)
+						c.Proc().Sleep(time.Duration(me) * 100 * time.Microsecond)
 						must(c.Allreduce(send, recv, rc.count, rc.dt, OpSum))
 						check("Allreduce", send, recv, sent, rc.want(prior, procs))
 

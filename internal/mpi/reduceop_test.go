@@ -141,26 +141,26 @@ func input(dt *datatype.Type, op mpi.Op, rank, count int) []byte {
 	return b
 }
 
-// reduced is the host reference: op over every rank's contribution, folded
-// in rank order in dt's own arithmetic.
-func reduced(dt *datatype.Type, op mpi.Op, count int) []byte {
+// reduced is the host reference: op over the contributions of ranks ranks,
+// folded in rank order in dt's own arithmetic.
+func reduced(dt *datatype.Type, op mpi.Op, ranks, count int) []byte {
 	b := make([]byte, int(dt.Size())*count)
 	for i := 0; i < count; i++ {
 		v := contribution(dt, op, 0, i)
 		switch dt {
 		case datatype.Float64:
-			for r := 1; r < matrixRanks; r++ {
+			for r := 1; r < ranks; r++ {
 				v = hostOp(op, v, contribution(dt, op, r, i))
 			}
 		case datatype.Float32:
 			v32 := float32(v)
-			for r := 1; r < matrixRanks; r++ {
+			for r := 1; r < ranks; r++ {
 				v32 = hostOp(op, v32, float32(contribution(dt, op, r, i)))
 			}
 			v = float64(v32)
 		default:
 			n := int64(v)
-			for r := 1; r < matrixRanks; r++ {
+			for r := 1; r < ranks; r++ {
 				n = hostOp(op, n, int64(contribution(dt, op, r, i)))
 			}
 			v = float64(n)
@@ -174,12 +174,13 @@ func reduced(dt *datatype.Type, op mpi.Op, count int) []byte {
 // each forced algorithm, one world per algorithm with the pairs as
 // successive calls, and through Reduce to a non-zero root, each with
 // distinct buffers and in place; every result matches the host reference
-// bit for bit. It does so at matrixCount elements on 4×1, and at rdvCount
-// on 4×1 (every partial drained out of an SCI port) and on 2×2 (half of
-// them out of shared memory), where the families that combine as a partial
-// drains do so.
+// bit for bit. It does so at matrixCount elements on 4×1 and 2×1, and at
+// rdvCount on 4×1 and 2×1 (every partial drained out of an SCI port) and on
+// 2×2 (half of them out of shared memory), where the families that combine
+// as a partial drains do so. On 2×1 recursive doubling is one exchange, so
+// in place each member folds its partner's partial over the vector it is
+// sending.
 func TestReductionMatrix(t *testing.T) {
-	const root = 2
 	for _, tc := range []struct {
 		name       string
 		nodes, ppn int
@@ -187,8 +188,11 @@ func TestReductionMatrix(t *testing.T) {
 	}{
 		{"4x1/eager", 4, 1, func(*datatype.Type) int { return matrixCount }},
 		{"4x1/rendezvous", 4, 1, rdvCount},
+		{"2x1/eager", 2, 1, func(*datatype.Type) int { return matrixCount }},
+		{"2x1/rendezvous", 2, 1, rdvCount},
 		{"2x2/rendezvous", 2, 2, rdvCount},
 	} {
+		root := min(2, tc.nodes*tc.ppn-1)
 		for _, alg := range []mpi.CollAlg{mpi.CollP2P, mpi.CollRecDbl, mpi.CollRing, mpi.CollOneSided} {
 			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
 				cfg := mpi.DefaultConfig(tc.nodes, tc.ppn)
@@ -197,7 +201,7 @@ func TestReductionMatrix(t *testing.T) {
 					for _, dt := range reduceTypes {
 						n := tc.count(dt)
 						for _, op := range reduceOps {
-							send, want := input(dt, op, c.Rank(), n), reduced(dt, op, n)
+							send, want := input(dt, op, c.Rank(), n), reduced(dt, op, tc.nodes*tc.ppn, n)
 							check := func(call string, got []byte) {
 								if !bytes.Equal(got, want) {
 									t.Errorf("%s %s %s (%d elements) on rank %d: %d of %d bytes differ from the host reference",
@@ -277,7 +281,7 @@ func TestAccumulateMatrix(t *testing.T) {
 			must(w.Fence())
 			if c.Rank() == target {
 				each(func(dt *datatype.Type, op mpi.Op, off int64) {
-					want := reduced(dt, op, matrixCount)
+					want := reduced(dt, op, matrixRanks, matrixCount)
 					if got := w.LocalBytes()[off : off+int64(len(want))]; !bytes.Equal(got, want) {
 						t.Errorf("%s window: Accumulate %s %s = %v, want %v", kind, dt, op, got, want)
 					}
@@ -389,7 +393,7 @@ func TestOverlappingReductionBuffersRefused(t *testing.T) {
 // rendezvous. Every call folds (ranks-1) vectors' bytes. Recursive
 // doubling folds in rank order instead: each pair leaves op(lower, higher)
 // in both members, after the rem fold of the first pairs off a power of
-// two, so every rank holds the same bytes; it runs on 4×1, 3×1 and 2×2,
+// two, so every rank holds the same bytes; it runs on 4×1, 3×1, 2×2 and 2×1,
 // with distinct buffers and in place, and folds rem + pow2·log2(pow2)
 // vectors' bytes per call.
 func TestDrainFoldKeepsOperandOrder(t *testing.T) {
@@ -530,7 +534,7 @@ func TestDrainFoldKeepsOperandOrder(t *testing.T) {
 		return v[0], folds
 	}
 	for _, count := range []int{16, 1 << 10, 40 << 10} {
-		for _, shape := range []struct{ nodes, ppn int }{{4, 1}, {3, 1}, {2, 2}} {
+		for _, shape := range []struct{ nodes, ppn int }{{4, 1}, {3, 1}, {2, 2}, {2, 1}} {
 			size := shape.nodes * shape.ppn
 			cfg := mpi.DefaultConfig(shape.nodes, shape.ppn)
 			cfg.Protocol.Coll = mpi.CollRecDbl

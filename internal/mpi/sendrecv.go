@@ -228,6 +228,7 @@ func (c *Comm) sendShort(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 		kind: envShort, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,
 		bytes: bytes, payload: payload.B, payloadBuf: payload, sig: sendSig(dt),
 	}, false)
+	c.rk.dev.sendRead(c.p, buf, 0)
 	return nil
 }
 
@@ -270,6 +271,7 @@ func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 		kind: envEager, src: c.rk.id, dst: dst, tag: tag, ctx: ctx,
 		bytes: bytes, slot: slot, sig: sendSig(dt),
 	}, false)
+	c.rk.dev.sendRead(c.p, buf, 0)
 	return nil
 }
 
@@ -416,6 +418,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 			kind: envRdvData, src: c.rk.id, dst: dst,
 			reqID: reqID, chunk: chunk, chunkLen: n, reply: reply,
 		}, false)
+		c.rk.dev.sendRead(p, buf, chunk)
 	}
 	for acked < nChunks {
 		if _, err := c.expectCtl(reply, dst, envRdvAck); err != nil {

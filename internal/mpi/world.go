@@ -200,6 +200,10 @@ type World struct {
 	rdvRecvFree  []*rdvRecv
 	reqFree      []*Request
 	oscReplyFree []*sim.Chan
+	// holds[r] parks the partials of rank r's exchange fold that land over
+	// bytes its own send has yet to read; made by the world's first
+	// folding exchange (foldExchange), so a world without one pays nothing.
+	holds []exchHold
 
 	met   worldMetrics
 	stats WorldStats
@@ -308,6 +312,15 @@ type rank struct {
 	// out[i] is this rank's sender-side state toward receiver i. Both are
 	// indexed by world rank; the rank's own entry stays zero.
 	out []sendPort
+}
+
+// hold returns the rank's exchange hold (exchHold), nil before the world's
+// first folding exchange.
+func (rk *rank) hold() *exchHold {
+	if rk.w.holds == nil {
+		return nil
+	}
+	return &rk.w.holds[rk.id]
 }
 
 // port is the receive-side memory a rank exposes to one particular sender:

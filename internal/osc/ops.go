@@ -358,13 +358,13 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 // failures come back as Put's typed errors.
 func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) (err error) {
 	w.checkEpoch("Accumulate")
+	if err := mpi.CheckBuffer("Accumulate", "origin buffer", buf, count, dt); err != nil {
+		return err
+	}
 	if dt.Kind() != datatype.KindBasic {
 		return &mpi.ArgumentError{Call: "Accumulate", Reason: fmt.Sprintf("datatype %s is not a basic type", dt)}
 	}
 	if err := op.Validate("Accumulate"); err != nil {
-		return err
-	}
-	if err := mpi.CheckBuffer("Accumulate", "origin buffer", buf, count, dt); err != nil {
 		return err
 	}
 	n := dt.Size() * int64(count)

@@ -12,6 +12,7 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/fnv"
 	"testing"
 	"time"
@@ -36,9 +37,10 @@ func TestScheduleExploration(t *testing.T) {
 	scenarios := []struct {
 		name  string
 		nodes int
+		coll  mpi.CollAlg // the collective family forced (CollAuto: none)
 		main  func(t *testing.T, c *mpi.Comm)
 	}{
-		{"short-pingpong", 2, func(t *testing.T, c *mpi.Comm) {
+		{"short-pingpong", 2, mpi.CollAuto, func(t *testing.T, c *mpi.Comm) {
 			buf := make([]byte, 64)
 			for i := 0; i < 40; i++ {
 				if c.Rank() == 0 {
@@ -53,7 +55,7 @@ func TestScheduleExploration(t *testing.T) {
 				}
 			}
 		}},
-		{"crosstalk-rendezvous", 2, func(t *testing.T, c *mpi.Comm) {
+		{"crosstalk-rendezvous", 2, mpi.CollAuto, func(t *testing.T, c *mpi.Comm) {
 			// Simultaneous opposing rendezvous on one pair: requests, grants,
 			// chunks and acks of both directions interleave at both devices.
 			const size = 300 << 10
@@ -68,7 +70,7 @@ func TestScheduleExploration(t *testing.T) {
 				}
 			}
 		}},
-		{"eager-credit-exhaustion", 3, func(t *testing.T, c *mpi.Comm) {
+		{"eager-credit-exhaustion", 3, mpi.CollAuto, func(t *testing.T, c *mpi.Comm) {
 			// Two senders, each with three times more eager sends to rank 2
 			// than it has slots there, before the first receive is posted:
 			// they block on credits, which only come back as acks once the
@@ -92,7 +94,7 @@ func TestScheduleExploration(t *testing.T) {
 				}
 			}
 		}},
-		{"put-fence-epoch", 2, func(t *testing.T, c *mpi.Comm) {
+		{"put-fence-epoch", 2, mpi.CollAuto, func(t *testing.T, c *mpi.Comm) {
 			// One epoch of puts into the partner's private window (emulated
 			// access through the remote handler) and one into its shared
 			// window (direct access), both fenced.
@@ -118,6 +120,29 @@ func TestScheduleExploration(t *testing.T) {
 				}
 			}
 		}},
+		{"folding-exchange-inplace", 2, mpi.CollRecDbl, func(t *testing.T, c *mpi.Comm) {
+			// Recursive doubling on two ranks is one exchange: each member
+			// sends its vector while its partner's partial folds into the
+			// same bytes, a short packet, an eager slot and rendezvous
+			// chunks in turn. Rank 1 enters each call late, so rank 0's
+			// partial lands before rank 1's own send has read the bytes; a
+			// fold that ran then would send the sum instead of the
+			// contribution.
+			for _, n := range []int{64, 4 << 10, 300 << 10} {
+				vec := make([]byte, n)
+				for i := 0; i < n/8; i++ {
+					binary.LittleEndian.PutUint64(vec[8*i:], uint64(i*(c.Rank()+3)+c.Rank()<<20))
+				}
+				c.Proc().Sleep(time.Duration(c.Rank()) * 50 * time.Microsecond)
+				must(c.Allreduce(vec, vec, n/8, datatype.Int64, mpi.OpSum))
+				for i := 0; i < n/8; i++ {
+					if got, want := binary.LittleEndian.Uint64(vec[8*i:]), uint64(i*7+1<<20); got != want {
+						t.Errorf("rank %d, %d B: element %d = %d, want the sum %d", c.Rank(), n, i, got, want)
+						break
+					}
+				}
+			}
+		}},
 	}
 	const seeds = 16
 	for _, sc := range scenarios {
@@ -130,6 +155,7 @@ func TestScheduleExploration(t *testing.T) {
 			schedules := fnv.New64a()
 			for seed := uint64(0); seed <= seeds; seed++ { // seed 0 is the canonical order
 				cfg := mpi.DefaultConfig(sc.nodes, 1)
+				cfg.Protocol.Coll = sc.coll
 				cfg.Flight = flight.New(1 << 14)
 				e := sim.NewEngine()
 				e.PermuteTies(seed)
