@@ -89,10 +89,12 @@ bench-json:
 # failover runs the replicated remote-memory availability claims: a node
 # crash mid-workload must lose no committed write, fail no client operation
 # after the failover epoch, and keep the sojourn p99 of the surviving clients
-# (the stall the crash causes) within one expiry of the scaled sync watchdog.
-# See docs/ELASTIC.md.
+# (the stall the crash causes) within one expiry of the scaled sync watchdog;
+# a crash outside a fence round must keep every survivor's largest sojourn
+# within 2 ms, because a fence fails fast on a peer known dead
+# (TestFailoverClaimsCrashOutsideFence). See docs/ELASTIC.md.
 failover:
-	$(GO) test -run TestFailoverClaims -count=1 ./internal/rmem
+	$(GO) test -run '^TestFailoverClaims(CrashOutsideFence)?$$' -count=1 ./internal/rmem
 
 # shard-stress hammers the conservative-parallel engine and the incremental
 # flow solver under the race detector, then the torus machine on the sharded

@@ -156,7 +156,9 @@ func (w *World) agreementPoll() time.Duration {
 // agreementDeadline bounds a member's total wait for the other survivors
 // to enter the agreement. It is sized for the slowest legitimate entry
 // path: a survivor that only notices the failure when its one-sided fence
-// watchdog expires, plus collective-scale slack.
+// watchdog expires, plus collective-scale slack. A fence fails fast on a
+// peer already known dead, so that path is left to a crash that lands
+// while the survivor already waits inside a fence round.
 func (w *World) agreementDeadline() time.Duration {
 	return w.ScaledSyncTimeout() + 4*w.ScaledCollTimeout()
 }

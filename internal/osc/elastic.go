@@ -76,6 +76,28 @@ func (w *Win) lostTarget(target int) error {
 	return nil
 }
 
+// lostPeer is the fence's fast-fail check, run before the arrival of round
+// is announced: a revoked rank or a dead node of this rank's own yields the
+// typed revocation error for itself (as a shrink agreement does), and a
+// peer that has not yet announced round and is lost yields lostTarget's
+// error. A peer that announced round before it was lost fails nothing.
+func (w *Win) lostPeer(round int) error {
+	c := w.sys.c
+	wd := c.World()
+	if self := c.WorldRank(); wd.RankRevoked(self) || !wd.NodeAlive(self) {
+		return &mpi.RevokedRankError{Rank: self}
+	}
+	me := c.Rank()
+	for g, seen := range w.fenceSeen {
+		if g != me && seen < round {
+			if err := w.lostTarget(g); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // call sends r to the handler at world rank target in a recycled request
 // record and waits up to timeout (0: forever) for the reply: whether the
 // handler accepted the request (a bool boxes without allocating). The record goes

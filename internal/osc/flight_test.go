@@ -11,15 +11,19 @@ import (
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
+	"scimpich/internal/sci"
 )
 
 // TestFenceStallDumpNamesInjectedCrash is the end-to-end dump-on-failure
 // acceptance test: a seeded fault plan crashes node1 mid-run, a survivor's
-// Fence times out, the recorder dumps at that first typed error,
-// and the post-mortem analyzer names the injected crash of node1 — not the
-// rank that happened to surface the timeout — as the root cause.
+// Fence fails, the recorder dumps at that first typed error, and the
+// post-mortem analyzer names the injected crash of node1 — not the rank
+// that happened to surface the failure — as the root cause. The survivors
+// enter their next fence after the crash, so each fails at once with
+// sci.ErrConnectionLost instead of sitting out its watchdog.
 func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 	const crashAt = 2 * time.Millisecond
+	const syncTimeout = 500 * time.Microsecond
 	cfg := mpi.DefaultConfig(4, 1)
 	cfg.SCI.Fault = fault.New(42).CrashNode(1, crashAt)
 	rec := flight.New(256)
@@ -28,10 +32,10 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 	rec.SetDumpSink(func(d *flight.Dump) { dump = d })
 
 	src := fill(512)
-	timeouts := 0
+	failed := 0
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		oscCfg := DefaultConfig()
-		oscCfg.SyncTimeout = 500 * time.Microsecond
+		oscCfg.SyncTimeout = syncTimeout
 		s := NewSystem(c)
 		w := s.CreateShared(c.AllocShared(4096), oscCfg)
 		if err := w.Fence(); err != nil { // open the first epoch
@@ -49,21 +53,83 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 					t.Errorf("healthy-phase put failed: %v", err)
 				}
 			}
+			entered := c.Proc().Now()
 			if err := w.Fence(); err != nil {
-				var st ErrSyncTimeout
-				if !errors.As(err, &st) {
-					t.Errorf("rank%d: fence error = %v, want ErrSyncTimeout", c.Rank(), err)
+				var lost sci.ErrConnectionLost
+				if !errors.As(err, &lost) || lost.To != 1 {
+					t.Errorf("rank%d: fence error = %v, want sci.ErrConnectionLost toward node1", c.Rank(), err)
 				}
-				timeouts++
+				if took := c.Proc().Now() - entered; took > syncTimeout/10 {
+					t.Errorf("rank%d: the fence failed after %v, want well under the %v watchdog", c.Rank(), took, syncTimeout)
+				}
+				if n := w.Snapshot().SyncTimeouts; n != 0 {
+					t.Errorf("rank%d: SyncTimeouts = %d, want 0 for a fast fail", c.Rank(), n)
+				}
+				failed++
 				return
 			}
 			c.Proc().Sleep(300 * time.Microsecond)
 		}
 	})
 
-	if timeouts == 0 {
-		t.Fatal("no survivor hit the fence timeout; the stall never happened")
+	if failed != 3 {
+		t.Fatalf("%d survivors saw their fence fail, want 3", failed)
 	}
+	checkFenceDump(t, rec, dump)
+}
+
+// TestFenceWaitingAtCrashTimesOut is the dump test's twin for the crash the
+// fast fail cannot see: node1 crashes while the survivors already wait in a
+// fence round rank1 never enters. Nothing wakes a waiting fence, so each
+// survivor still sits out its watchdog and fails with ErrSyncTimeout, and
+// the analyzer still names the injected crash of node1 as the root cause.
+func TestFenceWaitingAtCrashTimesOut(t *testing.T) {
+	const enterAt = time.Millisecond
+	const crashAt = enterAt + 200*time.Microsecond
+	const syncTimeout = 500 * time.Microsecond
+	cfg := mpi.DefaultConfig(4, 1)
+	cfg.SCI.Fault = fault.New(42).CrashNode(1, crashAt)
+	rec := flight.New(256)
+	cfg.Flight = rec
+	var dump *flight.Dump
+	rec.SetDumpSink(func(d *flight.Dump) { dump = d })
+
+	timeouts := 0
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		oscCfg := DefaultConfig()
+		oscCfg.SyncTimeout = syncTimeout
+		s := NewSystem(c)
+		w := s.CreateShared(c.AllocShared(4096), oscCfg)
+		if err := w.Fence(); err != nil { // open the first epoch
+			t.Errorf("rank%d: opening fence failed: %v", c.Rank(), err)
+			return
+		}
+		if c.Rank() == 1 {
+			return // never enters the second round
+		}
+		c.Proc().Sleep(enterAt - c.Proc().Now())
+		err := w.Fence()
+		var st ErrSyncTimeout
+		if !errors.As(err, &st) {
+			t.Errorf("rank%d: fence error = %v, want ErrSyncTimeout", c.Rank(), err)
+			return
+		}
+		if c.Proc().Now() < crashAt+syncTimeout/2 {
+			t.Errorf("rank%d: the fence failed at %v, before its watchdog could expire", c.Rank(), c.Proc().Now())
+		}
+		timeouts++
+	})
+
+	if timeouts != 3 {
+		t.Fatalf("%d survivors hit the fence timeout, want 3", timeouts)
+	}
+	checkFenceDump(t, rec, dump)
+}
+
+// checkFenceDump holds the dump of a failed fence: it was taken at the
+// first failure, and the analyzer blames the crash of node1 through rank1.
+func checkFenceDump(t *testing.T, rec *flight.Recorder, dump *flight.Dump) {
+	t.Helper()
 	if !rec.Dumped() || dump == nil {
 		t.Fatal("first typed error did not trigger the failure dump")
 	}

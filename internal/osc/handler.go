@@ -110,10 +110,7 @@ func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 	case reqComplete:
 		sim.Post(w.completeQ, src)
 	case reqFence:
-		w.pendingFence[r.round]++
-		if r.round == w.fenceWait && w.pendingFence[r.round] == s.c.Size()-1 {
-			sim.Post(w.fenceQ, nil)
-		}
+		w.fenceArrived(src, r.round)
 	default:
 		panic(fmt.Sprintf("osc: unknown request kind %d", r.kind))
 	}

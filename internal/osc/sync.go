@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"scimpich/internal/obs/flight"
+	"scimpich/internal/sim"
 )
 
 // Synchronization (paper §4.1/§4.3): active target via fence or exposure /
@@ -14,7 +15,9 @@ import (
 
 // ErrSyncTimeout reports a synchronization call (Fence, Lock) or a handler
 // round-trip that waited longer than Config.SyncTimeout for a peer —
-// typically because its node crashed mid-epoch.
+// typically because its node crashed while the call already waited, or a
+// live peer never made the matching call. A fence does not wait out a peer
+// the liveness view already shows dead: it fails at once (see Fence).
 type ErrSyncTimeout struct {
 	Op     string // "fence" or "lock"
 	Win    int
@@ -34,7 +37,10 @@ func (e ErrSyncTimeout) Error() string {
 // stores with a store barrier), synchronizes all ranks barrier-style, and
 // opens the next epoch (MPI_Win_fence): every rank announces its arrival
 // to all others and waits for the full round, numbered per window (the
-// handler counts the arrivals; see fenceWait). Waiting longer than
+// handler records which peers arrived; see fenceArrived). Before it
+// announces anything, it fails at once on a peer that has not arrived and
+// is known lost (lostPeer), so no peer can complete a round this rank
+// failed, and the round is not used up. Waiting longer than
 // Config.SyncTimeout (0: forever) for a peer returns an ErrSyncTimeout.
 func (w *Win) Fence() error {
 	w.stats.Fences++
@@ -42,19 +48,22 @@ func (w *Win) Fence() error {
 	w.syncViews()
 	c := w.sys.c
 	p := c.Proc()
-	w.fenceRound++
-	round := w.fenceRound
+	round := w.fenceRound + 1
 	w.fl.Record(p.Now(), flight.KFenceEnter, int64(w.id), int64(round), 0, 0)
+	if err := w.lostPeer(round); err != nil {
+		w.fl.Fail(p.Now(), flight.OpFence, -1, err)
+		return err
+	}
+	w.fenceRound = round
 	me := c.Rank()
 	for r := 0; r < c.Size(); r++ {
 		if r != me {
 			c.OSCNotify(c.GroupToWorld(r), int(reqFence), w.id, round, false)
 		}
 	}
-	need := c.Size() - 1
 	var waited time.Duration
 	w.fenceWait = round
-	for w.pendingFence[round] < need { // a timed-out round may leave a stale wake
+	for !w.fenceFull(round) { // a timed-out round may leave a stale wake
 		if w.cfg.SyncTimeout <= 0 {
 			p.Recv(w.fenceQ)
 			continue
@@ -73,12 +82,37 @@ func (w *Win) Fence() error {
 			return err
 		}
 	}
-	delete(w.pendingFence, round)
-	w.fl.Record(p.Now(), flight.KFenceExit, int64(w.id), int64(round), int64(need), 0)
+	w.fl.Record(p.Now(), flight.KFenceExit, int64(w.id), int64(round), int64(c.Size()-1), 0)
 	w.ep = epochFence
 	w.openEpoch("fence")
 	w.resetPattern()
 	return nil
+}
+
+// fenceArrived records, on the handler, that world rank src announced
+// round, and wakes the rank once the round it waits for is full.
+func (w *Win) fenceArrived(src, round int) {
+	c := w.sys.c
+	for g := range w.fenceSeen {
+		if c.GroupToWorld(g) == src {
+			w.fenceSeen[g] = round
+			break
+		}
+	}
+	if round == w.fenceWait && w.fenceFull(round) {
+		sim.Post(w.fenceQ, nil)
+	}
+}
+
+// fenceFull reports whether every peer announced round (or the next one).
+func (w *Win) fenceFull(round int) bool {
+	me := w.sys.c.Rank()
+	for g, seen := range w.fenceSeen {
+		if g != me && seen < round {
+			return false
+		}
+	}
+	return true
 }
 
 // syncViews guarantees delivery of every posted store this rank issued

@@ -128,6 +128,94 @@ func TestLockOnCrashedNodeFailsTyped(t *testing.T) {
 	}
 }
 
+// TestFenceFailsFastOnLostPeer holds Fence's fast fail on a peer the
+// liveness view already shows lost, one case per rule, on three nodes
+// with node 1 crashing at 1 ms under the automatic watchdog: a survivor
+// entering a round after the crash fails within a few µs with
+// sci.ErrConnectionLost, counting no timeout; once a shrink agreement
+// revoked rank 1, with *mpi.RevokedRankError naming it; rank 1 itself, on
+// its dead node, with *mpi.RevokedRankError naming itself. A peer that
+// announced the round before its node crashed fails nothing: the
+// survivors complete that round, which a check on the arrival count
+// alone would fail.
+func TestFenceFailsFastOnLostPeer(t *testing.T) {
+	const crashAt = time.Millisecond
+	for _, tc := range []string{"dead-node", "revoked", "own-node", "announced-then-crashed"} {
+		t.Run(tc, func(t *testing.T) {
+			cfg := mpi.DefaultConfig(3, 1)
+			cfg.SCI.Fault = fault.New(5).CrashNode(1, crashAt)
+			oscCfg := DefaultConfig()
+			oscCfg.SyncTimeout = mpi.AutoTimeout
+			checked := 0
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				s := NewSystem(c)
+				w := s.CreateShared(c.AllocShared(4096), oscCfg)
+				must(w.Fence()) // round 1, everyone alive
+				p := c.Proc()
+				me := c.Rank()
+				if tc == "announced-then-crashed" {
+					if me == 1 {
+						// Announce round 2 just before the crash, then wait
+						// in it until the watchdog ends the wait.
+						p.Sleep(crashAt - 100*time.Microsecond - p.Now())
+						var st ErrSyncTimeout
+						if err := w.Fence(); !errors.As(err, &st) {
+							t.Errorf("rank 1: fence waiting at its crash: err = %v, want ErrSyncTimeout", err)
+						}
+						return
+					}
+					p.Sleep(2*crashAt - p.Now())
+					if err := w.Fence(); err != nil {
+						t.Errorf("rank %d: round rank 1 announced before its crash failed: %v", me, err)
+					}
+					checked++
+					return
+				}
+				p.Sleep(2*crashAt - p.Now()) // node 1 is down now
+				switch {
+				case tc == "own-node" && me == 1:
+					var rev *mpi.RevokedRankError
+					if err := w.Fence(); !errors.As(err, &rev) || rev.Rank != 1 {
+						t.Errorf("fence on a dead node: err = %v, want *mpi.RevokedRankError for rank 1", err)
+					}
+					checked++
+				case me == 1:
+				case tc == "revoked":
+					if _, err := c.Shrink(); err != nil {
+						t.Fatalf("rank %d: shrink: %v", me, err)
+					}
+					var rev *mpi.RevokedRankError
+					if err := w.Fence(); !errors.As(err, &rev) || rev.Rank != 1 {
+						t.Errorf("rank %d: fence toward a revoked rank: err = %v, want *mpi.RevokedRankError for rank 1", me, err)
+					}
+					checked++
+				case tc == "dead-node":
+					entered := p.Now()
+					err := w.Fence()
+					var lost sci.ErrConnectionLost
+					if !errors.As(err, &lost) || lost.To != 1 {
+						t.Errorf("rank %d: fence toward a dead node: err = %v, want sci.ErrConnectionLost to node 1", me, err)
+					}
+					if took := p.Now() - entered; took > 10*time.Microsecond {
+						t.Errorf("rank %d: the fence failed after %v, want within a few µs", me, took)
+					}
+					if n := w.Snapshot().SyncTimeouts; n != 0 {
+						t.Errorf("rank %d: SyncTimeouts = %d, want 0", me, n)
+					}
+					checked++
+				}
+			})
+			want := 2
+			if tc == "own-node" {
+				want = 1
+			}
+			if checked != want {
+				t.Errorf("%d ranks reached the check, want %d", checked, want)
+			}
+		})
+	}
+}
+
 // TestPlainFenceRecordsFlightEvents: a program that only calls Fence
 // records one KFenceEnter and one KFenceExit per rank per fence, so the
 // post-mortem analysis links its puts to their delivery.

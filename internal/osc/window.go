@@ -162,13 +162,14 @@ type Win struct {
 	// privLockBusy: handler-side lock state for passive target on private
 	// windows.
 	privLockBusy bool
-	// fence state: the handler counts peer arrivals per round in
-	// pendingFence (a peer may be a round ahead) and, once fenceWait, the
-	// round this rank last waited for, is full, wakes it through fenceQ.
-	fenceQ       *sim.Chan
-	fenceRound   int
-	fenceWait    int
-	pendingFence map[int]int
+	// fence state: fenceRound is the last round this rank announced;
+	// fenceSeen[g] the last round group rank g announced here (a peer may
+	// be a round ahead), kept by the handler, which wakes this rank through
+	// fenceQ once fenceWait, the round it last waited for, is full.
+	fenceQ     *sim.Chan
+	fenceRound int
+	fenceWait  int
+	fenceSeen  []int
 	// ownLock guards this rank's own shared window (nil if private);
 	// origins take it from the exchange table.
 	ownLock *sim.Mutex
@@ -258,10 +259,9 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 		actor:      c.Actor(),
 		fl:         c.FlightRing(),
 		lastTarget: -1, lockHeld: -1,
-		postQ:        sim.NewChan(1 << 16),
-		completeQ:    sim.NewChan(1 << 16),
-		fenceQ:       sim.NewChan(1 << 16),
-		pendingFence: make(map[int]int),
+		postQ:     sim.NewChan(1 << 16),
+		completeQ: sim.NewChan(1 << 16),
+		fenceQ:    sim.NewChan(1 << 16),
 	}
 	if seg != nil {
 		w.ownLock = new(sim.Mutex)
@@ -278,6 +278,7 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	w.views = make([]smi.Mem, n)
 	w.degraded = make([]bool, n)
 	w.sharedLocks = make([]*sim.Mutex, n)
+	w.fenceSeen = make([]int, n)
 	for r := 0; r < n; r++ {
 		rw := all[r].(*Win)
 		if rw.shared != nil {

@@ -2,6 +2,7 @@ package rmem
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 	"time"
 
@@ -93,6 +94,46 @@ func TestFailoverClaims(t *testing.T) {
 		if p := time.Duration(r.SojournNS.P99); p <= 0 || p > watchdog {
 			t.Errorf("survivor %d: sojourn p99 %v, want within the %v watchdog", me, p, watchdog)
 		}
+	}
+}
+
+// TestFailoverClaimsCrashOutsideFence is the tail gate of a crash that
+// lands outside every fence round, where a survivor whose operations avoid
+// the dead node learns of the crash only at its next commit fence: that
+// fence fails at once on the dead peer, so the survivors recover within
+// the round, not one sync watchdog later. It replays the benchmark
+// harness's worst input (seed 531733886564779828, crash at 5 068.13 µs)
+// and the crash at every whole millisecond of the run on -fault.seed,
+// instants at which the fence once sat its watchdog out (a 15–16 ms
+// sojourn). Every survivor's largest sojourn must stay within two rounds
+// of arrivals (2 ms), and the run must end within 1 ms of its crash-free
+// twin.
+func TestFailoverClaimsCrashOutsideFence(t *testing.T) {
+	type input struct {
+		seed uint64
+		at   time.Duration
+	}
+	inputs := []input{{531733886564779828, 5068130 * time.Nanosecond}}
+	for k := time.Duration(1); k <= 16; k++ {
+		inputs = append(inputs, input{*faultSeed, k * time.Millisecond})
+	}
+	for _, in := range inputs {
+		t.Run(fmt.Sprintf("seed%d/%v", in.seed, in.at), func(t *testing.T) {
+			wl := DefaultWorkload()
+			wl.Seed = int64(in.seed)
+			bound := 2 * time.Duration(wl.OpsPerRound) * wl.ArrivalGap
+			_, free := RunWorkload(testConfig(fault.New(in.seed)), DefaultConfig(), wl)
+			reports, end := RunWorkload(testConfig(fault.New(in.seed).CrashNode(1, in.at)), DefaultConfig(), wl)
+			checkRecovered(t, reports)
+			for _, me := range []int{0, 2, 3} {
+				if worst := time.Duration(reports[me].SojournNS.Max); worst > bound {
+					t.Errorf("survivor %d: largest sojourn %v, want at most %v", me, worst, bound)
+				}
+			}
+			if end > free+time.Millisecond {
+				t.Errorf("run ended at %v, want within 1ms of the crash-free %v", end, free)
+			}
+		})
 	}
 }
 

@@ -286,7 +286,8 @@ func (s *Service) Commit() error {
 
 // Recover is the failover path, called after any operation or commit
 // returned an error. All surviving ranks must call it (they all observe the
-// failure: direct operations fail fast on the dead node, fences expire).
+// failure: direct operations and fences fail fast on a peer known dead,
+// and a fence that already waited when the crash struck expires).
 // It agrees on the shrunken membership, rebuilds the window over the new
 // communicator, re-homes every shard from its surviving replica, replays
 // this origin's staged writes and commits them. On a rank that was itself

@@ -481,3 +481,38 @@ func listPackages(t *testing.T, dir string) map[string]*listedPackage {
 	}
 	return pkgs
 }
+
+// maxDocBytes caps every Markdown file of the repository. The largest,
+// CHANGES.md, is under 300 KiB; a file past a mebibyte is a broken edit
+// (a replace gone wrong once grew CHANGES.md to 185 MB), not prose.
+const maxDocBytes = 1 << 20
+
+// TestDocsUnderOneMiB fails on any *.md file of the repository, outside
+// hidden and build directories, larger than maxDocBytes.
+func TestDocsUnderOneMiB(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".md" {
+			return nil
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		if info.Size() > maxDocBytes {
+			t.Errorf("%s is %d bytes, over the %d-byte cap", path, info.Size(), maxDocBytes)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
