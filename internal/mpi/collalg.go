@@ -103,10 +103,10 @@ func (k collKind) String() string {
 
 // --- cost-model priors ---
 
-// The prior of a call walks the family's own peer schedule (ringPeers,
-// pairwisePeers, recDblPeer, binomialPeer: the functions the algorithms
-// run) and prices every message of it on its own pair: member r's chain
-// through step k ends at T(r,k) = max(T(r,k-1) + its own send,
+// The prior of a call walks the plan the call runs (planColl, runColl):
+// the family's own peer schedule (ringPeers, pairwisePeers, recDblPeer,
+// binomialPeer), every message of it priced on its own pair: member r's
+// chain through step k ends at T(r,k) = max(T(r,k-1) + its own send,
 // T(peer,k-1) + the message it takes from its peer), and the call at the
 // latest chain. The price of a pair reads its transport
 // from where its two members sit: an SCI pair streams under the ringlet
@@ -161,6 +161,72 @@ func (s collSched) peers(r, k, size int) (from, to int) {
 	return from, to
 }
 
+// round returns how many steps of the schedule share one slot half of the
+// collective window: the chunk tree's depth, one step elsewhere.
+func (s collSched) round(size int) int {
+	if s == schedChunkTree {
+		return ceilLog2(size)
+	}
+	return 1
+}
+
+// collPlan is one phase of a collective: what runColl runs and walk prices.
+// The family's peer schedule, its steps, the bytes of each message (a
+// point-to-point message, or a one-sided block: the chunk tree's chunk),
+// whether blocks travel as window deposits, and how many leading steps fold
+// the partial they take.
+type collPlan struct {
+	sched        collSched
+	steps        int
+	n            int64
+	oneSided     bool
+	combineSteps int
+}
+
+// exchanges reports whether a step with these peers folds the partial it
+// takes over the vector it sends: recursive doubling's exchanges. A
+// 2-member ring has one peer both ways too, but folds into a block it does
+// not send.
+func (p collPlan) exchanges(from, to int) bool {
+	return p.sched == schedRecDbl && from >= 0 && from == to
+}
+
+// planColl returns the plan of kind under family alg over size members,
+// bytes the per-rank payload and perPeer the per-pair block, and the plan
+// of the phase after it (steps 0: none): the point-to-point allreduce
+// reduces to member 0, then broadcasts from it. Barrier, gather and the
+// one-sided window exchange are no schedule (see runColl): their plan has
+// no steps.
+func (c *Comm) planColl(kind collKind, alg CollAlg, size int, bytes, perPeer int64) (p, then collPlan) {
+	depth, steps := ceilLog2(size), size-1
+	reduce := collPlan{sched: schedReduceTree, steps: depth, n: bytes, combineSteps: depth}
+	bcast := collPlan{sched: schedBcastTree, steps: depth, n: bytes}
+	switch {
+	case kind == collBcast && alg == CollOneSided:
+		// The tree once per chunk, each chunk forwarded as it lands. An
+		// empty payload still runs one chunk.
+		chunk := max(min(bytes, c.rk.w.osChunk()), 1)
+		chunks := max(int((bytes+chunk-1)/chunk), 1)
+		return collPlan{sched: schedChunkTree, steps: chunks * depth, n: chunk, oneSided: true}, then
+	case kind == collBcast:
+		return bcast, then
+	case kind == collReduce:
+		return reduce, then
+	case kind == collAllreduce && alg == CollRecDbl:
+		return collPlan{sched: schedRecDbl, steps: recDblSteps(size), n: bytes, combineSteps: recDblSteps(size) - 1}, then
+	case kind == collAllreduce && (alg == CollRing || alg == CollOneSided):
+		block := (bytes + int64(size) - 1) / int64(size)
+		return collPlan{sched: schedRing, steps: 2 * steps, n: block, oneSided: alg == CollOneSided, combineSteps: steps}, then
+	case kind == collAllreduce:
+		return reduce, bcast
+	case kind == collAllgather && alg != CollOneSided:
+		return collPlan{sched: schedRing, steps: steps, n: perPeer}, then
+	case kind == collAlltoall && alg != CollOneSided:
+		return collPlan{sched: schedPairwise, steps: steps, n: perPeer}, then
+	}
+	return p, then
+}
+
 // collEval is the evaluator's scratch, sized once per world at its first
 // priced call: per member its node, the end of its chain before and after
 // the step, and what the step's messages cost; per step the load it prices
@@ -208,16 +274,17 @@ func (c *Comm) collEval(size int) *collEval {
 	return ev
 }
 
-// load records the peers of step k and counts its transfers of n bytes
-// each: an SCI transfer by its node distance and at both adapters; a copy
+// load records the peers of step k of plan p and counts its transfers of
+// p.n bytes each: an SCI transfer by its node distance and at both adapters; a copy
 // inside a node on the node's bus, twice where the receiver's copy-out runs
 // beside the next deposit (a rendezvous of several chunks); and a one-sided
 // receiver's copy out of its own window on its bus too. It also sets the
 // transfer shape the step's messages share: a one-sided block streams from
 // a working set of twice its size (osDeposit), a rendezvous message in
 // chunks.
-func (c *Comm) load(ev *collEval, s collSched, k, steps, size int, n int64, oneSided bool) {
+func (c *Comm) load(ev *collEval, p collPlan, k, size int) {
 	w := c.rk.w
+	n, oneSided := p.n, p.oneSided
 	ev.dists = ev.dists[:0]
 	clear(ev.out)
 	clear(ev.in)
@@ -233,15 +300,15 @@ func (c *Comm) load(ev *collEval, s collSched, k, steps, size int, n int64, oneS
 	pipelined := !oneSided && n > ev.chunk
 	handshake := !oneSided && n > eagerMax
 	for r := 0; r < size; r++ {
-		from, to := s.peers(r, k, size)
+		from, to := p.sched.peers(r, k, size)
 		ev.from[r], ev.to[r] = from, to
 		dst := r
 		if from < 0 && to < 0 && !handshake {
 			// A member idle at this step sends its next message at once,
 			// unless it has one to receive first or its receiver has to
 			// answer a handshake.
-			for j := k + 1; j < steps && from < 0 && to < 0; j++ {
-				from, to = s.peers(r, j, size)
+			for j := k + 1; j < p.steps && from < 0 && to < 0; j++ {
+				from, to = p.sched.peers(r, j, size)
 			}
 			if to < 0 {
 				continue
@@ -265,24 +332,28 @@ func (c *Comm) load(ev *collEval, s collSched, k, steps, size int, n int64, oneS
 	}
 }
 
-// walk prices steps of schedule s over size members, each message n bytes
-// (a one-sided block or a point-to-point message), combined by its receiver
-// on the first combineSteps steps, and returns the latest chain. A message
-// leaves when its sender's chain reaches the step; a rendezvous message,
-// whose handshake needs the receiver, when both chains do. The receiver's
-// chain goes on when it holds the message and its own send of the step is
-// done. A combining step folds the message in where it lands, in the
-// receiver's copy-out itself.
-func (c *Comm) walk(s collSched, steps, size int, n int64, oneSided bool, combineSteps int) time.Duration {
+// walk prices plan p over size members, each message p.n bytes (a one-sided
+// block or a point-to-point message), combined by its receiver on the
+// first p.combineSteps steps, and returns the latest chain; a plan of no
+// steps costs nothing. A message leaves when its sender's chain reaches the
+// step; a rendezvous message, whose handshake needs the receiver, when both
+// chains do. The receiver's chain goes on when it holds the message and its
+// own send of the step is done. A combining step folds the message in where
+// it lands, in the receiver's copy-out itself.
+func (c *Comm) walk(p collPlan, size int) time.Duration {
+	if p.steps == 0 {
+		return 0
+	}
 	ev := c.collEval(size)
 	clear(ev.t[:size])
-	handshake := !oneSided && n > eagerMax
-	for k := 0; k < steps; k++ {
-		c.load(ev, s, k, steps, size, n, oneSided)
-		fold := k < combineSteps
+	n := p.n
+	handshake := !p.oneSided && n > eagerMax
+	for k := 0; k < p.steps; k++ {
+		c.load(ev, p, k, size)
+		fold := k < p.combineSteps
 		for r := 0; r < size; r++ {
 			if from := ev.from[r]; from >= 0 {
-				ev.send[from], ev.full[r] = c.modelMsg(from, r, n, oneSided, fold, ev)
+				ev.send[from], ev.full[r] = c.modelMsg(from, r, n, p.oneSided, fold, ev)
 			}
 		}
 		for r := 0; r < size; r++ {
@@ -299,7 +370,7 @@ func (c *Comm) walk(s collSched, steps, size int, n int64, oneSided bool, combin
 				if handshake {
 					start = max(start, ev.t[r])
 				}
-				if fold && from == to && !handshake && n > shortMax {
+				if fold && p.exchanges(from, to) && !handshake && n > shortMax {
 					// An exchange folds over the vector it sends: an eager
 					// partial's copy-out waits for the send (exchHold).
 					cp := c.pairCopy(from, r, n, fold, ev)
@@ -469,12 +540,13 @@ func (c *Comm) modelExchange(size int, n int64) time.Duration {
 	got, sent, acked := ev.t[:size], ev.next[:size], ev.acked[:size]
 	clear(got)
 	clear(acked)
+	p := collPlan{sched: schedPairwise, steps: size - 1, n: n, oneSided: true}
 	for pass := 0; pass < 2; pass++ {
 		// The first pass sums each member's deposits; the second walks
 		// them again for the instant each notify leaves.
 		clear(sent)
-		for k := 0; k < size-1; k++ {
-			c.load(ev, schedPairwise, k, size-1, size, n, true)
+		for k := 0; k < p.steps; k++ {
+			c.load(ev, p, k, size)
 			for r := 0; r < size; r++ {
 				to, _ := pairwisePeers(r, k+1, size)
 				sent[r] += c.modelOSDeposit(r, to, n, ev)
@@ -515,46 +587,15 @@ func ceilLog2(p int) int {
 
 // modelColl is the cost-model prior for one collective: kind and algorithm
 // over size ranks, where bytes is the operation's per-rank payload and
-// perPeer the per-pair block (they coincide for bcast and allreduce).
+// perPeer the per-pair block (they coincide for bcast and allreduce). It
+// walks the plans the call runs; the one-sided window exchange has its own
+// prior.
 func (c *Comm) modelColl(kind collKind, alg CollAlg, size int, bytes, perPeer int64) time.Duration {
-	depth := ceilLog2(size)
-	steps := size - 1
-	switch kind {
-	case collBcast:
-		if alg == CollOneSided {
-			// The tree once per chunk, each chunk forwarded as it lands.
-			// An empty payload still runs one chunk.
-			chunk := max(min(bytes, c.rk.w.osChunk()), 1)
-			chunks := max(int((bytes+chunk-1)/chunk), 1)
-			return c.walk(schedChunkTree, chunks*depth, size, chunk, true, 0)
-		}
-		return c.walk(schedBcastTree, depth, size, bytes, false, 0)
-	case collAllreduce:
-		block := (bytes + int64(size) - 1) / int64(size)
-		switch alg {
-		case CollRecDbl:
-			return c.walk(schedRecDbl, recDblSteps(size), size, bytes, false, recDblSteps(size)-1)
-		case CollRing:
-			return c.walk(schedRing, 2*steps, size, block, false, steps)
-		case CollOneSided:
-			return c.walk(schedRing, 2*steps, size, block, true, steps)
-		default:
-			// Reduce to member 0, then broadcast: the tree both ways.
-			return c.walk(schedReduceTree, depth, size, bytes, false, depth) +
-				c.walk(schedBcastTree, depth, size, bytes, false, 0)
-		}
-	case collAllgather, collAlltoall:
-		switch {
-		case alg == CollOneSided:
-			return c.modelExchange(size, perPeer)
-		case kind == collAllgather:
-			return c.walk(schedRing, steps, size, perPeer, false, 0)
-		default:
-			return c.walk(schedPairwise, steps, size, perPeer, false, 0)
-		}
-	default:
-		return 0 // a kind with one family is never priced
+	if alg == CollOneSided && (kind == collAllgather || kind == collAlltoall) {
+		return c.modelExchange(size, perPeer)
 	}
+	p, then := c.planColl(kind, alg, size, bytes, perPeer)
+	return c.walk(p, size) + c.walk(then, size)
 }
 
 // --- eligibility and selection ---

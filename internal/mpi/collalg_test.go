@@ -658,6 +658,31 @@ func TestCollectiveArgumentErrors(t *testing.T) {
 			t.Errorf("ArgumentError.Call = %q", argErr.Call)
 		}
 	})
+	// Gather, Allgather and Alltoall cut dense blocks: a derived type is
+	// refused on every rank and under every family, before any byte moves.
+	vec := datatype.Vector(2, 1, 2, datatype.Int32).Commit() // 8 B in an extent of 12
+	span := int(vec.Span(1))
+	for _, alg := range []CollAlg{CollP2P, CollOneSided} {
+		Run(collConfig(2, alg), func(c *Comm) {
+			recv := make([]byte, 2*span)
+			for _, tc := range []struct {
+				call string
+				err  error
+			}{
+				{"Gather", c.Gather(make([]byte, span), 1, vec, recv, 0)},
+				{"Allgather", c.Allgather(make([]byte, span), 1, vec, recv)},
+				{"Alltoall", c.Alltoall(make([]byte, 2*span), 1, vec, recv)},
+			} {
+				var argErr *ArgumentError
+				if !errors.As(tc.err, &argErr) || argErr.Call != tc.call {
+					t.Errorf("%s: rank %d: %s of a derived datatype: %v, want *ArgumentError", alg, c.Rank(), tc.call, tc.err)
+				}
+			}
+			if !bytes.Equal(recv, make([]byte, 2*span)) {
+				t.Errorf("%s: rank %d: a refused call wrote %v", alg, c.Rank(), recv)
+			}
+		})
+	}
 }
 
 // TestNodeCrashMidAllreduceTypedError: a node crash scheduled mid-window

@@ -6,18 +6,25 @@ import (
 	"scimpich/internal/datatype"
 )
 
-// Bandwidth-optimal large-message allreduce algorithms, replacing the
-// latency-doubling Reduce + Bcast composition: recursive doubling (log P
-// full-vector exchanges; best when latency dominates) and the ring
-// algorithm (reduce-scatter followed by ring allgather: every rank moves
-// ~2n bytes regardless of P, the bandwidth optimum for large vectors).
-// Both run on the contiguous base-typed reduction views of collview.go,
-// so they serve derived datatypes unchanged.
+// The step executor: every collective whose order walk prices runs its
+// plan (collPlan) in runColl, one loop for all of them. At step k a member
+// takes its peers from the plan's schedule, asks the call's block rule
+// (collCall.step) what the step sends, where the partial it takes lands
+// and what that folds with, and runs the step on the plan's transport:
+// point-to-point messages, or deposits into the peers' collective windows
+// (collos.go). The rules that cut across families — folding a partial
+// where it lands, in place, the exchange hold — live here once.
+//
+// Three collectives keep loops of their own, because no plan holds them:
+// the one-sided window exchange (osExchange), whose deposits all run ahead
+// of its takes; gather, which posts every receive up front; and the
+// dissemination barrier, which the shrink agreement runs under a deadline
+// of its own.
 
-// Tags of the bandwidth algorithms.
+// Tags of the reduction schedules, each + step.
 const (
-	tagARecDbl = 13 << 20 // + step of recDblPeer's schedule
-	tagARing   = 14 << 20 // + step
+	tagARecDbl = 13 << 20 // recursive doubling
+	tagARing   = 14 << 20 // ring allreduce
 )
 
 // recDblSteps returns the steps of recursive doubling over size ranks: the
@@ -62,99 +69,171 @@ func recDblPeer(me, s, size int) (peer int, sends, recvs bool) {
 	return partnerNew + rem, true, true
 }
 
-// allreduceRecDbl reduces across all ranks into acc with recursive
-// doubling, on recDblPeer's schedule. src holds this rank's contribution:
-// acc itself, or a dense send buffer the caller keeps apart from acc. Every
-// partial folds into acc where it lands (foldExchange) in rank order,
-// op(lower, higher), so both members of a pair hold the same bytes after
-// it. c must be the collective view.
-func (c *Comm) allreduceRecDbl(src, acc []byte, elems int, base *datatype.Type, rop Op) error {
-	size := c.Size()
-	me := c.Rank()
-	last := recDblSteps(size) - 1
-	if peer, sends, _ := recDblPeer(me, 0, size); sends {
-		// Fold onto the odd partner, then idle until the result returns.
-		if err := c.send(src, elems, base, peer, tagARecDbl, c.ctx); err != nil {
+// collCall is what runColl needs of one call besides its plan. src holds
+// the member's contribution and acc the vector it ends with; they may be
+// one buffer. A tree moves all of acc, count elements of dt; an allgather
+// or alltoall block is count elements of dt; a reduction moves elements of
+// dt, its base type, count of them in all, and folds with op. A rooted
+// schedule counts members from root.
+type collCall struct {
+	kind     collKind
+	src, acc []byte
+	count    int
+	dt       *datatype.Type
+	op       Op
+	root     int
+}
+
+// collStep is what one step moves for one member: out goes to the step's
+// receiver, in takes the partial of its sender, folded with mine (nil:
+// copied). A count is elements of the call's dt.
+type collStep struct {
+	out, in, mine []byte
+	outN, inN     int
+	tag           int
+	mineLast      bool // op(partial, mine): the partial is the lower rank's
+}
+
+// peers returns whom member vme (counted from the root) receives from and
+// sends to at step k of p, as ranks of the communicator (-1: none).
+func (x *collCall) peers(p collPlan, vme, k, size int) (from, to int) {
+	from, to = p.sched.peers(vme, k, size)
+	if from >= 0 {
+		from = (from + x.root) % size
+	}
+	if to >= 0 {
+		to = (to + x.root) % size
+	}
+	return from, to
+}
+
+// step is the call's block rule: what member me moves at step k of p with
+// the peers from and to. held is the vector the member holds: src until a
+// partial landed, then acc.
+func (x *collCall) step(p collPlan, me, size, k, from, to int, held []byte) collStep {
+	st := collStep{out: x.acc, in: x.acc, outN: x.count, inN: x.count}
+	switch p.sched {
+	case schedBcastTree:
+		st.tag = tagBcast
+	case schedChunkTree:
+		i := int64(k / p.sched.round(size))
+		st.out = x.acc[i*p.n : min((i+1)*p.n, int64(len(x.acc)))]
+		st.in = st.out
+	case schedReduceTree:
+		st.tag, st.mine = tagReduce, x.acc
+	case schedRecDbl:
+		st.tag, st.out, st.mine, st.mineLast = tagARecDbl+k, held, held, from < me
+	case schedPairwise:
+		b := x.dt.Size() * int64(x.count)
+		st.tag = tagAlltoall + k + 1
+		st.out, st.in = x.src[int64(to)*b:int64(to+1)*b], x.acc[int64(from)*b:int64(from+1)*b]
+	case schedRing:
+		if x.kind == collAllgather {
+			// Forward the block received last, take the next one.
+			b := x.dt.Size() * int64(x.count)
+			s, r := int64((me-k+size)%size)*b, int64((me-k-1+size)%size)*b
+			st.tag, st.out, st.in = tagAllgather+k, x.acc[s:s+b], x.acc[r:r+b]
+			break
+		}
+		// Reduce-scatter for the first size-1 steps, after which member me
+		// holds the complete reduction of block (me+1) mod size, then ring
+		// allgather of the completed blocks, both on the shared rotation. A
+		// reduce-scatter partial folds with the member's own block of its
+		// index, which only src holds.
+		es := x.dt.Size()
+		send := ringSendBlock(me, k, size)
+		recv := (send - 1 + size) % size
+		st.tag = tagARing + k
+		st.out = ringBlock(held, x.count, size, send, es)
+		st.in = ringBlock(x.acc, x.count, size, recv, es)
+		st.mine = ringBlock(x.src, x.count, size, recv, es)
+		st.outN, st.inN = len(st.out)/int(es), len(st.in)/int(es)
+	}
+	if k >= p.combineSteps {
+		st.mine = nil
+	}
+	return st
+}
+
+// runColl runs plan p of call x for this member, every step on the plan's
+// transport; after window deposits it takes the last two acks from each
+// peer it deposited to, so the slot halves are free for the next
+// collective before this one returns. c must be the collective view.
+func (c *Comm) runColl(p collPlan, x *collCall) error {
+	size, me := c.Size(), c.Rank()
+	vme := (me - x.root + size) % size
+	round := p.sched.round(size)
+	held := x.src
+	for k := 0; k < p.steps; k++ {
+		from, to := x.peers(p, vme, k, size)
+		if from < 0 && to < 0 {
+			continue
+		}
+		st := x.step(p, me, size, k, from, to, held)
+		var err error
+		if p.oneSided {
+			err = c.osStep(from, to, k/round, &st, x)
+		} else {
+			// Only an exchange whose partial lands in the bytes it sends is
+			// held: in place, or once the first partial landed in acc.
+			hold := p.exchanges(from, to) && unsafe.SliceData(st.out) == unsafe.SliceData(st.in)
+			err = c.p2pStep(from, to, &st, x, hold)
+		}
+		if err != nil {
 			return err
 		}
-		return c.recvColl(acc, elems, base, peer, tagARecDbl+last)
-	}
-	cur := src // the vector the rank holds: its contribution, then acc
-	for s := 0; s < last; s++ {
-		partner, sends, recvs := recDblPeer(me, s, size)
-		if !recvs {
-			continue // step 0 outside the rem fold
+		if from >= 0 {
+			held = x.acc
 		}
-		if err := c.foldExchange(cur, acc, sends, elems, base, rop, partner, tagARecDbl+s); err != nil {
-			return err
-		}
-		cur = acc
 	}
-	if peer, sends, _ := recDblPeer(me, last, size); sends {
-		return c.send(acc, elems, base, peer, tagARecDbl+last, c.ctx)
+	if !p.oneSided {
+		return nil
+	}
+	last := (p.steps - 1) / round
+	for k := last * round; k < p.steps; k++ {
+		if _, to := x.peers(p, vme, k, size); to >= 0 {
+			for i := max(last-1, 0); i <= last; i++ {
+				if err := c.recvColl(nil, 0, datatype.Byte, to, tagCollOSA+i); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	return nil
 }
 
-// foldExchange folds partner's partial into acc with out, the vector the
-// rank holds, as op(lower rank's, higher rank's), and sends out to partner
-// when sends. out may be acc, so while the send runs the device holds each
-// chunk of the partial until the send has read the bytes it folds over
-// (exchHold). The rem fold sends nothing and is not held.
-func (c *Comm) foldExchange(out, acc []byte, sends bool, elems int, base *datatype.Type, rop Op, partner, tag int) error {
+// p2pStep runs one step on point-to-point messages: post the receive (a
+// fold when the step has mine), send, then wait. Under hold the device
+// keeps each chunk of the partial until the send has read the bytes it
+// folds over (exchHold); the hold is on before the receive is posted, which
+// may match a partial already there.
+func (c *Comm) p2pStep(from, to int, st *collStep, x *collCall, hold bool) error {
 	var h *exchHold
-	if sends {
+	if hold {
 		if w := c.rk.w; w.holds == nil {
 			w.holds = make([]exchHold, w.size)
 		}
 		h = c.rk.hold()
-		h.buf, h.read = unsafe.SliceData(out), 0
+		h.buf, h.read = unsafe.SliceData(st.out), 0
 	}
-	r := c.irecvFold(acc, out, elems, base, rop, partner < c.Rank(), partner, tag)
-	if sends {
-		err := c.send(out, elems, base, partner, tag, c.ctx)
-		h.buf = nil
-		c.rk.dev.release(c.p) // what a failed send leaves parked
+	var r *Request
+	if from >= 0 {
+		r = c.irecvFold(st.in, st.mine, st.inN, x.dt, x.op, st.mineLast, from, st.tag)
+	}
+	if to >= 0 {
+		err := c.send(st.out, st.outN, x.dt, to, st.tag, c.ctx)
+		if h != nil {
+			h.buf = nil
+			c.rk.dev.release(c.p) // what a failed send leaves parked
+		}
 		if err != nil {
 			return err
 		}
 	}
-	return c.waitColl(r)
-}
-
-// ringLink exchanges one block per ring step: out goes to the right
-// neighbour, the left neighbour's block lands in in. The blocks travel
-// point-to-point, or as window deposits (collos.go) when oneSided is set.
-// finish drains any trailing protocol traffic before the collective returns.
-// It is one struct used by value, not an interface over two, so that a call
-// keeps it on its stack.
-type ringLink struct {
-	cc          *Comm
-	right, left int // communicator-local neighbours
-	steps       int // total steps the caller will run
-	oneSided    bool
-}
-
-// xfer runs step t: out goes right, the left neighbour's block lands in in
-// — on a reduce-scatter step (mine not nil) folded with the rank's own
-// block as op(mine, partial), elements of base, read where it lands.
-func (l *ringLink) xfer(t int, out, in, mine []byte, base *datatype.Type, rop Op) error {
-	if l.oneSided {
-		return l.osXfer(t, out, in, mine, base, rop)
-	}
-	c := l.cc
-	r := c.irecvFold(in, mine, len(in)/int(base.Size()), base, rop, false, l.left, tagARing+t)
-	if err := c.send(out, len(out), datatype.Byte, l.right, tagARing+t, c.ctx); err != nil {
-		return err
+	if r == nil {
+		return nil
 	}
 	return c.waitColl(r)
-}
-
-func (l *ringLink) finish() error {
-	if l.oneSided {
-		return l.osFinish()
-	}
-	return nil
 }
 
 // ringPeers returns the ring neighbours of rank me: every step of the ring
@@ -173,7 +252,7 @@ func ringBlock(acc []byte, elems, size, i int, es int64) []byte {
 // neighbour at global step s of the 2(size-1)-step ring allreduce: the
 // reduce-scatter rotation for the first size-1 steps, then the allgather
 // rotation. It is the single schedule shared by the process-based
-// collective engine (allreduceRing) and the torus collective runtime
+// collective engine (the ring block rule) and the torus collective runtime
 // (TorusWorld); the block received at step s is always the sent block's
 // left neighbour, (ringSendBlock(me,s,size)-1+size) % size.
 func ringSendBlock(me, s, size int) int {
@@ -181,41 +260,4 @@ func ringSendBlock(me, s, size int) int {
 		return ((me-s)%size + size) % size
 	}
 	return ((me+1-(s-(size-1)))%size + 2*size) % size
-}
-
-// allreduceRing reduces across all ranks into acc with reduce-scatter
-// followed by ring allgather. src holds this rank's contribution: acc itself,
-// or a dense send buffer the caller keeps apart from acc. The left
-// neighbour's partial of a reduce-scatter step folds with src's block into
-// acc's where it lands (xfer), so no scratch block is borrowed; every block
-// of acc is written by the ring before it is read. oneSided selects the
-// window-deposit block exchange (the one-sided family); otherwise blocks
-// travel point-to-point. c must be the collective view.
-func (c *Comm) allreduceRing(src, acc []byte, elems int, base *datatype.Type, rop Op, oneSided bool) error {
-	size := c.Size()
-	me := c.Rank()
-	es := base.Size()
-	left, right := ringPeers(me, size)
-	steps := 2 * (size - 1)
-	link := ringLink{cc: c, right: right, left: left, steps: steps, oneSided: oneSided}
-	// Reduce-scatter for the first size-1 steps (after which rank me holds
-	// the complete reduction of block (me+1) mod size), then ring allgather
-	// of the completed blocks — both driven by the shared rotation. Step 0
-	// sends this rank's own block, which only src holds.
-	for t := 0; t < steps; t++ {
-		sendIdx := ringSendBlock(me, t, size)
-		recvIdx := (sendIdx - 1 + size) % size
-		out := ringBlock(acc, elems, size, sendIdx, es)
-		if t == 0 {
-			out = ringBlock(src, elems, size, sendIdx, es)
-		}
-		var mine []byte
-		if t < size-1 {
-			mine = ringBlock(src, elems, size, recvIdx, es)
-		}
-		if err := link.xfer(t, out, ringBlock(acc, elems, size, recvIdx, es), mine, base, rop); err != nil {
-			return err
-		}
-	}
-	return link.finish()
 }

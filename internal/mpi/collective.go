@@ -54,17 +54,6 @@ func (c *Comm) recvColl(buf []byte, count int, dt *datatype.Type, src, tag int) 
 	return c.waitColl(c.irecvColl(buf, count, dt, src, tag))
 }
 
-// sendrecvColl is the deadlock-free internal exchange of the ring and
-// doubling algorithms, with the receive side under the watchdog.
-func (c *Comm) sendrecvColl(sendBuf []byte, sendCount int, sendType *datatype.Type, dst, sendTag int,
-	recvBuf []byte, recvCount int, recvType *datatype.Type, src, recvTag int) error {
-	r := c.irecvColl(recvBuf, recvCount, recvType, src, recvTag)
-	if err := c.send(sendBuf, sendCount, sendType, dst, sendTag, c.ctx); err != nil {
-		return err
-	}
-	return c.waitColl(r)
-}
-
 // Barrier blocks until every rank has entered it (dissemination algorithm,
 // log2(P) rounds of zero-byte messages).
 func (c *Comm) Barrier() error {
@@ -76,7 +65,9 @@ func (c *Comm) Barrier() error {
 }
 
 // barrierDissemination runs the log2(P) rounds of zero-byte messages on
-// tags tag, tag+1, ..., each wait bounded by timeout (0: forever).
+// tags tag, tag+1, ..., each wait bounded by timeout (0: forever). It keeps
+// its own loop because the shrink agreement passes it a deadline of its
+// own.
 func (c *Comm) barrierDissemination(tag int, timeout time.Duration) error {
 	size := c.Size()
 	me := c.Rank()
@@ -112,11 +103,14 @@ func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) error {
 	alg := c.chooseCollAlg(collBcast, size, bytes, bytes)
 	op := c.collBegin(collBcast, alg, bytes)
 	cc := c.collective()
-	if alg != CollOneSided {
-		return op.end(cc.bcastBinomial(buf, count, dt, root))
+	p, _ := c.planColl(collBcast, alg, size, bytes, bytes)
+	x := collCall{kind: collBcast, acc: buf, count: count, dt: dt, root: root}
+	if !p.oneSided {
+		return op.end(cc.runColl(p, &x))
 	}
 	if dt.Contiguous() {
-		return op.end(cc.bcastOneSided(buf[:bytes], root))
+		x.acc = buf[:bytes]
+		return op.end(cc.runColl(p, &x))
 	}
 	// Non-contiguous payloads travel as their ff linearization: the root
 	// packs, everyone else unpacks after the contiguous broadcast.
@@ -125,7 +119,8 @@ func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) error {
 		_, st := pack.FFPack(lin, buf, dt, count, 0, -1)
 		c.rk.w.chargeBlocks(c.p, c.rk.node, st, true)
 	}
-	err := cc.bcastOneSided(lin.B, root)
+	x.acc = lin.B
+	err := cc.runColl(p, &x)
 	if err == nil {
 		if c.Rank() != root {
 			_, st := pack.FFUnpack(buf, lin.B, dt, count, 0, -1)
@@ -134,28 +129,6 @@ func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Type, root int) error {
 		lin.Put() // a failed broadcast may still have a receive posted on it
 	}
 	return op.end(err)
-}
-
-func (c *Comm) bcastBinomial(buf []byte, count int, dt *datatype.Type, root int) error {
-	size := c.Size()
-	vrank := (c.Rank() - root + size) % size
-	// Receive from the parent, then forward to the children.
-	for k := 0; k < ceilLog2(size); k++ {
-		peer, parent := binomialPeer(vrank, k, size)
-		if peer < 0 {
-			continue
-		}
-		var err error
-		if parent {
-			err = c.recvColl(buf, count, dt, (peer+root)%size, tagBcast)
-		} else {
-			err = c.send(buf, count, dt, (peer+root)%size, tagBcast, c.ctx)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // binomialPeer returns the peer of vrank (a rank counted from the root) at
@@ -212,8 +185,10 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, ro
 	}
 	view := c.newReduceView(send, result, count, dt, base)
 	view.fill()
-	if c.Size() > 1 {
-		if err := c.collective().reduceBinomial(view.buf, view.elems, base, op, root); err != nil {
+	if size := c.Size(); size > 1 {
+		p, _ := c.planColl(collReduce, CollP2P, size, bytes, bytes)
+		x := collCall{kind: collReduce, acc: view.buf, count: view.elems, dt: base, op: op, root: root}
+		if err := c.collective().runColl(p, &x); err != nil {
 			return cop.end(err)
 		}
 	}
@@ -222,28 +197,6 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt *datatype.Type, op Op, ro
 	}
 	view.release()
 	return cop.end(nil)
-}
-
-// reduceBinomial folds the base-typed views up the binomial tree to root:
-// receive from children, each partial folded into acc where it lands, then
-// send to the parent.
-func (c *Comm) reduceBinomial(acc []byte, elems int, base *datatype.Type, op Op, root int) error {
-	size := c.Size()
-	vrank := (c.Rank() - root + size) % size
-	for k := ceilLog2(size) - 1; k >= 0; k-- {
-		peer, parent := binomialPeer(vrank, k, size)
-		if peer < 0 {
-			continue
-		}
-		peer = (peer + root) % size
-		if parent {
-			return c.send(acc, elems, base, peer, tagReduce, c.ctx)
-		}
-		if err := c.waitColl(c.irecvFold(acc, acc, elems, base, op, false, peer, tagReduce)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Allreduce leaves op over every rank's send buffer in every rank's recv
@@ -277,20 +230,14 @@ func (c *Comm) Allreduce(send, recv []byte, count int, dt *datatype.Type, op Op)
 	alg := c.chooseCollAlg(collAllreduce, size, bytes, bytes)
 	cop := c.collBegin(collAllreduce, alg, bytes)
 	cc := c.collective()
-	switch alg {
-	case CollRecDbl:
-		err = cc.allreduceRecDbl(view.src, view.buf, view.elems, base, op)
-	case CollRing:
-		err = cc.allreduceRing(view.src, view.buf, view.elems, base, op, false)
-	case CollOneSided:
-		err = cc.allreduceRing(view.src, view.buf, view.elems, base, op, true)
-	default:
-		// Reduce to rank 0, then broadcast, both on the packed view.
-		view.fill()
-		err = cc.reduceBinomial(view.buf, view.elems, base, op, 0)
-		if err == nil {
-			err = cc.bcastBinomial(view.buf, view.elems, base, 0)
-		}
+	p, then := c.planColl(collAllreduce, alg, size, bytes, bytes)
+	if p.sched == schedReduceTree {
+		view.fill() // the tree folds into acc, which starts as the contribution
+	}
+	x := collCall{kind: collAllreduce, src: view.src, acc: view.buf, count: view.elems, dt: base, op: op}
+	err = cc.runColl(p, &x)
+	if err == nil {
+		err = cc.runColl(then, &x)
 	}
 	if err == nil {
 		view.writeback(c, recv, count, dt)
@@ -313,6 +260,9 @@ func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, ro
 			return err
 		}
 	}
+	if err := checkDense("Gather", dt); err != nil {
+		return err
+	}
 	op := c.collBegin(collGather, CollP2P, dt.Size()*int64(count))
 	return op.end(c.collective().gather(send, count, dt, recv, root))
 }
@@ -320,7 +270,8 @@ func (c *Comm) Gather(send []byte, count int, dt *datatype.Type, recv []byte, ro
 // gather is the body of Gather: a non-root rank sends its count elements,
 // the root copies its own block and posts all receives up front and then
 // waits, so senders complete concurrently instead of being drained one
-// rank at a time.
+// rank at a time. It keeps its own loop: no plan posts every receive first,
+// and a kind with one family is never priced.
 func (c *Comm) gather(send []byte, count int, dt *datatype.Type, recv []byte, root int) error {
 	if c.Rank() != root {
 		return c.send(send, count, dt, root, tagGather, c.ctx)

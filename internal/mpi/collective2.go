@@ -24,6 +24,9 @@ func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte)
 	if err := CheckBuffer("Allgather", "receive buffer", recv, size*count, dt); err != nil {
 		return err
 	}
+	if err := checkDense("Allgather", dt); err != nil {
+		return err
+	}
 	me := c.Rank()
 	bytes := dt.Size() * int64(count)
 	copy(recv[int64(me)*bytes:], send[:bytes])
@@ -39,28 +42,8 @@ func (c *Comm) Allgather(send []byte, count int, dt *datatype.Type, recv []byte)
 			func(src int) []byte { return recv[int64(src)*bytes : int64(src+1)*bytes] },
 		))
 	}
-	return op.end(cc.allgatherRing(recv, count, dt))
-}
-
-// allgatherRing is the point-to-point body of Allgather, run once every
-// rank's own block is in recv: size-1 steps, each forwarding the block
-// received last to the right neighbour while taking the next one from the
-// left, on tags tagAllgather, tagAllgather+1, ...
-func (c *Comm) allgatherRing(recv []byte, count int, dt *datatype.Type) error {
-	size, me := c.Size(), c.Rank()
-	block := dt.Size() * int64(count)
-	left, right := ringPeers(me, size)
-	for step := 0; step < size-1; step++ {
-		s := int64((me-step+size)%size) * block
-		r := int64((me-step-1+size)%size) * block
-		if err := c.sendrecvColl(
-			recv[s:s+block], count, dt, right, tagAllgather+step,
-			recv[r:r+block], count, dt, left, tagAllgather+step,
-		); err != nil {
-			return err
-		}
-	}
-	return nil
+	p, _ := c.planColl(collAllgather, alg, size, int64(size)*bytes, bytes)
+	return op.end(cc.runColl(p, &collCall{kind: collAllgather, acc: recv, count: count, dt: dt}))
 }
 
 // Alltoall sends the i-th count-element slice of send to rank i and
@@ -73,6 +56,9 @@ func (c *Comm) Alltoall(send []byte, count int, dt *datatype.Type, recv []byte) 
 		return err
 	}
 	if err := CheckBuffer("Alltoall", "receive buffer", recv, size*count, dt); err != nil {
+		return err
+	}
+	if err := checkDense("Alltoall", dt); err != nil {
 		return err
 	}
 	me := c.Rank()
@@ -90,24 +76,16 @@ func (c *Comm) Alltoall(send []byte, count int, dt *datatype.Type, recv []byte) 
 			func(src int) []byte { return recv[int64(src)*bytes : int64(src+1)*bytes] },
 		))
 	}
-	return op.end(cc.alltoallPairwise(send, recv, count, dt))
+	p, _ := c.planColl(collAlltoall, alg, size, int64(size)*bytes, bytes)
+	return op.end(cc.runColl(p, &collCall{kind: collAlltoall, src: send, acc: recv, count: count, dt: dt}))
 }
 
-// alltoallPairwise is the point-to-point body of Alltoall, run once every
-// rank's own block is in recv: in step s each rank sends to the rank s to
-// its right and receives from the rank s to its left, on tags
-// tagAlltoall+1, tagAlltoall+2, ...
-func (c *Comm) alltoallPairwise(send, recv []byte, count int, dt *datatype.Type) error {
-	size, me := c.Size(), c.Rank()
-	block := dt.Size() * int64(count)
-	for step := 1; step < size; step++ {
-		to, from := pairwisePeers(me, step, size)
-		if err := c.sendrecvColl(
-			send[int64(to)*block:int64(to+1)*block], count, dt, to, tagAlltoall+step,
-			recv[int64(from)*block:int64(from+1)*block], count, dt, from, tagAlltoall+step,
-		); err != nil {
-			return err
-		}
+// checkDense refuses a datatype that is not contiguous: gather, allgather
+// and alltoall cut their blocks at count*dt.Size() bytes of the buffers,
+// which a derived layout does not follow.
+func checkDense(call string, dt *datatype.Type) error {
+	if !dt.Contiguous() {
+		return argErrf(call, "datatype %s is not contiguous; %s moves dense blocks", dt, call)
 	}
 	return nil
 }

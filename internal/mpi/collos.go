@@ -92,85 +92,13 @@ func (w *World) osSlotOff(srcWorld, t int) int64 {
 	return int64(srcWorld)*w.protocol().CollSlot + int64(t%2)*w.osChunk()
 }
 
-// bcastOneSided broadcasts a contiguous payload down the binomial tree
-// with chunk-pipelined window deposits: each chunk received from the
-// parent is forwarded to the children while the parent streams the next
-// one, so the tree depth costs one chunk fill each instead of a full
-// store-and-forward message. c must be the collective view.
-func (c *Comm) bcastOneSided(buf []byte, root int) error {
-	w := c.rk.w
-	size := c.Size()
-	me := c.Rank()
-	chunk := w.osChunk()
-	n := int64(len(buf))
-	nChunks := int((n + chunk - 1) / chunk)
-	if nChunks == 0 {
-		nChunks = 1
-	}
-	vrank := (me - root + size) % size
-	depth := ceilLog2(size)
-	parent := -1
-	for k := 0; k < depth; k++ {
-		if peer, up := binomialPeer(vrank, k, size); up {
-			parent = (peer + root) % size
-		}
-	}
-	for i := 0; i < nChunks; i++ {
-		lo := int64(i) * chunk
-		hi := min(lo+chunk, n)
-		piece := buf[lo:hi]
-		if parent >= 0 {
-			if err := c.recvColl(nil, 0, datatype.Byte, parent, tagCollOSN+i); err != nil {
-				return err
-			}
-			if err := c.osCopyOut(w.osSlotOff(c.worldRank(parent), i), piece); err != nil {
-				return err
-			}
-			if err := c.send(nil, 0, datatype.Byte, parent, tagCollOSA+i, c.ctx); err != nil {
-				return err
-			}
-		}
-		for k := 0; k < depth; k++ {
-			peer, up := binomialPeer(vrank, k, size)
-			if peer < 0 || up {
-				continue
-			}
-			child := (peer + root) % size
-			if i >= 2 {
-				if err := c.recvColl(nil, 0, datatype.Byte, child, tagCollOSA+i-2); err != nil {
-					return err
-				}
-			}
-			if err := c.osDeposit(c.worldRank(child), w.osSlotOff(c.rk.id, i), piece); err != nil {
-				return err
-			}
-			if err := c.send(nil, 0, datatype.Byte, child, tagCollOSN+i, c.ctx); err != nil {
-				return err
-			}
-		}
-	}
-	// Drain the children's last acks so the slot halves are free for the
-	// next collective before this one returns.
-	for k := 0; k < depth; k++ {
-		peer, up := binomialPeer(vrank, k, size)
-		if peer < 0 || up {
-			continue
-		}
-		for i := max(nChunks-2, 0); i < nChunks; i++ {
-			if err := c.recvColl(nil, 0, datatype.Byte, (peer+root)%size, tagCollOSA+i); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // osExchange is the one-shot window exchange behind the one-sided
 // allgather and alltoall: deposit out(dst) into every peer's slot and
 // notify; copy every peer's deposit out of the local window into in(src)
 // and ack; drain the acks. Blocks must fit one slot (the chooser's
 // eligibility check), so there is no in-operation slot reuse and deposits
-// need no chunking.
+// need no chunking. It keeps its own loop: all of a member's deposits run
+// ahead of its takes, which no plan's step holds (see modelExchange).
 func (c *Comm) osExchange(out func(dst int) []byte, in func(src int) []byte) error {
 	w := c.rk.w
 	size := c.Size()
@@ -206,52 +134,40 @@ func (c *Comm) osExchange(out func(dst int) []byte, in func(src int) []byte) err
 	return nil
 }
 
-// osXfer is the window-deposit block exchange of the one-sided ring
-// allreduce: per step, deposit the outgoing block into the right
-// neighbour's slot half, await the left neighbour's notify, take its block
-// — copied out, or on a reduce-scatter step (mine not nil) folded as
-// op(mine, block) into in straight out of the window — and ack. The ack of
-// step t-2 gates the reuse of a half.
-func (l *ringLink) osXfer(t int, out, in, mine []byte, base *datatype.Type, rop Op) error {
-	c := l.cc
+// osStep runs one step of a plan on window deposits, idx its slot index:
+// take the ack of the slot half it is about to reuse from its receiver,
+// deposit out into that half and notify; then await its sender's notify,
+// take the block — copied out, or folded as op(mine, block) into in straight
+// out of the window — and ack.
+func (c *Comm) osStep(from, to, idx int, st *collStep, x *collCall) error {
 	w := c.rk.w
-	if t >= 2 {
-		if err := c.recvColl(nil, 0, datatype.Byte, l.right, tagCollOSA+t-2); err != nil {
+	if to >= 0 {
+		if idx >= 2 {
+			if err := c.recvColl(nil, 0, datatype.Byte, to, tagCollOSA+idx-2); err != nil {
+				return err
+			}
+		}
+		if err := c.osDeposit(c.worldRank(to), w.osSlotOff(c.rk.id, idx), st.out); err != nil {
+			return err
+		}
+		if err := c.send(nil, 0, datatype.Byte, to, tagCollOSN+idx, c.ctx); err != nil {
 			return err
 		}
 	}
-	if err := c.osDeposit(c.worldRank(l.right), w.osSlotOff(c.rk.id, t), out); err != nil {
-		return err
+	if from < 0 {
+		return nil
 	}
-	if err := c.send(nil, 0, datatype.Byte, l.right, tagCollOSN+t, c.ctx); err != nil {
-		return err
-	}
-	if err := c.recvColl(nil, 0, datatype.Byte, l.left, tagCollOSN+t); err != nil {
+	if err := c.recvColl(nil, 0, datatype.Byte, from, tagCollOSN+idx); err != nil {
 		return err
 	}
 	var err error
-	if off := w.osSlotOff(c.worldRank(l.left), t); mine == nil {
-		err = c.osCopyOut(off, in)
-	} else if len(in) > 0 {
-		err = c.rk.dev.foldView(c.p, w.collView(c.rk.id, c.rk.id), off, reduceFold{op: int32(rop)}, base, in, mine)
+	if off := w.osSlotOff(c.worldRank(from), idx); st.mine == nil {
+		err = c.osCopyOut(off, st.in)
+	} else if len(st.in) > 0 {
+		err = c.rk.dev.foldView(c.p, w.collView(c.rk.id, c.rk.id), off, reduceFold{op: int32(x.op)}, x.dt, st.in, st.mine)
 	}
 	if err != nil {
 		return err
 	}
-	return c.send(nil, 0, datatype.Byte, l.left, tagCollOSA+t, c.ctx)
-}
-
-// osFinish drains the right neighbour's last acks, so the slot halves are
-// free for the next collective.
-func (l *ringLink) osFinish() error {
-	first := l.steps - 2
-	if first < 0 {
-		first = 0
-	}
-	for t := first; t < l.steps; t++ {
-		if err := l.cc.recvColl(nil, 0, datatype.Byte, l.right, tagCollOSA+t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.send(nil, 0, datatype.Byte, from, tagCollOSA+idx, c.ctx)
 }

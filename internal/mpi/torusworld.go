@@ -11,7 +11,8 @@ package mpi
 //
 // The allreduce schedule is exactly the collective engine's: every step
 // forwards the block ringSendBlock(me, step, size) picks, the same rotation
-// allreduceRing drives through the point-to-point and one-sided protocols.
+// the ring allreduce's block rule (collCall.step) drives through the
+// point-to-point and one-sided protocols.
 // The reduction operator is uint64 wrapping addition — exactly associative
 // and commutative — so chunk digests, checksums, flight dumps and
 // completion times are bit-identical across engines and shard counts.

@@ -202,7 +202,8 @@ type World struct {
 	oscReplyFree []*sim.Chan
 	// holds[r] parks the partials of rank r's exchange fold that land over
 	// bytes its own send has yet to read; made by the world's first
-	// folding exchange (foldExchange), so a world without one pays nothing.
+	// exchange that folds over what it sends (runColl's p2pStep), so a
+	// world without one pays nothing.
 	holds []exchHold
 
 	met   worldMetrics

@@ -516,3 +516,84 @@ func TestDocsUnderOneMiB(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// schedCallers lists, per peer-schedule function of internal/mpi, the
+// functions of its library code that may call it, each with its reason.
+// Every collective whose order the prior walks runs as a plan on one step
+// executor (runColl), which reaches a schedule only through collSched.peers;
+// a new caller is a new hand-written collective loop.
+var schedCallers = map[string]map[string]string{
+	"ringPeers":    {"collSched.peers": "the schedule the executor and the prior walk"},
+	"recDblPeer":   {"collSched.peers": "the schedule the executor and the prior walk"},
+	"binomialPeer": {"collSched.peers": "the schedule the executor and the prior walk"},
+	"pairwisePeers": {
+		"collSched.peers":    "the schedule the executor and the prior walk",
+		"Comm.osExchange":    "the one-sided window exchange: all of a member's deposits run ahead of its takes, which no plan's step holds",
+		"Comm.modelExchange": "the window exchange's prior, which walk's recurrence cannot hold for the same reason",
+	},
+	"ringSendBlock": {
+		"collCall.step":       "the ring allreduce's block rule",
+		"buildTorusWorld":     "the torus runtime runs the same rotation without processes: each node's first block",
+		"torusNode.beginStep": "the torus runtime's step: the block a node forwards",
+	},
+}
+
+// TestOneCollectiveExecutor fails on a call of a peer-schedule function of
+// internal/mpi's library code from outside its schedCallers entry.
+func TestOneCollectiveExecutor(t *testing.T) {
+	var mpi *checkedPackage
+	for _, p := range typeCheck(t, ".") {
+		if p.path == "scimpich/internal/mpi" {
+			mpi = p
+		}
+	}
+	if mpi == nil {
+		t.Fatal("type-checked no package scimpich/internal/mpi")
+	}
+	calls := map[string]int{}
+	for _, f := range mpi.libraryFiles() {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			caller := fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				caller = recv.(*ast.Ident).Name + "." + caller
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				id, ok := call.Fun.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := mpi.info.Uses[id].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != mpi.path {
+					return true
+				}
+				allowed, sched := schedCallers[fn.Name()]
+				if !sched {
+					return true
+				}
+				calls[fn.Name()]++
+				if _, ok := allowed[caller]; !ok {
+					t.Errorf("%s: %s calls %s: a collective loop outside the step executor (runColl); run it as a plan, or name it in schedCallers with its reason",
+						mpi.fset.Position(call.Pos()), caller, fn.Name())
+				}
+				return true
+			})
+		}
+	}
+	for name := range schedCallers {
+		if calls[name] == 0 {
+			t.Errorf("no library code calls %s: the lint has lost track of it", name)
+		}
+	}
+}
