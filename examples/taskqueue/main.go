@@ -64,7 +64,9 @@ func main() {
 			if err := win.Put(mpi.Float64Bytes([]float64{float64(next + 1)}), 8, datatype.Byte, 0, 0); err != nil {
 				log.Fatalf("rank %d: %v", me, err)
 			}
-			win.Unlock(0)
+			if err := win.Unlock(0); err != nil {
+				log.Fatalf("rank %d: %v", me, err)
+			}
 
 			if next >= tasks {
 				break

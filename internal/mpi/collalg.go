@@ -689,16 +689,14 @@ func (c *Comm) chooseCollAlg(kind collKind, size int, bytes, perPeer int64) Coll
 
 // --- per-call bookkeeping ---
 
-// collOp tracks one collective call: its span and timing.
+// collOp tracks one collective call: its span.
 type collOp struct {
-	c     *Comm
-	kind  collKind
-	start time.Duration
-	sp    *obs.Span
+	c  *Comm
+	sp *obs.Span
 }
 
 // collBegin opens the bookkeeping for one collective call with the chosen
-// algorithm: the decision counter, a trace span, and the timing baseline.
+// algorithm: the decision counter and a trace span.
 func (c *Comm) collBegin(kind collKind, alg CollAlg, bytes int64) collOp {
 	w := c.rk.w
 	w.stats.CollChosen[kind][alg]++
@@ -707,14 +705,11 @@ func (c *Comm) collBegin(kind collKind, alg CollAlg, bytes int64) collOp {
 	if sp != nil {
 		sp.SetDetail("alg %s", alg)
 	}
-	return collOp{c: c, kind: kind, start: c.p.Now(), sp: sp}
+	return collOp{c: c, sp: sp}
 }
 
-// end closes the call's span and latency histogram. It returns err for
-// chaining.
+// end closes the call's span. It returns err for chaining.
 func (op collOp) end(err error) error {
-	c := op.c
-	op.sp.End(c.p.Now())
-	c.rk.w.met.collNS[op.kind].ObserveDuration(c.p.Now() - op.start)
+	op.sp.End(op.c.p.Now())
 	return err
 }

@@ -82,9 +82,8 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 		return nil
 	}
 
-	start := p.Now()
 	path := protoCode - 1 // the index of the protocol in sendPaths
-	sp := tr.StartSpan(start, c.rk.actor, "send", sendPaths[path])
+	sp := tr.StartSpan(p.Now(), c.rk.actor, "send", sendPaths[path])
 	sp.SetBytes(bytes)
 	if sp != nil {
 		sp.SetDetail("-> %d tag %d", dst, tag)
@@ -101,7 +100,6 @@ func (c *Comm) send(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int)
 	sp.End(p.Now())
 	w.stats.Sends[path]++
 	w.stats.SendBytes[path] += bytes
-	w.met.sendNS[path].ObserveDuration(p.Now() - start)
 	return c.fail(flight.OpSend, dst, err)
 }
 
@@ -477,13 +475,11 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 			if req, ok := mem.DMAWrite(c.p, off, buf[skip:skip+n]); ok {
 				// The CPU is free during the transfer; the protocol simply
 				// waits for the engine before signalling the chunk.
-				start := c.p.Now()
-				sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "transfer", "dma")
+				sp := w.cfg.Tracer.StartSpan(c.p.Now(), c.rk.actor, "transfer", "dma")
 				sp.SetBytes(n)
 				err := req.Wait(c.p)
 				sp.End(c.p.Now())
 				w.stats.DMABytes += n
-				w.met.transferDMANS.ObserveDuration(c.p.Now() - start)
 				c.choosePath(flight.PathDMACont, n)
 				return err
 			}
@@ -525,8 +521,7 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 		return err
 	default:
 		// Generic baseline: local pack, then one streamed copy.
-		start := c.p.Now()
-		sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "generic")
+		sp := w.cfg.Tracer.StartSpan(c.p.Now(), c.rk.actor, "pack", "generic")
 		sp.SetBytes(n)
 		scratch := bufpool.Get(int(n))
 		_, st := pack.GenericPack(scratch.B, buf, dt, count, skip, n)
@@ -535,7 +530,6 @@ func (c *Comm) packChunkInto(out *sendPort, sc *rdvSend, off int64, buf []byte, 
 		scratch.Put()
 		sp.End(c.p.Now())
 		w.stats.PackGenericBytes += n
-		w.met.packGenericNS.ObserveDuration(c.p.Now() - start)
 		c.choosePath(flight.PathGeneric, n)
 		return err
 	}
@@ -553,8 +547,7 @@ func (c *Comm) choosePath(path int, n int64) {
 // plus its gaps (the reason the chunk must stay below the L2 size).
 func (c *Comm) depositFF(mem smi.Mem, sc *rdvSend, off int64, buf []byte, skip, n int64) error {
 	w := c.rk.w
-	start := c.p.Now()
-	sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "direct_pack_ff")
+	sp := w.cfg.Tracer.StartSpan(c.p.Now(), c.rk.actor, "pack", "direct_pack_ff")
 	sp.SetBytes(n)
 	bw := mem.BlockWriter(c.p, 2*n)
 	sc.sink = offsetSink{w: bw, base: off}
@@ -563,7 +556,6 @@ func (c *Comm) depositFF(mem smi.Mem, sc *rdvSend, off int64, buf []byte, skip, 
 	err := bw.Flush()
 	sp.End(c.p.Now())
 	w.stats.PackFFBytes += n
-	w.met.packFFNS.ObserveDuration(c.p.Now() - start)
 	return err
 }
 
@@ -573,8 +565,7 @@ func (c *Comm) depositFF(mem smi.Mem, sc *rdvSend, off int64, buf []byte, skip, 
 // while the wire sees one full-size stream.
 func (c *Comm) depositStaged(mem smi.Mem, off int64, buf []byte, cur *pack.Cursor, skip, n int64) error {
 	w := c.rk.w
-	start := c.p.Now()
-	sp := w.cfg.Tracer.StartSpan(start, c.rk.actor, "pack", "staged_ff")
+	sp := w.cfg.Tracer.StartSpan(c.p.Now(), c.rk.actor, "pack", "staged_ff")
 	sp.SetBytes(n)
 	scratch := bufpool.Get(int(n))
 	cur.SeekTo(skip)
@@ -584,7 +575,6 @@ func (c *Comm) depositStaged(mem smi.Mem, off int64, buf []byte, cur *pack.Curso
 	scratch.Put()
 	sp.End(c.p.Now())
 	w.stats.PackFFBytes += n
-	w.met.packFFNS.ObserveDuration(c.p.Now() - start)
 	return err
 }
 
@@ -611,7 +601,6 @@ func (c *Comm) depositSG(out *sendPort, sc *rdvSend, off int64, buf []byte, skip
 	err = req.Wait(c.p)
 	sp.End(c.p.Now())
 	w.stats.PackSGBytes += n
-	w.met.packSGNS.ObserveDuration(c.p.Now() - start)
 	return true, err
 }
 

@@ -17,6 +17,7 @@ import (
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
+	"scimpich/internal/obs/flight"
 	"scimpich/internal/osc"
 )
 
@@ -51,7 +52,8 @@ func dump(r *obs.Registry) map[string]metric {
 func disturbed() *fault.Plan { return fault.New(1).DisturbLink(0, 1, 0, 200*time.Microsecond) }
 
 // statsWorld runs one world on reg under plan: a message of each protocol
-// both ways, contiguous and as a vector, then a put, a local put, a get and
+// both ways, contiguous and as a vector, one call of each collective but
+// the barrier, then a put, a local put, a get and
 // an accumulate in a fence epoch on a shared and on a private window, after
 // which the private window is abandoned. It returns the world and every
 // window it created.
@@ -77,6 +79,14 @@ func statsWorld(t *testing.T, cfg mpi.Config, plan *fault.Plan, reg *obs.Registr
 				}
 			}
 		}
+		vals := mpi.Float64Bytes([]float64{1, 2})
+		all := make([]byte, c.Size()*len(vals))
+		must(c.Bcast(vals, 2, datatype.Float64, 0))
+		must(c.Reduce(vals, make([]byte, len(vals)), 2, datatype.Float64, mpi.OpSum, 0))
+		must(c.Allreduce(vals, make([]byte, len(vals)), 2, datatype.Float64, mpi.OpSum))
+		must(c.Gather(vals, 2, datatype.Float64, all, 0))
+		must(c.Allgather(vals, 2, datatype.Float64, all))
+		must(c.Alltoall(all, 2/c.Size(), datatype.Float64, make([]byte, len(all))))
 		sys := osc.NewSystem(c)
 		shared := sys.CreateShared(c.AllocShared(4096), osc.DefaultConfig())
 		private := sys.CreatePrivate(make([]byte, 4096), osc.DefaultConfig())
@@ -260,6 +270,49 @@ func (s *structs) checkWorlds(t *testing.T, got map[string]metric) {
 	}
 }
 
+// collKinds are the collectives in the order of WorldStats.CollChosen.
+var collKinds = [...]string{"barrier", "bcast", "reduce", "allreduce", "gather", "allgather", "alltoall"}
+
+// checkSpans holds the spans of tr, the trace of one world, to the counts
+// of the same intervals in its structs: a send span per counted send of its
+// protocol, a coll span per call of each collective, a pack or transfer
+// span per rendezvous chunk of its deposit path, and an osc span per put,
+// get and accumulate of the windows ws. It returns each count by span name.
+func checkSpans(t *testing.T, tr *obs.Trace, st mpi.WorldStats, ws []*osc.Win) map[string]int64 {
+	t.Helper()
+	got := map[string]int64{}
+	for _, sp := range tr.Spans() {
+		got[sp.Category+"/"+sp.Name]++
+	}
+	want := map[string]int64{
+		"send/short":          st.Sends[0],
+		"send/eager":          st.Sends[1],
+		"send/rdv":            st.Sends[2],
+		"pack/direct_pack_ff": st.PathChosen[0],
+		"pack/staged_ff":      st.PathChosen[1],
+		"pack/dma_sg":         st.PathChosen[2],
+		"pack/generic":        st.PathChosen[flight.PathGeneric],
+		"transfer/dma":        st.PathChosen[flight.PathDMACont],
+	}
+	for k, name := range collKinds {
+		for _, n := range st.CollChosen[k] {
+			want["coll/"+name] += n
+		}
+	}
+	for _, w := range ws {
+		o := w.Snapshot()
+		want["osc/put"] += o.Puts
+		want["osc/get"] += o.Gets
+		want["osc/acc"] += o.Accs
+	}
+	for name, n := range want {
+		if got[name] != n {
+			t.Errorf("%d %s spans, the structs counted %d", got[name], name, n)
+		}
+	}
+	return want
+}
+
 // nodes is the number of nodes w runs on; ranks fill the nodes in order.
 func nodes(w *mpi.World) int { return w.NodeOf(w.Size()-1) + 1 }
 
@@ -303,30 +356,45 @@ func TestRetriesAggregatePublished(t *testing.T) {
 	}
 }
 
-// TestPublishedCountersAreStructSums: an intra-node and an inter-node world
-// publish into one registry, and every published count is the sum of the
-// struct fields it comes from — over ranks, nodes, flow networks, windows
-// (an abandoned one included) and both worlds — under one name without a
-// node or rank label: the mpi decision counts, flow.* and, under the
-// disturbed link, fault.injected{kind} included. A second PublishMetrics
-// changes nothing.
+// TestPublishedCountersAreStructSums: an intra-node world and three
+// inter-node ones (adaptive, forced staged, forced DMA with the generic
+// pack) publish into one registry, and every published count is the sum of
+// the struct fields it comes from — over ranks, nodes, flow networks,
+// windows (an abandoned one included) and the worlds — under one name
+// without a node or rank label: the mpi decision counts, flow.* and, under
+// the disturbed link, fault.injected{kind} included. A second
+// PublishMetrics changes nothing. Each world's trace holds one span per
+// interval its structs count (checkSpans), and every such span occurs.
 func TestPublishedCountersAreStructSums(t *testing.T) {
 	reg := obs.NewRegistry()
 	var (
 		worlds []*mpi.World
 		s      structs
 	)
-	for _, cfg := range []mpi.Config{mpi.DefaultConfig(1, 2), mpi.DefaultConfig(2, 1)} {
+	spans := map[string]int64{}
+	staged, dmaGeneric := mpi.DefaultConfig(2, 1), mpi.DefaultConfig(2, 1)
+	staged.Protocol.Path = mpi.PathStaged
+	dmaGeneric.Protocol.Path, dmaGeneric.Protocol.UseFF = mpi.PathDMA, false
+	for _, cfg := range []mpi.Config{mpi.DefaultConfig(1, 2), mpi.DefaultConfig(2, 1), staged, dmaGeneric} {
 		var plan *fault.Plan
 		if cfg.Nodes > 1 {
 			plan = disturbed()
 		}
+		cfg.Tracer = obs.NewTrace(0)
 		w, ws := statsWorld(t, cfg, plan, reg)
 		if cfg.Nodes > 1 && retries(w) == 0 {
 			t.Error("the disturbed link cost no retries")
 		}
 		worlds = append(worlds, w)
 		s.add(w, ws)
+		for name, n := range checkSpans(t, cfg.Tracer, w.WorldStats(), ws) {
+			spans[name] += n
+		}
+	}
+	for name, n := range spans {
+		if n == 0 {
+			t.Errorf("no %s span: the worlds did not exercise it", name)
+		}
 	}
 	got := dump(reg)
 	s.check(t, got)

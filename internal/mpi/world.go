@@ -206,7 +206,6 @@ type World struct {
 	// world without one pays nothing.
 	holds []exchHold
 
-	met   worldMetrics
 	stats WorldStats
 	// packFF/packGeneric accumulate the block structure of every pack and
 	// unpack operation charged on this world, per engine (see PackStats).
@@ -235,42 +234,9 @@ func (w *World) countPack(st pack.Stats, ff bool) {
 	}
 }
 
-// worldMetrics caches the runtime's registry histograms so the send hot
-// path never performs a map lookup. With metrics disabled every field is a
-// nil histogram and every observation below is an allocation-free no-op.
-type worldMetrics struct {
-	sendNS [len(sendPaths)]*obs.Histogram // by protocol, as WorldStats.Sends
-
-	packFFNS      *obs.Histogram
-	packGenericNS *obs.Histogram
-	packSGNS      *obs.Histogram
-	transferDMANS *obs.Histogram
-
-	collNS [collKindCount]*obs.Histogram // whole collective calls
-}
-
 // sendPaths names the protocols of a send to another rank, in the order of
 // WorldStats.Sends.
 var sendPaths = [...]string{"short", "eager", "rdv"}
-
-func newWorldMetrics(r *obs.Registry) worldMetrics {
-	if r == nil {
-		return worldMetrics{} // obs.Name would still build every name below
-	}
-	m := worldMetrics{
-		packFFNS:      r.Histogram(obs.Name("mpi.pack.ns", "engine", "direct_pack_ff")),
-		packGenericNS: r.Histogram(obs.Name("mpi.pack.ns", "engine", "generic")),
-		packSGNS:      r.Histogram(obs.Name("mpi.pack.ns", "engine", "dma_sg")),
-		transferDMANS: r.Histogram(obs.Name("mpi.transfer.ns", "path", "dma")),
-	}
-	for i, path := range sendPaths {
-		m.sendNS[i] = r.Histogram(obs.Name("mpi.send.ns", "path", path))
-	}
-	for k := collKind(0); k < collKindCount; k++ {
-		m.collNS[k] = r.Histogram(obs.Name("mpi.coll.ns", "coll", k.String()))
-	}
-	return m
-}
 
 // WorldStats is a world's decision and volume counts, the one store of the
 // mpi.* counters: the ranks bump them, World.WorldStats returns them by value
@@ -375,7 +341,6 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	n := cfg.Nodes * cfg.ProcsPerNode
 	w := &World{cfg: cfg, fabric: f, host: f.Locale(0), size: n}
 	e := w.host
-	w.met = newWorldMetrics(cfg.Metrics)
 	flags := make([]bool, 2*n) // suspects, then revoked
 	w.suspects, w.revoked = flags[:n:n], flags[n:]
 	if cfg.Nodes > 1 {

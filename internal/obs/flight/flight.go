@@ -187,12 +187,14 @@ const (
 	OpAccumulate
 	OpCommit
 	OpRecover
+	OpUnlock
 )
 
 var opNames = [...]string{
 	OpNone: "none", OpSend: "send", OpRecv: "recv", OpFence: "fence",
 	OpLock: "lock", OpShrink: "shrink", OpPut: "put", OpGet: "get",
 	OpAccumulate: "accumulate", OpCommit: "commit", OpRecover: "recover",
+	OpUnlock: "unlock",
 }
 
 func (o Op) String() string {

@@ -7,15 +7,17 @@
 //
 //   - A Registry holds labelled metrics. Counters and gauges are plain
 //     totals added at publish; histograms bucket values by powers of two
-//     and answer quantile queries (p50/p95/p99/max), which is how the
-//     drivers attribute cost to protocol paths (direct PIO pack vs.
-//     pack-and-send, direct one-sided vs. emulation, remote-put Gets).
+//     and answer quantile queries (p50/p95/p99/max) for the layers that
+//     open no span: sci's accesses and flow's transfers.
 //   - A Trace records spans (StartSpan/End with parent/child links, so a
 //     rendezvous send or an OSC epoch shows up as one nested tree),
-//     timestamped in virtual time. Traces export to Chrome trace-event
-//     JSON (loadable in chrome://tracing or Perfetto) together with the
-//     flight recorder's events as instants, and aggregate into
-//     per-category latency/byte summaries.
+//     timestamped in virtual time. A span is the one record of an mpi or
+//     osc interval, and the trace is where cost shows by protocol path
+//     (direct PIO pack vs. pack-and-send, direct one-sided vs. emulation,
+//     remote-put Gets). Traces export to Chrome trace-event JSON (loadable
+//     in chrome://tracing or Perfetto) together with the flight recorder's
+//     events as instants, and aggregate into per-category latency/byte
+//     summaries.
 //   - The flight recorder (package flight) is the one event log: every
 //     protocol and fault event is a typed, fixed-size record there.
 //

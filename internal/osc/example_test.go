@@ -54,7 +54,9 @@ func ExampleWin_Lock() {
 			if err := win.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0); err != nil {
 				log.Fatal(err)
 			}
-			win.Unlock(0)
+			if err := win.Unlock(0); err != nil {
+				log.Fatal(err)
+			}
 		}
 		if err := c.Barrier(); err != nil {
 			log.Fatal(err)

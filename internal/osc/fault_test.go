@@ -10,6 +10,7 @@ import (
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
+	"scimpich/internal/sci"
 )
 
 // Fault-injection tests for the one-sided layer: a direct window view that
@@ -110,7 +111,7 @@ func TestLockTimeoutRecovery(t *testing.T) {
 				t.Fatalf("lock after restore failed: %v", err)
 			}
 			must(w.Put(src, len(src), datatype.Byte, 1, 0))
-			w.Unlock(1)
+			must(w.Unlock(1))
 		} else {
 			c.Proc().Sleep(8 * time.Millisecond)
 			if !bytes.Equal(w.LocalBytes()[:len(src)], src) {
@@ -118,6 +119,62 @@ func TestLockTimeoutRecovery(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestUnlockOfLostTarget: a rank that holds a lock when the target's node
+// crashes leaves the epoch with Unlock, which fails at once with the typed
+// loss instead of waiting for a handler that will never answer, on private
+// and shared windows, with and without a watchdog.
+func TestUnlockOfLostTarget(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		shared  bool
+		timeout time.Duration
+	}{
+		{"private/no-watchdog", false, 0},
+		{"private/auto", false, mpi.AutoTimeout},
+		{"shared/no-watchdog", true, 0},
+		{"shared/auto", true, mpi.AutoTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := mpi.DefaultConfig(2, 1)
+			cfg.SCI.Fault = fault.New(5).CrashNode(1, time.Millisecond)
+			oscCfg := DefaultConfig()
+			oscCfg.SyncTimeout = tc.timeout
+			src := fill(512)
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				s := NewSystem(c)
+				var w *Win
+				if tc.shared {
+					w = s.CreateShared(c.AllocShared(4096), oscCfg)
+				} else {
+					w = s.CreatePrivate(make([]byte, 4096), oscCfg)
+				}
+				if c.Rank() != 0 {
+					c.Proc().Sleep(2 * time.Millisecond)
+					return
+				}
+				must(w.Lock(1))
+				c.Proc().Sleep(1500 * time.Microsecond) // node 1 is down now
+				var lost sci.ErrConnectionLost
+				if err := w.Put(src, len(src), datatype.Byte, 1, 0); err == nil {
+					t.Error("put to a crashed node succeeded")
+				}
+				before := c.Proc().Now()
+				if err := w.Unlock(1); !errors.As(err, &lost) {
+					t.Errorf("unlock of a crashed node: err = %v, want sci.ErrConnectionLost", err)
+				}
+				// Closing the epoch's views may take a store barrier; the
+				// release itself waits for nobody.
+				if waited := c.Proc().Now() - before; waited > 100*time.Microsecond {
+					t.Errorf("unlock of a known-lost target took %v", waited)
+				}
+				if w.ep != epochNone || w.lockHeld != -1 {
+					t.Errorf("after a failed unlock: epoch %v, lock held on %d; want none", w.ep, w.lockHeld)
+				}
+			})
+		})
+	}
 }
 
 // TestFenceWatchdogNoDeadlock: Fence against a peer that never

@@ -47,12 +47,10 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	w.stats.Puts++
 	w.stats.BytesPut += n
 	p := w.sys.c.Proc()
-	start := p.Now()
-	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "put")
+	sp := w.sys.c.Tracer().StartSpan(p.Now(), w.actor, "osc", "put")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
-		w.sys.met.putNS.ObserveDuration(p.Now() - start)
 		w.fail(flight.OpPut, target, err)
 	}()
 
@@ -248,12 +246,10 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	w.stats.Gets++
 	w.stats.BytesGot += n
 	p := w.sys.c.Proc()
-	start := p.Now()
-	sp := w.sys.c.Tracer().StartSpan(start, w.actor, "osc", "get")
+	sp := w.sys.c.Tracer().StartSpan(p.Now(), w.actor, "osc", "get")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
-		w.sys.met.getNS.ObserveDuration(p.Now() - start)
 		w.fail(flight.OpGet, target, err)
 	}()
 
@@ -375,12 +371,10 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 	w.stats.Accs++
 	c := w.sys.c
 	p := c.Proc()
-	start := p.Now()
-	sp := c.Tracer().StartSpan(start, w.actor, "osc", "acc")
+	sp := c.Tracer().StartSpan(p.Now(), w.actor, "osc", "acc")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
-		w.sys.met.accNS.ObserveDuration(p.Now() - start)
 		w.fail(flight.OpAccumulate, target, err)
 	}()
 	if target != c.Rank() {

@@ -303,7 +303,7 @@ func TestLockUnlockPassiveTargetShared(t *testing.T) {
 			must(w.Get(buf, 8, datatype.Byte, 0, 0))
 			v := mpi.BytesFloat64(buf)[0]
 			must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
-			w.Unlock(0)
+			must(w.Unlock(0))
 		}
 		must(c.Barrier())
 		if c.Rank() == 0 {
@@ -327,7 +327,7 @@ func TestLockUnlockPassiveTargetPrivate(t *testing.T) {
 			must(w.Get(buf, 8, datatype.Byte, 0, 0))
 			v := mpi.BytesFloat64(buf)[0]
 			must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
-			w.Unlock(0)
+			must(w.Unlock(0))
 		}
 		must(c.Barrier())
 		if c.Rank() == 0 {

@@ -13,13 +13,13 @@ import (
 // an epoch; the library optimizes across the epoch boundary (store barriers
 // are issued at the closing call, not per access).
 
-// ErrSyncTimeout reports a synchronization call (Fence, Lock) or a handler
-// round-trip that waited longer than Config.SyncTimeout for a peer —
+// ErrSyncTimeout reports a synchronization call (Fence, Lock, Unlock) or a
+// handler round-trip that waited longer than Config.SyncTimeout for a peer —
 // typically because its node crashed while the call already waited, or a
 // live peer never made the matching call. A fence does not wait out a peer
 // the liveness view already shows dead: it fails at once (see Fence).
 type ErrSyncTimeout struct {
-	Op     string // "fence" or "lock"
+	Op     string // "fence", "lock", "unlock" or a data operation
 	Win    int
 	Target int // locked target rank, or -1 for fence
 	Waited time.Duration
@@ -280,8 +280,12 @@ func (w *Win) tryLock(target int, timeout time.Duration) bool {
 }
 
 // Unlock closes the passive-target epoch: completes all transfers to the
-// target, then releases the lock (MPI_Win_unlock).
-func (w *Win) Unlock(target int) {
+// target, then releases the lock (MPI_Win_unlock). The epoch ends here
+// whatever the result. A target known lost fails at once with lostTarget's
+// error; a private window's release is a handler round-trip bounded by
+// Config.SyncTimeout, with oscRPC's errors. A shared window's lock word is
+// released even when its node is lost, so a restored node's lock is free.
+func (w *Win) Unlock(target int) error {
 	if w.ep != epochLock || w.lockHeld != target {
 		panic("osc: Unlock without matching Lock")
 	}
@@ -289,14 +293,18 @@ func (w *Win) Unlock(target int) {
 	p := c.Proc()
 	w.closeEpoch()
 	w.syncViews()
-	if w.isShared[target] {
-		if target != c.Rank() {
+	w.ep = epochNone
+	w.lockHeld = -1
+	err := w.lostTarget(target)
+	switch {
+	case w.isShared[target]:
+		if err == nil && target != c.Rank() {
 			p.Sleep(c.World().LockLatency(c.GroupToWorld(target), c.WorldRank()) / 2)
 		}
 		p.Unlock(w.sharedLocks[target])
-	} else {
-		w.sys.call(c.GroupToWorld(target), oscReq{kind: reqUnlock, win: w.id}, true, 0)
+	case err == nil:
+		err = w.oscRPC("unlock", target, oscReq{kind: reqUnlock, win: w.id}, true)
 	}
-	w.ep = epochNone
-	w.lockHeld = -1
+	w.fail(flight.OpUnlock, target, err)
+	return err
 }

@@ -75,7 +75,7 @@ func TestLockExclusiveUnderContention(t *testing.T) {
 					must(w.Get(buf, 8, datatype.Byte, 0, 0))
 					v := mpi.BytesFloat64(buf)[0]
 					must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
-					w.Unlock(0)
+					must(w.Unlock(0))
 				}
 				must(c.Barrier())
 				if got := mpi.BytesFloat64(w.LocalBytes())[0]; c.Rank() == 0 && got != procs*rounds {

@@ -40,7 +40,6 @@ type System struct {
 	c       *mpi.Comm
 	wins    map[int]*Win
 	nextWin int
-	met     oscMetrics
 	// abandoned sums the counts of the windows abandoned on this rank, so
 	// that they are still published; nil without a registry.
 	abandoned *Stats
@@ -52,7 +51,7 @@ type System struct {
 // NewSystem installs the one-sided engine on the calling rank; with a
 // metrics registry, the world publishes its windows' counts (see publish).
 func NewSystem(c *mpi.Comm) *System {
-	s := &System{c: c, wins: make(map[int]*Win), met: newOSCMetrics(c.Metrics())}
+	s := &System{c: c, wins: make(map[int]*Win)}
 	c.SetOSCHandler(s)
 	if c.Metrics() != nil {
 		s.abandoned = new(Stats)
@@ -67,23 +66,6 @@ func (s *System) publish(r *obs.Registry) {
 	r.AddStats("osc", *s.abandoned)
 	for _, w := range s.wins {
 		r.AddStats("osc", w.stats)
-	}
-}
-
-// oscMetrics caches the registry histograms for the one-sided layer,
-// resolved once at System creation so the operation paths never do a map
-// lookup. All fields are nil without a registry; nil collectors are no-ops.
-type oscMetrics struct {
-	putNS, getNS, accNS *obs.Histogram
-	epochNS             *obs.Histogram
-}
-
-func newOSCMetrics(r *obs.Registry) oscMetrics {
-	return oscMetrics{
-		putNS:   r.Histogram("osc.put.ns"),
-		getNS:   r.Histogram("osc.get.ns"),
-		accNS:   r.Histogram("osc.acc.ns"),
-		epochNS: r.Histogram("osc.epoch.ns"),
 	}
 }
 
@@ -180,12 +162,8 @@ type Win struct {
 	// recorder is configured).
 	fl *flight.Ring
 	// epochSpan is the open trace span of the current access epoch; data
-	// operation spans on the same actor nest under it. epochOpen/epochStart
-	// track the epoch independently of the span so the epoch-duration
-	// histogram also fills without a tracer.
-	epochSpan  *obs.Span
-	epochOpen  bool
-	epochStart time.Duration
+	// operation spans on the same actor nest under it.
+	epochSpan *obs.Span
 
 	stats Stats
 }
@@ -310,25 +288,16 @@ func (w *Win) LocalBytes() []byte {
 // data operation spans on the same rank nest under it until the closing
 // synchronization call ends it.
 func (w *Win) openEpoch(mode string) {
-	now := w.sys.c.Proc().Now()
-	w.epochOpen, w.epochStart = true, now
-	w.epochSpan = w.sys.c.Tracer().StartSpan(now, w.actor, "osc", "epoch")
+	w.epochSpan = w.sys.c.Tracer().StartSpan(w.sys.c.Proc().Now(), w.actor, "osc", "epoch")
 	if w.epochSpan != nil { // guarded here: the arguments are boxed before a callee could decline them
 		w.epochSpan.SetDetail("win %d %s", w.id, mode)
 	}
 }
 
-// closeEpoch ends the current epoch span (no-op when none is open) and
-// feeds its duration to the epoch histogram.
+// closeEpoch ends the current epoch span (no-op when none is open).
 func (w *Win) closeEpoch() {
-	if !w.epochOpen {
-		return
-	}
-	now := w.sys.c.Proc().Now()
-	w.sys.met.epochNS.ObserveDuration(now - w.epochStart)
-	w.epochSpan.End(now)
+	w.epochSpan.End(w.sys.c.Proc().Now())
 	w.epochSpan = nil
-	w.epochOpen = false
 }
 
 // degrade abandons the direct view of rank target: all further accesses to

@@ -597,3 +597,45 @@ func TestOneCollectiveExecutor(t *testing.T) {
 		}
 	}
 }
+
+// oneRecord are the packages whose library code keeps one record per fact:
+// an interval is a trace span and a count is a stats field, so no registry
+// histogram re-times what a span already holds.
+var oneRecord = []string{"scimpich/internal/mpi", "scimpich/internal/osc"}
+
+// TestOneRecordPerInterval fails on a oneRecord package's library code
+// that makes a registry histogram ((*obs.Registry).Histogram or
+// HistogramUnit) or declares a variable, field, parameter or result whose
+// type spells *obs.Histogram (in an array, slice, map or func type too).
+func TestOneRecordPerInterval(t *testing.T) {
+	seen := 0
+	for _, p := range typeCheck(t, ".") {
+		if !slices.Contains(oneRecord, p.path) {
+			continue
+		}
+		seen++
+		for _, f := range p.libraryFiles() {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					s := p.info.Selections[n]
+					if s == nil || s.Kind() != types.MethodVal {
+						return true
+					}
+					if fn := s.Obj(); fn.Pkg() != nil && fn.Pkg().Path() == "scimpich/internal/obs" &&
+						(fn.Name() == "Histogram" || fn.Name() == "HistogramUnit") {
+						t.Errorf("%s: registry histogram made: time the interval with a trace span", p.fset.Position(n.Pos()))
+					}
+				case *ast.Ident:
+					if obj := p.info.Defs[n]; obj != nil && strings.Contains(types.TypeString(obj.Type(), nil), "*scimpich/internal/obs.Histogram") {
+						t.Errorf("%s: %s holds an *obs.Histogram: time the interval with a trace span", p.fset.Position(n.Pos()), n.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if seen != len(oneRecord) {
+		t.Errorf("type-checked %d of the %d oneRecord packages", seen, len(oneRecord))
+	}
+}
