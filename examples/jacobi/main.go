@@ -113,7 +113,9 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 			// Halo exchange.
 			if oneSided {
 				win.Post(group)
-				win.Start(group)
+				if err := win.Start(group); err != nil {
+					log.Fatalf("rank %d: %v", me, err)
+				}
 				if left >= 0 {
 					if err := win.Put(mpi.Float64Bytes(cur[1:2]), 8, datatype.Byte, left, 8); err != nil {
 						log.Fatalf("rank %d: %v", me, err)
@@ -125,7 +127,9 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 					}
 				}
 				win.Complete(group)
-				win.Wait(group)
+				if err := win.Wait(group); err != nil {
+					log.Fatalf("rank %d: %v", me, err)
+				}
 				if left >= 0 {
 					cur[0] = mpi.BytesFloat64(win.LocalBytes()[0:8])[0]
 				}

@@ -122,8 +122,7 @@ type envelope struct {
 	probe *probeReq
 
 	// one-sided communication: osc is the request of a call; a notification
-	// (OSCNotify) has none, and its kind, window and round ride in tag, ctx
-	// and chunk.
+	// (OSCNotify) has none, and its kind and window ride in tag and ctx.
 	osc any
 }
 

@@ -21,7 +21,7 @@ type OSCHandler interface {
 	// travels back to the caller.
 	ServeCall(p *sim.Proc, src int, req any) any
 	// ServeNote serves an OSCNotify notification.
-	ServeNote(p *sim.Proc, src, kind, win, round int)
+	ServeNote(p *sim.Proc, src, kind, win int)
 }
 
 // SetOSCHandler registers the handler of the one-sided requests arriving at
@@ -43,7 +43,7 @@ func (d *device) serveOSC(p *sim.Proc, env *envelope) {
 		panic("mpi: one-sided request with no handler registered")
 	}
 	if env.reply == nil {
-		d.osc.ServeNote(p, env.src, env.tag, env.ctx, env.chunk)
+		d.osc.ServeNote(p, env.src, env.tag, env.ctx)
 		return
 	}
 	reply := d.osc.ServeCall(p, env.src, env.osc)
@@ -100,14 +100,14 @@ func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.
 }
 
 // OSCNotify invokes the remote handler's ServeNote without waiting for a
-// reply. A notification is three integers, which the envelope carries in its
+// reply. A notification is two integers, which the envelope carries in its
 // own fields: with no reply to mark when the handler is done with a request
 // record, it has none to allocate.
-func (c *Comm) OSCNotify(target, kind, win, round int, interrupt bool) {
+func (c *Comm) OSCNotify(target, kind, win int, interrupt bool) {
 	c.countOSCDelivery(interrupt)
 	c.w.ring(c.p, c.rk.id, target, envelope{
 		kind: envOSC, src: c.rk.id, dst: target,
-		tag: kind, ctx: win, chunk: round,
+		tag: kind, ctx: win,
 	}, interrupt)
 }
 

@@ -188,13 +188,15 @@ const (
 	OpCommit
 	OpRecover
 	OpUnlock
+	OpStart
+	OpWait
 )
 
 var opNames = [...]string{
 	OpNone: "none", OpSend: "send", OpRecv: "recv", OpFence: "fence",
 	OpLock: "lock", OpShrink: "shrink", OpPut: "put", OpGet: "get",
 	OpAccumulate: "accumulate", OpCommit: "commit", OpRecover: "recover",
-	OpUnlock: "unlock",
+	OpUnlock: "unlock", OpStart: "start", OpWait: "wait",
 }
 
 func (o Op) String() string {
@@ -214,18 +216,16 @@ const (
 )
 
 // Packet-drop reasons for KPacketDrop; from DropUnknownWin on, the reasons
-// are the one-sided handler's and A is the window id.
+// are the one-sided handler's and A is the window id (8 and 9 are retired).
 const (
-	DropRevoked       = 1  // an endpoint was revoked by a shrink agreement
-	DropNodeDown      = 2  // an endpoint's node is down
-	DropDuplicate     = 3  // a duplicated delivery (D = sequence number or chunk index)
-	DropStray         = 4  // a control packet no transfer waits for (D = request id)
-	DropDrainFailed   = 5  // the payload could not be read out of the port
-	DropUnknownWin    = 6  // a request for a window the target no longer has
-	DropUnheldUnlock  = 7  // an unlock of a lock nobody holds
-	DropStalePost     = 8  // a post from outside the access group
-	DropStaleComplete = 9  // a complete from outside the exposure group
-	DropRemotePut     = 10 // the handler's remote-put toward the origin failed
+	DropRevoked      = 1  // an endpoint was revoked by a shrink agreement
+	DropNodeDown     = 2  // an endpoint's node is down
+	DropDuplicate    = 3  // a duplicated delivery (D = sequence number or chunk index)
+	DropStray        = 4  // a control packet no transfer waits for (D = request id)
+	DropDrainFailed  = 5  // the payload could not be read out of the port
+	DropUnknownWin   = 6  // a request for a window the target no longer has
+	DropUnheldUnlock = 7  // an unlock of a lock nobody holds
+	DropRemotePut    = 10 // the handler's remote-put toward the origin failed
 )
 
 // Event is one recorded protocol event: the virtual timestamp, a global

@@ -16,8 +16,7 @@ import (
 var dropNames = [...]string{
 	DropRevoked: "peer revoked", DropNodeDown: "node down", DropDuplicate: "duplicate",
 	DropStray: "stray", DropDrainFailed: "drain failed", DropUnknownWin: "unknown window",
-	DropUnheldUnlock: "unlock of unheld lock", DropStalePost: "unexpected post",
-	DropStaleComplete: "unexpected complete", DropRemotePut: "remote-put failed",
+	DropUnheldUnlock: "unlock of unheld lock", DropRemotePut: "remote-put failed",
 }
 
 // FormatEvent renders one event as a short human-readable line (no
@@ -60,7 +59,7 @@ func FormatEvent(e DumpEvent) string {
 		return fmt.Sprintf("deposit path %s (%dB)", p, e.B)
 	case KPacketDrop:
 		switch {
-		case e.C <= 0 || int(e.C) >= len(dropNames):
+		case e.C <= 0 || int(e.C) >= len(dropNames) || dropNames[e.C] == "":
 			return fmt.Sprintf("packet to/from rank%d dropped (reason %d)", e.B, e.C)
 		case e.C >= DropUnknownWin:
 			return fmt.Sprintf("window %d: request of rank%d dropped (%s)", e.A, e.B, dropNames[e.C])

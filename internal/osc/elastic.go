@@ -76,20 +76,20 @@ func (w *Win) lostTarget(target int) error {
 	return nil
 }
 
-// lostPeer is the fence's fast-fail check, run before the arrival of round
-// is announced: a revoked rank or a dead node of this rank's own yields the
-// typed revocation error for itself (as a shrink agreement does), and a
-// peer that has not yet announced round and is lost yields lostTarget's
-// error. A peer that announced round before it was lost fails nothing.
-func (w *Win) lostPeer(round int) error {
+// lostPeer is the fast-fail check of Fence, Start and Wait, run before the
+// call announces or waits for anything: a revoked rank or a dead node of
+// this rank's own yields the typed revocation error for itself (as a
+// shrink agreement does), and a lost rank of group with no unmatched
+// notification of kind k yields lostTarget's error. A peer whose
+// notification arrived before it was lost fails nothing.
+func (w *Win) lostPeer(k reqKind, group []int) error {
 	c := w.sys.c
 	wd := c.World()
 	if self := c.WorldRank(); wd.RankRevoked(self) || !wd.NodeAlive(self) {
 		return &mpi.RevokedRankError{Rank: self}
 	}
-	me := c.Rank()
-	for g, seen := range w.fenceSeen {
-		if g != me && seen < round {
+	for _, g := range group {
+		if a := &w.arrivals[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
 			if err := w.lostTarget(g); err != nil {
 				return err
 			}

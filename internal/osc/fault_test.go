@@ -177,6 +177,86 @@ func TestUnlockOfLostTarget(t *testing.T) {
 	}
 }
 
+// TestPSCWOfLostPeer: Start and Wait toward a peer whose node crashed end
+// with a typed error instead of hanging the run. A peer already known dead
+// when the call starts fails it at once with sci.ErrConnectionLost, with or
+// without a watchdog, and counts no timeout; a call that already waits when
+// the peer's node dies ends at its watchdog with an ErrSyncTimeout.
+func TestPSCWOfLostPeer(t *testing.T) {
+	const crashAt = time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		op      string // "start" or "wait"
+		enter   time.Duration
+		timeout time.Duration
+	}{
+		{"start/dead-at-entry/no-watchdog", "start", 2 * crashAt, 0},
+		{"start/dead-at-entry/auto", "start", 2 * crashAt, mpi.AutoTimeout},
+		{"wait/dead-at-entry/no-watchdog", "wait", 2 * crashAt, 0},
+		{"wait/dead-at-entry/auto", "wait", 2 * crashAt, mpi.AutoTimeout},
+		{"start/waiting-at-crash/auto", "start", 0, mpi.AutoTimeout},
+		{"wait/waiting-at-crash/auto", "wait", 0, mpi.AutoTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := mpi.DefaultConfig(2, 1)
+			cfg.SCI.Fault = fault.New(5).CrashNode(1, crashAt)
+			oscCfg := DefaultConfig()
+			oscCfg.SyncTimeout = tc.timeout
+			checked := false
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				w := NewSystem(c).CreateShared(c.AllocShared(4096), oscCfg)
+				p := c.Proc()
+				if c.Rank() != 0 {
+					p.Sleep(2 * crashAt) // never posts nor completes
+					return
+				}
+				p.Sleep(tc.enter - p.Now())
+				var err error
+				before := p.Now()
+				if tc.op == "start" {
+					err = w.Start([]int{1})
+				} else {
+					w.Post([]int{1})
+					before = p.Now()
+					err = w.Wait([]int{1})
+				}
+				took := p.Now() - before
+				t.Logf("%s returned in %v: %v", tc.op, took, err)
+				if tc.enter > crashAt {
+					var lost sci.ErrConnectionLost
+					if !errors.As(err, &lost) || lost.To != 1 {
+						t.Errorf("%s toward a dead node: err = %v, want sci.ErrConnectionLost to node 1", tc.op, err)
+					}
+					if took > 10*time.Microsecond {
+						t.Errorf("%s failed after %v, want within a few µs", tc.op, took)
+					}
+					if n := w.Snapshot().SyncTimeouts; n != 0 {
+						t.Errorf("SyncTimeouts = %d, want 0", n)
+					}
+				} else {
+					var st ErrSyncTimeout
+					if !errors.As(err, &st) || st.Op != tc.op || st.Target != -1 {
+						t.Errorf("%s waiting at the crash: err = %v, want ErrSyncTimeout of %q", tc.op, err, tc.op)
+					}
+					if st.Waited < w.cfg.SyncTimeout || took < w.cfg.SyncTimeout {
+						t.Errorf("%s gave up after %v (waited %v), before its watchdog of %v", tc.op, took, st.Waited, w.cfg.SyncTimeout)
+					}
+					if n := w.Snapshot().SyncTimeouts; n != 1 {
+						t.Errorf("SyncTimeouts = %d, want 1", n)
+					}
+				}
+				if w.ep != epochNone {
+					t.Errorf("after a failed %s: epoch %v, want none", tc.op, w.ep)
+				}
+				checked = true
+			})
+			if !checked {
+				t.Error("rank 0 did not reach the check")
+			}
+		})
+	}
+}
+
 // TestFenceWatchdogNoDeadlock: Fence against a peer that never
 // arrives returns ErrSyncTimeout instead of deadlocking the simulation.
 func TestFenceWatchdogNoDeadlock(t *testing.T) {

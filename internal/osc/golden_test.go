@@ -74,10 +74,10 @@ func oscGoldenRun(t *testing.T, nodes, ppn int, mode string, shared bool) string
 				if me%2 == 0 {
 					p.Sleep(40 * time.Microsecond)
 				}
-				w.Start([]int{right})
+				must(w.Start([]int{right}))
 				must(w.Put(src, block, datatype.Byte, right, off))
 				w.Complete([]int{right})
-				w.Wait([]int{left})
+				must(w.Wait([]int{left}))
 			case "lock":
 				must(w.Lock(right))
 				must(w.Put(src, block, datatype.Byte, right, off))

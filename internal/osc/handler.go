@@ -27,9 +27,9 @@ const (
 	reqAcc
 	reqLockTry
 	reqUnlock
+	// the notifications, counted in a window's arrival record (arrival)
 	reqPost
 	reqComplete
-	// reqFence announces a rank's arrival at a fence round.
 	reqFence
 )
 
@@ -37,10 +37,10 @@ const (
 // that wait for a reply — are recycled by System.call under the rule of
 // their reply channel (see mpi.Comm.OSCCallTimeout): a record goes back
 // once its reply was read, and one whose watchdog expired is left to the
-// GC, since the handler may still read it. A notification (fence arrivals,
-// post, complete) has no reply to mark the end of its reading, so it has no
-// record: mpi.Comm.OSCNotify carries its kind, window and round as integers,
-// and ServeNote rebuilds the request on its stack.
+// GC, since the handler may still read it. A notification (post, complete,
+// fence arrival) has no reply to mark the end of its reading, so it has no
+// record: mpi.Comm.OSCNotify carries its kind and window as integers, and
+// ServeNote rebuilds the request on its stack.
 type oscReq struct {
 	kind   reqKind
 	win    int
@@ -51,7 +51,6 @@ type oscReq struct {
 	dt     *datatype.Type
 	count  int
 	op     mpi.Op
-	round  int // fence round number (reqFence)
 }
 
 // memModel returns the node's memory hierarchy model.
@@ -69,8 +68,8 @@ func (s *System) ServeCall(p *sim.Proc, src int, req any) any {
 }
 
 // ServeNote services one notification on the device process.
-func (s *System) ServeNote(p *sim.Proc, src, kind, win, round int) {
-	r := oscReq{kind: reqKind(kind), win: win, round: round}
+func (s *System) ServeNote(p *sim.Proc, src, kind, win int) {
+	r := oscReq{kind: reqKind(kind), win: win}
 	s.serve(p, src, &r)
 }
 
@@ -105,12 +104,8 @@ func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 			return false
 		}
 		w.privLockBusy = false
-	case reqPost:
-		sim.Post(w.postQ, src)
-	case reqComplete:
-		sim.Post(w.completeQ, src)
-	case reqFence:
-		w.fenceArrived(src, r.round)
+	case reqPost, reqComplete, reqFence:
+		w.arrive(src, r.kind)
 	default:
 		panic(fmt.Sprintf("osc: unknown request kind %d", r.kind))
 	}

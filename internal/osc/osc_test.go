@@ -257,12 +257,12 @@ func TestPSCWSynchronization(t *testing.T) {
 		w := mkWin(c, 16384, true)
 		switch c.Rank() {
 		case 0: // origin
-			w.Start([]int{1})
+			must(w.Start([]int{1}))
 			must(w.Put(src, len(src), datatype.Byte, 1, 0))
 			w.Complete([]int{1})
 		case 1: // target
 			w.Post([]int{0})
-			w.Wait([]int{0})
+			must(w.Wait([]int{0}))
 			if !bytes.Equal(w.LocalBytes()[:len(src)], src) {
 				t.Error("PSCW put data missing after Wait")
 			}
@@ -276,18 +276,52 @@ func TestPSCWStartBlocksUntilPost(t *testing.T) {
 		w := mkWin(c, 64, true)
 		switch c.Rank() {
 		case 0:
-			w.Start([]int{1})
+			must(w.Start([]int{1}))
 			startDone = c.WtimeDuration()
 			w.Complete([]int{1})
 		case 1:
 			c.Proc().Sleep(500 * time.Microsecond)
 			w.Post([]int{0})
-			w.Wait([]int{0})
+			must(w.Wait([]int{0}))
 		}
 	})
 	if startDone < 500*time.Microsecond {
 		t.Errorf("Start returned at %v, before the target posted", startDone)
 	}
+}
+
+// TestPSCWPostMatchesLaterStart: a post that arrives while its origin
+// waits in a Start whose group does not hold the sender is kept for the
+// first later Start whose group does (MPI matches posts to Starts so). Rank
+// 2 posts at once, while rank 0 waits in Start({1}) for rank 1's post,
+// 200 µs later; rank 0's Start({2}) then takes rank 2's early post.
+func TestPSCWPostMatchesLaterStart(t *testing.T) {
+	a, b := fill(256), fill(512)[256:]
+	runCluster(3, 1, func(c *mpi.Comm) {
+		w := mkWin(c, 4096, false)
+		switch c.Rank() {
+		case 0:
+			must(w.Start([]int{1}))
+			must(w.Put(a, len(a), datatype.Byte, 1, 0))
+			w.Complete([]int{1})
+			must(w.Start([]int{2}))
+			must(w.Put(b, len(b), datatype.Byte, 2, 0))
+			w.Complete([]int{2})
+		case 1:
+			c.Proc().Sleep(200 * time.Microsecond)
+			w.Post([]int{0})
+			must(w.Wait([]int{0}))
+			if !bytes.Equal(w.LocalBytes()[:len(a)], a) {
+				t.Error("rank 1: put of the first access epoch missing")
+			}
+		case 2:
+			w.Post([]int{0})
+			must(w.Wait([]int{0}))
+			if !bytes.Equal(w.LocalBytes()[:len(b)], b) {
+				t.Error("rank 2: put of the second access epoch missing")
+			}
+		}
+	})
 }
 
 func TestLockUnlockPassiveTargetShared(t *testing.T) {

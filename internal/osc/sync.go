@@ -13,15 +13,15 @@ import (
 // an epoch; the library optimizes across the epoch boundary (store barriers
 // are issued at the closing call, not per access).
 
-// ErrSyncTimeout reports a synchronization call (Fence, Lock, Unlock) or a
-// handler round-trip that waited longer than Config.SyncTimeout for a peer —
-// typically because its node crashed while the call already waited, or a
-// live peer never made the matching call. A fence does not wait out a peer
-// the liveness view already shows dead: it fails at once (see Fence).
+// ErrSyncTimeout reports a synchronization call (Fence, Start, Wait, Lock,
+// Unlock) or a handler round-trip that waited longer than Config.SyncTimeout
+// for a peer — typically because its node crashed while the call already
+// waited, or a live peer never made the matching call. Fence, Start and Wait
+// fail at once instead on a peer already known dead (see lostPeer).
 type ErrSyncTimeout struct {
-	Op     string // "fence", "lock", "unlock" or a data operation
+	Op     string // "fence", "start", "wait", "lock", "unlock" or a data operation
 	Win    int
-	Target int // locked target rank, or -1 for fence
+	Target int // locked target rank, or -1 for a wait on a group
 	Waited time.Duration
 }
 
@@ -36,79 +36,100 @@ func (e ErrSyncTimeout) Error() string {
 // Fence closes the current access epoch (completing all outstanding posted
 // stores with a store barrier), synchronizes all ranks barrier-style, and
 // opens the next epoch (MPI_Win_fence): every rank announces its arrival
-// to all others and waits for the full round, numbered per window (the
-// handler records which peers arrived; see fenceArrived). Before it
-// announces anything, it fails at once on a peer that has not arrived and
-// is known lost (lostPeer), so no peer can complete a round this rank
-// failed, and the round is not used up. Waiting longer than
-// Config.SyncTimeout (0: forever) for a peer returns an ErrSyncTimeout.
+// to all others and waits for theirs (sync); the rounds are counted per
+// window. Before it announces anything, it fails at once on a peer that
+// has not arrived and is known lost (lostPeer), so no peer can complete a
+// round this rank failed, and the round is not used up. Waiting longer
+// than Config.SyncTimeout (0: forever) for a peer returns an ErrSyncTimeout.
 func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
 	w.syncViews()
 	c := w.sys.c
-	p := c.Proc()
-	round := w.fenceRound + 1
-	w.fl.Record(p.Now(), flight.KFenceEnter, int64(w.id), int64(round), 0, 0)
-	if err := w.lostPeer(round); err != nil {
-		w.fl.Fail(p.Now(), flight.OpFence, -1, err)
+	round := int64(w.arrivals[c.Rank()].used[reqFence-reqPost]) + 1
+	w.fl.Record(c.Proc().Now(), flight.KFenceEnter, int64(w.id), round, 0, 0)
+	if err := w.sync(reqFence, w.everyone, flight.OpFence); err != nil {
 		return err
 	}
-	w.fenceRound = round
-	me := c.Rank()
-	for r := 0; r < c.Size(); r++ {
-		if r != me {
-			c.OSCNotify(c.GroupToWorld(r), int(reqFence), w.id, round, false)
-		}
-	}
-	var waited time.Duration
-	w.fenceWait = round
-	for !w.fenceFull(round) { // a timed-out round may leave a stale wake
-		if w.cfg.SyncTimeout <= 0 {
-			p.Recv(w.fenceQ)
-			continue
-		}
-		remaining := w.cfg.SyncTimeout - waited
-		ok := remaining > 0
-		if ok {
-			before := p.Now()
-			_, ok = p.RecvTimeout(w.fenceQ, remaining)
-			waited += p.Now() - before
-		}
-		if !ok {
-			w.stats.SyncTimeouts++
-			err := ErrSyncTimeout{Op: "fence", Win: w.id, Target: -1, Waited: waited}
-			w.fl.Fail(p.Now(), flight.OpFence, -1, err)
-			return err
-		}
-	}
-	w.fl.Record(p.Now(), flight.KFenceExit, int64(w.id), int64(round), int64(c.Size()-1), 0)
+	w.fl.Record(c.Proc().Now(), flight.KFenceExit, int64(w.id), round, int64(c.Size()-1), 0)
 	w.ep = epochFence
 	w.openEpoch("fence")
 	w.resetPattern()
 	return nil
 }
 
-// fenceArrived records, on the handler, that world rank src announced
-// round, and wakes the rank once the round it waits for is full.
-func (w *Win) fenceArrived(src, round int) {
+// sync is the synchronization of Fence, Start and Wait (op): it fails at
+// once on a lost peer (lostPeer); then a fence counts its own arrival and
+// announces it to every peer; then it waits for a notification of kind k
+// from every rank of group (await). A failure is recorded under op.
+func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 	c := w.sys.c
-	for g := range w.fenceSeen {
-		if c.GroupToWorld(g) == src {
-			w.fenceSeen[g] = round
+	err := w.lostPeer(k, group)
+	if err == nil {
+		if k == reqFence {
+			me := c.Rank()
+			w.arrivals[me].seen[k-reqPost]++
+			for r := range c.Size() {
+				if r != me {
+					c.OSCNotify(c.GroupToWorld(r), int(reqFence), w.id, false)
+				}
+			}
+		}
+		err = w.await(k, group, op)
+	}
+	if err != nil {
+		w.fl.Fail(c.Proc().Now(), op, -1, err)
+	}
+	return err
+}
+
+// await is the one wait of the synchronization calls: it blocks until every
+// rank of group has a notification of kind k that no call matched yet; the
+// handler wakes the rank once the group is complete (arrive). Waiting
+// longer than Config.SyncTimeout (0: forever) returns an ErrSyncTimeout.
+// Whatever the result, it matches one notification of each rank, so a late
+// one is never taken for the next call's.
+func (w *Win) await(k reqKind, group []int, op flight.Op) error {
+	p := w.sys.c.Proc()
+	var err error
+	start := p.Now()
+	w.waitKind, w.waitGroup = k, group
+	for !w.arrived(k, group) { // a timed-out wait may leave a stale wake
+		if w.cfg.SyncTimeout <= 0 {
+			p.Recv(w.wake)
+		} else if _, ok := p.RecvTimeout(w.wake, start+w.cfg.SyncTimeout-p.Now()); !ok {
+			w.stats.SyncTimeouts++
+			err = ErrSyncTimeout{Op: op.String(), Win: w.id, Target: -1, Waited: p.Now() - start}
 			break
 		}
 	}
-	if round == w.fenceWait && w.fenceFull(round) {
-		sim.Post(w.fenceQ, nil)
+	w.waitGroup = nil
+	for _, g := range group {
+		w.arrivals[g].used[k-reqPost]++
+	}
+	return err
+}
+
+// arrive records, on the handler, a notification of kind k from world rank
+// src, and wakes the rank once the group it waits for is complete.
+func (w *Win) arrive(src int, k reqKind) {
+	c := w.sys.c
+	for g := range w.arrivals {
+		if c.GroupToWorld(g) == src {
+			w.arrivals[g].seen[k-reqPost]++
+			break
+		}
+	}
+	if w.waitGroup != nil && w.waitKind == k && w.arrived(k, w.waitGroup) {
+		sim.Post(w.wake, nil)
 	}
 }
 
-// fenceFull reports whether every peer announced round (or the next one).
-func (w *Win) fenceFull(round int) bool {
-	me := w.sys.c.Rank()
-	for g, seen := range w.fenceSeen {
-		if g != me && seen < round {
+// arrived reports whether every rank of group has a notification of kind k
+// that no call matched yet.
+func (w *Win) arrived(k reqKind, group []int) bool {
+	for _, g := range group {
+		if a := &w.arrivals[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
 			return false
 		}
 	}
@@ -145,35 +166,25 @@ func (w *Win) Post(group []int) {
 	w.stats.Posts++
 	c := w.sys.c
 	for _, origin := range group {
-		c.OSCNotify(c.GroupToWorld(origin), int(reqPost), w.id, 0, false)
+		c.OSCNotify(c.GroupToWorld(origin), int(reqPost), w.id, false)
 	}
 }
 
 // Start opens an access epoch toward the targets in group, blocking until
-// each has posted its exposure epoch (MPI_Win_start).
-func (w *Win) Start(group []int) {
+// each has posted its exposure epoch (MPI_Win_start); a post is kept for
+// the first Start whose group holds its sender. It fails as Fence does
+// (sync), and then opens no epoch.
+func (w *Win) Start(group []int) error {
 	if w.ep != epochNone {
 		panic("osc: Start inside another access epoch")
 	}
-	p := w.sys.c.Proc()
-	need := map[int]int{}
-	for _, t := range group {
-		need[w.sys.c.GroupToWorld(t)]++
-	}
-	for remaining := len(group); remaining > 0; {
-		src := p.Recv(w.postQ).(int) // world rank
-		if need[src] == 0 {
-			// Stale post from a rank outside the group — e.g. a peer revoked
-			// after it notified. Drop it; only expected posts count.
-			w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropStalePost, 0)
-			continue
-		}
-		need[src]--
-		remaining--
+	if err := w.sync(reqPost, group, flight.OpStart); err != nil {
+		return err
 	}
 	w.ep = epochStart
 	w.openEpoch("start")
 	w.resetPattern()
+	return nil
 }
 
 // Complete closes the access epoch: completes all transfers and notifies
@@ -186,29 +197,15 @@ func (w *Win) Complete(group []int) {
 	w.syncViews()
 	c := w.sys.c
 	for _, t := range group {
-		c.OSCNotify(c.GroupToWorld(t), int(reqComplete), w.id, 0, false)
+		c.OSCNotify(c.GroupToWorld(t), int(reqComplete), w.id, false)
 	}
 	w.ep = epochNone
 }
 
 // Wait closes the exposure epoch, blocking until every origin in group has
-// completed its accesses (MPI_Win_wait).
-func (w *Win) Wait(group []int) {
-	p := w.sys.c.Proc()
-	need := map[int]int{}
-	for _, o := range group {
-		need[w.sys.c.GroupToWorld(o)]++
-	}
-	for remaining := len(group); remaining > 0; {
-		src := p.Recv(w.completeQ).(int) // world rank
-		if need[src] == 0 {
-			// Stale complete from outside the group (revoked origin); drop it.
-			w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropStaleComplete, 0)
-			continue
-		}
-		need[src]--
-		remaining--
-	}
+// completed its accesses (MPI_Win_wait). It fails as Fence does (sync).
+func (w *Win) Wait(group []int) error {
+	return w.sync(reqComplete, group, flight.OpWait)
 }
 
 // Lock opens a passive-target epoch with exclusive access to target's

@@ -75,12 +75,12 @@ type Config struct {
 	// remote-put path. (Paper §4.2: "direct reading will only be effective
 	// up to a certain amount of data".)
 	GetDirectMax int64
-	// SyncTimeout bounds the synchronization calls (Fence, Lock) and the
-	// data operations' handler round-trips: waiting longer than this for a
-	// peer yields an ErrSyncTimeout instead of deadlocking. 0 disables the
-	// watchdog; mpi.AutoTimeout resolves to the world's scaled bound
-	// (ScaledSyncTimeout) at window creation, which panics on any other
-	// negative value.
+	// SyncTimeout bounds the synchronization calls (Fence, Start, Wait,
+	// Lock, Unlock) and the data operations' handler round-trips: waiting
+	// longer than this for a peer yields an ErrSyncTimeout instead of
+	// deadlocking. 0 disables the watchdog; mpi.AutoTimeout resolves to
+	// the world's scaled bound (ScaledSyncTimeout) at window creation,
+	// which panics on any other negative value.
 	SyncTimeout time.Duration
 }
 
@@ -130,9 +130,15 @@ type Win struct {
 
 	// access epoch state (origin side).
 	ep epoch
-	// exposure bookkeeping (target side of PSCW).
-	postQ     *sim.Chan
-	completeQ *sim.Chan
+	// arrivals is the window's arrival record, one row per group rank;
+	// while the rank waits (await), the handler wakes it through wake once
+	// every rank of waitGroup (nil: no wait) has an unmatched notification
+	// of kind waitKind (arrive). everyone is the group of a fence.
+	arrivals  []arrival
+	wake      *sim.Chan
+	waitKind  reqKind
+	waitGroup []int
+	everyone  []int
 
 	// put-pattern estimator: successive small puts to ascending strided
 	// offsets interact with the CPU write-combine buffer; remembering the
@@ -144,14 +150,6 @@ type Win struct {
 	// privLockBusy: handler-side lock state for passive target on private
 	// windows.
 	privLockBusy bool
-	// fence state: fenceRound is the last round this rank announced;
-	// fenceSeen[g] the last round group rank g announced here (a peer may
-	// be a round ahead), kept by the handler, which wakes this rank through
-	// fenceQ once fenceWait, the round it last waited for, is full.
-	fenceQ     *sim.Chan
-	fenceRound int
-	fenceWait  int
-	fenceSeen  []int
 	// ownLock guards this rank's own shared window (nil if private);
 	// origins take it from the exchange table.
 	ownLock *sim.Mutex
@@ -167,6 +165,11 @@ type Win struct {
 
 	stats Stats
 }
+
+// arrival is one group rank's row of the arrival record: seen[k] counts the
+// notifications of kind reqPost+k it sent (a rank counts its own fence
+// arrivals), used[k] those a call matched, failed calls too (see await).
+type arrival struct{ seen, used [3]uint32 }
 
 // Stats is the one-sided activity of a window on this rank, the one store of
 // these counts: the owning rank bumps them, Win.Snapshot returns them by
@@ -237,9 +240,7 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 		actor:      c.Actor(),
 		fl:         c.FlightRing(),
 		lastTarget: -1, lockHeld: -1,
-		postQ:     sim.NewChan(1 << 16),
-		completeQ: sim.NewChan(1 << 16),
-		fenceQ:    sim.NewChan(1 << 16),
+		wake: sim.NewChan(1),
 	}
 	if seg != nil {
 		w.ownLock = new(sim.Mutex)
@@ -256,8 +257,10 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	w.views = make([]smi.Mem, n)
 	w.degraded = make([]bool, n)
 	w.sharedLocks = make([]*sim.Mutex, n)
-	w.fenceSeen = make([]int, n)
+	w.arrivals = make([]arrival, n)
+	w.everyone = make([]int, n)
 	for r := 0; r < n; r++ {
+		w.everyone[r] = r
 		rw := all[r].(*Win)
 		if rw.shared != nil {
 			w.sizes[r] = rw.shared.Size()

@@ -639,3 +639,52 @@ func TestOneRecordPerInterval(t *testing.T) {
 		t.Errorf("type-checked %d of the %d oneRecord packages", seen, len(oneRecord))
 	}
 }
+
+// TestOneSyncWait fails on a call of (*sim.Proc).Recv or RecvTimeout in
+// internal/osc's library code outside Win.await: Fence, Start and Wait
+// wait for their peers' notifications there, bounded by the window's
+// SyncTimeout, and nowhere else.
+func TestOneSyncWait(t *testing.T) {
+	var osc *checkedPackage
+	for _, p := range typeCheck(t, ".") {
+		if p.path == "scimpich/internal/osc" {
+			osc = p
+		}
+	}
+	if osc == nil {
+		t.Fatal("type-checked no package scimpich/internal/osc")
+	}
+	waits := 0
+	for _, f := range osc.libraryFiles() {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				s := osc.info.Selections[sel]
+				if s == nil || s.Kind() != types.MethodVal {
+					return true
+				}
+				fn := s.Obj()
+				if types.TypeString(s.Recv(), nil) != "*scimpich/internal/sim.Proc" ||
+					(fn.Name() != "Recv" && fn.Name() != "RecvTimeout") {
+					return true
+				}
+				if fd.Name.Name == "await" && fd.Recv != nil {
+					waits++
+					return true
+				}
+				t.Errorf("%s: %s calls (*sim.Proc).%s: a synchronization wait outside Win.await", osc.fset.Position(sel.Pos()), fd.Name.Name, fn.Name())
+				return true
+			})
+		}
+	}
+	if waits == 0 {
+		t.Error("Win.await calls neither Recv nor RecvTimeout: the lint has lost track of the wait")
+	}
+}
