@@ -35,7 +35,7 @@ func TestConfigSurface(t *testing.T) {
 		{mpi.TorusConfig{}, []string{
 			"DX", "DY", "DZ", "Shards", "ChunkBytes", "SegmentLatency", "SampleEvery", "Registry",
 		}},
-		{osc.Config{}, []string{"GetDirectMax", "SyncTimeout"}},
+		{osc.Config{}, []string{"GetDirectMax"}},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		var got []string

@@ -96,7 +96,6 @@ func TestFacadeCallsReturnFaults(t *testing.T) {
 	cfg.Protocol.CollTimeout = mpi.AutoTimeout
 	cfg.Protocol.RendezvousTimeout = mpi.AutoTimeout
 	oscCfg := scimpich.DefaultOSCConfig()
-	oscCfg.SyncTimeout = mpi.AutoTimeout
 	errs := map[string]error{}
 	scimpich.Run(cfg, func(c *scimpich.Comm) {
 		sys := scimpich.NewOSC(c)

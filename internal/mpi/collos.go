@@ -61,12 +61,12 @@ func (w *World) collView(from, owner int) smi.Mem {
 // and makes it visible (store barrier + transfer check), with crash
 // detection and transient-fault retry. dstWorld is a world rank.
 func (c *Comm) osDeposit(dstWorld int, off int64, data []byte) error {
-	if err := c.peerLost(dstWorld); err != nil {
+	if err := c.PeerLost(dstWorld); err != nil {
 		return err
 	}
 	mem := c.rk.w.collView(c.rk.id, dstWorld)
 	return c.retryTransfer(dstWorld, func() error {
-		if err := c.peerLost(dstWorld); err != nil {
+		if err := c.PeerLost(dstWorld); err != nil {
 			return err
 		}
 		if len(data) > 0 {

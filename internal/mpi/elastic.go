@@ -58,14 +58,6 @@ func (w *World) Suspect(rank int) {
 	w.suspects[rank] = true
 }
 
-// RankRevoked reports whether a completed shrink agreement excluded the
-// world rank. Layered libraries (one-sided windows, rmem) use it to fail
-// operations against revoked targets fast.
-func (w *World) RankRevoked(rank int) bool { return w.revoked[rank] }
-
-// NodeOf returns the cluster node a world rank runs on.
-func (w *World) NodeOf(rank int) int { return w.ranks[rank].node }
-
 // probeSuspects runs one failure-detector sweep over the communicator's
 // members: every member whose node is down joins the sticky suspect set.
 func (c *Comm) probeSuspects() {
@@ -203,8 +195,8 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	p := c.p
 	me := c.rk.id
 	p.Sleep(callOverhead)
-	if w.revoked[me] || !w.NodeAlive(me) {
-		return nil, &RevokedRankError{Rank: me}
+	if err := c.SelfLost(); err != nil {
+		return nil, err
 	}
 	key := fmt.Sprintf("mpi.shrink.%d.%d", c.ctx, w.callSeq(c.ctx, me))
 	agreeID := flight.DigestString(key)
@@ -249,8 +241,8 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 		}
 		p.Sleep(w.agreementPoll())
 		c.probeSuspects()
-		if w.revoked[me] || !w.NodeAlive(me) {
-			return nil, &RevokedRankError{Rank: me}
+		if err := c.SelfLost(); err != nil {
+			return nil, err
 		}
 	}
 

@@ -163,7 +163,7 @@ func TestRevokedFastFail(t *testing.T) {
 		if me != 0 {
 			return
 		}
-		if !c.World().RankRevoked(1) {
+		if !c.World().revoked[1] {
 			t.Error("rank 1 not revoked after shrink")
 		}
 		_ = nc

@@ -23,3 +23,6 @@ func (w *World) FaultsInjected() (n [fault.Kinds]int64) {
 	}
 	return n
 }
+
+// Nodes returns the number of nodes the world runs on.
+func (w *World) Nodes() int { return w.cfg.Nodes }

@@ -113,12 +113,13 @@ func (c *Comm) fail(op flight.Op, peer int, err error) error {
 	return err
 }
 
-// peerLost reports whether the destination rank is unreachable: a revoked
+// PeerLost reports whether world rank dst is unreachable: a revoked
 // endpoint (either side) fails permanently as *RevokedRankError, a dead
 // node as the typed connection error; nil otherwise. Observing a dead node
 // also feeds the failure detector (World.Suspect), so a later shrink
-// agreement starts from what the protocols already saw.
-func (c *Comm) peerLost(dst int) error {
+// agreement starts from what the protocols already saw. It is the one loss
+// check of every layer: sends, collectives and the one-sided calls.
+func (c *Comm) PeerLost(dst int) error {
 	w := c.rk.w
 	if w.revoked[c.rk.id] {
 		return &RevokedRankError{Rank: c.rk.id}
@@ -137,17 +138,27 @@ func (c *Comm) peerLost(dst int) error {
 	return sci.ErrConnectionLost{From: c.rk.node, To: node}
 }
 
+// SelfLost reports whether this rank is lost itself: revoked by a shrink
+// agreement or on a node that is down, either as *RevokedRankError naming
+// the rank; nil otherwise.
+func (c *Comm) SelfLost() error {
+	if me := c.rk.id; c.rk.w.revoked[me] || !c.rk.w.NodeAlive(me) {
+		return &RevokedRankError{Rank: me}
+	}
+	return nil
+}
+
 // watchdogExpired is the one epilogue of every bounded wait that ran out
 // (receive, collective, rendezvous control, one-sided handler call): it
 // counts the expiry and lets the liveness of the awaited world rank decide
-// the error — a revoked endpoint or a dead node as peerLost reports them, a
+// the error — a revoked endpoint or a dead node as PeerLost reports them, a
 // *fault.Error of kind Timeout against a peer that is alive but silent, or
 // against AnySource. The operation the wait belongs to records the error
 // as its flight KError.
 func (c *Comm) watchdogExpired(peer int) error {
 	c.rk.dev.stats.SendTimeouts++
 	if peer != AnySource {
-		if err := c.peerLost(peer); err != nil {
+		if err := c.PeerLost(peer); err != nil {
 			return err
 		}
 	}
@@ -213,7 +224,7 @@ func (w *World) chargeBlocks(p *sim.Proc, node int, st pack.Stats, ff bool) {
 
 // sendShort carries the payload inline in the control packet.
 func (c *Comm) sendShort(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int, bytes int64) error {
-	if err := c.peerLost(dst); err != nil {
+	if err := c.PeerLost(dst); err != nil {
 		return err
 	}
 	payload := c.packCanonical(buf, count, dt, bytes)
@@ -246,7 +257,7 @@ func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 		payload = c.packCanonical(buf, count, dt, bytes)
 	}
 	err := c.retryTransfer(dst, func() error {
-		if err := c.peerLost(dst); err != nil {
+		if err := c.PeerLost(dst); err != nil {
 			return err
 		}
 		src := buf[:bytes]
@@ -350,7 +361,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 	p.Lock(&out.rdvLock)
 	defer p.Unlock(&out.rdvLock)
 
-	if err := c.peerLost(dst); err != nil {
+	if err := c.PeerLost(dst); err != nil {
 		return err
 	}
 	sc := sim.TakeFree(&w.rdvSendFree)
@@ -400,7 +411,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 		}
 		off := w.rdvOff(chunk)
 		err := c.retryTransfer(dst, func() error {
-			if err := c.peerLost(dst); err != nil {
+			if err := c.PeerLost(dst); err != nil {
 				return err
 			}
 			if err := c.packChunkInto(out, sc, off, buf, count, dt, contig, skip, n, mode); err != nil {

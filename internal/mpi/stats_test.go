@@ -190,7 +190,7 @@ func (s *structs) add(w *mpi.World, ws []*osc.Win) {
 	for rank := 0; rank < w.Size(); rank++ {
 		s.devices = append(s.devices, w.Stats(rank))
 	}
-	if n := nodes(w); n > 1 {
+	if n := w.Nodes(); n > 1 {
 		for node := 0; node < n; node++ {
 			s.nodes = append(s.nodes, w.InterconnectStats(node))
 		}
@@ -313,13 +313,10 @@ func checkSpans(t *testing.T, tr *obs.Trace, st mpi.WorldStats, ws []*osc.Win) m
 	return want
 }
 
-// nodes is the number of nodes w runs on; ranks fill the nodes in order.
-func nodes(w *mpi.World) int { return w.NodeOf(w.Size()-1) + 1 }
-
 // retries is the sum of the adapters' retry counts in w.
 func retries(w *mpi.World) int64 {
 	var n int64
-	for node := 0; node < nodes(w); node++ {
+	for node := 0; node < w.Nodes(); node++ {
 		n += w.InterconnectStats(node).Retries
 	}
 	return n

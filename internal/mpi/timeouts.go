@@ -18,9 +18,9 @@ import (
 // reachability retries, and the wire time of one protocol chunk.
 
 // AutoTimeout, assigned to ProtocolConfig.CollTimeout,
-// ProtocolConfig.RendezvousTimeout, the timeout argument of RecvTimeout,
-// or the one-sided SyncTimeout (osc.Config), selects the scaled watchdog
-// bound for the world instead of a hand-tuned constant.
+// ProtocolConfig.RendezvousTimeout or the timeout argument of RecvTimeout,
+// selects the scaled watchdog bound for the world instead of a hand-tuned
+// constant.
 const AutoTimeout time.Duration = -1
 
 // watchdogUnit is the building block of the scaled watchdogs: the worst
@@ -75,10 +75,18 @@ func (w *World) ScaledSyncTimeout() time.Duration {
 	return time.Duration(w.size+1) * w.watchdogUnit()
 }
 
-// CheckTimeout panics, naming the configuration field, on a timeout that
+// SyncTimeout is the bound of the world's one-sided synchronization waits
+// (osc: Fence, Start, Wait, Lock, Unlock and the handler round trips),
+// resolved from the mode of ProtocolConfig.CollTimeout: 0 waits forever,
+// AutoTimeout takes ScaledSyncTimeout, a positive value is used as is.
+func (w *World) SyncTimeout() time.Duration {
+	return scaledOr(w.protocol().CollTimeout, w.ScaledSyncTimeout)
+}
+
+// checkTimeout panics, naming the configuration field, on a timeout that
 // is negative and not AutoTimeout: such a value would silently wait
 // forever, as 0 does.
-func CheckTimeout(field string, d time.Duration) {
+func checkTimeout(field string, d time.Duration) {
 	if d < 0 && d != AutoTimeout {
 		panic(fmt.Sprintf("mpi: %s %v is negative and not AutoTimeout", field, d))
 	}

@@ -55,7 +55,8 @@ type ProtocolConfig struct {
 	// and friends): an expired wait surfaces as sci.ErrConnectionLost when
 	// the awaited peer's node is down, or a fault.Timeout error otherwise.
 	// 0 waits forever; AutoTimeout scales the bound with the world; a world
-	// with another negative value is refused.
+	// with another negative value is refused. Its mode also bounds the
+	// one-sided synchronization waits (World.SyncTimeout).
 	CollTimeout time.Duration
 
 	// RendezvousTimeout bounds each wait for rendezvous control traffic
@@ -336,8 +337,8 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	if c := cfg.Protocol.RendezvousChunk; c < 8 || c%8 != 0 {
 		panic(fmt.Sprintf("mpi: Protocol.RendezvousChunk %d is not a positive multiple of 8", c))
 	}
-	CheckTimeout("Protocol.CollTimeout", cfg.Protocol.CollTimeout)
-	CheckTimeout("Protocol.RendezvousTimeout", cfg.Protocol.RendezvousTimeout)
+	checkTimeout("Protocol.CollTimeout", cfg.Protocol.CollTimeout)
+	checkTimeout("Protocol.RendezvousTimeout", cfg.Protocol.RendezvousTimeout)
 	n := cfg.Nodes * cfg.ProcsPerNode
 	w := &World{cfg: cfg, fabric: f, host: f.Locale(0), size: n}
 	e := w.host
@@ -491,7 +492,7 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		// A crashed endpoint black-holes the control packet: the sender has
 		// paid the issue cost but nothing arrives, and no error comes back
 		// here. Layers that check the liveness view before they send (the
-		// one-sided operations and fence, Comm.peerLost) fail fast; a wait
+		// one-sided operations and fence, Comm.PeerLost) fail fast; a wait
 		// already under way learns of the loss from its watchdog.
 		from.fl.Record(p.Now(), flight.KPacketDrop, int64(e.kind), int64(dst), flight.DropNodeDown, 0)
 		return

@@ -10,19 +10,18 @@ import (
 
 // TestAllocsRPCBudget pins the emulated one-sided round trip at no object
 // once warm: an inline emulated put, a remote-put get and an inline
-// accumulate on a private window under the automatic watchdog. The call
+// accumulate on a private window under the automatic watchdog's bound. The call
 // takes its request record and its reply channel from free lists, the
 // watchdog is armed without a closure, the handler answers with a shared
 // reply, and the payloads pack into pooled buffers.
 func TestAllocsRPCBudget(t *testing.T) {
 	const warm, n = 20, 200
-	cfg := DefaultConfig()
-	cfg.SyncTimeout = mpi.AutoTimeout
 	val := fill(64)
 	got := make([]byte, 64)
 	win := allocwin.New(t)
 	runCluster(2, 1, func(c *mpi.Comm) {
-		w := NewSystem(c).CreatePrivate(make([]byte, 4096), cfg)
+		w := NewSystem(c).CreatePrivate(make([]byte, 4096), DefaultConfig())
+		w.timeout = c.World().ScaledSyncTimeout()
 		must(w.Fence())
 		if c.Rank() == 0 {
 			for i := 0; i < warm+n; i++ {

@@ -8,7 +8,6 @@ import (
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
-	"scimpich/internal/sci"
 	"scimpich/internal/sim"
 )
 
@@ -55,47 +54,34 @@ func (s *System) Rebind(c *mpi.Comm) {
 	c.SetOSCHandler(s)
 }
 
-// lostTarget is the fast-fail reachability check run before (and after) an
-// emulation-path operation: a revoked rank (ours or the target's) yields the
-// typed revocation error, a dead target node sci.ErrConnectionLost. nil
-// means the target looked reachable at the time of the check.
-func (w *Win) lostTarget(target int) error {
-	c := w.sys.c
-	wd := c.World()
-	me := c.WorldRank()
-	world := c.GroupToWorld(target)
-	if wd.RankRevoked(me) {
-		return &mpi.RevokedRankError{Rank: me}
-	}
-	if wd.RankRevoked(world) {
-		return &mpi.RevokedRankError{Rank: world}
-	}
-	if wd.NodeOf(world) != wd.NodeOf(me) && !wd.NodeAlive(world) {
-		return sci.ErrConnectionLost{From: wd.NodeOf(me), To: wd.NodeOf(world)}
-	}
-	return nil
-}
-
 // lostPeer is the fast-fail check of Fence, Start and Wait, run before the
-// call announces or waits for anything: a revoked rank or a dead node of
-// this rank's own yields the typed revocation error for itself (as a
-// shrink agreement does), and a lost rank of group with no unmatched
-// notification of kind k yields lostTarget's error. A peer whose
-// notification arrived before it was lost fails nothing.
+// call announces or waits for anything: this rank lost (a revoked rank or a
+// dead node of its own, mpi.Comm.SelfLost), then each rank of group with no
+// unmatched notification of kind k (mpi.Comm.PeerLost, which also tells the
+// failure detector of a dead node). A peer whose notification arrived
+// before it was lost fails nothing.
 func (w *Win) lostPeer(k reqKind, group []int) error {
 	c := w.sys.c
-	wd := c.World()
-	if self := c.WorldRank(); wd.RankRevoked(self) || !wd.NodeAlive(self) {
-		return &mpi.RevokedRankError{Rank: self}
+	if err := c.SelfLost(); err != nil {
+		return err
 	}
 	for _, g := range group {
 		if a := &w.arrivals[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
-			if err := w.lostTarget(g); err != nil {
+			if err := c.PeerLost(c.GroupToWorld(g)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// lost is the same check for the one target of Lock and Unlock.
+func (w *Win) lost(target int) error {
+	c := w.sys.c
+	if err := c.SelfLost(); err != nil {
+		return err
+	}
+	return c.PeerLost(c.GroupToWorld(target))
 }
 
 // call sends r to the handler at world rank target in a recycled request
@@ -115,19 +101,19 @@ func (s *System) call(target int, r oscReq, interrupt bool, timeout time.Duratio
 	return rep.(bool), nil
 }
 
-// oscRPC issues a handler request bounded by the window's SyncTimeout (with
-// SyncTimeout zero it blocks until the reply). An expired watchdog surfaces
+// oscRPC issues a handler request bounded by the window's timeout (with 0
+// it blocks until the reply). An expired watchdog surfaces
 // as the underlying fault when the target is provably gone, else as
 // ErrSyncTimeout; a refused reply means the target dropped the window
 // (ErrWinGone).
 func (w *Win) oscRPC(op string, target int, r oscReq, interrupt bool) error {
 	c := w.sys.c
-	ok, err := w.sys.call(c.GroupToWorld(target), r, interrupt, w.cfg.SyncTimeout)
+	ok, err := w.sys.call(c.GroupToWorld(target), r, interrupt, w.timeout)
 	if err != nil {
 		w.stats.SyncTimeouts++
 		var silent *fault.Error
 		if errors.As(err, &silent) && silent.Kind == fault.Timeout {
-			return ErrSyncTimeout{Op: op, Win: w.id, Target: target, Waited: w.cfg.SyncTimeout}
+			return ErrSyncTimeout{Op: op, Win: w.id, Target: target, Waited: w.timeout}
 		}
 		return err
 	}

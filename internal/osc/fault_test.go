@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
+	"scimpich/internal/obs/flight"
 	"scimpich/internal/sci"
 )
 
@@ -79,32 +81,33 @@ func TestSharedWindowDegradesMidEpoch(t *testing.T) {
 	}
 }
 
-// TestLockTimeoutRecovery: Lock against a crashed node returns a
-// typed ErrSyncTimeout within the watchdog budget, and succeeds normally
-// once the node is restored.
+// TestLockTimeoutRecovery: under a 500 µs watchdog, Lock on a crashed
+// node's shared window fails at once with sci.ErrConnectionLost, as Fence
+// does, without sitting out the watchdog or counting a timeout, and
+// succeeds normally once the node is restored.
 func TestLockTimeoutRecovery(t *testing.T) {
 	cfg := mpi.DefaultConfig(2, 1)
 	cfg.SCI.Fault = fault.New(5).
 		CrashNode(1, time.Millisecond).
 		RestoreNode(1, 4*time.Millisecond)
-	oscCfg := DefaultConfig()
-	oscCfg.SyncTimeout = 500 * time.Microsecond
+	cfg.Protocol.CollTimeout = 500 * time.Microsecond
 	src := fill(512)
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		s := NewSystem(c)
-		w := s.CreateShared(c.AllocShared(4096), oscCfg)
+		w := s.CreateShared(c.AllocShared(4096), DefaultConfig())
 		if c.Rank() == 0 {
 			c.Proc().Sleep(1500 * time.Microsecond) // node 1 is down now
+			before := c.Proc().Now()
 			err := w.Lock(1)
-			var st ErrSyncTimeout
-			if !errors.As(err, &st) {
-				t.Fatalf("lock against crashed node: err = %v, want ErrSyncTimeout", err)
+			var lost sci.ErrConnectionLost
+			if !errors.As(err, &lost) || lost.To != 1 {
+				t.Fatalf("lock against crashed node: err = %v, want sci.ErrConnectionLost to node 1", err)
 			}
-			if st.Op != "lock" || st.Target != 1 || st.Waited < oscCfg.SyncTimeout {
-				t.Errorf("timeout detail = %+v", st)
+			if took := c.Proc().Now() - before; took > 10*time.Microsecond {
+				t.Errorf("the lock failed after %v, want within a few µs", took)
 			}
-			if w.Snapshot().SyncTimeouts != 1 {
-				t.Errorf("SyncTimeouts = %d, want 1", w.Snapshot().SyncTimeouts)
+			if n := w.Snapshot().SyncTimeouts; n != 0 {
+				t.Errorf("SyncTimeouts = %d, want 0", n)
 			}
 			c.Proc().Sleep(3 * time.Millisecond) // past the restoration
 			if err := w.Lock(1); err != nil {
@@ -119,6 +122,88 @@ func TestLockTimeoutRecovery(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLockHeldByLivePeerTimesOut: on three live nodes under a 300 µs
+// watchdog, rank 2 holds rank 0's lock for 2 ms; rank 1's Lock of the same
+// target fails no loss check and ends at the watchdog with an
+// ErrSyncTimeout of "lock" naming rank 0, on a shared and on a private
+// window, and opens no epoch.
+func TestLockHeldByLivePeerTimesOut(t *testing.T) {
+	const bound = 300 * time.Microsecond
+	for _, shared := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			cfg := mpi.DefaultConfig(3, 1)
+			cfg.Protocol.CollTimeout = bound
+			checked := false
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				s := NewSystem(c)
+				var w *Win
+				if shared {
+					w = s.CreateShared(c.AllocShared(64), DefaultConfig())
+				} else {
+					w = s.CreatePrivate(make([]byte, 64), DefaultConfig())
+				}
+				p := c.Proc()
+				switch c.Rank() {
+				case 0:
+					p.Sleep(3 * time.Millisecond) // its handler serves the lock
+				case 1:
+					p.Sleep(100 * time.Microsecond) // rank 2 holds the lock now
+					err := w.Lock(0)
+					var st ErrSyncTimeout
+					if !errors.As(err, &st) || st.Op != "lock" || st.Target != 0 || st.Waited < bound {
+						t.Errorf("lock held by a live peer: err = %v, want ErrSyncTimeout of \"lock\" on rank 0 after %v", err, bound)
+					}
+					if n := w.Snapshot().SyncTimeouts; n != 1 {
+						t.Errorf("SyncTimeouts = %d, want 1", n)
+					}
+					if w.ep != epochNone {
+						t.Error("a failed lock opened an epoch")
+					}
+					checked = true
+				case 2:
+					must(w.Lock(0))
+					p.Sleep(2 * time.Millisecond)
+					must(w.Unlock(0))
+				}
+			})
+			if !checked {
+				t.Error("rank 1 did not reach the check")
+			}
+		})
+	}
+}
+
+// TestPutToDeadNodeSuspectsTarget: a Put toward a crashed node fails with
+// sci.ErrConnectionLost and leaves the target in the failure detector's
+// suspect set (its KSuspect record), as a send toward it does, so a later
+// shrink agreement starts from what the one-sided layer saw.
+func TestPutToDeadNodeSuspectsTarget(t *testing.T) {
+	cfg := mpi.DefaultConfig(2, 1)
+	cfg.SCI.Fault = fault.New(5).CrashNode(1, time.Millisecond)
+	rec := flight.New(0)
+	cfg.Flight = rec
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		w := NewSystem(c).CreateShared(c.AllocShared(64), DefaultConfig())
+		must(w.Fence())
+		c.Proc().Sleep(2 * time.Millisecond) // node 1 is down now
+		if c.Rank() == 0 {
+			var lost sci.ErrConnectionLost
+			if err := w.Put(fill(8), 8, datatype.Byte, 1, 0); !errors.As(err, &lost) {
+				t.Errorf("put toward a dead node: err = %v, want sci.ErrConnectionLost", err)
+			}
+		}
+	})
+	suspects := 0
+	for _, e := range rec.Snapshot("").Actor("rank1").Events {
+		if e.KindOf() == flight.KSuspect {
+			suspects++
+		}
+	}
+	if suspects != 1 {
+		t.Errorf("rank1 has %d KSuspect records, want 1", suspects)
+	}
 }
 
 // TestUnlockOfLostTarget: a rank that holds a lock when the target's node
@@ -139,16 +224,15 @@ func TestUnlockOfLostTarget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := mpi.DefaultConfig(2, 1)
 			cfg.SCI.Fault = fault.New(5).CrashNode(1, time.Millisecond)
-			oscCfg := DefaultConfig()
-			oscCfg.SyncTimeout = tc.timeout
+			cfg.Protocol.CollTimeout = tc.timeout
 			src := fill(512)
 			mpi.Run(cfg, func(c *mpi.Comm) {
 				s := NewSystem(c)
 				var w *Win
 				if tc.shared {
-					w = s.CreateShared(c.AllocShared(4096), oscCfg)
+					w = s.CreateShared(c.AllocShared(4096), DefaultConfig())
 				} else {
-					w = s.CreatePrivate(make([]byte, 4096), oscCfg)
+					w = s.CreatePrivate(make([]byte, 4096), DefaultConfig())
 				}
 				if c.Rank() != 0 {
 					c.Proc().Sleep(2 * time.Millisecond)
@@ -200,11 +284,10 @@ func TestPSCWOfLostPeer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := mpi.DefaultConfig(2, 1)
 			cfg.SCI.Fault = fault.New(5).CrashNode(1, crashAt)
-			oscCfg := DefaultConfig()
-			oscCfg.SyncTimeout = tc.timeout
+			cfg.Protocol.CollTimeout = tc.timeout
 			checked := false
 			mpi.Run(cfg, func(c *mpi.Comm) {
-				w := NewSystem(c).CreateShared(c.AllocShared(4096), oscCfg)
+				w := NewSystem(c).CreateShared(c.AllocShared(4096), DefaultConfig())
 				p := c.Proc()
 				if c.Rank() != 0 {
 					p.Sleep(2 * crashAt) // never posts nor completes
@@ -238,8 +321,8 @@ func TestPSCWOfLostPeer(t *testing.T) {
 					if !errors.As(err, &st) || st.Op != tc.op || st.Target != -1 {
 						t.Errorf("%s waiting at the crash: err = %v, want ErrSyncTimeout of %q", tc.op, err, tc.op)
 					}
-					if st.Waited < w.cfg.SyncTimeout || took < w.cfg.SyncTimeout {
-						t.Errorf("%s gave up after %v (waited %v), before its watchdog of %v", tc.op, took, st.Waited, w.cfg.SyncTimeout)
+					if st.Waited < w.timeout || took < w.timeout {
+						t.Errorf("%s gave up after %v (waited %v), before its watchdog of %v", tc.op, took, st.Waited, w.timeout)
 					}
 					if n := w.Snapshot().SyncTimeouts; n != 1 {
 						t.Errorf("SyncTimeouts = %d, want 1", n)
@@ -260,11 +343,11 @@ func TestPSCWOfLostPeer(t *testing.T) {
 // TestFenceWatchdogNoDeadlock: Fence against a peer that never
 // arrives returns ErrSyncTimeout instead of deadlocking the simulation.
 func TestFenceWatchdogNoDeadlock(t *testing.T) {
-	oscCfg := DefaultConfig()
-	oscCfg.SyncTimeout = 300 * time.Microsecond
-	runCluster(2, 1, func(c *mpi.Comm) {
+	cfg := mpi.DefaultConfig(2, 1)
+	cfg.Protocol.CollTimeout = 300 * time.Microsecond
+	mpi.Run(cfg, func(c *mpi.Comm) {
 		s := NewSystem(c)
-		w := s.CreateShared(c.AllocShared(1024), oscCfg)
+		w := s.CreateShared(c.AllocShared(1024), DefaultConfig())
 		if c.Rank() == 0 {
 			err := w.Fence()
 			var st ErrSyncTimeout
@@ -288,11 +371,11 @@ func TestFenceWatchdogNoDeadlock(t *testing.T) {
 // land, no timeout counted).
 func TestFenceCheckedCompletesAndTransfers(t *testing.T) {
 	src := fill(1024)
-	oscCfg := DefaultConfig()
-	oscCfg.SyncTimeout = time.Millisecond
-	runCluster(2, 1, func(c *mpi.Comm) {
+	cfg := mpi.DefaultConfig(2, 1)
+	cfg.Protocol.CollTimeout = time.Millisecond
+	mpi.Run(cfg, func(c *mpi.Comm) {
 		s := NewSystem(c)
-		w := s.CreateShared(c.AllocShared(4096), oscCfg)
+		w := s.CreateShared(c.AllocShared(4096), DefaultConfig())
 		if err := w.Fence(); err != nil {
 			t.Fatalf("opening fence failed: %v", err)
 		}
@@ -373,18 +456,16 @@ func TestDegradedGetFallsBackToRemotePut(t *testing.T) {
 }
 
 // TestLateReplyNeverTakenByLaterCall: call records and reply channels are
-// recycled only after their reply was read. A window whose SyncTimeout is
+// recycled only after their reply was read. A window whose bound is
 // shorter than one emulated round trip (set between its fences, which
 // would expire under it too) lets an inline accumulate and a remote-put get
 // expire before the handler answers; their replies arrive
 // later, while the same rank's next calls, on a window with the automatic
-// watchdog, wait for theirs. Each of those must see its own reply and its
+// watchdog's bound, wait for theirs. Each of those must see its own reply and its
 // own bytes, and the expired request record must never go back to the free
 // list. The late accumulate still lands: the handler served it.
 func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 	const size = 4096
-	auto := DefaultConfig()
-	auto.SyncTimeout = mpi.AutoTimeout
 	ones := make([]byte, 32)
 	for i := 0; i < len(ones); i += 8 {
 		binary.LittleEndian.PutUint64(ones[i:], 1)
@@ -392,7 +473,8 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 	runCluster(2, 1, func(c *mpi.Comm) {
 		s := NewSystem(c)
 		a := s.CreatePrivate(make([]byte, size), DefaultConfig())
-		b := s.CreatePrivate(fill(size), auto)
+		b := s.CreatePrivate(fill(size), DefaultConfig())
+		b.timeout = c.World().ScaledSyncTimeout()
 		must(a.Fence())
 		must(b.Fence())
 		if c.Rank() == 0 {
@@ -404,7 +486,7 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 				t.Fatalf("%d request records free after one call, want 1", len(s.reqFree))
 			}
 			expired := s.reqFree[0] // the next call takes it
-			a.cfg.SyncTimeout = 100 * time.Nanosecond
+			a.timeout = 100 * time.Nanosecond
 			var st ErrSyncTimeout
 			if err := a.Accumulate(ones, 4, datatype.Int64, mpi.OpSum, 1, 0); !errors.As(err, &st) {
 				t.Fatalf("accumulate under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
@@ -412,7 +494,7 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 			if err := a.Get(got, len(got), datatype.Byte, 1, 0); !errors.As(err, &st) {
 				t.Fatalf("remote-put get under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
 			}
-			a.cfg.SyncTimeout = 0
+			a.timeout = 0
 			if len(s.reqFree) != 0 {
 				t.Fatalf("%d request records went back to the free list after expired calls", len(s.reqFree))
 			}

@@ -26,6 +26,7 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 	const syncTimeout = 500 * time.Microsecond
 	cfg := mpi.DefaultConfig(4, 1)
 	cfg.SCI.Fault = fault.New(42).CrashNode(1, crashAt)
+	cfg.Protocol.CollTimeout = syncTimeout
 	rec := flight.New(256)
 	cfg.Flight = rec
 	var dump *flight.Dump
@@ -34,10 +35,8 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 	src := fill(512)
 	failed := 0
 	mpi.Run(cfg, func(c *mpi.Comm) {
-		oscCfg := DefaultConfig()
-		oscCfg.SyncTimeout = syncTimeout
 		s := NewSystem(c)
-		w := s.CreateShared(c.AllocShared(4096), oscCfg)
+		w := s.CreateShared(c.AllocShared(4096), DefaultConfig())
 		if err := w.Fence(); err != nil { // open the first epoch
 			t.Errorf("rank%d: opening fence failed: %v", c.Rank(), err)
 			return
@@ -89,6 +88,7 @@ func TestFenceWaitingAtCrashTimesOut(t *testing.T) {
 	const syncTimeout = 500 * time.Microsecond
 	cfg := mpi.DefaultConfig(4, 1)
 	cfg.SCI.Fault = fault.New(42).CrashNode(1, crashAt)
+	cfg.Protocol.CollTimeout = syncTimeout
 	rec := flight.New(256)
 	cfg.Flight = rec
 	var dump *flight.Dump
@@ -96,10 +96,8 @@ func TestFenceWaitingAtCrashTimesOut(t *testing.T) {
 
 	timeouts := 0
 	mpi.Run(cfg, func(c *mpi.Comm) {
-		oscCfg := DefaultConfig()
-		oscCfg.SyncTimeout = syncTimeout
 		s := NewSystem(c)
-		w := s.CreateShared(c.AllocShared(4096), oscCfg)
+		w := s.CreateShared(c.AllocShared(4096), DefaultConfig())
 		if err := w.Fence(); err != nil { // open the first epoch
 			t.Errorf("rank%d: opening fence failed: %v", c.Rank(), err)
 			return

@@ -26,7 +26,7 @@ func TestStatsReadableMidRun(t *testing.T) {
 	cfg := mpi.DefaultConfig(ranks, 1)
 	cfg.SCI.Fault = fault.New(7).WithRetries(0.2).WithDuplicates(0.4)
 	read := func(w *mpi.World, win *Win, me int) reading {
-		return reading{w.Stats(me), w.InterconnectStats(w.NodeOf(1 - me)), win.Snapshot()}
+		return reading{w.Stats(me), w.InterconnectStats(1 - me), win.Snapshot()} // one rank per node
 	}
 	var world *mpi.World
 	var wins [ranks]*Win

@@ -31,19 +31,21 @@ func (w *Win) fail(op flight.Op, target int, err error) {
 // displacement targetOff (MPI_Put). It returns failures as typed errors: a
 // dead target node yields sci.ErrConnectionLost, a revoked rank
 // *mpi.RevokedRankError, an expired handler watchdog ErrSyncTimeout, and a
-// target that dropped the window ErrWinGone; an origin buffer that cannot
-// hold count elements is an *mpi.ArgumentError (mpi.CheckBuffer). Epoch and
-// bounds violations still panic (programming errors).
+// target that dropped the window ErrWinGone. An origin buffer that cannot
+// hold count elements (mpi.CheckBuffer), a call outside an access epoch, an
+// invalid target rank or an access outside the target's window is an
+// *mpi.ArgumentError, returned before anything is sent.
 func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
-	w.checkEpoch("Put")
 	if err := mpi.CheckBuffer("Put", "origin buffer", buf, count, dt); err != nil {
 		return err
 	}
 	n, span := dt.Size()*int64(count), dt.Span(count)
+	if err := w.checkAccess("Put", target, targetOff, span); err != nil {
+		return err
+	}
 	if count == 0 {
 		return nil
 	}
-	w.checkTarget(target, targetOff, span)
 	w.stats.Puts++
 	w.stats.BytesPut += n
 	p := w.sys.c.Proc()
@@ -59,7 +61,7 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 		w.localApply(buf, count, dt, targetOff, false)
 		return nil
 	}
-	if err := w.lostTarget(target); err != nil {
+	if err := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); err != nil {
 		return err
 	}
 	if w.isShared[target] && !w.degraded[target] {
@@ -73,7 +75,7 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 			}
 			w.fl.Record(p.Now(), flight.KPut, int64(w.sys.c.GroupToWorld(target)), n, int64(w.id), 1)
 			return nil
-		} else if lost := w.lostTarget(target); lost != nil {
+		} else if lost := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); lost != nil {
 			return lost
 		} else {
 			w.degrade(target, err)
@@ -234,15 +236,16 @@ func (w *Win) chargeLocal(st pack.Stats) {
 // address space), because SCI remote reads are slow. Failures come back
 // as Put's typed errors.
 func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
-	w.checkEpoch("Get")
 	if err := mpi.CheckBuffer("Get", "origin buffer", buf, count, dt); err != nil {
 		return err
 	}
 	n, span := dt.Size()*int64(count), dt.Span(count)
+	if err := w.checkAccess("Get", target, targetOff, span); err != nil {
+		return err
+	}
 	if count == 0 {
 		return nil
 	}
-	w.checkTarget(target, targetOff, span)
 	w.stats.Gets++
 	w.stats.BytesGot += n
 	p := w.sys.c.Proc()
@@ -258,7 +261,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 		w.localApply(buf, count, dt, targetOff, true)
 		return nil
 	}
-	if err := w.lostTarget(target); err != nil {
+	if err := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); err != nil {
 		return err
 	}
 	if w.isShared[target] && !w.degraded[target] && n <= w.cfg.GetDirectMax {
@@ -271,7 +274,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 				sp.SetDetail("direct <- %d", target)
 			}
 			return nil
-		} else if lost := w.lostTarget(target); lost != nil {
+		} else if lost := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); lost != nil {
 			return lost
 		} else {
 			w.degrade(target, err)
@@ -353,7 +356,6 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 // buffer is an *mpi.ArgumentError, returned before anything is sent;
 // failures come back as Put's typed errors.
 func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, target int, targetOff int64) (err error) {
-	w.checkEpoch("Accumulate")
 	if err := mpi.CheckBuffer("Accumulate", "origin buffer", buf, count, dt); err != nil {
 		return err
 	}
@@ -364,10 +366,12 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		return err
 	}
 	n := dt.Size() * int64(count)
+	if err := w.checkAccess("Accumulate", target, targetOff, n); err != nil {
+		return err
+	}
 	if count == 0 {
 		return nil
 	}
-	w.checkTarget(target, targetOff, n)
 	w.stats.Accs++
 	c := w.sys.c
 	p := c.Proc()
@@ -378,7 +382,7 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		w.fail(flight.OpAccumulate, target, err)
 	}()
 	if target != c.Rank() {
-		if err := w.lostTarget(target); err != nil {
+		if err := c.PeerLost(c.GroupToWorld(target)); err != nil {
 			return err
 		}
 	}

@@ -3,7 +3,6 @@ package osc
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -403,49 +402,88 @@ func TestSelfAccess(t *testing.T) {
 	})
 }
 
+// TestAccessOutsideEpochPanics: epoch misuse does not panic. A Put, Get or
+// Accumulate outside an epoch, an Unlock without its Lock, and a Lock or
+// Start inside the lock's epoch each return an *mpi.ArgumentError naming
+// the call, on a shared and on a private window; nothing is sent, the
+// target's window keeps its bytes, and the epoch is unchanged.
 func TestAccessOutsideEpochPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("put outside epoch did not panic")
+	buf := fill(64)
+	for _, shared := range []bool{true, false} {
+		var target []byte
+		runCluster(2, 1, func(c *mpi.Comm) {
+			w := mkWin(c, 64, shared)
+			if c.Rank() == 0 {
+				check := func(call string, err error, ep epoch) {
+					if arg := (*mpi.ArgumentError)(nil); !errors.As(err, &arg) || arg.Call != call {
+						t.Errorf("shared %v: %s: err = %v (%T), want an *mpi.ArgumentError from %s", shared, call, err, err, call)
+					}
+					if w.ep != ep {
+						t.Errorf("shared %v: after a refused %s: epoch %v, want %v", shared, call, w.ep, ep)
+					}
+				}
+				check("Put", w.Put(buf, 8, datatype.Byte, 1, 0), epochNone)
+				check("Get", w.Get(buf, 8, datatype.Byte, 1, 0), epochNone)
+				check("Accumulate", w.Accumulate(buf, 1, datatype.Int64, mpi.OpSum, 1, 0), epochNone)
+				check("Unlock", w.Unlock(1), epochNone)
+				must(w.Lock(1))
+				check("Lock", w.Lock(1), epochLock)
+				check("Start", w.Start([]int{1}), epochLock)
+				check("Unlock", w.Unlock(0), epochLock)
+				must(w.Unlock(1))
+				if st := w.Snapshot(); st.Puts+st.Gets+st.Accs != 0 || st.Locks != 1 {
+					t.Errorf("shared %v: stats = %+v, want no access and one lock", shared, st)
+				}
+			}
+			must(c.Barrier())
+			if c.Rank() == 1 {
+				target = w.LocalBytes()
+			}
+		})
+		if !bytes.Equal(target, make([]byte, 64)) {
+			t.Errorf("shared %v: a refused call changed the target's window", shared)
 		}
-	}()
-	runCluster(2, 1, func(c *mpi.Comm) {
-		w := mkWin(c, 64, true)
-		if c.Rank() == 0 {
-			must(w.Put(fill(8), 8, datatype.Byte, 1, 0))
-		}
-	})
+	}
 }
 
-// TestAccessOutsideWindowPanics: a put past the target's window panics with
-// the named osc message on shared and private windows, also one whose end
-// would wrap past math.MaxInt64.
+// TestAccessOutsideWindowPanics: a put past the target's window, also one
+// whose end would wrap past math.MaxInt64, or to a rank outside the group
+// does not panic: it is an *mpi.ArgumentError naming the access, on shared
+// and private windows, and the target's window keeps its bytes.
 func TestAccessOutsideWindowPanics(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		shared bool
+		target int
 		n      int
 		off    int64
 		want   string
 	}{
-		{"shared", true, 128, 0, "osc: access [0, 128) outside window of 64 bytes at rank 1"},
-		{"shared-near-max-offset", true, 64, math.MaxInt64 - 4, "osc: access [9223372036854775803, "},
-		{"private-near-max-offset", false, 64, math.MaxInt64 - 4, "osc: access [9223372036854775803, "},
+		{"shared", true, 1, 128, 0, "access [0, 128) outside window of 64 bytes at rank 1"},
+		{"shared-near-max-offset", true, 1, 64, math.MaxInt64 - 4, "access [9223372036854775803, "},
+		{"private-near-max-offset", false, 1, 64, math.MaxInt64 - 4, "access [9223372036854775803, "},
+		{"invalid-target", true, 2, 8, 0, "invalid target rank 2"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
-					t.Errorf("panicked with %q, want %q", msg, c.want)
-				}
-			}()
+			var err error
+			var target []byte
 			runCluster(2, 1, func(comm *mpi.Comm) {
 				w := mkWin(comm, 64, c.shared)
 				must(w.Fence())
 				if comm.Rank() == 0 {
-					must(w.Put(fill(c.n), c.n, datatype.Byte, 1, c.off))
+					err = w.Put(fill(c.n), c.n, datatype.Byte, c.target, c.off)
 				}
 				must(w.Fence())
+				if comm.Rank() == 1 {
+					target = w.LocalBytes()
+				}
 			})
+			if arg := (*mpi.ArgumentError)(nil); !errors.As(err, &arg) || arg.Call != "Put" || !strings.Contains(arg.Reason, c.want) {
+				t.Errorf("err = %v (%T), want an *mpi.ArgumentError from Put naming %q", err, err, c.want)
+			}
+			if !bytes.Equal(target, make([]byte, 64)) {
+				t.Error("a refused put changed the target's window")
+			}
 		})
 	}
 }
@@ -511,32 +549,6 @@ func TestAccumulateRefusesDerivedTypes(t *testing.T) {
 				t.Errorf("%s (shared %v): %d accumulates counted and the target's window changed, want none", dt, shared, accs)
 			}
 		}
-	}
-}
-
-// TestNegativeSyncTimeoutRefused: creating a window whose SyncTimeout is
-// negative and not mpi.AutoTimeout panics, naming the field, on a shared
-// and on a private window; such a value used to disable the watchdog, as 0
-// does.
-func TestNegativeSyncTimeoutRefused(t *testing.T) {
-	for _, shared := range []bool{true, false} {
-		cfg := DefaultConfig()
-		cfg.SyncTimeout = -5 * time.Nanosecond
-		func() {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "SyncTimeout") {
-					t.Errorf("shared %v: window creation panicked with %q, want a refusal naming SyncTimeout", shared, msg)
-				}
-			}()
-			runCluster(2, 1, func(c *mpi.Comm) {
-				s := NewSystem(c)
-				if shared {
-					s.CreateShared(c.AllocShared(64), cfg)
-				} else {
-					s.CreatePrivate(make([]byte, 64), cfg)
-				}
-			})
-		}()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/sim"
 )
@@ -14,10 +15,11 @@ import (
 // are issued at the closing call, not per access).
 
 // ErrSyncTimeout reports a synchronization call (Fence, Start, Wait, Lock,
-// Unlock) or a handler round-trip that waited longer than Config.SyncTimeout
-// for a peer — typically because its node crashed while the call already
-// waited, or a live peer never made the matching call. Fence, Start and Wait
-// fail at once instead on a peer already known dead (see lostPeer).
+// Unlock) or a handler round-trip that waited longer than the window's
+// bound (mpi.World.SyncTimeout) for a peer — typically because its node
+// crashed while the call already waited, or a live peer never made the
+// matching call or holds the lock. Every synchronization call fails at
+// once instead on a peer already known lost (see lostPeer and lost).
 type ErrSyncTimeout struct {
 	Op     string // "fence", "start", "wait", "lock", "unlock" or a data operation
 	Win    int
@@ -40,7 +42,7 @@ func (e ErrSyncTimeout) Error() string {
 // window. Before it announces anything, it fails at once on a peer that
 // has not arrived and is known lost (lostPeer), so no peer can complete a
 // round this rank failed, and the round is not used up. Waiting longer
-// than Config.SyncTimeout (0: forever) for a peer returns an ErrSyncTimeout.
+// than the window's bound (0: forever) for a peer returns an ErrSyncTimeout.
 func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
@@ -86,7 +88,7 @@ func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 // await is the one wait of the synchronization calls: it blocks until every
 // rank of group has a notification of kind k that no call matched yet; the
 // handler wakes the rank once the group is complete (arrive). Waiting
-// longer than Config.SyncTimeout (0: forever) returns an ErrSyncTimeout.
+// longer than the window's bound (0: forever) returns an ErrSyncTimeout.
 // Whatever the result, it matches one notification of each rank, so a late
 // one is never taken for the next call's.
 func (w *Win) await(k reqKind, group []int, op flight.Op) error {
@@ -95,9 +97,9 @@ func (w *Win) await(k reqKind, group []int, op flight.Op) error {
 	start := p.Now()
 	w.waitKind, w.waitGroup = k, group
 	for !w.arrived(k, group) { // a timed-out wait may leave a stale wake
-		if w.cfg.SyncTimeout <= 0 {
+		if w.timeout <= 0 {
 			p.Recv(w.wake)
-		} else if _, ok := p.RecvTimeout(w.wake, start+w.cfg.SyncTimeout-p.Now()); !ok {
+		} else if _, ok := p.RecvTimeout(w.wake, start+w.timeout-p.Now()); !ok {
 			w.stats.SyncTimeouts++
 			err = ErrSyncTimeout{Op: op.String(), Win: w.id, Target: -1, Waited: p.Now() - start}
 			break
@@ -173,10 +175,11 @@ func (w *Win) Post(group []int) {
 // Start opens an access epoch toward the targets in group, blocking until
 // each has posted its exposure epoch (MPI_Win_start); a post is kept for
 // the first Start whose group holds its sender. It fails as Fence does
-// (sync), and then opens no epoch.
+// (sync), and then opens no epoch; inside another access epoch it is an
+// *mpi.ArgumentError.
 func (w *Win) Start(group []int) error {
 	if w.ep != epochNone {
-		panic("osc: Start inside another access epoch")
+		return &mpi.ArgumentError{Call: "Start", Reason: "inside another access epoch"}
 	}
 	if err := w.sync(reqPost, group, flight.OpStart); err != nil {
 		return err
@@ -188,7 +191,8 @@ func (w *Win) Start(group []int) error {
 }
 
 // Complete closes the access epoch: completes all transfers and notifies
-// each target (MPI_Win_complete).
+// each target (MPI_Win_complete). It has no error result, so a Complete
+// without its Start panics.
 func (w *Win) Complete(group []int) {
 	if w.ep != epochStart {
 		panic("osc: Complete without Start")
@@ -212,24 +216,21 @@ func (w *Win) Wait(group []int) error {
 // window (MPI_Win_lock). For windows in shared memory the lock is a
 // shared-memory spinlock that does not involve the target's CPU; for
 // private windows the handler arbitrates (with remote-interrupt latency).
-// It polls with exponential backoff and gives up with an ErrSyncTimeout
-// after Config.SyncTimeout. With SyncTimeout zero it waits without a bound,
-// but each poll first returns the typed error of a crashed or revoked
-// target; with a bound, a shared window's poll waits out a dead target
-// node, which may be restored.
+// It polls with exponential backoff; each poll first fails as Fence does on
+// a lost rank (lost), so a dead target fails at once, and a live peer that
+// holds the lock longer than the window's bound (0: forever) ends it with
+// an ErrSyncTimeout. Inside another access epoch it is an
+// *mpi.ArgumentError.
 func (w *Win) Lock(target int) error {
-	timeout := w.cfg.SyncTimeout
 	if w.ep != epochNone {
-		panic("osc: Lock inside another access epoch")
+		return &mpi.ArgumentError{Call: "Lock", Reason: "inside another access epoch"}
 	}
+	timeout := w.timeout
 	w.stats.Locks++
 	p := w.sys.c.Proc()
 	var waited time.Duration
 	for backoff := 5 * time.Microsecond; ; backoff = min(2*backoff, 160*time.Microsecond) {
-		var err error
-		if timeout <= 0 {
-			err = w.lostTarget(target)
-		}
+		err := w.lost(target)
 		start := p.Now()
 		if err == nil && w.tryLock(target, timeout-waited) {
 			break
@@ -257,18 +258,15 @@ func (w *Win) Lock(target int) error {
 	return nil
 }
 
-// tryLock polls target's lock once: the shared-memory lock of a live node,
-// or the handler of a private window, whose reply it waits for up to
-// timeout (not positive: for ever).
+// tryLock polls target's lock once: the shared-memory lock of a node that
+// Lock just found alive, or the handler of a private window, whose reply it
+// waits for up to timeout (not positive: for ever).
 func (w *Win) tryLock(target int, timeout time.Duration) bool {
 	c := w.sys.c
 	world := c.GroupToWorld(target)
 	if !w.isShared[target] {
 		ok, err := w.sys.call(world, oscReq{kind: reqLockTry, win: w.id}, true, timeout)
 		return err == nil && ok
-	}
-	if !c.World().NodeAlive(world) {
-		return false
 	}
 	if target != c.Rank() {
 		c.Proc().Sleep(c.World().LockLatency(world, c.WorldRank()))
@@ -278,13 +276,14 @@ func (w *Win) tryLock(target int, timeout time.Duration) bool {
 
 // Unlock closes the passive-target epoch: completes all transfers to the
 // target, then releases the lock (MPI_Win_unlock). The epoch ends here
-// whatever the result. A target known lost fails at once with lostTarget's
-// error; a private window's release is a handler round-trip bounded by
-// Config.SyncTimeout, with oscRPC's errors. A shared window's lock word is
+// whatever the result. It fails at once as Lock does on a lost rank (lost);
+// a private window's release is a handler round-trip bounded by the
+// window's bound, with oscRPC's errors. A shared window's lock word is
 // released even when its node is lost, so a restored node's lock is free.
+// Without its Lock it is an *mpi.ArgumentError and ends no epoch.
 func (w *Win) Unlock(target int) error {
 	if w.ep != epochLock || w.lockHeld != target {
-		panic("osc: Unlock without matching Lock")
+		return &mpi.ArgumentError{Call: "Unlock", Reason: fmt.Sprintf("rank %d is not locked by this rank", target)}
 	}
 	c := w.sys.c
 	p := c.Proc()
@@ -292,7 +291,7 @@ func (w *Win) Unlock(target int) error {
 	w.syncViews()
 	w.ep = epochNone
 	w.lockHeld = -1
-	err := w.lostTarget(target)
+	err := w.lost(target)
 	switch {
 	case w.isShared[target]:
 		if err == nil && target != c.Rank() {

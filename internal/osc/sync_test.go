@@ -1,7 +1,6 @@
 package osc
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,82 +14,51 @@ import (
 	"scimpich/internal/sci"
 )
 
-// The watchdog is each rank's own setting (Config.SyncTimeout), so ranks
-// with and without one synchronize on the same window, and a rank holds
-// one engine whose handler serves every window it created.
-
-// TestFenceMixesWithFenceChecked: rank 0 closes an epoch with an unbounded
-// Fence while rank 1 closes the same one under a watchdog; both return and
-// the put lands.
-func TestFenceMixesWithFenceChecked(t *testing.T) {
-	src := fill(1024)
-	runCluster(2, 1, func(c *mpi.Comm) {
-		oscCfg := DefaultConfig()
-		if c.Rank() == 1 {
-			oscCfg.SyncTimeout = time.Millisecond
-		}
-		w := NewSystem(c).CreateShared(c.AllocShared(4096), oscCfg)
-		fence := func() {
-			if err := w.Fence(); err != nil {
-				t.Errorf("rank %d: fence: %v", c.Rank(), err)
-			}
-		}
-		fence()
-		if c.Rank() == 0 {
-			must(w.Put(src, len(src), datatype.Byte, 1, 0))
-		}
-		fence()
-		if c.Rank() == 1 && !bytes.Equal(w.LocalBytes()[:len(src)], src) {
-			t.Error("put not visible after the mixed fence")
-		}
-	})
-}
-
 // TestLockExclusiveUnderContention: four ranks on four nodes each do 25
-// read-modify-write increments of rank 0's counter, the even ranks without
-// a watchdog and the odd ones under the automatic one; no update is lost on
-// a shared or on a private window.
+// read-modify-write increments of rank 0's counter, once in a world without
+// a watchdog and once under the automatic one; no update is lost on a
+// shared or on a private window.
 func TestLockExclusiveUnderContention(t *testing.T) {
 	const procs, rounds = 4, 25
 	for _, shared := range []bool{true, false} {
 		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
-			runCluster(procs, 1, func(c *mpi.Comm) {
-				oscCfg := DefaultConfig()
-				if c.Rank()%2 == 1 {
-					oscCfg.SyncTimeout = mpi.AutoTimeout
-				}
-				s := NewSystem(c)
-				var w *Win
-				if shared {
-					w = s.CreateShared(c.AllocShared(8), oscCfg)
-				} else {
-					w = s.CreatePrivate(make([]byte, 8), oscCfg)
-				}
-				buf := make([]byte, 8)
-				for i := 0; i < rounds; i++ {
-					if err := w.Lock(0); err != nil {
-						t.Errorf("rank%d: Lock: %v", c.Rank(), err)
-						return
+			for _, timeout := range []time.Duration{0, mpi.AutoTimeout} {
+				cfg := mpi.DefaultConfig(procs, 1)
+				cfg.Protocol.CollTimeout = timeout
+				mpi.Run(cfg, func(c *mpi.Comm) {
+					s := NewSystem(c)
+					var w *Win
+					if shared {
+						w = s.CreateShared(c.AllocShared(8), DefaultConfig())
+					} else {
+						w = s.CreatePrivate(make([]byte, 8), DefaultConfig())
 					}
-					must(w.Get(buf, 8, datatype.Byte, 0, 0))
-					v := mpi.BytesFloat64(buf)[0]
-					must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
-					must(w.Unlock(0))
-				}
-				must(c.Barrier())
-				if got := mpi.BytesFloat64(w.LocalBytes())[0]; c.Rank() == 0 && got != procs*rounds {
-					t.Errorf("counter = %g, want %d", got, procs*rounds)
-				}
-			})
+					buf := make([]byte, 8)
+					for i := 0; i < rounds; i++ {
+						if err := w.Lock(0); err != nil {
+							t.Errorf("CollTimeout %v: rank%d: Lock: %v", timeout, c.Rank(), err)
+							return
+						}
+						must(w.Get(buf, 8, datatype.Byte, 0, 0))
+						v := mpi.BytesFloat64(buf)[0]
+						must(w.Put(mpi.Float64Bytes([]float64{v + 1}), 8, datatype.Byte, 0, 0))
+						must(w.Unlock(0))
+					}
+					must(c.Barrier())
+					if got := mpi.BytesFloat64(w.LocalBytes())[0]; c.Rank() == 0 && got != procs*rounds {
+						t.Errorf("CollTimeout %v: counter = %g, want %d", timeout, got, procs*rounds)
+					}
+				})
+			}
 		})
 	}
 }
 
 // TestLockOnCrashedNodeFailsTyped: node 1 crashes before rank 0 locks its
-// window. Without a watchdog, Lock returns sci.ErrConnectionLost (as Put
-// does), on a shared and on a private window, instead of granting a dead
-// node's lock or waiting forever; checked=true runs the same lock under
-// the automatic watchdog, which ends it with a typed error too.
+// window. Lock returns sci.ErrConnectionLost (as Put does), on a shared
+// and on a private window, instead of granting a dead node's lock or
+// waiting: in a world without a watchdog and, checked=true, under the
+// automatic one, whose bound the lock does not wait out.
 func TestLockOnCrashedNodeFailsTyped(t *testing.T) {
 	for _, tc := range []struct {
 		shared, checked bool
@@ -98,27 +66,29 @@ func TestLockOnCrashedNodeFailsTyped(t *testing.T) {
 		t.Run(fmt.Sprintf("shared=%v/checked=%v", tc.shared, tc.checked), func(t *testing.T) {
 			cfg := mpi.DefaultConfig(2, 1)
 			cfg.SCI.Fault = fault.New(5).CrashNode(1, time.Millisecond)
-			oscCfg := DefaultConfig()
 			if tc.checked {
-				oscCfg.SyncTimeout = mpi.AutoTimeout
+				cfg.Protocol.CollTimeout = mpi.AutoTimeout
 			}
 			mpi.Run(cfg, func(c *mpi.Comm) {
 				s := NewSystem(c)
 				var w *Win
 				if tc.shared {
-					w = s.CreateShared(c.AllocShared(4096), oscCfg)
+					w = s.CreateShared(c.AllocShared(4096), DefaultConfig())
 				} else {
-					w = s.CreatePrivate(make([]byte, 4096), oscCfg)
+					w = s.CreatePrivate(make([]byte, 4096), DefaultConfig())
 				}
 				c.Proc().Sleep(2 * time.Millisecond) // node 1 is down now
 				if c.Rank() != 0 {
 					return
 				}
+				before := c.Proc().Now()
 				err := w.Lock(1)
 				var lost sci.ErrConnectionLost
-				var st ErrSyncTimeout
-				if !errors.As(err, &lost) && !(tc.checked && errors.As(err, &st)) {
-					t.Errorf("lock toward a crashed node: err = %v, want a typed fault", err)
+				if !errors.As(err, &lost) || lost.To != 1 {
+					t.Errorf("lock toward a crashed node: err = %v, want sci.ErrConnectionLost to node 1", err)
+				}
+				if took := c.Proc().Now() - before; took > 10*time.Microsecond {
+					t.Errorf("the lock failed after %v, want within a few µs", took)
 				}
 				if w.ep != epochNone {
 					t.Error("a failed lock opened an epoch")
@@ -144,12 +114,11 @@ func TestFenceFailsFastOnLostPeer(t *testing.T) {
 		t.Run(tc, func(t *testing.T) {
 			cfg := mpi.DefaultConfig(3, 1)
 			cfg.SCI.Fault = fault.New(5).CrashNode(1, crashAt)
-			oscCfg := DefaultConfig()
-			oscCfg.SyncTimeout = mpi.AutoTimeout
+			cfg.Protocol.CollTimeout = mpi.AutoTimeout
 			checked := 0
 			mpi.Run(cfg, func(c *mpi.Comm) {
 				s := NewSystem(c)
-				w := s.CreateShared(c.AllocShared(4096), oscCfg)
+				w := s.CreateShared(c.AllocShared(4096), DefaultConfig())
 				must(w.Fence()) // round 1, everyone alive
 				p := c.Proc()
 				me := c.Rank()

@@ -75,13 +75,6 @@ type Config struct {
 	// remote-put path. (Paper §4.2: "direct reading will only be effective
 	// up to a certain amount of data".)
 	GetDirectMax int64
-	// SyncTimeout bounds the synchronization calls (Fence, Start, Wait,
-	// Lock, Unlock) and the data operations' handler round-trips: waiting
-	// longer than this for a peer yields an ErrSyncTimeout instead of
-	// deadlocking. 0 disables the watchdog; mpi.AutoTimeout resolves to
-	// the world's scaled bound (ScaledSyncTimeout) at window creation,
-	// which panics on any other negative value.
-	SyncTimeout time.Duration
 }
 
 // DefaultConfig returns the calibrated transfer policy.
@@ -110,6 +103,11 @@ type Win struct {
 	sys *System
 	id  int
 	cfg Config
+	// timeout bounds the synchronization calls (Fence, Start, Wait, Lock,
+	// Unlock) and the data operations' handler round trips: waiting longer
+	// for a peer yields an ErrSyncTimeout. It is the world's bound
+	// (mpi.World.SyncTimeout), resolved at creation; 0 waits forever.
+	timeout time.Duration
 
 	// Local window memory: exactly one of shared/private is set.
 	shared  *mpi.SharedSeg
@@ -228,14 +226,10 @@ func (s *System) CreatePrivate(buf []byte, cfg Config) *Win {
 // same order with its own memory; a failed barrier panics.
 func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	c := s.c
-	mpi.CheckTimeout("osc.Config.SyncTimeout", cfg.SyncTimeout)
-	if cfg.SyncTimeout == mpi.AutoTimeout {
-		cfg.SyncTimeout = c.World().ScaledSyncTimeout()
-	}
 	id := s.nextWin
 	s.nextWin++
 	w := &Win{
-		sys: s, id: id, cfg: cfg,
+		sys: s, id: id, cfg: cfg, timeout: c.World().SyncTimeout(),
 		shared: seg, private: buf,
 		actor:      c.Actor(),
 		fl:         c.FlightRing(),
@@ -316,18 +310,19 @@ func (w *Win) degrade(target int, err error) {
 	w.fl.Record(c.Proc().Now(), flight.KWinDegraded, int64(w.id), int64(c.GroupToWorld(target)), 0, 0)
 }
 
-func (w *Win) checkEpoch(op string) {
+// checkAccess refuses, as an *mpi.ArgumentError naming call, a data
+// operation outside an access epoch, toward a rank outside the group or on
+// bytes [off, off+n) outside the target's window.
+func (w *Win) checkAccess(call string, target int, off, n int64) error {
 	if w.ep == epochNone {
-		panic(fmt.Sprintf("osc: %s outside an access epoch (call Fence, Start or Lock first)", op))
+		return &mpi.ArgumentError{Call: call, Reason: "outside an access epoch (call Fence, Start or Lock first)"}
 	}
-}
-
-func (w *Win) checkTarget(target int, off, n int64) {
 	if target < 0 || target >= len(w.sizes) {
-		panic(fmt.Sprintf("osc: invalid target rank %d", target))
+		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("invalid target rank %d", target)}
 	}
 	if off < 0 || off > w.sizes[target]-n { // not off+n: it wraps near math.MaxInt64
-		panic(fmt.Sprintf("osc: access [%d, %d) outside window of %d bytes at rank %d",
-			off, off+n, w.sizes[target], target))
+		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("access [%d, %d) outside window of %d bytes at rank %d",
+			off, off+n, w.sizes[target], target)}
 	}
+	return nil
 }

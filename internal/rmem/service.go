@@ -38,18 +38,16 @@ type Config struct {
 	SlotsPerShard int
 	// ValBytes is the value payload size of a slot.
 	ValBytes int64
-	// OSC is the transfer policy of the underlying window; SyncTimeout
-	// (or mpi.AutoTimeout) bounds every handler round trip and fence.
+	// OSC is the transfer policy of the underlying window. Its handler
+	// round trips and fences are bounded by the world's one-sided bound
+	// (mpi.World.SyncTimeout, the mode of Protocol.CollTimeout).
 	OSC osc.Config
 }
 
 // DefaultConfig is the calibrated service layout: 8 shards of 32 slots of
-// 32-byte values (a 256-key space), with every watchdog on the scaled
-// automatic bound.
+// 32-byte values (a 256-key space).
 func DefaultConfig() Config {
-	oc := osc.DefaultConfig()
-	oc.SyncTimeout = mpi.AutoTimeout
-	return Config{Shards: 8, SlotsPerShard: 32, ValBytes: 32, OSC: oc}
+	return Config{Shards: 8, SlotsPerShard: 32, ValBytes: 32, OSC: osc.DefaultConfig()}
 }
 
 // Keys returns the size of the exact key space.

@@ -642,8 +642,8 @@ func TestOneRecordPerInterval(t *testing.T) {
 
 // TestOneSyncWait fails on a call of (*sim.Proc).Recv or RecvTimeout in
 // internal/osc's library code outside Win.await: Fence, Start and Wait
-// wait for their peers' notifications there, bounded by the window's
-// SyncTimeout, and nowhere else.
+// wait for their peers' notifications there, bounded by the world's
+// one-sided bound (mpi.World.SyncTimeout), and nowhere else.
 func TestOneSyncWait(t *testing.T) {
 	var osc *checkedPackage
 	for _, p := range typeCheck(t, ".") {
@@ -686,5 +686,52 @@ func TestOneSyncWait(t *testing.T) {
 	}
 	if waits == 0 {
 		t.Error("Win.await calls neither Recv nor RecvTimeout: the lint has lost track of the wait")
+	}
+}
+
+// lossRuleHome are the packages that judge whether a rank is lost: sci
+// reports a dead node, and mpi turns that and a shrink's revocation into
+// the checks every other layer asks (Comm.PeerLost, Comm.SelfLost).
+var lossRuleHome = map[string]bool{"scimpich/internal/mpi": true, "scimpich/internal/sci": true}
+
+// TestOneLossRule fails on library code outside lossRuleHome that calls
+// (*mpi.World).NodeAlive or builds an sci.ErrConnectionLost or
+// mpi.RevokedRankError composite literal: such code judges a loss itself
+// instead of asking mpi, so it can drift from mpi's rule and leaves the
+// failure detector uninformed.
+func TestOneLossRule(t *testing.T) {
+	seen := 0
+	for _, p := range typeCheck(t, ".") {
+		if lossRuleHome[p.path] {
+			continue
+		}
+		seen++
+		for _, f := range p.libraryFiles() {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if s := p.info.Selections[n]; s != nil && s.Obj().Name() == "NodeAlive" &&
+						types.TypeString(s.Recv(), nil) == "*scimpich/internal/mpi.World" {
+						t.Errorf("%s: calls (*mpi.World).NodeAlive: ask Comm.PeerLost or Comm.SelfLost", p.fset.Position(n.Pos()))
+					}
+				case *ast.CompositeLit:
+					id, ok := n.Type.(*ast.Ident)
+					if sel, isSel := n.Type.(*ast.SelectorExpr); isSel {
+						id, ok = sel.Sel, true
+					}
+					if !ok || p.info.Uses[id] == nil {
+						return true
+					}
+					switch name := types.TypeString(p.info.Uses[id].Type(), nil); name {
+					case "scimpich/internal/sci.ErrConnectionLost", "scimpich/internal/mpi.RevokedRankError":
+						t.Errorf("%s: builds a %s: return the error of Comm.PeerLost or Comm.SelfLost", p.fset.Position(n.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if seen == 0 {
+		t.Error("type-checked no package outside lossRuleHome")
 	}
 }
