@@ -112,7 +112,9 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 		for it := 0; it < sweeps; it++ {
 			// Halo exchange.
 			if oneSided {
-				win.Post(group)
+				if err := win.Post(group); err != nil {
+					log.Fatalf("rank %d: %v", me, err)
+				}
 				if err := win.Start(group); err != nil {
 					log.Fatalf("rank %d: %v", me, err)
 				}
@@ -126,7 +128,9 @@ func solve(oneSided bool) (float64, []float64, time.Duration) {
 						log.Fatalf("rank %d: %v", me, err)
 					}
 				}
-				win.Complete(group)
+				if err := win.Complete(group); err != nil {
+					log.Fatalf("rank %d: %v", me, err)
+				}
 				if err := win.Wait(group); err != nil {
 					log.Fatalf("rank %d: %v", me, err)
 				}

@@ -58,24 +58,13 @@ func (w *World) collView(from, owner int) smi.Mem {
 }
 
 // osDeposit writes data into the destination's collective window at off
-// and makes it visible (store barrier + transfer check), with crash
-// detection and transient-fault retry. dstWorld is a world rank.
+// (Deposit). dstWorld is a world rank; a lost one fails before collView
+// imports its window.
 func (c *Comm) osDeposit(dstWorld int, off int64, data []byte) error {
 	if err := c.PeerLost(dstWorld); err != nil {
 		return err
 	}
-	mem := c.rk.w.collView(c.rk.id, dstWorld)
-	return c.retryTransfer(dstWorld, func() error {
-		if err := c.PeerLost(dstWorld); err != nil {
-			return err
-		}
-		if len(data) > 0 {
-			if err := mem.WriteStream(c.p, off, data, 2*int64(len(data))); err != nil {
-				return err
-			}
-		}
-		return mem.Sync(c.p)
-	})
+	return c.Deposit(c.rk.w.collView(c.rk.id, dstWorld), dstWorld, off, data, 2*int64(len(data)))
 }
 
 // osCopyOut copies a deposited block out of this rank's own window.

@@ -77,8 +77,10 @@ type DeviceStats struct {
 	// Duplicates counts injected retransmissions dropped by the receive
 	// side (sequence check or stale rendezvous chunk).
 	Duplicates int64
-	// SendRetries counts sender-side retransmissions of failed data
-	// deposits (eager slots, rendezvous chunks).
+	// SendRetries counts the retries of failed transfers (RetryTransfer):
+	// deposits into eager slots, rendezvous chunks, collective windows and
+	// one-sided staging areas, one-sided direct accesses and remote-put get
+	// rounds.
 	SendRetries int64
 	// SendTimeouts counts expired rendezvous control-traffic watchdogs.
 	SendTimeouts int64

@@ -165,10 +165,13 @@ func (c *Comm) watchdogExpired(peer int) error {
 	return &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: peer, At: c.p.Now()}
 }
 
-// retryTransfer runs a fallible data deposit, retrying retryable injected
-// faults with exponential backoff (sendRetryMax attempts, sendBackoff
-// initial delay) before surfacing the error.
-func (c *Comm) retryTransfer(dst int, op func() error) error {
+// RetryTransfer runs a fallible transfer toward world rank dst, retrying
+// retryable injected faults with exponential backoff (sendRetryMax retries,
+// sendBackoff initial delay; each counted in DeviceStats.SendRetries and
+// recorded as a flight KFault) before surfacing the error. It is the one
+// retry rule of every layer (root lint TestOneRetryRule): op must be safe
+// to run again — a deposit, or a read — never a request a peer applied.
+func (c *Comm) RetryTransfer(dst int, op func() error) error {
 	backoff := sendBackoff
 	for attempt := 0; ; attempt++ {
 		err := op()
@@ -184,6 +187,25 @@ func (c *Comm) retryTransfer(dst int, op func() error) error {
 		c.p.Sleep(backoff)
 		backoff *= 2
 	}
+}
+
+// Deposit streams data into mem at off and makes it visible (store barrier
+// and transfer check) under RetryTransfer; each attempt first fails on a
+// lost world rank dst (PeerLost). ws is the write's working set. Empty data
+// only syncs. It is the one stream deposit of every layer: eager slots,
+// collective windows and the one-sided staging areas.
+func (c *Comm) Deposit(mem smi.Mem, dst int, off int64, data []byte, ws int64) error {
+	return c.RetryTransfer(dst, func() error {
+		if err := c.PeerLost(dst); err != nil {
+			return err
+		}
+		if len(data) > 0 {
+			if err := mem.WriteStream(c.p, off, data, ws); err != nil {
+				return err
+			}
+		}
+		return mem.Sync(c.p)
+	})
 }
 
 // packCanonical produces the canonical (definition-order) linearization of
@@ -256,19 +278,11 @@ func (c *Comm) sendEager(buf []byte, count int, dt *datatype.Type, dst, tag, ctx
 		// not known yet).
 		payload = c.packCanonical(buf, count, dt, bytes)
 	}
-	err := c.retryTransfer(dst, func() error {
-		if err := c.PeerLost(dst); err != nil {
-			return err
-		}
-		src := buf[:bytes]
-		if payload != nil {
-			src = payload.B
-		}
-		if err := out.mem.WriteStream(c.p, off, src, bytes); err != nil {
-			return err
-		}
-		return out.mem.Sync(c.p)
-	})
+	src := buf[:bytes]
+	if payload != nil {
+		src = payload.B
+	}
+	err := c.Deposit(out.mem, dst, off, src, bytes)
 	// WriteStream captures the bytes synchronously, so the scratch can go
 	// back to the pool before the announcement.
 	payload.Put()
@@ -410,7 +424,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 			n = bytes - skip
 		}
 		off := w.rdvOff(chunk)
-		err := c.retryTransfer(dst, func() error {
+		err := c.RetryTransfer(dst, func() error {
 			if err := c.PeerLost(dst); err != nil {
 				return err
 			}

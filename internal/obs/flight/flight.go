@@ -216,16 +216,16 @@ const (
 )
 
 // Packet-drop reasons for KPacketDrop; from DropUnknownWin on, the reasons
-// are the one-sided handler's and A is the window id (8 and 9 are retired).
+// are the one-sided handler's and A is the window id (8, 9 and 10 are
+// retired).
 const (
-	DropRevoked      = 1  // an endpoint was revoked by a shrink agreement
-	DropNodeDown     = 2  // an endpoint's node is down
-	DropDuplicate    = 3  // a duplicated delivery (D = sequence number or chunk index)
-	DropStray        = 4  // a control packet no transfer waits for (D = request id)
-	DropDrainFailed  = 5  // the payload could not be read out of the port
-	DropUnknownWin   = 6  // a request for a window the target no longer has
-	DropUnheldUnlock = 7  // an unlock of a lock nobody holds
-	DropRemotePut    = 10 // the handler's remote-put toward the origin failed
+	DropRevoked      = 1 // an endpoint was revoked by a shrink agreement
+	DropNodeDown     = 2 // an endpoint's node is down
+	DropDuplicate    = 3 // a duplicated delivery (D = sequence number or chunk index)
+	DropStray        = 4 // a control packet no transfer waits for (D = request id)
+	DropDrainFailed  = 5 // the payload could not be read out of the port
+	DropUnknownWin   = 6 // a request for a window the target no longer has
+	DropUnheldUnlock = 7 // an unlock of a lock nobody holds
 )
 
 // Event is one recorded protocol event: the virtual timestamp, a global

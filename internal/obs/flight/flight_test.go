@@ -201,7 +201,6 @@ func TestFormatEventNamesFaultsAndDrops(t *testing.T) {
 		{ev(KPacketDrop, 3, 2, DropUnknownWin, 0), "window 3: request of rank2 dropped (unknown window)"},
 		{ev(KPacketDrop, 3, 2, DropUnheldUnlock, 0), "window 3: request of rank2 dropped (unlock of unheld lock)"},
 		{ev(KPacketDrop, 3, 2, 8, 0), "packet to/from rank2 dropped (reason 8)"},
-		{ev(KPacketDrop, 3, 2, DropRemotePut, 0), "window 3: request of rank2 dropped (remote-put failed)"},
 		{ev(KPacketDrop, 0, 1, 99, 0), "packet to/from rank1 dropped (reason 99)"},
 		{ev(KWinDegraded, 3, 1, 0, 0), "window 3: direct view of rank1 degraded to emulation"},
 		{ev(KWinAbandoned, 3, 0, 0, 0), "window 3 abandoned"},

@@ -16,7 +16,7 @@ import (
 var dropNames = [...]string{
 	DropRevoked: "peer revoked", DropNodeDown: "node down", DropDuplicate: "duplicate",
 	DropStray: "stray", DropDrainFailed: "drain failed", DropUnknownWin: "unknown window",
-	DropUnheldUnlock: "unlock of unheld lock", DropRemotePut: "remote-put failed",
+	DropUnheldUnlock: "unlock of unheld lock",
 }
 
 // FormatEvent renders one event as a short human-readable line (no

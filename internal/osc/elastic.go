@@ -85,30 +85,30 @@ func (w *Win) lost(target int) error {
 }
 
 // call sends r to the handler at world rank target in a recycled request
-// record and waits up to timeout (0: forever) for the reply: whether the
-// handler accepted the request (a bool boxes without allocating). The record goes
-// back once the reply was read; after an expired watchdog the handler may
-// still read it, so it is left to the GC.
-func (s *System) call(target int, r oscReq, interrupt bool, timeout time.Duration) (bool, error) {
+// record and waits up to timeout (0: forever) for the reply (see serve),
+// returning the error of an expired watchdog. The record goes back once the
+// reply was read; after an expired watchdog the handler may still read it,
+// so it is left to the GC.
+func (s *System) call(target int, r oscReq, interrupt bool, timeout time.Duration) (any, error) {
 	req := sim.TakeFree(&s.reqFree)
 	*req = r
 	rep, err := s.c.OSCCallTimeout(target, req, interrupt, timeout)
-	if err != nil {
-		return false, err
+	if err == nil {
+		*req = oscReq{}
+		s.reqFree = append(s.reqFree, req)
 	}
-	*req = oscReq{}
-	s.reqFree = append(s.reqFree, req)
-	return rep.(bool), nil
+	return rep, err
 }
 
 // oscRPC issues a handler request bounded by the window's timeout (with 0
-// it blocks until the reply). An expired watchdog surfaces
-// as the underlying fault when the target is provably gone, else as
-// ErrSyncTimeout; a refused reply means the target dropped the window
-// (ErrWinGone).
+// it blocks until the reply). Its two failures stay apart: an expired
+// watchdog, counted in SyncTimeouts, surfaces as the underlying fault when
+// the target is provably gone, else as ErrSyncTimeout; a transfer the
+// handler failed to make comes back as its error. A refused reply means the
+// target dropped the window (ErrWinGone).
 func (w *Win) oscRPC(op string, target int, r oscReq, interrupt bool) error {
 	c := w.sys.c
-	ok, err := w.sys.call(c.GroupToWorld(target), r, interrupt, w.timeout)
+	rep, err := w.sys.call(c.GroupToWorld(target), r, interrupt, w.timeout)
 	if err != nil {
 		w.stats.SyncTimeouts++
 		var silent *fault.Error
@@ -117,7 +117,13 @@ func (w *Win) oscRPC(op string, target int, r oscReq, interrupt bool) error {
 		}
 		return err
 	}
-	if !ok {
+	// Not rep.(error) first: an assertion to an interface type may grow its
+	// cache, an allocation, on any call.
+	accepted, verdict := rep.(bool)
+	switch {
+	case !verdict:
+		return rep.(error) // a transfer the handler failed to make
+	case !accepted:
 		return ErrWinGone{Win: w.id, Target: target}
 	}
 	return nil

@@ -172,17 +172,24 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 
 		{"remote-put toward a revoked stage", func(t *testing.T, rec *flight.Recorder) {
 			// Segment 0 of node 0 is rank 0's port for rank 1, the staging
-			// area rank 1's handler deposits a large get into.
+			// area rank 1's handler deposits a large get into: the handler's
+			// failed remote-put comes back as the get's error, which is no
+			// watchdog expiry.
 			mpiRun(rec, fault.New(1).RevokeSegment(0, 0, time.Millisecond), func(c *mpi.Comm) {
 				w := mkWin(c, 64<<10, false)
 				must(w.Fence())
 				c.Proc().Sleep(2 * time.Millisecond)
 				if c.Rank() == 0 {
-					must(w.Get(buf[:16<<10], 16<<10, datatype.Byte, 1, 0))
+					if w.Get(buf[:16<<10], 16<<10, datatype.Byte, 1, 0) == nil {
+						t.Error("get through a revoked staging area succeeded")
+					}
+					if n := w.Snapshot().SyncTimeouts; n != 0 {
+						t.Errorf("SyncTimeouts = %d after a handler's transfer error, want 0", n)
+					}
 				}
 				must(c.Barrier())
 			})
-		}, []string{"rank1 window 0: request of rank0 dropped (remote-put failed)"}},
+		}, []string{"rank0 ERROR: get failed (rank1)"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := flight.New(0)

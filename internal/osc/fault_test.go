@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
+	"scimpich/internal/pack"
 	"scimpich/internal/sci"
 )
 
@@ -299,7 +301,7 @@ func TestPSCWOfLostPeer(t *testing.T) {
 				if tc.op == "start" {
 					err = w.Start([]int{1})
 				} else {
-					w.Post([]int{1})
+					must(w.Post([]int{1}))
 					before = p.Now()
 					err = w.Wait([]int{1})
 				}
@@ -543,4 +545,82 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 			}
 		}
 	})
+}
+
+var faultSeed = flag.Uint64("fault.seed", 42, "seed for the fault plan of TestEmulatedTransfersRetryAsSend")
+
+// TestEmulatedTransfersRetryAsSend: under a plan of failed PIO writes, the
+// emulated calls of a private window retry as Send does
+// (mpi.Comm.RetryTransfer). Each round makes a staged Put and a remote-put
+// Get of a derived origin (every other double of a vector) and a staged
+// dense Accumulate; each returns nil, the target's window and the got
+// buffers equal a host reference, and every accumulate combined exactly
+// once. The plan strikes at least one retry. -fault.seed picks the plan's
+// draws.
+func TestEmulatedTransfersRetryAsSend(t *testing.T) {
+	const rounds, elems = 8, 256
+	vec := datatype.Vector(elems, 1, 2, datatype.Float64).Commit()
+	span, n := vec.Span(1), vec.Size()
+	putAt, getAt, accAt := int64(0), rounds*span, 2*rounds*span
+	init := fill(int(accAt + rounds*n))
+	src := make([][]byte, rounds)
+	for i := range src {
+		src[i] = fill(int(span))
+		for j := range src[i] {
+			src[i][j] ^= byte(i * 37)
+		}
+	}
+	cfg := mpi.DefaultConfig(2, 1)
+	cfg.Protocol.CollTimeout = mpi.AutoTimeout
+	cfg.SCI.Fault = fault.New(*faultSeed).WithWriteErrors(0.2)
+	var win []byte
+	got := make([][]byte, rounds)
+	var retries int64
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		w := NewSystem(c).CreatePrivate(append([]byte(nil), init...), DefaultConfig())
+		must(w.Fence())
+		if c.Rank() == 0 {
+			for i := range rounds {
+				off := int64(i)
+				if err := w.Put(src[i], 1, vec, 1, putAt+off*span); err != nil {
+					t.Errorf("round %d: put: %v", i, err)
+				}
+				got[i] = make([]byte, span)
+				if err := w.Get(got[i], 1, vec, 1, getAt+off*span); err != nil {
+					t.Errorf("round %d: get: %v", i, err)
+				}
+				if err := w.Accumulate(src[i][:n], int(n/8), datatype.Int64, mpi.OpSum, 1, accAt+off*n); err != nil {
+					t.Errorf("round %d: accumulate: %v", i, err)
+				}
+			}
+		}
+		must(w.Fence())
+		if c.Rank() == 1 {
+			win = w.LocalBytes()
+			retries = c.World().Stats(0).SendRetries
+		}
+	})
+
+	want := append([]byte(nil), init...)
+	for i := range rounds {
+		off := int64(i)
+		wantGot := make([]byte, span)
+		pack.Walk(vec, 1, func(o, size int64) {
+			copy(want[putAt+off*span+o:], src[i][o:o+size])
+			copy(wantGot[o:o+size], init[getAt+off*span+o:])
+		})
+		if !bytes.Equal(got[i], wantGot) {
+			t.Errorf("round %d: get returned other bytes than the target's window", i)
+		}
+		for j := int64(0); j < n; j += 8 {
+			at := accAt + off*n + j
+			binary.LittleEndian.PutUint64(want[at:], binary.LittleEndian.Uint64(init[at:])+binary.LittleEndian.Uint64(src[i][j:]))
+		}
+	}
+	if !bytes.Equal(win, want) {
+		t.Error("the target's window differs from the host reference (a put lost, or an accumulate not combined exactly once)")
+	}
+	if retries == 0 {
+		t.Error("the plan struck no retry: the test proves nothing on this seed")
+	}
 }

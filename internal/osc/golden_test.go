@@ -70,13 +70,13 @@ func oscGoldenRun(t *testing.T, nodes, ppn int, mode string, shared bool) string
 				must(w.Put(src, block, datatype.Byte, right, off))
 				must(w.Fence())
 			case "pscw":
-				w.Post([]int{left})
+				must(w.Post([]int{left}))
 				if me%2 == 0 {
 					p.Sleep(40 * time.Microsecond)
 				}
 				must(w.Start([]int{right}))
 				must(w.Put(src, block, datatype.Byte, right, off))
-				w.Complete([]int{right})
+				must(w.Complete([]int{right}))
 				must(w.Wait([]int{left}))
 			case "lock":
 				must(w.Lock(right))

@@ -33,14 +33,16 @@ const (
 	reqFence
 )
 
-// oscReq is a one-sided handler request. The records of calls — requests
-// that wait for a reply — are recycled by System.call under the rule of
-// their reply channel (see mpi.Comm.OSCCallTimeout): a record goes back
-// once its reply was read, and one whose watchdog expired is left to the
-// GC, since the handler may still read it. A notification (post, complete,
-// fence arrival) has no reply to mark the end of its reading, so it has no
-// record: mpi.Comm.OSCNotify carries its kind and window as integers, and
-// ServeNote rebuilds the request on its stack.
+// oscReq is a one-sided handler request. A call — a request that waits for
+// a reply — learns from the reply whether the handler accepted it, or the
+// error of the remote-put it failed to make (serve). The records of calls
+// are recycled by System.call under the rule of their reply channel (see
+// mpi.Comm.OSCCallTimeout): a record goes back once its reply was read, and
+// one whose watchdog expired is left to the GC, since the handler may still
+// read it. A notification (post, complete, fence arrival) has no reply to
+// mark the end of its reading, so it has no record: mpi.Comm.OSCNotify
+// carries its kind and window as integers, and ServeNote rebuilds the
+// request on its stack.
 type oscReq struct {
 	kind   reqKind
 	win    int
@@ -73,7 +75,9 @@ func (s *System) ServeNote(p *sim.Proc, src, kind, win int) {
 	s.serve(p, src, &r)
 }
 
-// serve services one handler request and returns its reply.
+// serve services one handler request and returns its reply: whether the
+// handler accepted it (a bool boxes without allocating), or the error of a
+// remote-put it failed to make (handleGet).
 func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 	w, ok := s.wins[r.win]
 	if !ok {
@@ -87,7 +91,9 @@ func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 	case reqPut:
 		s.handlePut(p, src, w, r)
 	case reqGet:
-		s.handleGet(p, src, w, r)
+		if err := s.handleGet(p, src, w, r); err != nil {
+			return err
+		}
 	case reqAcc:
 		s.handleAcc(p, src, w, r)
 	case reqLockTry:
@@ -127,8 +133,10 @@ func (s *System) handlePut(p *sim.Proc, src int, w *Win, r *oscReq) {
 }
 
 // handleGet performs the remote-put: write the requested window bytes into
-// the origin's staging area (through this rank's own view of it).
-func (s *System) handleGet(p *sim.Proc, src int, w *Win, r *oscReq) {
+// the origin's staging area (through this rank's own view of it). It makes
+// one attempt, whose error the call's reply carries: the origin retries the
+// round (remotePutGet), so the device never sleeps through a backoff.
+func (s *System) handleGet(p *sim.Proc, src int, w *Win, r *oscReq) error {
 	win := w.LocalBytes()
 	stage, base, size, _ := s.c.OSCStage(src)
 	getBase := base + size/2
@@ -136,15 +144,10 @@ func (s *System) handleGet(p *sim.Proc, src int, w *Win, r *oscReq) {
 	defer scratch.Put() // WriteStream captures the bytes synchronously
 	_, st := pack.FFPack(scratch, win[r.off:], r.dt, r.count, r.skip, r.n)
 	p.Sleep(s.memModel().CopyCost(st.Bytes, st.AvgBlock(), st.Bytes*2))
-	err := stage.WriteStream(p, getBase, scratch.B, r.n)
-	if err == nil {
-		err = stage.Sync(p)
+	if err := stage.WriteStream(p, getBase, scratch.B, r.n); err != nil {
+		return err
 	}
-	if err != nil {
-		// Handler side of a get whose origin just died: there is nobody to
-		// report to — record and drop (the origin's own watchdog fires).
-		w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropRemotePut, 0)
-	}
+	return stage.Sync(p)
 }
 
 // handleAcc combines staged (or inline) data into the window.

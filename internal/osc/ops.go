@@ -5,7 +5,6 @@ import (
 
 	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
-	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/pack"
@@ -92,39 +91,24 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 }
 
 // tryDirectPut deposits through the transparent remote view, retrying
-// transient injected faults before reporting failure.
+// transient injected faults (mpi.Comm.RetryTransfer) before failing.
 func (w *Win) tryDirectPut(p *sim.Proc, buf []byte, count int, dt *datatype.Type, target int, targetOff, n, span int64) error {
-	view := w.views[target]
+	view, c := w.views[target], w.sys.c
 	if dt.Contiguous() {
 		stride := w.estimateStride(target, targetOff, n)
-		return w.retryDirect(func() error {
+		return c.RetryTransfer(c.GroupToWorld(target), func() error {
 			return view.WritePut(p, targetOff, buf[:n], n, stride)
 		})
 	}
 	// Mirror the layout: deposit every block at its own displacement
 	// (the direct_pack machinery writing into the window).
-	return w.retryDirect(func() error {
+	return c.RetryTransfer(c.GroupToWorld(target), func() error {
 		bw := view.BlockWriter(p, span)
 		pack.Walk(dt, count, func(off, size int64) {
 			bw.Write(targetOff+off, buf[off:off+size])
 		})
 		return bw.Flush()
 	})
-}
-
-// retryDirect runs a fallible direct-view access, retrying retryable
-// injected faults a few times before handing the error to degrade().
-func (w *Win) retryDirect(op func() error) error {
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if fe, ok := err.(*fault.Error); !ok || !fe.Retryable() {
-			return err
-		}
-	}
-	return err
 }
 
 // estimateStride watches successive puts to reconstruct the access stride
@@ -206,10 +190,7 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 		cur.SeekTo(sent) // free: the loop is sequential
 		_, st := cur.Pack(scratch, buf, chunk)
 		w.chargeLocal(st)
-		if err := stage.WriteStream(p, base, scratch.B[:chunk], chunk); err != nil {
-			return err
-		}
-		if err := stage.Sync(p); err != nil {
+		if err := c.Deposit(stage, c.GroupToWorld(target), base, scratch.B[:chunk], chunk); err != nil {
 			return err
 		}
 		if err := w.oscRPC("put", target, oscReq{
@@ -290,15 +271,15 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 }
 
 // tryDirectGet reads through the transparent remote view, retrying
-// transient injected faults before reporting failure.
+// transient injected faults as tryDirectPut does.
 func (w *Win) tryDirectGet(p *sim.Proc, buf []byte, count int, dt *datatype.Type, target int, targetOff, n int64) error {
-	view := w.views[target]
+	view, c := w.views[target], w.sys.c
 	if dt.Contiguous() {
-		return w.retryDirect(func() error {
+		return c.RetryTransfer(c.GroupToWorld(target), func() error {
 			return view.Read(p, targetOff, buf[:n])
 		})
 	}
-	return w.retryDirect(func() error {
+	return c.RetryTransfer(c.GroupToWorld(target), func() error {
 		var err error
 		pack.Walk(dt, count, func(off, size int64) {
 			if err != nil {
@@ -310,7 +291,10 @@ func (w *Win) tryDirectGet(p *sim.Proc, buf []byte, count int, dt *datatype.Type
 	})
 }
 
-// remotePutGet drains a get through the staging area in chunks.
+// remotePutGet drains a get through the staging area in chunks. A chunk's
+// round is idempotent (the handler only reads the window), so a transfer
+// the handler failed to make, which comes back as the call's error, runs
+// the round again under mpi.Comm.RetryTransfer.
 func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int, targetOff, n int64) error {
 	c := w.sys.c
 	world := c.GroupToWorld(target)
@@ -332,10 +316,12 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 		if got+chunk > n {
 			chunk = n - got
 		}
-		if err := w.oscRPC("get", target, oscReq{
-			kind: reqGet, win: w.id, off: targetOff, n: chunk,
-			skip: got, dt: dt, count: count,
-		}, interrupt); err != nil {
+		if err := c.RetryTransfer(world, func() error {
+			return w.oscRPC("get", target, oscReq{
+				kind: reqGet, win: w.id, off: targetOff, n: chunk,
+				skip: got, dt: dt, count: count,
+			}, interrupt)
+		}); err != nil {
 			return err
 		}
 		// The data now sits in the local staging area; scatter it into
@@ -423,10 +409,8 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		if sent+chunk > n {
 			chunk = n - sent
 		}
-		if err := stage.WriteStream(p, base, buf[sent:sent+chunk], n); err != nil {
-			return err
-		}
-		if err := stage.Sync(p); err != nil {
+		// Only the deposit retries: the handler combines each chunk once.
+		if err := c.Deposit(stage, c.GroupToWorld(target), base, buf[sent:sent+chunk], n); err != nil {
 			return err
 		}
 		if err := w.oscRPC("acc", target, oscReq{

@@ -258,9 +258,9 @@ func TestPSCWSynchronization(t *testing.T) {
 		case 0: // origin
 			must(w.Start([]int{1}))
 			must(w.Put(src, len(src), datatype.Byte, 1, 0))
-			w.Complete([]int{1})
+			must(w.Complete([]int{1}))
 		case 1: // target
-			w.Post([]int{0})
+			must(w.Post([]int{0}))
 			must(w.Wait([]int{0}))
 			if !bytes.Equal(w.LocalBytes()[:len(src)], src) {
 				t.Error("PSCW put data missing after Wait")
@@ -277,10 +277,10 @@ func TestPSCWStartBlocksUntilPost(t *testing.T) {
 		case 0:
 			must(w.Start([]int{1}))
 			startDone = c.WtimeDuration()
-			w.Complete([]int{1})
+			must(w.Complete([]int{1}))
 		case 1:
 			c.Proc().Sleep(500 * time.Microsecond)
-			w.Post([]int{0})
+			must(w.Post([]int{0}))
 			must(w.Wait([]int{0}))
 		}
 	})
@@ -302,19 +302,19 @@ func TestPSCWPostMatchesLaterStart(t *testing.T) {
 		case 0:
 			must(w.Start([]int{1}))
 			must(w.Put(a, len(a), datatype.Byte, 1, 0))
-			w.Complete([]int{1})
+			must(w.Complete([]int{1}))
 			must(w.Start([]int{2}))
 			must(w.Put(b, len(b), datatype.Byte, 2, 0))
-			w.Complete([]int{2})
+			must(w.Complete([]int{2}))
 		case 1:
 			c.Proc().Sleep(200 * time.Microsecond)
-			w.Post([]int{0})
+			must(w.Post([]int{0}))
 			must(w.Wait([]int{0}))
 			if !bytes.Equal(w.LocalBytes()[:len(a)], a) {
 				t.Error("rank 1: put of the first access epoch missing")
 			}
 		case 2:
-			w.Post([]int{0})
+			must(w.Post([]int{0}))
 			must(w.Wait([]int{0}))
 			if !bytes.Equal(w.LocalBytes()[:len(b)], b) {
 				t.Error("rank 2: put of the second access epoch missing")
@@ -403,8 +403,9 @@ func TestSelfAccess(t *testing.T) {
 }
 
 // TestAccessOutsideEpochPanics: epoch misuse does not panic. A Put, Get or
-// Accumulate outside an epoch, an Unlock without its Lock, and a Lock or
-// Start inside the lock's epoch each return an *mpi.ArgumentError naming
+// Accumulate outside an epoch, an Unlock without its Lock, a Complete
+// without its Start, and a Lock or Start inside the lock's epoch each
+// return an *mpi.ArgumentError naming
 // the call, on a shared and on a private window; nothing is sent, the
 // target's window keeps its bytes, and the epoch is unchanged.
 func TestAccessOutsideEpochPanics(t *testing.T) {
@@ -426,6 +427,7 @@ func TestAccessOutsideEpochPanics(t *testing.T) {
 				check("Get", w.Get(buf, 8, datatype.Byte, 1, 0), epochNone)
 				check("Accumulate", w.Accumulate(buf, 1, datatype.Int64, mpi.OpSum, 1, 0), epochNone)
 				check("Unlock", w.Unlock(1), epochNone)
+				check("Complete", w.Complete([]int{1}), epochNone)
 				must(w.Lock(1))
 				check("Lock", w.Lock(1), epochLock)
 				check("Start", w.Start([]int{1}), epochLock)
@@ -449,7 +451,10 @@ func TestAccessOutsideEpochPanics(t *testing.T) {
 // TestAccessOutsideWindowPanics: a put past the target's window, also one
 // whose end would wrap past math.MaxInt64, or to a rank outside the group
 // does not panic: it is an *mpi.ArgumentError naming the access, on shared
-// and private windows, and the target's window keeps its bytes.
+// and private windows, and the target's window keeps its bytes. Nor does a
+// synchronization call naming a rank outside the group: Lock, Start, Post,
+// Wait and Complete each return an *mpi.ArgumentError naming the call,
+// before anything is sent.
 func TestAccessOutsideWindowPanics(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -483,6 +488,35 @@ func TestAccessOutsideWindowPanics(t *testing.T) {
 			}
 			if !bytes.Equal(target, make([]byte, 64)) {
 				t.Error("a refused put changed the target's window")
+			}
+		})
+	}
+	for _, c := range []struct {
+		call string
+		op   func(w *Win) error
+	}{
+		{"Lock", func(w *Win) error { return w.Lock(5) }},
+		{"Start", func(w *Win) error { return w.Start([]int{1, 5}) }},
+		{"Post", func(w *Win) error { return w.Post([]int{-1}) }},
+		{"Wait", func(w *Win) error { return w.Wait([]int{5}) }},
+		{"Complete", func(w *Win) error { must(w.Start(nil)); return w.Complete([]int{5}) }},
+	} {
+		t.Run(strings.ToLower(c.call)+"-invalid-rank", func(t *testing.T) {
+			var err error
+			var st Stats
+			runCluster(2, 1, func(comm *mpi.Comm) {
+				w := mkWin(comm, 64, false)
+				if comm.Rank() == 0 {
+					err = c.op(w)
+					st = w.Snapshot()
+				}
+				must(comm.Barrier())
+			})
+			if arg := (*mpi.ArgumentError)(nil); !errors.As(err, &arg) || arg.Call != c.call || !strings.Contains(arg.Reason, "invalid target rank") {
+				t.Errorf("err = %v (%T), want an *mpi.ArgumentError from %s naming the rank", err, err, c.call)
+			}
+			if st.Locks+st.Posts != 0 {
+				t.Errorf("stats = %+v, want no lock or post counted", st)
 			}
 		})
 	}

@@ -163,23 +163,31 @@ func (w *Win) resetPattern() {
 }
 
 // Post opens an exposure epoch for the origins in group (MPI_Win_post).
-// The notification costs one control message per origin.
-func (w *Win) Post(group []int) {
+// The notification costs one control message per origin. A rank outside
+// the group is an *mpi.ArgumentError (checkRanks).
+func (w *Win) Post(group []int) error {
+	if err := w.checkRanks("Post", group...); err != nil {
+		return err
+	}
 	w.stats.Posts++
 	c := w.sys.c
 	for _, origin := range group {
 		c.OSCNotify(c.GroupToWorld(origin), int(reqPost), w.id, false)
 	}
+	return nil
 }
 
 // Start opens an access epoch toward the targets in group, blocking until
 // each has posted its exposure epoch (MPI_Win_start); a post is kept for
 // the first Start whose group holds its sender. It fails as Fence does
-// (sync), and then opens no epoch; inside another access epoch it is an
-// *mpi.ArgumentError.
+// (sync), and then opens no epoch; inside another access epoch, or with a
+// rank outside the group, it is an *mpi.ArgumentError.
 func (w *Win) Start(group []int) error {
 	if w.ep != epochNone {
 		return &mpi.ArgumentError{Call: "Start", Reason: "inside another access epoch"}
+	}
+	if err := w.checkRanks("Start", group...); err != nil {
+		return err
 	}
 	if err := w.sync(reqPost, group, flight.OpStart); err != nil {
 		return err
@@ -191,11 +199,14 @@ func (w *Win) Start(group []int) error {
 }
 
 // Complete closes the access epoch: completes all transfers and notifies
-// each target (MPI_Win_complete). It has no error result, so a Complete
-// without its Start panics.
-func (w *Win) Complete(group []int) {
+// each target (MPI_Win_complete). Without its Start, or with a rank outside
+// the group, it is an *mpi.ArgumentError and ends no epoch.
+func (w *Win) Complete(group []int) error {
 	if w.ep != epochStart {
-		panic("osc: Complete without Start")
+		return &mpi.ArgumentError{Call: "Complete", Reason: "without Start"}
+	}
+	if err := w.checkRanks("Complete", group...); err != nil {
+		return err
 	}
 	w.closeEpoch()
 	w.syncViews()
@@ -204,11 +215,16 @@ func (w *Win) Complete(group []int) {
 		c.OSCNotify(c.GroupToWorld(t), int(reqComplete), w.id, false)
 	}
 	w.ep = epochNone
+	return nil
 }
 
 // Wait closes the exposure epoch, blocking until every origin in group has
-// completed its accesses (MPI_Win_wait). It fails as Fence does (sync).
+// completed its accesses (MPI_Win_wait). It fails as Fence does (sync); a
+// rank outside the group is an *mpi.ArgumentError.
 func (w *Win) Wait(group []int) error {
+	if err := w.checkRanks("Wait", group...); err != nil {
+		return err
+	}
 	return w.sync(reqComplete, group, flight.OpWait)
 }
 
@@ -219,11 +235,14 @@ func (w *Win) Wait(group []int) error {
 // It polls with exponential backoff; each poll first fails as Fence does on
 // a lost rank (lost), so a dead target fails at once, and a live peer that
 // holds the lock longer than the window's bound (0: forever) ends it with
-// an ErrSyncTimeout. Inside another access epoch it is an
-// *mpi.ArgumentError.
+// an ErrSyncTimeout. Inside another access epoch, or toward a rank outside
+// the group, it is an *mpi.ArgumentError.
 func (w *Win) Lock(target int) error {
 	if w.ep != epochNone {
 		return &mpi.ArgumentError{Call: "Lock", Reason: "inside another access epoch"}
+	}
+	if err := w.checkRanks("Lock", target); err != nil {
+		return err
 	}
 	timeout := w.timeout
 	w.stats.Locks++
@@ -265,8 +284,8 @@ func (w *Win) tryLock(target int, timeout time.Duration) bool {
 	c := w.sys.c
 	world := c.GroupToWorld(target)
 	if !w.isShared[target] {
-		ok, err := w.sys.call(world, oscReq{kind: reqLockTry, win: w.id}, true, timeout)
-		return err == nil && ok
+		rep, err := w.sys.call(world, oscReq{kind: reqLockTry, win: w.id}, true, timeout)
+		return err == nil && rep == true
 	}
 	if target != c.Rank() {
 		c.Proc().Sleep(c.World().LockLatency(world, c.WorldRank()))

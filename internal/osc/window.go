@@ -186,7 +186,8 @@ type Stats struct {
 	BytesGot             int64 `metric:"bytes.got"`
 	Fences, Locks, Posts int64
 	// Degradations counts direct views abandoned for the emulation path;
-	// SyncTimeouts counts synchronization waits that expired.
+	// SyncTimeouts counts the waits that expired, of synchronization calls
+	// and of handler calls (a transfer the handler failed is not one).
 	Degradations int64
 	SyncTimeouts int64
 }
@@ -311,18 +312,29 @@ func (w *Win) degrade(target int, err error) {
 }
 
 // checkAccess refuses, as an *mpi.ArgumentError naming call, a data
-// operation outside an access epoch, toward a rank outside the group or on
-// bytes [off, off+n) outside the target's window.
+// operation outside an access epoch, toward a rank outside the group
+// (checkRanks) or on bytes [off, off+n) outside the target's window.
 func (w *Win) checkAccess(call string, target int, off, n int64) error {
 	if w.ep == epochNone {
 		return &mpi.ArgumentError{Call: call, Reason: "outside an access epoch (call Fence, Start or Lock first)"}
 	}
-	if target < 0 || target >= len(w.sizes) {
-		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("invalid target rank %d", target)}
+	if err := w.checkRanks(call, target); err != nil {
+		return err
 	}
 	if off < 0 || off > w.sizes[target]-n { // not off+n: it wraps near math.MaxInt64
 		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("access [%d, %d) outside window of %d bytes at rank %d",
 			off, off+n, w.sizes[target], target)}
+	}
+	return nil
+}
+
+// checkRanks refuses, as an *mpi.ArgumentError naming call, a rank outside
+// the window's group, before anything is sent.
+func (w *Win) checkRanks(call string, ranks ...int) error {
+	for _, r := range ranks {
+		if r < 0 || r >= len(w.sizes) {
+			return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("invalid target rank %d", r)}
+		}
 	}
 	return nil
 }

@@ -735,3 +735,36 @@ func TestOneLossRule(t *testing.T) {
 		t.Error("type-checked no package outside lossRuleHome")
 	}
 }
+
+// retryRuleHome are the packages that decide whether a failed transfer is
+// tried again: sci retries its transfer checks, and mpi's
+// Comm.RetryTransfer is the rule every other layer runs its transfers by.
+var retryRuleHome = map[string]bool{"scimpich/internal/mpi": true, "scimpich/internal/sci": true}
+
+// TestOneRetryRule fails on library code outside retryRuleHome that calls
+// (*fault.Error).Retryable: such code keeps a retry policy of its own
+// (attempts, backoff, counts, flight records) beside mpi's, and the two
+// drift apart.
+func TestOneRetryRule(t *testing.T) {
+	seen := 0
+	for _, p := range typeCheck(t, ".") {
+		if retryRuleHome[p.path] {
+			continue
+		}
+		seen++
+		for _, f := range p.libraryFiles() {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n, ok := n.(*ast.SelectorExpr); ok {
+					if s := p.info.Selections[n]; s != nil && s.Obj().Name() == "Retryable" &&
+						types.TypeString(s.Recv(), nil) == "*scimpich/internal/fault.Error" {
+						t.Errorf("%s: calls (*fault.Error).Retryable: retry through mpi.Comm.RetryTransfer", p.fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if seen == 0 {
+		t.Error("type-checked no package outside retryRuleHome")
+	}
+}
