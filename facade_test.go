@@ -11,7 +11,6 @@ import (
 	"scimpich"
 	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
-	"scimpich/internal/osc"
 	"scimpich/internal/sci"
 )
 
@@ -125,8 +124,7 @@ func TestFacadeCallsReturnFaults(t *testing.T) {
 		t.Logf("%s: %v", call, err)
 		var lost sci.ErrConnectionLost
 		var fe *fault.Error
-		var st osc.ErrSyncTimeout
-		if !errors.As(err, &lost) && !errors.As(err, &fe) && !errors.As(err, &st) {
+		if !errors.As(err, &lost) && !errors.As(err, &fe) {
 			t.Errorf("%s toward the crashed node: err = %v (%T), want a typed fault", call, err, err)
 		}
 	}

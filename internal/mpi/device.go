@@ -82,8 +82,9 @@ type DeviceStats struct {
 	// one-sided staging areas, one-sided direct accesses and remote-put get
 	// rounds.
 	SendRetries int64
-	// SendTimeouts counts expired rendezvous control-traffic watchdogs.
-	SendTimeouts int64
+	// WatchdogExpiries counts the bounded waits of every layer that ran
+	// out, once each (Comm.WatchdogExpired).
+	WatchdogExpiries int64
 	// RdvCancels counts rendezvous transfers torn down on the receive side
 	// after the sender abandoned them (envRdvCancel).
 	RdvCancels int64

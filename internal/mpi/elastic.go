@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"scimpich/internal/fault"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/sim"
 )
@@ -146,9 +145,10 @@ func (w *World) agreementPoll() time.Duration {
 }
 
 // agreementDeadline bounds a member's total wait for the other survivors
-// to enter the agreement. It is sized for the slowest legitimate entry
-// path: a survivor that only notices the failure when its one-sided fence
-// watchdog expires, plus collective-scale slack. A fence fails fast on a
+// to enter the agreement; it runs out in WatchdogExpired, as every wait
+// does. It is sized for the slowest legitimate entry path: a survivor that
+// only notices the failure when its one-sided fence watchdog expires (with
+// the typed loss), plus collective-scale slack. A fence fails fast on a
 // peer already known dead, so that path is left to a crash that lands
 // while the survivor already waits inside a fence round.
 func (w *World) agreementDeadline() time.Duration {
@@ -171,20 +171,19 @@ func (w *World) agreementDeadline() time.Duration {
 // caller shrinks again, the usual ULFM contract.
 func (c *Comm) Shrink() (*Comm, error) {
 	cur := c
+	var err error
 	for attempt := 0; attempt <= len(c.groupRanks()); attempt++ {
-		next, err := cur.shrinkOnce()
-		if err != nil {
-			c.rk.fl.Fail(c.p.Now(), flight.OpShrink, -1, err)
-			return nil, err
+		var next *Comm
+		if next, err = cur.shrinkOnce(); err != nil {
+			break
 		}
-		if err := next.confirmShrink(); err == nil {
+		if err = next.confirmShrink(); err == nil {
 			return next, nil
 		}
 		// A further crash surfaced during confirmation: agree again from
 		// the already-shrunken membership.
 		cur = next
 	}
-	err := &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: -1, At: c.p.Now()}
 	c.rk.fl.Fail(c.p.Now(), flight.OpShrink, -1, err)
 	return nil, err
 }
@@ -236,8 +235,9 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 			break
 		}
 		if p.Now() >= deadline {
-			// Shrink records the error as its flight KError.
-			return nil, &fault.Error{Kind: fault.Timeout, From: me, To: -1, At: p.Now()}
+			// Shrink records it as its KError. The members were probed
+			// alive at this instant: the expiry names none.
+			return nil, c.WatchdogExpired()
 		}
 		p.Sleep(w.agreementPoll())
 		c.probeSuspects()

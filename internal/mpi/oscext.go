@@ -66,10 +66,8 @@ func (c *Comm) oscReply(v any) any {
 // req and blocks until its reply arrives. interrupt selects the
 // remote-interrupt delivery path (required when the target may not be
 // polling — the passive-target case). If no reply arrives within timeout
-// (virtual time) it returns the error of an expired wait — the revocation
-// or connection error of a target that is gone, a *fault.Error of kind
-// Timeout against one that is alive but silent. A timeout of 0 waits
-// forever and cannot fail.
+// (virtual time) it returns WatchdogExpired's error, which the caller
+// passes on as it is. A timeout of 0 waits forever and cannot fail.
 //
 // The reply channel comes from a per-world free list under the rule of
 // rdvSend: it goes back once its reply was read and nothing else is queued
@@ -90,7 +88,7 @@ func (c *Comm) OSCCallTimeout(target int, req any, interrupt bool, timeout time.
 	} else {
 		var ok bool
 		if v, ok = c.p.RecvTimeout(reply, timeout); !ok {
-			return nil, c.watchdogExpired(target)
+			return nil, c.WatchdogExpired(target)
 		}
 	}
 	if reply.Len() == 0 {

@@ -148,21 +148,26 @@ func (c *Comm) SelfLost() error {
 	return nil
 }
 
-// watchdogExpired is the one epilogue of every bounded wait that ran out
-// (receive, collective, rendezvous control, one-sided handler call): it
-// counts the expiry and lets the liveness of the awaited world rank decide
-// the error — a revoked endpoint or a dead node as PeerLost reports them, a
-// *fault.Error of kind Timeout against a peer that is alive but silent, or
-// against AnySource. The operation the wait belongs to records the error
-// as its flight KError.
-func (c *Comm) watchdogExpired(peer int) error {
-	c.rk.dev.stats.SendTimeouts++
-	if peer != AnySource {
-		if err := c.PeerLost(peer); err != nil {
+// WatchdogExpired is the one epilogue of every bounded wait that ran out,
+// in every layer (root lint TestOneExpiryRule): it counts the expiry once
+// and returns PeerLost's error for the first awaited world rank that is
+// lost, else a *fault.Error of kind Timeout to the one awaited rank (-1 for
+// a group or AnySource). The waiting operation records it as its KError.
+func (c *Comm) WatchdogExpired(peers ...int) error {
+	c.rk.dev.stats.WatchdogExpiries++
+	for _, r := range peers {
+		if r == AnySource {
+			continue
+		}
+		if err := c.PeerLost(r); err != nil {
 			return err
 		}
 	}
-	return &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: peer, At: c.p.Now()}
+	to := -1 // a group; AnySource is -1 too
+	if len(peers) == 1 {
+		to = peers[0]
+	}
+	return &fault.Error{Kind: fault.Timeout, From: c.rk.id, To: to, At: c.p.Now()}
 }
 
 // RetryTransfer runs a fallible transfer toward world rank dst, retrying
@@ -310,7 +315,7 @@ func (c *Comm) recvCtl(reply *sim.Chan, dst int) (*envelope, error) {
 	}
 	v, ok := c.p.RecvTimeout(reply, to)
 	if !ok {
-		return nil, c.watchdogExpired(dst)
+		return nil, c.WatchdogExpired(dst)
 	}
 	return c.ctlEnvelope(v), nil
 }
@@ -700,12 +705,12 @@ func (c *Comm) recvPeer(call string, src int) (int, error) {
 
 // finishRecv awaits r — a receive posted on a Request from the world's free
 // list, which never reaches the caller — for at most to (0: forever) and
-// returns its status. An expired wait surfaces as watchdogExpired decides
+// returns its status. An expired wait surfaces as WatchdogExpired decides
 // from the liveness of the awaited rank.
 func (c *Comm) finishRecv(r *Request, to time.Duration) (Status, error) {
 	if to > 0 {
 		if _, ok := c.p.AwaitTimeout(&r.done, to); !ok {
-			return Status{}, c.watchdogExpired(r.src)
+			return Status{}, c.WatchdogExpired(r.src)
 		}
 	}
 	if _, err := r.Wait(); err != nil {

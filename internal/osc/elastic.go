@@ -1,11 +1,9 @@
 package osc
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"scimpich/internal/fault"
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/sim"
@@ -65,11 +63,9 @@ func (w *Win) lostPeer(k reqKind, group []int) error {
 	if err := c.SelfLost(); err != nil {
 		return err
 	}
-	for _, g := range group {
-		if a := &w.arrivals[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
-			if err := c.PeerLost(c.GroupToWorld(g)); err != nil {
-				return err
-			}
+	for _, r := range w.pending(k, group) {
+		if err := c.PeerLost(r); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -101,20 +97,13 @@ func (s *System) call(target int, r oscReq, interrupt bool, timeout time.Duratio
 }
 
 // oscRPC issues a handler request bounded by the window's timeout (with 0
-// it blocks until the reply). Its two failures stay apart: an expired
-// watchdog, counted in SyncTimeouts, surfaces as the underlying fault when
-// the target is provably gone, else as ErrSyncTimeout; a transfer the
-// handler failed to make comes back as its error. A refused reply means the
-// target dropped the window (ErrWinGone).
-func (w *Win) oscRPC(op string, target int, r oscReq, interrupt bool) error {
-	c := w.sys.c
-	rep, err := w.sys.call(c.GroupToWorld(target), r, interrupt, w.timeout)
+// it blocks until the reply) and returns the call's error as it is: an
+// expired watchdog as mpi.Comm.WatchdogExpired decides it, or a transfer
+// the handler failed to make. A refused reply means the target dropped the
+// window (ErrWinGone).
+func (w *Win) oscRPC(target int, r oscReq, interrupt bool) error {
+	rep, err := w.sys.call(w.sys.c.GroupToWorld(target), r, interrupt, w.timeout)
 	if err != nil {
-		w.stats.SyncTimeouts++
-		var silent *fault.Error
-		if errors.As(err, &silent) && silent.Kind == fault.Timeout {
-			return ErrSyncTimeout{Op: op, Win: w.id, Target: target, Waited: w.timeout}
-		}
 		return err
 	}
 	// Not rep.(error) first: an assertion to an interface type may grow its

@@ -183,8 +183,8 @@ func TestFaultPathsLeaveFlightEvents(t *testing.T) {
 					if w.Get(buf[:16<<10], 16<<10, datatype.Byte, 1, 0) == nil {
 						t.Error("get through a revoked staging area succeeded")
 					}
-					if n := w.Snapshot().SyncTimeouts; n != 0 {
-						t.Errorf("SyncTimeouts = %d after a handler's transfer error, want 0", n)
+					if n := expiries(c); n != 0 {
+						t.Errorf("%d expired waits after a handler's transfer error, want 0", n)
 					}
 				}
 				must(c.Barrier())

@@ -108,8 +108,8 @@ func TestLockTimeoutRecovery(t *testing.T) {
 			if took := c.Proc().Now() - before; took > 10*time.Microsecond {
 				t.Errorf("the lock failed after %v, want within a few µs", took)
 			}
-			if n := w.Snapshot().SyncTimeouts; n != 0 {
-				t.Errorf("SyncTimeouts = %d, want 0", n)
+			if n := expiries(c); n != 0 {
+				t.Errorf("%d expired waits, want 0", n)
 			}
 			c.Proc().Sleep(3 * time.Millisecond) // past the restoration
 			if err := w.Lock(1); err != nil {
@@ -126,22 +126,35 @@ func TestLockTimeoutRecovery(t *testing.T) {
 	})
 }
 
-// TestLockHeldByLivePeerTimesOut: on three live nodes under a 300 µs
-// watchdog, rank 2 holds rank 0's lock for 2 ms; rank 1's Lock of the same
-// target fails no loss check and ends at the watchdog with an
-// ErrSyncTimeout of "lock" naming rank 0, on a shared and on a private
-// window, and opens no epoch.
+// TestLockHeldByLivePeerTimesOut: on three nodes under a 300 µs watchdog,
+// rank 2 holds rank 0's lock for 2 ms; rank 1's Lock of the same target,
+// entered at 100 µs, fails no loss check and ends exactly at its deadline,
+// 400 µs, with mpi's expiry, a *fault.Error of kind Timeout naming rank 0,
+// counted once, on a shared and on a private window, and opens no epoch.
+// Lock stops polling at the deadline: with rank 0's node dying at 401 µs, a
+// last poll of the private window's handler without a bound would never be
+// answered and end the run in the engine's deadlock panic.
 func TestLockHeldByLivePeerTimesOut(t *testing.T) {
 	const bound = 300 * time.Microsecond
-	for _, shared := range []bool{true, false} {
-		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+	const enter = 100 * time.Microsecond
+	for _, tc := range []struct {
+		shared, crash bool
+	}{{true, false}, {false, false}, {true, true}, {false, true}} {
+		name := fmt.Sprintf("shared=%v", tc.shared)
+		if tc.crash {
+			name += ",target-dies-after-deadline"
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := mpi.DefaultConfig(3, 1)
 			cfg.Protocol.CollTimeout = bound
+			if tc.crash {
+				cfg.SCI.Fault = fault.New(5).CrashNode(0, enter+bound+time.Microsecond)
+			}
 			checked := false
 			mpi.Run(cfg, func(c *mpi.Comm) {
 				s := NewSystem(c)
 				var w *Win
-				if shared {
+				if tc.shared {
 					w = s.CreateShared(c.AllocShared(64), DefaultConfig())
 				} else {
 					w = s.CreatePrivate(make([]byte, 64), DefaultConfig())
@@ -151,14 +164,18 @@ func TestLockHeldByLivePeerTimesOut(t *testing.T) {
 				case 0:
 					p.Sleep(3 * time.Millisecond) // its handler serves the lock
 				case 1:
-					p.Sleep(100 * time.Microsecond) // rank 2 holds the lock now
+					p.Sleep(enter - p.Now()) // rank 2 holds the lock now
+					n0 := expiries(c)
 					err := w.Lock(0)
-					var st ErrSyncTimeout
-					if !errors.As(err, &st) || st.Op != "lock" || st.Target != 0 || st.Waited < bound {
-						t.Errorf("lock held by a live peer: err = %v, want ErrSyncTimeout of \"lock\" on rank 0 after %v", err, bound)
+					var fe *fault.Error
+					if !errors.As(err, &fe) || fe.Kind != fault.Timeout || fe.To != 0 {
+						t.Errorf("lock held by a live peer: err = %v, want a *fault.Error of kind Timeout to rank 0", err)
 					}
-					if n := w.Snapshot().SyncTimeouts; n != 1 {
-						t.Errorf("SyncTimeouts = %d, want 1", n)
+					if p.Now() != enter+bound {
+						t.Errorf("lock held by a live peer gave up at %v, want its deadline %v", p.Now(), enter+bound)
+					}
+					if n := expiries(c) - n0; n != 1 {
+						t.Errorf("%d expired waits, want 1", n)
 					}
 					if w.ep != epochNone {
 						t.Error("a failed lock opened an epoch")
@@ -167,7 +184,9 @@ func TestLockHeldByLivePeerTimesOut(t *testing.T) {
 				case 2:
 					must(w.Lock(0))
 					p.Sleep(2 * time.Millisecond)
-					must(w.Unlock(0))
+					if err := w.Unlock(0); (err != nil) != tc.crash {
+						t.Errorf("unlock: err = %v, want an error only after the target's crash", err)
+					}
 				}
 			})
 			if !checked {
@@ -266,8 +285,9 @@ func TestUnlockOfLostTarget(t *testing.T) {
 // TestPSCWOfLostPeer: Start and Wait toward a peer whose node crashed end
 // with a typed error instead of hanging the run. A peer already known dead
 // when the call starts fails it at once with sci.ErrConnectionLost, with or
-// without a watchdog, and counts no timeout; a call that already waits when
-// the peer's node dies ends at its watchdog with an ErrSyncTimeout.
+// without a watchdog, and counts no expiry; a call that already waits when
+// the peer's node dies ends at its watchdog with the same typed loss, as
+// every mpi wait does, and counts one.
 func TestPSCWOfLostPeer(t *testing.T) {
 	const crashAt = time.Millisecond
 	for _, tc := range []struct {
@@ -315,19 +335,19 @@ func TestPSCWOfLostPeer(t *testing.T) {
 					if took > 10*time.Microsecond {
 						t.Errorf("%s failed after %v, want within a few µs", tc.op, took)
 					}
-					if n := w.Snapshot().SyncTimeouts; n != 0 {
-						t.Errorf("SyncTimeouts = %d, want 0", n)
+					if n := expiries(c); n != 0 {
+						t.Errorf("%d expired waits, want 0", n)
 					}
 				} else {
-					var st ErrSyncTimeout
-					if !errors.As(err, &st) || st.Op != tc.op || st.Target != -1 {
-						t.Errorf("%s waiting at the crash: err = %v, want ErrSyncTimeout of %q", tc.op, err, tc.op)
+					var lost sci.ErrConnectionLost
+					if !errors.As(err, &lost) || lost.To != 1 {
+						t.Errorf("%s waiting at the crash: err = %v, want sci.ErrConnectionLost to node 1", tc.op, err)
 					}
-					if st.Waited < w.timeout || took < w.timeout {
-						t.Errorf("%s gave up after %v (waited %v), before its watchdog of %v", tc.op, took, st.Waited, w.timeout)
+					if took != w.timeout {
+						t.Errorf("%s gave up after %v, want its watchdog of %v", tc.op, took, w.timeout)
 					}
-					if n := w.Snapshot().SyncTimeouts; n != 1 {
-						t.Errorf("SyncTimeouts = %d, want 1", n)
+					if n := expiries(c); n != 1 {
+						t.Errorf("%d expired waits, want 1", n)
 					}
 				}
 				if w.ep != epochNone {
@@ -342,8 +362,9 @@ func TestPSCWOfLostPeer(t *testing.T) {
 	}
 }
 
-// TestFenceWatchdogNoDeadlock: Fence against a peer that never
-// arrives returns ErrSyncTimeout instead of deadlocking the simulation.
+// TestFenceWatchdogNoDeadlock: Fence against a live peer that never
+// arrives ends at its watchdog with mpi's expiry, a *fault.Error of kind
+// Timeout naming that peer, instead of deadlocking the simulation.
 func TestFenceWatchdogNoDeadlock(t *testing.T) {
 	cfg := mpi.DefaultConfig(2, 1)
 	cfg.Protocol.CollTimeout = 300 * time.Microsecond
@@ -351,16 +372,17 @@ func TestFenceWatchdogNoDeadlock(t *testing.T) {
 		s := NewSystem(c)
 		w := s.CreateShared(c.AllocShared(1024), DefaultConfig())
 		if c.Rank() == 0 {
+			before := c.Proc().Now()
 			err := w.Fence()
-			var st ErrSyncTimeout
-			if !errors.As(err, &st) {
-				t.Fatalf("fence without peer: err = %v, want ErrSyncTimeout", err)
+			var fe *fault.Error
+			if !errors.As(err, &fe) || fe.Kind != fault.Timeout || fe.To != 1 {
+				t.Fatalf("fence without peer: err = %v, want a *fault.Error of kind Timeout to rank 1", err)
 			}
-			if st.Op != "fence" || st.Target != -1 {
-				t.Errorf("timeout detail = %+v", st)
+			if took := c.Proc().Now() - before; took < w.timeout {
+				t.Errorf("fence without peer gave up after %v, before its watchdog of %v", took, w.timeout)
 			}
-			if w.Snapshot().SyncTimeouts != 1 {
-				t.Errorf("SyncTimeouts = %d, want 1", w.Snapshot().SyncTimeouts)
+			if n := expiries(c); n != 1 {
+				t.Errorf("%d expired waits, want 1", n)
 			}
 		} else {
 			c.Proc().Sleep(time.Millisecond) // never fences
@@ -390,8 +412,8 @@ func TestFenceCheckedCompletesAndTransfers(t *testing.T) {
 		if c.Rank() == 1 && !bytes.Equal(w.LocalBytes()[100:100+len(src)], src) {
 			t.Error("put not visible after the fence")
 		}
-		if w.Snapshot().SyncTimeouts != 0 {
-			t.Errorf("spurious SyncTimeouts = %d", w.Snapshot().SyncTimeouts)
+		if n := expiries(c); n != 0 {
+			t.Errorf("%d spurious expired waits", n)
 		}
 	})
 }
@@ -457,6 +479,30 @@ func TestDegradedGetFallsBackToRemotePut(t *testing.T) {
 	})
 }
 
+// TestEachExpiryCountsOnce: an emulated Put whose handler call outlives a
+// 100 ns bound returns mpi's expiry and adds exactly 1 to mpi's count of
+// expired waits, the only count of them. (A Lock that runs out counts once
+// too: TestLockHeldByLivePeerTimesOut.)
+func TestEachExpiryCountsOnce(t *testing.T) {
+	runCluster(2, 1, func(c *mpi.Comm) {
+		w := NewSystem(c).CreatePrivate(make([]byte, 64), DefaultConfig())
+		must(w.Fence())
+		if c.Rank() == 0 {
+			w.timeout = 100 * time.Nanosecond
+			n0 := expiries(c)
+			var fe *fault.Error
+			if err := w.Put(fill(8), 8, datatype.Byte, 1, 0); !errors.As(err, &fe) || fe.Kind != fault.Timeout || fe.To != 1 {
+				t.Errorf("put under a 100ns bound: err = %v, want a *fault.Error of kind Timeout to rank 1", err)
+			}
+			if n := expiries(c) - n0; n != 1 {
+				t.Errorf("an expired put counted %d expired waits, want 1", n)
+			}
+			w.timeout = 0
+		}
+		must(w.Fence())
+	})
+}
+
 // TestLateReplyNeverTakenByLaterCall: call records and reply channels are
 // recycled only after their reply was read. A window whose bound is
 // shorter than one emulated round trip (set between its fences, which
@@ -489,13 +535,15 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 			}
 			expired := s.reqFree[0] // the next call takes it
 			a.timeout = 100 * time.Nanosecond
-			var st ErrSyncTimeout
-			if err := a.Accumulate(ones, 4, datatype.Int64, mpi.OpSum, 1, 0); !errors.As(err, &st) {
-				t.Fatalf("accumulate under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
+			n0 := expiries(c)
+			var fe *fault.Error
+			if err := a.Accumulate(ones, 4, datatype.Int64, mpi.OpSum, 1, 0); !errors.As(err, &fe) || fe.Kind != fault.Timeout {
+				t.Fatalf("accumulate under a 100ns watchdog: err = %v, want a *fault.Error of kind Timeout", err)
 			}
-			if err := a.Get(got, len(got), datatype.Byte, 1, 0); !errors.As(err, &st) {
-				t.Fatalf("remote-put get under a 100ns watchdog: err = %v, want ErrSyncTimeout", err)
+			if err := a.Get(got, len(got), datatype.Byte, 1, 0); !errors.As(err, &fe) || fe.Kind != fault.Timeout {
+				t.Fatalf("remote-put get under a 100ns watchdog: err = %v, want a *fault.Error of kind Timeout", err)
 			}
+			n1 := expiries(c)
 			a.timeout = 0
 			if len(s.reqFree) != 0 {
 				t.Fatalf("%d request records went back to the free list after expired calls", len(s.reqFree))
@@ -521,8 +569,8 @@ func TestLateReplyNeverTakenByLaterCall(t *testing.T) {
 					}
 				}
 			}
-			if n := a.Snapshot().SyncTimeouts; n != 2 {
-				t.Errorf("SyncTimeouts = %d on the fast window, want 2", n)
+			if n := n1 - n0; n != 2 {
+				t.Errorf("%d expired waits on the fast window, want 2", n)
 			}
 		}
 		must(b.Fence())

@@ -61,8 +61,8 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 				if took := c.Proc().Now() - entered; took > syncTimeout/10 {
 					t.Errorf("rank%d: the fence failed after %v, want well under the %v watchdog", c.Rank(), took, syncTimeout)
 				}
-				if n := w.Snapshot().SyncTimeouts; n != 0 {
-					t.Errorf("rank%d: SyncTimeouts = %d, want 0 for a fast fail", c.Rank(), n)
+				if n := expiries(c); n != 0 {
+					t.Errorf("rank%d: %d expired waits, want 0 for a fast fail", c.Rank(), n)
 				}
 				failed++
 				return
@@ -80,8 +80,9 @@ func TestFenceStallDumpNamesInjectedCrash(t *testing.T) {
 // TestFenceWaitingAtCrashTimesOut is the dump test's twin for the crash the
 // fast fail cannot see: node1 crashes while the survivors already wait in a
 // fence round rank1 never enters. Nothing wakes a waiting fence, so each
-// survivor still sits out its watchdog and fails with ErrSyncTimeout, and
-// the analyzer still names the injected crash of node1 as the root cause.
+// survivor still sits out its watchdog, where it fails as every mpi wait
+// does, with the typed loss of node1, and the analyzer still names the
+// injected crash of node1 as the root cause.
 func TestFenceWaitingAtCrashTimesOut(t *testing.T) {
 	const enterAt = time.Millisecond
 	const crashAt = enterAt + 200*time.Microsecond
@@ -107,9 +108,9 @@ func TestFenceWaitingAtCrashTimesOut(t *testing.T) {
 		}
 		c.Proc().Sleep(enterAt - c.Proc().Now())
 		err := w.Fence()
-		var st ErrSyncTimeout
-		if !errors.As(err, &st) {
-			t.Errorf("rank%d: fence error = %v, want ErrSyncTimeout", c.Rank(), err)
+		var lost sci.ErrConnectionLost
+		if !errors.As(err, &lost) || lost.To != 1 {
+			t.Errorf("rank%d: fence error = %v, want sci.ErrConnectionLost toward node1", c.Rank(), err)
 			return
 		}
 		if c.Proc().Now() < crashAt+syncTimeout/2 {

@@ -29,11 +29,12 @@ func (w *Win) fail(op flight.Op, target int, err error) {
 // Put moves count elements of dt from buf into target's window at
 // displacement targetOff (MPI_Put). It returns failures as typed errors: a
 // dead target node yields sci.ErrConnectionLost, a revoked rank
-// *mpi.RevokedRankError, an expired handler watchdog ErrSyncTimeout, and a
-// target that dropped the window ErrWinGone. An origin buffer that cannot
-// hold count elements (mpi.CheckBuffer), a call outside an access epoch, an
-// invalid target rank or an access outside the target's window is an
-// *mpi.ArgumentError, returned before anything is sent.
+// *mpi.RevokedRankError, an expired handler watchdog the error of
+// mpi.Comm.WatchdogExpired, and a target that dropped the window ErrWinGone.
+// An origin buffer that cannot hold count elements (mpi.CheckBuffer), a
+// call outside an access epoch, an invalid target rank or an access outside
+// the target's window is an *mpi.ArgumentError, returned before anything is
+// sent.
 func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	if err := mpi.CheckBuffer("Put", "origin buffer", buf, count, dt); err != nil {
 		return err
@@ -163,7 +164,7 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 		// later, so the error path leaks the buffer to the GC instead.
 		payload := bufpool.Get(int(n))
 		pack.FFPack(payload, buf, dt, count, 0, -1)
-		if err := w.oscRPC("put", target, oscReq{
+		if err := w.oscRPC(target, oscReq{
 			kind: reqPut, win: w.id, off: targetOff, n: n,
 			inline: payload.B, dt: dt, count: count,
 		}, true); err != nil {
@@ -193,7 +194,7 @@ func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, 
 		if err := c.Deposit(stage, c.GroupToWorld(target), base, scratch.B[:chunk], chunk); err != nil {
 			return err
 		}
-		if err := w.oscRPC("put", target, oscReq{
+		if err := w.oscRPC(target, oscReq{
 			kind: reqPut, win: w.id, off: targetOff, n: chunk,
 			skip: sent, dt: dt, count: count,
 		}, true); err != nil {
@@ -317,7 +318,7 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 			chunk = n - got
 		}
 		if err := c.RetryTransfer(world, func() error {
-			return w.oscRPC("get", target, oscReq{
+			return w.oscRPC(target, oscReq{
 				kind: reqGet, win: w.id, off: targetOff, n: chunk,
 				skip: got, dt: dt, count: count,
 			}, interrupt)
@@ -385,7 +386,7 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		payload := bufpool.Get(int(n))
 		w.chargeLocalBytes(n)
 		copy(payload.B, buf[:n])
-		if err := w.oscRPC("acc", target, oscReq{
+		if err := w.oscRPC(target, oscReq{
 			kind: reqAcc, win: w.id, off: targetOff, n: n,
 			inline: payload.B, dt: dt, count: count, op: op,
 		}, interrupt); err != nil {
@@ -413,7 +414,7 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		if err := c.Deposit(stage, c.GroupToWorld(target), base, buf[sent:sent+chunk], n); err != nil {
 			return err
 		}
-		if err := w.oscRPC("acc", target, oscReq{
+		if err := w.oscRPC(target, oscReq{
 			kind: reqAcc, win: w.id, off: targetOff + sent, n: chunk,
 			dt: dt, count: int(chunk / elemSize), op: op,
 		}, interrupt); err != nil {

@@ -659,6 +659,10 @@ func TestDeterministicOneSidedRuns(t *testing.T) {
 }
 
 // must fails the calling rank on a fault the test does not expect.
+// expiries is the calling rank's count of expired waits, mpi's one count
+// of them (mpi.DeviceStats.WatchdogExpiries).
+func expiries(c *mpi.Comm) int64 { return c.World().Stats(c.WorldRank()).WatchdogExpiries }
+
 func must(err error) {
 	if err != nil {
 		panic(err)

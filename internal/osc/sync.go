@@ -14,27 +14,6 @@ import (
 // an epoch; the library optimizes across the epoch boundary (store barriers
 // are issued at the closing call, not per access).
 
-// ErrSyncTimeout reports a synchronization call (Fence, Start, Wait, Lock,
-// Unlock) or a handler round-trip that waited longer than the window's
-// bound (mpi.World.SyncTimeout) for a peer — typically because its node
-// crashed while the call already waited, or a live peer never made the
-// matching call or holds the lock. Every synchronization call fails at
-// once instead on a peer already known lost (see lostPeer and lost).
-type ErrSyncTimeout struct {
-	Op     string // "fence", "start", "wait", "lock", "unlock" or a data operation
-	Win    int
-	Target int // locked target rank, or -1 for a wait on a group
-	Waited time.Duration
-}
-
-func (e ErrSyncTimeout) Error() string {
-	if e.Target >= 0 {
-		return fmt.Sprintf("osc: %s on window %d timed out after %v waiting for rank %d",
-			e.Op, e.Win, e.Waited, e.Target)
-	}
-	return fmt.Sprintf("osc: %s on window %d timed out after %v", e.Op, e.Win, e.Waited)
-}
-
 // Fence closes the current access epoch (completing all outstanding posted
 // stores with a store barrier), synchronizes all ranks barrier-style, and
 // opens the next epoch (MPI_Win_fence): every rank announces its arrival
@@ -42,7 +21,8 @@ func (e ErrSyncTimeout) Error() string {
 // window. Before it announces anything, it fails at once on a peer that
 // has not arrived and is known lost (lostPeer), so no peer can complete a
 // round this rank failed, and the round is not used up. Waiting longer
-// than the window's bound (0: forever) for a peer returns an ErrSyncTimeout.
+// than the window's bound (0: forever) for a peer ends in
+// mpi.Comm.WatchdogExpired, as every mpi wait does.
 func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
@@ -77,7 +57,7 @@ func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 				}
 			}
 		}
-		err = w.await(k, group, op)
+		err = w.await(k, group)
 	}
 	if err != nil {
 		w.fl.Fail(c.Proc().Now(), op, -1, err)
@@ -88,20 +68,21 @@ func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 // await is the one wait of the synchronization calls: it blocks until every
 // rank of group has a notification of kind k that no call matched yet; the
 // handler wakes the rank once the group is complete (arrive). Waiting
-// longer than the window's bound (0: forever) returns an ErrSyncTimeout.
-// Whatever the result, it matches one notification of each rank, so a late
-// one is never taken for the next call's.
-func (w *Win) await(k reqKind, group []int, op flight.Op) error {
-	p := w.sys.c.Proc()
+// longer than the window's bound (0: forever) ends in
+// mpi.Comm.WatchdogExpired over the ranks still missing. Whatever the
+// result, it matches one notification of each rank, so a late one is never
+// taken for the next call's.
+func (w *Win) await(k reqKind, group []int) error {
+	c := w.sys.c
+	p := c.Proc()
 	var err error
-	start := p.Now()
+	deadline := p.Now() + w.timeout
 	w.waitKind, w.waitGroup = k, group
 	for !w.arrived(k, group) { // a timed-out wait may leave a stale wake
 		if w.timeout <= 0 {
 			p.Recv(w.wake)
-		} else if _, ok := p.RecvTimeout(w.wake, start+w.timeout-p.Now()); !ok {
-			w.stats.SyncTimeouts++
-			err = ErrSyncTimeout{Op: op.String(), Win: w.id, Target: -1, Waited: p.Now() - start}
+		} else if _, ok := p.RecvTimeout(w.wake, deadline-p.Now()); !ok {
+			err = c.WatchdogExpired(w.pending(k, group)...)
 			break
 		}
 	}
@@ -232,11 +213,11 @@ func (w *Win) Wait(group []int) error {
 // window (MPI_Win_lock). For windows in shared memory the lock is a
 // shared-memory spinlock that does not involve the target's CPU; for
 // private windows the handler arbitrates (with remote-interrupt latency).
-// It polls with exponential backoff; each poll first fails as Fence does on
-// a lost rank (lost), so a dead target fails at once, and a live peer that
-// holds the lock longer than the window's bound (0: forever) ends it with
-// an ErrSyncTimeout. Inside another access epoch, or toward a rank outside
-// the group, it is an *mpi.ArgumentError.
+// It polls with exponential backoff, each poll after Fence's loss check
+// (lost), so a dead target fails at once, until one deadline, the window's
+// bound after the call (0: none): a lock not taken, or a handler reply not
+// received, by then ends in mpi.Comm.WatchdogExpired. Inside another access epoch, or
+// toward a rank outside the group, it is an *mpi.ArgumentError.
 func (w *Win) Lock(target int) error {
 	if w.ep != epochNone {
 		return &mpi.ArgumentError{Call: "Lock", Reason: "inside another access epoch"}
@@ -244,31 +225,31 @@ func (w *Win) Lock(target int) error {
 	if err := w.checkRanks("Lock", target); err != nil {
 		return err
 	}
-	timeout := w.timeout
 	w.stats.Locks++
-	p := w.sys.c.Proc()
-	var waited time.Duration
+	c := w.sys.c
+	p := c.Proc()
+	deadline := p.Now() + w.timeout
 	for backoff := 5 * time.Microsecond; ; backoff = min(2*backoff, 160*time.Microsecond) {
 		err := w.lost(target)
-		start := p.Now()
-		if err == nil && w.tryLock(target, timeout-waited) {
-			break
+		if err == nil && w.timeout > 0 && p.Now() >= deadline {
+			err = c.WatchdogExpired(c.GroupToWorld(target))
 		}
-		waited += p.Now() - start
-		if err == nil && timeout > 0 && waited >= timeout {
-			w.stats.SyncTimeouts++
-			err = ErrSyncTimeout{Op: "lock", Win: w.id, Target: target, Waited: waited}
+		locked := false
+		if err == nil {
+			locked, err = w.tryLock(target, deadline)
 		}
 		if err != nil {
-			w.fl.Fail(p.Now(), flight.OpLock, w.sys.c.GroupToWorld(target), err)
+			w.fail(flight.OpLock, target, err)
 			return err
 		}
+		if locked {
+			break
+		}
 		sleep := backoff
-		if timeout > 0 {
-			sleep = min(sleep, timeout-waited)
+		if w.timeout > 0 {
+			sleep = min(sleep, deadline-p.Now())
 		}
 		p.Sleep(sleep)
-		waited += sleep
 	}
 	w.ep = epochLock
 	w.lockHeld = target
@@ -279,18 +260,22 @@ func (w *Win) Lock(target int) error {
 
 // tryLock polls target's lock once: the shared-memory lock of a node that
 // Lock just found alive, or the handler of a private window, whose reply it
-// waits for up to timeout (not positive: for ever).
-func (w *Win) tryLock(target int, timeout time.Duration) bool {
+// waits for until deadline (with a bound) and whose expiry it returns.
+func (w *Win) tryLock(target int, deadline time.Duration) (bool, error) {
 	c := w.sys.c
 	world := c.GroupToWorld(target)
 	if !w.isShared[target] {
+		var timeout time.Duration // 0: for ever
+		if w.timeout > 0 {
+			timeout = deadline - c.Proc().Now()
+		}
 		rep, err := w.sys.call(world, oscReq{kind: reqLockTry, win: w.id}, true, timeout)
-		return err == nil && rep == true
+		return rep == true, err
 	}
 	if target != c.Rank() {
 		c.Proc().Sleep(c.World().LockLatency(world, c.WorldRank()))
 	}
-	return w.sharedLocks[target].TryLock()
+	return w.sharedLocks[target].TryLock(), nil
 }
 
 // Unlock closes the passive-target epoch: completes all transfers to the
@@ -318,7 +303,7 @@ func (w *Win) Unlock(target int) error {
 		}
 		p.Unlock(w.sharedLocks[target])
 	case err == nil:
-		err = w.oscRPC("unlock", target, oscReq{kind: reqUnlock, win: w.id}, true)
+		err = w.oscRPC(target, oscReq{kind: reqUnlock, win: w.id}, true)
 	}
 	w.fail(flight.OpUnlock, target, err)
 	return err

@@ -125,11 +125,12 @@ func TestFenceFailsFastOnLostPeer(t *testing.T) {
 				if tc == "announced-then-crashed" {
 					if me == 1 {
 						// Announce round 2 just before the crash, then wait
-						// in it until the watchdog ends the wait.
+						// in it until the watchdog ends the wait: the
+						// survivors it waits for are alive.
 						p.Sleep(crashAt - 100*time.Microsecond - p.Now())
-						var st ErrSyncTimeout
-						if err := w.Fence(); !errors.As(err, &st) {
-							t.Errorf("rank 1: fence waiting at its crash: err = %v, want ErrSyncTimeout", err)
+						var fe *fault.Error
+						if err := w.Fence(); !errors.As(err, &fe) || fe.Kind != fault.Timeout {
+							t.Errorf("rank 1: fence waiting at its crash: err = %v, want a *fault.Error of kind Timeout", err)
 						}
 						return
 					}
@@ -168,8 +169,8 @@ func TestFenceFailsFastOnLostPeer(t *testing.T) {
 					if took := p.Now() - entered; took > 10*time.Microsecond {
 						t.Errorf("rank %d: the fence failed after %v, want within a few µs", me, took)
 					}
-					if n := w.Snapshot().SyncTimeouts; n != 0 {
-						t.Errorf("rank %d: SyncTimeouts = %d, want 0", me, n)
+					if n := expiries(c); n != 0 {
+						t.Errorf("rank %d: %d expired waits, want 0", me, n)
 					}
 					checked++
 				}

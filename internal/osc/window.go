@@ -22,7 +22,6 @@ package osc
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"scimpich/internal/mpi"
@@ -40,9 +39,9 @@ type System struct {
 	c       *mpi.Comm
 	wins    map[int]*Win
 	nextWin int
-	// abandoned sums the counts of the windows abandoned on this rank, so
-	// that they are still published; nil without a registry.
-	abandoned *Stats
+	// abandoned holds the counts of the windows abandoned on this rank, so
+	// that they are still published; none without a registry.
+	abandoned []Stats
 	// reqFree holds the request records of calls whose reply was read (see
 	// oscReq).
 	reqFree []*oscReq
@@ -54,7 +53,6 @@ func NewSystem(c *mpi.Comm) *System {
 	s := &System{c: c, wins: make(map[int]*Win)}
 	c.SetOSCHandler(s)
 	if c.Metrics() != nil {
-		s.abandoned = new(Stats)
 		c.World().OnPublish(s.publish)
 	}
 	return s
@@ -63,7 +61,9 @@ func NewSystem(c *mpi.Comm) *System {
 // publish adds the Stats of every window this rank created, live or
 // abandoned, to r: one osc.* counter per field, summed over windows and ranks.
 func (s *System) publish(r *obs.Registry) {
-	r.AddStats("osc", *s.abandoned)
+	for _, st := range s.abandoned {
+		r.AddStats("osc", st)
+	}
 	for _, w := range s.wins {
 		r.AddStats("osc", w.stats)
 	}
@@ -104,8 +104,8 @@ type Win struct {
 	id  int
 	cfg Config
 	// timeout bounds the synchronization calls (Fence, Start, Wait, Lock,
-	// Unlock) and the data operations' handler round trips: waiting longer
-	// for a peer yields an ErrSyncTimeout. It is the world's bound
+	// Unlock) and the data operations' handler round trips, each ending in
+	// mpi.Comm.WatchdogExpired. It is the world's bound
 	// (mpi.World.SyncTimeout), resolved at creation; 0 waits forever.
 	timeout time.Duration
 
@@ -131,12 +131,14 @@ type Win struct {
 	// arrivals is the window's arrival record, one row per group rank;
 	// while the rank waits (await), the handler wakes it through wake once
 	// every rank of waitGroup (nil: no wait) has an unmatched notification
-	// of kind waitKind (arrive). everyone is the group of a fence.
+	// of kind waitKind (arrive). everyone is the group of a fence; missing,
+	// pending's scratch, shares its allocation.
 	arrivals  []arrival
 	wake      *sim.Chan
 	waitKind  reqKind
 	waitGroup []int
 	everyone  []int
+	missing   []int
 
 	// put-pattern estimator: successive small puts to ascending strided
 	// offsets interact with the CPU write-combine buffer; remembering the
@@ -169,6 +171,19 @@ type Win struct {
 // arrivals), used[k] those a call matched, failed calls too (see await).
 type arrival struct{ seen, used [3]uint32 }
 
+// pending returns the world ranks of group that a call of kind k still
+// waits for, those with no unmatched notification of kind k, in the
+// window's scratch slice (missing).
+func (w *Win) pending(k reqKind, group []int) []int {
+	missing := w.missing[:0]
+	for _, g := range group {
+		if a := &w.arrivals[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
+			missing = append(missing, w.sys.c.GroupToWorld(g))
+		}
+	}
+	return missing
+}
+
 // Stats is the one-sided activity of a window on this rank, the one store of
 // these counts: the owning rank bumps them, Win.Snapshot returns them by
 // value, and System.publish adds them to a registry. Puts counts local puts
@@ -185,29 +200,23 @@ type Stats struct {
 	BytesPut             int64 `metric:"bytes.put"`
 	BytesGot             int64 `metric:"bytes.got"`
 	Fences, Locks, Posts int64
-	// Degradations counts direct views abandoned for the emulation path;
-	// SyncTimeouts counts the waits that expired, of synchronization calls
-	// and of handler calls (a transfer the handler failed is not one).
+	// Degradations counts direct views abandoned for the emulation path.
+	// An expired wait is mpi's count (mpi.DeviceStats.WatchdogExpiries).
 	Degradations int64
-	SyncTimeouts int64
 }
 
 // Snapshot returns a copy of the window's statistics.
 func (w *Win) Snapshot() Stats { return w.stats }
 
-// detach removes an abandoned window from its System, folding its
-// counts into the System's when they are published. Every Stats field is an
-// int64 count.
+// detach removes an abandoned window from its System, keeping its counts
+// for publish when the world has a registry.
 func (w *Win) detach() {
 	if w.sys.wins[w.id] != w {
-		return // already detached: fold the counts once
+		return // already detached: keep the counts once
 	}
 	delete(w.sys.wins, w.id)
-	if w.sys.abandoned != nil {
-		sum, own := reflect.ValueOf(w.sys.abandoned).Elem(), reflect.ValueOf(&w.stats).Elem()
-		for i := 0; i < sum.NumField(); i++ {
-			sum.Field(i).SetInt(sum.Field(i).Int() + own.Field(i).Int())
-		}
+	if w.sys.c.Metrics() != nil {
+		w.sys.abandoned = append(w.sys.abandoned, w.stats)
 	}
 }
 
@@ -253,7 +262,8 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	w.degraded = make([]bool, n)
 	w.sharedLocks = make([]*sim.Mutex, n)
 	w.arrivals = make([]arrival, n)
-	w.everyone = make([]int, n)
+	ranks := make([]int, 2*n)
+	w.everyone, w.missing = ranks[:n:n], ranks[n:n]
 	for r := 0; r < n; r++ {
 		w.everyone[r] = r
 		rw := all[r].(*Win)

@@ -768,3 +768,95 @@ func TestOneRetryRule(t *testing.T) {
 		t.Error("type-checked no package outside retryRuleHome")
 	}
 }
+
+// TestOneExpiryRule fails on library code that mints the error of a wait
+// that ran out by itself: a fault.Error composite literal of kind
+// fault.Timeout anywhere but mpi's one epilogue, (*mpi.Comm).WatchdogExpired,
+// or an error type named *Timeout outside internal/fault. Such code counts
+// (or forgets to count) the expiry on its own and answers a peer's loss with
+// a timeout of its own, so the same crash ends in two errors.
+func TestOneExpiryRule(t *testing.T) {
+	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+	epilogues := 0
+	for _, p := range typeCheck(t, ".") {
+		for _, f := range p.libraryFiles() {
+			for _, d := range f.Decls {
+				fd, _ := d.(*ast.FuncDecl)
+				epilogue := fd != nil && fd.Recv != nil && fd.Name.Name == "WatchdogExpired" && p.path == "scimpich/internal/mpi"
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.TypeSpec:
+						typ := p.info.Defs[n.Name].Type()
+						if strings.HasSuffix(n.Name.Name, "Timeout") && p.path != "scimpich/internal/fault" &&
+							(types.Implements(typ, errType) || types.Implements(types.NewPointer(typ), errType)) {
+							t.Errorf("%s: declares the error type %s: return the error of mpi.Comm.WatchdogExpired", p.fset.Position(n.Pos()), n.Name.Name)
+						}
+					case *ast.CompositeLit:
+						if tn, ok := p.info.Uses[nameOf(n.Type)].(*types.TypeName); !ok || types.TypeString(tn.Type(), nil) != "scimpich/internal/fault.Error" {
+							return true
+						}
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								e = kv.Value
+							}
+							if c, ok := p.info.Uses[nameOf(e)].(*types.Const); !ok || c.Name() != "Timeout" || c.Pkg().Path() != "scimpich/internal/fault" {
+								continue
+							}
+							if epilogue {
+								epilogues++
+							} else {
+								t.Errorf("%s: builds a fault.Error of kind Timeout: return the error of mpi.Comm.WatchdogExpired", p.fset.Position(n.Pos()))
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if epilogues != 1 {
+		t.Errorf("(*mpi.Comm).WatchdogExpired builds %d fault.Errors of kind Timeout, want 1: the lint has lost track of the epilogue", epilogues)
+	}
+}
+
+// nameOf is the identifier that names e, an identifier or a qualified
+// identifier (pkg.Name); nil for any other expression.
+func nameOf(e ast.Expr) *ast.Ident {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
+// panicSites is the number of calls of the builtin panic in the module's
+// library Go (benchmark/ is a module of its own). A change that adds or
+// removes one updates it in the same change, so each is a decision that
+// review sees; ROADMAP item 6(c) tracks which of them a facade call can
+// reach.
+const panicSites = 97
+
+// TestPanicSites pins panicSites.
+func TestPanicSites(t *testing.T) {
+	var sites []string
+	for _, p := range typeCheck(t, ".") {
+		for _, f := range p.libraryFiles() {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok {
+						if b, ok := p.info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
+							sites = append(sites, p.fset.Position(call.Pos()).String())
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(sites) != panicSites {
+		t.Errorf("%d calls of panic in library Go, want panicSites = %d: update it with the change that adds or removes one\n  %s",
+			len(sites), panicSites, strings.Join(sites, "\n  "))
+	}
+}
