@@ -114,8 +114,8 @@ shard-stress:
 # (the yielding Sleep and the elided one), for a RecvTimeout or AwaitTimeout
 # satisfied before expiry (TestAllocsRecvTimeoutSteadyState), per flow
 # (Transfer, StartCall, a warm re-solve) and for Contiguous() on a committed
-# datatype; within 84.7 kB and 64 objects for the first empty 8x2 world in a
-# process and 84.0 kB and 51 for a later one, with its per-pair structs at
+# datatype; within 82.1 kB and 59 objects for the first empty 8x2 world in a
+# process and 81.2 kB and 43 for a later one, with its per-pair structs at
 # their pinned size (an 80 B sendPort; a receive's Request at 160 B), at most 2.2x the objects for twice the
 # ranks, a 512x1 world within 9 520 objects and 59.4 MB, none for a contended
 # Mutex or a blocked credit Acquire (TestAllocsContendedSync), 64 spawns
@@ -130,8 +130,8 @@ shard-stress:
 # communicator's group (TestGroupRanksAllocatesNothing), no process started
 # that the run does not need; a torus run within one constant of objects at
 # any machine size
-# (TestAllocsTorusRunBudget: 64 for 64 or 216 nodes on one shard, the larger
-# at most 20 above the smaller; 1 800 B per node for either, the larger at
+# (TestAllocsTorusRunBudget: 56 for 64 or 216 nodes on one shard, the larger
+# at most 20 above the smaller; 1 700 B per node for either, the larger at
 # most 1.4x the smaller's per node) and a torus hop count at none
 # (TestHopCountAllocFree); and the per-message budgets, all measured at
 # tags >= 256: a 64 B round trip (no allocation at two tag pairs, at most 4

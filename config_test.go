@@ -7,6 +7,7 @@ import (
 
 	"scimpich/internal/mpi"
 	"scimpich/internal/osc"
+	"scimpich/internal/rmem"
 	"scimpich/internal/sci"
 	"scimpich/internal/shmem"
 )
@@ -36,6 +37,8 @@ func TestConfigSurface(t *testing.T) {
 			"DX", "DY", "DZ", "Shards", "ChunkBytes", "SegmentLatency", "SampleEvery", "Registry",
 		}},
 		{osc.Config{}, []string{"GetDirectMax"}},
+		{rmem.Config{}, []string{"ValBytes"}},
+		{rmem.Workload{}, []string{"Rounds", "OpsPerRound", "ReadFrac", "ArrivalGap", "Seed"}},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		var got []string

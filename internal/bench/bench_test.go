@@ -303,7 +303,6 @@ func TestUltraSparcReproducesShmQuirkAtDifferentBlockSizes(t *testing.T) {
 	// UltraSparc II, with different block sizes than on the Pentium-III.
 	cfg := mpi.DefaultConfig(1, 2)
 	cfg.Shm.Mem = memmodel.UltraSparcII()
-	cfg.SCI.Mem = memmodel.UltraSparcII()
 	cfg.Shm.BusBW = 500e6
 	contig := contigBWOn(cfg)
 	beat := false

@@ -41,7 +41,6 @@ import (
 
 // Link is a unidirectional, capacitated network resource.
 type Link struct {
-	name     string
 	capacity float64       // bytes/second, nominal
 	latency  time.Duration // propagation latency (lookahead source; 0 = unset)
 	model    CongestionModel
@@ -81,26 +80,25 @@ func Path(links ...*Link) []Hop {
 }
 
 // NewLink returns a link with the given nominal capacity in bytes/second.
-// model may be nil for an ideal (loss-free) link.
-func NewLink(name string, capacity float64, model CongestionModel) *Link {
-	return &NewLinks(1, capacity, model, func(int) string { return name })[0]
+// model may be nil for an ideal (loss-free) link. A link has no name: the
+// first parameter is unused and stays for the repo's benchmark harness,
+// which calls NewLink("l", bw, nil).
+func NewLink(_ string, capacity float64, model CongestionModel) *Link {
+	return &NewLinks(1, capacity, model)[0]
 }
 
 // NewLinks returns the n links of one topology in one slab, each with the
-// given capacity and model; link i is named name(i).
-func NewLinks(n int, capacity float64, model CongestionModel, name func(i int) string) []Link {
+// given capacity and model.
+func NewLinks(n int, capacity float64, model CongestionModel) []Link {
 	if capacity <= 0 {
 		panic("flow: link capacity must be positive")
 	}
 	links := make([]Link, n)
 	for i := range links {
-		links[i] = Link{name: name(i), capacity: capacity, model: model}
+		links[i] = Link{capacity: capacity, model: model}
 	}
 	return links
 }
-
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
 
 // SetLatency records the link's propagation latency. The flow solver ignores
 // it (transfer time is rate-driven); it exists so topologies can expose the

@@ -306,26 +306,24 @@ func ringExchange(c *Comm) {
 // bytes and in objects. Bytes: an 8x2 world exports 240 pair ports of
 // 384 KiB each (90 MiB), an empty run touches none of them, so what it costs
 // is its records — 256 sendPorts of 80 B, 224 segments and their mappings,
-// ranks, devices — 77 008 B measured for the first world in a process and
-// 76 352 B for a later one, each held to its measurement plus 10 %
+// ranks, devices — 74 624 B measured for the first world in a process and
+// 73 776 B for a later one, each held to its measurement plus 10 %
 // (PERFORMANCE.md §19). Objects: every kind of record — ranks,
 // devices, nodes, links, the segments, mappings and regions behind those
 // ports, the names of each kind — is one slab for the whole world (see
 // newWorld), so an empty world costs a fixed number of objects, and its ranks'
 // processes start for nothing: no rank makes a closure, and a process takes
 // its coroutine from the pool the engines give ended processes' coroutines
-// back to. A later world finds one there: 42 objects measured, held to its
-// former budget of 51 (44 measured plus 15 %). The first world in a process
-// may find none (an empty world's ranks end one after another and pass one
-// coroutine along) and make one cold coroutine: 13 objects
-// (sim.TestAllocsColdCoroutine) and a goroutine record, 56 objects measured
-// when the test runs alone, held to 64 = (42 + 13 + 1) plus 15 %. (It was 53,
-// 46 measured plus 15 %, when the cold start was a resume channel and a
-// goroutine record.) A run that exchanges messages adds what every rank does,
+// back to. A later world finds one there: 38 objects measured, held to 43
+// (plus 15 %). The first world in a process may find none (an empty world's
+// ranks end one after another and pass one coroutine along) and make one
+// cold coroutine: 13 objects (sim.TestAllocsColdCoroutine) and a goroutine
+// record, 52 objects measured when the test runs alone, held to 59 = (38 +
+// 13 + 1) plus 15 %. A run that exchanges messages adds what every rank does,
 // so doubling the ranks must at most about double the objects: an
 // O(ranks^2) count that came back would read 3.2 here.
 func TestAllocsWorldBudget(t *testing.T) {
-	for i, budget := range []struct{ objs, bytes uint64 }{{64, 84_700}, {51, 84_000}} {
+	for i, budget := range []struct{ objs, bytes uint64 }{{59, 82_100}, {43, 81_200}} {
 		objs, bytes, _ := worldCost(t, DefaultConfig(8, 2), func(*Comm) {})
 		t.Logf("empty 8x2 world %d: %d bytes, %d objects", i+1, bytes, objs)
 		if bytes > budget.bytes {

@@ -13,10 +13,9 @@ import (
 
 // TestNamesUnchanged: a world cuts each kind's names from one string, and
 // every name must read exactly what formatting it on its own did. On a 3x2
-// world whose node 2 crashes, that is each rank, device and node actor, each
-// link of the ring, the adapters and the memory buses, and the deadlock
-// report of a rank left waiting. (The one-sided windows' trace actor is
-// osc.TestWindowTraceActorIsRankName.)
+// world whose node 2 crashes, that is each rank, device and node actor and
+// the deadlock report of a rank left waiting. (The one-sided windows' trace
+// actor is osc.TestWindowTraceActorIsRankName.)
 func TestNamesUnchanged(t *testing.T) {
 	const nodes, ppn = 3, 2
 	cfg := DefaultConfig(nodes, ppn)
@@ -34,13 +33,6 @@ func TestNamesUnchanged(t *testing.T) {
 	for r, rk := range w.ranks {
 		check("rank actor", rk.actor, fmt.Sprintf("rank%d", r))
 		check("device actor", rk.dev.actor, fmt.Sprintf("dev%d", r))
-	}
-	for n := 0; n < nodes; n++ {
-		egress, ingress := w.ic.Node(n).Links()
-		check("egress link", egress.Name(), fmt.Sprintf("node%d-egress", n))
-		check("ingress link", ingress.Name(), fmt.Sprintf("node%d-ingress", n))
-		check("ring segment", w.ic.Ring.Link(n).Name(), fmt.Sprintf("seg%d->%d", n, (n+1)%nodes))
-		check("memory bus", w.buses[n].Link().Name(), fmt.Sprintf("node%d-membus", n))
 	}
 
 	// Rank 5 waits for a message nobody sends: the run ends in the deadlock

@@ -150,11 +150,17 @@ func (c *Comm) SelfLost() error {
 
 // WatchdogExpired is the one epilogue of every bounded wait that ran out,
 // in every layer (root lint TestOneExpiryRule): it counts the expiry once
-// and returns PeerLost's error for the first awaited world rank that is
-// lost, else a *fault.Error of kind Timeout to the one awaited rank (-1 for
-// a group or AnySource). The waiting operation records it as its KError.
+// and returns SelfLost's error if the waiting rank is lost itself (its node
+// died while it waited), else PeerLost's error for the first awaited world
+// rank that is lost, else a *fault.Error of kind Timeout to the one awaited
+// rank (-1 for a group or AnySource). So a wait that ran out fails as a call
+// entered after the same loss does. The waiting operation records it as its
+// KError.
 func (c *Comm) WatchdogExpired(peers ...int) error {
 	c.rk.dev.stats.WatchdogExpiries++
+	if err := c.SelfLost(); err != nil {
+		return err
+	}
 	for _, r := range peers {
 		if r == AnySource {
 			continue

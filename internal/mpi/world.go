@@ -119,8 +119,9 @@ type Config struct {
 	Nodes        int
 	ProcsPerNode int
 	// SCI configures the interconnect (ignored for a single node). Its
-	// Nodes, Metrics and Flight are not read: the interconnect spans this
-	// Config's Nodes and reports to its Metrics and Flight.
+	// Nodes, Metrics, Flight and Mem are not read: the interconnect spans
+	// this Config's Nodes, reports to its Metrics and Flight, and its nodes
+	// run on Shm.Mem, the one memory model of a node.
 	SCI sci.Config
 	// Shm configures the intra-node memory system.
 	Shm shmem.Config
@@ -344,6 +345,7 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	e := w.host
 	flags := make([]bool, 2*n) // suspects, then revoked
 	w.suspects, w.revoked = flags[:n:n], flags[n:]
+	w.cfg.SCI.Mem = cfg.Shm.Mem
 	if cfg.Nodes > 1 {
 		w.cfg.SCI.Nodes, w.cfg.SCI.Metrics, w.cfg.SCI.Flight = cfg.Nodes, cfg.Metrics, cfg.Flight
 		w.ic = sci.New(e, w.cfg.SCI)
@@ -352,7 +354,7 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 	// cross-transport interactions stay in one simulation.
 	net := flow.NewNetworkOn(e)
 	net.SetMetrics(cfg.Metrics)
-	w.buses = shmem.NewBuses(e, net, "node", cfg.Nodes, cfg.Shm)
+	w.buses = shmem.NewBuses(e, net, cfg.Nodes, cfg.Shm)
 	// The free lists of the records every rank takes one of at once (a
 	// message's envelope, a receive's Request) hold the world's first block
 	// of them (see sim.TakeFree).
@@ -361,7 +363,7 @@ func newWorld(f sim.Fabric, cfg Config) *World {
 
 	ranks, devs := make([]rank, n), make([]device, n)
 	w.ranks = make([]*rank, n)
-	actors, devActors := obs.NewNumbered("rank", n, ""), obs.NewNumbered("dev", n, "")
+	actors, devActors := obs.NewNumbered("rank", n), obs.NewNumbered("dev", n)
 	lastSeq := make([]int64, n*n)
 	posted := make([]*Request, n) // every device's room for its first posted receive
 	topo := cfg.Flight.Actor("topology")

@@ -5,26 +5,24 @@ import (
 	"strings"
 )
 
-// Numbered is the names of the n records of one kind — a prefix, the
-// record's index in decimal and a suffix, as in "rank3" or "node3-egress" —
-// cut from one string. A world names its ranks, devices, nodes and links
-// this way: one allocation per kind, where formatting each name is one per
-// record.
+// Numbered is the names of the n records of one kind — a prefix and the
+// record's index in decimal, as in "rank3" — cut from one string. A world
+// names its ranks, devices and nodes this way: one allocation per kind,
+// where formatting each name is one per record.
 type Numbered struct {
-	s     string
-	fixed int // len(prefix) + len(suffix)
+	s      string
+	prefix int // the prefix's length
 }
 
 // NewNumbered builds the names of records 0 to n-1.
-func NewNumbered(prefix string, n int, suffix string) Numbered {
-	ns := Numbered{fixed: len(prefix) + len(suffix)}
+func NewNumbered(prefix string, n int) Numbered {
+	ns := Numbered{prefix: len(prefix)}
 	var b strings.Builder
-	b.Grow(n*ns.fixed + digitsBelow(n))
+	b.Grow(n*ns.prefix + digitsBelow(n))
 	var digits [20]byte
 	for i := 0; i < n; i++ {
 		b.WriteString(prefix)
 		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
-		b.WriteString(suffix)
 	}
 	ns.s = b.String()
 	return ns
@@ -32,8 +30,8 @@ func NewNumbered(prefix string, n int, suffix string) Numbered {
 
 // At returns record i's name.
 func (ns Numbered) At(i int) string {
-	off := i*ns.fixed + digitsBelow(i)
-	return ns.s[off : off+ns.fixed+digitsBelow(i+1)-digitsBelow(i)]
+	off := i*ns.prefix + digitsBelow(i)
+	return ns.s[off : off+ns.prefix+digitsBelow(i+1)-digitsBelow(i)]
 }
 
 // digitsBelow returns the number of decimal digits of 0, 1, ..., n-1 together.

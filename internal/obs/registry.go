@@ -5,7 +5,6 @@ import (
 	"io"
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -56,49 +55,22 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
-// Unit describes what a histogram's samples measure; WriteText formats the
-// distribution accordingly. A histogram's unit is fixed at first use.
-type Unit int
-
-const (
-	// UnitDuration samples are latencies in nanoseconds (the default;
-	// printed in humane duration form).
-	UnitDuration Unit = iota
-	// UnitBytes samples are byte counts (printed with binary suffixes).
-	UnitBytes
-	// UnitCount samples are plain counts (printed as bare integers).
-	UnitCount
-)
-
-func (u Unit) String() string {
-	switch u {
-	case UnitBytes:
-		return "bytes"
-	case UnitCount:
-		return "count"
-	default:
-		return "duration"
-	}
-}
-
 // Registry is a set of named metrics. Collectors are created on first
 // lookup and cached. Like every obs sink it belongs to one run at a time
 // (see the package comment). The nil registry hands out nil collectors,
 // which discard everything.
 type Registry struct {
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	histUnits map[string]Unit
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		histUnits: make(map[string]Unit),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -151,17 +123,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use with the
-// default UnitDuration. A nil registry returns a nil (no-op) histogram.
+// Histogram returns the named histogram of durations in nanoseconds,
+// creating it on first use. A nil registry returns a nil (no-op) histogram.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramUnit(name, UnitDuration)
-}
-
-// HistogramUnit returns the named histogram, creating it on first use and
-// tagging it with the sample unit. The first creation fixes the unit; later
-// lookups (with any unit) return the same histogram unchanged, so mixed
-// callers cannot flip a distribution's formatting mid-run.
-func (r *Registry) HistogramUnit(name string, u Unit) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -169,7 +133,6 @@ func (r *Registry) HistogramUnit(name string, u Unit) *Histogram {
 	if h == nil {
 		h = &Histogram{}
 		r.hists[name] = h
-		r.histUnits[name] = u
 	}
 	return h
 }
@@ -248,9 +211,8 @@ func snakeCase(s string) string {
 }
 
 // WriteText dumps every metric as plain text, sorted by name: counters and
-// gauges one per line, histograms with count/min/quantiles/max. Histogram
-// samples are formatted by the unit the histogram was created with: humane
-// durations (the default), binary byte sizes, or bare counts.
+// gauges one per line, histograms with count/min/quantiles/max as humane
+// durations.
 func (r *Registry) WriteText(w io.Writer) {
 	if r == nil {
 		return
@@ -268,46 +230,14 @@ func (r *Registry) WriteText(w io.Writer) {
 	}
 	for name, h := range r.hists {
 		s := h.Snapshot()
-		u := r.histUnits[name]
 		entries = append(entries, entry{name, fmt.Sprintf(
 			"hist    %-52s count=%d min=%s p50=%s p95=%s p99=%s max=%s mean=%s",
 			name, s.Count,
-			formatSample(s.Min, u), formatSample(s.P50, u), formatSample(s.P95, u),
-			formatSample(s.P99, u), formatSample(s.Max, u), formatSample(s.Mean, u))})
+			time.Duration(s.Min), time.Duration(s.P50), time.Duration(s.P95),
+			time.Duration(s.P99), time.Duration(s.Max), time.Duration(s.Mean))})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	for _, e := range entries {
 		fmt.Fprintln(w, e.line)
-	}
-}
-
-// formatSample renders one histogram sample in the histogram's unit.
-func formatSample(v int64, u Unit) string {
-	switch u {
-	case UnitBytes:
-		return formatBytes(v)
-	case UnitCount:
-		return strconv.FormatInt(v, 10)
-	default:
-		return time.Duration(v).String()
-	}
-}
-
-// formatBytes renders a byte count with a binary-prefix suffix.
-func formatBytes(v int64) string {
-	const (
-		kib = int64(1) << 10
-		mib = int64(1) << 20
-		gib = int64(1) << 30
-	)
-	switch {
-	case v >= gib:
-		return fmt.Sprintf("%.1fGiB", float64(v)/float64(gib))
-	case v >= mib:
-		return fmt.Sprintf("%.1fMiB", float64(v)/float64(mib))
-	case v >= kib:
-		return fmt.Sprintf("%.1fKiB", float64(v)/float64(kib))
-	default:
-		return fmt.Sprintf("%dB", v)
 	}
 }

@@ -107,7 +107,8 @@ func TestLockOnCrashedNodeFailsTyped(t *testing.T) {
 // its dead node, with *mpi.RevokedRankError naming itself. A peer that
 // announced the round before its node crashed fails nothing: the
 // survivors complete that round, which a check on the arrival count
-// alone would fail.
+// alone would fail, and its own fence, still waiting, ends at its
+// watchdog with the *mpi.RevokedRankError naming itself.
 func TestFenceFailsFastOnLostPeer(t *testing.T) {
 	const crashAt = time.Millisecond
 	for _, tc := range []string{"dead-node", "revoked", "own-node", "announced-then-crashed"} {
@@ -125,12 +126,13 @@ func TestFenceFailsFastOnLostPeer(t *testing.T) {
 				if tc == "announced-then-crashed" {
 					if me == 1 {
 						// Announce round 2 just before the crash, then wait
-						// in it until the watchdog ends the wait: the
-						// survivors it waits for are alive.
+						// in it until the watchdog ends the wait: its own
+						// node died meanwhile, so it fails as a fence
+						// entered after the crash does.
 						p.Sleep(crashAt - 100*time.Microsecond - p.Now())
-						var fe *fault.Error
-						if err := w.Fence(); !errors.As(err, &fe) || fe.Kind != fault.Timeout {
-							t.Errorf("rank 1: fence waiting at its crash: err = %v, want a *fault.Error of kind Timeout", err)
+						var rev *mpi.RevokedRankError
+						if err := w.Fence(); !errors.As(err, &rev) || rev.Rank != 1 {
+							t.Errorf("rank 1: fence waiting at its crash: err = %v, want *mpi.RevokedRankError for rank 1", err)
 						}
 						return
 					}

@@ -7,8 +7,6 @@ package ring
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"scimpich/internal/flow"
 )
@@ -36,21 +34,12 @@ type Topology struct {
 }
 
 // New builds a ringlet of n nodes with the given per-segment bandwidth in
-// bytes/second. model may be nil for ideal links. The links are one slab and
-// their names ("seg0->1", ..., "seg<n-1>->0") are cut from one string.
+// bytes/second. model may be nil for ideal links. The links are one slab.
 func New(n int, linkBW float64, model flow.CongestionModel) *Topology {
 	if n < 1 {
 		panic("ring: need at least one node")
 	}
-	var names strings.Builder
-	var buf [48]byte
-	names.Grow(namesLen(n))
-	name := func(i int) string {
-		start := names.Len()
-		names.Write(appendName(buf[:0], i, n))
-		return names.String()[start:]
-	}
-	t := Over(flow.NewLinks(n, linkBW, model, name))
+	t := Over(flow.NewLinks(n, linkBW, model))
 	return &t
 }
 
@@ -62,35 +51,6 @@ func Over(links []flow.Link) Topology {
 		panic("ring: need at least one node")
 	}
 	return Topology{n: len(links), links: links}
-}
-
-// AppendNames appends to dst the names New gives the segments of an n-node
-// ringlet, "seg0->1", ..., "seg<n-1>->0", all cut from one string.
-func AppendNames(dst []string, n int) []string {
-	var names strings.Builder
-	var buf [48]byte
-	names.Grow(namesLen(n))
-	for i := 0; i < n; i++ {
-		start := names.Len()
-		names.Write(appendName(buf[:0], i, n))
-		dst = append(dst, names.String()[start:])
-	}
-	return dst
-}
-
-// namesLen bounds the bytes of the n segment names of an n-node ringlet.
-func namesLen(n int) int {
-	var digits [20]byte
-	return n * (len("seg->") + 2*len(strconv.AppendInt(digits[:0], int64(n-1), 10)))
-}
-
-// appendName appends the name of segment i of an n-node ringlet,
-// "seg<i>-><(i+1) mod n>", to b.
-func appendName(b []byte, i, n int) []byte {
-	b = append(b, "seg"...)
-	b = strconv.AppendInt(b, int64(i), 10)
-	b = append(b, "->"...)
-	return strconv.AppendInt(b, int64((i+1)%n), 10)
 }
 
 // Link returns the segment leaving node i (toward node (i+1) mod n).

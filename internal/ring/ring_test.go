@@ -3,6 +3,8 @@ package ring
 import (
 	"math"
 	"testing"
+
+	"scimpich/internal/flow"
 )
 
 func TestBandwidthForMHz(t *testing.T) {
@@ -43,15 +45,15 @@ func TestFullLoop(t *testing.T) {
 	if len(loop) != 4 {
 		t.Fatalf("full loop has %d segments, want 4", len(loop))
 	}
-	seen := map[string]bool{}
+	seen := map[*flow.Link]bool{}
 	for _, l := range loop {
-		seen[l.Name()] = true
+		seen[l] = true
 	}
 	if len(seen) != 4 {
-		t.Errorf("full loop repeats segments: %v", seen)
+		t.Errorf("full loop repeats segments: %d distinct of 4", len(seen))
 	}
 	if loop[0] != r.Link(1) {
-		t.Errorf("full loop from 1 starts at %s, want segment 1", loop[0].Name())
+		t.Errorf("full loop from 1 starts at %p, want segment 1 (%p)", loop[0], r.Link(1))
 	}
 }
 

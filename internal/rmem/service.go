@@ -23,43 +23,44 @@ import (
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
-	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
 	"scimpich/internal/osc"
 )
 
-// Config shapes the shard layout of the service. The key space is exactly
-// the Shards*SlotsPerShard keys [0, Keys()): key k lives in shard k%Shards
-// at slot k/Shards, so distinct keys never alias a slot.
+// The shard layout of the service: shards replicated shard regions of
+// slotsPerShard fixed-size value slots each. The key space is exactly the
+// shards*slotsPerShard keys [0, Keys()): key k lives in shard k%shards at
+// slot k/shards, so distinct keys never alias a slot.
+const (
+	shards        = 8
+	slotsPerShard = 32
+)
+
+// Config shapes the slots of the service. Its window takes
+// osc.DefaultConfig(); handler round trips and fences are bounded by the
+// world's one-sided bound (mpi.World.SyncTimeout, the mode of
+// Protocol.CollTimeout).
 type Config struct {
-	// Shards is the number of replicated shard regions.
-	Shards int
-	// SlotsPerShard is the number of fixed-size value slots per shard.
-	SlotsPerShard int
 	// ValBytes is the value payload size of a slot.
 	ValBytes int64
-	// OSC is the transfer policy of the underlying window. Its handler
-	// round trips and fences are bounded by the world's one-sided bound
-	// (mpi.World.SyncTimeout, the mode of Protocol.CollTimeout).
-	OSC osc.Config
 }
 
 // DefaultConfig is the calibrated service layout: 8 shards of 32 slots of
 // 32-byte values (a 256-key space).
 func DefaultConfig() Config {
-	return Config{Shards: 8, SlotsPerShard: 32, ValBytes: 32, OSC: osc.DefaultConfig()}
+	return Config{ValBytes: 32}
 }
 
 // Keys returns the size of the exact key space.
-func (c Config) Keys() int64 { return int64(c.Shards * c.SlotsPerShard) }
+func (c Config) Keys() int64 { return shards * slotsPerShard }
 
 // slotHeader is the per-slot metadata: the origin's sequence number and the
 // key, so a fetch can detect an empty or foreign slot.
 const slotHeader = 16
 
 func (c Config) slotBytes() int64  { return slotHeader + c.ValBytes }
-func (c Config) shardBytes() int64 { return int64(c.SlotsPerShard) * c.slotBytes() }
-func (c Config) winBytes() int64   { return int64(c.Shards) * c.shardBytes() }
+func (c Config) shardBytes() int64 { return slotsPerShard * c.slotBytes() }
+func (c Config) winBytes() int64   { return shards * c.shardBytes() }
 
 // ErrShardLost reports a shard whose primary and backup both crashed before
 // re-replication could re-home it — data loss the protocol cannot mask.
@@ -128,11 +129,6 @@ type Service struct {
 	// fl is the owning rank's flight-recorder ring (nil-safe); the service
 	// records its stage/commit/replay protocol on the rank's timeline.
 	fl *flight.Ring
-	// putBytes and commitStaged are unit-tagged distribution metrics (nil
-	// without a registry): deposited value sizes and staged writes per
-	// commit.
-	putBytes     *obs.Histogram
-	commitStaged *obs.Histogram
 }
 
 // New collectively creates the service over the communicator and opens the
@@ -148,12 +144,10 @@ func New(c *mpi.Comm, cfg Config) (*Service, error) {
 		committed: make([]int64, cfg.Keys()),
 		slot:      make([]byte, cfg.slotBytes()),
 
-		fl:           c.FlightRing(),
-		putBytes:     c.Metrics().HistogramUnit("rmem.put.bytes", obs.UnitBytes),
-		commitStaged: c.Metrics().HistogramUnit("rmem.commit.staged", obs.UnitCount),
+		fl: c.FlightRing(),
 	}
 	s.ranks = groupWorlds(c)
-	s.win = s.sys.CreateShared(s.seg, cfg.OSC)
+	s.win = s.sys.CreateShared(s.seg, osc.DefaultConfig())
 	if err := s.win.Fence(); err != nil {
 		return nil, err
 	}
@@ -174,12 +168,12 @@ func groupWorlds(c *mpi.Comm) []int {
 func (s *Service) primary(sh int) int { return sh % s.c.Size() }
 func (s *Service) backup(sh int) int  { return (sh + 1) % s.c.Size() }
 
-func (s *Service) shardOf(key int64) int { return int(key % int64(s.cfg.Shards)) }
+func (s *Service) shardOf(key int64) int { return int(key % shards) }
 
 // slotOff returns the window offset of key's slot; key is in [0, Keys()).
 func (s *Service) slotOff(key int64) int64 {
 	sh := s.shardOf(key)
-	slot := key / int64(s.cfg.Shards)
+	slot := key / shards
 	return int64(sh)*s.cfg.shardBytes() + slot*s.cfg.slotBytes()
 }
 
@@ -231,7 +225,6 @@ func (s *Service) Put(key int64, val []byte) error {
 	s.pendSeq[key] = s.nextSeq
 	copy(s.pendingVal(key), slot[slotHeader:])
 	s.fl.Record(s.c.Proc().Now(), flight.KPutStage, key, s.nextSeq, int64(sh), 0)
-	s.putBytes.Observe(int64(len(val)))
 	return nil
 }
 
@@ -278,7 +271,6 @@ func (s *Service) Commit() error {
 	}
 	clear(s.pendSeq)
 	s.fl.Record(s.c.Proc().Now(), flight.KCommit, s.epoch, staged, 0, 0)
-	s.commitStaged.Observe(staged)
 	return nil
 }
 
@@ -312,7 +304,7 @@ func (s *Service) recover() error {
 	// shard contents survive in place, only the remote views and the
 	// exchange are rebuilt (the old window id is never reused, so stale
 	// requests are refused, not misdelivered).
-	s.win = s.sys.CreateShared(s.seg, s.cfg.OSC)
+	s.win = s.sys.CreateShared(s.seg, osc.DefaultConfig())
 	if err := s.win.Fence(); err != nil {
 		return err
 	}
@@ -354,7 +346,7 @@ func (s *Service) rereplicate(prev []int) error {
 		alive[w] = true
 	}
 	me := s.c.WorldRank()
-	for sh := 0; sh < s.cfg.Shards; sh++ {
+	for sh := 0; sh < shards; sh++ {
 		oldP := prev[sh%len(prev)]
 		oldB := prev[(sh+1)%len(prev)]
 		holder := -1

@@ -24,11 +24,12 @@ type Workload struct {
 	ReadFrac float64
 	// ArrivalGap is the open-loop inter-arrival time of the client stream.
 	ArrivalGap time.Duration
-	// ZipfS and ZipfV parameterize the key popularity skew (s > 1, v >= 1).
-	ZipfS, ZipfV float64
 	// Seed derives every rank's private random stream.
 	Seed int64
 }
+
+// zipfS and zipfV parameterize the key popularity skew (s > 1, v >= 1).
+const zipfS, zipfV = 1.2, 1
 
 // DefaultWorkload returns the reference client load.
 func DefaultWorkload() Workload {
@@ -36,8 +37,7 @@ func DefaultWorkload() Workload {
 		Rounds: 16, OpsPerRound: 25,
 		ReadFrac:   0.7,
 		ArrivalGap: 40 * time.Microsecond,
-		ZipfS:      1.2, ZipfV: 1,
-		Seed: 42,
+		Seed:       42,
 	}
 }
 
@@ -119,7 +119,7 @@ func runClient(c *mpi.Comm, cfg Config, wl Workload) RankReport {
 	ws0 := c.Size() // original world size: the key-partition modulus
 	keys := cfg.Keys()
 	rng := rand.New(rand.NewSource(wl.Seed*1009 + int64(me)))
-	zipf := rand.NewZipf(rng, wl.ZipfS, wl.ZipfV, uint64(keys-1))
+	zipf := rand.NewZipf(rng, zipfS, zipfV, uint64(keys-1))
 	getNS, putNS, sojournNS := new(obs.Histogram), new(obs.Histogram), new(obs.Histogram)
 	val := make([]byte, cfg.ValBytes)
 	recovered := false

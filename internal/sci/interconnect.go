@@ -192,9 +192,9 @@ func New(e sim.Host, cfg Config) *Interconnect {
 	ic.Net.SetMetrics(cfg.Metrics)
 	ic.met = newICMetrics(cfg.Metrics)
 	n := cfg.Nodes
-	names := obs.NewNumbered("node", n, "")
-	egress := flow.NewLinks(n, PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-egress").At)
-	ingress := flow.NewLinks(n, PIOWritePeakBW, nil, obs.NewNumbered("node", n, "-ingress").At)
+	names := obs.NewNumbered("node", n)
+	egress := flow.NewLinks(n, PIOWritePeakBW, nil)
+	ingress := flow.NewLinks(n, PIOWritePeakBW, nil)
 	ic.nodes = make([]Node, n)
 	for i := range ic.nodes {
 		ic.nodes[i] = Node{ic: ic, id: i, name: names.At(i), egress: &egress[i], ingress: &ingress[i]}
@@ -255,9 +255,6 @@ func (ic *Interconnect) Node(i int) *Node { return &ic.nodes[i] }
 
 // Nodes returns the number of nodes.
 func (ic *Interconnect) Nodes() int { return len(ic.nodes) }
-
-// Links returns the adapter's egress and ingress links.
-func (n *Node) Links() (egress, ingress *flow.Link) { return n.egress, n.ingress }
 
 // path returns the flow path for a transfer from node n to the segment
 // owner: adapter egress, the ring segments to the target, adapter ingress,

@@ -16,7 +16,6 @@ import (
 
 	"scimpich/internal/flow"
 	"scimpich/internal/memmodel"
-	"scimpich/internal/obs"
 	"scimpich/internal/sim"
 )
 
@@ -52,25 +51,22 @@ func DefaultConfig() Config {
 }
 
 // NewBuses builds the memory systems of n nodes on the engine, in one slab;
-// bus i's link is named prefix+i+"-membus", and the links are one slab too.
-// A private flow network is created if net is nil.
-func NewBuses(e sim.Host, net *flow.Network, prefix string, n int, cfg Config) []Bus {
+// their links are one slab too. A private flow network is created if net is
+// nil.
+func NewBuses(e sim.Host, net *flow.Network, n int, cfg Config) []Bus {
 	if cfg.Mem == nil {
 		panic("shmem: config requires a memory model")
 	}
 	if net == nil {
 		net = flow.NewNetworkOn(e)
 	}
-	links := flow.NewLinks(n, cfg.BusBW, busCongestion, obs.NewNumbered(prefix, n, "-membus").At)
+	links := flow.NewLinks(n, cfg.BusBW, busCongestion)
 	buses := make([]Bus, n)
 	for i := range buses {
 		buses[i] = Bus{net: net, bus: [1]flow.Hop{{Link: &links[i], Weight: 1}}, mem: cfg.Mem}
 	}
 	return buses
 }
-
-// Link returns the memory bus link.
-func (b *Bus) Link() *flow.Link { return b.bus[0].Link }
 
 // Network returns the flow network the bus's transfers run on.
 func (b *Bus) Network() *flow.Network { return b.net }

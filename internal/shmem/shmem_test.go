@@ -13,7 +13,7 @@ import (
 
 func testBus() (*sim.Engine, *Bus) {
 	e := sim.NewEngine()
-	return e, &NewBuses(e, nil, "node", 1, DefaultConfig())[0]
+	return e, &NewBuses(e, nil, 1, DefaultConfig())[0]
 }
 
 func fill(n int) []byte {
@@ -86,7 +86,7 @@ func TestBusContention(t *testing.T) {
 	e.Run()
 
 	e2 := sim.NewEngine()
-	b2 := &NewBuses(e2, nil, "node", 1, DefaultConfig())[0]
+	b2 := &NewBuses(e2, nil, 1, DefaultConfig())[0]
 	r2 := b2.Alloc(64 << 20)
 	for i := 0; i < 2; i++ {
 		off := int64(i) * n

@@ -16,7 +16,7 @@ func TestSegmentsEnumerateEveryLinkOnce(t *testing.T) {
 	seen := make(map[*flow.Link]bool)
 	for _, s := range segs {
 		if seen[s.Link] {
-			t.Fatalf("link %s enumerated twice", s.Link.Name())
+			t.Fatalf("link %p (dim %d, %d->%d) enumerated twice", s.Link, s.Dim, s.From, s.To)
 		}
 		seen[s.Link] = true
 		// Endpoints must differ in exactly the segment's dimension by one

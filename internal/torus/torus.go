@@ -31,25 +31,16 @@ type Topology struct {
 }
 
 // New builds the torus with the given per-segment bandwidth and congestion
-// model (nil for ideal links). Its links are one slab, named per ringlet as
-// ring.New names them, and its ringlets are another.
+// model (nil for ideal links). Its links are one slab and its ringlets are
+// another.
 func New(dx, dy, dz int, linkBW float64, model flow.CongestionModel) *Topology {
 	if dx < 1 || dy < 1 || dz < 1 {
 		panic("torus: dimensions must be positive")
 	}
 	t := &Topology{dims: [3]int{dx, dy, dz}}
 	n := t.Nodes()
-	names := make([]string, 0, dx+dy+dz)
-	var first [3]int // index in names of dimension d's first segment name
-	for d, k := range t.dims {
-		first[d] = len(names)
-		names = ring.AppendNames(names, k)
-	}
 	// Dimension d's links are the block [d*n, (d+1)*n), ringlet after ringlet.
-	t.links = flow.NewLinks(3*n, linkBW, model, func(i int) string {
-		d := i / n
-		return names[first[d]+i%n%t.dims[d]]
-	})
+	t.links = flow.NewLinks(3*n, linkBW, model)
 	rings := make([]ring.Topology, 0, n/dx+n/dy+n/dz)
 	for d, k := range t.dims {
 		start := len(rings)

@@ -101,7 +101,7 @@ const (
 	testHook         = "a hook for tests to observe a run: a leak check's coroutine count, a failure dump handed over in process"
 	paperReference   = "the paper's own mechanism or machine, kept as the reference a test checks a claim against"
 	shardedParked    = "the sharded engine's lookahead and shards, which wait for its parked deletion (ROADMAP, Parked)"
-	builtParts       = "another package's tests build or inspect a part of a world through it: a bare region, link names, node count, residency, an actor's events"
+	builtParts       = "another package's tests build or inspect a part of a world through it: a bare region, node count, residency, an actor's events"
 )
 
 // reachedOnlyByTests are the exported names of internal packages that only
@@ -140,9 +140,6 @@ var reachedOnlyByTests = map[string]string{
 	"torus.Topology.CrossShardLinks": shardedParked,
 	"flow.MinLatency":                shardedParked,
 
-	"flow.Link.Name":            builtParts,
-	"sci.Node.Links":            builtParts,
-	"shmem.Bus.Link":            builtParts,
 	"shmem.Bus.Alloc":           builtParts,
 	"sci.Interconnect.Nodes":    builtParts,
 	"memmodel.Backing.Resident": builtParts,
@@ -604,9 +601,9 @@ func TestOneCollectiveExecutor(t *testing.T) {
 var oneRecord = []string{"scimpich/internal/mpi", "scimpich/internal/osc"}
 
 // TestOneRecordPerInterval fails on a oneRecord package's library code
-// that makes a registry histogram ((*obs.Registry).Histogram or
-// HistogramUnit) or declares a variable, field, parameter or result whose
-// type spells *obs.Histogram (in an array, slice, map or func type too).
+// that makes a registry histogram ((*obs.Registry).Histogram) or declares
+// a variable, field, parameter or result whose type spells *obs.Histogram
+// (in an array, slice, map or func type too).
 func TestOneRecordPerInterval(t *testing.T) {
 	seen := 0
 	for _, p := range typeCheck(t, ".") {
@@ -622,8 +619,7 @@ func TestOneRecordPerInterval(t *testing.T) {
 					if s == nil || s.Kind() != types.MethodVal {
 						return true
 					}
-					if fn := s.Obj(); fn.Pkg() != nil && fn.Pkg().Path() == "scimpich/internal/obs" &&
-						(fn.Name() == "Histogram" || fn.Name() == "HistogramUnit") {
+					if fn := s.Obj(); fn.Pkg() != nil && fn.Pkg().Path() == "scimpich/internal/obs" && fn.Name() == "Histogram" {
 						t.Errorf("%s: registry histogram made: time the interval with a trace span", p.fset.Position(n.Pos()))
 					}
 				case *ast.Ident:
