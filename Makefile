@@ -114,8 +114,8 @@ shard-stress:
 # (the yielding Sleep and the elided one), for a RecvTimeout or AwaitTimeout
 # satisfied before expiry (TestAllocsRecvTimeoutSteadyState), per flow
 # (Transfer, StartCall, a warm re-solve) and for Contiguous() on a committed
-# datatype; within 82.1 kB and 59 objects for the first empty 8x2 world in a
-# process and 81.2 kB and 43 for a later one, with its per-pair structs at
+# datatype; within 82.1 kB and 58 objects for the first empty 8x2 world in a
+# process and 81.2 kB and 42 for a later one, with its per-pair structs at
 # their pinned size (an 80 B sendPort; a receive's Request at 160 B), at most 2.2x the objects for twice the
 # ranks, a 512x1 world within 9 520 objects and 59.4 MB, none for a contended
 # Mutex or a blocked credit Acquire (TestAllocsContendedSync), 64 spawns
@@ -147,7 +147,9 @@ shard-stress:
 # (TestAllocsReductionBorrowsNoScratch), the collective chooser's picks
 # for Allreduce and Alltoall on an 8x2 communicator (none:
 # TestAllocsCollChoiceAllocFree), a put + fence epoch (none), an emulated one-sided put,
-# remote-put get and accumulate (none: TestAllocsRPCBudget), and an rmem Put,
+# remote-put get and accumulate (none: TestAllocsRPCBudget), the creation of a
+# shared or a private window on a warm 4x1 world (24 objects and 4 270 B:
+# TestAllocsWindowBudget), and an rmem Put,
 # Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
 # these regress.
 alloc-test:

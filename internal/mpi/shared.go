@@ -44,17 +44,35 @@ func (s *SharedSeg) Size() int64 { return int64(len(s.buf)) }
 // initialization only).
 func (s *SharedSeg) Bytes() []byte { return s.buf }
 
-// MapFrom returns the access view of the segment for the given rank: the
+// MapInto returns the access view of the segment for the given rank: the
 // local region for the owner and node-local peers, an SCI mapping for
-// remote peers.
-func (s *SharedSeg) MapFrom(rank int) smi.Mem {
+// remote peers, imported into the caller's storage m (an element of a slab
+// of mappings; untouched for a local view). A denied import is returned.
+func (s *SharedSeg) MapInto(rank int, m *sci.Mapping) (smi.Mem, error) {
 	w := s.w
 	fromNode := w.ranks[rank].node
 	ownerNode := w.ranks[s.owner].node
 	if fromNode == ownerNode {
-		return smi.FromShm(s.region)
+		return smi.FromShm(s.region), nil
 	}
-	return smi.FromSCI(w.ic.Node(fromNode).MustImport(ownerNode, s.seg.ID()))
+	if err := w.ic.Node(fromNode).ImportInto(m, ownerNode, s.seg.ID()); err != nil {
+		return nil, err
+	}
+	return smi.FromSCI(m), nil
+}
+
+// MapFrom is MapInto for wiring where failure is a programming error; a
+// remote view gets a mapping of its own.
+func (s *SharedSeg) MapFrom(rank int) smi.Mem {
+	var m *sci.Mapping
+	if s.w.ranks[rank].node != s.w.ranks[s.owner].node {
+		m = new(sci.Mapping)
+	}
+	mem, err := s.MapInto(rank, m)
+	if err != nil {
+		panic(err)
+	}
+	return mem
 }
 
 // LockLatency returns the one-way cost of a shared-memory lock operation

@@ -50,3 +50,55 @@ func TestAllocsRPCBudget(t *testing.T) {
 		t.Errorf("%d emulated calls allocated %d objects, want none", 6*n, win.Objects())
 	}
 }
+
+// TestAllocsWindowBudget pins the host cost of creating a window on a warm
+// 4x1 world: one CreateShared and one CreatePrivate, each measured from rank
+// 0 over the creation on all four ranks (their memory allocated before, and
+// the System's window table past its last growth). Each rank allocates one
+// object per kind: its Win (which holds its shared window's lock), its wake
+// channel, its exchange key, its member table (a row per rank: size, flags,
+// view, lock pointer, arrival record and the storage of the view's remote
+// mapping) and its group-rank slice; the world adds the exchange slot. That
+// is 21 objects and 3 712 B measured for either kind, each held to its
+// measurement plus 15 %: 24 objects and 4 270 B.
+func TestAllocsWindowBudget(t *testing.T) {
+	const warm = 3                // window pairs: the System's table holds 8 before it grows
+	var shared, private [2]uint64 // objects, bytes
+	win := allocwin.New(t)
+	measure := func(c *mpi.Comm, into *[2]uint64, create func() *Win) {
+		must(c.Barrier()) // every rank has allocated its memory
+		if c.Rank() == 0 {
+			win.Open()
+		}
+		must(c.Barrier()) // no rank starts creating before the window opens
+		create()
+		must(c.Barrier())
+		if c.Rank() == 0 {
+			win.Close()
+			*into = [2]uint64{win.Objects(), win.Bytes()}
+		}
+	}
+	runCluster(4, 1, func(c *mpi.Comm) {
+		s := NewSystem(c)
+		for range warm {
+			s.CreateShared(c.AllocShared(4096), DefaultConfig())
+			s.CreatePrivate(make([]byte, 4096), DefaultConfig())
+		}
+		seg, buf := c.AllocShared(4096), make([]byte, 4096)
+		measure(c, &shared, func() *Win { return s.CreateShared(seg, DefaultConfig()) })
+		measure(c, &private, func() *Win { return s.CreatePrivate(buf, DefaultConfig()) })
+	})
+	t.Logf("CreateShared on 4x1: %d objects, %d B; CreatePrivate: %d objects, %d B",
+		shared[0], shared[1], private[0], private[1])
+	if allocwin.RaceEnabled {
+		return // the detector allocates on its own
+	}
+	for _, m := range []struct {
+		kind string
+		cost [2]uint64
+	}{{"CreateShared", shared}, {"CreatePrivate", private}} {
+		if m.cost[0] > 24 || m.cost[1] > 4270 {
+			t.Errorf("%s on 4x1 allocated %d objects and %d B, budget is 24 and 4 270", m.kind, m.cost[0], m.cost[1])
+		}
+	}
+}

@@ -47,11 +47,11 @@ func TestSharedWindowDegradesMidEpoch(t *testing.T) {
 			must(w.Fence())                      // healthy: first put lands through the direct view
 			c.Proc().Sleep(3 * time.Millisecond) // revocation strikes here
 			if c.Rank() == 0 {
-				if w.degraded[1] {
+				if w.peers[1].degraded {
 					t.Error("view degraded before any access observed the failure")
 				}
 				must(w.Put(srcB, len(srcB), datatype.Byte, 1, 4096))
-				if !w.degraded[1] {
+				if !w.peers[1].degraded {
 					t.Error("view not degraded after put through revoked segment")
 				}
 			}
@@ -441,7 +441,7 @@ func TestDegradedSharedTargetUsesInterruptDelivery(t *testing.T) {
 			if !bytes.Equal(dst, fill(1024)) {
 				t.Error("degraded get returned wrong data")
 			}
-			if !w.degraded[1] {
+			if !w.peers[1].degraded {
 				t.Error("target view not degraded after revoked-segment get")
 			}
 			if c.World().WorldStats().OSCInterrupt == before {
@@ -477,6 +477,62 @@ func TestDegradedGetFallsBackToRemotePut(t *testing.T) {
 		}
 		must(w.Fence())
 	})
+}
+
+// TestImportDeniedAtCreateDegrades: a denied import of a peer's window
+// segment while the window is created degrades that peer from the start, as
+// a revoked segment does, instead of failing the creation. Rank 0 then
+// reaches rank 1 by emulation only, and a Put/Get/Accumulate fence epoch
+// leaves both sides equal to a host reference.
+func TestImportDeniedAtCreateDegrades(t *testing.T) {
+	const size, putOff, getOff, accOff = 8192, 0, 2048, 4096
+	put, init := fill(512), fill(size)
+	adds := make([]byte, 16*8)
+	for i := range 16 {
+		binary.LittleEndian.PutUint64(adds[8*i:], uint64(1000+i))
+	}
+	// Host reference of rank 1's window after the epoch.
+	ref := bytes.Clone(init)
+	copy(ref[putOff:], put)
+	for i := range 16 {
+		at := ref[accOff+8*i:]
+		binary.LittleEndian.PutUint64(at, binary.LittleEndian.Uint64(at)+uint64(1000+i))
+	}
+	cfg := mpi.DefaultConfig(2, 1)
+	// Segment 0 of each node is the MPI port; the window is segment 1.
+	cfg.SCI.Fault = fault.New(1).FailImports(1, 1, 1)
+	var st [2]Stats
+	var got, final []byte
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		w := NewSystem(c).CreateShared(c.AllocShared(size), DefaultConfig())
+		if c.Rank() == 1 {
+			copy(w.LocalBytes(), init)
+		}
+		must(w.Fence())
+		if c.Rank() == 0 {
+			must(w.Put(put, len(put), datatype.Byte, 1, putOff))
+			got = make([]byte, 1024)
+			must(w.Get(got, len(got), datatype.Byte, 1, getOff))
+			must(w.Accumulate(adds, 16, datatype.Int64, mpi.OpSum, 1, accOff))
+		}
+		must(w.Fence())
+		st[c.Rank()] = w.Snapshot()
+		if c.Rank() == 1 {
+			final = bytes.Clone(w.LocalBytes())
+		}
+	})
+	if st[0].Degradations != 1 || st[1].Degradations != 0 {
+		t.Errorf("degradations = %d at rank 0, %d at rank 1; want 1, 0", st[0].Degradations, st[1].Degradations)
+	}
+	if st[0].DirectPuts != 0 || st[0].EmulatedPuts != 1 || st[0].DirectGets != 0 || st[0].RemotePuts != 1 {
+		t.Errorf("rank 0 stats = %+v, want the put emulated and the get by remote-put", st[0])
+	}
+	if !bytes.Equal(got, init[getOff:getOff+1024]) {
+		t.Error("get through the degraded peer differs from the reference")
+	}
+	if !bytes.Equal(final, ref) {
+		t.Error("rank 1's window after the epoch differs from the host reference")
+	}
 }
 
 // TestEachExpiryCountsOnce: an emulated Put whose handler call outlives a

@@ -79,8 +79,11 @@ func (s *System) ServeNote(p *sim.Proc, src, kind, win int) {
 // handler accepted it (a bool boxes without allocating), or the error of a
 // remote-put it failed to make (handleGet).
 func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
-	w, ok := s.wins[r.win]
-	if !ok {
+	var w *Win
+	if r.win >= 0 && r.win < len(s.wins) {
+		w = s.wins[r.win]
+	}
+	if w == nil {
 		// Not a programming error under recovery: a stale request for a
 		// window this rank already abandoned (window ids are never
 		// reused). Refuse gracefully — the origin sees ErrWinGone.

@@ -64,7 +64,7 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	if err := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); err != nil {
 		return err
 	}
-	if w.isShared[target] && !w.degraded[target] {
+	if w.direct(target) {
 		// Direct transparent remote write. A failing view (segment revoked,
 		// persistent transfer faults) degrades to the emulation path below —
 		// unless the target itself is gone, which is the caller's problem.
@@ -94,7 +94,7 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 // tryDirectPut deposits through the transparent remote view, retrying
 // transient injected faults (mpi.Comm.RetryTransfer) before failing.
 func (w *Win) tryDirectPut(p *sim.Proc, buf []byte, count int, dt *datatype.Type, target int, targetOff, n, span int64) error {
-	view, c := w.views[target], w.sys.c
+	view, c := w.peers[target].view, w.sys.c
 	if dt.Contiguous() {
 		stride := w.estimateStride(target, targetOff, n)
 		return c.RetryTransfer(c.GroupToWorld(target), func() error {
@@ -246,7 +246,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	if err := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); err != nil {
 		return err
 	}
-	if w.isShared[target] && !w.degraded[target] && n <= w.cfg.GetDirectMax {
+	if w.direct(target) && n <= w.cfg.GetDirectMax {
 		// Direct transparent remote read: the CPU stalls per block. A
 		// failing view degrades to the remote-put path below, which rereads
 		// the whole amount.
@@ -274,7 +274,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 // tryDirectGet reads through the transparent remote view, retrying
 // transient injected faults as tryDirectPut does.
 func (w *Win) tryDirectGet(p *sim.Proc, buf []byte, count int, dt *datatype.Type, target int, targetOff, n int64) error {
-	view, c := w.views[target], w.sys.c
+	view, c := w.peers[target].view, w.sys.c
 	if dt.Contiguous() {
 		return c.RetryTransfer(c.GroupToWorld(target), func() error {
 			return view.Read(p, targetOff, buf[:n])
@@ -307,7 +307,7 @@ func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int,
 	// windows, but also shared windows whose direct view degraded
 	// mid-epoch — the target never expected emulation traffic and a
 	// polling-only request could hang until the watchdog.
-	interrupt := !w.isShared[target] || w.degraded[target]
+	interrupt := !w.direct(target)
 	// The unpack cursor resumes across the segmented drain (mirrors
 	// emulatedPut's pack cursor).
 	cur := pack.NewCursor(dt, count)
@@ -375,7 +375,7 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 	}
 	// As in remotePutGet: a degraded shared target is no longer polling
 	// for emulation traffic, so request an interrupt.
-	interrupt := !w.isShared[target] || w.degraded[target]
+	interrupt := !w.direct(target)
 
 	if n <= inlineMax || target == c.Rank() {
 		if sp != nil {

@@ -28,7 +28,7 @@ func (w *Win) Fence() error {
 	w.closeEpoch()
 	w.syncViews()
 	c := w.sys.c
-	round := int64(w.arrivals[c.Rank()].used[reqFence-reqPost]) + 1
+	round := int64(w.peers[c.Rank()].used[reqFence-reqPost]) + 1
 	w.fl.Record(c.Proc().Now(), flight.KFenceEnter, int64(w.id), round, 0, 0)
 	if err := w.sync(reqFence, w.everyone, flight.OpFence); err != nil {
 		return err
@@ -50,7 +50,7 @@ func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 	if err == nil {
 		if k == reqFence {
 			me := c.Rank()
-			w.arrivals[me].seen[k-reqPost]++
+			w.peers[me].seen[k-reqPost]++
 			for r := range c.Size() {
 				if r != me {
 					c.OSCNotify(c.GroupToWorld(r), int(reqFence), w.id, false)
@@ -88,7 +88,7 @@ func (w *Win) await(k reqKind, group []int) error {
 	}
 	w.waitGroup = nil
 	for _, g := range group {
-		w.arrivals[g].used[k-reqPost]++
+		w.peers[g].used[k-reqPost]++
 	}
 	return err
 }
@@ -97,9 +97,9 @@ func (w *Win) await(k reqKind, group []int) error {
 // src, and wakes the rank once the group it waits for is complete.
 func (w *Win) arrive(src int, k reqKind) {
 	c := w.sys.c
-	for g := range w.arrivals {
+	for g := range w.peers {
 		if c.GroupToWorld(g) == src {
-			w.arrivals[g].seen[k-reqPost]++
+			w.peers[g].seen[k-reqPost]++
 			break
 		}
 	}
@@ -112,7 +112,7 @@ func (w *Win) arrive(src int, k reqKind) {
 // that no call matched yet.
 func (w *Win) arrived(k reqKind, group []int) bool {
 	for _, g := range group {
-		if a := &w.arrivals[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
+		if a := &w.peers[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
 			return false
 		}
 	}
@@ -125,11 +125,12 @@ func (w *Win) arrived(k reqKind, group []int) bool {
 // emulation path and the next healthy view carries the barrier.
 func (w *Win) syncViews() {
 	p := w.sys.c.Proc()
-	for r, v := range w.views {
-		if v == nil || r == w.sys.c.Rank() || !v.Remote() || w.degraded[r] {
+	for r := range w.peers {
+		pr := &w.peers[r]
+		if pr.view == nil || r == w.sys.c.Rank() || !pr.view.Remote() || pr.degraded {
 			continue
 		}
-		if err := v.Sync(p); err != nil {
+		if err := pr.view.Sync(p); err != nil {
 			w.degrade(r, err)
 			continue // the next healthy view still flushes the adapter
 		}
@@ -264,7 +265,7 @@ func (w *Win) Lock(target int) error {
 func (w *Win) tryLock(target int, deadline time.Duration) (bool, error) {
 	c := w.sys.c
 	world := c.GroupToWorld(target)
-	if !w.isShared[target] {
+	if !w.peers[target].shared {
 		var timeout time.Duration // 0: for ever
 		if w.timeout > 0 {
 			timeout = deadline - c.Proc().Now()
@@ -275,7 +276,7 @@ func (w *Win) tryLock(target int, deadline time.Duration) (bool, error) {
 	if target != c.Rank() {
 		c.Proc().Sleep(c.World().LockLatency(world, c.WorldRank()))
 	}
-	return w.sharedLocks[target].TryLock(), nil
+	return w.peers[target].lock.TryLock(), nil
 }
 
 // Unlock closes the passive-target epoch: completes all transfers to the
@@ -297,11 +298,11 @@ func (w *Win) Unlock(target int) error {
 	w.lockHeld = -1
 	err := w.lost(target)
 	switch {
-	case w.isShared[target]:
+	case w.peers[target].shared:
 		if err == nil && target != c.Rank() {
 			p.Sleep(c.World().LockLatency(c.GroupToWorld(target), c.WorldRank()) / 2)
 		}
-		p.Unlock(w.sharedLocks[target])
+		p.Unlock(w.peers[target].lock)
 	case err == nil:
 		err = w.oscRPC(target, oscReq{kind: reqUnlock, win: w.id}, true)
 	}

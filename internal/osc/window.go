@@ -27,6 +27,7 @@ import (
 	"scimpich/internal/mpi"
 	"scimpich/internal/obs"
 	"scimpich/internal/obs/flight"
+	"scimpich/internal/sci"
 	"scimpich/internal/sim"
 	"scimpich/internal/smi"
 )
@@ -36,9 +37,11 @@ import (
 // mpi setup) before creating windows: a rank keeps one engine, and a
 // second NewSystem on it panics (see mpi.Comm.SetOSCHandler).
 type System struct {
-	c       *mpi.Comm
-	wins    map[int]*Win
-	nextWin int
+	c *mpi.Comm
+	// wins holds the windows this rank created, indexed by window id (ids
+	// are handed out in order and never reused); an abandoned window's
+	// entry is nil.
+	wins []*Win
 	// abandoned holds the counts of the windows abandoned on this rank, so
 	// that they are still published; none without a registry.
 	abandoned []Stats
@@ -50,7 +53,7 @@ type System struct {
 // NewSystem installs the one-sided engine on the calling rank; with a
 // metrics registry, the world publishes its windows' counts (see publish).
 func NewSystem(c *mpi.Comm) *System {
-	s := &System{c: c, wins: make(map[int]*Win)}
+	s := &System{c: c}
 	c.SetOSCHandler(s)
 	if c.Metrics() != nil {
 		c.World().OnPublish(s.publish)
@@ -65,7 +68,9 @@ func (s *System) publish(r *obs.Registry) {
 		r.AddStats("osc", st)
 	}
 	for _, w := range s.wins {
-		r.AddStats("osc", w.stats)
+		if w != nil {
+			r.AddStats("osc", w.stats)
+		}
 	}
 }
 
@@ -113,27 +118,18 @@ type Win struct {
 	shared  *mpi.SharedSeg
 	private []byte
 
-	sizes    []int64 // window size per rank
-	isShared []bool  // per rank: direct access possible
-	views    []smi.Mem
-	// degraded[t] marks rank t's direct view as lost (segment revoked or
-	// transfers persistently failing); accesses fall back to the emulation
-	// path transparently.
-	degraded []bool
-	// sharedLocks[t] serializes passive-target access to rank t's shared
-	// window without involving t's CPU (shared-memory spinlock).
-	sharedLocks []*sim.Mutex
+	// peers is the window's member table, one row per group rank, made
+	// once at creation and never grown: a row's view may point into it.
+	peers []peer
 	// lockHeld tracks which target this rank currently locks.
 	lockHeld int
 
 	// access epoch state (origin side).
 	ep epoch
-	// arrivals is the window's arrival record, one row per group rank;
-	// while the rank waits (await), the handler wakes it through wake once
+	// While the rank waits (await), the handler wakes it through wake once
 	// every rank of waitGroup (nil: no wait) has an unmatched notification
 	// of kind waitKind (arrive). everyone is the group of a fence; missing,
 	// pending's scratch, shares its allocation.
-	arrivals  []arrival
 	wake      *sim.Chan
 	waitKind  reqKind
 	waitGroup []int
@@ -150,9 +146,9 @@ type Win struct {
 	// privLockBusy: handler-side lock state for passive target on private
 	// windows.
 	privLockBusy bool
-	// ownLock guards this rank's own shared window (nil if private);
-	// origins take it from the exchange table.
-	ownLock *sim.Mutex
+	// lock guards this rank's own shared window; origins take its address
+	// from the exchange table. A private window's peers do not point at it.
+	lock sim.Mutex
 
 	// actor is the cached trace-actor name of the owning rank ("rank<i>").
 	actor string
@@ -166,7 +162,24 @@ type Win struct {
 	stats Stats
 }
 
-// arrival is one group rank's row of the arrival record: seen[k] counts the
+// peer is one group rank's row of a window's member table.
+type peer struct {
+	size   int64 // the rank's window size
+	shared bool  // direct access possible
+	// degraded marks the rank's direct view as lost (import denied, segment
+	// revoked or transfers persistently failing); accesses fall back to the
+	// emulation path transparently.
+	degraded bool
+	view     smi.Mem // nil if private or degraded at creation
+	// lock serializes passive-target access to the rank's shared window
+	// without involving its CPU (shared-memory spinlock); nil if private.
+	lock *sim.Mutex
+	arrival
+	// mapping is the storage of view when it crosses the ring.
+	mapping sci.Mapping
+}
+
+// arrival is one group rank's arrival record: seen[k] counts the
 // notifications of kind reqPost+k it sent (a rank counts its own fence
 // arrivals), used[k] those a call matched, failed calls too (see await).
 type arrival struct{ seen, used [3]uint32 }
@@ -177,7 +190,7 @@ type arrival struct{ seen, used [3]uint32 }
 func (w *Win) pending(k reqKind, group []int) []int {
 	missing := w.missing[:0]
 	for _, g := range group {
-		if a := &w.arrivals[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
+		if a := &w.peers[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
 			missing = append(missing, w.sys.c.GroupToWorld(g))
 		}
 	}
@@ -214,7 +227,7 @@ func (w *Win) detach() {
 	if w.sys.wins[w.id] != w {
 		return // already detached: keep the counts once
 	}
-	delete(w.sys.wins, w.id)
+	w.sys.wins[w.id] = nil
 	if w.sys.c.Metrics() != nil {
 		w.sys.abandoned = append(w.sys.abandoned, w.stats)
 	}
@@ -233,11 +246,12 @@ func (s *System) CreatePrivate(buf []byte, cfg Config) *Win {
 }
 
 // create is the collective constructor; every rank must call it in the
-// same order with its own memory; a failed barrier panics.
+// same order with its own memory; a failed barrier panics. A peer's shared
+// window whose import is denied is degraded from the start (degrade).
 func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	c := s.c
-	id := s.nextWin
-	s.nextWin++
+	id := len(s.wins)
+	s.wins = append(s.wins, nil)
 	w := &Win{
 		sys: s, id: id, cfg: cfg, timeout: c.World().SyncTimeout(),
 		shared: seg, private: buf,
@@ -246,9 +260,6 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 		lastTarget: -1, lockHeld: -1,
 		wake: sim.NewChan(1),
 	}
-	if seg != nil {
-		w.ownLock = new(sim.Mutex)
-	}
 	key := fmt.Sprintf("osc.win.%d.%d", c.ContextID(), id)
 	c.World().Deposit(key, c.Rank(), w)
 	if err := c.Barrier(); err != nil {
@@ -256,25 +267,23 @@ func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	}
 	all := c.World().Collect(key)
 	n := c.Size()
-	w.sizes = make([]int64, n)
-	w.isShared = make([]bool, n)
-	w.views = make([]smi.Mem, n)
-	w.degraded = make([]bool, n)
-	w.sharedLocks = make([]*sim.Mutex, n)
-	w.arrivals = make([]arrival, n)
+	w.peers = make([]peer, n)
 	ranks := make([]int, 2*n)
 	w.everyone, w.missing = ranks[:n:n], ranks[n:n]
-	for r := 0; r < n; r++ {
+	for r := range w.peers {
 		w.everyone[r] = r
-		rw := all[r].(*Win)
-		if rw.shared != nil {
-			w.sizes[r] = rw.shared.Size()
-			w.isShared[r] = true
-			w.views[r] = rw.shared.MapFrom(c.WorldRank())
-			w.sharedLocks[r] = rw.ownLock
-		} else {
-			w.sizes[r] = int64(len(rw.private))
+		rw, pr := all[r].(*Win), &w.peers[r]
+		if rw.shared == nil {
+			pr.size = int64(len(rw.private))
+			continue
 		}
+		pr.size, pr.shared, pr.lock = rw.shared.Size(), true, &rw.lock
+		view, err := rw.shared.MapInto(c.WorldRank(), &pr.mapping)
+		if err != nil {
+			w.degrade(r, err)
+			continue
+		}
+		pr.view = view
 	}
 	s.wins[id] = w
 	if err := c.Barrier(); err != nil {
@@ -312,13 +321,20 @@ func (w *Win) closeEpoch() {
 // it take the emulation path (handler-mediated, using the standard transfer
 // mechanisms), transparently to the caller.
 func (w *Win) degrade(target int, err error) {
-	if w.degraded[target] {
+	if w.peers[target].degraded {
 		return
 	}
-	w.degraded[target] = true
+	w.peers[target].degraded = true
 	w.stats.Degradations++
 	c := w.sys.c
 	w.fl.Record(c.Proc().Now(), flight.KWinDegraded, int64(w.id), int64(c.GroupToWorld(target)), 0, 0)
+}
+
+// direct reports whether rank target is reached through its view: a shared
+// window whose view has not degraded.
+func (w *Win) direct(target int) bool {
+	pr := &w.peers[target]
+	return pr.shared && !pr.degraded
 }
 
 // checkAccess refuses, as an *mpi.ArgumentError naming call, a data
@@ -331,9 +347,9 @@ func (w *Win) checkAccess(call string, target int, off, n int64) error {
 	if err := w.checkRanks(call, target); err != nil {
 		return err
 	}
-	if off < 0 || off > w.sizes[target]-n { // not off+n: it wraps near math.MaxInt64
+	if size := w.peers[target].size; off < 0 || off > size-n { // not off+n: it wraps near math.MaxInt64
 		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("access [%d, %d) outside window of %d bytes at rank %d",
-			off, off+n, w.sizes[target], target)}
+			off, off+n, size, target)}
 	}
 	return nil
 }
@@ -342,7 +358,7 @@ func (w *Win) checkAccess(call string, target int, off, n int64) error {
 // the window's group, before anything is sent.
 func (w *Win) checkRanks(call string, ranks ...int) error {
 	for _, r := range ranks {
-		if r < 0 || r >= len(w.sizes) {
+		if r < 0 || r >= len(w.peers) {
 			return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("invalid target rank %d", r)}
 		}
 	}

@@ -110,7 +110,8 @@ type Service struct {
 	// committed[k] is the ledger of the last acknowledged
 	// sequence number of k, which verification reads back through the
 	// window (a mismatch is a lost committed write); ncommitted counts its
-	// entries.
+	// entries. pendSeq and committed share one allocation; pendVal and slot
+	// stay apart, since one block for both would cross a size class.
 	epoch      int64
 	nextSeq    int64
 	pendSeq    []int64
@@ -134,14 +135,16 @@ type Service struct {
 // New collectively creates the service over the communicator and opens the
 // first access epoch. Every rank must call it.
 func New(c *mpi.Comm, cfg Config) (*Service, error) {
+	keys := cfg.Keys()
+	seqs := make([]int64, 2*keys)
 	s := &Service{
 		cfg:       cfg,
 		c:         c,
 		sys:       osc.NewSystem(c),
 		seg:       c.AllocShared(cfg.winBytes()),
-		pendSeq:   make([]int64, cfg.Keys()),
-		pendVal:   make([]byte, cfg.Keys()*cfg.ValBytes),
-		committed: make([]int64, cfg.Keys()),
+		pendSeq:   seqs[:keys:keys],
+		pendVal:   make([]byte, keys*cfg.ValBytes),
+		committed: seqs[keys:],
 		slot:      make([]byte, cfg.slotBytes()),
 
 		fl: c.FlightRing(),

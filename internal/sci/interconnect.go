@@ -172,9 +172,9 @@ func (n *Node) countDMA(bytes int64, descs int) {
 	}
 }
 
-// New builds the simulated cluster. The nodes, the adapters' egress links
-// and their ingress links are one slab each, and each kind's names are cut
-// from one string.
+// New builds the simulated cluster. The nodes are one slab, the adapters'
+// egress and ingress links another (egress first), and the nodes' names are
+// cut from one string.
 func New(e sim.Host, cfg Config) *Interconnect {
 	if cfg.Nodes < 1 {
 		panic("sci: need at least one node")
@@ -193,11 +193,10 @@ func New(e sim.Host, cfg Config) *Interconnect {
 	ic.met = newICMetrics(cfg.Metrics)
 	n := cfg.Nodes
 	names := obs.NewNumbered("node", n)
-	egress := flow.NewLinks(n, PIOWritePeakBW, nil)
-	ingress := flow.NewLinks(n, PIOWritePeakBW, nil)
+	links := flow.NewLinks(2*n, PIOWritePeakBW, nil)
 	ic.nodes = make([]Node, n)
 	for i := range ic.nodes {
-		ic.nodes[i] = Node{ic: ic, id: i, name: names.At(i), egress: &egress[i], ingress: &ingress[i]}
+		ic.nodes[i] = Node{ic: ic, id: i, name: names.At(i), egress: &links[i], ingress: &links[n+i]}
 	}
 	ic.applyPlan()
 	return ic
