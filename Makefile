@@ -148,7 +148,7 @@ shard-stress:
 # for Allreduce and Alltoall on an 8x2 communicator (none:
 # TestAllocsCollChoiceAllocFree), a put + fence epoch (none), an emulated one-sided put,
 # remote-put get and accumulate (none: TestAllocsRPCBudget), the creation of a
-# shared or a private window on a warm 4x1 world (24 objects and 4 270 B:
+# shared or a private window on a warm 4x1 world (18 objects and 4 122 B:
 # TestAllocsWindowBudget), and an rmem Put,
 # Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
 # these regress.

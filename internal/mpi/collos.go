@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"scimpich/internal/datatype"
+	"scimpich/internal/sci"
 	"scimpich/internal/smi"
 )
 
@@ -38,41 +39,62 @@ func (w *World) osChunk() int64 { return w.protocol().CollSlot / 2 }
 func (w *World) collWin(owner int) *SharedSeg {
 	if w.collWins == nil {
 		w.collWins = make([]*SharedSeg, w.size)
-		w.collViews = make([][]smi.Mem, w.size)
+		w.collViews = make([][]collImport, w.size)
 	}
 	if w.collWins[owner] == nil {
 		w.collWins[owner] = w.allocShared(owner, int64(w.size)*w.protocol().CollSlot)
-		w.collViews[owner] = make([]smi.Mem, w.size)
+		w.collViews[owner] = make([]collImport, w.size)
 	}
 	return w.collWins[owner]
 }
 
+// collImport is one rank's access view of a collective window, and the
+// storage of its mapping when the view crosses the ring.
+type collImport struct {
+	mem     smi.Mem // nil until imported
+	mapping sci.Mapping
+}
+
 // collView returns (and caches) rank from's access view of owner's
-// collective window.
-func (w *World) collView(from, owner int) smi.Mem {
+// collective window. A denied import is returned and not cached: the next
+// call imports again.
+func (w *World) collView(from, owner int) (smi.Mem, error) {
 	seg := w.collWin(owner)
-	if w.collViews[owner][from] == nil {
-		w.collViews[owner][from] = seg.MapFrom(from)
+	v := &w.collViews[owner][from]
+	if v.mem == nil {
+		mem, err := seg.MapInto(from, &v.mapping)
+		if err != nil {
+			return nil, err
+		}
+		v.mem = mem
 	}
-	return w.collViews[owner][from]
+	return v.mem, nil
 }
 
 // osDeposit writes data into the destination's collective window at off
 // (Deposit). dstWorld is a world rank; a lost one fails before collView
-// imports its window.
+// imports its window, and a denied import fails the deposit.
 func (c *Comm) osDeposit(dstWorld int, off int64, data []byte) error {
 	if err := c.PeerLost(dstWorld); err != nil {
 		return err
 	}
-	return c.Deposit(c.rk.w.collView(c.rk.id, dstWorld), dstWorld, off, data, 2*int64(len(data)))
+	view, err := c.rk.w.collView(c.rk.id, dstWorld)
+	if err != nil {
+		return err
+	}
+	return c.Deposit(view, dstWorld, off, data, 2*int64(len(data)))
 }
+
+// ownView returns this rank's view of its own collective window: the
+// local region, which needs no import.
+func (c *Comm) ownView() smi.Mem { return smi.FromShm(c.rk.w.collWin(c.rk.id).region) }
 
 // osCopyOut copies a deposited block out of this rank's own window.
 func (c *Comm) osCopyOut(off int64, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	return c.rk.w.collView(c.rk.id, c.rk.id).Read(c.p, off, dst)
+	return c.ownView().Read(c.p, off, dst)
 }
 
 // osSlotOff returns the offset of world rank src's slot half for chunk or
@@ -153,7 +175,7 @@ func (c *Comm) osStep(from, to, idx int, st *collStep, x *collCall) error {
 	if off := w.osSlotOff(c.worldRank(from), idx); st.mine == nil {
 		err = c.osCopyOut(off, st.in)
 	} else if len(st.in) > 0 {
-		err = c.rk.dev.foldView(c.p, w.collView(c.rk.id, c.rk.id), off, reduceFold{op: int32(x.op)}, x.dt, st.in, st.mine)
+		err = c.rk.dev.foldView(c.p, c.ownView(), off, reduceFold{op: int32(x.op)}, x.dt, st.in, st.mine)
 	}
 	if err != nil {
 		return err

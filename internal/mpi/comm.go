@@ -55,11 +55,6 @@ func (c *Comm) WorldRank() int { return c.rk.id }
 // GroupToWorld translates a communicator-local rank to a world rank.
 func (c *Comm) GroupToWorld(r int) int { return c.worldRank(r) }
 
-// ContextID returns the communicator's context identifier (distinct per
-// Dup/Split communicator; used by layered libraries to key collective
-// state).
-func (c *Comm) ContextID() int { return c.ctx }
-
 // Proc exposes the underlying simulation process (for libraries layered on
 // the runtime, like one-sided communication).
 func (c *Comm) Proc() *sim.Proc { return c.p }

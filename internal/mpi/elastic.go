@@ -188,6 +188,20 @@ func (c *Comm) Shrink() (*Comm, error) {
 	return nil, err
 }
 
+// callSeq returns this rank's 1-based invocation count of Shrink on the
+// given context. Matched calls have equal sequence numbers on every member,
+// making them usable as agreement keys without reading shared state.
+func (w *World) callSeq(ctx, rank int) int {
+	if w.seq == nil {
+		w.seq = make(map[int][]int)
+	}
+	if w.seq[ctx] == nil {
+		w.seq[ctx] = make([]int, w.size)
+	}
+	w.seq[ctx][rank]++
+	return w.seq[ctx][rank]
+}
+
 // shrinkOnce runs one round of the agreement on this communicator.
 func (c *Comm) shrinkOnce() (*Comm, error) {
 	w := c.rk.w

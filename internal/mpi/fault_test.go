@@ -446,3 +446,47 @@ func TestCallsReturnTypedErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestOneSidedImportDeniedIsReturned: a denied import of a peer's
+// collective window fails the deposit with the import's error, and the
+// denied view is not cached, so the next call imports again. On 2x1 with
+// the one-sided algorithms forced, node 1's segment 1 (rank 1's collective
+// window; segment 0 is the MPI port) is denied once: rank 0's first
+// Allreduce fails before it sends anything, with a *fault.Error of kind
+// ImportDenied, and its second matches rank 1's only call, which both
+// complete with the sum.
+func TestOneSidedImportDeniedIsReturned(t *testing.T) {
+	const n = 64
+	cfg := collConfig(2, CollOneSided)
+	cfg.SCI.Fault = fault.New(1).FailImports(1, 1, 1)
+	in := func(r int) []byte {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64((r + 1) * (i + 1))
+		}
+		return Float64Bytes(v)
+	}
+	sums := 0
+	Run(cfg, func(c *Comm) {
+		out := make([]byte, 8*n)
+		if c.Rank() == 0 {
+			var fe *fault.Error
+			if err := c.Allreduce(in(0), out, n, datatype.Float64, OpSum); !errors.As(err, &fe) || fe.Kind != fault.ImportDenied {
+				t.Errorf("rank 0: allreduce over a denied import: err = %v, want a *fault.Error of kind ImportDenied", err)
+			}
+		}
+		if err := c.Allreduce(in(c.Rank()), out, n, datatype.Float64, OpSum); err != nil {
+			t.Errorf("rank %d: allreduce after the denied import: %v", c.Rank(), err)
+			return
+		}
+		for i, got := range BytesFloat64(out) {
+			if want := float64(3 * (i + 1)); got != want {
+				t.Fatalf("rank %d: element %d = %g, want %g", c.Rank(), i, got, want)
+			}
+		}
+		sums++
+	})
+	if sums != 2 {
+		t.Errorf("%d ranks checked the sum, want 2", sums)
+	}
+}

@@ -36,6 +36,11 @@ func (c *Comm) SetOSCHandler(h OSCHandler) {
 	c.rk.dev.osc = h
 }
 
+// OSCHandler returns the one-sided engine registered on world rank r (nil
+// before its first SetOSCHandler). Window creation reads each member's new
+// window from it, by the id that the members' requests name.
+func (w *World) OSCHandler(r int) OSCHandler { return w.ranks[r].dev.osc }
+
 // serveOSC hands a one-sided request to the rank's handler and sends a
 // call's reply back.
 func (d *device) serveOSC(p *sim.Proc, env *envelope) {

@@ -61,20 +61,6 @@ func (s *SharedSeg) MapInto(rank int, m *sci.Mapping) (smi.Mem, error) {
 	return smi.FromSCI(m), nil
 }
 
-// MapFrom is MapInto for wiring where failure is a programming error; a
-// remote view gets a mapping of its own.
-func (s *SharedSeg) MapFrom(rank int) smi.Mem {
-	var m *sci.Mapping
-	if s.w.ranks[rank].node != s.w.ranks[s.owner].node {
-		m = new(sci.Mapping)
-	}
-	mem, err := s.MapInto(rank, m)
-	if err != nil {
-		panic(err)
-	}
-	return mem
-}
-
 // LockLatency returns the one-way cost of a shared-memory lock operation
 // between two ranks: a cache-coherent flag exchange inside a node, a remote
 // read-modify-write across the ring (the techniques of the paper's [14]).

@@ -170,8 +170,7 @@ type World struct {
 	main   func(c *Comm) // what every rank runs (see Spawn)
 
 	size       int
-	identity   []int // world ranks 0..size-1, for groupRanks
-	exchange   map[string][]any
+	identity   []int         // world ranks 0..size-1, for groupRanks
 	seq        map[int][]int // per context: each rank's Shrink count (callSeq)
 	ctxCounter int
 
@@ -183,11 +182,11 @@ type World struct {
 	shrinkRecs map[string]*shrinkRec
 
 	// Collective algorithm engine state: the lazily built one-sided
-	// windows (one SharedSeg per owning rank, a per-source view matrix).
-	// It is mutated from rank processes without locking: the simulation is
-	// single-threaded.
+	// windows (one SharedSeg per owning rank, a per-source view matrix
+	// that holds the storage of the views' mappings). It is mutated from
+	// rank processes without locking: the simulation is single-threaded.
 	collWins  []*SharedSeg
-	collViews [][]smi.Mem
+	collViews [][]collImport
 	// eval is the cost-model evaluator's scratch (collEval), built at the
 	// first call the chooser prices.
 	eval *collEval

@@ -10,11 +10,11 @@ import (
 )
 
 // Elastic-recovery support: after a node crash and a Comm.Shrink
-// agreement, a window over the old communicator is unusable (a barrier over
-// it would hang on the dead rank) and the System's handler is still bound to
-// the old communicator's context. Abandon and Rebind let a recovery layer
-// tear the old window down unilaterally and re-home the engine on the
-// shrunken communicator, after which fresh windows are created normally.
+// agreement, a window over the old communicator is unusable (its
+// synchronization fails on the dead rank) and the System is still bound to
+// the old communicator. Abandon and Rebind let a recovery layer tear the old
+// window down unilaterally and re-home the engine on the shrunken
+// communicator, after which fresh windows are created normally.
 
 // ErrWinGone reports a handler refusal: the target no longer has the window
 // (it was abandoned there, typically during crash recovery).
@@ -38,15 +38,18 @@ func (w *Win) Abandon() {
 	w.closeEpoch()
 	w.ep = epochNone
 	w.lockHeld = -1
-	w.fl.Record(w.sys.c.Proc().Now(), flight.KWinAbandoned, int64(w.id), 0, 0, 0)
+	w.c.FlightRing().Record(w.c.Proc().Now(), flight.KWinAbandoned, int64(w.id), 0, 0, 0)
 	w.detach()
 }
 
 // Rebind re-homes the one-sided engine on a new communicator — the shrunken
-// communicator returned by Shrink. The handler moves with it; window
-// ids stay monotonic across the rebind so requests addressed to pre-shrink
-// windows hit the graceful unknown-window path instead of a rebuilt window.
-// All surviving ranks must Rebind before creating new windows.
+// communicator returned by Shrink. It moves the handler and the windows
+// created next; a window created before keeps the communicator it was
+// created on, so its calls still fail by the loss of the old members.
+// Window ids stay monotonic across the rebind so requests addressed to
+// pre-shrink windows hit the graceful unknown-window path instead of a
+// rebuilt window. All surviving ranks must Rebind before creating new
+// windows.
 func (s *System) Rebind(c *mpi.Comm) {
 	s.c = c
 	c.SetOSCHandler(s)
@@ -59,7 +62,7 @@ func (s *System) Rebind(c *mpi.Comm) {
 // failure detector of a dead node). A peer whose notification arrived
 // before it was lost fails nothing.
 func (w *Win) lostPeer(k reqKind, group []int) error {
-	c := w.sys.c
+	c := w.c
 	if err := c.SelfLost(); err != nil {
 		return err
 	}
@@ -73,7 +76,7 @@ func (w *Win) lostPeer(k reqKind, group []int) error {
 
 // lost is the same check for the one target of Lock and Unlock.
 func (w *Win) lost(target int) error {
-	c := w.sys.c
+	c := w.c
 	if err := c.SelfLost(); err != nil {
 		return err
 	}
@@ -102,7 +105,7 @@ func (s *System) call(target int, r oscReq, interrupt bool, timeout time.Duratio
 // the handler failed to make. A refused reply means the target dropped the
 // window (ErrWinGone).
 func (w *Win) oscRPC(target int, r oscReq, interrupt bool) error {
-	rep, err := w.sys.call(w.sys.c.GroupToWorld(target), r, interrupt, w.timeout)
+	rep, err := w.sys.call(w.c.GroupToWorld(target), r, interrupt, w.timeout)
 	if err != nil {
 		return err
 	}

@@ -728,3 +728,93 @@ func TestEmulatedTransfersRetryAsSend(t *testing.T) {
 		t.Error("the plan struck no retry: the test proves nothing on this seed")
 	}
 }
+
+// TestCreateReturnsAfterMemberCrash: a member crashing while the others
+// wait in window creation leaves them a window, not a panic. On 4x1 under
+// the automatic watchdog, node 3 crashes at 200 µs while ranks 0-2 wait in
+// CreateShared, which rank 3 would enter at 1 ms, or never. Every
+// survivor's CreateShared returns once its watchdog ran out, holding rank
+// 3's window as found then: present on the dead node, or absent, with no
+// size to check an access against. Either way its Fence fails with
+// sci.ErrConnectionLost toward node 3, and so does a Put to rank 3 inside a
+// lock epoch, not with an *mpi.ArgumentError.
+func TestCreateReturnsAfterMemberCrash(t *testing.T) {
+	for _, enters := range []bool{true, false} {
+		t.Run(fmt.Sprintf("enters=%v", enters), func(t *testing.T) {
+			cfg := mpi.DefaultConfig(4, 1)
+			cfg.SCI.Fault = fault.New(5).CrashNode(3, 200*time.Microsecond)
+			cfg.Protocol.CollTimeout = mpi.AutoTimeout
+			checked := 0
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				s := NewSystem(c)
+				seg := c.AllocShared(4096)
+				me := c.Rank()
+				if me == 3 {
+					if enters {
+						c.Proc().Sleep(time.Millisecond)
+						s.CreateShared(seg, DefaultConfig())
+					}
+					return
+				}
+				w := s.CreateShared(seg, DefaultConfig())
+				if absent := w.peers[3].size == -1; absent == enters {
+					t.Errorf("rank %d: rank 3's row has size %d", me, w.peers[3].size)
+				}
+				var lost sci.ErrConnectionLost
+				if err := w.Fence(); !errors.As(err, &lost) || lost.To != 3 {
+					t.Errorf("rank %d: fence after the crash: err = %v, want sci.ErrConnectionLost to node 3", me, err)
+				}
+				must(w.Lock(me))
+				err := w.Put(fill(8), 8, datatype.Byte, 3, 0)
+				var arg *mpi.ArgumentError
+				if errors.As(err, &arg) || !errors.As(err, &lost) || lost.To != 3 {
+					t.Errorf("rank %d: put to the crashed rank: err = %v, want sci.ErrConnectionLost to node 3", me, err)
+				}
+				must(w.Unlock(me))
+				checked++
+			})
+			if checked != 3 {
+				t.Errorf("%d survivors reached the checks, want 3", checked)
+			}
+		})
+	}
+}
+
+// TestOldWindowKeepsItsCommunicator: Rebind moves the engine and the
+// windows created next, not the windows created before. On 3x1 under the
+// automatic watchdog, node 1 crashes at 500 µs; ranks 0 and 2 shrink,
+// rebind and work a fresh window, and a Fence on the old window then fails
+// with the dead member's loss (*mpi.RevokedRankError for rank 1), reading
+// the old window's group of three.
+func TestOldWindowKeepsItsCommunicator(t *testing.T) {
+	cfg := mpi.DefaultConfig(3, 1)
+	cfg.SCI.Fault = fault.New(5).CrashNode(1, 500*time.Microsecond)
+	cfg.Protocol.CollTimeout = mpi.AutoTimeout
+	checked := 0
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		s := NewSystem(c)
+		old := s.CreateShared(c.AllocShared(4096), DefaultConfig())
+		must(old.Fence())
+		if c.Rank() == 1 {
+			return
+		}
+		c.Proc().Sleep(time.Millisecond - c.Proc().Now())
+		nc := must1(c.Shrink())
+		s.Rebind(nc)
+		fresh := s.CreateShared(c.AllocShared(4096), DefaultConfig())
+		must(fresh.Fence())
+		must(fresh.Put(fill(64), 64, datatype.Byte, 1-nc.Rank(), 0))
+		must(fresh.Fence())
+		if !bytes.Equal(fresh.LocalBytes()[:64], fill(64)) {
+			t.Errorf("rank %d: the fresh window did not receive its peer's put", c.Rank())
+		}
+		var rev *mpi.RevokedRankError
+		if err := old.Fence(); !errors.As(err, &rev) || rev.Rank != 1 {
+			t.Errorf("rank %d: fence on the old window: err = %v, want *mpi.RevokedRankError for rank 1", c.Rank(), err)
+		}
+		checked++
+	})
+	if checked != 2 {
+		t.Errorf("%d survivors reached the checks, want 2", checked)
+	}
+}

@@ -109,7 +109,7 @@ func (s *System) serve(p *sim.Proc, src int, r *oscReq) any {
 		if !w.privLockBusy {
 			// Stale unlock from a revoked or recovered origin; refuse rather
 			// than corrupt the lock state.
-			w.fl.Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropUnheldUnlock, 0)
+			w.c.FlightRing().Record(p.Now(), flight.KPacketDrop, int64(w.id), int64(src), flight.DropUnheldUnlock, 0)
 			return false
 		}
 		w.privLockBusy = false

@@ -22,7 +22,7 @@ import (
 // dump-on-failure). A nil err records nothing.
 func (w *Win) fail(op flight.Op, target int, err error) {
 	if err != nil {
-		w.fl.Fail(w.sys.c.Proc().Now(), op, w.sys.c.GroupToWorld(target), err)
+		w.c.FlightRing().Fail(w.c.Proc().Now(), op, w.c.GroupToWorld(target), err)
 	}
 }
 
@@ -48,20 +48,20 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	}
 	w.stats.Puts++
 	w.stats.BytesPut += n
-	p := w.sys.c.Proc()
-	sp := w.sys.c.Tracer().StartSpan(p.Now(), w.actor, "osc", "put")
+	p := w.c.Proc()
+	sp := w.c.Tracer().StartSpan(p.Now(), w.c.Actor(), "osc", "put")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
 		w.fail(flight.OpPut, target, err)
 	}()
 
-	if target == w.sys.c.Rank() {
+	if target == w.c.Rank() {
 		sp.SetDetail("local")
 		w.localApply(buf, count, dt, targetOff, false)
 		return nil
 	}
-	if err := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); err != nil {
+	if err := w.c.PeerLost(w.c.GroupToWorld(target)); err != nil {
 		return err
 	}
 	if w.direct(target) {
@@ -73,9 +73,9 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 			if sp != nil {
 				sp.SetDetail("direct -> %d", target)
 			}
-			w.fl.Record(p.Now(), flight.KPut, int64(w.sys.c.GroupToWorld(target)), n, int64(w.id), 1)
+			w.c.FlightRing().Record(p.Now(), flight.KPut, int64(w.c.GroupToWorld(target)), n, int64(w.id), 1)
 			return nil
-		} else if lost := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); lost != nil {
+		} else if lost := w.c.PeerLost(w.c.GroupToWorld(target)); lost != nil {
 			return lost
 		} else {
 			w.degrade(target, err)
@@ -87,14 +87,14 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	if sp != nil {
 		sp.SetDetail("emulated -> %d", target)
 	}
-	w.fl.Record(p.Now(), flight.KPut, int64(w.sys.c.GroupToWorld(target)), n, int64(w.id), 0)
+	w.c.FlightRing().Record(p.Now(), flight.KPut, int64(w.c.GroupToWorld(target)), n, int64(w.id), 0)
 	return w.emulatedPut(buf, count, dt, target, targetOff, n)
 }
 
 // tryDirectPut deposits through the transparent remote view, retrying
 // transient injected faults (mpi.Comm.RetryTransfer) before failing.
 func (w *Win) tryDirectPut(p *sim.Proc, buf []byte, count int, dt *datatype.Type, target int, targetOff, n, span int64) error {
-	view, c := w.peers[target].view, w.sys.c
+	view, c := w.peers[target].view, w.c
 	if dt.Contiguous() {
 		stride := w.estimateStride(target, targetOff, n)
 		return c.RetryTransfer(c.GroupToWorld(target), func() error {
@@ -126,7 +126,7 @@ func (w *Win) estimateStride(target int, off, n int64) int64 {
 
 // localApply performs a window access on the rank's own memory.
 func (w *Win) localApply(buf []byte, count int, dt *datatype.Type, off int64, read bool) {
-	p := w.sys.c.Proc()
+	p := w.c.Proc()
 	win := w.LocalBytes()
 	n := dt.Size() * int64(count)
 	cost := w.sys.memModel().CopyCost(n, avgBlock(dt), n*2)
@@ -155,7 +155,7 @@ func avgBlock(dt *datatype.Type) int64 {
 // emulatedPut stages linearized data and invokes the remote handler, in
 // chunks of half the staging area.
 func (w *Win) emulatedPut(buf []byte, count int, dt *datatype.Type, target int, targetOff, n int64) error {
-	c := w.sys.c
+	c := w.c
 	p := c.Proc()
 	if n <= inlineMax {
 		// The RPC blocks until the handler replied, i.e. after its last read
@@ -209,7 +209,7 @@ func (w *Win) chargeLocal(st pack.Stats) {
 	if st.Bytes == 0 {
 		return
 	}
-	w.sys.c.Proc().Sleep(w.sys.memModel().CopyCost(st.Bytes, st.AvgBlock(), st.Bytes*2))
+	w.c.Proc().Sleep(w.sys.memModel().CopyCost(st.Bytes, st.AvgBlock(), st.Bytes*2))
 }
 
 // Get moves count elements of dt from target's window at displacement
@@ -230,20 +230,20 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	}
 	w.stats.Gets++
 	w.stats.BytesGot += n
-	p := w.sys.c.Proc()
-	sp := w.sys.c.Tracer().StartSpan(p.Now(), w.actor, "osc", "get")
+	p := w.c.Proc()
+	sp := w.c.Tracer().StartSpan(p.Now(), w.c.Actor(), "osc", "get")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
 		w.fail(flight.OpGet, target, err)
 	}()
 
-	if target == w.sys.c.Rank() {
+	if target == w.c.Rank() {
 		sp.SetDetail("local")
 		w.localApply(buf, count, dt, targetOff, true)
 		return nil
 	}
-	if err := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); err != nil {
+	if err := w.c.PeerLost(w.c.GroupToWorld(target)); err != nil {
 		return err
 	}
 	if w.direct(target) && n <= w.cfg.GetDirectMax {
@@ -256,7 +256,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 				sp.SetDetail("direct <- %d", target)
 			}
 			return nil
-		} else if lost := w.sys.c.PeerLost(w.sys.c.GroupToWorld(target)); lost != nil {
+		} else if lost := w.c.PeerLost(w.c.GroupToWorld(target)); lost != nil {
 			return lost
 		} else {
 			w.degrade(target, err)
@@ -274,7 +274,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 // tryDirectGet reads through the transparent remote view, retrying
 // transient injected faults as tryDirectPut does.
 func (w *Win) tryDirectGet(p *sim.Proc, buf []byte, count int, dt *datatype.Type, target int, targetOff, n int64) error {
-	view, c := w.peers[target].view, w.sys.c
+	view, c := w.peers[target].view, w.c
 	if dt.Contiguous() {
 		return c.RetryTransfer(c.GroupToWorld(target), func() error {
 			return view.Read(p, targetOff, buf[:n])
@@ -297,7 +297,7 @@ func (w *Win) tryDirectGet(p *sim.Proc, buf []byte, count int, dt *datatype.Type
 // the handler failed to make, which comes back as the call's error, runs
 // the round again under mpi.Comm.RetryTransfer.
 func (w *Win) remotePutGet(buf []byte, count int, dt *datatype.Type, target int, targetOff, n int64) error {
-	c := w.sys.c
+	c := w.c
 	world := c.GroupToWorld(target)
 	stageLocal, base := c.OSCStageLocal(world)
 	_, _, size, _ := c.OSCStage(world)
@@ -360,9 +360,9 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		return nil
 	}
 	w.stats.Accs++
-	c := w.sys.c
+	c := w.c
 	p := c.Proc()
-	sp := c.Tracer().StartSpan(p.Now(), w.actor, "osc", "acc")
+	sp := c.Tracer().StartSpan(p.Now(), c.Actor(), "osc", "acc")
 	sp.SetBytes(n)
 	defer func() {
 		sp.End(p.Now())
@@ -426,5 +426,5 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 }
 
 func (w *Win) chargeLocalBytes(n int64) {
-	w.sys.c.Proc().Sleep(w.sys.memModel().CopyCost(n, n, n))
+	w.c.Proc().Sleep(w.sys.memModel().CopyCost(n, n, n))
 }

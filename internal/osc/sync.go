@@ -27,13 +27,13 @@ func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
 	w.syncViews()
-	c := w.sys.c
+	c := w.c
 	round := int64(w.peers[c.Rank()].used[reqFence-reqPost]) + 1
-	w.fl.Record(c.Proc().Now(), flight.KFenceEnter, int64(w.id), round, 0, 0)
+	c.FlightRing().Record(c.Proc().Now(), flight.KFenceEnter, int64(w.id), round, 0, 0)
 	if err := w.sync(reqFence, w.everyone, flight.OpFence); err != nil {
 		return err
 	}
-	w.fl.Record(c.Proc().Now(), flight.KFenceExit, int64(w.id), round, int64(c.Size()-1), 0)
+	c.FlightRing().Record(c.Proc().Now(), flight.KFenceExit, int64(w.id), round, int64(c.Size()-1), 0)
 	w.ep = epochFence
 	w.openEpoch("fence")
 	w.resetPattern()
@@ -45,7 +45,7 @@ func (w *Win) Fence() error {
 // announces it to every peer; then it waits for a notification of kind k
 // from every rank of group (await). A failure is recorded under op.
 func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
-	c := w.sys.c
+	c := w.c
 	err := w.lostPeer(k, group)
 	if err == nil {
 		if k == reqFence {
@@ -60,7 +60,7 @@ func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 		err = w.await(k, group)
 	}
 	if err != nil {
-		w.fl.Fail(c.Proc().Now(), op, -1, err)
+		c.FlightRing().Fail(c.Proc().Now(), op, -1, err)
 	}
 	return err
 }
@@ -73,7 +73,7 @@ func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 // result, it matches one notification of each rank, so a late one is never
 // taken for the next call's.
 func (w *Win) await(k reqKind, group []int) error {
-	c := w.sys.c
+	c := w.c
 	p := c.Proc()
 	var err error
 	deadline := p.Now() + w.timeout
@@ -96,7 +96,7 @@ func (w *Win) await(k reqKind, group []int) error {
 // arrive records, on the handler, a notification of kind k from world rank
 // src, and wakes the rank once the group it waits for is complete.
 func (w *Win) arrive(src int, k reqKind) {
-	c := w.sys.c
+	c := w.c
 	for g := range w.peers {
 		if c.GroupToWorld(g) == src {
 			w.peers[g].seen[k-reqPost]++
@@ -124,10 +124,10 @@ func (w *Win) arrived(k reqKind, group []int) bool {
 // A view whose transfer check fails persistently is degraded to the
 // emulation path and the next healthy view carries the barrier.
 func (w *Win) syncViews() {
-	p := w.sys.c.Proc()
+	p := w.c.Proc()
 	for r := range w.peers {
 		pr := &w.peers[r]
-		if pr.view == nil || r == w.sys.c.Rank() || !pr.view.Remote() || pr.degraded {
+		if pr.view == nil || r == w.c.Rank() || !pr.view.Remote() || pr.degraded {
 			continue
 		}
 		if err := pr.view.Sync(p); err != nil {
@@ -152,7 +152,7 @@ func (w *Win) Post(group []int) error {
 		return err
 	}
 	w.stats.Posts++
-	c := w.sys.c
+	c := w.c
 	for _, origin := range group {
 		c.OSCNotify(c.GroupToWorld(origin), int(reqPost), w.id, false)
 	}
@@ -192,7 +192,7 @@ func (w *Win) Complete(group []int) error {
 	}
 	w.closeEpoch()
 	w.syncViews()
-	c := w.sys.c
+	c := w.c
 	for _, t := range group {
 		c.OSCNotify(c.GroupToWorld(t), int(reqComplete), w.id, false)
 	}
@@ -227,7 +227,7 @@ func (w *Win) Lock(target int) error {
 		return err
 	}
 	w.stats.Locks++
-	c := w.sys.c
+	c := w.c
 	p := c.Proc()
 	deadline := p.Now() + w.timeout
 	for backoff := 5 * time.Microsecond; ; backoff = min(2*backoff, 160*time.Microsecond) {
@@ -263,7 +263,7 @@ func (w *Win) Lock(target int) error {
 // Lock just found alive, or the handler of a private window, whose reply it
 // waits for until deadline (with a bound) and whose expiry it returns.
 func (w *Win) tryLock(target int, deadline time.Duration) (bool, error) {
-	c := w.sys.c
+	c := w.c
 	world := c.GroupToWorld(target)
 	if !w.peers[target].shared {
 		var timeout time.Duration // 0: for ever
@@ -290,7 +290,7 @@ func (w *Win) Unlock(target int) error {
 	if w.ep != epochLock || w.lockHeld != target {
 		return &mpi.ArgumentError{Call: "Unlock", Reason: fmt.Sprintf("rank %d is not locked by this rank", target)}
 	}
-	c := w.sys.c
+	c := w.c
 	p := c.Proc()
 	w.closeEpoch()
 	w.syncViews()

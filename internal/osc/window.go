@@ -106,6 +106,9 @@ const (
 // Win is one rank's handle on a window (MPI_Win).
 type Win struct {
 	sys *System
+	// c is the communicator the window was created on: its group, and the
+	// rank's process and world. Rebind leaves it.
+	c   *mpi.Comm
 	id  int
 	cfg Config
 	// timeout bounds the synchronization calls (Fence, Start, Wait, Lock,
@@ -146,15 +149,11 @@ type Win struct {
 	// privLockBusy: handler-side lock state for passive target on private
 	// windows.
 	privLockBusy bool
-	// lock guards this rank's own shared window; origins take its address
-	// from the exchange table. A private window's peers do not point at it.
+	// lock guards this rank's own shared window; members take its address
+	// when they wire their rows (wire). A private window's peers do not
+	// point at it.
 	lock sim.Mutex
 
-	// actor is the cached trace-actor name of the owning rank ("rank<i>").
-	actor string
-	// fl is the owning rank's flight-recorder ring (nil-safe when no
-	// recorder is configured).
-	fl *flight.Ring
 	// epochSpan is the open trace span of the current access epoch; data
 	// operation spans on the same actor nest under it.
 	epochSpan *obs.Span
@@ -164,7 +163,7 @@ type Win struct {
 
 // peer is one group rank's row of a window's member table.
 type peer struct {
-	size   int64 // the rank's window size
+	size   int64 // the rank's window size; -1 if it had none at creation
 	shared bool  // direct access possible
 	// degraded marks the rank's direct view as lost (import denied, segment
 	// revoked or transfers persistently failing); accesses fall back to the
@@ -191,7 +190,7 @@ func (w *Win) pending(k reqKind, group []int) []int {
 	missing := w.missing[:0]
 	for _, g := range group {
 		if a := &w.peers[g]; a.seen[k-reqPost] <= a.used[k-reqPost] {
-			missing = append(missing, w.sys.c.GroupToWorld(g))
+			missing = append(missing, w.c.GroupToWorld(g))
 		}
 	}
 	return missing
@@ -228,7 +227,7 @@ func (w *Win) detach() {
 		return // already detached: keep the counts once
 	}
 	w.sys.wins[w.id] = nil
-	if w.sys.c.Metrics() != nil {
+	if w.c.Metrics() != nil {
 		w.sys.abandoned = append(w.sys.abandoned, w.stats)
 	}
 }
@@ -246,50 +245,59 @@ func (s *System) CreatePrivate(buf []byte, cfg Config) *Win {
 }
 
 // create is the collective constructor; every rank must call it in the
-// same order with its own memory; a failed barrier panics. A peer's shared
-// window whose import is denied is degraded from the start (degrade).
+// same order with its own memory. The window joins this rank's table at
+// once, under the id its requests will name; after the first barrier each
+// member's row is read from the member's engine by that id (wire). A peer's
+// shared window whose import is denied is degraded from the start
+// (degrade). A failed barrier still returns the window: a member whose
+// window was absent gets a row of unknown size, so the window's next call
+// toward it fails by the loss rules (lostPeer, lost, checkAccess).
 func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	c := s.c
-	id := len(s.wins)
-	s.wins = append(s.wins, nil)
+	n := c.Size()
 	w := &Win{
-		sys: s, id: id, cfg: cfg, timeout: c.World().SyncTimeout(),
+		sys: s, c: c, id: len(s.wins), cfg: cfg, timeout: c.World().SyncTimeout(),
 		shared: seg, private: buf,
-		actor:      c.Actor(),
-		fl:         c.FlightRing(),
+		peers:      make([]peer, n),
 		lastTarget: -1, lockHeld: -1,
 		wake: sim.NewChan(1),
 	}
-	key := fmt.Sprintf("osc.win.%d.%d", c.ContextID(), id)
-	c.World().Deposit(key, c.Rank(), w)
-	if err := c.Barrier(); err != nil {
-		panic(err)
-	}
-	all := c.World().Collect(key)
-	n := c.Size()
-	w.peers = make([]peer, n)
 	ranks := make([]int, 2*n)
 	w.everyone, w.missing = ranks[:n:n], ranks[n:n]
+	s.wins = append(s.wins, w)
+	err := c.Barrier()
 	for r := range w.peers {
 		w.everyone[r] = r
-		rw, pr := all[r].(*Win), &w.peers[r]
-		if rw.shared == nil {
-			pr.size = int64(len(rw.private))
-			continue
-		}
+		w.wire(r)
+	}
+	if err == nil {
+		_ = c.Barrier() // its failure, as the first's, shows at the window's next call
+	}
+	return w
+}
+
+// wire fills group rank r's row from r's window, read from r's engine by
+// this window's id; the row of a member with no such window has size -1.
+func (w *Win) wire(r int) {
+	pr := &w.peers[r]
+	var rw *Win
+	if s, _ := w.c.World().OSCHandler(w.c.GroupToWorld(r)).(*System); s != nil && w.id < len(s.wins) {
+		rw = s.wins[w.id]
+	}
+	switch {
+	case rw == nil:
+		pr.size = -1
+	case rw.shared == nil:
+		pr.size = int64(len(rw.private))
+	default:
 		pr.size, pr.shared, pr.lock = rw.shared.Size(), true, &rw.lock
-		view, err := rw.shared.MapInto(c.WorldRank(), &pr.mapping)
+		view, err := rw.shared.MapInto(w.c.WorldRank(), &pr.mapping)
 		if err != nil {
 			w.degrade(r, err)
-			continue
+			return
 		}
 		pr.view = view
 	}
-	s.wins[id] = w
-	if err := c.Barrier(); err != nil {
-		panic(err)
-	}
-	return w
 }
 
 // LocalBytes returns the local window memory (owner view, uncosted; for
@@ -305,7 +313,7 @@ func (w *Win) LocalBytes() []byte {
 // data operation spans on the same rank nest under it until the closing
 // synchronization call ends it.
 func (w *Win) openEpoch(mode string) {
-	w.epochSpan = w.sys.c.Tracer().StartSpan(w.sys.c.Proc().Now(), w.actor, "osc", "epoch")
+	w.epochSpan = w.c.Tracer().StartSpan(w.c.Proc().Now(), w.c.Actor(), "osc", "epoch")
 	if w.epochSpan != nil { // guarded here: the arguments are boxed before a callee could decline them
 		w.epochSpan.SetDetail("win %d %s", w.id, mode)
 	}
@@ -313,7 +321,7 @@ func (w *Win) openEpoch(mode string) {
 
 // closeEpoch ends the current epoch span (no-op when none is open).
 func (w *Win) closeEpoch() {
-	w.epochSpan.End(w.sys.c.Proc().Now())
+	w.epochSpan.End(w.c.Proc().Now())
 	w.epochSpan = nil
 }
 
@@ -326,8 +334,8 @@ func (w *Win) degrade(target int, err error) {
 	}
 	w.peers[target].degraded = true
 	w.stats.Degradations++
-	c := w.sys.c
-	w.fl.Record(c.Proc().Now(), flight.KWinDegraded, int64(w.id), int64(c.GroupToWorld(target)), 0, 0)
+	c := w.c
+	c.FlightRing().Record(c.Proc().Now(), flight.KWinDegraded, int64(w.id), int64(c.GroupToWorld(target)), 0, 0)
 }
 
 // direct reports whether rank target is reached through its view: a shared
@@ -347,7 +355,14 @@ func (w *Win) checkAccess(call string, target int, off, n int64) error {
 	if err := w.checkRanks(call, target); err != nil {
 		return err
 	}
-	if size := w.peers[target].size; off < 0 || off > size-n { // not off+n: it wraps near math.MaxInt64
+	size := w.peers[target].size
+	if size < 0 { // the member had no window at creation: its barrier failed
+		if err := w.lost(target); err != nil {
+			return err
+		}
+		return w.c.WatchdogExpired(w.c.GroupToWorld(target))
+	}
+	if off < 0 || off > size-n { // not off+n: it wraps near math.MaxInt64
 		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("access [%d, %d) outside window of %d bytes at rank %d",
 			off, off+n, size, target)}
 	}

@@ -203,3 +203,28 @@ func TestShardLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestSecondCrashDuringWindowCreation: a second node crashing while the
+// survivors of a first crash create their new window ends the recovery in
+// a returned error, not a panic. On the benchmark's churn world (node 1
+// crashes at 5.2 ms), node 2 crashes at the three instants that land in
+// window creation's barriers (two in its first, one in its second). The
+// workload returns, and each of ranks 0 and 3 completed a recovery or
+// reports why its recovery failed. With two of four nodes gone, shards may
+// lose both replicas, so lost writes are not checked.
+func TestSecondCrashDuringWindowCreation(t *testing.T) {
+	for _, t2 := range []time.Duration{5555 * time.Microsecond, 5560 * time.Microsecond, 5565 * time.Microsecond} {
+		t.Run(t2.String(), func(t *testing.T) {
+			plan := fault.New(42).CrashNode(1, crashAt).CrashNode(2, t2)
+			reports, _ := RunWorkload(testConfig(plan), DefaultConfig(), DefaultWorkload())
+			for _, me := range []int{0, 3} {
+				r := reports[me]
+				if r.Died || (r.Failovers == 0 && r.RecoverErr == "") {
+					t.Errorf("survivor %d: died=%v failovers=%d recoverErr=%q, want a recovery or its error",
+						me, r.Died, r.Failovers, r.RecoverErr)
+				}
+				t.Logf("survivor %d: failovers=%d recoverErr=%q", me, r.Failovers, r.RecoverErr)
+			}
+		})
+	}
+}

@@ -832,7 +832,7 @@ func nameOf(e ast.Expr) *ast.Ident {
 // removes one updates it in the same change, so each is a decision that
 // review sees; ROADMAP item 6(c) tracks which of them a facade call can
 // reach.
-const panicSites = 98
+const panicSites = 95
 
 // TestPanicSites pins panicSites.
 func TestPanicSites(t *testing.T) {
