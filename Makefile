@@ -149,7 +149,9 @@ shard-stress:
 # TestAllocsCollChoiceAllocFree), a put + fence epoch (none), an emulated one-sided put,
 # remote-put get and accumulate (none: TestAllocsRPCBudget), the creation of a
 # shared or a private window on a warm 4x1 world (18 objects and 4 122 B:
-# TestAllocsWindowBudget), and an rmem Put,
+# TestAllocsWindowBudget), one Shrink on a 4x1 world whose node 2 crashed,
+# confirmation barrier included (26 objects and 3 082 B:
+# TestAllocsShrinkBudget), and an rmem Put,
 # Get or Commit round (none: TestAllocsOpBudget). CI fails the bench job if
 # these regress.
 alloc-test:

@@ -16,6 +16,7 @@ import (
 	"scimpich/internal/allocwin"
 	"scimpich/internal/bufpool"
 	"scimpich/internal/datatype"
+	"scimpich/internal/fault"
 	"scimpich/internal/sci"
 	"scimpich/internal/sim"
 )
@@ -475,5 +476,38 @@ func TestAllocsCollChoiceAllocFree(t *testing.T) {
 	t.Logf("picks %v: %d objects, %d B over 10 rounds", picks, win.Objects(), win.Bytes())
 	if win.Objects() != 0 {
 		t.Errorf("10 rounds of four picks allocated %d objects (%d B), want none", win.Objects(), win.Bytes())
+	}
+}
+
+// TestAllocsShrinkBudget pins the host cost of one Shrink on a 4x1 world
+// whose node 2 crashed, over every rank: from just before the ranks enter
+// the agreement to rank 0's return from it, its confirmation barrier
+// included. A first world shrinks unmeasured, so the program-wide pools a
+// cold test binary fills inside the window hold what a later world finds.
+func TestAllocsShrinkBudget(t *testing.T) {
+	if allocwin.RaceEnabled {
+		t.Skip("allocation budgets are not checked under the race detector")
+	}
+	shrink := func(win *allocwin.Window) {
+		Run(elasticConfig(fault.New(13).CrashNode(2, 450*time.Microsecond)), func(c *Comm) {
+			c.Proc().Sleep(time.Millisecond)
+			if win != nil && c.Rank() == 0 {
+				win.Open()
+			}
+			_, err := c.Shrink()
+			if win != nil && c.Rank() == 0 {
+				win.Close()
+			}
+			if err != nil && c.Rank() != 2 {
+				t.Errorf("rank %d: shrink: %v", c.Rank(), err)
+			}
+		})
+	}
+	shrink(nil)
+	win := allocwin.New(t)
+	shrink(win)
+	t.Logf("Shrink on 4x1: %d objects, %d B", win.Objects(), win.Bytes())
+	if win.Objects() > 26 || win.Bytes() > 3082 {
+		t.Errorf("Shrink on 4x1 allocated %d objects and %d B, budget is 26 and 3 082", win.Objects(), win.Bytes())
 	}
 }

@@ -25,6 +25,9 @@ type Comm struct {
 	// first collective() and its own view in turn. A copy that changes the
 	// group, the contexts or the process (derive) starts without one.
 	coll *Comm
+	// shrink is the agreement record this handle's next Shrink joins; nil
+	// for the world communicator before its first (see joinShrink).
+	shrink *shrinkRec
 }
 
 // internal contexts for library traffic, separated from user messages.

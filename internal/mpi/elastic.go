@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"scimpich/internal/obs/flight"
@@ -26,9 +27,11 @@ import (
 //     shrunken membership until a confirmation barrier over the survivors
 //     succeeds.
 //
-// The agreement record is shared World state: in the modelled system it is
-// a replicated register every member deposits into (the simulation bills
-// the control writes), so the decision is uniform even if the member that
+// The agreement record of a Shrink call hangs off the communicator it is
+// called on: every member's handle reaches the record its next call joins.
+// In the modelled system it is a replicated register in SCI shared memory
+// that each member writes with one remote store (the simulation bills the
+// control writes), so the decision is uniform even if the member that
 // sealed it crashes immediately afterwards. Determinism per fault seed
 // follows from the deterministic simulation: same seed, same schedule,
 // same survivor set.
@@ -99,39 +102,26 @@ func (w *World) resetCollState() {
 	w.collViews = nil
 }
 
-// shrinkRec is the replicated decision record of one matched Shrink
-// call: the per-member suspicion snapshots, and — once a member's wait is
-// satisfied and it seals the record — the agreed dead set and the context
-// pair of the shrunken communicator.
+// shrinkRec is the replicated decision record of one matched Shrink call:
+// each member's arrival, and — once a member's wait is satisfied and it
+// seals the record — the agreed dead set, the survivors' group and the
+// context pair of the shrunken communicator.
 type shrinkRec struct {
-	deposits map[int][]int // member world rank -> its suspicion snapshot
-	sealed   bool
-	dead     []int
-	ctx      [2]int
+	id      int64  // flight id: the digest of "mpi.shrink.<ctx>.<seq>"
+	seq     int    // which call on its communicator, from 1
+	arrived []bool // by member, in group order; made by the first arrival
+	sealed  bool
+	dead    []int
+	deadID  int64 // flight digest of dead
+	group   []int // shared by every adopter's communicator, never written
+	ctx     [2]int
+	// next is the record of the next call on the same communicator, sub
+	// the first record of the communicator this one seals.
+	next, sub *shrinkRec
 }
 
-func (w *World) shrinkRec(key string) *shrinkRec {
-	if w.shrinkRecs == nil {
-		w.shrinkRecs = make(map[string]*shrinkRec)
-	}
-	rec, ok := w.shrinkRecs[key]
-	if !ok {
-		rec = &shrinkRec{deposits: make(map[int][]int)}
-		w.shrinkRecs[key] = rec
-	}
-	return rec
-}
-
-// suspectSnapshot returns this rank's current suspicion set restricted to
-// the communicator's members.
-func (c *Comm) suspectSnapshot() []int {
-	var out []int
-	for _, r := range c.groupRanks() {
-		if c.w.suspects[r] {
-			out = append(out, r)
-		}
-	}
-	return out
+func newShrinkRec(ctx, seq int) *shrinkRec {
+	return &shrinkRec{id: flight.DigestString(fmt.Sprintf("mpi.shrink.%d.%d", ctx, seq)), seq: seq}
 }
 
 // agreementPoll is the interval at which a member waiting for deposits
@@ -188,18 +178,24 @@ func (c *Comm) Shrink() (*Comm, error) {
 	return nil, err
 }
 
-// callSeq returns this rank's 1-based invocation count of Shrink on the
-// given context. Matched calls have equal sequence numbers on every member,
-// making them usable as agreement keys without reading shared state.
-func (w *World) callSeq(ctx, rank int) int {
-	if w.seq == nil {
-		w.seq = make(map[int][]int)
+// joinShrink returns the record this Shrink call joins and moves the
+// communicator on to the record of its next call. Matched calls are the same
+// call on every member, so every member joins the same record. The world
+// communicator's first record is made by its first call; a shrunken
+// communicator's by the agreement that made it.
+func (c *Comm) joinShrink() *shrinkRec {
+	rec := c.shrink
+	if rec == nil {
+		if c.w.shrink == nil {
+			c.w.shrink = newShrinkRec(c.ctx, 1)
+		}
+		rec = c.w.shrink
 	}
-	if w.seq[ctx] == nil {
-		w.seq[ctx] = make([]int, w.size)
+	if rec.next == nil {
+		rec.next = newShrinkRec(c.ctx, rec.seq+1)
 	}
-	w.seq[ctx][rank]++
-	return w.seq[ctx][rank]
+	c.shrink = rec.next
+	return rec
 }
 
 // shrinkOnce runs one round of the agreement on this communicator.
@@ -211,18 +207,28 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	if err := c.SelfLost(); err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("mpi.shrink.%d.%d", c.ctx, w.callSeq(c.ctx, me))
-	agreeID := flight.DigestString(key)
-	rec := w.shrinkRec(key)
+	rec := c.joinShrink()
 	c.probeSuspects()
 
-	// Deposit this rank's suspicion snapshot into the agreement record: in
-	// the modelled system one posted control write per live member.
-	rec.deposits[me] = c.suspectSnapshot()
-	c.rk.fl.Record(p.Now(), flight.KShrinkDeposit, agreeID,
-		int64(len(rec.deposits[me])), flight.DigestInts(rec.deposits[me]), 0)
+	// Deposit this rank's arrival into the agreement record: in the
+	// modelled system one posted control write per live member. The flight
+	// record carries the suspicion it arrived with.
+	members := c.groupRanks()
+	if rec.arrived == nil {
+		rec.arrived = make([]bool, len(members))
+	}
+	rec.arrived[c.Rank()] = true
+	if fl := c.rk.fl; fl != nil {
+		var snap []int
+		for _, r := range members {
+			if w.suspects[r] {
+				snap = append(snap, r)
+			}
+		}
+		fl.Record(p.Now(), flight.KShrinkDeposit, rec.id, int64(len(snap)), flight.DigestInts(snap), 0)
+	}
 	live := 0
-	for _, r := range c.groupRanks() {
+	for _, r := range members {
 		if r != me && !w.suspects[r] {
 			live++
 		}
@@ -237,11 +243,8 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	deadline := p.Now() + w.agreementDeadline()
 	for !rec.sealed {
 		missing := 0
-		for _, r := range c.groupRanks() {
-			if r == me || w.suspects[r] {
-				continue
-			}
-			if _, ok := rec.deposits[r]; !ok {
+		for i, r := range members {
+			if !rec.arrived[i] && !w.suspects[r] {
 				missing++
 			}
 		}
@@ -261,30 +264,26 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	}
 
 	if !rec.sealed {
-		// This member's wait was satisfied first: seal the decision as the
-		// union of every deposited snapshot plus a final probe, so a member
-		// that deposited and then crashed is still excluded when the crash
-		// precedes the seal. Sealing runs without yielding (no virtual-time
-		// waits), so it is atomic with respect to the other members.
+		// This member's wait was satisfied first: seal the decision. The dead
+		// set is the suspect set among the members after a final probe:
+		// suspicion is sticky and world-wide, so it holds whatever any member
+		// suspected when it arrived, and the probe excludes a member that
+		// arrived and then crashed before the seal. Sealing runs without
+		// yielding (no virtual-time waits), so it is atomic with respect to
+		// the other members.
 		c.probeSuspects()
-		dead := map[int]bool{}
-		for _, r := range c.groupRanks() {
+		rec.group = make([]int, 0, len(members))
+		for _, r := range members {
 			if w.suspects[r] {
-				dead[r] = true
-			}
-		}
-		for _, snap := range rec.deposits {
-			for _, r := range snap {
-				dead[r] = true
-			}
-		}
-		for _, r := range c.groupRanks() {
-			if dead[r] {
 				rec.dead = append(rec.dead, r)
+			} else {
+				rec.group = append(rec.group, r)
 			}
 		}
+		rec.deadID = flight.DigestInts(rec.dead)
 		u, coll := w.nextCtxPair()
 		rec.ctx = [2]int{u, coll}
+		rec.sub = newShrinkRec(u, 1)
 		rec.sealed = true
 		for _, r := range rec.dead {
 			w.revokeRank(p, r)
@@ -296,29 +295,14 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	// post-mortem agreement checker compares across members: any two
 	// members of the same agreement adopting different dead sets is a
 	// split-brain.
-	c.rk.fl.Record(p.Now(), flight.KShrinkAdopt, agreeID,
-		int64(len(rec.dead)), flight.DigestInts(rec.dead), 0)
-	for _, r := range rec.dead {
-		if r == me {
-			return nil, &RevokedRankError{Rank: me}
-		}
-	}
-	survivors := make([]int, 0, len(c.groupRanks()))
-	for _, r := range c.groupRanks() {
-		excluded := false
-		for _, d := range rec.dead {
-			if d == r {
-				excluded = true
-				break
-			}
-		}
-		if !excluded {
-			survivors = append(survivors, r)
-		}
+	c.rk.fl.Record(p.Now(), flight.KShrinkAdopt, rec.id, int64(len(rec.dead)), rec.deadID, 0)
+	if slices.Contains(rec.dead, me) {
+		return nil, &RevokedRankError{Rank: me}
 	}
 	sub := c.derive()
-	sub.group = survivors
+	sub.group = rec.group
 	sub.ctx, sub.collCtx = rec.ctx[0], rec.ctx[1]
+	sub.shrink = rec.sub
 	return sub, nil
 }
 

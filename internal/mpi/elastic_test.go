@@ -2,11 +2,15 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/fault"
+	"scimpich/internal/obs/flight"
 )
 
 // Elastic-world tests: shrink-to-survivors agreement, revocation fast-fail
@@ -319,4 +323,90 @@ func TestShrunkCommunicatorIsItsOwnGroup(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestShrinkAgreementIDs pins the flight id of the agreement each Shrink
+// call joins, the digest of "mpi.shrink.<ctx>.<seq>" with seq counting the
+// calls on one communicator, over three calls: the world communicator's
+// first Shrink, its second, and the first Shrink on the communicator the
+// first one made, after a second crash. Every member records the id in its
+// KShrinkDeposit and KShrinkAdopt, so post-mortem dumps of one run compare
+// across versions; every survivor of one agreement gets the same group and
+// adopts the same dead set.
+func TestShrinkAgreementIDs(t *testing.T) {
+	plan := fault.New(3).CrashNode(3, 300*time.Microsecond).CrashNode(2, 3*time.Millisecond)
+	cfg := elasticConfig(plan)
+	rec := flight.New(4096)
+	cfg.Flight = rec
+	const calls = 3
+	var ids [4][]int64         // per rank: the id of each agreement it joined
+	var groups [calls][4][]int // per call and rank: the group it got
+	Run(cfg, func(c *Comm) {
+		me := c.Rank()
+		shrink := func(call int, on *Comm, seq int) *Comm {
+			ids[me] = append(ids[me], flight.DigestString(fmt.Sprintf("mpi.shrink.%d.%d", on.ctx, seq)))
+			nc, err := on.Shrink()
+			if err != nil {
+				t.Errorf("rank %d: call %d: %v", me, call, err)
+				return nil
+			}
+			groups[call][me] = nc.groupRanks()
+			return nc
+		}
+		if me == 3 { // crashed before the first call
+			return
+		}
+		c.Proc().Sleep(time.Millisecond)
+		first := shrink(0, c, 1)
+		shrink(1, c, 2)
+		if me == 2 || first == nil { // node 2 crashes at 3 ms
+			return
+		}
+		c.Proc().Sleep(4*time.Millisecond - c.WtimeDuration())
+		shrink(2, first, 1)
+	})
+	wantGroups := [calls][]int{{0, 1, 2}, {0, 1, 2}, {0, 1}}
+	for call, members := range wantGroups {
+		for _, me := range members {
+			if got := groups[call][me]; !slices.Equal(got, members) {
+				t.Errorf("call %d: rank %d got group %v, want %v", call, me, got, members)
+			}
+		}
+	}
+	adopted := map[int64][2]int64{} // agreement id -> the dead set's count and digest
+	for me := range 3 {
+		var deposits, adopts []int64
+		for _, e := range rec.Actor(fmt.Sprintf("rank%d", me)).Events() {
+			switch e.Kind {
+			case flight.KShrinkDeposit:
+				deposits = append(deposits, e.A)
+			case flight.KShrinkAdopt:
+				adopts = append(adopts, e.A)
+				dead := [2]int64{e.B, e.C}
+				if prev, ok := adopted[e.A]; ok && prev != dead {
+					t.Errorf("rank %d adopted dead set %v in agreement %x, another member %v", me, dead, e.A, prev)
+				}
+				adopted[e.A] = dead
+			}
+		}
+		if !slices.Equal(deposits, ids[me]) || !slices.Equal(adopts, ids[me]) {
+			t.Errorf("rank %d: deposit ids %x, adopt ids %x, want %x", me, deposits, adopts, ids[me])
+		}
+	}
+	if len(adopted) != calls {
+		t.Errorf("%d agreements adopted, want %d", len(adopted), calls)
+	}
+}
+
+// TestWorldHoldsNoTables fails, naming the field, on a map-typed field of
+// World. What a communicator, window or call needs of its members hangs off
+// that object, which every member reaches, so it goes when the object does:
+// a world table keyed by it outlives its use and grows with every call.
+func TestWorldHoldsNoTables(t *testing.T) {
+	wt := reflect.TypeFor[World]()
+	for i := range wt.NumField() {
+		if f := wt.Field(i); f.Type.Kind() == reflect.Map {
+			t.Errorf("World.%s is a %s: keep the state on the object it serves", f.Name, f.Type)
+		}
+	}
 }

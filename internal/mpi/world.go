@@ -170,16 +170,17 @@ type World struct {
 	main   func(c *Comm) // what every rank runs (see Spawn)
 
 	size       int
-	identity   []int         // world ranks 0..size-1, for groupRanks
-	seq        map[int][]int // per context: each rank's Shrink count (callSeq)
+	identity   []int // world ranks 0..size-1, for groupRanks
 	ctxCounter int
 
 	// Failure-detector and revocation state (see elastic.go), indexed by
 	// world rank. suspects is the sticky suspicion set; revoked marks ranks
 	// a shrink agreement excluded — every transport drops their traffic.
-	suspects   []bool
-	revoked    []bool
-	shrinkRecs map[string]*shrinkRec
+	suspects []bool
+	revoked  []bool
+	// shrink is the world communicator's first agreement record, made by its
+	// first Shrink (see Comm.joinShrink).
+	shrink *shrinkRec
 
 	// Collective algorithm engine state: the lazily built one-sided
 	// windows (one SharedSeg per owning rank, a per-source view matrix

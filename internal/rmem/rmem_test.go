@@ -210,8 +210,9 @@ func TestShardLayout(t *testing.T) {
 // crashes at 5.2 ms), node 2 crashes at the three instants that land in
 // window creation's barriers (two in its first, one in its second). The
 // workload returns, and each of ranks 0 and 3 completed a recovery or
-// reports why its recovery failed. With two of four nodes gone, shards may
-// lose both replicas, so lost writes are not checked.
+// reports why its recovery failed; one that recovered reports no error and
+// its membership. With two of four nodes gone, shards may lose both
+// replicas, so lost writes are not checked.
 func TestSecondCrashDuringWindowCreation(t *testing.T) {
 	for _, t2 := range []time.Duration{5555 * time.Microsecond, 5560 * time.Microsecond, 5565 * time.Microsecond} {
 		t.Run(t2.String(), func(t *testing.T) {
@@ -223,7 +224,11 @@ func TestSecondCrashDuringWindowCreation(t *testing.T) {
 					t.Errorf("survivor %d: died=%v failovers=%d recoverErr=%q, want a recovery or its error",
 						me, r.Died, r.Failovers, r.RecoverErr)
 				}
-				t.Logf("survivor %d: failovers=%d recoverErr=%q", me, r.Failovers, r.RecoverErr)
+				if r.Failovers >= 1 && (r.RecoverErr != "" || len(r.Survivors) == 0) {
+					t.Errorf("survivor %d recovered %d times but reports recoverErr=%q survivors=%v",
+						me, r.Failovers, r.RecoverErr, r.Survivors)
+				}
+				t.Logf("survivor %d: failovers=%d recoverErr=%q survivors=%v", me, r.Failovers, r.RecoverErr, r.Survivors)
 			}
 		})
 	}

@@ -80,20 +80,21 @@ func RunWorkload(mcfg mpi.Config, cfg Config, wl Workload) ([]RankReport, time.D
 }
 
 // recoverOrDie drives the failover path after a failed operation. It
-// returns false when this rank must stop (revoked, or recovery itself
-// failed), with the report fields filled in.
+// returns false when this rank must stop (revoked, or every recovery
+// attempt failed), with the report fields filled in: a failed attempt that
+// a later one mends leaves no error.
 func recoverOrDie(svc *Service, rep *RankReport) bool {
+	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		err := svc.Recover()
-		if err == nil {
+		if err = svc.Recover(); err == nil {
 			return true
 		}
 		if IsRevoked(err) {
 			rep.Died = true
 			return false
 		}
-		rep.RecoverErr = err.Error()
 	}
+	rep.RecoverErr = err.Error()
 	return false
 }
 
