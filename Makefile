@@ -92,9 +92,12 @@ bench-json:
 # (the stall the crash causes) within one expiry of the scaled sync watchdog;
 # a crash outside a fence round must keep every survivor's largest sojourn
 # within 2 ms, because a fence fails fast on a peer known dead
-# (TestFailoverClaimsCrashOutsideFence). See docs/ELASTIC.md.
+# (TestFailoverClaimsCrashOutsideFence); and a crash anywhere in the
+# harness's crash window within ten arrival gaps, because the first
+# survivor's arrival in the agreement revokes the communicator
+# (TestFailoverClaimsMidRound). See docs/ELASTIC.md.
 failover:
-	$(GO) test -run '^TestFailoverClaims(CrashOutsideFence)?$$' -count=1 ./internal/rmem
+	$(GO) test -run '^TestFailoverClaims(CrashOutsideFence|MidRound)?$$' -count=1 ./internal/rmem
 
 # shard-stress hammers the conservative-parallel engine and the incremental
 # flow solver under the race detector, then the torus machine on the sharded

@@ -16,9 +16,13 @@ import (
 //   - a failure detector over the liveness ground truth (NodeAlive) with a
 //     sticky per-rank suspicion set — once a rank has been observed dead it
 //     stays suspected, even if the fault plan later restores its node;
-//   - revocation: once survivors agree a rank is out, every transport
-//     drops traffic to and from it, in-flight operations against it
-//     complete with *RevokedRankError, and new operations fail fast
+//   - revocation of the communicator: a member's arrival in the agreement
+//     becomes visible to the others once its control write lands, and the
+//     one-sided calls then refuse with CommRevokedError (Comm.Revoked), so
+//     a survivor that has not touched the dead rank joins at its next call;
+//   - revocation of a rank: once survivors agree a rank is out, every
+//     transport drops traffic to and from it, in-flight operations against
+//     it complete with *RevokedRankError, and new operations fail fast
 //     instead of waiting for watchdogs;
 //   - Shrink: a deterministic agreement protocol among survivors
 //     producing a new communicator over exactly the surviving ranks, with
@@ -48,6 +52,18 @@ type RevokedRankError struct {
 
 func (e *RevokedRankError) Error() string {
 	return fmt.Sprintf("mpi: rank %d was revoked by a shrink agreement", e.Rank)
+}
+
+// CommRevokedError reports a call on a communicator that a member has
+// started to shrink (Comm.Revoked): the caller is alive and should join
+// the agreement with Shrink. Unlike *RevokedRankError it does not tell the
+// caller to stop.
+type CommRevokedError struct {
+	Ctx int // the communicator's context id
+}
+
+func (e CommRevokedError) Error() string {
+	return fmt.Sprintf("mpi: communicator %d was revoked: a member entered Shrink", e.Ctx)
 }
 
 // Suspect marks a world rank as suspected dead in the failure detector.
@@ -110,6 +126,9 @@ type shrinkRec struct {
 	id      int64  // flight id: the digest of "mpi.shrink.<ctx>.<seq>"
 	seq     int    // which call on its communicator, from 1
 	arrived []bool // by member, in group order; made by the first arrival
+	// visible is the instant the first arrival's control write lands, from
+	// which the other members read the communicator as revoked.
+	visible time.Duration
 	sealed  bool
 	dead    []int
 	deadID  int64 // flight digest of dead
@@ -216,6 +235,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	members := c.groupRanks()
 	if rec.arrived == nil {
 		rec.arrived = make([]bool, len(members))
+		rec.visible = p.Now() + w.slowCtl()
 	}
 	rec.arrived[c.Rank()] = true
 	if fl := c.rk.fl; fl != nil {

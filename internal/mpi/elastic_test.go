@@ -193,6 +193,73 @@ func TestRevokedFastFail(t *testing.T) {
 	}
 }
 
+// TestArrivalRevokesTheCommunicator pins when a member's arrival in the
+// agreement becomes visible: node 2 crashes, rank 0 enters Shrink, and
+// rank 1, which polls Comm.Revoked every 100 ns, reads CommRevokedError
+// from the first poll at or after rank 0's arrival plus one slow control
+// write, and nil before. The error is not a *RevokedRankError (rank 1 is
+// alive and must not stop); rank 1 then joins, both adopt [0 1], the
+// shrunk communicator starts unrevoked and the old one stays revoked.
+func TestArrivalRevokesTheCommunicator(t *testing.T) {
+	const enter = 200 * time.Microsecond
+	const poll = 100 * time.Nanosecond
+	cfg := DefaultConfig(3, 1)
+	cfg.SCI.Fault = fault.New(1).CrashNode(2, 100*time.Microsecond)
+	cfg.Protocol.CollTimeout = AutoTimeout
+	joined := 0
+	Run(cfg, func(c *Comm) {
+		p := c.Proc()
+		switch c.Rank() {
+		case 2:
+			return
+		case 0:
+			if err := c.Revoked(); err != nil {
+				t.Errorf("rank 0: revoked before anyone shrank: %v", err)
+			}
+			p.Sleep(enter - p.Now())
+		case 1:
+			visible := enter + callOverhead + c.w.slowCtl()
+			p.Sleep(enter - 10*time.Microsecond - p.Now())
+			for c.Revoked() == nil {
+				if p.Now() >= visible {
+					t.Fatalf("rank 1: not revoked at %v, visible from %v", p.Now(), visible)
+				}
+				p.Sleep(poll)
+			}
+			if p.Now() < visible || p.Now() >= visible+poll {
+				t.Errorf("rank 1: revoked from %v, want the first poll at or after %v", p.Now(), visible)
+			}
+			err := c.Revoked()
+			var cre CommRevokedError
+			var rre *RevokedRankError
+			if !errors.As(err, &cre) || errors.As(err, &rre) {
+				t.Errorf("rank 1: Revoked() = %T %v, want CommRevokedError only", err, err)
+			}
+			if err := c.SelfLost(); err != nil {
+				t.Errorf("rank 1: SelfLost() = %v on a live rank of a revoked communicator", err)
+			}
+		}
+		nc, err := c.Shrink()
+		if err != nil {
+			t.Errorf("rank %d: shrink: %v", c.Rank(), err)
+			return
+		}
+		if got := []int{nc.GroupToWorld(0), nc.GroupToWorld(1)}; nc.Size() != 2 || got[0] != 0 || got[1] != 1 {
+			t.Errorf("rank %d: adopted %d members %v, want [0 1]", c.Rank(), nc.Size(), got)
+		}
+		if err := nc.Revoked(); err != nil {
+			t.Errorf("rank %d: the shrunk communicator starts revoked: %v", c.Rank(), err)
+		}
+		if err := c.Revoked(); err == nil {
+			t.Errorf("rank %d: the old communicator is no longer revoked after Shrink", c.Rank())
+		}
+		joined++
+	})
+	if joined != 2 {
+		t.Errorf("%d survivors shrank, want 2", joined)
+	}
+}
+
 // TestRestoredNodeCannotCorrupt covers fault.Plan.RestoreNode against a
 // world that shrank past the crash: the restored rank's stale traffic
 // (sequence numbers from before the crash, fresh sends, collective

@@ -148,6 +148,24 @@ func (c *Comm) SelfLost() error {
 	return nil
 }
 
+// Revoked reports whether another member has entered the Shrink this
+// handle's next Shrink joins, as CommRevokedError; nil otherwise. The
+// arrival is visible from the instant its control write lands (one slow
+// control write after it), not before. A communicator this handle already
+// shrank stays revoked. Shrink and SelfLost ignore the revocation; the
+// one-sided calls check it after their loss rules, so a survivor that has
+// not touched the dead rank joins the agreement at its next call.
+func (c *Comm) Revoked() error {
+	rec := c.shrink
+	if rec == nil {
+		rec = c.w.shrink
+	}
+	if rec != nil && (rec.seq > 1 || rec.arrived != nil && c.p.Now() >= rec.visible) {
+		return CommRevokedError{Ctx: c.ctx}
+	}
+	return nil
+}
+
 // WatchdogExpired is the one epilogue of every bounded wait that ran out,
 // in every layer (root lint TestOneExpiryRule): it counts the expiry once
 // and returns SelfLost's error if the waiting rank is lost itself (its node

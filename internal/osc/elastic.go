@@ -59,8 +59,9 @@ func (s *System) Rebind(c *mpi.Comm) {
 // call announces or waits for anything: this rank lost (a revoked rank or a
 // dead node of its own, mpi.Comm.SelfLost), then each rank of group with no
 // unmatched notification of kind k (mpi.Comm.PeerLost, which also tells the
-// failure detector of a dead node). A peer whose notification arrived
-// before it was lost fails nothing.
+// failure detector of a dead node), then a communicator a member started
+// to shrink (mpi.Comm.Revoked). A peer whose notification arrived before
+// it was lost fails nothing.
 func (w *Win) lostPeer(k reqKind, group []int) error {
 	c := w.c
 	if err := c.SelfLost(); err != nil {
@@ -71,10 +72,12 @@ func (w *Win) lostPeer(k reqKind, group []int) error {
 			return err
 		}
 	}
-	return nil
+	return c.Revoked()
 }
 
-// lost is the same check for the one target of Lock and Unlock.
+// lost is the loss check of the one target of Lock and Unlock (which then
+// check mpi.Comm.Revoked), and of a data operation toward a member whose
+// window was absent at creation.
 func (w *Win) lost(target int) error {
 	c := w.c
 	if err := c.SelfLost(); err != nil {

@@ -737,13 +737,15 @@ func TestEmulatedTransfersRetryAsSend(t *testing.T) {
 // 3's window as found then: present on the dead node, or absent, with no
 // size to check an access against. Either way its Fence fails with
 // sci.ErrConnectionLost toward node 3, and so does a Put to rank 3 inside a
-// lock epoch, not with an *mpi.ArgumentError.
+// lock epoch, not with an *mpi.ArgumentError. The Put's refusal is its
+// KError against rank 3; a Put to a rank outside the group records nothing.
 func TestCreateReturnsAfterMemberCrash(t *testing.T) {
 	for _, enters := range []bool{true, false} {
 		t.Run(fmt.Sprintf("enters=%v", enters), func(t *testing.T) {
 			cfg := mpi.DefaultConfig(4, 1)
 			cfg.SCI.Fault = fault.New(5).CrashNode(3, 200*time.Microsecond)
 			cfg.Protocol.CollTimeout = mpi.AutoTimeout
+			cfg.Flight = flight.New(0)
 			checked := 0
 			mpi.Run(cfg, func(c *mpi.Comm) {
 				s := NewSystem(c)
@@ -769,6 +771,17 @@ func TestCreateReturnsAfterMemberCrash(t *testing.T) {
 				var arg *mpi.ArgumentError
 				if errors.As(err, &arg) || !errors.As(err, &lost) || lost.To != 3 {
 					t.Errorf("rank %d: put to the crashed rank: err = %v, want sci.ErrConnectionLost to node 3", me, err)
+				}
+				evs := c.FlightRing().Events()
+				last := evs[len(evs)-1]
+				if last.Kind != flight.KError || last.A != int64(flight.OpPut) || last.B != 3 {
+					t.Errorf("rank %d: last flight event %s op %d peer %d, want the put's KError against rank 3", me, last.Kind, last.A, last.B)
+				}
+				if err := w.Put(fill(8), 8, datatype.Byte, 4, 0); !errors.As(err, &arg) {
+					t.Errorf("rank %d: put to rank 4 of 4: err = %v, want an *mpi.ArgumentError", me, err)
+				}
+				if evs := c.FlightRing().Events(); evs[len(evs)-1].Seq != last.Seq {
+					t.Errorf("rank %d: an argument error was recorded as %s", me, evs[len(evs)-1].Kind)
 				}
 				must(w.Unlock(me))
 				checked++
@@ -816,5 +829,116 @@ func TestOldWindowKeepsItsCommunicator(t *testing.T) {
 	})
 	if checked != 2 {
 		t.Errorf("%d survivors reached the checks, want 2", checked)
+	}
+}
+
+// TestAgreementRevokesWindows: on a 3×1 world with a shared and a private
+// window, node 2 crashes after announcing a fence round on the shared one.
+// Rank 0 fails a Put to rank 2 and enters Shrink. Rank 1 touches only rank
+// 0 and itself, so no loss rule refuses its calls: its next Put, Get or
+// Fence after rank 0's arrival became visible is refused with
+// mpi.CommRevokedError, recorded as the call's KError, and an access at
+// rank 0's arrival instant still goes ahead. Rank 1 then shrinks, both
+// adopt [0 1], a fresh window works, and the old private window's Fence
+// still fails with rank 2's *mpi.RevokedRankError.
+func TestAgreementRevokesWindows(t *testing.T) {
+	type access struct {
+		op   flight.Op
+		poll bool // polled from before rank 0's arrival; else called once after it
+		call func(shared *Win) error
+	}
+	src := fill(64)
+	for name, a := range map[string]access{
+		"put": {flight.OpPut, true, func(shared *Win) error {
+			return shared.Put(src, len(src), datatype.Byte, 1, 0)
+		}},
+		"get": {flight.OpGet, true, func(shared *Win) error {
+			return shared.Get(make([]byte, 64), 64, datatype.Byte, 0, 0)
+		}},
+		"fence": {flight.OpFence, false, (*Win).Fence},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := mpi.DefaultConfig(3, 1)
+			cfg.SCI.Fault = fault.New(3).CrashNode(2, 200*time.Microsecond)
+			cfg.Protocol.CollTimeout = mpi.AutoTimeout
+			cfg.Flight = flight.New(0)
+			var entered, lastOK, refused time.Duration
+			checked := 0
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				p := c.Proc()
+				s := NewSystem(c)
+				shared := s.CreateShared(c.AllocShared(4096), DefaultConfig())
+				private := s.CreatePrivate(make([]byte, 4096), DefaultConfig())
+				must(shared.Fence())
+				must(private.Fence())
+				switch c.Rank() {
+				case 2:
+					p.Sleep(150*time.Microsecond - p.Now())
+					_ = shared.Fence() // announced to both peers; the node dies while it waits
+					return
+				case 0:
+					p.Sleep(300*time.Microsecond - p.Now())
+					if err := shared.Put(src, len(src), datatype.Byte, 2, 0); err == nil {
+						t.Error("rank 0: put to the crashed rank 2 succeeded")
+					}
+					entered = p.Now()
+				case 1:
+					if a.poll {
+						p.Sleep(280*time.Microsecond - p.Now())
+					} else {
+						p.Sleep(400*time.Microsecond - p.Now())
+					}
+					for {
+						at := p.Now()
+						err := a.call(shared)
+						if err != nil {
+							refused = at
+							var cre mpi.CommRevokedError
+							var rre *mpi.RevokedRankError
+							if !errors.As(err, &cre) || errors.As(err, &rre) {
+								t.Errorf("rank 1: %s refused with %T %v, want mpi.CommRevokedError", name, err, err)
+							}
+							evs := c.FlightRing().Events()
+							if e := evs[len(evs)-1]; e.Kind != flight.KError || e.A != int64(a.op) {
+								t.Errorf("rank 1: last flight event %s op %d, want the %s's KError", e.Kind, e.A, name)
+							}
+							break
+						}
+						if !a.poll {
+							t.Fatalf("rank 1: %s went ahead after rank 0 entered Shrink", name)
+						}
+						lastOK = at
+						p.Sleep(time.Microsecond)
+					}
+				}
+				nc := must1(c.Shrink())
+				if nc.Size() != 2 || nc.GroupToWorld(0) != 0 || nc.GroupToWorld(1) != 1 {
+					t.Errorf("rank %d: adopted a group of %d, want [0 1]", c.Rank(), nc.Size())
+					return
+				}
+				s.Rebind(nc)
+				fresh := s.CreateShared(c.AllocShared(4096), DefaultConfig())
+				must(fresh.Fence())
+				must(fresh.Put(src, len(src), datatype.Byte, 1-nc.Rank(), 0))
+				must(fresh.Fence())
+				if !bytes.Equal(fresh.LocalBytes()[:64], src) {
+					t.Errorf("rank %d: the fresh window did not receive its peer's put", c.Rank())
+				}
+				var rev *mpi.RevokedRankError
+				if err := private.Fence(); !errors.As(err, &rev) || rev.Rank != 2 {
+					t.Errorf("rank %d: fence on the old window: err = %v, want *mpi.RevokedRankError for rank 2", c.Rank(), err)
+				}
+				checked++
+			})
+			if checked != 2 {
+				t.Fatalf("%d survivors reached the checks, want 2", checked)
+			}
+			if refused <= entered {
+				t.Errorf("rank 1 refused at %v, before rank 0 entered Shrink at %v", refused, entered)
+			}
+			if a.poll && lastOK < entered {
+				t.Errorf("rank 1's last access that went ahead was at %v, before rank 0 entered Shrink at %v: the arrival is not free knowledge", lastOK, entered)
+			}
+		})
 	}
 }

@@ -29,18 +29,19 @@ func (w *Win) fail(op flight.Op, target int, err error) {
 // Put moves count elements of dt from buf into target's window at
 // displacement targetOff (MPI_Put). It returns failures as typed errors: a
 // dead target node yields sci.ErrConnectionLost, a revoked rank
-// *mpi.RevokedRankError, an expired handler watchdog the error of
-// mpi.Comm.WatchdogExpired, and a target that dropped the window ErrWinGone.
-// An origin buffer that cannot hold count elements (mpi.CheckBuffer), a
-// call outside an access epoch, an invalid target rank or an access outside
-// the target's window is an *mpi.ArgumentError, returned before anything is
-// sent.
+// *mpi.RevokedRankError, a communicator a member started to shrink
+// mpi.CommRevokedError (checkAccess), an expired handler watchdog the
+// error of mpi.Comm.WatchdogExpired, and a target that dropped the window
+// ErrWinGone. An origin buffer that cannot hold count elements
+// (mpi.CheckBuffer), a call outside an access epoch, an invalid target rank
+// or an access outside the target's window is an *mpi.ArgumentError,
+// returned before anything is sent.
 func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOff int64) (err error) {
 	if err := mpi.CheckBuffer("Put", "origin buffer", buf, count, dt); err != nil {
 		return err
 	}
 	n, span := dt.Size()*int64(count), dt.Span(count)
-	if err := w.checkAccess("Put", target, targetOff, span); err != nil {
+	if err := w.checkAccess("Put", flight.OpPut, target, targetOff, span); err != nil {
 		return err
 	}
 	if count == 0 {
@@ -60,9 +61,6 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 		sp.SetDetail("local")
 		w.localApply(buf, count, dt, targetOff, false)
 		return nil
-	}
-	if err := w.c.PeerLost(w.c.GroupToWorld(target)); err != nil {
-		return err
 	}
 	if w.direct(target) {
 		// Direct transparent remote write. A failing view (segment revoked,
@@ -222,7 +220,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 		return err
 	}
 	n, span := dt.Size()*int64(count), dt.Span(count)
-	if err := w.checkAccess("Get", target, targetOff, span); err != nil {
+	if err := w.checkAccess("Get", flight.OpGet, target, targetOff, span); err != nil {
 		return err
 	}
 	if count == 0 {
@@ -242,9 +240,6 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 		sp.SetDetail("local")
 		w.localApply(buf, count, dt, targetOff, true)
 		return nil
-	}
-	if err := w.c.PeerLost(w.c.GroupToWorld(target)); err != nil {
-		return err
 	}
 	if w.direct(target) && n <= w.cfg.GetDirectMax {
 		// Direct transparent remote read: the CPU stalls per block. A
@@ -353,7 +348,7 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		return err
 	}
 	n := dt.Size() * int64(count)
-	if err := w.checkAccess("Accumulate", target, targetOff, n); err != nil {
+	if err := w.checkAccess("Accumulate", flight.OpAccumulate, target, targetOff, n); err != nil {
 		return err
 	}
 	if count == 0 {
@@ -368,11 +363,6 @@ func (w *Win) Accumulate(buf []byte, count int, dt *datatype.Type, op mpi.Op, ta
 		sp.End(p.Now())
 		w.fail(flight.OpAccumulate, target, err)
 	}()
-	if target != c.Rank() {
-		if err := c.PeerLost(c.GroupToWorld(target)); err != nil {
-			return err
-		}
-	}
 	// As in remotePutGet: a degraded shared target is no longer polling
 	// for emulation traffic, so request an interrupt.
 	interrupt := !w.direct(target)

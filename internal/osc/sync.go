@@ -19,10 +19,11 @@ import (
 // opens the next epoch (MPI_Win_fence): every rank announces its arrival
 // to all others and waits for theirs (sync); the rounds are counted per
 // window. Before it announces anything, it fails at once on a peer that
-// has not arrived and is known lost (lostPeer), so no peer can complete a
-// round this rank failed, and the round is not used up. Waiting longer
-// than the window's bound (0: forever) for a peer ends in
-// mpi.Comm.WatchdogExpired, as every mpi wait does.
+// has not arrived and is known lost, or on a communicator a member started
+// to shrink (lostPeer), so no peer can complete a round this rank failed,
+// and the round is not used up. Waiting longer than the window's bound (0:
+// forever) for a peer ends in mpi.Comm.WatchdogExpired, as every mpi wait
+// does.
 func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
@@ -217,8 +218,10 @@ func (w *Win) Wait(group []int) error {
 // It polls with exponential backoff, each poll after Fence's loss check
 // (lost), so a dead target fails at once, until one deadline, the window's
 // bound after the call (0: none): a lock not taken, or a handler reply not
-// received, by then ends in mpi.Comm.WatchdogExpired. Inside another access epoch, or
-// toward a rank outside the group, it is an *mpi.ArgumentError.
+// received, by then ends in mpi.Comm.WatchdogExpired. A poll that passes
+// both fails on a communicator a member started to shrink
+// (mpi.Comm.Revoked). Inside another access epoch, or toward a rank outside
+// the group, it is an *mpi.ArgumentError.
 func (w *Win) Lock(target int) error {
 	if w.ep != epochNone {
 		return &mpi.ArgumentError{Call: "Lock", Reason: "inside another access epoch"}
@@ -234,6 +237,9 @@ func (w *Win) Lock(target int) error {
 		err := w.lost(target)
 		if err == nil && w.timeout > 0 && p.Now() >= deadline {
 			err = c.WatchdogExpired(c.GroupToWorld(target))
+		}
+		if err == nil {
+			err = c.Revoked()
 		}
 		locked := false
 		if err == nil {
@@ -281,11 +287,12 @@ func (w *Win) tryLock(target int, deadline time.Duration) (bool, error) {
 
 // Unlock closes the passive-target epoch: completes all transfers to the
 // target, then releases the lock (MPI_Win_unlock). The epoch ends here
-// whatever the result. It fails at once as Lock does on a lost rank (lost);
-// a private window's release is a handler round-trip bounded by the
-// window's bound, with oscRPC's errors. A shared window's lock word is
-// released even when its node is lost, so a restored node's lock is free.
-// Without its Lock it is an *mpi.ArgumentError and ends no epoch.
+// whatever the result. It fails at once as Lock does on a lost rank (lost)
+// or a revoked communicator; a private window's release is a handler
+// round-trip bounded by the window's bound, with oscRPC's errors. A shared
+// window's lock word is released even when its node is lost, so a restored
+// node's lock is free. Without its Lock it is an *mpi.ArgumentError and
+// ends no epoch.
 func (w *Win) Unlock(target int) error {
 	if w.ep != epochLock || w.lockHeld != target {
 		return &mpi.ArgumentError{Call: "Unlock", Reason: fmt.Sprintf("rank %d is not locked by this rank", target)}
@@ -297,6 +304,9 @@ func (w *Win) Unlock(target int) error {
 	w.ep = epochNone
 	w.lockHeld = -1
 	err := w.lost(target)
+	if err == nil {
+		err = c.Revoked()
+	}
 	switch {
 	case w.peers[target].shared:
 		if err == nil && target != c.Rank() {

@@ -345,28 +345,39 @@ func (w *Win) direct(target int) bool {
 	return pr.shared && !pr.degraded
 }
 
-// checkAccess refuses, as an *mpi.ArgumentError naming call, a data
-// operation outside an access epoch, toward a rank outside the group
-// (checkRanks) or on bytes [off, off+n) outside the target's window.
-func (w *Win) checkAccess(call string, target int, off, n int64) error {
+// checkAccess refuses the data operation op (the call named call) before
+// anything is sent: as an *mpi.ArgumentError, one outside an access epoch,
+// toward a rank outside the group (checkRanks) or on bytes [off, off+n)
+// outside the target's window; then by the loss rules, a lost remote target
+// (mpi.Comm.PeerLost) or a member whose window was absent at creation; and
+// last, on a communicator a member started to shrink (mpi.Comm.Revoked),
+// for a local target too. A refusal by the loss rules or the revocation is
+// the call's KError; an argument error records nothing.
+func (w *Win) checkAccess(call string, op flight.Op, target int, off, n int64) error {
 	if w.ep == epochNone {
 		return &mpi.ArgumentError{Call: call, Reason: "outside an access epoch (call Fence, Start or Lock first)"}
 	}
 	if err := w.checkRanks(call, target); err != nil {
 		return err
 	}
-	size := w.peers[target].size
-	if size < 0 { // the member had no window at creation: its barrier failed
-		if err := w.lost(target); err != nil {
-			return err
+	c := w.c
+	var err error
+	switch size := w.peers[target].size; {
+	case size < 0: // the member had no window at creation: its barrier failed
+		if err = w.lost(target); err == nil {
+			err = c.WatchdogExpired(c.GroupToWorld(target))
 		}
-		return w.c.WatchdogExpired(w.c.GroupToWorld(target))
-	}
-	if off < 0 || off > size-n { // not off+n: it wraps near math.MaxInt64
+	case off < 0 || off > size-n: // not off+n: it wraps near math.MaxInt64
 		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("access [%d, %d) outside window of %d bytes at rank %d",
 			off, off+n, size, target)}
+	case target != c.Rank():
+		err = c.PeerLost(c.GroupToWorld(target))
 	}
-	return nil
+	if err == nil {
+		err = c.Revoked()
+	}
+	w.fail(op, target, err)
+	return err
 }
 
 // checkRanks refuses, as an *mpi.ArgumentError naming call, a rank outside

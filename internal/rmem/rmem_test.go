@@ -99,9 +99,10 @@ func TestFailoverClaims(t *testing.T) {
 
 // TestFailoverClaimsCrashOutsideFence is the tail gate of a crash that
 // lands outside every fence round, where a survivor whose operations avoid
-// the dead node learns of the crash only at its next commit fence: that
-// fence fails at once on the dead peer, so the survivors recover within
-// the round, not one sync watchdog later. It replays the benchmark
+// the dead node once sat a sync watchdog out in its next commit fence: that
+// fence fails at once on the dead peer, and any one-sided call fails at
+// once after another survivor entered the agreement, so the survivors
+// recover within the round, not one sync watchdog later. It replays the benchmark
 // harness's worst input (seed 531733886564779828, crash at 5 068.13 µs)
 // and the crash at every whole millisecond of the run on -fault.seed,
 // instants at which the fence once sat its watchdog out (a 15–16 ms
@@ -229,6 +230,31 @@ func TestSecondCrashDuringWindowCreation(t *testing.T) {
 						me, r.Failovers, r.RecoverErr, r.Survivors)
 				}
 				t.Logf("survivor %d: failovers=%d recoverErr=%q survivors=%v", me, r.Failovers, r.RecoverErr, r.Survivors)
+			}
+		})
+	}
+}
+
+// TestFailoverClaimsMidRound is the tail gate of a crash anywhere in the
+// benchmark harness's crash window (node 1 at 5 050–5 350 µs, in steps of
+// 25 µs) on -fault.seed. A survivor whose operations avoid the dead node
+// learns of the crash from the first survivor's arrival in the agreement,
+// which revokes the communicator at the survivor's next one-sided call, so
+// the agreement does not wait for it to touch the dead node. Every
+// survivor's largest sojourn must stay within ten arrival gaps: one gap for
+// the last survivor's next call, the rest for the recovery.
+func TestFailoverClaimsMidRound(t *testing.T) {
+	wl := DefaultWorkload()
+	wl.Seed = int64(*faultSeed)
+	bound := 10 * wl.ArrivalGap
+	for at := 5050 * time.Microsecond; at <= 5350*time.Microsecond; at += 25 * time.Microsecond {
+		t.Run(at.String(), func(t *testing.T) {
+			reports, _ := RunWorkload(testConfig(fault.New(*faultSeed).CrashNode(1, at)), DefaultConfig(), wl)
+			checkRecovered(t, reports)
+			for _, me := range []int{0, 2, 3} {
+				if worst := time.Duration(reports[me].SojournNS.Max); worst > bound {
+					t.Errorf("survivor %d: largest sojourn %v, want at most %v", me, worst, bound)
+				}
 			}
 		})
 	}

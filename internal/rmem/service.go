@@ -13,7 +13,11 @@
 // surviving replica before resuming. Staged-but-uncommitted writes are
 // replayed from the origin after re-replication, so a committed write is
 // never lost and an acknowledged commit survives the crash of either
-// replica holder.
+// replica holder. A survivor learns of the crash from its own failed
+// operation on the dead node, or, if its operations avoid that node, from
+// the first survivor's arrival in the agreement, which revokes the
+// communicator: its next Put, Get or Commit fails with
+// mpi.CommRevokedError, and it recovers like any other failed operation.
 package rmem
 
 import (
@@ -278,9 +282,11 @@ func (s *Service) Commit() error {
 }
 
 // Recover is the failover path, called after any operation or commit
-// returned an error. All surviving ranks must call it (they all observe the
-// failure: direct operations and fences fail fast on a peer known dead,
-// and a fence that already waited when the crash struck expires).
+// returned an error. All surviving ranks must call it, and they all observe
+// the failure: operations and fences fail fast on a peer known dead, every
+// one-sided call fails once another survivor's arrival in the agreement is
+// visible (mpi.Comm.Revoked), and a fence that already waited when the
+// crash struck expires.
 // It agrees on the shrunken membership, rebuilds the window over the new
 // communicator, re-homes every shard from its surviving replica, replays
 // this origin's staged writes and commits them. On a rank that was itself
