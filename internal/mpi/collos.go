@@ -75,7 +75,7 @@ func (w *World) collView(from, owner int) (smi.Mem, error) {
 // (Deposit). dstWorld is a world rank; a lost one fails before collView
 // imports its window, and a denied import fails the deposit.
 func (c *Comm) osDeposit(dstWorld int, off int64, data []byte) error {
-	if err := c.PeerLost(dstWorld); err != nil {
+	if err := c.peerLost(dstWorld); err != nil {
 		return err
 	}
 	view, err := c.rk.w.collView(c.rk.id, dstWorld)

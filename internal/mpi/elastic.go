@@ -18,7 +18,7 @@ import (
 //     stays suspected, even if the fault plan later restores its node;
 //   - revocation of the communicator: a member's arrival in the agreement
 //     becomes visible to the others once its control write lands, and the
-//     one-sided calls then refuse with CommRevokedError (Comm.Revoked), so
+//     one-sided calls then refuse with CommRevokedError (Comm.Lost), so
 //     a survivor that has not touched the dead rank joins at its next call;
 //   - revocation of a rank: once survivors agree a rank is out, every
 //     transport drops traffic to and from it, in-flight operations against
@@ -55,7 +55,7 @@ func (e *RevokedRankError) Error() string {
 }
 
 // CommRevokedError reports a call on a communicator that a member has
-// started to shrink (Comm.Revoked): the caller is alive and should join
+// started to shrink (Comm.Lost): the caller is alive and should join
 // the agreement with Shrink. Unlike *RevokedRankError it does not tell the
 // caller to stop.
 type CommRevokedError struct {
@@ -223,7 +223,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 	p := c.p
 	me := c.rk.id
 	p.Sleep(callOverhead)
-	if err := c.SelfLost(); err != nil {
+	if err := c.peerLost(me); err != nil {
 		return nil, err
 	}
 	rec := c.joinShrink()
@@ -278,7 +278,7 @@ func (c *Comm) shrinkOnce() (*Comm, error) {
 		}
 		p.Sleep(w.agreementPoll())
 		c.probeSuspects()
-		if err := c.SelfLost(); err != nil {
+		if err := c.peerLost(me); err != nil {
 			return nil, err
 		}
 	}

@@ -195,7 +195,7 @@ func TestRevokedFastFail(t *testing.T) {
 
 // TestArrivalRevokesTheCommunicator pins when a member's arrival in the
 // agreement becomes visible: node 2 crashes, rank 0 enters Shrink, and
-// rank 1, which polls Comm.Revoked every 100 ns, reads CommRevokedError
+// rank 1, which polls Comm.Lost every 100 ns, reads CommRevokedError
 // from the first poll at or after rank 0's arrival plus one slow control
 // write, and nil before. The error is not a *RevokedRankError (rank 1 is
 // alive and must not stop); rank 1 then joins, both adopt [0 1], the
@@ -213,14 +213,14 @@ func TestArrivalRevokesTheCommunicator(t *testing.T) {
 		case 2:
 			return
 		case 0:
-			if err := c.Revoked(); err != nil {
+			if err := c.Lost(); err != nil {
 				t.Errorf("rank 0: revoked before anyone shrank: %v", err)
 			}
 			p.Sleep(enter - p.Now())
 		case 1:
 			visible := enter + callOverhead + c.w.slowCtl()
 			p.Sleep(enter - 10*time.Microsecond - p.Now())
-			for c.Revoked() == nil {
+			for c.Lost() == nil {
 				if p.Now() >= visible {
 					t.Fatalf("rank 1: not revoked at %v, visible from %v", p.Now(), visible)
 				}
@@ -229,14 +229,14 @@ func TestArrivalRevokesTheCommunicator(t *testing.T) {
 			if p.Now() < visible || p.Now() >= visible+poll {
 				t.Errorf("rank 1: revoked from %v, want the first poll at or after %v", p.Now(), visible)
 			}
-			err := c.Revoked()
+			err := c.Lost()
 			var cre CommRevokedError
 			var rre *RevokedRankError
 			if !errors.As(err, &cre) || errors.As(err, &rre) {
-				t.Errorf("rank 1: Revoked() = %T %v, want CommRevokedError only", err, err)
+				t.Errorf("rank 1: Lost() = %T %v, want CommRevokedError only", err, err)
 			}
-			if err := c.SelfLost(); err != nil {
-				t.Errorf("rank 1: SelfLost() = %v on a live rank of a revoked communicator", err)
+			if err := c.peerLost(c.WorldRank()); err != nil {
+				t.Errorf("rank 1: peerLost(self) = %v on a live rank of a revoked communicator", err)
 			}
 		}
 		nc, err := c.Shrink()
@@ -247,10 +247,10 @@ func TestArrivalRevokesTheCommunicator(t *testing.T) {
 		if got := []int{nc.GroupToWorld(0), nc.GroupToWorld(1)}; nc.Size() != 2 || got[0] != 0 || got[1] != 1 {
 			t.Errorf("rank %d: adopted %d members %v, want [0 1]", c.Rank(), nc.Size(), got)
 		}
-		if err := nc.Revoked(); err != nil {
+		if err := nc.Lost(); err != nil {
 			t.Errorf("rank %d: the shrunk communicator starts revoked: %v", c.Rank(), err)
 		}
-		if err := c.Revoked(); err == nil {
+		if err := c.Lost(); err == nil {
 			t.Errorf("rank %d: the old communicator is no longer revoked after Shrink", c.Rank())
 		}
 		joined++

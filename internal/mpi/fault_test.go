@@ -447,6 +447,40 @@ func TestCallsReturnTypedErrors(t *testing.T) {
 	}
 }
 
+// TestDeadRankRefusesItsSends: on a 2×1 world with the default
+// configuration (no watchdog), node 1 dies at 1 ms and rank 1 sends to rank
+// 0 at 2 ms. Each protocol (short, eager, rendezvous) refuses by the pair
+// rule (peerLost) before it moves anything: the send returns rank 1's own
+// *RevokedRankError after the call overhead alone.
+func TestDeadRankRefusesItsSends(t *testing.T) {
+	for _, n := range []int{8, 4 << 10, 1 << 20} {
+		t.Run(fmt.Sprintf("%d B", n), func(t *testing.T) {
+			cfg := DefaultConfig(2, 1)
+			cfg.SCI.Fault = fault.New(1).CrashNode(1, time.Millisecond)
+			called := false
+			Run(cfg, func(c *Comm) {
+				if c.Rank() == 0 {
+					return
+				}
+				p := c.Proc()
+				p.Sleep(2*time.Millisecond - p.Now())
+				err := c.Send(make([]byte, n), n, datatype.Byte, 0, 300)
+				var rev *RevokedRankError
+				if !errors.As(err, &rev) || rev.Rank != 1 {
+					t.Errorf("err = %T %v, want *RevokedRankError for rank 1", err, err)
+				}
+				if spent := p.Now() - 2*time.Millisecond; spent != callOverhead {
+					t.Errorf("the refusal took %v, want the call overhead %v", spent, callOverhead)
+				}
+				called = true
+			})
+			if !called {
+				t.Fatal("rank 1 never sent")
+			}
+		})
+	}
+}
+
 // TestOneSidedImportDeniedIsReturned: a denied import of a peer's
 // collective window fails the deposit with the import's error, and the
 // denied view is not cached, so the next call imports again. On 2x1 with

@@ -113,49 +113,65 @@ func (c *Comm) fail(op flight.Op, peer int, err error) error {
 	return err
 }
 
-// PeerLost reports whether world rank dst is unreachable: a revoked
-// endpoint (either side) fails permanently as *RevokedRankError, a dead
-// node as the typed connection error; nil otherwise. Observing a dead node
-// also feeds the failure detector (World.Suspect), so a later shrink
-// agreement starts from what the protocols already saw. It is the one loss
-// check of every layer: sends, collectives and the one-sided calls.
-func (c *Comm) PeerLost(dst int) error {
-	w := c.rk.w
-	if w.revoked[c.rk.id] {
-		return &RevokedRankError{Rank: c.rk.id}
+// peerLost is the one loss rule, judged for the pair of this rank and world
+// rank dst: this rank revoked by a shrink agreement or on a node that is
+// down is *RevokedRankError naming this rank; dst revoked is
+// *RevokedRankError naming dst; dst on a node that is down is the typed
+// connection error, and feeds the failure detector (World.Suspect), so a
+// later shrink agreement starts from what the protocols already saw; nil
+// otherwise. peerLost(me) is this rank's own loss. Sends, collectives and
+// deposits ask it; the layers above mpi ask Lost.
+func (c *Comm) peerLost(dst int) error {
+	w, me := c.rk.w, c.rk.id
+	if w.revoked[me] || !w.NodeAlive(me) {
+		return &RevokedRankError{Rank: me}
 	}
 	if w.revoked[dst] {
 		return &RevokedRankError{Rank: dst}
 	}
-	if w.ic == nil {
-		return nil
-	}
-	node := w.ranks[dst].node
-	if node == c.rk.node || w.ic.Alive(node) {
-		return nil
-	}
-	w.Suspect(dst)
-	return sci.ErrConnectionLost{From: c.rk.node, To: node}
-}
-
-// SelfLost reports whether this rank is lost itself: revoked by a shrink
-// agreement or on a node that is down, either as *RevokedRankError naming
-// the rank; nil otherwise.
-func (c *Comm) SelfLost() error {
-	if me := c.rk.id; c.rk.w.revoked[me] || !c.rk.w.NodeAlive(me) {
-		return &RevokedRankError{Rank: me}
+	if node := w.ranks[dst].node; node != c.rk.node && !w.NodeAlive(dst) {
+		w.Suspect(dst)
+		return sci.ErrConnectionLost{From: c.rk.node, To: node}
 	}
 	return nil
 }
 
-// Revoked reports whether another member has entered the Shrink this
+// lostPair runs peerLost for this rank and then for each world rank of
+// peers (AnySource skipped) and returns the first loss.
+func (c *Comm) lostPair(peers []int) error {
+	if err := c.peerLost(c.rk.id); err != nil {
+		return err
+	}
+	for _, r := range peers {
+		if r == AnySource {
+			continue
+		}
+		if err := c.peerLost(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Lost is the one loss question of the layers above mpi (root lint
+// TestOneLossRule): peerLost for this rank and for each world rank of
+// peers, then the communicator's revocation (revoked). The caller records
+// the error as its KError.
+func (c *Comm) Lost(peers ...int) error {
+	if err := c.lostPair(peers); err != nil {
+		return err
+	}
+	return c.revoked()
+}
+
+// revoked reports whether another member has entered the Shrink this
 // handle's next Shrink joins, as CommRevokedError; nil otherwise. The
 // arrival is visible from the instant its control write lands (one slow
 // control write after it), not before. A communicator this handle already
-// shrank stays revoked. Shrink and SelfLost ignore the revocation; the
-// one-sided calls check it after their loss rules, so a survivor that has
-// not touched the dead rank joins the agreement at its next call.
-func (c *Comm) Revoked() error {
+// shrank stays revoked. Only Lost asks it, after the pair rule, so a
+// survivor that has not touched the dead rank joins the agreement at its
+// next one-sided call; Shrink and WatchdogExpired ignore it.
+func (c *Comm) revoked() error {
 	rec := c.shrink
 	if rec == nil {
 		rec = c.w.shrink
@@ -168,24 +184,18 @@ func (c *Comm) Revoked() error {
 
 // WatchdogExpired is the one epilogue of every bounded wait that ran out,
 // in every layer (root lint TestOneExpiryRule): it counts the expiry once
-// and returns SelfLost's error if the waiting rank is lost itself (its node
-// died while it waited), else PeerLost's error for the first awaited world
-// rank that is lost, else a *fault.Error of kind Timeout to the one awaited
-// rank (-1 for a group or AnySource). So a wait that ran out fails as a call
-// entered after the same loss does. The waiting operation records it as its
-// KError.
+// and returns the pair rule's first loss over this rank and the awaited
+// world ranks (lostPair: the waiting rank's own *RevokedRankError if its
+// node died while it waited, else the first awaited rank that is lost),
+// else a *fault.Error of kind Timeout to the one awaited rank (-1 for a
+// group or AnySource). So a wait that ran out fails as a call entered after
+// the same loss does. It does not check the revocation: the shrink
+// deadline runs it on a communicator its own arrival revoked. The waiting
+// operation records it as its KError.
 func (c *Comm) WatchdogExpired(peers ...int) error {
 	c.rk.dev.stats.WatchdogExpiries++
-	if err := c.SelfLost(); err != nil {
+	if err := c.lostPair(peers); err != nil {
 		return err
-	}
-	for _, r := range peers {
-		if r == AnySource {
-			continue
-		}
-		if err := c.PeerLost(r); err != nil {
-			return err
-		}
 	}
 	to := -1 // a group; AnySource is -1 too
 	if len(peers) == 1 {
@@ -220,12 +230,12 @@ func (c *Comm) RetryTransfer(dst int, op func() error) error {
 
 // Deposit streams data into mem at off and makes it visible (store barrier
 // and transfer check) under RetryTransfer; each attempt first fails on a
-// lost world rank dst (PeerLost). ws is the write's working set. Empty data
+// lost world rank dst (peerLost). ws is the write's working set. Empty data
 // only syncs. It is the one stream deposit of every layer: eager slots,
 // collective windows and the one-sided staging areas.
 func (c *Comm) Deposit(mem smi.Mem, dst int, off int64, data []byte, ws int64) error {
 	return c.RetryTransfer(dst, func() error {
-		if err := c.PeerLost(dst); err != nil {
+		if err := c.peerLost(dst); err != nil {
 			return err
 		}
 		if len(data) > 0 {
@@ -275,7 +285,7 @@ func (w *World) chargeBlocks(p *sim.Proc, node int, st pack.Stats, ff bool) {
 
 // sendShort carries the payload inline in the control packet.
 func (c *Comm) sendShort(buf []byte, count int, dt *datatype.Type, dst, tag, ctx int, bytes int64) error {
-	if err := c.PeerLost(dst); err != nil {
+	if err := c.peerLost(dst); err != nil {
 		return err
 	}
 	payload := c.packCanonical(buf, count, dt, bytes)
@@ -404,7 +414,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 	p.Lock(&out.rdvLock)
 	defer p.Unlock(&out.rdvLock)
 
-	if err := c.PeerLost(dst); err != nil {
+	if err := c.peerLost(dst); err != nil {
 		return err
 	}
 	sc := sim.TakeFree(&w.rdvSendFree)
@@ -454,7 +464,7 @@ func (c *Comm) sendRendezvous(buf []byte, count int, dt *datatype.Type, dst, tag
 		}
 		off := w.rdvOff(chunk)
 		err := c.RetryTransfer(dst, func() error {
-			if err := c.PeerLost(dst); err != nil {
+			if err := c.peerLost(dst); err != nil {
 				return err
 			}
 			if err := c.packChunkInto(out, sc, off, buf, count, dt, contig, skip, n, mode); err != nil {

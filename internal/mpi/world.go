@@ -494,7 +494,7 @@ func (w *World) ring(p *sim.Proc, src, dst int, e envelope, interrupt bool) {
 		// A crashed endpoint black-holes the control packet: the sender has
 		// paid the issue cost but nothing arrives, and no error comes back
 		// here. Layers that check the liveness view before they send (the
-		// one-sided operations and fence, Comm.PeerLost) fail fast; a wait
+		// one-sided operations and fence, Comm.Lost) fail fast; a wait
 		// already under way learns of the loss from its watchdog.
 		from.fl.Record(p.Now(), flight.KPacketDrop, int64(e.kind), int64(dst), flight.DropNodeDown, 0)
 		return

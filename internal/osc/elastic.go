@@ -55,37 +55,6 @@ func (s *System) Rebind(c *mpi.Comm) {
 	c.SetOSCHandler(s)
 }
 
-// lostPeer is the fast-fail check of Fence, Start and Wait, run before the
-// call announces or waits for anything: this rank lost (a revoked rank or a
-// dead node of its own, mpi.Comm.SelfLost), then each rank of group with no
-// unmatched notification of kind k (mpi.Comm.PeerLost, which also tells the
-// failure detector of a dead node), then a communicator a member started
-// to shrink (mpi.Comm.Revoked). A peer whose notification arrived before
-// it was lost fails nothing.
-func (w *Win) lostPeer(k reqKind, group []int) error {
-	c := w.c
-	if err := c.SelfLost(); err != nil {
-		return err
-	}
-	for _, r := range w.pending(k, group) {
-		if err := c.PeerLost(r); err != nil {
-			return err
-		}
-	}
-	return c.Revoked()
-}
-
-// lost is the loss check of the one target of Lock and Unlock (which then
-// check mpi.Comm.Revoked), and of a data operation toward a member whose
-// window was absent at creation.
-func (w *Win) lost(target int) error {
-	c := w.c
-	if err := c.SelfLost(); err != nil {
-		return err
-	}
-	return c.PeerLost(c.GroupToWorld(target))
-}
-
 // call sends r to the handler at world rank target in a recycled request
 // record and waits up to timeout (0: forever) for the reply (see serve),
 // returning the error of an expired watchdog. The record goes back once the

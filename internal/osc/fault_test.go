@@ -836,8 +836,9 @@ func TestOldWindowKeepsItsCommunicator(t *testing.T) {
 // window, node 2 crashes after announcing a fence round on the shared one.
 // Rank 0 fails a Put to rank 2 and enters Shrink. Rank 1 touches only rank
 // 0 and itself, so no loss rule refuses its calls: its next Put, Get or
-// Fence after rank 0's arrival became visible is refused with
-// mpi.CommRevokedError, recorded as the call's KError, and an access at
+// Fence on the shared window, or Lock on the private one, after rank 0's
+// arrival became visible is refused with mpi.CommRevokedError, recorded as
+// the call's KError, without counting a watchdog expiry, and an access at
 // rank 0's arrival instant still goes ahead. Rank 1 then shrinks, both
 // adopt [0 1], a fresh window works, and the old private window's Fence
 // still fails with rank 2's *mpi.RevokedRankError.
@@ -845,17 +846,18 @@ func TestAgreementRevokesWindows(t *testing.T) {
 	type access struct {
 		op   flight.Op
 		poll bool // polled from before rank 0's arrival; else called once after it
-		call func(shared *Win) error
+		call func(shared, private *Win) error
 	}
 	src := fill(64)
 	for name, a := range map[string]access{
-		"put": {flight.OpPut, true, func(shared *Win) error {
+		"put": {flight.OpPut, true, func(shared, _ *Win) error {
 			return shared.Put(src, len(src), datatype.Byte, 1, 0)
 		}},
-		"get": {flight.OpGet, true, func(shared *Win) error {
+		"get": {flight.OpGet, true, func(shared, _ *Win) error {
 			return shared.Get(make([]byte, 64), 64, datatype.Byte, 0, 0)
 		}},
-		"fence": {flight.OpFence, false, (*Win).Fence},
+		"fence": {flight.OpFence, false, func(shared, _ *Win) error { return shared.Fence() }},
+		"lock":  {flight.OpLock, false, func(_, private *Win) error { return private.Lock(0) }},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := mpi.DefaultConfig(3, 1)
@@ -869,8 +871,7 @@ func TestAgreementRevokesWindows(t *testing.T) {
 				s := NewSystem(c)
 				shared := s.CreateShared(c.AllocShared(4096), DefaultConfig())
 				private := s.CreatePrivate(make([]byte, 4096), DefaultConfig())
-				must(shared.Fence())
-				must(private.Fence())
+				must(shared.Fence()) // the private window stays outside an epoch, for Lock
 				switch c.Rank() {
 				case 2:
 					p.Sleep(150*time.Microsecond - p.Now())
@@ -889,8 +890,11 @@ func TestAgreementRevokesWindows(t *testing.T) {
 						p.Sleep(400*time.Microsecond - p.Now())
 					}
 					for {
-						at := p.Now()
-						err := a.call(shared)
+						at, expired := p.Now(), expiries(c)
+						err := a.call(shared, private)
+						if n := expiries(c) - expired; n != 0 {
+							t.Errorf("rank 1: %s counted %d watchdog expiries", name, n)
+						}
 						if err != nil {
 							refused = at
 							var cre mpi.CommRevokedError
@@ -941,4 +945,87 @@ func TestAgreementRevokesWindows(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLostRankRefusesItself: on a 2×1 world with the default configuration
+// (no watchdog), node 1 dies at 1 ms and rank 1 calls at 2 ms. Every data
+// and synchronization call of a rank on a dead node refuses itself through
+// the pair rule of mpi.Comm.Lost, on a shared and on a private window: it
+// returns the caller's own *mpi.RevokedRankError, records one KError and
+// spends no virtual time, but for the fence on a shared window, which
+// issues its closing store barrier (syncViews, 1.8 µs) before the rule.
+func TestLostRankRefusesItself(t *testing.T) {
+	src := fill(64)
+	type row struct {
+		fence bool // both ranks open a fence epoch before the crash
+		call  func(w *Win) error
+	}
+	rows := map[string]row{
+		"put to rank 0": {true, func(w *Win) error { return w.Put(src, len(src), datatype.Byte, 0, 0) }},
+		"put to itself": {true, func(w *Win) error { return w.Put(src, len(src), datatype.Byte, 1, 0) }},
+		"get":           {true, func(w *Win) error { return w.Get(make([]byte, 64), 64, datatype.Byte, 0, 0) }},
+		"accumulate": {true, func(w *Win) error {
+			return w.Accumulate(make([]byte, 64), 8, datatype.Float64, mpi.OpSum, 0, 0)
+		}},
+		"fence": {true, (*Win).Fence},
+		"lock":  {false, func(w *Win) error { return w.Lock(0) }},
+	}
+	for _, shared := range []bool{true, false} {
+		for name, r := range rows {
+			t.Run(fmt.Sprintf("shared=%v/%s", shared, name), func(t *testing.T) {
+				cfg := mpi.DefaultConfig(2, 1)
+				cfg.SCI.Fault = fault.New(1).CrashNode(1, time.Millisecond)
+				cfg.Flight = flight.New(0)
+				called := false
+				mpi.Run(cfg, func(c *mpi.Comm) {
+					s := NewSystem(c)
+					var w *Win
+					if shared {
+						w = s.CreateShared(c.AllocShared(4096), DefaultConfig())
+					} else {
+						w = s.CreatePrivate(make([]byte, 4096), DefaultConfig())
+					}
+					if r.fence {
+						must(w.Fence())
+					}
+					if c.Rank() == 0 {
+						return
+					}
+					p := c.Proc()
+					p.Sleep(2*time.Millisecond - p.Now())
+					errorsBefore := kErrors(c)
+					err := r.call(w)
+					var rev *mpi.RevokedRankError
+					if !errors.As(err, &rev) || rev.Rank != 1 {
+						t.Errorf("err = %T %v, want *mpi.RevokedRankError for rank 1", err, err)
+					}
+					var want time.Duration
+					if shared && name == "fence" {
+						want = 1800 * time.Nanosecond
+					}
+					if spent := p.Now() - 2*time.Millisecond; spent != want {
+						t.Errorf("the refusal took %v of virtual time, want %v", spent, want)
+					}
+					if n := kErrors(c) - errorsBefore; n != 1 {
+						t.Errorf("%d KError events, want 1", n)
+					}
+					called = true
+				})
+				if !called {
+					t.Fatal("rank 1 never made its call")
+				}
+			})
+		}
+	}
+}
+
+// kErrors counts the KError events on the calling rank's flight ring.
+func kErrors(c *mpi.Comm) int {
+	n := 0
+	for _, e := range c.FlightRing().Events() {
+		if e.Kind == flight.KError {
+			n++
+		}
+	}
+	return n
 }

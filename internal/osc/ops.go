@@ -65,7 +65,7 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 	if w.direct(target) {
 		// Direct transparent remote write. A failing view (segment revoked,
 		// persistent transfer faults) degrades to the emulation path below —
-		// unless the target itself is gone, which is the caller's problem.
+		// unless mpi.Comm.Lost answers, which is the caller's problem.
 		if err := w.tryDirectPut(p, buf, count, dt, target, targetOff, n, span); err == nil {
 			w.stats.DirectPuts++
 			if sp != nil {
@@ -73,7 +73,7 @@ func (w *Win) Put(buf []byte, count int, dt *datatype.Type, target int, targetOf
 			}
 			w.c.FlightRing().Record(p.Now(), flight.KPut, int64(w.c.GroupToWorld(target)), n, int64(w.id), 1)
 			return nil
-		} else if lost := w.c.PeerLost(w.c.GroupToWorld(target)); lost != nil {
+		} else if lost := w.c.Lost(w.c.GroupToWorld(target)); lost != nil {
 			return lost
 		} else {
 			w.degrade(target, err)
@@ -251,7 +251,7 @@ func (w *Win) Get(buf []byte, count int, dt *datatype.Type, target int, targetOf
 				sp.SetDetail("direct <- %d", target)
 			}
 			return nil
-		} else if lost := w.c.PeerLost(w.c.GroupToWorld(target)); lost != nil {
+		} else if lost := w.c.Lost(w.c.GroupToWorld(target)); lost != nil {
 			return lost
 		} else {
 			w.degrade(target, err)

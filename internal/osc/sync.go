@@ -18,12 +18,12 @@ import (
 // stores with a store barrier), synchronizes all ranks barrier-style, and
 // opens the next epoch (MPI_Win_fence): every rank announces its arrival
 // to all others and waits for theirs (sync); the rounds are counted per
-// window. Before it announces anything, it fails at once on a peer that
-// has not arrived and is known lost, or on a communicator a member started
-// to shrink (lostPeer), so no peer can complete a round this rank failed,
-// and the round is not used up. Waiting longer than the window's bound (0:
-// forever) for a peer ends in mpi.Comm.WatchdogExpired, as every mpi wait
-// does.
+// window. Before it announces anything, it fails at once on a lost rank of
+// its own, a peer that has not arrived and is known lost, or a
+// communicator a member started to shrink (mpi.Comm.Lost), so no peer can
+// complete a round this rank failed, and the round is not used up. Waiting
+// longer than the window's bound (0: forever) for a peer ends in
+// mpi.Comm.WatchdogExpired, as every mpi wait does.
 func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
@@ -42,12 +42,14 @@ func (w *Win) Fence() error {
 }
 
 // sync is the synchronization of Fence, Start and Wait (op): it fails at
-// once on a lost peer (lostPeer); then a fence counts its own arrival and
-// announces it to every peer; then it waits for a notification of kind k
-// from every rank of group (await). A failure is recorded under op.
+// once as mpi.Comm.Lost answers for the ranks of group with no unmatched
+// notification of kind k (a peer whose notification arrived before it was
+// lost fails nothing); then a fence counts its own arrival and announces it
+// to every peer; then it waits for a notification of kind k from every rank
+// of group (await). A failure is recorded under op.
 func (w *Win) sync(k reqKind, group []int, op flight.Op) error {
 	c := w.c
-	err := w.lostPeer(k, group)
+	err := c.Lost(w.pending(k, group)...)
 	if err == nil {
 		if k == reqFence {
 			me := c.Rank()
@@ -215,13 +217,12 @@ func (w *Win) Wait(group []int) error {
 // window (MPI_Win_lock). For windows in shared memory the lock is a
 // shared-memory spinlock that does not involve the target's CPU; for
 // private windows the handler arbitrates (with remote-interrupt latency).
-// It polls with exponential backoff, each poll after Fence's loss check
-// (lost), so a dead target fails at once, until one deadline, the window's
-// bound after the call (0: none): a lock not taken, or a handler reply not
-// received, by then ends in mpi.Comm.WatchdogExpired. A poll that passes
-// both fails on a communicator a member started to shrink
-// (mpi.Comm.Revoked). Inside another access epoch, or toward a rank outside
-// the group, it is an *mpi.ArgumentError.
+// It polls with exponential backoff, each poll after mpi.Comm.Lost for the
+// target, so a lost rank or a communicator a member started to shrink fails
+// at once, until one deadline, the window's bound after the call (0: none):
+// a lock not taken, or a handler reply not received, by then ends in
+// mpi.Comm.WatchdogExpired. Inside another access epoch, or toward a rank
+// outside the group, it is an *mpi.ArgumentError.
 func (w *Win) Lock(target int) error {
 	if w.ep != epochNone {
 		return &mpi.ArgumentError{Call: "Lock", Reason: "inside another access epoch"}
@@ -234,12 +235,9 @@ func (w *Win) Lock(target int) error {
 	p := c.Proc()
 	deadline := p.Now() + w.timeout
 	for backoff := 5 * time.Microsecond; ; backoff = min(2*backoff, 160*time.Microsecond) {
-		err := w.lost(target)
+		err := c.Lost(c.GroupToWorld(target))
 		if err == nil && w.timeout > 0 && p.Now() >= deadline {
 			err = c.WatchdogExpired(c.GroupToWorld(target))
-		}
-		if err == nil {
-			err = c.Revoked()
 		}
 		locked := false
 		if err == nil {
@@ -287,8 +285,8 @@ func (w *Win) tryLock(target int, deadline time.Duration) (bool, error) {
 
 // Unlock closes the passive-target epoch: completes all transfers to the
 // target, then releases the lock (MPI_Win_unlock). The epoch ends here
-// whatever the result. It fails at once as Lock does on a lost rank (lost)
-// or a revoked communicator; a private window's release is a handler
+// whatever the result. It fails at once as Lock does (mpi.Comm.Lost); a
+// private window's release is a handler
 // round-trip bounded by the window's bound, with oscRPC's errors. A shared
 // window's lock word is released even when its node is lost, so a restored
 // node's lock is free. Without its Lock it is an *mpi.ArgumentError and
@@ -303,10 +301,7 @@ func (w *Win) Unlock(target int) error {
 	w.syncViews()
 	w.ep = epochNone
 	w.lockHeld = -1
-	err := w.lost(target)
-	if err == nil {
-		err = c.Revoked()
-	}
+	err := c.Lost(c.GroupToWorld(target))
 	switch {
 	case w.peers[target].shared:
 		if err == nil && target != c.Rank() {

@@ -251,7 +251,7 @@ func (s *System) CreatePrivate(buf []byte, cfg Config) *Win {
 // shared window whose import is denied is degraded from the start
 // (degrade). A failed barrier still returns the window: a member whose
 // window was absent gets a row of unknown size, so the window's next call
-// toward it fails by the loss rules (lostPeer, lost, checkAccess).
+// toward it fails by mpi.Comm.Lost or, in checkAccess, mpi.Comm.WatchdogExpired.
 func (s *System) create(seg *mpi.SharedSeg, buf []byte, cfg Config) *Win {
 	c := s.c
 	n := c.Size()
@@ -348,11 +348,10 @@ func (w *Win) direct(target int) bool {
 // checkAccess refuses the data operation op (the call named call) before
 // anything is sent: as an *mpi.ArgumentError, one outside an access epoch,
 // toward a rank outside the group (checkRanks) or on bytes [off, off+n)
-// outside the target's window; then by the loss rules, a lost remote target
-// (mpi.Comm.PeerLost) or a member whose window was absent at creation; and
-// last, on a communicator a member started to shrink (mpi.Comm.Revoked),
-// for a local target too. A refusal by the loss rules or the revocation is
-// the call's KError; an argument error records nothing.
+// outside the target's window; then as mpi.Comm.Lost answers for the
+// target, local or remote; and toward a member whose window was absent at
+// creation, as mpi.Comm.WatchdogExpired. A refusal after the argument
+// checks is the call's KError; an argument error records nothing.
 func (w *Win) checkAccess(call string, op flight.Op, target int, off, n int64) error {
 	if w.ep == epochNone {
 		return &mpi.ArgumentError{Call: call, Reason: "outside an access epoch (call Fence, Start or Lock first)"}
@@ -360,21 +359,17 @@ func (w *Win) checkAccess(call string, op flight.Op, target int, off, n int64) e
 	if err := w.checkRanks(call, target); err != nil {
 		return err
 	}
-	c := w.c
-	var err error
-	switch size := w.peers[target].size; {
-	case size < 0: // the member had no window at creation: its barrier failed
-		if err = w.lost(target); err == nil {
-			err = c.WatchdogExpired(c.GroupToWorld(target))
-		}
-	case off < 0 || off > size-n: // not off+n: it wraps near math.MaxInt64
+	// size is -1 for a member that had no window at creation; not off+n:
+	// it wraps near math.MaxInt64.
+	size := w.peers[target].size
+	if size >= 0 && (off < 0 || off > size-n) {
 		return &mpi.ArgumentError{Call: call, Reason: fmt.Sprintf("access [%d, %d) outside window of %d bytes at rank %d",
 			off, off+n, size, target)}
-	case target != c.Rank():
-		err = c.PeerLost(c.GroupToWorld(target))
 	}
-	if err == nil {
-		err = c.Revoked()
+	c := w.c
+	err := c.Lost(c.GroupToWorld(target))
+	if err == nil && size < 0 {
+		err = c.WatchdogExpired(c.GroupToWorld(target))
 	}
 	w.fail(op, target, err)
 	return err

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"scimpich/internal/datatype"
 	"scimpich/internal/mpi"
@@ -285,7 +286,7 @@ func (s *Service) Commit() error {
 // returned an error. All surviving ranks must call it, and they all observe
 // the failure: operations and fences fail fast on a peer known dead, every
 // one-sided call fails once another survivor's arrival in the agreement is
-// visible (mpi.Comm.Revoked), and a fence that already waited when the
+// visible (mpi.Comm.Lost), and a fence that already waited when the
 // crash struck expires.
 // It agrees on the shrunken membership, rebuilds the window over the new
 // communicator, re-homes every shard from its surviving replica, replays
@@ -350,19 +351,15 @@ func (s *Service) recover() error {
 // shard's new primary and backup. Shards whose
 // both old holders died are counted in LostShards.
 func (s *Service) rereplicate(prev []int) error {
-	alive := make(map[int]bool, len(s.ranks))
-	for _, w := range s.ranks {
-		alive[w] = true
-	}
 	me := s.c.WorldRank()
 	for sh := 0; sh < shards; sh++ {
 		oldP := prev[sh%len(prev)]
 		oldB := prev[(sh+1)%len(prev)]
 		holder := -1
 		switch {
-		case alive[oldP]:
+		case slices.Contains(s.ranks, oldP):
 			holder = oldP
-		case alive[oldB]:
+		case slices.Contains(s.ranks, oldB):
 			holder = oldB
 		default:
 			s.LostShards++

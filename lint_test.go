@@ -686,15 +686,15 @@ func TestOneSyncWait(t *testing.T) {
 }
 
 // lossRuleHome are the packages that judge whether a rank is lost: sci
-// reports a dead node, and mpi turns that and a shrink's revocation into
-// the checks every other layer asks (Comm.PeerLost, Comm.SelfLost).
+// reports a dead node, and mpi turns that and a shrink's revocations into
+// the one question every other layer asks (Comm.Lost).
 var lossRuleHome = map[string]bool{"scimpich/internal/mpi": true, "scimpich/internal/sci": true}
 
 // TestOneLossRule fails on library code outside lossRuleHome that calls
-// (*mpi.World).NodeAlive or builds an sci.ErrConnectionLost or
-// mpi.RevokedRankError composite literal: such code judges a loss itself
-// instead of asking mpi, so it can drift from mpi's rule and leaves the
-// failure detector uninformed.
+// (*mpi.World).NodeAlive or builds an sci.ErrConnectionLost,
+// mpi.RevokedRankError or mpi.CommRevokedError composite literal: such code
+// judges a loss itself instead of asking mpi, so it can drift from mpi's
+// rule and leaves the failure detector uninformed.
 func TestOneLossRule(t *testing.T) {
 	seen := 0
 	for _, p := range typeCheck(t, ".") {
@@ -708,7 +708,7 @@ func TestOneLossRule(t *testing.T) {
 				case *ast.SelectorExpr:
 					if s := p.info.Selections[n]; s != nil && s.Obj().Name() == "NodeAlive" &&
 						types.TypeString(s.Recv(), nil) == "*scimpich/internal/mpi.World" {
-						t.Errorf("%s: calls (*mpi.World).NodeAlive: ask Comm.PeerLost or Comm.SelfLost", p.fset.Position(n.Pos()))
+						t.Errorf("%s: calls (*mpi.World).NodeAlive: ask Comm.Lost", p.fset.Position(n.Pos()))
 					}
 				case *ast.CompositeLit:
 					id, ok := n.Type.(*ast.Ident)
@@ -719,8 +719,9 @@ func TestOneLossRule(t *testing.T) {
 						return true
 					}
 					switch name := types.TypeString(p.info.Uses[id].Type(), nil); name {
-					case "scimpich/internal/sci.ErrConnectionLost", "scimpich/internal/mpi.RevokedRankError":
-						t.Errorf("%s: builds a %s: return the error of Comm.PeerLost or Comm.SelfLost", p.fset.Position(n.Pos()), name)
+					case "scimpich/internal/sci.ErrConnectionLost", "scimpich/internal/mpi.RevokedRankError",
+						"scimpich/internal/mpi.CommRevokedError":
+						t.Errorf("%s: builds a %s: ask Comm.Lost", p.fset.Position(n.Pos()), name)
 					}
 				}
 				return true
