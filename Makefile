@@ -93,11 +93,14 @@ bench-json:
 # a crash outside a fence round must keep every survivor's largest sojourn
 # within 2 ms, because a fence fails fast on a peer known dead
 # (TestFailoverClaimsCrashOutsideFence); and a crash anywhere in the
-# harness's crash window within ten arrival gaps, because the first
-# survivor's arrival in the agreement revokes the communicator
-# (TestFailoverClaimsMidRound). See docs/ELASTIC.md.
+# harness's crash window within five arrival gaps, because the first
+# survivor's arrival in the agreement revokes the communicator and no
+# survivor pushes a shard onto itself (TestFailoverClaimsMidRound); and a
+# failover must push each shard once toward each new replica but the
+# holder's own, from a holder that stays a replica
+# (TestRereplicatePushesEachShardOnce). See docs/ELASTIC.md.
 failover:
-	$(GO) test -run '^TestFailoverClaims(CrashOutsideFence|MidRound)?$$' -count=1 ./internal/rmem
+	$(GO) test -run '^(TestFailoverClaims(CrashOutsideFence|MidRound)?|TestRereplicatePushesEachShardOnce)$$' -count=1 ./internal/rmem
 
 # shard-stress hammers the conservative-parallel engine and the incremental
 # flow solver under the race detector, then the torus machine on the sharded

@@ -18,17 +18,23 @@ import (
 // stores with a store barrier), synchronizes all ranks barrier-style, and
 // opens the next epoch (MPI_Win_fence): every rank announces its arrival
 // to all others and waits for theirs (sync); the rounds are counted per
-// window. Before it announces anything, it fails at once on a lost rank of
-// its own, a peer that has not arrived and is known lost, or a
-// communicator a member started to shrink (mpi.Comm.Lost), so no peer can
-// complete a round this rank failed, and the round is not used up. Waiting
-// longer than the window's bound (0: forever) for a peer ends in
-// mpi.Comm.WatchdogExpired, as every mpi wait does.
+// window. A rank that is itself lost (mpi.Comm.Lost answers its own
+// *mpi.RevokedRankError) fails before its store barrier. After the barrier
+// and before it announces anything, it fails at once on a peer that has
+// not arrived and is known lost, or a communicator a member started to
+// shrink (mpi.Comm.Lost), so no peer can complete a round this rank
+// failed, and the round is not used up. Waiting longer than the window's
+// bound (0: forever) for a peer ends in mpi.Comm.WatchdogExpired, as every
+// mpi wait does.
 func (w *Win) Fence() error {
 	w.stats.Fences++
 	w.closeEpoch()
-	w.syncViews()
 	c := w.c
+	if err, self := c.Lost().(*mpi.RevokedRankError); self {
+		c.FlightRing().Fail(c.Proc().Now(), flight.OpFence, -1, err)
+		return err
+	}
+	w.syncViews()
 	round := int64(w.peers[c.Rank()].used[reqFence-reqPost]) + 1
 	c.FlightRing().Record(c.Proc().Now(), flight.KFenceEnter, int64(w.id), round, 0, 0)
 	if err := w.sync(reqFence, w.everyone, flight.OpFence); err != nil {

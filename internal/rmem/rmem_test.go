@@ -1,8 +1,10 @@
 package rmem
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -240,13 +242,15 @@ func TestSecondCrashDuringWindowCreation(t *testing.T) {
 // 25 µs) on -fault.seed. A survivor whose operations avoid the dead node
 // learns of the crash from the first survivor's arrival in the agreement,
 // which revokes the communicator at the survivor's next one-sided call, so
-// the agreement does not wait for it to touch the dead node. Every
-// survivor's largest sojourn must stay within ten arrival gaps: one gap for
-// the last survivor's next call, the rest for the recovery.
+// the agreement does not wait for it to touch the dead node, and each
+// shard is pushed once toward each new replica that is not its holder
+// (rereplicate), so no survivor copies a shard onto itself. Every
+// survivor's largest sojourn must stay within five arrival gaps (200 µs):
+// one gap for the last survivor's next call, the rest for the recovery.
 func TestFailoverClaimsMidRound(t *testing.T) {
 	wl := DefaultWorkload()
 	wl.Seed = int64(*faultSeed)
-	bound := 10 * wl.ArrivalGap
+	bound := 5 * wl.ArrivalGap
 	for at := 5050 * time.Microsecond; at <= 5350*time.Microsecond; at += 25 * time.Microsecond {
 		t.Run(at.String(), func(t *testing.T) {
 			reports, _ := RunWorkload(testConfig(fault.New(*faultSeed).CrashNode(1, at)), DefaultConfig(), wl)
@@ -254,6 +258,104 @@ func TestFailoverClaimsMidRound(t *testing.T) {
 			for _, me := range []int{0, 2, 3} {
 				if worst := time.Duration(reports[me].SojournNS.Max); worst > bound {
 					t.Errorf("survivor %d: largest sojourn %v, want at most %v", me, worst, bound)
+				}
+			}
+		})
+	}
+}
+
+// TestRereplicatePushesEachShardOnce pins the push plan of a failover on
+// 4×1, crashing each node in turn once every rank has committed a write to
+// each key it owns. Each shard's holder, a surviving old replica that stays
+// one of the shard's new replicas when there is one, pushes the shard to
+// each new replica but itself: 10 pushes of one shard region over the
+// three survivors, none of them to the pushing rank, and at most 4 on one
+// rank. Nothing is staged at the crash, so every put of the rebuilt window
+// until Recover returns is a push. After Recover, every shard's primary and
+// backup regions are byte-equal and hold the committed writes.
+func TestRereplicatePushesEachShardOnce(t *testing.T) {
+	const crash, call = 2 * time.Millisecond, 3 * time.Millisecond
+	cfg := DefaultConfig()
+	shardBytes := cfg.shardBytes()
+	for dead := range 4 {
+		t.Run(fmt.Sprintf("node%d", dead), func(t *testing.T) {
+			svcs := make([]*Service, 4)
+			mpi.Run(testConfig(fault.New(*faultSeed).CrashNode(dead, crash)), func(c *mpi.Comm) {
+				me := c.WorldRank()
+				svc, err := New(c, cfg)
+				if err != nil {
+					t.Errorf("rank %d: New: %v", me, err)
+					return
+				}
+				val := make([]byte, cfg.ValBytes)
+				for key := int64(me); key < cfg.Keys(); key += 4 {
+					for i := range val {
+						val[i] = byte(key) ^ byte(i)
+					}
+					if err := svc.Put(key, val); err != nil {
+						t.Errorf("rank %d: Put(%d): %v", me, key, err)
+						return
+					}
+				}
+				if err := svc.Commit(); err != nil {
+					t.Errorf("rank %d: Commit: %v", me, err)
+					return
+				}
+				p := c.Proc()
+				if p.Now() >= crash {
+					t.Errorf("rank %d: writes committed at %v, after the crash at %v", me, p.Now(), crash)
+					return
+				}
+				p.Sleep(call - p.Now())
+				if err := svc.Commit(); err == nil {
+					t.Errorf("rank %d: the commit after the crash succeeded", me)
+					return
+				}
+				if err := svc.Recover(); err != nil {
+					if me != dead || !IsRevoked(err) {
+						t.Errorf("rank %d: Recover: %v", me, err)
+					}
+					return
+				}
+				svcs[me] = svc
+			})
+			total := 0
+			for me, svc := range svcs {
+				if me == dead {
+					continue
+				}
+				if svc == nil {
+					t.Fatalf("survivor %d did not recover", me)
+				}
+				st := svc.win.Snapshot()
+				local := st.Puts - st.DirectPuts - st.EmulatedPuts
+				if local != 0 {
+					t.Errorf("survivor %d pushed %d shards onto itself", me, local)
+				}
+				if st.Puts > 4 {
+					t.Errorf("survivor %d pushed %d shards, want at most 4", me, st.Puts)
+				}
+				if st.BytesPut != st.Puts*shardBytes {
+					t.Errorf("survivor %d put %d bytes in %d puts, want whole shards of %d", me, st.BytesPut, st.Puts, shardBytes)
+				}
+				total += int(st.Puts)
+			}
+			if total != 10 {
+				t.Errorf("%d pushes, want 10", total)
+			}
+			// Every survivor holds the same membership; read placement from one.
+			ref := svcs[(dead+1)%4]
+			for sh := range shards {
+				off := int64(sh) * shardBytes
+				region := func(g int) []byte {
+					return svcs[ref.ranks[g]].seg.Bytes()[off : off+shardBytes]
+				}
+				p, b := region(ref.primary(sh)), region(ref.backup(sh))
+				if !bytes.Equal(p, b) {
+					t.Errorf("shard %d: primary %d and backup %d differ", sh, ref.ranks[ref.primary(sh)], ref.ranks[ref.backup(sh)])
+				}
+				if !slices.ContainsFunc(p, func(x byte) bool { return x != 0 }) {
+					t.Errorf("shard %d: primary %d holds no committed write", sh, ref.ranks[ref.primary(sh)])
 				}
 			}
 		})

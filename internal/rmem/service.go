@@ -345,18 +345,26 @@ func (s *Service) recover() error {
 	return nil
 }
 
-// rereplicate re-homes every shard under the new membership: for each
-// shard, the surviving holder of the old placement (the old primary, or the
-// old backup if the primary died) pushes the whole shard region to the
-// shard's new primary and backup. Shards whose
-// both old holders died are counted in LostShards.
+// rereplicate re-homes every shard under the new membership. Each shard's
+// holder pushes the whole shard region to the shard's new primary and
+// backup, but never to itself: its own replica is already in place. The
+// holder is a surviving old replica that stays one of the new two (the old
+// primary first), else the surviving old primary, else the surviving old
+// backup, so each shard moves once toward each new replica but its holder.
+// Shards whose both old holders died are counted in LostShards.
 func (s *Service) rereplicate(prev []int) error {
 	me := s.c.WorldRank()
 	for sh := 0; sh < shards; sh++ {
 		oldP := prev[sh%len(prev)]
 		oldB := prev[(sh+1)%len(prev)]
+		newP, newB := s.primary(sh), s.backup(sh)
+		stays := func(r int) bool { return r == s.ranks[newP] || r == s.ranks[newB] }
 		holder := -1
 		switch {
+		case stays(oldP):
+			holder = oldP
+		case stays(oldB):
+			holder = oldB
 		case slices.Contains(s.ranks, oldP):
 			holder = oldP
 		case slices.Contains(s.ranks, oldB):
@@ -370,7 +378,10 @@ func (s *Service) rereplicate(prev []int) error {
 		}
 		off := int64(sh) * s.cfg.shardBytes()
 		region := s.seg.Bytes()[off : off+s.cfg.shardBytes()]
-		for _, tgt := range []int{s.primary(sh), s.backup(sh)} {
+		for _, tgt := range []int{newP, newB} {
+			if s.ranks[tgt] == me {
+				continue
+			}
 			if err := s.win.Put(region, len(region), datatype.Byte, tgt, off); err != nil {
 				return err
 			}
